@@ -42,8 +42,9 @@ build:
 test: ## the tier-1 verify
 	$(GO) build ./... && $(GO) test ./...
 
-race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks
+race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks, and the eval cache's same-row/mixed-row publish races repeated
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestConcurrent' ./internal/evalcache
 
 fuzz: ## fuzz smoke: HTTP JSON decode paths must 400 cleanly, never panic or 5xx
 	$(GO) test -fuzz=FuzzTuneRequest -fuzztime=10s ./internal/serve
@@ -71,8 +72,10 @@ pilot-smoke: ## autoscaling drill: a flash crowd must scale 3 nodes out to 5 and
 property: ## schedule invariants, repeated with a pinned quick.Check budget
 	$(GO) test ./internal/schedule -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
 
-bench: ## cached-vs-uncached tuner, cold-vs-warm search, batch-submit amortization, tracing overhead, SLO evaluation
-	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=3x .
+bench: ## cached-vs-uncached tuner, one 405-knob row through the analyzer and through the eval cache, cold-vs-warm search, batch-submit amortization, tracing overhead, SLO evaluation
+	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x .
+	$(GO) test -run xxx -bench 'BenchmarkEvaluateBatch' ./internal/schedule
+	$(GO) test -run xxx -bench 'BenchmarkRow' ./internal/evalcache
 	$(GO) test -run xxx -bench 'BenchmarkWarmStartTune' -benchtime=3x ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=2x ./internal/serve
 	$(GO) test -run xxx -bench 'BenchmarkTraceOverhead' ./internal/trace
@@ -80,7 +83,9 @@ bench: ## cached-vs-uncached tuner, cold-vs-warm search, batch-submit amortizati
 	$(GO) test -run xxx -bench 'BenchmarkPilotEvaluate' -benchtime=2s ./internal/pilot
 
 bench-json: ## run the bench set and record a machine-readable trajectory point at $(BENCH_OUT)
-	( $(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=3x -benchmem . ; \
+	( $(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x -benchmem . ; \
+	  $(GO) test -run xxx -bench 'BenchmarkEvaluateBatch' -benchmem ./internal/schedule ; \
+	  $(GO) test -run xxx -bench 'BenchmarkRow' -benchmem ./internal/evalcache ; \
 	  $(GO) test -run xxx -bench 'BenchmarkWarmStartTune' -benchtime=3x -benchmem ./internal/core ; \
 	  $(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=2x -benchmem ./internal/serve ; \
 	  $(GO) test -run xxx -bench 'BenchmarkTraceOverhead' -benchmem ./internal/trace ; \

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,8 +44,15 @@ type sweepScratch struct {
 	shapes []schedule.StageShape
 	outs   []shapeOut
 	arena  []candidate
-	sorted []candidate
+	keys   []tdKey
 	front  []candidate
+}
+
+// tdKey is a candidate's Pareto sort key: its (t, d) point and its
+// position in the candidate list.
+type tdKey struct {
+	T, D float64
+	idx  int32
 }
 
 var sweepScratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
@@ -201,9 +209,9 @@ spawn:
 }
 
 // priceBatch prices one shape's knob set through the configured backend:
-// the interned-set fast path when the memo cache is active, the
-// analyzer's buffer-reusing batch when caching is off, or the generic
-// Evaluator interface when a test override is installed.
+// the cache's row store when memoization is active, the analyzer's
+// buffer-reusing batch when caching is off, or the generic Evaluator
+// interface when a test override is installed.
 func (t *Tuner) priceBatch(shape schedule.StageShape, set *evalcache.KnobSet, es *evalScratch) ([]schedule.Result, error) {
 	switch {
 	case t.evOverride != nil:
@@ -295,23 +303,25 @@ func paretoSample(cands []candidate, g, k int, sc *sweepScratch) []candidate {
 // c.T <= c'.T and c.D <= c'.D with at least one strict. The returned
 // slice is backed by sc and valid until its next use.
 func paretoFrontier(cands []candidate, sc *sweepScratch) []candidate {
-	if cap(sc.sorted) < len(cands) {
-		sc.sorted = make([]candidate, 0, len(cands))
+	// Sort compact (T, D, index) keys, not the 136-byte candidates: the
+	// order — ties included — is a function of the comparisons alone.
+	keys := sc.keys[:0]
+	for i := range cands {
+		keys = append(keys, tdKey{T: cands[i].T, D: cands[i].D, idx: int32(i)})
 	}
-	sorted := append(sc.sorted[:0], cands...)
-	sc.sorted = sorted
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].T != sorted[j].T {
-			return sorted[i].T < sorted[j].T
+	sc.keys = keys
+	slices.SortFunc(keys, func(a, b tdKey) int {
+		if a.T != b.T {
+			return cmp.Compare(a.T, b.T)
 		}
-		return sorted[i].D < sorted[j].D
+		return cmp.Compare(a.D, b.D)
 	})
 	front := sc.front[:0]
 	bestD := 0.0
-	for _, c := range sorted {
-		if len(front) == 0 || c.D < bestD {
-			front = append(front, c)
-			bestD = c.D
+	for _, k := range keys {
+		if len(front) == 0 || k.D < bestD {
+			front = append(front, cands[k.idx])
+			bestD = k.D
 		}
 	}
 	sc.front = front

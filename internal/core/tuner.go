@@ -70,7 +70,7 @@ type Tuner struct {
 	// (tests use it to inject evaluator failures and count attempts).
 	evOverride evalcache.Evaluator
 
-	// knobSets memoizes the interned knob batch per layer count: the
+	// knobSets memoizes the prepared knob set per layer count: the
 	// batch depends only on (Space, layers), so it is built once and
 	// shared by every (S, G) worker and every search on this tuner.
 	knobMu   sync.Mutex
@@ -111,7 +111,7 @@ func (t *Tuner) evaluator() evalcache.Evaluator {
 	return t.cache
 }
 
-// knobSet returns the interned knob batch for one layer count, building
+// knobSet returns the prepared knob set for one layer count, building
 // it on first use: the checkpoint grid is quantized to the layer count
 // and crossed with the space's offload-ratio grids (identical to the
 // enumeration the intra-stage sweep always used, hoisted out of the

@@ -1,39 +1,48 @@
 // Package evalcache memoizes schedule.Analyzer evaluations behind a
-// concurrency-safe, sharded store. The hierarchical tuner prices the
-// same (shape, knobs) point many times — middle pipeline stages with
-// equal in-flight depth enumerate identical candidate grids, the uniform
-// heuristic replicates one configuration across every stage, and
-// heterogeneous device search re-sweeps the same meshes per stage — so a
-// shared cache converts that repetition into lookups.
+// concurrency-safe row store. The hierarchical tuner prices the same
+// stage shape under the same knob grid many times — middle pipeline
+// stages with equal in-flight depth enumerate identical candidate grids,
+// the uniform heuristic replicates one configuration across every stage,
+// and heterogeneous device search re-sweeps the same meshes per stage —
+// so a shared cache converts that repetition into lookups.
 //
-// Keys are *canonical*: two shapes that provably evaluate identically
-// map to the same entry. The analyzer's result depends on the raw
-// StageShape only through
+// The unit of storage is a row: the results of one canonical stage shape
+// under one whole KnobSet, in set order. The tuner only ever prices whole
+// sets (one per layer count), so a row is found with a single map probe
+// and served with a single copy, and a missed row is priced by the
+// analyzer in one batch that shares work across the set (see
+// schedule.Analyzer.EvaluatePreparedInto). Single candidates and ad-hoc
+// batches are rows of one and of the batch's length through the same
+// store.
 //
-//   - (B, DP, TP) and the ZeRO level — with ZeRO normalized to 0 when
-//     DP == 1, where sharding is a no-op (the analyzer applies the same
-//     normalization, and every collective over a group of one costs 0);
-//   - HasPre / HasPost;
-//   - whether the pipeline is deeper than one stage (boundary p2p);
-//   - the 1F1B in-flight microbatch count min(GradAccum,
-//     NumStages-StageIdx) clamped to >= 1, which is the only way
-//     NumStages, StageIdx and GradAccum enter the stage model.
+// Keys are canonical: schedule.StageShape.Canonical collapses shapes
+// that provably evaluate identically (ZeRO under DP = 1; stage position,
+// depth and accumulation combinations with the same in-flight count),
+// and a KnobSet is identified by its exact ordered content, interned to a
+// small id on the set's first use with a cache — content is compared in
+// full, a colliding hash never aliases two sets.
 //
-// Lookups are lock-free: canonical shapes and knob contents are interned
-// to small integer ids, a point is the packed uint64 (shapeID, knobID),
-// and each shard serves reads from an immutable map snapshot swapped in
-// atomically (copy-on-write, sync.Map-style, but monomorphic — no
-// interface boxing per entry). Writers stage new points in a small
-// mutex-guarded dirty map that is promoted into the snapshot
-// geometrically, so total copy work stays O(entries). The tuner's nested
-// (S, G) × intra-stage worker fan-out therefore never serializes on the
-// read path.
+// One sync.RWMutex guards the store. A cold full-space search publishes
+// a few hundred rows (against ~180 k points), so lock traffic is per row
+// and the tuner's nested (S, G) × intra-stage worker fan-out does not
+// serialize on it. Two workers missing the same row both price it and
+// both count misses; the first to publish wins.
+//
+// What row granularity gives up: a point is found only through a set
+// with identical content, so two knob sets that overlap partially share
+// nothing (the serving layer lets search spaces share a cache; a
+// one-knob baseline row does not hit the full-space row containing that
+// point), and Len counts results held, a point once per row it appears
+// in. Sets reaching one cache from one search space are identical or
+// disjoint — knob content includes the layer count — so no tuner traffic
+// loses a hit.
 //
 // Counter discipline: Hits and Misses are incremented only after the
-// pricing they describe has succeeded. A batch whose underlying
-// evaluator call errors contributes nothing — not the hits it would have
-// served, not the misses it attempted — so on an error-free search the
-// counters reconcile exactly with the candidates the caller priced.
+// pricing they describe has succeeded. A row whose underlying evaluator
+// call errors is not stored and contributes nothing — not the duplicate
+// hits it would have served, not the misses it attempted — so on an
+// error-free search the counters reconcile exactly with the candidates
+// the caller priced.
 //
 // The cache is scoped to one analyzer configuration (model, sequence,
 // cluster, interference fit, Serialize flag): callers must not share a
@@ -41,6 +50,8 @@
 package evalcache
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -54,114 +65,74 @@ type Evaluator interface {
 	EvaluateBatch(schedule.StageShape, []schedule.Knobs) ([]schedule.Result, error)
 }
 
-// batchInto is the optional buffer-reusing batch interface
-// (*schedule.Analyzer implements it); the cache prefers it for pricing
-// misses so the underlying sweep allocates nothing per call.
-type batchInto interface {
-	EvaluateBatchInto(dst []schedule.Result, shape schedule.StageShape, ks []schedule.Knobs, sc *schedule.EvalScratch) ([]schedule.Result, error)
+// preparedInto is the optional prepared-batch interface
+// (*schedule.Analyzer implements it); the cache prefers it for pricing a
+// missed row, so the sweep reuses the set's tuple partition and writes
+// straight into the row.
+type preparedInto interface {
+	EvaluatePreparedInto(dst []schedule.Result, shape schedule.StageShape, b *schedule.Batch, sc *schedule.EvalScratch) ([]schedule.Result, error)
 }
 
-// Key is the canonical identity of one evaluation point. Comparable, so
-// it can index the interning tables directly.
-type Key struct {
-	B, DP, TP, ZeRO int
-	HasPre, HasPost bool
-	Pipelined       bool // NumStages > 1: boundary p2p transfers engaged
-	InFlight        int  // 1F1B in-flight microbatches at this stage
-	Layers, Ckpt    int
-	WO, GO, OO, AO  float64
-}
-
-// CanonicalKey derives the canonical cache key for one (shape, knobs)
-// point. Shapes that differ only in trace-irrelevant ways (ZeRO level
-// under DP=1; stage position / depth / accumulation combinations with
-// the same in-flight count) collapse to the same key.
-func CanonicalKey(s schedule.StageShape, k schedule.Knobs) Key {
-	return shapeKey(s).withKnobs(k)
-}
-
-// shapeKey canonicalizes the shape-dependent key fields; batch pricing
-// derives it once and stamps per-candidate knobs with withKnobs.
-func shapeKey(s schedule.StageShape) Key {
-	zero := s.ZeRO
-	if s.DP == 1 {
-		zero = 0
-	}
-	inFlight := s.NumStages - s.StageIdx
-	if inFlight > s.GradAccum {
-		inFlight = s.GradAccum
-	}
-	if inFlight < 1 {
-		inFlight = 1
-	}
-	return Key{
-		B: s.B, DP: s.DP, TP: s.TP, ZeRO: zero,
-		HasPre: s.HasPre, HasPost: s.HasPost,
-		Pipelined: s.NumStages > 1,
-		InFlight:  inFlight,
-	}
-}
-
-func (key Key) withKnobs(k schedule.Knobs) Key {
-	key.Layers, key.Ckpt = k.Layers, k.Ckpt
-	key.WO, key.GO, key.OO, key.AO = k.WO, k.GO, k.OO, k.AO
-	return key
-}
-
-// knobKey isolates the knob-content fields of a Key, the identity the
-// knob interning table is built on.
-func knobKey(k schedule.Knobs) Key {
-	return Key{}.withKnobs(k)
-}
-
-// KnobSet is an immutable, order-preserving batch of knobs prepared for
-// interned pricing. The tuner builds one per distinct layer count per
-// search (the knob grid depends only on the layer count) and reuses it
-// across every (stage, shape) sweep, so the set can memoize its interned
-// ids and skip all per-candidate key construction.
+// KnobSet is an immutable, order-preserving batch of knobs: one stage
+// shape's whole knob grid, the unit the cache stores and the analyzer
+// prices. The tuner builds one per distinct layer count per search (the
+// knob grid depends only on the layer count) and reuses it across every
+// (stage, shape) sweep.
 type KnobSet struct {
 	knobs []schedule.Knobs
-	// firstOf[i] is the position of the first entry with identical knob
-	// content (== i when entry i is the set's first occurrence). In-set
-	// duplicates are priced once and served as hits, mirroring the
-	// duplicate handling of EvaluateBatch.
-	firstOf []int32
-	uniq    int
+	hash  uint64 // of the ordered content; buckets the cache's set table
 
-	// res memoizes the set's interned ids against the last cache that
+	// uniq holds the set's distinct entries in first-occurrence order,
+	// prepared for row pricing; uniqOf[i] is entry i's position in it
+	// (<= i), nil when every entry is distinct. In-set duplicates are
+	// priced once and served as hits.
+	uniq   *schedule.Batch
+	uniqOf []int32
+
+	// res memoizes the set's interned id against the last cache that
 	// resolved it. The memo lives on the (request-scoped) set, not the
-	// (process-lifetime) cache, so a persistent cache retains no
-	// per-request pointers and dies with nothing to evict; the ids die
-	// with their set. Resolution is deterministic per cache (knobID
-	// assigns each content one stable id), so a racing re-resolution
-	// publishes an identical vector and last-write-wins is safe.
+	// (process-lifetime) cache. Resolution is deterministic per cache
+	// (each content gets one stable id), so a racing re-resolution
+	// publishes an identical value and last-write-wins is safe.
 	res atomic.Pointer[setResolution]
 }
 
-// setResolution pairs an interned id vector with the cache whose
-// interning tables it was resolved against.
+// setResolution pairs a set's interned id with the cache that issued it.
 type setResolution struct {
 	cache *Cache
-	ids   []uint32
+	id    uint32
 }
 
-// NewKnobSet copies ks into an immutable interning-ready set.
+// NewKnobSet copies ks into an immutable set.
 func NewKnobSet(ks []schedule.Knobs) *KnobSet {
 	s := &KnobSet{
-		knobs:   append([]schedule.Knobs(nil), ks...),
-		firstOf: make([]int32, len(ks)),
+		knobs:  append([]schedule.Knobs(nil), ks...),
+		uniqOf: make([]int32, len(ks)),
 	}
-	seen := make(map[Key]int32, len(ks))
+	uniq := make([]schedule.Knobs, 0, len(ks))
+	seen := make(map[schedule.Knobs]int32, len(ks))
+	var h uint64
+	mix := func(x uint64) { h = (h ^ x) * 1099511628211 } // FNV-1a over words
 	for i, k := range s.knobs {
-		kk := knobKey(k)
-		if first, ok := seen[kk]; ok {
-			s.firstOf[i] = first
-			continue
+		mix(uint64(k.Layers))
+		mix(uint64(k.Ckpt))
+		mix(math.Float64bits(k.WO))
+		mix(math.Float64bits(k.GO))
+		mix(math.Float64bits(k.OO))
+		mix(math.Float64bits(k.AO))
+		first, dup := seen[k]
+		if !dup {
+			first = int32(len(uniq))
+			seen[k] = first
+			uniq = append(uniq, k)
 		}
-		seen[kk] = int32(i)
-		s.firstOf[i] = int32(i)
-		s.uniq++
+		s.uniqOf[i] = first
 	}
+	if len(uniq) == len(s.knobs) { // no duplicates: one backing array, no index
+		uniq, s.uniqOf = s.knobs, nil
+	}
+	s.hash = h
+	s.uniq = schedule.NewBatch(uniq)
 	return s
 }
 
@@ -178,43 +149,31 @@ type Scratch struct {
 	// bypassing the cache (NoCache benchmarking) can reuse the same
 	// scratch against schedule.Analyzer directly.
 	Eval schedule.EvalScratch
-
-	missIdx   []int32
-	missKnobs []schedule.Knobs
-	missRes   []schedule.Result
-	ids       []uint32
 }
 
-// numShards bounds write contention and promotion copy sizes under the
-// tuner's nested worker pools; power of two so the shard index is a
-// shift off the mixed key.
-const (
-	shardBits = 5
-	numShards = 1 << shardBits
-)
+// rowKey identifies one stored row.
+type rowKey struct {
+	shape schedule.StageShape // canonical
+	set   uint32              // interned KnobSet content
+}
 
-// shard is one copy-on-write stripe of the point store. Readers load the
-// immutable read snapshot without synchronization; writers stage inserts
-// in dirty under mu and promote a merged snapshot once dirty outgrows
-// the geometric threshold.
-type shard struct {
-	read    atomic.Pointer[map[uint64]schedule.Result]
-	amended atomic.Bool // dirty may hold keys missing from read
-	mu      sync.Mutex
-	dirty   map[uint64]schedule.Result
+// internedSet is one entry of the content-interning table. knobs is the
+// first-resolved set's (immutable) backing slice, kept so later sets are
+// matched on exact content.
+type internedSet struct {
+	knobs []schedule.Knobs
+	id    uint32
 }
 
 // Cache is a memoizing, concurrency-safe Evaluator decorator.
 type Cache struct {
-	ev     Evaluator
-	shards [numShards]shard
+	ev Evaluator
 
-	// Interning tables: canonical shape -> id and knob content -> id.
-	// Read-mostly after warmup; the hot path resolves a whole KnobSet's
-	// ids once and the set memoizes them (see KnobSet.res).
-	intern   sync.RWMutex
-	shapeIDs map[Key]uint32
-	knobIDs  map[Key]uint32
+	mu    sync.RWMutex
+	sets  map[uint64][]internedSet // KnobSet.hash -> the contents sharing it
+	nsets uint32
+	rows  map[rowKey][]schedule.Result // immutable once published
+	held  int                          // results across all rows
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -222,16 +181,11 @@ type Cache struct {
 
 // New wraps an evaluator with a fresh cache.
 func New(ev Evaluator) *Cache {
-	c := &Cache{
-		ev:       ev,
-		shapeIDs: make(map[Key]uint32),
-		knobIDs:  make(map[Key]uint32),
+	return &Cache{
+		ev:   ev,
+		sets: make(map[uint64][]internedSet),
+		rows: make(map[rowKey][]schedule.Result),
 	}
-	empty := make(map[uint64]schedule.Result)
-	for i := range c.shards {
-		c.shards[i].read.Store(&empty)
-	}
-	return c
 }
 
 // Backend exposes the wrapped evaluator. The serving layer's cache
@@ -258,241 +212,119 @@ func (c *Cache) Stats() Stats {
 	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
 
-// Len reports the number of distinct cached points.
+// Len reports the number of results held across all rows.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		m := *sh.read.Load()
-		n += len(m)
-		for k := range sh.dirty {
-			if _, ok := m[k]; !ok {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.held
 }
 
-// shapeID interns a shape's canonical identity.
-func (c *Cache) shapeID(s schedule.StageShape) uint32 {
-	k := shapeKey(s)
-	c.intern.RLock()
-	id, ok := c.shapeIDs[k]
-	c.intern.RUnlock()
-	if ok {
-		return id
-	}
-	c.intern.Lock()
-	id, ok = c.shapeIDs[k]
-	if !ok {
-		id = uint32(len(c.shapeIDs))
-		c.shapeIDs[k] = id
-	}
-	c.intern.Unlock()
-	return id
-}
-
-// knobID interns a knob content. Callers on the hot path resolve whole
-// sets via setIDs instead.
-func (c *Cache) knobID(k schedule.Knobs) uint32 {
-	kk := knobKey(k)
-	c.intern.RLock()
-	id, ok := c.knobIDs[kk]
-	c.intern.RUnlock()
-	if ok {
-		return id
-	}
-	c.intern.Lock()
-	id, ok = c.knobIDs[kk]
-	if !ok {
-		id = uint32(len(c.knobIDs))
-		c.knobIDs[kk] = id
-	}
-	c.intern.Unlock()
-	return id
-}
-
-// resolveIDs fills dst with the interned knob id of every set entry
-// (duplicates resolve to their first occurrence's id).
-func (c *Cache) resolveIDs(s *KnobSet, dst []uint32) []uint32 {
-	if cap(dst) < len(s.knobs) {
-		dst = make([]uint32, len(s.knobs))
-	}
-	dst = dst[:len(s.knobs)]
-	for i, k := range s.knobs {
-		if f := s.firstOf[i]; int(f) != i {
-			dst[i] = dst[f]
-			continue
-		}
-		dst[i] = c.knobID(k)
-	}
-	return dst
-}
-
-// setIDs returns the memoized interned ids of a KnobSet against this
-// cache, resolving and publishing them onto the set on first use. A set
-// alternating between caches (which no current caller does) would
+// setID returns the set's interned content id against this cache,
+// resolving it on the set's first use here and memoizing it on the set.
+// A set alternating between caches (which no current caller does) would
 // re-resolve on each switch — correct, just unmemoized.
-func (c *Cache) setIDs(s *KnobSet) []uint32 {
+func (c *Cache) setID(s *KnobSet) uint32 {
 	if r := s.res.Load(); r != nil && r.cache == c {
-		return r.ids
+		return r.id
 	}
-	ids := c.resolveIDs(s, nil)
-	s.res.Store(&setResolution{cache: c, ids: ids})
-	return ids
-}
-
-// pointKey packs an interned (shape, knob) pair into the store key.
-func pointKey(shapeID, knobID uint32) uint64 {
-	return uint64(shapeID)<<32 | uint64(knobID)
-}
-
-// shardFor mixes the packed key onto its stripe.
-func (c *Cache) shardFor(k uint64) *shard {
-	h := k * 0x9E3779B97F4A7C15 // Fibonacci hashing: high bits well mixed
-	return &c.shards[h>>(64-shardBits)]
-}
-
-// lookup is the lock-free read path: the immutable snapshot first, the
-// dirty map (under its shard lock) only while the shard is amended. The
-// slow path re-checks the read snapshot under the lock — sync.Map's
-// double-check — because a promotion racing between our snapshot load
-// and the amended load moves the key from dirty into a new snapshot;
-// without the re-check that window reads as a spurious miss and the
-// point is silently re-priced.
-func (c *Cache) lookup(k uint64) (schedule.Result, bool) {
-	sh := c.shardFor(k)
-	if r, ok := (*sh.read.Load())[k]; ok {
-		return r, true
-	}
-	if !sh.amended.Load() {
-		return schedule.Result{}, false
-	}
-	sh.mu.Lock()
-	r, ok := (*sh.read.Load())[k]
-	if !ok {
-		r, ok = sh.dirty[k]
-	}
-	sh.mu.Unlock()
-	return r, ok
-}
-
-// store inserts a priced point, promoting the dirty map into a fresh
-// immutable snapshot once it outgrows the geometric threshold (total
-// promotion copy work stays O(entries) over the cache's lifetime).
-func (c *Cache) store(k uint64, r schedule.Result) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	if sh.dirty == nil {
-		sh.dirty = make(map[uint64]schedule.Result, 64)
-	}
-	sh.dirty[k] = r
-	sh.amended.Store(true)
-	read := *sh.read.Load()
-	if threshold := len(read); len(sh.dirty) >= max(64, threshold) {
-		next := make(map[uint64]schedule.Result, len(read)+len(sh.dirty))
-		for kk, vv := range read {
-			next[kk] = vv
+	c.mu.Lock()
+	id, known := uint32(0), false
+	for _, e := range c.sets[s.hash] {
+		if slices.Equal(e.knobs, s.knobs) {
+			id, known = e.id, true
+			break
 		}
-		for kk, vv := range sh.dirty {
-			next[kk] = vv
-		}
-		sh.read.Store(&next)
-		sh.dirty = nil
-		sh.amended.Store(false)
 	}
-	sh.mu.Unlock()
+	if !known {
+		id = c.nsets
+		c.nsets++
+		c.sets[s.hash] = append(c.sets[s.hash], internedSet{knobs: s.knobs, id: id})
+	}
+	c.mu.Unlock()
+	s.res.Store(&setResolution{cache: c, id: id})
+	return id
 }
 
-// Evaluate prices one candidate, consulting the cache first. Errors are
-// not cached or counted: an invalid point re-queries the analyzer
-// (cheap — it fails validation before any pricing).
+// Evaluate prices one candidate as a row of one. Errors are not cached
+// or counted: an invalid point re-queries the analyzer (cheap — it fails
+// validation before any pricing).
 func (c *Cache) Evaluate(shape schedule.StageShape, k schedule.Knobs) (schedule.Result, error) {
-	key := pointKey(c.shapeID(shape), c.knobID(k))
-	if r, ok := c.lookup(key); ok {
-		c.hits.Add(1)
-		return r, nil
-	}
-	r, err := c.ev.Evaluate(shape, k)
+	rs, err := c.EvaluateBatch(shape, []schedule.Knobs{k})
 	if err != nil {
 		return schedule.Result{}, err
 	}
-	c.misses.Add(1)
-	c.store(key, r)
-	return r, nil
+	return rs[0], nil
 }
 
-// EvaluateSet prices every entry of a prepared KnobSet under one shape,
-// forwarding only the cache misses to the underlying evaluator in a
-// single batch (so the analyzer's compiled-program sweep still amortizes
-// across them). dst is reused when its capacity suffices and the
-// returned slice aliases it; sc's buffers persist across calls. This is
-// the tuner's hot path: zero allocations once dst and sc have grown.
+// EvaluateBatch prices an ad-hoc knob slice under one shape as a row of
+// its own. Repeated batches should build a KnobSet once and use
+// EvaluateSet.
+func (c *Cache) EvaluateBatch(shape schedule.StageShape, ks []schedule.Knobs) ([]schedule.Result, error) {
+	var sc Scratch
+	return c.EvaluateSet(shape, NewKnobSet(ks), nil, &sc)
+}
+
+// EvaluateSet prices every entry of a KnobSet under one shape: one probe
+// of the row store, then either a copy of the stored row or one analyzer
+// batch over the set's distinct entries. dst is reused when its capacity
+// suffices and the returned slice aliases it — it is the caller's, never
+// the stored row — and sc's buffers persist across calls. This is the
+// tuner's hot path: a hit allocates nothing once dst has grown, a miss
+// allocates the row it publishes.
 func (c *Cache) EvaluateSet(shape schedule.StageShape, set *KnobSet, dst []schedule.Result, sc *Scratch) ([]schedule.Result, error) {
-	return c.evaluateSet(shape, set, c.setIDs(set), dst, sc)
+	n := len(set.knobs)
+	if cap(dst) < n {
+		dst = make([]schedule.Result, n)
+	}
+	dst = dst[:n]
+	key := rowKey{shape: shape.Canonical(), set: c.setID(set)}
+	c.mu.RLock()
+	row, ok := c.rows[key]
+	c.mu.RUnlock()
+	if ok {
+		c.hits.Add(uint64(n))
+		copy(dst, row)
+		return dst, nil
+	}
+	row, err := c.price(shape, set, sc)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if _, raced := c.rows[key]; !raced { // first publish wins; the loser's row is identical
+		c.rows[key] = row
+		c.held += n
+	}
+	c.mu.Unlock()
+	uniq := len(set.uniq.Knobs())
+	c.misses.Add(uint64(uniq))
+	c.hits.Add(uint64(n - uniq))
+	copy(dst, row)
+	return dst, nil
 }
 
-func (c *Cache) evaluateSet(shape schedule.StageShape, set *KnobSet, ids []uint32, dst []schedule.Result, sc *Scratch) ([]schedule.Result, error) {
-	ks := set.knobs
-	if cap(dst) < len(ks) {
-		dst = make([]schedule.Result, len(ks))
-	}
-	results := dst[:len(ks)]
-	base := c.shapeID(shape)
-	sc.missIdx = sc.missIdx[:0]
-	for i := range ks {
-		if int(set.firstOf[i]) != i {
-			continue // in-set duplicate: filled from its first occurrence below
+// price builds a fresh, exactly-sized row for a missed (shape, set).
+func (c *Cache) price(shape schedule.StageShape, set *KnobSet, sc *Scratch) ([]schedule.Result, error) {
+	row := make([]schedule.Result, len(set.knobs))
+	uniq := set.uniq.Knobs()
+	if pi, ok := c.ev.(preparedInto); ok {
+		if _, err := pi.EvaluatePreparedInto(row, shape, set.uniq, &sc.Eval); err != nil {
+			return nil, err
 		}
-		if r, ok := c.lookup(pointKey(base, ids[i])); ok {
-			results[i] = r
-			continue
-		}
-		sc.missIdx = append(sc.missIdx, int32(i))
-	}
-	if len(sc.missIdx) > 0 {
-		if cap(sc.missKnobs) < len(sc.missIdx) {
-			sc.missKnobs = make([]schedule.Knobs, 0, len(ks))
-		}
-		sc.missKnobs = sc.missKnobs[:0]
-		for _, i := range sc.missIdx {
-			sc.missKnobs = append(sc.missKnobs, ks[i])
-		}
-		var priced []schedule.Result
-		var err error
-		if bi, ok := c.ev.(batchInto); ok {
-			priced, err = bi.EvaluateBatchInto(sc.missRes, shape, sc.missKnobs, &sc.Eval)
-		} else {
-			priced, err = c.ev.EvaluateBatch(shape, sc.missKnobs)
-		}
+	} else {
+		priced, err := c.ev.EvaluateBatch(shape, uniq)
 		if err != nil {
 			return nil, err
 		}
-		sc.missRes = priced[:0]
-		for j, i := range sc.missIdx {
-			results[i] = priced[j]
-			c.store(pointKey(base, ids[i]), priced[j])
-		}
-		c.misses.Add(uint64(len(sc.missIdx)))
+		copy(row, priced)
 	}
-	for i := range ks {
-		if f := set.firstOf[i]; int(f) != i {
-			results[i] = results[f]
+	if len(uniq) < len(row) {
+		// The distinct entries' results sit in the row's prefix; spread
+		// them to set order back to front (uniqOf[i] <= i, so no source
+		// is overwritten before it is read).
+		for i := len(row) - 1; i >= 0; i-- {
+			row[i] = row[set.uniqOf[i]]
 		}
 	}
-	c.hits.Add(uint64(len(ks) - len(sc.missIdx)))
-	return results, nil
-}
-
-// EvaluateBatch prices many candidates under one shape. It is the
-// compatibility form of EvaluateSet for ad-hoc knob slices; repeated
-// batches should build a KnobSet once and use EvaluateSet.
-func (c *Cache) EvaluateBatch(shape schedule.StageShape, ks []schedule.Knobs) ([]schedule.Result, error) {
-	set := NewKnobSet(ks)
-	var sc Scratch
-	sc.ids = c.resolveIDs(set, sc.ids)
-	return c.evaluateSet(shape, set, sc.ids, nil, &sc)
+	return row, nil
 }

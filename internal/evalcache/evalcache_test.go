@@ -76,8 +76,8 @@ func TestCacheHitReturnsIdenticalResult(t *testing.T) {
 	if r2 != direct {
 		t.Errorf("cached result %+v != direct analyzer result %+v", r2, direct)
 	}
-	if got := ce.singles.Load(); got != 1 {
-		t.Errorf("underlying evaluator called %d times, want 1", got)
+	if got := ce.singles.Load() + ce.batched.Load(); got != 1 {
+		t.Errorf("underlying evaluator priced %d points, want 1", got)
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
@@ -89,24 +89,37 @@ func TestCacheHitReturnsIdenticalResult(t *testing.T) {
 }
 
 // Canonicalization: shapes built differently but provably equivalent
-// must share one cache entry.
+// must share one row, and shapes that can price differently must not.
 func TestCanonicalKeyCollapsesEquivalentShapes(t *testing.T) {
+	an := newTestAnalyzer(t)
 	k := schedule.Knobs{Layers: 8, Ckpt: 4, AO: 0.5}
+	// sharesRow prices a then b through a fresh cache and reports whether
+	// b was served from a's row.
+	sharesRow := func(a, b schedule.StageShape) bool {
+		t.Helper()
+		c := New(an)
+		for _, s := range []schedule.StageShape{a, b} {
+			if _, err := c.Evaluate(s, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c.Stats() == Stats{Hits: 1, Misses: 1}
+	}
 
 	// ZeRO is a no-op without data parallelism: all levels collapse.
 	noDP := schedule.StageShape{B: 2, DP: 1, TP: 4, NumStages: 1, StageIdx: 0, GradAccum: 4}
-	for z := 0; z <= 3; z++ {
+	for z := 1; z <= 3; z++ {
 		s := noDP
 		s.ZeRO = z
-		if got, want := CanonicalKey(s, k), CanonicalKey(noDP, k); got != want {
-			t.Errorf("ZeRO=%d under DP=1: key %+v != %+v", z, got, want)
+		if !sharesRow(noDP, s) {
+			t.Errorf("ZeRO=%d under DP=1 did not share ZeRO=0's row", z)
 		}
 	}
 	withDP := noDP
 	withDP.DP, withDP.TP = 2, 2
 	zero2 := withDP
 	zero2.ZeRO = 2
-	if CanonicalKey(withDP, k) == CanonicalKey(zero2, k) {
+	if sharesRow(withDP, zero2) {
 		t.Error("ZeRO levels under DP>1 must NOT collapse")
 	}
 
@@ -117,20 +130,26 @@ func TestCanonicalKeyCollapsesEquivalentShapes(t *testing.T) {
 	a := schedule.StageShape{B: 2, DP: 1, TP: 2, NumStages: 4, StageIdx: 1, GradAccum: 2}
 	b := schedule.StageShape{B: 2, DP: 1, TP: 2, NumStages: 4, StageIdx: 2, GradAccum: 2}
 	d := schedule.StageShape{B: 2, DP: 1, TP: 2, NumStages: 8, StageIdx: 6, GradAccum: 2}
-	if CanonicalKey(a, k) != CanonicalKey(b, k) || CanonicalKey(a, k) != CanonicalKey(d, k) {
-		t.Error("equal in-flight pipelined stages should share a key")
+	if !sharesRow(a, b) || !sharesRow(a, d) {
+		t.Error("equal in-flight pipelined stages should share a row")
 	}
 	// ... but a single-stage shape (no p2p) must not match a pipelined one.
 	single := schedule.StageShape{B: 2, DP: 1, TP: 2, NumStages: 1, StageIdx: 0, GradAccum: 2}
 	deep := schedule.StageShape{B: 2, DP: 1, TP: 2, NumStages: 2, StageIdx: 1, GradAccum: 1}
-	if CanonicalKey(single, k) == CanonicalKey(deep, k) {
+	if sharesRow(single, deep) {
 		t.Error("single-stage and pipelined shapes must not collapse")
 	}
 	// Different knobs never collapse.
+	c := New(an)
 	k2 := k
 	k2.WO = 0.5
-	if CanonicalKey(a, k) == CanonicalKey(a, k2) {
-		t.Error("different knobs should produce different keys")
+	for _, kk := range []schedule.Knobs{k, k2} {
+		if _, err := c.Evaluate(a, kk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 {
+		t.Errorf("different knobs shared a row: %+v", st)
 	}
 }
 
@@ -169,6 +188,10 @@ func TestCanonicalShapesEvaluateIdentically(t *testing.T) {
 	}
 }
 
+// Ad-hoc batches are rows of their own: an identical batch is served
+// whole from the store, in-batch duplicates are priced once and counted
+// as hits, and a batch that merely overlaps an earlier one shares nothing
+// with it (row granularity; see the package comment).
 func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 	an := newTestAnalyzer(t)
 	ce := &countingEvaluator{ev: an}
@@ -186,46 +209,168 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 		t.Fatalf("warmup priced %d points, want 2", got)
 	}
 
-	// Batch mixing cached points, fresh points, and an in-batch duplicate.
+	// Overlaps the warm batch and repeats one of its own entries.
 	mixed := []schedule.Knobs{
-		{Layers: 32, Ckpt: 0},  // hit
-		{Layers: 32, Ckpt: 16}, // miss
-		{Layers: 32, Ckpt: 8},  // hit
-		{Layers: 32, Ckpt: 16}, // duplicate of the miss above
-		{Layers: 32, Ckpt: 24}, // miss
+		{Layers: 32, Ckpt: 0},
+		{Layers: 32, Ckpt: 16},
+		{Layers: 32, Ckpt: 8},
+		{Layers: 32, Ckpt: 16}, // duplicate of entry 1
+		{Layers: 32, Ckpt: 24},
 	}
-	rs, err := c.EvaluateBatch(shape, mixed)
+	for pass, wantPriced := range []int64{2 + 4, 2 + 4} { // first pass prices the 4 distinct entries, second nothing
+		rs, err := c.EvaluateBatch(shape, mixed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ce.batched.Load(); got != wantPriced {
+			t.Errorf("pass %d: underlying evaluator priced %d points total, want %d", pass, got, wantPriced)
+		}
+		for i, k := range mixed {
+			direct, err := an.Evaluate(shape, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs[i] != direct {
+				t.Errorf("pass %d: batch[%d] %+v != direct %+v", pass, i, rs[i], direct)
+			}
+		}
+	}
+	// warm: 2 misses. mixed cold: 4 misses + 1 duplicate hit. mixed again: 5 hits.
+	st := c.Stats()
+	if st.Hits != 6 || st.Misses != 6 {
+		t.Errorf("stats %+v, want 6 hits / 6 misses", st)
+	}
+	if got, want := st.Hits+st.Misses, uint64(len(warm)+2*len(mixed)); got != want {
+		t.Errorf("hits+misses = %d, want the %d candidates priced", got, want)
+	}
+	if c.Len() != len(warm)+len(mixed) {
+		t.Errorf("cache holds %d results, want %d (one per row entry)", c.Len(), len(warm)+len(mixed))
+	}
+}
+
+// Rows are keyed by knob-set content, not by KnobSet object: a second
+// set with the same entries is served from the first one's row, a set
+// whose content differs is not — even when its hash collides.
+func TestSetIdentityIsExactContent(t *testing.T) {
+	an := newTestAnalyzer(t)
+	c := New(an)
+	shape := testShape()
+	knobs := []schedule.Knobs{
+		{Layers: 32, Ckpt: 0},
+		{Layers: 32, Ckpt: 8, AO: 0.5},
+		{Layers: 32, Ckpt: 16, WO: 1},
+	}
+	var sc Scratch
+	first, err := c.EvaluateSet(shape, NewKnobSet(knobs), nil, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ce.batched.Load(); got != 4 { // +2 new unique points only
-		t.Errorf("underlying evaluator priced %d points total, want 4", got)
+	again, err := c.EvaluateSet(shape, NewKnobSet(knobs), nil, &sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, k := range mixed {
+	if st := c.Stats(); st.Misses != 3 || st.Hits != 3 {
+		t.Errorf("identical content from a second KnobSet: stats %+v, want 3 misses / 3 hits", st)
+	}
+	for i := range first {
+		if first[i] != again[i] {
+			t.Errorf("entry %d: hit %+v != first pricing %+v", i, again[i], first[i])
+		}
+	}
+
+	// Same length, same hash bucket (forced), different content.
+	other := append([]schedule.Knobs(nil), knobs...)
+	other[1].AO = 1
+	collide := NewKnobSet(other)
+	collide.hash = NewKnobSet(knobs).hash
+	rs, err := c.EvaluateSet(shape, collide, nil, &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Misses != 6 {
+		t.Errorf("colliding set was served from another set's row: stats %+v, want 6 misses", st)
+	}
+	for i, k := range other {
 		direct, err := an.Evaluate(shape, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rs[i] != direct {
-			t.Errorf("batch[%d] %+v != direct %+v", i, rs[i], direct)
+			t.Errorf("colliding set entry %d: %+v != direct %+v", i, rs[i], direct)
 		}
 	}
-	st := c.Stats()
-	if st.Hits != 3 || st.Misses != 4 {
-		t.Errorf("stats %+v, want 3 hits / 4 misses", st)
+}
+
+// The slice EvaluateSet returns is the caller's (the tuner passes it back
+// as dst for the next shape): scribbling on it must never reach the
+// stored row.
+func TestReturnedRowIsCallerOwned(t *testing.T) {
+	an := newTestAnalyzer(t)
+	c := New(an)
+	shapeA, shapeB := testShape(), testShape()
+	shapeB.B = 4
+	set := NewKnobSet([]schedule.Knobs{{Layers: 32, Ckpt: 0}, {Layers: 32, Ckpt: 8}})
+	var sc Scratch
+	want := map[schedule.StageShape][]schedule.Result{}
+	var dst []schedule.Result
+	for _, sh := range []schedule.StageShape{shapeA, shapeB} { // misses, dst recycled across shapes
+		rs, err := c.EvaluateSet(sh, set, dst, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[sh] = append([]schedule.Result(nil), rs...)
+		dst = rs[:0]
 	}
-	if c.Len() != 4 {
-		t.Errorf("cache holds %d entries, want 4", c.Len())
+	for round := 0; round < 2; round++ { // hits; scribble between them
+		for _, sh := range []schedule.StageShape{shapeA, shapeB} {
+			rs, err := c.EvaluateSet(sh, set, dst, &sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range rs {
+				if rs[i] != want[sh][i] {
+					t.Fatalf("round %d: hit %+v != first pricing %+v", round, rs[i], want[sh][i])
+				}
+				rs[i] = schedule.Result{Stable: -1}
+			}
+			dst = rs[:0]
+		}
+	}
+}
+
+// A set holding an invalid entry fails as a whole: no row is stored and
+// neither counter moves, duplicates included.
+func TestErrorRowNeitherStoredNorCounted(t *testing.T) {
+	an := newTestAnalyzer(t)
+	ce := &countingEvaluator{ev: an}
+	c := New(ce)
+	good := schedule.Knobs{Layers: 32, Ckpt: 8}
+	bad := NewKnobSet([]schedule.Knobs{good, good, {Layers: 4, Ckpt: 9}})
+	var sc Scratch
+	for i := 0; i < 2; i++ {
+		if _, err := c.EvaluateSet(testShape(), bad, nil, &sc); err == nil {
+			t.Fatal("set with an invalid entry accepted")
+		}
+	}
+	if st := c.Stats(); st != (Stats{}) || c.Len() != 0 {
+		t.Errorf("failed row left a trace: stats %+v len %d", st, c.Len())
+	}
+	// The same valid entries in a set of their own still price normally:
+	// the duplicate once, as a hit.
+	if _, err := c.EvaluateSet(testShape(), NewKnobSet([]schedule.Knobs{good, good}), nil, &sc); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 || c.Len() != 2 {
+		t.Errorf("stats %+v len %d, want 1 miss / 1 hit / 2 held", st, c.Len())
 	}
 }
 
 // TestKnobSetSharedAcrossCaches pins the ownership of the set-id memo:
-// the interned ids live on the (request-scoped) KnobSet, keyed by the
-// cache that resolved them, so the (process-lifetime) cache retains no
-// per-request pointers — and a set re-priced through a second cache
+// the interned id lives on the (request-scoped) KnobSet, keyed by the
+// cache that resolved it — and a set re-priced through a second cache
 // with a different interning order must re-resolve rather than reuse
-// the first cache's ids (which would alias foreign points and serve
-// wrong results).
+// the first cache's id (which would alias a foreign row and serve wrong
+// results).
 func TestKnobSetSharedAcrossCaches(t *testing.T) {
 	an := newTestAnalyzer(t)
 	c1, c2 := New(an), New(an)
@@ -236,8 +381,8 @@ func TestKnobSetSharedAcrossCaches(t *testing.T) {
 	}
 	set := NewKnobSet(knobs)
 
-	// Skew c2's knob-id assignment so the same set resolves to different
-	// id vectors on the two caches.
+	// Skew c2's set-id assignment (the row of one interns first) so the
+	// same set resolves to different ids on the two caches.
 	if _, err := c2.Evaluate(shape, schedule.Knobs{Layers: 32, Ckpt: 16}); err != nil {
 		t.Fatal(err)
 	}
@@ -329,10 +474,10 @@ func TestConcurrentAccess(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	// 5 ckpt values x 3 AO values, plus the fixed batch filler (ckpt=8
-	// AO=0 is already in the grid): at most 15 distinct points.
-	if c.Len() > 15 {
-		t.Errorf("cache holds %d entries, want <= 15", c.Len())
+	// 5 ckpt values x 3 AO values: at most 15 rows of one and 15
+	// two-entry batch rows.
+	if c.Len() > 15+2*15 {
+		t.Errorf("cache holds %d results, want <= 45", c.Len())
 	}
 	st := c.Stats()
 	if st.Hits == 0 || st.Misses == 0 {

@@ -9,8 +9,8 @@ import (
 )
 
 // syntheticEvaluator is a deterministic stand-in for the analyzer: the
-// result encodes the canonical key's identity so tests can verify that
-// every caller observed the value its key demands, and an atomic counter
+// result encodes the canonical point's identity so tests can verify that
+// every caller observed the value its point demands, and a counter
 // tracks how many points actually reached the backend.
 type syntheticEvaluator struct {
 	mu    sync.Mutex
@@ -18,9 +18,9 @@ type syntheticEvaluator struct {
 }
 
 func syntheticResult(s schedule.StageShape, k schedule.Knobs) schedule.Result {
-	key := CanonicalKey(s, k)
-	v := float64(key.B)*1e6 + float64(key.DP)*1e4 + float64(key.TP)*1e2 +
-		float64(key.InFlight)*10 + float64(key.Layers) + float64(key.Ckpt)/100
+	cs := s.Canonical() // GradAccum carries the in-flight count
+	v := float64(cs.B)*1e6 + float64(cs.DP)*1e4 + float64(cs.TP)*1e2 +
+		float64(cs.GradAccum)*10 + float64(k.Layers) + float64(k.Ckpt)/100
 	return schedule.Result{Stable: v, Delta: v / 2, PeakMem: v * 3}
 }
 
@@ -43,11 +43,11 @@ func (c *syntheticEvaluator) EvaluateBatch(s schedule.StageShape, ks []schedule.
 }
 
 // TestConcurrentMixedHitMissLoad hammers one cache from many goroutines
-// with overlapping key populations — exactly the access pattern of the
-// tuner's nested (S, G) x shape worker pools — and checks, under the
-// race detector (`make race`), that every result is correct and the
-// hit/miss accounting stays exact: each requested point counts as
-// precisely one hit or one miss, whatever the interleaving.
+// with overlapping row populations — rows of one through Evaluate, ad-hoc
+// six-entry rows through EvaluateBatch — and checks, under the race
+// detector (`make race`), that every result is correct and the hit/miss
+// accounting stays exact: each requested point counts as precisely one
+// hit or one miss, whatever the interleaving.
 func TestConcurrentMixedHitMissLoad(t *testing.T) {
 	ev := &syntheticEvaluator{}
 	c := New(ev)
@@ -56,9 +56,9 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 		goroutines = 16
 		rounds     = 40
 	)
-	// A small key population shared by all goroutines guarantees heavy
-	// hit/miss mixing: the first toucher of a point misses, everyone
-	// else should hit (or miss benignly when racing the first store).
+	// A small row population shared by all goroutines guarantees heavy
+	// hit/miss mixing: the first toucher of a row misses, everyone else
+	// should hit (or miss benignly when racing the first publish).
 	shapes := []schedule.StageShape{
 		{B: 1, DP: 2, TP: 1, NumStages: 2, StageIdx: 0, GradAccum: 4, HasPre: true},
 		{B: 1, DP: 2, TP: 1, NumStages: 2, StageIdx: 1, GradAccum: 4, HasPost: true},
@@ -128,17 +128,12 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 	if got := st.Hits + st.Misses; got != uint64(totalRequests) {
 		t.Errorf("hits(%d) + misses(%d) = %d, want exactly %d requests", st.Hits, st.Misses, got, totalRequests)
 	}
-	// Distinct canonical points bound the cache size; misses can exceed
-	// Len when two goroutines race the first store of a point, but the
-	// cache must never grow beyond the population.
-	distinct := map[Key]bool{}
-	for _, sh := range shapes {
-		for i := 0; i < 8; i++ {
-			distinct[CanonicalKey(sh, knobsFor(i))] = true
-		}
-	}
-	if c.Len() > len(distinct) {
-		t.Errorf("cache holds %d entries, key population is %d", c.Len(), len(distinct))
+	// The row population bounds the cache size: per shape, 8 rows of one
+	// and 8 six-entry batch rows (one per rotation of the knob cycle).
+	// Misses can exceed Len when two goroutines race the first publish of
+	// a row, but the loser's row must not be stored.
+	if population := len(shapes) * (8 + 8*6); c.Len() > population {
+		t.Errorf("cache holds %d results, row population is %d", c.Len(), population)
 	}
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Errorf("degenerate traffic: %+v (want a genuine hit/miss mix)", st)
@@ -150,19 +145,21 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 }
 
 // TestConcurrentEvaluateSetNoTornReads drives the tuner's actual hot
-// path — EvaluateSet over shared interned KnobSets with pooled Scratch —
-// from many goroutines at once. Every Result's fields are derived from
-// its canonical key, so any torn read (a Result assembled from two
-// different stores, or a slice observed mid-resize) shows up as a field
-// mismatch. Run under `make race` this also exercises the COW shard
-// promotion and the set-owned id memo concurrently.
+// path — EvaluateSet over shared KnobSets with per-goroutine Scratch and
+// a recycled dst — from many goroutines at once: first all of them on
+// the same missing row (racing publishes: first wins, every caller still
+// gets the right values), then spread over a mixed row population. Every
+// Result's fields are derived from its canonical point, so a torn read, a
+// row published under the wrong key, or a stored row aliased by some
+// caller's dst shows up as a field mismatch. Run with
+// `go test -race -count=10` (make race).
 func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
 	ev := &syntheticEvaluator{}
 	c := New(ev)
 
 	// Two shared KnobSets with overlapping knob populations (including
 	// in-set duplicates, which EvaluateSet must dedup) and a handful of
-	// shapes, some canonically equivalent, keep every shard contended.
+	// shapes, two of them canonically equivalent.
 	mk := func(n, stride int) *KnobSet {
 		ks := make([]schedule.Knobs, n)
 		for i := range ks {
@@ -176,11 +173,13 @@ func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
 		{B: 1, DP: 2, TP: 1, NumStages: 2, StageIdx: 0, GradAccum: 4, HasPre: true},
 		{B: 1, DP: 2, TP: 1, NumStages: 2, StageIdx: 1, GradAccum: 4, HasPost: true},
 		{B: 2, DP: 1, TP: 2, ZeRO: 3, NumStages: 1, StageIdx: 0, GradAccum: 1, HasPre: true, HasPost: true},
+		{B: 2, DP: 1, TP: 2, ZeRO: 0, NumStages: 1, StageIdx: 0, GradAccum: 1, HasPre: true, HasPost: true},
 	}
 
 	const goroutines = 16
 	const rounds = 60
 	var wg sync.WaitGroup
+	start := make(chan struct{})
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -188,29 +187,35 @@ func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
 			defer wg.Done()
 			var sc Scratch // per-goroutine, like the tuner's pooled scratch
 			var dst []schedule.Result
+			<-start
 			for r := 0; r < rounds; r++ {
-				sh := shapes[(g+r)%len(shapes)]
-				set := sets[(g+r)%len(sets)]
-				out, err := c.EvaluateSet(sh, set, dst[:0], &sc)
+				// Round 0 puts every goroutine on one row; later rounds mix.
+				sh, set := shapes[0], sets[0]
+				if r > 0 {
+					sh, set = shapes[(g+r)%len(shapes)], sets[(g+r/2)%len(sets)]
+				}
+				out, err := c.EvaluateSet(sh, set, dst, &sc)
 				if err != nil {
 					errs <- err
 					return
 				}
-				dst = out
 				if len(out) != set.Len() {
 					errs <- fmt.Errorf("got %d results for a %d-knob set", len(out), set.Len())
 					return
 				}
-				for i, res := range out {
-					if want := syntheticResult(sh, set.Knobs()[i]); res != want {
-						errs <- fmt.Errorf("torn or wrong result at %d: got %+v want %+v", i, res, want)
+				for i := range out {
+					if want := syntheticResult(sh, set.Knobs()[i]); out[i] != want {
+						errs <- fmt.Errorf("torn or wrong result at %d: got %+v want %+v", i, out[i], want)
 						return
 					}
+					out[i].Stable = -1 // the slice is ours; the stored row must not see this
 				}
+				dst = out[:0]
 			}
 			errs <- nil
 		}(g)
 	}
+	close(start)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -223,9 +228,24 @@ func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Errorf("degenerate traffic: %+v", st)
 	}
+	requested := uint64(0)
+	for g := 0; g < goroutines; g++ {
+		requested += uint64(sets[0].Len())
+		for r := 1; r < rounds; r++ {
+			requested += uint64(sets[(g+r/2)%len(sets)].Len())
+		}
+	}
+	if got := st.Hits + st.Misses; got != requested {
+		t.Errorf("hits(%d) + misses(%d) = %d, want exactly %d requested points", st.Hits, st.Misses, got, requested)
+	}
 	// The backend priced only misses; hits and in-set duplicates came
 	// from the cache.
 	if uint64(ev.calls) != st.Misses {
 		t.Errorf("backend evaluated %d points, cache counted %d misses", ev.calls, st.Misses)
+	}
+	// Three canonical shapes x two sets, each row published exactly once
+	// however many goroutines raced to price it.
+	if want := 3 * (sets[0].Len() + sets[1].Len()); c.Len() != want {
+		t.Errorf("cache holds %d results, want %d", c.Len(), want)
 	}
 }

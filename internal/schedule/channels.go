@@ -56,7 +56,8 @@ func (a *Analyzer) Channels(shape StageShape, k Knobs) (Channels, error) {
 	if sp.err != nil {
 		return Channels{}, sp.err
 	}
-	frame := []float64{float64(k.Layers), float64(k.Ckpt), k.WO, k.GO, k.OO, k.AO}
+	frame := make([]float64, len(knobVars))
+	knobFrame(frame, k)
 	out := sp.prog.EvalFrame(frame, nil, nil)
 	return Channels{
 		CFwd: sp.cFwd, CBwd: sp.cBwd,

@@ -173,8 +173,23 @@ func NewAnalyzer(cfg model.Config, seq int, flash bool, cluster *hardware.Cluste
 	}
 }
 
-// Knob symbols of the compiled stage program, in frame order.
-var knobVars = []string{"l", "ckpt", "wo", "go", "oo", "ao"}
+// Knob symbols of the compiled stage program, in frame order: the offload
+// tuple first, then the layer and checkpoint counts. The compiled tape is
+// staged by variable (symbolic.Program), so candidates sharing a tuple
+// re-run only the l/ckpt suffix.
+var knobVars = []string{"wo", "go", "oo", "ao", "l", "ckpt"}
+
+// Frame positions of the two knobs that vary inside a tuple group.
+const (
+	frameL    = 4
+	frameCkpt = 5
+)
+
+// knobFrame lays k out in knobVars order.
+func knobFrame(frame []float64, k Knobs) {
+	frame[0], frame[1], frame[2], frame[3] = k.WO, k.GO, k.OO, k.AO
+	frame[frameL], frame[frameCkpt] = float64(k.Layers), float64(k.Ckpt)
+}
 
 // stageProgram holds the compiled symbolic outputs for one shape.
 type stageProgram struct {
@@ -185,6 +200,7 @@ type stageProgram struct {
 	agTime           float64 // ZeRO-3 per-layer param all-gather (per pass)
 	rsTime           float64 // ZeRO>=2 per-layer grad reduce-scatter (bwd)
 	arGradLayer      float64 // ZeRO<2 per-layer grad all-reduce (last microbatch)
+	regatherLayer    float64 // ZeRO-1/2 per-layer param re-gather after the optimizer step
 	preFwd, preBwd   float64
 	postFwd, postBwd float64
 	p2pTime          float64
@@ -311,6 +327,11 @@ func (a *Analyzer) build(shape StageShape) *stageProgram {
 		sp.rsTime = cl.ReduceScatterTime(BytesGrad*paramsShardable, shape.DP)
 	} else {
 		sp.arGradLayer = cl.AllReduceTime(BytesGrad*paramsShardable, shape.DP)
+	}
+	if shape.ZeRO == 1 || shape.ZeRO == 2 {
+		// Updated parameter shards are re-gathered once after the step;
+		// ZeRO-3 already gathers every microbatch (counted in agTime).
+		sp.regatherLayer = cl.AllGatherTime(BytesParam*float64(a.Model.ParamsPerLayer())/float64(shape.TP), shape.DP)
 	}
 
 	// Pre/post sections (traced, plus one serial TP all-reduce each).
@@ -539,11 +560,12 @@ func (a *Analyzer) Evaluate(shape StageShape, k Knobs) (Result, error) {
 // EvalScratch holds the reusable buffers of one evaluation stream. One
 // scratch belongs to one goroutine at a time (callers in worker pools own
 // one per worker); the zero value is ready to use and the buffers grow to
-// the largest program seen.
+// the largest program and batch seen.
 type EvalScratch struct {
 	regs  []float64
 	out   []float64
 	frame []float64
+	group grouper // tuple partition of the current ad-hoc batch
 }
 
 // EvaluateBatch prices many knob candidates under one shape with a single
@@ -555,14 +577,41 @@ func (a *Analyzer) EvaluateBatch(shape StageShape, ks []Knobs) ([]Result, error)
 
 // EvaluateBatchInto is EvaluateBatch with caller-owned result and scratch
 // buffers: dst is reused when its capacity suffices (the returned slice
-// aliases it), and sc's internal buffers persist across calls. The hot
-// tuning path calls this once per (shape, layer count) with per-worker
-// scratch, eliminating the four per-call allocations of the naive form.
+// aliases it), and sc's internal buffers persist across calls, so a
+// stream of calls allocates nothing once they have grown. The batch is
+// partitioned by offload tuple into sc on every call; callers pricing
+// the same knobs under many shapes prepare a Batch once instead.
 func (a *Analyzer) EvaluateBatchInto(dst []Result, shape StageShape, ks []Knobs, sc *EvalScratch) ([]Result, error) {
 	sp := a.program(shape)
 	if sp.err != nil {
 		return nil, sp.err
 	}
+	if err := sc.group.build(ks); err != nil {
+		return nil, err
+	}
+	return a.priceGroups(dst, sp, ks, &sc.group.tupleGroups, sc), nil
+}
+
+// EvaluatePreparedInto is EvaluateBatchInto over a prepared Batch: the
+// tuple partition was computed when the batch was built.
+func (a *Analyzer) EvaluatePreparedInto(dst []Result, shape StageShape, b *Batch, sc *EvalScratch) ([]Result, error) {
+	sp := a.program(shape)
+	if sp.err != nil {
+		return nil, sp.err
+	}
+	if b.err != nil {
+		return nil, b.err
+	}
+	return a.priceGroups(dst, sp, b.knobs, &b.groups, sc), nil
+}
+
+// priceGroups prices a validated, tuple-partitioned batch. Every tape
+// output except the memory expressions, and every interference
+// prediction, depends on the knobs only through the offload tuple, so
+// each group runs the whole tape and the overlap composition once; its
+// other members re-run the tape's l/ckpt suffix for their peak memory.
+// A group of one is exactly the per-candidate evaluation.
+func (a *Analyzer) priceGroups(dst []Result, sp *stageProgram, ks []Knobs, tg *tupleGroups, sc *EvalScratch) []Result {
 	if cap(dst) < len(ks) {
 		dst = make([]Result, len(ks))
 	}
@@ -576,88 +625,112 @@ func (a *Analyzer) EvaluateBatchInto(dst []Result, shape StageShape, ks []Knobs,
 	if n := sp.prog.NumRegs(); cap(sc.regs) < n {
 		sc.regs = make([]float64, n)
 	}
-	out, frame := sc.out[:numOutputs], sc.frame[:len(knobVars)]
-	for i, k := range ks {
-		if err := k.Validate(); err != nil {
-			return nil, err
+	out, frame, regs := sc.out[:numOutputs], sc.frame[:len(knobVars)], sc.regs[:cap(sc.regs)]
+	for g := 0; g+1 < len(tg.starts); g++ {
+		members := tg.order[tg.starts[g]:tg.starts[g+1]]
+		prev := ks[members[0]]
+		knobFrame(frame, prev)
+		out = sp.prog.EvalFrame(frame, regs, out)
+		terms := a.overlapTerms(sp, out)
+		results[members[0]] = sp.compose(prev, &terms, out)
+		for _, i := range members[1:] {
+			k := ks[i]
+			from := frameCkpt
+			if k.Layers != prev.Layers {
+				from = frameL
+			}
+			frame[frameL], frame[frameCkpt] = float64(k.Layers), float64(k.Ckpt)
+			out = sp.prog.EvalFrameFrom(frame, regs, out, from)
+			results[i] = sp.compose(k, &terms, out)
+			prev = k
 		}
-		frame[0] = float64(k.Layers)
-		frame[1] = float64(k.Ckpt)
-		frame[2] = k.WO
-		frame[3] = k.GO
-		frame[4] = k.OO
-		frame[5] = k.AO
-		out = sp.prog.EvalFrame(frame, sc.regs, out)
-		results[i] = a.compose(shape, k, sp, out)
 	}
-	return results, nil
+	return results
 }
 
-// compose applies the interference model to the evaluated channel
-// aggregates, producing t, d, and peak memory for one candidate.
-func (a *Analyzer) compose(shape StageShape, k Knobs, sp *stageProgram, out []float64) Result {
-	nonCkpt := float64(k.Layers - k.Ckpt)
-	ckpt := float64(k.Ckpt)
+// overlapTerms are the per-layer region times of one offload tuple after
+// the interference model has resolved each region's concurrent channels;
+// N is a non-checkpointed layer, C a checkpointed one.
+type overlapTerms struct {
+	fwdN, fwdC           float64 // stable microbatch, forward
+	bwdN, bwdC           float64 // stable microbatch, backward
+	fwdFirstN, fwdFirstC float64 // first microbatch: repositioned optimizer steps ride the forward
+	bwdLastN, bwdLastC   float64 // last microbatch: the gradient all-reduce rides the backward
+}
 
+// overlapTerms applies the interference model to the evaluated channel
+// aggregates of one offload tuple.
+func (a *Analyzer) overlapTerms(sp *stageProgram, out []float64) overlapTerms {
+	var t overlapTerms
 	// Stable forward: per-layer region = serial TP all-reduce + overlapped
 	// {compute, ZeRO-3 gather (next layer), weight prefetch, activation
 	// offload}.
-	fwdN := sp.tpARFwd + a.overlap(interference.Times{sp.cFwd, sp.agTime, out[outH2DFwdN], out[outD2HFwdN]})
-	fwdC := sp.tpARFwd + a.overlap(interference.Times{sp.cFwd, sp.agTime, out[outH2DFwdC], out[outD2HFwdC]})
-	fwdStage := nonCkpt*fwdN + ckpt*fwdC + sp.preFwd + sp.postFwd + sp.p2pTime
+	t.fwdN = sp.tpARFwd + a.overlap(interference.Times{sp.cFwd, sp.agTime, out[outH2DFwdN], out[outD2HFwdN]})
+	t.fwdC = sp.tpARFwd + a.overlap(interference.Times{sp.cFwd, sp.agTime, out[outH2DFwdC], out[outD2HFwdC]})
 
 	// Stable backward: non-checkpointed layers run bwd compute overlapped
 	// with re-gather + reduce-scatter + refetch + gradient offload;
 	// checkpointed layers prepend recomputation (fwd compute + fwd TP
 	// all-reduces).
-	bwdN := sp.tpARBwd + a.overlap(interference.Times{sp.cBwd, sp.agTime + sp.rsTime, out[outH2DBwdN], out[outD2HBwdN]})
-	bwdC := sp.tpARBwd + sp.tpARFwd + a.overlap(interference.Times{
+	t.bwdN = sp.tpARBwd + a.overlap(interference.Times{sp.cBwd, sp.agTime + sp.rsTime, out[outH2DBwdN], out[outD2HBwdN]})
+	t.bwdC = sp.tpARBwd + sp.tpARFwd + a.overlap(interference.Times{
 		sp.cBwd + sp.cFwd, 2*sp.agTime + sp.rsTime, out[outH2DBwdC], out[outD2HBwdC]})
-	bwdStage := nonCkpt*bwdN + ckpt*bwdC + sp.preBwd + sp.postBwd + sp.p2pTime
 
-	stable := fwdStage + bwdStage
-
-	// First microbatch: repositioned optimizer steps overlap the forward;
-	// the first layer's prefetch/gather is exposed.
-	fwdFirstN := sp.tpARFwd + a.overlap(interference.Times{
+	// First microbatch: repositioned optimizer steps overlap the forward.
+	t.fwdFirstN = sp.tpARFwd + a.overlap(interference.Times{
 		sp.cFwd + out[outStepGPULayer],
 		sp.agTime,
 		out[outH2DFwdN] + out[outStepH2DLayer],
 		out[outD2HFwdN] + out[outStepD2HLayer],
 	})
-	fwdFirstC := sp.tpARFwd + a.overlap(interference.Times{
+	t.fwdFirstC = sp.tpARFwd + a.overlap(interference.Times{
 		sp.cFwd + out[outStepGPULayer],
 		sp.agTime,
 		out[outH2DFwdC] + out[outStepH2DLayer],
 		out[outD2HFwdC] + out[outStepD2HLayer],
 	})
-	firstFwdStage := nonCkpt*fwdFirstN + ckpt*fwdFirstC + sp.preFwd + sp.postFwd + sp.p2pTime
-	exposedPrefetch := sp.agTime + out[outH2DFwdN] // first layer cannot hide behind anything
-	// ZeRO-1/2 re-gather updated parameter shards once after the step;
-	// ZeRO-3 already gathers every microbatch (counted in the stable time).
-	if shape.ZeRO == 1 || shape.ZeRO == 2 {
-		exposedPrefetch += float64(k.Layers) * a.Cluster.AllGatherTime(
-			BytesParam*float64(a.Model.ParamsPerLayer())/float64(shape.TP), shape.DP)
+
+	// Last microbatch: under plain DP / ZeRO-1 the full gradient
+	// all-reduce fires once, overlapped with the last backward
+	// (arGradLayer is 0 without data parallelism).
+	if sp.arGradLayer > 0 {
+		t.bwdLastN = sp.tpARBwd + a.overlap(interference.Times{sp.cBwd, sp.arGradLayer, out[outH2DBwdN], out[outD2HBwdN]})
+		t.bwdLastC = sp.tpARBwd + sp.tpARFwd + a.overlap(interference.Times{
+			sp.cBwd + sp.cFwd, sp.arGradLayer, out[outH2DBwdC], out[outD2HBwdC]})
 	}
+	return t
+}
+
+// compose scales a tuple's per-layer region times by the candidate's
+// layer and checkpoint counts, producing t, d, and peak memory. out is
+// the tape's output row for this candidate.
+func (sp *stageProgram) compose(k Knobs, t *overlapTerms, out []float64) Result {
+	nonCkpt := float64(k.Layers - k.Ckpt)
+	ckpt := float64(k.Ckpt)
+
+	fwdStage := nonCkpt*t.fwdN + ckpt*t.fwdC + sp.preFwd + sp.postFwd + sp.p2pTime
+	bwdStage := nonCkpt*t.bwdN + ckpt*t.bwdC + sp.preBwd + sp.postBwd + sp.p2pTime
+	stable := fwdStage + bwdStage
+
+	// First microbatch: the first layer's prefetch/gather is exposed (it
+	// cannot hide behind anything), and ZeRO-1/2 re-gather the updated
+	// parameter shards once after the step.
+	firstFwdStage := nonCkpt*t.fwdFirstN + ckpt*t.fwdFirstC + sp.preFwd + sp.postFwd + sp.p2pTime
+	exposedPrefetch := sp.agTime + out[outH2DFwdN] + float64(k.Layers)*sp.regatherLayer
 	// CPU Adam for the offloaded fraction runs on a single serial host
 	// stream concurrently with the first forward pass, but layer k's step
 	// must land before layer k's forward: exposure is whatever exceeds
 	// the GPU's concurrent work (at least one layer's step is exposed).
 	exposedCPUStep := 0.0
 	if cpuTotal := float64(k.Layers) * out[outStepCPULayer]; cpuTotal > 0 {
-		hideCapacity := math.Max(0, firstFwdStage-fwdFirstN)
+		hideCapacity := math.Max(0, firstFwdStage-t.fwdFirstN)
 		exposedCPUStep = math.Max(out[outStepCPULayer], cpuTotal-hideCapacity)
 	}
 	firstExtra := (firstFwdStage - fwdStage) + exposedPrefetch + exposedCPUStep
 
-	// Last microbatch: under plain DP / ZeRO-1 the full gradient
-	// all-reduce fires once, overlapped with the last backward.
 	lastExtra := 0.0
-	if sp.arGradLayer > 0 && shape.DP > 1 {
-		bwdLastN := sp.tpARBwd + a.overlap(interference.Times{sp.cBwd, sp.arGradLayer, out[outH2DBwdN], out[outD2HBwdN]})
-		bwdLastC := sp.tpARBwd + sp.tpARFwd + a.overlap(interference.Times{
-			sp.cBwd + sp.cFwd, sp.arGradLayer, out[outH2DBwdC], out[outD2HBwdC]})
-		lastBwdStage := nonCkpt*bwdLastN + ckpt*bwdLastC + sp.preBwd + sp.postBwd + sp.p2pTime
+	if sp.arGradLayer > 0 {
+		lastBwdStage := nonCkpt*t.bwdLastN + ckpt*t.bwdLastC + sp.preBwd + sp.postBwd + sp.p2pTime
 		lastExtra = lastBwdStage - bwdStage
 	}
 	if lastExtra < 0 {

@@ -3,7 +3,6 @@ package schedule
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -259,27 +258,54 @@ func TestTPAllReduceCostFalconVsGPT(t *testing.T) {
 	}
 }
 
+// TestBatchMatchesSingle: a candidate priced alone is bit-identical, on
+// every Result field, to the same candidate inside a shuffled batch that
+// mixes layer counts and offload tuples — through the ad-hoc path and
+// through a prepared Batch — across random shapes, every ZeRO level and
+// both Serialize values. Batch pricing shares the tape prefix and the
+// interference predictions across a tuple group; a group of one (the
+// single Evaluate) shares nothing.
 func TestBatchMatchesSingle(t *testing.T) {
-	a := newTestAnalyzer(t, "gpt3-2.7b", 4, true)
-	shape := baseShape()
-	ks := []Knobs{
-		{Layers: 32, Ckpt: 0},
-		{Layers: 32, Ckpt: 16, AO: 0.5},
-		{Layers: 16, Ckpt: 8, WO: 0.25, GO: 0.5, OO: 0.75, AO: 1},
-	}
-	batch, err := a.EvaluateBatch(shape, ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range ks {
-		single, err := a.Evaluate(shape, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(single.Stable-batch[i].Stable) > 1e-12 ||
-			math.Abs(single.PeakMem-batch[i].PeakMem) > 1e-6 ||
-			math.Abs(single.Delta-batch[i].Delta) > 1e-12 {
-			t.Errorf("candidate %d: batch %+v != single %+v", i, batch[i], single)
+	rng := rand.New(rand.NewSource(7))
+	grid := []float64{0, 0.25, 0.5, 1}
+	for _, serialize := range []bool{false, true} {
+		a := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
+		a.Serialize = serialize
+		var sc EvalScratch // reused across shapes, like a tuner worker's
+		var dst []Result
+		for trial := 0; trial < 24; trial++ {
+			stages := 1 + rng.Intn(4)
+			shape := StageShape{
+				B: 1 + rng.Intn(4), DP: 1 << rng.Intn(3), TP: 1 << rng.Intn(3), ZeRO: trial % 4,
+				HasPre: rng.Intn(2) == 0, HasPost: rng.Intn(2) == 0,
+				NumStages: stages, StageIdx: rng.Intn(stages), GradAccum: 1 + rng.Intn(8),
+			}
+			ks := make([]Knobs, 1+rng.Intn(60))
+			for i := range ks {
+				l := 1 + rng.Intn(32)
+				ks[i] = Knobs{
+					Layers: l, Ckpt: rng.Intn(l + 1),
+					WO: grid[rng.Intn(2)], GO: grid[rng.Intn(2)], OO: grid[rng.Intn(4)], AO: grid[rng.Intn(4)],
+				}
+			}
+			var err error
+			if dst, err = a.EvaluateBatchInto(dst, shape, ks, &sc); err != nil {
+				t.Fatal(err)
+			}
+			prepared, err := a.EvaluatePreparedInto(nil, shape, NewBatch(ks), &sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range ks {
+				single, err := a.Evaluate(shape, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dst[i] != single || prepared[i] != single {
+					t.Fatalf("serialize=%v shape %+v candidate %d %+v:\n  batch    %+v\n  prepared %+v\n  single   %+v",
+						serialize, shape, i, k, dst[i], prepared[i], single)
+				}
+			}
 		}
 	}
 }
@@ -435,25 +461,35 @@ func TestPropertyMonotoneInLayers(t *testing.T) {
 	}
 }
 
+// BenchmarkEvaluateBatch prices one full MistSpace row — 5 checkpoint
+// counts x 3^4 offload tuples = 405 knobs — under one shape, the unit
+// the tuner's intra-stage sweep asks for.
 func BenchmarkEvaluateBatch(b *testing.B) {
 	a := newTestAnalyzer(b, "gpt3-7b", 8, true)
 	shape := baseShape()
+	grid := []float64{0, 0.5, 1}
 	var ks []Knobs
-	for ck := 0; ck <= 32; ck += 4 {
-		for _, ao := range []float64{0, 0.5, 1} {
-			for _, oo := range []float64{0, 0.5, 1} {
-				ks = append(ks, Knobs{Layers: 32, Ckpt: ck, AO: ao, OO: oo})
+	for ck := 0; ck <= 32; ck += 8 {
+		for _, wo := range grid {
+			for _, gov := range grid {
+				for _, oo := range grid {
+					for _, ao := range grid {
+						ks = append(ks, Knobs{Layers: 32, Ckpt: ck, WO: wo, GO: gov, OO: oo, AO: ao})
+					}
+				}
 			}
 		}
 	}
-	// Warm the trace/compile cache.
-	if _, err := a.EvaluateBatch(shape, ks); err != nil {
+	var sc EvalScratch
+	// Warm the trace/compile cache and the scratch.
+	dst, err := a.EvaluateBatchInto(nil, shape, ks, &sc)
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.EvaluateBatch(shape, ks); err != nil {
+		if dst, err = a.EvaluateBatchInto(dst, shape, ks, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}

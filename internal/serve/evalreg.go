@@ -36,9 +36,10 @@ import (
 // on the analyzer-only path too, not just after searches.
 
 // defaultEvalCachePoints bounds the registry's total memoized points
-// when the operator does not set one. A point is a packed uint64 key
-// plus a schedule.Result (~100 B with map overhead), so the default caps
-// the registry around 400 MB — roughly twenty fully-swept fingerprints.
+// when the operator does not set one. A point is one 56-byte
+// schedule.Result in a dense row (~63 B retained with the row map and
+// the interned knob sets), so the default caps the registry around
+// 270 MB — roughly twenty fully-swept fingerprints.
 const defaultEvalCachePoints = 4 << 20
 
 // entryOverheadPoints is the point-equivalent fixed cost charged to each

@@ -40,7 +40,7 @@
 //
 // The handler is safe for arbitrary concurrency: the plan cache is
 // mutex-guarded with per-key in-flight coalescing, tuner runs share
-// lock-free per-fingerprint evaluation caches (see evalreg.go) that
+// per-fingerprint evaluation caches (see evalreg.go) that
 // persist for the life of the process — a re-search of a known analyzer
 // configuration starts ~fully warm — and the underlying analyzer is
 // itself concurrency-safe. The eval-cache registry is bounded by total
@@ -455,7 +455,7 @@ func WithCacheCap(n int) Option {
 
 // WithEvalCacheCap bounds the cross-request evaluation-cache registry
 // at n total memoized pricing points across all analyzer fingerprints
-// (values < 1 keep the default, roughly 4M points / 400 MB). When the
+// (values < 1 keep the default, roughly 4M points / 270 MB). When the
 // bound is exceeded, least-recently-used per-fingerprint caches are
 // dropped whole; a dropped fingerprint re-prices on its next search.
 func WithEvalCacheCap(n int) Option {

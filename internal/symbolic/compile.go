@@ -3,6 +3,7 @@ package symbolic
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -12,10 +13,18 @@ import (
 // paper's "batched value substitution" (§5.2.1): one symbolic simulation
 // pass produces the expressions, and every candidate configuration after
 // that costs only a linear pass over the instruction tape.
+//
+// The tape is staged: instructions are ordered by the highest-indexed
+// variable they depend on (constants first), so a frame that differs
+// from the previous one only in variables >= v re-runs just the tape's
+// suffix from stage[v] (EvalFrameFrom). Ordering a program's variables
+// from slowest- to fastest-changing turns a sweep over the fast ones
+// into suffix re-runs.
 type Program struct {
 	vars    []string // symbol order; frame values are positional
 	varIdx  map[string]int
 	insts   []inst
+	stage   []int // stage[v]: first instruction depending on a variable >= v; stage[len(vars)] == len(insts)
 	outputs []int // register index per compiled expression
 	numRegs int
 }
@@ -36,6 +45,7 @@ const (
 
 type inst struct {
 	op   instOp
+	rank int32 // 1 + highest variable index the value depends on; 0 for constants
 	dst  int
 	val  float64 // iConst payload
 	src  int     // iLoad: var index; unary ops: operand register
@@ -63,6 +73,13 @@ func Compile(exprs []*Expr, vars []string) (*Program, error) {
 			return nil, err
 		}
 		p.outputs = append(p.outputs, reg)
+	}
+	// Stage the tape. An instruction's rank is at least its operands', so
+	// a stable partition by rank keeps every operand ahead of its use.
+	slices.SortStableFunc(p.insts, func(a, b inst) int { return int(a.rank - b.rank) })
+	p.stage = make([]int, len(vars)+1)
+	for v := range p.stage {
+		p.stage[v], _ = slices.BinarySearchFunc(p.insts, int32(v+1), func(in inst, rank int32) int { return int(in.rank - rank) })
 	}
 	return p, nil
 }
@@ -94,15 +111,18 @@ func (p *Program) lower(e *Expr, cache map[*Expr]int, structural map[string]int)
 		if !ok {
 			return 0, fmt.Errorf("symbolic: compile: unbound symbol %q", e.name)
 		}
-		in = inst{op: iLoad, src: idx}
+		in = inst{op: iLoad, src: idx, rank: int32(idx) + 1}
 	default:
 		args := make([]int, len(e.args))
+		var rank int32
 		for i, a := range e.args {
 			reg, err := p.lower(a, cache, structural)
 			if err != nil {
 				return 0, err
 			}
 			args[i] = reg
+			// Until Compile stages the tape, register r is written by insts[r].
+			rank = max(rank, p.insts[reg].rank)
 		}
 		switch e.op {
 		case OpAdd:
@@ -122,6 +142,7 @@ func (p *Program) lower(e *Expr, cache map[*Expr]int, structural map[string]int)
 		default:
 			return 0, fmt.Errorf("symbolic: compile: unknown op %v", e.op)
 		}
+		in.rank = rank
 	}
 	in.dst = p.numRegs
 	p.numRegs++
@@ -141,14 +162,33 @@ func (p *Program) Vars() []string { return append([]string(nil), p.vars...) }
 // frame must be positional per Vars(). out, if non-nil and large enough, is
 // reused; the slice of output values is returned.
 func (p *Program) EvalFrame(frame []float64, regs, out []float64) []float64 {
-	if len(frame) != len(p.vars) {
-		panic(fmt.Sprintf("symbolic: frame has %d values, want %d", len(frame), len(p.vars)))
-	}
 	if cap(regs) < p.numRegs {
 		regs = make([]float64, p.numRegs)
 	}
+	return p.run(frame, regs, out, 0)
+}
+
+// EvalFrameFrom is EvalFrame for a frame that agrees with the previous
+// one evaluated into regs on every variable below fromVar: only the
+// instructions depending on variables >= fromVar re-run. regs must be
+// the register file that previous EvalFrame/EvalFrameFrom call used,
+// untouched since. The result equals a fresh EvalFrame bit for bit —
+// every instruction is a pure function of its operands, and the skipped
+// prefix's operands did not change.
+func (p *Program) EvalFrameFrom(frame []float64, regs, out []float64, fromVar int) []float64 {
+	if len(regs) < p.numRegs {
+		panic(fmt.Sprintf("symbolic: EvalFrameFrom needs the previous %d-register file, got %d", p.numRegs, len(regs)))
+	}
+	return p.run(frame, regs, out, p.stage[fromVar])
+}
+
+// run executes the tape from instruction start over regs.
+func (p *Program) run(frame []float64, regs, out []float64, start int) []float64 {
+	if len(frame) != len(p.vars) {
+		panic(fmt.Sprintf("symbolic: frame has %d values, want %d", len(frame), len(p.vars)))
+	}
 	regs = regs[:p.numRegs]
-	for i := range p.insts {
+	for i := start; i < len(p.insts); i++ {
 		in := &p.insts[i]
 		switch in.op {
 		case iConst:

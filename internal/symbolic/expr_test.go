@@ -292,25 +292,45 @@ func TestPropertySubsMatchesEval(t *testing.T) {
 }
 
 // TestPropertyCompileMatchesEval: compiled evaluation agrees with tree
-// interpretation on random expressions.
+// interpretation on random expressions, and a staged re-run
+// (EvalFrameFrom(v) after changing only variables >= v, over the register
+// file the previous frame left) is bit-identical to a fresh EvalFrame.
 func TestPropertyCompileMatchesEval(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		e := randExpr(rng, 5)
-		prog, err := Compile([]*Expr{e}, []string{"a", "b", "c"})
+		exprs := []*Expr{randExpr(rng, 5), randExpr(rng, 4), randExpr(rng, 3)}
+		prog, err := Compile(exprs, []string{"a", "b", "c"})
 		if err != nil {
 			return false
 		}
+		frame := make([]float64, 3)
+		regs := prog.Scratch()
 		for trial := 0; trial < 10; trial++ {
-			env := Env{
-				"a": float64(rng.Intn(50) + 1),
-				"b": float64(rng.Intn(50) + 1),
-				"c": float64(rng.Intn(50) + 1),
+			// The first trial has no previous frame; later ones keep the
+			// variables below a random v and re-run only the suffix.
+			from := 0
+			if trial > 0 {
+				from = rng.Intn(len(frame) + 1)
 			}
-			want := e.MustEval(env)
-			got := prog.EvalFrame([]float64{env["a"], env["b"], env["c"]}, nil, nil)[0]
-			if math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
-				return false
+			for v := from; v < len(frame); v++ {
+				frame[v] = float64(rng.Intn(50) + 1)
+			}
+			var got []float64
+			if trial == 0 {
+				got = prog.EvalFrame(frame, regs, nil)
+			} else {
+				got = prog.EvalFrameFrom(frame, regs, nil, from)
+			}
+			fresh := prog.EvalFrame(frame, nil, nil)
+			env := Env{"a": frame[0], "b": frame[1], "c": frame[2]}
+			for i, e := range exprs {
+				if got[i] != fresh[i] {
+					return false
+				}
+				want := e.MustEval(env)
+				if math.Abs(got[i]-want) > 1e-6*math.Max(1, math.Abs(want)) {
+					return false
+				}
 			}
 		}
 		return true
