@@ -51,8 +51,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux, served at -debug-addr
+	"os"
 	"os/signal"
 	"syscall"
 	"time"
@@ -115,7 +117,10 @@ func main() {
 		serve.WithCacheCap(*cacheCap),
 		serve.WithEvalCacheCap(*evalCap),
 		serve.WithJobWorkers(*workers),
-		serve.WithLog(log.Printf),
+		// Request, forwarding, repair, SLO and pilot lines: structured
+		// text on stderr, each carrying request=<id> (and trace=<id> when
+		// sampled) as attributes. The lifecycle lines below stay on log.
+		serve.WithLogger(slog.New(slog.NewTextHandler(os.Stderr, nil))),
 		serve.WithLimits(serve.Limits{
 			MaxInflight:    *maxInflight,
 			MaxQueue:       *maxQueue,

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/trace"
 )
 
@@ -62,9 +63,9 @@ type Config struct {
 	// DownAfter is the consecutive-failure threshold for Down
 	// (default 3).
 	DownAfter int
-	// Clock is the protocol time source (default SystemClock). The
+	// Clock is the protocol time source (default clock.System). The
 	// deterministic simulation harness injects a virtual clock here.
-	Clock Clock
+	Clock clock.Ticking
 }
 
 // Cluster is one node's view of the sharded tier: the epoch-versioned
@@ -132,7 +133,9 @@ func New(cfg Config) (*Cluster, error) {
 		client:   client,
 		checker:  NewChecker(cfg.Self, cfg.Members, client, cfg.ProbeTimeout, downAfter),
 	}
-	c.checker.SetClock(cfg.Clock)
+	if cfg.Clock != nil {
+		c.checker.clock = cfg.Clock
+	}
 	c.events = NewEventLog(cfg.Self, 0, cfg.Clock)
 	// Health transitions land on the timeline as this node's local
 	// observations (nodes may transiently disagree, and that disagreement

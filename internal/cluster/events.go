@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"sync"
+
+	"repro/internal/clock"
 )
 
 // Event types recorded on the cluster timeline. The serving layer adds
@@ -40,11 +42,11 @@ type Event struct {
 }
 
 // EventLog is a bounded ring of cluster events. Timestamps come from
-// the injected protocol Clock, so the log is nodeterm-clean and a
+// the injected protocol clock, so the log is nodeterm-clean and a
 // simulated cluster produces a fully deterministic timeline.
 type EventLog struct {
 	node  string
-	clock Clock
+	clock clock.Clock
 
 	mu   sync.Mutex
 	ring []Event
@@ -54,13 +56,13 @@ type EventLog struct {
 }
 
 // NewEventLog builds a log retaining up to capacity events (default
-// 512) for one node, stamped by clk (default SystemClock).
-func NewEventLog(node string, capacity int, clk Clock) *EventLog {
+// 512) for one node, stamped by clk (default clock.System).
+func NewEventLog(node string, capacity int, clk clock.Clock) *EventLog {
 	if capacity <= 0 {
 		capacity = 512
 	}
 	if clk == nil {
-		clk = SystemClock
+		clk = clock.System
 	}
 	return &EventLog{node: node, clock: clk, ring: make([]Event, capacity)}
 }

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Health is a peer's observed liveness state as seen from this node.
@@ -56,7 +58,7 @@ type Checker struct {
 	client    Doer
 	timeout   time.Duration
 	downAfter int
-	clock     Clock
+	clock     clock.Ticking
 
 	mu           sync.Mutex
 	fails        map[string]int // consecutive failures by peer id
@@ -81,7 +83,7 @@ func NewChecker(self string, members []Member, client Doer, timeout time.Duratio
 		client:    client,
 		timeout:   timeout,
 		downAfter: downAfter,
-		clock:     SystemClock,
+		clock:     clock.System,
 		fails:     map[string]int{},
 		addrs:     map[string]string{},
 		epochs:    map[string]int64{},
@@ -148,15 +150,6 @@ func (c *Checker) statusLocked(id string) Health {
 		return Suspect
 	default:
 		return Down
-	}
-}
-
-// SetClock injects the protocol clock (default SystemClock); the
-// deterministic simulation harness substitutes a virtual one. Set
-// before the prober starts.
-func (c *Checker) SetClock(clk Clock) {
-	if clk != nil {
-		c.clock = clk
 	}
 }
 

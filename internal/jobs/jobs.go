@@ -170,21 +170,17 @@ var ErrClosed = fmt.Errorf("jobs: manager closed")
 // Submit enqueues a task. If key is non-empty and a job with the same
 // key is still queued or running, no new job is created: the existing
 // job's snapshot is returned with deduped=true. Higher priorities run
-// first; equal priorities run in submission order. The context only
-// links the submission into an active trace (see SubmitTraced) — it
-// does not bound the job, which runs under the manager's lifecycle.
+// first; equal priorities run in submission order. The context does not
+// bound the job, which runs under the manager's lifecycle; it carries
+// the submission's identity. The ingress request id (trace.RequestID)
+// is pinned on the job record and re-pinned on the task's context, and
+// a deduplicated submission appends its id to the existing job's event
+// log so every request that touched the job stays traceable. When ctx
+// carries an active trace span the whole job lifecycle (queued ->
+// running -> settled) is recorded as one "job" span under it — the
+// async continuation of the submitting request's trace.
 func (m *Manager) Submit(ctx context.Context, key string, priority int, task Task) (Snapshot, bool, error) {
-	return m.SubmitTraced(ctx, key, priority, "", task)
-}
-
-// SubmitTraced is Submit carrying the ingress request context and id:
-// the id is pinned on the job record, a deduplicated submission appends
-// its id to the existing job's event log so every request that touched
-// the job stays traceable, and when ctx carries an active trace span
-// the whole job lifecycle (queued -> running -> settled) is recorded as
-// one "job" span under it — the async continuation of the submitting
-// request's trace.
-func (m *Manager) SubmitTraced(ctx context.Context, key string, priority int, requestID string, task Task) (Snapshot, bool, error) {
+	requestID := trace.RequestID(ctx)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -255,7 +251,8 @@ func (m *Manager) SubmitTraced(ctx context.Context, key string, priority int, re
 
 // maxJobEvents caps one job's event log. Lifecycle transitions and task
 // emissions are few; the only externally driven source is duplicate
-// traced submissions, which stop being recorded past the cap.
+// submissions carrying a request id, which stop being recorded past the
+// cap.
 const maxJobEvents = 64
 
 // maxRetainedJobs bounds the job table: job specs are client-controlled,
@@ -326,11 +323,12 @@ func (m *Manager) worker(ctx context.Context) {
 		j.cancelRunning = cancel
 		m.mu.Unlock()
 
-		// Re-attach the submit-time trace: the task's own spans (and any
-		// forwarded hops it makes) become children of the job span, and
-		// the execution window itself is a "job-run" child so queue wait
-		// and run time separate cleanly in the trace.
-		jctx = trace.ContextWithSpan(jctx, j.span)
+		// Re-attach the submit-time identity (request id and trace): the
+		// task's own spans (and any forwarded hops it makes) become
+		// children of the job span, and the execution window itself is a
+		// "job-run" child so queue wait and run time separate cleanly in
+		// the trace.
+		jctx = trace.ContextWithSpan(trace.WithRequestID(jctx, j.requestID), j.span)
 		rctx, rsp := trace.StartSpan(jctx, "job-run")
 
 		m.busy.Add(1)

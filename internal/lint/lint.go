@@ -97,6 +97,10 @@ func DefaultConfig() *Config {
 		ProtocolPkgs: []string{
 			"repro/internal/cluster",
 			"repro/internal/pilot",
+			"repro/internal/slo",
+			// The seam itself: its two wall-clock calls are the only
+			// sanctioned ones, each behind a reasoned directive.
+			"repro/internal/clock",
 		},
 		WirePkgs: []string{
 			"repro/internal/cluster",

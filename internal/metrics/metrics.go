@@ -233,8 +233,12 @@ func (l Labels) render() string {
 }
 
 // clone copies the label set so registry entries are immune to caller
-// mutation of the map after registration.
+// mutation of the map after registration. An unlabelled series clones
+// to nil, so the event counters cost a Gather (and so /stats) nothing.
 func (l Labels) clone() Labels {
+	if len(l) == 0 {
+		return nil
+	}
 	out := make(Labels, len(l))
 	for k, v := range l {
 		out[k] = v
@@ -263,10 +267,13 @@ type GaugePoint struct {
 	Value  float64
 }
 
+// counterEntry is read through fn: c.Value for a stored counter, the
+// callback alone (c nil) for a derived one (see CounterFunc).
 type counterEntry struct {
 	name   string
 	labels Labels
 	c      *Counter
+	fn     func() uint64
 }
 
 type gaugeEntry struct {
@@ -303,22 +310,66 @@ func NewRegistry() *Registry {
 func seriesKey(name string, labels Labels) string { return name + labels.render() }
 
 // Counter returns (creating if needed) the counter series name{labels}.
+// It panics if that series is a derived counter: there is nothing to
+// increment.
 func (r *Registry) Counter(name string, labels Labels) *Counter {
 	key := seriesKey(name, labels)
 	r.mu.RLock()
 	e, ok := r.counters[key]
 	r.mu.RUnlock()
-	if ok {
-		return e.c
+	if !ok {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if e, ok = r.counters[key]; !ok {
+			c := &Counter{}
+			e = &counterEntry{name: name, labels: labels.clone(), c: c, fn: c.Value}
+			r.counters[key] = e
+		}
 	}
+	if e.c == nil {
+		panic("metrics: " + key + " is a derived counter")
+	}
+	return e.c
+}
+
+// CounterFunc registers (or replaces) a derived counter: a series
+// exposed with counter type whose value fn computes at gather time from
+// counters stored elsewhere, so one event is never counted twice to
+// appear under two names. fn runs outside the registry lock and may
+// read the registry (SumCounters). It panics if the series already
+// holds a stored counter, whose increments would silently vanish.
+func (r *Registry) CounterFunc(name string, labels Labels, fn func() uint64) {
+	key := seriesKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.counters[key]; ok {
-		return e.c
+	if e, ok := r.counters[key]; ok && e.c != nil {
+		panic("metrics: " + key + " is a stored counter")
 	}
-	e = &counterEntry{name: name, labels: labels.clone(), c: &Counter{}}
-	r.counters[key] = e
-	return e.c
+	r.counters[key] = &counterEntry{name: name, labels: labels.clone(), fn: fn}
+}
+
+// SumCounters adds up the stored counters named name whose labels
+// include every pair in match (nil: the whole family); derived counters
+// are never summed. It walks counters only — no histogram is
+// snapshotted and nothing is allocated — which is what lets /stats
+// report a labelled family as one scalar.
+func (r *Registry) SumCounters(name string, match Labels) uint64 {
+	var sum uint64
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+next:
+	for _, e := range r.counters {
+		if e.name != name || e.c == nil {
+			continue
+		}
+		for k, v := range match {
+			if e.labels[k] != v {
+				continue next
+			}
+		}
+		sum += e.c.Value()
+	}
+	return sum
 }
 
 // Histogram returns (creating if needed) the histogram series
@@ -376,7 +427,8 @@ func (r *Registry) GatherGauges() []GaugePoint {
 }
 
 // Gather snapshots every series, sorted by series key so output order is
-// stable across calls.
+// stable across calls. Counter values are read after the lock is
+// released: a derived counter's callback may take it again.
 func (r *Registry) Gather() ([]CounterPoint, []HistogramPoint) {
 	r.mu.RLock()
 	ckeys := make([]string, 0, len(r.counters))
@@ -389,10 +441,9 @@ func (r *Registry) Gather() ([]CounterPoint, []HistogramPoint) {
 	}
 	sort.Strings(ckeys)
 	sort.Strings(hkeys)
-	cs := make([]CounterPoint, 0, len(ckeys))
+	ces := make([]*counterEntry, 0, len(ckeys))
 	for _, k := range ckeys {
-		e := r.counters[k]
-		cs = append(cs, CounterPoint{Name: e.name, Labels: e.labels.clone(), Value: e.c.Value()})
+		ces = append(ces, r.counters[k])
 	}
 	hs := make([]HistogramPoint, 0, len(hkeys))
 	for _, k := range hkeys {
@@ -400,6 +451,10 @@ func (r *Registry) Gather() ([]CounterPoint, []HistogramPoint) {
 		hs = append(hs, HistogramPoint{Name: e.name, Labels: e.labels.clone(), Snap: e.h.Snapshot()})
 	}
 	r.mu.RUnlock()
+	cs := make([]CounterPoint, 0, len(ces))
+	for _, e := range ces {
+		cs = append(cs, CounterPoint{Name: e.name, Labels: e.labels.clone(), Value: e.fn()})
+	}
 	return cs, hs
 }
 
@@ -437,8 +492,10 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			if i < numBuckets {
 				le = formatSeconds(bucketBound(i))
 			}
-			lb := h.Labels.clone()
-			lb["le"] = le
+			lb := Labels{"le": le}
+			for k, v := range h.Labels {
+				lb[k] = v
+			}
 			fmt.Fprintf(w, "%s_bucket%s %d\n", h.Name, lb.render(), cum)
 		}
 		fmt.Fprintf(w, "%s_sum%s %s\n", h.Name, h.Labels.render(), formatSeconds(h.Snap.Sum))

@@ -235,3 +235,59 @@ func TestWritePrometheusFormat(t *testing.T) {
 		t.Error("exposition output not stable across calls")
 	}
 }
+
+// SumCounters folds one family over a label selector; a derived counter
+// built on it renders with counter type, reads the registry from inside
+// Gather without deadlocking, and is never itself summed. A series is
+// stored or derived, never both: crossing over panics either way.
+func TestSumCountersAndCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("reqs", Labels{"endpoint": "/tune", "code": "200"}).Add(5)
+	r.Counter("reqs", Labels{"endpoint": "/tune", "code": "429"}).Add(2)
+	r.Counter("reqs", Labels{"endpoint": "/jobs", "code": "429"}).Add(1)
+	r.Counter("other", Labels{"code": "429"}).Add(100)
+	r.CounterFunc("rejected", nil, func() uint64 { return r.SumCounters("reqs", Labels{"code": "429"}) })
+	r.CounterFunc("reqs", Labels{"endpoint": "derived", "code": "429"}, func() uint64 { return 1000 })
+
+	if got := r.SumCounters("reqs", nil); got != 8 {
+		t.Errorf("whole family = %d, want 8", got)
+	}
+	if got := r.SumCounters("reqs", Labels{"code": "429"}); got != 3 {
+		t.Errorf(`code="429" = %d, want 3`, got)
+	}
+	if got := r.SumCounters("reqs", Labels{"code": "429", "endpoint": "/jobs"}); got != 1 {
+		t.Errorf("two-label selector = %d, want 1", got)
+	}
+	if got := r.SumCounters("absent", nil); got != 0 {
+		t.Errorf("absent family = %d, want 0", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.SumCounters("reqs", Labels{"code": "429"}) }); n != 0 {
+		t.Errorf("SumCounters allocates %.0f per call, want 0", n)
+	}
+
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	for _, want := range []string{"# TYPE rejected counter\nrejected 3\n", "# TYPE reqs counter\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, buf.String())
+		}
+	}
+
+	r.CounterFunc("rejected", nil, func() uint64 { return 7 }) // derived replaces derived
+	for name, cross := range map[string]func(){
+		"Counter on a derived series":    func() { r.Counter("rejected", nil) },
+		"CounterFunc on a stored series": func() { r.CounterFunc("other", Labels{"code": "429"}, func() uint64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			cross()
+		}()
+	}
+	if got := r.SumCounters("other", nil); got != 100 {
+		t.Errorf("stored counter after refused CounterFunc = %d, want 100", got)
+	}
+}

@@ -17,7 +17,7 @@
 //
 // Determinism is the design constraint (mistlint's nodeterm check
 // enforces it): the package never reads the wall clock or ambient
-// randomness. Time enters only through the injectable Clock, and
+// randomness. Time enters only through the injected clock.Clock, and
 // Evaluate is a pure function of (clock, inputs, accumulated state), so
 // simulation tests reproduce exact decision instants on a virtual
 // clock. Actuation (HTTP join/drain proposals) lives in the serving
@@ -29,14 +29,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 )
-
-// Clock is the controller's time source. cluster.SystemClock satisfies
-// it; tests inject virtual clocks.
-type Clock interface {
-	Now() time.Time
-}
 
 // ActionKind names one actuator the controller can pull.
 type ActionKind string
@@ -116,7 +111,7 @@ type Inputs struct {
 type Pilot struct {
 	mu  sync.Mutex
 	cfg Config
-	clk Clock
+	clk clock.Clock
 
 	satStreak     int            // consecutive saturated ticks
 	healthyStreak int            // consecutive fully-healthy ticks
@@ -137,13 +132,13 @@ type Pilot struct {
 const recentCap = 32
 
 // New builds a controller with a validated copy of cfg. A nil clock
-// defaults to cluster.SystemClock.
-func New(cfg Config, clk Clock) (*Pilot, error) {
+// defaults to clock.System.
+func New(cfg Config, clk clock.Clock) (*Pilot, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if clk == nil {
-		clk = cluster.SystemClock
+		clk = clock.System
 	}
 	return &Pilot{
 		cfg:        cfg,

@@ -4,18 +4,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 )
 
-// fakeClock is the virtual time source every simulation test drives:
+// Every simulation test drives a clock.Fake from the same epoch:
 // decisions are asserted at exact instants, which is the point — the
 // controller must be a pure function of (clock, inputs, state).
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) Now() time.Time              { return c.t }
-func (c *fakeClock) advance(d time.Duration)     { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                   { return &fakeClock{t: time.Unix(1_000_000, 0).UTC()} }
-func at(c *fakeClock, d time.Duration) time.Time { return time.Unix(1_000_000, 0).UTC().Add(d) }
+func newFakeClock() *clock.Fake                   { return clock.NewFake(time.Unix(1_000_000, 0).UTC()) }
+func at(c *clock.Fake, d time.Duration) time.Time { return time.Unix(1_000_000, 0).UTC().Add(d) }
 
 func testConfig() Config {
 	return Config{
@@ -53,12 +50,12 @@ func healthyInputs(members []MemberState, standbys []cluster.Member) Inputs {
 }
 
 // tick advances virtual time by one interval and evaluates.
-func tick(p *Pilot, clk *fakeClock, in Inputs) []Decision {
-	clk.advance(time.Second)
+func tick(p *Pilot, clk *clock.Fake, in Inputs) []Decision {
+	clk.Advance(time.Second)
 	return p.Evaluate(in)
 }
 
-func mustPilot(t *testing.T, cfg Config, clk Clock) *Pilot {
+func mustPilot(t *testing.T, cfg Config, clk clock.Clock) *Pilot {
 	t.Helper()
 	p, err := New(cfg, clk)
 	if err != nil {
@@ -471,7 +468,7 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 	in := healthyInputs(fleet(false), pool())
 	tick(p, clk, in) // warm up maps
 	allocs := testing.AllocsPerRun(100, func() {
-		clk.advance(time.Second)
+		clk.Advance(time.Second)
 		p.Evaluate(in)
 	})
 	if allocs != 0 {
@@ -493,7 +490,7 @@ func BenchmarkPilotEvaluate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clk.advance(time.Second)
+		clk.Advance(time.Second)
 		p.Evaluate(in)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"runtime"
@@ -170,9 +171,6 @@ func (s *Server) wrap(endpoint string, g *gate, h http.HandlerFunc) http.Handler
 		// exemplar, so an SLO latency breach links straight to a
 		// /debug/traces entry from the offending latency band.
 		hist.ObserveTrace(d, traceID)
-		if code == http.StatusTooManyRequests {
-			s.rejected429.Add(1)
-		}
 	}
 	return func(rw http.ResponseWriter, req *http.Request) {
 		start := time.Now()
@@ -184,7 +182,7 @@ func (s *Server) wrap(endpoint string, g *gate, h http.HandlerFunc) http.Handler
 		if rid == "" {
 			rid = newRequestID()
 		}
-		ctx := withRequestID(req.Context(), rid)
+		ctx := trace.WithRequestID(req.Context(), rid)
 		if s.limits.RequestTimeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, s.limits.RequestTimeout)
@@ -204,7 +202,6 @@ func (s *Server) wrap(endpoint string, g *gate, h http.HandlerFunc) http.Handler
 			}
 		}
 		req = req.WithContext(ctx)
-		lid := logID(ctx)
 		sr := &statusRecorder{ResponseWriter: rw, code: http.StatusOK}
 		sr.Header().Set(cluster.HeaderRequestID, rid)
 		if s.cluster != nil {
@@ -212,8 +209,11 @@ func (s *Server) wrap(endpoint string, g *gate, h http.HandlerFunc) http.Handler
 		}
 		finish := func() {
 			observe(sr.code, time.Since(start), rootSp.TraceID())
-			s.logf("request %s: %s %s -> %d (%.1fms)", lid, req.Method, endpoint,
-				sr.code, float64(time.Since(start))/float64(time.Millisecond))
+			if s.logging(ctx) {
+				s.log.LogAttrs(ctx, slog.LevelInfo, "request",
+					slog.String("method", req.Method), slog.String("endpoint", endpoint),
+					slog.Int("code", sr.code), slog.Duration("took", time.Since(start)))
+			}
 			rootSp.Annotate("code", sr.code)
 			rootSp.End()
 		}
@@ -266,42 +266,12 @@ func (s *Server) httpStats() []EndpointStats {
 	return out
 }
 
-// handleMetrics renders the Prometheus text exposition: request
-// counters and latency histograms from the registry, plus point-in-time
-// gauges derived from the service state.
+// handleMetrics renders the registry in the Prometheus text exposition
+// format — the whole of /metrics: every counter, gauge and histogram
+// the server exposes is a registry series.
 func (s *Server) handleMetrics(rw http.ResponseWriter, req *http.Request) {
 	var buf bytes.Buffer
 	s.metrics.WritePrometheus(&buf)
-	// scalarStats: the per-endpoint HTTP fold would re-Gather the
-	// registry just rendered above, only to be discarded here.
-	st := s.scalarStats()
-	gauges := []struct {
-		name string
-		val  float64
-	}{
-		{"mist_plan_cache_size", float64(st.PlanCacheSize)},
-		{"mist_plan_store_size", float64(st.StoreSize)},
-		{"mist_jobs_queue_depth", float64(st.QueueDepth)},
-		{"mist_jobs_busy_workers", float64(st.BusyWorkers)},
-	}
-	for _, g := range gauges {
-		fmt.Fprintf(&buf, "# TYPE %s gauge\n%s %g\n", g.name, g.name, g.val)
-	}
-	counters := []struct {
-		name string
-		val  uint64
-	}{
-		{"mist_tunes_run_total", st.TunesRun},
-		{"mist_plan_cache_hits_total", st.PlanCacheHits},
-		{"mist_plan_cache_evictions_total", st.PlanCacheEvictions},
-		{"mist_store_hits_total", st.StoreHits},
-		{"mist_warm_starts_total", st.WarmStarts},
-		{"mist_http_rejected_total", st.Rejected429},
-		{"mist_cluster_local_fallbacks_total", st.ClusterLocalFallbacks},
-	}
-	for _, c := range counters {
-		fmt.Fprintf(&buf, "# TYPE %s counter\n%s %d\n", c.name, c.name, c.val)
-	}
 	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	rw.WriteHeader(http.StatusOK)
 	_, _ = rw.Write(buf.Bytes())

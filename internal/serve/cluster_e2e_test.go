@@ -255,6 +255,22 @@ func TestClusterFailoverServesFromReplicasWithoutResearch(t *testing.T) {
 	}
 }
 
+// A node has one instrumented mux: Handler hands out the handler its
+// peers reach it through, built once — not a fresh 22-route mux per
+// call (591 allocations a call when a load generator asked per request).
+func TestLocalClusterHandlerBuiltOnce(t *testing.T) {
+	lc := newCluster(t, 2, 2)
+	if lc.Handler("n1") != lc.Handler("n1") {
+		t.Error("Handler returned two different handlers for one node")
+	}
+	if n := testing.AllocsPerRun(10, func() { lc.Handler("n1") }); n != 0 {
+		t.Errorf("Handler allocates %.0f per call, want 0", n)
+	}
+	if lc.Handler("nope") != nil {
+		t.Error("Handler for an unknown node is not nil")
+	}
+}
+
 // The ingress request id survives the forwarded hop, lands in the job
 // record, and is echoed on every reply; absent one, ingress mints it.
 func TestRequestIDPropagation(t *testing.T) {

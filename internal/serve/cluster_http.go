@@ -35,9 +35,6 @@ const (
 // replicas share it — the context is one per round, not per peer).
 const replicationBudget = 3 * time.Second
 
-// requestIDKey carries the ingress request id through contexts.
-type requestIDKey struct{}
-
 // newRequestID mints a 64-bit random hex id; ids only need to be
 // unique enough to correlate log lines and job records across nodes.
 func newRequestID() string {
@@ -46,24 +43,6 @@ func newRequestID() string {
 		return fmt.Sprintf("t%x", time.Now().UnixNano())
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// withRequestID pins a request id on a context.
-func withRequestID(ctx context.Context, rid string) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, rid)
-}
-
-// RequestIDFrom extracts the ingress request id ("" when untraced).
-func RequestIDFrom(ctx context.Context) string {
-	rid, _ := ctx.Value(requestIDKey{}).(string)
-	return rid
-}
-
-// logf logs through the configured logger (no-op without one).
-func (s *Server) logf(format string, args ...any) {
-	if s.logFn != nil {
-		s.logFn(format, args...)
-	}
 }
 
 // forwarded reports whether a request already took its one allowed
@@ -97,7 +76,7 @@ func (s *Server) proxyKeyed(rw http.ResponseWriter, req *http.Request, key strin
 	if s.cluster == nil || forwarded(req) {
 		return false
 	}
-	rid := RequestIDFrom(req.Context())
+	rid := trace.RequestID(req.Context())
 	for _, m := range s.cluster.Route(key) {
 		if m.ID == s.cluster.Self() {
 			return false
@@ -106,13 +85,21 @@ func (s *Server) proxyKeyed(rw http.ResponseWriter, req *http.Request, key strin
 			return true
 		}
 	}
-	s.localFallbacks.Add(1)
-	s.logf("request %s: no reachable replica for %s, serving locally", logID(req.Context()), key)
+	s.localFallback(req.Context(), key)
 	return false
 }
 
-// forwardOnce sends one request to a peer, maintaining the forward
-// counters, per-peer metric series, and log lines in one place for
+// localFallback counts and logs a request served here because no
+// replica of its key was reachable.
+func (s *Server) localFallback(ctx context.Context, key string) {
+	s.count.localFallbacks.Inc()
+	if s.logging(ctx) {
+		s.log.InfoContext(ctx, "no reachable replica, serving locally", "key", key)
+	}
+}
+
+// forwardOnce sends one request to a peer, maintaining the per-peer
+// forward series (which /stats sums) and log lines in one place for
 // every forwarding path (relay and decode alike). The caller owns the
 // response body on success; a transport failure returns nil and has
 // already been counted.
@@ -126,18 +113,20 @@ func (s *Server) forwardOnce(ctx context.Context, m cluster.Member, method, path
 	if err != nil {
 		fsp.Annotate("error", err.Error())
 		fsp.End()
-		s.forwardErrors.Add(1)
 		s.metrics.Counter(metricForwardErrorsTotal, metrics.Labels{"peer": m.ID}).Inc()
-		s.logf("request %s: forward %s %s to %s failed: %v", logID(ctx), method, path, m.ID, err)
+		if s.logging(ctx) {
+			s.log.InfoContext(ctx, "forward failed", "method", method, "path", path, "peer", m.ID, "err", err)
+		}
 		return nil
 	}
 	fsp.Annotate("code", resp.StatusCode)
 	fsp.End()
-	s.forwards.Add(1)
 	s.metrics.Counter(metricForwardsTotal, metrics.Labels{
 		"peer": m.ID, "code": strconv.Itoa(resp.StatusCode),
 	}).Inc()
-	s.logf("request %s: forwarded %s %s to %s -> %d", logID(ctx), method, path, m.ID, resp.StatusCode)
+	if s.logging(ctx) {
+		s.log.InfoContext(ctx, "forwarded", "method", method, "path", path, "peer", m.ID, "code", resp.StatusCode)
+	}
 	return resp
 }
 
@@ -186,7 +175,7 @@ func (s *Server) clusterTune(ctx context.Context, ws WorkloadSpec) (*TuneRespons
 		return nil, &badRequestError{err}
 	}
 	key := ws.key()
-	rid := RequestIDFrom(ctx)
+	rid := trace.RequestID(ctx)
 	body, err := json.Marshal(TuneRequest{WorkloadSpec: ws})
 	if err != nil {
 		return nil, err
@@ -218,8 +207,7 @@ func (s *Server) clusterTune(ctx context.Context, ws WorkloadSpec) (*TuneRespons
 		}
 		return &tr, nil
 	}
-	s.localFallbacks.Add(1)
-	s.logf("request %s: no reachable replica for %s, tuning locally", logID(ctx), key)
+	s.localFallback(ctx, key)
 	return s.tuneCtx(ctx, ws)
 }
 
@@ -255,8 +243,7 @@ func (s *Server) replicateRecord(ctx context.Context, rec store.Record) {
 	// triggering request's values (trace span, request id) carry over,
 	// but its cancellation does not: a client giving up right after the
 	// response must not strand the fleet under-replicated.
-	rid := RequestIDFrom(ctx)
-	lid := logID(ctx)
+	rid := trace.RequestID(ctx)
 	rctx, rsp := trace.StartSpan(context.WithoutCancel(ctx), "replication")
 	rsp.Annotate("key", key)
 	defer rsp.End()
@@ -265,30 +252,24 @@ func (s *Server) replicateRecord(ctx context.Context, rec store.Record) {
 	allOK := true
 	for _, m := range targets {
 		outcome := "ok"
-		switch {
-		case s.cluster.Health(m.ID) == cluster.Down:
+		if s.cluster.Health(m.ID) == cluster.Down {
 			outcome = "skipped-down"
-			allOK = false
-		default:
-			resp, err := s.cluster.Forward(rctx, m, http.MethodPost, "/cluster/replicate", rid, "application/json", body)
-			if err != nil {
-				outcome = "error"
-				allOK = false
-				s.replicationErrors.Add(1)
-				s.logf("request %s: replicate %s v%d to %s failed: %v", lid, key, rec.Version, m.ID, err)
-				break
+		} else if resp, err := s.cluster.Forward(rctx, m, http.MethodPost, "/cluster/replicate", rid, "application/json", body); err != nil {
+			outcome = "error"
+			if s.logging(ctx) {
+				s.log.InfoContext(ctx, "replicate failed", "key", key, "version", rec.Version, "peer", m.ID, "err", err)
 			}
+		} else {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				outcome = "rejected"
-				allOK = false
-				s.replicationErrors.Add(1)
-				s.logf("request %s: replicate %s v%d to %s rejected: %d", lid, key, rec.Version, m.ID, resp.StatusCode)
-			} else {
-				s.replications.Add(1)
+				if s.logging(ctx) {
+					s.log.InfoContext(ctx, "replicate rejected", "key", key, "version", rec.Version, "peer", m.ID, "code", resp.StatusCode)
+				}
 			}
 		}
+		allOK = allOK && outcome == "ok"
 		s.metrics.Counter(metricReplicationsTotal, metrics.Labels{
 			"peer": m.ID, "outcome": outcome,
 		}).Inc()
@@ -373,6 +354,7 @@ func (s *Server) handleClusterInfo(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	shares := s.cluster.Ring().OwnershipShare()
+	st := s.Stats()
 	info := ClusterInfo{
 		Enabled:           true,
 		Self:              s.cluster.Self(),
@@ -380,17 +362,17 @@ func (s *Server) handleClusterInfo(rw http.ResponseWriter, req *http.Request) {
 		Replicas:          s.cluster.ReplicationFactor(),
 		VNodes:            s.cluster.Ring().VNodes(),
 		Drained:           !s.cluster.InRing(),
-		Forwards:          s.forwards.Load(),
-		ForwardErrors:     s.forwardErrors.Load(),
-		Replications:      s.replications.Load(),
-		ReplicationErrors: s.replicationErrors.Load(),
-		LocalFallbacks:    s.localFallbacks.Load(),
-		RebalancePushed:   s.rebalancePushed.Load(),
-		RebalancePulled:   s.rebalancePulled.Load(),
-		RebalanceDropped:  s.rebalanceDropped.Load(),
-		RebalanceErrors:   s.rebalanceErrors.Load(),
-		RecordFetches:     s.recordFetches.Load(),
-		RecordFetchHits:   s.recordFetchHits.Load(),
+		Forwards:          st.ClusterForwards,
+		ForwardErrors:     st.ClusterForwardErrors,
+		Replications:      st.ClusterReplications,
+		ReplicationErrors: st.ClusterReplicationErrors,
+		LocalFallbacks:    st.ClusterLocalFallbacks,
+		RebalancePushed:   st.ClusterRebalancePushed,
+		RebalancePulled:   st.ClusterRebalancePulled,
+		RebalanceDropped:  st.ClusterRebalanceDropped,
+		RebalanceErrors:   st.ClusterRebalanceErrors,
+		RecordFetches:     st.ClusterRecordFetches,
+		RecordFetchHits:   st.ClusterRecordFetchHits,
 	}
 	for _, m := range s.cluster.Members() {
 		info.Members = append(info.Members, ClusterMemberInfo{
@@ -439,8 +421,7 @@ func (s *Server) proxyJobByID(rw http.ResponseWriter, req *http.Request, node st
 	if !ok {
 		return false
 	}
-	rid := RequestIDFrom(req.Context())
-	if s.forwardTo(rw, req, m, rid, nil) {
+	if s.forwardTo(rw, req, m, trace.RequestID(req.Context()), nil) {
 		return true
 	}
 	// The job record lives only on that node; there is no replica to

@@ -8,7 +8,9 @@ package serve_test
 import (
 	"context"
 	"net/http"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/serve"
 )
@@ -283,4 +285,34 @@ func TestElasticEndpointValidation(t *testing.T) {
 	if rec := do(t, solo.Handler(), http.MethodGet, "/cluster/records", nil, nil, nil); rec.Code != http.StatusNotFound {
 		t.Errorf("solo GET /cluster/records: %d, want 404", rec.Code)
 	}
+}
+
+// StartRebalancer starts one loop however often it is called, a call
+// racing Close is safe (the race build checks the WaitGroup), and a nil
+// clock option leaves the system clock in place.
+func TestStartRebalancerOnceAndCloseSafe(t *testing.T) {
+	lc, err := serve.NewLocalCluster(serve.LocalClusterOptions{
+		Nodes: 2, ServerOptions: []serve.Option{serve.WithClock(nil)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	a, b := lc.Node(lc.IDs()[0]), lc.Node(lc.IDs()[1])
+
+	before := runtime.NumGoroutine()
+	a.StartRebalancer(time.Hour)
+	a.StartRebalancer(time.Hour)
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() != before+1 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond) // the boot kick's pass is still talking to b
+	}
+	if got := runtime.NumGoroutine() - before; got != 1 {
+		t.Errorf("two StartRebalancer calls left %d new goroutines, want 1", got)
+	}
+
+	done := make(chan struct{})
+	go func() { b.StartRebalancer(time.Hour); close(done) }()
+	b.Close()
+	<-done
+	b.StartRebalancer(time.Hour) // after Close: starts nothing
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // This file is the HTTP surface of elastic membership: join and drain
@@ -44,8 +45,8 @@ func (s *Server) handleClusterJoin(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if changed {
-		s.logf("cluster: %s joined at %s -> epoch %d (%d members)",
-			jr.ID, jr.Addr, view.Epoch, len(view.Members))
+		s.log.InfoContext(req.Context(), "cluster: member joined",
+			"member", jr.ID, "addr", jr.Addr, "epoch", view.Epoch, "members", len(view.Members))
 		s.broadcastView(req.Context(), view, nil)
 	}
 	writeJSON(rw, http.StatusOK, view)
@@ -78,7 +79,8 @@ func (s *Server) handleClusterDrain(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if changed {
-		s.logf("cluster: drained %s -> epoch %d (%d members)", dr.ID, view.Epoch, len(view.Members))
+		s.log.InfoContext(req.Context(), "cluster: member drained",
+			"member", dr.ID, "epoch", view.Epoch, "members", len(view.Members))
 		s.broadcastView(req.Context(), view, []cluster.Member{drained})
 	}
 	writeJSON(rw, http.StatusOK, view)
@@ -115,7 +117,8 @@ func (s *Server) handleClusterViewPost(rw http.ResponseWriter, req *http.Request
 		return
 	}
 	if adopted {
-		s.logf("cluster: adopted announced view epoch %d (%d members)", v.Epoch, len(v.Members))
+		s.log.InfoContext(req.Context(), "cluster: adopted announced view",
+			"epoch", v.Epoch, "members", len(v.Members))
 	}
 	writeJSON(rw, http.StatusOK, map[string]any{
 		"adopted": adopted,
@@ -191,7 +194,7 @@ func (s *Server) broadcastView(ctx context.Context, v cluster.View, extra []clus
 		seen[m.ID] = true
 		resp, err := s.cluster.Forward(bctx, m, http.MethodPost, "/cluster/view", "", "application/json", body)
 		if err != nil {
-			s.logf("cluster: view epoch %d broadcast to %s failed: %v", v.Epoch, m.ID, err)
+			s.log.InfoContext(ctx, "cluster: view broadcast failed", "epoch", v.Epoch, "peer", m.ID, "err", err)
 			continue
 		}
 		io.Copy(io.Discard, resp.Body)
@@ -224,7 +227,7 @@ func (s *Server) fetchRecordFromPeers(ctx context.Context, fp store.Fingerprint)
 	if err != nil {
 		return store.Record{}, false
 	}
-	s.recordFetches.Add(1)
+	s.count.recordFetches.Inc()
 	self := s.cluster.Self()
 	seen := map[string]bool{self: true}
 	ordered := s.cluster.Replicas(key)
@@ -237,23 +240,8 @@ func (s *Server) fetchRecordFromPeers(ctx context.Context, fp store.Fingerprint)
 			continue
 		}
 		seen[m.ID] = true
-		fctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		resp, err := s.cluster.Forward(fctx, m, http.MethodPost, "/cluster/fetch",
-			RequestIDFrom(ctx), "application/json", body)
-		if err != nil {
-			cancel()
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			cancel()
-			continue
-		}
 		var rec store.Record
-		err = json.NewDecoder(resp.Body).Decode(&rec)
-		resp.Body.Close()
-		cancel()
+		err := s.peerJSON(ctx, 2*time.Second, m, http.MethodPost, "/cluster/fetch", trace.RequestID(ctx), body, &rec)
 		if err != nil || rec.Plan == nil {
 			continue
 		}
@@ -262,9 +250,11 @@ func (s *Server) fetchRecordFromPeers(ctx context.Context, fp store.Fingerprint)
 			// re-replicates, so the invariant audit still sees one Put.
 			_, _ = s.store.Apply(rec)
 		}
-		s.recordFetchHits.Add(1)
-		s.logf("request %s: record %s fetched from peer %s (v%d), search suppressed",
-			logID(ctx), key, m.ID, rec.Version)
+		s.count.recordFetchHits.Inc()
+		if s.logging(ctx) {
+			s.log.InfoContext(ctx, "record fetched from peer, search suppressed",
+				"key", key, "peer", m.ID, "version", rec.Version)
+		}
 		return rec, true
 	}
 	return store.Record{}, false

@@ -96,27 +96,19 @@ func (s *Server) jobStatus(snap jobs.Snapshot, deduped bool) JobStatus {
 // specs are rejected at submit time (badRequestError) rather than
 // queued to fail later. Submissions for a workload that is already
 // queued or running attach to the existing job (deduped=true). The
-// context links the submission into an active trace; it does not bound
-// the job itself.
+// context carries the submission's identity — the ingress request id
+// pinned on the job record, the trace the job span joins — and does not
+// bound the job itself. The job's task resolves through clusterTune: a
+// fingerprint owned by a peer is forwarded there, so the fleet still
+// runs at most one search per fingerprint even for jobs submitted (or
+// batched) on a non-owner.
 func (s *Server) SubmitJob(ctx context.Context, spec JobSpec) (JobStatus, error) {
-	return s.submitJob(ctx, spec, "")
-}
-
-// submitJob is SubmitJob carrying the ingress request context and id.
-// The context links the job span into the submitting request's trace;
-// the job's task resolves through clusterTune: a fingerprint owned by a
-// peer is forwarded there, so the fleet still runs at most one search
-// per fingerprint even for jobs submitted (or batched) on a non-owner.
-func (s *Server) submitJob(ctx context.Context, spec JobSpec, requestID string) (JobStatus, error) {
 	if _, _, _, err := spec.normalize(); err != nil {
 		return JobStatus{}, &badRequestError{err}
 	}
 	ws := spec.WorkloadSpec // normalized copy: defaults resolved
 	key := ws.key()
-	snap, deduped, err := s.jobs.SubmitTraced(ctx, key, spec.Priority, requestID, func(ctx context.Context, emit func(string)) (any, error) {
-		if requestID != "" {
-			ctx = withRequestID(ctx, requestID)
-		}
+	snap, deduped, err := s.jobs.Submit(ctx, key, spec.Priority, func(ctx context.Context, emit func(string)) (any, error) {
 		emit("tuning " + key)
 		resp, err := s.clusterTune(ctx, ws)
 		if err != nil {
@@ -183,7 +175,6 @@ func (s *Server) handleJobsSubmit(rw http.ResponseWriter, req *http.Request) {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	rid := RequestIDFrom(req.Context())
 	if len(jr.Jobs) == 0 {
 		// Single-spec submissions are forwarded to the fingerprint's
 		// owner so the job record lives beside its plan-cache entry; a
@@ -198,7 +189,7 @@ func (s *Server) handleJobsSubmit(rw http.ResponseWriter, req *http.Request) {
 				return
 			}
 		}
-		st, err := s.submitJob(req.Context(), jr.JobSpec, rid)
+		st, err := s.SubmitJob(req.Context(), jr.JobSpec)
 		if err != nil {
 			writeError(rw, statusForSubmit(err), err)
 			return
@@ -208,7 +199,7 @@ func (s *Server) handleJobsSubmit(rw http.ResponseWriter, req *http.Request) {
 	}
 	out := make([]JobStatus, 0, len(jr.Jobs))
 	for i, spec := range jr.Jobs {
-		st, err := s.submitJob(req.Context(), spec, rid)
+		st, err := s.SubmitJob(req.Context(), spec)
 		if err != nil {
 			// Reject the whole batch on the first invalid spec: partial
 			// submission would leave the caller guessing which half ran.

@@ -65,7 +65,9 @@ type LocalClusterOptions struct {
 
 // switchboard routes peer requests by synthetic host name to sibling
 // handlers; a killed node answers every peer and probe with a transport
-// error, exactly like a dead process.
+// error, exactly like a dead process. Each node's handler is built once
+// (addNode) and is also the ingress surface LocalCluster.Handler hands
+// out, so a node has one instrumented mux, not one per caller.
 type switchboard struct {
 	mu       sync.RWMutex
 	handlers map[string]http.Handler
@@ -182,29 +184,10 @@ func (lc *LocalCluster) IDs() []string {
 	return append([]string(nil), lc.ids...)
 }
 
-// StandbyIDs returns the warm-standby pool ids in pool order.
-func (lc *LocalCluster) StandbyIDs() []string {
-	lc.mu.RLock()
-	defer lc.mu.RUnlock()
-	ids := make([]string, 0, len(lc.standby))
-	for _, id := range lc.ids {
-		if lc.standby[id] {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-// parked reports whether a node is a standby still outside the real
-// ring (its adopted view is only itself). A standby admitted by a
-// scale-up has adopted the fleet view and stops being parked.
-func (lc *LocalCluster) parked(id string) bool {
-	lc.mu.RLock()
-	defer lc.mu.RUnlock()
-	return lc.parkedLocked(id)
-}
-
-// parkedLocked is parked with lc.mu already held.
+// parkedLocked reports whether a node is a standby still outside the
+// real ring (its adopted view is only itself). A standby admitted by a
+// scale-up has adopted the fleet view and stops being parked. Call with
+// lc.mu held.
 func (lc *LocalCluster) parkedLocked(id string) bool {
 	cl := lc.clusters[id]
 	if !lc.standby[id] || cl == nil {
@@ -229,15 +212,12 @@ func (lc *LocalCluster) Cluster(id string) *cluster.Cluster {
 }
 
 // Handler returns one node's HTTP handler (nil for unknown ids) — the
-// ingress surface a load generator targets.
+// ingress surface a load generator targets, and the same handler its
+// peers reach it through.
 func (lc *LocalCluster) Handler(id string) http.Handler {
-	lc.mu.RLock()
-	s, ok := lc.servers[id]
-	lc.mu.RUnlock()
-	if !ok {
-		return nil
-	}
-	return s.Handler()
+	lc.sb.mu.RLock()
+	defer lc.sb.mu.RUnlock()
+	return lc.sb.handlers[id]
 }
 
 // Kill makes a node unreachable to its peers (forwards, probes, and

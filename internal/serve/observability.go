@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -15,19 +14,7 @@ import (
 
 // This file is the serving layer's observability surface: the per-node
 // trace ring at GET /debug/traces, the cluster event timeline at GET
-// /cluster/events, Go runtime gauges on /metrics, and the request/trace
-// identity every log line carries.
-
-// logID renders a request's log identity: the ingress request id, plus
-// the trace id when the request is sampled — so a grep for either id
-// finds every line the request touched, across nodes.
-func logID(ctx context.Context) string {
-	rid := RequestIDFrom(ctx)
-	if sp := trace.FromContext(ctx); sp != nil {
-		return rid + " trace " + sp.TraceID()
-	}
-	return rid
-}
+// /cluster/events, and Go runtime gauges on /metrics.
 
 // registerRuntimeGauges exposes Go runtime health on /metrics. Each
 // gauge is sampled at scrape time (callbacks run outside the registry

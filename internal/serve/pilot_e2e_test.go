@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/pilot"
 )
@@ -35,24 +36,21 @@ func pilotTestConfig() pilot.Config {
 
 // newPilotCluster boots nodes + warm standbys with the SLO engine and
 // pilot both on the shared virtual clock and both hand-cranked.
-func newPilotCluster(t *testing.T, nodes, standbys int, mutate func(*pilot.Config)) (*LocalCluster, *sloFakeClock) {
+func newPilotCluster(t *testing.T, nodes, standbys int, mutate func(*pilot.Config)) (*LocalCluster, *clock.Fake) {
 	t.Helper()
 	cfg := pilotTestConfig()
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	clock := &sloFakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
+	clock := newFakeClock()
 	lc, err := NewLocalCluster(LocalClusterOptions{
 		Nodes:    nodes,
 		Replicas: 2,
 		Standbys: standbys,
 		ServerOptions: []Option{
 			WithSLO(sloTestConfig()),
-			WithSLOManual(),
-			WithSLOClock(clock),
 			WithPilot(cfg),
-			WithPilotManual(),
-			WithPilotClock(clock),
+			WithClock(clock),
 		},
 	})
 	if err != nil {
@@ -67,7 +65,7 @@ func newPilotCluster(t *testing.T, nodes, standbys int, mutate func(*pilot.Confi
 // evaluation precedes the controller's read of it. Every node ticks its
 // pilot; the leadership gate keeps all but one inert, exactly as in a
 // real fleet where each process runs the same loop.
-func pilotTickAll(lc *LocalCluster, clock *sloFakeClock) {
+func pilotTickAll(lc *LocalCluster, clock *clock.Fake) {
 	clock.Advance(time.Second)
 	for _, id := range lc.IDs() {
 		lc.Node(id).SLOTick()

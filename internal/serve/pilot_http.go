@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/pilot"
@@ -27,18 +26,6 @@ func WithPilot(cfg pilot.Config) Option {
 	// initPilot) then fills defaults on this server's private copy even
 	// though one Option value is applied to every LocalCluster node.
 	return func(s *Server) { s.pilotCfg = &cfg }
-}
-
-// WithPilotClock overrides the controller's time source (virtual-time
-// tests).
-func WithPilotClock(clk pilot.Clock) Option {
-	return func(s *Server) { s.pilotClock = clk }
-}
-
-// WithPilotManual disables the background tick loop: the test harness
-// drives the controller itself via PilotTick.
-func WithPilotManual() Option {
-	return func(s *Server) { s.pilotManual = true }
 }
 
 // WithStandbyPool configures the warm-standby pool the pilot may
@@ -63,43 +50,14 @@ func (s *Server) initPilot() {
 		// is an option-wiring bug.
 		panic("serve: WithPilot requires cluster mode (WithCluster)")
 	}
-	cfg := *s.pilotCfg
-	p, err := pilot.New(cfg, s.pilotClock)
+	p, err := pilot.New(*s.pilotCfg, s.clock)
 	if err != nil {
 		panic(fmt.Sprintf("serve: invalid pilot config reached New: %v", err))
 	}
 	s.pilot = p
 	s.cluster.SetStandbys(s.standbys)
 	s.registerPilotGauges()
-	if !s.pilotManual {
-		ctx, cancel := context.WithCancel(context.Background())
-		s.pilotCancel = cancel
-		s.pilotWG.Add(1)
-		go s.pilotLoop(ctx)
-	}
-}
-
-// stopPilot ends the background tick loop (no-op without one).
-func (s *Server) stopPilot() {
-	if s.pilotCancel != nil {
-		s.pilotCancel()
-		s.pilotWG.Wait()
-		s.pilotCancel = nil
-	}
-}
-
-func (s *Server) pilotLoop(ctx context.Context) {
-	defer s.pilotWG.Done()
-	t := time.NewTicker(s.pilot.Config().Interval())
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			s.PilotTick(ctx)
-		}
-	}
+	s.tickLoop(p.Config().Interval(), nil, s.PilotTick)
 }
 
 // PilotLeader reports whether this node is the acting controller: the
@@ -128,8 +86,8 @@ func (s *Server) PilotLeader() bool {
 // PilotTick runs one controller tick: gather signals, evaluate the
 // state machine, actuate committed decisions, and land everything on
 // the event timeline. Non-leaders skip entirely (their streaks would
-// otherwise drift from the actor's). Also the WithPilotManual test
-// path.
+// otherwise drift from the actor's). The tick loop calls it on the
+// system clock; a test calls it by hand on a clock.Fake (see WithClock).
 func (s *Server) PilotTick(ctx context.Context) {
 	if s.pilot == nil || !s.PilotLeader() {
 		return
@@ -201,7 +159,7 @@ func (s *Server) actuate(ctx context.Context, d pilot.Decision) {
 			typ = cluster.EventPilotDrain
 		}
 		s.cluster.RecordEvent(typ, d.Target, fmt.Sprintf("DRY-RUN %s: %s", d.Action, d.Reason))
-		s.logf("pilot: DRY-RUN %s %s (%s)", d.Action, d.Target, d.Reason)
+		s.log.InfoContext(ctx, "pilot: dry-run", "action", d.Action, "target", d.Target, "reason", d.Reason)
 		return
 	}
 	switch d.Action {
@@ -230,12 +188,12 @@ func (s *Server) pilotScaleUp(ctx context.Context, d pilot.Decision) {
 	view, changed, err := s.cluster.ProposeJoin(target)
 	if err != nil {
 		s.cluster.RecordEvent(cluster.EventPilotVeto, d.Target, "scale-up failed: "+err.Error())
-		s.logf("pilot: scale-up of %s failed: %v", d.Target, err)
+		s.log.InfoContext(ctx, "pilot: scale-up failed", "target", d.Target, "err", err)
 		return
 	}
 	s.cluster.RecordEvent(cluster.EventPilotScaleUp, d.Target,
 		fmt.Sprintf("%s -> epoch %d (%d members)", d.Reason, view.Epoch, len(view.Members)))
-	s.logf("pilot: scale-up %s -> epoch %d (%s)", d.Target, view.Epoch, d.Reason)
+	s.log.InfoContext(ctx, "pilot: scale-up", "target", d.Target, "epoch", view.Epoch, "reason", d.Reason)
 	if changed {
 		s.broadcastView(ctx, view, nil)
 	}
@@ -254,12 +212,12 @@ func (s *Server) pilotDrain(ctx context.Context, d pilot.Decision) {
 	view, changed, err := s.cluster.ProposeDrain(d.Target)
 	if err != nil {
 		s.cluster.RecordEvent(cluster.EventPilotVeto, d.Target, string(d.Action)+" failed: "+err.Error())
-		s.logf("pilot: %s of %s failed: %v", d.Action, d.Target, err)
+		s.log.InfoContext(ctx, "pilot: drain failed", "action", d.Action, "target", d.Target, "err", err)
 		return
 	}
 	s.cluster.RecordEvent(cluster.EventPilotDrain, d.Target,
 		fmt.Sprintf("%s: %s -> epoch %d (%d members)", d.Action, d.Reason, view.Epoch, len(view.Members)))
-	s.logf("pilot: %s %s -> epoch %d (%s)", d.Action, d.Target, view.Epoch, d.Reason)
+	s.log.InfoContext(ctx, "pilot: drain", "action", d.Action, "target", d.Target, "epoch", view.Epoch, "reason", d.Reason)
 	if changed {
 		s.broadcastView(ctx, view, []cluster.Member{drained})
 	}

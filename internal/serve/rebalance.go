@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // The rebalancer is the background anti-entropy repairer of the
@@ -141,9 +142,11 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 	rep.Epoch = ring.epoch
 	self := s.cluster.Self()
 	// Repair passes have no ingress request, so each pass mints its own
-	// id: every log line and timeline event of one pass correlates the
-	// same way request lines do.
+	// id and pins it where a request's would be: every log line and
+	// timeline event of one pass correlates the same way request lines
+	// do. (Peer calls below name their request id explicitly — none.)
 	pass := "rebalance " + newRequestID()
+	ctx = trace.WithRequestID(ctx, pass)
 
 	// Pull phase: after an epoch change (or at first pass — lastPull
 	// starts at -1, which is how a node restarted with an empty store
@@ -185,7 +188,7 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 				if current[m.ID] {
 					complete = false
 					rep.Errors++
-					s.logf("%s: pulling records from %s failed: %v", pass, m.ID, err)
+					s.log.InfoContext(ctx, "pulling records failed", "peer", m.ID, "err", err)
 				}
 				continue
 			}
@@ -251,7 +254,7 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 			if err != nil {
 				allOK = false
 				rep.Errors++
-				s.logf("%s: pushing %s v%d to %s failed: %v", pass, key, rec.Version, m.ID, err)
+				s.log.InfoContext(ctx, "pushing record failed", "key", key, "version", rec.Version, "peer", m.ID, "err", err)
 				continue
 			}
 			rep.Pushed++
@@ -266,18 +269,18 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 			s.markRepaired(key, ring)
 		} else if err := s.store.Delete(rec.Fingerprint); err != nil {
 			rep.Errors++
-			s.logf("%s: releasing %s after handoff failed: %v", pass, key, err)
+			s.log.InfoContext(ctx, "releasing record after handoff failed", "key", key, "err", err)
 		} else {
 			rep.Dropped++
 			s.clearRepaired(key)
-			s.logf("%s: handed off %s v%d to %v", pass, key, rec.Version, memberIDs(reps))
+			s.log.InfoContext(ctx, "handed off record", "key", key, "version", rec.Version, "to", memberIDs(reps))
 		}
 	}
 
-	s.rebalancePushed.Add(uint64(rep.Pushed))
-	s.rebalancePulled.Add(uint64(rep.Pulled))
-	s.rebalanceDropped.Add(uint64(rep.Dropped))
-	s.rebalanceErrors.Add(uint64(rep.Errors))
+	s.count.rebalancePushed.Add(uint64(rep.Pushed))
+	s.count.rebalancePulled.Add(uint64(rep.Pulled))
+	s.count.rebalanceDropped.Add(uint64(rep.Dropped))
+	s.count.rebalanceErrors.Add(uint64(rep.Errors))
 	// Repair activity lands on the cluster timeline, one event per
 	// nonzero category per pass — bounded by pass cadence, not by the
 	// record count a pass moved.
@@ -294,52 +297,48 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 			fmt.Sprintf("%s: handed off %d records", pass, rep.Dropped))
 	}
 	if rep.Pushed+rep.Pulled+rep.Dropped+rep.Errors > 0 {
-		s.logf("%s: %s", pass, rep)
+		s.log.InfoContext(ctx, "rebalance pass done", "report", rep.String())
 	}
 	return rep, nil
+}
+
+// peerJSON sends one request to a peer over the cluster transport
+// (health bookkeeping included) within budget and decodes its 200 reply
+// into out; any other answer is an error.
+func (s *Server) peerJSON(ctx context.Context, budget time.Duration, m cluster.Member, method, path, rid string, body []byte, out any) error {
+	ctx, cancel := context.WithTimeout(ctx, budget)
+	defer cancel()
+	contentType := ""
+	if body != nil {
+		contentType = "application/json"
+	}
+	resp, err := s.cluster.Forward(ctx, m, method, path, rid, contentType, body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, resp.Body)
+		return fmt.Errorf("peer %s answered %d", m.ID, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // pushRecord offers one record to a peer's /cluster/replicate;
 // returns whether the peer actually installed it.
 func (s *Server) pushRecord(ctx context.Context, m cluster.Member, body []byte) (bool, error) {
-	fctx, cancel := context.WithTimeout(ctx, rebalanceForwardBudget)
-	defer cancel()
-	resp, err := s.cluster.Forward(fctx, m, http.MethodPost, "/cluster/replicate", "", "application/json", body)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return false, fmt.Errorf("peer answered %d", resp.StatusCode)
-	}
 	var ack struct {
 		Applied bool `json:"applied"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		return false, err
-	}
-	return ack.Applied, nil
+	err := s.peerJSON(ctx, rebalanceForwardBudget, m, http.MethodPost, "/cluster/replicate", "", body, &ack)
+	return ack.Applied, err
 }
 
 // pullRecords fetches a peer's full record listing.
 func (s *Server) pullRecords(ctx context.Context, m cluster.Member) ([]store.Record, error) {
-	fctx, cancel := context.WithTimeout(ctx, rebalanceForwardBudget)
-	defer cancel()
-	resp, err := s.cluster.Forward(fctx, m, http.MethodGet, "/cluster/records", "", "", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("peer answered %d", resp.StatusCode)
-	}
 	var recs []store.Record
-	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
-		return nil, err
-	}
-	return recs, nil
+	err := s.peerJSON(ctx, rebalanceForwardBudget, m, http.MethodGet, "/cluster/records", "", nil, &recs)
+	return recs, err
 }
 
 func memberIDs(ms []cluster.Member) []string {
@@ -363,54 +362,16 @@ func (s *Server) KickRebalance() {
 // StartRebalancer launches the background repair loop: one pass per
 // interval, plus an immediate pass on every kick (membership changes
 // kick automatically). An interval <= 0 means kick-driven only — no
-// periodic passes. Starting twice restarts the loop; StopRebalancer
-// (or Close) ends it. A server without a cluster or store ignores the
-// call.
+// periodic passes. Only the first call starts a loop; Close ends it. A
+// server without a cluster or store ignores the call.
 func (s *Server) StartRebalancer(interval time.Duration) {
 	if s.cluster == nil || s.store == nil {
 		return
 	}
-	s.rbMu.Lock()
-	defer s.rbMu.Unlock()
-	if s.rbCancel != nil {
-		s.rbCancel()
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.rbCancel = cancel
-	s.KickRebalance() // converge promptly on boot (covers -join and empty restarts)
-	go s.rebalanceLoop(ctx, interval)
-}
-
-// StopRebalancer ends the background repair loop (no-op when not
-// started).
-func (s *Server) StopRebalancer() {
-	s.rbMu.Lock()
-	defer s.rbMu.Unlock()
-	if s.rbCancel != nil {
-		s.rbCancel()
-		s.rbCancel = nil
-	}
-}
-
-func (s *Server) rebalanceLoop(ctx context.Context, interval time.Duration) {
-	// A nil ticker channel blocks forever: interval <= 0 is the
-	// kick-driven-only mode the -rebalance-interval flag documents.
-	var tick <-chan time.Time
-	if interval > 0 {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick:
-		case <-s.rbKick:
-		}
-		// RebalanceOnce logs its own per-pass summary under the pass id.
-		if _, err := s.RebalanceOnce(ctx); err != nil {
-			return // context canceled mid-pass
-		}
-	}
+	s.rbOnce.Do(func() {
+		s.KickRebalance() // converge promptly on boot (covers -join and empty restarts)
+		// RebalanceOnce logs its own per-pass summary under the pass id; its
+		// only error is the loop context's cancellation, which ends the loop.
+		s.tickLoop(interval, s.rbKick, func(ctx context.Context) { _, _ = s.RebalanceOnce(ctx) })
+	})
 }

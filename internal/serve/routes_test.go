@@ -7,7 +7,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/clock"
 	"repro/internal/pilot"
 	"repro/internal/serve"
 	"repro/internal/slo"
@@ -72,9 +74,8 @@ func TestREADMEEndpointsRouted(t *testing.T) {
 		Replicas: 2,
 		ServerOptions: []serve.Option{
 			serve.WithSLO(sloCfg),
-			serve.WithSLOManual(),
 			serve.WithPilot(pilotCfg),
-			serve.WithPilotManual(),
+			serve.WithClock(clock.NewFake(time.Unix(0, 0))),
 		},
 	})
 	if err != nil {

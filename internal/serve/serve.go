@@ -21,8 +21,9 @@
 //	                   job-queue depth and worker utilization, plan-store
 //	                   size and warm-start hit rate, per-endpoint latency
 //	                   quantiles and status-code counts.
-//	GET  /metrics    — Prometheus text exposition of the same counters
-//	                   and latency histograms.
+//	GET  /metrics    — Prometheus text exposition of the registry
+//	                   /stats is rendered from: every counter lives in
+//	                   it once, so the two surfaces cannot disagree.
 //
 // The service degrades under load instead of hanging: every expensive
 // synchronous endpoint class sits behind a bounded admission gate (at
@@ -54,12 +55,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/hardware"
@@ -368,69 +370,118 @@ type Server struct {
 	evalReg      *evalRegistry
 
 	cluster *cluster.Cluster
-	logFn   func(format string, args ...any)
+	log     *slog.Logger  // never nil; disabled without WithLogger (see logging.go)
+	clock   clock.Ticking // SLO/pilot time source and every tick loop's ticker
 
 	traceOpt *trace.Options
 	trace    *trace.Recorder
 
 	limits       Limits
 	metrics      *metrics.Registry
+	count        eventCounters
 	tuneGate     *gate
 	simulateGate *gate
 
-	// SLO engine wiring (see slo_http.go): the declarative spec, the
-	// built engine, and the background tick loop's lifecycle.
+	// The SLO, pilot and rebalancer loops (see tickLoop) run until
+	// Close cancels loopCtx.
+	loopCtx    context.Context
+	loopCancel context.CancelFunc
+	loopWG     sync.WaitGroup
+
+	// SLO engine wiring (see slo_http.go): the declarative spec and the
+	// built engine.
 	sloCfg    *slo.Config
-	sloClock  slo.Clock
-	sloManual bool
 	sloEngine *slo.Engine
-	sloCancel context.CancelFunc
-	sloWG     sync.WaitGroup
 
 	// Pilot controller wiring (see pilot_http.go): the autoscaling
-	// policy, the controller, its tick loop's lifecycle, and the
-	// configured warm-standby pool.
-	pilotCfg    *pilot.Config
-	pilotClock  pilot.Clock
-	pilotManual bool
-	pilot       *pilot.Pilot
-	pilotCancel context.CancelFunc
-	pilotWG     sync.WaitGroup
-	standbys    []cluster.Member
+	// policy, the controller, and the configured warm-standby pool.
+	pilotCfg *pilot.Config
+	pilot    *pilot.Pilot
+	standbys []cluster.Member
 
-	tuneRequests     atomic.Uint64
-	simulateRequests atomic.Uint64
-	planCacheHits    atomic.Uint64
-	tunesRun         atomic.Uint64
-	evictions        atomic.Uint64
-	storeHits        atomic.Uint64
-	warmStarts       atomic.Uint64
-	rejected429      atomic.Uint64
+	// Elastic-membership machinery: the rebalancer's kick channel and
+	// the per-epoch repaired-record memo (see rebalance.go).
+	rbKick       chan struct{}
+	rbOnce       sync.Once  // StartRebalancer; spent by Close
+	rbRunMu      sync.Mutex // serializes RebalanceOnce passes
+	repairMu     sync.Mutex // guards repairedAt, lastPull, lastPullDone
+	repairedAt   map[string]ringID
+	pulledPeers  map[string]ringID // peer id -> ring last fully pulled; only touched under rbRunMu
+	lastPull     ringID
+	lastPullDone bool
+}
 
-	forwards          atomic.Uint64
-	forwardErrors     atomic.Uint64
-	replications      atomic.Uint64
-	replicationErrors atomic.Uint64
-	localFallbacks    atomic.Uint64
+// eventCounters are the server's unlabelled event counters. Each is a
+// series of s.metrics, resolved once in New (registry pointers are
+// stable), so a request-path increment is one atomic add and /stats and
+// /metrics read the same word. Events the labelled families already
+// record (forwards, replications, 429s) have no counter here: /stats
+// sums those families instead (see Stats).
+type eventCounters struct {
+	tuneRequests     *metrics.Counter
+	simulateRequests *metrics.Counter
+	planCacheHits    *metrics.Counter
+	tunesRun         *metrics.Counter
+	evictions        *metrics.Counter
+	storeHits        *metrics.Counter
+	warmStarts       *metrics.Counter
+	localFallbacks   *metrics.Counter
+	rebalancePushed  *metrics.Counter
+	rebalancePulled  *metrics.Counter
+	rebalanceDropped *metrics.Counter
+	rebalanceErrors  *metrics.Counter
+	recordFetches    *metrics.Counter
+	recordFetchHits  *metrics.Counter
+}
 
-	// Elastic-membership machinery: the background rebalancer loop, the
-	// per-epoch repaired-record memo, and the peer record-fetch
-	// counters (see rebalance.go / elastic_http.go).
-	rbKick           chan struct{}
-	rbMu             sync.Mutex // guards rbCancel
-	rbCancel         context.CancelFunc
-	rbRunMu          sync.Mutex // serializes RebalanceOnce passes
-	repairMu         sync.Mutex // guards repairedAt, lastPull, lastPullDone
-	repairedAt       map[string]ringID
-	pulledPeers      map[string]ringID // peer id -> ring last fully pulled; only touched under rbRunMu
-	lastPull         ringID
-	lastPullDone     bool
-	rebalancePushed  atomic.Uint64
-	rebalancePulled  atomic.Uint64
-	rebalanceDropped atomic.Uint64
-	rebalanceErrors  atomic.Uint64
-	recordFetches    atomic.Uint64
-	recordFetchHits  atomic.Uint64
+// registerCounters resolves the event counters and registers the
+// point-in-time gauges and the one derived counter beside them.
+func (s *Server) registerCounters() {
+	c := func(name string) *metrics.Counter { return s.metrics.Counter(name, nil) }
+	s.count = eventCounters{
+		tuneRequests:     c("mist_tune_requests_total"),
+		simulateRequests: c("mist_simulate_requests_total"),
+		planCacheHits:    c("mist_plan_cache_hits_total"),
+		tunesRun:         c("mist_tunes_run_total"),
+		evictions:        c("mist_plan_cache_evictions_total"),
+		storeHits:        c("mist_store_hits_total"),
+		warmStarts:       c("mist_warm_starts_total"),
+		localFallbacks:   c("mist_cluster_local_fallbacks_total"),
+		rebalancePushed:  c("mist_cluster_rebalance_pushed_total"),
+		rebalancePulled:  c("mist_cluster_rebalance_pulled_total"),
+		rebalanceDropped: c("mist_cluster_rebalance_dropped_total"),
+		rebalanceErrors:  c("mist_cluster_rebalance_errors_total"),
+		recordFetches:    c("mist_cluster_record_fetches_total"),
+		recordFetchHits:  c("mist_cluster_record_fetch_hits_total"),
+	}
+	s.metrics.CounterFunc("mist_http_rejected_total", nil, s.rejected429)
+	g := func(name string, fn func() int) {
+		s.metrics.RegisterGauge(name, nil, func() float64 { return float64(fn()) })
+	}
+	g("mist_plan_cache_size", s.planCacheSize)
+	g("mist_plan_store_size", s.storeSize)
+	g("mist_jobs_queue_depth", func() int { return s.jobs.Stats().QueueDepth })
+	g("mist_jobs_busy_workers", func() int { return s.jobs.Stats().Busy })
+}
+
+// rejected429 totals the 429s the instrumentation middleware recorded
+// under mist_http_requests_total{code="429"} (admission gates, the
+// job-queue bound, relayed peer refusals).
+func (s *Server) rejected429() uint64 {
+	return s.metrics.SumCounters(metricRequestsTotal, metrics.Labels{"code": "429"})
+}
+
+func (s *Server) planCacheSize() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.plans)
+}
+
+func (s *Server) storeSize() int {
+	if s.store == nil {
+		return 0
+	}
+	return s.store.Len()
 }
 
 // Option configures a Server.
@@ -491,11 +542,13 @@ func WithCluster(cl *cluster.Cluster) Option {
 	return func(s *Server) { s.cluster = cl }
 }
 
-// WithLog installs a request/forwarding logger (log.Printf-shaped);
-// every line carries the ingress request id (and the trace id when the
-// request is sampled). Default: no logging.
-func WithLog(logf func(format string, args ...any)) Option {
-	return func(s *Server) { s.logFn = logf }
+// WithClock replaces the system clock as the SLO engine's and the pilot
+// controller's time source and as the ticker behind the SLO, pilot and
+// rebalancer loops. On a clock.Fake those loops are inert and a test
+// drives SLOTick, PilotTick and RebalanceOnce itself; one Fake may be
+// shared by every node of a LocalCluster. A nil clock is ignored.
+func WithClock(c clock.Ticking) Option {
+	return func(s *Server) { s.clock = c }
 }
 
 // WithTrace enables request tracing: a per-node recorder collects
@@ -515,6 +568,7 @@ func New(opts ...Option) *Server {
 		cacheCap:   defaultCacheCap,
 		jobWorkers: defaultJobWorkers,
 		metrics:    metrics.NewRegistry(),
+		log:        disabledLogger,
 		rbKick:     make(chan struct{}, 1),
 		repairedAt: map[string]ringID{},
 	}
@@ -525,6 +579,10 @@ func New(opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
+	if s.clock == nil {
+		s.clock = clock.System
+	}
+	s.loopCtx, s.loopCancel = context.WithCancel(context.Background())
 	s.limits = s.limits.withDefaults()
 	s.evalReg = newEvalRegistry(s.evalCacheCap)
 	s.tuneGate = newGate("/tune", s.limits)
@@ -543,6 +601,7 @@ func New(opts ...Option) *Server {
 		}
 		s.trace = trace.NewRecorder(opt)
 	}
+	s.registerCounters()
 	s.registerRuntimeGauges()
 	s.registerBuildInfoGauge()
 	s.initSLO()
@@ -566,10 +625,39 @@ func New(opts ...Option) *Server {
 // background rebalancer, and the SLO and pilot tick loops. The plan
 // store needs no teardown: every Put is already durable.
 func (s *Server) Close() {
-	s.StopRebalancer()
-	s.stopPilot()
-	s.stopSLO()
+	// Spend the rebalancer's once: a StartRebalancer racing Close has
+	// started its loop by the time Do returns, a later one starts none.
+	s.rbOnce.Do(func() {})
+	s.loopCancel()
+	s.loopWG.Wait()
 	s.jobs.Close()
+}
+
+// tickLoop starts a goroutine that runs fn on every tick of the
+// server's clock, d apart (d <= 0: no ticks), and on every kick (nil:
+// none), until Close. On a clock.Fake no tick ever arrives: the loop is
+// inert and the test calls fn's exported twin (SLOTick, PilotTick,
+// RebalanceOnce).
+func (s *Server) tickLoop(d time.Duration, kick <-chan struct{}, fn func(context.Context)) {
+	s.loopWG.Add(1)
+	go func() {
+		defer s.loopWG.Done()
+		var tick <-chan time.Time // nil blocks forever
+		if d > 0 {
+			var stop func()
+			tick, stop = s.clock.Ticker(d)
+			defer stop()
+		}
+		for {
+			select {
+			case <-s.loopCtx.Done():
+				return
+			case <-tick:
+			case <-kick:
+			}
+			fn(s.loopCtx)
+		}
+	}()
 }
 
 // Store exposes the attached plan store (nil without one).
@@ -592,7 +680,7 @@ func (s *Server) evictOneLocked() {
 		select {
 		case <-e.ready:
 			delete(s.plans, k)
-			s.evictions.Add(1)
+			s.count.evictions.Inc()
 			return
 		default:
 		}
@@ -648,7 +736,7 @@ func (s *Server) tuneCtx(ctx context.Context, ws WorkloadSpec) (*TuneResponse, e
 			break
 		}
 		s.mu.Unlock()
-		s.planCacheHits.Add(1)
+		s.count.planCacheHits.Inc()
 		select {
 		case <-e.ready:
 		case <-ctx.Done():
@@ -718,7 +806,7 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 		if rec, ok := s.store.Get(fp); ok {
 			ssp.Annotate("outcome", "local-hit")
 			ssp.End()
-			s.storeHits.Add(1)
+			s.count.storeHits.Inc()
 			return responseFromRecord(rec), nil, nil
 		}
 		if s.cluster != nil {
@@ -738,7 +826,7 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 		ssp.Annotate("outcome", "miss")
 		ssp.End()
 	}
-	s.tunesRun.Add(1)
+	s.count.tunesRun.Inc()
 	// The prepare span covers tuner construction (operator DB +
 	// interference fit — real milliseconds, skipped entirely when the
 	// fingerprint's analyzer is already in the eval-cache registry) and
@@ -781,7 +869,7 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 	// caches if the registry is now over its point budget.
 	s.evalReg.enforceCap(evalKey(ws, space))
 	if res.WarmStarted {
-		s.warmStarts.Add(1)
+		s.count.warmStarts.Inc()
 	}
 	resp := &TuneResponse{
 		Plan:              res.Plan,
@@ -849,7 +937,7 @@ func (s *Server) handleTune(rw http.ResponseWriter, req *http.Request) {
 		writeError(rw, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return
 	}
-	s.tuneRequests.Add(1)
+	s.count.tuneRequests.Inc()
 	// The body is read up front (not streamed into the decoder) because
 	// a non-owner must replay it verbatim to the owning peer.
 	body, err := io.ReadAll(req.Body)
@@ -887,7 +975,7 @@ func (s *Server) handleSimulate(rw http.ResponseWriter, req *http.Request) {
 		writeError(rw, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return
 	}
-	s.simulateRequests.Add(1)
+	s.count.simulateRequests.Inc()
 	body, err := io.ReadAll(req.Body)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
@@ -988,33 +1076,41 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, grace time.Dur
 	return err
 }
 
-// Stats snapshots the service counters, including the per-endpoint
-// HTTP latency summaries.
+// Stats snapshots the service: a view of the metrics registry (event
+// counters by handle, the labelled cluster and HTTP families by sum,
+// the per-endpoint latency fold) plus the point-in-time sizes of the
+// caches, store and job pool.
 func (s *Server) Stats() Stats {
-	st := s.scalarStats()
-	st.HTTP = s.httpStats()
-	return st
-}
-
-// scalarStats is Stats without the HTTP fold — the cheap subset that
-// /metrics reads for its gauge lines.
-func (s *Server) scalarStats() Stats {
-	s.mu.Lock()
-	size := len(s.plans)
-	s.mu.Unlock()
+	c := &s.count
 	st := Stats{
-		TuneRequests:       s.tuneRequests.Load(),
-		SimulateRequests:   s.simulateRequests.Load(),
-		PlanCacheHits:      s.planCacheHits.Load(),
-		TunesRun:           s.tunesRun.Load(),
-		PlanCacheSize:      size,
+		TuneRequests:       c.tuneRequests.Value(),
+		SimulateRequests:   c.simulateRequests.Value(),
+		PlanCacheHits:      c.planCacheHits.Value(),
+		TunesRun:           c.tunesRun.Value(),
+		PlanCacheSize:      s.planCacheSize(),
 		PlanCacheCap:       s.cacheCap,
-		PlanCacheEvictions: s.evictions.Load(),
-		StoreHits:          s.storeHits.Load(),
-		WarmStarts:         s.warmStarts.Load(),
-	}
-	if s.store != nil {
-		st.StoreSize = s.store.Len()
+		PlanCacheEvictions: c.evictions.Value(),
+		StoreSize:          s.storeSize(),
+		StoreHits:          c.storeHits.Value(),
+		WarmStarts:         c.warmStarts.Value(),
+		Rejected429:        s.rejected429(),
+
+		ClusterForwards:      s.metrics.SumCounters(metricForwardsTotal, nil),
+		ClusterForwardErrors: s.metrics.SumCounters(metricForwardErrorsTotal, nil),
+		ClusterReplications:  s.metrics.SumCounters(metricReplicationsTotal, metrics.Labels{"outcome": "ok"}),
+		// skipped-down targets are neither: the repairer retries them.
+		ClusterReplicationErrors: s.metrics.SumCounters(metricReplicationsTotal, metrics.Labels{"outcome": "error"}) +
+			s.metrics.SumCounters(metricReplicationsTotal, metrics.Labels{"outcome": "rejected"}),
+		ClusterLocalFallbacks: c.localFallbacks.Value(),
+
+		ClusterRebalancePushed:  c.rebalancePushed.Value(),
+		ClusterRebalancePulled:  c.rebalancePulled.Value(),
+		ClusterRebalanceDropped: c.rebalanceDropped.Value(),
+		ClusterRebalanceErrors:  c.rebalanceErrors.Value(),
+		ClusterRecordFetches:    c.recordFetches.Value(),
+		ClusterRecordFetchHits:  c.recordFetchHits.Value(),
+
+		HTTP: s.httpStats(),
 	}
 	entries, points, evicted, retired := s.evalReg.snapshot()
 	st.EvalCacheEntries = entries
@@ -1037,21 +1133,9 @@ func (s *Server) scalarStats() Stats {
 	if js.Workers > 0 {
 		st.WorkerUtilization = float64(js.Busy) / float64(js.Workers)
 	}
-	st.Rejected429 = s.rejected429.Load()
-	st.ClusterForwards = s.forwards.Load()
-	st.ClusterForwardErrors = s.forwardErrors.Load()
-	st.ClusterReplications = s.replications.Load()
-	st.ClusterReplicationErrors = s.replicationErrors.Load()
-	st.ClusterLocalFallbacks = s.localFallbacks.Load()
 	if s.cluster != nil {
 		st.ClusterEpoch = s.cluster.Epoch()
 	}
-	st.ClusterRebalancePushed = s.rebalancePushed.Load()
-	st.ClusterRebalancePulled = s.rebalancePulled.Load()
-	st.ClusterRebalanceDropped = s.rebalanceDropped.Load()
-	st.ClusterRebalanceErrors = s.rebalanceErrors.Load()
-	st.ClusterRecordFetches = s.recordFetches.Load()
-	st.ClusterRecordFetchHits = s.recordFetchHits.Load()
 	return st
 }
 

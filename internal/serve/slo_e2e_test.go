@@ -5,31 +5,20 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/slo"
 )
 
-// sloFakeClock hand-cranks the SLO engines' notion of time.
-type sloFakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *sloFakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *sloFakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
+// newFakeClock is the hand-cranked clock one whole fleet shares: on it
+// every node's SLO, pilot and rebalancer loops are inert and the test
+// drives each tick itself.
+func newFakeClock() *clock.Fake {
+	return clock.NewFake(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 }
 
 func sloTestConfig() slo.Config {
@@ -45,15 +34,14 @@ func sloTestConfig() slo.Config {
 	}
 }
 
-func newSLOCluster(t *testing.T) (*LocalCluster, *sloFakeClock) {
+func newSLOCluster(t *testing.T) (*LocalCluster, *clock.Fake) {
 	t.Helper()
-	clock := &sloFakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
+	clock := newFakeClock()
 	lc, err := NewLocalCluster(LocalClusterOptions{
 		Nodes: 3,
 		ServerOptions: []Option{
 			WithSLO(sloTestConfig()),
-			WithSLOManual(),
-			WithSLOClock(clock),
+			WithClock(clock),
 		},
 	})
 	if err != nil {
@@ -95,7 +83,7 @@ func feedNode(s *Server, endpoint, code string, count int, lat time.Duration) {
 }
 
 // tickAll advances virtual time one interval and ticks every node.
-func tickAll(lc *LocalCluster, clock *sloFakeClock) {
+func tickAll(lc *LocalCluster, clock *clock.Fake) {
 	clock.Advance(time.Second)
 	for _, id := range lc.IDs() {
 		lc.Node(id).SLOTick()
@@ -278,7 +266,7 @@ func TestSLONotConfigured(t *testing.T) {
 // TestSLOSingleNodeFleet pins /cluster/health without cluster mode: a
 // fleet of one.
 func TestSLOSingleNodeFleet(t *testing.T) {
-	s := New(WithSLO(sloTestConfig()), WithSLOManual())
+	s := New(WithSLO(sloTestConfig()), WithClock(newFakeClock()))
 	defer s.Close()
 	feedNode(s, "/tune", "200", 50, 5*time.Millisecond)
 	s.SLOTick()

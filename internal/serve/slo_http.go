@@ -13,13 +13,14 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/slo"
+	"repro/internal/trace"
 )
 
 // This file wires the SLO engine through the serving layer: engine
-// lifecycle (a background tick loop on the engine cadence), the GET
-// /slo node surface, the GET /cluster/health fleet fold, mist_slo_*
-// gauges on /metrics, and alert transitions appended to the cluster
-// event timeline.
+// lifecycle (a tick loop on the engine cadence), the GET /slo node
+// surface, the GET /cluster/health fleet fold, mist_slo_* gauges on
+// /metrics, and alert transitions appended to the cluster event
+// timeline.
 
 // WithSLO attaches a validated SLO spec: the server evaluates it
 // continuously against its own request metrics and serves verdicts at
@@ -34,18 +35,6 @@ func WithSLO(cfg slo.Config) Option {
 	}
 }
 
-// WithSLOClock overrides the SLO engine's time source (virtual-time
-// tests).
-func WithSLOClock(clk slo.Clock) Option {
-	return func(s *Server) { s.sloClock = clk }
-}
-
-// WithSLOManual disables the background tick loop: the test harness
-// drives evaluation itself via SLOTick.
-func WithSLOManual() Option {
-	return func(s *Server) { s.sloManual = true }
-}
-
 // initSLO builds the engine from the attached spec; called by New after
 // cluster/jobs/metrics exist. The queue-depth sampler folds the two
 // admission gates and the async job queue — the saturation signal
@@ -55,7 +44,7 @@ func (s *Server) initSLO() {
 		return
 	}
 	eng, err := slo.NewEngine(*s.sloCfg, s.metrics, slo.Options{
-		Clock: s.sloClock,
+		Clock: s.clock,
 		QueueDepth: func() float64 {
 			js := s.jobs.Stats()
 			return float64(int64(js.QueueDepth) + s.tuneGate.waiting.Load() + s.simulateGate.waiting.Load())
@@ -70,39 +59,12 @@ func (s *Server) initSLO() {
 	}
 	s.sloEngine = eng
 	s.registerSLOGauges()
-	if !s.sloManual {
-		ctx, cancel := context.WithCancel(context.Background())
-		s.sloCancel = cancel
-		s.sloWG.Add(1)
-		go s.sloLoop(ctx)
-	}
+	s.tickLoop(eng.Interval(), nil, func(context.Context) { s.SLOTick() })
 }
 
-// stopSLO ends the background tick loop (no-op without one).
-func (s *Server) stopSLO() {
-	if s.sloCancel != nil {
-		s.sloCancel()
-		s.sloWG.Wait()
-		s.sloCancel = nil
-	}
-}
-
-func (s *Server) sloLoop(ctx context.Context) {
-	defer s.sloWG.Done()
-	t := time.NewTicker(s.sloEngine.Interval())
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			s.sloEngine.Tick()
-		}
-	}
-}
-
-// SLOTick advances the SLO engine one evaluation interval; the
-// WithSLOManual test path.
+// SLOTick advances the SLO engine one evaluation interval — what the
+// tick loop does on the system clock and what a test does by hand on a
+// clock.Fake (see WithClock).
 func (s *Server) SLOTick() {
 	if s.sloEngine != nil {
 		s.sloEngine.Tick()
@@ -117,7 +79,7 @@ func (s *Server) SLOEngine() *slo.Engine { return s.sloEngine }
 // timeline (when clustered) and in the log, so SLO breaches interleave
 // with epochs, health probes, and rebalance activity on one timeline.
 func (s *Server) onSLOTransition(tr slo.Transition) {
-	s.logf("slo: objective %s %s -> %s (%s)", tr.Objective, tr.From, tr.To, tr.Reason)
+	s.log.Info("slo: objective changed state", "objective", tr.Objective, "from", tr.From, "to", tr.To, "reason", tr.Reason)
 	if s.cluster == nil {
 		return
 	}
@@ -228,7 +190,7 @@ func (s *Server) handleClusterHealth(rw http.ResponseWriter, req *http.Request) 
 func (s *Server) fetchPeerSLO(ctx context.Context, m cluster.Member) (slo.NodeReport, error) {
 	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	resp, err := s.cluster.Forward(ctx, m, http.MethodGet, "/slo", RequestIDFrom(ctx), "", nil)
+	resp, err := s.cluster.Forward(ctx, m, http.MethodGet, "/slo", trace.RequestID(ctx), "", nil)
 	if err != nil {
 		return slo.NodeReport{}, err
 	}

@@ -5,18 +5,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
 )
-
-// Clock is the engine's time source. It is satisfied structurally by the
-// cluster package's clocks, so a virtual-time test clock drops in.
-type Clock interface {
-	Now() time.Time
-}
-
-type systemClock struct{}
-
-func (systemClock) Now() time.Time { return time.Now() }
 
 // MetricsSource is what the engine reads — *metrics.Registry satisfies
 // it, and tests substitute fakes to script counter resets.
@@ -128,8 +119,8 @@ type objectiveRt struct {
 
 // Options configures NewEngine beyond the declarative spec.
 type Options struct {
-	// Clock defaults to the system clock.
-	Clock Clock
+	// Clock defaults to clock.System.
+	Clock clock.Clock
 	// CounterFamily / HistFamily name the request series to read
 	// (defaults: the serving layer's mist_http_requests_total /
 	// mist_http_request_seconds; mistload scores its client-side
@@ -150,7 +141,7 @@ type Options struct {
 type Engine struct {
 	cfg      Config
 	src      MetricsSource
-	clock    Clock
+	clock    clock.Clock
 	counterF string
 	histF    string
 	queue    func() float64
@@ -194,9 +185,9 @@ func NewEngine(cfg Config, src MetricsSource, opts Options) (*Engine, error) {
 	if src == nil {
 		return nil, fmt.Errorf("slo: nil metrics source")
 	}
-	clock := opts.Clock
-	if clock == nil {
-		clock = systemClock{}
+	clk := opts.Clock
+	if clk == nil {
+		clk = clock.System
 	}
 	counterF := opts.CounterFamily
 	if counterF == "" {
@@ -209,7 +200,7 @@ func NewEngine(cfg Config, src MetricsSource, opts Options) (*Engine, error) {
 	e := &Engine{
 		cfg:          cfg,
 		src:          src,
-		clock:        clock,
+		clock:        clk,
 		counterF:     counterF,
 		histF:        histF,
 		queue:        opts.QueueDepth,

@@ -6,29 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
 )
 
-// fakeClock is a hand-cranked Clock for virtual-time tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
+// newFakeClock starts every virtual-time test at the same instant.
+func newFakeClock() *clock.Fake {
+	return clock.NewFake(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 }
 
 // feed records count requests with the given code (and a latency) into
@@ -41,7 +25,7 @@ func feed(reg *metrics.Registry, endpoint, code string, count int, lat time.Dura
 	}
 }
 
-func testEngine(t *testing.T, cfg Config, reg *metrics.Registry, hook func(Transition)) (*Engine, *fakeClock) {
+func testEngine(t *testing.T, cfg Config, reg *metrics.Registry, hook func(Transition)) (*Engine, *clock.Fake) {
 	t.Helper()
 	clock := newFakeClock()
 	eng, err := NewEngine(cfg, reg, Options{

@@ -2,10 +2,12 @@
 // service-level objectives, a sliding multi-window evaluation ring, and
 // Google SRE-style multi-burn-rate alerting.
 //
-// The package is deliberately zero-dependency (stdlib + internal/metrics
-// only): objectives are declared in a small JSON spec, evaluation reads
-// the existing metrics registry through a snapshot-diff hook, and time is
-// injectable so tests drive virtual clocks. The engine computes, per
+// The package is deliberately near zero-dependency (stdlib +
+// internal/metrics + internal/clock): objectives are declared in a
+// small JSON spec, evaluation reads the existing metrics registry
+// through a snapshot-diff hook, and time enters only through the
+// injected clock.Clock so tests drive virtual clocks (mistlint's
+// nodeterm check enforces it). The engine computes, per
 // objective, compliance over three nested windows (fast / confirm /
 // budget), the remaining error budget, and two burn rates:
 //

@@ -219,6 +219,25 @@ func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 	return context.WithValue(ctx, spanKey{}, sp)
 }
 
+type requestIDKey struct{}
+
+// WithRequestID pins the ingress request id on ctx — the identity that
+// travels beside the trace on X-Mist-Request-Id, into job records and
+// onto log lines. An empty id leaves ctx unchanged.
+func WithRequestID(ctx context.Context, rid string) context.Context {
+	if rid == "" {
+		return ctx
+	}
+	return context.WithValue(ctx, requestIDKey{}, rid)
+}
+
+// RequestID returns the ingress request id pinned on ctx ("" when the
+// work has no ingress request).
+func RequestID(ctx context.Context) string {
+	rid, _ := ctx.Value(requestIDKey{}).(string)
+	return rid
+}
+
 // StartSpan starts a child of the context's active span. With no
 // active span it returns (ctx, nil) without allocating — the disabled
 // fast path every instrumented hot path rides.
