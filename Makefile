@@ -42,9 +42,9 @@ build:
 test: ## the tier-1 verify
 	$(GO) build ./... && $(GO) test ./...
 
-race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks, and the eval cache's same-row/mixed-row publish races repeated
+race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks, and the eval cache's same-row/mixed-row publish races and the analyzer's concurrent first use repeated
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestConcurrent' ./internal/evalcache
+	$(GO) test -race -count=10 -run 'TestConcurrent' ./internal/evalcache ./internal/schedule
 
 fuzz: ## fuzz smoke: HTTP JSON decode paths must 400 cleanly, never panic or 5xx
 	$(GO) test -fuzz=FuzzTuneRequest -fuzztime=10s ./internal/serve
@@ -69,8 +69,9 @@ pilot-smoke: ## autoscaling drill: a flash crowd must scale 3 nodes out to 5 and
 	$(GO) run ./cmd/mistload -scenario flash-crowd -inproc -nodes 4 -pilot -pilot-config testdata/pilot.json -slo-config testdata/slo.json -duration 8s -seed 2 -kill n4@2s
 	$(GO) test -run 'TestPilot' -count=1 -v ./internal/serve
 
-property: ## schedule invariants, repeated with a pinned quick.Check budget
-	$(GO) test ./internal/schedule -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
+property: ## schedule, frontier and compile invariants, repeated with a pinned quick.Check budget; then the lifted stage programs against the per-shape reference on the full shape grid
+	$(GO) test ./internal/schedule ./internal/core ./internal/symbolic -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
+	$(GO) test ./internal/schedule -run 'TestPropertyLiftedProgramMatchesPerShapeBuild' -count=1 -reference.full
 
 bench: ## cached-vs-uncached tuner, one 405-knob row through the analyzer and through the eval cache, cold-vs-warm search, batch-submit amortization, tracing overhead, SLO evaluation
 	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x .

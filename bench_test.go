@@ -154,6 +154,26 @@ func benchTuneCold(b *testing.B, noCache bool) {
 	}
 }
 
+// TestColdTuneAllocCeiling pins what a cold search allocates: a fresh
+// tuner's full Mist-space search of the bench cell stays under 50 000
+// allocations (about 8 000 when written; 218 860 while every stage shape
+// still traced and compiled its own program).
+func TestColdTuneAllocCeiling(t *testing.T) {
+	w, cl := benchWorkload()
+	allocs := testing.AllocsPerRun(3, func() {
+		tn, err := core.New(w, cl, core.MistSpace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tn.Tune(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 50000 {
+		t.Errorf("cold tune allocated %.0f times, want <= 50000", allocs)
+	}
+}
+
 // BenchmarkTuneMemoizedCold measures a full Mist-space search with the
 // evaluation cache on: canonically repeated (shape, knobs) points across
 // stages and (S, G) pairs are answered from the memo store, so the

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,7 +35,7 @@ var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 // sweepScratch is the per-intraStage-call buffer set: the shape list, the
 // per-shape output table, one arena backing every shape's candidate
-// segment, and the Pareto sort buffers. One sweepScratch serves a whole
+// segment, and the Pareto staircase buffers. One sweepScratch serves a whole
 // (S, G) pair's stage loop (tuneSG holds it for the pair's lifetime);
 // candidates are value-copied out by paretoSample before reuse.
 type sweepScratch struct {
@@ -48,8 +46,8 @@ type sweepScratch struct {
 	front  []candidate
 }
 
-// tdKey is a candidate's Pareto sort key: its (t, d) point and its
-// position in the candidate list.
+// tdKey is one step of the Pareto staircase: a candidate's (t, d) point
+// and its position in the candidate list.
 type tdKey struct {
 	T, D float64
 	idx  int32
@@ -268,7 +266,7 @@ func (t *Tuner) parallelisms(devPerStage, g int) []parallelism {
 // single sample uses α = 1 (pure stable-time minimization — the point a
 // throughput-greedy planner would keep; α = 0/0 would be NaN).
 // The returned slice is freshly allocated (it outlives the scratch); the
-// scratch backs the frontier sort buffers.
+// scratch backs the frontier buffers.
 func paretoSample(cands []candidate, g, k int, sc *sweepScratch) []candidate {
 	if len(cands) == 0 {
 		return nil
@@ -300,29 +298,55 @@ func paretoSample(cands []candidate, g, k int, sc *sweepScratch) []candidate {
 }
 
 // paretoFrontier keeps the non-dominated candidates: c dominates c' when
-// c.T <= c'.T and c.D <= c'.D with at least one strict. The returned
-// slice is backed by sc and valid until its next use.
+// c.T <= c'.T and c.D <= c'.D with at least one strict, and of exact
+// (T, D) duplicates the first in cands wins — the frontier is the set of
+// minima under the total order (T, D, index), returned by ascending T.
+// The returned slice is backed by sc and valid until its next use.
 func paretoFrontier(cands []candidate, sc *sweepScratch) []candidate {
-	// Sort compact (T, D, index) keys, not the 136-byte candidates: the
-	// order — ties included — is a function of the comparisons alone.
-	keys := sc.keys[:0]
+	// The frontier is a staircase, T strictly ascending and D strictly
+	// descending, kept as compact keys (not the 136-byte candidates) and
+	// fed in enumeration order: a candidate lands behind the last step
+	// with T <= its own, is dropped when that step's D is already <= its
+	// own, and otherwise replaces every step it dominates. A sweep keeps
+	// a few dozen steps out of thousands of candidates, so nearly every
+	// candidate costs one binary search.
+	stair := sc.keys[:0]
 	for i := range cands {
-		keys = append(keys, tdKey{T: cands[i].T, D: cands[i].D, idx: int32(i)})
+		t, d := cands[i].T, cands[i].D
+		lo, hi := 0, len(stair)
+		for lo < hi { // hi = first step with T > t
+			if mid := int(uint(lo+hi) >> 1); stair[mid].T > t {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		if hi > 0 && stair[hi-1].D <= d {
+			continue // dominated, or a duplicate of an earlier candidate
+		}
+		// Dominated steps are contiguous: an equal-T predecessor (its D
+		// is larger) and the successors whose D has not dropped below d.
+		lo = hi
+		if lo > 0 && stair[lo-1].T == t {
+			lo--
+		}
+		for hi < len(stair) && stair[hi].D >= d {
+			hi++
+		}
+		key := tdKey{T: t, D: d, idx: int32(i)}
+		if lo == hi {
+			stair = append(stair, tdKey{})
+			copy(stair[lo+1:], stair[lo:])
+			stair[lo] = key
+		} else {
+			stair[lo] = key
+			stair = append(stair[:lo+1], stair[hi:]...)
+		}
 	}
-	sc.keys = keys
-	slices.SortFunc(keys, func(a, b tdKey) int {
-		if a.T != b.T {
-			return cmp.Compare(a.T, b.T)
-		}
-		return cmp.Compare(a.D, b.D)
-	})
+	sc.keys = stair
 	front := sc.front[:0]
-	bestD := 0.0
-	for _, k := range keys {
-		if len(front) == 0 || k.D < bestD {
-			front = append(front, cands[k.idx])
-			bestD = k.D
-		}
+	for _, k := range stair {
+		front = append(front, cands[k.idx])
 	}
 	sc.front = front
 	return front

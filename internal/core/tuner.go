@@ -77,21 +77,21 @@ type Tuner struct {
 	knobSets map[int]*evalcache.KnobSet
 
 	// Per-Tune search state: the priced warm seed, the global incumbent
-	// bound (float64 bits; +Inf when no solution is known yet), and
-	// telemetry counters shared by the concurrent (S, G) workers.
-	// incumbent is seeded from the warm objective and lowered by every
-	// completed pair, so later pairs prune against the best solution
-	// found so far — on cold searches too. All non-atomic fields are
-	// written only before the workers spawn.
+	// bound (+Inf when no solution is known yet), and telemetry counters
+	// shared by the concurrent (S, G) pairs. incumbent is seeded from
+	// the warm objective and lowered by every completed wave of pairs,
+	// so later waves prune against the best solution found so far — on
+	// cold searches too. The non-atomic fields are written only while no
+	// pair is running: before the first wave and between waves.
 	warmSeed    *warmSeed
-	incumbent   atomic.Uint64
+	incumbent   float64
 	warmPruned  atomic.Int64
 	warmAborted atomic.Int64
 
 	// disableIncumbent stops completed pairs from feeding the incumbent
-	// bound (the warm seed still does). Tests use it to get
-	// run-to-run-deterministic candidate counts for a reference search;
-	// the chosen plan is identical either way.
+	// bound (the warm seed still does): the search without cross-pair
+	// pruning, which tests use as a reference. The chosen plan is
+	// identical either way.
 	disableIncumbent bool
 
 	// tuneCtx bounds the running search; canceling it makes
@@ -181,28 +181,21 @@ func (t *Tuner) knobSet(layers int) *evalcache.KnobSet {
 // bound returns the current incumbent objective: the best complete
 // solution known so far (+Inf before any), the pruning threshold for
 // pruneByBound and pairBound.
-func (t *Tuner) bound() float64 {
-	return math.Float64frombits(t.incumbent.Load())
-}
+func (t *Tuner) bound() float64 { return t.incumbent }
 
 // offerIncumbent lowers the incumbent bound to obj if it improves on the
-// current one (CAS-min over the float bits; positive finite floats order
-// the same as their bit patterns, but comparing as floats keeps this
-// obviously correct).
+// current one. Called only while no pair is running.
 func (t *Tuner) offerIncumbent(obj float64) {
-	if !(obj > 0) || math.IsInf(obj, 1) {
-		return
-	}
-	for {
-		cur := t.incumbent.Load()
-		if math.Float64frombits(cur) <= obj {
-			return
-		}
-		if t.incumbent.CompareAndSwap(cur, math.Float64bits(obj)) {
-			return
-		}
+	if obj > 0 && obj < t.incumbent {
+		t.incumbent = obj
 	}
 }
+
+// pairWave is how many (S, G) pairs search concurrently between two
+// publications of the incumbent bound. It is a constant, not
+// GOMAXPROCS, so that the work of a search is the same on every
+// machine; cores beyond it are used by intraStage's own fan-out.
+const pairWave = 4
 
 // ctxErr reports the running search's context error (nil outside a
 // TuneContext call).
@@ -237,9 +230,9 @@ type Result struct {
 	// bound), how many priced candidates the bound pruned before
 	// inter-stage selection, and how many (S, G) pairs were abandoned
 	// mid-sweep — the latter is where analyzer evaluations are saved.
-	// The incumbent is also fed by every completed pair, so the pruning
-	// counters can be nonzero on cold searches; their exact values are
-	// scheduling-dependent (the chosen plan never is).
+	// The incumbent is also fed by every completed wave of pairs, so the
+	// pruning counters can be nonzero on cold searches. Like Candidates
+	// they are a function of the search's inputs alone.
 	WarmStarted       bool
 	WarmSeedObjective float64
 	WarmPruned        int
@@ -332,8 +325,9 @@ var ErrNoFeasiblePlan = errors.New("core: no feasible plan in search space (OOM 
 
 // Tune searches the configured space and returns the best plan found.
 // The (pipeline depth, gradient accumulation) pairs are independent and
-// tuned concurrently (§6.5: "searching over different gradient
-// accumulation steps is independent ... can be parallelized").
+// tuned concurrently, pairWave at a time (§6.5: "searching over
+// different gradient accumulation steps is independent ... can be
+// parallelized").
 func (t *Tuner) Tune() (*Result, error) {
 	return t.TuneContext(context.Background())
 }
@@ -353,7 +347,7 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	// bound, reset telemetry. All writes happen before workers spawn.
 	t.tuneCtx = ctx
 	t.warmSeed = nil
-	t.incumbent.Store(math.Float64bits(math.Inf(1)))
+	t.incumbent = math.Inf(1)
 	t.warmPruned.Store(0)
 	t.warmAborted.Store(0)
 	_, wsp := trace.StartSpan(ctx, "warm-adapt")
@@ -390,77 +384,72 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	}
 	res.SGPairs = len(pairs)
 
+	// The pairs run in waves of pairWave, concurrently within a wave. A
+	// wave's solutions are published to the incumbent bound only once
+	// the whole wave has finished, so every pair prunes against exactly
+	// the solutions of the waves before it: what a search prices is a
+	// function of its inputs, not of goroutine timing, and a repeat of a
+	// search on a filled cache misses nothing. The sweep span covers the
+	// whole fan-out; each pair gets its own child span (with intra-sweep
+	// / inter-stage children inside tuneSG). Pair spans of one wave
+	// overlap by construction, so latency attribution reads the sweep
+	// span's duration and treats children as a utilization breakdown.
 	type outcome struct {
 		sol   *interSolution
-		s, g  int
 		nEval int
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// The sweep span covers the whole concurrent (S, G) fan-out; each
-	// pair gets its own child span (with intra-sweep / inter-stage
-	// children inside tuneSG). Pair spans of concurrent workers overlap
-	// by construction, so latency attribution reads the sweep span's
-	// duration and treats children as a utilization breakdown.
-	swctx, swsp := trace.StartSpan(ctx, "sweep")
-	jobs := make(chan sg)
-	results := make(chan outcome)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range jobs {
-				if ctx.Err() != nil {
-					results <- outcome{s: p.s, g: p.g}
-					continue
-				}
-				pctx, psp := trace.StartSpan(swctx, "sg")
-				psp.Annotate("s", p.s)
-				psp.Annotate("g", p.g)
-				sol, nEval, err := t.tuneSG(pctx, p.s, p.g, p.devPer)
-				if err != nil {
-					sol = nil // infeasible (S, G): OOM or no factorization
-					psp.Annotate("infeasible", true)
-				}
-				if sol != nil && !t.disableIncumbent {
-					// Publish the pair's optimum immediately so pairs still
-					// in flight prune against the best solution so far.
-					t.offerIncumbent(sol.Objective)
-				}
-				psp.Annotate("evals", nEval)
-				psp.End()
-				results <- outcome{sol: sol, s: p.s, g: p.g, nEval: nEval}
-			}
-		}()
-	}
-	go func() {
-		for _, p := range pairs {
-			jobs <- p
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-
 	type found struct {
 		sol  *interSolution
 		s, g int
 	}
 	var best *found
-	for o := range results {
-		res.Candidates += o.nEval
-		if o.sol == nil {
-			continue
+	swctx, swsp := trace.StartSpan(ctx, "sweep")
+	outs := make([]outcome, pairWave)
+	for len(pairs) > 0 && ctx.Err() == nil {
+		wave := pairs[:min(pairWave, len(pairs))]
+		pairs = pairs[len(wave):]
+		// Pairs are claimed off an atomic counter by at most GOMAXPROCS
+		// workers: which worker runs a pair changes nothing it computes.
+		var next atomic.Int32
+		var wg sync.WaitGroup
+		for range min(len(wave), runtime.GOMAXPROCS(0)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(wave) {
+						return
+					}
+					p := wave[i]
+					pctx, psp := trace.StartSpan(swctx, "sg")
+					psp.Annotate("s", p.s)
+					psp.Annotate("g", p.g)
+					sol, nEval, err := t.tuneSG(pctx, p.s, p.g, p.devPer)
+					if err != nil {
+						sol = nil // infeasible (S, G): OOM or no factorization
+						psp.Annotate("infeasible", true)
+					}
+					psp.Annotate("evals", nEval)
+					psp.End()
+					outs[i] = outcome{sol: sol, nEval: nEval}
+				}
+			}()
 		}
-		if best == nil || o.sol.Objective < best.sol.Objective ||
-			(o.sol.Objective == best.sol.Objective && (o.s < best.s || (o.s == best.s && o.g < best.g))) {
-			best = &found{sol: o.sol, s: o.s, g: o.g}
+		wg.Wait()
+		for i, o := range outs[:len(wave)] {
+			res.Candidates += o.nEval
+			if o.sol == nil {
+				continue
+			}
+			if !t.disableIncumbent {
+				t.offerIncumbent(o.sol.Objective)
+			}
+			p := wave[i]
+			if best == nil || o.sol.Objective < best.sol.Objective ||
+				(o.sol.Objective == best.sol.Objective && (p.s < best.s || (p.s == best.s && p.g < best.g))) {
+				best = &found{sol: o.sol, s: p.s, g: p.g}
+			}
 		}
 	}
 	res.WarmPruned = int(t.warmPruned.Load())

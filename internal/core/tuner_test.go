@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -423,9 +424,9 @@ func TestCacheOnOffIdenticalPlans(t *testing.T) {
 	if rc.Predicted != ru.Predicted {
 		t.Errorf("cached objective %v != uncached %v", rc.Predicted, ru.Predicted)
 	}
-	// Candidate counts are not compared: the global incumbent bound
-	// prunes a scheduling-dependent amount of work per run. The plan and
-	// objective above are the determinism contract.
+	if rc.Candidates != ru.Candidates {
+		t.Errorf("cached search priced %d candidates, uncached %d: the work of a search must not depend on the backend", rc.Candidates, ru.Candidates)
+	}
 
 	if rc.EvalCacheHits == 0 {
 		t.Error("cache recorded no hits over a full Mist-space search")
@@ -445,10 +446,45 @@ func TestCacheOnOffIdenticalPlans(t *testing.T) {
 	}
 }
 
-// Repeating a search on the same tuner answers (almost) everything from
-// the memo store: the second run's hit rate approaches one. (Exact zero
-// misses is not guaranteed: incumbent pruning is scheduling-dependent,
-// so the second run can price a point the first run pruned away.)
+// The work of a search is a function of its inputs: the bench cell's
+// full Mist-space search prices the same candidates and prunes and aborts
+// the same amounts at every GOMAXPROCS, run after run, and a repeat on
+// the filled cache misses nothing.
+func TestSearchWorkIsDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	w := testWorkload("gpt3-2.7b", 8)
+	type work struct{ candidates, pruned, aborted int }
+	var want work
+	for i, procs := range []int{1, 2, 4, 2, 1} {
+		runtime.GOMAXPROCS(procs)
+		tn, err := New(w, l4(t, 8), MistSpace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := tn.Tune()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := work{r.Candidates, r.WarmPruned, r.WarmAbortedPairs}
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("GOMAXPROCS=%d: search work %+v, first run %+v", procs, got, want)
+		}
+		again, err := tn.Tune()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.EvalCacheMisses != 0 || again.Candidates != r.Candidates {
+			t.Errorf("GOMAXPROCS=%d: repeat search missed %d times over %d candidates, want 0 over %d",
+				procs, again.EvalCacheMisses, again.Candidates, r.Candidates)
+		}
+	}
+}
+
+// Repeating a search on the same tuner answers everything from the memo
+// store: the incumbent bound is published between waves of pairs, never
+// mid-wave, so the second run prices exactly the rows the first did.
 func TestCacheWarmSecondSearch(t *testing.T) {
 	w := testWorkload("gpt3-1.3b", 8)
 	nodes, perNode, _ := hardware.MeshForGPUs(2)
@@ -468,8 +504,9 @@ func TestCacheWarmSecondSearch(t *testing.T) {
 	if !reflect.DeepEqual(r1.Plan, r2.Plan) {
 		t.Error("warm search picked a different plan")
 	}
-	if hr := r2.CacheHitRate(); hr < 0.95 {
-		t.Errorf("second search hit rate %.3f, want ~1 (misses %d)", hr, r2.EvalCacheMisses)
+	if r2.EvalCacheMisses != 0 || r2.Candidates != r1.Candidates {
+		t.Errorf("second search missed %d times over %d candidates (first search: %d candidates), want 0 misses over the same candidates",
+			r2.EvalCacheMisses, r2.Candidates, r1.Candidates)
 	}
 	if got := r2.EvalCacheHits + r2.EvalCacheMisses; got != uint64(r2.Candidates) {
 		t.Errorf("second search hits+misses %d != candidates %d", got, r2.Candidates)

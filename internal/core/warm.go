@@ -14,8 +14,8 @@ import (
 // make the result worse than a cold search of the same space:
 //
 //  1. The seed is priced up front; its objective U seeds the incumbent
-//     bound (which every completed (S, G) pair then tightens — cold
-//     searches prune the same way once their first pair lands). Any
+//     bound (which every completed wave of (S, G) pairs then tightens —
+//     cold searches prune the same way once their first wave lands). Any
 //     candidate c with G·(t_c + min(0, d_c)/G) > U cannot appear in a
 //     solution matching U — the objective is at least
 //     (G-1)·maxT + ΣT >= G·t_c (imbalance-aware; the averaged objective

@@ -84,10 +84,9 @@ func TestWarmStartNeverRegresses(t *testing.T) {
 func TestWarmStartSavesEvaluations(t *testing.T) {
 	space := DeepSpeedSpace()
 	w := testWorkload("gpt3-1.3b", 16)
-	// Reference search with cross-pair incumbent sharing off: its
-	// candidate count is run-to-run deterministic (the default cold
-	// search self-prunes by a scheduling-dependent amount, which would
-	// make the comparison below flaky).
+	// Reference search with cross-pair incumbent sharing off: against a
+	// default cold search, which prunes by the bound its own first waves
+	// find, a self-seeded warm search saves next to nothing.
 	coldTn, err := New(w, l4(t, 4), space)
 	if err != nil {
 		t.Fatal(err)

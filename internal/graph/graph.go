@@ -51,7 +51,7 @@ type Node struct {
 
 // ShapeAt concretizes the node's op shape for microbatch size b.
 func (n *Node) ShapeAt(b int) opdb.OpShape {
-	return opdb.OpShape{Kind: n.Kind, M: n.MPerSample * b, N: n.N, K: n.K}
+	return n.op().shapeAt(b)
 }
 
 // Graph is a traced transformer block (or pre/post section).

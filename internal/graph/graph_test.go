@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -230,6 +231,76 @@ func TestPropertyFreeVarsOnlyB(t *testing.T) {
 		fv := e.FreeVars()
 		if len(fv) > 1 || (len(fv) == 1 && fv[0] != BSymbol) {
 			t.Errorf("unexpected free vars %v", fv)
+		}
+	}
+}
+
+// The peak expressions are a pure function of the graph: their sums run
+// in trace order, never in map order. Two traces of one layer must render
+// identically, and so must repeated analyses of a graph whose tensor
+// sizes are distinct symbols (no like terms to merge, so the rendering
+// shows the term order itself).
+func TestPeakExpressionsDeterministic(t *testing.T) {
+	for _, name := range []string{"gpt3-7b", "llama-7b", "falcon-7b"} {
+		for _, flash := range []bool{false, true} {
+			a, b := mustTrace(t, name, 2048, 2, flash), mustTrace(t, name, 2048, 2, flash)
+			if x, y := a.PeakForwardBytes().String(), b.PeakForwardBytes().String(); x != y {
+				t.Errorf("%s flash=%v: forward peak differs between traces:\n%s\n%s", name, flash, x, y)
+			}
+			if x, y := a.PeakBackwardBytes().String(), b.PeakBackwardBytes().String(); x != y {
+				t.Errorf("%s flash=%v: backward peak differs between traces:\n%s\n%s", name, flash, x, y)
+			}
+		}
+	}
+
+	tensor := func(name string) *Tensor { return &Tensor{Name: name, Size: symbolic.Var(name)} }
+	g := &Graph{Name: "chain", Input: tensor("t0")}
+	prev := g.Input
+	for i := 1; i <= 8; i++ {
+		out := tensor(fmt.Sprintf("t%d", i))
+		g.Nodes = append(g.Nodes, &Node{
+			Name: out.Name, Repeat: 1,
+			Inputs: []*Tensor{prev}, Outputs: []*Tensor{out}, Saved: []*Tensor{prev},
+		})
+		prev = out
+	}
+	fwd, bwd := g.PeakForwardBytes().String(), g.PeakBackwardBytes().String()
+	for i := 0; i < 20; i++ {
+		if got := g.PeakForwardBytes().String(); got != fwd {
+			t.Fatalf("forward peak changed between calls:\n%s\n%s", fwd, got)
+		}
+		if got := g.PeakBackwardBytes().String(); got != bwd {
+			t.Fatalf("backward peak changed between calls:\n%s\n%s", bwd, got)
+		}
+	}
+}
+
+// A graph's Ops price exactly as the graph does, at every microbatch
+// size.
+func TestOpsMatchGraph(t *testing.T) {
+	db := opdb.New(hardware.L4())
+	var graphs []*Graph
+	for _, name := range []string{"gpt3-2.7b", "llama-7b", "falcon-1.3b"} {
+		for _, flash := range []bool{false, true} {
+			graphs = append(graphs, mustTrace(t, name, 2048, 2, flash))
+		}
+		cfg := model.MustByName(name)
+		graphs = append(graphs, TracePreLayer(cfg, 2048, 2), TracePostLayer(cfg, 2048, 2))
+	}
+	moe, err := TraceLayer(model.MustMoEByName("gpt3-1.3b", 8, 2), 2048, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs = append(graphs, moe)
+	for _, g := range graphs {
+		ops := g.Ops()
+		for b := 1; b <= 9; b++ {
+			if got, want := ops.ForwardTime(db, b), g.ForwardTime(db, b); got != want {
+				t.Errorf("%s b=%d: forward time %v, graph says %v", g.Name, b, got, want)
+			}
+			if got, want := ops.BackwardTime(db, b), g.BackwardTime(db, b); got != want {
+				t.Errorf("%s b=%d: backward time %v, graph says %v", g.Name, b, got, want)
+			}
 		}
 	}
 }

@@ -56,7 +56,8 @@ func (a *Analyzer) Channels(shape StageShape, k Knobs) (Channels, error) {
 	if sp.err != nil {
 		return Channels{}, sp.err
 	}
-	frame := make([]float64, len(knobVars))
+	frame := make([]float64, frameLen)
+	copy(frame, sp.coefs[:])
 	knobFrame(frame, k)
 	out := sp.prog.EvalFrame(frame, nil, nil)
 	return Channels{

@@ -1,0 +1,620 @@
+package schedule
+
+import (
+	"fmt"
+	"math"
+	"sync"
+
+	"repro/internal/graph"
+	"repro/internal/model"
+	"repro/internal/symbolic"
+)
+
+// Frame layout of a compiled stage program: the shape coefficients, then
+// the offload tuple, then the layer and checkpoint counts. The tape is
+// staged by variable (symbolic.Program), so a row re-runs the coefficient
+// prefix once, each further tuple group only the suffix from frameWO, and
+// each further member of a group only the l/ckpt suffix.
+//
+// A coefficient holds one shape constant exactly as the symbolic
+// constructors would have folded it had it been a literal: Div by a
+// constant becomes a reciprocal factor, constant factors of a product
+// multiply together left to right, constant terms of a sum add left to
+// right. fillCoefs computes each in plain Go in that order, and
+// variantExprs keeps every n-ary node's operand order, so a lifted
+// program rounds exactly as a per-shape program over literals would
+// (reference_test.go holds that build and checks it with ==).
+const (
+	cInvBW    = iota // 1/hostBW
+	cH2DW            // (1/hostBW)·pLayerBytes: weight prefetch seconds per unit wo
+	cD2HStash        // (1/hostBW)·stash: activation offload seconds per unit ao, plain layer
+	cD2HBound        // (1/hostBW)·boundary: the same for a checkpointed layer
+	cD2HG            // (1/hostBW)·gLayerBytes: gradient offload seconds per unit go
+	cPL              // pLayerBytes
+	cStash           // saved-activation bytes of a plain layer
+	cBound           // boundary-tensor bytes, the stash of a checkpointed layer
+	cStepH2D         // (1/hostBW)·(oShard·pLayerBytes)
+	cStepD2H         // (1/hostBW)·(oShard·gLayerBytes)
+	cStepGPU         // GPU Adam seconds per layer at oo = 0
+	cStepCPU         // CPU Adam seconds per layer per unit oo
+	cStateW          // resident weights: see variantKey for what the three state slots hold
+	cStateG          // resident gradients
+	cStateO          // resident optimizer states
+	cPSum            // paramsShardable + paramsLocal
+	cPS              // paramsShardable
+	cPLoc            // paramsLocal
+	cExtra           // pre/post-section parameters
+	cWTW             // weight prefetch window per unit wo (0 under ZeRO-3) ...
+	cWTC             // ... or its constant size (ZeRO-3 only)
+	cGTG             // gradient materialization per unit go (0 under ZeRO >= 2) ...
+	cGTC             // ... or its constant size (ZeRO >= 2 only)
+	cInFlight        // 1F1B in-flight microbatches
+	cPre             // pre-section stash bytes
+	cPostPer         // post-section stash bytes / in-flight
+	cRec             // recompute working set beyond the backward peak
+	cFwdConst        // constant terms of the forward peak, summed
+	cBwdConst        // constant terms of the backward peak, summed
+	cStepWS          // optimizer-step working set
+	numCoefs
+)
+
+const (
+	frameWO = numCoefs + iota
+	frameGO
+	frameOO
+	frameAO
+	frameL
+	frameCkpt
+	frameLen
+)
+
+// frameVars names the frame's positions for symbolic.Compile.
+var frameVars = func() []string {
+	vars := make([]string, frameLen)
+	for i := 0; i < numCoefs; i++ {
+		vars[i] = fmt.Sprintf("c%d", i)
+	}
+	copy(vars[frameWO:], []string{"wo", "go", "oo", "ao", "l", "ckpt"})
+	return vars
+}()
+
+// knobFrame lays k out in the frame's knob positions.
+func knobFrame(frame []float64, k Knobs) {
+	frame[frameWO], frame[frameGO], frame[frameOO], frame[frameAO] = k.WO, k.GO, k.OO, k.AO
+	frame[frameL], frame[frameCkpt] = float64(k.Layers), float64(k.Ckpt)
+}
+
+// Output indices of the compiled program.
+const (
+	outPeakMem = iota
+	outH2DFwdN // per-layer H2D during fwd, non-ckpt layer
+	outD2HFwdN
+	outH2DFwdC // ckpt layer
+	outD2HFwdC
+	outH2DBwdN
+	outD2HBwdN
+	outH2DBwdC
+	outD2HBwdC
+	outStepH2DLayer // optimizer-step H2D per layer
+	outStepD2HLayer
+	outStepGPULayer // GPU-side optimizer compute per layer
+	outStepCPULayer // CPU-side optimizer seconds per layer
+	outModelStates  // resident model-state bytes
+	outWTransient   // weight prefetch-window bytes
+	outGTransient   // gradient materialization bytes
+	outActPerMB     // retained activation stash per in-flight microbatch
+	outRecompute    // checkpointed-layer rematerialization working set
+	outStepWS       // decoupled optimizer-step working set
+	numOutputs
+)
+
+// stageProgram is one stage shape ready to price: the compiled program of
+// its structural variant, the coefficient fill that makes the program
+// this shape's, and the numeric per-layer constants the interference
+// composition reads.
+type stageProgram struct {
+	prog  *symbolic.Program
+	coefs [numCoefs]float64
+
+	cFwd, cBwd       float64 // per-layer compute, stable
+	tpARFwd, tpARBwd float64 // serial TP all-reduce per layer
+	agTime           float64 // ZeRO-3 per-layer param all-gather (per pass)
+	rsTime           float64 // ZeRO>=2 per-layer grad reduce-scatter (bwd)
+	arGradLayer      float64 // ZeRO<2 per-layer grad all-reduce (last microbatch)
+	regatherLayer    float64 // ZeRO-1/2 per-layer param re-gather after the optimizer step
+	preFwd, preBwd   float64
+	postFwd, postBwd float64
+	p2pTime          float64
+	stepComputeLayer float64 // GPU-side Adam time per layer at oo=0
+	cpuStepLayerSec  float64 // CPU Adam seconds per layer per unit oo
+	fwdTransVal      float64 // per-layer forward liveness peak (bytes)
+	bwdTransVal      float64 // per-layer backward liveness peak (bytes)
+	postPeakBwdVal   float64 // post-section backward peak (bytes)
+	inFlight         int     // 1F1B in-flight microbatches at this stage
+	moeShare         float64 // fraction of layer compute in routed experts
+	err              error
+}
+
+// variantKey names the ways two shapes' knob expressions can differ in
+// structure rather than in coefficients — the cases where the symbolic
+// constructors, folding literal constants, would have produced trees
+// that round differently. Each key compiles to one program.
+type variantKey struct {
+	// bareStates: the stage holds no pre/post parameters, so each
+	// resident-state term is the single product state·l·(1-off) with
+	// state = (paramsShardable·shard + paramsLocal)·bytes. Otherwise the
+	// term is state·(cPSum·l + cExtra)·(1-off) with state = shard·bytes
+	// (cPSum merges the expert-local parameters when shard is 1, which
+	// is what like-term collection does) ...
+	bareStates bool
+	// ... unless split: a sharded state of a mixture-of-experts model
+	// keeps the unsharded expert-local parameters as their own term,
+	// bytes·(state·(cPS·l + cExtra) + cPLoc·l)·(1-off), state = shard.
+	split [3]bool
+	act   actForm
+	// recompute: a checkpointed layer's recompute-forward peak exceeds
+	// its backward peak, so the backward peak carries a cRec term.
+	recompute bool
+}
+
+// actForm is how the retained-activation total enters the peak sums.
+type actForm uint8
+
+const (
+	actBare   actForm = iota // no pre/post stash: the product inFlight·inner·resident
+	actScaled                // pre/post stash terms, inFlight > 1: inFlight·(sum)
+	actFlat                  // pre/post stash terms, inFlight == 1: the sum's terms join the peak sums, cPostPer folded into their constants
+)
+
+// onceMap builds each key's value exactly once under concurrent first
+// use: the first caller builds, the others wait for it.
+type onceMap[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*onceEntry[V]
+}
+
+type onceEntry[V any] struct {
+	once sync.Once
+	v    V
+}
+
+func (t *onceMap[K, V]) get(k K, build func() V) V {
+	t.mu.Lock()
+	e, ok := t.m[k]
+	if !ok {
+		if t.m == nil {
+			t.m = make(map[K]*onceEntry[V])
+		}
+		e = new(onceEntry[V])
+		t.m[k] = e
+	}
+	t.mu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v
+}
+
+// tpTrace is what the analyzer keeps of the model traced at one
+// tensor-parallel degree: each section's operator shapes and the
+// b-symbolic byte expressions of all three compiled into one program —
+// not the graphs, whose tensors and expression trees would outweigh
+// everything else a long-lived analyzer holds.
+type tpTrace struct {
+	layer, pre, post graph.Ops
+	bytes            *symbolic.Program // traceBytes order, over (b)
+	err              error
+}
+
+// Outputs of tpTrace.bytes.
+const (
+	tbStash = iota // layer
+	tbBoundary
+	tbFwdPeak
+	tbBwdPeak
+	tbPreStash
+	tbPostStash
+	tbPostBwdPeak
+)
+
+var bVars = []string{graph.BSymbol}
+
+// trace returns (tracing on first use) the model at tensor-parallel
+// degree tp.
+func (a *Analyzer) trace(tp int) *tpTrace {
+	return a.traces.get(tp, func() *tpTrace {
+		a.nTraced.Add(1)
+		lg, err := graph.TraceLayer(a.Model, a.Seq, tp, a.Flash)
+		if err != nil {
+			return &tpTrace{err: err}
+		}
+		pre := graph.TracePreLayer(a.Model, a.Seq, tp)
+		post := graph.TracePostLayer(a.Model, a.Seq, tp)
+		return &tpTrace{
+			layer: lg.Ops(), pre: pre.Ops(), post: post.Ops(),
+			bytes: symbolic.MustCompile([]*symbolic.Expr{
+				tbStash: lg.SavedActivationBytes(), tbBoundary: lg.BoundaryBytes(),
+				tbFwdPeak: lg.PeakForwardBytes(), tbBwdPeak: lg.PeakBackwardBytes(),
+				tbPreStash:  pre.SavedActivationBytes(),
+				tbPostStash: post.SavedActivationBytes(), tbPostBwdPeak: post.PeakBackwardBytes(),
+			}, bVars),
+		}
+	})
+}
+
+// tpB keys the quantities that depend on the shape only through its
+// tensor-parallel degree and microbatch size.
+type tpB struct{ tp, b int }
+
+// sectionCosts are the operator times and byte sizes of the three traced
+// sections at one (TP, b).
+type sectionCosts struct {
+	cFwd, cBwd                  float64
+	stash, boundary             float64
+	fwdTrans, bwdTrans          float64
+	preFwd, preBwd, preStash    float64
+	postFwd, postBwd, postStash float64
+	postPeakBwd                 float64
+}
+
+// costs returns (evaluating on first use) tr's sections at microbatch b.
+func (a *Analyzer) costs(tr *tpTrace, tp, b int) *sectionCosts {
+	return a.sections.get(tpB{tp, b}, func() *sectionCosts {
+		bytes := tr.bytes.EvalFrame([]float64{float64(b)}, nil, nil)
+		return &sectionCosts{
+			cFwd: tr.layer.ForwardTime(a.DB, b), cBwd: tr.layer.BackwardTime(a.DB, b),
+			stash: bytes[tbStash], boundary: bytes[tbBoundary],
+			fwdTrans: bytes[tbFwdPeak], bwdTrans: bytes[tbBwdPeak],
+			preFwd: tr.pre.ForwardTime(a.DB, b), preBwd: tr.pre.BackwardTime(a.DB, b),
+			preStash: bytes[tbPreStash],
+			postFwd:  tr.post.ForwardTime(a.DB, b), postBwd: tr.post.BackwardTime(a.DB, b),
+			postStash: bytes[tbPostStash], postPeakBwd: bytes[tbPostBwdPeak],
+		}
+	})
+}
+
+// variant returns (compiling on first use) the program of one structural
+// variant.
+func (a *Analyzer) variant(key variantKey) *symbolic.Program {
+	return a.variants.get(key, func() *symbolic.Program {
+		a.nCompiled.Add(1)
+		return symbolic.MustCompile(variantExprs(key), frameVars)
+	})
+}
+
+// program returns (building if needed) the stage program of shape. The
+// memo is keyed by the shape's canonical representative, so the many raw
+// shapes of one equivalence class (middle pipeline stages with equal
+// in-flight depth across (S, G) pairs) are built once.
+func (a *Analyzer) program(shape StageShape) *stageProgram {
+	shape = shape.Canonical()
+	return a.programs.get(shape, func() *stageProgram { return a.build(shape) })
+}
+
+// build derives shape's numeric constants and coefficient fill from the
+// memoized traces and attaches its variant's program. Nothing here
+// traces or compiles per shape.
+func (a *Analyzer) build(shape StageShape) *stageProgram {
+	sp := &stageProgram{}
+	if shape.B <= 0 || shape.DP <= 0 || shape.TP <= 0 || shape.ZeRO < 0 || shape.ZeRO > 3 {
+		sp.err = fmt.Errorf("schedule: invalid shape %+v", shape)
+		return sp
+	}
+	if shape.ZeRO > 0 && shape.DP == 1 {
+		// ZeRO over a single replica is a no-op; normalize to 0 so the
+		// search space does not double-count.
+		shape.ZeRO = 0
+	}
+	tr := a.trace(shape.TP)
+	if tr.err != nil {
+		sp.err = tr.err
+		return sp
+	}
+	cl := a.Cluster
+	b := shape.B
+	sec := a.costs(tr, shape.TP, b)
+
+	// ---- Numeric per-layer quantities ----
+	sp.cFwd = sec.cFwd
+	sp.cBwd = sec.cBwd
+
+	actBytesFwd := 2.0 * float64(b) * float64(a.Seq) * float64(a.Model.Hidden) // fp16 activation tensor
+	nAR := a.Model.TPAllReducesPerLayer()
+	sp.tpARFwd = float64(nAR) * cl.AllReduceTime(actBytesFwd, shape.TP)
+	sp.tpARBwd = sp.tpARFwd // mirrored gradient all-reduces
+
+	// Per-device per-layer parameter accounting. For dense models every
+	// parameter is replicated across the DP group and hence shardable by
+	// ZeRO. The mixture-of-experts extension (model/moe.go) shards expert
+	// weights across the DP group already (expert parallelism), so only
+	// the dense fraction remains replicated/shardable; expert parallelism
+	// also adds two serial all-to-all exchanges per layer per pass.
+	paramsShardable := float64(a.Model.ParamsPerLayer()) / float64(shape.TP)
+	paramsLocal := 0.0
+	if a.Model.IsMoE() {
+		ep := shape.DP
+		if ep > a.Model.NumExperts {
+			ep = a.Model.NumExperts
+		}
+		if ep < 1 {
+			ep = 1
+		}
+		paramsShardable = float64(a.Model.DenseParamsPerLayer()) / float64(shape.TP)
+		paramsLocal = float64(a.Model.ExpertParamsPerLayer()) / float64(ep) / float64(shape.TP)
+		a2aBytes := model.CapacityFactor * float64(a.Model.TopK) * actBytesFwd
+		a2a := 2 * cl.AllToAllTime(a2aBytes, ep) // dispatch + combine
+		sp.tpARFwd += a2a
+		sp.tpARBwd += a2a
+		// Share of layer compute performed by the routed experts, used by
+		// the execution engine to apply routing-imbalance jitter.
+		expertFLOPs := model.CapacityFactor * float64(a.Model.TopK) * 4 *
+			float64(b) * float64(a.Seq) * float64(a.Model.Hidden) * float64(a.Model.FFNHidden)
+		sp.moeShare = expertFLOPs / a.Model.LayerFwdFLOPs(b, a.Seq)
+	}
+	paramsLayer := paramsShardable + paramsLocal // per-device resident params
+	pLayerBytes := BytesParam * paramsLayer
+	gLayerBytes := BytesGrad * paramsLayer
+
+	if shape.ZeRO == 3 {
+		// Only the replicated fraction is gathered.
+		sp.agTime = cl.AllGatherTime(BytesParam*paramsShardable, shape.DP)
+	}
+	if shape.ZeRO >= 2 {
+		sp.rsTime = cl.ReduceScatterTime(BytesGrad*paramsShardable, shape.DP)
+	} else {
+		sp.arGradLayer = cl.AllReduceTime(BytesGrad*paramsShardable, shape.DP)
+	}
+	if shape.ZeRO == 1 || shape.ZeRO == 2 {
+		// Updated parameter shards are re-gathered once after the step;
+		// ZeRO-3 already gathers every microbatch (counted in agTime).
+		sp.regatherLayer = cl.AllGatherTime(BytesParam*float64(a.Model.ParamsPerLayer())/float64(shape.TP), shape.DP)
+	}
+
+	// Pre/post sections (traced, plus one serial TP all-reduce each).
+	preStash, postStash := 0.0, 0.0
+	if shape.HasPre {
+		sp.preFwd = sec.preFwd
+		sp.preBwd = sec.preBwd
+		if shape.TP > 1 {
+			ar := cl.AllReduceTime(actBytesFwd, shape.TP)
+			sp.preFwd += ar
+			sp.preBwd += ar
+		}
+		preStash = sec.preStash
+	}
+	if shape.HasPost {
+		sp.postFwd = sec.postFwd
+		sp.postBwd = sec.postBwd
+		if shape.TP > 1 {
+			ar := cl.AllReduceTime(actBytesFwd, shape.TP)
+			sp.postFwd += ar
+			sp.postBwd += ar
+		}
+		postStash = sec.postStash
+		sp.postPeakBwdVal = sec.postPeakBwd
+	}
+
+	// Pipeline p2p: boundary activation each direction per microbatch.
+	if shape.NumStages > 1 {
+		crossNode := shape.Devices()%cl.GPUsPerNode == 0
+		sp.p2pTime = cl.P2PTime(actBytesFwd, crossNode)
+	}
+
+	// ZeRO shard factors of the three model states.
+	wShard, gShard, oShard := 1.0, 1.0, 1.0
+	if shape.ZeRO == 3 {
+		wShard = 1 / float64(shape.DP)
+	}
+	if shape.ZeRO >= 2 {
+		gShard = 1 / float64(shape.DP)
+	}
+	if shape.ZeRO >= 1 {
+		oShard = 1 / float64(shape.DP)
+	}
+	// GPU Adam is bandwidth bound: read+write params, grads, states. The
+	// rank updates its ZeRO shard of the replicated states plus all of
+	// its expert-local states.
+	stepParams := paramsShardable*oShard + paramsLocal
+	sp.stepComputeLayer = BytesAll * stepParams / cl.GPU.MemBandwidth
+	sp.cpuStepLayerSec = stepParams / cpuAdamParamsPerSec
+
+	sp.fwdTransVal = sec.fwdTrans
+	sp.bwdTransVal = sec.bwdTrans
+	sp.inFlight = shape.inFlight()
+
+	// ---- Coefficient fill ----
+	k := &sp.coefs
+	var key variantKey
+
+	// Offload channel times (pure bandwidth; DMA latency is amortized by
+	// chunked streaming). The optimizer step moves the rank's shard.
+	invBW := 1 / cl.HostLink.Bandwidth
+	k[cInvBW] = invBW
+	k[cH2DW] = invBW * pLayerBytes
+	k[cD2HStash] = invBW * sec.stash
+	k[cD2HBound] = invBW * sec.boundary
+	k[cD2HG] = invBW * gLayerBytes
+	k[cPL], k[cStash], k[cBound] = pLayerBytes, sec.stash, sec.boundary
+	k[cStepH2D] = invBW * (oShard * pLayerBytes)
+	k[cStepD2H] = invBW * (oShard * gLayerBytes)
+	k[cStepGPU], k[cStepCPU] = sp.stepComputeLayer, sp.cpuStepLayerSec
+
+	// Resident model states. ZeRO shards only the replicated (dense +
+	// pre/post) parameters; expert-local parameters are already
+	// partitioned by expert parallelism and enter at full per-device
+	// size.
+	extra := 0.0
+	if shape.HasPre {
+		extra = float64(a.Model.EmbeddingParams()) / float64(shape.TP)
+	}
+	if shape.HasPost {
+		extra += float64(int64(a.Model.Vocab)*int64(a.Model.Hidden)+int64(a.Model.Hidden)) / float64(shape.TP)
+	}
+	key.bareStates = extra == 0
+	for s, st := range [3]struct{ shard, bytes float64 }{
+		{wShard, BytesParam}, {gShard, BytesGrad}, {oShard, BytesOptStates},
+	} {
+		switch {
+		case key.bareStates:
+			k[cStateW+s] = (float64(paramsShardable*st.shard) + paramsLocal) * st.bytes
+		case paramsLocal != 0 && st.shard != 1:
+			key.split[s] = true
+			k[cStateW+s] = st.shard
+		default:
+			k[cStateW+s] = st.shard * st.bytes
+		}
+	}
+	k[cPSum], k[cPS], k[cPLoc], k[cExtra] = paramsLayer, paramsShardable, paramsLocal, extra
+
+	// Transient full-precision weights for the 2-layer prefetch window:
+	// all of them when weights are sharded, the offloaded fraction
+	// otherwise. ZeRO >= 2 materializes one layer's full gradient before
+	// its reduce-scatter; below that only the offloaded fraction.
+	if shape.ZeRO == 3 {
+		k[cWTC] = 2 * pLayerBytes
+	} else {
+		k[cWTW] = 2 * pLayerBytes
+	}
+	if shape.ZeRO >= 2 {
+		k[cGTC] = gLayerBytes
+	} else {
+		k[cGTG] = gLayerBytes
+	}
+
+	// Activation stash per in-flight microbatch. The post-section stash
+	// (logits etc.) lives only for the single microbatch currently in
+	// backward on the last stage.
+	k[cInFlight] = float64(sp.inFlight)
+	k[cPre] = preStash
+	k[cPostPer] = postStash / float64(sp.inFlight)
+	flatPost := 0.0
+	switch {
+	case preStash == 0 && k[cPostPer] == 0:
+		key.act = actBare
+	case sp.inFlight != 1:
+		key.act = actScaled
+	default:
+		key.act = actFlat
+		flatPost = k[cPostPer]
+	}
+
+	// Recompute working set: a checkpointed layer rematerializes its full
+	// stash during backward — but the backward-liveness peak (bwdTrans)
+	// already counts the full stash of the layer currently in backward,
+	// checkpointed or not. The only footprint recomputation can add on top
+	// is a recompute-forward liveness peak exceeding the backward one.
+	// Charging a whole extra stash here would double-count the
+	// rematerialized tensors and make ckpt=0 -> ckpt=1 *raise* PeakMem by
+	// one boundary tensor, violating the monotone-in-ckpt invariant
+	// (checkpointing strictly shrinks the per-microbatch retained stash).
+	k[cRec] = math.Max(0, sp.fwdTransVal-sp.bwdTransVal)
+	key.recompute = k[cRec] != 0
+
+	// The peaks' constant terms, summed in term order.
+	k[cFwdConst] = k[cWTC] + flatPost + sp.fwdTransVal
+	k[cBwdConst] = k[cWTC] + k[cGTC] + flatPost + sp.bwdTransVal + sp.postPeakBwdVal
+	// Optimizer step: per-layer working set of fully materialized states
+	// (decoupling keeps this to one layer instead of the whole model).
+	k[cStepWS] = BytesAll * stepParams
+
+	sp.prog = a.variant(key)
+	return sp
+}
+
+// variantExprs assembles the knob expressions of one structural variant
+// over the frame's coefficient and knob symbols.
+func variantExprs(key variantKey) []*symbolic.Expr {
+	c := func(i int) *symbolic.Expr { return symbolic.Var(frameVars[i]) }
+	wo, gov, oo, ao := c(frameWO), c(frameGO), c(frameOO), c(frameAO)
+	l, ck := c(frameL), c(frameCkpt)
+	one := symbolic.Const(1)
+
+	// Backward refetches weights and offloaded activations together.
+	h2dBwd := func(act int) *symbolic.Expr {
+		return symbolic.Mul(c(cInvBW), symbolic.Add(symbolic.Mul(c(cPL), wo), symbolic.Mul(c(act), ao)))
+	}
+	// Optimizer step (decoupled per layer, repositioned before the first
+	// forward): offloaded fraction runs CPU Adam (grads up unless already
+	// offloaded, params down); resident fraction is a GPU kernel.
+	gradUp := symbolic.Max(symbolic.Sub(oo, gov), symbolic.Const(0)) // GO already moved this fraction
+
+	// ---- Peak memory ----
+	offs := [3]*symbolic.Expr{wo, gov, oo}
+	bytes := [3]float64{BytesParam, BytesGrad, BytesOptStates}
+	var states [3]*symbolic.Expr
+	for s := range states {
+		resident := symbolic.Sub(one, offs[s])
+		state := c(cStateW + s)
+		switch {
+		case key.bareStates:
+			states[s] = symbolic.Mul(state, l, resident)
+		case key.split[s]:
+			shardable := symbolic.Add(symbolic.Mul(c(cPS), l), c(cExtra))
+			params := symbolic.Add(symbolic.Mul(state, shardable), symbolic.Mul(c(cPLoc), l))
+			states[s] = symbolic.Mul(symbolic.Const(bytes[s]), params, resident)
+		default:
+			states[s] = symbolic.Mul(state, symbolic.Add(symbolic.Mul(c(cPSum), l), c(cExtra)), resident)
+		}
+	}
+	modelStates := symbolic.Add(states[:]...)
+	wTerm := symbolic.Mul(c(cWTW), wo)
+	gTerm := symbolic.Mul(c(cGTG), gov)
+
+	// Activation stash per in-flight microbatch.
+	resident := symbolic.Sub(one, ao)
+	layers := symbolic.Mul(
+		symbolic.Add(
+			symbolic.Mul(c(cBound), ck),
+			symbolic.Mul(c(cStash), symbolic.Sub(l, ck)),
+		),
+		resident,
+	)
+	actPerMB := layers
+	var actTerms []*symbolic.Expr
+	switch key.act {
+	case actBare:
+		actTerms = []*symbolic.Expr{symbolic.Mul(c(cInFlight), layers)}
+	case actScaled:
+		actPerMB = symbolic.Add(layers, symbolic.Mul(c(cPre), resident), c(cPostPer))
+		actTerms = []*symbolic.Expr{symbolic.Mul(c(cInFlight), actPerMB)}
+	case actFlat:
+		actPerMB = symbolic.Add(layers, symbolic.Mul(c(cPre), resident), c(cPostPer))
+		actTerms = []*symbolic.Expr{layers, symbolic.Mul(c(cPre), resident)}
+	}
+
+	// Engaged whenever ckpt >= 1; Min(ck,1) gates it.
+	recompute := symbolic.Const(0)
+	if key.recompute {
+		recompute = symbolic.Mul(c(cRec), symbolic.Min(ck, one))
+	}
+
+	fwd := append([]*symbolic.Expr{modelStates, wTerm}, actTerms...)
+	fwd = append(fwd, c(cFwdConst))
+	bwd := append([]*symbolic.Expr{modelStates, wTerm, gTerm}, actTerms...)
+	if key.recompute {
+		bwd = append(bwd, recompute)
+	}
+	bwd = append(bwd, c(cBwdConst))
+	peakFwd, peakBwd := symbolic.Add(fwd...), symbolic.Add(bwd...)
+	peakStep := symbolic.Add(modelStates, c(cStepWS))
+
+	outputs := make([]*symbolic.Expr, numOutputs)
+	outputs[outPeakMem] = symbolic.Max(peakFwd, peakBwd, peakStep)
+	outputs[outH2DFwdN] = symbolic.Mul(c(cH2DW), wo)
+	outputs[outD2HFwdN] = symbolic.Mul(c(cD2HStash), ao)
+	outputs[outH2DFwdC] = outputs[outH2DFwdN]
+	outputs[outD2HFwdC] = symbolic.Mul(c(cD2HBound), ao)
+	outputs[outH2DBwdN] = h2dBwd(cStash)
+	outputs[outD2HBwdN] = symbolic.Mul(c(cD2HG), gov)
+	outputs[outH2DBwdC] = h2dBwd(cBound)
+	outputs[outD2HBwdC] = outputs[outD2HBwdN]
+	outputs[outStepH2DLayer] = symbolic.Mul(c(cStepH2D), oo)
+	outputs[outStepD2HLayer] = symbolic.Mul(c(cStepD2H), gradUp)
+	outputs[outStepGPULayer] = symbolic.Mul(c(cStepGPU), symbolic.Sub(one, oo))
+	outputs[outStepCPULayer] = symbolic.Mul(c(cStepCPU), oo)
+	outputs[outModelStates] = modelStates
+	outputs[outWTransient] = symbolic.Add(wTerm, c(cWTC))
+	outputs[outGTransient] = symbolic.Add(gTerm, c(cGTC))
+	outputs[outActPerMB] = actPerMB
+	outputs[outRecompute] = recompute
+	outputs[outStepWS] = c(cStepWS)
+	return outputs
+}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +29,11 @@ func describeCheckError(err error, decode func(in []any) string) error {
 
 func newTestAnalyzer(t testing.TB, name string, gpus int, flash bool) *Analyzer {
 	t.Helper()
+	return newTestAnalyzerFor(t, model.MustByName(name), gpus, flash)
+}
+
+func newTestAnalyzerFor(t testing.TB, cfg model.Config, gpus int, flash bool) *Analyzer {
+	t.Helper()
 	nodes, perNode, err := hardware.MeshForGPUs(gpus)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +41,7 @@ func newTestAnalyzer(t testing.TB, name string, gpus int, flash bool) *Analyzer 
 	cl := hardware.L4Cluster(nodes, perNode)
 	db := opdb.New(cl.GPU)
 	intf := interference.Fit(interference.PCIeFluid(), 10, rand.New(rand.NewSource(1)))
-	return NewAnalyzer(model.MustByName(name), 2048, flash, cl, db, intf)
+	return NewAnalyzer(cfg, 2048, flash, cl, db, intf)
 }
 
 func baseShape() StageShape {
@@ -264,7 +271,10 @@ func TestTPAllReduceCostFalconVsGPT(t *testing.T) {
 // through a prepared Batch — across random shapes, every ZeRO level and
 // both Serialize values. Batch pricing shares the tape prefix and the
 // interference predictions across a tuple group; a group of one (the
-// single Evaluate) shares nothing.
+// single Evaluate) shares nothing. Every trial prices two shapes that
+// share a compiled variant back to back on one EvalScratch: the second
+// finds the first's registers under the same program, and must not
+// reuse its coefficient prefix.
 func TestBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	grid := []float64{0, 0.25, 0.5, 1}
@@ -280,6 +290,11 @@ func TestBatchMatchesSingle(t *testing.T) {
 				HasPre: rng.Intn(2) == 0, HasPost: rng.Intn(2) == 0,
 				NumStages: stages, StageIdx: rng.Intn(stages), GradAccum: 1 + rng.Intn(8),
 			}
+			twin := shape
+			twin.B = 2 * shape.B // other coefficients, same structure
+			if a.program(shape).prog != a.program(twin).prog {
+				t.Fatalf("shapes %+v and %+v should share a variant", shape, twin)
+			}
 			ks := make([]Knobs, 1+rng.Intn(60))
 			for i := range ks {
 				l := 1 + rng.Intn(32)
@@ -288,24 +303,120 @@ func TestBatchMatchesSingle(t *testing.T) {
 					WO: grid[rng.Intn(2)], GO: grid[rng.Intn(2)], OO: grid[rng.Intn(4)], AO: grid[rng.Intn(4)],
 				}
 			}
-			var err error
-			if dst, err = a.EvaluateBatchInto(dst, shape, ks, &sc); err != nil {
-				t.Fatal(err)
-			}
-			prepared, err := a.EvaluatePreparedInto(nil, shape, NewBatch(ks), &sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, k := range ks {
-				single, err := a.Evaluate(shape, k)
+			for _, shape := range []StageShape{shape, twin} {
+				var err error
+				if dst, err = a.EvaluateBatchInto(dst, shape, ks, &sc); err != nil {
+					t.Fatal(err)
+				}
+				prepared, err := a.EvaluatePreparedInto(nil, shape, NewBatch(ks), &sc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if dst[i] != single || prepared[i] != single {
-					t.Fatalf("serialize=%v shape %+v candidate %d %+v:\n  batch    %+v\n  prepared %+v\n  single   %+v",
-						serialize, shape, i, k, dst[i], prepared[i], single)
+				for i, k := range ks {
+					single, err := a.Evaluate(shape, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if dst[i] != single || prepared[i] != single {
+						t.Fatalf("serialize=%v shape %+v candidate %d %+v:\n  batch    %+v\n  prepared %+v\n  single   %+v",
+							serialize, shape, i, k, dst[i], prepared[i], single)
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestConcurrentFirstUseCompilesOnce: goroutines pricing distinct shapes
+// of one structural variant on a fresh analyzer compile that variant
+// once and trace each TP degree once between them, and every result
+// equals a serial analyzer's.
+func TestConcurrentFirstUseCompilesOnce(t *testing.T) {
+	var shapes []StageShape
+	for _, tp := range []int{1, 2, 4} {
+		for _, dp := range []int{1, 2} {
+			for b := 1; b <= 4; b++ {
+				// Middle stages of a dense model: one variant whatever TP, DP and b.
+				shapes = append(shapes, StageShape{B: b, DP: dp, TP: tp, NumStages: 4, StageIdx: 1, GradAccum: 4})
+			}
+		}
+	}
+	ks := mistKnobGrid(8)
+	serial := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
+	want := make([][]Result, len(shapes))
+	for i, shape := range shapes {
+		var err error
+		if want[i], err = serial.EvaluateBatch(shape, ks); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	a := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
+	got := make([][]Result, len(shapes))
+	errs := make([]error, len(shapes))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range shapes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = a.EvaluateBatch(shapes[i], ks)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range shapes {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("shape %+v: concurrent first use priced differently from a serial analyzer", shapes[i])
+		}
+	}
+	if traced, compiled := a.BuildCounts(); traced != 3 || compiled != 1 {
+		t.Errorf("traced %d TP degrees and compiled %d programs, want 3 and 1", traced, compiled)
+	}
+}
+
+// The recompute term never engages on a catalog model (every traced
+// layer's backward liveness peak exceeds its forward one), so the
+// reference grid cannot reach its variant. Pin its wiring directly: with
+// a zero coefficient the variant prices exactly as the plain one, and a
+// positive coefficient adds that many bytes to the backward peak from
+// the first checkpointed layer on.
+func TestRecomputeVariantGatesOnCkpt(t *testing.T) {
+	a := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
+	sp := a.program(baseShape())
+	key := variantKey{act: actFlat}
+	if a.variant(key) != sp.prog {
+		t.Fatalf("base shape should price under variant %+v", key)
+	}
+	key.recompute = true
+	rec := a.variant(key)
+	frame := make([]float64, frameLen)
+	copy(frame, sp.coefs[:])
+	for _, k := range mistKnobGrid(8) {
+		knobFrame(frame, k)
+		frame[cRec] = 0
+		plain := sp.prog.EvalFrame(frame, nil, nil)
+		if got := rec.EvalFrame(frame, nil, nil); !slices.Equal(got, plain) {
+			t.Fatalf("knobs %+v: zero-coefficient recompute variant differs from the plain one", k)
+		}
+		const ws = 1 << 40 // dwarfs every other term, so the backward peak is the maximum
+		frame[cRec] = ws
+		got := rec.EvalFrame(frame, nil, nil)
+		if k.Ckpt == 0 {
+			if !slices.Equal(got, plain) {
+				t.Fatalf("knobs %+v: recompute term engaged with no checkpointed layer", k)
+			}
+			continue
+		}
+		if got[outRecompute] != ws {
+			t.Fatalf("knobs %+v: recompute working set %v, want %v", k, got[outRecompute], float64(ws))
+		}
+		if peak := got[outPeakMem]; peak < ws || peak > ws+plain[outPeakMem] {
+			t.Fatalf("knobs %+v: peak %v, want within [%v, %v]", k, peak, float64(ws), ws+plain[outPeakMem])
 		}
 	}
 }
@@ -467,19 +578,7 @@ func TestPropertyMonotoneInLayers(t *testing.T) {
 func BenchmarkEvaluateBatch(b *testing.B) {
 	a := newTestAnalyzer(b, "gpt3-7b", 8, true)
 	shape := baseShape()
-	grid := []float64{0, 0.5, 1}
-	var ks []Knobs
-	for ck := 0; ck <= 32; ck += 8 {
-		for _, wo := range grid {
-			for _, gov := range grid {
-				for _, oo := range grid {
-					for _, ao := range grid {
-						ks = append(ks, Knobs{Layers: 32, Ckpt: ck, WO: wo, GO: gov, OO: oo, AO: ao})
-					}
-				}
-			}
-		}
-	}
+	ks := mistKnobGrid(32)
 	var sc EvalScratch
 	// Warm the trace/compile cache and the scratch.
 	dst, err := a.EvaluateBatchInto(nil, shape, ks, &sc)

@@ -19,14 +19,19 @@ import (
 // from the previous one only in variables >= v re-runs just the tape's
 // suffix from stage[v] (EvalFrameFrom). Ordering a program's variables
 // from slowest- to fastest-changing turns a sweep over the fast ones
-// into suffix re-runs.
+// into suffix re-runs. The stage analyzer (internal/schedule) uses three
+// levels: its frame is [shape coefficients | offload tuple | l, ckpt],
+// so one program serves every stage shape of a structural variant — a
+// shape's first frame runs the whole tape (EvalFrame), each further
+// offload tuple the suffix from the tuple's first variable, and each
+// further (l, ckpt) under a tuple only the last few instructions.
 type Program struct {
-	vars    []string // symbol order; frame values are positional
-	varIdx  map[string]int
-	insts   []inst
-	stage   []int // stage[v]: first instruction depending on a variable >= v; stage[len(vars)] == len(insts)
-	outputs []int // register index per compiled expression
-	numRegs int
+	vars    []string  // symbol order; frame values are positional
+	insts   []inst    // insts[i] writes register i
+	args    []int32   // operand registers of the n-ary instructions, end to end
+	consts  []float64 // iConst payloads
+	stage   []int32   // stage[v]: first instruction depending on a variable >= v; stage[len(vars)] == len(insts)
+	outputs []int32   // register index per compiled expression
 }
 
 type instOp uint8
@@ -43,32 +48,35 @@ const (
 	iMin
 )
 
+// inst is 12 bytes, and the operand lists and constants live in the
+// program's shared pools: a compiled program is kept for an analyzer's
+// lifetime, so its footprint is part of what a long-lived analyzer costs.
 type inst struct {
-	op   instOp
-	rank int32 // 1 + highest variable index the value depends on; 0 for constants
-	dst  int
-	val  float64 // iConst payload
-	src  int     // iLoad: var index; unary ops: operand register
-	args []int   // n-ary operand registers
+	op  instOp
+	n   int32 // n-ary ops: operand count
+	src int32 // iConst: index into consts; iLoad: var index; unary ops: operand register; n-ary ops: offset into args
 }
 
 // Compile lowers exprs into a Program over the given symbol order. Every
-// free variable of every expression must appear in vars.
+// free variable of every expression must appear in vars, which the
+// program keeps: the caller must not modify it afterwards.
 func Compile(exprs []*Expr, vars []string) (*Program, error) {
-	p := &Program{
-		vars:   append([]string(nil), vars...),
-		varIdx: make(map[string]int, len(vars)),
+	p := &Program{vars: vars}
+	lw := lowering{
+		p:      p,
+		varIdx: make(map[string]int32, len(vars)),
+		byNode: map[*Expr]int32{},
+		edges:  map[cseEdge]int32{},
+		regOf:  []int32{-1},
 	}
 	for i, v := range vars {
-		if _, dup := p.varIdx[v]; dup {
+		if _, dup := lw.varIdx[v]; dup {
 			return nil, fmt.Errorf("symbolic: duplicate variable %q", v)
 		}
-		p.varIdx[v] = i
+		lw.varIdx[v] = int32(i)
 	}
-	cache := map[*Expr]int{}       // node identity cache
-	structural := map[string]int{} // structural CSE cache
 	for _, e := range exprs {
-		reg, err := p.lower(e, cache, structural)
+		reg, err := lw.lower(e)
 		if err != nil {
 			return nil, err
 		}
@@ -76,10 +84,36 @@ func Compile(exprs []*Expr, vars []string) (*Program, error) {
 	}
 	// Stage the tape. An instruction's rank is at least its operands', so
 	// a stable partition by rank keeps every operand ahead of its use.
-	slices.SortStableFunc(p.insts, func(a, b inst) int { return int(a.rank - b.rank) })
-	p.stage = make([]int, len(vars)+1)
+	// Until here instruction i is the one that writes register i.
+	order := make([]int32, len(p.insts))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return int(lw.rank[a] - lw.rank[b]) })
+	// Then renumber the registers so that the staged tape's instruction i
+	// writes register i again: run needs no destination field.
+	staged := make([]inst, len(p.insts))
+	at := make([]int32, len(order)) // register before staging -> after
+	for i, j := range order {
+		staged[i] = p.insts[j]
+		at[j] = int32(i)
+	}
+	for i := range staged {
+		if in := &staged[i]; in.op == iCeil || in.op == iFloor {
+			in.src = at[in.src]
+		}
+	}
+	for i, r := range p.args {
+		p.args[i] = at[r]
+	}
+	for i, r := range p.outputs {
+		p.outputs[i] = at[r]
+	}
+	p.insts = staged
+	p.stage = make([]int32, len(vars)+1)
 	for v := range p.stage {
-		p.stage[v], _ = slices.BinarySearchFunc(p.insts, int32(v+1), func(in inst, rank int32) int { return int(in.rank - rank) })
+		n, _ := slices.BinarySearchFunc(order, int32(v+1), func(j, rank int32) int { return int(lw.rank[j] - rank) })
+		p.stage[v] = int32(n)
 	}
 	return p, nil
 }
@@ -93,63 +127,110 @@ func MustCompile(exprs []*Expr, vars []string) *Program {
 	return p
 }
 
-func (p *Program) lower(e *Expr, cache map[*Expr]int, structural map[string]int) (int, error) {
-	if reg, ok := cache[e]; ok {
+// lowering is Compile's working state. It finds the register already
+// holding an expression's value by node identity and, structurally,
+// through a trie: operands are lowered before their parent, so a node's
+// structural identity is the label path (op, then the constant's bits,
+// the variable's index, or the operand registers in order) — no
+// rendering and no subtree walk.
+type lowering struct {
+	p      *Program
+	varIdx map[string]int32
+	rank   []int32 // per register: 1 + highest variable index its value depends on; 0 for constants
+	byNode map[*Expr]int32
+	edges  map[cseEdge]int32 // trie: (node, label) -> child node; node 0 is the root
+	regOf  []int32           // per trie node, the register of the path ending there, or -1
+}
+
+type cseEdge struct {
+	from  int32
+	label uint64
+}
+
+// step follows (creating if absent) the edge label out of trie node from.
+func (lw *lowering) step(from int32, label uint64) int32 {
+	k := cseEdge{from, label}
+	to, ok := lw.edges[k]
+	if !ok {
+		to = int32(len(lw.regOf))
+		lw.regOf = append(lw.regOf, -1)
+		lw.edges[k] = to
+	}
+	return to
+}
+
+func (lw *lowering) lower(e *Expr) (int32, error) {
+	if reg, ok := lw.byNode[e]; ok {
 		return reg, nil
 	}
-	key := e.String()
-	if reg, ok := structural[key]; ok {
-		cache[e] = reg
-		return reg, nil
-	}
+	p := lw.p
 	var in inst
+	var rank int32
+	var args []int32
+	node := lw.step(0, uint64(e.op))
 	switch e.op {
 	case OpConst:
-		in = inst{op: iConst, val: e.val}
+		in.op = iConst
+		node = lw.step(node, math.Float64bits(e.val))
 	case OpVar:
-		idx, ok := p.varIdx[e.name]
+		idx, ok := lw.varIdx[e.name]
 		if !ok {
 			return 0, fmt.Errorf("symbolic: compile: unbound symbol %q", e.name)
 		}
-		in = inst{op: iLoad, src: idx, rank: int32(idx) + 1}
+		in = inst{op: iLoad, src: idx}
+		rank = idx + 1
+		node = lw.step(node, uint64(idx))
 	default:
-		args := make([]int, len(e.args))
-		var rank int32
+		args = make([]int32, len(e.args))
 		for i, a := range e.args {
-			reg, err := p.lower(a, cache, structural)
+			reg, err := lw.lower(a)
 			if err != nil {
 				return 0, err
 			}
 			args[i] = reg
-			// Until Compile stages the tape, register r is written by insts[r].
-			rank = max(rank, p.insts[reg].rank)
+			rank = max(rank, lw.rank[reg])
+			node = lw.step(node, uint64(reg))
 		}
 		switch e.op {
 		case OpAdd:
-			in = inst{op: iAdd, args: args}
+			in.op = iAdd
 		case OpMul:
-			in = inst{op: iMul, args: args}
+			in.op = iMul
 		case OpDiv:
-			in = inst{op: iDiv, args: args}
+			in.op = iDiv
 		case OpCeil:
-			in = inst{op: iCeil, src: args[0]}
+			in.op = iCeil
 		case OpFloor:
-			in = inst{op: iFloor, src: args[0]}
+			in.op = iFloor
 		case OpMax:
-			in = inst{op: iMax, args: args}
+			in.op = iMax
 		case OpMin:
-			in = inst{op: iMin, args: args}
+			in.op = iMin
 		default:
 			return 0, fmt.Errorf("symbolic: compile: unknown op %v", e.op)
 		}
-		in.rank = rank
 	}
-	in.dst = p.numRegs
-	p.numRegs++
+	if reg := lw.regOf[node]; reg >= 0 {
+		lw.byNode[e] = reg
+		return reg, nil
+	}
+	switch in.op {
+	case iConst:
+		in.src = int32(len(p.consts))
+		p.consts = append(p.consts, e.val)
+	case iLoad:
+	case iCeil, iFloor:
+		in.src = args[0]
+	default:
+		in.src, in.n = int32(len(p.args)), int32(len(args))
+		p.args = append(p.args, args...)
+	}
+	reg := int32(len(p.insts))
 	p.insts = append(p.insts, in)
-	cache[e] = in.dst
-	structural[key] = in.dst
-	return in.dst, nil
+	lw.rank = append(lw.rank, rank)
+	lw.byNode[e] = reg
+	lw.regOf[node] = reg
+	return reg, nil
 }
 
 // NumOutputs returns the number of compiled expressions.
@@ -162,8 +243,8 @@ func (p *Program) Vars() []string { return append([]string(nil), p.vars...) }
 // frame must be positional per Vars(). out, if non-nil and large enough, is
 // reused; the slice of output values is returned.
 func (p *Program) EvalFrame(frame []float64, regs, out []float64) []float64 {
-	if cap(regs) < p.numRegs {
-		regs = make([]float64, p.numRegs)
+	if cap(regs) < len(p.insts) {
+		regs = make([]float64, len(p.insts))
 	}
 	return p.run(frame, regs, out, 0)
 }
@@ -176,10 +257,10 @@ func (p *Program) EvalFrame(frame []float64, regs, out []float64) []float64 {
 // every instruction is a pure function of its operands, and the skipped
 // prefix's operands did not change.
 func (p *Program) EvalFrameFrom(frame []float64, regs, out []float64, fromVar int) []float64 {
-	if len(regs) < p.numRegs {
-		panic(fmt.Sprintf("symbolic: EvalFrameFrom needs the previous %d-register file, got %d", p.numRegs, len(regs)))
+	if len(regs) < len(p.insts) {
+		panic(fmt.Sprintf("symbolic: EvalFrameFrom needs the previous %d-register file, got %d", len(p.insts), len(regs)))
 	}
-	return p.run(frame, regs, out, p.stage[fromVar])
+	return p.run(frame, regs, out, int(p.stage[fromVar]))
 }
 
 // run executes the tape from instruction start over regs.
@@ -187,48 +268,51 @@ func (p *Program) run(frame []float64, regs, out []float64, start int) []float64
 	if len(frame) != len(p.vars) {
 		panic(fmt.Sprintf("symbolic: frame has %d values, want %d", len(frame), len(p.vars)))
 	}
-	regs = regs[:p.numRegs]
-	for i := start; i < len(p.insts); i++ {
-		in := &p.insts[i]
+	insts, pool, consts := p.insts, p.args, p.consts
+	regs = regs[:len(insts)]
+	for i := start; i < len(insts); i++ {
+		in := &insts[i]
 		switch in.op {
 		case iConst:
-			regs[in.dst] = in.val
+			regs[i] = consts[in.src]
 		case iLoad:
-			regs[in.dst] = frame[in.src]
+			regs[i] = frame[in.src]
 		case iAdd:
 			sum := 0.0
-			for _, a := range in.args {
+			for _, a := range pool[in.src : in.src+in.n] {
 				sum += regs[a]
 			}
-			regs[in.dst] = sum
+			regs[i] = sum
 		case iMul:
 			prod := 1.0
-			for _, a := range in.args {
+			for _, a := range pool[in.src : in.src+in.n] {
 				prod *= regs[a]
 			}
-			regs[in.dst] = prod
+			regs[i] = prod
 		case iDiv:
-			regs[in.dst] = regs[in.args[0]] / regs[in.args[1]]
+			regs[i] = regs[pool[in.src]] / regs[pool[in.src+1]]
 		case iCeil:
-			regs[in.dst] = math.Ceil(roundEps(regs[in.src]))
+			regs[i] = math.Ceil(roundEps(regs[in.src]))
 		case iFloor:
-			regs[in.dst] = math.Floor(roundEps(regs[in.src]))
+			regs[i] = math.Floor(roundEps(regs[in.src]))
 		case iMax:
-			best := regs[in.args[0]]
-			for _, a := range in.args[1:] {
+			args := pool[in.src : in.src+in.n]
+			best := regs[args[0]]
+			for _, a := range args[1:] {
 				if v := regs[a]; v > best {
 					best = v
 				}
 			}
-			regs[in.dst] = best
+			regs[i] = best
 		case iMin:
-			best := regs[in.args[0]]
-			for _, a := range in.args[1:] {
+			args := pool[in.src : in.src+in.n]
+			best := regs[args[0]]
+			for _, a := range args[1:] {
 				if v := regs[a]; v < best {
 					best = v
 				}
 			}
-			regs[in.dst] = best
+			regs[i] = best
 		}
 	}
 	if cap(out) < len(p.outputs) {
@@ -245,7 +329,7 @@ func (p *Program) run(frame []float64, regs, out []float64, start int) []float64
 // returning one row of outputs per frame.
 func (p *Program) EvalBatch(frames [][]float64) [][]float64 {
 	out := make([][]float64, len(frames))
-	regs := make([]float64, p.numRegs)
+	regs := p.Scratch()
 	for i, f := range frames {
 		out[i] = p.EvalFrame(f, regs, nil)
 	}
@@ -254,11 +338,11 @@ func (p *Program) EvalBatch(frames [][]float64) [][]float64 {
 
 // Scratch returns a register scratch buffer sized for this program, for
 // callers that drive EvalFrame in a hot loop.
-func (p *Program) Scratch() []float64 { return make([]float64, p.numRegs) }
+func (p *Program) Scratch() []float64 { return make([]float64, len(p.insts)) }
 
 // NumRegs reports the register count EvalFrame needs, for callers that
 // manage a reusable scratch buffer across programs.
-func (p *Program) NumRegs() int { return p.numRegs }
+func (p *Program) NumRegs() int { return len(p.insts) }
 
 // MergeVars returns the sorted union of the free variables of exprs,
 // a convenience for building a Compile var order.
