@@ -12,7 +12,7 @@ BENCH_TOLERANCE ?= 0.25
 # Where bench-profile drops its pprof output.
 PROFILE_DIR ?= profiles
 
-.PHONY: ci vet build test race property bench bench-json bench-regression bench-profile serve fuzz lint mistlint load-smoke cluster-smoke elastic-smoke slo-smoke pilot-smoke flag-docs flag-docs-check
+.PHONY: ci vet build test test-noskip test-seam race property bench bench-json bench-regression bench-profile serve fuzz lint mistlint load-smoke cluster-smoke elastic-smoke slo-smoke pilot-smoke flag-docs flag-docs-check
 
 ci: lint build race property ## full tier-1 + race + property gate
 
@@ -41,6 +41,15 @@ build:
 
 test: ## the tier-1 verify
 	$(GO) build ./... && $(GO) test ./...
+
+test-noskip: ## the full (non -short) suite, verbose; fails if any test reports SKIP, so a test cannot go vacuous silently
+	@out="$$(mktemp)"; trap 'rm -f "$$out"' EXIT; \
+	$(GO) test ./... -v >"$$out" 2>&1 || { grep -E '^(--- FAIL|FAIL|panic:)' "$$out"; exit 1; }; \
+	if grep -E '^ *--- SKIP' "$$out"; then echo "test-noskip: skipped tests above; make them run or delete them"; exit 1; fi; \
+	echo "test-noskip: ok, no test skipped"
+
+test-seam: ## vet + short tests of the nested benchmarks/mistperf module, which `go test ./...` never sees: the one place a break of its seam.go contract shows
+	cd benchmarks/mistperf && $(GO) vet ./... && $(GO) test -short ./...
 
 race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks, and the eval cache's same-row/mixed-row publish races and the analyzer's concurrent first use repeated
 	$(GO) test -race ./...
@@ -73,7 +82,7 @@ property: ## schedule, frontier and compile invariants, repeated with a pinned q
 	$(GO) test ./internal/schedule ./internal/core ./internal/symbolic -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
 	$(GO) test ./internal/schedule -run 'TestPropertyLiftedProgramMatchesPerShapeBuild' -count=1 -reference.full
 
-bench: ## cached-vs-uncached tuner, one 405-knob row through the analyzer and through the eval cache, cold-vs-warm search, batch-submit amortization, tracing overhead, SLO evaluation
+bench: ## cached-vs-uncached tuner (BenchmarkTuneUncached is the bare-analyzer reference cell, kept under that name for bench-regression), one 405-knob row through the analyzer and through the eval cache, cold-vs-warm search, batch-submit amortization, tracing overhead, SLO evaluation
 	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x .
 	$(GO) test -run xxx -bench 'BenchmarkEvaluateBatch' ./internal/schedule
 	$(GO) test -run xxx -bench 'BenchmarkRow' ./internal/evalcache

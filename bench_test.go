@@ -4,7 +4,8 @@ package mist
 // benchmark regenerates the corresponding experiment at the fast Small
 // scale and reports the headline series as custom metrics; run
 // `cmd/mistbench -exp <name> [-full]` for the printable tables and the
-// paper-scale grids, and see EXPERIMENTS.md for recorded results.
+// paper-scale grids (its output is the record; README "Performance" has
+// the committed numbers).
 //
 // Benchmarks intentionally measure whole experiments (tune + execute):
 // use -benchtime=1x for a single regeneration pass.
@@ -129,26 +130,31 @@ func benchWorkload() (Workload, *Cluster) {
 	return Workload{Model: Model("gpt3-2.7b"), Seq: 2048, Flash: true, GlobalBatch: 8}, L4Cluster(8)
 }
 
-// benchTuneCold runs a cold full-space search per iteration, optionally
-// with the evaluation memo cache disabled, and reports cache metrics.
-func benchTuneCold(b *testing.B, noCache bool) {
+// benchTuneCold runs a cold full-space search per iteration — on a
+// core.New tuner (evaluation cache on), or, as the uncached reference, on
+// a Tuner literal over the same calibrated analyzer, which prices
+// straight on it — and reports cache metrics.
+func benchTuneCold(b *testing.B, uncached bool) {
 	w, cl := benchWorkload()
+	space := core.MistSpace()
 	var res *core.Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tn, err := core.New(w, cl, core.MistSpace())
+		tn, err := core.New(w, cl, space)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tn.NoCache = noCache
+		if uncached {
+			tn = &core.Tuner{W: w, Cluster: cl, An: tn.An, Space: space}
+		}
 		res, err = tn.Tune()
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(res.Candidates), "candidates")
-	if !noCache {
+	if !uncached {
 		b.ReportMetric(res.CacheHitRate(), "hit-rate")
 		b.ReportMetric(float64(res.EvalCacheMisses), "unique-evals")
 	}
@@ -181,8 +187,8 @@ func TestColdTuneAllocCeiling(t *testing.T) {
 // (the rest of the candidates metric is served as hits).
 func BenchmarkTuneMemoizedCold(b *testing.B) { benchTuneCold(b, false) }
 
-// BenchmarkTuneUncached is the same search with memoization disabled —
-// every candidate goes to the symbolic analyzer (the seed's behavior).
+// BenchmarkTuneUncached is the same search on the bare analyzer — every
+// candidate goes to the symbolic analyzer (the seed's behavior).
 // The chosen plans are identical either way (core's
 // TestCacheOnOffIdenticalPlans).
 func BenchmarkTuneUncached(b *testing.B) { benchTuneCold(b, true) }

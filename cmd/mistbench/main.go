@@ -5,7 +5,9 @@
 //	mistbench -exp fig11 -full     # paper-scale grid (slow)
 //	mistbench -exp all             # everything, fast subsets
 //
-// See EXPERIMENTS.md for the recorded paper-vs-reproduction comparison.
+// The printed tables are the paper-vs-reproduction record (there is no
+// separate results file); README "Performance" has the committed
+// benchmark numbers.
 package main
 
 import (

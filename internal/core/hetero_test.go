@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/hardware"
@@ -65,20 +68,20 @@ func TestHeteroDPDeviceConstraint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, _, err := tn.tuneSG(context.Background(), 3, 4, 0)
+	tn.incumbent = math.Inf(1) // no solution known yet, as TuneContext arms it
+	sol, _, err := tn.tuneSG(context.Background(), 3, 4)
 	if err != nil {
-		t.Skipf("S=3 infeasible on this workload: %v", err)
+		t.Fatalf("S=3 G=4: %v", err)
 	}
-	devs := 0
-	for _, c := range sol.Stages {
-		devs += c.Shape.Devices()
-	}
-	if devs != 4 {
-		t.Errorf("device sum %d, want 4", devs)
-	}
+	var devs []int
 	layers := 0
 	for _, c := range sol.Stages {
+		devs = append(devs, c.Shape.Devices())
 		layers += c.Knobs.Layers
+	}
+	sort.Ints(devs)
+	if !reflect.DeepEqual(devs, []int{1, 1, 2}) {
+		t.Errorf("per-stage devices %v, want a 2+1+1 split of the 4 GPUs", devs)
 	}
 	if layers != 24 {
 		t.Errorf("layer sum %d, want 24", layers)

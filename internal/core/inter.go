@@ -146,7 +146,14 @@ func (t *Tuner) solveInterMILP(cands [][]candidate, totalLayers, g int) (*interS
 // exact. This is typically orders of magnitude faster than the MILP on
 // deep pipelines while returning the same optimum (cross-checked in
 // tests); the MILP remains available as the paper-faithful formulation.
-func (t *Tuner) solveInterDP(cands [][]candidate, totalLayers, g int) (*interSolution, error) {
+//
+// The state also carries the devices remaining, for heterogeneous
+// per-stage device assignment (the paper's (n_i, m_i) variables): with
+// totalDevices > 0 the stage lists may mix device counts and the chosen
+// ones must sum to it. A uniform sweep, whose every combination tiles
+// the cluster already, passes 0: no candidate consumes devices and the
+// device dimension has the single value 0.
+func (t *Tuner) solveInterDP(cands [][]candidate, totalLayers, totalDevices, g int) (*interSolution, error) {
 	s := len(cands)
 	if s == 0 {
 		return nil, errors.New("core: no stages")
@@ -163,118 +170,16 @@ func (t *Tuner) solveInterDP(cands [][]candidate, totalLayers, g int) (*interSol
 	type triple struct {
 		sum, best, maxT float64
 		cand            int // candidate index chosen at this stage
-		prevLayers      int // remaining layers in the successor state
+		prev            int // the successor state
 		prevIdx         int // index into the successor state's frontier
 	}
-	// frontiers[i][lrem] = Pareto set for stages i..s-1 given lrem layers.
-	frontiers := make([][][]triple, s+1)
-	for i := range frontiers {
-		frontiers[i] = make([][]triple, totalLayers+1)
+	// frontiers[state(i, lrem, drem)] = Pareto set for stages i..s-1 given
+	// lrem layers and drem devices, one flat table.
+	state := func(i, lrem, drem int) int {
+		return (i*(totalLayers+1)+lrem)*(totalDevices+1) + drem
 	}
-	frontiers[s][0] = []triple{{prevIdx: -1, cand: -1}}
-
-	dominates := func(a, b triple) bool {
-		return a.sum <= b.sum+1e-12 && a.best <= b.best+1e-12 && a.maxT <= b.maxT+1e-12
-	}
-	insert := func(set []triple, tr triple) []triple {
-		for _, x := range set {
-			if dominates(x, tr) {
-				return set
-			}
-		}
-		out := set[:0]
-		for _, x := range set {
-			if !dominates(tr, x) {
-				out = append(out, x)
-			}
-		}
-		return append(out, tr)
-	}
-
-	for i := s - 1; i >= 0; i-- {
-		for lrem := 0; lrem <= totalLayers; lrem++ {
-			for ci, c := range cands[i] {
-				l := c.Knobs.Layers
-				if l > lrem {
-					continue
-				}
-				succ := frontiers[i+1][lrem-l]
-				if len(succ) == 0 {
-					continue
-				}
-				ti, di := timeOf(c)
-				for pi, p := range succ {
-					nt := triple{
-						sum:        p.sum + ti,
-						best:       math.Max(p.best, di+ti+p.sum),
-						maxT:       math.Max(p.maxT, ti),
-						cand:       ci,
-						prevLayers: lrem - l,
-						prevIdx:    pi,
-					}
-					frontiers[i][lrem] = insert(frontiers[i][lrem], nt)
-				}
-			}
-		}
-	}
-	root := frontiers[0][totalLayers]
-	if len(root) == 0 {
-		return nil, errors.New("core: DP found no feasible partition")
-	}
-	bestObj := math.Inf(1)
-	bestIdx := -1
-	for ri, tr := range root {
-		obj := float64(g-1)*tr.maxT + tr.best
-		if obj < bestObj {
-			bestObj = obj
-			bestIdx = ri
-		}
-	}
-	// Backtrack.
-	out := &interSolution{Objective: bestObj}
-	lrem := totalLayers
-	idx := bestIdx
-	for i := 0; i < s; i++ {
-		tr := frontiers[i][lrem][idx]
-		out.Stages = append(out.Stages, cands[i][tr.cand])
-		lrem = tr.prevLayers
-		idx = tr.prevIdx
-	}
-	return out, nil
-}
-
-// solveInterDPDevices extends solveInterDP with a devices-remaining
-// dimension for heterogeneous per-stage device assignment (the paper's
-// (n_i, m_i) variables): stage candidate lists may mix device counts and
-// the DP additionally enforces that they sum to the cluster size.
-func (t *Tuner) solveInterDPDevices(cands [][]candidate, totalLayers, totalDevices, g int) (*interSolution, error) {
-	s := len(cands)
-	if s == 0 {
-		return nil, errors.New("core: no stages")
-	}
-	imbalance := t.Space.ImbalanceAware
-	timeOf := func(c candidate) (ti, di float64) {
-		if imbalance {
-			return c.T, c.D
-		}
-		return c.T + c.D/float64(g), 0
-	}
-	type triple struct {
-		sum, best, maxT float64
-		cand            int
-		prevLayers      int
-		prevDevices     int
-		prevIdx         int
-	}
-	// frontiers[i][lrem][drem].
-	frontiers := make([][][][]triple, s+1)
-	for i := range frontiers {
-		frontiers[i] = make([][][]triple, totalLayers+1)
-		for l := range frontiers[i] {
-			frontiers[i][l] = make([][]triple, totalDevices+1)
-		}
-	}
-	frontiers[s][0][0] = []triple{{prevIdx: -1, cand: -1}}
+	frontiers := make([][]triple, (s+1)*(totalLayers+1)*(totalDevices+1))
+	frontiers[state(s, 0, 0)] = []triple{{prevIdx: -1, cand: -1}}
 
 	dominates := func(a, b triple) bool {
 		return a.sum <= b.sum+1e-12 && a.best <= b.best+1e-12 && a.maxT <= b.maxT+1e-12
@@ -297,36 +202,39 @@ func (t *Tuner) solveInterDPDevices(cands [][]candidate, totalLayers, totalDevic
 	for i := s - 1; i >= 0; i-- {
 		for lrem := 0; lrem <= totalLayers; lrem++ {
 			for drem := 0; drem <= totalDevices; drem++ {
+				cur := state(i, lrem, drem)
 				for ci, c := range cands[i] {
-					l := c.Knobs.Layers
-					d := c.Shape.Devices()
+					l, d := c.Knobs.Layers, 0
+					if totalDevices > 0 {
+						d = c.Shape.Devices()
+					}
 					if l > lrem || d > drem {
 						continue
 					}
-					succ := frontiers[i+1][lrem-l][drem-d]
+					prev := state(i+1, lrem-l, drem-d)
+					succ := frontiers[prev]
 					if len(succ) == 0 {
 						continue
 					}
 					ti, di := timeOf(c)
 					for pi, p := range succ {
 						nt := triple{
-							sum:         p.sum + ti,
-							best:        math.Max(p.best, di+ti+p.sum),
-							maxT:        math.Max(p.maxT, ti),
-							cand:        ci,
-							prevLayers:  lrem - l,
-							prevDevices: drem - d,
-							prevIdx:     pi,
+							sum:     p.sum + ti,
+							best:    math.Max(p.best, di+ti+p.sum),
+							maxT:    math.Max(p.maxT, ti),
+							cand:    ci,
+							prev:    prev,
+							prevIdx: pi,
 						}
-						frontiers[i][lrem][drem] = insert(frontiers[i][lrem][drem], nt)
+						frontiers[cur] = insert(frontiers[cur], nt)
 					}
 				}
 			}
 		}
 	}
-	root := frontiers[0][totalLayers][totalDevices]
+	root := frontiers[state(0, totalLayers, totalDevices)]
 	if len(root) == 0 {
-		return nil, errors.New("core: heterogeneous DP found no feasible partition")
+		return nil, errors.New("core: DP found no feasible partition")
 	}
 	bestObj := math.Inf(1)
 	bestIdx := -1
@@ -337,12 +245,13 @@ func (t *Tuner) solveInterDPDevices(cands [][]candidate, totalLayers, totalDevic
 			bestIdx = ri
 		}
 	}
+	// Backtrack.
 	out := &interSolution{Objective: bestObj}
-	lrem, drem, idx := totalLayers, totalDevices, bestIdx
+	at, idx := state(0, totalLayers, totalDevices), bestIdx
 	for i := 0; i < s; i++ {
-		tr := frontiers[i][lrem][drem][idx]
+		tr := frontiers[at][idx]
 		out.Stages = append(out.Stages, cands[i][tr.cand])
-		lrem, drem, idx = tr.prevLayers, tr.prevDevices, tr.prevIdx
+		at, idx = tr.prev, tr.prevIdx
 	}
 	return out, nil
 }

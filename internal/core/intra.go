@@ -23,7 +23,7 @@ type candidate struct {
 	Mem   float64
 }
 
-// evalScratch is the per-pricing-goroutine buffer set: the cache/analyzer
+// evalScratch is the per-pricing-goroutine buffer set: the backend's
 // scratch plus a reusable result slice. Pooled because intraStage's inner
 // fan-out borrows transient goroutines.
 type evalScratch struct {
@@ -85,6 +85,7 @@ func (t *Tuner) intraStage(s, g, stageIdx, devPerStage, layers int, sc *sweepScr
 	budget := t.Cluster.MemoryBudget() * planSafetyFraction
 	set := t.knobSet(layers)
 	knobs := set.Knobs()
+	ev := t.backend()
 
 	// Enumerate the stage shapes, then price them on a bounded worker
 	// pool (the intra-stage counterpart of Tune's (S, G) fan-out). The
@@ -121,11 +122,12 @@ func (t *Tuner) intraStage(s, g, stageIdx, devPerStage, layers int, sc *sweepScr
 
 	price := func(i int, es *evalScratch) {
 		shape := shapes[i]
-		results, err := t.priceBatch(shape, set, es)
+		results, err := ev.EvaluateSet(shape, set, es.dst, &es.cs)
 		if err != nil {
 			outs[i].err = err
 			return
 		}
+		es.dst = results[:0]
 		seg := arena[i*len(knobs) : i*len(knobs) : (i+1)*len(knobs)]
 		for j, r := range results {
 			if !r.Fits(budget) {
@@ -206,29 +208,6 @@ spawn:
 	return out, evaluated, nil
 }
 
-// priceBatch prices one shape's knob set through the configured backend:
-// the cache's row store when memoization is active, the analyzer's
-// buffer-reusing batch when caching is off, or the generic Evaluator
-// interface when a test override is installed.
-func (t *Tuner) priceBatch(shape schedule.StageShape, set *evalcache.KnobSet, es *evalScratch) ([]schedule.Result, error) {
-	switch {
-	case t.evOverride != nil:
-		return t.evOverride.EvaluateBatch(shape, set.Knobs())
-	case t.NoCache || t.cache == nil:
-		results, err := t.An.EvaluateBatchInto(es.dst, shape, set.Knobs(), &es.cs.Eval)
-		if err == nil {
-			es.dst = results[:0]
-		}
-		return results, err
-	default:
-		results, err := t.cache.EvaluateSet(shape, set, es.dst, &es.cs)
-		if err == nil {
-			es.dst = results[:0]
-		}
-		return results, err
-	}
-}
-
 // parallelism is one feasible (tp, dp, b) split of a stage's devices.
 type parallelism struct{ tp, dp, b int }
 
@@ -237,12 +216,8 @@ type parallelism struct{ tp, dp, b int }
 // within NVLink/PCIe domains), and the global batch factorization
 // b = B / (G * dp).
 func (t *Tuner) parallelisms(devPerStage, g int) []parallelism {
-	maxTP := t.Cluster.GPUsPerNode
-	if t.MaxTP > 0 && t.MaxTP < maxTP {
-		maxTP = t.MaxTP
-	}
 	var out []parallelism
-	for tp := 1; tp <= devPerStage && tp <= maxTP; tp *= 2 {
+	for tp := 1; tp <= devPerStage && tp <= t.Cluster.GPUsPerNode; tp *= 2 {
 		if devPerStage%tp != 0 || t.W.Model.Heads%tp != 0 {
 			continue
 		}

@@ -2,9 +2,15 @@
 // (paper §5.3): intra-stage tuning brute-forces parallelism and memory-
 // optimization combinations with batched symbolic evaluation and samples
 // the (t, d) Pareto frontier via the dual-objective α sweep (Eq. 4);
-// inter-stage tuning selects the layer partition and per-stage Pareto
-// points by solving the Eq. 2 MILP. Search-space knobs allow the same
-// machinery to emulate the baselines and the Figure 13 ablation ladder.
+// inter-stage tuning selects the layer partition, the device split and
+// the per-stage Pareto points by solving Eq. 2 (an exact DP; the MILP as
+// the paper writes it is kept behind Tuner.UseMILP). There is one of
+// each: one (S, G) sweep whose per-stage device counts are a list of one
+// unless the space assigns devices heterogeneously, one DP whose device
+// dimension then has size one, and one pricing backend
+// (evalcache.Evaluator) fixed when the Tuner is built. Search-space
+// knobs allow the same machinery to emulate the baselines and the
+// Figure 13 ablation ladder.
 package core
 
 // Space selects which optimizations the tuner may use. The zero value is

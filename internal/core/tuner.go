@@ -29,14 +29,6 @@ type Tuner struct {
 	An      *schedule.Analyzer
 	Space   Space
 
-	// MaxTP optionally caps the tensor-parallel degree below the node
-	// size.
-	MaxTP int
-
-	// LayerWindow is the half-width of the per-stage layer-count range
-	// explored around ceil(L/S); 0 means the default of 2.
-	LayerWindow int
-
 	// UseMILP selects the paper-faithful MILP inter-stage solver instead
 	// of the default exact DP (solveInterDP); the two return the same
 	// optimum (cross-checked in tests), the DP is much faster on deep
@@ -46,10 +38,6 @@ type Tuner struct {
 	// Exhaustive switches the inter-stage solver to branch-and-bound
 	// enumeration (used for cross-checks).
 	Exhaustive bool
-
-	// NoCache disables evaluation memoization (benchmarking the
-	// uncached path; plans are identical either way).
-	NoCache bool
 
 	// Warm optionally seeds the search with a neighbor plan (see
 	// warm.go): the seed is priced into an incumbent bound that prunes
@@ -61,14 +49,12 @@ type Tuner struct {
 	// in the result. Invalid or unadaptable seeds are ignored.
 	Warm *plan.Plan
 
-	// cache memoizes analyzer evaluations across stages, layer counts
-	// and (S, G) pairs of this tuner. Built by New/NewWithAnalyzer; a
-	// zero-value Tuner falls back to the bare analyzer.
-	cache *evalcache.Cache
-
-	// evOverride, when set, replaces the pricing backend entirely
-	// (tests use it to inject evaluator failures and count attempts).
-	evOverride evalcache.Evaluator
+	// ev is the pricing backend, chosen when the tuner is built: New and
+	// NewShared install an evaluation cache, which memoizes analyzer
+	// evaluations across stages, layer counts and (S, G) pairs; a Tuner
+	// literal leaves it nil and prices on the bare analyzer An (the
+	// uncached reference the cache is tested and benchmarked against).
+	ev evalcache.Evaluator
 
 	// knobSets memoizes the prepared knob set per layer count: the
 	// batch depends only on (Space, layers), so it is built once and
@@ -99,16 +85,13 @@ type Tuner struct {
 	tuneCtx context.Context
 }
 
-// evaluator returns the pricing backend for this search: the memoizing
-// cache when available, the bare analyzer otherwise.
-func (t *Tuner) evaluator() evalcache.Evaluator {
-	if t.evOverride != nil {
-		return t.evOverride
-	}
-	if t.NoCache || t.cache == nil {
+// backend returns the pricing backend: ev, or for a Tuner literal the
+// bare analyzer.
+func (t *Tuner) backend() evalcache.Evaluator {
+	if t.ev == nil {
 		return t.An
 	}
-	return t.cache
+	return t.ev
 }
 
 // knobSet returns the prepared knob set for one layer count, building
@@ -177,11 +160,6 @@ func (t *Tuner) knobSet(layers int) *evalcache.KnobSet {
 	t.knobSets[layers] = ks
 	return ks
 }
-
-// bound returns the current incumbent objective: the best complete
-// solution known so far (+Inf before any), the pruning threshold for
-// pruneByBound and pairBound.
-func (t *Tuner) bound() float64 { return t.incumbent }
 
 // offerIncumbent lowers the incumbent bound to obj if it improves on the
 // current one. Called only while no pair is running.
@@ -279,16 +257,16 @@ func New(w plan.Workload, cl *hardware.Cluster, space Space) (*Tuner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tuner{W: w, Cluster: cl, An: an, Space: space, cache: evalcache.New(an)}, nil
+	return &Tuner{W: w, Cluster: cl, An: an, Space: space, ev: evalcache.New(an)}, nil
 }
 
 // NewShared builds a tuner over a shared calibrated analyzer and a
 // shared, process-lifetime evaluation cache (both typically owned by the
 // serving layer's per-fingerprint registry, so one request's pricings
-// answer the next request's search). Unlike NewWithAnalyzer it never
-// mutates the analyzer — it may be serving concurrent searches — and
-// instead rejects a Serialize flag that contradicts the space, and it
-// rejects a cache built over a different evaluator (its memoized results
+// answer the next request's search). It never mutates the analyzer — it
+// may be serving concurrent searches — and instead rejects a Serialize
+// flag that contradicts the space, and it rejects a cache built over a
+// different evaluator (its memoized results
 // would be answers to different questions). A nil cache gets a fresh
 // private one.
 func NewShared(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer, space Space, cache *evalcache.Cache) (*Tuner, error) {
@@ -307,16 +285,7 @@ func NewShared(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer, spa
 	} else if cache.Backend() != evalcache.Evaluator(an) {
 		return nil, fmt.Errorf("core: shared eval cache was built over a different analyzer")
 	}
-	return &Tuner{W: w, Cluster: cl, An: an, Space: space, cache: cache}, nil
-}
-
-// NewWithAnalyzer builds a tuner reusing an existing analyzer (the
-// analyzer's Serialize flag is overridden to match the space).
-func NewWithAnalyzer(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer, space Space) *Tuner {
-	an.Serialize = !space.OverlapAware
-	// The memo store keys on (shape, knobs) only, so it must be private
-	// to this (analyzer, Serialize) pairing — never shared across tuners.
-	return &Tuner{W: w, Cluster: cl, An: an, Space: space, cache: evalcache.New(an)}
+	return &Tuner{W: w, Cluster: cl, An: an, Space: space, ev: cache}, nil
 }
 
 // ErrNoFeasiblePlan is returned when every configuration in the space
@@ -338,9 +307,10 @@ func (t *Tuner) Tune() (*Result, error) {
 func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	res := &Result{}
+	cache, _ := t.ev.(*evalcache.Cache) // nil: uncached, no traffic to report
 	var cacheBefore evalcache.Stats
-	if t.cache != nil {
-		cacheBefore = t.cache.Stats()
+	if cache != nil {
+		cacheBefore = cache.Stats()
 	}
 
 	// Warm-start setup (see warm.go): price the seed, arm the incumbent
@@ -362,12 +332,11 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 		res.WarmSeedObjective = seed.objective
 	}
 
-	type sg struct{ s, g, devPer int }
+	type sg struct{ s, g int }
 	var pairs []sg
 	for _, s := range t.stageCounts() {
-		devPer := t.Cluster.TotalGPUs() / s
 		for _, g := range t.gradAccums() {
-			pairs = append(pairs, sg{s: s, g: g, devPer: devPer})
+			pairs = append(pairs, sg{s: s, g: g})
 		}
 	}
 	// Best-first dispatch: the seed's own pair goes first so the solver
@@ -425,7 +394,7 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 					pctx, psp := trace.StartSpan(swctx, "sg")
 					psp.Annotate("s", p.s)
 					psp.Annotate("g", p.g)
-					sol, nEval, err := t.tuneSG(pctx, p.s, p.g, p.devPer)
+					sol, nEval, err := t.tuneSG(pctx, p.s, p.g)
 					if err != nil {
 						sol = nil // infeasible (S, G): OOM or no factorization
 						psp.Annotate("infeasible", true)
@@ -454,8 +423,8 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	}
 	res.WarmPruned = int(t.warmPruned.Load())
 	res.WarmAbortedPairs = int(t.warmAborted.Load())
-	if t.cache != nil && !t.NoCache {
-		after := t.cache.Stats()
+	if cache != nil {
+		after := cache.Stats()
 		res.EvalCacheHits = after.Hits - cacheBefore.Hits
 		res.EvalCacheMisses = after.Misses - cacheBefore.Misses
 	}
@@ -495,15 +464,20 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 }
 
 // tuneSG runs intra-stage tuning + inter-stage selection for one
-// (pipeline depth, gradient accumulation) pair. ctx carries the pair's
-// trace span (when tracing is on); cancellation still flows through
-// t.tuneCtx as before.
-func (t *Tuner) tuneSG(ctx context.Context, s, g, devPer int) (*interSolution, int, error) {
+// (pipeline depth, gradient accumulation) pair. Every stage is swept at
+// TotalGPUs/S devices; under heterogeneous assignment (the per-stage
+// (n_i, m_i) variables of Table 2) a pipelined pair instead sweeps every
+// stage at each of deviceOptions and the inter-stage DP partitions the
+// devices along with the layers. ctx carries the pair's trace span (when
+// tracing is on); cancellation still flows through t.tuneCtx as before.
+func (t *Tuner) tuneSG(ctx context.Context, s, g int) (*interSolution, int, error) {
+	total := t.Cluster.TotalGPUs()
 	if t.Space.UniformStages {
-		return t.tuneUniform(s, g, devPer)
+		return t.tuneUniform(s, g, total/s)
 	}
+	devOpts, devBudget := []int{total / s}, 0 // no budget: the DP tracks no devices
 	if t.Space.HeterogeneousDevices && s > 1 {
-		return t.tuneSGHetero(ctx, s, g)
+		devOpts, devBudget = t.deviceOptions(s), total
 	}
 	evaluated := 0
 	cands := make([][]candidate, s)
@@ -517,20 +491,24 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g, devPer int) (*interSolution, i
 				return err
 			}
 			var stageC []candidate
-			for _, l := range t.layerRange(s, i) {
-				cs, n, err := t.intraStage(s, g, i, devPer, l, sc)
-				evaluated += n
-				if err != nil {
-					return err
+			for _, dev := range devOpts {
+				// The Pareto sampling is per (device count, layer count), so
+				// the solver keeps trade-off points for every partition.
+				for _, l := range t.layerRange(s, i) {
+					cs, n, err := t.intraStage(s, g, i, dev, l, sc)
+					evaluated += n
+					if err != nil {
+						return err
+					}
+					stageC = append(stageC, paretoSample(cs, g, t.Space.paretoSamples(), sc)...)
 				}
-				stageC = append(stageC, paretoSample(cs, g, t.Space.paretoSamples(), sc)...)
 			}
 			stageC = t.injectSeed(stageC, s, g, i)
 			if len(stageC) == 0 {
 				return fmt.Errorf("core: stage %d infeasible for S=%d G=%d", i, s, g)
 			}
 			stageC = t.pruneByBound(stageC, g)
-			if len(stageC) == 0 || pb.add(stageC, g, t.bound()) {
+			if len(stageC) == 0 || pb.add(stageC, g, t.incumbent) {
 				// Every surviving combination of this pair is provably no
 				// better than the warm seed: stop before pricing the
 				// remaining stages.
@@ -548,71 +526,14 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g, devPer int) (*interSolution, i
 	}
 	_, nsp := trace.StartSpan(ctx, "inter-stage")
 	var sol *interSolution
-	switch {
-	case t.Exhaustive:
+	switch { // the MILP and the enumeration carry no device constraint
+	case t.Exhaustive && devBudget == 0:
 		sol, err = t.solveInterExhaustive(cands, t.W.Model.Layers, g)
-	case t.UseMILP:
+	case t.UseMILP && devBudget == 0:
 		sol, err = t.solveInterMILP(cands, t.W.Model.Layers, g)
 	default:
-		sol, err = t.solveInterDP(cands, t.W.Model.Layers, g)
+		sol, err = t.solveInterDP(cands, t.W.Model.Layers, devBudget, g)
 	}
-	nsp.End()
-	if err != nil {
-		return nil, evaluated, err
-	}
-	return sol, evaluated, nil
-}
-
-// tuneSGHetero builds per-stage candidates over multiple device counts
-// and lets the device-aware DP partition both layers and devices (the
-// per-stage (n_i, m_i) assignment of Table 2).
-func (t *Tuner) tuneSGHetero(ctx context.Context, s, g int) (*interSolution, int, error) {
-	total := t.Cluster.TotalGPUs()
-	evaluated := 0
-	devOpts := t.deviceOptions(s)
-	cands := make([][]candidate, s)
-	sc := sweepScratchPool.Get().(*sweepScratch)
-	defer sweepScratchPool.Put(sc)
-	_, isp := trace.StartSpan(ctx, "intra-sweep")
-	err := func() error {
-		var pb pairBound
-		for i := 0; i < s; i++ {
-			if err := t.ctxErr(); err != nil {
-				return err
-			}
-			var stageC []candidate
-			for _, dev := range devOpts {
-				// Group the Pareto sampling per (device count, layer count)
-				// so the solver keeps trade-off points for every partition.
-				for _, l := range t.layerRange(s, i) {
-					cs, n, err := t.intraStage(s, g, i, dev, l, sc)
-					evaluated += n
-					if err != nil {
-						return err
-					}
-					stageC = append(stageC, paretoSample(cs, g, t.Space.paretoSamples(), sc)...)
-				}
-			}
-			stageC = t.injectSeed(stageC, s, g, i)
-			if len(stageC) == 0 {
-				return fmt.Errorf("core: stage %d infeasible for S=%d G=%d (hetero)", i, s, g)
-			}
-			stageC = t.pruneByBound(stageC, g)
-			if len(stageC) == 0 || pb.add(stageC, g, t.bound()) {
-				t.warmAborted.Add(1)
-				return &warmPrunedError{s: s, g: g}
-			}
-			cands[i] = stageC
-		}
-		return nil
-	}()
-	isp.Annotate("evals", evaluated)
-	isp.End()
-	if err != nil {
-		return nil, evaluated, err
-	}
-	_, nsp := trace.StartSpan(ctx, "inter-stage")
-	sol, err := t.solveInterDPDevices(cands, t.W.Model.Layers, total, g)
 	nsp.End()
 	if err != nil {
 		return nil, evaluated, err
@@ -664,7 +585,7 @@ func (t *Tuner) tuneUniform(s, g, devPer int) (*interSolution, int, error) {
 			shape.HasPre = i == 0
 			shape.HasPost = i == s-1
 			shape.StageIdx = i
-			r, err := t.evaluator().Evaluate(shape, c0.Knobs)
+			r, err := t.backend().Evaluate(shape, c0.Knobs)
 			evaluated++ // the attempt was made whether or not it priced
 			if err != nil {
 				feasible = false
@@ -717,6 +638,10 @@ func (t *Tuner) gradAccums() []int {
 	return out
 }
 
+// layerWindow is the half-width of the per-stage layer-count range
+// explored around the balanced share.
+const layerWindow = 2
+
 // layerRange gives the candidate layer counts for one stage: a window
 // around the balanced share ceil(L/S), clipped so every other stage can
 // still receive at least one layer.
@@ -725,16 +650,12 @@ func (t *Tuner) layerRange(s, stageIdx int) []int {
 	if s == 1 {
 		return []int{layers}
 	}
-	w := t.LayerWindow
-	if w <= 0 {
-		w = 2
-	}
 	center := (layers + s - 1) / s
-	lo := center - w
+	lo := center - layerWindow
 	if lo < 1 {
 		lo = 1
 	}
-	hi := center + w
+	hi := center + layerWindow
 	if maxL := layers - (s - 1); hi > maxL {
 		hi = maxL
 	}
@@ -755,7 +676,7 @@ func (t *Tuner) PredictPlan(p *plan.Plan) (float64, error) {
 	maxT, sumT := 0.0, 0.0
 	dm, prefix := 0.0, 0.0
 	for _, st := range p.Stages {
-		r, err := t.evaluator().Evaluate(st.Shape, st.Knobs)
+		r, err := t.backend().Evaluate(st.Shape, st.Knobs)
 		if err != nil {
 			return 0, err
 		}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/evalcache"
 	"repro/internal/hardware"
 	"repro/internal/model"
 	"repro/internal/plan"
@@ -122,6 +123,146 @@ func TestSolversAgree(t *testing.T) {
 		}
 		if math.Abs(rm.Predicted-re.Predicted) > 1e-6*re.Predicted {
 			t.Errorf("%s: MILP objective %v != exhaustive %v", space.Name, rm.Predicted, re.Predicted)
+		}
+	}
+}
+
+// TestSolversAgreeOnHandBuiltLists is the differential check of the one
+// inter-stage DP on candidate lists small enough to enumerate: every
+// selection of one candidate per stage whose layers sum to L and whose
+// devices sum to N is priced by the Eq. 1 (or averaged) objective as the
+// paper writes it, and the DP must return exactly the minimum — times
+// are multiples of 1/8 and G a power of two, so every sum is exact and
+// the comparison is ==. Rows whose candidates all hold the same device
+// count are the uniform sweep's case: there the DP is also run the way
+// that sweep runs it (no device budget, the device dimension of size
+// one) and checked against the MILP and the branch-and-bound enumeration.
+func TestSolversAgreeOnHandBuiltLists(t *testing.T) {
+	c := func(layers, devices int, tm, d float64) candidate {
+		return candidate{
+			Shape: schedule.StageShape{DP: devices, TP: 1},
+			Knobs: schedule.Knobs{Layers: layers}, T: tm, D: d,
+		}
+	}
+	rows := []struct {
+		name               string
+		layers, devices, g int
+		uniform            bool
+		cands              [][]candidate
+	}{
+		{"uniform-2x3", 8, 2, 4, true, [][]candidate{
+			{c(3, 1, 3, 0.5), c(4, 1, 4, 0.25), c(5, 1, 5, 0)},
+			{c(3, 1, 3.5, 1), c(4, 1, 4.5, 0.5), c(5, 1, 5.5, 2)},
+		}},
+		// Large deltas on fast stages: the two objectives disagree.
+		{"uniform-3x4-spiky", 12, 6, 8, true, [][]candidate{
+			{c(3, 2, 1.5, 0), c(4, 2, 2, 0.25), c(5, 2, 2.5, 0), c(4, 2, 1.75, 3)},
+			{c(3, 2, 1.5, 4), c(4, 2, 2, 0.5), c(5, 2, 2.5, 0.125), c(4, 2, 1.875, 6)},
+			{c(3, 2, 1.625, 0.5), c(4, 2, 2.25, 0), c(5, 2, 2.75, 0.25), c(4, 2, 2, 8)},
+		}},
+		{"uniform-4x6", 16, 4, 2, true, [][]candidate{
+			{c(2, 1, 2.25, 0), c(3, 1, 3.25, 0.5), c(4, 1, 4.25, 0.125), c(4, 1, 4, 2.5), c(5, 1, 5.25, 0), c(6, 1, 6.25, 0.25)},
+			{c(2, 1, 2, 1), c(3, 1, 3, 0), c(4, 1, 4, 0.5), c(4, 1, 3.75, 4), c(5, 1, 5, 0.25), c(6, 1, 6, 0)},
+			{c(2, 1, 2, 0), c(3, 1, 3, 1.5), c(4, 1, 4, 0), c(4, 1, 3.875, 1), c(5, 1, 5, 0.5), c(6, 1, 6, 3)},
+			{c(2, 1, 2.5, 0.5), c(3, 1, 3.5, 0), c(4, 1, 4.5, 0.25), c(4, 1, 4.25, 2), c(5, 1, 5.5, 0), c(6, 1, 6.5, 1)},
+		}},
+		{"mixed-2x6-on-4", 8, 4, 4, false, [][]candidate{
+			{c(4, 1, 8, 0), c(4, 2, 4, 0.5), c(4, 3, 3, 0.25), c(3, 2, 3, 1), c(5, 2, 5, 0), c(5, 3, 3.5, 2)},
+			{c(4, 1, 8.5, 0), c(4, 2, 4.5, 1), c(4, 3, 3.25, 0), c(3, 1, 6.5, 0.5), c(5, 2, 5.5, 0.25), c(5, 1, 10, 0)},
+		}},
+		// Three stages on four devices: no uniform split exists.
+		{"mixed-3x6-on-4", 12, 4, 4, false, [][]candidate{
+			{c(3, 1, 6, 0), c(4, 1, 8, 0.5), c(5, 1, 10, 0), c(3, 2, 3.25, 1), c(4, 2, 4.25, 0), c(5, 2, 5.25, 3)},
+			{c(3, 1, 5.5, 2), c(4, 1, 7.5, 0), c(5, 1, 9.5, 0.25), c(3, 2, 3, 0), c(4, 2, 4, 5), c(5, 2, 5, 0.5)},
+			{c(3, 1, 6.5, 0), c(4, 1, 8.5, 1), c(5, 1, 10.5, 0), c(3, 2, 3.5, 0.25), c(4, 2, 4.5, 0), c(5, 2, 5.5, 0.125)},
+		}},
+		{"mixed-4x6-on-8", 16, 8, 8, false, [][]candidate{
+			{c(3, 1, 6, 0), c(4, 1, 8, 0), c(4, 2, 4.25, 1), c(5, 2, 5.25, 0), c(4, 4, 2.5, 6), c(5, 4, 3, 0.5)},
+			{c(3, 1, 5.5, 0.5), c(4, 1, 7.5, 0), c(4, 2, 4, 0), c(5, 2, 5, 2), c(3, 4, 1.75, 0), c(4, 4, 2.25, 9)},
+			{c(3, 1, 5.5, 0), c(4, 1, 7.5, 3), c(4, 2, 4, 0.25), c(5, 2, 5, 0), c(3, 3, 2.25, 0), c(4, 3, 2.875, 1)},
+			{c(3, 1, 6.5, 0), c(4, 1, 8.5, 0), c(4, 2, 4.5, 0.5), c(5, 2, 5.5, 0), c(4, 4, 2.75, 0), c(5, 4, 3.25, 4)},
+		}},
+		// Two stages of at most two devices cannot tile five.
+		{"mixed-unreachable", 6, 5, 2, false, [][]candidate{
+			{c(3, 1, 3, 0), c(3, 2, 1.5, 0)},
+			{c(3, 1, 3, 0), c(3, 2, 1.5, 0)},
+		}},
+	}
+	// Eq. 1, or with imbalance off the averaged objective of prior
+	// planners, written out literally.
+	objective := func(sel []candidate, g int, imbalance bool) float64 {
+		maxT, sumT, dm, prefix := 0.0, 0.0, 0.0, 0.0
+		for _, c := range sel {
+			tm := c.T
+			if imbalance {
+				dm = math.Max(dm, c.D-prefix)
+				prefix += c.T
+			} else {
+				tm += c.D / float64(g)
+			}
+			maxT, sumT = math.Max(maxT, tm), sumT+tm
+		}
+		return float64(g-1)*maxT + sumT + dm
+	}
+	for _, row := range rows {
+		for _, imbalance := range []bool{true, false} {
+			want := math.Inf(1)
+			sel := make([]candidate, len(row.cands))
+			var enumerate func(i, layersLeft, devicesLeft int)
+			enumerate = func(i, layersLeft, devicesLeft int) {
+				if i == len(sel) {
+					if layersLeft == 0 && devicesLeft == 0 {
+						want = math.Min(want, objective(sel, row.g, imbalance))
+					}
+					return
+				}
+				for _, c := range row.cands[i] {
+					sel[i] = c
+					enumerate(i+1, layersLeft-c.Knobs.Layers, devicesLeft-c.Shape.Devices())
+				}
+			}
+			enumerate(0, row.layers, row.devices)
+
+			tn := &Tuner{Space: Space{ImbalanceAware: imbalance}}
+			check := func(solver string, sol *interSolution, err error, tol float64) {
+				t.Helper()
+				if math.IsInf(want, 1) {
+					if err == nil {
+						t.Errorf("%s imbalance=%v: %s found %v where no selection is feasible", row.name, imbalance, solver, sol.Objective)
+					}
+					return
+				}
+				if err != nil {
+					t.Errorf("%s imbalance=%v: %s: %v", row.name, imbalance, solver, err)
+					return
+				}
+				if math.Abs(sol.Objective-want) > tol*want {
+					t.Errorf("%s imbalance=%v: %s objective %v, brute force %v", row.name, imbalance, solver, sol.Objective, want)
+				}
+				layers, devices := 0, 0
+				for _, c := range sol.Stages {
+					layers += c.Knobs.Layers
+					devices += c.Shape.Devices()
+				}
+				if layers != row.layers || devices != row.devices {
+					t.Errorf("%s imbalance=%v: %s selected %d layers on %d devices, want %d on %d",
+						row.name, imbalance, solver, layers, devices, row.layers, row.devices)
+				}
+				if got := objective(sol.Stages, row.g, imbalance); math.Abs(got-sol.Objective) > tol*want {
+					t.Errorf("%s imbalance=%v: %s reports %v for a selection worth %v", row.name, imbalance, solver, sol.Objective, got)
+				}
+			}
+			sol, err := tn.solveInterDP(row.cands, row.layers, row.devices, row.g)
+			check("device-aware DP", sol, err, 0)
+			if !row.uniform {
+				continue
+			}
+			sol, err = tn.solveInterDP(row.cands, row.layers, 0, row.g)
+			check("DP", sol, err, 0)
+			sol, err = tn.solveInterExhaustive(row.cands, row.layers, row.g)
+			check("exhaustive", sol, err, 0)
+			sol, err = tn.solveInterMILP(row.cands, row.layers, row.g)
+			check("MILP", sol, err, 1e-6)
 		}
 	}
 }
@@ -273,7 +414,7 @@ func TestParetoSampleKExceedsFrontier(t *testing.T) {
 // the reference value for the tuner's `evaluated` accounting.
 type flakyEvaluator struct {
 	an           *schedule.Analyzer
-	failBatchTP  int          // EvaluateBatch errors for shapes with this TP (0: never)
+	failBatchTP  int          // EvaluateSet errors for shapes with this TP (0: never)
 	failEvaluate bool         // every single-point Evaluate errors
 	points       atomic.Int64 // successful batch pricings, in points
 	attempts     atomic.Int64 // single-point Evaluate attempts
@@ -287,13 +428,13 @@ func (f *flakyEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (sche
 	return f.an.Evaluate(s, k)
 }
 
-func (f *flakyEvaluator) EvaluateBatch(s schedule.StageShape, ks []schedule.Knobs) ([]schedule.Result, error) {
+func (f *flakyEvaluator) EvaluateSet(s schedule.StageShape, set *evalcache.KnobSet, dst []schedule.Result, sc *evalcache.Scratch) ([]schedule.Result, error) {
 	if f.failBatchTP != 0 && s.TP == f.failBatchTP {
 		return nil, errors.New("flaky: batch failed")
 	}
-	rs, err := f.an.EvaluateBatch(s, ks)
+	rs, err := f.an.EvaluateSet(s, set, dst, sc)
 	if err == nil {
-		f.points.Add(int64(len(ks)))
+		f.points.Add(int64(set.Len()))
 	}
 	return rs, err
 }
@@ -313,7 +454,7 @@ func TestIntraStageExactCountOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	fl := &flakyEvaluator{an: tn.An, failBatchTP: 2}
-	tn.evOverride = fl
+	tn.ev = fl
 
 	sc := &sweepScratch{}
 	_, evaluated, err := tn.intraStage(1, 1, 0, 2, w.Model.Layers, sc)
@@ -342,7 +483,7 @@ func TestTuneUniformCountsFailedEvaluations(t *testing.T) {
 		t.Fatal(err)
 	}
 	fl := &flakyEvaluator{an: tn.An, failEvaluate: true}
-	tn.evOverride = fl
+	tn.ev = fl
 
 	_, evaluated, err := tn.tuneUniform(2, 1, 1)
 	if err == nil {
@@ -403,11 +544,8 @@ func TestCacheOnOffIdenticalPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := New(w, cl, MistSpace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncached.NoCache = true
+	// The uncached reference: a Tuner literal prices on the bare analyzer.
+	uncached := &Tuner{W: w, Cluster: cl, An: cached.An, Space: MistSpace()}
 
 	rc, err := cached.Tune()
 	if err != nil {

@@ -68,7 +68,7 @@ func (t *Tuner) prepareWarm() (*warmSeed, int) {
 	stages := make([]candidate, len(p.Stages))
 	evaluated := 0
 	for i, st := range p.Stages {
-		r, err := t.evaluator().Evaluate(st.Shape, st.Knobs)
+		r, err := t.backend().Evaluate(st.Shape, st.Knobs)
 		evaluated++
 		if err != nil || !r.Fits(budget) {
 			return nil, evaluated
@@ -102,7 +102,7 @@ func boundValue(c candidate, g int) float64 {
 // survives and the tuner's (objective, S, G) tie-breaking sees the same
 // tie set as an unpruned search — the chosen plan is bit-identical.
 func (t *Tuner) pruneByBound(cands []candidate, g int) []candidate {
-	bound := t.bound()
+	bound := t.incumbent
 	if math.IsInf(bound, 1) {
 		return cands
 	}

@@ -7,11 +7,13 @@ import (
 )
 
 // BenchmarkWarmStartTune compares a cold search against the same search
-// warm-started from a neighboring workload's plan (half the batch). The
-// warm sub-benchmark reports candidate evaluations per op alongside
-// wall time: the incumbent bound aborts dominated (S, G) pairs before
-// their remaining stages are priced, so evals/op must come in below the
-// cold run's.
+// warm-started from a neighboring workload's plan (half the batch). Both
+// sub-benchmarks report candidate evaluations per op alongside wall
+// time. The committed BENCH.json records warm 299 evals/op against cold
+// 298: the incumbent bound that aborts dominated (S, G) pairs is fed by
+// every completed wave of pairs on cold searches too, and the seed's own
+// pricing is the extra evaluation. Whether Tuner.Warm earns its keep is
+// ROADMAP item 3 (b); this bench is the instrument, not a promise.
 func BenchmarkWarmStartTune(b *testing.B) {
 	w := testWorkload("gpt3-1.3b", 16)
 	space := DeepSpeedSpace()

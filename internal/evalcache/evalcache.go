@@ -11,9 +11,8 @@
 // sets (one per layer count), so a row is found with a single map probe
 // and served with a single copy, and a missed row is priced by the
 // analyzer in one batch that shares work across the set (see
-// schedule.Analyzer.EvaluatePreparedInto). Single candidates and ad-hoc
-// batches are rows of one and of the batch's length through the same
-// store.
+// schedule.Analyzer.EvaluateSet). A single candidate is a row of one
+// through the same store.
 //
 // Keys are canonical: schedule.StageShape.Canonical collapses shapes
 // that provably evaluate identically (ZeRO under DP = 1; stage position,
@@ -50,7 +49,6 @@
 package evalcache
 
 import (
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -58,98 +56,35 @@ import (
 	"repro/internal/schedule"
 )
 
-// Evaluator is the pricing interface the cache wraps and implements;
-// *schedule.Analyzer satisfies it.
+// Evaluator is the tuner's pricing backend, and the only interface that
+// names it: one set-pricing method plus the single-point Evaluate. The
+// bare *schedule.Analyzer and the memoizing *Cache both satisfy it (and
+// a Cache wraps one), so core.Tuner holds one Evaluator, chosen when the
+// tuner is built.
 type Evaluator interface {
 	Evaluate(schedule.StageShape, schedule.Knobs) (schedule.Result, error)
-	EvaluateBatch(schedule.StageShape, []schedule.Knobs) ([]schedule.Result, error)
+	// EvaluateSet prices every entry of set under shape, in set order.
+	// dst is reused when its capacity suffices and the returned slice
+	// aliases it; sc's buffers persist across calls.
+	EvaluateSet(shape schedule.StageShape, set *KnobSet, dst []schedule.Result, sc *Scratch) ([]schedule.Result, error)
 }
 
-// preparedInto is the optional prepared-batch interface
-// (*schedule.Analyzer implements it); the cache prefers it for pricing a
-// missed row, so the sweep reuses the set's tuple partition and writes
-// straight into the row.
-type preparedInto interface {
-	EvaluatePreparedInto(dst []schedule.Result, shape schedule.StageShape, b *schedule.Batch, sc *schedule.EvalScratch) ([]schedule.Result, error)
-}
+var (
+	_ Evaluator = (*schedule.Analyzer)(nil)
+	_ Evaluator = (*Cache)(nil)
+)
 
-// KnobSet is an immutable, order-preserving batch of knobs: one stage
-// shape's whole knob grid, the unit the cache stores and the analyzer
-// prices. The tuner builds one per distinct layer count per search (the
-// knob grid depends only on the layer count) and reuses it across every
-// (stage, shape) sweep.
-type KnobSet struct {
-	knobs []schedule.Knobs
-	hash  uint64 // of the ordered content; buckets the cache's set table
-
-	// uniq holds the set's distinct entries in first-occurrence order,
-	// prepared for row pricing; uniqOf[i] is entry i's position in it
-	// (<= i), nil when every entry is distinct. In-set duplicates are
-	// priced once and served as hits.
-	uniq   *schedule.Batch
-	uniqOf []int32
-
-	// res memoizes the set's interned id against the last cache that
-	// resolved it. The memo lives on the (request-scoped) set, not the
-	// (process-lifetime) cache. Resolution is deterministic per cache
-	// (each content gets one stable id), so a racing re-resolution
-	// publishes an identical value and last-write-wins is safe.
-	res atomic.Pointer[setResolution]
-}
-
-// setResolution pairs a set's interned id with the cache that issued it.
-type setResolution struct {
-	cache *Cache
-	id    uint32
-}
+// KnobSet, the unit the cache stores, and Scratch, the reusable buffers
+// of one pricing stream (one goroutine at a time; the zero value is ready
+// to use), are the analyzer's own prepared batch and scratch under the
+// names this package's callers know them by.
+type (
+	KnobSet = schedule.Batch
+	Scratch = schedule.EvalScratch
+)
 
 // NewKnobSet copies ks into an immutable set.
-func NewKnobSet(ks []schedule.Knobs) *KnobSet {
-	s := &KnobSet{
-		knobs:  append([]schedule.Knobs(nil), ks...),
-		uniqOf: make([]int32, len(ks)),
-	}
-	uniq := make([]schedule.Knobs, 0, len(ks))
-	seen := make(map[schedule.Knobs]int32, len(ks))
-	var h uint64
-	mix := func(x uint64) { h = (h ^ x) * 1099511628211 } // FNV-1a over words
-	for i, k := range s.knobs {
-		mix(uint64(k.Layers))
-		mix(uint64(k.Ckpt))
-		mix(math.Float64bits(k.WO))
-		mix(math.Float64bits(k.GO))
-		mix(math.Float64bits(k.OO))
-		mix(math.Float64bits(k.AO))
-		first, dup := seen[k]
-		if !dup {
-			first = int32(len(uniq))
-			seen[k] = first
-			uniq = append(uniq, k)
-		}
-		s.uniqOf[i] = first
-	}
-	if len(uniq) == len(s.knobs) { // no duplicates: one backing array, no index
-		uniq, s.uniqOf = s.knobs, nil
-	}
-	s.hash = h
-	s.uniq = schedule.NewBatch(uniq)
-	return s
-}
-
-// Knobs returns the set's backing slice; callers must not mutate it.
-func (s *KnobSet) Knobs() []schedule.Knobs { return s.knobs }
-
-// Len reports the number of entries (including in-set duplicates).
-func (s *KnobSet) Len() int { return len(s.knobs) }
-
-// Scratch holds the reusable buffers of one pricing stream. One Scratch
-// belongs to one goroutine at a time; the zero value is ready to use.
-type Scratch struct {
-	// Eval is the underlying analyzer's buffer set, exported so callers
-	// bypassing the cache (NoCache benchmarking) can reuse the same
-	// scratch against schedule.Analyzer directly.
-	Eval schedule.EvalScratch
-}
+func NewKnobSet(ks []schedule.Knobs) *KnobSet { return schedule.NewBatch(ks) }
 
 // rowKey identifies one stored row.
 type rowKey struct {
@@ -221,16 +156,19 @@ func (c *Cache) Len() int {
 
 // setID returns the set's interned content id against this cache,
 // resolving it on the set's first use here and memoizing it on the set.
-// A set alternating between caches (which no current caller does) would
-// re-resolve on each switch — correct, just unmemoized.
+// Resolution is deterministic per cache (each content gets one stable
+// id), so a racing re-resolution publishes an identical value and
+// last-write-wins is safe. A set alternating between caches (which no
+// current caller does) would re-resolve on each switch — correct, just
+// unmemoized.
 func (c *Cache) setID(s *KnobSet) uint32 {
-	if r := s.res.Load(); r != nil && r.cache == c {
-		return r.id
+	if m := s.Memo.Load(); m != nil && m.Owner == c {
+		return m.ID
 	}
 	c.mu.Lock()
 	id, known := uint32(0), false
-	for _, e := range c.sets[s.hash] {
-		if slices.Equal(e.knobs, s.knobs) {
+	for _, e := range c.sets[s.Hash()] {
+		if slices.Equal(e.knobs, s.Knobs()) {
 			id, known = e.id, true
 			break
 		}
@@ -238,10 +176,10 @@ func (c *Cache) setID(s *KnobSet) uint32 {
 	if !known {
 		id = c.nsets
 		c.nsets++
-		c.sets[s.hash] = append(c.sets[s.hash], internedSet{knobs: s.knobs, id: id})
+		c.sets[s.Hash()] = append(c.sets[s.Hash()], internedSet{knobs: s.Knobs(), id: id})
 	}
 	c.mu.Unlock()
-	s.res.Store(&setResolution{cache: c, id: id})
+	s.Memo.Store(&schedule.BatchMemo{Owner: c, ID: id})
 	return id
 }
 
@@ -249,30 +187,23 @@ func (c *Cache) setID(s *KnobSet) uint32 {
 // or counted: an invalid point re-queries the analyzer (cheap — it fails
 // validation before any pricing).
 func (c *Cache) Evaluate(shape schedule.StageShape, k schedule.Knobs) (schedule.Result, error) {
-	rs, err := c.EvaluateBatch(shape, []schedule.Knobs{k})
+	var sc Scratch
+	rs, err := c.EvaluateSet(shape, NewKnobSet([]schedule.Knobs{k}), nil, &sc)
 	if err != nil {
 		return schedule.Result{}, err
 	}
 	return rs[0], nil
 }
 
-// EvaluateBatch prices an ad-hoc knob slice under one shape as a row of
-// its own. Repeated batches should build a KnobSet once and use
-// EvaluateSet.
-func (c *Cache) EvaluateBatch(shape schedule.StageShape, ks []schedule.Knobs) ([]schedule.Result, error) {
-	var sc Scratch
-	return c.EvaluateSet(shape, NewKnobSet(ks), nil, &sc)
-}
-
 // EvaluateSet prices every entry of a KnobSet under one shape: one probe
-// of the row store, then either a copy of the stored row or one analyzer
+// of the row store, then either a copy of the stored row or one backend
 // batch over the set's distinct entries. dst is reused when its capacity
 // suffices and the returned slice aliases it — it is the caller's, never
 // the stored row — and sc's buffers persist across calls. This is the
 // tuner's hot path: a hit allocates nothing once dst has grown, a miss
 // allocates the row it publishes.
 func (c *Cache) EvaluateSet(shape schedule.StageShape, set *KnobSet, dst []schedule.Result, sc *Scratch) ([]schedule.Result, error) {
-	n := len(set.knobs)
+	n := set.Len()
 	if cap(dst) < n {
 		dst = make([]schedule.Result, n)
 	}
@@ -286,7 +217,8 @@ func (c *Cache) EvaluateSet(shape schedule.StageShape, set *KnobSet, dst []sched
 		copy(dst, row)
 		return dst, nil
 	}
-	row, err := c.price(shape, set, sc)
+	// A fresh, exactly-sized row for the missed (shape, set).
+	row, err := c.ev.EvaluateSet(shape, set, make([]schedule.Result, n), sc)
 	if err != nil {
 		return nil, err
 	}
@@ -296,35 +228,9 @@ func (c *Cache) EvaluateSet(shape schedule.StageShape, set *KnobSet, dst []sched
 		c.held += n
 	}
 	c.mu.Unlock()
-	uniq := len(set.uniq.Knobs())
+	uniq := set.Distinct()
 	c.misses.Add(uint64(uniq))
 	c.hits.Add(uint64(n - uniq))
 	copy(dst, row)
 	return dst, nil
-}
-
-// price builds a fresh, exactly-sized row for a missed (shape, set).
-func (c *Cache) price(shape schedule.StageShape, set *KnobSet, sc *Scratch) ([]schedule.Result, error) {
-	row := make([]schedule.Result, len(set.knobs))
-	uniq := set.uniq.Knobs()
-	if pi, ok := c.ev.(preparedInto); ok {
-		if _, err := pi.EvaluatePreparedInto(row, shape, set.uniq, &sc.Eval); err != nil {
-			return nil, err
-		}
-	} else {
-		priced, err := c.ev.EvaluateBatch(shape, uniq)
-		if err != nil {
-			return nil, err
-		}
-		copy(row, priced)
-	}
-	if len(uniq) < len(row) {
-		// The distinct entries' results sit in the row's prefix; spread
-		// them to set order back to front (uniqOf[i] <= i, so no source
-		// is overwritten before it is read).
-		for i := len(row) - 1; i >= 0; i-- {
-			row[i] = row[set.uniqOf[i]]
-		}
-	}
-	return row, nil
 }

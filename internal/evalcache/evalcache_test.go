@@ -38,7 +38,7 @@ func testShape() schedule.StageShape {
 type countingEvaluator struct {
 	ev      Evaluator
 	singles atomic.Int64
-	batched atomic.Int64 // total knob points priced via EvaluateBatch
+	batched atomic.Int64 // total distinct knob points priced via EvaluateSet
 }
 
 func (ce *countingEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (schedule.Result, error) {
@@ -46,9 +46,16 @@ func (ce *countingEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (
 	return ce.ev.Evaluate(s, k)
 }
 
-func (ce *countingEvaluator) EvaluateBatch(s schedule.StageShape, ks []schedule.Knobs) ([]schedule.Result, error) {
-	ce.batched.Add(int64(len(ks)))
-	return ce.ev.EvaluateBatch(s, ks)
+func (ce *countingEvaluator) EvaluateSet(s schedule.StageShape, set *KnobSet, dst []schedule.Result, sc *Scratch) ([]schedule.Result, error) {
+	ce.batched.Add(int64(set.Distinct()))
+	return ce.ev.EvaluateSet(s, set, dst, sc)
+}
+
+// evaluateBatch prices an ad-hoc knob slice as a row of its own: a fresh
+// KnobSet per call, the way Cache.Evaluate builds its row of one.
+func evaluateBatch(ev Evaluator, s schedule.StageShape, ks []schedule.Knobs) ([]schedule.Result, error) {
+	var sc Scratch
+	return ev.EvaluateSet(s, NewKnobSet(ks), nil, &sc)
 }
 
 func TestCacheHitReturnsIdenticalResult(t *testing.T) {
@@ -202,7 +209,7 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 		{Layers: 32, Ckpt: 0},
 		{Layers: 32, Ckpt: 8},
 	}
-	if _, err := c.EvaluateBatch(shape, warm); err != nil {
+	if _, err := evaluateBatch(c, shape, warm); err != nil {
 		t.Fatal(err)
 	}
 	if got := ce.batched.Load(); got != 2 {
@@ -218,7 +225,7 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 		{Layers: 32, Ckpt: 24},
 	}
 	for pass, wantPriced := range []int64{2 + 4, 2 + 4} { // first pass prices the 4 distinct entries, second nothing
-		rs, err := c.EvaluateBatch(shape, mixed)
+		rs, err := evaluateBatch(c, shape, mixed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,11 +285,12 @@ func TestSetIdentityIsExactContent(t *testing.T) {
 		}
 	}
 
-	// Same length, same hash bucket (forced), different content.
+	// Same length, same hash bucket (forced: the first set's interned
+	// entry is filed under the other's hash too), different content.
 	other := append([]schedule.Knobs(nil), knobs...)
 	other[1].AO = 1
 	collide := NewKnobSet(other)
-	collide.hash = NewKnobSet(knobs).hash
+	c.sets[collide.Hash()] = append(c.sets[collide.Hash()], c.sets[NewKnobSet(knobs).Hash()]...)
 	rs, err := c.EvaluateSet(shape, collide, nil, &sc)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +436,7 @@ func TestEvaluateErrorNotCached(t *testing.T) {
 	if st := c.Stats(); st.Misses != 0 || c.Len() != 0 {
 		t.Errorf("error was cached: stats %+v len %d", st, c.Len())
 	}
-	if _, err := c.EvaluateBatch(testShape(), []schedule.Knobs{bad}); err == nil {
+	if _, err := evaluateBatch(c, testShape(), []schedule.Knobs{bad}); err == nil {
 		t.Fatal("invalid batch accepted")
 	}
 }
@@ -461,7 +469,7 @@ func TestConcurrentAccess(t *testing.T) {
 						return
 					}
 				} else {
-					if _, err := c.EvaluateBatch(shape, []schedule.Knobs{k, {Layers: 32, Ckpt: 8}}); err != nil {
+					if _, err := evaluateBatch(c, shape, []schedule.Knobs{k, {Layers: 32, Ckpt: 8}}); err != nil {
 						errs <- fmt.Errorf("worker %d batch: %w", seed, err)
 						return
 					}

@@ -31,20 +31,20 @@ func (c *syntheticEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (
 	return syntheticResult(s, k), nil
 }
 
-func (c *syntheticEvaluator) EvaluateBatch(s schedule.StageShape, ks []schedule.Knobs) ([]schedule.Result, error) {
+func (c *syntheticEvaluator) EvaluateSet(s schedule.StageShape, set *KnobSet, dst []schedule.Result, _ *Scratch) ([]schedule.Result, error) {
 	c.mu.Lock()
-	c.calls += len(ks)
+	c.calls += set.Distinct() // a backend prices in-set duplicates once
 	c.mu.Unlock()
-	out := make([]schedule.Result, len(ks))
-	for i, k := range ks {
-		out[i] = syntheticResult(s, k)
+	dst = dst[:0]
+	for _, k := range set.Knobs() {
+		dst = append(dst, syntheticResult(s, k))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // TestConcurrentMixedHitMissLoad hammers one cache from many goroutines
 // with overlapping row populations — rows of one through Evaluate, ad-hoc
-// six-entry rows through EvaluateBatch — and checks, under the race
+// six-entry rows through EvaluateSet — and checks, under the race
 // detector (`make race`), that every result is correct and the hit/miss
 // accounting stays exact: each requested point counts as precisely one
 // hit or one miss, whatever the interleaving.
@@ -86,7 +86,7 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 						for i := range ks {
 							ks[i] = knobsFor((g + r + i) % 8)
 						}
-						rs, err := c.EvaluateBatch(sh, ks)
+						rs, err := evaluateBatch(c, sh, ks)
 						if err != nil {
 							errs <- err
 							return

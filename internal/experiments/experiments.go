@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6) on the reproduction's simulation substrate. Each
 // experiment returns a printable Table whose rows mirror the series the
-// paper plots; EXPERIMENTS.md records the paper-vs-reproduction
-// comparison. The cmd/mistbench binary and the repository-root
+// paper plots; the paper-vs-reproduction comparison is what
+// `go run ./cmd/mistbench` prints (README "Performance" has the
+// committed numbers). The cmd/mistbench binary and the repository-root
 // benchmarks both drive this package.
 package experiments
 

@@ -56,16 +56,19 @@ func TestIterationTimeDeltaHiding(t *testing.T) {
 }
 
 func TestAveragedVsImbalanceAware(t *testing.T) {
-	// With equal total work, the averaged objective can prefer a plan
-	// with huge deltas on the first stage; Eq. 1 must penalize it.
-	honest := []StagePerf{{Stable: 1.0, Delta: 0}, {Stable: 1.0, Delta: 0}}
-	spiky := []StagePerf{{Stable: 0.9, Delta: 4}, {Stable: 0.9, Delta: 0}}
-	g := 4
-	if IterationTimeAveraged(spiky, g) >= IterationTimeAveraged(honest, g) {
-		t.Skip("averaged objective setup did not produce the inversion")
+	// Shortcoming #3: a large delta on a stage that is not the bottleneck
+	// is diluted to d/G by the averaged objective without moving its max
+	// term, so it prefers the spiky plan (7·1.0 + 0.875 + 1.0 = 8.875 <
+	// 7·1.1 + 2.2 = 9.9); Eq. 1 exposes the whole delta and ranks the
+	// plans the other way round (7·1.0 + 1.5 + 3 = 11.5 > 9.9).
+	honest := []StagePerf{{Stable: 1.1, Delta: 0}, {Stable: 1.1, Delta: 0}}
+	spiky := []StagePerf{{Stable: 0.5, Delta: 3}, {Stable: 1.0, Delta: 0}}
+	g := 8
+	if s, h := IterationTimeAveraged(spiky, g), IterationTimeAveraged(honest, g); s >= h {
+		t.Errorf("averaged objective should prefer the spiky plan: spiky %v, honest %v", s, h)
 	}
-	if IterationTime(spiky, g) <= IterationTime(honest, g) {
-		t.Error("Eq.1 should penalize the spiky plan the averaged objective prefers")
+	if s, h := IterationTime(spiky, g), IterationTime(honest, g); s <= h {
+		t.Errorf("Eq.1 should penalize the spiky plan the averaged objective prefers: spiky %v, honest %v", s, h)
 	}
 }
 

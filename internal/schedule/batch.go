@@ -3,6 +3,7 @@ package schedule
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 )
 
 // tupleGroups partitions a knob batch by offload tuple (WO, GO, OO, AO):
@@ -14,25 +15,87 @@ type tupleGroups struct {
 	starts []int32
 }
 
-// Batch is an immutable knob batch prepared for pricing under many
-// shapes: validated and partitioned by offload tuple once, when it is
-// built, instead of on every EvaluateBatchInto call.
+// Batch is an immutable, order-preserving knob batch prepared for pricing
+// under many shapes: one stage shape's whole knob grid, the unit the
+// analyzer prices and the evaluation cache stores (evalcache.KnobSet is
+// this type). It is validated, deduplicated and partitioned by offload
+// tuple once, when it is built, instead of on every EvaluateBatchInto
+// call. The tuner builds one per distinct layer count (the knob grid
+// depends only on the layer count) and reuses it across every (stage,
+// shape) sweep.
 type Batch struct {
-	knobs  []Knobs
+	knobs []Knobs
+	hash  uint64 // of the ordered content; buckets the cache's set table
+
+	// uniq holds the distinct entries in first-occurrence order and groups
+	// their tuple partition; uniqOf[i] is entry i's position in uniq
+	// (<= i), nil when every entry is distinct (uniq is then knobs itself).
+	// In-set duplicates are priced once.
+	uniq   []Knobs
+	uniqOf []int32
 	groups tupleGroups
 	err    error // the first invalid entry's error, returned by every evaluation
+
+	// Memo belongs to the one consumer that keeps per-batch state: the
+	// evaluation cache parks the batch's interned content id here, so the
+	// memo lives on the (request-scoped) batch, not in the
+	// (process-lifetime) cache. The analyzer never reads it.
+	Memo atomic.Pointer[BatchMemo]
 }
 
-// NewBatch prepares ks, which the batch keeps and the caller must not
-// modify afterwards.
+// BatchMemo pairs an Owner's annotation of a batch with the owner, so a
+// batch met by a second owner is recognised as not yet annotated.
+type BatchMemo struct {
+	Owner any
+	ID    uint32
+}
+
+// NewBatch copies ks into a prepared batch.
 func NewBatch(ks []Knobs) *Batch {
+	b := &Batch{
+		knobs:  append([]Knobs(nil), ks...),
+		uniqOf: make([]int32, len(ks)),
+	}
+	uniq := make([]Knobs, 0, len(ks))
+	seen := make(map[Knobs]int32, len(ks))
+	mix := func(x uint64) { b.hash = (b.hash ^ x) * 1099511628211 } // FNV-1a over words
+	for i, k := range b.knobs {
+		mix(uint64(k.Layers))
+		mix(uint64(k.Ckpt))
+		mix(math.Float64bits(k.WO))
+		mix(math.Float64bits(k.GO))
+		mix(math.Float64bits(k.OO))
+		mix(math.Float64bits(k.AO))
+		first, dup := seen[k]
+		if !dup {
+			first = int32(len(uniq))
+			seen[k] = first
+			uniq = append(uniq, k)
+		}
+		b.uniqOf[i] = first
+	}
+	if len(uniq) == len(b.knobs) { // no duplicates: one backing array, no index
+		uniq, b.uniqOf = b.knobs, nil
+	}
 	var g grouper
-	err := g.build(ks)
-	return &Batch{knobs: ks, groups: g.tupleGroups, err: err}
+	b.err = g.build(uniq)
+	b.uniq, b.groups = uniq, g.tupleGroups
+	return b
 }
 
-// Knobs returns the batch's entries; callers must not mutate them.
+// Knobs returns the batch's entries in order, in-set duplicates
+// included; callers must not mutate them.
 func (b *Batch) Knobs() []Knobs { return b.knobs }
+
+// Len reports the number of entries (including in-set duplicates).
+func (b *Batch) Len() int { return len(b.knobs) }
+
+// Distinct reports the number of distinct entries: what pricing the
+// batch under a new shape costs the analyzer.
+func (b *Batch) Distinct() int { return len(b.uniq) }
+
+// Hash is a hash of the ordered content (equal content, equal hash).
+func (b *Batch) Hash() uint64 { return b.hash }
 
 // grouper builds tupleGroups, keeping its working buffers so a stream of
 // builds allocates nothing once they have grown.

@@ -5,3 +5,9 @@ package schedule
 func (a *Analyzer) BuildCounts() (traced, compiled int) {
 	return int(a.nTraced.Load()), int(a.nCompiled.Load())
 }
+
+// EvaluatePreparedInto is EvaluateSet under the argument order the
+// per-shape reference check (reference_test.go) was written against.
+func (a *Analyzer) EvaluatePreparedInto(dst []Result, shape StageShape, b *Batch, sc *EvalScratch) ([]Result, error) {
+	return a.EvaluateSet(shape, b, dst, sc)
+}

@@ -198,7 +198,8 @@ func NewAnalyzer(cfg model.Config, seq int, flash bool, cluster *hardware.Cluste
 
 // Evaluate prices one candidate.
 func (a *Analyzer) Evaluate(shape StageShape, k Knobs) (Result, error) {
-	rs, err := a.EvaluateBatch(shape, []Knobs{k})
+	var sc EvalScratch
+	rs, err := a.EvaluateBatchInto(nil, shape, []Knobs{k}, &sc)
 	if err != nil {
 		return Result{}, err
 	}
@@ -216,19 +217,13 @@ type EvalScratch struct {
 	group grouper // tuple partition of the current ad-hoc batch
 }
 
-// EvaluateBatch prices many knob candidates under one shape with a single
-// compiled-program sweep (the batched value substitution of §5.2).
-func (a *Analyzer) EvaluateBatch(shape StageShape, ks []Knobs) ([]Result, error) {
-	var sc EvalScratch
-	return a.EvaluateBatchInto(nil, shape, ks, &sc)
-}
-
-// EvaluateBatchInto is EvaluateBatch with caller-owned result and scratch
-// buffers: dst is reused when its capacity suffices (the returned slice
-// aliases it), and sc's internal buffers persist across calls, so a
-// stream of calls allocates nothing once they have grown. The batch is
-// partitioned by offload tuple into sc on every call; callers pricing
-// the same knobs under many shapes prepare a Batch once instead.
+// EvaluateBatchInto prices an ad-hoc knob slice under one shape with a
+// single compiled-program sweep (the batched value substitution of §5.2).
+// dst is reused when its capacity suffices (the returned slice aliases
+// it), and sc's internal buffers persist across calls, so a stream of
+// calls allocates nothing once they have grown. The slice is partitioned
+// by offload tuple into sc on every call; callers pricing the same knobs
+// under many shapes prepare a Batch once and use EvaluateSet.
 func (a *Analyzer) EvaluateBatchInto(dst []Result, shape StageShape, ks []Knobs, sc *EvalScratch) ([]Result, error) {
 	sp := a.program(shape)
 	if sp.err != nil {
@@ -240,17 +235,34 @@ func (a *Analyzer) EvaluateBatchInto(dst []Result, shape StageShape, ks []Knobs,
 	return a.priceGroups(dst, sp, ks, &sc.group.tupleGroups, sc), nil
 }
 
-// EvaluatePreparedInto is EvaluateBatchInto over a prepared Batch: the
-// tuple partition was computed when the batch was built.
-func (a *Analyzer) EvaluatePreparedInto(dst []Result, shape StageShape, b *Batch, sc *EvalScratch) ([]Result, error) {
+// EvaluateSet prices every entry of a prepared Batch under one shape, in
+// batch order: the tuple partition was computed when the batch was
+// built, and in-set duplicates are priced once. dst and sc are reused as
+// in EvaluateBatchInto. This is the one set-pricing method of the
+// tuner's pricing backend (evalcache.Evaluator), which the evaluation
+// cache implements by the same name.
+func (a *Analyzer) EvaluateSet(shape StageShape, set *Batch, dst []Result, sc *EvalScratch) ([]Result, error) {
 	sp := a.program(shape)
 	if sp.err != nil {
 		return nil, sp.err
 	}
-	if b.err != nil {
-		return nil, b.err
+	if set.err != nil {
+		return nil, set.err
 	}
-	return a.priceGroups(dst, sp, b.knobs, &b.groups, sc), nil
+	if cap(dst) < len(set.knobs) {
+		dst = make([]Result, len(set.knobs))
+	}
+	dst = dst[:len(set.knobs)]
+	a.priceGroups(dst, sp, set.uniq, &set.groups, sc)
+	if set.uniqOf != nil {
+		// The distinct entries' results sit in dst's prefix; spread them to
+		// batch order back to front (uniqOf[i] <= i, so no source is
+		// overwritten before it is read).
+		for i := len(dst) - 1; i >= 0; i-- {
+			dst[i] = dst[set.uniqOf[i]]
+		}
+	}
+	return dst, nil
 }
 
 // priceGroups prices a validated, tuple-partitioned batch. The tape's

@@ -308,7 +308,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 				if dst, err = a.EvaluateBatchInto(dst, shape, ks, &sc); err != nil {
 					t.Fatal(err)
 				}
-				prepared, err := a.EvaluatePreparedInto(nil, shape, NewBatch(ks), &sc)
+				prepared, err := a.EvaluateSet(shape, NewBatch(ks), nil, &sc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -341,12 +341,12 @@ func TestConcurrentFirstUseCompilesOnce(t *testing.T) {
 			}
 		}
 	}
-	ks := mistKnobGrid(8)
+	set := NewBatch(mistKnobGrid(8)) // shared by every goroutine, like the tuner's
 	serial := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
 	want := make([][]Result, len(shapes))
 	for i, shape := range shapes {
 		var err error
-		if want[i], err = serial.EvaluateBatch(shape, ks); err != nil {
+		if want[i], err = serial.EvaluateSet(shape, set, nil, new(EvalScratch)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,7 +361,7 @@ func TestConcurrentFirstUseCompilesOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			got[i], errs[i] = a.EvaluateBatch(shapes[i], ks)
+			got[i], errs[i] = a.EvaluateSet(shapes[i], set, nil, new(EvalScratch))
 		}()
 	}
 	close(start)

@@ -24,8 +24,9 @@
 // internal/core (the §5.3 hierarchical tuner with MILP inter-stage
 // optimization), internal/trainsim (the discrete-event execution engine
 // standing in for a physical cluster) and internal/baselines (the
-// comparison systems of §6). See DESIGN.md for the full inventory and
-// EXPERIMENTS.md for the paper-vs-reproduction results.
+// comparison systems of §6). See DESIGN.md for the full inventory;
+// `go run ./cmd/mistbench -exp all` prints the paper-vs-reproduction
+// tables and README "Performance" has the committed numbers.
 package mist
 
 import (
