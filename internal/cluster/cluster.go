@@ -1,10 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/trace"
 )
 
 // Wire headers of the cluster tier.
@@ -76,7 +75,6 @@ type Cluster struct {
 	self     string
 	rfTarget int
 	vnodes   int
-	client   Doer
 	checker  *Checker
 	events   *EventLog
 
@@ -110,14 +108,6 @@ func New(cfg Config) (*Cluster, error) {
 	if rf < 1 {
 		rf = 2
 	}
-	ids := make([]string, 0, len(cfg.Members))
-	for _, m := range cfg.Members {
-		ids = append(ids, m.ID)
-	}
-	ring, err := NewRing(ids, cfg.VNodes)
-	if err != nil {
-		return nil, err
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Timeout: 2 * time.Minute}
@@ -129,18 +119,24 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		self:     cfg.Self,
 		rfTarget: rf,
-		vnodes:   ring.VNodes(),
-		client:   client,
-		checker:  NewChecker(cfg.Self, cfg.Members, client, cfg.ProbeTimeout, downAfter),
+		vnodes:   cfg.VNodes,
+		checker:  NewChecker(cfg.Self, nil, client, cfg.ProbeTimeout, downAfter),
+		events:   NewEventLog(cfg.Self, 0, cfg.Clock),
+		departed: map[string]Member{},
 	}
 	if cfg.Clock != nil {
 		c.checker.clock = cfg.Clock
 	}
-	c.events = NewEventLog(cfg.Self, 0, cfg.Clock)
+	// The boot view goes in the way every later one does: ring, member
+	// table and the checker's peer set in one step.
+	if err := c.adoptLocked(boot); err != nil {
+		return nil, err
+	}
+	c.vnodes = c.ring.VNodes() // the default, resolved once
 	// Health transitions land on the timeline as this node's local
 	// observations (nodes may transiently disagree, and that disagreement
 	// is itself worth seeing).
-	c.checker.SetOnTransition(func(id string, from, to Health) {
+	c.checker.onTransition = func(id string, from, to Health) {
 		typ := EventMemberOk
 		switch to {
 		case Suspect:
@@ -149,19 +145,11 @@ func New(cfg Config) (*Cluster, error) {
 			typ = EventMemberDown
 		}
 		c.events.Append(typ, id, c.Epoch(), "was "+from.String())
-	})
-	c.view = boot.Clone()
-	c.viewFp = c.view.Fingerprint()
-	c.members = map[string]Member{}
-	for _, m := range c.view.Members {
-		c.members[m.ID] = m
 	}
-	c.ring = ring
-	c.departed = map[string]Member{}
 	// Probe replies carry the peer's view epoch and membership
 	// fingerprint; a peer ahead of us — or diverged at our own epoch —
 	// is the anti-entropy signal to reconcile views.
-	c.checker.SetOnPeerEpoch(c.observePeerEpoch)
+	c.checker.onEpoch = c.observePeerEpoch
 	return c, nil
 }
 
@@ -203,23 +191,22 @@ func (c *Cluster) Epoch() int64 {
 	return c.view.Epoch
 }
 
-// ViewFingerprint returns the adopted view's membership fingerprint —
-// piggybacked on /healthz replies so peers can detect equal-epoch view
-// divergence, not just being behind.
-func (c *Cluster) ViewFingerprint() uint64 {
-	c.vmu.RLock()
-	defer c.vmu.RUnlock()
-	return c.viewFp
+// RingID identifies one concrete ring: the view epoch plus the
+// membership fingerprint. Repair bookkeeping and probe replies carry
+// the pair, not the epoch alone — equal-epoch view divergence (the
+// fingerprint tie-break case) means two different rings can share an
+// epoch number, and a memo recorded under the losing ring must not
+// suppress repair under the winning one.
+type RingID struct {
+	Epoch int64
+	Fp    uint64
 }
 
-// ViewID returns the adopted view's (epoch, fingerprint) pair in one
-// consistent read — the identity repair bookkeeping must key on:
-// equal-epoch divergence means two different rings can share an epoch
-// number, so epoch alone under-identifies the ring.
-func (c *Cluster) ViewID() (epoch int64, fp uint64) {
+// ViewID returns the adopted view's identity in one consistent read.
+func (c *Cluster) ViewID() RingID {
 	c.vmu.RLock()
 	defer c.vmu.RUnlock()
-	return c.view.Epoch, c.viewFp
+	return RingID{c.view.Epoch, c.viewFp}
 }
 
 // DepartedMembers lists ex-members of superseded views (drained or
@@ -325,14 +312,22 @@ func (c *Cluster) adoptLocked(v View) error {
 	return nil
 }
 
-// fireViewChange invokes the view-change hook outside the view lock.
-func (c *Cluster) fireViewChange(v View) {
-	c.vmu.RLock()
-	fn := c.onViewChange
-	c.vmu.RUnlock()
-	if fn != nil {
-		fn(v)
+// installAndUnlock adopts nv, releases vmu (which the caller holds),
+// and publishes the change: one epoch-adopted event naming what caused
+// it, then the view-change hook. It returns the adopted view.
+func (c *Cluster) installAndUnlock(nv View, member, cause string) (View, error) {
+	if err := c.adoptLocked(nv); err != nil {
+		c.vmu.Unlock()
+		return View{}, err
 	}
+	adopted, onChange := c.view.Clone(), c.onViewChange
+	c.vmu.Unlock()
+	c.events.Append(EventEpochAdopted, member, adopted.Epoch,
+		fmt.Sprintf("%s, %d members", cause, len(adopted.Members)))
+	if onChange != nil {
+		onChange(adopted)
+	}
+	return adopted, nil
 }
 
 // AdoptView installs a peer-announced view when it supersedes the
@@ -349,16 +344,8 @@ func (c *Cluster) AdoptView(v View) (bool, error) {
 		c.vmu.Unlock()
 		return false, nil
 	}
-	if err := c.adoptLocked(v); err != nil {
-		c.vmu.Unlock()
-		return false, err
-	}
-	adopted := c.view
-	c.vmu.Unlock()
-	c.events.Append(EventEpochAdopted, "", adopted.Epoch,
-		fmt.Sprintf("announced view, %d members", len(adopted.Members)))
-	c.fireViewChange(adopted)
-	return true, nil
+	_, err := c.installAndUnlock(v, "", "announced view")
+	return err == nil, err
 }
 
 // ProposeJoin mints and locally adopts the view that adds a member at
@@ -380,35 +367,27 @@ func (c *Cluster) ProposeJoin(m Member) (View, bool, error) {
 		return View{}, false, fmt.Errorf("cluster: member %q already present at %s (join asked for %s)",
 			m.ID, ex.Addr, m.Addr)
 	}
-	nv := View{
+	v, err := c.installAndUnlock(View{
 		Epoch:   c.view.Epoch + 1,
 		Members: append(append([]Member(nil), c.view.Members...), m),
-	}.Clone()
-	if err := c.adoptLocked(nv); err != nil {
-		c.vmu.Unlock()
-		return View{}, false, err
-	}
-	adopted := c.view
-	c.vmu.Unlock()
-	c.events.Append(EventEpochAdopted, m.ID, adopted.Epoch,
-		fmt.Sprintf("join, %d members", len(adopted.Members)))
-	c.fireViewChange(adopted)
-	return adopted.Clone(), true, nil
+	}, m.ID, "join")
+	return v, err == nil, err
 }
 
 // ProposeDrain mints and locally adopts the view that removes a member
-// at Epoch+1, returning it for broadcast (which must include the
-// drained node, so it learns to hand off and forward). Draining the
-// last member is refused; draining an unknown member is an error.
-func (c *Cluster) ProposeDrain(id string) (View, bool, error) {
+// at Epoch+1, returning it for broadcast together with the member it
+// removed (the broadcast must include the drained node, so it learns to
+// hand off and forward). Draining the last member is refused; draining
+// an unknown member is an error.
+func (c *Cluster) ProposeDrain(id string) (View, Member, error) {
 	c.vmu.Lock()
-	if _, ok := c.members[id]; !ok {
+	gone, ok := c.members[id]
+	if !ok || len(c.members) == 1 {
 		c.vmu.Unlock()
-		return View{}, false, fmt.Errorf("cluster: cannot drain unknown member %q", id)
-	}
-	if len(c.members) == 1 {
-		c.vmu.Unlock()
-		return View{}, false, fmt.Errorf("cluster: refusing to drain the last member %q", id)
+		if !ok {
+			return View{}, Member{}, fmt.Errorf("cluster: cannot drain unknown member %q", id)
+		}
+		return View{}, Member{}, fmt.Errorf("cluster: refusing to drain the last member %q", id)
 	}
 	nv := View{Epoch: c.view.Epoch + 1}
 	for _, m := range c.view.Members {
@@ -416,16 +395,8 @@ func (c *Cluster) ProposeDrain(id string) (View, bool, error) {
 			nv.Members = append(nv.Members, m)
 		}
 	}
-	if err := c.adoptLocked(nv); err != nil {
-		c.vmu.Unlock()
-		return View{}, false, err
-	}
-	adopted := c.view
-	c.vmu.Unlock()
-	c.events.Append(EventEpochAdopted, id, adopted.Epoch,
-		fmt.Sprintf("drain, %d members", len(adopted.Members)))
-	c.fireViewChange(adopted)
-	return adopted.Clone(), true, nil
+	v, err := c.installAndUnlock(nv, id, "drain")
+	return v, gone, err
 }
 
 // observePeerEpoch is the checker's probe callback: a peer announcing
@@ -440,8 +411,8 @@ func (c *Cluster) ProposeDrain(id string) (View, bool, error) {
 // Stop cancels an in-flight sync and waits for it to finish instead of
 // leaking a detached RPC past shutdown.
 func (c *Cluster) observePeerEpoch(ctx context.Context, id string, epoch int64, fp uint64) {
-	cur, curFp := c.ViewID()
-	if epoch < cur || (epoch == cur && (fp == 0 || fp == curFp)) {
+	cur := c.ViewID()
+	if epoch < cur.Epoch || (epoch == cur.Epoch && (fp == 0 || fp == cur.Fp)) {
 		return
 	}
 	if !c.syncing.CompareAndSwap(false, true) {
@@ -455,56 +426,6 @@ func (c *Cluster) observePeerEpoch(ctx context.Context, id string, epoch int64, 
 	}()
 }
 
-// syncViewWith reconciles views with one peer: fetch, adopt if theirs
-// supersedes, push ours back when it stands — the repair half of
-// probe-driven view anti-entropy. Bounded by its own 5s budget within
-// the caller's context, so stopping the prober aborts it.
-func (c *Cluster) syncViewWith(ctx context.Context, id string) {
-	m, ok := c.Member(id)
-	if !ok {
-		return
-	}
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.Addr+"/cluster/view", nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.checker.ReportFailure(id)
-		return
-	}
-	var v View
-	err = json.NewDecoder(resp.Body).Decode(&v)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || err != nil {
-		return
-	}
-	adopted, err := c.AdoptView(v)
-	if err != nil || adopted {
-		return
-	}
-	// Their view did not supersede ours — by the total order, ours
-	// supersedes theirs (or they are equal, in which case the push is a
-	// harmless no-op on their side). Announce ours so the losing side
-	// converges even when nobody probes US (e.g. a winning joiner the
-	// rest of the fleet dropped from its probe set).
-	ours := c.CurrentView()
-	body, err := json.Marshal(ours)
-	if err != nil {
-		return
-	}
-	preq, err := http.NewRequestWithContext(ctx, http.MethodPost, m.Addr+"/cluster/view", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	preq.Header.Set("Content-Type", "application/json")
-	if presp, err := c.client.Do(preq); err == nil {
-		presp.Body.Close()
-	}
-}
-
 // Owner returns the ring owner of a key, health ignored.
 func (c *Cluster) Owner(key string) string { return c.Ring().Owner(key) }
 
@@ -514,11 +435,7 @@ func (c *Cluster) Owner(key string) string { return c.Ring().Owner(key) }
 func (c *Cluster) Replicas(key string) []Member {
 	c.vmu.RLock()
 	defer c.vmu.RUnlock()
-	rf := c.rfTarget
-	if rf > len(c.members) {
-		rf = len(c.members)
-	}
-	ids := c.ring.Replicas(key, rf)
+	ids := c.ring.Replicas(key, c.rfTarget) // the ring caps R at its member count
 	out := make([]Member, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, c.members[id])
@@ -526,12 +443,32 @@ func (c *Cluster) Replicas(key string) []Member {
 	return out
 }
 
-// ReplicaTargets returns the key's replica set excluding self — the
-// peers a locally completed plan must be written through to.
-func (c *Cluster) ReplicaTargets(key string) []Member {
+// ReplicaTargets splits the key's replica set once: the peers a locally
+// held record must be written through to, and whether this node is
+// itself one of the replicas.
+func (c *Cluster) ReplicaTargets(key string) (others []Member, selfIn bool) {
+	reps := c.Replicas(key)
+	others = c.Others(reps)
+	return others, len(others) < len(reps)
+}
+
+// Others is the one fan-out list: the given member lists flattened,
+// self removed, duplicates dropped, first-seen order kept. Down peers
+// stay in — each fan-out counts them differently (skipped-down,
+// SkippedDown, an incomplete pull), so that stays at the call site.
+func (c *Cluster) Others(lists ...[]Member) []Member {
 	var out []Member
-	for _, m := range c.Replicas(key) {
-		if m.ID != c.self {
+	for _, list := range lists {
+	next:
+		for _, m := range list {
+			if m.ID == c.self {
+				continue
+			}
+			for _, have := range out {
+				if have.ID == m.ID {
+					continue next
+				}
+			}
 			out = append(out, m)
 		}
 	}
@@ -560,40 +497,73 @@ func (c *Cluster) Route(key string) []Member {
 	return append(ok, suspect...)
 }
 
-// Forward sends one already-read request to a peer: method and path are
-// preserved, the body is replayed from bytes, the request id and
-// content type are propagated, and HeaderForwardedBy pins the hop count
-// to one. The outcome feeds the health checker, so a dead peer is
-// noticed at the first failed forward.
+// Forward sends one already-read request to a peer and returns the raw
+// response (the relay copies it to its client verbatim); Checker.send
+// says what every peer request carries and how its outcome is judged.
 func (c *Cluster) Forward(ctx context.Context, m Member, method, path, requestID, contentType string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, m.Addr+path, bytes.NewReader(body))
+	return c.checker.send(ctx, m, method, path, requestID, contentType, body)
+}
+
+// maxPeerReply caps every peer reply DecodeReply reads: room for the
+// largest, a GET /cluster/records listing (a record is a few KiB, so
+// tens of thousands of plans), and a bound on what a misbehaving peer
+// can make this node buffer.
+const maxPeerReply = 64 << 20
+
+// ErrorReply is the body of every non-2xx answer of the service.
+type ErrorReply struct {
+	Error string `json:"error"`
+}
+
+// StatusError is a peer's non-200 answer: its status code and the error
+// text of its envelope, so a caller can relay both (a peer's 429 stays
+// a 429) or match one (404 on a record fetch is a miss, not a failure).
+type StatusError struct {
+	Peer   string
+	Status int
+	Msg    string
+}
+
+func (e *StatusError) Error() string { return e.Msg }
+
+// DecodeReply consumes and closes one peer reply. The status is judged
+// first: any answer but 200 becomes a *StatusError and is never decoded
+// into out.
+func DecodeReply(peer string, resp *http.Response, out any) error {
+	defer resp.Body.Close()
+	dec := json.NewDecoder(io.LimitReader(resp.Body, maxPeerReply))
+	if resp.StatusCode != http.StatusOK {
+		var env ErrorReply
+		if dec.Decode(&env) != nil || env.Error == "" {
+			env.Error = fmt.Sprintf("peer %s answered %d", peer, resp.StatusCode)
+		}
+		return &StatusError{Peer: peer, Status: resp.StatusCode, Msg: env.Error}
+	}
+	if err := dec.Decode(out); err != nil {
+		return fmt.Errorf("decoding peer %s reply: %w", peer, err)
+	}
+	return nil
+}
+
+// Call is the one JSON peer call: a request over Forward (so it feeds
+// the health checker and carries the hop marker and trace context),
+// bounded by budget, its reply consumed by DecodeReply. Budget 0 adds no
+// deadline: the caller's context carries one for the whole round.
+func (c *Cluster) Call(ctx context.Context, budget time.Duration, m Member, method, path, requestID string, body []byte, out any) error {
+	if budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
+	}
+	contentType := ""
+	if body != nil {
+		contentType = "application/json"
+	}
+	resp, err := c.Forward(ctx, m, method, path, requestID, contentType, body)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if requestID != "" {
-		req.Header.Set(HeaderRequestID, requestID)
-	}
-	// Trace context rides the same hop: the receiving node's root span
-	// joins the sender's trace under the sender's active span.
-	trace.Inject(ctx, req.Header)
-	req.Header.Set(HeaderForwardedBy, c.self)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.checker.ReportFailure(m.ID)
-		return nil, err
-	}
-	if resp.StatusCode >= http.StatusInternalServerError {
-		// A 5xx is a live-but-unwell signal: count it toward Suspect so
-		// routing prefers healthy replicas, but return the response —
-		// the caller decides whether to relay or retry.
-		c.checker.ReportFailure(m.ID)
-	} else {
-		c.checker.ReportSuccess(m.ID)
-	}
-	return resp, nil
+	return DecodeReply(m.ID, resp, out)
 }
 
 // Start launches the active health prober on the interval; Stop (or

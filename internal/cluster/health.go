@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/trace"
 )
 
 // Health is a peer's observed liveness state as seen from this node.
@@ -40,6 +42,21 @@ func (h Health) String() string {
 	return "unknown"
 }
 
+// Heartbeat is the GET /healthz reply. A clustered node piggybacks its
+// view identity on it; a bare server answers just ok.
+type Heartbeat struct {
+	OK bool `json:"ok"`
+	*ViewStamp
+}
+
+// ViewStamp is the view identity a probe reply carries: the epoch and
+// the membership fingerprint as 16 hex digits (absent from peers that
+// predate fingerprint piggybacking).
+type ViewStamp struct {
+	Epoch  int64  `json:"epoch"`
+	ViewFp string `json:"viewFp,omitempty"`
+}
+
 // Doer executes one HTTP request. *http.Client satisfies it; in-process
 // harnesses substitute a switchboard that routes to handlers directly.
 type Doer interface {
@@ -60,12 +77,20 @@ type Checker struct {
 	downAfter int
 	clock     clock.Ticking
 
-	mu           sync.Mutex
-	fails        map[string]int // consecutive failures by peer id
-	addrs        map[string]string
-	epochs       map[string]int64 // last view epoch seen in a probe reply
+	// Hooks, installed by cluster.New before any traffic and called
+	// outside mu. onEpoch fires (from probe goroutines) when a probe
+	// reply carries a view epoch; fp is the peer's membership
+	// fingerprint (0 for peers that predate fingerprint piggybacking),
+	// and ctx is the probe round's, so work the hook starts is canceled
+	// when the prober stops. onTransition fires when a peer's derived
+	// health state changes — the cluster event timeline hangs here.
 	onEpoch      func(ctx context.Context, id string, epoch int64, fp uint64)
 	onTransition func(id string, from, to Health)
+
+	mu     sync.Mutex
+	fails  map[string]int // consecutive failures by peer id
+	addrs  map[string]string
+	epochs map[string]int64 // last view epoch seen in a probe reply
 }
 
 // NewChecker builds a checker over the peer set (self is always Ok and
@@ -85,14 +110,9 @@ func NewChecker(self string, members []Member, client Doer, timeout time.Duratio
 		downAfter: downAfter,
 		clock:     clock.System,
 		fails:     map[string]int{},
-		addrs:     map[string]string{},
 		epochs:    map[string]int64{},
 	}
-	for _, m := range members {
-		if m.ID != self {
-			c.addrs[m.ID] = m.Addr
-		}
-	}
+	c.SetPeers(members)
 	return c
 }
 
@@ -117,27 +137,6 @@ func (c *Checker) SetPeers(members []Member) {
 		}
 	}
 	c.addrs = next
-}
-
-// SetOnPeerEpoch installs the hook invoked (from probe goroutines)
-// whenever a probe reply carries a view epoch; fp is the peer's
-// membership fingerprint (0 for peers that predate fingerprint
-// piggybacking). The hook receives the probe round's context, so work
-// it starts is canceled when the prober stops. One hook at a time;
-// install before the prober starts.
-func (c *Checker) SetOnPeerEpoch(fn func(ctx context.Context, id string, epoch int64, fp uint64)) {
-	c.mu.Lock()
-	c.onEpoch = fn
-	c.mu.Unlock()
-}
-
-// SetOnTransition installs the hook invoked (outside the checker lock)
-// whenever a peer's derived health state changes — the cluster event
-// timeline hangs here. One hook at a time; install before traffic.
-func (c *Checker) SetOnTransition(fn func(id string, from, to Health)) {
-	c.mu.Lock()
-	c.onTransition = fn
-	c.mu.Unlock()
 }
 
 // statusLocked derives a peer's health from its failure count; caller
@@ -173,47 +172,61 @@ func (c *Checker) Status(id string) Health {
 
 // ReportSuccess records a successful interaction with a peer, resetting
 // it to Ok.
-func (c *Checker) ReportSuccess(id string) {
-	if id == c.self {
-		return
-	}
-	c.mu.Lock()
-	from := c.statusLocked(id)
-	c.fails[id] = 0
-	to := c.statusLocked(id)
-	fn := c.onTransition
-	c.mu.Unlock()
-	if fn != nil && from != to {
-		fn(id, from, to)
-	}
-}
+func (c *Checker) ReportSuccess(id string) { c.report(id, true) }
 
 // ReportFailure records a failed interaction with a peer (transport
 // error or 5xx), advancing Ok → Suspect → Down.
-func (c *Checker) ReportFailure(id string) {
+func (c *Checker) ReportFailure(id string) { c.report(id, false) }
+
+// report applies one outcome to a peer's failure count and fires the
+// transition hook, outside the lock, when the derived state changed.
+func (c *Checker) report(id string, ok bool) {
 	if id == c.self {
 		return
 	}
 	c.mu.Lock()
 	from := c.statusLocked(id)
-	if c.fails[id] < c.downAfter {
+	if ok {
+		c.fails[id] = 0
+	} else if c.fails[id] < c.downAfter {
 		c.fails[id]++
 	}
 	to := c.statusLocked(id)
-	fn := c.onTransition
 	c.mu.Unlock()
-	if fn != nil && from != to {
-		fn(id, from, to)
+	if c.onTransition != nil && from != to {
+		c.onTransition(id, from, to)
 	}
 }
 
-// recordEpoch stores a probed peer's announced epoch and returns the
-// hook to invoke (outside the checker lock).
-func (c *Checker) recordEpoch(id string, epoch int64) func(context.Context, string, int64, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.epochs[id] = epoch
-	return c.onEpoch
+// send is the one member-to-member request: every forward, peer call
+// and probe leaves this node through it. The body is replayed from
+// bytes, request id and content type are propagated, the sender's trace
+// context is injected (the receiver's root span joins the sender's
+// trace under its active span), and HeaderForwardedBy pins the hop
+// count to one. The outcome is the passive health signal, so a dead
+// peer is noticed at the first failed request: a transport error or a
+// 5xx (live but unwell — still returned, for the caller to relay or
+// retry) counts as a failure, anything else as a success.
+func (c *Checker) send(ctx context.Context, m Member, method, path, requestID, contentType string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, m.Addr+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	if requestID != "" {
+		req.Header.Set(HeaderRequestID, requestID)
+	}
+	trace.Inject(ctx, req.Header)
+	req.Header.Set(HeaderForwardedBy, c.self)
+	resp, err := c.client.Do(req)
+	if err != nil || resp.StatusCode >= http.StatusInternalServerError {
+		c.ReportFailure(m.ID)
+	} else {
+		c.ReportSuccess(m.ID)
+	}
+	return resp, err
 }
 
 // ProbeOnce probes every peer's /healthz concurrently and records the
@@ -233,41 +246,30 @@ func (c *Checker) ProbeOnce(ctx context.Context) {
 			defer wg.Done()
 			pctx, cancel := context.WithTimeout(ctx, c.timeout)
 			defer cancel()
-			req, err := http.NewRequestWithContext(pctx, http.MethodGet, p.Addr+"/healthz", nil)
+			resp, err := c.send(pctx, p, http.MethodGet, "/healthz", "", "", nil)
 			if err != nil {
-				c.ReportFailure(p.ID)
-				return
-			}
-			resp, err := c.client.Do(req)
-			if err != nil {
-				c.ReportFailure(p.ID)
 				return
 			}
 			body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 			resp.Body.Close()
-			if resp.StatusCode >= http.StatusInternalServerError {
-				c.ReportFailure(p.ID)
-				return
-			}
-			c.ReportSuccess(p.ID)
 			// Epoch piggyback: a clustered peer's /healthz reply names its
 			// view epoch and membership fingerprint; surfacing them here
 			// is what lets a node notice — on the existing probe cadence,
 			// no extra round-trips — that a join or drain happened while
 			// it was partitioned or booting, or that the fleet split on
 			// concurrent changes at its own epoch.
-			var hb struct {
-				Epoch  int64  `json:"epoch"`
-				ViewFp string `json:"viewFp"`
-			}
-			if json.Unmarshal(body, &hb) == nil && (hb.Epoch > 0 || hb.ViewFp != "") {
+			var hb Heartbeat
+			if json.Unmarshal(body, &hb) == nil && hb.ViewStamp != nil && (hb.Epoch > 0 || hb.ViewFp != "") {
 				fp, _ := strconv.ParseUint(hb.ViewFp, 16, 64)
 				// The hook gets the round's context (not the per-probe
 				// pctx, which expires with this reply): view syncs it
 				// spawns should outlive one probe but die with the
 				// prober.
-				if fn := c.recordEpoch(p.ID, hb.Epoch); fn != nil {
-					fn(ctx, p.ID, hb.Epoch, fp)
+				c.mu.Lock()
+				c.epochs[p.ID] = hb.Epoch
+				c.mu.Unlock()
+				if c.onEpoch != nil {
+					c.onEpoch(ctx, p.ID, hb.Epoch, fp)
 				}
 			}
 		}(p)

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // ParsePeers must refuse every malformed wire form with a useful error,
@@ -86,9 +88,9 @@ func TestProposeJoin(t *testing.T) {
 // refused.
 func TestProposeDrain(t *testing.T) {
 	cl := mustCluster(t, "n1", testMembers(), newFakeDoer())
-	v, changed, err := cl.ProposeDrain("n3")
-	if err != nil || !changed || v.Epoch != 1 || len(v.Members) != 2 {
-		t.Fatalf("drain: %+v changed=%v err=%v", v, changed, err)
+	v, gone, err := cl.ProposeDrain("n3")
+	if err != nil || gone != (Member{ID: "n3", Addr: "http://n3"}) || v.Epoch != 1 || len(v.Members) != 2 {
+		t.Fatalf("drain: %+v removed=%+v err=%v", v, gone, err)
 	}
 	if _, _, err := cl.ProposeDrain("nX"); err == nil {
 		t.Error("unknown drain accepted")
@@ -267,7 +269,7 @@ func TestEqualEpochDivergenceReconciles(t *testing.T) {
 	for {
 		if theirs.supersedes(mine) {
 			// Their view wins: we must have adopted it.
-			if cl.ViewFingerprint() == winnerFp {
+			if cl.ViewID().Fp == winnerFp {
 				break
 			}
 		} else {
@@ -275,20 +277,20 @@ func TestEqualEpochDivergenceReconciles(t *testing.T) {
 			doer.mu.Lock()
 			pushedBack := len(doer.pushed) > 0 && doer.pushed[len(doer.pushed)-1].Fingerprint() == winnerFp
 			doer.mu.Unlock()
-			if pushedBack && cl.ViewFingerprint() == winnerFp {
+			if pushedBack && cl.ViewID().Fp == winnerFp {
 				break
 			}
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("divergence never reconciled: mine fp %x, theirs fp %x, current %x, pushed %d",
-				mine.Fingerprint(), theirs.Fingerprint(), cl.ViewFingerprint(), len(doer.pushed))
+				mine.Fingerprint(), theirs.Fingerprint(), cl.ViewID().Fp, len(doer.pushed))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	// A peer at the same epoch AND fingerprint triggers no sync.
 	doer.mu.Lock()
 	doer.epoch = cl.Epoch()
-	doer.viewFp = fmt.Sprintf("%016x", cl.ViewFingerprint())
+	doer.viewFp = fmt.Sprintf("%016x", cl.ViewID().Fp)
 	gets := doer.gets
 	doer.mu.Unlock()
 	cl.Checker().ProbeOnce(context.Background())
@@ -450,5 +452,82 @@ func TestStopCancelsInFlightViewSync(t *testing.T) {
 	defer doer.mu.Unlock()
 	if !doer.canceled {
 		t.Error("in-flight view fetch never observed cancellation")
+	}
+}
+
+// syncDoer is a peer's /cluster/view surface with a settable GET status:
+// it always writes its view as the GET body (so a non-200 reply that got
+// decoded anyway would show), and keeps the headers of the last push.
+type syncDoer struct {
+	mu        sync.Mutex
+	getStatus int
+	view      View
+	pushes    int
+	pushHdr   http.Header
+}
+
+func (d *syncDoer) Do(req *http.Request) (*http.Response, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	rec := httptest.NewRecorder()
+	if req.URL.Path != "/cluster/view" {
+		rec.WriteHeader(http.StatusNotFound)
+		return rec.Result(), nil
+	}
+	if req.Method == http.MethodPost {
+		d.pushes++
+		d.pushHdr = req.Header.Clone()
+		json.NewEncoder(rec).Encode(ViewAck{Adopted: true, Epoch: 5})
+		return rec.Result(), nil
+	}
+	rec.WriteHeader(d.getStatus)
+	json.NewEncoder(rec).Encode(d.view)
+	return rec.Result(), nil
+}
+
+// View sync is two ordinary peer calls, so it is visible where every
+// other peer call is: a 5xx on the fetch feeds the health checker (and
+// its body is never decoded into a View, however adoptable it looks), a
+// clean sync reports success, and the push-back carries the hop marker
+// and the caller's trace context.
+func TestViewSyncIsAnOrdinaryPeerCall(t *testing.T) {
+	two := []Member{{ID: "n1", Addr: "http://n1"}, {ID: "n2", Addr: "http://n2"}}
+	ahead := View{Epoch: 9, Members: append(append([]Member(nil), two...), Member{ID: "n3", Addr: "http://n3"})}
+	doer := &syncDoer{getStatus: http.StatusInternalServerError, view: ahead}
+	cl := mustCluster(t, "n1", two, doer)
+	if ok, err := cl.AdoptView(View{Epoch: 5, Members: two}); err != nil || !ok {
+		t.Fatalf("adopt epoch 5: %v %v", ok, err)
+	}
+
+	cl.syncViewWith(context.Background(), "n2")
+	if got := cl.Health("n2"); got != Suspect {
+		t.Errorf("peer answering 500 to the view fetch is %v, want suspect", got)
+	}
+	if cl.Epoch() != 5 {
+		t.Errorf("a 500 reply's body was adopted as a view: epoch %d", cl.Epoch())
+	}
+	if doer.pushes != 0 {
+		t.Errorf("pushed our view back after a failed fetch (%d pushes)", doer.pushes)
+	}
+
+	// The peer recovers but is behind (epoch 3): the sync fetches, keeps
+	// ours, pushes it back — and the success clears the suspicion.
+	doer.mu.Lock()
+	doer.getStatus, doer.view = http.StatusOK, View{Epoch: 3, Members: two}
+	doer.mu.Unlock()
+	ctx, sp := trace.NewRecorder(trace.Options{SampleEvery: 1}).StartTrace(context.Background(), "sync", "rid")
+	cl.syncViewWith(ctx, "n2")
+	sp.End()
+	if got := cl.Health("n2"); got != Ok {
+		t.Errorf("peer is %v after a clean sync, want ok", got)
+	}
+	if cl.Epoch() != 5 || doer.pushes != 1 {
+		t.Fatalf("epoch %d, %d pushes; want our epoch 5 kept and pushed once", cl.Epoch(), doer.pushes)
+	}
+	if got := doer.pushHdr.Get(HeaderForwardedBy); got != "n1" {
+		t.Errorf("push-back %s = %q, want n1", HeaderForwardedBy, got)
+	}
+	if doer.pushHdr.Get(trace.HeaderTrace) != sp.TraceID() || doer.pushHdr.Get(trace.HeaderSpan) == "" {
+		t.Errorf("push-back lost the trace context: %v", doer.pushHdr)
 	}
 }

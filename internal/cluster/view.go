@@ -5,10 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
+	"time"
 )
 
 // View is one immutable generation of the cluster membership: a
@@ -96,19 +96,88 @@ func (v View) member(id string) bool {
 	return false
 }
 
-// JoinRequest is the POST /cluster/join body: the joining node's
-// identity and the address peers reach it at.
-type JoinRequest struct {
-	ID   string `json:"id"`
-	Addr string `json:"addr"`
+// ViewAck is the POST /cluster/view reply: whether the announced view
+// was adopted, and the epoch the receiver is on afterwards (so the
+// announcer can see divergence).
+type ViewAck struct {
+	Adopted bool  `json:"adopted"`
+	Epoch   int64 `json:"epoch"`
 }
 
-// DrainRequest is the POST /cluster/drain body: the member to remove
-// from the ring. The drained node keeps serving (forwarding into the
-// ring) and hands its records off via the rebalancer; it is the
-// graceful counterpart of a kill.
-type DrainRequest struct {
-	ID string `json:"id"`
+// viewSyncBudget bounds one view sync (fetch plus push-back) within the
+// prober's context, so stopping the prober aborts it.
+const viewSyncBudget = 5 * time.Second
+
+// PushView announces a view to one member (POST /cluster/view), for
+// the join/drain broadcast and the push-back half of view sync alike;
+// the caller's context carries the round's budget.
+func (c *Cluster) PushView(ctx context.Context, m Member, v View) (ViewAck, error) {
+	var ack ViewAck
+	body, err := json.Marshal(v)
+	if err != nil {
+		return ack, err
+	}
+	return ack, c.Call(ctx, 0, m, http.MethodPost, "/cluster/view", "", body, &ack)
+}
+
+// FetchView reads one member's adopted view (GET /cluster/view) — the
+// pull half of view sync.
+func (c *Cluster) FetchView(ctx context.Context, m Member) (View, error) {
+	var v View
+	return v, c.Call(ctx, 0, m, http.MethodGet, "/cluster/view", "", nil, &v)
+}
+
+// syncViewWith reconciles views with one peer: fetch, adopt if theirs
+// supersedes, push ours back when it stands — the repair half of
+// probe-driven view anti-entropy. Both requests are ordinary peer
+// calls: a failure or a 5xx reaches the health checker, and a non-200
+// reply is never decoded into a View.
+func (c *Cluster) syncViewWith(ctx context.Context, id string) {
+	m, ok := c.Member(id)
+	if !ok {
+		return
+	}
+	ctx, cancel := context.WithTimeout(ctx, viewSyncBudget)
+	defer cancel()
+	theirs, err := c.FetchView(ctx, m)
+	if err != nil {
+		return
+	}
+	if adopted, err := c.AdoptView(theirs); err != nil || adopted {
+		return
+	}
+	// Their view did not supersede ours — by the total order, ours
+	// supersedes theirs (or they are equal, in which case the push is a
+	// harmless no-op on their side). Announce ours so the losing side
+	// converges even when nobody probes US (e.g. a winning joiner the
+	// rest of the fleet dropped from its probe set). Best-effort: a lost
+	// push is retried by the next probe round that still sees divergence.
+	_, _ = c.PushView(ctx, m, c.CurrentView())
+}
+
+// seedJSON is the operator-to-seed call (join, drain): one JSON POST on
+// the operator's own client — there is no Cluster yet, so no hop marker
+// and no health bookkeeping — its reply judged by DecodeReply like any
+// peer's.
+func seedJSON(ctx context.Context, client Doer, seedAddr, path string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		strings.TrimRight(seedAddr, "/")+path, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := client.Do(req)
+	if err == nil {
+		err = DecodeReply(seedAddr, resp, out)
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: POST %s via %s: %w", path, seedAddr, err)
+	}
+	return nil
 }
 
 // JoinVia announces self to a live cluster through one seed peer: it
@@ -119,29 +188,9 @@ func JoinVia(ctx context.Context, client Doer, peerAddr string, self Member) (Vi
 	if self.ID == "" || self.Addr == "" {
 		return View{}, fmt.Errorf("cluster: join needs both an id and an advertise address")
 	}
-	body, err := json.Marshal(JoinRequest{ID: self.ID, Addr: self.Addr})
-	if err != nil {
-		return View{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(peerAddr, "/")+"/cluster/join", bytes.NewReader(body))
-	if err != nil {
-		return View{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return View{}, fmt.Errorf("cluster: join via %s: %w", peerAddr, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return View{}, fmt.Errorf("cluster: join via %s refused: %d %s",
-			peerAddr, resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
 	var v View
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return View{}, fmt.Errorf("cluster: decoding join reply: %w", err)
+	if err := seedJSON(ctx, client, peerAddr, "/cluster/join", self, &v); err != nil {
+		return View{}, err
 	}
 	if err := v.Validate(); err != nil {
 		return View{}, err
@@ -150,4 +199,14 @@ func JoinVia(ctx context.Context, client Doer, peerAddr string, self Member) (Vi
 		return View{}, fmt.Errorf("cluster: join reply view %d does not include %s", v.Epoch, self.ID)
 	}
 	return v, nil
+}
+
+// DrainVia asks one seed member to remove id from the ring (POST
+// /cluster/drain, whose body is a Member of which only the id counts)
+// and returns the view without it; the seed broadcasts that view to the
+// survivors and the drained node.
+func DrainVia(ctx context.Context, client Doer, seedAddr, id string) (View, error) {
+	var v View
+	err := seedJSON(ctx, client, seedAddr, "/cluster/drain", Member{ID: id}, &v)
+	return v, err
 }

@@ -11,7 +11,7 @@ import (
 // every package in the documented scope must carry a package-level doc
 // comment, and every exported type in a wire/API package must carry a
 // doc comment. Undocumented wire types are the worst offenders — they
-// ARE the cross-node protocol, and a bare `type JoinRequest struct`
+// ARE the cross-node protocol, and a bare `type ViewAck struct`
 // forces the reader to reverse-engineer the contract from call sites.
 //
 //   - packages matched by DocPkgs: at least one non-test file must have

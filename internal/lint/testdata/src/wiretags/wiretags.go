@@ -1,7 +1,9 @@
 // Package wiretags exercises the wiretags analyzer: in a struct that
 // already carries json tags, untagged exported fields, duplicate tag
 // names, and tagged unexported fields are findings; untagged internal
-// structs, embedded fields, and "-" fields are clean.
+// structs, embedded fields, and "-" fields are clean. A map literal as
+// a writeJSON reply body is a finding; a named struct or a map variable
+// is not.
 package wiretags
 
 // Heartbeat is a wire struct (it has json tags) with every defect
@@ -27,4 +29,12 @@ type Envelope struct {
 	Heartbeat
 	Kind string `json:"kind"`
 	Skip string `json:"-"`
+}
+
+func writeJSON(status int, v any) {}
+
+func replies(counts map[string]int) {
+	writeJSON(200, map[string]any{"ok": true}) // want `map literal as a writeJSON reply body`
+	writeJSON(200, Envelope{Kind: "ack"})
+	writeJSON(200, counts)
 }

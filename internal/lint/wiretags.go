@@ -20,6 +20,11 @@ import (
 //   - tag names must be unique within the struct,
 //   - unexported fields must not carry json tags (encoding/json never
 //     emits them; the tag is dead and misleading).
+//
+// It also flags a map composite literal handed to writeJSON as the
+// reply body: a reply spelled as a map on the serving end is
+// re-declared by hand on the decoding end, and no check above sees
+// either copy. A named struct is shared by both.
 var WiretagsAnalyzer = &Analyzer{
 	Name: "wiretags",
 	Doc:  "wire structs carry complete, unique json tags",
@@ -32,6 +37,10 @@ func runWiretags(pass *Pass) {
 	}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkReplyBody(pass, call)
+				return true
+			}
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
 				return true
@@ -43,6 +52,21 @@ func runWiretags(pass *Pass) {
 			checkWireStruct(pass, ts.Name.Name, st)
 			return true
 		})
+	}
+}
+
+// checkReplyBody reports map literals among writeJSON's arguments.
+func checkReplyBody(pass *Pass, call *ast.CallExpr) {
+	if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "writeJSON" {
+		return
+	}
+	for _, arg := range call.Args {
+		if lit, ok := arg.(*ast.CompositeLit); ok {
+			if _, isMap := lit.Type.(*ast.MapType); isMap {
+				pass.Reportf(lit.Pos(),
+					"map literal as a writeJSON reply body: declare a named reply struct so the decoding end shares it")
+			}
+		}
 	}
 }
 

@@ -325,10 +325,24 @@ func TestJobsLifecycle(t *testing.T) {
 }
 
 // TestJobSubmitValidation: invalid specs are rejected at submit time
-// with 400 — single and batch (whole batch refused).
+// with 400 — single and batch (whole batch refused, its valid half
+// rolled back) — on a bare server and on a cluster node alike: there a
+// job's wire id carries the node prefix, and a rollback that cancels by
+// it must still find the job.
 func TestJobSubmitValidation(t *testing.T) {
-	s := New()
-	defer s.Close()
+	bare := New()
+	defer bare.Close()
+	lc, err := NewLocalCluster(LocalClusterOptions{Nodes: 2, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	for name, s := range map[string]*Server{"bare": bare, "cluster node": lc.Node("n1")} {
+		t.Run(name, func(t *testing.T) { testJobSubmitValidation(t, s) })
+	}
+}
+
+func testJobSubmitValidation(t *testing.T, s *Server) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -369,8 +383,8 @@ func TestJobSubmitValidation(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if st := s.Stats(); st.JobsDone != 0 {
-		t.Errorf("rejected batch completed work: %+v", st)
+	if st := s.Stats(); st.JobsDone != 0 || st.JobsCanceled != 1 {
+		t.Errorf("rejected batch: %d jobs done, %d canceled; want 0 and 1", st.JobsDone, st.JobsCanceled)
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -30,10 +30,6 @@ const (
 	metricForwardErrorsTotal = "mist_cluster_forward_errors_total" // labels: peer
 	metricReplicationsTotal  = "mist_cluster_replications_total"   // labels: peer, outcome
 )
-
-// replicationBudget bounds one write-through replication round (all
-// replicas share it — the context is one per round, not per peer).
-const replicationBudget = 3 * time.Second
 
 // newRequestID mints a 64-bit random hex id; ids only need to be
 // unique enough to correlate log lines and job records across nodes.
@@ -65,69 +61,41 @@ func (s *Server) admittedUpstream(req *http.Request) bool {
 	return s.cluster != nil && forwarded(req)
 }
 
+// walkRoute is the one ownership walk: it offers the key to each routed
+// replica in order until try reports that a peer answered (true). False
+// means serve locally — this node is the next routed replica, or no
+// replica was reachable (counted and logged: availability wins over
+// strict single-flight).
+func (s *Server) walkRoute(ctx context.Context, key string, try func(cluster.Member) bool) bool {
+	for _, m := range s.cluster.Route(key) {
+		if m.ID == s.cluster.Self() {
+			return false
+		}
+		if try(m) {
+			return true
+		}
+	}
+	s.count.localFallbacks.Inc()
+	if s.logging(ctx) {
+		s.log.InfoContext(ctx, "no reachable replica, serving locally", "key", key)
+	}
+	return false
+}
+
 // proxyKeyed routes a request by its fingerprint key: when a peer is
 // the first healthy replica, the request (body already read) is
 // replayed to it and its response relayed, walking down the replica
 // list on transport failures. Returns true when a peer answered; false
-// means serve locally — this node is the routed replica, the request
-// already hopped once, cluster mode is off, or no replica was
-// reachable (availability wins over strict single-flight).
+// means serve locally — walkRoute said so, the request already hopped
+// once, or cluster mode is off.
 func (s *Server) proxyKeyed(rw http.ResponseWriter, req *http.Request, key string, body []byte) bool {
 	if s.cluster == nil || forwarded(req) {
 		return false
 	}
 	rid := trace.RequestID(req.Context())
-	for _, m := range s.cluster.Route(key) {
-		if m.ID == s.cluster.Self() {
-			return false
-		}
-		if s.forwardTo(rw, req, m, rid, body) {
-			return true
-		}
-	}
-	s.localFallback(req.Context(), key)
-	return false
-}
-
-// localFallback counts and logs a request served here because no
-// replica of its key was reachable.
-func (s *Server) localFallback(ctx context.Context, key string) {
-	s.count.localFallbacks.Inc()
-	if s.logging(ctx) {
-		s.log.InfoContext(ctx, "no reachable replica, serving locally", "key", key)
-	}
-}
-
-// forwardOnce sends one request to a peer, maintaining the per-peer
-// forward series (which /stats sums) and log lines in one place for
-// every forwarding path (relay and decode alike). The caller owns the
-// response body on success; a transport failure returns nil and has
-// already been counted.
-func (s *Server) forwardOnce(ctx context.Context, m cluster.Member, method, path, rid, contentType string, body []byte) *http.Response {
-	// The forward span covers the whole hop round-trip; Forward injects
-	// it onto the wire, so the peer's local root is parented under it.
-	fctx, fsp := trace.StartSpan(ctx, "forward")
-	fsp.Annotate("peer", m.ID)
-	fsp.Annotate("path", path)
-	resp, err := s.cluster.Forward(fctx, m, method, path, rid, contentType, body)
-	if err != nil {
-		fsp.Annotate("error", err.Error())
-		fsp.End()
-		s.metrics.Counter(metricForwardErrorsTotal, metrics.Labels{"peer": m.ID}).Inc()
-		if s.logging(ctx) {
-			s.log.InfoContext(ctx, "forward failed", "method", method, "path", path, "peer", m.ID, "err", err)
-		}
-		return nil
-	}
-	fsp.Annotate("code", resp.StatusCode)
-	fsp.End()
-	s.metrics.Counter(metricForwardsTotal, metrics.Labels{
-		"peer": m.ID, "code": strconv.Itoa(resp.StatusCode),
-	}).Inc()
-	if s.logging(ctx) {
-		s.log.InfoContext(ctx, "forwarded", "method", method, "path", path, "peer", m.ID, "code", resp.StatusCode)
-	}
-	return resp
+	return s.walkRoute(req.Context(), key, func(m cluster.Member) bool {
+		return s.forwardTo(rw, req, m, rid, body)
+	})
 }
 
 // forwardTo replays one request to a peer and relays the response
@@ -154,60 +122,27 @@ func (s *Server) forwardTo(rw http.ResponseWriter, req *http.Request, m cluster.
 	return true
 }
 
-// remoteStatusError carries a proxied peer's non-200 answer back
-// through the synchronous tune path with its original status code.
-type remoteStatusError struct {
-	status int
-	msg    string
-}
-
-func (e *remoteStatusError) Error() string { return e.msg }
-
-// clusterTune is tuneCtx behind the ring: fingerprints owned by a peer
-// are resolved by a forwarded POST /tune (so the search still runs
-// exactly once fleet-wide), locally owned ones run through the plan
-// cache as before. Job tasks and batch submissions go through here.
+// clusterTune is tuneCtx behind the ring, for job tasks: a fingerprint
+// owned by a peer is resolved by a forwarded POST /tune (so the search
+// still runs exactly once fleet-wide), a locally owned one runs through
+// the plan cache as before. ws must have its defaults resolved (SubmitJob
+// normalized it). A peer's non-200 answer is returned as its
+// *cluster.StatusError, which statusFor relays under the peer's code.
 func (s *Server) clusterTune(ctx context.Context, ws WorkloadSpec) (*TuneResponse, error) {
 	if s.cluster == nil {
 		return s.tuneCtx(ctx, ws)
 	}
-	if _, _, _, err := ws.normalize(); err != nil {
-		return nil, &badRequestError{err}
-	}
-	key := ws.key()
-	rid := trace.RequestID(ctx)
 	body, err := json.Marshal(TuneRequest{WorkloadSpec: ws})
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range s.cluster.Route(key) {
-		if m.ID == s.cluster.Self() {
-			return s.tuneCtx(ctx, ws)
-		}
-		resp := s.forwardOnce(ctx, m, http.MethodPost, "/tune", rid, "application/json", body)
-		if resp == nil {
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			var werr struct {
-				Error string `json:"error"`
-			}
-			_ = json.NewDecoder(resp.Body).Decode(&werr)
-			resp.Body.Close()
-			if werr.Error == "" {
-				werr.Error = fmt.Sprintf("peer %s answered %d", m.ID, resp.StatusCode)
-			}
-			return nil, &remoteStatusError{status: resp.StatusCode, msg: werr.Error}
-		}
-		var tr TuneResponse
-		err = json.NewDecoder(resp.Body).Decode(&tr)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("decoding peer %s tune response: %w", m.ID, err)
-		}
-		return &tr, nil
+	var tr *TuneResponse
+	if s.walkRoute(ctx, ws.key(), func(m cluster.Member) (answered bool) {
+		tr, answered, err = s.peerTune(ctx, m, body)
+		return answered
+	}) {
+		return tr, err
 	}
-	s.localFallback(ctx, key)
 	return s.tuneCtx(ctx, ws)
 }
 
@@ -218,16 +153,13 @@ func (s *Server) clusterTune(ctx context.Context, ws WorkloadSpec) (*TuneRespons
 // what makes a node failover lossless. Down peers are skipped (they
 // re-converge by serving store misses as fresh forwards after rejoin).
 func (s *Server) replicateRecord(ctx context.Context, rec store.Record) {
-	if s.cluster == nil {
-		return
-	}
 	key := rec.Fingerprint.Key()
 	// Ring identity captured BEFORE resolving targets: if a membership
 	// change lands mid-round, the mark below records the OLD ring
 	// (whose replica set we actually wrote to), so the repairer still
 	// re-checks the record under the new one instead of skipping it.
-	ring := s.currentRing()
-	targets := s.cluster.ReplicaTargets(key)
+	ring := s.cluster.ViewID()
+	targets, _ := s.cluster.ReplicaTargets(key)
 	if len(targets) == 0 {
 		return
 	}
@@ -237,11 +169,9 @@ func (s *Server) replicateRecord(ctx context.Context, rec store.Record) {
 	}
 	// Replication is synchronous by design (a reachable replica can
 	// serve the plan the moment the client has it), so the whole round
-	// runs on the tune-response path; the budget is kept tight so one
-	// slow-but-accepting (Suspect) replica delays a response by a
-	// bounded amount, not a request-timeout violation per peer. The
-	// triggering request's values (trace span, request id) carry over,
-	// but its cancellation does not: a client giving up right after the
+	// runs on the tune-response path under one budget. The triggering
+	// request's values (trace span, request id) carry over, but its
+	// cancellation does not: a client giving up right after the
 	// response must not strand the fleet under-replicated.
 	rid := trace.RequestID(ctx)
 	rctx, rsp := trace.StartSpan(context.WithoutCancel(ctx), "replication")
@@ -254,19 +184,13 @@ func (s *Server) replicateRecord(ctx context.Context, rec store.Record) {
 		outcome := "ok"
 		if s.cluster.Health(m.ID) == cluster.Down {
 			outcome = "skipped-down"
-		} else if resp, err := s.cluster.Forward(rctx, m, http.MethodPost, "/cluster/replicate", rid, "application/json", body); err != nil {
+		} else if _, err := s.peerReplicate(rctx, 0, m, rid, body); err != nil {
 			outcome = "error"
-			if s.logging(ctx) {
-				s.log.InfoContext(ctx, "replicate failed", "key", key, "version", rec.Version, "peer", m.ID, "err", err)
+			if errors.As(err, new(*cluster.StatusError)) {
+				outcome = "rejected" // the peer answered, and refused
 			}
-		} else {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				outcome = "rejected"
-				if s.logging(ctx) {
-					s.log.InfoContext(ctx, "replicate rejected", "key", key, "version", rec.Version, "peer", m.ID, "code", resp.StatusCode)
-				}
+			if s.logging(ctx) {
+				s.log.InfoContext(ctx, "replicate failed", "key", key, "version", rec.Version, "peer", m.ID, "outcome", outcome, "err", err)
 			}
 		}
 		allOK = allOK && outcome == "ok"
@@ -287,13 +211,8 @@ func (s *Server) replicateRecord(ctx context.Context, rec store.Record) {
 // write is version-gated (stale versions are no-ops) and never
 // re-replicated.
 func (s *Server) handleReplicate(rw http.ResponseWriter, req *http.Request) {
-	if s.cluster == nil || s.store == nil {
-		writeError(rw, http.StatusNotFound, fmt.Errorf("cluster replication not enabled"))
-		return
-	}
 	var rec store.Record
-	if err := json.NewDecoder(req.Body).Decode(&rec); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding record: %w", err))
+	if !decodeBody(rw, req, &rec) {
 		return
 	}
 	applied, err := s.store.Apply(rec)
@@ -301,10 +220,7 @@ func (s *Server) handleReplicate(rw http.ResponseWriter, req *http.Request) {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(rw, http.StatusOK, map[string]any{
-		"applied": applied,
-		"version": rec.Version,
-	})
+	writeJSON(rw, http.StatusOK, replicateAck{Applied: applied, Version: rec.Version})
 }
 
 // ClusterMemberInfo is one member row of the GET /cluster reply.

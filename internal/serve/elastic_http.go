@@ -4,13 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // This file is the HTTP surface of elastic membership: join and drain
@@ -19,69 +17,53 @@ import (
 // search-suppressing peer fetch ride on (/cluster/records,
 // /cluster/fetch).
 
-// broadcastBudget bounds one view broadcast round (all peers share it,
-// like the replication budget): membership changes must propagate
-// promptly, but one slow peer must not pin the join/drain response.
-const broadcastBudget = 5 * time.Second
-
-// handleClusterJoin admits a node into the ring: the current membership
-// plus the joiner becomes the view at Epoch+1, adopted locally,
-// broadcast to every member (the joiner included), and returned to the
-// caller — the joining node adopts the reply, so it converges even if
-// the broadcast could not reach it yet (its listener may not be up).
-func (s *Server) handleClusterJoin(rw http.ResponseWriter, req *http.Request) {
-	if s.cluster == nil {
-		writeError(rw, http.StatusNotFound, fmt.Errorf("cluster mode not enabled"))
-		return
-	}
-	var jr cluster.JoinRequest
-	if err := json.NewDecoder(req.Body).Decode(&jr); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding join request: %w", err))
-		return
-	}
-	view, changed, err := s.cluster.ProposeJoin(cluster.Member{ID: jr.ID, Addr: jr.Addr})
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
-		return
+// changeMembership is the one membership change: propose (join, else
+// drain m.ID) → log → broadcast the minted view to its members — plus,
+// for a drain, the removed node, which is how it learns to hand its
+// records off and serve by forwarding only. The operator endpoints
+// render the result as HTTP, the pilot as timeline events. An idempotent
+// re-join (a restarted node re-announcing itself) broadcasts nothing.
+func (s *Server) changeMembership(ctx context.Context, join bool, m cluster.Member) (view cluster.View, err error) {
+	var changed bool
+	var extra []cluster.Member
+	if join {
+		view, changed, err = s.cluster.ProposeJoin(m)
+	} else {
+		var gone cluster.Member
+		view, gone, err = s.cluster.ProposeDrain(m.ID)
+		changed, extra = err == nil, []cluster.Member{gone}
 	}
 	if changed {
-		s.log.InfoContext(req.Context(), "cluster: member joined",
-			"member", jr.ID, "addr", jr.Addr, "epoch", view.Epoch, "members", len(view.Members))
-		s.broadcastView(req.Context(), view, nil)
+		s.log.InfoContext(ctx, "cluster: membership changed", "join", join,
+			"member", m.ID, "addr", m.Addr, "epoch", view.Epoch, "members", len(view.Members))
+		s.broadcastView(ctx, view, extra)
 	}
-	writeJSON(rw, http.StatusOK, view)
+	return view, err
 }
 
-// handleClusterDrain removes a member from the ring: the view without
-// it becomes Epoch+1, adopted locally and broadcast to the remaining
-// members AND the drained node — which is how the drained node learns
-// to hand its records off and serve by forwarding only. Draining a
-// dead node is the operator's act of declaring its loss permanent, so
-// the rebalancer can restore the replication factor among survivors.
+// handleClusterJoin and handleClusterDrain render changeMembership as
+// HTTP (the body is the joining Member, or names the drained one by id).
+// The reply is the new view: a joining node adopts it, so it converges
+// even if the broadcast could not reach it yet (its listener may not be
+// up). Draining a dead node is the operator declaring its loss
+// permanent, so the rebalancer can restore R among survivors.
+func (s *Server) handleClusterJoin(rw http.ResponseWriter, req *http.Request) {
+	s.serveMembership(rw, req, true)
+}
+
 func (s *Server) handleClusterDrain(rw http.ResponseWriter, req *http.Request) {
-	if s.cluster == nil {
-		writeError(rw, http.StatusNotFound, fmt.Errorf("cluster mode not enabled"))
+	s.serveMembership(rw, req, false)
+}
+
+func (s *Server) serveMembership(rw http.ResponseWriter, req *http.Request, join bool) {
+	var m cluster.Member
+	if !decodeBody(rw, req, &m) {
 		return
 	}
-	var dr cluster.DrainRequest
-	if err := json.NewDecoder(req.Body).Decode(&dr); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding drain request: %w", err))
-		return
-	}
-	drained, known := s.cluster.Member(dr.ID)
-	if !known {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("cluster: cannot drain unknown member %q", dr.ID))
-		return
-	}
-	view, changed, err := s.cluster.ProposeDrain(dr.ID)
+	view, err := s.changeMembership(req.Context(), join, m)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
 		return
-	}
-	if changed {
-		s.log.InfoContext(req.Context(), "cluster: member drained",
-			"member", dr.ID, "epoch", view.Epoch, "members", len(view.Members))
-		s.broadcastView(req.Context(), view, []cluster.Member{drained})
 	}
 	writeJSON(rw, http.StatusOK, view)
 }
@@ -90,10 +72,6 @@ func (s *Server) handleClusterDrain(rw http.ResponseWriter, req *http.Request) {
 // side of view anti-entropy (peers fetch it when a probe reply shows a
 // higher epoch than their own).
 func (s *Server) handleClusterViewGet(rw http.ResponseWriter, req *http.Request) {
-	if s.cluster == nil {
-		writeError(rw, http.StatusNotFound, fmt.Errorf("cluster mode not enabled"))
-		return
-	}
 	writeJSON(rw, http.StatusOK, s.cluster.CurrentView())
 }
 
@@ -102,13 +80,8 @@ func (s *Server) handleClusterViewGet(rw http.ResponseWriter, req *http.Request)
 // acknowledged but not adopted; the reply names the epoch this node is
 // actually on so the announcer can see divergence.
 func (s *Server) handleClusterViewPost(rw http.ResponseWriter, req *http.Request) {
-	if s.cluster == nil {
-		writeError(rw, http.StatusNotFound, fmt.Errorf("cluster mode not enabled"))
-		return
-	}
 	var v cluster.View
-	if err := json.NewDecoder(req.Body).Decode(&v); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding view: %w", err))
+	if !decodeBody(rw, req, &v) {
 		return
 	}
 	adopted, err := s.cluster.AdoptView(v)
@@ -120,30 +93,15 @@ func (s *Server) handleClusterViewPost(rw http.ResponseWriter, req *http.Request
 		s.log.InfoContext(req.Context(), "cluster: adopted announced view",
 			"epoch", v.Epoch, "members", len(v.Members))
 	}
-	writeJSON(rw, http.StatusOK, map[string]any{
-		"adopted": adopted,
-		"epoch":   s.cluster.Epoch(),
-	})
-}
-
-// fetchKeyRequest is the POST /cluster/fetch body: a canonical
-// fingerprint key (keys contain '|', so they travel in a JSON body, not
-// a path segment).
-type fetchKeyRequest struct {
-	Key string `json:"key"`
+	writeJSON(rw, http.StatusOK, cluster.ViewAck{Adopted: adopted, Epoch: s.cluster.Epoch()})
 }
 
 // handleClusterFetch answers a peer's single-record lookup from the
 // local store: 200 with the record, 404 when this node holds nothing
 // for the key. Read-only — a fetch never cascades.
 func (s *Server) handleClusterFetch(rw http.ResponseWriter, req *http.Request) {
-	if s.cluster == nil || s.store == nil {
-		writeError(rw, http.StatusNotFound, fmt.Errorf("cluster record fetch not enabled"))
-		return
-	}
 	var fr fetchKeyRequest
-	if err := json.NewDecoder(req.Body).Decode(&fr); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding fetch request: %w", err))
+	if !decodeBody(rw, req, &fr) {
 		return
 	}
 	rec, ok := s.store.GetByKey(fr.Key)
@@ -158,10 +116,6 @@ func (s *Server) handleClusterFetch(rw http.ResponseWriter, req *http.Request) {
 // rebalancer's pull source after a membership change (a fresh or
 // restarted node applies the subset it now replicates).
 func (s *Server) handleClusterRecords(rw http.ResponseWriter, req *http.Request) {
-	if s.cluster == nil || s.store == nil {
-		writeError(rw, http.StatusNotFound, fmt.Errorf("cluster record listing not enabled"))
-		return
-	}
 	writeJSON(rw, http.StatusOK, s.store.Records())
 }
 
@@ -170,35 +124,20 @@ func (s *Server) handleClusterRecords(rw http.ResponseWriter, req *http.Request)
 // a peer that misses the broadcast converges through probe-driven view
 // anti-entropy, so failures are logged, not retried here.
 func (s *Server) broadcastView(ctx context.Context, v cluster.View, extra []cluster.Member) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return
+	// The round's budget, or a tighter request deadline — but never the
+	// request's cancellation: the broadcast must finish even if the
+	// proposer's client disconnects right after the response.
+	deadline := time.Now().Add(broadcastBudget)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
 	}
-	//mistlint:ignore ctxflow view broadcast must survive the proposer disconnecting; budget-bounded below
-	bctx, cancel := context.WithTimeout(context.Background(), broadcastBudget)
+	//mistlint:ignore ctxflow view broadcast must survive the proposer disconnecting; deadline-bounded above
+	bctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
-	if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) < broadcastBudget {
-		// Honor a tighter request deadline, but never inherit its
-		// cancellation: the broadcast must finish even if the proposer's
-		// client disconnects right after the response.
-		//mistlint:ignore ctxflow deliberately adopts only the request deadline, never its cancellation
-		bctx, cancel = context.WithDeadline(context.Background(), deadline)
-		defer cancel()
-	}
-	self := s.cluster.Self()
-	seen := map[string]bool{self: true}
-	for _, m := range append(append([]cluster.Member(nil), v.Members...), extra...) {
-		if seen[m.ID] {
-			continue
-		}
-		seen[m.ID] = true
-		resp, err := s.cluster.Forward(bctx, m, http.MethodPost, "/cluster/view", "", "application/json", body)
-		if err != nil {
+	for _, m := range s.cluster.Others(v.Members, extra) {
+		if _, err := s.cluster.PushView(bctx, m, v); err != nil {
 			s.log.InfoContext(ctx, "cluster: view broadcast failed", "epoch", v.Epoch, "peer", m.ID, "err", err)
-			continue
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 	}
 }
 
@@ -228,24 +167,19 @@ func (s *Server) fetchRecordFromPeers(ctx context.Context, fp store.Fingerprint)
 		return store.Record{}, false
 	}
 	s.count.recordFetches.Inc()
-	self := s.cluster.Self()
-	seen := map[string]bool{self: true}
-	ordered := s.cluster.Replicas(key)
-	if !s.pullCaughtUp(s.currentRing()) {
-		ordered = append(ordered, s.cluster.Members()...)
-		ordered = append(ordered, s.cluster.DepartedMembers()...)
+	ask, selfIn := s.cluster.ReplicaTargets(key)
+	if !s.pullCaughtUp(s.cluster.ViewID()) {
+		ask = s.cluster.Others(ask, s.cluster.Members(), s.cluster.DepartedMembers())
 	}
-	for _, m := range ordered {
-		if seen[m.ID] || s.cluster.Health(m.ID) == cluster.Down {
+	for _, m := range ask {
+		if s.cluster.Health(m.ID) == cluster.Down {
 			continue
 		}
-		seen[m.ID] = true
-		var rec store.Record
-		err := s.peerJSON(ctx, 2*time.Second, m, http.MethodPost, "/cluster/fetch", trace.RequestID(ctx), body, &rec)
-		if err != nil || rec.Plan == nil {
+		rec, ok, _ := s.peerFetch(ctx, m, body)
+		if !ok {
 			continue
 		}
-		if s.selfReplicates(key) {
+		if selfIn {
 			// Version-gated and hook-free: an applied fetch never
 			// re-replicates, so the invariant audit still sees one Put.
 			_, _ = s.store.Apply(rec)
@@ -258,16 +192,4 @@ func (s *Server) fetchRecordFromPeers(ctx context.Context, fp store.Fingerprint)
 		return rec, true
 	}
 	return store.Record{}, false
-}
-
-// selfReplicates reports whether this node is in the key's current
-// replica set.
-func (s *Server) selfReplicates(key string) bool {
-	self := s.cluster.Self()
-	for _, m := range s.cluster.Replicas(key) {
-		if m.ID == self {
-			return true
-		}
-	}
-	return false
 }

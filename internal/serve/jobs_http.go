@@ -2,10 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -106,7 +104,13 @@ func (s *Server) SubmitJob(ctx context.Context, spec JobSpec) (JobStatus, error)
 	if _, _, _, err := spec.normalize(); err != nil {
 		return JobStatus{}, &badRequestError{err}
 	}
-	ws := spec.WorkloadSpec // normalized copy: defaults resolved
+	return s.submitResolved(ctx, spec)
+}
+
+// submitResolved is SubmitJob for a spec whose defaults are already
+// resolved (the keyed ingress normalized it).
+func (s *Server) submitResolved(ctx context.Context, spec JobSpec) (JobStatus, error) {
+	ws := spec.WorkloadSpec
 	key := ws.key()
 	snap, deduped, err := s.jobs.Submit(ctx, key, spec.Priority, func(ctx context.Context, emit func(string)) (any, error) {
 		emit("tuning " + key)
@@ -165,31 +169,15 @@ func (s *Server) CancelJob(id string) bool {
 }
 
 func (s *Server) handleJobsSubmit(rw http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(req.Body)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		return
-	}
+	// A single-spec submission is relayed to the fingerprint's owner so
+	// the job record lives beside its plan-cache entry; a batch is
+	// accepted locally and each task forwards its own tune.
 	var jr JobsSubmitRequest
-	if err := json.Unmarshal(body, &jr); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if _, ok := s.keyedIngress(rw, req, &jr, &jr.WorkloadSpec, &jr.Jobs); !ok {
 		return
 	}
 	if len(jr.Jobs) == 0 {
-		// Single-spec submissions are forwarded to the fingerprint's
-		// owner so the job record lives beside its plan-cache entry; a
-		// batch is accepted locally and each task forwards its own tune.
-		if s.cluster != nil && !forwarded(req) {
-			spec := jr.JobSpec.WorkloadSpec
-			if _, _, _, err := spec.normalize(); err != nil {
-				writeError(rw, http.StatusBadRequest, err)
-				return
-			}
-			if s.proxyKeyed(rw, req, spec.key(), body) {
-				return
-			}
-		}
-		st, err := s.SubmitJob(req.Context(), jr.JobSpec)
+		st, err := s.submitResolved(req.Context(), jr.JobSpec)
 		if err != nil {
 			writeError(rw, statusForSubmit(err), err)
 			return
@@ -205,9 +193,11 @@ func (s *Server) handleJobsSubmit(rw http.ResponseWriter, req *http.Request) {
 			// submission would leave the caller guessing which half ran.
 			// Only jobs this batch actually created are rolled back — a
 			// deduped entry belongs to someone else's live submission.
+			// CancelJob, not jobs.Cancel: prev.ID is the wire id, which
+			// in cluster mode carries this node's prefix.
 			for _, prev := range out {
 				if !prev.Deduped {
-					s.jobs.Cancel(prev.ID)
+					s.CancelJob(prev.ID)
 				}
 			}
 			writeError(rw, statusForSubmit(err), fmt.Errorf("job %d: %w", i, err))

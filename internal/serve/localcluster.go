@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -24,13 +21,11 @@ import (
 // Node ids are "n1".."nN" with synthetic addresses "http://n<i>";
 // joined nodes use the caller's id the same way.
 type LocalCluster struct {
-	mu       sync.RWMutex
-	ids      []string
-	servers  map[string]*Server
-	clusters map[string]*cluster.Cluster
-	standby  map[string]bool
-	sb       *switchboard
-	opt      LocalClusterOptions
+	mu      sync.RWMutex
+	ids     []string
+	servers map[string]*Server
+	sb      *switchboard
+	opt     LocalClusterOptions
 }
 
 // LocalClusterOptions configures NewLocalCluster.
@@ -97,11 +92,9 @@ func NewLocalCluster(opt LocalClusterOptions) (*LocalCluster, error) {
 		return nil, fmt.Errorf("localcluster: need at least one node")
 	}
 	lc := &LocalCluster{
-		servers:  map[string]*Server{},
-		clusters: map[string]*cluster.Cluster{},
-		standby:  map[string]bool{},
-		sb:       &switchboard{handlers: map[string]http.Handler{}, dead: map[string]bool{}},
-		opt:      opt,
+		servers: map[string]*Server{},
+		sb:      &switchboard{handlers: map[string]http.Handler{}, dead: map[string]bool{}},
+		opt:     opt,
 	}
 	members := make([]cluster.Member, opt.Nodes)
 	for i := range members {
@@ -113,7 +106,6 @@ func NewLocalCluster(opt LocalClusterOptions) (*LocalCluster, error) {
 	for i := range pool {
 		id := fmt.Sprintf("s%d", i+1)
 		pool[i] = cluster.Member{ID: id, Addr: "http://" + id}
-		lc.standby[id] = true
 	}
 	if len(pool) > 0 {
 		lc.opt.ServerOptions = append(append([]Option{}, opt.ServerOptions...),
@@ -162,7 +154,6 @@ func (lc *LocalCluster) addNode(m cluster.Member, members []cluster.Member, stor
 		WithStore(st), WithCluster(cl))...)
 	lc.mu.Lock()
 	lc.servers[m.ID] = srv
-	lc.clusters[m.ID] = cl
 	lc.mu.Unlock()
 	lc.sb.mu.Lock()
 	lc.sb.handlers[m.ID] = srv.Handler()
@@ -189,11 +180,11 @@ func (lc *LocalCluster) IDs() []string {
 // scale-up has adopted the fleet view and stops being parked. Call with
 // lc.mu held.
 func (lc *LocalCluster) parkedLocked(id string) bool {
-	cl := lc.clusters[id]
-	if !lc.standby[id] || cl == nil {
+	srv := lc.servers[id]
+	if srv == nil || !srv.cluster.IsStandby(id) {
 		return false
 	}
-	ms := cl.Members()
+	ms := srv.cluster.Members()
 	return len(ms) == 1 && ms[0].ID == id
 }
 
@@ -206,9 +197,10 @@ func (lc *LocalCluster) Node(id string) *Server {
 
 // Cluster returns one node's cluster view (nil for unknown ids).
 func (lc *LocalCluster) Cluster(id string) *cluster.Cluster {
-	lc.mu.RLock()
-	defer lc.mu.RUnlock()
-	return lc.clusters[id]
+	if srv := lc.Node(id); srv != nil {
+		return srv.cluster
+	}
+	return nil
 }
 
 // Handler returns one node's HTTP handler (nil for unknown ids) — the
@@ -227,7 +219,6 @@ func (lc *LocalCluster) Handler(id string) http.Handler {
 func (lc *LocalCluster) Kill(id string) error {
 	lc.mu.RLock()
 	s, ok := lc.servers[id]
-	cl := lc.clusters[id]
 	lc.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("localcluster: unknown node %q", id)
@@ -235,7 +226,7 @@ func (lc *LocalCluster) Kill(id string) error {
 	lc.sb.mu.Lock()
 	lc.sb.dead[id] = true
 	lc.sb.mu.Unlock()
-	cl.Stop()
+	s.cluster.Stop()
 	s.Close()
 	return nil
 }
@@ -286,11 +277,8 @@ func (lc *LocalCluster) Join(ctx context.Context, id string) (*Server, error) {
 	// The broadcast normally already delivered the view; adopting the
 	// join reply as well mirrors the live boot path, where the joiner's
 	// listener may not have been up for the broadcast.
-	lc.mu.RLock()
-	cl := lc.clusters[id]
-	srv := lc.servers[id]
-	lc.mu.RUnlock()
-	if _, err := cl.AdoptView(view); err != nil {
+	srv := lc.Node(id)
+	if _, err := srv.cluster.AdoptView(view); err != nil {
 		return fail(err)
 	}
 	srv.KickRebalance()
@@ -306,18 +294,14 @@ func (lc *LocalCluster) Join(ctx context.Context, id string) (*Server, error) {
 func (lc *LocalCluster) removeNode(id string) {
 	lc.mu.Lock()
 	srv := lc.servers[id]
-	cl := lc.clusters[id]
 	delete(lc.servers, id)
-	delete(lc.clusters, id)
 	lc.mu.Unlock()
 	lc.sb.mu.Lock()
 	delete(lc.sb.handlers, id)
 	delete(lc.sb.dead, id)
 	lc.sb.mu.Unlock()
-	if cl != nil {
-		cl.Stop()
-	}
 	if srv != nil {
+		srv.cluster.Stop()
 		srv.Close()
 	}
 }
@@ -328,35 +312,12 @@ func (lc *LocalCluster) removeNode(id string) {
 // next repair pass; Settle drives that deterministically. The context
 // bounds the drain proposal round-trip.
 func (lc *LocalCluster) Drain(ctx context.Context, id string) error {
-	lc.mu.RLock()
-	_, known := lc.servers[id]
-	lc.mu.RUnlock()
-	if !known {
-		return fmt.Errorf("localcluster: unknown node %q", id)
-	}
-	seed, err := lc.liveRingMember(id)
+	seed, err := lc.liveRingMember(id) // an unknown id is the seed's to refuse
 	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(cluster.DrainRequest{ID: id})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, seed.Addr+"/cluster/drain", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := lc.sb.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("localcluster: drain %s refused: %d %s", id, resp.StatusCode, msg)
-	}
-	return nil
+	_, err = cluster.DrainVia(ctx, lc.sb, seed.Addr, id)
+	return err
 }
 
 // liveRingMember picks a live node that is still in its own adopted
@@ -369,8 +330,7 @@ func (lc *LocalCluster) liveRingMember(exclude string) (cluster.Member, error) {
 		if id == exclude || lc.deadNode(id) || lc.parkedLocked(id) {
 			continue
 		}
-		cl := lc.clusters[id]
-		if cl != nil && cl.InRing() {
+		if cl := lc.servers[id].cluster; cl.InRing() {
 			m, _ := cl.Member(id)
 			return m, nil
 		}
@@ -517,10 +477,8 @@ func (lc *LocalCluster) AuditReplication() (*ReplicationAudit, error) {
 func (lc *LocalCluster) Close() {
 	lc.mu.RLock()
 	defer lc.mu.RUnlock()
-	for _, cl := range lc.clusters {
-		cl.Stop()
-	}
 	for _, s := range lc.servers {
+		s.cluster.Stop()
 		s.Close()
 	}
 }

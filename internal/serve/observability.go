@@ -118,10 +118,6 @@ type ClusterEvents struct {
 }
 
 func (s *Server) handleClusterEvents(rw http.ResponseWriter, req *http.Request) {
-	if s.cluster == nil {
-		writeError(rw, http.StatusNotFound, errors.New("cluster mode not enabled"))
-		return
-	}
 	var since int64
 	if v := req.URL.Query().Get("since"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -153,74 +152,34 @@ func (s *Server) actuate(ctx context.Context, d pilot.Decision) {
 			fmt.Sprintf("%s suppressed by %s (%s)", d.Action, d.Veto, d.Reason))
 		return
 	}
+	join, event := d.Action == pilot.ScaleUp, cluster.EventPilotDrain
+	if join {
+		event = cluster.EventPilotScaleUp
+	}
 	if s.pilot.Config().DryRun {
-		typ := cluster.EventPilotScaleUp
-		if d.Action != pilot.ScaleUp {
-			typ = cluster.EventPilotDrain
-		}
-		s.cluster.RecordEvent(typ, d.Target, fmt.Sprintf("DRY-RUN %s: %s", d.Action, d.Reason))
+		s.cluster.RecordEvent(event, d.Target, fmt.Sprintf("DRY-RUN %s: %s", d.Action, d.Reason))
 		s.log.InfoContext(ctx, "pilot: dry-run", "action", d.Action, "target", d.Target, "reason", d.Reason)
 		return
 	}
-	switch d.Action {
-	case pilot.ScaleUp:
-		s.pilotScaleUp(ctx, d)
-	case pilot.ScaleDown, pilot.HealDrain:
-		s.pilotDrain(ctx, d)
-	}
-}
-
-// pilotScaleUp proposes the standby into the ring and broadcasts the
-// new view — the same path POST /cluster/join takes, so the joiner
-// adopts the view and the rebalancer pulls its records.
-func (s *Server) pilotScaleUp(ctx context.Context, d pilot.Decision) {
-	var target cluster.Member
+	// Actuation is changeMembership — the path POST /cluster/join and
+	// /cluster/drain take, so a scaled-in standby adopts the view and
+	// pulls its records, and handoff (scale-down) or survivor repair
+	// (heal-drain) proceeds exactly as an operator's would.
+	target := cluster.Member{ID: d.Target}
 	for _, m := range s.cluster.Standbys() {
-		if m.ID == d.Target {
-			target = m
-			break
+		if join && m.ID == d.Target {
+			target = m // a standby gone from the pool has no address, and ProposeJoin refuses it
 		}
 	}
-	if target.ID == "" {
-		s.cluster.RecordEvent(cluster.EventPilotVeto, d.Target, "scale-up failed: standby no longer in pool")
-		return
-	}
-	view, changed, err := s.cluster.ProposeJoin(target)
-	if err != nil {
-		s.cluster.RecordEvent(cluster.EventPilotVeto, d.Target, "scale-up failed: "+err.Error())
-		s.log.InfoContext(ctx, "pilot: scale-up failed", "target", d.Target, "err", err)
-		return
-	}
-	s.cluster.RecordEvent(cluster.EventPilotScaleUp, d.Target,
-		fmt.Sprintf("%s -> epoch %d (%d members)", d.Reason, view.Epoch, len(view.Members)))
-	s.log.InfoContext(ctx, "pilot: scale-up", "target", d.Target, "epoch", view.Epoch, "reason", d.Reason)
-	if changed {
-		s.broadcastView(ctx, view, nil)
-	}
-}
-
-// pilotDrain proposes the member out of the ring and broadcasts the new
-// view to the survivors and the drained node — the same path
-// POST /cluster/drain takes, so handoff (scale-down) or survivor repair
-// (heal-drain) proceeds exactly as an operator drain would.
-func (s *Server) pilotDrain(ctx context.Context, d pilot.Decision) {
-	drained, known := s.cluster.Member(d.Target)
-	if !known {
-		s.cluster.RecordEvent(cluster.EventPilotVeto, d.Target, string(d.Action)+" failed: member unknown")
-		return
-	}
-	view, changed, err := s.cluster.ProposeDrain(d.Target)
+	view, err := s.changeMembership(ctx, join, target)
 	if err != nil {
 		s.cluster.RecordEvent(cluster.EventPilotVeto, d.Target, string(d.Action)+" failed: "+err.Error())
-		s.log.InfoContext(ctx, "pilot: drain failed", "action", d.Action, "target", d.Target, "err", err)
+		s.log.InfoContext(ctx, "pilot: actuation failed", "action", d.Action, "target", d.Target, "err", err)
 		return
 	}
-	s.cluster.RecordEvent(cluster.EventPilotDrain, d.Target,
+	s.cluster.RecordEvent(event, d.Target,
 		fmt.Sprintf("%s: %s -> epoch %d (%d members)", d.Action, d.Reason, view.Epoch, len(view.Members)))
-	s.log.InfoContext(ctx, "pilot: drain", "action", d.Action, "target", d.Target, "epoch", view.Epoch, "reason", d.Reason)
-	if changed {
-		s.broadcastView(ctx, view, []cluster.Member{drained})
-	}
+	s.log.InfoContext(ctx, "pilot: actuated", "action", d.Action, "target", d.Target, "epoch", view.Epoch, "reason", d.Reason)
 }
 
 // Pilot exposes the controller (nil without WithPilot); harnesses and
@@ -239,10 +198,6 @@ type pilotHTTPStatus struct {
 // handlePilot serves GET /pilot: controller policy, streaks, counters,
 // and recent decisions on this node.
 func (s *Server) handlePilot(rw http.ResponseWriter, req *http.Request) {
-	if s.pilot == nil {
-		writeError(rw, http.StatusNotFound, errors.New("no pilot attached (see -pilot)"))
-		return
-	}
 	writeJSON(rw, http.StatusOK, pilotHTTPStatus{
 		Leader:             s.PilotLeader(),
 		StandbysConfigured: len(s.cluster.Standbys()),

@@ -4,12 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -35,27 +32,6 @@ import (
 // join, drain, and kill transition. Steady-state passes are cheap: a
 // record confirmed on all its replicas is remembered per epoch and
 // skipped until the ring changes again.
-
-// rebalanceForwardBudget bounds one push or pull to one peer.
-const rebalanceForwardBudget = 3 * time.Second
-
-// ringID identifies one concrete ring: the view epoch plus the
-// membership fingerprint. Repair bookkeeping keys on the pair, not the
-// epoch alone — equal-epoch view divergence (the fingerprint tie-break
-// case) means two different rings can share an epoch number, and a
-// memo recorded under the losing ring must not suppress repair under
-// the winning one.
-type ringID struct {
-	epoch int64
-	fp    uint64
-}
-
-// currentRing reads the adopted view's identity in one consistent
-// snapshot.
-func (s *Server) currentRing() ringID {
-	epoch, fp := s.cluster.ViewID()
-	return ringID{epoch: epoch, fp: fp}
-}
 
 // RebalanceReport summarizes one repair pass.
 type RebalanceReport struct {
@@ -86,16 +62,13 @@ func (r RebalanceReport) String() string {
 
 // markRepaired remembers that a record was confirmed on its full
 // replica set under a ring, so steady-state passes skip it.
-func (s *Server) markRepaired(key string, ring ringID) {
+func (s *Server) markRepaired(key string, ring cluster.RingID) {
 	s.repairMu.Lock()
-	if s.repairedAt == nil {
-		s.repairedAt = map[string]ringID{}
-	}
 	s.repairedAt[key] = ring
 	s.repairMu.Unlock()
 }
 
-func (s *Server) repairedRing(key string) (ringID, bool) {
+func (s *Server) repairedRing(key string) (cluster.RingID, bool) {
 	s.repairMu.Lock()
 	defer s.repairMu.Unlock()
 	r, ok := s.repairedAt[key]
@@ -111,13 +84,13 @@ func (s *Server) clearRepaired(key string) {
 // pullCaughtUp reports whether the pull phase has completed under the
 // given ring — the signal that every record this node should hold is
 // local, which lets the peer-fetch sweep shrink to the replica set.
-func (s *Server) pullCaughtUp(ring ringID) bool {
+func (s *Server) pullCaughtUp(ring cluster.RingID) bool {
 	s.repairMu.Lock()
 	defer s.repairMu.Unlock()
 	return s.lastPullDone && s.lastPull == ring
 }
 
-func (s *Server) setPullCaughtUp(ring ringID) {
+func (s *Server) setPullCaughtUp(ring cluster.RingID) {
 	s.repairMu.Lock()
 	s.lastPull = ring
 	s.lastPullDone = true
@@ -138,9 +111,8 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 	s.rbRunMu.Lock()
 	defer s.rbRunMu.Unlock()
 
-	ring := s.currentRing()
-	rep.Epoch = ring.epoch
-	self := s.cluster.Self()
+	ring := s.cluster.ViewID()
+	rep.Epoch = ring.Epoch
 	// Repair passes have no ingress request, so each pass mints its own
 	// id and pins it where a request's would be: every log line and
 	// timeline event of one pass correlates the same way request lines
@@ -160,32 +132,22 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 	// with the node shut down. Only a complete round over the current
 	// membership marks the ring pulled.
 	if !s.pullCaughtUp(ring) {
-		if s.pulledPeers == nil {
-			s.pulledPeers = map[string]ringID{}
-		}
 		complete := true
-		members := s.cluster.Members()
-		current := make(map[string]bool, len(members))
-		for _, m := range members {
-			current[m.ID] = true
-		}
-		for _, m := range append(members, s.cluster.DepartedMembers()...) {
-			if m.ID == self {
-				continue
-			}
+		for _, m := range s.cluster.Others(s.cluster.Members(), s.cluster.DepartedMembers()) {
 			if s.pulledPeers[m.ID] == ring {
 				continue
 			}
+			_, current := s.cluster.Member(m.ID)
 			if s.cluster.Health(m.ID) == cluster.Down {
-				if current[m.ID] {
+				if current {
 					complete = false
 					rep.SkippedDown++
 				}
 				continue
 			}
-			recs, err := s.pullRecords(ctx, m)
+			recs, err := s.peerRecords(ctx, m)
 			if err != nil {
-				if current[m.ID] {
+				if current {
 					complete = false
 					rep.Errors++
 					s.log.InfoContext(ctx, "pulling records failed", "peer", m.ID, "err", err)
@@ -193,8 +155,7 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 				continue
 			}
 			for _, rec := range recs {
-				key := rec.Fingerprint.Key()
-				if !s.selfReplicates(key) {
+				if _, selfIn := s.cluster.ReplicaTargets(rec.Fingerprint.Key()); !selfIn {
 					continue
 				}
 				applied, err := s.store.Apply(rec)
@@ -222,14 +183,7 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 		}
 		rep.Scanned++
 		key := rec.Fingerprint.Key()
-		reps := s.cluster.Replicas(key)
-		selfIn := false
-		for _, m := range reps {
-			if m.ID == self {
-				selfIn = true
-				break
-			}
-		}
+		targets, selfIn := s.cluster.ReplicaTargets(key)
 		if selfIn {
 			if r, ok := s.repairedRing(key); ok && r == ring {
 				continue // confirmed on all replicas under this ring already
@@ -241,16 +195,13 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 			continue
 		}
 		allOK := true
-		for _, m := range reps {
-			if m.ID == self {
-				continue
-			}
+		for _, m := range targets {
 			if s.cluster.Health(m.ID) == cluster.Down {
 				allOK = false
 				rep.SkippedDown++
 				continue
 			}
-			applied, err := s.pushRecord(ctx, m, body)
+			ack, err := s.peerReplicate(ctx, repairBudget, m, "", body)
 			if err != nil {
 				allOK = false
 				rep.Errors++
@@ -258,7 +209,7 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 				continue
 			}
 			rep.Pushed++
-			if applied {
+			if ack.Applied {
 				rep.Applied++
 			}
 		}
@@ -273,7 +224,7 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 		} else {
 			rep.Dropped++
 			s.clearRepaired(key)
-			s.log.InfoContext(ctx, "handed off record", "key", key, "version", rec.Version, "to", memberIDs(reps))
+			s.log.InfoContext(ctx, "handed off record", "key", key, "version", rec.Version, "to", memberIDs(targets))
 		}
 	}
 
@@ -300,45 +251,6 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 		s.log.InfoContext(ctx, "rebalance pass done", "report", rep.String())
 	}
 	return rep, nil
-}
-
-// peerJSON sends one request to a peer over the cluster transport
-// (health bookkeeping included) within budget and decodes its 200 reply
-// into out; any other answer is an error.
-func (s *Server) peerJSON(ctx context.Context, budget time.Duration, m cluster.Member, method, path, rid string, body []byte, out any) error {
-	ctx, cancel := context.WithTimeout(ctx, budget)
-	defer cancel()
-	contentType := ""
-	if body != nil {
-		contentType = "application/json"
-	}
-	resp, err := s.cluster.Forward(ctx, m, method, path, rid, contentType, body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("peer %s answered %d", m.ID, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// pushRecord offers one record to a peer's /cluster/replicate;
-// returns whether the peer actually installed it.
-func (s *Server) pushRecord(ctx context.Context, m cluster.Member, body []byte) (bool, error) {
-	var ack struct {
-		Applied bool `json:"applied"`
-	}
-	err := s.peerJSON(ctx, rebalanceForwardBudget, m, http.MethodPost, "/cluster/replicate", "", body, &ack)
-	return ack.Applied, err
-}
-
-// pullRecords fetches a peer's full record listing.
-func (s *Server) pullRecords(ctx context.Context, m cluster.Member) ([]store.Record, error) {
-	var recs []store.Record
-	err := s.peerJSON(ctx, rebalanceForwardBudget, m, http.MethodGet, "/cluster/records", "", nil, &recs)
-	return recs, err
 }
 
 func memberIDs(ms []cluster.Member) []string {

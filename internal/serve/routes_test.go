@@ -22,7 +22,8 @@ var endpointRef = regexp.MustCompile(
 	`localhost:[0-9]+(/[A-Za-z0-9_/{}.-]+)|(?:GET|POST|DELETE) (/[A-Za-z0-9_/{}.-]+)|` + "`" + `(/[A-Za-z0-9_/{}.-]+)` + "`")
 
 // TestREADMEEndpointsRouted pins the docs to the route table: every
-// endpoint README.md documents must resolve in serve.Handler(). A
+// endpoint README.md documents, and every route of DESIGN.md's
+// "Node-to-node protocol" table, must resolve in serve.Handler(). A
 // route the mux does not know answers with the stdlib's plain-text
 // "404 page not found"; everything this service serves — including its
 // own not-found and method-not-allowed conditions — answers JSON. That
@@ -34,8 +35,17 @@ func TestREADMEEndpointsRouted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, protocol, found := strings.Cut(string(design), "\n## Node-to-node protocol\n")
+	protocol, _, _ = strings.Cut(protocol, "\n## ")
+	if n := len(endpointRef.FindAllString(protocol, -1)); !found || n < 15 {
+		t.Fatalf("DESIGN.md protocol table scan found %d endpoint mentions — the section moved or the regex broke", n)
+	}
 	paths := map[string]bool{}
-	for _, m := range endpointRef.FindAllStringSubmatch(string(readme), -1) {
+	for _, m := range endpointRef.FindAllStringSubmatch(string(readme)+protocol, -1) {
 		p := m[1] + m[2] + m[3] // exactly one group matches
 		if i := strings.IndexAny(p, "?#"); i >= 0 {
 			p = p[:i]
@@ -89,7 +99,7 @@ func TestREADMEEndpointsRouted(t *testing.T) {
 		h.ServeHTTP(rec, req)
 		ct := rec.Header().Get("Content-Type")
 		if rec.Code == http.StatusNotFound && strings.HasPrefix(ct, "text/plain") {
-			t.Errorf("README documents %s but the mux does not route it", p)
+			t.Errorf("README or the DESIGN protocol table documents %s but the mux does not route it", p)
 		}
 	}
 }

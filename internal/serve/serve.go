@@ -405,9 +405,9 @@ type Server struct {
 	rbOnce       sync.Once  // StartRebalancer; spent by Close
 	rbRunMu      sync.Mutex // serializes RebalanceOnce passes
 	repairMu     sync.Mutex // guards repairedAt, lastPull, lastPullDone
-	repairedAt   map[string]ringID
-	pulledPeers  map[string]ringID // peer id -> ring last fully pulled; only touched under rbRunMu
-	lastPull     ringID
+	repairedAt   map[string]cluster.RingID
+	pulledPeers  map[string]cluster.RingID // peer id -> ring last fully pulled; only touched under rbRunMu
+	lastPull     cluster.RingID
 	lastPullDone bool
 }
 
@@ -564,13 +564,14 @@ func WithTrace(opt trace.Options) Option {
 // New builds a service.
 func New(opts ...Option) *Server {
 	s := &Server{
-		plans:      map[string]*planEntry{},
-		cacheCap:   defaultCacheCap,
-		jobWorkers: defaultJobWorkers,
-		metrics:    metrics.NewRegistry(),
-		log:        disabledLogger,
-		rbKick:     make(chan struct{}, 1),
-		repairedAt: map[string]ringID{},
+		plans:       map[string]*planEntry{},
+		cacheCap:    defaultCacheCap,
+		jobWorkers:  defaultJobWorkers,
+		metrics:     metrics.NewRegistry(),
+		log:         disabledLogger,
+		rbKick:      make(chan struct{}, 1),
+		repairedAt:  map[string]cluster.RingID{},
+		pulledPeers: map[string]cluster.RingID{},
 	}
 	// lastPullDone starts false ("never pulled"): the first repair pass
 	// always pulls, which is how a node restarted with an empty store
@@ -702,19 +703,42 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}", s.wrap("/jobs/{id}", nil, s.handleJobGet))
 	mux.HandleFunc("DELETE /jobs/{id}", s.wrap("/jobs/{id}", nil, s.handleJobCancel))
 	mux.HandleFunc("GET /cluster", s.wrap("/cluster", nil, s.handleClusterInfo))
-	mux.HandleFunc("POST /cluster/replicate", s.wrap("/cluster/replicate", nil, s.handleReplicate))
-	mux.HandleFunc("POST /cluster/join", s.wrap("/cluster/join", nil, s.handleClusterJoin))
-	mux.HandleFunc("POST /cluster/drain", s.wrap("/cluster/drain", nil, s.handleClusterDrain))
-	mux.HandleFunc("GET /cluster/view", s.wrap("/cluster/view", nil, s.handleClusterViewGet))
-	mux.HandleFunc("POST /cluster/view", s.wrap("/cluster/view", nil, s.handleClusterViewPost))
-	mux.HandleFunc("POST /cluster/fetch", s.wrap("/cluster/fetch", nil, s.handleClusterFetch))
-	mux.HandleFunc("GET /cluster/records", s.wrap("/cluster/records", nil, s.handleClusterRecords))
-	mux.HandleFunc("GET /cluster/events", s.wrap("/cluster/events", nil, s.handleClusterEvents))
-	mux.HandleFunc("GET /cluster/health", s.wrap("/cluster/health", nil, s.handleClusterHealth))
-	mux.HandleFunc("GET /slo", s.wrap("/slo", nil, s.handleSLO))
-	mux.HandleFunc("GET /pilot", s.wrap("/pilot", nil, s.handlePilot))
+	// Routes of an optional tier answer 404 when it is not attached; what
+	// is attached is fixed by New, so the gate costs a request nothing.
+	const noCluster, noSLO = "cluster mode not enabled", "no SLO config attached (see -slo-config)"
+	peers, records := s.cluster != nil, s.cluster != nil && s.store != nil
+	mux.HandleFunc("POST /cluster/replicate", s.wrap("/cluster/replicate", nil, gated(records, noCluster, s.handleReplicate)))
+	mux.HandleFunc("POST /cluster/join", s.wrap("/cluster/join", nil, gated(peers, noCluster, s.handleClusterJoin)))
+	mux.HandleFunc("POST /cluster/drain", s.wrap("/cluster/drain", nil, gated(peers, noCluster, s.handleClusterDrain)))
+	mux.HandleFunc("GET /cluster/view", s.wrap("/cluster/view", nil, gated(peers, noCluster, s.handleClusterViewGet)))
+	mux.HandleFunc("POST /cluster/view", s.wrap("/cluster/view", nil, gated(peers, noCluster, s.handleClusterViewPost)))
+	mux.HandleFunc("POST /cluster/fetch", s.wrap("/cluster/fetch", nil, gated(records, noCluster, s.handleClusterFetch)))
+	mux.HandleFunc("GET /cluster/records", s.wrap("/cluster/records", nil, gated(records, noCluster, s.handleClusterRecords)))
+	mux.HandleFunc("GET /cluster/events", s.wrap("/cluster/events", nil, gated(peers, noCluster, s.handleClusterEvents)))
+	mux.HandleFunc("GET /cluster/health", s.wrap("/cluster/health", nil, gated(s.sloEngine != nil, noSLO, s.handleClusterHealth)))
+	mux.HandleFunc("GET /slo", s.wrap("/slo", nil, gated(s.sloEngine != nil, noSLO, s.handleSLO)))
+	mux.HandleFunc("GET /pilot", s.wrap("/pilot", nil, gated(s.pilot != nil, "no pilot attached (see -pilot)", s.handlePilot)))
 	mux.HandleFunc("GET /debug/traces", s.wrap("/debug/traces", nil, s.handleDebugTraces))
 	return mux
+}
+
+// gated is h when the tier a route belongs to is attached, and a 404
+// saying why otherwise.
+func gated(on bool, why string, h http.HandlerFunc) http.HandlerFunc {
+	if on {
+		return h
+	}
+	return func(rw http.ResponseWriter, _ *http.Request) { writeError(rw, http.StatusNotFound, errors.New(why)) }
+}
+
+// decodeBody decodes a JSON request body into v, answering 400 (and
+// false) when it does not parse.
+func decodeBody(rw http.ResponseWriter, req *http.Request, v any) bool {
+	err := json.NewDecoder(req.Body).Decode(v)
+	if err != nil {
+		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	}
+	return err == nil
 }
 
 // tuneCtx resolves a spec through the plan cache under a context,
@@ -727,7 +751,22 @@ func (s *Server) tuneCtx(ctx context.Context, ws WorkloadSpec) (*TuneResponse, e
 	if err != nil {
 		return nil, &badRequestError{err}
 	}
-	key := ws.key()
+	return s.tuneResolved(ctx, ws, resolved{ws.key(), w, cl, space})
+}
+
+// resolved is what normalize makes of a spec, plus its canonical key:
+// handed on, so a request is normalized and keyed once.
+type resolved struct {
+	key   string
+	w     plan.Workload
+	cl    *hardware.Cluster
+	space core.Space
+}
+
+// tuneResolved is tuneCtx for a spec whose defaults are already
+// resolved (ws normalized, r its pieces).
+func (s *Server) tuneResolved(ctx context.Context, ws WorkloadSpec, r resolved) (*TuneResponse, error) {
+	key := r.key
 
 	s.mu.Lock()
 	for {
@@ -764,7 +803,7 @@ func (s *Server) tuneCtx(ctx context.Context, ws WorkloadSpec) (*TuneResponse, e
 	s.plans[key] = e
 	s.mu.Unlock()
 
-	e.resp, e.an, e.err = s.runTune(ctx, ws, w, cl, space)
+	e.resp, e.an, e.err = s.runTune(ctx, ws, r.w, r.cl, r.space)
 	if e.err != nil {
 		// Do not cache failures: a later identical request retries.
 		s.mu.Lock()
@@ -911,9 +950,9 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 // traffic must not pay it per request. The wait on an in-flight entry
 // is bounded by ctx so an inline-plan /simulate honors its request
 // deadline instead of parking behind a slow search.
-func (s *Server) analyzerFor(ctx context.Context, ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (*schedule.Analyzer, error) {
+func (s *Server) analyzerFor(ctx context.Context, ws WorkloadSpec, r resolved) (*schedule.Analyzer, error) {
 	s.mu.Lock()
-	e, ok := s.plans[ws.key()]
+	e, ok := s.plans[r.key]
 	s.mu.Unlock()
 	if ok {
 		select {
@@ -925,11 +964,40 @@ func (s *Server) analyzerFor(ctx context.Context, ws WorkloadSpec, w plan.Worklo
 			return e.an, nil
 		}
 	}
-	an, err := s.evalReg.analyzer(ws, w, cl, space)
+	an, err := s.evalReg.analyzer(ws, r.w, r.cl, r.space)
 	if err != nil {
 		return nil, &badRequestError{err}
 	}
 	return an, nil
+}
+
+// keyedIngress is the one preamble of the fingerprint-keyed endpoints
+// (/tune, /simulate, single-spec POST /jobs): read the body (whole — a
+// non-owner replays it verbatim), decode it into v, resolve the defaults
+// of spec (a field of v) in place, and relay the request when a peer
+// owns its fingerprint. ok=false: the response is already written (a
+// 400, or the owner's relayed answer). A non-empty batch (the other
+// field of a POST /jobs) carries no key: v comes back decoded but
+// unresolved, to be accepted locally.
+func (s *Server) keyedIngress(rw http.ResponseWriter, req *http.Request, v any, spec *WorkloadSpec, batch *[]JobSpec) (r resolved, ok bool) {
+	body, err := io.ReadAll(req.Body)
+	if err != nil {
+		writeError(rw, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		return r, false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return r, false
+	}
+	if batch != nil && len(*batch) > 0 {
+		return r, true
+	}
+	if r.w, r.cl, r.space, err = spec.normalize(); err != nil {
+		writeError(rw, http.StatusBadRequest, err)
+		return r, false
+	}
+	r.key = spec.key()
+	return r, !s.proxyKeyed(rw, req, r.key, body)
 }
 
 func (s *Server) handleTune(rw http.ResponseWriter, req *http.Request) {
@@ -938,31 +1006,14 @@ func (s *Server) handleTune(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	s.count.tuneRequests.Inc()
-	// The body is read up front (not streamed into the decoder) because
-	// a non-owner must replay it verbatim to the owning peer.
-	body, err := io.ReadAll(req.Body)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		return
-	}
 	var tr TuneRequest
-	if err := json.Unmarshal(body, &tr); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	r, ok := s.keyedIngress(rw, req, &tr, &tr.WorkloadSpec, nil)
+	if !ok {
 		return
-	}
-	if s.cluster != nil && !forwarded(req) {
-		spec := tr.WorkloadSpec
-		if _, _, _, err := spec.normalize(); err != nil {
-			writeError(rw, http.StatusBadRequest, err)
-			return
-		}
-		if s.proxyKeyed(rw, req, spec.key(), body) {
-			return
-		}
 	}
 	// The request context carries the per-request deadline (see wrap)
 	// and client disconnects; both propagate into the running search.
-	resp, err := s.tuneCtx(req.Context(), tr.WorkloadSpec)
+	resp, err := s.tuneResolved(req.Context(), tr.WorkloadSpec, r)
 	if err != nil {
 		writeError(rw, statusFor(err), err)
 		return
@@ -976,30 +1027,17 @@ func (s *Server) handleSimulate(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	s.count.simulateRequests.Inc()
-	body, err := io.ReadAll(req.Body)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		return
-	}
+	// A non-owner relays to the fingerprint's owner (plan cache and
+	// calibrated analyzer live there), inline plan included.
 	var sr SimulateRequest
-	if err := json.Unmarshal(body, &sr); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	w, cl, space, err := sr.WorkloadSpec.normalize()
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
-		return
-	}
-	// Forward to the fingerprint's owner (plan cache and calibrated
-	// analyzer live there), inline plan included.
-	if s.proxyKeyed(rw, req, sr.WorkloadSpec.key(), body) {
+	r, ok := s.keyedIngress(rw, req, &sr, &sr.WorkloadSpec, nil)
+	if !ok {
 		return
 	}
 	p := sr.Plan
 	var tuned *plan.Plan
 	if p == nil {
-		tresp, err := s.tuneCtx(req.Context(), sr.WorkloadSpec)
+		tresp, err := s.tuneResolved(req.Context(), sr.WorkloadSpec, r)
 		if err != nil {
 			writeError(rw, statusFor(err), err)
 			return
@@ -1007,16 +1045,16 @@ func (s *Server) handleSimulate(rw http.ResponseWriter, req *http.Request) {
 		p = tresp.Plan
 		tuned = tresp.Plan
 	}
-	if err := p.Validate(w); err != nil {
+	if err := p.Validate(r.w); err != nil {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("invalid plan: %w", err))
 		return
 	}
-	an, err := s.analyzerFor(req.Context(), sr.WorkloadSpec, w, cl, space)
+	an, err := s.analyzerFor(req.Context(), sr.WorkloadSpec, r)
 	if err != nil {
 		writeError(rw, statusFor(err), err)
 		return
 	}
-	m, err := trainsim.New(w, cl, an).Measure(p)
+	m, err := trainsim.New(r.w, r.cl, an).Measure(p)
 	if err != nil {
 		writeError(rw, http.StatusInternalServerError, err)
 		return
@@ -1026,27 +1064,24 @@ func (s *Server) handleSimulate(rw http.ResponseWriter, req *http.Request) {
 		Throughput: m.Throughput,
 		Bubble:     m.Bubble,
 		PeakMem:    m.PeakMem,
-		BudgetByte: cl.MemoryBudget(),
-		OOM:        m.OOM(cl.MemoryBudget()),
+		BudgetByte: r.cl.MemoryBudget(),
+		OOM:        m.OOM(r.cl.MemoryBudget()),
 		TunedPlan:  tuned,
 	})
 }
 
 func (s *Server) handleHealthz(rw http.ResponseWriter, req *http.Request) {
+	hb := cluster.Heartbeat{OK: true}
 	if s.cluster != nil {
 		// The epoch and membership fingerprint piggyback on every probe
 		// reply: peers compare them to their own and reconcile views
 		// (behind on epoch, or diverged at the same epoch) — membership
 		// anti-entropy on the existing probe cadence, no extra
 		// round-trips.
-		writeJSON(rw, http.StatusOK, map[string]any{
-			"ok":     true,
-			"epoch":  s.cluster.Epoch(),
-			"viewFp": fmt.Sprintf("%016x", s.cluster.ViewFingerprint()),
-		})
-		return
+		id := s.cluster.ViewID()
+		hb.ViewStamp = &cluster.ViewStamp{Epoch: id.Epoch, ViewFp: fmt.Sprintf("%016x", id.Fp)}
 	}
-	writeJSON(rw, http.StatusOK, map[string]bool{"ok": true})
+	writeJSON(rw, http.StatusOK, hb)
 }
 
 func (s *Server) handleStats(rw http.ResponseWriter, req *http.Request) {
@@ -1148,13 +1183,13 @@ func (e *badRequestError) Unwrap() error { return e.err }
 func statusFor(err error) int {
 	var bad *badRequestError
 	var over *overloadError
-	var remote *remoteStatusError
+	var remote *cluster.StatusError
 	switch {
 	case errors.As(err, &bad):
 		return http.StatusBadRequest
 	case errors.As(err, &remote):
 		// A proxied peer already classified the failure; relay its code.
-		return remote.status
+		return remote.Status
 	case errors.As(err, &over), errors.Is(err, jobs.ErrQueueFull):
 		// Backpressure: the admission gate or the job queue is full.
 		// Degrade promptly with a retry hint instead of hanging.
@@ -1191,5 +1226,5 @@ func writeError(rw http.ResponseWriter, status int, err error) {
 		}
 		rw.Header().Set("Retry-After", retryAfterSeconds(after))
 	}
-	writeJSON(rw, status, map[string]string{"error": err.Error()})
+	writeJSON(rw, status, cluster.ErrorReply{Error: err.Error()})
 }

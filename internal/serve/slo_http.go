@@ -2,18 +2,13 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/slo"
-	"repro/internal/trace"
 )
 
 // This file wires the SLO engine through the serving layer: engine
@@ -138,10 +133,6 @@ func (s *Server) sloNode() string {
 
 // handleSLO serves GET /slo: this node's evaluated objectives.
 func (s *Server) handleSLO(rw http.ResponseWriter, req *http.Request) {
-	if s.sloEngine == nil {
-		writeError(rw, http.StatusNotFound, errors.New("no SLO config attached (see -slo-config)"))
-		return
-	}
 	writeJSON(rw, http.StatusOK, s.sloEngine.Snapshot(s.sloNode()))
 }
 
@@ -150,27 +141,19 @@ func (s *Server) handleSLO(rw http.ResponseWriter, req *http.Request) {
 // addition; unreachable peers degrade the verdict instead of silently
 // shrinking the fleet. Without a cluster it reports a fleet of one.
 func (s *Server) handleClusterHealth(rw http.ResponseWriter, req *http.Request) {
-	if s.sloEngine == nil {
-		writeError(rw, http.StatusNotFound, errors.New("no SLO config attached (see -slo-config)"))
-		return
-	}
 	local := s.sloEngine.Snapshot(s.sloNode())
 	reports := []slo.NodeReport{local}
 	var unreachable []string
 	if s.cluster != nil {
-		self := s.cluster.Self()
 		var (
 			mu sync.Mutex
 			wg sync.WaitGroup
 		)
-		for _, m := range s.cluster.Members() {
-			if m.ID == self {
-				continue
-			}
+		for _, m := range s.cluster.Others(s.cluster.Members()) {
 			wg.Add(1)
 			go func(m cluster.Member) {
 				defer wg.Done()
-				rep, err := s.fetchPeerSLO(req.Context(), m)
+				rep, err := s.peerSLO(req.Context(), m)
 				mu.Lock()
 				defer mu.Unlock()
 				if err != nil {
@@ -183,27 +166,4 @@ func (s *Server) handleClusterHealth(rw http.ResponseWriter, req *http.Request) 
 		wg.Wait()
 	}
 	writeJSON(rw, http.StatusOK, slo.MergeFleet(reports, unreachable))
-}
-
-// fetchPeerSLO pulls one member's GET /slo through the cluster
-// transport (health bookkeeping included).
-func (s *Server) fetchPeerSLO(ctx context.Context, m cluster.Member) (slo.NodeReport, error) {
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	resp, err := s.cluster.Forward(ctx, m, http.MethodGet, "/slo", trace.RequestID(ctx), "", nil)
-	if err != nil {
-		return slo.NodeReport{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return slo.NodeReport{}, fmt.Errorf("peer %s /slo: %s", m.ID, resp.Status)
-	}
-	var rep slo.NodeReport
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&rep); err != nil {
-		return slo.NodeReport{}, fmt.Errorf("peer %s /slo: %w", m.ID, err)
-	}
-	if rep.Node == "" {
-		rep.Node = m.ID
-	}
-	return rep, nil
 }
