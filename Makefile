@@ -82,7 +82,7 @@ property: ## schedule, frontier and compile invariants, repeated with a pinned q
 	$(GO) test ./internal/schedule ./internal/core ./internal/symbolic -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
 	$(GO) test ./internal/schedule -run 'TestPropertyLiftedProgramMatchesPerShapeBuild' -count=1 -reference.full
 
-bench: ## cached-vs-uncached tuner (BenchmarkTuneUncached is the bare-analyzer reference cell, kept under that name for bench-regression), one 405-knob row through the analyzer and through the eval cache, cold-vs-warm search, batch-submit amortization, tracing overhead, SLO evaluation
+bench: ## cached-vs-uncached tuner (BenchmarkTuneUncached is the bare-analyzer reference cell, kept under that name for bench-regression; BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down), one 405-knob row through the analyzer and through the eval cache, cold-vs-warm search, batch-submit amortization, tracing overhead, SLO evaluation
 	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x .
 	$(GO) test -run xxx -bench 'BenchmarkEvaluateBatch' ./internal/schedule
 	$(GO) test -run xxx -bench 'BenchmarkRow' ./internal/evalcache

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -102,5 +103,33 @@ func TestDeviceOptions(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("deviceOptions = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestHeteroBenchCellWork pins what a heterogeneous-device search of the
+// bench cell prices. One canonical shape meets overlapping layer windows
+// there (the same mesh under different pipeline depths), and rows keyed
+// per (shape, knob set) serve every layer count the windows share; a row
+// keyed by the whole window would re-price them (1 343 790 unique
+// evaluations when measured). GOMAXPROCS is 1 so that no two pairs of a
+// wave miss the same row at once — both would count it.
+func TestHeteroBenchCellWork(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	space := MistSpace()
+	space.HeterogeneousDevices = true
+	tn, err := New(testWorkload("gpt3-2.7b", 8), l4(t, 8), space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := tn.Tune()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Candidates != 1719954 || r.EvalCacheMisses != 786915 {
+		t.Errorf("hetero search priced %d candidates with %d unique evaluations, want 1719954 and 786915",
+			r.Candidates, r.EvalCacheMisses)
+	}
+	if got := r.EvalCacheHits + r.EvalCacheMisses; got != uint64(r.Candidates) {
+		t.Errorf("hits+misses = %d, want the %d candidates priced", got, r.Candidates)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,7 +12,10 @@ import (
 
 // intraSem bounds the extra goroutines spawned by intra-stage pricing
 // across every concurrent tuner in the process; callers price inline
-// regardless, so exhaustion degrades to sequential work, never blocks.
+// regardless, so exhaustion degrades to sequential work, never blocks. It
+// is sized when the package loads; a single intraStage call also stays
+// within the GOMAXPROCS it reads when called, which a process may have
+// lowered since.
 var intraSem = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // candidate is one priced intra-stage configuration: a complete stage
@@ -23,74 +27,110 @@ type candidate struct {
 	Mem   float64
 }
 
+// point is a candidate as the sweep holds it: the priced values plus the
+// positions of its shape in the sweep's shape list and of its knobs in
+// its layer count's knob set. A sweep prices thousands of points per
+// layer count and keeps a few; only those become candidates
+// (sweepScratch.candidate).
+type point struct {
+	T, D, Mem   float64
+	shape, knob int32
+}
+
 // evalScratch is the per-pricing-goroutine buffer set: the backend's
-// scratch plus a reusable result slice. Pooled because intraStage's inner
-// fan-out borrows transient goroutines.
+// scratch plus one reusable result slice per layer count of the window.
+// Pooled because intraStage's inner fan-out borrows transient goroutines.
 type evalScratch struct {
-	cs  evalcache.Scratch
-	dst []schedule.Result
+	cs   evalcache.Scratch
+	dsts [][]schedule.Result
 }
 
 var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
-// sweepScratch is the per-intraStage-call buffer set: the shape list, the
-// per-shape output table, one arena backing every shape's candidate
-// segment, and the Pareto staircase buffers. One sweepScratch serves a whole
-// (S, G) pair's stage loop (tuneSG holds it for the pair's lifetime);
-// candidates are value-copied out by paretoSample before reuse.
+// sweepScratch is the per-intraStage-call buffer set, and after the call
+// its result: the shape list, the window's knob sets, the point arena
+// and, per (layer count, shape), the arena segment holding that pair's
+// feasible points; plus the Pareto staircase buffers. One sweepScratch
+// serves a whole (S, G) pair's stage loop (tuneSG holds it for the pair's
+// lifetime); survivors are value-copied out (candidate) before reuse.
 type sweepScratch struct {
 	shapes []schedule.StageShape
+	sets   []*evalcache.KnobSet
 	outs   []shapeOut
-	arena  []candidate
-	keys   []tdKey
-	front  []candidate
-}
-
-// tdKey is one step of the Pareto staircase: a candidate's (t, d) point
-// and its position in the candidate list.
-type tdKey struct {
-	T, D float64
-	idx  int32
+	arena  []point
+	segs   [][]point // segs[li*len(shapes)+si], each backed by arena
+	stair  []point
+	picks  []point
 }
 
 var sweepScratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
 
-// shapeOut is one shape's pricing outcome: its candidate segment (backed
-// by the sweep arena), the number of evaluator candidates actually
-// priced (0 when the shape was never claimed or errored before pricing),
-// and any error.
-type shapeOut struct {
-	cands []candidate
-	n     int
-	err   error
+// release returns sc to the pool, without the request's knob sets.
+func (sc *sweepScratch) release() {
+	clear(sc.sets[:cap(sc.sets)])
+	sweepScratchPool.Put(sc)
 }
 
-// intraStage enumerates and prices every (b, DP, TP, ZeRO, CKPT, WO, GO,
-// OO, AO) combination for one pipeline stage position and one layer
-// count, returning the feasible candidates. This is the paper's
-// brute-force intra-stage sweep (§5.3: "querying single datapoints is
-// extremely fast ... we simply search in a brute-force way").
+// list returns layer count li's points as one segment per shape:
+// concatenated, they are the layer count's feasible candidates in
+// enumeration order (shape-major, knob-minor).
+func (sc *sweepScratch) list(li int) [][]point {
+	return sc.segs[li*len(sc.shapes) : (li+1)*len(sc.shapes)]
+}
+
+// candidate materialises a point of layer count li.
+func (sc *sweepScratch) candidate(li int, p point) candidate {
+	return candidate{
+		Shape: sc.shapes[p.shape], Knobs: sc.sets[li].Knobs()[p.knob],
+		T: p.T, D: p.D, Mem: p.Mem,
+	}
+}
+
+// shapeOut is one shape's pricing outcome: the number of evaluator
+// candidates actually priced (0 when the shape was never claimed or
+// errored before pricing), and any error.
+type shapeOut struct {
+	n   int
+	err error
+}
+
 // planSafetyFraction leaves headroom between the analyzer's closed-form
 // memory estimate and the budget: the runtime's allocator fragmentation
 // (page rounding in the execution engine, ~2% in the paper's §6.6 memory
 // error) would otherwise push boundary plans into OOM at execution.
 const planSafetyFraction = 0.96
 
-// The returned candidate slice is backed by sc's arena and only valid
-// until the next intraStage call on the same scratch; the evaluated
-// count is exact — it tallies precisely the candidates the evaluator
-// priced, including shapes whose batches completed after another shape
-// failed, so it reconciles with the cache's hit/miss counters.
-func (t *Tuner) intraStage(s, g, stageIdx, devPerStage, layers int, sc *sweepScratch) ([]candidate, int, error) {
+// intraStage enumerates and prices every (b, DP, TP, ZeRO, CKPT, WO, GO,
+// OO, AO) combination for one pipeline stage position, under every layer
+// count of the stage's window at once: each stage shape goes to the
+// backend one time with the window's knob sets, so what a shape's price
+// owes to the offload tuple alone is computed once, not once per layer
+// count. This is the paper's brute-force intra-stage sweep (§5.3:
+// "querying single datapoints is extremely fast ... we simply search in a
+// brute-force way").
+//
+// The feasible points are left in sc (list(li) for layers[li]) and are
+// only valid until the next intraStage call on the same scratch; the
+// evaluated count is exact — it tallies precisely the candidates the
+// evaluator priced, including shapes whose windows completed after
+// another shape failed, so it reconciles with the cache's hit/miss
+// counters.
+func (t *Tuner) intraStage(s, g, stageIdx, devPerStage int, layers []int, sc *sweepScratch) (int, error) {
 	budget := t.Cluster.MemoryBudget() * planSafetyFraction
-	set := t.knobSet(layers)
-	knobs := set.Knobs()
 	ev := t.backend()
+	sets, perShape := sc.sets[:0], 0
+	for _, l := range layers {
+		set := t.knobSet(l)
+		sets = append(sets, set)
+		perShape += set.Len()
+	}
+	sc.sets = sets
 
 	// Enumerate the stage shapes, then price them on a bounded worker
-	// pool (the intra-stage counterpart of Tune's (S, G) fan-out). The
-	// per-shape candidate slices are reassembled in enumeration order so
-	// the search stays deterministic regardless of scheduling.
+	// pool (the intra-stage counterpart of Tune's (S, G) fan-out). Every
+	// (layer count, shape) has its own arena segment, at a position fixed
+	// by the enumeration, so the search stays deterministic regardless of
+	// scheduling.
 	shapes := sc.shapes[:0]
 	for _, pt := range t.parallelisms(devPerStage, g) {
 		for _, zero := range t.Space.zeroLevels() {
@@ -110,43 +150,54 @@ func (t *Tuner) intraStage(s, g, stageIdx, devPerStage, layers int, sc *sweepScr
 		sc.outs = make([]shapeOut, len(shapes))
 	}
 	outs := sc.outs[:len(shapes)]
-	for i := range outs {
-		outs[i] = shapeOut{}
+	clear(outs)
+	if need := len(sets) * len(shapes); cap(sc.segs) < need {
+		sc.segs = make([][]point, need)
+	} else {
+		sc.segs = sc.segs[:need]
+		clear(sc.segs)
 	}
-	// Disjoint per-shape arena segments let concurrent workers append
-	// candidates without synchronization or per-shape allocations.
-	if need := len(shapes) * len(knobs); cap(sc.arena) < need {
-		sc.arena = make([]candidate, need)
+	segs := sc.segs
+	// Disjoint segments let concurrent workers write points without
+	// synchronization, per-shape allocations or a compacting copy: layer
+	// count li's segments start at len(shapes) * (knobs of the layer counts
+	// before it), one knob set's length apart.
+	if need := len(shapes) * perShape; cap(sc.arena) < need {
+		sc.arena = make([]point, need)
 	}
 	arena := sc.arena[:cap(sc.arena)]
 
 	price := func(i int, es *evalScratch) {
-		shape := shapes[i]
-		results, err := ev.EvaluateSet(shape, set, es.dst, &es.cs)
-		if err != nil {
+		for len(es.dsts) < len(sets) {
+			es.dsts = append(es.dsts, nil)
+		}
+		dsts := es.dsts[:len(sets)]
+		if err := ev.EvaluateSets(shapes[i], sets, dsts, &es.cs); err != nil {
 			outs[i].err = err
 			return
 		}
-		es.dst = results[:0]
-		seg := arena[i*len(knobs) : i*len(knobs) : (i+1)*len(knobs)]
-		for j, r := range results {
-			if !r.Fits(budget) {
-				continue
+		base := 0
+		for li, results := range dsts {
+			n := len(results)
+			at := base + i*n
+			seg := arena[at : at : at+n]
+			for j := range results {
+				if r := &results[j]; r.Fits(budget) {
+					seg = append(seg, point{T: r.Stable, D: r.Delta, Mem: r.PeakMem, shape: int32(i), knob: int32(j)})
+				}
 			}
-			seg = append(seg, candidate{
-				Shape: shape, Knobs: knobs[j],
-				T: r.Stable, D: r.Delta, Mem: r.PeakMem,
-			})
+			segs[li*len(shapes)+i] = seg
+			base += len(shapes) * n
 		}
-		outs[i].cands = seg
-		outs[i].n = len(knobs)
+		outs[i].n = perShape
 	}
 
 	// Jobs are claimed off an atomic counter. The caller always prices
-	// inline (progress without any token), and extra workers spawn only
-	// while the process-wide intraSem has capacity — intraStage runs
-	// nested inside Tune's (S, G) worker pool, so per-call GOMAXPROCS
-	// pools would multiply to ~P^2 runnable goroutines.
+	// inline (progress without any token), and extra workers — at most
+	// GOMAXPROCS-1, as it reads now — spawn only while the process-wide
+	// intraSem has capacity: intraStage runs nested inside Tune's (S, G)
+	// worker pool, so per-call GOMAXPROCS pools would multiply to ~P^2
+	// runnable goroutines.
 	var next atomic.Int64
 	drain := func() {
 		es := evalScratchPool.Get().(*evalScratch)
@@ -157,7 +208,7 @@ func (t *Tuner) intraStage(s, g, stageIdx, devPerStage, layers int, sc *sweepScr
 				return
 			}
 			// Per-request deadlines land here: a canceled search stops
-			// between shape batches instead of pricing out the sweep.
+			// between shapes instead of pricing out the sweep.
 			if err := t.ctxErr(); err != nil {
 				outs[i].err = err
 				return
@@ -167,7 +218,7 @@ func (t *Tuner) intraStage(s, g, stageIdx, devPerStage, layers int, sc *sweepScr
 	}
 	var wg sync.WaitGroup
 spawn:
-	for n := 1; n < len(shapes); n++ {
+	for n := min(len(shapes), runtime.GOMAXPROCS(0)) - 1; n > 0; n-- {
 		select {
 		case intraSem <- struct{}{}:
 			wg.Add(1)
@@ -194,18 +245,7 @@ spawn:
 			firstErr = outs[i].err
 		}
 	}
-	if firstErr != nil {
-		return nil, evaluated, firstErr
-	}
-	// Compact the arena segments into one contiguous candidate list (in
-	// enumeration order). Segments are disjoint and arena-ordered, so the
-	// write cursor never passes a segment's start: copying down in place
-	// is safe.
-	out := arena[:0]
-	for i := range outs {
-		out = append(out, outs[i].cands...)
-	}
-	return out, evaluated, nil
+	return evaluated, firstErr
 }
 
 // parallelism is one feasible (tp, dp, b) split of a stage's devices.
@@ -235,23 +275,19 @@ func (t *Tuner) parallelisms(devPerStage, g int) []parallelism {
 	return out
 }
 
-// paretoSample reduces a candidate set to K points on its (t, d) Pareto
-// frontier using the paper's dual-objective sweep (Eq. 4): for uniformly
-// sampled α in [0, 1], keep argmin α·G·t + (1−α)·d. With K == 1 the
-// single sample uses α = 1 (pure stable-time minimization — the point a
-// throughput-greedy planner would keep; α = 0/0 would be NaN).
-// The returned slice is freshly allocated (it outlives the scratch); the
-// scratch backs the frontier buffers.
-func paretoSample(cands []candidate, g, k int, sc *sweepScratch) []candidate {
-	if len(cands) == 0 {
-		return nil
-	}
-	front := paretoFrontier(cands, sc)
+// paretoSample reduces a candidate list (one segment per shape, see
+// sweepScratch.list) to K points on its (t, d) Pareto frontier using the
+// paper's dual-objective sweep (Eq. 4): for uniformly sampled α in
+// [0, 1], keep argmin α·G·t + (1−α)·d. With K == 1 the single sample uses
+// α = 1 (pure stable-time minimization — the point a throughput-greedy
+// planner would keep; α = 0/0 would be NaN). The returned slice is backed
+// by sc and valid until its next use.
+func paretoSample(segs [][]point, g, k int, sc *sweepScratch) []point {
+	front := paretoFrontier(segs, sc)
 	if len(front) <= k {
-		return append([]candidate(nil), front...)
+		return front
 	}
-	picked := map[int]bool{}
-	var out []candidate
+	out := sc.picks[:0]
 	for i := 0; i < k; i++ {
 		alpha := 1.0
 		if k > 1 {
@@ -264,65 +300,62 @@ func paretoSample(cands []candidate, g, k int, sc *sweepScratch) []candidate {
 				bestIdx, bestVal = j, v
 			}
 		}
-		if !picked[bestIdx] {
-			picked[bestIdx] = true
+		if !slices.Contains(out, front[bestIdx]) { // frontier points are distinct in (T, D)
 			out = append(out, front[bestIdx])
 		}
 	}
+	sc.picks = out
 	return out
 }
 
-// paretoFrontier keeps the non-dominated candidates: c dominates c' when
-// c.T <= c'.T and c.D <= c'.D with at least one strict, and of exact
-// (T, D) duplicates the first in cands wins — the frontier is the set of
-// minima under the total order (T, D, index), returned by ascending T.
-// The returned slice is backed by sc and valid until its next use.
-func paretoFrontier(cands []candidate, sc *sweepScratch) []candidate {
+// paretoFrontier keeps the non-dominated points of a candidate list given
+// as segments: c dominates c' when c.T <= c'.T and c.D <= c'.D with at
+// least one strict, and of exact (T, D) duplicates the first in the list
+// wins — the frontier is the set of minima under the total order (T, D,
+// position in the list), returned by ascending T. The returned slice is
+// backed by sc and valid until its next use.
+func paretoFrontier(segs [][]point, sc *sweepScratch) []point {
 	// The frontier is a staircase, T strictly ascending and D strictly
-	// descending, kept as compact keys (not the 136-byte candidates) and
-	// fed in enumeration order: a candidate lands behind the last step
-	// with T <= its own, is dropped when that step's D is already <= its
-	// own, and otherwise replaces every step it dominates. A sweep keeps
-	// a few dozen steps out of thousands of candidates, so nearly every
-	// candidate costs one binary search.
-	stair := sc.keys[:0]
-	for i := range cands {
-		t, d := cands[i].T, cands[i].D
-		lo, hi := 0, len(stair)
-		for lo < hi { // hi = first step with T > t
-			if mid := int(uint(lo+hi) >> 1); stair[mid].T > t {
-				hi = mid
+	// descending, fed in enumeration order: a point lands behind the last
+	// step with T <= its own, is dropped when that step's D is already <=
+	// its own (so a later duplicate never displaces an earlier one), and
+	// otherwise replaces every step it dominates. A sweep keeps a few dozen
+	// steps out of thousands of points, so nearly every point costs one
+	// binary search.
+	stair := sc.stair[:0]
+	for _, seg := range segs {
+		for i := range seg {
+			t, d := seg[i].T, seg[i].D
+			lo, hi := 0, len(stair)
+			for lo < hi { // hi = first step with T > t
+				if mid := int(uint(lo+hi) >> 1); stair[mid].T > t {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			if hi > 0 && stair[hi-1].D <= d {
+				continue // dominated, or a duplicate of an earlier point
+			}
+			// Dominated steps are contiguous: an equal-T predecessor (its D
+			// is larger) and the successors whose D has not dropped below d.
+			lo = hi
+			if lo > 0 && stair[lo-1].T == t {
+				lo--
+			}
+			for hi < len(stair) && stair[hi].D >= d {
+				hi++
+			}
+			if lo == hi {
+				stair = append(stair, point{})
+				copy(stair[lo+1:], stair[lo:])
+				stair[lo] = seg[i]
 			} else {
-				lo = mid + 1
+				stair[lo] = seg[i]
+				stair = append(stair[:lo+1], stair[hi:]...)
 			}
 		}
-		if hi > 0 && stair[hi-1].D <= d {
-			continue // dominated, or a duplicate of an earlier candidate
-		}
-		// Dominated steps are contiguous: an equal-T predecessor (its D
-		// is larger) and the successors whose D has not dropped below d.
-		lo = hi
-		if lo > 0 && stair[lo-1].T == t {
-			lo--
-		}
-		for hi < len(stair) && stair[hi].D >= d {
-			hi++
-		}
-		key := tdKey{T: t, D: d, idx: int32(i)}
-		if lo == hi {
-			stair = append(stair, tdKey{})
-			copy(stair[lo+1:], stair[lo:])
-			stair[lo] = key
-		} else {
-			stair[lo] = key
-			stair = append(stair[:lo+1], stair[hi:]...)
-		}
 	}
-	sc.keys = stair
-	front := sc.front[:0]
-	for _, k := range stair {
-		front = append(front, cands[k.idx])
-	}
-	sc.front = front
-	return front
+	sc.stair = stair
+	return stair
 }

@@ -11,7 +11,7 @@ import (
 // sortedSweepFrontier is the frontier's definition, executed: sort by the
 // total order (T, D, index) and keep every point whose D is strictly
 // below all earlier ones.
-func sortedSweepFrontier(cands []candidate) []candidate {
+func sortedSweepFrontier(cands []point) []point {
 	idx := make([]int, len(cands))
 	for i := range idx {
 		idx[i] = i
@@ -25,7 +25,7 @@ func sortedSweepFrontier(cands []candidate) []candidate {
 		}
 		return cmp.Compare(a, b)
 	})
-	var front []candidate
+	var front []point
 	for _, i := range idx {
 		if len(front) == 0 || cands[i].D < front[len(front)-1].D {
 			front = append(front, cands[i])
@@ -37,12 +37,12 @@ func sortedSweepFrontier(cands []candidate) []candidate {
 // randCandidates draws a candidate list whose (T, D) points come from a
 // small value pool — equal-T runs and exact (T, D) duplicates are the
 // norm, not the exception — in random, ascending or descending order.
-// Each candidate's Mem carries its list position, so two equal points
-// are still told apart.
-func randCandidates(rng *rand.Rand) []candidate {
+// Each point's Mem and knob carry its list position, so two equal (T, D)
+// points are still told apart.
+func randCandidates(rng *rand.Rand) []point {
 	n := rng.Intn(400)
 	pool := 1 + rng.Intn(40)
-	cands := make([]candidate, n)
+	cands := make([]point, n)
 	for i := range cands {
 		cands[i].T = float64(rng.Intn(pool))
 		cands[i].D = float64(rng.Intn(pool))
@@ -53,7 +53,7 @@ func randCandidates(rng *rand.Rand) []candidate {
 			}
 		}
 	}
-	byTD := func(a, b candidate) int {
+	byTD := func(a, b point) int {
 		if c := cmp.Compare(a.T, b.T); c != 0 {
 			return c
 		}
@@ -63,22 +63,37 @@ func randCandidates(rng *rand.Rand) []candidate {
 	case 1:
 		slices.SortStableFunc(cands, byTD)
 	case 2:
-		slices.SortStableFunc(cands, func(a, b candidate) int { return byTD(b, a) })
+		slices.SortStableFunc(cands, func(a, b point) int { return byTD(b, a) })
 	}
 	for i := range cands {
-		cands[i].Mem = float64(i)
+		cands[i].Mem, cands[i].knob = float64(i), int32(i)
 	}
 	return cands
 }
 
+// randSegments cuts a list into the form the sweep hands over: one
+// segment per shape, some of them empty.
+func randSegments(rng *rand.Rand, cands []point) [][]point {
+	var segs [][]point
+	for len(cands) > 0 {
+		n := rng.Intn(len(cands) + 1)
+		segs = append(segs, cands[:n:n])
+		cands = cands[n:]
+	}
+	return segs
+}
+
 // TestPropertyParetoStaircaseMatchesSortedSweep: the incremental
-// staircase returns the same candidates in the same order as the
-// sort-then-sweep definition, ties and duplicates included.
+// staircase returns the same points in the same order as the
+// sort-then-sweep definition — ties and duplicates included: of equal
+// (T, D) points the first in the list survives, wherever the segment
+// boundaries fall.
 func TestPropertyParetoStaircaseMatchesSortedSweep(t *testing.T) {
 	sc := &sweepScratch{} // reused, as tuneSG reuses one per (S, G) pair
 	f := func(seed int64) bool {
-		cands := randCandidates(rand.New(rand.NewSource(seed)))
-		return slices.Equal(paretoFrontier(cands, sc), sortedSweepFrontier(cands))
+		rng := rand.New(rand.NewSource(seed))
+		cands := randCandidates(rng)
+		return slices.Equal(paretoFrontier(randSegments(rng, cands), sc), sortedSweepFrontier(cands))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -91,8 +106,9 @@ func TestParetoFrontierAllocatesNothingOnGrownScratch(t *testing.T) {
 		cands = append(cands, randCandidates(rand.New(rand.NewSource(int64(len(cands)))))...)
 	}
 	sc := &sweepScratch{}
-	paretoFrontier(cands, sc)
-	if allocs := testing.AllocsPerRun(20, func() { paretoFrontier(cands, sc) }); allocs != 0 {
+	segs := [][]point{cands[:50], cands[50:]}
+	paretoFrontier(segs, sc)
+	if allocs := testing.AllocsPerRun(20, func() { paretoFrontier(segs, sc) }); allocs != 0 {
 		t.Errorf("paretoFrontier allocated %v times per run on a grown scratch, want 0", allocs)
 	}
 }

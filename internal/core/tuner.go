@@ -7,7 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,25 +121,19 @@ func (t *Tuner) knobSet(layers int) *evalcache.KnobSet {
 		aoGrid = grid
 	}
 
-	// Checkpoint grid for this layer count.
-	ckptSet := map[int]bool{}
-	var ckpts []int
-	for _, f := range t.Space.ckptFractions() {
-		c := int(f*float64(layers) + 0.5)
-		if c < 0 {
-			c = 0
-		}
-		if c > layers {
-			c = layers
-		}
-		if !ckptSet[c] {
-			ckptSet[c] = true
+	// Checkpoint grid for this layer count: the fractions quantized,
+	// deduplicated (a small layer count folds neighbours together), sorted.
+	fracs := t.Space.ckptFractions()
+	ckpts := make([]int, 0, len(fracs))
+	for _, f := range fracs {
+		c := min(max(int(f*float64(layers)+0.5), 0), layers)
+		if !slices.Contains(ckpts, c) {
 			ckpts = append(ckpts, c)
 		}
 	}
-	sort.Ints(ckpts)
+	slices.Sort(ckpts)
 
-	var knobs []schedule.Knobs
+	knobs := make([]schedule.Knobs, 0, len(ckpts)*len(woGrid)*len(goGrid)*len(ooGrid)*len(aoGrid))
 	for _, ck := range ckpts {
 		for _, wo := range woGrid {
 			for _, gov := range goGrid {
@@ -482,7 +476,7 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int) (*interSolution, int, erro
 	evaluated := 0
 	cands := make([][]candidate, s)
 	sc := sweepScratchPool.Get().(*sweepScratch)
-	defer sweepScratchPool.Put(sc)
+	defer sc.release()
 	_, isp := trace.StartSpan(ctx, "intra-sweep")
 	err := func() error {
 		var pb pairBound
@@ -491,16 +485,19 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int) (*interSolution, int, erro
 				return err
 			}
 			var stageC []candidate
+			window := t.layerRange(s, i)
 			for _, dev := range devOpts {
+				n, err := t.intraStage(s, g, i, dev, window, sc)
+				evaluated += n
+				if err != nil {
+					return err
+				}
 				// The Pareto sampling is per (device count, layer count), so
 				// the solver keeps trade-off points for every partition.
-				for _, l := range t.layerRange(s, i) {
-					cs, n, err := t.intraStage(s, g, i, dev, l, sc)
-					evaluated += n
-					if err != nil {
-						return err
+				for li := range window {
+					for _, p := range paretoSample(sc.list(li), g, t.Space.paretoSamples(), sc) {
+						stageC = append(stageC, sc.candidate(li, p))
 					}
-					stageC = append(stageC, paretoSample(cs, g, t.Space.paretoSamples(), sc)...)
 				}
 			}
 			stageC = t.injectSeed(stageC, s, g, i)
@@ -563,15 +560,20 @@ func (t *Tuner) tuneUniform(s, g, devPer int) (*interSolution, int, error) {
 	evaluated := 0
 	var best *interSolution
 	// Enumerate shared configurations via stage 0's candidate list, then
-	// replicate the knobs (and parallelism) across stages. The scratch
-	// stays checked out until the loop is done with cands0 (the arena
-	// backs it).
+	// replicate the knobs (and parallelism) across stages: a window of one
+	// layer count, every feasible point of it materialised.
 	sc := sweepScratchPool.Get().(*sweepScratch)
-	defer sweepScratchPool.Put(sc)
-	cands0, n, err := t.intraStage(s, g, 0, devPer, l, sc)
+	defer sc.release()
+	n, err := t.intraStage(s, g, 0, devPer, []int{l}, sc)
 	evaluated += n
 	if err != nil {
 		return nil, evaluated, err
+	}
+	var cands0 []candidate
+	for _, seg := range sc.list(0) {
+		for _, p := range seg {
+			cands0 = append(cands0, sc.candidate(0, p))
+		}
 	}
 	budget := t.Cluster.MemoryBudget() * planSafetyFraction
 	for _, c0 := range cands0 {

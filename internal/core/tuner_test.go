@@ -338,10 +338,10 @@ func TestBreakdownLadderMonotone(t *testing.T) {
 }
 
 func TestParetoFrontier(t *testing.T) {
-	cands := []candidate{
+	cands := []point{
 		{T: 1, D: 5}, {T: 2, D: 2}, {T: 3, D: 1}, {T: 2.5, D: 3}, {T: 4, D: 4},
 	}
-	front := paretoFrontier(cands, &sweepScratch{})
+	front := paretoFrontier([][]point{cands[:2], cands[2:]}, &sweepScratch{})
 	if len(front) != 3 {
 		t.Fatalf("frontier size %d, want 3 (got %+v)", len(front), front)
 	}
@@ -353,11 +353,11 @@ func TestParetoFrontier(t *testing.T) {
 }
 
 func TestParetoSampleEndpoints(t *testing.T) {
-	var cands []candidate
+	var cands []point
 	for i := 0; i < 20; i++ {
-		cands = append(cands, candidate{T: float64(i), D: float64(20 - i)})
+		cands = append(cands, point{T: float64(i), D: float64(20 - i)})
 	}
-	out := paretoSample(cands, 4, 3, &sweepScratch{})
+	out := paretoSample([][]point{cands}, 4, 3, &sweepScratch{})
 	if len(out) == 0 || len(out) > 3 {
 		t.Fatalf("sample size %d", len(out))
 	}
@@ -380,10 +380,10 @@ func TestParetoSampleEndpoints(t *testing.T) {
 // now pins α = 1 explicitly, so the single sample is the throughput
 // endpoint (min stable time on the frontier).
 func TestParetoSampleSingle(t *testing.T) {
-	cands := []candidate{
+	cands := []point{
 		{T: 1, D: 5}, {T: 2, D: 2}, {T: 3, D: 1}, {T: 2.5, D: 3}, {T: 4, D: 4},
 	}
-	out := paretoSample(cands, 4, 1, &sweepScratch{})
+	out := paretoSample([][]point{cands}, 4, 1, &sweepScratch{})
 	if len(out) != 1 {
 		t.Fatalf("k=1 sampled %d candidates", len(out))
 	}
@@ -395,16 +395,16 @@ func TestParetoSampleSingle(t *testing.T) {
 // K at or beyond the frontier size returns the whole frontier, no
 // sweep needed.
 func TestParetoSampleKExceedsFrontier(t *testing.T) {
-	cands := []candidate{
+	cands := []point{
 		{T: 1, D: 5}, {T: 2, D: 2}, {T: 3, D: 1}, {T: 2.5, D: 3}, {T: 4, D: 4},
 	}
 	for _, k := range []int{3, 10} {
-		out := paretoSample(cands, 4, k, &sweepScratch{})
+		out := paretoSample([][]point{cands}, 4, k, &sweepScratch{})
 		if len(out) != 3 {
 			t.Errorf("k=%d sampled %d candidates, want the full 3-point frontier", k, len(out))
 		}
 	}
-	if out := paretoSample(nil, 4, 1, &sweepScratch{}); out != nil {
+	if out := paretoSample(nil, 4, 1, &sweepScratch{}); len(out) != 0 {
 		t.Errorf("empty candidate set sampled %+v", out)
 	}
 }
@@ -414,7 +414,7 @@ func TestParetoSampleKExceedsFrontier(t *testing.T) {
 // the reference value for the tuner's `evaluated` accounting.
 type flakyEvaluator struct {
 	an           *schedule.Analyzer
-	failBatchTP  int          // EvaluateSet errors for shapes with this TP (0: never)
+	failBatchTP  int          // EvaluateSets errors for shapes with this TP (0: never)
 	failEvaluate bool         // every single-point Evaluate errors
 	points       atomic.Int64 // successful batch pricings, in points
 	attempts     atomic.Int64 // single-point Evaluate attempts
@@ -428,15 +428,17 @@ func (f *flakyEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (sche
 	return f.an.Evaluate(s, k)
 }
 
-func (f *flakyEvaluator) EvaluateSet(s schedule.StageShape, set *evalcache.KnobSet, dst []schedule.Result, sc *evalcache.Scratch) ([]schedule.Result, error) {
+func (f *flakyEvaluator) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, dsts [][]schedule.Result, sc *evalcache.Scratch) error {
 	if f.failBatchTP != 0 && s.TP == f.failBatchTP {
-		return nil, errors.New("flaky: batch failed")
+		return errors.New("flaky: batch failed")
 	}
-	rs, err := f.an.EvaluateSet(s, set, dst, sc)
+	err := f.an.EvaluateSets(s, sets, dsts, sc)
 	if err == nil {
-		f.points.Add(int64(set.Len()))
+		for _, set := range sets {
+			f.points.Add(int64(set.Len()))
+		}
 	}
-	return rs, err
+	return err
 }
 
 // TestIntraStageExactCountOnError pins the accounting fix: when one
@@ -457,7 +459,7 @@ func TestIntraStageExactCountOnError(t *testing.T) {
 	tn.ev = fl
 
 	sc := &sweepScratch{}
-	_, evaluated, err := tn.intraStage(1, 1, 0, 2, w.Model.Layers, sc)
+	evaluated, err := tn.intraStage(1, 1, 0, 2, []int{w.Model.Layers}, sc)
 	if err == nil {
 		t.Fatal("TP=2 batches were supposed to fail")
 	}
@@ -466,6 +468,66 @@ func TestIntraStageExactCountOnError(t *testing.T) {
 	}
 	if fl.points.Load() == 0 {
 		t.Fatal("no TP=1 shape priced; the test exercised nothing")
+	}
+}
+
+// gaugeEvaluator records, at every EvaluateSets call, how many calls are
+// in flight and how many intraSem tokens are held — one per extra worker
+// alive; a worker keeps its token until the shapes run out, so the
+// caller's first call sees every worker the sweep spawned.
+type gaugeEvaluator struct {
+	an                  *schedule.Analyzer
+	inFlight            atomic.Int32
+	maxFlight, maxExtra atomic.Int32
+}
+
+func (e *gaugeEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (schedule.Result, error) {
+	return e.an.Evaluate(s, k)
+}
+
+func (e *gaugeEvaluator) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, dsts [][]schedule.Result, sc *evalcache.Scratch) error {
+	raise := func(max *atomic.Int32, n int32) {
+		for m := max.Load(); n > m && !max.CompareAndSwap(m, n); m = max.Load() {
+		}
+	}
+	raise(&e.maxFlight, e.inFlight.Add(1))
+	defer e.inFlight.Add(-1)
+	raise(&e.maxExtra, int32(len(intraSem)))
+	return e.an.EvaluateSets(s, sets, dsts, sc)
+}
+
+// TestIntraStageWorkersFollowGOMAXPROCS: the semaphore is sized when the
+// package loads, but a process may lower GOMAXPROCS afterwards (the
+// benchmark pins 2, containers do the same): one sweep prices on at most
+// the GOMAXPROCS it reads when called — the caller plus GOMAXPROCS-1
+// extra workers — however many tokens the semaphore still has.
+func TestIntraStageWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer func(old chan struct{}) { intraSem = old }(intraSem)
+	intraSem = make(chan struct{}, 8) // as if the package had loaded on 8 CPUs
+
+	w := testWorkload("gpt3-2.7b", 8)
+	tn, err := New(w, l4(t, 8), MistSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		ev := &gaugeEvaluator{an: tn.An}
+		tn.ev = ev
+		sc := &sweepScratch{}
+		if _, err := tn.intraStage(1, 1, 0, 8, []int{w.Model.Layers}, sc); err != nil {
+			t.Fatal(err)
+		}
+		if len(sc.shapes) < 4 {
+			t.Fatalf("sweep has %d shapes, too few to tell the bounds apart", len(sc.shapes))
+		}
+		if got := int(ev.maxExtra.Load()); got != procs-1 {
+			t.Errorf("GOMAXPROCS=%d: sweep spawned %d extra workers, want %d", procs, got, procs-1)
+		}
+		if got := int(ev.maxFlight.Load()); got > procs {
+			t.Errorf("GOMAXPROCS=%d: %d shapes priced at once", procs, got)
+		}
 	}
 }
 

@@ -7,11 +7,14 @@
 // so a shared cache converts that repetition into lookups.
 //
 // The unit of storage is a row: the results of one canonical stage shape
-// under one whole KnobSet, in set order. The tuner only ever prices whole
-// sets (one per layer count), so a row is found with a single map probe
-// and served with a single copy, and a missed row is priced by the
-// analyzer in one batch that shares work across the set (see
-// schedule.Analyzer.EvaluateSet). A single candidate is a row of one
+// under one whole KnobSet, in set order. The tuner prices a stage shape
+// under the knob sets of its whole layer window at once (EvaluateSets):
+// one lock hold probes the window's rows, stored rows are served with a
+// copy each, and the missed sets are priced by the analyzer in one pass
+// that shares work across them (schedule.Analyzer.EvaluateSets). Rows are
+// keyed per set, not per window: under heterogeneous device assignment
+// one canonical shape meets overlapping windows, and only per-set rows
+// serve the layer counts they share. A single candidate is a row of one
 // through the same store.
 //
 // Keys are canonical: schedule.StageShape.Canonical collapses shapes
@@ -22,9 +25,9 @@
 // full, a colliding hash never aliases two sets.
 //
 // One sync.RWMutex guards the store. A cold full-space search publishes
-// a few hundred rows (against ~180 k points), so lock traffic is per row
-// and the tuner's nested (S, G) × intra-stage worker fan-out does not
-// serialize on it. Two workers missing the same row both price it and
+// a few hundred rows (against ~210 k points), so lock traffic is per
+// window and the tuner's nested (S, G) × intra-stage worker fan-out does
+// not serialize on it. Two workers missing the same row both price it and
 // both count misses; the first to publish wins.
 //
 // What row granularity gives up: a point is found only through a set
@@ -63,10 +66,13 @@ import (
 // tuner is built.
 type Evaluator interface {
 	Evaluate(schedule.StageShape, schedule.Knobs) (schedule.Result, error)
-	// EvaluateSet prices every entry of set under shape, in set order.
-	// dst is reused when its capacity suffices and the returned slice
-	// aliases it; sc's buffers persist across calls.
-	EvaluateSet(shape schedule.StageShape, set *KnobSet, dst []schedule.Result, sc *Scratch) ([]schedule.Result, error)
+	// EvaluateSets prices every entry of each set under shape: on return
+	// dsts[i] holds sets[i]'s results in set order (len(dsts) ==
+	// len(sets)). dsts[i] is reused when its capacity suffices and
+	// replaced otherwise; sc's buffers persist across calls. The tuner
+	// passes the knob sets of one stage's layer window, so that a backend
+	// can share across them what does not depend on the layer count.
+	EvaluateSets(shape schedule.StageShape, sets []*KnobSet, dsts [][]schedule.Result, sc *Scratch) error
 }
 
 var (
@@ -195,42 +201,84 @@ func (c *Cache) Evaluate(shape schedule.StageShape, k schedule.Knobs) (schedule.
 	return rs[0], nil
 }
 
-// EvaluateSet prices every entry of a KnobSet under one shape: one probe
-// of the row store, then either a copy of the stored row or one backend
-// batch over the set's distinct entries. dst is reused when its capacity
-// suffices and the returned slice aliases it — it is the caller's, never
-// the stored row — and sc's buffers persist across calls. This is the
-// tuner's hot path: a hit allocates nothing once dst has grown, a miss
-// allocates the row it publishes.
+// EvaluateSet is EvaluateSets over a list of one; the returned slice
+// aliases dst when its capacity suffices.
 func (c *Cache) EvaluateSet(shape schedule.StageShape, set *KnobSet, dst []schedule.Result, sc *Scratch) ([]schedule.Result, error) {
-	n := set.Len()
-	if cap(dst) < n {
-		dst = make([]schedule.Result, n)
-	}
-	dst = dst[:n]
-	key := rowKey{shape: shape.Canonical(), set: c.setID(set)}
-	c.mu.RLock()
-	row, ok := c.rows[key]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(uint64(n))
-		copy(dst, row)
-		return dst, nil
-	}
-	// A fresh, exactly-sized row for the missed (shape, set).
-	row, err := c.ev.EvaluateSet(shape, set, make([]schedule.Result, n), sc)
-	if err != nil {
+	sets, dsts := [1]*KnobSet{set}, [1][]schedule.Result{dst}
+	if err := c.EvaluateSets(shape, sets[:], dsts[:], sc); err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if _, raced := c.rows[key]; !raced { // first publish wins; the loser's row is identical
-		c.rows[key] = row
-		c.held += n
+	return dsts[0], nil
+}
+
+// EvaluateSets prices every entry of each KnobSet under one shape: one
+// lock hold probes the rows of all the sets, and the missed sets — only
+// those — go to the backend in one call, which shares work across them
+// (schedule.Analyzer.EvaluateSets). Rows stay keyed per (canonical shape,
+// set): a set hits wherever it was first priced, whatever list it came in
+// then. dsts[i] is reused when its capacity suffices and replaced
+// otherwise — it is the caller's, never the stored row — and sc's buffers
+// persist across calls. This is the tuner's hot path: an all-hit call
+// allocates nothing once dsts have grown, a miss allocates the rows it
+// publishes. The counters move per set, once the whole call has
+// succeeded.
+func (c *Cache) EvaluateSets(shape schedule.StageShape, sets []*KnobSet, dsts [][]schedule.Result, sc *Scratch) error {
+	key := rowKey{shape: shape.Canonical()}
+	// A layer window is five sets: both working lists stay on the stack.
+	var (
+		idBuf  [8]uint32
+		rowBuf [8][]schedule.Result
+	)
+	ids, rows := idBuf[:0], rowBuf[:0] // rows[i]: the stored or freshly priced row, nil while missing
+	for _, set := range sets {
+		ids = append(ids, c.setID(set)) // may take the write lock: resolved before the probe
 	}
-	c.mu.Unlock()
-	uniq := set.Distinct()
-	c.misses.Add(uint64(uniq))
-	c.hits.Add(uint64(n - uniq))
-	copy(dst, row)
-	return dst, nil
+	var hits, misses uint64
+	nMissed := 0
+	c.mu.RLock()
+	for _, id := range ids {
+		key.set = id
+		row := c.rows[key]
+		if row == nil {
+			nMissed++
+		}
+		hits += uint64(len(row))
+		rows = append(rows, row)
+	}
+	c.mu.RUnlock()
+
+	if nMissed > 0 {
+		missed := make([]*KnobSet, 0, nMissed)
+		fresh := make([][]schedule.Result, 0, nMissed) // exactly-sized rows (never nil) for the missed sets
+		for i, set := range sets {
+			if rows[i] == nil {
+				missed = append(missed, set)
+				fresh = append(fresh, make([]schedule.Result, set.Len()))
+			}
+		}
+		if err := c.ev.EvaluateSets(shape, missed, fresh, sc); err != nil {
+			return err
+		}
+		c.mu.Lock()
+		for i, set := range sets {
+			if rows[i] != nil {
+				continue
+			}
+			rows[i], fresh = fresh[0], fresh[1:]
+			key.set = ids[i]
+			if _, raced := c.rows[key]; !raced { // first publish wins; the loser's row is identical
+				c.rows[key] = rows[i]
+				c.held += len(rows[i])
+			}
+			misses += uint64(set.Distinct())
+			hits += uint64(set.Len() - set.Distinct()) // in-set duplicates, priced once
+		}
+		c.mu.Unlock()
+	}
+	for i, row := range rows {
+		dsts[i] = append(dsts[i][:0], row...)
+	}
+	c.hits.Add(hits)
+	c.misses.Add(misses)
+	return nil
 }

@@ -38,7 +38,8 @@ func testShape() schedule.StageShape {
 type countingEvaluator struct {
 	ev      Evaluator
 	singles atomic.Int64
-	batched atomic.Int64 // total distinct knob points priced via EvaluateSet
+	batched atomic.Int64 // total distinct knob points priced via EvaluateSets
+	calls   atomic.Int64 // EvaluateSets calls
 }
 
 func (ce *countingEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (schedule.Result, error) {
@@ -46,16 +47,21 @@ func (ce *countingEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (
 	return ce.ev.Evaluate(s, k)
 }
 
-func (ce *countingEvaluator) EvaluateSet(s schedule.StageShape, set *KnobSet, dst []schedule.Result, sc *Scratch) ([]schedule.Result, error) {
-	ce.batched.Add(int64(set.Distinct()))
-	return ce.ev.EvaluateSet(s, set, dst, sc)
+func (ce *countingEvaluator) EvaluateSets(s schedule.StageShape, sets []*KnobSet, dsts [][]schedule.Result, sc *Scratch) error {
+	ce.calls.Add(1)
+	for _, set := range sets {
+		ce.batched.Add(int64(set.Distinct()))
+	}
+	return ce.ev.EvaluateSets(s, sets, dsts, sc)
 }
 
 // evaluateBatch prices an ad-hoc knob slice as a row of its own: a fresh
 // KnobSet per call, the way Cache.Evaluate builds its row of one.
 func evaluateBatch(ev Evaluator, s schedule.StageShape, ks []schedule.Knobs) ([]schedule.Result, error) {
 	var sc Scratch
-	return ev.EvaluateSet(s, NewKnobSet(ks), nil, &sc)
+	dsts := [][]schedule.Result{nil}
+	err := ev.EvaluateSets(s, []*KnobSet{NewKnobSet(ks)}, dsts, &sc)
+	return dsts[0], err
 }
 
 func TestCacheHitReturnsIdenticalResult(t *testing.T) {

@@ -31,15 +31,17 @@ func (c *syntheticEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (
 	return syntheticResult(s, k), nil
 }
 
-func (c *syntheticEvaluator) EvaluateSet(s schedule.StageShape, set *KnobSet, dst []schedule.Result, _ *Scratch) ([]schedule.Result, error) {
-	c.mu.Lock()
-	c.calls += set.Distinct() // a backend prices in-set duplicates once
-	c.mu.Unlock()
-	dst = dst[:0]
-	for _, k := range set.Knobs() {
-		dst = append(dst, syntheticResult(s, k))
+func (c *syntheticEvaluator) EvaluateSets(s schedule.StageShape, sets []*KnobSet, dsts [][]schedule.Result, _ *Scratch) error {
+	for i, set := range sets {
+		c.mu.Lock()
+		c.calls += set.Distinct() // a backend prices in-set duplicates once
+		c.mu.Unlock()
+		dsts[i] = dsts[i][:0]
+		for _, k := range set.Knobs() {
+			dsts[i] = append(dsts[i], syntheticResult(s, k))
+		}
 	}
-	return dst, nil
+	return nil
 }
 
 // TestConcurrentMixedHitMissLoad hammers one cache from many goroutines

@@ -21,8 +21,9 @@ type tupleGroups struct {
 // this type). It is validated, deduplicated and partitioned by offload
 // tuple once, when it is built, instead of on every EvaluateBatchInto
 // call. The tuner builds one per distinct layer count (the knob grid
-// depends only on the layer count) and reuses it across every (stage,
-// shape) sweep.
+// depends only on the layer count), reuses it across every (stage,
+// shape) sweep, and prices the batches of a stage's layer window
+// together (Analyzer.EvaluateSets).
 type Batch struct {
 	knobs []Knobs
 	hash  uint64 // of the ordered content; buckets the cache's set table
@@ -52,35 +53,70 @@ type BatchMemo struct {
 
 // NewBatch copies ks into a prepared batch.
 func NewBatch(ks []Knobs) *Batch {
-	b := &Batch{
-		knobs:  append([]Knobs(nil), ks...),
-		uniqOf: make([]int32, len(ks)),
-	}
-	uniq := make([]Knobs, 0, len(ks))
-	seen := make(map[Knobs]int32, len(ks))
+	b := &Batch{knobs: append([]Knobs(nil), ks...)}
 	mix := func(x uint64) { b.hash = (b.hash ^ x) * 1099511628211 } // FNV-1a over words
-	for i, k := range b.knobs {
+	for i := range b.knobs {
+		k := &b.knobs[i]
 		mix(uint64(k.Layers))
 		mix(uint64(k.Ckpt))
 		mix(math.Float64bits(k.WO))
 		mix(math.Float64bits(k.GO))
 		mix(math.Float64bits(k.OO))
 		mix(math.Float64bits(k.AO))
-		first, dup := seen[k]
-		if !dup {
-			first = int32(len(uniq))
-			seen[k] = first
-			uniq = append(uniq, k)
-		}
-		b.uniqOf[i] = first
-	}
-	if len(uniq) == len(b.knobs) { // no duplicates: one backing array, no index
-		uniq, b.uniqOf = b.knobs, nil
 	}
 	var g grouper
-	b.err = g.build(uniq)
-	b.uniq, b.groups = uniq, g.tupleGroups
+	b.uniq = b.dedup(&g)
+	b.err = g.build(b.uniq)
+	b.groups = g.tupleGroups
 	return b
+}
+
+// dedup returns the batch's distinct entries in first-occurrence order
+// and fills uniqOf. Entries meet in g's open-addressing table (which build
+// then clears and reuses), and the distinct list and its index are
+// allocated only once a duplicate has been met: the tuner's grids — every
+// request builds its sixteen-odd afresh — have none, and their distinct
+// list is knobs itself.
+func (b *Batch) dedup(g *grouper) []Knobs {
+	n := len(b.knobs)
+	uniq := b.knobs
+	if n < 2 {
+		return uniq
+	}
+	shift, mask := g.table(n)
+	for i := range b.knobs {
+		k := &b.knobs[i]
+		first := int32(-1) // k's first occurrence, when it is not this one
+		for h := knobHash(k) >> shift; ; h = (h + 1) & mask {
+			s := g.slots[h]
+			if s == 0 {
+				g.slots[h] = int32(i) + 1
+				break
+			}
+			if o := &b.knobs[s-1]; o.Layers == k.Layers && o.Ckpt == k.Ckpt && sameTuple(o, k) {
+				first = s - 1
+				break
+			}
+		}
+		if b.uniqOf == nil {
+			if first < 0 {
+				continue
+			}
+			// The first duplicate: every entry before it is distinct.
+			b.uniqOf = make([]int32, n)
+			for j := range b.uniqOf[:i] {
+				b.uniqOf[j] = int32(j)
+			}
+			uniq = append(make([]Knobs, 0, n-1), b.knobs[:i]...)
+		}
+		if first < 0 {
+			b.uniqOf[i] = int32(len(uniq))
+			uniq = append(uniq, *k)
+		} else {
+			b.uniqOf[i] = b.uniqOf[first]
+		}
+	}
+	return uniq
 }
 
 // Knobs returns the batch's entries in order, in-set duplicates
@@ -133,14 +169,7 @@ func (g *grouper) build(ks []Knobs) error {
 
 	// Pass 1: assign group ids through the table, counting members in
 	// starts[id].
-	shift := bits.LeadingZeros64(uint64(2*n - 1)) // table of the next power of two >= 2n
-	if size := 1 << (64 - shift); cap(g.slots) < size {
-		g.slots = make([]int32, size)
-	} else {
-		g.slots = g.slots[:size]
-		clear(g.slots)
-	}
-	mask := uint64(len(g.slots) - 1)
+	shift, mask := g.table(n)
 	for i := range ks {
 		k := &ks[i]
 		var id int32
@@ -179,6 +208,20 @@ func (g *grouper) build(ks []Knobs) error {
 	return nil
 }
 
+// table readies slots as an empty table of the next power of two >= 2n
+// (n >= 2) and returns how a 64-bit hash indexes it: the high bits, h >>
+// shift, probing on with (h + 1) & mask.
+func (g *grouper) table(n int) (shift int, mask uint64) {
+	shift = bits.LeadingZeros64(uint64(2*n - 1))
+	if size := 1 << (64 - shift); cap(g.slots) < size {
+		g.slots = make([]int32, size)
+	} else {
+		g.slots = g.slots[:size]
+		clear(g.slots)
+	}
+	return shift, uint64(len(g.slots) - 1)
+}
+
 func sameTuple(a, b *Knobs) bool {
 	return math.Float64bits(a.WO) == math.Float64bits(b.WO) &&
 		math.Float64bits(a.GO) == math.Float64bits(b.GO) &&
@@ -196,4 +239,9 @@ func tupleHash(k *Knobs) uint64 {
 	h = bits.RotateLeft64(h, 13) ^ math.Float64bits(k.OO)
 	h = bits.RotateLeft64(h, 13) ^ math.Float64bits(k.AO)
 	return h * 0x9E3779B97F4A7C15
+}
+
+// knobHash extends tupleHash to the whole entry.
+func knobHash(k *Knobs) uint64 {
+	return (tupleHash(k) ^ uint64(k.Layers)<<16 ^ uint64(k.Ckpt)) * 0x9E3779B97F4A7C15
 }

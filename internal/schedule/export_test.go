@@ -6,6 +6,11 @@ func (a *Analyzer) BuildCounts() (traced, compiled int) {
 	return int(a.nTraced.Load()), int(a.nCompiled.Load())
 }
 
+// TuplePasses reports how many tuple passes (the tape from the offload
+// tuple's stage plus the overlap composition; priceGroups runs one per
+// tuple group of a call) the analyzer has run.
+func (a *Analyzer) TuplePasses() int { return int(a.nTuplePasses.Load()) }
+
 // EvaluatePreparedInto is EvaluateSet under the argument order the
 // per-shape reference check (reference_test.go) was written against.
 func (a *Analyzer) EvaluatePreparedInto(dst []Result, shape StageShape, b *Batch, sc *EvalScratch) ([]Result, error) {

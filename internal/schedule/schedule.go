@@ -24,9 +24,10 @@
 //	[shape coefficients (numCoefs) | wo, go, oo, ao | l, ckpt]
 //
 // and its tape is staged in that order (symbolic.Program), so a new
-// shape is a coefficient fill, a row runs the coefficient prefix once,
-// each further offload tuple re-runs the tape from wo, and each further
-// member of a tuple group only the l/ckpt suffix. The folding rule keeps
+// shape is a coefficient fill, a list of knob sets — a stage's whole
+// layer window — runs the coefficient prefix once, each further offload
+// tuple re-runs the tape from wo once for the whole list, and each
+// further member of a tuple group, in any set, only the l/ckpt suffix. The folding rule keeps
 // this exact: the symbolic constructors fold literal constants, so each
 // coefficient holds a shape constant as they would have folded it
 // (computed in plain Go in the same operand order), and a case where
@@ -39,6 +40,7 @@ package schedule
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/hardware"
@@ -185,7 +187,11 @@ type Analyzer struct {
 	variants onceMap[variantKey, *symbolic.Program]
 	programs onceMap[StageShape, *stageProgram]
 
-	nTraced, nCompiled atomic.Int32 // trace and compile passes run, for tests
+	// Trace, compile and tuple passes run, for tests. A tuple pass is what
+	// priceGroups does once per offload tuple of a call: the tape from
+	// frameWO and overlapTerms.
+	nTraced, nCompiled atomic.Int32
+	nTuplePasses       atomic.Int64
 }
 
 // NewAnalyzer builds an analyzer context.
@@ -217,13 +223,25 @@ type EvalScratch struct {
 	group grouper // tuple partition of the current ad-hoc batch
 }
 
+// tupleSet is one batch as priceGroups takes it: distinct, validated
+// entries, their tuple partition, and where their results go
+// (len(dst) >= len(ks)).
+type tupleSet struct {
+	ks  []Knobs
+	tg  *tupleGroups
+	dst []Result
+}
+
+// lead returns the first member of tuple group g.
+func (s *tupleSet) lead(g int) *Knobs { return &s.ks[s.tg.order[s.tg.starts[g]]] }
+
 // EvaluateBatchInto prices an ad-hoc knob slice under one shape with a
 // single compiled-program sweep (the batched value substitution of §5.2).
 // dst is reused when its capacity suffices (the returned slice aliases
 // it), and sc's internal buffers persist across calls, so a stream of
 // calls allocates nothing once they have grown. The slice is partitioned
 // by offload tuple into sc on every call; callers pricing the same knobs
-// under many shapes prepare a Batch once and use EvaluateSet.
+// under many shapes prepare a Batch once and use EvaluateSets.
 func (a *Analyzer) EvaluateBatchInto(dst []Result, shape StageShape, ks []Knobs, sc *EvalScratch) ([]Result, error) {
 	sp := a.program(shape)
 	if sp.err != nil {
@@ -232,52 +250,100 @@ func (a *Analyzer) EvaluateBatchInto(dst []Result, shape StageShape, ks []Knobs,
 	if err := sc.group.build(ks); err != nil {
 		return nil, err
 	}
-	return a.priceGroups(dst, sp, ks, &sc.group.tupleGroups, sc), nil
-}
-
-// EvaluateSet prices every entry of a prepared Batch under one shape, in
-// batch order: the tuple partition was computed when the batch was
-// built, and in-set duplicates are priced once. dst and sc are reused as
-// in EvaluateBatchInto. This is the one set-pricing method of the
-// tuner's pricing backend (evalcache.Evaluator), which the evaluation
-// cache implements by the same name.
-func (a *Analyzer) EvaluateSet(shape StageShape, set *Batch, dst []Result, sc *EvalScratch) ([]Result, error) {
-	sp := a.program(shape)
-	if sp.err != nil {
-		return nil, sp.err
-	}
-	if set.err != nil {
-		return nil, set.err
-	}
-	if cap(dst) < len(set.knobs) {
-		dst = make([]Result, len(set.knobs))
-	}
-	dst = dst[:len(set.knobs)]
-	a.priceGroups(dst, sp, set.uniq, &set.groups, sc)
-	if set.uniqOf != nil {
-		// The distinct entries' results sit in dst's prefix; spread them to
-		// batch order back to front (uniqOf[i] <= i, so no source is
-		// overwritten before it is read).
-		for i := len(dst) - 1; i >= 0; i-- {
-			dst[i] = dst[set.uniqOf[i]]
-		}
-	}
+	dst = slices.Grow(dst[:0], len(ks))[:len(ks)]
+	a.priceGroups(sp, []tupleSet{{ks, &sc.group.tupleGroups, dst}}, sc)
 	return dst, nil
 }
 
-// priceGroups prices a validated, tuple-partitioned batch. The tape's
-// coefficient prefix depends on the shape alone, so only the first group
-// runs it; every tape output except the memory expressions, and every
-// interference prediction, depends on the knobs only through the offload
-// tuple, so each group runs the tape from its tuple stage and the
-// overlap composition once; its other members re-run the tape's l/ckpt
-// suffix for their peak memory. A batch of one is exactly the
-// per-candidate evaluation.
-func (a *Analyzer) priceGroups(dst []Result, sp *stageProgram, ks []Knobs, tg *tupleGroups, sc *EvalScratch) []Result {
-	if cap(dst) < len(ks) {
-		dst = make([]Result, len(ks))
+// EvaluateSet is EvaluateSets over a list of one.
+func (a *Analyzer) EvaluateSet(shape StageShape, set *Batch, dst []Result, sc *EvalScratch) ([]Result, error) {
+	sets, dsts := [1]*Batch{set}, [1][]Result{dst}
+	if err := a.EvaluateSets(shape, sets[:], dsts[:], sc); err != nil {
+		return nil, err
 	}
-	results := dst[:len(ks)]
+	return dsts[0], nil
+}
+
+// EvaluateSets prices every entry of each prepared Batch under one shape:
+// on return dsts[i] holds sets[i]'s results in batch order (reused when
+// its capacity suffices, replaced otherwise; len(dsts) == len(sets)).
+// In-set duplicates are priced once, and sc is reused as in
+// EvaluateBatchInto. This is the one set-pricing method of the tuner's
+// pricing backend (evalcache.Evaluator). The tuner passes the knob sets
+// of a stage's layer window: when the sets are tuple-aligned (aligned),
+// what depends on the offload tuple alone is computed once for the whole
+// list; otherwise each set is priced on its own — same results either way.
+func (a *Analyzer) EvaluateSets(shape StageShape, sets []*Batch, dsts [][]Result, sc *EvalScratch) error {
+	sp := a.program(shape)
+	if sp.err != nil {
+		return sp.err
+	}
+	if len(sets) == 0 {
+		return nil
+	}
+	var buf [8]tupleSet // on the stack (a window is five sets): a scratch holding them would pin the batches' cache
+	ts := buf[:0]
+	for i, set := range sets {
+		if set.err != nil {
+			return set.err
+		}
+		n := len(set.knobs)
+		dsts[i] = slices.Grow(dsts[i][:0], n)[:n]
+		ts = append(ts, tupleSet{set.uniq, &set.groups, dsts[i]})
+	}
+	if aligned(ts) {
+		a.priceGroups(sp, ts, sc)
+	} else {
+		for i := range ts {
+			a.priceGroups(sp, ts[i:i+1], sc)
+		}
+	}
+	for i, set := range sets {
+		if set.uniqOf != nil {
+			// The distinct entries' results sit in dst's prefix; spread them to
+			// batch order back to front (uniqOf[i] <= i, so no source is
+			// overwritten before it is read).
+			dst := dsts[i]
+			for j := len(dst) - 1; j >= 0; j-- {
+				dst[j] = dst[set.uniqOf[j]]
+			}
+		}
+	}
+	return nil
+}
+
+// aligned reports whether the sets are tuple-aligned: the same offload
+// tuples (by bit pattern) in the same first-appearance order, so that
+// group g is one tuple across the whole list. The tuner's per-layer-count
+// grids are — each is ckpt-major over one fixed tuple grid. The check is
+// exact and costs one tuple comparison per group and further set, against
+// the tape run per member that follows.
+func aligned(sets []tupleSet) bool {
+	first := &sets[0]
+	for i := 1; i < len(sets); i++ {
+		s := &sets[i]
+		if len(s.tg.starts) != len(first.tg.starts) {
+			return false
+		}
+		for g := 0; g+1 < len(s.tg.starts); g++ {
+			if !sameTuple(s.lead(g), first.lead(g)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// priceGroups prices a list of validated, tuple-partitioned, tuple-aligned
+// batches under one shape. The tape's coefficient prefix depends on the
+// shape alone, so only the first group runs it; every tape output except
+// the memory expressions, and every interference prediction, depends on
+// the knobs only through the offload tuple, so each group runs the tape
+// from its tuple stage and the overlap composition once — one tuple pass
+// — for the whole list; every other member, of every batch, re-runs only
+// the tape's l/ckpt suffix for its peak memory. A list of one batch of
+// one is exactly the per-candidate evaluation.
+func (a *Analyzer) priceGroups(sp *stageProgram, sets []tupleSet, sc *EvalScratch) {
 	if cap(sc.out) < numOutputs {
 		sc.out = make([]float64, numOutputs)
 	}
@@ -289,9 +355,10 @@ func (a *Analyzer) priceGroups(dst []Result, sp *stageProgram, ks []Knobs, tg *t
 	}
 	out, frame, regs := sc.out[:numOutputs], sc.frame[:frameLen], sc.regs[:cap(sc.regs)]
 	copy(frame, sp.coefs[:])
-	for g := 0; g+1 < len(tg.starts); g++ {
-		members := tg.order[tg.starts[g]:tg.starts[g+1]]
-		prev := ks[members[0]]
+	groups := len(sets[0].tg.starts) - 1
+	a.nTuplePasses.Add(int64(max(groups, 0)))
+	for g := 0; g < groups; g++ {
+		prev := *sets[0].lead(g)
 		knobFrame(frame, prev)
 		if g == 0 {
 			// regs may hold another shape's run of this very program.
@@ -300,20 +367,25 @@ func (a *Analyzer) priceGroups(dst []Result, sp *stageProgram, ks []Knobs, tg *t
 			out = sp.prog.EvalFrameFrom(frame, regs, out, frameWO)
 		}
 		terms := a.overlapTerms(sp, out)
-		results[members[0]] = sp.compose(prev, &terms, out)
-		for _, i := range members[1:] {
-			k := ks[i]
-			from := frameCkpt
-			if k.Layers != prev.Layers {
-				from = frameL
+		fresh := true // out is the tuple pass's own run, of the list's first member
+		for s := range sets {
+			set := &sets[s]
+			for _, i := range set.tg.order[set.tg.starts[g]:set.tg.starts[g+1]] {
+				k := set.ks[i]
+				if !fresh {
+					from := frameCkpt
+					if k.Layers != prev.Layers {
+						from = frameL
+					}
+					frame[frameL], frame[frameCkpt] = float64(k.Layers), float64(k.Ckpt)
+					out = sp.prog.EvalFrameFrom(frame, regs, out, from)
+				}
+				fresh = false
+				set.dst[i] = sp.compose(k, &terms, out)
+				prev = k
 			}
-			frame[frameL], frame[frameCkpt] = float64(k.Layers), float64(k.Ckpt)
-			out = sp.prog.EvalFrameFrom(frame, regs, out, from)
-			results[i] = sp.compose(k, &terms, out)
-			prev = k
 		}
 	}
-	return results
 }
 
 // overlapTerms are the per-layer region times of one offload tuple after

@@ -1,0 +1,224 @@
+package schedule
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// tunerGrid is the knob set the tuner builds for one layer count
+// (core.Tuner.knobSet under MistSpace): the checkpoint fractions
+// quantized to the layer count, deduplicated and sorted, crossed
+// ckpt-major with one fixed offload-tuple grid.
+func tunerGrid(layers int, ratios []float64) []Knobs {
+	var ckpts []int
+	for _, f := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		if c := int(f*float64(layers) + 0.5); !slices.Contains(ckpts, c) {
+			ckpts = append(ckpts, c)
+		}
+	}
+	slices.Sort(ckpts)
+	var ks []Knobs
+	for _, ck := range ckpts {
+		for _, wo := range ratios {
+			for _, gov := range ratios {
+				for _, oo := range ratios {
+					for _, ao := range ratios {
+						ks = append(ks, Knobs{Layers: layers, Ckpt: ck, WO: wo, GO: gov, OO: oo, AO: ao})
+					}
+				}
+			}
+		}
+	}
+	return ks
+}
+
+// referenceShapes calls fn on every nth shape of the reference grid
+// (TestPropertyLiftedProgramMatchesPerShapeBuild's), starting at offset.
+func referenceShapes(heads, nth, offset int, fn func(StageShape)) {
+	degrees := []int{1, 2, 4, 8}
+	n := 0
+	visit := func(s StageShape) {
+		if n++; n%nth == offset%nth {
+			fn(s)
+		}
+	}
+	for _, tp := range degrees {
+		if heads%tp != 0 {
+			continue
+		}
+		for _, dp := range degrees {
+			for zero := 0; zero <= 3; zero++ {
+				if zero > 0 && dp == 1 {
+					continue
+				}
+				for _, b := range degrees {
+					for prePost := 0; prePost < 4; prePost++ {
+						shape := StageShape{
+							B: b, DP: dp, TP: tp, ZeRO: zero,
+							HasPre: prePost&1 != 0, HasPost: prePost&2 != 0,
+							NumStages: 1, StageIdx: 0, GradAccum: 4,
+						}
+						visit(shape)
+						for inFlight := 1; inFlight <= 8; inFlight++ {
+							shape.NumStages, shape.GradAccum = inFlight+1, inFlight
+							visit(shape)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWindowMatchesSetBySet: pricing a list of knob sets in one
+// EvaluateSets call returns, == on every field, what pricing each set on
+// its own returns — and what pricing each candidate on its own does —
+// whether the list is a tuner window (tuple-aligned: one tuple pass per
+// tuple for the whole list), a window of one, a window whose small layer
+// counts fold the checkpoint grid, a window with in-set duplicates, or a
+// list that is not tuple-aligned and falls back to set-by-set pricing.
+// Every model of referenceModels, a 1-in-997 slice of the reference shape
+// grid each, both Serialize values.
+func TestWindowMatchesSetBySet(t *testing.T) {
+	full := []float64{0, 0.5, 1}
+	// withDups repeats 40 entries somewhere behind their first occurrence,
+	// which keeps the tuples' first-appearance order.
+	withDups := func(ks []Knobs, rng *rand.Rand) []Knobs {
+		out := slices.Clone(ks)
+		for i := 0; i < 40; i++ {
+			at := rng.Intn(len(out))
+			out = slices.Insert(out, at+1+rng.Intn(len(out)-at), out[at])
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(19))
+	reversed := tunerGrid(9, full)
+	slices.Reverse(reversed)
+	shuffled := tunerGrid(10, full)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	windows := []struct {
+		name    string
+		sets    [][]Knobs
+		aligned bool
+	}{
+		{"window", [][]Knobs{tunerGrid(6, full), tunerGrid(7, full), tunerGrid(8, full), tunerGrid(9, full), tunerGrid(10, full)}, true},
+		{"window-of-one", [][]Knobs{tunerGrid(8, full)}, true},
+		{"folded-ckpt-grid", [][]Knobs{tunerGrid(1, full), tunerGrid(2, full), tunerGrid(3, full), tunerGrid(4, full), tunerGrid(5, full)}, true},
+		{"in-set-duplicates", [][]Knobs{withDups(tunerGrid(3, full), rng), tunerGrid(4, full), withDups(tunerGrid(5, full), rng)}, true},
+		{"one-knob-rows", [][]Knobs{{{Layers: 7, Ckpt: 7}}, {{Layers: 8, Ckpt: 8}}, {{Layers: 9, Ckpt: 9}}}, true},
+		{"misaligned-order", [][]Knobs{tunerGrid(8, full), reversed, shuffled}, false},
+		{"misaligned-grid", [][]Knobs{tunerGrid(8, full), tunerGrid(9, []float64{0, 1}), tunerGrid(10, full)}, false},
+		{"misaligned-count", [][]Knobs{tunerGrid(8, []float64{0, 1}), tunerGrid(9, []float64{0, 0.5, 1})}, false},
+	}
+	if n := len(windows[2].sets[0]); n != 2*81 {
+		t.Fatalf("layer count 1 has %d entries, want a checkpoint grid folded to {0, 1}", n)
+	}
+	batches := make([][]*Batch, len(windows))
+	for wi, w := range windows {
+		for _, ks := range w.sets {
+			batches[wi] = append(batches[wi], NewBatch(ks))
+		}
+		if got := aligned(asTupleSets(batches[wi])); got != w.aligned {
+			t.Fatalf("%s: aligned = %v, want %v", w.name, got, w.aligned)
+		}
+	}
+	for mi, cfg := range referenceModels() {
+		mi, cfg := mi, cfg
+		t.Run(cfg.Name, func(t *testing.T) {
+			t.Parallel()
+			a := newTestAnalyzerFor(t, cfg, 8, true)
+			var sc, scOne EvalScratch
+			checked := 0
+			referenceShapes(cfg.Heads, 997, mi, func(shape StageShape) {
+				checked++
+				for wi, w := range windows {
+					sets := batches[wi]
+					for _, serialize := range []bool{false, true} {
+						a.Serialize = serialize
+						before := a.nTuplePasses.Load()
+						dsts := make([][]Result, len(sets))
+						if err := a.EvaluateSets(shape, sets, dsts, &sc); err != nil {
+							t.Fatal(err)
+						}
+						passes, perSet := int(a.nTuplePasses.Load()-before), 0
+						for i, set := range sets {
+							perSet += len(set.groups.starts) - 1
+							want, err := a.EvaluateSet(shape, set, nil, &scOne)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !slices.Equal(dsts[i], want) {
+								t.Fatalf("%s serialize=%v shape %+v: set %d priced in the list differs from the set priced alone", w.name, serialize, shape, i)
+							}
+							for j, k := range set.Knobs() {
+								if j%29 != checked%29 {
+									continue
+								}
+								single, err := a.Evaluate(shape, k)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if dsts[i][j] != single {
+									t.Fatalf("%s serialize=%v shape %+v knobs %+v:\n  list   %+v\n  single %+v", w.name, serialize, shape, k, dsts[i][j], single)
+								}
+							}
+						}
+						if wantPasses := len(sets[0].groups.starts) - 1; w.aligned && passes != wantPasses {
+							t.Fatalf("%s: %d tuple passes for an aligned list, want %d (the first set's tuples)", w.name, passes, wantPasses)
+						} else if !w.aligned && passes != perSet {
+							t.Fatalf("%s: %d tuple passes for a misaligned list, want %d (every set's tuples)", w.name, passes, perSet)
+						}
+					}
+				}
+			})
+			if checked == 0 {
+				t.Fatal("no shape checked")
+			}
+		})
+	}
+}
+
+// asTupleSets is EvaluateSets' view of prepared batches, results aside.
+func asTupleSets(sets []*Batch) []tupleSet {
+	ts := make([]tupleSet, len(sets))
+	for i, set := range sets {
+		ts[i] = tupleSet{ks: set.uniq, tg: &set.groups}
+	}
+	return ts
+}
+
+// TestNewBatchDedup: in-set duplicates are found without a map — first
+// occurrences keep their order, every entry points at its first
+// occurrence, and a set without duplicates carries no index at all.
+func TestNewBatchDedup(t *testing.T) {
+	grid := tunerGrid(8, []float64{0, 0.5, 1})
+	if b := NewBatch(grid); b.uniqOf != nil || &b.uniq[0] != &b.knobs[0] || b.Distinct() != len(grid) {
+		t.Errorf("a duplicate-free set built a distinct list: uniqOf %v, %d distinct of %d", b.uniqOf != nil, b.Distinct(), len(grid))
+	}
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 50; round++ {
+		ks := make([]Knobs, 1+rng.Intn(300))
+		for i := range ks {
+			ks[i] = grid[rng.Intn(1+rng.Intn(len(grid)))]
+		}
+		b := NewBatch(ks)
+		var uniq []Knobs
+		for i, k := range ks {
+			at := slices.Index(uniq, k)
+			if at < 0 {
+				at = len(uniq)
+				uniq = append(uniq, k)
+			}
+			if b.uniqOf != nil && int(b.uniqOf[i]) != at {
+				t.Fatalf("round %d: entry %d maps to distinct entry %d, want %d", round, i, b.uniqOf[i], at)
+			}
+		}
+		if !slices.Equal(b.uniq, uniq) {
+			t.Fatalf("round %d: distinct list differs from the first-occurrence scan", round)
+		}
+		if (b.uniqOf == nil) != (len(uniq) == len(ks)) {
+			t.Fatalf("round %d: index present = %v with %d distinct of %d", round, b.uniqOf != nil, len(uniq), len(ks))
+		}
+	}
+}
