@@ -6,7 +6,7 @@ QUICKCHECKS ?= 200
 # is the PR-agnostic BENCH.json; override BENCH_OUT to write elsewhere
 # (bench-regression writes a throwaway BENCH_NEW.json and compares).
 BENCH_OUT ?= BENCH.json
-# Allowed fractional ns/op growth before bench-regression fails.
+# Allowed fractional ns/op (and B/op, allocs/op) growth before bench-regression fails.
 BENCH_TOLERANCE ?= 0.25
 
 # Where bench-profile drops its pprof output.
@@ -103,7 +103,7 @@ bench-json: ## run the bench set and record a machine-readable trajectory point 
 	  $(GO) test -run xxx -bench 'BenchmarkPilotEvaluate' -benchtime=2s -benchmem ./internal/pilot ) \
 	| $(GO) run ./tools/bench2json -out $(BENCH_OUT)
 
-bench-regression: ## fresh bench run compared against the committed BENCH.json baseline; fails past $(BENCH_TOLERANCE) ns/op or allocs/op growth
+bench-regression: ## fresh bench run compared against the committed BENCH.json baseline; fails past $(BENCH_TOLERANCE) ns/op, B/op or allocs/op growth
 	$(MAKE) bench-json BENCH_OUT=BENCH_NEW.json
 	$(GO) run ./tools/bench2json -tolerance $(BENCH_TOLERANCE) -compare BENCH.json BENCH_NEW.json
 

@@ -11,6 +11,7 @@ package mist
 // use -benchtime=1x for a single regeneration pass.
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -163,10 +164,17 @@ func benchTuneCold(b *testing.B, space core.Space, uncached bool) {
 // tuner's full Mist-space search of the bench cell stays under 10 000
 // allocations (about 6 700 when the bound was set; 8 060 before a stage
 // shape's layer window was priced in one pass, 218 860 while every stage
-// shape still traced and compiled its own program).
+// shape still traced and compiled its own program) and under 9 MiB — of
+// which ~4.8 MiB is the cache's rows, 211 734 points x 24 bytes (about
+// 6.9 MB in all when the bound was set; 14.8 MB while schedule.Result
+// carried four breakdown fields nothing read).
 func TestColdTuneAllocCeiling(t *testing.T) {
 	w, cl := benchWorkload()
+	runs := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(3, func() {
+		runs++ // AllocsPerRun's warm-up call included
 		tn, err := core.New(w, cl, core.MistSpace())
 		if err != nil {
 			t.Fatal(err)
@@ -175,8 +183,12 @@ func TestColdTuneAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	runtime.ReadMemStats(&after)
 	if allocs > 10000 {
 		t.Errorf("cold tune allocated %.0f times, want <= 10000", allocs)
+	}
+	if bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs); bytes > 9<<20 {
+		t.Errorf("cold tune allocated %.0f bytes, want <= %d", bytes, 9<<20)
 	}
 }
 

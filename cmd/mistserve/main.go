@@ -75,7 +75,7 @@ func main() {
 		grace       = flag.Duration("grace", 30*time.Second, "graceful-shutdown drain timeout")
 		storeDir    = flag.String("store-dir", "", "durable plan-store directory (empty: in-memory only)")
 		cacheCap    = flag.Int("cache-cap", 0, "in-memory plan-cache capacity (0: default 1024)")
-		evalCap     = flag.Int("eval-cache-cap", 0, "cross-request eval-cache budget in memoized pricings across all analyzer fingerprints (0: default 4Mi points, ~270 MB)")
+		evalCap     = flag.Int("eval-cache-cap", 0, "cross-request eval-cache budget in memoized pricings across all analyzer fingerprints (0: default 4Mi points, ~110 MB)")
 		workers     = flag.Int("workers", 0, "async job worker pool size (0: default 2)")
 		maxInflight = flag.Int("max-inflight", 0, "concurrently executing requests per endpoint class (0: GOMAXPROCS)")
 		maxQueue    = flag.Int("max-queue", 0, "admission wait-queue and async job-queue bound; overflow answers 429 (0: default 256)")

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/milp"
+	"repro/internal/pipeline"
 )
 
 // interSolution is the chosen candidate per stage plus the objective.
@@ -298,7 +299,7 @@ func (t *Tuner) solveInterExhaustive(cands [][]candidate, totalLayers, g int) (*
 	best := math.Inf(1)
 	var bestPick []int
 	pick := make([]int, s)
-	sel := make([]candidate, 0, s)
+	sel := make([]pipeline.StagePerf, 0, s) // the one selection buffer: a leaf prices it in place
 
 	var rec func(i, layersLeft int)
 	rec = func(i, layersLeft int) {
@@ -317,9 +318,9 @@ func (t *Tuner) solveInterExhaustive(cands [][]candidate, totalLayers, g int) (*
 		partialSum := 0.0
 		partialMax := 0.0
 		for _, c := range sel {
-			partialSum += c.T
-			if c.T > partialMax {
-				partialMax = c.T
+			partialSum += c.Stable
+			if c.Stable > partialMax {
+				partialMax = c.Stable
 			}
 		}
 		lower := float64(g-1)*partialMax + partialSum + suffixMinT[i]
@@ -328,7 +329,7 @@ func (t *Tuner) solveInterExhaustive(cands [][]candidate, totalLayers, g int) (*
 		}
 		for ci, c := range cands[i] {
 			pick[i] = ci
-			sel = append(sel, c)
+			sel = append(sel, pipeline.StagePerf{Stable: c.T, Delta: c.D})
 			rec(i+1, layersLeft-c.Knobs.Layers)
 			sel = sel[:len(sel)-1]
 		}
@@ -344,30 +345,22 @@ func (t *Tuner) solveInterExhaustive(cands [][]candidate, totalLayers, g int) (*
 	return out, nil
 }
 
-// objective evaluates the configured inter-stage objective for a full
-// stage selection.
-func (t *Tuner) objective(sel []candidate, g int) float64 {
-	maxT, sumT := 0.0, 0.0
+// stagePerfs appends the (t, d) of a selection to dst[:0]: the selection
+// as pipeline's objectives take it.
+func stagePerfs(dst []pipeline.StagePerf, sel []candidate) []pipeline.StagePerf {
+	dst = dst[:0]
 	for _, c := range sel {
-		tm := c.T
-		if !t.Space.ImbalanceAware {
-			tm += c.D / float64(g)
-		}
-		sumT += tm
-		if tm > maxT {
-			maxT = tm
-		}
+		dst = append(dst, pipeline.StagePerf{Stable: c.T, Delta: c.D})
 	}
-	obj := float64(g-1)*maxT + sumT
+	return dst
+}
+
+// objective evaluates the configured inter-stage objective for a full
+// stage selection: Eq. 1, or with ImbalanceAware off the averaged
+// objective of prior planners.
+func (t *Tuner) objective(sel []pipeline.StagePerf, g int) float64 {
 	if t.Space.ImbalanceAware {
-		dm, prefix := 0.0, 0.0
-		for _, c := range sel {
-			if v := c.D - prefix; v > dm {
-				dm = v
-			}
-			prefix += c.T
-		}
-		obj += dm
+		return pipeline.IterationTime(sel, g)
 	}
-	return obj
+	return pipeline.IterationTimeAveraged(sel, g)
 }

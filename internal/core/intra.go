@@ -18,22 +18,22 @@ import (
 // lowered since.
 var intraSem = make(chan struct{}, runtime.GOMAXPROCS(0))
 
-// candidate is one priced intra-stage configuration: a complete stage
-// shape plus knobs, with its stable time t, delta d, and peak memory.
+// candidate is one priced intra-stage configuration that fits the memory
+// budget: a complete stage shape plus knobs, with its stable time t and
+// delta d.
 type candidate struct {
 	Shape schedule.StageShape
 	Knobs schedule.Knobs
 	T, D  float64
-	Mem   float64
 }
 
-// point is a candidate as the sweep holds it: the priced values plus the
-// positions of its shape in the sweep's shape list and of its knobs in
+// point is a candidate as the sweep holds it: the two priced values plus
+// the positions of its shape in the sweep's shape list and of its knobs in
 // its layer count's knob set. A sweep prices thousands of points per
 // layer count and keeps a few; only those become candidates
 // (sweepScratch.candidate).
 type point struct {
-	T, D, Mem   float64
+	T, D        float64
 	shape, knob int32
 }
 
@@ -82,7 +82,7 @@ func (sc *sweepScratch) list(li int) [][]point {
 func (sc *sweepScratch) candidate(li int, p point) candidate {
 	return candidate{
 		Shape: sc.shapes[p.shape], Knobs: sc.sets[li].Knobs()[p.knob],
-		T: p.T, D: p.D, Mem: p.Mem,
+		T: p.T, D: p.D,
 	}
 }
 
@@ -183,7 +183,7 @@ func (t *Tuner) intraStage(s, g, stageIdx, devPerStage int, layers []int, sc *sw
 			seg := arena[at : at : at+n]
 			for j := range results {
 				if r := &results[j]; r.Fits(budget) {
-					seg = append(seg, point{T: r.Stable, D: r.Delta, Mem: r.PeakMem, shape: int32(i), knob: int32(j)})
+					seg = append(seg, point{T: r.Stable, D: r.Delta, shape: int32(i), knob: int32(j)})
 				}
 			}
 			segs[li*len(shapes)+i] = seg

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // sortedSweepFrontier is the frontier's definition, executed: sort by the
@@ -37,8 +38,8 @@ func sortedSweepFrontier(cands []point) []point {
 // randCandidates draws a candidate list whose (T, D) points come from a
 // small value pool — equal-T runs and exact (T, D) duplicates are the
 // norm, not the exception — in random, ascending or descending order.
-// Each point's Mem and knob carry its list position, so two equal (T, D)
-// points are still told apart.
+// Each point's knob carries its list position, so two equal (T, D) points
+// are still told apart.
 func randCandidates(rng *rand.Rand) []point {
 	n := rng.Intn(400)
 	pool := 1 + rng.Intn(40)
@@ -66,7 +67,7 @@ func randCandidates(rng *rand.Rand) []point {
 		slices.SortStableFunc(cands, func(a, b point) int { return byTD(b, a) })
 	}
 	for i := range cands {
-		cands[i].Mem, cands[i].knob = float64(i), int32(i)
+		cands[i].knob = int32(i)
 	}
 	return cands
 }
@@ -97,6 +98,14 @@ func TestPropertyParetoStaircaseMatchesSortedSweep(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPointShape pins the sweep arena's element: a stage sweep holds one
+// point per feasible (shape, knob) of its window, thousands at a time.
+func TestPointShape(t *testing.T) {
+	if got := unsafe.Sizeof(point{}); got != 24 {
+		t.Errorf("point is %d bytes, want 24 (T, D float64; shape, knob int32)", got)
 	}
 }
 

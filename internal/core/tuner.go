@@ -16,6 +16,7 @@ import (
 	"repro/internal/hardware"
 	"repro/internal/interference"
 	"repro/internal/opdb"
+	"repro/internal/pipeline"
 	"repro/internal/plan"
 	"repro/internal/schedule"
 	"repro/internal/trace"
@@ -81,7 +82,7 @@ type Tuner struct {
 	disableIncumbent bool
 
 	// tuneCtx bounds the running search; canceling it makes
-	// TuneContext return the context's error.
+	// TuneContext return the context's error. Nil between searches.
 	tuneCtx context.Context
 }
 
@@ -310,6 +311,7 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	// Warm-start setup (see warm.go): price the seed, arm the incumbent
 	// bound, reset telemetry. All writes happen before workers spawn.
 	t.tuneCtx = ctx
+	defer func() { t.tuneCtx = nil }() // a tuner outlives its search; the request's context must not
 	t.warmSeed = nil
 	t.incumbent = math.Inf(1)
 	t.warmPruned.Store(0)
@@ -576,6 +578,7 @@ func (t *Tuner) tuneUniform(s, g, devPer int) (*interSolution, int, error) {
 		}
 	}
 	budget := t.Cluster.MemoryBudget() * planSafetyFraction
+	perf := make([]pipeline.StagePerf, 0, s) // reused: only sel outlives an iteration
 	for _, c0 := range cands0 {
 		if err := t.ctxErr(); err != nil {
 			return nil, evaluated, err
@@ -597,12 +600,13 @@ func (t *Tuner) tuneUniform(s, g, devPer int) (*interSolution, int, error) {
 				feasible = false
 				break
 			}
-			sel = append(sel, candidate{Shape: shape, Knobs: c0.Knobs, T: r.Stable, D: r.Delta, Mem: r.PeakMem})
+			sel = append(sel, candidate{Shape: shape, Knobs: c0.Knobs, T: r.Stable, D: r.Delta})
 		}
 		if !feasible {
 			continue
 		}
-		obj := t.objective(sel, g)
+		perf = stagePerfs(perf, sel)
+		obj := t.objective(perf, g)
 		if best == nil || obj < best.Objective {
 			best = &interSolution{Stages: sel, Objective: obj}
 		}
@@ -675,19 +679,13 @@ func (t *Tuner) PredictPlan(p *plan.Plan) (float64, error) {
 	if err := p.Validate(t.W); err != nil {
 		return 0, err
 	}
-	maxT, sumT := 0.0, 0.0
-	dm, prefix := 0.0, 0.0
-	for _, st := range p.Stages {
+	perf := make([]pipeline.StagePerf, len(p.Stages))
+	for i, st := range p.Stages {
 		r, err := t.backend().Evaluate(st.Shape, st.Knobs)
 		if err != nil {
 			return 0, err
 		}
-		sumT += r.Stable
-		maxT = math.Max(maxT, r.Stable)
-		if v := r.Delta - prefix; v > dm {
-			dm = v
-		}
-		prefix += r.Stable
+		perf[i] = pipeline.StagePerf{Stable: r.Stable, Delta: r.Delta}
 	}
-	return float64(p.GradAccum-1)*maxT + sumT + dm, nil
+	return pipeline.IterationTime(perf, p.GradAccum), nil
 }

@@ -40,7 +40,6 @@ import (
 
 // warmSeed is a priced, feasibility-checked seed plan.
 type warmSeed struct {
-	plan      *plan.Plan
 	stages    []candidate
 	g         int
 	objective float64
@@ -73,13 +72,12 @@ func (t *Tuner) prepareWarm() (*warmSeed, int) {
 		if err != nil || !r.Fits(budget) {
 			return nil, evaluated
 		}
-		stages[i] = candidate{Shape: st.Shape, Knobs: st.Knobs, T: r.Stable, D: r.Delta, Mem: r.PeakMem}
+		stages[i] = candidate{Shape: st.Shape, Knobs: st.Knobs, T: r.Stable, D: r.Delta}
 	}
 	return &warmSeed{
-		plan:      p,
 		stages:    stages,
 		g:         p.GradAccum,
-		objective: t.objective(stages, p.GradAccum),
+		objective: t.objective(stagePerfs(nil, stages), p.GradAccum),
 	}, evaluated
 }
 

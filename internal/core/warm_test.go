@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -248,6 +249,30 @@ func TestTuneContextCancellation(t *testing.T) {
 	cancel()
 	if _, err := tn.TuneContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-canceled tune returned %v", err)
+	}
+	// The tuner outlives the search but does not keep its context (with
+	// it the request's span tree and deadline timer): between searches it
+	// reports no context error, and a reuse is a clean search.
+	if err := tn.ctxErr(); err != nil {
+		t.Errorf("ctxErr() = %v after TuneContext returned, want nil", err)
+	}
+	fresh, err := New(w, l4(t, 2), DeepSpeedSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Tune()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tn.Tune()
+	if err != nil {
+		t.Fatalf("Tune on a tuner reused after a canceled search: %v", err)
+	}
+	if got.Predicted != want.Predicted || !reflect.DeepEqual(got.Plan, want.Plan) {
+		t.Errorf("reused tuner found %v (%.6g s), a fresh one %v (%.6g s)", got.Plan, got.Predicted, want.Plan, want.Predicted)
+	}
+	if err := tn.ctxErr(); err != nil {
+		t.Errorf("ctxErr() = %v after Tune returned, want nil", err)
 	}
 
 	// A context canceled mid-flight also aborts (quickly, not after the

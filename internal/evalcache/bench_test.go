@@ -6,12 +6,9 @@ import (
 	"repro/internal/schedule"
 )
 
-// BenchmarkRow prices one full MistSpace row — 5 checkpoint counts x 3^4
-// offload tuples = 405 knobs — through the cache, per op: "miss" is the
-// probe, the analyzer's batch over the row and the publish (a fresh
-// cache every pass over the shapes); "hit" is the probe and the copy out.
-func BenchmarkRow(b *testing.B) {
-	an := newTestAnalyzer(b)
+// fullRowSet is one full MistSpace row: 5 checkpoint counts x 3^4 offload
+// tuples = 405 knobs.
+func fullRowSet() *KnobSet {
 	grid := []float64{0, 0.5, 1}
 	var ks []schedule.Knobs
 	for ck := 0; ck <= 32; ck += 8 {
@@ -25,7 +22,16 @@ func BenchmarkRow(b *testing.B) {
 			}
 		}
 	}
-	set := NewKnobSet(ks)
+	return NewKnobSet(ks)
+}
+
+// BenchmarkRow prices one full MistSpace row through the cache, per op:
+// "miss" is the probe, the analyzer's batch over the row and the publish
+// (a fresh cache every pass over the shapes); "hit" is the probe and the
+// copy out.
+func BenchmarkRow(b *testing.B) {
+	an := newTestAnalyzer(b)
+	set := fullRowSet()
 	var shapes []schedule.StageShape
 	for _, mb := range []int{1, 2, 4} {
 		for zero := 0; zero <= 3; zero++ {

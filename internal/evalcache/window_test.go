@@ -120,6 +120,47 @@ func TestWindowHitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// An all-miss call allocates the row it publishes and nothing wider: 24
+// bytes per point — schedule.Result is what the search reads of a point,
+// no more — beside the two work lists. The in-tree twin of mistperf's
+// evalcache.bytes_per_point.
+func TestMissAllocatesItsRowOnly(t *testing.T) {
+	an := newTestAnalyzer(t)
+	set := fullRowSet()
+	sets, dsts := []*KnobSet{set}, make([][]schedule.Result, 1)
+	first, second := testShape(), testShape()
+	second.B = 4
+	var sc Scratch
+	// Paid outside the measurement: both shapes' programs (through a
+	// throwaway cache), then in c the set's interning, the row map's first
+	// bucket and the buffers' growth.
+	for _, shape := range []schedule.StageShape{first, second} {
+		if err := New(an).EvaluateSets(shape, sets, dsts, &sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := New(an)
+	if err := c.EvaluateSets(first, sets, dsts, &sc); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := c.EvaluateSets(second, sets, dsts, &sc)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Misses != uint64(2*set.Len()) || st.Hits != 0 {
+		t.Fatalf("stats %+v, want two all-miss rows", st)
+	}
+	const slack = 2 << 10 // size-class rounding of the row, the work lists, a map slot
+	got, row := after.TotalAlloc-before.TotalAlloc, uint64(set.Len())*24
+	if got < row || got > row+slack {
+		t.Errorf("an all-miss row of %d points allocated %d bytes, want its %d-byte row and at most %d more", set.Len(), got, row, slack)
+	}
+}
+
 // A window holding an invalid set fails as a whole: nothing is stored
 // and no counter moves — not for the stored rows it would have hit, not
 // for the valid sets priced beside the invalid one.

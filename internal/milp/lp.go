@@ -139,8 +139,7 @@ func (p *Problem) solveLPWith(bounds map[int][2]float64) (*Solution, error) {
 // by their lower bounds so every structural variable is >= 0; finite upper
 // bounds become explicit <= rows.
 type tableau struct {
-	m, n    int // rows, structural+slack+artificial columns
-	nStruct int
+	m, n    int         // rows, structural+slack+artificial columns
 	a       [][]float64 // m x (n+1), last column is rhs
 	cost    []float64   // phase-2 objective over all columns
 	basis   []int
@@ -199,7 +198,7 @@ func (p *Problem) newTableau(overrides map[int][2]float64) (*tableau, error) {
 	}
 	nCols := p.numVars + nSlack + m // reserve artificial per row (not all used)
 	t := &tableau{
-		m: m, n: nCols, nStruct: p.numVars,
+		m: m, n: nCols,
 		a:       make([][]float64, m),
 		cost:    make([]float64, nCols),
 		basis:   make([]int, m),

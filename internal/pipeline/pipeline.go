@@ -3,6 +3,11 @@
 // stable-only approximations used by prior systems (for the Figure 13/15
 // ablations), and an exact dependency-driven playback of the 1F1B
 // schedule used to validate the objectives and by the execution engine.
+//
+// IterationTime and IterationTimeAveraged are also what the tuner
+// minimises: core's inter-stage objective and Tuner.PredictPlan call them
+// rather than restate them, so the formula validated here against the
+// playback is the one a search optimises and reports.
 package pipeline
 
 import (

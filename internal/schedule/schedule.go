@@ -148,16 +148,15 @@ func (k Knobs) Validate() error {
 	return nil
 }
 
-// Result is the analyzer's verdict for one (shape, knobs) candidate.
+// Result is the analyzer's verdict for one (shape, knobs) candidate, and
+// exactly what the search reads of it: the two Pareto axes of Eq. 3-4 and
+// the memory constraint. It is the element of an evalcache row, so every
+// field costs 8 bytes per priced point (TestResultShape); a time or memory
+// breakdown of a candidate comes from Analyzer.Channels instead.
 type Result struct {
 	Stable  float64 // t_i: stable microbatch time (s)
 	Delta   float64 // d_i: first+last microbatch extra (s)
 	PeakMem float64 // bytes
-
-	// Breakdown for reporting (Figure 3-style):
-	FwdTime, BwdTime float64
-	OptStepTime      float64
-	MemOptOverhead   float64 // offloading/ZeRO time not hidden by overlap
 }
 
 // Fits reports whether the candidate respects the memory budget.
@@ -476,21 +475,7 @@ func (sp *stageProgram) compose(k Knobs, t *overlapTerms, out []float64) Result 
 	if lastExtra < 0 {
 		lastExtra = 0
 	}
-	stepTotal := float64(k.Layers) * (out[outStepGPULayer] + out[outStepCPULayer])
 	delta := math.Max(0, firstExtra) + lastExtra
 
-	// Unhidden memory-optimization overhead: the gap between the
-	// overlapped region and pure compute (reported in Figure 3 style).
-	pureFwd := nonCkpt*(sp.tpARFwd+sp.cFwd) + ckpt*(sp.tpARFwd+sp.cFwd)
-	pureBwd := nonCkpt*(sp.tpARBwd+sp.cBwd) + ckpt*(sp.tpARBwd+sp.tpARFwd+sp.cBwd+sp.cFwd)
-	memOpt := stable - (pureFwd + pureBwd + sp.preFwd + sp.preBwd + sp.postFwd + sp.postBwd + 2*sp.p2pTime)
-
-	return Result{
-		Stable:  stable,
-		Delta:   delta,
-		PeakMem: out[outPeakMem],
-		FwdTime: fwdStage, BwdTime: bwdStage,
-		OptStepTime:    stepTotal,
-		MemOptOverhead: math.Max(0, memOpt),
-	}
+	return Result{Stable: stable, Delta: delta, PeakMem: out[outPeakMem]}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/hardware"
 	"repro/internal/interference"
@@ -96,8 +97,21 @@ func TestBasicEvaluate(t *testing.T) {
 	if r.Delta < 0 {
 		t.Errorf("negative delta %v", r.Delta)
 	}
-	if r.BwdTime <= r.FwdTime {
-		t.Errorf("backward %v should exceed forward %v", r.BwdTime, r.FwdTime)
+	ch, err := a.Channels(baseShape(), baseKnobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch.CBwd <= ch.CFwd {
+		t.Errorf("backward compute %v should exceed forward %v", ch.CBwd, ch.CFwd)
+	}
+}
+
+// TestResultShape pins what a priced point costs wherever it is stored: an
+// evalcache row is a []Result, so a fourth field is 8 more bytes on every
+// point a search prices (211 734 on the bench cell).
+func TestResultShape(t *testing.T) {
+	if got := unsafe.Sizeof(Result{}); got != 24 {
+		t.Errorf("schedule.Result is %d bytes, want 24 (Stable, Delta, PeakMem)", got)
 	}
 }
 

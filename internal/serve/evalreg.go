@@ -36,10 +36,10 @@ import (
 // on the analyzer-only path too, not just after searches.
 
 // defaultEvalCachePoints bounds the registry's total memoized points
-// when the operator does not set one. A point is one 56-byte
-// schedule.Result in a dense row (~63 B retained with the row map and
-// the interned knob sets), so the default caps the registry around
-// 270 MB — roughly twenty fully-swept fingerprints.
+// when the operator does not set one. A point is one 24-byte
+// schedule.Result in a dense row (~26 B retained with the row's size
+// class, the row map and the interned knob sets), so the default caps the
+// registry around 110 MB — roughly twenty fully-swept fingerprints.
 const defaultEvalCachePoints = 4 << 20
 
 // entryOverheadPoints is the point-equivalent fixed cost charged to each

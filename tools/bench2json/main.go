@@ -21,10 +21,10 @@
 // The command exits non-zero when any shared benchmark's ns/op
 // regressed beyond the tolerance (new > old × (1+tolerance)), or when
 // the two files share no benchmarks at all — a gate that compares
-// nothing must not pass. When both sides of a pair carry an allocs/op
-// metric (-benchmem), that dimension is gated under the same tolerance
-// — an allocation crept into a hot path is a regression even when the
-// wall-clock noise hides it.
+// nothing must not pass. When both sides of a pair carry the -benchmem
+// metrics (B/op, allocs/op), each is gated under the same tolerance —
+// an allocation crept into a hot path, or a row grown by a field, is a
+// regression even when the wall-clock noise hides it.
 package main
 
 import (
@@ -64,7 +64,7 @@ func main() {
 	log.SetPrefix("bench2json: ")
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
 	compare := flag.String("compare", "", "compare this baseline report against the report named by the positional argument")
-	tolerance := flag.Float64("tolerance", 0.25, "with -compare: allowed fractional ns/op (and allocs/op) growth before a benchmark counts as regressed")
+	tolerance := flag.Float64("tolerance", 0.25, "with -compare: allowed fractional ns/op (and B/op, allocs/op) growth before a benchmark counts as regressed")
 	flag.Parse()
 
 	if *compare != "" {
@@ -162,26 +162,52 @@ func benchKey(b Benchmark) string {
 	return b.Package + "." + name
 }
 
-// comparison is one shared benchmark's delta.
-type comparison struct {
-	Key       string
-	OldNs     float64
-	NewNs     float64
-	Ratio     float64 // new / old
+// gatedMetrics are the dimensions gated beside ns/op, each only when both
+// reports carry it (old baselines predating -benchmem stay ns/op-only).
+var gatedMetrics = []string{"B/op", "allocs/op"}
+
+// delta is one gated dimension of one shared benchmark.
+type delta struct {
+	Unit      string
+	Old, New  float64
+	Ratio     float64 // new / old; 0 when the old side is zero
 	Regressed bool
-	// The allocs/op dimension, gated only when both reports carry the
-	// metric (old baselines predating -benchmem stay ns/op-only).
-	HasAllocs      bool
-	OldAllocs      float64
-	NewAllocs      float64
-	AllocRatio     float64 // new / old; 0 when the old side is zero
-	AllocRegressed bool
+}
+
+// gate compares one dimension under the tolerance. A zero baseline that
+// is now positive exceeds any finite tolerance.
+func gate(unit string, old, new, tolerance float64) delta {
+	d := delta{Unit: unit, Old: old, New: new}
+	if old > 0 {
+		d.Ratio = new / old
+		d.Regressed = d.Ratio > 1+tolerance
+	} else {
+		d.Regressed = new > 0
+	}
+	return d
+}
+
+// comparison is one shared benchmark: ns/op first, then every gated
+// metric both sides carry.
+type comparison struct {
+	Key    string
+	Deltas []delta
+}
+
+// Regressed reports whether any gated dimension regressed.
+func (c comparison) Regressed() bool {
+	for _, d := range c.Deltas {
+		if d.Regressed {
+			return true
+		}
+	}
+	return false
 }
 
 // compareReports pairs the two reports' benchmarks and flags every
-// shared one whose ns/op grew beyond the tolerance. Benchmarks present
-// in only one report are returned in onlyOld/onlyNew so renames and
-// deletions are visible rather than silently ungated.
+// shared one with a gated dimension grown beyond the tolerance.
+// Benchmarks present in only one report are returned in onlyOld/onlyNew
+// so renames and deletions are visible rather than silently ungated.
 func compareReports(old, new Report, tolerance float64) (shared []comparison, onlyOld, onlyNew []string) {
 	oldBy := map[string]Benchmark{}
 	for _, b := range old.Benchmarks {
@@ -196,24 +222,12 @@ func compareReports(old, new Report, tolerance float64) (shared []comparison, on
 			onlyNew = append(onlyNew, key)
 			continue
 		}
-		c := comparison{Key: key, OldNs: ob.NsPerOp, NewNs: b.NsPerOp}
-		if ob.NsPerOp > 0 {
-			c.Ratio = b.NsPerOp / ob.NsPerOp
-			c.Regressed = c.Ratio > 1+tolerance
-		}
-		oldAllocs, okOld := ob.Metrics["allocs/op"]
-		newAllocs, okNew := b.Metrics["allocs/op"]
-		if okOld && okNew {
-			c.HasAllocs = true
-			c.OldAllocs, c.NewAllocs = oldAllocs, newAllocs
-			switch {
-			case oldAllocs > 0:
-				c.AllocRatio = newAllocs / oldAllocs
-				c.AllocRegressed = c.AllocRatio > 1+tolerance
-			case newAllocs > 0:
-				// A zero-alloc baseline that now allocates exceeds any
-				// finite tolerance.
-				c.AllocRegressed = true
+		c := comparison{Key: key, Deltas: []delta{gate("ns/op", ob.NsPerOp, b.NsPerOp, tolerance)}}
+		for _, unit := range gatedMetrics {
+			oldV, okOld := ob.Metrics[unit]
+			newV, okNew := b.Metrics[unit]
+			if okOld && okNew {
+				c.Deltas = append(c.Deltas, gate(unit, oldV, newV, tolerance))
 			}
 		}
 		shared = append(shared, c)
@@ -262,25 +276,18 @@ func runCompare(oldPath, newPath string, tolerance float64) {
 	}
 	regressions := 0
 	for _, c := range shared {
-		verdict := "ok"
-		if c.Regressed {
-			verdict = "REGRESSED"
-		}
-		fmt.Printf("%-60s %14.0f ns/op -> %14.0f ns/op  %+6.1f%%  %s\n",
-			c.Key, c.OldNs, c.NewNs, (c.Ratio-1)*100, verdict)
-		if c.HasAllocs {
-			av := "ok"
-			if c.AllocRegressed {
-				av = "REGRESSED"
+		for _, d := range c.Deltas {
+			verdict := "ok"
+			if d.Regressed {
+				verdict = "REGRESSED"
 			}
-			pct := "     n/a"
-			if c.AllocRatio > 0 {
-				pct = fmt.Sprintf("%+7.1f%%", (c.AllocRatio-1)*100)
+			pct := "    n/a"
+			if d.Ratio > 0 {
+				pct = fmt.Sprintf("%+6.1f%%", (d.Ratio-1)*100)
 			}
-			fmt.Printf("%-60s %10.0f allocs/op -> %10.0f allocs/op  %s  %s\n",
-				c.Key, c.OldAllocs, c.NewAllocs, pct, av)
+			fmt.Printf("%-60s %14.0f -> %14.0f %-9s  %s  %s\n", c.Key, d.Old, d.New, d.Unit, pct, verdict)
 		}
-		if c.Regressed || c.AllocRegressed {
+		if c.Regressed() {
 			regressions++
 		}
 	}
@@ -291,7 +298,7 @@ func runCompare(oldPath, newPath string, tolerance float64) {
 		fmt.Printf("%-60s only in %s (new — no baseline yet)\n", k, newPath)
 	}
 	if regressions > 0 {
-		log.Fatalf("%d of %d shared benchmarks regressed beyond %.0f%% tolerance (ns/op or allocs/op)", regressions, len(shared), tolerance*100)
+		log.Fatalf("%d of %d shared benchmarks regressed beyond %.0f%% tolerance (ns/op, B/op or allocs/op)", regressions, len(shared), tolerance*100)
 	}
 	fmt.Printf("bench-regression: %d shared benchmarks within %.0f%% tolerance\n", len(shared), tolerance*100)
 }
