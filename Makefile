@@ -78,9 +78,9 @@ pilot-smoke: ## autoscaling drill: a flash crowd must scale 3 nodes out to 5 and
 	$(GO) run ./cmd/mistload -scenario flash-crowd -inproc -nodes 4 -pilot -pilot-config testdata/pilot.json -slo-config testdata/slo.json -duration 8s -seed 2 -kill n4@2s
 	$(GO) test -run 'TestPilot' -count=1 -v ./internal/serve
 
-property: ## schedule, frontier and compile invariants, repeated with a pinned quick.Check budget; then the lifted stage programs against the per-shape reference on the full shape grid
+property: ## schedule, frontier and compile invariants, repeated with a pinned quick.Check budget; then, on the full shape grid, the lifted stage programs against the per-shape reference and the compute floor under every priced stable time
 	$(GO) test ./internal/schedule ./internal/core ./internal/symbolic -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
-	$(GO) test ./internal/schedule -run 'TestPropertyLiftedProgramMatchesPerShapeBuild' -count=1 -reference.full
+	$(GO) test ./internal/schedule -run 'TestPropertyLiftedProgramMatchesPerShapeBuild|TestPropertyComputeFloorBoundsStable' -count=1 -reference.full
 
 bench: ## cached-vs-uncached tuner (BenchmarkTuneUncached is the bare-analyzer reference cell, kept under that name for bench-regression; BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down), one 405-knob row through the analyzer and through the eval cache, cold-vs-warm search, batch-submit amortization, tracing overhead, SLO evaluation
 	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x .

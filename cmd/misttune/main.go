@@ -124,6 +124,7 @@ func main() {
 	fmt.Printf("tuning: %d candidates over %d (S,G) pairs in %s (eval cache: %.1f%% hits, %d unique points)\n",
 		res.Candidates, res.SGPairs, res.Elapsed.Round(1e6),
 		100*res.CacheHitRate(), res.EvalCacheMisses)
+	fmt.Printf("        %d of %d (S, G) pairs skipped by compute floor\n", res.FloorSkippedPairs, res.SGPairs)
 
 	m, err := mist.Simulate(w, cl, res.Plan)
 	if err != nil {

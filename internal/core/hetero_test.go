@@ -107,11 +107,24 @@ func TestDeviceOptions(t *testing.T) {
 }
 
 // TestHeteroBenchCellWork pins what a heterogeneous-device search of the
-// bench cell prices. One canonical shape meets overlapping layer windows
-// there (the same mesh under different pipeline depths), and rows keyed
-// per (shape, knob set) serve every layer count the windows share; a row
-// keyed by the whole window would re-price them (1 343 790 unique
-// evaluations when measured). GOMAXPROCS is 1 so that no two pairs of a
+// bench cell prices, and why. Of its 32 (S, G) pairs the compute floor
+// skips 24; swept are the four S=1 pairs (28 shapes of one layer count:
+// 11 340 points) and the four pairs with S in {4, 5} and G in {4, 8},
+// whose per-stage device options {1, 2, 4} admit the widest tensor
+// parallelism a pipelined stage can get: 11 shapes at G=4 and 3 at G=8,
+// times five layer counts of 405 knobs, times S stages — 89 100 + 24 300 +
+// 111 375 + 30 375. That is 266 490 candidates.
+//
+// One canonical shape meets overlapping layer windows there (the same
+// mesh under different pipeline depths), and rows keyed per (shape, knob
+// set) serve every layer count the windows share: S=5's stages have the
+// in-flight depths 4, 4, 3, 2, 1 at G=4, so four of them are S=4's stages
+// (4, 3, 2, 1) with the window 5-9 against 6-10 and miss one layer count
+// of five (4 x 11 x 405), the fifth misses all (22 275); at G=8 the
+// depths 5, 4, 3, 2, 1 leave two stages new (2 x 6 075) and three missing
+// one layer count (3 x 3 x 405). Unique evaluations: 11 340 + 89 100 +
+// 24 300 + 40 095 + 15 795 = 180 630; a row keyed by the whole window
+// would re-price all 266 490. GOMAXPROCS is 1 so that no two pairs of a
 // wave miss the same row at once — both would count it.
 func TestHeteroBenchCellWork(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -125,9 +138,9 @@ func TestHeteroBenchCellWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Candidates != 1719954 || r.EvalCacheMisses != 786915 {
-		t.Errorf("hetero search priced %d candidates with %d unique evaluations, want 1719954 and 786915",
-			r.Candidates, r.EvalCacheMisses)
+	if r.Candidates != 266490 || r.EvalCacheMisses != 180630 || r.FloorSkippedPairs != 24 {
+		t.Errorf("hetero search priced %d candidates with %d unique evaluations and skipped %d pairs, want 266490, 180630 and 24",
+			r.Candidates, r.EvalCacheMisses, r.FloorSkippedPairs)
 	}
 	if got := r.EvalCacheHits + r.EvalCacheMisses; got != uint64(r.Candidates) {
 		t.Errorf("hits+misses = %d, want the %d candidates priced", got, r.Candidates)

@@ -205,11 +205,13 @@ type Result struct {
 	// mid-sweep — the latter is where analyzer evaluations are saved.
 	// The incumbent is also fed by every completed wave of pairs, so the
 	// pruning counters can be nonzero on cold searches. Like Candidates
-	// they are a function of the search's inputs alone.
+	// they are a function of the search's inputs alone. FloorSkippedPairs
+	// are the aborted pairs of which nothing was priced (computeFloor).
 	WarmStarted       bool
 	WarmSeedObjective float64
 	WarmPruned        int
 	WarmAbortedPairs  int
+	FloorSkippedPairs int
 }
 
 // CacheHitRate returns the fraction of candidate evaluations served from
@@ -339,12 +341,10 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	// can tighten the incumbent past U immediately (on cold searches the
 	// existing shallow-pipelines-first order already lands a cheap
 	// incumbent early).
-	if seed != nil {
-		for i, p := range pairs {
-			if p.s == len(seed.stages) && p.g == seed.g {
-				pairs[0], pairs[i] = pairs[i], pairs[0]
-				break
-			}
+	for i, p := range pairs {
+		if seed.owns(p.s, p.g) {
+			pairs[0], pairs[i] = pairs[i], pairs[0]
+			break
 		}
 	}
 	res.SGPairs = len(pairs)
@@ -360,8 +360,9 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	// overlap by construction, so latency attribution reads the sweep
 	// span's duration and treats children as a utilization breakdown.
 	type outcome struct {
-		sol   *interSolution
-		nEval int
+		sol          *interSolution
+		nEval        int
+		floorSkipped bool
 	}
 	type found struct {
 		sol  *interSolution
@@ -391,19 +392,28 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 					psp.Annotate("s", p.s)
 					psp.Annotate("g", p.g)
 					sol, nEval, err := t.tuneSG(pctx, p.s, p.g)
+					var wp *warmPrunedError
 					if err != nil {
 						sol = nil // infeasible (S, G): OOM or no factorization
 						psp.Annotate("infeasible", true)
+						if errors.As(err, &wp) && wp.floor > 0 {
+							psp.Annotate("prunedBy", "floor")
+							psp.Annotate("floor", wp.floor)
+							psp.Annotate("incumbent", t.incumbent)
+						}
 					}
 					psp.Annotate("evals", nEval)
 					psp.End()
-					outs[i] = outcome{sol: sol, nEval: nEval}
+					outs[i] = outcome{sol: sol, nEval: nEval, floorSkipped: wp != nil && wp.floor > 0}
 				}
 			}()
 		}
 		wg.Wait()
 		for i, o := range outs[:len(wave)] {
 			res.Candidates += o.nEval
+			if o.floorSkipped {
+				res.FloorSkippedPairs++
+			}
 			if o.sol == nil {
 				continue
 			}
@@ -468,12 +478,20 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 // tracing is on); cancellation still flows through t.tuneCtx as before.
 func (t *Tuner) tuneSG(ctx context.Context, s, g int) (*interSolution, int, error) {
 	total := t.Cluster.TotalGPUs()
-	if t.Space.UniformStages {
-		return t.tuneUniform(s, g, total/s)
-	}
 	devOpts, devBudget := []int{total / s}, 0 // no budget: the DP tracks no devices
 	if t.Space.HeterogeneousDevices && s > 1 {
 		devOpts, devBudget = t.deviceOptions(s), total
+	}
+	// Bound before pricing: no plan of this pair beats its compute floor, so
+	// a pair whose floor exceeds the incumbent (by a margin that keeps ties
+	// and rounding safe) is skipped whole — but never the warm seed's own:
+	// a seed may use a parallelism the space, and so the floor, leaves out.
+	if floor := t.computeFloor(s, g, devOpts); !t.warmSeed.owns(s, g) && floor*(1-1e-9) > t.incumbent {
+		t.warmAborted.Add(1)
+		return nil, 0, &warmPrunedError{s: s, g: g, floor: floor}
+	}
+	if t.Space.UniformStages {
+		return t.tuneUniform(s, g, total/s)
 	}
 	evaluated := 0
 	cands := make([][]candidate, s)
@@ -538,6 +556,27 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int) (*interSolution, int, erro
 		return nil, evaluated, err
 	}
 	return sol, evaluated, nil
+}
+
+// computeFloor is a lower bound, at no pricing cost, on the objective —
+// imbalance-aware or averaged — of every plan the (S, G) pair can produce:
+// a stage's stable time is at least its layers times c_min, the cheapest
+// schedule.Analyzer.LayerComputeFloor of any (tp, b) the pair enumerates;
+// the layers sum to L, the slowest stage is at least the average one and
+// deltas are >= 0, so (G-1)·max t + Σ t >= ((G-1)·L/S + L)·c_min. 0 when
+// nothing is enumerable: the sweep reports that infeasibility itself.
+func (t *Tuner) computeFloor(s, g int, devOpts []int) float64 {
+	cMin := math.Inf(1)
+	for _, dev := range devOpts {
+		for _, pt := range t.parallelisms(dev, g) {
+			cMin = min(cMin, t.An.LayerComputeFloor(pt.tp, pt.b))
+		}
+	}
+	if math.IsInf(cMin, 1) {
+		return 0
+	}
+	l := float64(t.W.Model.Layers)
+	return (float64(g-1)*l/float64(s) + l) * cMin
 }
 
 // deviceOptions enumerates the per-stage device counts explored under

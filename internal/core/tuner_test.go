@@ -654,8 +654,13 @@ func TestGradAccumsAreDivisors(t *testing.T) {
 }
 
 // The memoizing evaluation cache must be a pure optimization: the tuner
-// picks byte-identical plans with it on or off, while pricing
-// measurably fewer unique points at the analyzer.
+// picks byte-identical plans with it on or off, and every pricing lands
+// in exactly one of its counters. The cold search itself no longer hits
+// (its 9 720 candidates are the four S=1 pairs' 24 distinct shapes: the
+// repeats all came from small-G deep pipelines, which the compute floor
+// now skips unpriced), so the hit rate strictly between 0 and 1 is taken
+// from a second search on the same cache at a neighbouring batch, whose
+// microbatch sizes overlap the first's.
 func TestCacheOnOffIdenticalPlans(t *testing.T) {
 	w := testWorkload("gpt3-2.7b", 8)
 	nodes, perNode, _ := hardware.MeshForGPUs(4)
@@ -686,33 +691,41 @@ func TestCacheOnOffIdenticalPlans(t *testing.T) {
 	if rc.Candidates != ru.Candidates {
 		t.Errorf("cached search priced %d candidates, uncached %d: the work of a search must not depend on the backend", rc.Candidates, ru.Candidates)
 	}
-
-	if rc.EvalCacheHits == 0 {
-		t.Error("cache recorded no hits over a full Mist-space search")
-	}
-	if rc.EvalCacheMisses == 0 || rc.EvalCacheMisses >= uint64(rc.Candidates) {
-		t.Errorf("misses %d should be positive and below the %d candidates priced",
-			rc.EvalCacheMisses, rc.Candidates)
+	if rc.Candidates != 9720 || rc.EvalCacheHits != 0 {
+		t.Errorf("cold search priced %d candidates with %d hits, want 9720 and 0", rc.Candidates, rc.EvalCacheHits)
 	}
 	if got := rc.EvalCacheHits + rc.EvalCacheMisses; got != uint64(rc.Candidates) {
 		t.Errorf("hits+misses = %d, want the %d candidates priced", got, rc.Candidates)
 	}
-	if hr := rc.CacheHitRate(); hr <= 0 || hr >= 1 {
-		t.Errorf("hit rate %v outside (0, 1)", hr)
-	}
 	if ru.EvalCacheHits != 0 || ru.EvalCacheMisses != 0 {
 		t.Errorf("uncached run reported cache traffic: %d/%d", ru.EvalCacheHits, ru.EvalCacheMisses)
+	}
+
+	neighbour, err := NewShared(testWorkload("gpt3-2.7b", 16), cl, cached.An, MistSpace(), cached.ev.(*evalcache.Cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn, err := neighbour.Tune()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rn.EvalCacheHits + rn.EvalCacheMisses; got != uint64(rn.Candidates) {
+		t.Errorf("neighbour search: hits+misses = %d, want the %d candidates priced", got, rn.Candidates)
+	}
+	if hr := rn.CacheHitRate(); hr <= 0 || hr >= 1 {
+		t.Errorf("neighbour search: hit rate %v (%d hits, %d misses) outside (0, 1)", hr, rn.EvalCacheHits, rn.EvalCacheMisses)
 	}
 }
 
 // The work of a search is a function of its inputs: the bench cell's
-// full Mist-space search prices the same candidates and prunes and aborts
-// the same amounts at every GOMAXPROCS, run after run, and a repeat on
-// the filled cache misses nothing.
+// full Mist-space search prices the same candidates and prunes, aborts and
+// floor-skips the same amounts at every GOMAXPROCS, run after run, a pair
+// skipped by its compute floor reports no evaluation at all, and a repeat
+// on the filled cache misses nothing.
 func TestSearchWorkIsDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	w := testWorkload("gpt3-2.7b", 8)
-	type work struct{ candidates, pruned, aborted int }
+	type work struct{ candidates, pruned, aborted, floorSkipped int }
 	var want work
 	for i, procs := range []int{1, 2, 4, 2, 1} {
 		runtime.GOMAXPROCS(procs)
@@ -720,15 +733,26 @@ func TestSearchWorkIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := tn.Tune()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := work{r.Candidates, r.WarmPruned, r.WarmAbortedPairs}
+		r, spans := sgSpans(t, tn)
+		got := work{r.Candidates, r.WarmPruned, r.WarmAbortedPairs, r.FloorSkippedPairs}
 		if i == 0 {
 			want = got
 		} else if got != want {
 			t.Errorf("GOMAXPROCS=%d: search work %+v, first run %+v", procs, got, want)
+		}
+		skipped := 0
+		for _, sp := range spans {
+			if sp.Attrs["prunedBy"] != "floor" {
+				continue
+			}
+			skipped++
+			if sp.Attrs["evals"] != 0 || sp.Attrs["floor"].(float64) <= sp.Attrs["incumbent"].(float64) {
+				t.Errorf("GOMAXPROCS=%d: floor-skipped pair %v: want 0 evals and floor > incumbent", procs, sp.Attrs)
+			}
+		}
+		if skipped == 0 || skipped != r.FloorSkippedPairs {
+			t.Errorf("GOMAXPROCS=%d: %d sg spans say prunedBy=floor, the result %d; want equal and > 0",
+				procs, skipped, r.FloorSkippedPairs)
 		}
 		again, err := tn.Tune()
 		if err != nil {

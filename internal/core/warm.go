@@ -45,6 +45,9 @@ type warmSeed struct {
 	objective float64
 }
 
+// owns reports whether (s, g) is the seed's own pair; false without a seed.
+func (w *warmSeed) owns(s, g int) bool { return w != nil && s == len(w.stages) && g == w.g }
+
 // prepareWarm validates, adapts and prices t.Warm under the current
 // analyzer, also reporting how many evaluator calls it made — the
 // caller folds them into Result.Candidates even when the seed is
@@ -145,8 +148,12 @@ func (pb *pairBound) add(cands []candidate, g int, incumbent float64) (pruned bo
 
 // warmPrunedError marks an (S, G) pair abandoned because the incumbent
 // bound proved it could not improve on the warm seed. Callers treat it
-// exactly like an infeasible pair.
-type warmPrunedError struct{ s, g int }
+// exactly like an infeasible pair. floor is the pair's compute floor when
+// that alone exceeded the incumbent and nothing was priced, else 0.
+type warmPrunedError struct {
+	s, g  int
+	floor float64
+}
 
 func (e *warmPrunedError) Error() string {
 	return "core: (S, G) pair pruned by warm-start incumbent bound"
@@ -156,11 +163,10 @@ func (e *warmPrunedError) Error() string {
 // candidate list when (s, g) is the seed's own pair, so the inter-stage
 // solver can recombine around (and at least reproduce) the seed.
 func (t *Tuner) injectSeed(cands []candidate, s, g, stageIdx int) []candidate {
-	seed := t.warmSeed
-	if seed == nil || s != len(seed.stages) || g != seed.g {
+	if !t.warmSeed.owns(s, g) {
 		return cands
 	}
-	return append(cands, seed.stages[stageIdx])
+	return append(cands, t.warmSeed.stages[stageIdx])
 }
 
 // AdaptPlan reshapes a tuned plan onto a new workload and cluster: the

@@ -25,7 +25,7 @@
 // full, a colliding hash never aliases two sets.
 //
 // One sync.RWMutex guards the store. A cold full-space search publishes
-// a few hundred rows (against ~210 k points), so lock traffic is per
+// tens to thousands of rows (405 points each), so lock traffic is per
 // window and the tuner's nested (S, G) × intra-stage worker fan-out does
 // not serialize on it. Two workers missing the same row both price it and
 // both count misses; the first to publish wins.

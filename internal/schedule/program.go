@@ -271,6 +271,20 @@ func (a *Analyzer) costs(tr *tpTrace, tp, b int) *sectionCosts {
 	})
 }
 
+// LayerComputeFloor is a lower bound on the stable time per layer of every
+// stage shape with this (tp, b): its forward and backward compute, which
+// the overlap composition only adds to (interference factors are >= 1;
+// serial collectives and recomputation come on top). Read off the memoized
+// traces, nothing is priced; 0, the trivial bound, when tp does not trace.
+func (a *Analyzer) LayerComputeFloor(tp, b int) float64 {
+	tr := a.trace(tp)
+	if tr.err != nil {
+		return 0
+	}
+	sec := a.costs(tr, tp, b)
+	return sec.cFwd + sec.cBwd
+}
+
 // variant returns (compiling on first use) the program of one structural
 // variant.
 func (a *Analyzer) variant(key variantKey) *symbolic.Program {

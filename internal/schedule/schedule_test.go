@@ -108,7 +108,7 @@ func TestBasicEvaluate(t *testing.T) {
 
 // TestResultShape pins what a priced point costs wherever it is stored: an
 // evalcache row is a []Result, so a fourth field is 8 more bytes on every
-// point a search prices (211 734 on the bench cell).
+// point a search prices (11 340 on the bench cell, 1.57 M at paper scale).
 func TestResultShape(t *testing.T) {
 	if got := unsafe.Sizeof(Result{}); got != 24 {
 		t.Errorf("schedule.Result is %d bytes, want 24 (Stable, Delta, PeakMem)", got)
@@ -552,6 +552,34 @@ func TestPropertyStableMonotoneInCkpt(t *testing.T) {
 			return fmt.Sprintf("layers=32 ckpt lo=%d hi=%d -> Stable lo=%.6g hi=%.6g, PeakMem lo=%.6g hi=%.6g",
 				x, y, rx.Stable, ry.Stable, rx.PeakMem, ry.PeakMem)
 		}))
+	}
+}
+
+// TestCkptAxisIsNotMonotoneUnderOffload bounds the property above: it
+// holds at AO = 0 and does not survive activation offloading, which is why
+// the tuner sweeps the checkpoint axis instead of binary-searching it
+// (DESIGN.md "the compute floor" records both counter-examples). At
+// AO = 1 a checkpointed layer offloads a boundary tensor where a plain one
+// offloads its whole stash, and on a slow host link that saves more than
+// the recompute costs: Stable falls. Delta is a difference of two sums
+// over the layer split and moves in the last place either way.
+func TestCkptAxisIsNotMonotoneUnderOffload(t *testing.T) {
+	middle := StageShape{B: 1, DP: 2, TP: 1, ZeRO: 3, NumStages: 1, GradAccum: 4}
+	a := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
+	k := Knobs{Layers: 8, WO: .5, GO: .5, AO: 1}
+	r0, _ := a.Evaluate(middle, k)
+	k.Ckpt = 2
+	r2, _ := a.Evaluate(middle, k)
+	if !(r2.Stable < r0.Stable) {
+		t.Errorf("Stable at Ckpt 0, 2 = %v, %v: want it to fall (0.45832 -> 0.45588 when recorded)", r0.Stable, r2.Stable)
+	}
+
+	a = newTestAnalyzer(t, "falcon-2.7b", 8, true)
+	middle.DP, middle.ZeRO = 1, 0
+	r7, _ := a.Evaluate(middle, Knobs{Layers: 8, Ckpt: 7, AO: .5})
+	r8, _ := a.Evaluate(middle, Knobs{Layers: 8, Ckpt: 8, AO: .5})
+	if !(r8.Delta < r7.Delta) || r7.Delta-r8.Delta > 1e-15 {
+		t.Errorf("Delta at Ckpt 7, 8 = %v, %v: want it to fall by an ulp or two", r7.Delta, r8.Delta)
 	}
 }
 

@@ -215,11 +215,12 @@ func Div(a, b *Expr) *Expr {
 	return &Expr{op: OpDiv, args: []*Expr{a, b}}
 }
 
-// Ceil returns ceil(x).
+// Ceil returns ceil(x). A constant folds as Eval and the compiled tape
+// would round it (roundEps), so Subs and Eval agree.
 func Ceil(x *Expr) *Expr {
 	x = mustExpr(x)
 	if c, ok := x.IsConst(); ok {
-		return Const(math.Ceil(c))
+		return Const(math.Ceil(roundEps(c)))
 	}
 	if x.op == OpCeil || x.op == OpFloor {
 		return x // already integral
@@ -227,11 +228,11 @@ func Ceil(x *Expr) *Expr {
 	return &Expr{op: OpCeil, args: []*Expr{x}}
 }
 
-// Floor returns floor(x).
+// Floor returns floor(x), folding a constant as Ceil does.
 func Floor(x *Expr) *Expr {
 	x = mustExpr(x)
 	if c, ok := x.IsConst(); ok {
-		return Const(math.Floor(c))
+		return Const(math.Floor(roundEps(c)))
 	}
 	if x.op == OpCeil || x.op == OpFloor {
 		return x
