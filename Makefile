@@ -51,9 +51,9 @@ test-noskip: ## the full (non -short) suite, verbose; fails if any test reports 
 test-seam: ## vet + short tests of the nested benchmarks/mistperf module, which `go test ./...` never sees: the one place a break of its seam.go contract shows
 	cd benchmarks/mistperf && $(GO) vet ./... && $(GO) test -short ./...
 
-race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks, and the eval cache's same-row/mixed-row publish races and the analyzer's concurrent first use repeated
+race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks, and the eval cache's same-row/mixed-row publish races, the analyzer's concurrent first use and the per-platform interference fit's concurrent first use repeated
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestConcurrent' ./internal/evalcache ./internal/schedule
+	$(GO) test -race -count=10 -run 'TestConcurrent' ./internal/evalcache ./internal/schedule ./internal/core
 
 fuzz: ## fuzz smoke: HTTP JSON decode paths must 400 cleanly, never panic or 5xx
 	$(GO) test -fuzz=FuzzTuneRequest -fuzztime=10s ./internal/serve

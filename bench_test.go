@@ -125,10 +125,11 @@ func BenchmarkSec66PredictionAccuracy(b *testing.B) {
 }
 
 // benchWorkload is the cached-vs-uncached comparison workload: eight GPUs,
-// sixteen (S, G) pairs. Since the compute floor a cold search of it sweeps
-// only the four S=1 pairs, whose shapes are all distinct — the cache's
-// hits on it are a repeat's or a neighbouring batch's (BenchmarkTuneHetero
-// still meets canonically identical grids under different depths).
+// sixteen (S, G) pairs. Since the compute floor and the wave ramp a cold
+// search of it sweeps only (S=1, G=1), whose 13 shapes are all distinct —
+// the cache's hits on it are a repeat's or a neighbouring batch's
+// (BenchmarkTuneHetero still meets canonically identical grids under
+// different depths).
 func benchWorkload() (Workload, *Cluster) {
 	return Workload{Model: Model("gpt3-2.7b"), Seq: 2048, Flash: true, GlobalBatch: 8}, L4Cluster(8)
 }
@@ -164,15 +165,16 @@ func benchTuneCold(b *testing.B, space core.Space, uncached bool) {
 
 // TestColdTuneAllocCeiling pins what a cold search allocates: a fresh
 // tuner's full Mist-space search of the bench cell stays under 5 000
-// allocations (4 250 when the bound was set, most of them the analyzer's
-// calibration and traces; about 6 700 while the twelve pipelined (S, G)
-// pairs the compute floor now skips still had their stage 0 priced, 8 060
-// before a stage shape's layer window was priced in one pass, 218 860
-// while every stage shape still traced and compiled its own program) and
-// under 1 MiB — of which 0.27 MB is the cache's rows, 11 340 points x 24
-// bytes (0.73 MB in all when the bound was set; 6.9 MB with those twelve
-// pairs' rows, 14.8 MB while schedule.Result carried four breakdown
-// fields nothing read).
+// allocations (4 010 today, most of them the analyzer's traces; 4 250
+// while every tuner refitted the interference model and all four S=1
+// pairs were swept, about 6 700 while the twelve pipelined (S, G) pairs
+// the compute floor skips still had their stage 0 priced, 8 060 before a
+// stage shape's layer window was priced in one pass, 218 860 while every
+// stage shape still traced and compiled its own program) and under 1 MiB
+// — of which 0.13 MB is the cache's rows, 5 265 points x 24 bytes
+// (0.54 MB in all; 0.73 MB with the four S=1 pairs' 11 340 points, 6.9 MB
+// with the twelve pipelined pairs' rows, 14.8 MB while schedule.Result
+// carried four breakdown fields nothing read).
 func TestColdTuneAllocCeiling(t *testing.T) {
 	w, cl := benchWorkload()
 	runs := 0

@@ -108,12 +108,13 @@ func TestDeviceOptions(t *testing.T) {
 
 // TestHeteroBenchCellWork pins what a heterogeneous-device search of the
 // bench cell prices, and why. Of its 32 (S, G) pairs the compute floor
-// skips 24; swept are the four S=1 pairs (28 shapes of one layer count:
-// 11 340 points) and the four pairs with S in {4, 5} and G in {4, 8},
-// whose per-stage device options {1, 2, 4} admit the widest tensor
-// parallelism a pipelined stage can get: 11 shapes at G=4 and 3 at G=8,
-// times five layer counts of 405 knobs, times S stages — 89 100 + 24 300 +
-// 111 375 + 30 375. That is 266 490 candidates.
+// skips 27; swept are (S=1, G=1), which the wave ramp runs alone and whose
+// 1.477 s is under the floor of the other three S=1 pairs (13 shapes of
+// one layer count: 5 265 points), and the four pairs with S in {4, 5} and
+// G in {4, 8}, whose per-stage device options {1, 2, 4} admit the widest
+// tensor parallelism a pipelined stage can get: 11 shapes at G=4 and 3 at
+// G=8, times five layer counts of 405 knobs, times S stages — 89 100 +
+// 24 300 + 111 375 + 30 375. That is 260 415 candidates.
 //
 // One canonical shape meets overlapping layer windows there (the same
 // mesh under different pipeline depths), and rows keyed per (shape, knob
@@ -122,9 +123,9 @@ func TestDeviceOptions(t *testing.T) {
 // (4, 3, 2, 1) with the window 5-9 against 6-10 and miss one layer count
 // of five (4 x 11 x 405), the fifth misses all (22 275); at G=8 the
 // depths 5, 4, 3, 2, 1 leave two stages new (2 x 6 075) and three missing
-// one layer count (3 x 3 x 405). Unique evaluations: 11 340 + 89 100 +
-// 24 300 + 40 095 + 15 795 = 180 630; a row keyed by the whole window
-// would re-price all 266 490. GOMAXPROCS is 1 so that no two pairs of a
+// one layer count (3 x 3 x 405). Unique evaluations: 5 265 + 89 100 +
+// 24 300 + 40 095 + 15 795 = 174 555; a row keyed by the whole window
+// would re-price all 260 415. GOMAXPROCS is 1 so that no two pairs of a
 // wave miss the same row at once — both would count it.
 func TestHeteroBenchCellWork(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -138,8 +139,8 @@ func TestHeteroBenchCellWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Candidates != 266490 || r.EvalCacheMisses != 180630 || r.FloorSkippedPairs != 24 {
-		t.Errorf("hetero search priced %d candidates with %d unique evaluations and skipped %d pairs, want 266490, 180630 and 24",
+	if r.Candidates != 260415 || r.EvalCacheMisses != 174555 || r.FloorSkippedPairs != 27 {
+		t.Errorf("hetero search priced %d candidates with %d unique evaluations and skipped %d pairs, want 260415, 174555 and 27",
 			r.Candidates, r.EvalCacheMisses, r.FloorSkippedPairs)
 	}
 	if got := r.EvalCacheHits + r.EvalCacheMisses; got != uint64(r.Candidates) {

@@ -164,11 +164,21 @@ func (t *Tuner) offerIncumbent(obj float64) {
 	}
 }
 
-// pairWave is how many (S, G) pairs search concurrently between two
+// pairWave caps how many (S, G) pairs search concurrently between two
 // publications of the incumbent bound. It is a constant, not
 // GOMAXPROCS, so that the work of a search is the same on every
 // machine; cores beyond it are used by intraStage's own fan-out.
 const pairWave = 4
+
+// waveSize is how many pairs the next wave takes once `finished` pairs
+// have run: 1, 1, 2, then pairWave at a time. The first pair runs alone,
+// so an incumbent exists before the second is dispatched and the compute
+// floor can already skip pairs 2-4; the publication boundaries (1, 2, 4,
+// 8, 12, ...) contain every multiple of pairWave, so no pair prunes
+// against fewer solutions than under fixed waves of pairWave.
+func waveSize(finished int) int {
+	return min(pairWave, max(1, finished))
+}
 
 // ctxErr reports the running search's context error (nil outside a
 // TuneContext call).
@@ -223,11 +233,39 @@ func (r *Result) CacheHitRate() float64 {
 	return 0
 }
 
+// The two calibrated interference models (§5.2.2), fitted once per
+// process on first use: the fit depends only on the platform's
+// contention simulator, the sample budget and the seed, so there are
+// exactly two answers and every analyzer of a platform shares one by
+// pointer (a Model is immutable outside its package).
+const (
+	calibrationSamples = 12
+	calibrationSeed    = 42
+)
+
+var (
+	pcieModel   = calibratedOnce(interference.PCIeFluid)
+	nvlinkModel = calibratedOnce(interference.NVLinkFluid)
+)
+
+func calibratedOnce(fluid func() *interference.Fluid) func() *interference.Model {
+	return sync.OnceValue(func() *interference.Model { return calibrate(fluid()) })
+}
+
+// calibrate is the fit itself, a named function rather than the body of
+// calibratedOnce's closure: inlining calibratedOnce into the package
+// initializer clones that closure, and a clone's own calls are not
+// inlined, so every binary linking core carried out-of-line copies of
+// rand.New and rand.NewSource.
+func calibrate(fluid *interference.Fluid) *interference.Model {
+	return interference.Fit(fluid, calibrationSamples, rand.New(rand.NewSource(calibrationSeed)))
+}
+
 // CalibratedAnalyzer builds the analyzer New would use: operator
-// database from the GPU model, interference factors fitted to the
-// platform's contention simulator with a fixed seed, Serialize matching
-// the space. Factored out so the serving layer can calibrate once per
-// workload fingerprint and share the analyzer (and its evaluation
+// database from the GPU model, the platform's interference model (fitted
+// to its contention simulator once per process and shared), Serialize
+// matching the space. Factored out so the serving layer can build one
+// analyzer per workload fingerprint and share it (and its evaluation
 // cache) across requests via NewShared.
 func CalibratedAnalyzer(w plan.Workload, cl *hardware.Cluster, space Space) (*schedule.Analyzer, error) {
 	if err := w.Validate(); err != nil {
@@ -236,19 +274,18 @@ func CalibratedAnalyzer(w plan.Workload, cl *hardware.Cluster, space Space) (*sc
 	if err := cl.Validate(); err != nil {
 		return nil, err
 	}
-	fluid := interference.PCIeFluid()
+	intf := pcieModel()
 	if cl.HasNVLink() {
-		fluid = interference.NVLinkFluid()
+		intf = nvlinkModel()
 	}
-	intf := interference.Fit(fluid, 12, rand.New(rand.NewSource(42)))
 	an := schedule.NewAnalyzer(w.Model, w.Seq, w.Flash, cl, opdb.New(cl.GPU), intf)
 	an.Serialize = !space.OverlapAware
 	return an, nil
 }
 
-// New builds a tuner with a freshly calibrated analyzer for the cluster
-// (operator database from the GPU model; interference factors fitted to
-// the platform's contention simulator with a fixed seed).
+// New builds a tuner over CalibratedAnalyzer's analyzer for the cluster
+// (operator database from the GPU model; the platform's shared
+// interference model).
 func New(w plan.Workload, cl *hardware.Cluster, space Space) (*Tuner, error) {
 	an, err := CalibratedAnalyzer(w, cl, space)
 	if err != nil {
@@ -291,7 +328,7 @@ var ErrNoFeasiblePlan = errors.New("core: no feasible plan in search space (OOM 
 
 // Tune searches the configured space and returns the best plan found.
 // The (pipeline depth, gradient accumulation) pairs are independent and
-// tuned concurrently, pairWave at a time (§6.5: "searching over
+// tuned concurrently, up to pairWave at a time (§6.5: "searching over
 // different gradient accumulation steps is independent ... can be
 // parallelized").
 func (t *Tuner) Tune() (*Result, error) {
@@ -337,10 +374,10 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 			pairs = append(pairs, sg{s: s, g: g})
 		}
 	}
-	// Best-first dispatch: the seed's own pair goes first so the solver
-	// can tighten the incumbent past U immediately (on cold searches the
-	// existing shallow-pipelines-first order already lands a cheap
-	// incumbent early).
+	// Best-first dispatch: the seed's own pair goes first — alone, as
+	// wave one — so the solver can tighten the incumbent past U
+	// immediately (on cold searches the existing shallow-pipelines-first
+	// order already lands a cheap incumbent early).
 	for i, p := range pairs {
 		if seed.owns(p.s, p.g) {
 			pairs[0], pairs[i] = pairs[i], pairs[0]
@@ -349,7 +386,7 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	}
 	res.SGPairs = len(pairs)
 
-	// The pairs run in waves of pairWave, concurrently within a wave. A
+	// The pairs run in waves of waveSize, concurrently within a wave. A
 	// wave's solutions are published to the incumbent bound only once
 	// the whole wave has finished, so every pair prunes against exactly
 	// the solutions of the waves before it: what a search prices is a
@@ -371,43 +408,51 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	var best *found
 	swctx, swsp := trace.StartSpan(ctx, "sweep")
 	outs := make([]outcome, pairWave)
-	for len(pairs) > 0 && ctx.Err() == nil {
-		wave := pairs[:min(pairWave, len(pairs))]
-		pairs = pairs[len(wave):]
+	for done := 0; done < len(pairs) && ctx.Err() == nil; {
+		wave := pairs[done:min(done+waveSize(done), len(pairs))]
+		done += len(wave)
 		// Pairs are claimed off an atomic counter by at most GOMAXPROCS
 		// workers: which worker runs a pair changes nothing it computes.
+		// The caller is one of them (as in intraStage), so a wave of one —
+		// two of every search's waves — spawns nothing and parks nobody:
+		// its cost does not depend on when the scheduler hands a worker a
+		// core.
 		var next atomic.Int32
+		drain := func() {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(wave) {
+					return
+				}
+				p := wave[i]
+				pctx, psp := trace.StartSpan(swctx, "sg")
+				psp.Annotate("s", p.s)
+				psp.Annotate("g", p.g)
+				sol, nEval, err := t.tuneSG(pctx, p.s, p.g)
+				var wp *warmPrunedError
+				if err != nil {
+					sol = nil // infeasible (S, G): OOM or no factorization
+					psp.Annotate("infeasible", true)
+					if errors.As(err, &wp) && wp.floor > 0 {
+						psp.Annotate("prunedBy", "floor")
+						psp.Annotate("floor", wp.floor)
+						psp.Annotate("incumbent", t.incumbent)
+					}
+				}
+				psp.Annotate("evals", nEval)
+				psp.End()
+				outs[i] = outcome{sol: sol, nEval: nEval, floorSkipped: wp != nil && wp.floor > 0}
+			}
+		}
 		var wg sync.WaitGroup
-		for range min(len(wave), runtime.GOMAXPROCS(0)) {
+		for n := min(len(wave), runtime.GOMAXPROCS(0)) - 1; n > 0; n-- {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(wave) {
-						return
-					}
-					p := wave[i]
-					pctx, psp := trace.StartSpan(swctx, "sg")
-					psp.Annotate("s", p.s)
-					psp.Annotate("g", p.g)
-					sol, nEval, err := t.tuneSG(pctx, p.s, p.g)
-					var wp *warmPrunedError
-					if err != nil {
-						sol = nil // infeasible (S, G): OOM or no factorization
-						psp.Annotate("infeasible", true)
-						if errors.As(err, &wp) && wp.floor > 0 {
-							psp.Annotate("prunedBy", "floor")
-							psp.Annotate("floor", wp.floor)
-							psp.Annotate("incumbent", t.incumbent)
-						}
-					}
-					psp.Annotate("evals", nEval)
-					psp.End()
-					outs[i] = outcome{sol: sol, nEval: nEval, floorSkipped: wp != nil && wp.floor > 0}
-				}
+				drain()
 			}()
 		}
+		drain()
 		wg.Wait()
 		for i, o := range outs[:len(wave)] {
 			res.Candidates += o.nEval

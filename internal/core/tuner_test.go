@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -14,6 +17,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/plan"
 	"repro/internal/schedule"
+	"repro/internal/trace"
 	"repro/internal/trainsim"
 )
 
@@ -655,14 +659,17 @@ func TestGradAccumsAreDivisors(t *testing.T) {
 
 // The memoizing evaluation cache must be a pure optimization: the tuner
 // picks byte-identical plans with it on or off, and every pricing lands
-// in exactly one of its counters. The cold search itself no longer hits
-// (its 9 720 candidates are the four S=1 pairs' 24 distinct shapes: the
-// repeats all came from small-G deep pipelines, which the compute floor
-// now skips unpriced), so the hit rate strictly between 0 and 1 is taken
-// from a second search on the same cache at a neighbouring batch, whose
-// microbatch sizes overlap the first's.
+// in exactly one of its counters. The cold search itself does not hit: the
+// wave ramp runs (S=1, G=1) alone, and the incumbent it leaves is under
+// the compute floor of every other pair, so the search prices that pair's
+// 9 distinct shapes (TP in {1, 2, 4}, four ZeRO levels where DP > 1, one
+// where DP = 1) x 405 knobs = 3 645 candidates, once each. The hit rate
+// strictly between 0 and 1 is taken from a second search on the same
+// cache at batch 32, where (S=1, G=2) survives its floor too: its
+// microbatch sizes 32 / (2 DP) are (S=1, G=1)'s at batch 16, so that pair
+// hits all 3 645 rows while its own (S=1, G=1) misses all of its.
 func TestCacheOnOffIdenticalPlans(t *testing.T) {
-	w := testWorkload("gpt3-2.7b", 8)
+	w := testWorkload("gpt3-2.7b", 16)
 	nodes, perNode, _ := hardware.MeshForGPUs(4)
 	cl := hardware.L4Cluster(nodes, perNode)
 
@@ -691,8 +698,8 @@ func TestCacheOnOffIdenticalPlans(t *testing.T) {
 	if rc.Candidates != ru.Candidates {
 		t.Errorf("cached search priced %d candidates, uncached %d: the work of a search must not depend on the backend", rc.Candidates, ru.Candidates)
 	}
-	if rc.Candidates != 9720 || rc.EvalCacheHits != 0 {
-		t.Errorf("cold search priced %d candidates with %d hits, want 9720 and 0", rc.Candidates, rc.EvalCacheHits)
+	if rc.Candidates != 3645 || rc.EvalCacheHits != 0 {
+		t.Errorf("cold search priced %d candidates with %d hits, want 3645 and 0", rc.Candidates, rc.EvalCacheHits)
 	}
 	if got := rc.EvalCacheHits + rc.EvalCacheMisses; got != uint64(rc.Candidates) {
 		t.Errorf("hits+misses = %d, want the %d candidates priced", got, rc.Candidates)
@@ -701,7 +708,7 @@ func TestCacheOnOffIdenticalPlans(t *testing.T) {
 		t.Errorf("uncached run reported cache traffic: %d/%d", ru.EvalCacheHits, ru.EvalCacheMisses)
 	}
 
-	neighbour, err := NewShared(testWorkload("gpt3-2.7b", 16), cl, cached.An, MistSpace(), cached.ev.(*evalcache.Cache))
+	neighbour, err := NewShared(testWorkload("gpt3-2.7b", 32), cl, cached.An, MistSpace(), cached.ev.(*evalcache.Cache))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,16 +719,99 @@ func TestCacheOnOffIdenticalPlans(t *testing.T) {
 	if got := rn.EvalCacheHits + rn.EvalCacheMisses; got != uint64(rn.Candidates) {
 		t.Errorf("neighbour search: hits+misses = %d, want the %d candidates priced", got, rn.Candidates)
 	}
-	if hr := rn.CacheHitRate(); hr <= 0 || hr >= 1 {
-		t.Errorf("neighbour search: hit rate %v (%d hits, %d misses) outside (0, 1)", hr, rn.EvalCacheHits, rn.EvalCacheMisses)
+	if hr := rn.CacheHitRate(); hr <= 0 || hr >= 1 || rn.EvalCacheHits != 3645 || rn.EvalCacheMisses != 3645 {
+		t.Errorf("neighbour search: hit rate %v (%d hits, %d misses), want inside (0, 1) from 3645 hits and 3645 misses", hr, rn.EvalCacheHits, rn.EvalCacheMisses)
+	}
+}
+
+// The wave ramp 1, 1, 2, 4, 4, ...: the first pair runs alone, no wave is
+// wider than pairWave, every multiple of pairWave is a publication
+// boundary (so each pair sees at least the solutions fixed waves of
+// pairWave showed it), and the waves cover n pairs exactly.
+func TestWaveSizeRamp(t *testing.T) {
+	for _, c := range []struct{ finished, want int }{{0, 1}, {1, 1}, {2, 2}, {4, 4}, {8, 4}, {12, 4}} {
+		if got := waveSize(c.finished); got != c.want {
+			t.Errorf("waveSize(%d) = %d, want %d", c.finished, got, c.want)
+		}
+	}
+	for n := 0; n <= 64; n++ {
+		boundaries := map[int]bool{}
+		done := 0
+		for done < n {
+			size := min(waveSize(done), n-done) // TuneContext clips the last wave the same way
+			if size < 1 || size > pairWave || (done == 0 && size != 1) {
+				t.Fatalf("n=%d: wave of %d pairs after %d finished", n, size, done)
+			}
+			done += size
+			boundaries[done] = true
+		}
+		if done != n {
+			t.Errorf("n=%d: waves cover %d pairs", n, done)
+		}
+		for b := pairWave; b <= n; b += pairWave {
+			if !boundaries[b] {
+				t.Errorf("n=%d: no publication after pair %d, fixed waves of %d had one", n, b, pairWave)
+			}
+		}
+	}
+}
+
+// goroutineID is the running goroutine's number, off its stack header
+// ("goroutine 18 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	return string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1])
+}
+
+// callerEvaluator counts the EvaluateSets calls that ran on another
+// goroutine than the one it was built on.
+type callerEvaluator struct {
+	evalcache.Evaluator
+	home           string
+	calls, foreign atomic.Int32
+}
+
+func (e *callerEvaluator) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, dsts [][]schedule.Result, sc *evalcache.Scratch) error {
+	e.calls.Add(1)
+	if goroutineID() != e.home {
+		e.foreign.Add(1)
+	}
+	return e.Evaluator.EvaluateSets(s, sets, dsts, sc)
+}
+
+// A wave of one pair is searched by the goroutine that called Tune: no
+// worker is spawned for it and nothing parks, so what it costs does not
+// depend on when the scheduler gives a worker a core (the first two waves
+// of every search are such waves). One GPU and a batch of one leave the
+// single pair (1, 1) with a single stage shape, so intraStage fans out
+// nothing either and every pricing call must come from the caller.
+func TestWaveOfOneRunsOnTheCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	tn, err := New(testWorkload("gpt3-1.3b", 1), l4(t, 1), MistSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := &callerEvaluator{Evaluator: tn.ev, home: goroutineID()}
+	tn.ev = ev
+	res, err := tn.Tune()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SGPairs != 1 || ev.calls.Load() == 0 {
+		t.Fatalf("%d pairs, %d pricing calls: want one pair that prices", res.SGPairs, ev.calls.Load())
+	}
+	if n := ev.foreign.Load(); n != 0 {
+		t.Errorf("%d of %d pricing calls of a one-pair wave ran off the calling goroutine", n, ev.calls.Load())
 	}
 }
 
 // The work of a search is a function of its inputs: the bench cell's
 // full Mist-space search prices the same candidates and prunes, aborts and
 // floor-skips the same amounts at every GOMAXPROCS, run after run, a pair
-// skipped by its compute floor reports no evaluation at all, and a repeat
-// on the filled cache misses nothing.
+// skipped by its compute floor reports no evaluation at all, wave one is
+// the first pair alone (its sg span ends before any other starts, so its
+// solution bounds pair two), and a repeat on the filled cache misses
+// nothing.
 func TestSearchWorkIsDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	w := testWorkload("gpt3-2.7b", 8)
@@ -739,6 +829,11 @@ func TestSearchWorkIsDeterministic(t *testing.T) {
 			want = got
 		} else if got != want {
 			t.Errorf("GOMAXPROCS=%d: search work %+v, first run %+v", procs, got, want)
+		}
+		slices.SortFunc(spans, func(a, b trace.SpanData) int { return cmp.Compare(a.StartUnixNs, b.StartUnixNs) })
+		if first := spans[0]; first.Attrs["s"] != 1 || first.Attrs["g"] != 1 || first.StartUnixNs+first.DurationNs > spans[1].StartUnixNs {
+			t.Errorf("GOMAXPROCS=%d: wave one is not the pair (1, 1) alone: first sg span %v runs %d..%d ns, the next starts at %d",
+				procs, first.Attrs, first.StartUnixNs, first.StartUnixNs+first.DurationNs, spans[1].StartUnixNs)
 		}
 		skipped := 0
 		for _, sp := range spans {

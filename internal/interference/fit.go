@@ -59,12 +59,12 @@ func fitCombo(m *Model, mask Mask, oracle *Fluid, samples int, rng *rand.Rand) {
 		for _, ch := range chans {
 			bestF, bestL := m.Factor(mask, ch), math.Inf(1)
 			for _, f := range grid {
-				m.SetFactor(mask, ch, f)
+				m.setFactor(mask, ch, f)
 				if l := loss(); l < bestL {
 					bestL, bestF = l, f
 				}
 			}
-			m.SetFactor(mask, ch, bestF)
+			m.setFactor(mask, ch, bestF)
 		}
 	}
 }

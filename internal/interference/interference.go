@@ -108,6 +108,10 @@ func init() {
 // in m co-run; it is >= 1 and meaningful only when m.Has(ch). The dense
 // mask-indexed array keeps Factor lookups branch-free on the Predict hot
 // path (the old map cost a hash per participant per combination).
+//
+// A Model is immutable outside this package: NewModel and Fit are the only
+// ways to get one and nothing exported writes a factor, so analyzers share
+// a fitted Model by pointer (core fits one per platform per process).
 type Model struct {
 	factors [numMasks][NumChannels]float64
 }
@@ -130,8 +134,9 @@ func AllCombinations() []Mask {
 	return append([]Mask(nil), sweepMasks...)
 }
 
-// SetFactor sets the slowdown of ch under combination m.
-func (md *Model) SetFactor(m Mask, ch Channel, f float64) {
+// setFactor sets the slowdown of ch under combination m (Fit and the
+// package's tests only: a Model is shared once it leaves the package).
+func (md *Model) setFactor(m Mask, ch Channel, f float64) {
 	if !m.Has(ch) {
 		panic(fmt.Sprintf("interference: channel %v not in mask %04b", ch, m))
 	}

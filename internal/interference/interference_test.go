@@ -58,8 +58,8 @@ func TestPredictPairSlowdown(t *testing.T) {
 	// not 2+2 = serialized).
 	m := NewModel()
 	mask := MaskOf(G2G, G2C)
-	m.SetFactor(mask, G2G, 2)
-	m.SetFactor(mask, G2C, 2)
+	m.setFactor(mask, G2G, 2)
+	m.setFactor(mask, G2C, 2)
 	got := m.Predict(Times{0, 1, 0, 1})
 	if math.Abs(got-2) > 1e-12 {
 		t.Errorf("pair with 2x factors: got %v, want 2", got)
@@ -72,8 +72,8 @@ func TestPredictSkewedPair(t *testing.T) {
 	// (4.4-1.5)/1.1 = 2.636... left, runs alone. Total = 1.5 + 2.636...
 	m := NewModel()
 	mask := MaskOf(Compute, G2G)
-	m.SetFactor(mask, Compute, 1.1)
-	m.SetFactor(mask, G2G, 1.5)
+	m.setFactor(mask, Compute, 1.1)
+	m.setFactor(mask, G2G, 1.5)
 	got := m.Predict(Times{4, 1, 0, 0})
 	want := 1.5 + (4.4-1.5)/1.1
 	if math.Abs(got-want) > 1e-9 {
@@ -87,13 +87,13 @@ func TestSetFactorPanicsOutsideMask(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewModel().SetFactor(MaskOf(Compute, G2G), G2C, 2)
+	NewModel().setFactor(MaskOf(Compute, G2G), G2C, 2)
 }
 
 func TestSetFactorClampsBelowOne(t *testing.T) {
 	m := NewModel()
 	mask := MaskOf(Compute, G2G)
-	m.SetFactor(mask, Compute, 0.5)
+	m.setFactor(mask, Compute, 0.5)
 	if f := m.Factor(mask, Compute); f != 1 {
 		t.Errorf("factor clamped to %v, want 1", f)
 	}

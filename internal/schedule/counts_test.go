@@ -11,7 +11,7 @@ import (
 
 // TestStageProgramsCompiledOncePerVariant: a full MistSpace search of the
 // BENCH cell (gpt3-2.7b, batch 8, 8 L4s; bench_test.go's benchWorkload)
-// prices 28 canonical stage shapes (TestTuplePassesOncePerWindow counts
+// prices 13 canonical stage shapes (TestTuplePassesOncePerWindow counts
 // them), and its analyzer compiles a handful of programs — one per
 // structural variant — and traces the model once per tensor-parallel
 // degree.
@@ -39,27 +39,33 @@ func TestStageProgramsCompiledOncePerVariant(t *testing.T) {
 // tuple's stage plus the overlap composition) per offload tuple of each
 // (stage shape, layer window) it misses, not one per tuple of each of
 // their (shape, layer count) rows. Which windows a search prices is
-// core's compute floor's doing: only the first wave of four (S, G) pairs
-// is swept on these cells, every later pair's floor exceeds the incumbent
-// the wave leaves.
+// core's wave ramp's and compute floor's doing: (S=1, G=1) runs alone,
+// and every later pair is swept only if its floor is under the incumbent
+// the pairs before its wave left.
 //
-// Batch 8 (the BENCH cell): the wave is the four S=1 pairs, whose eight
-// devices split into 13 + 9 + 5 + 1 stage shapes at G = 1, 2, 4, 8 (TP
-// with DP = 8/TP dividing 8/G, four ZeRO levels where DP > 1, one where
-// DP = 1), each a window of the one layer count 32: 28 windows, 28 rows.
+// gpt3-2.7b, batch 8, 8 L4s (the BENCH cell): only (S=1, G=1) is swept —
+// its 1.477 s is under the floor of every other pair. Its eight devices
+// split into 13 stage shapes (TP in {1, 2, 4, 8}, four ZeRO levels where
+// DP = 8/TP > 1, one where DP = 1), each a window of the one layer count
+// 32: 13 windows, 13 rows.
 //
-// Batch 4: G is 1, 2 or 4, so the wave is three S=1 pairs (9 + 5 + 1
-// shapes, windows of one layer count) and (S=2, G=1), whose two stages of
-// four devices have 9 shapes each under windows of five layer counts
-// (14-18): 15 + 18 = 33 windows over 15 + 90 = 105 rows — 2 673 tuple
-// passes where one per row would be 8 505.
+// gpt3-7b, batch 2, 2 L4s: the waves are (1, 1) | (1, 2) | (2, 1), (2, 2).
+// The S=1 pairs have 5 shapes at G=1 (TP 1 x four ZeRO levels, TP 2) and 1
+// at G=2 (DP must divide 2/G: TP 2 only), windows of the one layer count
+// 32. (2, 1) is skipped by its floor; (2, 2) is swept: two stages of one
+// device, one shape each, under windows of five layer counts (14-18).
+// 5 + 1 + 2 = 8 windows over 5 + 1 + 10 = 16 rows — 648 tuple passes
+// where one per row would be 1 296.
 func TestTuplePassesOncePerWindow(t *testing.T) {
-	for _, cell := range []struct{ batch, windows, rows int }{
-		{batch: 8, windows: 28, rows: 28},
-		{batch: 4, windows: 33, rows: 105},
+	for _, cell := range []struct {
+		model                      string
+		batch, gpus, windows, rows int
+	}{
+		{model: "gpt3-2.7b", batch: 8, gpus: 8, windows: 13, rows: 13},
+		{model: "gpt3-7b", batch: 2, gpus: 2, windows: 8, rows: 16},
 	} {
-		w := plan.Workload{Model: model.MustByName("gpt3-2.7b"), Seq: 2048, Flash: true, GlobalBatch: cell.batch}
-		tn, err := core.New(w, hardware.L4Cluster(1, 8), core.MistSpace())
+		w := plan.Workload{Model: model.MustByName(cell.model), Seq: 2048, Flash: true, GlobalBatch: cell.batch}
+		tn, err := core.New(w, hardware.L4Cluster(1, cell.gpus), core.MistSpace())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,10 +74,10 @@ func TestTuplePassesOncePerWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, want := tn.An.TuplePasses(), cell.windows*81; got != want {
-			t.Errorf("batch %d: cold search ran %d tuple passes, want %d (%d windows x 81 tuples)", cell.batch, got, want, cell.windows)
+			t.Errorf("%s batch %d: cold search ran %d tuple passes, want %d (%d windows x 81 tuples)", cell.model, cell.batch, got, want, cell.windows)
 		}
 		if got, want := r.EvalCacheMisses, uint64(cell.rows*405); got != want {
-			t.Errorf("batch %d: cold search missed %d points, want %d (%d rows x 405 knobs)", cell.batch, got, want, cell.rows)
+			t.Errorf("%s batch %d: cold search missed %d points, want %d (%d rows x 405 knobs)", cell.model, cell.batch, got, want, cell.rows)
 		}
 	}
 }

@@ -356,6 +356,29 @@ func testJobSubmitValidation(t *testing.T, s *Server) {
 		t.Errorf("bad single submit: %d", resp.StatusCode)
 	}
 
+	// Every pool worker is held by a gate task until the test lets go, so
+	// the rejected batch's valid job is still queued when the rollback
+	// cancels it: canceled, never done, however fast a search is.
+	release := make(chan struct{})
+	defer close(release)
+	workers := s.jobs.Stats().Workers
+	for range workers {
+		if _, _, err := s.jobs.Submit(context.Background(), "", 0, func(ctx context.Context, _ func(string)) (any, error) {
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.jobs.Stats().Busy != workers; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("gate tasks did not occupy every worker")
+		}
+	}
+
 	batch := `{"jobs":[{"model":"gpt3-1.3b","gpus":2,"batch":8,"space":"deepspeed"},{"model":"nope","gpus":2,"batch":8}]}`
 	resp, err = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(batch))
 	if err != nil {
@@ -366,22 +389,16 @@ func testJobSubmitValidation(t *testing.T, s *Server) {
 		t.Errorf("bad batch submit: %d", resp.StatusCode)
 	}
 	// The valid half of the rejected batch must not linger as live work:
-	// its job (if created) was canceled alongside the rejection.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		settled := true
-		for _, j := range s.jobs.List() {
-			if !j.State.Terminal() {
-				settled = false
-			}
+	// its job was canceled alongside the rejection, and only the gates
+	// are still running.
+	live := 0
+	for _, j := range s.jobs.List() {
+		if !j.State.Terminal() {
+			live++
 		}
-		if settled {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("rejected batch left live jobs")
-		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	if live != workers {
+		t.Errorf("rejected batch left %d live jobs, want only the %d gates", live, workers)
 	}
 	if st := s.Stats(); st.JobsDone != 0 || st.JobsCanceled != 1 {
 		t.Errorf("rejected batch: %d jobs done, %d canceled; want 0 and 1", st.JobsDone, st.JobsCanceled)
