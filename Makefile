@@ -82,11 +82,10 @@ property: ## schedule, frontier and compile invariants, repeated with a pinned q
 	$(GO) test ./internal/schedule ./internal/core ./internal/symbolic -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
 	$(GO) test ./internal/schedule -run 'TestPropertyLiftedProgramMatchesPerShapeBuild|TestPropertyComputeFloorBoundsStable' -count=1 -reference.full
 
-bench: ## cached-vs-uncached tuner (BenchmarkTuneUncached is the bare-analyzer reference cell, kept under that name for bench-regression; BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down), one 405-knob row through the analyzer and through the eval cache, cold-vs-warm search, batch-submit amortization, tracing overhead, SLO evaluation
+bench: ## cached-vs-uncached tuner (BenchmarkTuneUncached is the bare-analyzer reference cell, kept under that name for bench-regression; BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down), one 405-knob row through the analyzer and through the eval cache, batch-submit amortization, tracing overhead, SLO evaluation
 	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x .
 	$(GO) test -run xxx -bench 'BenchmarkEvaluateBatch' ./internal/schedule
 	$(GO) test -run xxx -bench 'BenchmarkRow' ./internal/evalcache
-	$(GO) test -run xxx -bench 'BenchmarkWarmStartTune' -benchtime=3x ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=2x ./internal/serve
 	$(GO) test -run xxx -bench 'BenchmarkTraceOverhead' ./internal/trace
 	$(GO) test -run xxx -bench 'BenchmarkSLOEvaluate' -benchtime=2s ./internal/slo
@@ -96,7 +95,6 @@ bench-json: ## run the bench set and record a machine-readable trajectory point 
 	( $(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkEvaluateBatch' -benchmem ./internal/schedule ; \
 	  $(GO) test -run xxx -bench 'BenchmarkRow' -benchmem ./internal/evalcache ; \
-	  $(GO) test -run xxx -bench 'BenchmarkWarmStartTune' -benchtime=3x -benchmem ./internal/core ; \
 	  $(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=2x -benchmem ./internal/serve ; \
 	  $(GO) test -run xxx -bench 'BenchmarkTraceOverhead' -benchmem ./internal/trace ; \
 	  $(GO) test -run xxx -bench 'BenchmarkSLOEvaluate' -benchtime=2s -benchmem ./internal/slo ; \

@@ -2,9 +2,8 @@
 // API over the auto-tuner and the execution engine, with a plan cache
 // keyed by (workload, cluster, space) so repeated requests are answered
 // instantly, an async job queue for batch tuning, and (with -store-dir)
-// a durable plan store that survives restarts and warm-starts near-miss
-// searches. It shuts down gracefully on SIGINT/SIGTERM, draining
-// in-flight tuning requests.
+// a durable plan store that survives restarts. It shuts down gracefully
+// on SIGINT/SIGTERM, draining in-flight tuning requests.
 //
 // Cluster mode comes in two flavors:
 //

@@ -2,8 +2,7 @@
 // the chosen plan, the analyzer's prediction, and the execution engine's
 // measurement. With -batch it tunes a whole file of workloads through
 // the async job queue instead, optionally against a durable plan store
-// (-store-dir) so repeated invocations reuse and warm-start from earlier
-// results.
+// (-store-dir) so repeated invocations reuse earlier results.
 //
 // Example:
 //
@@ -155,7 +154,7 @@ func main() {
 // runBatch tunes every workload in a JSON spec file through the async
 // job queue (priorities respected, duplicate specs deduplicated onto one
 // search), optionally backed by a durable plan store so a re-run serves
-// finished plans from disk and warm-starts the rest.
+// finished plans from disk and searches only the rest.
 func runBatch(file, storeDir string, workers int) error {
 	data, err := os.ReadFile(file)
 	if err != nil {
@@ -219,22 +218,20 @@ func runBatch(file, storeDir string, workers int) error {
 			fmt.Printf("%-48s done without a result\n", tag)
 		default:
 			r := final.Result
-			src := "cold search"
+			src := "search"
 			switch {
 			case r.FromStore:
 				src = "plan store"
 			case r.Cached:
 				src = "plan cache"
-			case r.WarmStarted:
-				src = fmt.Sprintf("warm start (%d pruned, %d pairs aborted)", r.WarmPruned, r.WarmAbortedPairs)
 			}
 			fmt.Printf("%-48s %8.2f samples/s  %8.0fms  %s\n",
 				tag, r.PredThroughput, r.ElapsedMS, src)
 		}
 	}
 	st := srv.Stats()
-	fmt.Printf("\nsearches run: %d  plan-cache hits: %d  store hits: %d  warm-start rate: %.0f%%  job dedups: %d\n",
-		st.TunesRun, st.PlanCacheHits, st.StoreHits, 100*st.WarmStartHitRate, st.JobsDeduped)
+	fmt.Printf("\nsearches run: %d  plan-cache hits: %d  store hits: %d  job dedups: %d\n",
+		st.TunesRun, st.PlanCacheHits, st.StoreHits, st.JobsDeduped)
 	if failed > 0 {
 		return fmt.Errorf("%d of %d workloads failed", failed, len(subs))
 	}

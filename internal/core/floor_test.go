@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/hardware"
 	"repro/internal/plan"
-	"repro/internal/schedule"
 	"repro/internal/trace"
 )
 
@@ -130,51 +129,35 @@ func TestFloorSkipMatchesUnprunedReference(t *testing.T) {
 	}
 }
 
-// TestFloorSweepsTheSeedsOwnPair: a warm seed may use a parallelism its
-// pair does not enumerate — here tensor parallelism 8 on both stages of a
-// two-stage plan on eight NVLinked A100s, where the space gives a stage
-// four devices — and so price below the pair's compute floor. The pair
-// must be swept all the same (the solver recombines around the injected
-// seed stages), and the result must equal the reference's.
-func TestFloorSweepsTheSeedsOwnPair(t *testing.T) {
-	const s, g = 2, 4
-	w := testWorkload("gpt3-2.7b", 8)
-	cl := hardware.A100Cluster(1, 8)
-	seed := &plan.Plan{GradAccum: g}
-	for i := 0; i < s; i++ {
-		seed.Stages = append(seed.Stages, plan.Stage{
-			Shape: schedule.StageShape{B: w.GlobalBatch / g, DP: 1, TP: 8,
-				HasPre: i == 0, HasPost: i == s-1, NumStages: s, StageIdx: i, GradAccum: g},
-			Knobs: schedule.Knobs{Layers: w.Model.Layers / s},
-		})
-	}
-	tn, err := New(w, cl, MistSpace())
+// Every pair the incumbent abandons says so on its sg span — skipped whole
+// by its compute floor, or stopped mid-sweep by the pair bound, with the
+// bound, the stage it stopped at and the incumbent it lost to — and is not
+// reported as infeasible, which is what an OOM pair reads as.
+func TestAbandonedPairSaysWhy(t *testing.T) {
+	tn, err := New(testWorkload("gpt3-1.3b", 16), l4(t, 4), DeepSpeedSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn.Warm = seed
-	got, spans := sgSpans(t, tn)
-	if !got.WarmStarted {
-		t.Fatal("seed rejected; the test exercised nothing")
-	}
-	if floor := tn.computeFloor(s, g, []int{cl.TotalGPUs() / s}); floor*(1-1e-9) <= got.WarmSeedObjective {
-		t.Fatalf("seed objective %v is not below its pair's floor %v; the test exercised nothing", got.WarmSeedObjective, floor)
-	}
+	res, spans := sgSpans(t, tn)
+	byFloor, midSweep := 0, 0
 	for _, sp := range spans {
-		if sp.Attrs["s"] == s && sp.Attrs["g"] == g && (sp.Attrs["prunedBy"] != nil || sp.Attrs["evals"] == 0) {
-			t.Errorf("the seed's own pair was not swept: %v", sp.Attrs)
+		switch sp.Attrs["prunedBy"] {
+		case "floor":
+			byFloor++
+		case "incumbent":
+			midSweep++
+			if sp.Attrs["evals"] == 0 || sp.Attrs["bound"].(float64) <= sp.Attrs["incumbent"].(float64) || sp.Attrs["stage"] == nil {
+				t.Errorf("pair abandoned mid-sweep %v: want evals > 0, bound > incumbent and a stage", sp.Attrs)
+			}
+		default:
+			continue
+		}
+		if sp.Attrs["infeasible"] != nil {
+			t.Errorf("pruned pair %v also reads infeasible", sp.Attrs)
 		}
 	}
-	if got.FloorSkippedPairs == 0 {
-		t.Error("no other pair skipped under the seed's incumbent")
-	}
-
-	ref := &Tuner{W: w, Cluster: cl, An: tn.An, Space: MistSpace(), Warm: seed, disableIncumbent: true}
-	want, err := ref.Tune()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Plan, want.Plan) || got.Predicted != want.Predicted {
-		t.Errorf("warm search returned\n%v (%v)\nreference\n%v (%v)", got.Plan, got.Predicted, want.Plan, want.Predicted)
+	if midSweep == 0 || byFloor != res.FloorSkippedPairs || byFloor+midSweep != res.WarmAbortedPairs {
+		t.Errorf("sg spans say %d floor skips and %d mid-sweep aborts; the result %d and %d aborted in all, want a mid-sweep abort and equal counts",
+			byFloor, midSweep, res.FloorSkippedPairs, res.WarmAbortedPairs)
 	}
 }

@@ -48,26 +48,44 @@ type evalScratch struct {
 var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 // sweepScratch is the per-intraStage-call buffer set, and after the call
-// its result: the shape list, the window's knob sets, the point arena
-// and, per (layer count, shape), the arena segment holding that pair's
-// feasible points; plus the Pareto staircase buffers. One sweepScratch
-// serves a whole (S, G) pair's stage loop (tuneSG holds it for the pair's
-// lifetime); survivors are value-copied out (candidate) before reuse.
+// its result: the shape list, the window's knob sets, a point block per
+// shape and, per (layer count, shape), the block segment holding that
+// pair's feasible points; plus the Pareto staircase buffers. One
+// sweepScratch serves a whole (S, G) pair's stage loop (tuneSG holds it
+// for the pair's lifetime); survivors are value-copied out (candidate)
+// before reuse.
 type sweepScratch struct {
 	shapes []schedule.StageShape
 	sets   []*evalcache.KnobSet
 	outs   []shapeOut
-	arena  []point
-	segs   [][]point // segs[li*len(shapes)+si], each backed by arena
+	blocks []*pointBlock
+	segs   [][]point // segs[li*len(shapes)+si], backed by blocks[si]
 	stair  []point
 	picks  []point
 }
 
 var sweepScratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
 
-// release returns sc to the pool, without the request's knob sets.
+// pointBlock holds one shape's points of a sweep, every layer count of
+// the window. Blocks are pooled singly, not as one arena, so that a pool
+// miss is cheap: a sync.Pool keeps one object per P where no other P
+// finds it, a search ends on whichever P its last worker woke it on, and
+// the next one now and then finds the pool an object short — of a 10 KB
+// block, where an arena was 130 KB, twice what a re-tune on a filled
+// cache otherwise allocates.
+type pointBlock struct{ pts []point }
+
+var pointBlockPool = sync.Pool{New: func() any { return new(pointBlock) }}
+
+// release returns sc to the pool without the request's knob sets, and its
+// blocks to theirs.
 func (sc *sweepScratch) release() {
 	clear(sc.sets[:cap(sc.sets)])
+	for _, b := range sc.blocks {
+		pointBlockPool.Put(b)
+	}
+	clear(sc.blocks)
+	sc.blocks = sc.blocks[:0]
 	sweepScratchPool.Put(sc)
 }
 
@@ -128,8 +146,8 @@ func (t *Tuner) intraStage(s, g, stageIdx, devPerStage int, layers []int, sc *sw
 
 	// Enumerate the stage shapes, then price them on a bounded worker
 	// pool (the intra-stage counterpart of Tune's (S, G) fan-out). Every
-	// (layer count, shape) has its own arena segment, at a position fixed
-	// by the enumeration, so the search stays deterministic regardless of
+	// (layer count, shape) has its own segment, at a position fixed by the
+	// enumeration, so the search stays deterministic regardless of
 	// scheduling.
 	shapes := sc.shapes[:0]
 	for _, pt := range t.parallelisms(devPerStage, g) {
@@ -159,13 +177,12 @@ func (t *Tuner) intraStage(s, g, stageIdx, devPerStage int, layers []int, sc *sw
 	}
 	segs := sc.segs
 	// Disjoint segments let concurrent workers write points without
-	// synchronization, per-shape allocations or a compacting copy: layer
-	// count li's segments start at len(shapes) * (knobs of the layer counts
-	// before it), one knob set's length apart.
-	if need := len(shapes) * perShape; cap(sc.arena) < need {
-		sc.arena = make([]point, need)
+	// synchronization or a compacting copy: shape i's are in its own block,
+	// layer count li's at the knobs of the layer counts before it.
+	for len(sc.blocks) < len(shapes) {
+		sc.blocks = append(sc.blocks, pointBlockPool.Get().(*pointBlock))
 	}
-	arena := sc.arena[:cap(sc.arena)]
+	blocks := sc.blocks
 
 	price := func(i int, es *evalScratch) {
 		for len(es.dsts) < len(sets) {
@@ -176,18 +193,20 @@ func (t *Tuner) intraStage(s, g, stageIdx, devPerStage int, layers []int, sc *sw
 			outs[i].err = err
 			return
 		}
-		base := 0
+		b, at := blocks[i], 0
+		if len(b.pts) < perShape {
+			b.pts = make([]point, perShape)
+		}
 		for li, results := range dsts {
 			n := len(results)
-			at := base + i*n
-			seg := arena[at : at : at+n]
+			seg := b.pts[at : at : at+n]
 			for j := range results {
 				if r := &results[j]; r.Fits(budget) {
 					seg = append(seg, point{T: r.Stable, D: r.Delta, shape: int32(i), knob: int32(j)})
 				}
 			}
 			segs[li*len(shapes)+i] = seg
-			base += len(shapes) * n
+			at += n
 		}
 		outs[i].n = perShape
 	}

@@ -101,7 +101,7 @@ func TestPropertyParetoStaircaseMatchesSortedSweep(t *testing.T) {
 	}
 }
 
-// TestPointShape pins the sweep arena's element: a stage sweep holds one
+// TestPointShape pins the sweep blocks' element: a stage sweep holds one
 // point per feasible (shape, knob) of its window, thousands at a time.
 func TestPointShape(t *testing.T) {
 	if got := unsafe.Sizeof(point{}); got != 24 {

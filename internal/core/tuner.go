@@ -23,7 +23,10 @@ import (
 )
 
 // Tuner is Mist's automatic distributed-training optimizer for one
-// workload on one cluster, restricted to a Space.
+// workload on one cluster, restricted to a Space. Its fields are of three
+// kinds, in this order: configuration, fixed once the tuner is built; the
+// knob-set memo shared by every search on the tuner; and the state of the
+// one search that is running.
 type Tuner struct {
 	W       plan.Workload
 	Cluster *hardware.Cluster
@@ -40,14 +43,7 @@ type Tuner struct {
 	// enumeration (used for cross-checks).
 	Exhaustive bool
 
-	// Warm optionally seeds the search with a neighbor plan (see
-	// warm.go): the seed is priced into an incumbent bound that prunes
-	// provably dominated regions, its candidates are injected into the
-	// matching (S, G) pair, and it is the fallback answer — so a warm
-	// start can only match or improve on the cold search's plan. The
-	// seed should come from the same search space (the plan store
-	// enforces this); a seed using knobs outside Space can surface them
-	// in the result. Invalid or unadaptable seeds are ignored.
+	// Warm is never read: benchmarks/mistperf/seam.go names it (ROADMAP 4 (g)).
 	Warm *plan.Plan
 
 	// ev is the pricing backend, chosen when the tuner is built: New and
@@ -57,30 +53,25 @@ type Tuner struct {
 	// uncached reference the cache is tested and benchmarked against).
 	ev evalcache.Evaluator
 
+	// disableIncumbent stops completed pairs from feeding the incumbent
+	// bound: the search without cross-pair pruning, which tests use as a
+	// reference. The chosen plan is identical either way.
+	disableIncumbent bool
+
 	// knobSets memoizes the prepared knob set per layer count: the
 	// batch depends only on (Space, layers), so it is built once and
 	// shared by every (S, G) worker and every search on this tuner.
 	knobMu   sync.Mutex
 	knobSets map[int]*evalcache.KnobSet
 
-	// Per-Tune search state: the priced warm seed, the global incumbent
-	// bound (+Inf when no solution is known yet), and telemetry counters
-	// shared by the concurrent (S, G) pairs. incumbent is seeded from
-	// the warm objective and lowered by every completed wave of pairs,
-	// so later waves prune against the best solution found so far — on
-	// cold searches too. The non-atomic fields are written only while no
-	// pair is running: before the first wave and between waves.
-	warmSeed    *warmSeed
-	incumbent   float64
-	warmPruned  atomic.Int64
-	warmAborted atomic.Int64
-
-	// disableIncumbent stops completed pairs from feeding the incumbent
-	// bound (the warm seed still does): the search without cross-pair
-	// pruning, which tests use as a reference. The chosen plan is
-	// identical either way.
-	disableIncumbent bool
-
+	// One search's state (see incumbent.go): the incumbent bound — +Inf
+	// until a pair has a solution, lowered by every completed wave of
+	// pairs and written only between waves — and the two counters the
+	// concurrent (S, G) pairs of a wave share: candidates the bound
+	// pruned, and pairs it abandoned.
+	incumbent float64
+	pruned    atomic.Int64
+	aborted   atomic.Int64
 	// tuneCtx bounds the running search; canceling it makes
 	// TuneContext return the context's error. Nil between searches.
 	tuneCtx context.Context
@@ -156,14 +147,6 @@ func (t *Tuner) knobSet(layers int) *evalcache.KnobSet {
 	return ks
 }
 
-// offerIncumbent lowers the incumbent bound to obj if it improves on the
-// current one. Called only while no pair is running.
-func (t *Tuner) offerIncumbent(obj float64) {
-	if obj > 0 && obj < t.incumbent {
-		t.incumbent = obj
-	}
-}
-
 // pairWave caps how many (S, G) pairs search concurrently between two
 // publications of the incumbent bound. It is a constant, not
 // GOMAXPROCS, so that the work of a search is the same on every
@@ -208,17 +191,13 @@ type Result struct {
 	EvalCacheHits   uint64
 	EvalCacheMisses uint64
 
-	// Incumbent-pruning telemetry: whether a seed plan survived
-	// validation and pricing, its objective (the initial incumbent
-	// bound), how many priced candidates the bound pruned before
-	// inter-stage selection, and how many (S, G) pairs were abandoned
-	// mid-sweep — the latter is where analyzer evaluations are saved.
-	// The incumbent is also fed by every completed wave of pairs, so the
-	// pruning counters can be nonzero on cold searches. Like Candidates
-	// they are a function of the search's inputs alone. FloorSkippedPairs
-	// are the aborted pairs of which nothing was priced (computeFloor).
-	WarmStarted       bool
-	WarmSeedObjective float64
+	// Incumbent-pruning telemetry (incumbent.go): how many priced
+	// candidates the incumbent bound pruned before inter-stage selection,
+	// and how many (S, G) pairs it abandoned — mid-sweep, or before
+	// anything was priced (FloorSkippedPairs, a subset: computeFloor).
+	// Like Candidates they are a function of the search's inputs alone.
+	// The first two keep their names because benchmarks/mistperf/seam.go
+	// reads them (ROADMAP 4 (g)); there is no warm start.
 	WarmPruned        int
 	WarmAbortedPairs  int
 	FloorSkippedPairs int
@@ -347,41 +326,17 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 		cacheBefore = cache.Stats()
 	}
 
-	// Warm-start setup (see warm.go): price the seed, arm the incumbent
-	// bound, reset telemetry. All writes happen before workers spawn.
 	t.tuneCtx = ctx
 	defer func() { t.tuneCtx = nil }() // a tuner outlives its search; the request's context must not
-	t.warmSeed = nil
 	t.incumbent = math.Inf(1)
-	t.warmPruned.Store(0)
-	t.warmAborted.Store(0)
-	_, wsp := trace.StartSpan(ctx, "warm-adapt")
-	seed, nWarm := t.prepareWarm()
-	wsp.Annotate("warmStarted", seed != nil)
-	wsp.End()
-	res.Candidates += nWarm // seed pricing is real evaluator traffic
-	if seed != nil {
-		t.warmSeed = seed
-		t.offerIncumbent(seed.objective)
-		res.WarmStarted = true
-		res.WarmSeedObjective = seed.objective
-	}
+	t.pruned.Store(0)
+	t.aborted.Store(0)
 
 	type sg struct{ s, g int }
 	var pairs []sg
 	for _, s := range t.stageCounts() {
 		for _, g := range t.gradAccums() {
 			pairs = append(pairs, sg{s: s, g: g})
-		}
-	}
-	// Best-first dispatch: the seed's own pair goes first — alone, as
-	// wave one — so the solver can tighten the incumbent past U
-	// immediately (on cold searches the existing shallow-pipelines-first
-	// order already lands a cheap incumbent early).
-	for i, p := range pairs {
-		if seed.owns(p.s, p.g) {
-			pairs[0], pairs[i] = pairs[i], pairs[0]
-			break
 		}
 	}
 	res.SGPairs = len(pairs)
@@ -429,19 +384,24 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 				psp.Annotate("s", p.s)
 				psp.Annotate("g", p.g)
 				sol, nEval, err := t.tuneSG(pctx, p.s, p.g)
-				var wp *warmPrunedError
-				if err != nil {
-					sol = nil // infeasible (S, G): OOM or no factorization
-					psp.Annotate("infeasible", true)
-					if errors.As(err, &wp) && wp.floor > 0 {
+				var pe *prunedError
+				switch {
+				case errors.As(err, &pe):
+					if pe.byFloor {
 						psp.Annotate("prunedBy", "floor")
-						psp.Annotate("floor", wp.floor)
-						psp.Annotate("incumbent", t.incumbent)
+						psp.Annotate("floor", pe.bound)
+					} else {
+						psp.Annotate("prunedBy", "incumbent")
+						psp.Annotate("bound", pe.bound)
+						psp.Annotate("stage", pe.stage)
 					}
+					psp.Annotate("incumbent", t.incumbent)
+				case err != nil: // OOM or no factorization
+					psp.Annotate("infeasible", true)
 				}
 				psp.Annotate("evals", nEval)
 				psp.End()
-				outs[i] = outcome{sol: sol, nEval: nEval, floorSkipped: wp != nil && wp.floor > 0}
+				outs[i] = outcome{sol: sol, nEval: nEval, floorSkipped: pe != nil && pe.byFloor}
 			}
 		}
 		var wg sync.WaitGroup
@@ -472,8 +432,8 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 			}
 		}
 	}
-	res.WarmPruned = int(t.warmPruned.Load())
-	res.WarmAbortedPairs = int(t.warmAborted.Load())
+	res.WarmPruned = int(t.pruned.Load())
+	res.WarmAbortedPairs = int(t.aborted.Load())
 	if cache != nil {
 		after := cache.Stats()
 		res.EvalCacheHits = after.Hits - cacheBefore.Hits
@@ -483,21 +443,13 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	swsp.Annotate("candidates", res.Candidates)
 	swsp.Annotate("evalCacheHits", res.EvalCacheHits)
 	swsp.Annotate("evalCacheMisses", res.EvalCacheMisses)
-	swsp.Annotate("warmPruned", res.WarmPruned)
-	swsp.Annotate("warmAbortedPairs", res.WarmAbortedPairs)
+	swsp.Annotate("pruned", res.WarmPruned)
+	swsp.Annotate("abortedPairs", res.WarmAbortedPairs)
 	swsp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	res.Elapsed = time.Since(start)
-	if seed != nil && (best == nil || best.sol.Objective > seed.objective) {
-		// The (pruned) search failed to beat the seed: the seed itself is
-		// the answer, so a warm start never regresses below its neighbor.
-		best = &found{
-			sol: &interSolution{Stages: seed.stages, Objective: seed.objective},
-			s:   len(seed.stages), g: seed.g,
-		}
-	}
 	if best == nil {
 		return nil, ErrNoFeasiblePlan
 	}
@@ -529,11 +481,10 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int) (*interSolution, int, erro
 	}
 	// Bound before pricing: no plan of this pair beats its compute floor, so
 	// a pair whose floor exceeds the incumbent (by a margin that keeps ties
-	// and rounding safe) is skipped whole — but never the warm seed's own:
-	// a seed may use a parallelism the space, and so the floor, leaves out.
-	if floor := t.computeFloor(s, g, devOpts); !t.warmSeed.owns(s, g) && floor*(1-1e-9) > t.incumbent {
-		t.warmAborted.Add(1)
-		return nil, 0, &warmPrunedError{s: s, g: g, floor: floor}
+	// and rounding safe) is skipped whole.
+	if floor := t.computeFloor(s, g, devOpts); floor*(1-1e-9) > t.incumbent {
+		t.aborted.Add(1)
+		return nil, 0, &prunedError{byFloor: true, bound: floor}
 	}
 	if t.Space.UniformStages {
 		return t.tuneUniform(s, g, total/s)
@@ -565,17 +516,19 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int) (*interSolution, int, erro
 					}
 				}
 			}
-			stageC = t.injectSeed(stageC, s, g, i)
 			if len(stageC) == 0 {
 				return fmt.Errorf("core: stage %d infeasible for S=%d G=%d", i, s, g)
 			}
+			// The stage minimum is taken before pruning so the bound is on
+			// hand when every candidate goes; a pruned candidate is above
+			// every kept one, so the minimum is the same either way.
+			abandon := pb.add(stageC, g, t.incumbent)
 			stageC = t.pruneByBound(stageC, g)
-			if len(stageC) == 0 || pb.add(stageC, g, t.incumbent) {
-				// Every surviving combination of this pair is provably no
-				// better than the warm seed: stop before pricing the
-				// remaining stages.
-				t.warmAborted.Add(1)
-				return &warmPrunedError{s: s, g: g}
+			if abandon || len(stageC) == 0 {
+				// Every combination of this pair is provably no better than
+				// the incumbent: stop before pricing the remaining stages.
+				t.aborted.Add(1)
+				return &prunedError{bound: pb.value(g), stage: i}
 			}
 			cands[i] = stageC
 		}

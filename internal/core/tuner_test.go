@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/evalcache"
 	"repro/internal/hardware"
@@ -25,14 +27,18 @@ func testWorkload(name string, batch int) plan.Workload {
 	return plan.Workload{Model: model.MustByName(name), Seq: 2048, Flash: true, GlobalBatch: batch}
 }
 
-func mustTune(t *testing.T, w plan.Workload, gpus int, space Space) *Result {
+func l4(t *testing.T, gpus int) *hardware.Cluster {
 	t.Helper()
 	nodes, perNode, err := hardware.MeshForGPUs(gpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := hardware.L4Cluster(nodes, perNode)
-	tn, err := New(w, cl, space)
+	return hardware.L4Cluster(nodes, perNode)
+}
+
+func mustTune(t *testing.T, w plan.Workload, gpus int, space Space) *Result {
+	t.Helper()
+	tn, err := New(w, l4(t, gpus), space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,6 +600,46 @@ func TestIntraStageWorkersFollowGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestSweepIgnoresWhatItsBlocksHeld: a sweep takes its point blocks from a
+// pool, so a block arrives with whatever capacity and contents the sweep
+// before left in it. The segments depend on neither: a scratch holding
+// too-small, oversized and junk-filled blocks lists exactly the points a
+// fresh one does.
+func TestSweepIgnoresWhatItsBlocksHeld(t *testing.T) {
+	w := testWorkload("gpt3-2.7b", 8)
+	tn, err := New(w, l4(t, 8), MistSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := tn.layerRange(2, 0)
+	sweep := func(sc *sweepScratch) [][]point {
+		t.Helper()
+		if _, err := tn.intraStage(2, 1, 0, 4, window, sc); err != nil {
+			t.Fatal(err)
+		}
+		var out [][]point
+		for li := range window {
+			out = append(out, slices.Concat(sc.list(li)...))
+		}
+		return out
+	}
+	want := sweep(&sweepScratch{})
+	if len(window) < 2 || len(want[0]) == 0 {
+		t.Fatalf("window %v with %d points in its first layer count exercises nothing", window, len(want[0]))
+	}
+	used := &sweepScratch{}
+	for i := 0; i < 3; i++ { // fewer than the sweep's shapes: the rest come from the pool
+		junk := make([]point, []int{1, 0, 1 << 14}[i])
+		for j := range junk {
+			junk[j] = point{T: -1, D: -1, shape: 99, knob: 99}
+		}
+		used.blocks = append(used.blocks, &pointBlock{pts: junk})
+	}
+	if got := sweep(used); !reflect.DeepEqual(got, want) {
+		t.Error("a sweep on used blocks lists other points than a sweep on fresh ones")
+	}
+}
+
 // TestTuneUniformCountsFailedEvaluations pins the companion fix in the
 // uniform-heuristic baseline: a single-point Evaluate that errors is
 // still an attempt the evaluator made, so it must be counted.
@@ -888,5 +934,89 @@ func TestCacheWarmSecondSearch(t *testing.T) {
 	}
 	if got := r2.EvalCacheHits + r2.EvalCacheMisses; got != uint64(r2.Candidates) {
 		t.Errorf("second search hits+misses %d != candidates %d", got, r2.Candidates)
+	}
+}
+
+// TuneContext honors cancellation: a pre-canceled context aborts without
+// a result, and the error is the context's.
+func TestTuneContextCancellation(t *testing.T) {
+	w := testWorkload("gpt3-1.3b", 8)
+	tn, err := New(w, l4(t, 2), DeepSpeedSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := tn.TuneContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-canceled tune returned %v", err)
+	}
+	// The tuner outlives the search but does not keep its context (with
+	// it the request's span tree and deadline timer): between searches it
+	// reports no context error, and a reuse is a clean search.
+	if err := tn.ctxErr(); err != nil {
+		t.Errorf("ctxErr() = %v after TuneContext returned, want nil", err)
+	}
+	fresh, err := New(w, l4(t, 2), DeepSpeedSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Tune()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tn.Tune()
+	if err != nil {
+		t.Fatalf("Tune on a tuner reused after a canceled search: %v", err)
+	}
+	if got.Predicted != want.Predicted || !reflect.DeepEqual(got.Plan, want.Plan) {
+		t.Errorf("reused tuner found %v (%.6g s), a fresh one %v (%.6g s)", got.Plan, got.Predicted, want.Plan, want.Predicted)
+	}
+	if err := tn.ctxErr(); err != nil {
+		t.Errorf("ctxErr() = %v after Tune returned, want nil", err)
+	}
+
+	// A context canceled mid-flight also aborts (quickly, not after the
+	// full search).
+	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel2()
+	tn2, err := New(testWorkload("gpt3-2.7b", 32), l4(t, 4), MistSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = tn2.TuneContext(ctx2)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("mid-flight cancel returned %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 30*time.Second {
+		t.Errorf("canceled search still took %v", elapsed)
+	}
+}
+
+// Tuner.Warm is a field the search never reads (it stays because
+// benchmarks/mistperf/seam.go names it): setting it — to the search's own
+// plan, or to a neighbour's at half the batch — changes nothing a search
+// returns.
+func TestWarmFieldIsInert(t *testing.T) {
+	w := testWorkload("gpt3-1.3b", 16)
+	tune := func(warm *plan.Plan) *Result {
+		tn, err := New(w, l4(t, 4), DeepSpeedSpace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tn.Warm = warm
+		res, err := tn.Tune()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Elapsed = 0
+		return res
+	}
+	want := tune(nil)
+	neighbour := mustTune(t, testWorkload("gpt3-1.3b", 8), 4, DeepSpeedSpace())
+	for name, warm := range map[string]*plan.Plan{"own plan": want.Plan, "neighbour's plan": neighbour.Plan} {
+		if got := tune(warm); !reflect.DeepEqual(got, want) {
+			t.Errorf("Warm = %s: search returned\n%+v\nwithout it\n%+v", name, got, want)
+		}
 	}
 }

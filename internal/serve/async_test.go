@@ -155,54 +155,6 @@ func TestStorePersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestWarmStartFromNeighbor: with a neighboring workload already in the
-// store, a new workload's search is warm-started, reports pruning
-// telemetry, and its plan is at least as good as a cold server's.
-func TestWarmStartFromNeighbor(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(WithStore(st))
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	// Tune the neighbor (batch 16), then the target (batch 8).
-	neighbor := smallSpec()
-	neighbor.Batch = 16
-	if status, body := postJSON(t, ts.URL+"/tune", TuneRequest{WorkloadSpec: neighbor}, &TuneResponse{}); status != http.StatusOK {
-		t.Fatalf("neighbor tune: status %d body %s", status, body)
-	}
-
-	var warm TuneResponse
-	if status, body := postJSON(t, ts.URL+"/tune", TuneRequest{WorkloadSpec: smallSpec()}, &warm); status != http.StatusOK {
-		t.Fatalf("warm tune: status %d body %s", status, body)
-	}
-	if !warm.WarmStarted {
-		t.Fatal("target search not warm-started from the stored neighbor")
-	}
-	if warm.WarmSeedObjective <= 0 {
-		t.Error("warm seed objective missing")
-	}
-
-	// Cold reference from a storeless server.
-	cold := New()
-	defer cold.Close()
-	tsCold := httptest.NewServer(cold.Handler())
-	defer tsCold.Close()
-	var coldResp TuneResponse
-	if status, body := postJSON(t, tsCold.URL+"/tune", TuneRequest{WorkloadSpec: smallSpec()}, &coldResp); status != http.StatusOK {
-		t.Fatalf("cold tune: status %d body %s", status, body)
-	}
-	if warm.PredThroughput < coldResp.PredThroughput-1e-9 {
-		t.Errorf("warm-started plan regressed: %.4f < %.4f samples/s", warm.PredThroughput, coldResp.PredThroughput)
-	}
-	if st := s.Stats(); st.WarmStarts != 1 || st.WarmStartHitRate != 0.5 {
-		t.Errorf("warm-start stats: %+v", st)
-	}
-}
-
 // TestJobsLifecycle drives the full async API over HTTP: batch submit
 // with priorities and a duplicate, polling to completion, result
 // retrieval, dedup accounting, and list/stats.

@@ -11,7 +11,7 @@ import (
 // workloads plus duplicates — through the async job queue and waits for
 // the batch to drain. The cold sub-benchmark starts from an empty plan
 // store each op; the warm one reuses a pre-populated store, so exact
-// repeats are answered from disk and the rest warm-start — the
+// repeats are answered from disk and only the rest are searched — the
 // amortization a fleet operator sees across recurring tuning sweeps.
 // searches/op reports how many searches actually ran per batch.
 func BenchmarkBatchSubmit(b *testing.B) {

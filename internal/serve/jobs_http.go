@@ -125,11 +125,8 @@ func (s *Server) submitResolved(ctx context.Context, spec JobSpec) (JobStatus, e
 			emit("served from plan store")
 		case resp.Cached:
 			emit("served from plan cache")
-		case resp.WarmStarted:
-			emit(fmt.Sprintf("warm-started search: %d candidates pruned, %d pairs aborted",
-				resp.WarmPruned, resp.WarmAbortedPairs))
 		default:
-			emit("cold search complete")
+			emit("search complete")
 		}
 		return resp, nil
 	})

@@ -19,8 +19,8 @@
 //	GET  /healthz    — liveness probe.
 //	GET  /stats      — request counters, plan-cache occupancy/evictions,
 //	                   job-queue depth and worker utilization, plan-store
-//	                   size and warm-start hit rate, per-endpoint latency
-//	                   quantiles and status-code counts.
+//	                   size, per-endpoint latency quantiles and
+//	                   status-code counts.
 //	GET  /metrics    — Prometheus text exposition of the registry
 //	                   /stats is rendered from: every counter lives in
 //	                   it once, so the two surfaces cannot disagree.
@@ -34,10 +34,7 @@
 // burning CPU (504 on expiry). See Limits.
 //
 // With a plan store attached (WithStore), every tuned plan is durably
-// written to disk and served back after a restart without re-searching;
-// near-miss requests warm-start their search from the nearest stored
-// neighbor (same model family, closest GPU count/batch), which prunes
-// dominated regions early and never degrades plan quality.
+// written to disk and served back after a restart without re-searching.
 //
 // The handler is safe for arbitrary concurrency: the plan cache is
 // mutex-guarded with per-key in-flight coalescing, tuner runs share
@@ -230,15 +227,13 @@ type TuneResponse struct {
 	FromStore    bool `json:"fromStore,omitempty"`
 	StoreVersion int  `json:"storeVersion,omitempty"`
 
-	// Warm-start telemetry for fresh searches seeded from a stored
-	// neighbor plan: the seed's objective became an incumbent bound that
-	// pruned WarmPruned candidates and aborted WarmAbortedPairs
-	// (pipeline depth, grad accum) pairs early. Warm starts only prune —
-	// the returned plan is never worse than a cold search's.
-	WarmStarted       bool    `json:"warmStarted,omitempty"`
-	WarmSeedObjective float64 `json:"warmSeedObjective,omitempty"`
-	WarmPruned        int     `json:"warmPrunedCandidates,omitempty"`
-	WarmAbortedPairs  int     `json:"warmAbortedPairs,omitempty"`
+	// Incumbent-pruning telemetry of a fresh search (core.Result):
+	// candidates the search's own incumbent bound pruned, and (pipeline
+	// depth, grad accum) pairs it abandoned, floor-skipped ones included.
+	// The names predate that account; they follow core.Result's, which
+	// benchmarks/mistperf/seam.go pins (ROADMAP 4 (g)).
+	WarmPruned       int `json:"warmPrunedCandidates,omitempty"`
+	WarmAbortedPairs int `json:"warmAbortedPairs,omitempty"`
 }
 
 // SimulateRequest is the /simulate body: a workload spec plus an
@@ -286,13 +281,9 @@ type Stats struct {
 	EvalCachePointsRetired uint64 `json:"evalCachePointsRetired"`
 
 	// Durable plan store (zero-valued when no store is attached):
-	// indexed plans, exact-fingerprint hits served without a search,
-	// searches seeded from a stored neighbor, and the fraction of
-	// searches run that were warm-started.
-	StoreSize        int     `json:"storeSize"`
-	StoreHits        uint64  `json:"storeHits"`
-	WarmStarts       uint64  `json:"warmStarts"`
-	WarmStartHitRate float64 `json:"warmStartHitRate"`
+	// indexed plans and exact-fingerprint hits served without a search.
+	StoreSize int    `json:"storeSize"`
+	StoreHits uint64 `json:"storeHits"`
 
 	// Async job queue and worker pool.
 	JobsSubmitted     uint64  `json:"jobsSubmitted"`
@@ -424,7 +415,6 @@ type eventCounters struct {
 	tunesRun         *metrics.Counter
 	evictions        *metrics.Counter
 	storeHits        *metrics.Counter
-	warmStarts       *metrics.Counter
 	localFallbacks   *metrics.Counter
 	rebalancePushed  *metrics.Counter
 	rebalancePulled  *metrics.Counter
@@ -445,7 +435,6 @@ func (s *Server) registerCounters() {
 		tunesRun:         c("mist_tunes_run_total"),
 		evictions:        c("mist_plan_cache_evictions_total"),
 		storeHits:        c("mist_store_hits_total"),
-		warmStarts:       c("mist_warm_starts_total"),
 		localFallbacks:   c("mist_cluster_local_fallbacks_total"),
 		rebalancePushed:  c("mist_cluster_rebalance_pushed_total"),
 		rebalancePulled:  c("mist_cluster_rebalance_pulled_total"),
@@ -488,8 +477,7 @@ func (s *Server) storeSize() int {
 type Option func(*Server)
 
 // WithStore attaches a durable plan store: tuned plans are written
-// through, exact fingerprints are served from it without re-searching,
-// and near-miss searches warm-start from the nearest stored neighbor.
+// through and exact fingerprints are served from it without re-searching.
 func WithStore(st *store.Store) Option {
 	return func(s *Server) { s.store = st }
 }
@@ -833,8 +821,7 @@ func responseFromRecord(rec store.Record) *TuneResponse {
 
 // runTune answers a plan-cache miss: from the durable store when the
 // exact fingerprint was tuned by any earlier process, otherwise by a
-// fresh search — warm-started from the nearest stored neighbor when one
-// exists — whose result is then written through to the store.
+// fresh search whose result is then written through to the store.
 func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (*TuneResponse, *schedule.Analyzer, error) {
 	fp := ws.fingerprint()
 	if s.store != nil {
@@ -868,9 +855,9 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 	s.count.tunesRun.Inc()
 	// The prepare span covers tuner construction (operator DB +
 	// interference fit — real milliseconds, skipped entirely when the
-	// fingerprint's analyzer is already in the eval-cache registry) and
-	// the warm-start neighbor lookup; without it the gap between
-	// store-check and search would be unaccounted trace time.
+	// fingerprint's analyzer is already in the eval-cache registry);
+	// without it the gap between store-check and search would be
+	// unaccounted trace time.
 	_, psp := trace.StartSpan(ctx, "prepare")
 	an, cache, reused, err := s.evalReg.acquire(ws, w, cl, space)
 	if err != nil {
@@ -885,12 +872,6 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 		psp.End()
 		return nil, nil, err
 	}
-	if s.store != nil {
-		if nb, ok := s.store.Nearest(fp); ok {
-			tn.Warm = nb.Plan
-			psp.Annotate("warmNeighbor", true)
-		}
-	}
 	psp.End()
 	tctx, tsp := trace.StartSpan(ctx, "search")
 	res, err := tn.TuneContext(tctx)
@@ -901,29 +882,23 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 	}
 	tsp.Annotate("candidates", res.Candidates)
 	tsp.Annotate("sgPairs", res.SGPairs)
-	tsp.Annotate("warmStarted", res.WarmStarted)
 	tsp.Annotate("evalCacheHitRate", res.CacheHitRate())
 	tsp.End()
 	// The search just grew its fingerprint's cache; shed the coldest
 	// caches if the registry is now over its point budget.
 	s.evalReg.enforceCap(evalKey(ws, space))
-	if res.WarmStarted {
-		s.count.warmStarts.Inc()
-	}
 	resp := &TuneResponse{
-		Plan:              res.Plan,
-		Predicted:         res.Predicted,
-		PredThroughput:    res.PredThroughput,
-		Candidates:        res.Candidates,
-		SGPairs:           res.SGPairs,
-		ElapsedMS:         float64(res.Elapsed) / float64(time.Millisecond),
-		EvalCacheHits:     res.EvalCacheHits,
-		EvalCacheMiss:     res.EvalCacheMisses,
-		EvalHitRate:       res.CacheHitRate(),
-		WarmStarted:       res.WarmStarted,
-		WarmSeedObjective: res.WarmSeedObjective,
-		WarmPruned:        res.WarmPruned,
-		WarmAbortedPairs:  res.WarmAbortedPairs,
+		Plan:             res.Plan,
+		Predicted:        res.Predicted,
+		PredThroughput:   res.PredThroughput,
+		Candidates:       res.Candidates,
+		SGPairs:          res.SGPairs,
+		ElapsedMS:        float64(res.Elapsed) / float64(time.Millisecond),
+		EvalCacheHits:    res.EvalCacheHits,
+		EvalCacheMiss:    res.EvalCacheMisses,
+		EvalHitRate:      res.CacheHitRate(),
+		WarmPruned:       res.WarmPruned,
+		WarmAbortedPairs: res.WarmAbortedPairs,
 	}
 	if s.store != nil {
 		// Best-effort write-through: a full disk must not fail the
@@ -1127,7 +1102,6 @@ func (s *Server) Stats() Stats {
 		PlanCacheEvictions: c.evictions.Value(),
 		StoreSize:          s.storeSize(),
 		StoreHits:          c.storeHits.Value(),
-		WarmStarts:         c.warmStarts.Value(),
 		Rejected429:        s.rejected429(),
 
 		ClusterForwards:      s.metrics.SumCounters(metricForwardsTotal, nil),
@@ -1153,9 +1127,6 @@ func (s *Server) Stats() Stats {
 	st.EvalCachePointCap = s.evalReg.capPoints
 	st.EvalCacheEvictions = evicted
 	st.EvalCachePointsRetired = retired
-	if runs := st.TunesRun; runs > 0 {
-		st.WarmStartHitRate = float64(st.WarmStarts) / float64(runs)
-	}
 	js := s.jobs.Stats()
 	st.JobsSubmitted = js.Submitted
 	st.JobsDeduped = js.Deduped

@@ -34,7 +34,6 @@ var statSeries = []struct {
 	{"evalCachePointsRetired", "mist_eval_cache_points_retired_total", "gauge", nil},
 	{"storeSize", "mist_plan_store_size", "gauge", nil},
 	{"storeHits", "mist_store_hits_total", "counter", nil},
-	{"warmStarts", "mist_warm_starts_total", "counter", nil},
 	{"queueDepth", "mist_jobs_queue_depth", "gauge", nil},
 	{"busyWorkers", "mist_jobs_busy_workers", "gauge", nil},
 	{"rejected429", "mist_http_rejected_total", "counter", nil},
@@ -120,7 +119,7 @@ next:
 
 // TestStatsAndMetricsCannotDisagree drives a 3-node fleet through every
 // event the scalar /stats fields count — a forward, a replication, a
-// warm start, a 429, then behind a killed owner a failed replication, a
+// second search, a 429, then behind a killed owner a failed replication, a
 // failed forward and a store hit, a local fallback once both replicas
 // are gone, and repair passes after the dead are drained and a node
 // joins — then checks, node by node, that each field equals its series.
@@ -168,14 +167,15 @@ func TestStatsAndMetricsCannotDisagree(t *testing.T) {
 	}
 	tune(outsider, k1, http.StatusOK)
 
-	// A neighbour owned by a holder of K1's record warm-starts from it.
+	// A neighbour owned by a holder of K1's record is a fresh search all
+	// the same.
 	seq := 640
 	for replicaIDs(spec(seq))[0] == outsider {
 		seq += 64
 	}
 	k2 := spec(seq)
-	if resp := tune(replicaIDs(k2)[0], k2, http.StatusOK); !resp.WarmStarted {
-		t.Fatalf("neighbour search was not warm-started: %+v", resp)
+	if resp := tune(replicaIDs(k2)[0], k2, http.StatusOK); resp.Cached || resp.FromStore {
+		t.Fatalf("neighbour request was not answered by a fresh search: %+v", resp)
 	}
 
 	// A full admission gate refuses a direct request.
@@ -275,7 +275,7 @@ func TestStatsAndMetricsCannotDisagree(t *testing.T) {
 	// The burst must have moved every counter it claims to exercise, or
 	// the equalities above are 0 == 0.
 	for _, field := range []string{
-		"tuneRequests", "tunesRun", "planCacheSize", "storeSize", "storeHits", "warmStarts", "rejected429",
+		"tuneRequests", "tunesRun", "planCacheSize", "storeSize", "storeHits", "rejected429",
 		"clusterForwards", "clusterForwardErrors", "clusterReplications", "clusterReplicationErrors",
 		"clusterLocalFallbacks", "clusterRebalancePushed", "clusterRebalancePulled", "clusterRecordFetches",
 	} {

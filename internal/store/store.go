@@ -2,15 +2,8 @@
 // service: every tuned (workload, cluster, space) triple is written to
 // disk as one JSON document, atomically (temp file + rename), and the
 // whole directory is snapshot-loaded into an in-memory index on server
-// start. A fleet operator tuning hundreds of near-repeat workloads gets
-// two amortization levers from it:
-//
-//   - exact hits: a killed-and-restarted server serves previously tuned
-//     plans straight from disk, without re-searching;
-//   - nearest-neighbor hits: a new workload with no exact record is
-//     matched to the closest stored workload of the same model family
-//     (closest GPU count, batch, and sequence length), whose plan then
-//     warm-starts the search (core.Tuner.Warm).
+// start, so a killed-and-restarted server serves previously tuned plans
+// straight from disk, without re-searching.
 //
 // The index key is the canonical fingerprint — model, platform, GPU
 // count, global batch, sequence length, FlashAttention, search space —
@@ -373,15 +366,14 @@ func fileName(f Fingerprint) string {
 	return fmt.Sprintf("%s-%016x.json", prefix.String(), h.Sum64())
 }
 
-// Nearest finds the stored workload closest to f among records that can
-// safely seed its search: same platform, search space, and
-// FlashAttention setting, and the same model family (exact model name
-// when the model is outside the catalog). Distance is measured in
-// doublings of GPU count, batch, and sequence length, with a fixed
-// penalty for a different model size within the family; GPU-count
-// distance is weighted highest because it reshapes the plan the most.
-// The exact fingerprint itself is excluded — callers resolve exact hits
-// through Get first.
+// Nearest finds the stored workload closest to f among records of the
+// same platform, search space, and FlashAttention setting, and the same
+// model family (exact model name when the model is outside the catalog).
+// Distance is measured in doublings of GPU count, batch, and sequence
+// length, with a fixed penalty for a different model size within the
+// family; GPU-count distance is weighted highest because it reshapes the
+// plan the most. The exact fingerprint itself is excluded.
+// It has no caller in the program: benchmarks/mistperf/seam.go names it (ROADMAP 4 (g)).
 func (s *Store) Nearest(f Fingerprint) (Record, bool) {
 	f = f.canonical()
 	key := f.Key()

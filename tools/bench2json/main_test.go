@@ -5,11 +5,11 @@ import (
 )
 
 func TestParseBenchLine(t *testing.T) {
-	b, ok := parseBenchLine("BenchmarkWarmStartTune/warm-8   \t       3\t 123456789 ns/op\t        42 evals")
+	b, ok := parseBenchLine("BenchmarkBatchSubmit/warm-store-8   \t       3\t 123456789 ns/op\t        42 evals")
 	if !ok {
 		t.Fatal("bench line rejected")
 	}
-	if b.Name != "BenchmarkWarmStartTune/warm-8" || b.Iterations != 3 || b.NsPerOp != 123456789 {
+	if b.Name != "BenchmarkBatchSubmit/warm-store-8" || b.Iterations != 3 || b.NsPerOp != 123456789 {
 		t.Fatalf("parsed %+v", b)
 	}
 	if b.Metrics["evals"] != 42 {
@@ -37,7 +37,7 @@ func TestBenchKey(t *testing.T) {
 	}{
 		{"repro", "BenchmarkTune-8", "repro.BenchmarkTune"},
 		{"repro", "BenchmarkTune-16", "repro.BenchmarkTune"},
-		{"repro/internal/core", "BenchmarkWarmStartTune/warm-8", "repro/internal/core.BenchmarkWarmStartTune/warm"},
+		{"repro/internal/serve", "BenchmarkBatchSubmit/warm-store-8", "repro/internal/serve.BenchmarkBatchSubmit/warm-store"},
 		{"repro", "BenchmarkFoo", "repro.BenchmarkFoo"},
 	}
 	for _, c := range cases {
