@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/evalcache"
 	"repro/internal/experiments"
 )
 
@@ -199,6 +200,48 @@ func TestColdTuneAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestRetuneAllocCeiling pins what a re-tune costs on the serving path:
+// a fresh core.NewShared tuner over a shared analyzer and a filled
+// evaluation cache — what every /tune of a known fingerprint builds —
+// searches the bench cell in at most 213 allocations and 16 KiB (157 and
+// 7.5 KiB on 2 vCPUs today; 174 and 56.4 KiB while every tuner built its
+// own knob grids and the cache interned them by content).
+func TestRetuneAllocCeiling(t *testing.T) {
+	w, cl := benchWorkload()
+	first, err := core.New(w, cl, core.MistSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := evalcache.New(first.An)
+	retune := func() {
+		tn, err := core.NewShared(w, cl, first.An, core.MistSpace(), cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tn.Tune(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retune() // fills the cache and the analyzer's memos
+	runs := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(20, func() {
+		runs++ // AllocsPerRun's warm-up call included
+		retune()
+	})
+	runtime.ReadMemStats(&after)
+	if raceEnabled {
+		return
+	}
+	if allocs > 213 {
+		t.Errorf("re-tune allocated %.0f times, want <= 213", allocs)
+	}
+	if bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs); bytes > 16<<10 {
+		t.Errorf("re-tune allocated %.0f bytes, want <= %d", bytes, 16<<10)
+	}
+}
+
 // BenchmarkTuneMemoizedCold measures a full Mist-space search with the
 // evaluation cache on: the analyzer prices the unique-evals metric's
 // worth of candidates and the rest of the candidates metric is served as
@@ -225,27 +268,36 @@ func BenchmarkTuneHetero(b *testing.B) {
 func BenchmarkTuneUncached(b *testing.B) { benchTuneCold(b, core.MistSpace(), true) }
 
 // BenchmarkTuneMemoizedWarm is the serving scenario (cmd/mistserve):
-// re-searching a workload whose evaluations are already memoized. Every
-// candidate is a cache hit, so this bounds the steady-state cost of
-// repeated tuning traffic; compare against BenchmarkTuneUncached for
-// the cached-vs-uncached speedup.
+// every iteration re-tunes a workload whose evaluations are already
+// memoized through a fresh core.NewShared tuner over one shared analyzer
+// and cache, as each /tune of a known fingerprint does. Every candidate
+// is a cache hit, so this bounds the steady-state cost of repeated tuning
+// traffic, tuner construction included; compare against
+// BenchmarkTuneUncached for the cached-vs-uncached speedup.
 func BenchmarkTuneMemoizedWarm(b *testing.B) {
 	w, cl := benchWorkload()
-	tn, err := core.New(w, cl, core.MistSpace())
+	first, err := core.New(w, cl, core.MistSpace())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := tn.Tune(); err != nil { // warm the memo store
-		b.Fatal(err)
+	cache := evalcache.New(first.An)
+	retune := func() *core.Result {
+		tn, err := core.NewShared(w, cl, first.An, core.MistSpace(), cache)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := tn.Tune()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
 	}
+	retune() // warm the memo store
 	b.ReportAllocs()
 	b.ResetTimer()
 	var res *core.Result
 	for i := 0; i < b.N; i++ {
-		res, err = tn.Tune()
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = retune()
 	}
 	b.ReportMetric(res.CacheHitRate(), "hit-rate")
 }

@@ -77,8 +77,9 @@ type pointBlock struct{ pts []point }
 
 var pointBlockPool = sync.Pool{New: func() any { return new(pointBlock) }}
 
-// release returns sc to the pool without the request's knob sets, and its
-// blocks to theirs.
+// release returns sc to the pool without the window's knob sets (a pooled
+// scratch must not keep a dropped analyzer's grids alive), and its blocks
+// to theirs.
 func (sc *sweepScratch) release() {
 	clear(sc.sets[:cap(sc.sets)])
 	for _, b := range sc.blocks {

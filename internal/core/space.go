@@ -27,11 +27,9 @@ type Space struct {
 	// ZeROLevels lists the allowed ZeRO levels (always include 0).
 	ZeROLevels []int
 
-	// Offloading toggles (Table 1 columns P, G, O, A).
+	// Offloading toggles (Table 1 columns P, G, O, A): each enabled ratio
+	// is swept over {0, ½, 1} (schedule.Analyzer.KnobGrid).
 	TuneWO, TuneGO, TuneOO, TuneAO bool
-
-	// OffloadGrid is the ratio grid swept for each enabled offload knob.
-	OffloadGrid []float64
 
 	// ImbalanceAware selects the Eq. 1 objective; false uses the averaged
 	// objective of prior planners (Shortcoming #3 ablation).
@@ -60,22 +58,17 @@ type Space struct {
 	HeterogeneousDevices bool
 }
 
-func defaultGrid() []float64  { return []float64{0, 0.5, 1} }
-func defaultFracs() []float64 { return []float64{0, 0.25, 0.5, 0.75, 1} }
-
-func (s Space) offloadGrid() []float64 {
-	if len(s.OffloadGrid) == 0 {
-		return defaultGrid()
-	}
-	return s.OffloadGrid
-}
+var (
+	fullCkpt     = []float64{1} // full recomputation
+	defaultFracs = []float64{0, 0.25, 0.5, 0.75, 1}
+)
 
 func (s Space) ckptFractions() []float64 {
 	if !s.TuneCkpt {
-		return []float64{1} // full recomputation
+		return fullCkpt
 	}
 	if len(s.CkptFractions) == 0 {
-		return defaultFracs()
+		return defaultFracs
 	}
 	return s.CkptFractions
 }

@@ -23,10 +23,9 @@ import (
 )
 
 // Tuner is Mist's automatic distributed-training optimizer for one
-// workload on one cluster, restricted to a Space. Its fields are of three
-// kinds, in this order: configuration, fixed once the tuner is built; the
-// knob-set memo shared by every search on the tuner; and the state of the
-// one search that is running.
+// workload on one cluster, restricted to a Space. Its fields are of two
+// kinds, in this order: configuration, fixed once the tuner is built; and
+// the state of the one search that is running.
 type Tuner struct {
 	W       plan.Workload
 	Cluster *hardware.Cluster
@@ -58,12 +57,6 @@ type Tuner struct {
 	// reference. The chosen plan is identical either way.
 	disableIncumbent bool
 
-	// knobSets memoizes the prepared knob set per layer count: the
-	// batch depends only on (Space, layers), so it is built once and
-	// shared by every (S, G) worker and every search on this tuner.
-	knobMu   sync.Mutex
-	knobSets map[int]*evalcache.KnobSet
-
 	// One search's state (see incumbent.go): the incumbent bound — +Inf
 	// until a pair has a solution, lowered by every completed wave of
 	// pairs and written only between waves — and the two counters the
@@ -86,65 +79,22 @@ func (t *Tuner) backend() evalcache.Evaluator {
 	return t.ev
 }
 
-// knobSet returns the prepared knob set for one layer count, building
-// it on first use: the checkpoint grid is quantized to the layer count
-// and crossed with the space's offload-ratio grids (identical to the
-// enumeration the intra-stage sweep always used, hoisted out of the
-// per-(stage, layer) hot path).
+// knobSet returns the knob grid of one layer count: the space's
+// checkpoint fractions quantized to the layer count, deduplicated (a small
+// layer count folds neighbours together) and sorted, crossed with its
+// offload ratios. The analyzer builds each grid once and hands every
+// tuner the same set.
 func (t *Tuner) knobSet(layers int) *evalcache.KnobSet {
-	t.knobMu.Lock()
-	defer t.knobMu.Unlock()
-	if ks, ok := t.knobSets[layers]; ok {
-		return ks
-	}
-	grid := t.Space.offloadGrid()
-	zeroOnly := []float64{0}
-	woGrid, goGrid, ooGrid, aoGrid := zeroOnly, zeroOnly, zeroOnly, zeroOnly
-	if t.Space.TuneWO {
-		woGrid = grid
-	}
-	if t.Space.TuneGO {
-		goGrid = grid
-	}
-	if t.Space.TuneOO {
-		ooGrid = grid
-	}
-	if t.Space.TuneAO {
-		aoGrid = grid
-	}
-
-	// Checkpoint grid for this layer count: the fractions quantized,
-	// deduplicated (a small layer count folds neighbours together), sorted.
-	fracs := t.Space.ckptFractions()
-	ckpts := make([]int, 0, len(fracs))
-	for _, f := range fracs {
+	var buf [8]int
+	ckpts := buf[:0]
+	for _, f := range t.Space.ckptFractions() {
 		c := min(max(int(f*float64(layers)+0.5), 0), layers)
 		if !slices.Contains(ckpts, c) {
 			ckpts = append(ckpts, c)
 		}
 	}
 	slices.Sort(ckpts)
-
-	knobs := make([]schedule.Knobs, 0, len(ckpts)*len(woGrid)*len(goGrid)*len(ooGrid)*len(aoGrid))
-	for _, ck := range ckpts {
-		for _, wo := range woGrid {
-			for _, gov := range goGrid {
-				for _, oo := range ooGrid {
-					for _, ao := range aoGrid {
-						knobs = append(knobs, schedule.Knobs{
-							Layers: layers, Ckpt: ck, WO: wo, GO: gov, OO: oo, AO: ao,
-						})
-					}
-				}
-			}
-		}
-	}
-	ks := evalcache.NewKnobSet(knobs)
-	if t.knobSets == nil {
-		t.knobSets = map[int]*evalcache.KnobSet{}
-	}
-	t.knobSets[layers] = ks
-	return ks
+	return t.An.KnobGrid(layers, ckpts, [4]bool{t.Space.TuneWO, t.Space.TuneGO, t.Space.TuneOO, t.Space.TuneAO})
 }
 
 // pairWave caps how many (S, G) pairs search concurrently between two

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -935,6 +936,117 @@ func TestCacheWarmSecondSearch(t *testing.T) {
 	if got := r2.EvalCacheHits + r2.EvalCacheMisses; got != uint64(r2.Candidates) {
 		t.Errorf("second search hits+misses %d != candidates %d", got, r2.Candidates)
 	}
+}
+
+// setRecorder records every knob set the search hands its backend.
+type setRecorder struct {
+	evalcache.Evaluator
+	mu   sync.Mutex
+	sets map[*evalcache.KnobSet]bool
+}
+
+func (r *setRecorder) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, dsts [][]schedule.Result, sc *evalcache.Scratch) error {
+	r.mu.Lock()
+	for _, set := range sets {
+		r.sets[set] = true
+	}
+	r.mu.Unlock()
+	return r.Evaluator.EvaluateSets(s, sets, dsts, sc)
+}
+
+// The knob grid is the analyzer's, not the tuner's: a NewShared tuner and
+// a Tuner literal over one analyzer get the same set for a layer count,
+// and a second search on a fresh tuner prices nothing but the sets the
+// first one did — it builds no knob set of its own, so its rows are the
+// first search's, and it misses nothing.
+func TestTunersOfOneAnalyzerShareItsKnobGrids(t *testing.T) {
+	w, cl := testWorkload("gpt3-2.7b", 8), l4(t, 8)
+	first, err := New(w, cl, MistSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := first.ev.(*evalcache.Cache)
+	shared, err := NewShared(w, cl, first.An, MistSpace(), cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	literal := &Tuner{W: w, Cluster: cl, An: first.An, Space: MistSpace()}
+	for _, l := range []int{1, 8, 32} {
+		if a, b := shared.knobSet(l), literal.knobSet(l); a != b {
+			t.Errorf("layer count %d: a NewShared tuner and a Tuner literal got different knob sets", l)
+		}
+	}
+
+	rec := &setRecorder{Evaluator: cache, sets: map[*evalcache.KnobSet]bool{}}
+	first.ev = rec
+	if _, err := first.Tune(); err != nil {
+		t.Fatal(err)
+	}
+	seen := rec.sets
+	if len(seen) == 0 {
+		t.Fatal("the first search priced no knob set")
+	}
+	second, err := NewShared(w, cl, first.An, MistSpace(), cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = &setRecorder{Evaluator: cache, sets: map[*evalcache.KnobSet]bool{}}
+	second.ev = rec // the search reports no cache traffic through a wrapper: read the cache's own counters
+	before := cache.Stats()
+	res, err := second.Tune()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for set := range rec.sets {
+		if !seen[set] {
+			t.Errorf("the second search priced a %d-knob set the first never did", set.Len())
+		}
+	}
+	if st := cache.Stats(); st.Misses != before.Misses || st.Hits-before.Hits != uint64(res.Candidates) {
+		t.Errorf("second search: %d misses, %d hits over %d candidates; want all hits",
+			st.Misses-before.Misses, st.Hits-before.Hits, res.Candidates)
+	}
+}
+
+// A uniform-heuristic search prices each stage replica as a single
+// candidate, and the cache stores none of them: what the search leaves in
+// its cache is its grid rows, 56 538 points at about 24.5 bytes each with
+// the row map's share (1.4 MB) — not a row, a set and a map slot for each
+// of its 82 587 replicas too (125 B a held point, 17.3 MB, while they were
+// kept).
+func TestUniformSearchCacheHoldsOnlyGridRows(t *testing.T) {
+	w, cl := testWorkload("gpt3-7b", 128), l4(t, 16)
+	warm, err := New(w, cl, UniformHeuristicSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Tune(); err != nil { // the analyzer's traces, programs and grids
+		t.Fatal(err)
+	}
+	cache := evalcache.New(warm.An)
+	tn, err := NewShared(w, cl, warm.An, UniformHeuristicSpace(), cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := tn.Tune()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(cache)
+	held := cache.Len()
+	if held == 0 || held >= res.Candidates {
+		t.Errorf("cache holds %d points for %d candidates: want the grid rows, not the replicas", held, res.Candidates)
+	}
+	perPoint := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(max(held, 1))
+	if perPoint > 40 {
+		t.Errorf("the search left %.0f B of heap per held point (%d points), want <= 40", perPoint, held)
+	}
+	t.Logf("%d candidates, %d points held, %.1f B of heap per held point", res.Candidates, held, perPoint)
 }
 
 // TuneContext honors cancellation: a pre-canceled context aborts without

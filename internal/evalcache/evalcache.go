@@ -2,9 +2,9 @@
 // concurrency-safe row store. The hierarchical tuner prices the same
 // stage shape under the same knob grid many times — middle pipeline
 // stages with equal in-flight depth enumerate identical candidate grids,
-// the uniform heuristic replicates one configuration across every stage,
-// and heterogeneous device search re-sweeps the same meshes per stage —
-// so a shared cache converts that repetition into lookups.
+// heterogeneous device search re-sweeps the same meshes per stage, and a
+// re-tune of a known workload repeats a whole search — so a shared cache
+// converts that repetition into lookups.
 //
 // The unit of storage is a row: the results of one canonical stage shape
 // under one whole KnobSet, in set order. The tuner prices a stage shape
@@ -14,37 +14,34 @@
 // that shares work across them (schedule.Analyzer.EvaluateSets). Rows are
 // keyed per set, not per window: under heterogeneous device assignment
 // one canonical shape meets overlapping windows, and only per-set rows
-// serve the layer counts they share. A single candidate is a row of one
-// through the same store.
+// serve the layer counts they share.
 //
-// Keys are canonical: schedule.StageShape.Canonical collapses shapes
-// that provably evaluate identically (ZeRO under DP = 1; stage position,
-// depth and accumulation combinations with the same in-flight count),
-// and a KnobSet is identified by its exact ordered content, interned to a
-// small id on the set's first use with a cache — content is compared in
-// full, a colliding hash never aliases two sets.
+// Keys are (canonical shape, *KnobSet): schedule.StageShape.Canonical
+// collapses shapes that provably evaluate identically (ZeRO under DP = 1;
+// stage position, depth and accumulation combinations with the same
+// in-flight count), and a set is identified by its pointer. The tuner's
+// sets are its analyzer's knob grids (schedule.Analyzer.KnobGrid), one
+// *KnobSet per grid for the analyzer's lifetime, and a cache answers for
+// one analyzer, so for every tuner the pointer is the content. A set a
+// caller builds itself (NewKnobSet) hits only through that same pointer.
+//
+// A single candidate (Evaluate) is priced on the backend and stored
+// nowhere: the points a search asks for one at a time — the uniform
+// heuristic's stage replicas, a plan's re-pricing — rarely repeat, and a
+// row of one would cost far more than the 24-byte result it holds.
 //
 // One sync.RWMutex guards the store. A cold full-space search publishes
 // tens to thousands of rows (405 points each), so lock traffic is per
 // window and the tuner's nested (S, G) × intra-stage worker fan-out does
 // not serialize on it. Two workers missing the same row both price it and
-// both count misses; the first to publish wins.
-//
-// What row granularity gives up: a point is found only through a set
-// with identical content, so two knob sets that overlap partially share
-// nothing (the serving layer lets search spaces share a cache; a
-// one-knob baseline row does not hit the full-space row containing that
-// point), and Len counts results held, a point once per row it appears
-// in. Sets reaching one cache from one search space are identical or
-// disjoint — knob content includes the layer count — so no tuner traffic
-// loses a hit.
+// both count misses; the first to publish wins. Len counts results held,
+// a point once per row it appears in.
 //
 // Counter discipline: Hits and Misses are incremented only after the
 // pricing they describe has succeeded. A row whose underlying evaluator
-// call errors is not stored and contributes nothing — not the duplicate
-// hits it would have served, not the misses it attempted — so on an
-// error-free search the counters reconcile exactly with the candidates
-// the caller priced.
+// call errors is not stored and contributes nothing, so on an error-free
+// search the counters reconcile exactly with the candidates the caller
+// priced.
 //
 // The cache is scoped to one analyzer configuration (model, sequence,
 // cluster, interference fit, Serialize flag): callers must not share a
@@ -52,7 +49,6 @@
 package evalcache
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -95,26 +91,16 @@ func NewKnobSet(ks []schedule.Knobs) *KnobSet { return schedule.NewBatch(ks) }
 // rowKey identifies one stored row.
 type rowKey struct {
 	shape schedule.StageShape // canonical
-	set   uint32              // interned KnobSet content
-}
-
-// internedSet is one entry of the content-interning table. knobs is the
-// first-resolved set's (immutable) backing slice, kept so later sets are
-// matched on exact content.
-type internedSet struct {
-	knobs []schedule.Knobs
-	id    uint32
+	set   *KnobSet
 }
 
 // Cache is a memoizing, concurrency-safe Evaluator decorator.
 type Cache struct {
 	ev Evaluator
 
-	mu    sync.RWMutex
-	sets  map[uint64][]internedSet // KnobSet.hash -> the contents sharing it
-	nsets uint32
-	rows  map[rowKey][]schedule.Result // immutable once published
-	held  int                          // results across all rows
+	mu   sync.RWMutex
+	rows map[rowKey][]schedule.Result // immutable once published
+	held int                          // results across all rows
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -122,11 +108,7 @@ type Cache struct {
 
 // New wraps an evaluator with a fresh cache.
 func New(ev Evaluator) *Cache {
-	return &Cache{
-		ev:   ev,
-		sets: make(map[uint64][]internedSet),
-		rows: make(map[rowKey][]schedule.Result),
-	}
+	return &Cache{ev: ev, rows: make(map[rowKey][]schedule.Result)}
 }
 
 // Backend exposes the wrapped evaluator. The serving layer's cache
@@ -160,45 +142,14 @@ func (c *Cache) Len() int {
 	return c.held
 }
 
-// setID returns the set's interned content id against this cache,
-// resolving it on the set's first use here and memoizing it on the set.
-// Resolution is deterministic per cache (each content gets one stable
-// id), so a racing re-resolution publishes an identical value and
-// last-write-wins is safe. A set alternating between caches (which no
-// current caller does) would re-resolve on each switch — correct, just
-// unmemoized.
-func (c *Cache) setID(s *KnobSet) uint32 {
-	if m := s.Memo.Load(); m != nil && m.Owner == c {
-		return m.ID
-	}
-	c.mu.Lock()
-	id, known := uint32(0), false
-	for _, e := range c.sets[s.Hash()] {
-		if slices.Equal(e.knobs, s.Knobs()) {
-			id, known = e.id, true
-			break
-		}
-	}
-	if !known {
-		id = c.nsets
-		c.nsets++
-		c.sets[s.Hash()] = append(c.sets[s.Hash()], internedSet{knobs: s.Knobs(), id: id})
-	}
-	c.mu.Unlock()
-	s.Memo.Store(&schedule.BatchMemo{Owner: c, ID: id})
-	return id
-}
-
-// Evaluate prices one candidate as a row of one. Errors are not cached
-// or counted: an invalid point re-queries the analyzer (cheap — it fails
-// validation before any pricing).
+// Evaluate prices one candidate on the backend and counts one miss once
+// it has priced; nothing is stored (see the package comment).
 func (c *Cache) Evaluate(shape schedule.StageShape, k schedule.Knobs) (schedule.Result, error) {
-	var sc Scratch
-	rs, err := c.EvaluateSet(shape, NewKnobSet([]schedule.Knobs{k}), nil, &sc)
-	if err != nil {
-		return schedule.Result{}, err
+	r, err := c.ev.Evaluate(shape, k)
+	if err == nil {
+		c.misses.Add(1)
 	}
-	return rs[0], nil
+	return r, err
 }
 
 // EvaluateSet is EvaluateSets over a list of one; the returned slice
@@ -224,20 +175,13 @@ func (c *Cache) EvaluateSet(shape schedule.StageShape, set *KnobSet, dst []sched
 // succeeded.
 func (c *Cache) EvaluateSets(shape schedule.StageShape, sets []*KnobSet, dsts [][]schedule.Result, sc *Scratch) error {
 	key := rowKey{shape: shape.Canonical()}
-	// A layer window is five sets: both working lists stay on the stack.
-	var (
-		idBuf  [8]uint32
-		rowBuf [8][]schedule.Result
-	)
-	ids, rows := idBuf[:0], rowBuf[:0] // rows[i]: the stored or freshly priced row, nil while missing
-	for _, set := range sets {
-		ids = append(ids, c.setID(set)) // may take the write lock: resolved before the probe
-	}
+	var rowBuf [8][]schedule.Result // a layer window is five sets: on the stack
+	rows := rowBuf[:0]              // rows[i]: the stored or freshly priced row, nil while missing
 	var hits, misses uint64
 	nMissed := 0
 	c.mu.RLock()
-	for _, id := range ids {
-		key.set = id
+	for _, set := range sets {
+		key.set = set
 		row := c.rows[key]
 		if row == nil {
 			nMissed++
@@ -265,13 +209,12 @@ func (c *Cache) EvaluateSets(shape schedule.StageShape, sets []*KnobSet, dsts []
 				continue
 			}
 			rows[i], fresh = fresh[0], fresh[1:]
-			key.set = ids[i]
+			key.set = set
 			if _, raced := c.rows[key]; !raced { // first publish wins; the loser's row is identical
 				c.rows[key] = rows[i]
 				c.held += len(rows[i])
 			}
-			misses += uint64(set.Distinct())
-			hits += uint64(set.Len() - set.Distinct()) // in-set duplicates, priced once
+			misses += uint64(set.Len())
 		}
 		c.mu.Unlock()
 	}

@@ -38,7 +38,7 @@ func testShape() schedule.StageShape {
 type countingEvaluator struct {
 	ev      Evaluator
 	singles atomic.Int64
-	batched atomic.Int64 // total distinct knob points priced via EvaluateSets
+	batched atomic.Int64 // total knob points priced via EvaluateSets
 	calls   atomic.Int64 // EvaluateSets calls
 }
 
@@ -50,44 +50,46 @@ func (ce *countingEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (
 func (ce *countingEvaluator) EvaluateSets(s schedule.StageShape, sets []*KnobSet, dsts [][]schedule.Result, sc *Scratch) error {
 	ce.calls.Add(1)
 	for _, set := range sets {
-		ce.batched.Add(int64(set.Distinct()))
+		ce.batched.Add(int64(set.Len()))
 	}
 	return ce.ev.EvaluateSets(s, sets, dsts, sc)
 }
 
-// evaluateBatch prices an ad-hoc knob slice as a row of its own: a fresh
-// KnobSet per call, the way Cache.Evaluate builds its row of one.
-func evaluateBatch(ev Evaluator, s schedule.StageShape, ks []schedule.Knobs) ([]schedule.Result, error) {
+// evaluateSet prices one set as a row through ev.
+func evaluateSet(ev Evaluator, s schedule.StageShape, set *KnobSet) ([]schedule.Result, error) {
 	var sc Scratch
 	dsts := [][]schedule.Result{nil}
-	err := ev.EvaluateSets(s, []*KnobSet{NewKnobSet(ks)}, dsts, &sc)
+	err := ev.EvaluateSets(s, []*KnobSet{set}, dsts, &sc)
 	return dsts[0], err
 }
 
+// A set priced twice through one cache is served from its row the second
+// time, with the analyzer's own values.
 func TestCacheHitReturnsIdenticalResult(t *testing.T) {
 	an := newTestAnalyzer(t)
 	ce := &countingEvaluator{ev: an}
 	c := New(ce)
 	shape := testShape()
 	k := schedule.Knobs{Layers: 32, Ckpt: 16, AO: 0.5}
+	set := NewKnobSet([]schedule.Knobs{k})
 
-	r1, err := c.Evaluate(shape, k)
+	r1, err := evaluateSet(c, shape, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.Evaluate(shape, k)
+	r2, err := evaluateSet(c, shape, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1 != r2 {
-		t.Errorf("cached result %+v != first result %+v", r2, r1)
+	if r1[0] != r2[0] {
+		t.Errorf("cached result %+v != first result %+v", r2[0], r1[0])
 	}
 	direct, err := an.Evaluate(shape, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2 != direct {
-		t.Errorf("cached result %+v != direct analyzer result %+v", r2, direct)
+	if r2[0] != direct {
+		t.Errorf("cached result %+v != direct analyzer result %+v", r2[0], direct)
 	}
 	if got := ce.singles.Load() + ce.batched.Load(); got != 1 {
 		t.Errorf("underlying evaluator priced %d points, want 1", got)
@@ -101,18 +103,55 @@ func TestCacheHitReturnsIdenticalResult(t *testing.T) {
 	}
 }
 
+// A single candidate is priced on the backend and stored nowhere: the
+// cache's size does not move, the pricing counts as one miss, even for a
+// point a stored row holds, and the call allocates what the analyzer's own
+// Evaluate does and nothing more (no set, no row).
+func TestEvaluateStoresNothing(t *testing.T) {
+	an := newTestAnalyzer(t)
+	ce := &countingEvaluator{ev: an}
+	c := New(ce)
+	shape := testShape()
+	k := schedule.Knobs{Layers: 32, Ckpt: 8, WO: 0.5}
+	if _, err := evaluateSet(c, shape, NewKnobSet([]schedule.Knobs{{Layers: 32}, k})); err != nil {
+		t.Fatal(err)
+	}
+	held, before := c.Len(), c.Stats()
+	r, err := c.Evaluate(shape, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct, _ := an.Evaluate(shape, k); r != direct {
+		t.Errorf("Evaluate %+v != direct analyzer result %+v", r, direct)
+	}
+	if c.Len() != held {
+		t.Errorf("Evaluate changed Len %d -> %d", held, c.Len())
+	}
+	if st := c.Stats(); st.Misses != before.Misses+1 || st.Hits != before.Hits {
+		t.Errorf("stats %+v after %+v, want exactly one more miss", st, before)
+	}
+	if ce.singles.Load() != 1 {
+		t.Errorf("backend saw %d single pricings, want 1", ce.singles.Load())
+	}
+	bare := testing.AllocsPerRun(50, func() { an.Evaluate(shape, k) })
+	if cached := testing.AllocsPerRun(50, func() { c.Evaluate(shape, k) }); cached != bare {
+		t.Errorf("Cache.Evaluate allocated %v times, the analyzer's Evaluate %v", cached, bare)
+	}
+}
+
 // Canonicalization: shapes built differently but provably equivalent
 // must share one row, and shapes that can price differently must not.
 func TestCanonicalKeyCollapsesEquivalentShapes(t *testing.T) {
 	an := newTestAnalyzer(t)
 	k := schedule.Knobs{Layers: 8, Ckpt: 4, AO: 0.5}
-	// sharesRow prices a then b through a fresh cache and reports whether
-	// b was served from a's row.
+	set := NewKnobSet([]schedule.Knobs{k})
+	// sharesRow prices set under a then b through a fresh cache and
+	// reports whether b was served from a's row.
 	sharesRow := func(a, b schedule.StageShape) bool {
 		t.Helper()
 		c := New(an)
 		for _, s := range []schedule.StageShape{a, b} {
-			if _, err := c.Evaluate(s, k); err != nil {
+			if _, err := evaluateSet(c, s, set); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -152,17 +191,17 @@ func TestCanonicalKeyCollapsesEquivalentShapes(t *testing.T) {
 	if sharesRow(single, deep) {
 		t.Error("single-stage and pipelined shapes must not collapse")
 	}
-	// Different knobs never collapse.
+	// Different sets never share a row.
 	c := New(an)
 	k2 := k
 	k2.WO = 0.5
-	for _, kk := range []schedule.Knobs{k, k2} {
-		if _, err := c.Evaluate(a, kk); err != nil {
+	for _, s := range []*KnobSet{set, NewKnobSet([]schedule.Knobs{k2})} {
+		if _, err := evaluateSet(c, a, s); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 {
-		t.Errorf("different knobs shared a row: %+v", st)
+		t.Errorf("different sets shared a row: %+v", st)
 	}
 }
 
@@ -201,10 +240,10 @@ func TestCanonicalShapesEvaluateIdentically(t *testing.T) {
 	}
 }
 
-// Ad-hoc batches are rows of their own: an identical batch is served
-// whole from the store, in-batch duplicates are priced once and counted
-// as hits, and a batch that merely overlaps an earlier one shares nothing
-// with it (row granularity; see the package comment).
+// Rows are keyed by set: a repeat of a set is served whole from its row,
+// in-set duplicates are priced entry by entry (each a miss the first
+// time), and a set that merely overlaps an earlier one shares nothing
+// with it.
 func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 	an := newTestAnalyzer(t)
 	ce := &countingEvaluator{ev: an}
@@ -215,14 +254,14 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 		{Layers: 32, Ckpt: 0},
 		{Layers: 32, Ckpt: 8},
 	}
-	if _, err := evaluateBatch(c, shape, warm); err != nil {
+	if _, err := evaluateSet(c, shape, NewKnobSet(warm)); err != nil {
 		t.Fatal(err)
 	}
 	if got := ce.batched.Load(); got != 2 {
 		t.Fatalf("warmup priced %d points, want 2", got)
 	}
 
-	// Overlaps the warm batch and repeats one of its own entries.
+	// Overlaps the warm set and repeats one of its own entries.
 	mixed := []schedule.Knobs{
 		{Layers: 32, Ckpt: 0},
 		{Layers: 32, Ckpt: 16},
@@ -230,8 +269,9 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 		{Layers: 32, Ckpt: 16}, // duplicate of entry 1
 		{Layers: 32, Ckpt: 24},
 	}
-	for pass, wantPriced := range []int64{2 + 4, 2 + 4} { // first pass prices the 4 distinct entries, second nothing
-		rs, err := evaluateBatch(c, shape, mixed)
+	set := NewKnobSet(mixed)
+	for pass, wantPriced := range []int64{2 + 5, 2 + 5} { // first pass prices all 5 entries, second nothing
+		rs, err := evaluateSet(c, shape, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,74 +284,20 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 				t.Fatal(err)
 			}
 			if rs[i] != direct {
-				t.Errorf("pass %d: batch[%d] %+v != direct %+v", pass, i, rs[i], direct)
+				t.Errorf("pass %d: set[%d] %+v != direct %+v", pass, i, rs[i], direct)
 			}
 		}
 	}
-	// warm: 2 misses. mixed cold: 4 misses + 1 duplicate hit. mixed again: 5 hits.
+	// warm: 2 misses. mixed cold: 5 misses. mixed again: 5 hits.
 	st := c.Stats()
-	if st.Hits != 6 || st.Misses != 6 {
-		t.Errorf("stats %+v, want 6 hits / 6 misses", st)
+	if st.Hits != 5 || st.Misses != 7 {
+		t.Errorf("stats %+v, want 5 hits / 7 misses", st)
 	}
 	if got, want := st.Hits+st.Misses, uint64(len(warm)+2*len(mixed)); got != want {
 		t.Errorf("hits+misses = %d, want the %d candidates priced", got, want)
 	}
 	if c.Len() != len(warm)+len(mixed) {
 		t.Errorf("cache holds %d results, want %d (one per row entry)", c.Len(), len(warm)+len(mixed))
-	}
-}
-
-// Rows are keyed by knob-set content, not by KnobSet object: a second
-// set with the same entries is served from the first one's row, a set
-// whose content differs is not — even when its hash collides.
-func TestSetIdentityIsExactContent(t *testing.T) {
-	an := newTestAnalyzer(t)
-	c := New(an)
-	shape := testShape()
-	knobs := []schedule.Knobs{
-		{Layers: 32, Ckpt: 0},
-		{Layers: 32, Ckpt: 8, AO: 0.5},
-		{Layers: 32, Ckpt: 16, WO: 1},
-	}
-	var sc Scratch
-	first, err := c.EvaluateSet(shape, NewKnobSet(knobs), nil, &sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := c.EvaluateSet(shape, NewKnobSet(knobs), nil, &sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Misses != 3 || st.Hits != 3 {
-		t.Errorf("identical content from a second KnobSet: stats %+v, want 3 misses / 3 hits", st)
-	}
-	for i := range first {
-		if first[i] != again[i] {
-			t.Errorf("entry %d: hit %+v != first pricing %+v", i, again[i], first[i])
-		}
-	}
-
-	// Same length, same hash bucket (forced: the first set's interned
-	// entry is filed under the other's hash too), different content.
-	other := append([]schedule.Knobs(nil), knobs...)
-	other[1].AO = 1
-	collide := NewKnobSet(other)
-	c.sets[collide.Hash()] = append(c.sets[collide.Hash()], c.sets[NewKnobSet(knobs).Hash()]...)
-	rs, err := c.EvaluateSet(shape, collide, nil, &sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Misses != 6 {
-		t.Errorf("colliding set was served from another set's row: stats %+v, want 6 misses", st)
-	}
-	for i, k := range other {
-		direct, err := an.Evaluate(shape, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs[i] != direct {
-			t.Errorf("colliding set entry %d: %+v != direct %+v", i, rs[i], direct)
-		}
 	}
 }
 
@@ -369,22 +355,21 @@ func TestErrorRowNeitherStoredNorCounted(t *testing.T) {
 	if st := c.Stats(); st != (Stats{}) || c.Len() != 0 {
 		t.Errorf("failed row left a trace: stats %+v len %d", st, c.Len())
 	}
-	// The same valid entries in a set of their own still price normally:
-	// the duplicate once, as a hit.
+	// The same valid entries in a set of their own still price normally,
+	// entry by entry.
 	if _, err := c.EvaluateSet(testShape(), NewKnobSet([]schedule.Knobs{good, good}), nil, &sc); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 || c.Len() != 2 {
-		t.Errorf("stats %+v len %d, want 1 miss / 1 hit / 2 held", st, c.Len())
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 || c.Len() != 2 {
+		t.Errorf("stats %+v len %d, want 2 misses / 0 hits / 2 held", st, c.Len())
 	}
 }
 
-// TestKnobSetSharedAcrossCaches pins the ownership of the set-id memo:
-// the interned id lives on the (request-scoped) KnobSet, keyed by the
-// cache that resolved it — and a set re-priced through a second cache
-// with a different interning order must re-resolve rather than reuse
-// the first cache's id (which would alias a foreign row and serve wrong
-// results).
+// TestKnobSetSharedAcrossCaches: one set priced through two caches over
+// the same analyzer gets a row in each — a row lives in the cache that
+// priced it, never on the set — so the second cache prices the set
+// itself, and its single Evaluate beforehand stored nothing for it to
+// find.
 func TestKnobSetSharedAcrossCaches(t *testing.T) {
 	an := newTestAnalyzer(t)
 	c1, c2 := New(an), New(an)
@@ -394,10 +379,7 @@ func TestKnobSetSharedAcrossCaches(t *testing.T) {
 		{Layers: 32, Ckpt: 8},
 	}
 	set := NewKnobSet(knobs)
-
-	// Skew c2's set-id assignment (the row of one interns first) so the
-	// same set resolves to different ids on the two caches.
-	if _, err := c2.Evaluate(shape, schedule.Knobs{Layers: 32, Ckpt: 16}); err != nil {
+	if _, err := c2.Evaluate(shape, knobs[1]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -419,16 +401,16 @@ func TestKnobSetSharedAcrossCaches(t *testing.T) {
 		}
 	}
 	check(c1, "first cache, cold")
-	check(c2, "second cache after memo on first") // must re-resolve, not alias c1's ids
+	check(c2, "second cache, after the first stored the set's row")
 	check(c1, "back on first cache")
 
-	// Both caches priced the two points exactly once each; the third
+	// Both caches priced the set's two points exactly once each; the third
 	// sweep was pure hits on c1.
-	if st := c1.Stats(); st.Misses != 2 || st.Hits != 2 {
-		t.Errorf("c1 stats %+v, want 2 misses / 2 hits", st)
+	if st := c1.Stats(); st.Misses != 2 || st.Hits != 2 || c1.Len() != 2 {
+		t.Errorf("c1 stats %+v len %d, want 2 misses / 2 hits / 2 held", st, c1.Len())
 	}
-	if st := c2.Stats(); st.Misses != 3 || st.Hits != 0 {
-		t.Errorf("c2 stats %+v, want 3 misses / 0 hits", st)
+	if st := c2.Stats(); st.Misses != 3 || st.Hits != 0 || c2.Len() != 2 {
+		t.Errorf("c2 stats %+v len %d, want 3 misses / 0 hits / 2 held", st, c2.Len())
 	}
 }
 
@@ -442,8 +424,8 @@ func TestEvaluateErrorNotCached(t *testing.T) {
 	if st := c.Stats(); st.Misses != 0 || c.Len() != 0 {
 		t.Errorf("error was cached: stats %+v len %d", st, c.Len())
 	}
-	if _, err := evaluateBatch(c, testShape(), []schedule.Knobs{bad}); err == nil {
-		t.Fatal("invalid batch accepted")
+	if _, err := evaluateSet(c, testShape(), NewKnobSet([]schedule.Knobs{bad})); err == nil {
+		t.Fatal("invalid set accepted")
 	}
 }
 
@@ -453,6 +435,17 @@ func TestConcurrentAccess(t *testing.T) {
 	an := newTestAnalyzer(t)
 	c := New(an)
 	shape := testShape()
+
+	// One shared set per (ckpt, AO) point, paired with a fixed second
+	// entry: the traffic the tuner sends, many goroutines on few sets.
+	var sets [5][3]*KnobSet
+	for ck := range sets {
+		for ao := range sets[ck] {
+			sets[ck][ao] = NewKnobSet([]schedule.Knobs{
+				{Layers: 32, Ckpt: ck * 8, AO: float64(ao) / 2}, {Layers: 32, Ckpt: 8},
+			})
+		}
+	}
 
 	const workers = 8
 	const iters = 40
@@ -464,19 +457,15 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(seed)))
 			for i := 0; i < iters; i++ {
-				k := schedule.Knobs{
-					Layers: 32,
-					Ckpt:   rng.Intn(5) * 8,
-					AO:     float64(rng.Intn(3)) / 2,
-				}
+				set := sets[rng.Intn(5)][rng.Intn(3)]
 				if rng.Intn(2) == 0 {
-					if _, err := c.Evaluate(shape, k); err != nil {
+					if _, err := c.Evaluate(shape, set.Knobs()[0]); err != nil {
 						errs <- fmt.Errorf("worker %d: %w", seed, err)
 						return
 					}
 				} else {
-					if _, err := evaluateBatch(c, shape, []schedule.Knobs{k, {Layers: 32, Ckpt: 8}}); err != nil {
-						errs <- fmt.Errorf("worker %d batch: %w", seed, err)
+					if _, err := evaluateSet(c, shape, set); err != nil {
+						errs <- fmt.Errorf("worker %d set: %w", seed, err)
 						return
 					}
 				}
@@ -488,10 +477,10 @@ func TestConcurrentAccess(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	// 5 ckpt values x 3 AO values: at most 15 rows of one and 15
-	// two-entry batch rows.
-	if c.Len() > 15+2*15 {
-		t.Errorf("cache holds %d results, want <= 45", c.Len())
+	// 5 ckpt values x 3 AO values: at most 15 two-entry rows; single
+	// candidates store nothing.
+	if c.Len() > 2*15 {
+		t.Errorf("cache holds %d results, want <= 30", c.Len())
 	}
 	st := c.Stats()
 	if st.Hits == 0 || st.Misses == 0 {

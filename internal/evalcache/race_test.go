@@ -34,7 +34,7 @@ func (c *syntheticEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (
 func (c *syntheticEvaluator) EvaluateSets(s schedule.StageShape, sets []*KnobSet, dsts [][]schedule.Result, _ *Scratch) error {
 	for i, set := range sets {
 		c.mu.Lock()
-		c.calls += set.Distinct() // a backend prices in-set duplicates once
+		c.calls += set.Len()
 		c.mu.Unlock()
 		dsts[i] = dsts[i][:0]
 		for _, k := range set.Knobs() {
@@ -45,8 +45,8 @@ func (c *syntheticEvaluator) EvaluateSets(s schedule.StageShape, sets []*KnobSet
 }
 
 // TestConcurrentMixedHitMissLoad hammers one cache from many goroutines
-// with overlapping row populations — rows of one through Evaluate, ad-hoc
-// six-entry rows through EvaluateSet — and checks, under the race
+// with overlapping traffic — single candidates through Evaluate, shared
+// six-entry sets through EvaluateSets — and checks, under the race
 // detector (`make race`), that every result is correct and the hit/miss
 // accounting stays exact: each requested point counts as precisely one
 // hit or one miss, whatever the interleaving.
@@ -69,33 +69,41 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 	knobsFor := func(i int) schedule.Knobs {
 		return schedule.Knobs{Layers: 8 + i%4, Ckpt: i % 3, WO: float64(i%2) / 2}
 	}
+	// sets[s]: six consecutive points of the knob cycle from s, one shared
+	// set per rotation.
+	var sets [8]*KnobSet
+	for s := range sets {
+		ks := make([]schedule.Knobs, 6)
+		for i := range ks {
+			ks[i] = knobsFor((s + i) % 8)
+		}
+		sets[s] = NewKnobSet(ks)
+	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	totalRequests := 0
 	for g := 0; g < goroutines; g++ {
-		// Half the goroutines use single-point Evaluate, half batch.
-		useBatch := g%2 == 1
+		// Half the goroutines use single-point Evaluate, half sets.
+		useSet := g%2 == 1
 		perRound := len(shapes) * 6
 		totalRequests += rounds * perRound
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var sc Scratch
 			for r := 0; r < rounds; r++ {
 				for _, sh := range shapes {
-					if useBatch {
-						ks := make([]schedule.Knobs, 6)
-						for i := range ks {
-							ks[i] = knobsFor((g + r + i) % 8)
-						}
-						rs, err := evaluateBatch(c, sh, ks)
+					if useSet {
+						set := sets[(g+r)%8]
+						rs, err := c.EvaluateSet(sh, set, nil, &sc)
 						if err != nil {
 							errs <- err
 							return
 						}
 						for i, res := range rs {
-							if want := syntheticResult(sh, ks[i]); res != want {
-								errs <- fmt.Errorf("batch result mismatch at %d: got %+v want %+v", i, res, want)
+							if want := syntheticResult(sh, set.Knobs()[i]); res != want {
+								errs <- fmt.Errorf("set result mismatch at %d: got %+v want %+v", i, res, want)
 								return
 							}
 						}
@@ -130,11 +138,10 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 	if got := st.Hits + st.Misses; got != uint64(totalRequests) {
 		t.Errorf("hits(%d) + misses(%d) = %d, want exactly %d requests", st.Hits, st.Misses, got, totalRequests)
 	}
-	// The row population bounds the cache size: per shape, 8 rows of one
-	// and 8 six-entry batch rows (one per rotation of the knob cycle).
-	// Misses can exceed Len when two goroutines race the first publish of
-	// a row, but the loser's row must not be stored.
-	if population := len(shapes) * (8 + 8*6); c.Len() > population {
+	// The row population bounds the cache size: per shape, the eight
+	// six-entry sets. Misses can exceed Len when two goroutines race the
+	// first publish of a row, but the loser's row must not be stored.
+	if population := len(shapes) * 8 * 6; c.Len() > population {
 		t.Errorf("cache holds %d results, row population is %d", c.Len(), population)
 	}
 	if st.Hits == 0 || st.Misses == 0 {
@@ -160,8 +167,8 @@ func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
 	c := New(ev)
 
 	// Two shared KnobSets with overlapping knob populations (including
-	// in-set duplicates, which EvaluateSet must dedup) and a handful of
-	// shapes, two of them canonically equivalent.
+	// in-set duplicates, priced entry by entry) and a handful of shapes,
+	// two of them canonically equivalent.
 	mk := func(n, stride int) *KnobSet {
 		ks := make([]schedule.Knobs, n)
 		for i := range ks {
@@ -240,8 +247,7 @@ func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
 	if got := st.Hits + st.Misses; got != requested {
 		t.Errorf("hits(%d) + misses(%d) = %d, want exactly %d requested points", st.Hits, st.Misses, got, requested)
 	}
-	// The backend priced only misses; hits and in-set duplicates came
-	// from the cache.
+	// The backend priced only misses; hits came from the cache.
 	if uint64(ev.calls) != st.Misses {
 		t.Errorf("backend evaluated %d points, cache counted %d misses", ev.calls, st.Misses)
 	}

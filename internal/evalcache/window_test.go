@@ -132,8 +132,8 @@ func TestMissAllocatesItsRowOnly(t *testing.T) {
 	second.B = 4
 	var sc Scratch
 	// Paid outside the measurement: both shapes' programs (through a
-	// throwaway cache), then in c the set's interning, the row map's first
-	// bucket and the buffers' growth.
+	// throwaway cache), then in c the row map's first bucket and the
+	// buffers' growth.
 	for _, shape := range []schedule.StageShape{first, second} {
 		if err := New(an).EvaluateSets(shape, sets, dsts, &sc); err != nil {
 			t.Fatal(err)
@@ -259,8 +259,8 @@ func TestConcurrentWindowPublishRace(t *testing.T) {
 }
 
 // A scratch outlives the calls it serves (the tuner pools them), so it
-// must not hold on to what a call priced: a knob set remembers the cache
-// that interned it, and through it every row that cache stores.
+// must not hold on to the cache a call went through: a pooled scratch
+// would keep a dropped cache and every row it stores alive.
 func TestScratchDoesNotPinCache(t *testing.T) {
 	an := newTestAnalyzer(t)
 	var sc Scratch

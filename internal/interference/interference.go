@@ -199,13 +199,3 @@ func (md *Model) Predict(x Times) float64 {
 	}
 	return total
 }
-
-// PredictBatch applies Predict to a batch of regions, the vectorized form
-// used during intra-stage tuning.
-func (md *Model) PredictBatch(xs []Times) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = md.Predict(x)
-	}
-	return out
-}

@@ -209,17 +209,6 @@ func TestFitDeterministic(t *testing.T) {
 	}
 }
 
-func TestPredictBatch(t *testing.T) {
-	m := NewModel()
-	xs := []Times{{1, 0, 0, 0}, {1, 2, 0, 0}, {0, 0, 3, 4}}
-	got := m.PredictBatch(xs)
-	for i, x := range xs {
-		if got[i] != m.Predict(x) {
-			t.Errorf("batch[%d] mismatch", i)
-		}
-	}
-}
-
 func BenchmarkPredict(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	m := Fit(PCIeFluid(), 10, rng)

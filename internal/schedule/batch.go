@@ -1,9 +1,9 @@
 package schedule
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
-	"sync/atomic"
 )
 
 // tupleGroups partitions a knob batch by offload tuple (WO, GO, OO, AO):
@@ -16,122 +16,94 @@ type tupleGroups struct {
 }
 
 // Batch is an immutable, order-preserving knob batch prepared for pricing
-// under many shapes: one stage shape's whole knob grid, the unit the
-// analyzer prices and the evaluation cache stores (evalcache.KnobSet is
-// this type). It is validated, deduplicated and partitioned by offload
-// tuple once, when it is built, instead of on every EvaluateBatchInto
-// call. The tuner builds one per distinct layer count (the knob grid
-// depends only on the layer count), reuses it across every (stage,
-// shape) sweep, and prices the batches of a stage's layer window
-// together (Analyzer.EvaluateSets).
+// under many shapes: validated and partitioned by offload tuple once, when
+// it is built, instead of on every call. It is the unit the evaluation
+// cache stores (evalcache.KnobSet is this type). The tuner's batches are
+// the analyzer's knob grids (KnobGrid), one per (layer count, checkpoint
+// counts, swept ratios), shared by every tuner of the analyzer; a stage's
+// layer window is priced as a list of them (Analyzer.EvaluateSets). Every
+// entry is priced, duplicates included.
 type Batch struct {
-	knobs []Knobs
-	hash  uint64 // of the ordered content; buckets the cache's set table
-
-	// uniq holds the distinct entries in first-occurrence order and groups
-	// their tuple partition; uniqOf[i] is entry i's position in uniq
-	// (<= i), nil when every entry is distinct (uniq is then knobs itself).
-	// In-set duplicates are priced once.
-	uniq   []Knobs
-	uniqOf []int32
+	knobs  []Knobs
 	groups tupleGroups
 	err    error // the first invalid entry's error, returned by every evaluation
-
-	// Memo belongs to the one consumer that keeps per-batch state: the
-	// evaluation cache parks the batch's interned content id here, so the
-	// memo lives on the (request-scoped) batch, not in the
-	// (process-lifetime) cache. The analyzer never reads it.
-	Memo atomic.Pointer[BatchMemo]
-}
-
-// BatchMemo pairs an Owner's annotation of a batch with the owner, so a
-// batch met by a second owner is recognised as not yet annotated.
-type BatchMemo struct {
-	Owner any
-	ID    uint32
 }
 
 // NewBatch copies ks into a prepared batch.
-func NewBatch(ks []Knobs) *Batch {
-	b := &Batch{knobs: append([]Knobs(nil), ks...)}
-	mix := func(x uint64) { b.hash = (b.hash ^ x) * 1099511628211 } // FNV-1a over words
-	for i := range b.knobs {
-		k := &b.knobs[i]
-		mix(uint64(k.Layers))
-		mix(uint64(k.Ckpt))
-		mix(math.Float64bits(k.WO))
-		mix(math.Float64bits(k.GO))
-		mix(math.Float64bits(k.OO))
-		mix(math.Float64bits(k.AO))
-	}
+func NewBatch(ks []Knobs) *Batch { return prepare(append([]Knobs(nil), ks...)) }
+
+// prepare validates and partitions ks, which the batch then owns.
+func prepare(ks []Knobs) *Batch {
 	var g grouper
-	b.uniq = b.dedup(&g)
-	b.err = g.build(b.uniq)
-	b.groups = g.tupleGroups
+	err := g.build(ks)
+	return &Batch{knobs: ks, groups: g.tupleGroups, err: err}
+}
+
+// Knobs returns the batch's entries in order; callers must not mutate
+// them.
+func (b *Batch) Knobs() []Knobs { return b.knobs }
+
+// Len reports the number of entries.
+func (b *Batch) Len() int { return len(b.knobs) }
+
+// offloadRatios is the value grid of every swept offload ratio.
+var offloadRatios = [...]float64{0, 0.5, 1}
+
+// KnobGrid returns the knob grid of one layer count: each checkpoint count
+// of ckpts (ascending, distinct), crossed ckpt-major with every offload
+// tuple whose WO, GO, OO and AO take the values {0, ½, 1} where sweep is
+// set and 0 elsewhere. The grid is built on first use, and every later
+// call with the same arguments returns the same *Batch, so the tuners of
+// one analyzer share it and the evaluation cache keys rows by it. The
+// grid depends on its arguments alone, nothing Serialize or Intf affects.
+func (a *Analyzer) KnobGrid(layers int, ckpts []int, sweep [4]bool) *Batch {
+	var buf [32]byte // the key, on the stack: a hit allocates nothing
+	key := binary.AppendUvarint(buf[:0], uint64(layers))
+	mask := byte(0)
+	for i, on := range sweep {
+		if on {
+			mask |= 1 << i
+		}
+	}
+	key = append(key, mask)
+	for _, c := range ckpts {
+		key = binary.AppendUvarint(key, uint64(c))
+	}
+	a.gridMu.Lock()
+	defer a.gridMu.Unlock()
+	b := a.grids[string(key)]
+	if b == nil {
+		b = newKnobGrid(layers, ckpts, sweep)
+		if a.grids == nil {
+			a.grids = make(map[string]*Batch)
+		}
+		a.grids[string(key)] = b
+	}
 	return b
 }
 
-// dedup returns the batch's distinct entries in first-occurrence order
-// and fills uniqOf. Entries meet in g's open-addressing table (which build
-// then clears and reuses), and the distinct list and its index are
-// allocated only once a duplicate has been met: the tuner's grids — every
-// request builds its sixteen-odd afresh — have none, and their distinct
-// list is knobs itself.
-func (b *Batch) dedup(g *grouper) []Knobs {
-	n := len(b.knobs)
-	uniq := b.knobs
-	if n < 2 {
-		return uniq
-	}
-	shift, mask := g.table(n)
-	for i := range b.knobs {
-		k := &b.knobs[i]
-		first := int32(-1) // k's first occurrence, when it is not this one
-		for h := knobHash(k) >> shift; ; h = (h + 1) & mask {
-			s := g.slots[h]
-			if s == 0 {
-				g.slots[h] = int32(i) + 1
-				break
-			}
-			if o := &b.knobs[s-1]; o.Layers == k.Layers && o.Ckpt == k.Ckpt && sameTuple(o, k) {
-				first = s - 1
-				break
-			}
-		}
-		if b.uniqOf == nil {
-			if first < 0 {
-				continue
-			}
-			// The first duplicate: every entry before it is distinct.
-			b.uniqOf = make([]int32, n)
-			for j := range b.uniqOf[:i] {
-				b.uniqOf[j] = int32(j)
-			}
-			uniq = append(make([]Knobs, 0, n-1), b.knobs[:i]...)
-		}
-		if first < 0 {
-			b.uniqOf[i] = int32(len(uniq))
-			uniq = append(uniq, *k)
-		} else {
-			b.uniqOf[i] = b.uniqOf[first]
+func newKnobGrid(layers int, ckpts []int, sweep [4]bool) *Batch {
+	var axes [4][]float64
+	for i, on := range sweep {
+		axes[i] = offloadRatios[:1]
+		if on {
+			axes[i] = offloadRatios[:]
 		}
 	}
-	return uniq
+	ks := make([]Knobs, 0, len(ckpts)*len(axes[0])*len(axes[1])*len(axes[2])*len(axes[3]))
+	for _, ck := range ckpts {
+		for _, wo := range axes[0] {
+			for _, gov := range axes[1] {
+				for _, oo := range axes[2] {
+					for _, ao := range axes[3] {
+						ks = append(ks, Knobs{Layers: layers, Ckpt: ck, WO: wo, GO: gov, OO: oo, AO: ao})
+					}
+				}
+			}
+		}
+	}
+	return prepare(ks)
 }
-
-// Knobs returns the batch's entries in order, in-set duplicates
-// included; callers must not mutate them.
-func (b *Batch) Knobs() []Knobs { return b.knobs }
-
-// Len reports the number of entries (including in-set duplicates).
-func (b *Batch) Len() int { return len(b.knobs) }
-
-// Distinct reports the number of distinct entries: what pricing the
-// batch under a new shape costs the analyzer.
-func (b *Batch) Distinct() int { return len(b.uniq) }
-
-// Hash is a hash of the ordered content (equal content, equal hash).
-func (b *Batch) Hash() uint64 { return b.hash }
 
 // grouper builds tupleGroups, keeping its working buffers so a stream of
 // builds allocates nothing once they have grown.
@@ -239,9 +211,4 @@ func tupleHash(k *Knobs) uint64 {
 	h = bits.RotateLeft64(h, 13) ^ math.Float64bits(k.OO)
 	h = bits.RotateLeft64(h, 13) ^ math.Float64bits(k.AO)
 	return h * 0x9E3779B97F4A7C15
-}
-
-// knobHash extends tupleHash to the whole entry.
-func knobHash(k *Knobs) uint64 {
-	return (tupleHash(k) ^ uint64(k.Layers)<<16 ^ uint64(k.Ckpt)) * 0x9E3779B97F4A7C15
 }

@@ -11,8 +11,12 @@ func (a *Analyzer) BuildCounts() (traced, compiled int) {
 // tuple group of a call) the analyzer has run.
 func (a *Analyzer) TuplePasses() int { return int(a.nTuplePasses.Load()) }
 
-// EvaluatePreparedInto is EvaluateSet under the argument order the
-// per-shape reference check (reference_test.go) was written against.
+// EvaluatePreparedInto is EvaluateSets over a list of one batch; the
+// returned slice aliases dst when its capacity suffices.
 func (a *Analyzer) EvaluatePreparedInto(dst []Result, shape StageShape, b *Batch, sc *EvalScratch) ([]Result, error) {
-	return a.EvaluateSet(shape, b, dst, sc)
+	dsts := [][]Result{dst}
+	if err := a.EvaluateSets(shape, []*Batch{b}, dsts, sc); err != nil {
+		return nil, err
+	}
+	return dsts[0], nil
 }

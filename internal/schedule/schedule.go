@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/hardware"
@@ -186,6 +187,11 @@ type Analyzer struct {
 	variants onceMap[variantKey, *symbolic.Program]
 	programs onceMap[StageShape, *stageProgram]
 
+	// The knob grids the tuners of this analyzer price, by KnobGrid's
+	// encoded arguments (batch.go).
+	gridMu sync.Mutex
+	grids  map[string]*Batch
+
 	// Trace, compile and tuple passes run, for tests. A tuple pass is what
 	// priceGroups does once per offload tuple of a call: the tape from
 	// frameWO and overlapTerms.
@@ -222,8 +228,8 @@ type EvalScratch struct {
 	group grouper // tuple partition of the current ad-hoc batch
 }
 
-// tupleSet is one batch as priceGroups takes it: distinct, validated
-// entries, their tuple partition, and where their results go
+// tupleSet is one batch as priceGroups takes it: validated entries, their
+// tuple partition, and where their results go
 // (len(dst) >= len(ks)).
 type tupleSet struct {
 	ks  []Knobs
@@ -254,24 +260,15 @@ func (a *Analyzer) EvaluateBatchInto(dst []Result, shape StageShape, ks []Knobs,
 	return dst, nil
 }
 
-// EvaluateSet is EvaluateSets over a list of one.
-func (a *Analyzer) EvaluateSet(shape StageShape, set *Batch, dst []Result, sc *EvalScratch) ([]Result, error) {
-	sets, dsts := [1]*Batch{set}, [1][]Result{dst}
-	if err := a.EvaluateSets(shape, sets[:], dsts[:], sc); err != nil {
-		return nil, err
-	}
-	return dsts[0], nil
-}
-
 // EvaluateSets prices every entry of each prepared Batch under one shape:
 // on return dsts[i] holds sets[i]'s results in batch order (reused when
 // its capacity suffices, replaced otherwise; len(dsts) == len(sets)).
-// In-set duplicates are priced once, and sc is reused as in
-// EvaluateBatchInto. This is the one set-pricing method of the tuner's
-// pricing backend (evalcache.Evaluator). The tuner passes the knob sets
-// of a stage's layer window: when the sets are tuple-aligned (aligned),
-// what depends on the offload tuple alone is computed once for the whole
-// list; otherwise each set is priced on its own — same results either way.
+// sc is reused as in EvaluateBatchInto. This is the one set-pricing
+// method of the tuner's pricing backend (evalcache.Evaluator). The tuner
+// passes the knob grids of a stage's layer window: when the sets are
+// tuple-aligned (aligned), what depends on the offload tuple alone is
+// computed once for the whole list; otherwise each set is priced on its
+// own — same results either way.
 func (a *Analyzer) EvaluateSets(shape StageShape, sets []*Batch, dsts [][]Result, sc *EvalScratch) error {
 	sp := a.program(shape)
 	if sp.err != nil {
@@ -280,7 +277,7 @@ func (a *Analyzer) EvaluateSets(shape StageShape, sets []*Batch, dsts [][]Result
 	if len(sets) == 0 {
 		return nil
 	}
-	var buf [8]tupleSet // on the stack (a window is five sets): a scratch holding them would pin the batches' cache
+	var buf [8]tupleSet // on the stack: a window is five sets
 	ts := buf[:0]
 	for i, set := range sets {
 		if set.err != nil {
@@ -288,24 +285,13 @@ func (a *Analyzer) EvaluateSets(shape StageShape, sets []*Batch, dsts [][]Result
 		}
 		n := len(set.knobs)
 		dsts[i] = slices.Grow(dsts[i][:0], n)[:n]
-		ts = append(ts, tupleSet{set.uniq, &set.groups, dsts[i]})
+		ts = append(ts, tupleSet{set.knobs, &set.groups, dsts[i]})
 	}
 	if aligned(ts) {
 		a.priceGroups(sp, ts, sc)
 	} else {
 		for i := range ts {
 			a.priceGroups(sp, ts[i:i+1], sc)
-		}
-	}
-	for i, set := range sets {
-		if set.uniqOf != nil {
-			// The distinct entries' results sit in dst's prefix; spread them to
-			// batch order back to front (uniqOf[i] <= i, so no source is
-			// overwritten before it is read).
-			dst := dsts[i]
-			for j := len(dst) - 1; j >= 0; j-- {
-				dst[j] = dst[set.uniqOf[j]]
-			}
 		}
 	}
 	return nil

@@ -322,7 +322,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 				if dst, err = a.EvaluateBatchInto(dst, shape, ks, &sc); err != nil {
 					t.Fatal(err)
 				}
-				prepared, err := a.EvaluateSet(shape, NewBatch(ks), nil, &sc)
+				prepared, err := a.EvaluatePreparedInto(nil, shape, NewBatch(ks), &sc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -360,7 +360,7 @@ func TestConcurrentFirstUseCompilesOnce(t *testing.T) {
 	want := make([][]Result, len(shapes))
 	for i, shape := range shapes {
 		var err error
-		if want[i], err = serial.EvaluateSet(shape, set, nil, new(EvalScratch)); err != nil {
+		if want[i], err = serial.EvaluatePreparedInto(nil, shape, set, new(EvalScratch)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -375,7 +375,7 @@ func TestConcurrentFirstUseCompilesOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			got[i], errs[i] = a.EvaluateSet(shapes[i], set, nil, new(EvalScratch))
+			got[i], errs[i] = a.EvaluatePreparedInto(nil, shapes[i], set, new(EvalScratch))
 		}()
 	}
 	close(start)

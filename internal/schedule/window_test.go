@@ -3,13 +3,14 @@ package schedule
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
-// tunerGrid is the knob set the tuner builds for one layer count
-// (core.Tuner.knobSet under MistSpace): the checkpoint fractions
-// quantized to the layer count, deduplicated and sorted, crossed
-// ckpt-major with one fixed offload-tuple grid.
+// tunerGrid is the knob set the tuner prices for one layer count
+// (Analyzer.KnobGrid under MistSpace's checkpoint fractions): the
+// fractions quantized to the layer count, deduplicated and sorted,
+// crossed ckpt-major with one fixed offload-tuple grid.
 func tunerGrid(layers int, ratios []float64) []Knobs {
 	var ckpts []int
 	for _, f := range []float64{0, 0.25, 0.5, 0.75, 1} {
@@ -144,7 +145,7 @@ func TestWindowMatchesSetBySet(t *testing.T) {
 						passes, perSet := int(a.nTuplePasses.Load()-before), 0
 						for i, set := range sets {
 							perSet += len(set.groups.starts) - 1
-							want, err := a.EvaluateSet(shape, set, nil, &scOne)
+							want, err := a.EvaluatePreparedInto(nil, shape, set, &scOne)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -183,42 +184,72 @@ func TestWindowMatchesSetBySet(t *testing.T) {
 func asTupleSets(sets []*Batch) []tupleSet {
 	ts := make([]tupleSet, len(sets))
 	for i, set := range sets {
-		ts[i] = tupleSet{ks: set.uniq, tg: &set.groups}
+		ts[i] = tupleSet{ks: set.knobs, tg: &set.groups}
 	}
 	return ts
 }
 
-// TestNewBatchDedup: in-set duplicates are found without a map — first
-// occurrences keep their order, every entry points at its first
-// occurrence, and a set without duplicates carries no index at all.
-func TestNewBatchDedup(t *testing.T) {
-	grid := tunerGrid(8, []float64{0, 0.5, 1})
-	if b := NewBatch(grid); b.uniqOf != nil || &b.uniq[0] != &b.knobs[0] || b.Distinct() != len(grid) {
-		t.Errorf("a duplicate-free set built a distinct list: uniqOf %v, %d distinct of %d", b.uniqOf != nil, b.Distinct(), len(grid))
+// TestKnobGridIsOneValuePerArguments: KnobGrid lays a grid out exactly as
+// the tuner always enumerated it (tunerGrid; a ratio left unswept is 0),
+// answers every later call with the same arguments with the same *Batch
+// and without allocating, and gives other arguments — layer count,
+// checkpoint counts, swept ratios — a grid of their own.
+func TestKnobGridIsOneValuePerArguments(t *testing.T) {
+	a := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
+	all := [4]bool{true, true, true, true}
+	mist := a.KnobGrid(8, []int{0, 2, 4, 6, 8}, all)
+	if !slices.Equal(mist.Knobs(), tunerGrid(8, []float64{0, 0.5, 1})) {
+		t.Fatal("the full grid differs from the tuner's enumeration")
 	}
-	rng := rand.New(rand.NewSource(3))
-	for round := 0; round < 50; round++ {
-		ks := make([]Knobs, 1+rng.Intn(300))
-		for i := range ks {
-			ks[i] = grid[rng.Intn(1+rng.Intn(len(grid)))]
+	if got := a.KnobGrid(8, []int{0, 2, 4, 6, 8}, all); got != mist {
+		t.Error("a second call built a second grid")
+	}
+	ckpts := []int{0, 2, 4, 6, 8}
+	if allocs := testing.AllocsPerRun(100, func() { a.KnobGrid(8, ckpts, all) }); allocs != 0 {
+		t.Errorf("a grid hit allocated %v times, want 0", allocs)
+	}
+	aoOnly := a.KnobGrid(8, []int{8}, [4]bool{false, false, false, true})
+	want := []Knobs{{Layers: 8, Ckpt: 8}, {Layers: 8, Ckpt: 8, AO: 0.5}, {Layers: 8, Ckpt: 8, AO: 1}}
+	if !slices.Equal(aoOnly.Knobs(), want) {
+		t.Errorf("AO-only grid %v, want %v", aoOnly.Knobs(), want)
+	}
+	seen := map[*Batch]bool{mist: true, aoOnly: true}
+	for _, g := range []*Batch{
+		a.KnobGrid(9, []int{0, 2, 4, 6, 8}, all),
+		a.KnobGrid(8, []int{0, 4, 8}, all),
+		a.KnobGrid(8, []int{0, 2, 4, 6, 8}, [4]bool{true, true, true, false}),
+		a.KnobGrid(8, []int{8}, [4]bool{}),
+	} {
+		if seen[g] {
+			t.Errorf("grid of %d knobs shares another argument list's batch", g.Len())
 		}
-		b := NewBatch(ks)
-		var uniq []Knobs
-		for i, k := range ks {
-			at := slices.Index(uniq, k)
-			if at < 0 {
-				at = len(uniq)
-				uniq = append(uniq, k)
+		seen[g] = true
+	}
+}
+
+// TestConcurrentKnobGridFirstUse: goroutines asking a fresh analyzer for
+// the same grids at once all get one *Batch per argument list.
+func TestConcurrentKnobGridFirstUse(t *testing.T) {
+	a := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
+	const goroutines = 8
+	got := make([][3]*Batch, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for l := range got[i] {
+				got[i][l] = a.KnobGrid(l+1, []int{0, l + 1}, [4]bool{true, false, true, false})
 			}
-			if b.uniqOf != nil && int(b.uniqOf[i]) != at {
-				t.Fatalf("round %d: entry %d maps to distinct entry %d, want %d", round, i, b.uniqOf[i], at)
-			}
-		}
-		if !slices.Equal(b.uniq, uniq) {
-			t.Fatalf("round %d: distinct list differs from the first-occurrence scan", round)
-		}
-		if (b.uniqOf == nil) != (len(uniq) == len(ks)) {
-			t.Fatalf("round %d: index present = %v with %d distinct of %d", round, b.uniqOf != nil, len(uniq), len(ks))
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("goroutine %d got other grids than goroutine 0", i)
 		}
 	}
 }

@@ -37,9 +37,10 @@ import (
 
 // defaultEvalCachePoints bounds the registry's total memoized points
 // when the operator does not set one. A point is one 24-byte
-// schedule.Result in a dense row (~26 B retained with the row's size
-// class, the row map and the interned knob sets), so the default caps the
-// registry around 110 MB — roughly twenty fully-swept fingerprints.
+// schedule.Result in a knob-grid row (~26 B retained with the row's size
+// class and the row map; single candidates are never stored), so the
+// default caps the registry around 110 MB — roughly twenty fully-swept
+// fingerprints.
 const defaultEvalCachePoints = 4 << 20
 
 // entryOverheadPoints is the point-equivalent fixed cost charged to each

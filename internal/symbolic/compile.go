@@ -236,7 +236,7 @@ func (lw *lowering) lower(e *Expr) (int32, error) {
 // NumOutputs returns the number of compiled expressions.
 func (p *Program) NumOutputs() int { return len(p.outputs) }
 
-// Vars returns the positional symbol order expected by EvalFrame/EvalBatch.
+// Vars returns the positional symbol order expected by EvalFrame.
 func (p *Program) Vars() []string { return append([]string(nil), p.vars...) }
 
 // EvalFrame evaluates all compiled expressions for one configuration frame.
@@ -321,17 +321,6 @@ func (p *Program) run(frame []float64, regs, out []float64, start int) []float64
 	out = out[:len(p.outputs)]
 	for i, reg := range p.outputs {
 		out[i] = regs[reg]
-	}
-	return out
-}
-
-// EvalBatch evaluates all compiled expressions over a batch of frames,
-// returning one row of outputs per frame.
-func (p *Program) EvalBatch(frames [][]float64) [][]float64 {
-	out := make([][]float64, len(frames))
-	regs := p.Scratch()
-	for i, f := range frames {
-		out[i] = p.EvalFrame(f, regs, nil)
 	}
 	return out
 }

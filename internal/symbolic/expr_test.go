@@ -206,19 +206,6 @@ func TestCompileDuplicateVar(t *testing.T) {
 	}
 }
 
-func TestEvalBatch(t *testing.T) {
-	x := Var("x")
-	prog := MustCompile([]*Expr{Mul(x, x)}, []string{"x"})
-	frames := [][]float64{{1}, {2}, {3}, {4}}
-	rows := prog.EvalBatch(frames)
-	for i, row := range rows {
-		want := float64((i + 1) * (i + 1))
-		if row[0] != want {
-			t.Errorf("batch row %d: got %v, want %v", i, row[0], want)
-		}
-	}
-}
-
 func TestMergeVars(t *testing.T) {
 	got := MergeVars(Add(Var("b"), Var("a")), Mul(Var("c"), Var("a")))
 	want := []string{"a", "b", "c"}
