@@ -105,10 +105,13 @@ bench-regression: ## fresh bench run compared against the committed BENCH.json b
 	$(MAKE) bench-json BENCH_OUT=BENCH_NEW.json
 	$(GO) run ./tools/bench2json -tolerance $(BENCH_TOLERANCE) -compare BENCH.json BENCH_NEW.json
 
-bench-profile: ## CPU + heap profiles of the cold-search benchmark; inspect with `go tool pprof $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/cpu.pprof`
+bench-profile: ## CPU + heap profiles of the cold-search benchmark (windows of one layer count) and of Fig. 15's regeneration (pipelined windows of five); inspect with `go tool pprof $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/cpu.pprof` (fig15-cpu.pprof)
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) test -run xxx -bench 'BenchmarkTuneMemoizedCold' -benchtime=3x -benchmem \
 		-cpuprofile $(PROFILE_DIR)/cpu.pprof -memprofile $(PROFILE_DIR)/mem.pprof \
+		-o $(PROFILE_DIR)/bench.test .
+	$(GO) test -run xxx -bench 'BenchmarkFig15BatchSensitivity' -benchtime=100x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/fig15-cpu.pprof -memprofile $(PROFILE_DIR)/fig15-mem.pprof \
 		-o $(PROFILE_DIR)/bench.test .
 
 serve: ## run the tuning service locally

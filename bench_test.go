@@ -166,14 +166,15 @@ func benchTuneCold(b *testing.B, space core.Space, uncached bool) {
 
 // TestColdTuneAllocCeiling pins what a cold search allocates: a fresh
 // tuner's full Mist-space search of the bench cell stays under 5 000
-// allocations (4 010 today, most of them the analyzer's traces; 4 250
+// allocations (4 004 today, most of them the analyzer's traces; 4 250
 // while every tuner refitted the interference model and all four S=1
 // pairs were swept, about 6 700 while the twelve pipelined (S, G) pairs
 // the compute floor skips still had their stage 0 priced, 8 060 before a
 // stage shape's layer window was priced in one pass, 218 860 while every
 // stage shape still traced and compiled its own program) and under 1 MiB
 // — of which 0.13 MB is the cache's rows, 5 265 points x 24 bytes
-// (0.54 MB in all; 0.73 MB with the four S=1 pairs' 11 340 points, 6.9 MB
+// (0.53 MB in all, 0.52 MB before the tape's register file held a block
+// of lanes; 0.73 MB with the four S=1 pairs' 11 340 points, 6.9 MB
 // with the twelve pipelined pairs' rows, 14.8 MB while schedule.Result
 // carried four breakdown fields nothing read).
 func TestColdTuneAllocCeiling(t *testing.T) {

@@ -12,9 +12,10 @@ import (
 
 // Frame layout of a compiled stage program: the shape coefficients, then
 // the offload tuple, then the layer and checkpoint counts. The tape is
-// staged by variable (symbolic.Program), so a row re-runs the coefficient
-// prefix once, each further tuple group only the suffix from frameWO, and
-// each further member of a group only the l/ckpt suffix.
+// staged by variable (symbolic.Program), so a pricing call runs the
+// coefficient prefix once, each further block of tuple groups only the
+// suffix from frameWO, and each further member position of a block only
+// the l/ckpt suffix (priceGroups).
 //
 // A coefficient holds one shape constant exactly as the symbolic
 // constructors would have folded it had it been a literal: Div by a

@@ -24,10 +24,12 @@
 //	[shape coefficients (numCoefs) | wo, go, oo, ao | l, ckpt]
 //
 // and its tape is staged in that order (symbolic.Program), so a new
-// shape is a coefficient fill, a list of knob sets — a stage's whole
-// layer window — runs the coefficient prefix once, each further offload
-// tuple re-runs the tape from wo once for the whole list, and each
-// further member of a tuple group, in any set, only the l/ckpt suffix. The folding rule keeps
+// shape is a coefficient fill. A list of knob sets — a stage's whole
+// layer window — is priced lane-major, one offload tuple per lane and up
+// to 64 lanes per block, each instruction running over the whole block:
+// the coefficient prefix runs once, the tape from wo once per block for
+// the whole list, and each further (l, ckpt) position of the block's
+// tuple groups, in any set, only the l/ckpt suffix. The folding rule keeps
 // this exact: the symbolic constructors fold literal constants, so each
 // coefficient holds a shape constant as they would have folded it
 // (computed in plain Go in the same operand order), and a case where
@@ -142,7 +144,7 @@ func (k Knobs) Validate() error {
 		return fmt.Errorf("schedule: invalid layers=%d ckpt=%d", k.Layers, k.Ckpt)
 	}
 	for _, r := range []float64{k.WO, k.GO, k.OO, k.AO} {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("schedule: offload ratio %v outside [0,1]", r)
 		}
 	}
@@ -193,8 +195,8 @@ type Analyzer struct {
 	grids  map[string]*Batch
 
 	// Trace, compile and tuple passes run, for tests. A tuple pass is what
-	// priceGroups does once per offload tuple of a call: the tape from
-	// frameWO and overlapTerms.
+	// priceGroups does once per offload tuple of a call: the tuple's lane
+	// of the tape from frameWO and its overlapTerms.
 	nTraced, nCompiled atomic.Int32
 	nTuplePasses       atomic.Int64
 }
@@ -220,12 +222,31 @@ func (a *Analyzer) Evaluate(shape StageShape, k Knobs) (Result, error) {
 // EvalScratch holds the reusable buffers of one evaluation stream. One
 // scratch belongs to one goroutine at a time (callers in worker pools own
 // one per worker); the zero value is ready to use and the buffers grow to
-// the largest program and batch seen.
+// the largest program, block of lanes and batch seen.
 type EvalScratch struct {
-	regs  []float64
-	out   []float64
-	frame []float64
-	group grouper // tuple partition of the current ad-hoc batch
+	regs  []float64      // lane-minor register file: NumRegs x lanes
+	frame []float64      // lane-minor frames: frameLen x lanes
+	terms []overlapTerms // per lane
+	out   []float64      // one lane's outputs
+	group grouper        // tuple partition of the current ad-hoc batch
+}
+
+// lanes sizes sc for a block of w lanes of a program of nregs registers
+// and returns its buffers.
+func (sc *EvalScratch) lanes(nregs, w int) (regs, frame []float64, terms []overlapTerms, out []float64) {
+	if cap(sc.regs) < nregs*w {
+		sc.regs = make([]float64, nregs*w)
+	}
+	if cap(sc.frame) < frameLen*w {
+		sc.frame = make([]float64, frameLen*w)
+	}
+	if cap(sc.terms) < w {
+		sc.terms = make([]overlapTerms, w)
+	}
+	if cap(sc.out) < numOutputs {
+		sc.out = make([]float64, numOutputs)
+	}
+	return sc.regs[:nregs*w], sc.frame[:frameLen*w], sc.terms[:w], sc.out[:numOutputs]
 }
 
 // tupleSet is one batch as priceGroups takes it: validated entries, their
@@ -319,55 +340,110 @@ func aligned(sets []tupleSet) bool {
 	return true
 }
 
+// laneBlock is the most offload tuples priceGroups runs through the tape
+// at once. A block pays one instruction dispatch, operand-list walk and
+// bounds check per instruction where a lane at a time paid them per
+// point, so wider is cheaper until the block's register file falls out
+// of L1: 64 lanes of an 85-register program are 43.5 KB. Measured on a
+// 2-vCPU Xeon (48 KB L1d per core), BenchmarkEvaluateBatch,
+// BenchmarkTuneMemoizedCold and `mistbench -exp fig14/fig15 -full` read
+// the same at 16, 32, 64 and 128 lanes within run-to-run noise; 64 is the
+// widest whose register file fits that L1.
+const laneBlock = 64
+
 // priceGroups prices a list of validated, tuple-partitioned, tuple-aligned
-// batches under one shape. The tape's coefficient prefix depends on the
-// shape alone, so only the first group runs it; every tape output except
-// the memory expressions, and every interference prediction, depends on
-// the knobs only through the offload tuple, so each group runs the tape
-// from its tuple stage and the overlap composition once — one tuple pass
-// — for the whole list; every other member, of every batch, re-runs only
-// the tape's l/ckpt suffix for its peak memory. A list of one batch of
-// one is exactly the per-candidate evaluation.
+// batches under one shape, lane-major: a lane is one tuple group (group g
+// is one offload tuple across the whole list), and the groups are priced
+// in blocks of up to laneBlock lanes of near-equal width, each tape
+// instruction running over a whole block (symbolic.Program.EvalLanes).
+// The tape's coefficient prefix depends on the shape alone, so only the
+// first block runs it. Every tape output except the memory expressions,
+// and every interference prediction, depends on the knobs only through
+// the offload tuple, so a block runs the tape from the tuple stage once,
+// with each lane's first member, and the overlap composition once per
+// lane — one tuple pass per group for the whole list. The members then
+// step through the list by position: step (s, p) sets each lane's l and
+// ckpt to the p-th member of its group in batch s (a lane whose group has
+// none keeps its frame and sits the step out) and re-runs the tape's
+// suffix for the members' peak memory — from the l stage if any lane's
+// layer count changed, from the ckpt stage if only a checkpoint count
+// did, not at all if neither did. So groups may differ in member count
+// and layer counts: one loop prices any input. Every lane does the scalar
+// tape's operations, so a list of one batch of one is exactly the
+// per-candidate evaluation.
 func (a *Analyzer) priceGroups(sp *stageProgram, sets []tupleSet, sc *EvalScratch) {
-	if cap(sc.out) < numOutputs {
-		sc.out = make([]float64, numOutputs)
-	}
-	if cap(sc.frame) < frameLen {
-		sc.frame = make([]float64, frameLen)
-	}
-	if n := sp.prog.NumRegs(); cap(sc.regs) < n {
-		sc.regs = make([]float64, n)
-	}
-	out, frame, regs := sc.out[:numOutputs], sc.frame[:frameLen], sc.regs[:cap(sc.regs)]
-	copy(frame, sp.coefs[:])
 	groups := len(sets[0].tg.starts) - 1
-	a.nTuplePasses.Add(int64(max(groups, 0)))
-	for g := 0; g < groups; g++ {
-		prev := *sets[0].lead(g)
-		knobFrame(frame, prev)
-		if g == 0 {
-			// regs may hold another shape's run of this very program.
-			out = sp.prog.EvalFrame(frame, regs, out)
-		} else {
-			out = sp.prog.EvalFrameFrom(frame, regs, out, frameWO)
+	if groups <= 0 {
+		return
+	}
+	a.nTuplePasses.Add(int64(groups))
+	blocks := (groups + laneBlock - 1) / laneBlock
+	w := (groups + blocks - 1) / blocks // 81 tuples: blocks of 41 and 40 lanes, not 64 and 17
+	prog := sp.prog
+	regs, frame, terms, out := sc.lanes(prog.NumRegs(), w)
+	variable := func(v int) []float64 { return frame[v*w:][:w] } // variable v's lanes
+	for c, v := range sp.coefs {
+		row := variable(c)
+		for j := range row {
+			row[j] = v
 		}
-		terms := a.overlapTerms(sp, out)
-		fresh := true // out is the tuple pass's own run, of the list's first member
+	}
+	wo, gov, oo, ao := variable(frameWO), variable(frameGO), variable(frameOO), variable(frameAO)
+	ls, cks := variable(frameL), variable(frameCkpt)
+	var rows [numOutputs][]float64
+	for o := range rows {
+		rows[o] = prog.Output(regs, w, o)
+	}
+	peaks := rows[outPeakMem]
+	from := 0 // regs may hold another shape's run of this very program
+	for g0 := 0; g0 < groups; g0 += w {
+		n := min(w, groups-g0)
+		for j := 0; j < n; j++ {
+			k := sets[0].lead(g0 + j)
+			wo[j], gov[j], oo[j], ao[j] = k.WO, k.GO, k.OO, k.AO
+			ls[j], cks[j] = float64(k.Layers), float64(k.Ckpt)
+		}
+		prog.EvalLanes(frame, regs, w, from)
+		from = frameWO
+		for j := range terms[:n] {
+			for o, row := range rows {
+				out[o] = row[j]
+			}
+			terms[j] = a.overlapTerms(sp, out)
+		}
 		for s := range sets {
 			set := &sets[s]
-			for _, i := range set.tg.order[set.tg.starts[g]:set.tg.starts[g+1]] {
-				k := set.ks[i]
-				if !fresh {
-					from := frameCkpt
-					if k.Layers != prev.Layers {
-						from = frameL
+			starts := set.tg.starts[g0 : g0+n+1]
+			for p := int32(0); ; p++ {
+				live, newL, newCkpt := false, false, false
+				for j := range terms[:n] {
+					at := starts[j] + p
+					if at >= starts[j+1] {
+						continue
 					}
-					frame[frameL], frame[frameCkpt] = float64(k.Layers), float64(k.Ckpt)
-					out = sp.prog.EvalFrameFrom(frame, regs, out, from)
+					k := &set.ks[set.tg.order[at]]
+					l, ck := float64(k.Layers), float64(k.Ckpt)
+					live, newL, newCkpt = true, newL || l != ls[j], newCkpt || ck != cks[j]
+					ls[j], cks[j] = l, ck
 				}
-				fresh = false
-				set.dst[i] = sp.compose(k, &terms, out)
-				prev = k
+				if !live {
+					break
+				}
+				switch {
+				case newL:
+					prog.EvalLanes(frame, regs, w, frameL)
+				case newCkpt:
+					prog.EvalLanes(frame, regs, w, frameCkpt)
+				}
+				for j := range terms[:n] {
+					at := starts[j] + p
+					if at >= starts[j+1] {
+						continue
+					}
+					i := set.tg.order[at]
+					out[outPeakMem] = peaks[j]
+					set.dst[i] = sp.compose(set.ks[i], &terms[j], out)
+				}
 			}
 		}
 	}
@@ -381,12 +457,13 @@ type overlapTerms struct {
 	bwdN, bwdC           float64 // stable microbatch, backward
 	fwdFirstN, fwdFirstC float64 // first microbatch: repositioned optimizer steps ride the forward
 	bwdLastN, bwdLastC   float64 // last microbatch: the gradient all-reduce rides the backward
+	prefetch, cpuStep    float64 // the tuple's tape outputs compose reads: H2D of a plain layer's forward, CPU Adam per layer
 }
 
 // overlapTerms applies the interference model to the evaluated channel
 // aggregates of one offload tuple.
 func (a *Analyzer) overlapTerms(sp *stageProgram, out []float64) overlapTerms {
-	var t overlapTerms
+	t := overlapTerms{prefetch: out[outH2DFwdN], cpuStep: out[outStepCPULayer]}
 	// Stable forward: per-layer region = serial TP all-reduce + overlapped
 	// {compute, ZeRO-3 gather (next layer), weight prefetch, activation
 	// offload}.
@@ -428,7 +505,8 @@ func (a *Analyzer) overlapTerms(sp *stageProgram, out []float64) overlapTerms {
 
 // compose scales a tuple's per-layer region times by the candidate's
 // layer and checkpoint counts, producing t, d, and peak memory. out is
-// the tape's output row for this candidate.
+// the tape's output row for this candidate, of which only the peak
+// memory depends on more than the tuple; the rest compose reads from t.
 func (sp *stageProgram) compose(k Knobs, t *overlapTerms, out []float64) Result {
 	nonCkpt := float64(k.Layers - k.Ckpt)
 	ckpt := float64(k.Ckpt)
@@ -441,15 +519,15 @@ func (sp *stageProgram) compose(k Knobs, t *overlapTerms, out []float64) Result 
 	// cannot hide behind anything), and ZeRO-1/2 re-gather the updated
 	// parameter shards once after the step.
 	firstFwdStage := nonCkpt*t.fwdFirstN + ckpt*t.fwdFirstC + sp.preFwd + sp.postFwd + sp.p2pTime
-	exposedPrefetch := sp.agTime + out[outH2DFwdN] + float64(k.Layers)*sp.regatherLayer
+	exposedPrefetch := sp.agTime + t.prefetch + float64(k.Layers)*sp.regatherLayer
 	// CPU Adam for the offloaded fraction runs on a single serial host
 	// stream concurrently with the first forward pass, but layer k's step
 	// must land before layer k's forward: exposure is whatever exceeds
 	// the GPU's concurrent work (at least one layer's step is exposed).
 	exposedCPUStep := 0.0
-	if cpuTotal := float64(k.Layers) * out[outStepCPULayer]; cpuTotal > 0 {
+	if cpuTotal := float64(k.Layers) * t.cpuStep; cpuTotal > 0 {
 		hideCapacity := math.Max(0, firstFwdStage-t.fwdFirstN)
-		exposedCPUStep = math.Max(out[outStepCPULayer], cpuTotal-hideCapacity)
+		exposedCPUStep = math.Max(t.cpuStep, cpuTotal-hideCapacity)
 	}
 	firstExtra := (firstFwdStage - fwdStage) + exposedPrefetch + exposedCPUStep
 

@@ -3,6 +3,7 @@ package schedule
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -66,6 +67,9 @@ func TestKnobsValidate(t *testing.T) {
 	}
 	if err := (Knobs{Layers: 4, Ckpt: 2, AO: -0.1}).Validate(); err == nil {
 		t.Error("negative ratio accepted")
+	}
+	if err := (Knobs{Layers: 4, Ckpt: 2, GO: math.NaN()}).Validate(); err == nil {
+		t.Error("NaN ratio accepted")
 	}
 	if err := baseKnobs().Validate(); err != nil {
 		t.Errorf("valid knobs rejected: %v", err)

@@ -77,8 +77,10 @@ func referenceShapes(heads, nth, offset int, fn func(StageShape)) {
 // its own returns — and what pricing each candidate on its own does —
 // whether the list is a tuner window (tuple-aligned: one tuple pass per
 // tuple for the whole list), a window of one, a window whose small layer
-// counts fold the checkpoint grid, a window with in-set duplicates, or a
-// list that is not tuple-aligned and falls back to set-by-set pricing.
+// counts fold the checkpoint grid, a window with in-set duplicates,
+// hand-built aligned sets whose tuple groups differ in member count and
+// layer counts over more tuples than one block of lanes, or a list that
+// is not tuple-aligned and falls back to set-by-set pricing.
 // Every model of referenceModels, a 1-in-997 slice of the reference shape
 // grid each, both Serialize values.
 func TestWindowMatchesSetBySet(t *testing.T) {
@@ -94,6 +96,41 @@ func TestWindowMatchesSetBySet(t *testing.T) {
 		return out
 	}
 	rng := rand.New(rand.NewSource(19))
+	// irregular lists each offload tuple of a ¼ grid (625, ten blocks of
+	// lanes) in grid order, leading a group of one to three members of
+	// random layer and checkpoint counts, now and then the lead again; a
+	// further member follows its lead at once, a few tuples later or at
+	// the end. Sets built from it are tuple-aligned, and their groups
+	// differ in member count and layer counts within a set and across.
+	irregular := func() []Knobs {
+		quarter := []float64{0, 0.25, 0.5, 0.75, 1}
+		var ks, pending []Knobs
+		for _, wo := range quarter {
+			for _, gov := range quarter {
+				for _, oo := range quarter {
+					for _, ao := range quarter {
+						l := 1 + rng.Intn(12)
+						lead := Knobs{Layers: l, Ckpt: rng.Intn(l + 1), WO: wo, GO: gov, OO: oo, AO: ao}
+						ks = append(ks, lead)
+						for extra := rng.Intn(3); extra > 0; extra-- {
+							k := lead
+							if rng.Intn(4) != 0 {
+								k.Layers = 1 + rng.Intn(12)
+								k.Ckpt = rng.Intn(k.Layers + 1)
+							}
+							pending = append(pending, k)
+						}
+						for len(pending) > 0 && rng.Intn(2) == 0 {
+							at := rng.Intn(len(pending))
+							ks = append(ks, pending[at])
+							pending = slices.Delete(pending, at, at+1)
+						}
+					}
+				}
+			}
+		}
+		return append(ks, pending...)
+	}
 	reversed := tunerGrid(9, full)
 	slices.Reverse(reversed)
 	shuffled := tunerGrid(10, full)
@@ -102,15 +139,17 @@ func TestWindowMatchesSetBySet(t *testing.T) {
 		name    string
 		sets    [][]Knobs
 		aligned bool
+		every   bool // check every entry against Evaluate, not a 1-in-29 slice
 	}{
-		{"window", [][]Knobs{tunerGrid(6, full), tunerGrid(7, full), tunerGrid(8, full), tunerGrid(9, full), tunerGrid(10, full)}, true},
-		{"window-of-one", [][]Knobs{tunerGrid(8, full)}, true},
-		{"folded-ckpt-grid", [][]Knobs{tunerGrid(1, full), tunerGrid(2, full), tunerGrid(3, full), tunerGrid(4, full), tunerGrid(5, full)}, true},
-		{"in-set-duplicates", [][]Knobs{withDups(tunerGrid(3, full), rng), tunerGrid(4, full), withDups(tunerGrid(5, full), rng)}, true},
-		{"one-knob-rows", [][]Knobs{{{Layers: 7, Ckpt: 7}}, {{Layers: 8, Ckpt: 8}}, {{Layers: 9, Ckpt: 9}}}, true},
-		{"misaligned-order", [][]Knobs{tunerGrid(8, full), reversed, shuffled}, false},
-		{"misaligned-grid", [][]Knobs{tunerGrid(8, full), tunerGrid(9, []float64{0, 1}), tunerGrid(10, full)}, false},
-		{"misaligned-count", [][]Knobs{tunerGrid(8, []float64{0, 1}), tunerGrid(9, []float64{0, 0.5, 1})}, false},
+		{"window", [][]Knobs{tunerGrid(6, full), tunerGrid(7, full), tunerGrid(8, full), tunerGrid(9, full), tunerGrid(10, full)}, true, false},
+		{"window-of-one", [][]Knobs{tunerGrid(8, full)}, true, false},
+		{"folded-ckpt-grid", [][]Knobs{tunerGrid(1, full), tunerGrid(2, full), tunerGrid(3, full), tunerGrid(4, full), tunerGrid(5, full)}, true, false},
+		{"in-set-duplicates", [][]Knobs{withDups(tunerGrid(3, full), rng), tunerGrid(4, full), withDups(tunerGrid(5, full), rng)}, true, false},
+		{"one-knob-rows", [][]Knobs{{{Layers: 7, Ckpt: 7}}, {{Layers: 8, Ckpt: 8}}, {{Layers: 9, Ckpt: 9}}}, true, false},
+		{"irregular-groups", [][]Knobs{irregular(), irregular(), irregular()}, true, true},
+		{"misaligned-order", [][]Knobs{tunerGrid(8, full), reversed, shuffled}, false, false},
+		{"misaligned-grid", [][]Knobs{tunerGrid(8, full), tunerGrid(9, []float64{0, 1}), tunerGrid(10, full)}, false, false},
+		{"misaligned-count", [][]Knobs{tunerGrid(8, []float64{0, 1}), tunerGrid(9, []float64{0, 0.5, 1})}, false, false},
 	}
 	if n := len(windows[2].sets[0]); n != 2*81 {
 		t.Fatalf("layer count 1 has %d entries, want a checkpoint grid folded to {0, 1}", n)
@@ -153,7 +192,7 @@ func TestWindowMatchesSetBySet(t *testing.T) {
 								t.Fatalf("%s serialize=%v shape %+v: set %d priced in the list differs from the set priced alone", w.name, serialize, shape, i)
 							}
 							for j, k := range set.Knobs() {
-								if j%29 != checked%29 {
+								if !w.every && j%29 != checked%29 {
 									continue
 								}
 								single, err := a.Evaluate(shape, k)

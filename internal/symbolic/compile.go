@@ -11,20 +11,23 @@ import (
 // batched evaluation. Common subexpressions across all compiled expressions
 // are evaluated once per frame. This is the execution form behind the
 // paper's "batched value substitution" (§5.2.1): one symbolic simulation
-// pass produces the expressions, and every candidate configuration after
-// that costs only a linear pass over the instruction tape.
+// pass produces the expressions, and the candidate configurations after
+// that are frames substituted into the instruction tape — one at a time
+// (EvalFrame), or a block of lanes at a time (EvalLanes), each
+// instruction running over every lane before the next, so a block pays
+// one instruction dispatch where single frames pay one per frame.
 //
 // The tape is staged: instructions are ordered by the highest-indexed
-// variable they depend on (constants first), so a frame that differs
-// from the previous one only in variables >= v re-runs just the tape's
-// suffix from stage[v] (EvalFrameFrom). Ordering a program's variables
-// from slowest- to fastest-changing turns a sweep over the fast ones
-// into suffix re-runs. The stage analyzer (internal/schedule) uses three
+// variable they depend on (constants first), so frames that differ from
+// the previous ones only in variables >= v re-run just the tape's suffix
+// from stage[v] (EvalLanes' fromVar). Ordering a program's variables from
+// slowest- to fastest-changing turns a sweep over the fast ones into
+// suffix re-runs. The stage analyzer (internal/schedule) uses three
 // levels: its frame is [shape coefficients | offload tuple | l, ckpt],
 // so one program serves every stage shape of a structural variant — a
-// shape's first frame runs the whole tape (EvalFrame), each further
-// offload tuple the suffix from the tuple's first variable, and each
-// further (l, ckpt) under a tuple only the last few instructions.
+// shape's first block of offload tuples runs the whole tape, each further
+// block the suffix from the tuple's first variable, and each further
+// (l, ckpt) of the block's tuples only the last few instructions.
 type Program struct {
 	vars    []string  // symbol order; frame values are positional
 	insts   []inst    // insts[i] writes register i
@@ -246,25 +249,165 @@ func (p *Program) EvalFrame(frame []float64, regs, out []float64) []float64 {
 	if cap(regs) < len(p.insts) {
 		regs = make([]float64, len(p.insts))
 	}
-	return p.run(frame, regs, out, 0)
-}
-
-// EvalFrameFrom is EvalFrame for a frame that agrees with the previous
-// one evaluated into regs on every variable below fromVar: only the
-// instructions depending on variables >= fromVar re-run. regs must be
-// the register file that previous EvalFrame/EvalFrameFrom call used,
-// untouched since. The result equals a fresh EvalFrame bit for bit —
-// every instruction is a pure function of its operands, and the skipped
-// prefix's operands did not change.
-func (p *Program) EvalFrameFrom(frame []float64, regs, out []float64, fromVar int) []float64 {
-	if len(regs) < len(p.insts) {
-		panic(fmt.Sprintf("symbolic: EvalFrameFrom needs the previous %d-register file, got %d", len(p.insts), len(regs)))
+	regs = regs[:len(p.insts)]
+	p.run(frame, regs, 0)
+	if cap(out) < len(p.outputs) {
+		out = make([]float64, len(p.outputs))
 	}
-	return p.run(frame, regs, out, int(p.stage[fromVar]))
+	out = out[:len(p.outputs)]
+	for i, reg := range p.outputs {
+		out[i] = regs[reg]
+	}
+	return out
 }
 
-// run executes the tape from instruction start over regs.
-func (p *Program) run(frame []float64, regs, out []float64, start int) []float64 {
+// EvalLanes evaluates lanes frames at once, instruction-major: each
+// instruction runs over every lane before the next one starts, so a
+// block of frames pays one dispatch per instruction instead of one per
+// frame. Storage is lane-minor: variable v of lane j is frames[v*lanes+j]
+// and register i of lane j is regs[i*lanes+j]; Output reads a result row.
+// Every lane does exactly EvalFrame's float operations in the same order,
+// so each lane's outputs equal a fresh EvalFrame of its frame bit for bit
+// (but for NaN payloads, which Go leaves unspecified).
+//
+// The run starts at the first instruction depending on a variable >=
+// fromVar: the registers it skips must hold, in every lane, a previous
+// run over the same lane count whose frames agreed below fromVar — every
+// instruction is a pure function of its operands, so the result equals a
+// whole run bit for bit. fromVar 0 runs the whole tape, constants
+// included, as EvalFrame does. One lane is the scalar layout, and runs
+// the scalar interpreter.
+func (p *Program) EvalLanes(frames, regs []float64, lanes, fromVar int) {
+	if len(frames) < len(p.vars)*lanes || len(regs) < len(p.insts)*lanes {
+		panic(fmt.Sprintf("symbolic: %d lanes need %d frame values and %d registers, got %d and %d",
+			lanes, len(p.vars)*lanes, len(p.insts)*lanes, len(frames), len(regs)))
+	}
+	start := 0 // the constants too: regs may hold another program's run
+	if fromVar > 0 {
+		start = int(p.stage[fromVar])
+	}
+	if lanes == 1 {
+		p.run(frames[:len(p.vars)], regs, start)
+		return
+	}
+	insts, pool, consts := p.insts, p.args, p.consts
+	// row is register r's lanes, sliced to len(dst) so that the loops
+	// below index both without bounds checks.
+	row := func(r int32, n int) []float64 { return regs[int(r)*lanes:][:n] }
+	for i := start; i < len(insts); i++ {
+		in := &insts[i]
+		dst := regs[i*lanes:][:lanes]
+		switch in.op {
+		case iConst:
+			c := consts[in.src]
+			for j := range dst {
+				dst[j] = c
+			}
+		case iLoad:
+			copy(dst, frames[int(in.src)*lanes:][:len(dst)])
+		case iAdd:
+			// Two operands per pass: (s + a) + b rounds exactly as s += a;
+			// s += b does, and dst is loaded and stored half as often.
+			args := pool[in.src : in.src+in.n]
+			first := row(args[0], len(dst))
+			if len(args) == 1 {
+				for j := range dst {
+					dst[j] = 0.0 + first[j]
+				}
+				break
+			}
+			second := row(args[1], len(dst))
+			for j := range dst {
+				dst[j] = 0.0 + first[j] + second[j]
+			}
+			for args = args[2:]; len(args) >= 2; args = args[2:] {
+				a, b := row(args[0], len(dst)), row(args[1], len(dst))
+				for j := range dst {
+					dst[j] = dst[j] + a[j] + b[j]
+				}
+			}
+			if len(args) == 1 {
+				src := row(args[0], len(dst))
+				for j := range dst {
+					dst[j] += src[j]
+				}
+			}
+		case iMul:
+			args := pool[in.src : in.src+in.n]
+			first := row(args[0], len(dst))
+			if len(args) == 1 {
+				for j := range dst {
+					dst[j] = 1.0 * first[j]
+				}
+				break
+			}
+			second := row(args[1], len(dst))
+			for j := range dst {
+				dst[j] = 1.0 * first[j] * second[j]
+			}
+			for args = args[2:]; len(args) >= 2; args = args[2:] {
+				a, b := row(args[0], len(dst)), row(args[1], len(dst))
+				for j := range dst {
+					dst[j] = dst[j] * a[j] * b[j]
+				}
+			}
+			if len(args) == 1 {
+				src := row(args[0], len(dst))
+				for j := range dst {
+					dst[j] *= src[j]
+				}
+			}
+		case iDiv:
+			num, den := row(pool[in.src], len(dst)), row(pool[in.src+1], len(dst))
+			for j := range dst {
+				dst[j] = num[j] / den[j]
+			}
+		case iCeil:
+			src := row(in.src, len(dst))
+			for j := range dst {
+				dst[j] = math.Ceil(roundEps(src[j]))
+			}
+		case iFloor:
+			src := row(in.src, len(dst))
+			for j := range dst {
+				dst[j] = math.Floor(roundEps(src[j]))
+			}
+		case iMax:
+			args := pool[in.src : in.src+in.n]
+			copy(dst, row(args[0], len(dst)))
+			for _, a := range args[1:] {
+				src := row(a, len(dst))
+				for j := range dst {
+					if v := src[j]; v > dst[j] {
+						dst[j] = v
+					}
+				}
+			}
+		case iMin:
+			args := pool[in.src : in.src+in.n]
+			copy(dst, row(args[0], len(dst)))
+			for _, a := range args[1:] {
+				src := row(a, len(dst))
+				for j := range dst {
+					if v := src[j]; v < dst[j] {
+						dst[j] = v
+					}
+				}
+			}
+		}
+	}
+}
+
+// Output returns compiled expression o's row of a lane-minor register
+// file that EvalLanes filled over lanes lanes: lane j's value is at [j].
+// The row aliases regs, so it reads every later run into the same file.
+func (p *Program) Output(regs []float64, lanes, o int) []float64 {
+	return regs[int(p.outputs[o])*lanes:][:lanes]
+}
+
+// run is the scalar interpreter: it executes the tape from instruction
+// start over one frame's regs.
+func (p *Program) run(frame []float64, regs []float64, start int) {
 	if len(frame) != len(p.vars) {
 		panic(fmt.Sprintf("symbolic: frame has %d values, want %d", len(frame), len(p.vars)))
 	}
@@ -315,22 +458,15 @@ func (p *Program) run(frame []float64, regs, out []float64, start int) []float64
 			regs[i] = best
 		}
 	}
-	if cap(out) < len(p.outputs) {
-		out = make([]float64, len(p.outputs))
-	}
-	out = out[:len(p.outputs)]
-	for i, reg := range p.outputs {
-		out[i] = regs[reg]
-	}
-	return out
 }
 
 // Scratch returns a register scratch buffer sized for this program, for
 // callers that drive EvalFrame in a hot loop.
 func (p *Program) Scratch() []float64 { return make([]float64, len(p.insts)) }
 
-// NumRegs reports the register count EvalFrame needs, for callers that
-// manage a reusable scratch buffer across programs.
+// NumRegs reports the register count EvalFrame needs (EvalLanes needs
+// that many per lane), for callers that manage a reusable scratch buffer
+// across programs.
 func (p *Program) NumRegs() int { return len(p.insts) }
 
 // MergeVars returns the sorted union of the free variables of exprs,

@@ -303,9 +303,8 @@ func TestCeilFoldSnapsLikeEval(t *testing.T) {
 }
 
 // TestPropertyCompileMatchesEval: compiled evaluation agrees with tree
-// interpretation on random expressions, and a staged re-run
-// (EvalFrameFrom(v) after changing only variables >= v, over the register
-// file the previous frame left) is bit-identical to a fresh EvalFrame.
+// interpretation on random expressions, the register file reused from
+// frame to frame (TestPropertyLanesMatchScalar checks staged re-runs).
 func TestPropertyCompileMatchesEval(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -317,30 +316,129 @@ func TestPropertyCompileMatchesEval(t *testing.T) {
 		frame := make([]float64, 3)
 		regs := prog.Scratch()
 		for trial := 0; trial < 10; trial++ {
-			// The first trial has no previous frame; later ones keep the
-			// variables below a random v and re-run only the suffix.
-			from := 0
-			if trial > 0 {
-				from = rng.Intn(len(frame) + 1)
-			}
-			for v := from; v < len(frame); v++ {
+			for v := range frame {
 				frame[v] = float64(rng.Intn(50) + 1)
 			}
-			var got []float64
-			if trial == 0 {
-				got = prog.EvalFrame(frame, regs, nil)
-			} else {
-				got = prog.EvalFrameFrom(frame, regs, nil, from)
-			}
-			fresh := prog.EvalFrame(frame, nil, nil)
+			got := prog.EvalFrame(frame, regs, nil)
 			env := Env{"a": frame[0], "b": frame[1], "c": frame[2]}
 			for i, e := range exprs {
-				if got[i] != fresh[i] {
-					return false
-				}
 				want := e.MustEval(env)
 				if math.Abs(got[i]-want) > 1e-6*math.Max(1, math.Abs(want)) {
 					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// laneValues are the frame values TestPropertyLanesMatchScalar draws
+// from: signed zeros, infinities, NaN, values within roundEps of an
+// integer on both sides (which Ceil and Floor snap), and plain numbers.
+var laneValues = []float64{
+	0, math.Copysign(0, -1), 1, -1, 2.5, -7.25, 1e300, -1e-300,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+	3 + 4e-10, 3 - 4e-10, -2 + 4e-10, -2 - 4e-10, 5 + 2e-9, 5 - 2e-9,
+}
+
+// randLaneExpr is randExpr over four variables and laneValues constants,
+// with n-ary Add, Mul, Max and Min of one to six operands (the lane
+// runner takes Add and Mul operands two per pass), Sub, Div by anything,
+// Ceil and Floor.
+func randLaneExpr(rng *rand.Rand, depth int) *Expr {
+	vars := []string{"a", "b", "c", "d"}
+	if depth <= 0 || rng.Intn(5) == 0 {
+		if rng.Intn(3) == 0 {
+			return Const(laneValues[rng.Intn(len(laneValues))])
+		}
+		return Var(vars[rng.Intn(len(vars))])
+	}
+	nary := func(f func(...*Expr) *Expr) *Expr {
+		args := make([]*Expr, 1+rng.Intn(6))
+		for i := range args {
+			args[i] = randLaneExpr(rng, depth-1)
+		}
+		return f(args...)
+	}
+	switch rng.Intn(8) {
+	case 0:
+		return nary(Add)
+	case 1:
+		return nary(Mul)
+	case 2:
+		return nary(Max)
+	case 3:
+		return nary(Min)
+	case 4:
+		return Sub(randLaneExpr(rng, depth-1), randLaneExpr(rng, depth-1))
+	case 5:
+		return Div(randLaneExpr(rng, depth-1), randLaneExpr(rng, depth-1))
+	case 6:
+		return Ceil(randLaneExpr(rng, depth-1))
+	default:
+		return Floor(randLaneExpr(rng, depth-1))
+	}
+}
+
+// TestPropertyLanesMatchScalar: EvalLanes over 1, 2, 63, 64 and 65 lanes
+// (around the 64-lane blocks the stage analyzer prices in; one lane runs
+// the scalar interpreter) leaves in each lane's output row exactly, bit
+// for bit, what a fresh EvalFrame of that lane's frame returns — signed
+// zeros and infinities included — on a whole run over a register file of
+// garbage and on a staged re-run from every variable after changing, lane
+// by lane, the variables at and above it. A NaN matches any NaN: Go does
+// not specify NaN payloads, and the compiler may swap a commutative
+// operation's operands, which picks which of two NaNs survives (it does
+// under -race).
+func TestPropertyLanesMatchScalar(t *testing.T) {
+	vars := []string{"a", "b", "c", "d"}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		exprs := make([]*Expr, 1+rng.Intn(4))
+		for i := range exprs {
+			exprs[i] = randLaneExpr(rng, 2+rng.Intn(4))
+		}
+		prog, err := Compile(exprs, vars)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		draw := func() float64 {
+			if rng.Intn(2) == 0 {
+				return laneValues[rng.Intn(len(laneValues))]
+			}
+			return float64(rng.Intn(41)-20) / 4
+		}
+		for _, lanes := range []int{1, 2, 63, 64, 65} {
+			frames := make([]float64, len(vars)*lanes)
+			regs := make([]float64, prog.NumRegs()*lanes)
+			for i := range regs {
+				regs[i] = -123.456 // another program's run: nothing may be read before it is written
+			}
+			for from := 0; from <= len(vars); from++ {
+				for v := from; v < len(vars); v++ {
+					for j := 0; j < lanes; j++ {
+						frames[v*lanes+j] = draw()
+					}
+				}
+				prog.EvalLanes(frames, regs, lanes, from)
+				frame := make([]float64, len(vars))
+				for j := 0; j < lanes; j++ {
+					for v := range frame {
+						frame[v] = frames[v*lanes+j]
+					}
+					want := prog.EvalFrame(frame, nil, nil)
+					for o := range want {
+						got := prog.Output(regs, lanes, o)[j]
+						if math.Float64bits(got) != math.Float64bits(want[o]) && !(math.IsNaN(got) && math.IsNaN(want[o])) {
+							t.Logf("seed %d, %d lanes from var %d, lane %d frame %v: output %d = %v (%#x), EvalFrame %v (%#x)",
+								seed, lanes, from, j, frame, o, got, math.Float64bits(got), want[o], math.Float64bits(want[o]))
+							return false
+						}
+					}
 				}
 			}
 		}
