@@ -51,7 +51,7 @@ test-noskip: ## the full (non -short) suite, verbose; fails if any test reports 
 test-seam: ## vet + short tests of the nested benchmarks/mistperf module, which `go test ./...` never sees: the one place a break of its seam.go contract shows
 	cd benchmarks/mistperf && $(GO) vet ./... && $(GO) test -short ./...
 
-race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks, and the eval cache's same-row/mixed-row publish races, the analyzer's concurrent first use and the per-platform interference fit's concurrent first use repeated
+race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks, and the eval cache's same-row/mixed-row publish races and readers of a stored row, two searches sharing one cache (TestConcurrentSearchesCountTheirOwnTraffic), the analyzer's concurrent first use and the per-platform interference fit's concurrent first use repeated
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrent' ./internal/evalcache ./internal/schedule ./internal/core
 
@@ -82,7 +82,7 @@ property: ## schedule, frontier and compile invariants, repeated with a pinned q
 	$(GO) test ./internal/schedule ./internal/core ./internal/symbolic -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
 	$(GO) test ./internal/schedule -run 'TestPropertyLiftedProgramMatchesPerShapeBuild|TestPropertyComputeFloorBoundsStable' -count=1 -reference.full
 
-bench: ## cached-vs-uncached tuner (BenchmarkTuneUncached is the bare-analyzer reference cell, kept under that name for bench-regression; BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down), one 405-knob row through the analyzer and through the eval cache, batch-submit amortization, tracing overhead, SLO evaluation
+bench: ## cold and warm tuner (BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down), one 405-knob row through the analyzer and through the eval cache, batch-submit amortization, tracing overhead, SLO evaluation
 	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x .
 	$(GO) test -run xxx -bench 'BenchmarkEvaluateBatch' ./internal/schedule
 	$(GO) test -run xxx -bench 'BenchmarkRow' ./internal/evalcache

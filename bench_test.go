@@ -125,7 +125,7 @@ func BenchmarkSec66PredictionAccuracy(b *testing.B) {
 	runExperiment(b, "accuracy")
 }
 
-// benchWorkload is the cached-vs-uncached comparison workload: eight GPUs,
+// benchWorkload is the cold-versus-warm comparison workload: eight GPUs,
 // sixteen (S, G) pairs. Since the compute floor and the wave ramp a cold
 // search of it sweeps only (S=1, G=1), whose 13 shapes are all distinct —
 // the cache's hits on it are a repeat's or a neighbouring batch's
@@ -135,11 +135,10 @@ func benchWorkload() (Workload, *Cluster) {
 	return Workload{Model: Model("gpt3-2.7b"), Seq: 2048, Flash: true, GlobalBatch: 8}, L4Cluster(8)
 }
 
-// benchTuneCold runs a cold search of space per iteration — on a
-// core.New tuner (evaluation cache on), or, as the uncached reference, on
-// a Tuner literal over the same calibrated analyzer, which prices
-// straight on it — and reports cache metrics.
-func benchTuneCold(b *testing.B, space core.Space, uncached bool) {
+// benchTuneCold runs a cold search of space per iteration on a core.New
+// tuner (a fresh analyzer and evaluation cache) and reports cache
+// metrics.
+func benchTuneCold(b *testing.B, space core.Space) {
 	w, cl := benchWorkload()
 	var res *core.Result
 	b.ReportAllocs()
@@ -149,19 +148,14 @@ func benchTuneCold(b *testing.B, space core.Space, uncached bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if uncached {
-			tn = &core.Tuner{W: w, Cluster: cl, An: tn.An, Space: space}
-		}
 		res, err = tn.Tune()
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(res.Candidates), "candidates")
-	if !uncached {
-		b.ReportMetric(res.CacheHitRate(), "hit-rate")
-		b.ReportMetric(float64(res.EvalCacheMisses), "unique-evals")
-	}
+	b.ReportMetric(res.CacheHitRate(), "hit-rate")
+	b.ReportMetric(float64(res.EvalCacheMisses), "unique-evals")
 }
 
 // TestColdTuneAllocCeiling pins what a cold search allocates: a fresh
@@ -243,12 +237,11 @@ func TestRetuneAllocCeiling(t *testing.T) {
 	}
 }
 
-// BenchmarkTuneMemoizedCold measures a full Mist-space search with the
-// evaluation cache on: the analyzer prices the unique-evals metric's
-// worth of candidates and the rest of the candidates metric is served as
-// hits — none on this cell, so against BenchmarkTuneUncached the cell
-// reads what writing the rows costs a search that never reads them back.
-func BenchmarkTuneMemoizedCold(b *testing.B) { benchTuneCold(b, core.MistSpace(), false) }
+// BenchmarkTuneMemoizedCold measures a full Mist-space search on a fresh
+// evaluation cache: the analyzer prices the unique-evals metric's worth of
+// candidates and the rest of the candidates metric is served as hits —
+// none on this cell.
+func BenchmarkTuneMemoizedCold(b *testing.B) { benchTuneCold(b, core.MistSpace()) }
 
 // BenchmarkTuneHetero is the same cold search with heterogeneous device
 // assignment on: every pipelined stage is swept at each power-of-two
@@ -259,14 +252,8 @@ func BenchmarkTuneMemoizedCold(b *testing.B) { benchTuneCold(b, core.MistSpace()
 func BenchmarkTuneHetero(b *testing.B) {
 	space := core.MistSpace()
 	space.HeterogeneousDevices = true
-	benchTuneCold(b, space, false)
+	benchTuneCold(b, space)
 }
-
-// BenchmarkTuneUncached is the same search on the bare analyzer — every
-// candidate goes to the symbolic analyzer (the seed's behavior).
-// The chosen plans are identical either way (core's
-// TestCacheOnOffIdenticalPlans).
-func BenchmarkTuneUncached(b *testing.B) { benchTuneCold(b, core.MistSpace(), true) }
 
 // BenchmarkTuneMemoizedWarm is the serving scenario (cmd/mistserve):
 // every iteration re-tunes a workload whose evaluations are already
@@ -274,7 +261,7 @@ func BenchmarkTuneUncached(b *testing.B) { benchTuneCold(b, core.MistSpace(), tr
 // and cache, as each /tune of a known fingerprint does. Every candidate
 // is a cache hit, so this bounds the steady-state cost of repeated tuning
 // traffic, tuner construction included; compare against
-// BenchmarkTuneUncached for the cached-vs-uncached speedup.
+// BenchmarkTuneMemoizedCold for the cold-versus-warm speedup.
 func BenchmarkTuneMemoizedWarm(b *testing.B) {
 	w, cl := benchWorkload()
 	first, err := core.New(w, cl, core.MistSpace())

@@ -27,74 +27,52 @@ type candidate struct {
 	T, D  float64
 }
 
-// point is a candidate as the sweep holds it: the two priced values plus
-// the positions of its shape in the sweep's shape list and of its knobs in
-// its layer count's knob set. A sweep prices thousands of points per
-// layer count and keeps a few; only those become candidates
+// point is a frontier step as the sweep holds it: the two priced values
+// plus the positions of its shape in the sweep's shape list and of its
+// knobs in its layer count's knob set. A sweep reads thousands of priced
+// entries per layer count in place and keeps a few dozen steps; only the
+// steps become points, and only the sampled ones candidates
 // (sweepScratch.candidate).
 type point struct {
 	T, D        float64
 	shape, knob int32
 }
 
-// evalScratch is the per-pricing-goroutine buffer set: the backend's
-// scratch plus one reusable result slice per layer count of the window.
-// Pooled because intraStage's inner fan-out borrows transient goroutines.
-type evalScratch struct {
-	cs   evalcache.Scratch
-	dsts [][]schedule.Result
-}
-
-var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
+// evalScratchPool holds the per-pricing-goroutine cache scratch. Pooled
+// because intraStage's inner fan-out borrows transient goroutines.
+var evalScratchPool = sync.Pool{New: func() any { return new(evalcache.Scratch) }}
 
 // sweepScratch is the per-intraStage-call buffer set, and after the call
-// its result: the shape list, the window's knob sets, a point block per
-// shape and, per (layer count, shape), the block segment holding that
-// pair's feasible points; plus the Pareto staircase buffers. One
-// sweepScratch serves a whole (S, G) pair's stage loop (tuneSG holds it
-// for the pair's lifetime); survivors are value-copied out (candidate)
-// before reuse.
+// its result: the shape list, the window's knob sets, the memory budget,
+// one cache row per (shape, layer count) — the stored row itself, read in
+// place — and the Pareto staircase buffers. One sweepScratch serves a
+// whole (S, G) pair's stage loop (tuneSG holds it for the pair's
+// lifetime); survivors are value-copied out (candidate) before reuse.
 type sweepScratch struct {
 	shapes []schedule.StageShape
 	sets   []*evalcache.KnobSet
+	budget float64
+	rows   [][]schedule.Result // shape-major: see row
 	outs   []shapeOut
-	blocks []*pointBlock
-	segs   [][]point // segs[li*len(shapes)+si], backed by blocks[si]
 	stair  []point
 	picks  []point
 }
 
 var sweepScratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
 
-// pointBlock holds one shape's points of a sweep, every layer count of
-// the window. Blocks are pooled singly, not as one arena, so that a pool
-// miss is cheap: a sync.Pool keeps one object per P where no other P
-// finds it, a search ends on whichever P its last worker woke it on, and
-// the next one now and then finds the pool an object short — of a 10 KB
-// block, where an arena was 130 KB, twice what a re-tune on a filled
-// cache otherwise allocates.
-type pointBlock struct{ pts []point }
-
-var pointBlockPool = sync.Pool{New: func() any { return new(pointBlock) }}
-
-// release returns sc to the pool without the window's knob sets (a pooled
-// scratch must not keep a dropped analyzer's grids alive), and its blocks
-// to theirs.
+// release returns sc to the pool without the window's knob sets and rows:
+// a pooled scratch must not keep a dropped analyzer's grids or a dropped
+// cache's rows alive.
 func (sc *sweepScratch) release() {
 	clear(sc.sets[:cap(sc.sets)])
-	for _, b := range sc.blocks {
-		pointBlockPool.Put(b)
-	}
-	clear(sc.blocks)
-	sc.blocks = sc.blocks[:0]
+	clear(sc.rows[:cap(sc.rows)])
 	sweepScratchPool.Put(sc)
 }
 
-// list returns layer count li's points as one segment per shape:
-// concatenated, they are the layer count's feasible candidates in
-// enumeration order (shape-major, knob-minor).
-func (sc *sweepScratch) list(li int) [][]point {
-	return sc.segs[li*len(sc.shapes) : (li+1)*len(sc.shapes)]
+// row is shape si's row for layer count li: the priced entries in knob
+// order, feasible or not.
+func (sc *sweepScratch) row(si, li int) []schedule.Result {
+	return sc.rows[si*len(sc.sets)+li]
 }
 
 // candidate materialises a point of layer count li.
@@ -105,12 +83,12 @@ func (sc *sweepScratch) candidate(li int, p point) candidate {
 	}
 }
 
-// shapeOut is one shape's pricing outcome: the number of evaluator
-// candidates actually priced (0 when the shape was never claimed or
-// errored before pricing), and any error.
+// shapeOut is one shape's pricing outcome: the cache's hits and misses
+// for its window (both 0 when the shape was never claimed or errored),
+// and any error.
 type shapeOut struct {
-	n   int
-	err error
+	hits, misses int
+	err          error
 }
 
 // planSafetyFraction leaves headroom between the analyzer's closed-form
@@ -121,35 +99,29 @@ const planSafetyFraction = 0.96
 
 // intraStage enumerates and prices every (b, DP, TP, ZeRO, CKPT, WO, GO,
 // OO, AO) combination for one pipeline stage position, under every layer
-// count of the stage's window at once: each stage shape goes to the
-// backend one time with the window's knob sets, so what a shape's price
-// owes to the offload tuple alone is computed once, not once per layer
-// count. This is the paper's brute-force intra-stage sweep (§5.3:
-// "querying single datapoints is extremely fast ... we simply search in a
+// count of the stage's window at once: each stage shape goes to the cache
+// one time with the window's knob sets, so what a shape's price owes to
+// the offload tuple alone is computed once, not once per layer count.
+// This is the paper's brute-force intra-stage sweep (§5.3: "querying
+// single datapoints is extremely fast ... we simply search in a
 // brute-force way").
 //
-// The feasible points are left in sc (list(li) for layers[li]) and are
-// only valid until the next intraStage call on the same scratch; the
-// evaluated count is exact — it tallies precisely the candidates the
-// evaluator priced, including shapes whose windows completed after
-// another shape failed, so it reconciles with the cache's hit/miss
-// counters.
+// The priced rows are left in sc (row(si, li) for shapes[si] and
+// layers[li]) and are only valid until the next intraStage call on the
+// same scratch; feasibility is decided where they are read. The evaluated
+// count is exact — the hits plus misses of every shape whose window
+// priced, including shapes that completed after another shape failed —
+// and the same counts feed the search's own traffic counters.
 func (t *Tuner) intraStage(s, g, stageIdx, devPerStage int, layers []int, sc *sweepScratch) (int, error) {
-	budget := t.Cluster.MemoryBudget() * planSafetyFraction
-	ev := t.backend()
-	sets, perShape := sc.sets[:0], 0
+	sc.budget = t.Cluster.MemoryBudget() * planSafetyFraction
+	sets := sc.sets[:0]
 	for _, l := range layers {
-		set := t.knobSet(l)
-		sets = append(sets, set)
-		perShape += set.Len()
+		sets = append(sets, t.knobSet(l))
 	}
 	sc.sets = sets
 
 	// Enumerate the stage shapes, then price them on a bounded worker
-	// pool (the intra-stage counterpart of Tune's (S, G) fan-out). Every
-	// (layer count, shape) has its own segment, at a position fixed by the
-	// enumeration, so the search stays deterministic regardless of
-	// scheduling.
+	// pool (the intra-stage counterpart of Tune's (S, G) fan-out).
 	shapes := sc.shapes[:0]
 	for _, pt := range t.parallelisms(devPerStage, g) {
 		for _, zero := range t.Space.zeroLevels() {
@@ -170,47 +142,16 @@ func (t *Tuner) intraStage(s, g, stageIdx, devPerStage int, layers []int, sc *sw
 	}
 	outs := sc.outs[:len(shapes)]
 	clear(outs)
-	if need := len(sets) * len(shapes); cap(sc.segs) < need {
-		sc.segs = make([][]point, need)
+	// Shape i's rows are the window-long run at i*len(sets), which its
+	// worker hands the cache to fill: disjoint runs at positions fixed by
+	// the enumeration, so workers write without synchronization and the
+	// search stays deterministic regardless of scheduling.
+	if need := len(shapes) * len(sets); cap(sc.rows) < need {
+		sc.rows = make([][]schedule.Result, need)
 	} else {
-		sc.segs = sc.segs[:need]
-		clear(sc.segs)
+		sc.rows = sc.rows[:need]
 	}
-	segs := sc.segs
-	// Disjoint segments let concurrent workers write points without
-	// synchronization or a compacting copy: shape i's are in its own block,
-	// layer count li's at the knobs of the layer counts before it.
-	for len(sc.blocks) < len(shapes) {
-		sc.blocks = append(sc.blocks, pointBlockPool.Get().(*pointBlock))
-	}
-	blocks := sc.blocks
-
-	price := func(i int, es *evalScratch) {
-		for len(es.dsts) < len(sets) {
-			es.dsts = append(es.dsts, nil)
-		}
-		dsts := es.dsts[:len(sets)]
-		if err := ev.EvaluateSets(shapes[i], sets, dsts, &es.cs); err != nil {
-			outs[i].err = err
-			return
-		}
-		b, at := blocks[i], 0
-		if len(b.pts) < perShape {
-			b.pts = make([]point, perShape)
-		}
-		for li, results := range dsts {
-			n := len(results)
-			seg := b.pts[at : at : at+n]
-			for j := range results {
-				if r := &results[j]; r.Fits(budget) {
-					seg = append(seg, point{T: r.Stable, D: r.Delta, shape: int32(i), knob: int32(j)})
-				}
-			}
-			segs[li*len(shapes)+i] = seg
-			at += n
-		}
-		outs[i].n = perShape
-	}
+	rows := sc.rows
 
 	// Jobs are claimed off an atomic counter. The caller always prices
 	// inline (progress without any token), and extra workers — at most
@@ -220,8 +161,8 @@ func (t *Tuner) intraStage(s, g, stageIdx, devPerStage int, layers []int, sc *sw
 	// runnable goroutines.
 	var next atomic.Int64
 	drain := func() {
-		es := evalScratchPool.Get().(*evalScratch)
-		defer evalScratchPool.Put(es)
+		cs := evalScratchPool.Get().(*evalcache.Scratch)
+		defer evalScratchPool.Put(cs)
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(shapes) {
@@ -233,7 +174,8 @@ func (t *Tuner) intraStage(s, g, stageIdx, devPerStage int, layers []int, sc *sw
 				outs[i].err = err
 				return
 			}
-			price(i, es)
+			o := &outs[i]
+			o.hits, o.misses, o.err = t.ev.EvaluateSets(shapes[i], sets, rows[i*len(sets):(i+1)*len(sets)], cs)
 		}
 	}
 	var wg sync.WaitGroup
@@ -254,18 +196,20 @@ spawn:
 	drain()
 	wg.Wait()
 
-	// Tally the exact evaluator traffic before surfacing any error:
-	// out-of-order workers may have priced (and counted in the cache)
-	// shapes beyond the first failure.
-	evaluated := 0
+	// Tally the exact traffic before surfacing any error: out-of-order
+	// workers may have priced shapes beyond the first failure.
+	var hits, misses int
 	var firstErr error
 	for i := range outs {
-		evaluated += outs[i].n
+		hits += outs[i].hits
+		misses += outs[i].misses
 		if firstErr == nil && outs[i].err != nil {
 			firstErr = outs[i].err
 		}
 	}
-	return evaluated, firstErr
+	t.hits.Add(uint64(hits))
+	t.misses.Add(uint64(misses))
+	return hits + misses, firstErr
 }
 
 // parallelism is one feasible (tp, dp, b) split of a stage's devices.
@@ -295,15 +239,15 @@ func (t *Tuner) parallelisms(devPerStage, g int) []parallelism {
 	return out
 }
 
-// paretoSample reduces a candidate list (one segment per shape, see
-// sweepScratch.list) to K points on its (t, d) Pareto frontier using the
+// paretoSample reduces layer count li's feasible candidates (see
+// paretoFrontier) to K points on their (t, d) Pareto frontier using the
 // paper's dual-objective sweep (Eq. 4): for uniformly sampled α in
 // [0, 1], keep argmin α·G·t + (1−α)·d. With K == 1 the single sample uses
 // α = 1 (pure stable-time minimization — the point a throughput-greedy
 // planner would keep; α = 0/0 would be NaN). The returned slice is backed
 // by sc and valid until its next use.
-func paretoSample(segs [][]point, g, k int, sc *sweepScratch) []point {
-	front := paretoFrontier(segs, sc)
+func paretoSample(sc *sweepScratch, li, g, k int) []point {
+	front := paretoFrontier(sc, li)
 	if len(front) <= k {
 		return front
 	}
@@ -328,24 +272,31 @@ func paretoSample(segs [][]point, g, k int, sc *sweepScratch) []point {
 	return out
 }
 
-// paretoFrontier keeps the non-dominated points of a candidate list given
-// as segments: c dominates c' when c.T <= c'.T and c.D <= c'.D with at
-// least one strict, and of exact (T, D) duplicates the first in the list
-// wins — the frontier is the set of minima under the total order (T, D,
-// position in the list), returned by ascending T. The returned slice is
-// backed by sc and valid until its next use.
-func paretoFrontier(segs [][]point, sc *sweepScratch) []point {
+// paretoFrontier keeps the non-dominated points among layer count li's
+// feasible candidates: the entries of its rows, read in enumeration order
+// (shape-major, knob-minor), that fit sc.budget. c dominates c' when
+// c.T <= c'.T and c.D <= c'.D with at least one strict, and of exact
+// (T, D) duplicates the first in that order wins — the frontier is the
+// set of minima under the total order (T, D, position), returned by
+// ascending T. The returned slice is backed by sc and valid until its
+// next use.
+func paretoFrontier(sc *sweepScratch, li int) []point {
 	// The frontier is a staircase, T strictly ascending and D strictly
-	// descending, fed in enumeration order: a point lands behind the last
+	// descending, fed in enumeration order: an entry lands behind the last
 	// step with T <= its own, is dropped when that step's D is already <=
 	// its own (so a later duplicate never displaces an earlier one), and
 	// otherwise replaces every step it dominates. A sweep keeps a few dozen
-	// steps out of thousands of points, so nearly every point costs one
-	// binary search.
+	// steps out of thousands of entries, so nearly every entry costs one
+	// binary search and no point is built for it.
 	stair := sc.stair[:0]
-	for _, seg := range segs {
-		for i := range seg {
-			t, d := seg[i].T, seg[i].D
+	for si := range sc.shapes {
+		row := sc.row(si, li)
+		for j := range row {
+			r := &row[j]
+			if !r.Fits(sc.budget) {
+				continue
+			}
+			t, d := r.Stable, r.Delta
 			lo, hi := 0, len(stair)
 			for lo < hi { // hi = first step with T > t
 				if mid := int(uint(lo+hi) >> 1); stair[mid].T > t {
@@ -355,7 +306,7 @@ func paretoFrontier(segs [][]point, sc *sweepScratch) []point {
 				}
 			}
 			if hi > 0 && stair[hi-1].D <= d {
-				continue // dominated, or a duplicate of an earlier point
+				continue // dominated, or a duplicate of an earlier entry
 			}
 			// Dominated steps are contiguous: an equal-T predecessor (its D
 			// is larger) and the successors whose D has not dropped below d.
@@ -366,12 +317,13 @@ func paretoFrontier(segs [][]point, sc *sweepScratch) []point {
 			for hi < len(stair) && stair[hi].D >= d {
 				hi++
 			}
+			p := point{T: t, D: d, shape: int32(si), knob: int32(j)}
 			if lo == hi {
 				stair = append(stair, point{})
 				copy(stair[lo+1:], stair[lo:])
-				stair[lo] = seg[i]
+				stair[lo] = p
 			} else {
-				stair[lo] = seg[i]
+				stair[lo] = p
 				stair = append(stair[:lo+1], stair[hi:]...)
 			}
 		}

@@ -7,6 +7,9 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"repro/internal/evalcache"
+	"repro/internal/schedule"
 )
 
 // sortedSweepFrontier is the frontier's definition, executed: sort by the
@@ -84,25 +87,52 @@ func randSegments(rng *rand.Rand, cands []point) [][]point {
 	return segs
 }
 
+// layOut makes sc hold segments as intraStage leaves a window of one
+// layer count: segment i is shape i's row, and an entry fits the budget
+// unless over (nil: never) says otherwise. It returns the entries that
+// fit, in enumeration order, as the points the staircase makes of them:
+// shape and knob are the entry's row and position.
+func layOut(sc *sweepScratch, segs [][]point, over func() bool) []point {
+	sc.shapes = make([]schedule.StageShape, len(segs))
+	sc.sets = []*evalcache.KnobSet{nil}
+	sc.budget = 1
+	sc.rows = sc.rows[:0]
+	var fits []point
+	for si, seg := range segs {
+		row := make([]schedule.Result, len(seg))
+		for j, p := range seg {
+			row[j] = schedule.Result{Stable: p.T, Delta: p.D}
+			if over != nil && over() {
+				row[j].PeakMem = 2
+				continue
+			}
+			fits = append(fits, point{T: p.T, D: p.D, shape: int32(si), knob: int32(j)})
+		}
+		sc.rows = append(sc.rows, row)
+	}
+	return fits
+}
+
 // TestPropertyParetoStaircaseMatchesSortedSweep: the incremental
-// staircase returns the same points in the same order as the
-// sort-then-sweep definition — ties and duplicates included: of equal
-// (T, D) points the first in the list survives, wherever the segment
-// boundaries fall.
+// staircase over the rows returns the same points in the same order as
+// the sort-then-sweep definition over the entries that fit the budget —
+// ties and duplicates included: of equal (T, D) points the first in the
+// list survives, wherever the row boundaries and the over-budget entries
+// fall.
 func TestPropertyParetoStaircaseMatchesSortedSweep(t *testing.T) {
 	sc := &sweepScratch{} // reused, as tuneSG reuses one per (S, G) pair
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cands := randCandidates(rng)
-		return slices.Equal(paretoFrontier(randSegments(rng, cands), sc), sortedSweepFrontier(cands))
+		fits := layOut(sc, randSegments(rng, randCandidates(rng)), func() bool { return rng.Intn(5) == 0 })
+		return slices.Equal(paretoFrontier(sc, 0), sortedSweepFrontier(fits))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestPointShape pins the sweep blocks' element: a stage sweep holds one
-// point per feasible (shape, knob) of its window, thousands at a time.
+// TestPointShape pins the staircase's element: an insertion shifts the
+// steps behind it, and the sampled steps are value-copied out.
 func TestPointShape(t *testing.T) {
 	if got := unsafe.Sizeof(point{}); got != 24 {
 		t.Errorf("point is %d bytes, want 24 (T, D float64; shape, knob int32)", got)
@@ -115,9 +145,9 @@ func TestParetoFrontierAllocatesNothingOnGrownScratch(t *testing.T) {
 		cands = append(cands, randCandidates(rand.New(rand.NewSource(int64(len(cands)))))...)
 	}
 	sc := &sweepScratch{}
-	segs := [][]point{cands[:50], cands[50:]}
-	paretoFrontier(segs, sc)
-	if allocs := testing.AllocsPerRun(20, func() { paretoFrontier(segs, sc) }); allocs != 0 {
+	layOut(sc, [][]point{cands[:50], cands[50:]}, nil)
+	paretoFrontier(sc, 0)
+	if allocs := testing.AllocsPerRun(20, func() { paretoFrontier(sc, 0) }); allocs != 0 {
 		t.Errorf("paretoFrontier allocated %v times per run on a grown scratch, want 0", allocs)
 	}
 }

@@ -7,8 +7,8 @@
 // the paper writes it is kept behind Tuner.UseMILP). There is one of
 // each: one (S, G) sweep whose per-stage device counts are a list of one
 // unless the space assigns devices heterogeneously, one DP whose device
-// dimension then has size one, and one pricing backend
-// (evalcache.Evaluator) fixed when the Tuner is built. Search-space
+// dimension then has size one, and one pricing path: every search prices
+// through the Tuner's evaluation cache (evalcache.Cache). Search-space
 // knobs allow the same machinery to emulate the baselines and the
 // Figure 13 ablation ladder.
 package core

@@ -45,12 +45,11 @@ type Tuner struct {
 	// Warm is never read: benchmarks/mistperf/seam.go names it (ROADMAP 4 (g)).
 	Warm *plan.Plan
 
-	// ev is the pricing backend, chosen when the tuner is built: New and
-	// NewShared install an evaluation cache, which memoizes analyzer
-	// evaluations across stages, layer counts and (S, G) pairs; a Tuner
-	// literal leaves it nil and prices on the bare analyzer An (the
-	// uncached reference the cache is tested and benchmarked against).
-	ev evalcache.Evaluator
+	// ev is the evaluation cache every pricing of a search goes through,
+	// memoizing analyzer evaluations across stages, layer counts and (S, G)
+	// pairs: New and NewShared install one, and a Tuner literal gets a
+	// private one when its first search starts.
+	ev pricer
 
 	// disableIncumbent stops completed pairs from feeding the incumbent
 	// bound: the search without cross-pair pruning, which tests use as a
@@ -59,24 +58,25 @@ type Tuner struct {
 
 	// One search's state (see incumbent.go): the incumbent bound — +Inf
 	// until a pair has a solution, lowered by every completed wave of
-	// pairs and written only between waves — and the two counters the
+	// pairs and written only between waves — and the counters the
 	// concurrent (S, G) pairs of a wave share: candidates the bound
-	// pruned, and pairs it abandoned.
-	incumbent float64
-	pruned    atomic.Int64
-	aborted   atomic.Int64
+	// pruned, pairs it abandoned, and the search's own cache hits and
+	// misses (the cache's counters also count any search beside it).
+	incumbent    float64
+	pruned       atomic.Int64
+	aborted      atomic.Int64
+	hits, misses atomic.Uint64
 	// tuneCtx bounds the running search; canceling it makes
 	// TuneContext return the context's error. Nil between searches.
 	tuneCtx context.Context
 }
 
-// backend returns the pricing backend: ev, or for a Tuner literal the
-// bare analyzer.
-func (t *Tuner) backend() evalcache.Evaluator {
-	if t.ev == nil {
-		return t.An
-	}
-	return t.ev
+// pricer is what a search prices through. The tuner's *evalcache.Cache
+// is its one implementation; it is an interface so that tests can wrap
+// the cache.
+type pricer interface {
+	Evaluate(schedule.StageShape, schedule.Knobs) (schedule.Result, error)
+	EvaluateSets(schedule.StageShape, []*evalcache.KnobSet, [][]schedule.Result, *evalcache.Scratch) (hits, misses int, err error)
 }
 
 // knobSet returns the knob grid of one layer count: the space's
@@ -131,13 +131,13 @@ type Result struct {
 	SGPairs        int     // (pipeline depth, grad accum) pairs explored
 	Elapsed        time.Duration
 
-	// Evaluation-cache traffic during this search: hits are candidate
+	// Evaluation-cache traffic of this search alone: hits are candidate
 	// pricings answered from the memo store, misses went to the symbolic
-	// analyzer. On an error-free search with the cache enabled,
-	// Hits + Misses == Candidates exactly: every attempt lands in
-	// Candidates and every successful pricing in exactly one counter.
-	// Evaluator errors leave the failed attempt in Candidates but in
-	// neither cache counter, so Candidates >= Hits + Misses always.
+	// analyzer. On an error-free search Hits + Misses == Candidates
+	// exactly: every attempt lands in Candidates and every successful
+	// pricing in exactly one counter. Analyzer errors leave the failed
+	// attempt in Candidates but in neither cache counter, so
+	// Candidates >= Hits + Misses always.
 	EvalCacheHits   uint64
 	EvalCacheMisses uint64
 
@@ -154,7 +154,7 @@ type Result struct {
 }
 
 // CacheHitRate returns the fraction of candidate evaluations served from
-// the memo store (0 when caching was disabled).
+// the memo store (0 when the search priced nothing).
 func (r *Result) CacheHitRate() float64 {
 	if t := r.EvalCacheHits + r.EvalCacheMisses; t > 0 {
 		return float64(r.EvalCacheHits) / float64(t)
@@ -229,9 +229,8 @@ func New(w plan.Workload, cl *hardware.Cluster, space Space) (*Tuner, error) {
 // answer the next request's search). It never mutates the analyzer — it
 // may be serving concurrent searches — and instead rejects a Serialize
 // flag that contradicts the space, and it rejects a cache built over a
-// different evaluator (its memoized results
-// would be answers to different questions). A nil cache gets a fresh
-// private one.
+// different analyzer (its memoized results would be answers to different
+// questions). A nil cache gets a fresh private one.
 func NewShared(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer, space Space, cache *evalcache.Cache) (*Tuner, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -245,7 +244,7 @@ func NewShared(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer, spa
 	}
 	if cache == nil {
 		cache = evalcache.New(an)
-	} else if cache.Backend() != evalcache.Evaluator(an) {
+	} else if cache.Backend() != an {
 		return nil, fmt.Errorf("core: shared eval cache was built over a different analyzer")
 	}
 	return &Tuner{W: w, Cluster: cl, An: an, Space: space, ev: cache}, nil
@@ -270,10 +269,8 @@ func (t *Tuner) Tune() (*Result, error) {
 func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	res := &Result{}
-	cache, _ := t.ev.(*evalcache.Cache) // nil: uncached, no traffic to report
-	var cacheBefore evalcache.Stats
-	if cache != nil {
-		cacheBefore = cache.Stats()
+	if t.ev == nil {
+		t.ev = evalcache.New(t.An) // a Tuner literal's private cache
 	}
 
 	t.tuneCtx = ctx
@@ -281,6 +278,8 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	t.incumbent = math.Inf(1)
 	t.pruned.Store(0)
 	t.aborted.Store(0)
+	t.hits.Store(0)
+	t.misses.Store(0)
 
 	type sg struct{ s, g int }
 	var pairs []sg
@@ -384,11 +383,8 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	}
 	res.WarmPruned = int(t.pruned.Load())
 	res.WarmAbortedPairs = int(t.aborted.Load())
-	if cache != nil {
-		after := cache.Stats()
-		res.EvalCacheHits = after.Hits - cacheBefore.Hits
-		res.EvalCacheMisses = after.Misses - cacheBefore.Misses
-	}
+	res.EvalCacheHits = t.hits.Load()
+	res.EvalCacheMisses = t.misses.Load()
 	swsp.Annotate("pairs", res.SGPairs)
 	swsp.Annotate("candidates", res.Candidates)
 	swsp.Annotate("evalCacheHits", res.EvalCacheHits)
@@ -461,7 +457,7 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int) (*interSolution, int, erro
 				// The Pareto sampling is per (device count, layer count), so
 				// the solver keeps trade-off points for every partition.
 				for li := range window {
-					for _, p := range paretoSample(sc.list(li), g, t.Space.paretoSamples(), sc) {
+					for _, p := range paretoSample(sc, li, g, t.Space.paretoSamples()) {
 						stageC = append(stageC, sc.candidate(li, p))
 					}
 				}
@@ -548,9 +544,9 @@ func (t *Tuner) tuneUniform(s, g, devPer int) (*interSolution, int, error) {
 	l := t.W.Model.Layers / s
 	evaluated := 0
 	var best *interSolution
-	// Enumerate shared configurations via stage 0's candidate list, then
-	// replicate the knobs (and parallelism) across stages: a window of one
-	// layer count, every feasible point of it materialised.
+	// Enumerate shared configurations via stage 0's sweep, a window of one
+	// layer count, then replicate each feasible entry's knobs (and
+	// parallelism) across stages.
 	sc := sweepScratchPool.Get().(*sweepScratch)
 	defer sc.release()
 	n, err := t.intraStage(s, g, 0, devPer, []int{l}, sc)
@@ -558,44 +554,41 @@ func (t *Tuner) tuneUniform(s, g, devPer int) (*interSolution, int, error) {
 	if err != nil {
 		return nil, evaluated, err
 	}
-	var cands0 []candidate
-	for _, seg := range sc.list(0) {
-		for _, p := range seg {
-			cands0 = append(cands0, sc.candidate(0, p))
-		}
-	}
-	budget := t.Cluster.MemoryBudget() * planSafetyFraction
+	knobs := sc.sets[0].Knobs()
 	perf := make([]pipeline.StagePerf, 0, s) // reused: only sel outlives an iteration
-	for _, c0 := range cands0 {
-		if err := t.ctxErr(); err != nil {
-			return nil, evaluated, err
-		}
-		sel := make([]candidate, 0, s)
-		feasible := true
-		for i := 0; i < s; i++ {
-			shape := c0.Shape
-			shape.HasPre = i == 0
-			shape.HasPost = i == s-1
-			shape.StageIdx = i
-			r, err := t.backend().Evaluate(shape, c0.Knobs)
-			evaluated++ // the attempt was made whether or not it priced
-			if err != nil {
-				feasible = false
-				break
+	for si, shape0 := range sc.shapes {
+		row := sc.row(si, 0)
+		for j := range row {
+			if !row[j].Fits(sc.budget) {
+				continue
 			}
-			if !r.Fits(budget) {
-				feasible = false
-				break
+			if err := t.ctxErr(); err != nil {
+				return nil, evaluated, err
 			}
-			sel = append(sel, candidate{Shape: shape, Knobs: c0.Knobs, T: r.Stable, D: r.Delta})
-		}
-		if !feasible {
-			continue
-		}
-		perf = stagePerfs(perf, sel)
-		obj := t.objective(perf, g)
-		if best == nil || obj < best.Objective {
-			best = &interSolution{Stages: sel, Objective: obj}
+			sel := make([]candidate, 0, s)
+			for i := 0; i < s; i++ {
+				shape := shape0
+				shape.HasPre = i == 0
+				shape.HasPost = i == s-1
+				shape.StageIdx = i
+				r, err := t.ev.Evaluate(shape, knobs[j])
+				evaluated++ // the attempt was made whether or not it priced
+				if err != nil {
+					break
+				}
+				t.misses.Add(1)
+				if !r.Fits(sc.budget) {
+					break
+				}
+				sel = append(sel, candidate{Shape: shape, Knobs: knobs[j], T: r.Stable, D: r.Delta})
+			}
+			if len(sel) < s {
+				continue
+			}
+			perf = stagePerfs(perf, sel)
+			if obj := t.objective(perf, g); best == nil || obj < best.Objective {
+				best = &interSolution{Stages: sel, Objective: obj}
+			}
 		}
 	}
 	if best == nil {
@@ -668,7 +661,7 @@ func (t *Tuner) PredictPlan(p *plan.Plan) (float64, error) {
 	}
 	perf := make([]pipeline.StagePerf, len(p.Stages))
 	for i, st := range p.Stages {
-		r, err := t.backend().Evaluate(st.Shape, st.Knobs)
+		r, err := t.An.Evaluate(st.Shape, st.Knobs)
 		if err != nil {
 			return 0, err
 		}

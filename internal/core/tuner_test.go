@@ -411,7 +411,9 @@ func TestParetoFrontier(t *testing.T) {
 	cands := []point{
 		{T: 1, D: 5}, {T: 2, D: 2}, {T: 3, D: 1}, {T: 2.5, D: 3}, {T: 4, D: 4},
 	}
-	front := paretoFrontier([][]point{cands[:2], cands[2:]}, &sweepScratch{})
+	sc := &sweepScratch{}
+	layOut(sc, [][]point{cands[:2], cands[2:]}, nil)
+	front := paretoFrontier(sc, 0)
 	if len(front) != 3 {
 		t.Fatalf("frontier size %d, want 3 (got %+v)", len(front), front)
 	}
@@ -427,7 +429,9 @@ func TestParetoSampleEndpoints(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		cands = append(cands, point{T: float64(i), D: float64(20 - i)})
 	}
-	out := paretoSample([][]point{cands}, 4, 3, &sweepScratch{})
+	sc := &sweepScratch{}
+	layOut(sc, [][]point{cands}, nil)
+	out := paretoSample(sc, 0, 4, 3)
 	if len(out) == 0 || len(out) > 3 {
 		t.Fatalf("sample size %d", len(out))
 	}
@@ -453,7 +457,9 @@ func TestParetoSampleSingle(t *testing.T) {
 	cands := []point{
 		{T: 1, D: 5}, {T: 2, D: 2}, {T: 3, D: 1}, {T: 2.5, D: 3}, {T: 4, D: 4},
 	}
-	out := paretoSample([][]point{cands}, 4, 1, &sweepScratch{})
+	sc := &sweepScratch{}
+	layOut(sc, [][]point{cands}, nil)
+	out := paretoSample(sc, 0, 4, 1)
 	if len(out) != 1 {
 		t.Fatalf("k=1 sampled %d candidates", len(out))
 	}
@@ -468,47 +474,50 @@ func TestParetoSampleKExceedsFrontier(t *testing.T) {
 	cands := []point{
 		{T: 1, D: 5}, {T: 2, D: 2}, {T: 3, D: 1}, {T: 2.5, D: 3}, {T: 4, D: 4},
 	}
+	sc := &sweepScratch{}
 	for _, k := range []int{3, 10} {
-		out := paretoSample([][]point{cands}, 4, k, &sweepScratch{})
+		layOut(sc, [][]point{cands}, nil)
+		out := paretoSample(sc, 0, 4, k)
 		if len(out) != 3 {
 			t.Errorf("k=%d sampled %d candidates, want the full 3-point frontier", k, len(out))
 		}
 	}
-	if out := paretoSample(nil, 4, 1, &sweepScratch{}); len(out) != 0 {
+	layOut(sc, nil, nil)
+	if out := paretoSample(sc, 0, 4, 1); len(out) != 0 {
 		t.Errorf("empty candidate set sampled %+v", out)
 	}
 }
 
-// flakyEvaluator delegates to the real analyzer but fails configurable
-// subsets of the traffic, counting exactly the pricings that succeeded —
-// the reference value for the tuner's `evaluated` accounting.
-type flakyEvaluator struct {
-	an           *schedule.Analyzer
+// flakyPricer wraps the tuner's cache but fails configurable subsets of
+// the traffic, counting exactly the pricings that succeeded — the
+// reference value for the tuner's `evaluated` accounting.
+type flakyPricer struct {
+	pricer
 	failBatchTP  int          // EvaluateSets errors for shapes with this TP (0: never)
 	failEvaluate bool         // every single-point Evaluate errors
-	points       atomic.Int64 // successful batch pricings, in points
+	points       atomic.Int64 // successful set pricings, in points
 	attempts     atomic.Int64 // single-point Evaluate attempts
 }
 
-func (f *flakyEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (schedule.Result, error) {
+func (f *flakyPricer) Evaluate(s schedule.StageShape, k schedule.Knobs) (schedule.Result, error) {
 	f.attempts.Add(1)
 	if f.failEvaluate {
 		return schedule.Result{}, errors.New("flaky: evaluate failed")
 	}
-	return f.an.Evaluate(s, k)
+	return f.pricer.Evaluate(s, k)
 }
 
-func (f *flakyEvaluator) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, dsts [][]schedule.Result, sc *evalcache.Scratch) error {
+func (f *flakyPricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out [][]schedule.Result, sc *evalcache.Scratch) (int, int, error) {
 	if f.failBatchTP != 0 && s.TP == f.failBatchTP {
-		return errors.New("flaky: batch failed")
+		return 0, 0, errors.New("flaky: batch failed")
 	}
-	err := f.an.EvaluateSets(s, sets, dsts, sc)
+	hits, misses, err := f.pricer.EvaluateSets(s, sets, out, sc)
 	if err == nil {
 		for _, set := range sets {
 			f.points.Add(int64(set.Len()))
 		}
 	}
-	return err
+	return hits, misses, err
 }
 
 // TestIntraStageExactCountOnError pins the accounting fix: when one
@@ -525,7 +534,7 @@ func TestIntraStageExactCountOnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := &flakyEvaluator{an: tn.An, failBatchTP: 2}
+	fl := &flakyPricer{pricer: tn.ev, failBatchTP: 2}
 	tn.ev = fl
 
 	sc := &sweepScratch{}
@@ -541,21 +550,17 @@ func TestIntraStageExactCountOnError(t *testing.T) {
 	}
 }
 
-// gaugeEvaluator records, at every EvaluateSets call, how many calls are
-// in flight and how many intraSem tokens are held — one per extra worker
+// gaugePricer records, at every EvaluateSets call, how many calls are in
+// flight and how many intraSem tokens are held — one per extra worker
 // alive; a worker keeps its token until the shapes run out, so the
 // caller's first call sees every worker the sweep spawned.
-type gaugeEvaluator struct {
-	an                  *schedule.Analyzer
+type gaugePricer struct {
+	pricer
 	inFlight            atomic.Int32
 	maxFlight, maxExtra atomic.Int32
 }
 
-func (e *gaugeEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (schedule.Result, error) {
-	return e.an.Evaluate(s, k)
-}
-
-func (e *gaugeEvaluator) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, dsts [][]schedule.Result, sc *evalcache.Scratch) error {
+func (e *gaugePricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out [][]schedule.Result, sc *evalcache.Scratch) (int, int, error) {
 	raise := func(max *atomic.Int32, n int32) {
 		for m := max.Load(); n > m && !max.CompareAndSwap(m, n); m = max.Load() {
 		}
@@ -563,7 +568,7 @@ func (e *gaugeEvaluator) EvaluateSets(s schedule.StageShape, sets []*evalcache.K
 	raise(&e.maxFlight, e.inFlight.Add(1))
 	defer e.inFlight.Add(-1)
 	raise(&e.maxExtra, int32(len(intraSem)))
-	return e.an.EvaluateSets(s, sets, dsts, sc)
+	return e.pricer.EvaluateSets(s, sets, out, sc)
 }
 
 // TestIntraStageWorkersFollowGOMAXPROCS: the semaphore is sized when the
@@ -583,7 +588,9 @@ func TestIntraStageWorkersFollowGOMAXPROCS(t *testing.T) {
 	}
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		ev := &gaugeEvaluator{an: tn.An}
+		// A fresh cache: every shape misses and prices, so no worker drains
+		// the sweep before the caller's first call.
+		ev := &gaugePricer{pricer: evalcache.New(tn.An)}
 		tn.ev = ev
 		sc := &sweepScratch{}
 		if _, err := tn.intraStage(1, 1, 0, 8, []int{w.Model.Layers}, sc); err != nil {
@@ -601,46 +608,6 @@ func TestIntraStageWorkersFollowGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestSweepIgnoresWhatItsBlocksHeld: a sweep takes its point blocks from a
-// pool, so a block arrives with whatever capacity and contents the sweep
-// before left in it. The segments depend on neither: a scratch holding
-// too-small, oversized and junk-filled blocks lists exactly the points a
-// fresh one does.
-func TestSweepIgnoresWhatItsBlocksHeld(t *testing.T) {
-	w := testWorkload("gpt3-2.7b", 8)
-	tn, err := New(w, l4(t, 8), MistSpace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := tn.layerRange(2, 0)
-	sweep := func(sc *sweepScratch) [][]point {
-		t.Helper()
-		if _, err := tn.intraStage(2, 1, 0, 4, window, sc); err != nil {
-			t.Fatal(err)
-		}
-		var out [][]point
-		for li := range window {
-			out = append(out, slices.Concat(sc.list(li)...))
-		}
-		return out
-	}
-	want := sweep(&sweepScratch{})
-	if len(window) < 2 || len(want[0]) == 0 {
-		t.Fatalf("window %v with %d points in its first layer count exercises nothing", window, len(want[0]))
-	}
-	used := &sweepScratch{}
-	for i := 0; i < 3; i++ { // fewer than the sweep's shapes: the rest come from the pool
-		junk := make([]point, []int{1, 0, 1 << 14}[i])
-		for j := range junk {
-			junk[j] = point{T: -1, D: -1, shape: 99, knob: 99}
-		}
-		used.blocks = append(used.blocks, &pointBlock{pts: junk})
-	}
-	if got := sweep(used); !reflect.DeepEqual(got, want) {
-		t.Error("a sweep on used blocks lists other points than a sweep on fresh ones")
-	}
-}
-
 // TestTuneUniformCountsFailedEvaluations pins the companion fix in the
 // uniform-heuristic baseline: a single-point Evaluate that errors is
 // still an attempt the evaluator made, so it must be counted.
@@ -654,7 +621,7 @@ func TestTuneUniformCountsFailedEvaluations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := &flakyEvaluator{an: tn.An, failEvaluate: true}
+	fl := &flakyPricer{pricer: tn.ev, failEvaluate: true}
 	tn.ev = fl
 
 	_, evaluated, err := tn.tuneUniform(2, 1, 1)
@@ -704,70 +671,111 @@ func TestGradAccumsAreDivisors(t *testing.T) {
 	}
 }
 
-// The memoizing evaluation cache must be a pure optimization: the tuner
-// picks byte-identical plans with it on or off, and every pricing lands
-// in exactly one of its counters. The cold search itself does not hit: the
-// wave ramp runs (S=1, G=1) alone, and the incumbent it leaves is under
-// the compute floor of every other pair, so the search prices that pair's
-// 9 distinct shapes (TP in {1, 2, 4}, four ZeRO levels where DP > 1, one
-// where DP = 1) x 405 knobs = 3 645 candidates, once each. The hit rate
-// strictly between 0 and 1 is taken from a second search on the same
-// cache at batch 32, where (S=1, G=2) survives its floor too: its
-// microbatch sizes 32 / (2 DP) are (S=1, G=1)'s at batch 16, so that pair
-// hits all 3 645 rows while its own (S=1, G=1) misses all of its.
+// The memoizing evaluation cache must be a pure optimization: a search on
+// a cache another tuner filled picks the byte-identical plan and prices
+// the same candidates as one on a fresh cache, and every pricing lands in
+// exactly one of its counters. The fresh search does not hit: the wave
+// ramp runs (S=1, G=1) alone, and the incumbent it leaves is under the
+// compute floor of every other pair, so the search prices that pair's 9
+// distinct shapes (TP in {1, 2, 4}, four ZeRO levels where DP > 1, one
+// where DP = 1) x 405 knobs = 3 645 candidates, once each. The filler is
+// the same search at batch 32, where (S=1, G=2) survives its floor too:
+// its microbatch sizes 32 / (2 DP) are (S=1, G=1)'s at batch 16, so on its
+// cache the batch-16 search hits all 3 645 rows and misses none.
 func TestCacheOnOffIdenticalPlans(t *testing.T) {
-	w := testWorkload("gpt3-2.7b", 16)
-	nodes, perNode, _ := hardware.MeshForGPUs(4)
-	cl := hardware.L4Cluster(nodes, perNode)
+	w, cl := testWorkload("gpt3-2.7b", 16), l4(t, 4)
+	fresh, err := New(w, cl, MistSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled := evalcache.New(fresh.An)
+	filler, err := NewShared(testWorkload("gpt3-2.7b", 32), cl, fresh.An, MistSpace(), filled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onFilled, err := NewShared(w, cl, fresh.An, MistSpace(), filled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := map[string]*Result{}
+	for _, run := range []struct {
+		name string
+		tn   *Tuner
+	}{{"fresh", fresh}, {"filler", filler}, {"on filled", onFilled}} {
+		r, err := run.tn.Tune()
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if got := r.EvalCacheHits + r.EvalCacheMisses; got != uint64(r.Candidates) {
+			t.Errorf("%s search: hits+misses = %d, want the %d candidates priced", run.name, got, r.Candidates)
+		}
+		results[run.name] = r
+	}
+	rf, ro := results["fresh"], results["on filled"]
+	if !reflect.DeepEqual(rf.Plan, ro.Plan) {
+		t.Errorf("plan on a filled cache differs from a fresh cache's:\n%v\nvs\n%v", ro.Plan, rf.Plan)
+	}
+	if rf.Predicted != ro.Predicted {
+		t.Errorf("objective on a filled cache %v != on a fresh cache %v", ro.Predicted, rf.Predicted)
+	}
+	if rf.Candidates != 3645 || rf.EvalCacheHits != 0 {
+		t.Errorf("fresh search priced %d candidates with %d hits, want 3645 and 0", rf.Candidates, rf.EvalCacheHits)
+	}
+	if ro.Candidates != rf.Candidates || ro.EvalCacheMisses != 0 || ro.CacheHitRate() != 1 {
+		t.Errorf("search on a filled cache: %d candidates, %d hits, %d misses; want the fresh search's %d, all hits",
+			ro.Candidates, ro.EvalCacheHits, ro.EvalCacheMisses, rf.Candidates)
+	}
+}
 
-	cached, err := New(w, cl, MistSpace())
+// Searches running at once on one shared cache each report their own
+// traffic: hits + misses is exactly the search's candidates, not what the
+// cache's counters moved by while it ran, and the searches' counts add up
+// to the cache's. Repeated on fresh caches so that the two searches
+// overlap on any box; `make race` repeats it under the race detector.
+func TestConcurrentSearchesCountTheirOwnTraffic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	cl := l4(t, 8)
+	an, err := CalibratedAnalyzer(testWorkload("gpt3-2.7b", 16), cl, MistSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The uncached reference: a Tuner literal prices on the bare analyzer.
-	uncached := &Tuner{W: w, Cluster: cl, An: cached.An, Space: MistSpace()}
-
-	rc, err := cached.Tune()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ru, err := uncached.Tune()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(rc.Plan, ru.Plan) {
-		t.Errorf("cached plan differs from uncached:\n%v\nvs\n%v", rc.Plan, ru.Plan)
-	}
-	if rc.Predicted != ru.Predicted {
-		t.Errorf("cached objective %v != uncached %v", rc.Predicted, ru.Predicted)
-	}
-	if rc.Candidates != ru.Candidates {
-		t.Errorf("cached search priced %d candidates, uncached %d: the work of a search must not depend on the backend", rc.Candidates, ru.Candidates)
-	}
-	if rc.Candidates != 3645 || rc.EvalCacheHits != 0 {
-		t.Errorf("cold search priced %d candidates with %d hits, want 3645 and 0", rc.Candidates, rc.EvalCacheHits)
-	}
-	if got := rc.EvalCacheHits + rc.EvalCacheMisses; got != uint64(rc.Candidates) {
-		t.Errorf("hits+misses = %d, want the %d candidates priced", got, rc.Candidates)
-	}
-	if ru.EvalCacheHits != 0 || ru.EvalCacheMisses != 0 {
-		t.Errorf("uncached run reported cache traffic: %d/%d", ru.EvalCacheHits, ru.EvalCacheMisses)
-	}
-
-	neighbour, err := NewShared(testWorkload("gpt3-2.7b", 32), cl, cached.An, MistSpace(), cached.ev.(*evalcache.Cache))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rn, err := neighbour.Tune()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rn.EvalCacheHits + rn.EvalCacheMisses; got != uint64(rn.Candidates) {
-		t.Errorf("neighbour search: hits+misses = %d, want the %d candidates priced", got, rn.Candidates)
-	}
-	if hr := rn.CacheHitRate(); hr <= 0 || hr >= 1 || rn.EvalCacheHits != 3645 || rn.EvalCacheMisses != 3645 {
-		t.Errorf("neighbour search: hit rate %v (%d hits, %d misses), want inside (0, 1) from 3645 hits and 3645 misses", hr, rn.EvalCacheHits, rn.EvalCacheMisses)
+	for round := 0; round < 3; round++ {
+		cache := evalcache.New(an)
+		var tuners []*Tuner
+		for _, batch := range []int{16, 32} {
+			tn, err := NewShared(testWorkload("gpt3-2.7b", batch), cl, an, MistSpace(), cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuners = append(tuners, tn)
+		}
+		results, errs := make([]*Result, len(tuners)), make([]error, len(tuners))
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, tn := range tuners {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				results[i], errs[i] = tn.Tune()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		var sum uint64
+		for i, r := range results {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			got := r.EvalCacheHits + r.EvalCacheMisses
+			if got != uint64(r.Candidates) {
+				t.Errorf("round %d, batch %d: hits+misses = %d over %d candidates", round, tuners[i].W.GlobalBatch, got, r.Candidates)
+			}
+			sum += got
+		}
+		if st := cache.Stats(); st.Hits+st.Misses != sum {
+			t.Errorf("round %d: the cache counted %d pricings, the searches %d", round, st.Hits+st.Misses, sum)
+		}
 	}
 }
 
@@ -810,20 +818,20 @@ func goroutineID() string {
 	return string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1])
 }
 
-// callerEvaluator counts the EvaluateSets calls that ran on another
+// callerPricer counts the EvaluateSets calls that ran on another
 // goroutine than the one it was built on.
-type callerEvaluator struct {
-	evalcache.Evaluator
+type callerPricer struct {
+	pricer
 	home           string
 	calls, foreign atomic.Int32
 }
 
-func (e *callerEvaluator) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, dsts [][]schedule.Result, sc *evalcache.Scratch) error {
+func (e *callerPricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out [][]schedule.Result, sc *evalcache.Scratch) (int, int, error) {
 	e.calls.Add(1)
 	if goroutineID() != e.home {
 		e.foreign.Add(1)
 	}
-	return e.Evaluator.EvaluateSets(s, sets, dsts, sc)
+	return e.pricer.EvaluateSets(s, sets, out, sc)
 }
 
 // A wave of one pair is searched by the goroutine that called Tune: no
@@ -838,7 +846,7 @@ func TestWaveOfOneRunsOnTheCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := &callerEvaluator{Evaluator: tn.ev, home: goroutineID()}
+	ev := &callerPricer{pricer: tn.ev, home: goroutineID()}
 	tn.ev = ev
 	res, err := tn.Tune()
 	if err != nil {
@@ -938,27 +946,11 @@ func TestCacheWarmSecondSearch(t *testing.T) {
 	}
 }
 
-// setRecorder records every knob set the search hands its backend.
-type setRecorder struct {
-	evalcache.Evaluator
-	mu   sync.Mutex
-	sets map[*evalcache.KnobSet]bool
-}
-
-func (r *setRecorder) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, dsts [][]schedule.Result, sc *evalcache.Scratch) error {
-	r.mu.Lock()
-	for _, set := range sets {
-		r.sets[set] = true
-	}
-	r.mu.Unlock()
-	return r.Evaluator.EvaluateSets(s, sets, dsts, sc)
-}
-
 // The knob grid is the analyzer's, not the tuner's: a NewShared tuner and
 // a Tuner literal over one analyzer get the same set for a layer count,
-// and a second search on a fresh tuner prices nothing but the sets the
-// first one did — it builds no knob set of its own, so its rows are the
-// first search's, and it misses nothing.
+// and a second search on a fresh tuner misses nothing — it builds no knob
+// set of its own, so every row it asks for is one the first search
+// stored.
 func TestTunersOfOneAnalyzerShareItsKnobGrids(t *testing.T) {
 	w, cl := testWorkload("gpt3-2.7b", 8), l4(t, 8)
 	first, err := New(w, cl, MistSpace())
@@ -977,34 +969,20 @@ func TestTunersOfOneAnalyzerShareItsKnobGrids(t *testing.T) {
 		}
 	}
 
-	rec := &setRecorder{Evaluator: cache, sets: map[*evalcache.KnobSet]bool{}}
-	first.ev = rec
-	if _, err := first.Tune(); err != nil {
-		t.Fatal(err)
-	}
-	seen := rec.sets
-	if len(seen) == 0 {
-		t.Fatal("the first search priced no knob set")
+	if r, err := first.Tune(); err != nil || r.EvalCacheMisses == 0 {
+		t.Fatalf("first search: %v, %+v; want one that prices", err, r)
 	}
 	second, err := NewShared(w, cl, first.An, MistSpace(), cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec = &setRecorder{Evaluator: cache, sets: map[*evalcache.KnobSet]bool{}}
-	second.ev = rec // the search reports no cache traffic through a wrapper: read the cache's own counters
-	before := cache.Stats()
 	res, err := second.Tune()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for set := range rec.sets {
-		if !seen[set] {
-			t.Errorf("the second search priced a %d-knob set the first never did", set.Len())
-		}
-	}
-	if st := cache.Stats(); st.Misses != before.Misses || st.Hits-before.Hits != uint64(res.Candidates) {
+	if res.EvalCacheMisses != 0 || res.EvalCacheHits != uint64(res.Candidates) {
 		t.Errorf("second search: %d misses, %d hits over %d candidates; want all hits",
-			st.Misses-before.Misses, st.Hits-before.Hits, res.Candidates)
+			res.EvalCacheMisses, res.EvalCacheHits, res.Candidates)
 	}
 }
 

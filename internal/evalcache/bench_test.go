@@ -25,10 +25,10 @@ func fullRowSet() *KnobSet {
 	return NewKnobSet(ks)
 }
 
-// BenchmarkRow prices one full MistSpace row through the cache, per op:
-// "miss" is the probe, the analyzer's batch over the row and the publish
-// (a fresh cache every pass over the shapes); "hit" is the probe and the
-// copy out.
+// BenchmarkRow prices one full MistSpace row through the cache the way
+// the tuner does (EvaluateSets, the stored row handed out in place), per
+// op: "miss" is the probe, the analyzer's batch over the row and the
+// publish (a fresh cache every pass over the shapes); "hit" is the probe.
 func BenchmarkRow(b *testing.B) {
 	an := newTestAnalyzer(b)
 	set := fullRowSet()
@@ -44,11 +44,10 @@ func BenchmarkRow(b *testing.B) {
 		}
 	}
 	var sc Scratch
-	var dst []schedule.Result
-	var err error
+	sets, rows := []*KnobSet{set}, make([][]schedule.Result, 1)
 	warm := New(an) // also compiles every shape's program outside the timing
 	for _, s := range shapes {
-		if dst, err = warm.EvaluateSet(s, set, dst, &sc); err != nil {
+		if _, _, err := warm.EvaluateSets(s, sets, rows, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +59,7 @@ func BenchmarkRow(b *testing.B) {
 			if i%len(shapes) == 0 {
 				c = New(an)
 			}
-			if dst, err = c.EvaluateSet(shapes[i%len(shapes)], set, dst, &sc); err != nil {
+			if _, _, err := c.EvaluateSets(shapes[i%len(shapes)], sets, rows, &sc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -68,7 +67,7 @@ func BenchmarkRow(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if dst, err = warm.EvaluateSet(shapes[i%len(shapes)], set, dst, &sc); err != nil {
+			if _, _, err := warm.EvaluateSets(shapes[i%len(shapes)], sets, rows, &sc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,10 +2,11 @@ package evalcache
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/hardware"
 	"repro/internal/interference"
@@ -34,52 +35,37 @@ func testShape() schedule.StageShape {
 	}
 }
 
-// countingEvaluator counts calls through to the wrapped evaluator.
-type countingEvaluator struct {
-	ev      Evaluator
-	singles atomic.Int64
-	batched atomic.Int64 // total knob points priced via EvaluateSets
-	calls   atomic.Int64 // EvaluateSets calls
-}
-
-func (ce *countingEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (schedule.Result, error) {
-	ce.singles.Add(1)
-	return ce.ev.Evaluate(s, k)
-}
-
-func (ce *countingEvaluator) EvaluateSets(s schedule.StageShape, sets []*KnobSet, dsts [][]schedule.Result, sc *Scratch) error {
-	ce.calls.Add(1)
-	for _, set := range sets {
-		ce.batched.Add(int64(set.Len()))
-	}
-	return ce.ev.EvaluateSets(s, sets, dsts, sc)
-}
-
-// evaluateSet prices one set as a row through ev.
-func evaluateSet(ev Evaluator, s schedule.StageShape, set *KnobSet) ([]schedule.Result, error) {
+// evaluateSet prices one set through c and returns its stored row with
+// the call's hit and miss counts.
+func evaluateSet(c *Cache, s schedule.StageShape, set *KnobSet) (row []schedule.Result, hits, misses int, err error) {
 	var sc Scratch
-	dsts := [][]schedule.Result{nil}
-	err := ev.EvaluateSets(s, []*KnobSet{set}, dsts, &sc)
-	return dsts[0], err
+	rows := [][]schedule.Result{nil}
+	hits, misses, err = c.EvaluateSets(s, []*KnobSet{set}, rows, &sc)
+	return rows[0], hits, misses, err
 }
 
 // A set priced twice through one cache is served from its row the second
 // time, with the analyzer's own values.
 func TestCacheHitReturnsIdenticalResult(t *testing.T) {
 	an := newTestAnalyzer(t)
-	ce := &countingEvaluator{ev: an}
-	c := New(ce)
+	c := New(an)
 	shape := testShape()
 	k := schedule.Knobs{Layers: 32, Ckpt: 16, AO: 0.5}
 	set := NewKnobSet([]schedule.Knobs{k})
 
-	r1, err := evaluateSet(c, shape, set)
+	r1, hits, misses, err := evaluateSet(c, shape, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := evaluateSet(c, shape, set)
+	if hits != 0 || misses != 1 {
+		t.Errorf("first call: %d hits / %d misses, want 0 / 1", hits, misses)
+	}
+	r2, hits, misses, err := evaluateSet(c, shape, set)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if hits != 1 || misses != 0 {
+		t.Errorf("second call: %d hits / %d misses, want 1 / 0", hits, misses)
 	}
 	if r1[0] != r2[0] {
 		t.Errorf("cached result %+v != first result %+v", r2[0], r1[0])
@@ -91,9 +77,6 @@ func TestCacheHitReturnsIdenticalResult(t *testing.T) {
 	if r2[0] != direct {
 		t.Errorf("cached result %+v != direct analyzer result %+v", r2[0], direct)
 	}
-	if got := ce.singles.Load() + ce.batched.Load(); got != 1 {
-		t.Errorf("underlying evaluator priced %d points, want 1", got)
-	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("stats %+v, want 1 hit / 1 miss", st)
@@ -103,17 +86,16 @@ func TestCacheHitReturnsIdenticalResult(t *testing.T) {
 	}
 }
 
-// A single candidate is priced on the backend and stored nowhere: the
+// A single candidate is priced on the analyzer and stored nowhere: the
 // cache's size does not move, the pricing counts as one miss, even for a
 // point a stored row holds, and the call allocates what the analyzer's own
 // Evaluate does and nothing more (no set, no row).
 func TestEvaluateStoresNothing(t *testing.T) {
 	an := newTestAnalyzer(t)
-	ce := &countingEvaluator{ev: an}
-	c := New(ce)
+	c := New(an)
 	shape := testShape()
 	k := schedule.Knobs{Layers: 32, Ckpt: 8, WO: 0.5}
-	if _, err := evaluateSet(c, shape, NewKnobSet([]schedule.Knobs{{Layers: 32}, k})); err != nil {
+	if _, _, _, err := evaluateSet(c, shape, NewKnobSet([]schedule.Knobs{{Layers: 32}, k})); err != nil {
 		t.Fatal(err)
 	}
 	held, before := c.Len(), c.Stats()
@@ -129,9 +111,6 @@ func TestEvaluateStoresNothing(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != before.Misses+1 || st.Hits != before.Hits {
 		t.Errorf("stats %+v after %+v, want exactly one more miss", st, before)
-	}
-	if ce.singles.Load() != 1 {
-		t.Errorf("backend saw %d single pricings, want 1", ce.singles.Load())
 	}
 	bare := testing.AllocsPerRun(50, func() { an.Evaluate(shape, k) })
 	if cached := testing.AllocsPerRun(50, func() { c.Evaluate(shape, k) }); cached != bare {
@@ -151,7 +130,7 @@ func TestCanonicalKeyCollapsesEquivalentShapes(t *testing.T) {
 		t.Helper()
 		c := New(an)
 		for _, s := range []schedule.StageShape{a, b} {
-			if _, err := evaluateSet(c, s, set); err != nil {
+			if _, _, _, err := evaluateSet(c, s, set); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -196,7 +175,7 @@ func TestCanonicalKeyCollapsesEquivalentShapes(t *testing.T) {
 	k2 := k
 	k2.WO = 0.5
 	for _, s := range []*KnobSet{set, NewKnobSet([]schedule.Knobs{k2})} {
-		if _, err := evaluateSet(c, a, s); err != nil {
+		if _, _, _, err := evaluateSet(c, a, s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,19 +225,15 @@ func TestCanonicalShapesEvaluateIdentically(t *testing.T) {
 // with it.
 func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 	an := newTestAnalyzer(t)
-	ce := &countingEvaluator{ev: an}
-	c := New(ce)
+	c := New(an)
 	shape := testShape()
 
 	warm := []schedule.Knobs{
 		{Layers: 32, Ckpt: 0},
 		{Layers: 32, Ckpt: 8},
 	}
-	if _, err := evaluateSet(c, shape, NewKnobSet(warm)); err != nil {
-		t.Fatal(err)
-	}
-	if got := ce.batched.Load(); got != 2 {
-		t.Fatalf("warmup priced %d points, want 2", got)
+	if _, _, misses, err := evaluateSet(c, shape, NewKnobSet(warm)); err != nil || misses != 2 {
+		t.Fatalf("warmup priced %d points (%v), want 2", misses, err)
 	}
 
 	// Overlaps the warm set and repeats one of its own entries.
@@ -270,13 +245,13 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 		{Layers: 32, Ckpt: 24},
 	}
 	set := NewKnobSet(mixed)
-	for pass, wantPriced := range []int64{2 + 5, 2 + 5} { // first pass prices all 5 entries, second nothing
-		rs, err := evaluateSet(c, shape, set)
+	for pass, wantPriced := range []int{5, 0} { // first pass prices all 5 entries, second nothing
+		rs, hits, misses, err := evaluateSet(c, shape, set)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ce.batched.Load(); got != wantPriced {
-			t.Errorf("pass %d: underlying evaluator priced %d points total, want %d", pass, got, wantPriced)
+		if misses != wantPriced || hits != 5-wantPriced {
+			t.Errorf("pass %d: %d hits / %d misses, want %d misses", pass, hits, misses, wantPriced)
 		}
 		for i, k := range mixed {
 			direct, err := an.Evaluate(shape, k)
@@ -301,39 +276,57 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 	}
 }
 
-// The slice EvaluateSet returns is the caller's (the tuner passes it back
-// as dst for the next shape): scribbling on it must never reach the
-// stored row.
-func TestReturnedRowIsCallerOwned(t *testing.T) {
+// EvaluateSets hands out the stored row itself: the row a miss returns
+// is the one every later hit returns (one backing array, nothing copied),
+// and it is, bit for bit, what the analyzer prices for the same shape and
+// set. EvaluateSet still copies: its slice is the caller's to write, and
+// writing it never reaches the stored row.
+func TestReturnedRowIsTheStoredRow(t *testing.T) {
 	an := newTestAnalyzer(t)
 	c := New(an)
-	shapeA, shapeB := testShape(), testShape()
-	shapeB.B = 4
-	set := NewKnobSet([]schedule.Knobs{{Layers: 32, Ckpt: 0}, {Layers: 32, Ckpt: 8}})
+	shape := testShape()
+	set := NewKnobSet([]schedule.Knobs{{Layers: 32, Ckpt: 0}, {Layers: 32, Ckpt: 8, AO: 0.5}, {Layers: 32, Ckpt: 32, WO: 1}})
+	missed, _, misses, err := evaluateSet(c, shape, set)
+	if err != nil || misses != set.Len() {
+		t.Fatalf("first call: %d misses (%v), want %d", misses, err, set.Len())
+	}
 	var sc Scratch
-	want := map[schedule.StageShape][]schedule.Result{}
-	var dst []schedule.Result
-	for _, sh := range []schedule.StageShape{shapeA, shapeB} { // misses, dst recycled across shapes
-		rs, err := c.EvaluateSet(sh, set, dst, &sc)
+	want := [][]schedule.Result{nil}
+	if err := an.EvaluateSets(shape, []*KnobSet{set}, want, &sc); err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b schedule.Result) bool {
+		return math.Float64bits(a.Stable) == math.Float64bits(b.Stable) &&
+			math.Float64bits(a.Delta) == math.Float64bits(b.Delta) &&
+			math.Float64bits(a.PeakMem) == math.Float64bits(b.PeakMem)
+	}
+	for i := range want[0] {
+		if !same(missed[i], want[0][i]) {
+			t.Errorf("entry %d: the cache's row holds %+v, the analyzer prices %+v", i, missed[i], want[0][i])
+		}
+	}
+	for round := 0; round < 2; round++ {
+		hit, hits, _, err := evaluateSet(c, shape, set)
+		if err != nil || hits != set.Len() {
+			t.Fatalf("round %d: %d hits (%v), want %d", round, hits, err, set.Len())
+		}
+		if len(hit) != len(missed) || unsafe.SliceData(hit) != unsafe.SliceData(missed) {
+			t.Errorf("round %d: a hit returned another array than the miss did", round)
+		}
+		copied, err := c.EvaluateSet(shape, set, nil, &sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[sh] = append([]schedule.Result(nil), rs...)
-		dst = rs[:0]
-	}
-	for round := 0; round < 2; round++ { // hits; scribble between them
-		for _, sh := range []schedule.StageShape{shapeA, shapeB} {
-			rs, err := c.EvaluateSet(sh, set, dst, &sc)
-			if err != nil {
-				t.Fatal(err)
+		if unsafe.SliceData(copied) == unsafe.SliceData(missed) {
+			t.Fatal("EvaluateSet returned the stored row, not a copy")
+		}
+		for i := range copied {
+			copied[i] = schedule.Result{Stable: -1}
+		}
+		for i := range missed {
+			if !same(missed[i], want[0][i]) {
+				t.Fatalf("round %d: writing EvaluateSet's slice reached the stored row", round)
 			}
-			for i := range rs {
-				if rs[i] != want[sh][i] {
-					t.Fatalf("round %d: hit %+v != first pricing %+v", round, rs[i], want[sh][i])
-				}
-				rs[i] = schedule.Result{Stable: -1}
-			}
-			dst = rs[:0]
 		}
 	}
 }
@@ -341,9 +334,7 @@ func TestReturnedRowIsCallerOwned(t *testing.T) {
 // A set holding an invalid entry fails as a whole: no row is stored and
 // neither counter moves, duplicates included.
 func TestErrorRowNeitherStoredNorCounted(t *testing.T) {
-	an := newTestAnalyzer(t)
-	ce := &countingEvaluator{ev: an}
-	c := New(ce)
+	c := New(newTestAnalyzer(t))
 	good := schedule.Knobs{Layers: 32, Ckpt: 8}
 	bad := NewKnobSet([]schedule.Knobs{good, good, {Layers: 4, Ckpt: 9}})
 	var sc Scratch
@@ -424,7 +415,7 @@ func TestEvaluateErrorNotCached(t *testing.T) {
 	if st := c.Stats(); st.Misses != 0 || c.Len() != 0 {
 		t.Errorf("error was cached: stats %+v len %d", st, c.Len())
 	}
-	if _, err := evaluateSet(c, testShape(), NewKnobSet([]schedule.Knobs{bad})); err == nil {
+	if _, _, _, err := evaluateSet(c, testShape(), NewKnobSet([]schedule.Knobs{bad})); err == nil {
 		t.Fatal("invalid set accepted")
 	}
 }
@@ -464,7 +455,7 @@ func TestConcurrentAccess(t *testing.T) {
 						return
 					}
 				} else {
-					if _, err := evaluateSet(c, shape, set); err != nil {
+					if _, _, _, err := evaluateSet(c, shape, set); err != nil {
 						errs <- fmt.Errorf("worker %d set: %w", seed, err)
 						return
 					}

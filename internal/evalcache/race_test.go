@@ -2,57 +2,34 @@ package evalcache
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/schedule"
 )
 
-// syntheticEvaluator is a deterministic stand-in for the analyzer: the
-// result encodes the canonical point's identity so tests can verify that
-// every caller observed the value its point demands, and a counter
-// tracks how many points actually reached the backend.
-type syntheticEvaluator struct {
-	mu    sync.Mutex
-	calls int
-}
-
-func syntheticResult(s schedule.StageShape, k schedule.Knobs) schedule.Result {
-	cs := s.Canonical() // GradAccum carries the in-flight count
-	v := float64(cs.B)*1e6 + float64(cs.DP)*1e4 + float64(cs.TP)*1e2 +
-		float64(cs.GradAccum)*10 + float64(k.Layers) + float64(k.Ckpt)/100
-	return schedule.Result{Stable: v, Delta: v / 2, PeakMem: v * 3}
-}
-
-func (c *syntheticEvaluator) Evaluate(s schedule.StageShape, k schedule.Knobs) (schedule.Result, error) {
-	c.mu.Lock()
-	c.calls++
-	c.mu.Unlock()
-	return syntheticResult(s, k), nil
-}
-
-func (c *syntheticEvaluator) EvaluateSets(s schedule.StageShape, sets []*KnobSet, dsts [][]schedule.Result, _ *Scratch) error {
-	for i, set := range sets {
-		c.mu.Lock()
-		c.calls += set.Len()
-		c.mu.Unlock()
-		dsts[i] = dsts[i][:0]
-		for _, k := range set.Knobs() {
-			dsts[i] = append(dsts[i], syntheticResult(s, k))
-		}
-	}
-	return nil
+// raceShapes are the shapes the concurrent tests price: two pipelined
+// stages and two single-stage shapes that are canonically one.
+var raceShapes = []schedule.StageShape{
+	{B: 1, DP: 2, TP: 1, NumStages: 2, StageIdx: 0, GradAccum: 4, HasPre: true},
+	{B: 1, DP: 2, TP: 1, NumStages: 2, StageIdx: 1, GradAccum: 4, HasPost: true},
+	{B: 2, DP: 1, TP: 2, ZeRO: 3, NumStages: 1, StageIdx: 0, GradAccum: 1, HasPre: true, HasPost: true},
+	{B: 2, DP: 1, TP: 2, ZeRO: 0, NumStages: 1, StageIdx: 0, GradAccum: 1, HasPre: true, HasPost: true},
 }
 
 // TestConcurrentMixedHitMissLoad hammers one cache from many goroutines
 // with overlapping traffic — single candidates through Evaluate, shared
 // six-entry sets through EvaluateSets — and checks, under the race
-// detector (`make race`), that every result is correct and the hit/miss
-// accounting stays exact: each requested point counts as precisely one
-// hit or one miss, whatever the interleaving.
+// detector (`make race`), that every result is the analyzer's and the
+// hit/miss accounting stays exact: each requested point counts as
+// precisely one hit or one miss, whatever the interleaving, and what the
+// calls returned adds up to the cache's counters.
 func TestConcurrentMixedHitMissLoad(t *testing.T) {
-	ev := &syntheticEvaluator{}
-	c := New(ev)
+	an := newTestAnalyzer(t)
+	c := New(an)
 
 	const (
 		goroutines = 16
@@ -61,11 +38,7 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 	// A small row population shared by all goroutines guarantees heavy
 	// hit/miss mixing: the first toucher of a row misses, everyone else
 	// should hit (or miss benignly when racing the first publish).
-	shapes := []schedule.StageShape{
-		{B: 1, DP: 2, TP: 1, NumStages: 2, StageIdx: 0, GradAccum: 4, HasPre: true},
-		{B: 1, DP: 2, TP: 1, NumStages: 2, StageIdx: 1, GradAccum: 4, HasPost: true},
-		{B: 2, DP: 1, TP: 2, ZeRO: 3, NumStages: 1, StageIdx: 0, GradAccum: 1, HasPre: true, HasPost: true},
-	}
+	shapes := raceShapes[:3]
 	knobsFor := func(i int) schedule.Knobs {
 		return schedule.Knobs{Layers: 8 + i%4, Ckpt: i % 3, WO: float64(i%2) / 2}
 	}
@@ -79,44 +52,47 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 		}
 		sets[s] = NewKnobSet(ks)
 	}
+	want := priceDirect(t, an, shapes, sets[:])
 
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
+	var setHits, setMisses, singles atomic.Uint64
 	totalRequests := 0
 	for g := 0; g < goroutines; g++ {
 		// Half the goroutines use single-point Evaluate, half sets.
 		useSet := g%2 == 1
-		perRound := len(shapes) * 6
-		totalRequests += rounds * perRound
+		totalRequests += rounds * len(shapes) * 6
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			var sc Scratch
+			rows := make([][]schedule.Result, 1)
 			for r := 0; r < rounds; r++ {
-				for _, sh := range shapes {
+				for si, sh := range shapes {
 					if useSet {
 						set := sets[(g+r)%8]
-						rs, err := c.EvaluateSet(sh, set, nil, &sc)
+						hits, misses, err := c.EvaluateSets(sh, []*KnobSet{set}, rows, &sc)
 						if err != nil {
 							errs <- err
 							return
 						}
-						for i, res := range rs {
-							if want := syntheticResult(sh, set.Knobs()[i]); res != want {
-								errs <- fmt.Errorf("set result mismatch at %d: got %+v want %+v", i, res, want)
-								return
-							}
+						setHits.Add(uint64(hits))
+						setMisses.Add(uint64(misses))
+						if !slices.Equal(rows[0], want[si][set]) {
+							errs <- fmt.Errorf("shape %d: wrong row", si)
+							return
 						}
 					} else {
 						for i := 0; i < 6; i++ {
-							k := knobsFor((g + r + i) % 8)
-							res, err := c.Evaluate(sh, k)
+							set := sets[(g+r+i)%8]
+							res, err := c.Evaluate(sh, set.Knobs()[0])
 							if err != nil {
 								errs <- err
 								return
 							}
-							if want := syntheticResult(sh, k); res != want {
-								errs <- fmt.Errorf("result mismatch: got %+v want %+v", res, want)
+							singles.Add(1)
+							if res != want[si][set][0] {
+								errs <- fmt.Errorf("result mismatch: got %+v want %+v", res, want[si][set][0])
 								return
 							}
 						}
@@ -138,33 +114,32 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 	if got := st.Hits + st.Misses; got != uint64(totalRequests) {
 		t.Errorf("hits(%d) + misses(%d) = %d, want exactly %d requests", st.Hits, st.Misses, got, totalRequests)
 	}
-	// The row population bounds the cache size: per shape, the eight
-	// six-entry sets. Misses can exceed Len when two goroutines race the
-	// first publish of a row, but the loser's row must not be stored.
-	if population := len(shapes) * 8 * 6; c.Len() > population {
+	// Every single point is a miss; every set point is what its call said.
+	if st.Hits != setHits.Load() || st.Misses != setMisses.Load()+singles.Load() {
+		t.Errorf("cache counted %+v, the calls %d hits and %d + %d misses", st, setHits.Load(), setMisses.Load(), singles.Load())
+	}
+	// The row population bounds the cache size: per canonical shape, the
+	// eight six-entry sets. Misses can exceed Len when two goroutines race
+	// the first publish of a row, but the loser's row must not be stored.
+	if population := len(shapes) * 8 * 6; c.Len() != population {
 		t.Errorf("cache holds %d results, row population is %d", c.Len(), population)
 	}
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Errorf("degenerate traffic: %+v (want a genuine hit/miss mix)", st)
 	}
-	// The backend saw every miss and nothing else.
-	if uint64(ev.calls) != st.Misses {
-		t.Errorf("backend evaluated %d points, cache counted %d misses", ev.calls, st.Misses)
-	}
 }
 
-// TestConcurrentEvaluateSetNoTornReads drives the tuner's actual hot
-// path — EvaluateSet over shared KnobSets with per-goroutine Scratch and
-// a recycled dst — from many goroutines at once: first all of them on
-// the same missing row (racing publishes: first wins, every caller still
-// gets the right values), then spread over a mixed row population. Every
-// Result's fields are derived from its canonical point, so a torn read, a
-// row published under the wrong key, or a stored row aliased by some
-// caller's dst shows up as a field mismatch. Run with
+// TestConcurrentEvaluateSetNoTornReads drives EvaluateSet — the copying
+// call — over shared KnobSets with per-goroutine Scratch and a recycled
+// dst from many goroutines at once: first all of them on the same missing
+// row (racing publishes: first wins, every caller still gets the right
+// values), then spread over a mixed row population. A torn read, a row
+// published under the wrong key, or a stored row aliased by some caller's
+// dst (each caller writes its copy) shows up as a mismatch. Run with
 // `go test -race -count=10` (make race).
 func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
-	ev := &syntheticEvaluator{}
-	c := New(ev)
+	an := newTestAnalyzer(t)
+	c := New(an)
 
 	// Two shared KnobSets with overlapping knob populations (including
 	// in-set duplicates, priced entry by entry) and a handful of shapes,
@@ -178,12 +153,8 @@ func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
 		return NewKnobSet(ks)
 	}
 	sets := []*KnobSet{mk(12, 1), mk(9, 2)}
-	shapes := []schedule.StageShape{
-		{B: 1, DP: 2, TP: 1, NumStages: 2, StageIdx: 0, GradAccum: 4, HasPre: true},
-		{B: 1, DP: 2, TP: 1, NumStages: 2, StageIdx: 1, GradAccum: 4, HasPost: true},
-		{B: 2, DP: 1, TP: 2, ZeRO: 3, NumStages: 1, StageIdx: 0, GradAccum: 1, HasPre: true, HasPost: true},
-		{B: 2, DP: 1, TP: 2, ZeRO: 0, NumStages: 1, StageIdx: 0, GradAccum: 1, HasPre: true, HasPost: true},
-	}
+	shapes := raceShapes
+	want := priceDirect(t, an, shapes, sets)
 
 	const goroutines = 16
 	const rounds = 60
@@ -199,25 +170,21 @@ func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
 			<-start
 			for r := 0; r < rounds; r++ {
 				// Round 0 puts every goroutine on one row; later rounds mix.
-				sh, set := shapes[0], sets[0]
+				si, set := 0, sets[0]
 				if r > 0 {
-					sh, set = shapes[(g+r)%len(shapes)], sets[(g+r/2)%len(sets)]
+					si, set = (g+r)%len(shapes), sets[(g+r/2)%len(sets)]
 				}
-				out, err := c.EvaluateSet(sh, set, dst, &sc)
+				out, err := c.EvaluateSet(shapes[si], set, dst, &sc)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if len(out) != set.Len() {
-					errs <- fmt.Errorf("got %d results for a %d-knob set", len(out), set.Len())
+				if !slices.Equal(out, want[si][set]) {
+					errs <- fmt.Errorf("shape %d: torn or wrong row %v", si, out)
 					return
 				}
 				for i := range out {
-					if want := syntheticResult(sh, set.Knobs()[i]); out[i] != want {
-						errs <- fmt.Errorf("torn or wrong result at %d: got %+v want %+v", i, out[i], want)
-						return
-					}
-					out[i].Stable = -1 // the slice is ours; the stored row must not see this
+					out[i].Stable = -1 // the copy is ours; the stored row must not see this
 				}
 				dst = out[:0]
 			}
@@ -247,13 +214,83 @@ func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
 	if got := st.Hits + st.Misses; got != requested {
 		t.Errorf("hits(%d) + misses(%d) = %d, want exactly %d requested points", st.Hits, st.Misses, got, requested)
 	}
-	// The backend priced only misses; hits came from the cache.
-	if uint64(ev.calls) != st.Misses {
-		t.Errorf("backend evaluated %d points, cache counted %d misses", ev.calls, st.Misses)
-	}
 	// Three canonical shapes x two sets, each row published exactly once
 	// however many goroutines raced to price it.
 	if want := 3 * (sets[0].Len() + sets[1].Len()); c.Len() != want {
 		t.Errorf("cache holds %d results, want %d", c.Len(), want)
+	}
+}
+
+// TestConcurrentReadersOfAStoredRow: rows are handed out by reference, so
+// a caller walks a stored row while other goroutines publish rows beside
+// it and look up the same key. Readers of one key all start on it while
+// it is missing; whoever loses the race to publish gets the winner's row,
+// so every caller ends up holding the one stored array, and the race
+// detector (`make race`) sees no write to it after it was published.
+func TestConcurrentReadersOfAStoredRow(t *testing.T) {
+	an := newTestAnalyzer(t)
+	c := New(an)
+	all := windowSets(4, 5, 6, 7, 8, 9, 10)
+	key, others := all[0], all[1:]
+	want := priceDirect(t, an, raceShapes[:1], all)[0]
+
+	const readers, publishers, rounds = 8, 4, 20
+	held := make([]*schedule.Result, readers) // the array each reader was handed
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make(chan error, readers+publishers)
+	for g := 0; g < readers+publishers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var sc Scratch
+			rows := make([][]schedule.Result, 1)
+			<-start
+			for r := 0; r < rounds; r++ {
+				set := key
+				if g >= readers { // publishers: another row, then the key
+					set = others[(g+r)%len(others)]
+					if r%2 == 1 {
+						set = key
+					}
+				}
+				if _, _, err := c.EvaluateSets(raceShapes[0], []*KnobSet{set}, rows, &sc); err != nil {
+					errs <- err
+					return
+				}
+				row := rows[0]
+				for i := range row { // walk it while others publish and look up
+					if row[i] != want[set][i] {
+						errs <- fmt.Errorf("entry %d of a %d-layer row: %+v, want %+v", i, set.Knobs()[0].Layers, row[i], want[set][i])
+						return
+					}
+				}
+				if g < readers {
+					if held[g] == nil {
+						held[g] = unsafe.SliceData(row)
+					} else if held[g] != unsafe.SliceData(row) {
+						errs <- fmt.Errorf("reader %d was handed two arrays for one key", g)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for g := range held {
+		if held[g] != held[0] {
+			t.Fatalf("readers %d and 0 hold different arrays for one key", g)
+		}
+	}
+	if n := len(all) * key.Len(); c.Len() != n {
+		t.Errorf("cache holds %d results, want %d: one row per set", c.Len(), n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,13 +31,12 @@ func windowSets(layers ...int) []*KnobSet {
 	return sets
 }
 
-// A window with two of its five rows already stored sends exactly the
-// other three sets to the backend, in one call; the stored two are
-// copied out as hits; every set is a hit afterwards, in any list.
+// A window with two of its five rows already stored prices exactly the
+// other three sets, and hands out the stored two as hits; every set is a
+// hit afterwards, in any list.
 func TestWindowPricesOnlyMissingRows(t *testing.T) {
 	an := newTestAnalyzer(t)
-	ce := &countingEvaluator{ev: an}
-	c := New(ce)
+	c := New(an)
 	shape := testShape()
 	window := windowSets(6, 7, 8, 9, 10)
 	n := window[0].Len()
@@ -45,23 +45,20 @@ func TestWindowPricesOnlyMissingRows(t *testing.T) {
 	// Rows 7 and 9 arrive first, through another list (an overlapping
 	// window of a different pipeline depth, say).
 	early := []*KnobSet{window[1], window[3]}
-	if err := c.EvaluateSets(shape, early, make([][]schedule.Result, 2), &sc); err != nil {
+	if _, _, err := c.EvaluateSets(shape, early, make([][]schedule.Result, 2), &sc); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Misses != uint64(2*n) || st.Hits != 0 {
 		t.Fatalf("stats after the first two rows %+v, want %d misses", st, 2*n)
 	}
 
-	callsBefore, pricedBefore := ce.calls.Load(), ce.batched.Load()
-	dsts := make([][]schedule.Result, len(window))
-	if err := c.EvaluateSets(shape, window, dsts, &sc); err != nil {
+	rows := make([][]schedule.Result, len(window))
+	hits, misses, err := c.EvaluateSets(shape, window, rows, &sc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if calls := ce.calls.Load() - callsBefore; calls != 1 {
-		t.Errorf("window went to the backend in %d calls, want 1", calls)
-	}
-	if priced := ce.batched.Load() - pricedBefore; priced != int64(3*n) {
-		t.Errorf("backend priced %d points for the window, want the %d of the three missing rows", priced, 3*n)
+	if hits != 2*n || misses != 3*n {
+		t.Errorf("window: %d hits / %d misses, want the %d of the two stored rows / the %d of the three missing", hits, misses, 2*n, 3*n)
 	}
 	if st := c.Stats(); st.Misses != uint64(5*n) || st.Hits != uint64(2*n) {
 		t.Errorf("stats %+v, want %d misses / %d hits", st, 5*n, 2*n)
@@ -75,24 +72,20 @@ func TestWindowPricesOnlyMissingRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if dsts[i][j] != direct {
-				t.Errorf("set %d entry %d: %+v != direct %+v", i, j, dsts[i][j], direct)
+			if rows[i][j] != direct {
+				t.Errorf("set %d entry %d: %+v != direct %+v", i, j, rows[i][j], direct)
 			}
 		}
 	}
 
 	// Every row now hits: as the same window, reversed, or one at a time.
-	callsBefore = ce.calls.Load()
 	back := slices.Clone(window)
 	slices.Reverse(back)
-	if err := c.EvaluateSets(shape, back, dsts, &sc); err != nil {
-		t.Fatal(err)
+	if _, misses, err := c.EvaluateSets(shape, back, rows, &sc); err != nil || misses != 0 {
+		t.Errorf("a fully stored window missed %d times (%v)", misses, err)
 	}
 	if _, err := c.EvaluateSet(shape, window[2], nil, &sc); err != nil {
 		t.Fatal(err)
-	}
-	if ce.calls.Load() != callsBefore {
-		t.Error("a fully stored window reached the backend")
 	}
 	requested := uint64((2 + 5 + 5 + 1) * n)
 	if st := c.Stats(); st.Hits+st.Misses != requested || st.Misses != uint64(5*n) {
@@ -100,19 +93,18 @@ func TestWindowPricesOnlyMissingRows(t *testing.T) {
 	}
 }
 
-// An all-hit window allocates nothing once the caller's buffers have
-// grown.
+// An all-hit window allocates nothing.
 func TestWindowHitAllocatesNothing(t *testing.T) {
 	c := New(newTestAnalyzer(t))
 	shape := testShape()
 	window := windowSets(6, 7, 8, 9, 10)
-	dsts := make([][]schedule.Result, len(window))
+	rows := make([][]schedule.Result, len(window))
 	var sc Scratch
-	if err := c.EvaluateSets(shape, window, dsts, &sc); err != nil {
+	if _, _, err := c.EvaluateSets(shape, window, rows, &sc); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		if err := c.EvaluateSets(shape, window, dsts, &sc); err != nil {
+		if _, _, err := c.EvaluateSets(shape, window, rows, &sc); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -127,26 +119,26 @@ func TestWindowHitAllocatesNothing(t *testing.T) {
 func TestMissAllocatesItsRowOnly(t *testing.T) {
 	an := newTestAnalyzer(t)
 	set := fullRowSet()
-	sets, dsts := []*KnobSet{set}, make([][]schedule.Result, 1)
+	sets, rows := []*KnobSet{set}, make([][]schedule.Result, 1)
 	first, second := testShape(), testShape()
 	second.B = 4
 	var sc Scratch
 	// Paid outside the measurement: both shapes' programs (through a
 	// throwaway cache), then in c the row map's first bucket and the
-	// buffers' growth.
+	// scratch's growth.
 	for _, shape := range []schedule.StageShape{first, second} {
-		if err := New(an).EvaluateSets(shape, sets, dsts, &sc); err != nil {
+		if _, _, err := New(an).EvaluateSets(shape, sets, rows, &sc); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c := New(an)
-	if err := c.EvaluateSets(first, sets, dsts, &sc); err != nil {
+	if _, _, err := c.EvaluateSets(first, sets, rows, &sc); err != nil {
 		t.Fatal(err)
 	}
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := c.EvaluateSets(second, sets, dsts, &sc)
+	_, _, err := c.EvaluateSets(second, sets, rows, &sc)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -169,14 +161,17 @@ func TestWindowErrorNeitherStoredNorCounted(t *testing.T) {
 	shape := testShape()
 	window := windowSets(6, 7, 8)
 	var sc Scratch
-	if err := c.EvaluateSets(shape, window[:1], make([][]schedule.Result, 1), &sc); err != nil {
+	if _, _, err := c.EvaluateSets(shape, window[:1], make([][]schedule.Result, 1), &sc); err != nil {
 		t.Fatal(err)
 	}
 	before, held := c.Stats(), c.Len()
 	bad := NewKnobSet([]schedule.Knobs{{Layers: 4, Ckpt: 9}})
-	err := c.EvaluateSets(shape, []*KnobSet{window[0], window[1], bad, window[2]}, make([][]schedule.Result, 4), &sc)
+	hits, misses, err := c.EvaluateSets(shape, []*KnobSet{window[0], window[1], bad, window[2]}, make([][]schedule.Result, 4), &sc)
 	if err == nil {
 		t.Fatal("window with an invalid set accepted")
+	}
+	if hits != 0 || misses != 0 {
+		t.Errorf("failed window reported %d hits / %d misses, want none", hits, misses)
 	}
 	if st := c.Stats(); st != before || c.Len() != held {
 		t.Errorf("failed window left a trace: stats %+v (before %+v), len %d (before %d)", st, before, c.Len(), held)
@@ -187,12 +182,12 @@ func TestWindowErrorNeitherStoredNorCounted(t *testing.T) {
 // missing window at once, then on overlapping windows (the
 // heterogeneous-device case: one canonical shape, windows sharing some
 // layer counts): every caller gets the right values, each row is stored
-// once however many raced to publish it, and each requested point counts
-// as exactly one hit or one miss. Run with `go test -race -count=10`
-// (make race).
+// once however many raced to publish it, each requested point counts as
+// exactly one hit or one miss, and the counts the calls return add up to
+// the cache's. Run with `go test -race -count=10` (make race).
 func TestConcurrentWindowPublishRace(t *testing.T) {
-	ev := &syntheticEvaluator{}
-	c := New(ev)
+	an := newTestAnalyzer(t)
+	c := New(an)
 	all := windowSets(4, 5, 6, 7, 8, 9, 10)
 	windows := [][]*KnobSet{all[0:5], all[1:6], all[2:7]}
 	shapes := []schedule.StageShape{
@@ -200,38 +195,36 @@ func TestConcurrentWindowPublishRace(t *testing.T) {
 		{B: 2, DP: 1, TP: 2, ZeRO: 3, NumStages: 1, StageIdx: 0, GradAccum: 1, HasPre: true, HasPost: true},
 		{B: 2, DP: 1, TP: 2, ZeRO: 0, NumStages: 1, StageIdx: 0, GradAccum: 1, HasPre: true, HasPost: true}, // canonically the one above
 	}
+	want := priceDirect(t, an, shapes, all)
 	const goroutines, rounds = 16, 30
 	n := all[0].Len()
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	errs := make(chan error, goroutines)
+	var returned [2]atomic.Uint64 // hits, misses as the calls reported them
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			var sc Scratch
-			dsts := make([][]schedule.Result, 5)
+			rows := make([][]schedule.Result, 5)
 			<-start
 			for r := 0; r < rounds; r++ {
-				sh, w := shapes[0], windows[0] // round 0: everyone on one missing window
+				si, wi := 0, 0 // round 0: everyone on one missing window
 				if r > 0 {
-					sh, w = shapes[(g+r)%len(shapes)], windows[(g+r/3)%len(windows)]
+					si, wi = (g+r)%len(shapes), (g+r/3)%len(windows)
 				}
-				if err := c.EvaluateSets(sh, w, dsts, &sc); err != nil {
+				hits, misses, err := c.EvaluateSets(shapes[si], windows[wi], rows, &sc)
+				if err != nil {
 					errs <- err
 					return
 				}
-				for i, set := range w {
-					if len(dsts[i]) != set.Len() {
-						errs <- fmt.Errorf("got %d results for a %d-knob set", len(dsts[i]), set.Len())
+				returned[0].Add(uint64(hits))
+				returned[1].Add(uint64(misses))
+				for i, set := range windows[wi] {
+					if !slices.Equal(rows[i], want[si][set]) {
+						errs <- fmt.Errorf("shape %d, %d-layer set: torn or wrong row", si, set.Knobs()[0].Layers)
 						return
-					}
-					for j, k := range set.Knobs() {
-						if want := syntheticResult(sh, k); dsts[i][j] != want {
-							errs <- fmt.Errorf("torn or wrong result: got %+v want %+v", dsts[i][j], want)
-							return
-						}
-						dsts[i][j].Stable = -1 // ours; the stored row must not see this
 					}
 				}
 			}
@@ -250,12 +243,31 @@ func TestConcurrentWindowPublishRace(t *testing.T) {
 	if want := uint64(goroutines * rounds * 5 * n); st.Hits+st.Misses != want {
 		t.Errorf("hits(%d) + misses(%d), want exactly the %d requested points", st.Hits, st.Misses, want)
 	}
-	if uint64(ev.calls) != st.Misses {
-		t.Errorf("backend evaluated %d points, cache counted %d misses", ev.calls, st.Misses)
+	if got := (Stats{Hits: returned[0].Load(), Misses: returned[1].Load()}); got != st {
+		t.Errorf("the calls returned %+v, the cache counted %+v", got, st)
 	}
 	if want := 2 * len(all) * n; c.Len() != want { // two canonical shapes x seven rows
 		t.Errorf("cache holds %d results, want %d", c.Len(), want)
 	}
+}
+
+// priceDirect prices every set under every shape on the analyzer itself,
+// outside any cache: the values a cached row must hold.
+func priceDirect(t testing.TB, an *schedule.Analyzer, shapes []schedule.StageShape, sets []*KnobSet) []map[*KnobSet][]schedule.Result {
+	t.Helper()
+	var sc Scratch
+	out := make([]map[*KnobSet][]schedule.Result, len(shapes))
+	for i, sh := range shapes {
+		rows := make([][]schedule.Result, len(sets))
+		if err := an.EvaluateSets(sh, sets, rows, &sc); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = map[*KnobSet][]schedule.Result{}
+		for j, set := range sets {
+			out[i][set] = rows[j]
+		}
+	}
+	return out
 }
 
 // A scratch outlives the calls it serves (the tuner pools them), so it
@@ -268,7 +280,7 @@ func TestScratchDoesNotPinCache(t *testing.T) {
 	func() {
 		c := New(an)
 		runtime.SetFinalizer(c, func(*Cache) { close(freed) })
-		if err := c.EvaluateSets(testShape(), windowSets(6, 7, 8), make([][]schedule.Result, 3), &sc); err != nil {
+		if _, _, err := c.EvaluateSets(testShape(), windowSets(6, 7, 8), make([][]schedule.Result, 3), &sc); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := an.EvaluateBatchInto(nil, testShape(), windowSets(9)[0].Knobs(), &sc); err != nil {

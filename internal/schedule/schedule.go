@@ -284,12 +284,11 @@ func (a *Analyzer) EvaluateBatchInto(dst []Result, shape StageShape, ks []Knobs,
 // EvaluateSets prices every entry of each prepared Batch under one shape:
 // on return dsts[i] holds sets[i]'s results in batch order (reused when
 // its capacity suffices, replaced otherwise; len(dsts) == len(sets)).
-// sc is reused as in EvaluateBatchInto. This is the one set-pricing
-// method of the tuner's pricing backend (evalcache.Evaluator). The tuner
-// passes the knob grids of a stage's layer window: when the sets are
-// tuple-aligned (aligned), what depends on the offload tuple alone is
-// computed once for the whole list; otherwise each set is priced on its
-// own — same results either way.
+// sc is reused as in EvaluateBatchInto. The evaluation cache prices its
+// missed rows here, out of the knob grids of a stage's layer window: when
+// the sets are tuple-aligned (aligned), what depends on the offload tuple
+// alone is computed once for the whole list; otherwise each set is priced
+// on its own — same results either way.
 func (a *Analyzer) EvaluateSets(shape StageShape, sets []*Batch, dsts [][]Result, sc *EvalScratch) error {
 	sp := a.program(shape)
 	if sp.err != nil {

@@ -14,7 +14,8 @@ import (
 )
 
 // This file is the cross-request evaluation-cache registry. A single
-// tuner run prices hundreds of thousands of (stage shape, knobs) points;
+// tuner run prices thousands to over a million (stage shape, knobs)
+// points (5 265 for gpt3-2.7b on 8 L4s, 1 570 104 for gpt3-22b on 32);
 // those pricings depend only on the analyzer configuration, not on the
 // request, so a fresh cache per search throws the work away. The
 // registry keeps one calibrated analyzer plus one evalcache.Cache per
