@@ -82,7 +82,7 @@ property: ## schedule, frontier and compile invariants, repeated with a pinned q
 	$(GO) test ./internal/schedule ./internal/core ./internal/symbolic -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
 	$(GO) test ./internal/schedule -run 'TestPropertyLiftedProgramMatchesPerShapeBuild|TestPropertyComputeFloorBoundsStable' -count=1 -reference.full
 
-bench: ## cold and warm tuner (BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down), one 405-knob row through the analyzer and through the eval cache, batch-submit amortization, tracing overhead, SLO evaluation
+bench: ## cold and warm tuner (BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down; BenchmarkTuneColdGrid is mistperf's 8-cell search-cold grid, each cell a fresh tuner, search and trainsim re-measure), one 405-knob row through the analyzer and through the eval cache, batch-submit amortization, tracing overhead, SLO evaluation
 	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x .
 	$(GO) test -run xxx -bench 'BenchmarkEvaluateBatch' ./internal/schedule
 	$(GO) test -run xxx -bench 'BenchmarkRow' ./internal/evalcache
@@ -105,13 +105,16 @@ bench-regression: ## fresh bench run compared against the committed BENCH.json b
 	$(MAKE) bench-json BENCH_OUT=BENCH_NEW.json
 	$(GO) run ./tools/bench2json -tolerance $(BENCH_TOLERANCE) -compare BENCH.json BENCH_NEW.json
 
-bench-profile: ## CPU + heap profiles of the cold-search benchmark (windows of one layer count) and of Fig. 15's regeneration (pipelined windows of five); inspect with `go tool pprof $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/cpu.pprof` (fig15-cpu.pprof)
+bench-profile: ## CPU + heap profiles of the cold-search benchmark (windows of one layer count), of Fig. 15's regeneration (pipelined windows of five) and of mistperf's search-cold grid without its harness (300 passes of BenchmarkTuneColdGrid); inspect with `go tool pprof $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/cpu.pprof` (fig15-cpu.pprof, cold-grid-cpu.pprof)
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) test -run xxx -bench 'BenchmarkTuneMemoizedCold' -benchtime=3x -benchmem \
 		-cpuprofile $(PROFILE_DIR)/cpu.pprof -memprofile $(PROFILE_DIR)/mem.pprof \
 		-o $(PROFILE_DIR)/bench.test .
 	$(GO) test -run xxx -bench 'BenchmarkFig15BatchSensitivity' -benchtime=100x -benchmem \
 		-cpuprofile $(PROFILE_DIR)/fig15-cpu.pprof -memprofile $(PROFILE_DIR)/fig15-mem.pprof \
+		-o $(PROFILE_DIR)/bench.test .
+	$(GO) test -run xxx -bench 'BenchmarkTuneColdGrid' -benchtime=300x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/cold-grid-cpu.pprof -memprofile $(PROFILE_DIR)/cold-grid-mem.pprof \
 		-o $(PROFILE_DIR)/bench.test .
 
 serve: ## run the tuning service locally

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/evalcache"
 	"repro/internal/experiments"
+	"repro/internal/trainsim"
 )
 
 // runExperiment drives one named experiment b.N times.
@@ -160,17 +161,19 @@ func benchTuneCold(b *testing.B, space core.Space) {
 
 // TestColdTuneAllocCeiling pins what a cold search allocates: a fresh
 // tuner's full Mist-space search of the bench cell stays under 5 000
-// allocations (4 004 today, most of them the analyzer's traces; 4 250
+// allocations (3 989 today, most of them the analyzer's traces; 4 003
+// while the operator database memoized every lookup in a map; 4 250
 // while every tuner refitted the interference model and all four S=1
 // pairs were swept, about 6 700 while the twelve pipelined (S, G) pairs
 // the compute floor skips still had their stage 0 priced, 8 060 before a
 // stage shape's layer window was priced in one pass, 218 860 while every
 // stage shape still traced and compiled its own program) and under 1 MiB
 // — of which 0.13 MB is the cache's rows, 5 265 points x 24 bytes
-// (0.53 MB in all, 0.52 MB before the tape's register file held a block
-// of lanes; 0.73 MB with the four S=1 pairs' 11 340 points, 6.9 MB
-// with the twelve pipelined pairs' rows, 14.8 MB while schedule.Result
-// carried four breakdown fields nothing read).
+// (0.43 MB in all, 0.50 MB with the operator database's map, 0.52 MB
+// before the tape's register file held a block of lanes; 0.73 MB with
+// the four S=1 pairs' 11 340 points, 6.9 MB with the twelve pipelined
+// pairs' rows, 14.8 MB while schedule.Result carried four breakdown
+// fields nothing read).
 func TestColdTuneAllocCeiling(t *testing.T) {
 	w, cl := benchWorkload()
 	runs := 0
@@ -253,6 +256,66 @@ func BenchmarkTuneHetero(b *testing.B) {
 	space := core.MistSpace()
 	space.HeterogeneousDevices = true
 	benchTuneCold(b, space)
+}
+
+// coldGrid is the 8-cell grid of mistperf's search-cold workload, listed
+// by hand from coldGrid in benchmarks/mistperf/search.go (a module of its
+// own, which this package cannot import); keep the two in step.
+var coldGrid = []struct {
+	model            string
+	a100             bool
+	gpus, batch, seq int
+	noFlash          bool
+}{
+	{model: "gpt3-2.7b", gpus: 8, batch: 8, seq: 2048},
+	{model: "gpt3-2.7b", gpus: 4, batch: 32, seq: 2048},
+	{model: "gpt3-1.3b", gpus: 2, batch: 64, seq: 2048},
+	{model: "gpt3-1.3b", gpus: 4, batch: 16, seq: 2048, noFlash: true},
+	{model: "llama-1.3b", a100: true, gpus: 4, batch: 32, seq: 4096},
+	{model: "llama-2.7b", a100: true, gpus: 8, batch: 16, seq: 4096},
+	{model: "falcon-1.3b", gpus: 8, batch: 16, seq: 2048, noFlash: true},
+	{model: "gpt3-7b", a100: true, gpus: 8, batch: 8, seq: 4096},
+}
+
+// BenchmarkTuneColdGrid is what mistperf's search-cold workload measures,
+// without its harness (reference slices, tracing, plan checks): an
+// iteration runs, for each cell of coldGrid, a fresh core.New tuner, a
+// full Mist-space search and the trainsim re-measure of its plan. `make
+// bench-profile` profiles it (cold-grid-cpu.pprof).
+func BenchmarkTuneColdGrid(b *testing.B) {
+	type cell struct {
+		w  Workload
+		cl *Cluster
+	}
+	var cells []cell
+	for _, c := range coldGrid {
+		cl := L4Cluster(c.gpus)
+		if c.a100 {
+			cl = A100Cluster(c.gpus)
+		}
+		cells = append(cells, cell{Workload{Model: Model(c.model), Seq: c.seq, Flash: !c.noFlash, GlobalBatch: c.batch}, cl})
+	}
+	candidates := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		candidates = 0
+		for _, c := range cells {
+			tn, err := core.New(c.w, c.cl, core.MistSpace())
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := tn.Tune()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := trainsim.New(c.w, c.cl, tn.An).Measure(res.Plan); err != nil {
+				b.Fatal(err)
+			}
+			candidates += res.Candidates
+		}
+	}
+	b.ReportMetric(float64(candidates), "candidates")
 }
 
 // BenchmarkTuneMemoizedWarm is the serving scenario (cmd/mistserve):

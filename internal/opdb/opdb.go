@@ -9,15 +9,16 @@
 //	max(flops / (peakFLOPs * eff(shape)), bytes / memBandwidth) + launch
 //
 // where eff(shape) is a saturating efficiency curve in the GEMM's
-// parallelism-exposing extent (small matmuls cannot fill the SMs). The
-// database interface — BenchOnce-then-lookup with an LRU-less map cache —
-// mirrors the paper's design and keeps repeated tuner queries O(1).
+// parallelism-exposing extent (small matmuls cannot fill the SMs). A
+// lookup evaluates that closed form, a pure function of the shape, so the
+// database keeps no cache of its own: the paper's benchmark-once is the
+// analyzer's memo of section times per (TP, microbatch size)
+// (schedule.Analyzer), which looks each operator up once per analyzer.
 package opdb
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/hardware"
 )
@@ -79,46 +80,23 @@ type Cost struct {
 	Bytes float64 // device memory traffic
 }
 
-// DB is a per-GPU operator latency database.
+// DB is a per-GPU operator latency database. It is immutable and safe for
+// concurrent use.
 type DB struct {
 	gpu hardware.GPU
-
-	mu    sync.Mutex
-	cache map[OpShape]Cost
-
-	// hits/misses instrument the benchmark-once behaviour for tests.
-	hits, misses int64
 }
 
 // New builds an operator database for the given GPU.
 func New(gpu hardware.GPU) *DB {
-	return &DB{gpu: gpu, cache: make(map[OpShape]Cost)}
+	return &DB{gpu: gpu}
 }
 
 // GPU returns the device this database models.
 func (db *DB) GPU() hardware.GPU { return db.gpu }
 
-// Lookup returns the cost of the operator, benchmarking (modelling) it on
-// first use and caching the result.
-func (db *DB) Lookup(s OpShape) Cost {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if c, ok := db.cache[s]; ok {
-		db.hits++
-		return c
-	}
-	db.misses++
-	c := db.bench(s)
-	db.cache[s] = c
-	return c
-}
-
-// Stats reports cache hits and misses (benchmarked shapes).
-func (db *DB) Stats() (hits, misses int64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.hits, db.misses
-}
+// Lookup returns the cost of the operator, benchmarked (modelled) on the
+// database's GPU: the same shape always costs the same.
+func (db *DB) Lookup(s OpShape) Cost { return db.bench(s) }
 
 const fp16 = 2 // bytes per element
 

@@ -9,10 +9,14 @@ import (
 // tupleGroups partitions a knob batch by offload tuple (WO, GO, OO, AO):
 // order lists the batch's entry indices group by group — groups in
 // first-appearance order, members in batch order — and group g spans
-// order[starts[g]:starts[g+1]].
+// order[starts[g]:starts[g+1]]. first[c][g] is the first group whose
+// tuple agrees with group g's on every ratio region class c reads
+// (regionClasses): g itself, or an earlier group whose overlap terms of
+// that class priceGroups copies.
 type tupleGroups struct {
 	order  []int32
 	starts []int32
+	first  [sharedRegions][]int32
 }
 
 // Batch is an immutable, order-preserving knob batch prepared for pricing
@@ -109,8 +113,9 @@ func newKnobGrid(layers int, ckpts []int, sweep [4]bool) *Batch {
 // builds allocates nothing once they have grown.
 type grouper struct {
 	tupleGroups
-	slots []int32 // open-addressing table over tuples: a member's entry index + 1, 0 = empty
-	gid   []int32 // group id per entry
+	slots  []int32 // open-addressing table over tuples: a member's entry index + 1, 0 = empty
+	gid    []int32 // group id per entry
+	firsts []int32 // backing of first, one stretch of groups entries per class
 }
 
 // build validates ks and partitions it by offload tuple. Tuples are
@@ -130,12 +135,17 @@ func (g *grouper) build(ks []Knobs) error {
 	g.order, g.gid = g.order[:n], g.gid[:n]
 	g.starts = g.starts[:0]
 	if n == 0 {
+		g.sizeFirst(0)
 		return nil
 	}
 	if n == 1 {
 		// One candidate (every baseline space's row): no table to fill.
 		g.order[0] = 0
 		g.starts = append(g.starts, 0, 1)
+		g.sizeFirst(1)
+		for c := range g.first {
+			g.first[c] = append(g.first[c], 0)
+		}
 		return nil
 	}
 
@@ -177,7 +187,62 @@ func (g *grouper) build(ks []Knobs) error {
 	g.starts = append(g.starts, 0)
 	copy(g.starts[1:], g.starts)
 	g.starts[0] = 0
+
+	// Pass 3, per shared region class: each group's first match, through
+	// the same table over the groups' leads projected onto the class's
+	// ratios (a slot holds a group id + 1).
+	lead := func(id int32, reads *[4]bool) Knobs { return project(&ks[g.order[g.starts[id]]], reads) }
+	g.sizeFirst(len(g.starts) - 1)
+	for c := range g.first {
+		reads := &regionClasses[c].reads
+		clear(g.slots)
+		for id := int32(0); id+1 < int32(len(g.starts)); id++ {
+			k := lead(id, reads)
+			for h := tupleHash(&k) >> shift; ; h = (h + 1) & mask {
+				s := g.slots[h]
+				if s == 0 {
+					g.slots[h] = id + 1
+					g.first[c] = append(g.first[c], id)
+					break
+				}
+				if f := lead(s-1, reads); sameTuple(&f, &k) {
+					g.first[c] = append(g.first[c], s-1)
+					break
+				}
+			}
+		}
+	}
 	return nil
+}
+
+// sizeFirst empties each first slice onto its own stretch of room for
+// groups entries, all out of one buffer.
+func (g *grouper) sizeFirst(groups int) {
+	if cap(g.firsts) < sharedRegions*groups {
+		g.firsts = make([]int32, sharedRegions*groups)
+	}
+	for c := range g.first {
+		g.first[c] = g.firsts[c*groups : c*groups : (c+1)*groups]
+	}
+}
+
+// project keeps the ratios of k that reads marks (wo, go, oo, ao) and
+// zeroes the rest: the tuple as a region class sees it.
+func project(k *Knobs, reads *[4]bool) Knobs {
+	var p Knobs
+	if reads[0] {
+		p.WO = k.WO
+	}
+	if reads[1] {
+		p.GO = k.GO
+	}
+	if reads[2] {
+		p.OO = k.OO
+	}
+	if reads[3] {
+		p.AO = k.AO
+	}
+	return p
 }
 
 // table readies slots as an empty table of the next power of two >= 2n

@@ -11,6 +11,12 @@ func (a *Analyzer) BuildCounts() (traced, compiled int) {
 // tuple group of a call) the analyzer has run.
 func (a *Analyzer) TuplePasses() int { return int(a.nTuplePasses.Load()) }
 
+// RegionsPredicted reports how many overlap regions the analyzer's
+// priceGroups calls have predicted: a tuple pass predicts a region class
+// only at the first tuple of its call with the class's projection
+// (regionClasses).
+func (a *Analyzer) RegionsPredicted() int { return int(a.nRegionsPredicted.Load()) }
+
 // EvaluatePreparedInto is EvaluateSets over a list of one batch; the
 // returned slice aliases dst when its capacity suffices.
 func (a *Analyzer) EvaluatePreparedInto(dst []Result, shape StageShape, b *Batch, sc *EvalScratch) ([]Result, error) {

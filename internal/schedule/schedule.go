@@ -194,11 +194,13 @@ type Analyzer struct {
 	gridMu sync.Mutex
 	grids  map[string]*Batch
 
-	// Trace, compile and tuple passes run, for tests. A tuple pass is what
-	// priceGroups does once per offload tuple of a call: the tuple's lane
-	// of the tape from frameWO and its overlapTerms.
-	nTraced, nCompiled atomic.Int32
-	nTuplePasses       atomic.Int64
+	// Trace, compile and tuple passes run, and overlap regions predicted,
+	// for tests. A tuple pass is what priceGroups does once per offload
+	// tuple of a call: the tuple's lane of the tape from frameWO and its
+	// overlapTerms, of which it predicts only the regions no earlier tuple
+	// of the call shares (regionClasses).
+	nTraced, nCompiled              atomic.Int32
+	nTuplePasses, nRegionsPredicted atomic.Int64
 }
 
 // NewAnalyzer builds an analyzer context.
@@ -226,27 +228,27 @@ func (a *Analyzer) Evaluate(shape StageShape, k Knobs) (Result, error) {
 type EvalScratch struct {
 	regs  []float64      // lane-minor register file: NumRegs x lanes
 	frame []float64      // lane-minor frames: frameLen x lanes
-	terms []overlapTerms // per lane
+	terms []overlapTerms // per tuple group of the call
 	out   []float64      // one lane's outputs
 	group grouper        // tuple partition of the current ad-hoc batch
 }
 
-// lanes sizes sc for a block of w lanes of a program of nregs registers
-// and returns its buffers.
-func (sc *EvalScratch) lanes(nregs, w int) (regs, frame []float64, terms []overlapTerms, out []float64) {
+// lanes sizes sc for blocks of w lanes of a program of nregs registers
+// over a call of the given tuple groups and returns its buffers.
+func (sc *EvalScratch) lanes(nregs, w, groups int) (regs, frame []float64, terms []overlapTerms, out []float64) {
 	if cap(sc.regs) < nregs*w {
 		sc.regs = make([]float64, nregs*w)
 	}
 	if cap(sc.frame) < frameLen*w {
 		sc.frame = make([]float64, frameLen*w)
 	}
-	if cap(sc.terms) < w {
-		sc.terms = make([]overlapTerms, w)
+	if cap(sc.terms) < groups {
+		sc.terms = make([]overlapTerms, groups)
 	}
 	if cap(sc.out) < numOutputs {
 		sc.out = make([]float64, numOutputs)
 	}
-	return sc.regs[:nregs*w], sc.frame[:frameLen*w], sc.terms[:w], sc.out[:numOutputs]
+	return sc.regs[:nregs*w], sc.frame[:frameLen*w], sc.terms[:groups], sc.out[:numOutputs]
 }
 
 // tupleSet is one batch as priceGroups takes it: validated entries, their
@@ -360,9 +362,13 @@ const laneBlock = 64
 // and every interference prediction, depends on the knobs only through
 // the offload tuple, so a block runs the tape from the tuple stage once,
 // with each lane's first member, and the overlap composition once per
-// lane — one tuple pass per group for the whole list. The members then
-// step through the list by position: step (s, p) sets each lane's l and
-// ckpt to the p-th member of its group in batch s (a lane whose group has
+// lane — one tuple pass per group for the whole list. A region class
+// whose inputs read only some of the ratios is predicted only at the
+// first group with its projection of the tuple (tupleGroups.first) and
+// copied to the later ones, which may sit blocks later: the terms are
+// kept per group for the whole call, not per lane. The members then step
+// through the list by position: step (s, p) sets each lane's l and ckpt
+// to the p-th member of its group in batch s (a lane whose group has
 // none keeps its frame and sits the step out) and re-runs the tape's
 // suffix for the members' peak memory — from the l stage if any lane's
 // layer count changed, from the ckpt stage if only a checkpoint count
@@ -379,7 +385,9 @@ func (a *Analyzer) priceGroups(sp *stageProgram, sets []tupleSet, sc *EvalScratc
 	blocks := (groups + laneBlock - 1) / laneBlock
 	w := (groups + blocks - 1) / blocks // 81 tuples: blocks of 41 and 40 lanes, not 64 and 17
 	prog := sp.prog
-	regs, frame, terms, out := sc.lanes(prog.NumRegs(), w)
+	regs, frame, terms, out := sc.lanes(prog.NumRegs(), w, groups)
+	first := &sets[0].tg.first
+	predicted := 0
 	variable := func(v int) []float64 { return frame[v*w:][:w] } // variable v's lanes
 	for c, v := range sp.coefs {
 		row := variable(c)
@@ -404,18 +412,29 @@ func (a *Analyzer) priceGroups(sp *stageProgram, sets []tupleSet, sc *EvalScratc
 		}
 		prog.EvalLanes(frame, regs, w, from)
 		from = frameWO
-		for j := range terms[:n] {
+		for j := range n {
 			for o, row := range rows {
 				out[o] = row[j]
 			}
-			terms[j] = a.overlapTerms(sp, out)
+			g := g0 + j
+			t := &terms[g]
+			*t = overlapTerms{}
+			for c := range numRegionClasses {
+				if c < sharedRegions {
+					if f := first[c][g]; int(f) != g {
+						t.share(c, &terms[f])
+						continue
+					}
+				}
+				predicted += a.predictRegions(sp, c, out, t)
+			}
 		}
 		for s := range sets {
 			set := &sets[s]
 			starts := set.tg.starts[g0 : g0+n+1]
 			for p := int32(0); ; p++ {
 				live, newL, newCkpt := false, false, false
-				for j := range terms[:n] {
+				for j := range n {
 					at := starts[j] + p
 					if at >= starts[j+1] {
 						continue
@@ -434,18 +453,19 @@ func (a *Analyzer) priceGroups(sp *stageProgram, sets []tupleSet, sc *EvalScratc
 				case newCkpt:
 					prog.EvalLanes(frame, regs, w, frameCkpt)
 				}
-				for j := range terms[:n] {
+				for j := range n {
 					at := starts[j] + p
 					if at >= starts[j+1] {
 						continue
 					}
 					i := set.tg.order[at]
 					out[outPeakMem] = peaks[j]
-					set.dst[i] = sp.compose(set.ks[i], &terms[j], out)
+					set.dst[i] = sp.compose(set.ks[i], &terms[g0+j], out)
 				}
 			}
 		}
 	}
+	a.nRegionsPredicted.Add(int64(predicted))
 }
 
 // overlapTerms are the per-layer region times of one offload tuple after
@@ -456,50 +476,111 @@ type overlapTerms struct {
 	bwdN, bwdC           float64 // stable microbatch, backward
 	fwdFirstN, fwdFirstC float64 // first microbatch: repositioned optimizer steps ride the forward
 	bwdLastN, bwdLastC   float64 // last microbatch: the gradient all-reduce rides the backward
-	prefetch, cpuStep    float64 // the tuple's tape outputs compose reads: H2D of a plain layer's forward, CPU Adam per layer
+	prefetch, cpuStep    float64 // first microbatch, the tuple's tape outputs compose reads: H2D of a plain layer's forward, CPU Adam per layer
+}
+
+// The overlap regions by the offload ratios their channel inputs read.
+// Two tuples that agree, bit for bit, on a class's ratios give its
+// regions the same inputs and so the same times: the stable forward
+// regions read (wo, ao) — 9 distinct values among a grid's 81 tuples —
+// and the backward ones (wo, go, ao), 27; the first microbatch's forward
+// adds the optimizer step's oo and go and reads the whole tuple.
+const (
+	fwdRegions   = iota // fwdN, fwdC
+	bwdRegions          // bwdN, bwdC, bwdLastN, bwdLastC
+	firstRegions        // fwdFirstN, fwdFirstC (and prefetch, cpuStep)
+	numRegionClasses
+)
+
+// sharedRegions counts the classes before firstRegions, the ones that read
+// only part of the tuple: tupleGroups records each group's first match
+// under each of them.
+const sharedRegions = firstRegions
+
+// regionClasses declares each class's inputs — the tape outputs its
+// regions read — and the ratios (wo, go, oo, ao) those may depend on,
+// which is how grouper.build projects the tuple. TestOverlapRegionReadSets
+// checks both against variantExprs and predictRegions.
+var regionClasses = [numRegionClasses]struct {
+	inputs []int
+	reads  [4]bool
+}{
+	fwdRegions:   {[]int{outH2DFwdN, outD2HFwdN, outH2DFwdC, outD2HFwdC}, [4]bool{true, false, false, true}},
+	bwdRegions:   {[]int{outH2DBwdN, outD2HBwdN, outH2DBwdC, outD2HBwdC}, [4]bool{true, true, false, true}},
+	firstRegions: {[]int{outH2DFwdN, outD2HFwdN, outH2DFwdC, outD2HFwdC, outStepGPULayer, outStepH2DLayer, outStepD2HLayer, outStepCPULayer}, [4]bool{true, true, true, true}},
 }
 
 // overlapTerms applies the interference model to the evaluated channel
-// aggregates of one offload tuple.
+// aggregates of one offload tuple, predicting every region: the reference
+// build prices each candidate through it, while priceGroups predicts a
+// shared class once per projection of the tuple (predictRegions, share).
 func (a *Analyzer) overlapTerms(sp *stageProgram, out []float64) overlapTerms {
-	t := overlapTerms{prefetch: out[outH2DFwdN], cpuStep: out[outStepCPULayer]}
-	// Stable forward: per-layer region = serial TP all-reduce + overlapped
-	// {compute, ZeRO-3 gather (next layer), weight prefetch, activation
-	// offload}.
-	t.fwdN = sp.tpARFwd + a.overlap(interference.Times{sp.cFwd, sp.agTime, out[outH2DFwdN], out[outD2HFwdN]})
-	t.fwdC = sp.tpARFwd + a.overlap(interference.Times{sp.cFwd, sp.agTime, out[outH2DFwdC], out[outD2HFwdC]})
+	var t overlapTerms
+	for c := range numRegionClasses {
+		a.predictRegions(sp, c, out, &t)
+	}
+	return t
+}
 
-	// Stable backward: non-checkpointed layers run bwd compute overlapped
-	// with re-gather + reduce-scatter + refetch + gradient offload;
-	// checkpointed layers prepend recomputation (fwd compute + fwd TP
-	// all-reduces).
-	t.bwdN = sp.tpARBwd + a.overlap(interference.Times{sp.cBwd, sp.agTime + sp.rsTime, out[outH2DBwdN], out[outD2HBwdN]})
-	t.bwdC = sp.tpARBwd + sp.tpARFwd + a.overlap(interference.Times{
-		sp.cBwd + sp.cFwd, 2*sp.agTime + sp.rsTime, out[outH2DBwdC], out[outD2HBwdC]})
-
-	// First microbatch: repositioned optimizer steps overlap the forward.
-	t.fwdFirstN = sp.tpARFwd + a.overlap(interference.Times{
-		sp.cFwd + out[outStepGPULayer],
-		sp.agTime,
-		out[outH2DFwdN] + out[outStepH2DLayer],
-		out[outD2HFwdN] + out[outStepD2HLayer],
-	})
-	t.fwdFirstC = sp.tpARFwd + a.overlap(interference.Times{
-		sp.cFwd + out[outStepGPULayer],
-		sp.agTime,
-		out[outH2DFwdC] + out[outStepH2DLayer],
-		out[outD2HFwdC] + out[outStepD2HLayer],
-	})
-
-	// Last microbatch: under plain DP / ZeRO-1 the full gradient
-	// all-reduce fires once, overlapped with the last backward
-	// (arGradLayer is 0 without data parallelism).
-	if sp.arGradLayer > 0 {
+// predictRegions resolves region class c's terms of t from the tuple's
+// tape outputs and returns how many regions it predicted.
+func (a *Analyzer) predictRegions(sp *stageProgram, c int, out []float64, t *overlapTerms) int {
+	switch c {
+	case fwdRegions:
+		// Stable forward: per-layer region = serial TP all-reduce +
+		// overlapped {compute, ZeRO-3 gather (next layer), weight
+		// prefetch, activation offload}.
+		t.fwdN = sp.tpARFwd + a.overlap(interference.Times{sp.cFwd, sp.agTime, out[outH2DFwdN], out[outD2HFwdN]})
+		t.fwdC = sp.tpARFwd + a.overlap(interference.Times{sp.cFwd, sp.agTime, out[outH2DFwdC], out[outD2HFwdC]})
+		return 2
+	case bwdRegions:
+		// Stable backward: non-checkpointed layers run bwd compute
+		// overlapped with re-gather + reduce-scatter + refetch + gradient
+		// offload; checkpointed layers prepend recomputation (fwd compute
+		// + fwd TP all-reduces).
+		t.bwdN = sp.tpARBwd + a.overlap(interference.Times{sp.cBwd, sp.agTime + sp.rsTime, out[outH2DBwdN], out[outD2HBwdN]})
+		t.bwdC = sp.tpARBwd + sp.tpARFwd + a.overlap(interference.Times{
+			sp.cBwd + sp.cFwd, 2*sp.agTime + sp.rsTime, out[outH2DBwdC], out[outD2HBwdC]})
+		// Last microbatch: under plain DP / ZeRO-1 the full gradient
+		// all-reduce fires once, overlapped with the last backward
+		// (arGradLayer is 0 without data parallelism).
+		if sp.arGradLayer <= 0 {
+			return 2
+		}
 		t.bwdLastN = sp.tpARBwd + a.overlap(interference.Times{sp.cBwd, sp.arGradLayer, out[outH2DBwdN], out[outD2HBwdN]})
 		t.bwdLastC = sp.tpARBwd + sp.tpARFwd + a.overlap(interference.Times{
 			sp.cBwd + sp.cFwd, sp.arGradLayer, out[outH2DBwdC], out[outD2HBwdC]})
+		return 4
+	default:
+		// First microbatch: repositioned optimizer steps overlap the
+		// forward, and compose exposes the first layer's prefetch and the
+		// CPU step beyond what hides behind it.
+		t.prefetch, t.cpuStep = out[outH2DFwdN], out[outStepCPULayer]
+		t.fwdFirstN = sp.tpARFwd + a.overlap(interference.Times{
+			sp.cFwd + out[outStepGPULayer],
+			sp.agTime,
+			out[outH2DFwdN] + out[outStepH2DLayer],
+			out[outD2HFwdN] + out[outStepD2HLayer],
+		})
+		t.fwdFirstC = sp.tpARFwd + a.overlap(interference.Times{
+			sp.cFwd + out[outStepGPULayer],
+			sp.agTime,
+			out[outH2DFwdC] + out[outStepH2DLayer],
+			out[outD2HFwdC] + out[outStepD2HLayer],
+		})
+		return 2
 	}
-	return t
+}
+
+// share copies shared class c's terms from src, the terms of the first
+// group with the same projection of the tuple.
+func (t *overlapTerms) share(c int, src *overlapTerms) {
+	switch c {
+	case fwdRegions:
+		t.fwdN, t.fwdC = src.fwdN, src.fwdC
+	case bwdRegions:
+		t.bwdN, t.bwdC, t.bwdLastN, t.bwdLastC = src.bwdN, src.bwdC, src.bwdLastN, src.bwdLastC
+	}
 }
 
 // compose scales a tuple's per-layer region times by the candidate's

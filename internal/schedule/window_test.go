@@ -1,10 +1,13 @@
 package schedule
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/symbolic"
 )
 
 // tunerGrid is the knob set the tuner prices for one layer count
@@ -72,6 +75,46 @@ func referenceShapes(heads, nth, offset int, fn func(StageShape)) {
 	}
 }
 
+// sharedRegionList lists the 256 tuples over the off-grid ratios {−0,
+// 0.3, 0.7, 0.95}, in four blocks of 64 lanes: the first block holds one
+// tuple of each (wo, go, ao) — so the first member of every shared region
+// class — and the later blocks the rest; both parts are shuffled, so the
+// later groups meet their classes' first members out of order. Each tuple
+// leads a group of one or two members of random layer and checkpoint
+// counts.
+func sharedRegionList(rng *rand.Rand) []Knobs {
+	ratios := []float64{math.Copysign(0, -1), 0.3, 0.7, 0.95}
+	var heads, rest []Knobs
+	for _, wo := range ratios {
+		for _, gov := range ratios {
+			for _, ao := range ratios {
+				head := rng.Intn(len(ratios))
+				for i, oo := range ratios {
+					l := 1 + rng.Intn(12)
+					k := Knobs{Layers: l, Ckpt: rng.Intn(l + 1), WO: wo, GO: gov, OO: oo, AO: ao}
+					if i == head {
+						heads = append(heads, k)
+					} else {
+						rest = append(rest, k)
+					}
+				}
+			}
+		}
+	}
+	for _, part := range [][]Knobs{heads, rest} {
+		rng.Shuffle(len(part), func(i, j int) { part[i], part[j] = part[j], part[i] })
+	}
+	ks := append(heads, rest...)
+	for _, k := range ks[:len(ks):len(ks)] {
+		if rng.Intn(2) == 0 {
+			k.Layers = 1 + rng.Intn(12)
+			k.Ckpt = rng.Intn(k.Layers + 1)
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
 // TestWindowMatchesSetBySet: pricing a list of knob sets in one
 // EvaluateSets call returns, == on every field, what pricing each set on
 // its own returns — and what pricing each candidate on its own does —
@@ -79,10 +122,12 @@ func referenceShapes(heads, nth, offset int, fn func(StageShape)) {
 // tuple for the whole list), a window of one, a window whose small layer
 // counts fold the checkpoint grid, a window with in-set duplicates,
 // hand-built aligned sets whose tuple groups differ in member count and
-// layer counts over more tuples than one block of lanes, or a list that
-// is not tuple-aligned and falls back to set-by-set pricing.
-// Every model of referenceModels, a 1-in-997 slice of the reference shape
-// grid each, both Serialize values.
+// layer counts over more tuples than one block of lanes, off-grid sets
+// whose shared region classes take their terms from first members blocks
+// earlier (sharedRegionList; also priced as ad-hoc EvaluateBatchInto
+// slices), or a list that is not tuple-aligned and falls back to
+// set-by-set pricing. Every model of referenceModels, a 1-in-997 slice of
+// the reference shape grid each, both Serialize values.
 func TestWindowMatchesSetBySet(t *testing.T) {
 	full := []float64{0, 0.5, 1}
 	// withDups repeats 40 entries somewhere behind their first occurrence,
@@ -131,6 +176,12 @@ func TestWindowMatchesSetBySet(t *testing.T) {
 		}
 		return append(ks, pending...)
 	}
+	shared := sharedRegionList(rng)
+	relayered := slices.Clone(shared)
+	for i := range relayered {
+		relayered[i].Layers = 1 + rng.Intn(12)
+		relayered[i].Ckpt = rng.Intn(relayered[i].Layers + 1)
+	}
 	reversed := tunerGrid(9, full)
 	slices.Reverse(reversed)
 	shuffled := tunerGrid(10, full)
@@ -147,6 +198,7 @@ func TestWindowMatchesSetBySet(t *testing.T) {
 		{"in-set-duplicates", [][]Knobs{withDups(tunerGrid(3, full), rng), tunerGrid(4, full), withDups(tunerGrid(5, full), rng)}, true, false},
 		{"one-knob-rows", [][]Knobs{{{Layers: 7, Ckpt: 7}}, {{Layers: 8, Ckpt: 8}}, {{Layers: 9, Ckpt: 9}}}, true, false},
 		{"irregular-groups", [][]Knobs{irregular(), irregular(), irregular()}, true, true},
+		{"shared-regions", [][]Knobs{shared, relayered}, true, true},
 		{"misaligned-order", [][]Knobs{tunerGrid(8, full), reversed, shuffled}, false, false},
 		{"misaligned-grid", [][]Knobs{tunerGrid(8, full), tunerGrid(9, []float64{0, 1}), tunerGrid(10, full)}, false, false},
 		{"misaligned-count", [][]Knobs{tunerGrid(8, []float64{0, 1}), tunerGrid(9, []float64{0, 0.5, 1})}, false, false},
@@ -161,6 +213,23 @@ func TestWindowMatchesSetBySet(t *testing.T) {
 		}
 		if got := aligned(asTupleSets(batches[wi])); got != w.aligned {
 			t.Fatalf("%s: aligned = %v, want %v", w.name, got, w.aligned)
+		}
+		if w.name != "shared-regions" {
+			continue
+		}
+		tg := &batches[wi][0].groups
+		if groups := len(tg.starts) - 1; groups != 256 {
+			t.Fatalf("%s: %d tuples, want 256", w.name, groups)
+		}
+		for c, first := range tg.first {
+			for g, f := range first[64:] {
+				if f >= 64 {
+					t.Fatalf("%s: class %d of group %d shares group %d's terms, want a first member in the first block", w.name, c, 64+g, f)
+				}
+			}
+			if slices.IsSorted(first[64:]) {
+				t.Fatalf("%s: class %d meets its first members in order", w.name, c)
+			}
 		}
 	}
 	for mi, cfg := range referenceModels() {
@@ -190,6 +259,13 @@ func TestWindowMatchesSetBySet(t *testing.T) {
 							}
 							if !slices.Equal(dsts[i], want) {
 								t.Fatalf("%s serialize=%v shape %+v: set %d priced in the list differs from the set priced alone", w.name, serialize, shape, i)
+							}
+							adhoc, err := a.EvaluateBatchInto(nil, shape, set.Knobs(), &scOne)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !slices.Equal(adhoc, want) {
+								t.Fatalf("%s serialize=%v shape %+v: set %d priced as an ad-hoc slice differs from the prepared set", w.name, serialize, shape, i)
 							}
 							for j, k := range set.Knobs() {
 								if !w.every && j%29 != checked%29 {
@@ -289,6 +365,93 @@ func TestConcurrentKnobGridFirstUse(t *testing.T) {
 	for i := range got {
 		if got[i] != got[0] {
 			t.Fatalf("goroutine %d got other grids than goroutine 0", i)
+		}
+	}
+}
+
+// TestOverlapRegionReadSets: each overlap region class depends on the
+// knobs only through the ratios regionClasses declares for it, so two
+// tuples that agree on them give the class the same times. For every
+// variant key (every combination of its fields, a superset of what build
+// produces) the free variables of the class's input outputs are shape
+// coefficients or declared ratios; and predictRegions reads no output beyond
+// the declared inputs (with every other output NaN, the class's terms
+// come out finite; Serialize sums, so a NaN read would surface).
+func TestOverlapRegionReadSets(t *testing.T) {
+	allowed := func(reads [4]bool) map[string]bool {
+		ok := map[string]bool{}
+		for _, v := range frameVars[:numCoefs] {
+			ok[v] = true
+		}
+		for i, r := range reads {
+			if r {
+				ok[frameVars[frameWO+i]] = true
+			}
+		}
+		return ok
+	}
+	keys := 0
+	for _, bare := range []bool{false, true} {
+		for split := 0; split < 8; split++ {
+			for act := actBare; act <= actFlat; act++ {
+				for _, recompute := range []bool{false, true} {
+					key := variantKey{bareStates: bare, split: [3]bool{split&1 != 0, split&2 != 0, split&4 != 0}, act: act, recompute: recompute}
+					exprs := variantExprs(key)
+					keys++
+					for c, class := range regionClasses {
+						var inputs []*symbolic.Expr
+						for _, o := range class.inputs {
+							inputs = append(inputs, exprs[o])
+						}
+						ok := allowed(class.reads)
+						for _, v := range symbolic.MergeVars(inputs...) {
+							if !ok[v] {
+								t.Errorf("variant %+v: region class %d's inputs read %s, outside its declared ratios %v", key, c, v, class.reads)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if keys != 96 {
+		t.Fatalf("walked %d variant keys, want 96", keys)
+	}
+
+	a := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
+	a.Serialize = true
+	sp := a.program(StageShape{B: 2, DP: 4, TP: 2, ZeRO: 0, HasPre: true, HasPost: true, NumStages: 1, GradAccum: 1})
+	if sp.err != nil || sp.arGradLayer <= 0 {
+		t.Fatalf("want a shape whose last backward carries the gradient all-reduce: %v", sp.err)
+	}
+	terms := func(c int, t *overlapTerms) []float64 {
+		switch c {
+		case fwdRegions:
+			return []float64{t.fwdN, t.fwdC}
+		case bwdRegions:
+			return []float64{t.bwdN, t.bwdC, t.bwdLastN, t.bwdLastC}
+		default:
+			return []float64{t.fwdFirstN, t.fwdFirstC, t.prefetch, t.cpuStep}
+		}
+	}
+	for c, class := range regionClasses {
+		out := make([]float64, numOutputs)
+		for o := range out {
+			out[o] = math.NaN()
+		}
+		for i, o := range class.inputs {
+			out[o] = 1e-3 * float64(i+1)
+		}
+		var tm overlapTerms
+		n := a.predictRegions(sp, c, out, &tm)
+		got := terms(c, &tm)
+		if want := map[int]int{fwdRegions: 2, bwdRegions: 4, firstRegions: 2}[c]; n != want {
+			t.Errorf("region class %d predicted %d regions, want %d", c, n, want)
+		}
+		for i, v := range got {
+			if math.IsNaN(v) || v <= 0 {
+				t.Errorf("region class %d: region %d = %v from its declared inputs alone; it reads another output", c, i, v)
+			}
 		}
 	}
 }
