@@ -51,7 +51,7 @@ test-noskip: ## the full (non -short) suite, verbose; fails if any test reports 
 test-seam: ## vet + short tests of the nested benchmarks/mistperf module, which `go test ./...` never sees: the one place a break of its seam.go contract shows
 	cd benchmarks/mistperf && $(GO) vet ./... && $(GO) test -short ./...
 
-race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks, and the eval cache's same-row/mixed-row publish races and readers of a stored row, two searches sharing one cache (TestConcurrentSearchesCountTheirOwnTraffic), the analyzer's concurrent first use and the per-platform interference fit's concurrent first use repeated
+race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks, and the eval cache's same-row/mixed-row publish races and readers of a stored row, two searches sharing one cache (TestConcurrentSearchesCountTheirOwnTraffic) and four searches on one tuner (TestConcurrentSearchesOnOneTuner), the analyzer's concurrent first use and the per-platform interference fit's concurrent first use repeated
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrent' ./internal/evalcache ./internal/schedule ./internal/core
 

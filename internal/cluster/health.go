@@ -87,10 +87,9 @@ type Checker struct {
 	onEpoch      func(ctx context.Context, id string, epoch int64, fp uint64)
 	onTransition func(id string, from, to Health)
 
-	mu     sync.Mutex
-	fails  map[string]int // consecutive failures by peer id
-	addrs  map[string]string
-	epochs map[string]int64 // last view epoch seen in a probe reply
+	mu    sync.Mutex
+	fails map[string]int // consecutive failures by peer id
+	addrs map[string]string
 }
 
 // NewChecker builds a checker over the peer set (self is always Ok and
@@ -110,7 +109,6 @@ func NewChecker(self string, members []Member, client Doer, timeout time.Duratio
 		downAfter: downAfter,
 		clock:     clock.System,
 		fails:     map[string]int{},
-		epochs:    map[string]int64{},
 	}
 	c.SetPeers(members)
 	return c
@@ -133,7 +131,6 @@ func (c *Checker) SetPeers(members []Member) {
 	for id := range c.fails {
 		if _, keep := next[id]; !keep {
 			delete(c.fails, id)
-			delete(c.epochs, id)
 		}
 	}
 	c.addrs = next
@@ -150,14 +147,6 @@ func (c *Checker) statusLocked(id string) Health {
 	default:
 		return Down
 	}
-}
-
-// PeerEpoch reports the last view epoch a peer announced in a probe
-// reply (0 when never seen or not an epoch-aware peer).
-func (c *Checker) PeerEpoch(id string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epochs[id]
 }
 
 // Status reports a peer's current health (self and unknown ids are Ok).
@@ -265,9 +254,6 @@ func (c *Checker) ProbeOnce(ctx context.Context) {
 				// pctx, which expires with this reply): view syncs it
 				// spawns should outlive one probe but die with the
 				// prober.
-				c.mu.Lock()
-				c.epochs[p.ID] = hb.Epoch
-				c.mu.Unlock()
 				if c.onEpoch != nil {
 					c.onEpoch(ctx, p.ID, hb.Epoch, fp)
 				}

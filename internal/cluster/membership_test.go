@@ -212,13 +212,32 @@ func (d *epochDoer) Do(req *http.Request) (*http.Response, error) {
 // The probe loop is the anti-entropy channel: a peer answering probes
 // with a higher epoch causes this node to fetch and adopt its view,
 // with no membership-change request ever reaching this node directly.
+// The probe hands the epoch to the view sync through the checker's
+// onEpoch hook.
 func TestEpochSyncViaProbes(t *testing.T) {
 	two := []Member{{ID: "n1", Addr: "http://n1"}, {ID: "n2", Addr: "http://n2"}}
 	next := View{Epoch: 3, Members: append(append([]Member(nil), two...), Member{ID: "n3", Addr: "http://n3"})}
 	doer := &epochDoer{epoch: 3, view: next}
 	cl := mustCluster(t, "n1", two, doer)
+	var (
+		mu       sync.Mutex
+		announce = map[string]int64{}
+	)
+	chk := cl.Checker()
+	syncView := chk.onEpoch
+	chk.onEpoch = func(ctx context.Context, id string, epoch int64, fp uint64) {
+		mu.Lock()
+		announce[id] = epoch
+		mu.Unlock()
+		syncView(ctx, id, epoch, fp)
+	}
 
-	cl.Checker().ProbeOnce(context.Background())
+	chk.ProbeOnce(context.Background())
+	mu.Lock()
+	if got := announce["n2"]; got != 3 || len(announce) != 1 {
+		t.Errorf("the probe handed the hook %v, want n2 at epoch 3", announce)
+	}
+	mu.Unlock()
 	deadline := time.Now().Add(5 * time.Second)
 	for cl.Epoch() != 3 {
 		if time.Now().After(deadline) {
@@ -228,9 +247,6 @@ func TestEpochSyncViaProbes(t *testing.T) {
 	}
 	if _, ok := cl.Member("n3"); !ok {
 		t.Error("synced view lost the new member")
-	}
-	if got := cl.Checker().PeerEpoch("n2"); got != 3 {
-		t.Errorf("recorded peer epoch %d, want 3", got)
 	}
 	// Probing again at the same epoch must not re-fetch the view.
 	doer.mu.Lock()

@@ -69,8 +69,7 @@ func TestHeteroDPDeviceConstraint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn.incumbent = math.Inf(1) // no solution known yet, as TuneContext arms it
-	sol, _, err := tn.tuneSG(context.Background(), 3, 4)
+	sol, _, err := tn.tuneSG(context.Background(), 3, 4, math.Inf(1)) // no solution known yet
 	if err != nil {
 		t.Fatalf("S=3 G=4: %v", err)
 	}

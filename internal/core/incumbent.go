@@ -3,9 +3,11 @@ package core
 import "math"
 
 // The search's incumbent: the best objective U of any (S, G) pair of an
-// earlier wave (+Inf until one lands; TuneContext publishes between
-// waves, so what a pair prunes against is a function of the search's
-// inputs). It cuts work three ways, none of which can change the result:
+// earlier wave (+Inf until one lands). TuneContext keeps it in a local,
+// lowers it between waves and hands it to each pair of the next wave by
+// value (tuneSG's bound), so what a pair prunes against is a function of
+// the search's inputs. It cuts work three ways, none of which can change
+// the result:
 //
 //  1. A pair whose compute floor exceeds U is skipped before anything is
 //     priced (tuneSG, computeFloor).
@@ -23,14 +25,6 @@ import "math"
 // exactly the tie set an unpruned search would: the chosen plan is
 // bit-identical (TestFloorSkipMatchesUnprunedReference).
 
-// offerIncumbent lowers the incumbent bound to obj if it improves on the
-// current one. Called only while no pair is running.
-func (t *Tuner) offerIncumbent(obj float64) {
-	if obj > 0 && obj < t.incumbent {
-		t.incumbent = obj
-	}
-}
-
 // boundValue is the per-candidate quantity whose G-fold multiple lower
 // bounds any objective the candidate can participate in, valid for both
 // the imbalance-aware objective ((G-1)maxT + ΣT + Dm, Dm >= 0) and the
@@ -43,23 +37,21 @@ func boundValue(c candidate, g int) float64 {
 	return v
 }
 
-// pruneByBound drops candidates that provably cannot beat the incumbent
-// objective, counting them into t.pruned. A candidate whose lower bound
-// exactly equals the incumbent is kept.
-func (t *Tuner) pruneByBound(cands []candidate, g int) []candidate {
-	bound := t.incumbent
+// pruneByBound drops, in place, the candidates that provably cannot beat
+// the incumbent objective bound, and reports how many it dropped. A
+// candidate whose lower bound exactly equals the incumbent is kept.
+func pruneByBound(cands []candidate, g int, bound float64) (kept []candidate, dropped int) {
 	if math.IsInf(bound, 1) {
-		return cands
+		return cands, 0
 	}
-	kept := cands[:0]
+	kept = cands[:0]
 	for _, c := range cands {
 		if float64(g)*boundValue(c, g) > bound {
-			t.pruned.Add(1)
 			continue
 		}
 		kept = append(kept, c)
 	}
-	return kept
+	return kept, len(cands) - len(kept)
 }
 
 // pairBound is the running lower bound of one (S, G) pair: per-stage

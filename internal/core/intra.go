@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"slices"
 	"sync"
@@ -108,11 +109,11 @@ const planSafetyFraction = 0.96
 //
 // The priced rows are left in sc (row(si, li) for shapes[si] and
 // layers[li]) and are only valid until the next intraStage call on the
-// same scratch; feasibility is decided where they are read. The evaluated
-// count is exact — the hits plus misses of every shape whose window
-// priced, including shapes that completed after another shape failed —
-// and the same counts feed the search's own traffic counters.
-func (t *Tuner) intraStage(s, g, stageIdx, devPerStage int, layers []int, sc *sweepScratch) (int, error) {
+// same scratch; feasibility is decided where they are read. The returned
+// counts are exact — the hits plus misses of every shape whose window
+// priced, including shapes that completed after another shape failed. A
+// canceled ctx stops the sweep between shapes.
+func (t *Tuner) intraStage(ctx context.Context, s, g, stageIdx, devPerStage int, layers []int, sc *sweepScratch) (counts, error) {
 	sc.budget = t.Cluster.MemoryBudget() * planSafetyFraction
 	sets := sc.sets[:0]
 	for _, l := range layers {
@@ -170,7 +171,7 @@ func (t *Tuner) intraStage(s, g, stageIdx, devPerStage int, layers []int, sc *sw
 			}
 			// Per-request deadlines land here: a canceled search stops
 			// between shapes instead of pricing out the sweep.
-			if err := t.ctxErr(); err != nil {
+			if err := ctx.Err(); err != nil {
 				outs[i].err = err
 				return
 			}
@@ -198,18 +199,17 @@ spawn:
 
 	// Tally the exact traffic before surfacing any error: out-of-order
 	// workers may have priced shapes beyond the first failure.
-	var hits, misses int
+	var n counts
 	var firstErr error
 	for i := range outs {
-		hits += outs[i].hits
-		misses += outs[i].misses
+		n.hits += outs[i].hits
+		n.misses += outs[i].misses
 		if firstErr == nil && outs[i].err != nil {
 			firstErr = outs[i].err
 		}
 	}
-	t.hits.Add(uint64(hits))
-	t.misses.Add(uint64(misses))
-	return hits + misses, firstErr
+	n.evaluated = n.hits + n.misses
+	return n, firstErr
 }
 
 // parallelism is one feasible (tp, dp, b) split of a stage's devices.

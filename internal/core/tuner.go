@@ -23,9 +23,11 @@ import (
 )
 
 // Tuner is Mist's automatic distributed-training optimizer for one
-// workload on one cluster, restricted to a Space. Its fields are of two
-// kinds, in this order: configuration, fixed once the tuner is built; and
-// the state of the one search that is running.
+// workload on one cluster, restricted to a Space. It is configuration
+// only: a search writes none of its fields, so any number of searches may
+// run on one tuner at once, each with its own incumbent and counts
+// (TuneContext keeps them in locals and the (S, G) pairs return theirs by
+// value).
 type Tuner struct {
 	W       plan.Workload
 	Cluster *hardware.Cluster
@@ -47,28 +49,14 @@ type Tuner struct {
 
 	// ev is the evaluation cache every pricing of a search goes through,
 	// memoizing analyzer evaluations across stages, layer counts and (S, G)
-	// pairs: New and NewShared install one, and a Tuner literal gets a
-	// private one when its first search starts.
+	// pairs: New and NewShared install one, and a Tuner literal's search
+	// prices through a private one on a copy of the tuner.
 	ev pricer
 
 	// disableIncumbent stops completed pairs from feeding the incumbent
 	// bound: the search without cross-pair pruning, which tests use as a
 	// reference. The chosen plan is identical either way.
 	disableIncumbent bool
-
-	// One search's state (see incumbent.go): the incumbent bound — +Inf
-	// until a pair has a solution, lowered by every completed wave of
-	// pairs and written only between waves — and the counters the
-	// concurrent (S, G) pairs of a wave share: candidates the bound
-	// pruned, pairs it abandoned, and the search's own cache hits and
-	// misses (the cache's counters also count any search beside it).
-	incumbent    float64
-	pruned       atomic.Int64
-	aborted      atomic.Int64
-	hits, misses atomic.Uint64
-	// tuneCtx bounds the running search; canceling it makes
-	// TuneContext return the context's error. Nil between searches.
-	tuneCtx context.Context
 }
 
 // pricer is what a search prices through. The tuner's *evalcache.Cache
@@ -111,15 +99,6 @@ const pairWave = 4
 // against fewer solutions than under fixed waves of pairWave.
 func waveSize(finished int) int {
 	return min(pairWave, max(1, finished))
-}
-
-// ctxErr reports the running search's context error (nil outside a
-// TuneContext call).
-func (t *Tuner) ctxErr() error {
-	if t.tuneCtx == nil {
-		return nil
-	}
-	return t.tuneCtx.Err()
 }
 
 // Result reports the tuned plan and tuning statistics.
@@ -267,19 +246,13 @@ func (t *Tuner) Tune() (*Result, error) {
 // between pipeline stages and (S, G) pairs and returns the context's
 // error. Used by the async job queue for per-job cancellation.
 func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
+	if t.ev == nil { // a Tuner literal: this search's private cache, on a copy
+		c := *t
+		c.ev = evalcache.New(t.An)
+		return c.TuneContext(ctx)
+	}
 	start := time.Now()
 	res := &Result{}
-	if t.ev == nil {
-		t.ev = evalcache.New(t.An) // a Tuner literal's private cache
-	}
-
-	t.tuneCtx = ctx
-	defer func() { t.tuneCtx = nil }() // a tuner outlives its search; the request's context must not
-	t.incumbent = math.Inf(1)
-	t.pruned.Store(0)
-	t.aborted.Store(0)
-	t.hits.Store(0)
-	t.misses.Store(0)
 
 	type sg struct{ s, g int }
 	var pairs []sg
@@ -290,31 +263,34 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	}
 	res.SGPairs = len(pairs)
 
-	// The pairs run in waves of waveSize, concurrently within a wave. A
-	// wave's solutions are published to the incumbent bound only once
-	// the whole wave has finished, so every pair prunes against exactly
-	// the solutions of the waves before it: what a search prices is a
-	// function of its inputs, not of goroutine timing, and a repeat of a
-	// search on a filled cache misses nothing. The sweep span covers the
-	// whole fan-out; each pair gets its own child span (with intra-sweep
-	// / inter-stage children inside tuneSG). Pair spans of one wave
-	// overlap by construction, so latency attribution reads the sweep
-	// span's duration and treats children as a utilization breakdown.
+	// The pairs run in waves of waveSize, concurrently within a wave. Each
+	// pair of a wave is handed the incumbent bound by value, and the
+	// wave's solutions lower it only once the whole wave has finished, so
+	// every pair prunes against exactly the solutions of the waves before
+	// it: what a search prices is a function of its inputs, not of
+	// goroutine timing, and a repeat of a search on a filled cache misses
+	// nothing. The sweep span covers the whole fan-out; each pair gets its
+	// own child span (with intra-sweep / inter-stage children inside
+	// tuneSG). Pair spans of one wave overlap by construction, so latency
+	// attribution reads the sweep span's duration and treats children as
+	// a utilization breakdown.
 	type outcome struct {
-		sol          *interSolution
-		nEval        int
-		floorSkipped bool
+		sol *interSolution
+		n   counts
 	}
 	type found struct {
 		sol  *interSolution
 		s, g int
 	}
 	var best *found
+	var total counts
+	incumbent := math.Inf(1)
 	swctx, swsp := trace.StartSpan(ctx, "sweep")
 	outs := make([]outcome, pairWave)
 	for done := 0; done < len(pairs) && ctx.Err() == nil; {
 		wave := pairs[done:min(done+waveSize(done), len(pairs))]
 		done += len(wave)
+		bound := incumbent
 		// Pairs are claimed off an atomic counter by at most GOMAXPROCS
 		// workers: which worker runs a pair changes nothing it computes.
 		// The caller is one of them (as in intraStage), so a wave of one —
@@ -332,7 +308,7 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 				pctx, psp := trace.StartSpan(swctx, "sg")
 				psp.Annotate("s", p.s)
 				psp.Annotate("g", p.g)
-				sol, nEval, err := t.tuneSG(pctx, p.s, p.g)
+				sol, n, err := t.tuneSG(pctx, p.s, p.g, bound)
 				var pe *prunedError
 				switch {
 				case errors.As(err, &pe):
@@ -344,13 +320,13 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 						psp.Annotate("bound", pe.bound)
 						psp.Annotate("stage", pe.stage)
 					}
-					psp.Annotate("incumbent", t.incumbent)
+					psp.Annotate("incumbent", bound)
 				case err != nil: // OOM or no factorization
 					psp.Annotate("infeasible", true)
 				}
-				psp.Annotate("evals", nEval)
+				psp.Annotate("evals", n.evaluated)
 				psp.End()
-				outs[i] = outcome{sol: sol, nEval: nEval, floorSkipped: pe != nil && pe.byFloor}
+				outs[i] = outcome{sol: sol, n: n}
 			}
 		}
 		var wg sync.WaitGroup
@@ -364,15 +340,12 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 		drain()
 		wg.Wait()
 		for i, o := range outs[:len(wave)] {
-			res.Candidates += o.nEval
-			if o.floorSkipped {
-				res.FloorSkippedPairs++
-			}
+			total.add(o.n)
 			if o.sol == nil {
 				continue
 			}
-			if !t.disableIncumbent {
-				t.offerIncumbent(o.sol.Objective)
+			if obj := o.sol.Objective; !t.disableIncumbent && obj > 0 && obj < incumbent {
+				incumbent = obj
 			}
 			p := wave[i]
 			if best == nil || o.sol.Objective < best.sol.Objective ||
@@ -381,10 +354,12 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 			}
 		}
 	}
-	res.WarmPruned = int(t.pruned.Load())
-	res.WarmAbortedPairs = int(t.aborted.Load())
-	res.EvalCacheHits = t.hits.Load()
-	res.EvalCacheMisses = t.misses.Load()
+	res.Candidates = total.evaluated
+	res.EvalCacheHits = uint64(total.hits)
+	res.EvalCacheMisses = uint64(total.misses)
+	res.WarmPruned = total.pruned
+	res.WarmAbortedPairs = total.aborted
+	res.FloorSkippedPairs = total.floorSkipped
 	swsp.Annotate("pairs", res.SGPairs)
 	swsp.Annotate("candidates", res.Candidates)
 	swsp.Annotate("evalCacheHits", res.EvalCacheHits)
@@ -412,14 +387,37 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
+// counts is the work of one (S, G) pair, or of several summed: the
+// candidates it priced (evaluated), the pricings the cache answered from
+// a stored row (hits) and from the analyzer (misses), the candidates the
+// incumbent pruned, and the pairs the incumbent abandoned (aborted) —
+// mid-sweep or, a subset, before anything was priced (floorSkipped). A
+// pair returns its counts by value and TuneContext sums them in pair
+// order, so a search's counts are its own whatever runs beside it.
+type counts struct {
+	evaluated, hits, misses, pruned, aborted, floorSkipped int
+}
+
+func (c *counts) add(o counts) {
+	c.evaluated += o.evaluated
+	c.hits += o.hits
+	c.misses += o.misses
+	c.pruned += o.pruned
+	c.aborted += o.aborted
+	c.floorSkipped += o.floorSkipped
+}
+
 // tuneSG runs intra-stage tuning + inter-stage selection for one
-// (pipeline depth, gradient accumulation) pair. Every stage is swept at
-// TotalGPUs/S devices; under heterogeneous assignment (the per-stage
-// (n_i, m_i) variables of Table 2) a pipelined pair instead sweeps every
-// stage at each of deviceOptions and the inter-stage DP partitions the
-// devices along with the layers. ctx carries the pair's trace span (when
-// tracing is on); cancellation still flows through t.tuneCtx as before.
-func (t *Tuner) tuneSG(ctx context.Context, s, g int) (*interSolution, int, error) {
+// (pipeline depth, gradient accumulation) pair, pruning against bound,
+// the incumbent objective of the waves before it (+Inf when none has a
+// solution). Every stage is swept at TotalGPUs/S devices; under
+// heterogeneous assignment (the per-stage (n_i, m_i) variables of
+// Table 2) a pipelined pair instead sweeps every stage at each of
+// deviceOptions and the inter-stage DP partitions the devices along with
+// the layers. ctx carries the search's cancellation and the pair's trace
+// span (when tracing is on).
+func (t *Tuner) tuneSG(ctx context.Context, s, g int, bound float64) (*interSolution, counts, error) {
+	var n counts
 	total := t.Cluster.TotalGPUs()
 	devOpts, devBudget := []int{total / s}, 0 // no budget: the DP tracks no devices
 	if t.Space.HeterogeneousDevices && s > 1 {
@@ -428,14 +426,13 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int) (*interSolution, int, erro
 	// Bound before pricing: no plan of this pair beats its compute floor, so
 	// a pair whose floor exceeds the incumbent (by a margin that keeps ties
 	// and rounding safe) is skipped whole.
-	if floor := t.computeFloor(s, g, devOpts); floor*(1-1e-9) > t.incumbent {
-		t.aborted.Add(1)
-		return nil, 0, &prunedError{byFloor: true, bound: floor}
+	if floor := t.computeFloor(s, g, devOpts); floor*(1-1e-9) > bound {
+		n.aborted, n.floorSkipped = 1, 1
+		return nil, n, &prunedError{byFloor: true, bound: floor}
 	}
 	if t.Space.UniformStages {
-		return t.tuneUniform(s, g, total/s)
+		return t.tuneUniform(ctx, s, g, total/s)
 	}
-	evaluated := 0
 	cands := make([][]candidate, s)
 	sc := sweepScratchPool.Get().(*sweepScratch)
 	defer sc.release()
@@ -443,14 +440,14 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int) (*interSolution, int, erro
 	err := func() error {
 		var pb pairBound
 		for i := 0; i < s; i++ {
-			if err := t.ctxErr(); err != nil {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
 			var stageC []candidate
 			window := t.layerRange(s, i)
 			for _, dev := range devOpts {
-				n, err := t.intraStage(s, g, i, dev, window, sc)
-				evaluated += n
+				priced, err := t.intraStage(ctx, s, g, i, dev, window, sc)
+				n.add(priced)
 				if err != nil {
 					return err
 				}
@@ -468,22 +465,23 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int) (*interSolution, int, erro
 			// The stage minimum is taken before pruning so the bound is on
 			// hand when every candidate goes; a pruned candidate is above
 			// every kept one, so the minimum is the same either way.
-			abandon := pb.add(stageC, g, t.incumbent)
-			stageC = t.pruneByBound(stageC, g)
+			abandon := pb.add(stageC, g, bound)
+			stageC, dropped := pruneByBound(stageC, g, bound)
+			n.pruned += dropped
 			if abandon || len(stageC) == 0 {
 				// Every combination of this pair is provably no better than
 				// the incumbent: stop before pricing the remaining stages.
-				t.aborted.Add(1)
+				n.aborted = 1
 				return &prunedError{bound: pb.value(g), stage: i}
 			}
 			cands[i] = stageC
 		}
 		return nil
 	}()
-	isp.Annotate("evals", evaluated)
+	isp.Annotate("evals", n.evaluated)
 	isp.End()
 	if err != nil {
-		return nil, evaluated, err
+		return nil, n, err
 	}
 	_, nsp := trace.StartSpan(ctx, "inter-stage")
 	var sol *interSolution
@@ -497,9 +495,9 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int) (*interSolution, int, erro
 	}
 	nsp.End()
 	if err != nil {
-		return nil, evaluated, err
+		return nil, n, err
 	}
-	return sol, evaluated, nil
+	return sol, n, nil
 }
 
 // computeFloor is a lower bound, at no pricing cost, on the objective —
@@ -536,23 +534,21 @@ func (t *Tuner) deviceOptions(s int) []int {
 }
 
 // tuneUniform implements the uniform-heuristic baseline (§3.3): one knob
-// set shared by every stage, uniform layer split.
-func (t *Tuner) tuneUniform(s, g, devPer int) (*interSolution, int, error) {
+// set shared by every stage, uniform layer split. ctx is tuneSG's.
+func (t *Tuner) tuneUniform(ctx context.Context, s, g, devPer int) (*interSolution, counts, error) {
 	if t.W.Model.Layers%s != 0 {
-		return nil, 0, fmt.Errorf("core: uniform heuristic needs S | L")
+		return nil, counts{}, fmt.Errorf("core: uniform heuristic needs S | L")
 	}
 	l := t.W.Model.Layers / s
-	evaluated := 0
 	var best *interSolution
 	// Enumerate shared configurations via stage 0's sweep, a window of one
 	// layer count, then replicate each feasible entry's knobs (and
 	// parallelism) across stages.
 	sc := sweepScratchPool.Get().(*sweepScratch)
 	defer sc.release()
-	n, err := t.intraStage(s, g, 0, devPer, []int{l}, sc)
-	evaluated += n
+	n, err := t.intraStage(ctx, s, g, 0, devPer, []int{l}, sc)
 	if err != nil {
-		return nil, evaluated, err
+		return nil, n, err
 	}
 	knobs := sc.sets[0].Knobs()
 	perf := make([]pipeline.StagePerf, 0, s) // reused: only sel outlives an iteration
@@ -562,8 +558,8 @@ func (t *Tuner) tuneUniform(s, g, devPer int) (*interSolution, int, error) {
 			if !row[j].Fits(sc.budget) {
 				continue
 			}
-			if err := t.ctxErr(); err != nil {
-				return nil, evaluated, err
+			if err := ctx.Err(); err != nil {
+				return nil, n, err
 			}
 			sel := make([]candidate, 0, s)
 			for i := 0; i < s; i++ {
@@ -572,11 +568,11 @@ func (t *Tuner) tuneUniform(s, g, devPer int) (*interSolution, int, error) {
 				shape.HasPost = i == s-1
 				shape.StageIdx = i
 				r, err := t.ev.Evaluate(shape, knobs[j])
-				evaluated++ // the attempt was made whether or not it priced
+				n.evaluated++ // the attempt was made whether or not it priced
 				if err != nil {
 					break
 				}
-				t.misses.Add(1)
+				n.misses++ // a single point is priced on the analyzer, never stored
 				if !r.Fits(sc.budget) {
 					break
 				}
@@ -592,9 +588,9 @@ func (t *Tuner) tuneUniform(s, g, devPer int) (*interSolution, int, error) {
 		}
 	}
 	if best == nil {
-		return nil, evaluated, fmt.Errorf("core: uniform heuristic infeasible for S=%d G=%d", s, g)
+		return nil, n, fmt.Errorf("core: uniform heuristic infeasible for S=%d G=%d", s, g)
 	}
-	return best, evaluated, nil
+	return best, n, nil
 }
 
 // stageCounts enumerates pipeline depths: divisors of the GPU count

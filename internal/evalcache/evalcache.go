@@ -40,16 +40,16 @@
 // both count misses; the first to publish wins, and both get its row.
 // Len counts results held, a point once per row it appears in.
 //
-// Counter discipline: hits and misses are counted, and returned to the
-// caller, only after the pricing they describe has succeeded. A row whose
-// analyzer call errors is not stored and contributes nothing, so on an
-// error-free search the counts reconcile exactly with the candidates the
-// caller priced.
+// The cache keeps rows, not traffic: EvaluateSets returns each call's
+// hits and misses, once the pricing they describe has succeeded, and the
+// caller sums them (a search's counts are its own, however many searches
+// share the cache). A row whose analyzer call errors is not stored and
+// counts nothing, so on an error-free search the sums reconcile exactly
+// with the candidates the caller priced.
 package evalcache
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/schedule"
 )
@@ -80,9 +80,6 @@ type Cache struct {
 	mu   sync.RWMutex
 	rows map[rowKey][]schedule.Result // immutable once published
 	held int                          // results across all rows
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 // New builds an empty cache over an analyzer.
@@ -95,24 +92,6 @@ func New(an *schedule.Analyzer) *Cache {
 // to different questions.
 func (c *Cache) Backend() *schedule.Analyzer { return c.an }
 
-// Stats is a point-in-time snapshot of the hit/miss counters.
-type Stats struct {
-	Hits, Misses uint64
-}
-
-// HitRate returns hits / (hits + misses), or 0 with no traffic.
-func (s Stats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
-}
-
-// Stats snapshots the counters.
-func (c *Cache) Stats() Stats {
-	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load()}
-}
-
 // Len reports the number of results held across all rows.
 func (c *Cache) Len() int {
 	c.mu.RLock()
@@ -120,14 +99,10 @@ func (c *Cache) Len() int {
 	return c.held
 }
 
-// Evaluate prices one candidate on the analyzer and counts one miss once
-// it has priced; nothing is stored (see the package comment).
+// Evaluate prices one candidate on the analyzer; nothing is stored (see
+// the package comment), so to a caller that counts it is a miss.
 func (c *Cache) Evaluate(shape schedule.StageShape, k schedule.Knobs) (schedule.Result, error) {
-	r, err := c.an.Evaluate(shape, k)
-	if err == nil {
-		c.misses.Add(1)
-	}
-	return r, err
+	return c.an.Evaluate(shape, k)
 }
 
 // EvaluateSet is EvaluateSets over a list of one, with the row copied
@@ -151,8 +126,8 @@ func (c *Cache) EvaluateSet(shape schedule.StageShape, set *KnobSet, dst []sched
 // wherever it was first priced, whatever list it came in then. sc's
 // buffers persist across calls. This is the tuner's hot path: an all-hit
 // call allocates nothing, a miss allocates the rows it publishes. The
-// counters move and the counts are returned once the whole call has
-// succeeded; on an error out is undefined.
+// counts are returned once the whole call has succeeded; on an error out
+// is undefined.
 func (c *Cache) EvaluateSets(shape schedule.StageShape, sets []*KnobSet, out [][]schedule.Result, sc *Scratch) (hits, misses int, err error) {
 	key := rowKey{shape: shape.Canonical()}
 	nMissed := 0
@@ -197,7 +172,5 @@ func (c *Cache) EvaluateSets(shape schedule.StageShape, sets []*KnobSet, out [][
 		}
 		c.mu.Unlock()
 	}
-	c.hits.Add(uint64(hits))
-	c.misses.Add(uint64(misses))
 	return hits, misses, nil
 }

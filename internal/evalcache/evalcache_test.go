@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -77,28 +78,22 @@ func TestCacheHitReturnsIdenticalResult(t *testing.T) {
 	if r2[0] != direct {
 		t.Errorf("cached result %+v != direct analyzer result %+v", r2[0], direct)
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("stats %+v, want 1 hit / 1 miss", st)
-	}
-	if hr := st.HitRate(); hr != 0.5 {
-		t.Errorf("hit rate %v, want 0.5", hr)
-	}
 }
 
 // A single candidate is priced on the analyzer and stored nowhere: the
-// cache's size does not move, the pricing counts as one miss, even for a
-// point a stored row holds, and the call allocates what the analyzer's own
-// Evaluate does and nothing more (no set, no row).
+// cache's size does not move, even for a point a stored row holds, the row
+// still answers its set whole, and the call allocates what the analyzer's
+// own Evaluate does and nothing more (no set, no row, no counter).
 func TestEvaluateStoresNothing(t *testing.T) {
 	an := newTestAnalyzer(t)
 	c := New(an)
 	shape := testShape()
 	k := schedule.Knobs{Layers: 32, Ckpt: 8, WO: 0.5}
-	if _, _, _, err := evaluateSet(c, shape, NewKnobSet([]schedule.Knobs{{Layers: 32}, k})); err != nil {
+	set := NewKnobSet([]schedule.Knobs{{Layers: 32}, k})
+	if _, _, _, err := evaluateSet(c, shape, set); err != nil {
 		t.Fatal(err)
 	}
-	held, before := c.Len(), c.Stats()
+	held := c.Len()
 	r, err := c.Evaluate(shape, k)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +104,8 @@ func TestEvaluateStoresNothing(t *testing.T) {
 	if c.Len() != held {
 		t.Errorf("Evaluate changed Len %d -> %d", held, c.Len())
 	}
-	if st := c.Stats(); st.Misses != before.Misses+1 || st.Hits != before.Hits {
-		t.Errorf("stats %+v after %+v, want exactly one more miss", st, before)
+	if _, hits, misses, err := evaluateSet(c, shape, set); err != nil || hits != set.Len() || misses != 0 {
+		t.Errorf("the set after Evaluate: %d hits / %d misses (%v), want %d / 0", hits, misses, err, set.Len())
 	}
 	bare := testing.AllocsPerRun(50, func() { an.Evaluate(shape, k) })
 	if cached := testing.AllocsPerRun(50, func() { c.Evaluate(shape, k) }); cached != bare {
@@ -129,12 +124,15 @@ func TestCanonicalKeyCollapsesEquivalentShapes(t *testing.T) {
 	sharesRow := func(a, b schedule.StageShape) bool {
 		t.Helper()
 		c := New(an)
+		var hits, misses int
 		for _, s := range []schedule.StageShape{a, b} {
-			if _, _, _, err := evaluateSet(c, s, set); err != nil {
+			_, h, m, err := evaluateSet(c, s, set)
+			if err != nil {
 				t.Fatal(err)
 			}
+			hits, misses = hits+h, misses+m
 		}
-		return c.Stats() == Stats{Hits: 1, Misses: 1}
+		return hits == 1 && misses == 1
 	}
 
 	// ZeRO is a no-op without data parallelism: all levels collapse.
@@ -175,12 +173,9 @@ func TestCanonicalKeyCollapsesEquivalentShapes(t *testing.T) {
 	k2 := k
 	k2.WO = 0.5
 	for _, s := range []*KnobSet{set, NewKnobSet([]schedule.Knobs{k2})} {
-		if _, _, _, err := evaluateSet(c, a, s); err != nil {
-			t.Fatal(err)
+		if _, hits, misses, err := evaluateSet(c, a, s); err != nil || hits != 0 || misses != 1 {
+			t.Errorf("different sets shared a row: %d hits / %d misses (%v), want 0 / 1", hits, misses, err)
 		}
-	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 {
-		t.Errorf("different sets shared a row: %+v", st)
 	}
 }
 
@@ -232,7 +227,8 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 		{Layers: 32, Ckpt: 0},
 		{Layers: 32, Ckpt: 8},
 	}
-	if _, _, misses, err := evaluateSet(c, shape, NewKnobSet(warm)); err != nil || misses != 2 {
+	_, hits, misses, err := evaluateSet(c, shape, NewKnobSet(warm))
+	if err != nil || misses != 2 {
 		t.Fatalf("warmup priced %d points (%v), want 2", misses, err)
 	}
 
@@ -246,13 +242,14 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 	}
 	set := NewKnobSet(mixed)
 	for pass, wantPriced := range []int{5, 0} { // first pass prices all 5 entries, second nothing
-		rs, hits, misses, err := evaluateSet(c, shape, set)
+		rs, h, m, err := evaluateSet(c, shape, set)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if misses != wantPriced || hits != 5-wantPriced {
-			t.Errorf("pass %d: %d hits / %d misses, want %d misses", pass, hits, misses, wantPriced)
+		if m != wantPriced || h != 5-wantPriced {
+			t.Errorf("pass %d: %d hits / %d misses, want %d misses", pass, h, m, wantPriced)
 		}
+		hits, misses = hits+h, misses+m
 		for i, k := range mixed {
 			direct, err := an.Evaluate(shape, k)
 			if err != nil {
@@ -264,11 +261,10 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 		}
 	}
 	// warm: 2 misses. mixed cold: 5 misses. mixed again: 5 hits.
-	st := c.Stats()
-	if st.Hits != 5 || st.Misses != 7 {
-		t.Errorf("stats %+v, want 5 hits / 7 misses", st)
+	if hits != 5 || misses != 7 {
+		t.Errorf("%d hits / %d misses, want 5 / 7", hits, misses)
 	}
-	if got, want := st.Hits+st.Misses, uint64(len(warm)+2*len(mixed)); got != want {
+	if got, want := hits+misses, len(warm)+2*len(mixed); got != want {
 		t.Errorf("hits+misses = %d, want the %d candidates priced", got, want)
 	}
 	if c.Len() != len(warm)+len(mixed) {
@@ -332,27 +328,28 @@ func TestReturnedRowIsTheStoredRow(t *testing.T) {
 }
 
 // A set holding an invalid entry fails as a whole: no row is stored and
-// neither counter moves, duplicates included.
+// the call counts nothing, duplicates included.
 func TestErrorRowNeitherStoredNorCounted(t *testing.T) {
 	c := New(newTestAnalyzer(t))
 	good := schedule.Knobs{Layers: 32, Ckpt: 8}
 	bad := NewKnobSet([]schedule.Knobs{good, good, {Layers: 4, Ckpt: 9}})
-	var sc Scratch
 	for i := 0; i < 2; i++ {
-		if _, err := c.EvaluateSet(testShape(), bad, nil, &sc); err == nil {
+		_, hits, misses, err := evaluateSet(c, testShape(), bad)
+		if err == nil {
 			t.Fatal("set with an invalid entry accepted")
 		}
-	}
-	if st := c.Stats(); st != (Stats{}) || c.Len() != 0 {
-		t.Errorf("failed row left a trace: stats %+v len %d", st, c.Len())
+		if hits != 0 || misses != 0 || c.Len() != 0 {
+			t.Errorf("failed row left a trace: %d hits / %d misses, len %d", hits, misses, c.Len())
+		}
 	}
 	// The same valid entries in a set of their own still price normally,
 	// entry by entry.
-	if _, err := c.EvaluateSet(testShape(), NewKnobSet([]schedule.Knobs{good, good}), nil, &sc); err != nil {
+	_, hits, misses, err := evaluateSet(c, testShape(), NewKnobSet([]schedule.Knobs{good, good}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 || c.Len() != 2 {
-		t.Errorf("stats %+v len %d, want 2 misses / 0 hits / 2 held", st, c.Len())
+	if misses != 2 || hits != 0 || c.Len() != 2 {
+		t.Errorf("%d misses / %d hits, len %d; want 2 / 0 / 2 held", misses, hits, c.Len())
 	}
 }
 
@@ -374,13 +371,16 @@ func TestKnobSetSharedAcrossCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var sc Scratch
+	type traffic struct{ hits, misses int }
+	seen := map[*Cache]*traffic{c1: {}, c2: {}}
 	check := func(c *Cache, label string) {
 		t.Helper()
-		rs, err := c.EvaluateSet(shape, set, nil, &sc)
+		rs, hits, misses, err := evaluateSet(c, shape, set)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
+		seen[c].hits += hits
+		seen[c].misses += misses
 		for i, k := range knobs {
 			direct, err := an.Evaluate(shape, k)
 			if err != nil {
@@ -397,11 +397,11 @@ func TestKnobSetSharedAcrossCaches(t *testing.T) {
 
 	// Both caches priced the set's two points exactly once each; the third
 	// sweep was pure hits on c1.
-	if st := c1.Stats(); st.Misses != 2 || st.Hits != 2 || c1.Len() != 2 {
-		t.Errorf("c1 stats %+v len %d, want 2 misses / 2 hits / 2 held", st, c1.Len())
+	if tr := seen[c1]; tr.misses != 2 || tr.hits != 2 || c1.Len() != 2 {
+		t.Errorf("c1: %+v, len %d; want 2 misses / 2 hits / 2 held", *tr, c1.Len())
 	}
-	if st := c2.Stats(); st.Misses != 3 || st.Hits != 0 || c2.Len() != 2 {
-		t.Errorf("c2 stats %+v len %d, want 3 misses / 0 hits / 2 held", st, c2.Len())
+	if tr := seen[c2]; tr.misses != 2 || tr.hits != 0 || c2.Len() != 2 {
+		t.Errorf("c2: %+v, len %d; want 2 misses / 0 hits / 2 held", *tr, c2.Len())
 	}
 }
 
@@ -412,8 +412,8 @@ func TestEvaluateErrorNotCached(t *testing.T) {
 	if _, err := c.Evaluate(testShape(), bad); err == nil {
 		t.Fatal("invalid knobs accepted")
 	}
-	if st := c.Stats(); st.Misses != 0 || c.Len() != 0 {
-		t.Errorf("error was cached: stats %+v len %d", st, c.Len())
+	if c.Len() != 0 {
+		t.Errorf("error was cached: len %d", c.Len())
 	}
 	if _, _, _, err := evaluateSet(c, testShape(), NewKnobSet([]schedule.Knobs{bad})); err == nil {
 		t.Fatal("invalid set accepted")
@@ -440,6 +440,7 @@ func TestConcurrentAccess(t *testing.T) {
 
 	const workers = 8
 	const iters = 40
+	var hits, misses atomic.Int64
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -455,10 +456,13 @@ func TestConcurrentAccess(t *testing.T) {
 						return
 					}
 				} else {
-					if _, _, _, err := evaluateSet(c, shape, set); err != nil {
+					_, h, m, err := evaluateSet(c, shape, set)
+					if err != nil {
 						errs <- fmt.Errorf("worker %d set: %w", seed, err)
 						return
 					}
+					hits.Add(int64(h))
+					misses.Add(int64(m))
 				}
 			}
 		}(w)
@@ -473,8 +477,7 @@ func TestConcurrentAccess(t *testing.T) {
 	if c.Len() > 2*15 {
 		t.Errorf("cache holds %d results, want <= 30", c.Len())
 	}
-	st := c.Stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Errorf("expected both hits and misses, got %+v", st)
+	if hits.Load() == 0 || misses.Load() == 0 {
+		t.Errorf("expected both hits and misses, got %d / %d", hits.Load(), misses.Load())
 	}
 }

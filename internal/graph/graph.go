@@ -49,11 +49,6 @@ type Node struct {
 	Saved []*Tensor
 }
 
-// ShapeAt concretizes the node's op shape for microbatch size b.
-func (n *Node) ShapeAt(b int) opdb.OpShape {
-	return n.op().shapeAt(b)
-}
-
 // Graph is a traced transformer block (or pre/post section).
 type Graph struct {
 	Name  string

@@ -143,7 +143,7 @@ func TestForwardTimeMatchesModelFLOPs(t *testing.T) {
 	b := 4
 	var traced float64
 	for _, n := range g.Nodes {
-		c := db.Lookup(n.ShapeAt(b))
+		c := db.Lookup(n.op().shapeAt(b))
 		traced += c.FLOPs * n.Repeat
 	}
 	want := cfg.LayerFwdFLOPs(b, 2048)

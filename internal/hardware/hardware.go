@@ -14,7 +14,6 @@ package hardware
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -155,12 +154,6 @@ func (c *Cluster) P2PTime(bytes float64, crossNode bool) float64 {
 	return l.TimeFor(bytes)
 }
 
-// D2HTime and H2DTime model offloading transfers over the host PCIe link.
-func (c *Cluster) D2HTime(bytes float64) float64 { return c.HostLink.TimeFor(bytes) }
-
-// H2DTime models host-to-device transfers; symmetric with D2HTime.
-func (c *Cluster) H2DTime(bytes float64) float64 { return c.HostLink.TimeFor(bytes) }
-
 const (
 	gb  = 1 << 30
 	gbs = 1e9 // 1 GB/s in bytes/s
@@ -243,12 +236,6 @@ func MeshForGPUs(total int) (nodes, perNode int, err error) {
 	default:
 		return 0, 0, fmt.Errorf("hardware: GPU count %d not a multiple of 8", total)
 	}
-}
-
-// BisectionFactor quantifies (for reporting) how much slower the mesh's
-// cross-node fabric is compared to its intra-node fabric.
-func (c *Cluster) BisectionFactor() float64 {
-	return c.IntraNode.Bandwidth / math.Max(c.InterNode.Bandwidth, 1)
 }
 
 // HasNVLink reports whether the intra-node fabric is NVLink-class; used

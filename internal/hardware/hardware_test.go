@@ -162,17 +162,9 @@ func TestPropertyCollectiveNonNegative(t *testing.T) {
 		bytes := float64(b)
 		return c.AllReduceTime(bytes, n) >= 0 &&
 			c.AllGatherTime(bytes, n) >= 0 &&
-			c.ReduceScatterTime(bytes, n) >= 0 &&
-			c.D2HTime(bytes) >= 0 && c.H2DTime(bytes) >= 0
+			c.ReduceScatterTime(bytes, n) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBisectionFactor(t *testing.T) {
-	a100 := A100Cluster(4, 8)
-	if bf := a100.BisectionFactor(); bf <= 1 {
-		t.Errorf("A100 bisection factor %v should exceed 1 (NVLink >> network)", bf)
 	}
 }

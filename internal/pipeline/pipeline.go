@@ -76,22 +76,6 @@ func IterationTimeAveraged(stages []StagePerf, g int) float64 {
 	return float64(g-1)*maxT + sumT
 }
 
-// IterationTimeStableOnly ignores the deltas entirely; it under-estimates
-// and mis-ranks plans with heavy first/last microbatch work.
-func IterationTimeStableOnly(stages []StagePerf, g int) float64 {
-	if len(stages) == 0 || g <= 0 {
-		return 0
-	}
-	maxT, sumT := 0.0, 0.0
-	for _, s := range stages {
-		sumT += s.Stable
-		if s.Stable > maxT {
-			maxT = s.Stable
-		}
-	}
-	return float64(g-1)*maxT + sumT
-}
-
 // MicrobatchCost gives the per-stage, per-microbatch split used by the
 // exact playback: forward and backward halves of the stable time, plus
 // extras attached to the first forward and last backward.

@@ -34,7 +34,11 @@ import (
 // entries that calibrate an analyzer but memoize ~0 points must still
 // accumulate toward the cap and age out, or diverse /simulate traffic
 // would grow the registry without bound. The cap is therefore enforced
-// on the analyzer-only path too, not just after searches.
+// on the analyzer-only path too, whenever it creates an entry, not just
+// after searches. The registry is the one owner of a fingerprint's
+// analyzer: the plan cache keeps none, so an evicted analyzer outlives
+// only the searches still running on it, and /simulate prices on the
+// live entry.
 
 // defaultEvalCachePoints bounds the registry's total memoized points
 // when the operator does not set one. A point is one 24-byte
@@ -132,15 +136,19 @@ func (r *evalRegistry) acquire(ws WorkloadSpec, w plan.Workload, cl *hardware.Cl
 
 // analyzer returns the calibrated analyzer for a spec (shared with any
 // searches of the same fingerprint), for callers that only need pricing,
-// not a tuner — /simulate's measurement path. It enforces the cap like
-// the search path does: fingerprints are user-controlled, so
-// analyzer-only traffic must not grow the registry without bound.
+// not a tuner — /simulate's measurement path. A new entry is charged
+// against the cap like a search's growth is: fingerprints are
+// user-controlled, so analyzer-only traffic must not grow the registry
+// without bound. A reused entry's charge did not move, so it checks
+// nothing.
 func (r *evalRegistry) analyzer(ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (*schedule.Analyzer, error) {
-	an, _, _, err := r.acquire(ws, w, cl, space)
+	an, _, reused, err := r.acquire(ws, w, cl, space)
 	if err != nil {
 		return nil, err
 	}
-	r.enforceCap(evalKey(ws, space))
+	if !reused {
+		r.enforceCap(evalKey(ws, space))
+	}
 	return an, nil
 }
 

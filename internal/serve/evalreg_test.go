@@ -4,6 +4,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/hardware"
+	"repro/internal/opdb"
+	"repro/internal/trainsim"
 )
 
 // TestEvalCachePersistsAcrossRequests pins the cross-request fast path:
@@ -160,5 +165,70 @@ func TestAnalyzerOnlyEntriesBounded(t *testing.T) {
 	}
 	if !reused {
 		t.Error("last-used fingerprint was evicted; the keep protection failed")
+	}
+}
+
+// TestSimulatePricesOnTheRegistrysAnalyzer: the eval-cache registry is the
+// one owner of a fingerprint's analyzer. After the registry evicts a
+// fingerprint and rebuilds its analyzer, /simulate of that fingerprint —
+// its plan still in the plan cache — prices on the rebuilt analyzer, the
+// registry's entry, not on the one its search used. The rebuilt analyzer
+// is given an A100's operator database so that its answers tell it apart.
+func TestSimulatePricesOnTheRegistrysAnalyzer(t *testing.T) {
+	s := New(WithEvalCacheCap(1))
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	specA, specB := smallSpec(), smallSpec()
+	specB.Model = "falcon-1.3b" // distinct analyzer fingerprint
+	var tuned TuneResponse
+	if status, body := postJSON(t, ts.URL+"/tune", TuneRequest{WorkloadSpec: specA}, &tuned); status != http.StatusOK {
+		t.Fatalf("tune A: status %d body %s", status, body)
+	}
+	// B's search makes A's registry entry the eviction victim (a 1-point cap).
+	if status, body := postJSON(t, ts.URL+"/tune", TuneRequest{WorkloadSpec: specB}, nil); status != http.StatusOK {
+		t.Fatalf("tune B: status %d body %s", status, body)
+	}
+	w, cl, space, err := specA.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := evalKey(specA, space)
+	s.evalReg.mu.Lock()
+	_, held := s.evalReg.entries[key]
+	s.evalReg.mu.Unlock()
+	if held {
+		t.Fatal("the registry still holds A after B's search; the test premise is broken")
+	}
+	rebuilt, err := s.evalReg.analyzer(specA, w, cl, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt.DB = opdb.New(hardware.A100())
+	want, err := trainsim.New(w, cl, rebuilt).Measure(tuned.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	searched, err := core.CalibratedAnalyzer(w, cl, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other, err := trainsim.New(w, cl, searched).Measure(tuned.Plan); err != nil || other.IterTime == want.IterTime {
+		t.Fatalf("the A100 database does not change the measurement (%v, %v); the test compares nothing", other.IterTime, err)
+	}
+
+	var got SimulateResponse
+	if status, body := postJSON(t, ts.URL+"/simulate", SimulateRequest{WorkloadSpec: specA, Plan: tuned.Plan}, &got); status != http.StatusOK {
+		t.Fatalf("simulate A: status %d body %s", status, body)
+	}
+	if got.IterTime != want.IterTime {
+		t.Errorf("/simulate measured %v s, the registry's analyzer %v s: it priced on another analyzer", got.IterTime, want.IterTime)
+	}
+	s.evalReg.mu.Lock()
+	e := s.evalReg.entries[key]
+	s.evalReg.mu.Unlock()
+	if e == nil || e.an != rebuilt {
+		t.Error("the registry no longer holds the rebuilt analyzer after /simulate")
 	}
 }

@@ -10,7 +10,8 @@
 //	                   in-flight search) return instantly.
 //	POST /simulate   — execute a plan on the engine; the plan is either
 //	                   inlined in the request or tuned on demand through
-//	                   the same plan cache.
+//	                   the same plan cache, and it is priced on the
+//	                   fingerprint's analyzer from the eval-cache registry.
 //	POST /jobs       — submit one tuning job or a batch asynchronously;
 //	                   jobs run on a bounded priority worker pool.
 //	GET  /jobs       — list jobs; GET /jobs/{id} — status and result;
@@ -36,14 +37,15 @@
 // With a plan store attached (WithStore), every tuned plan is durably
 // written to disk and served back after a restart without re-searching.
 //
-// The handler is safe for arbitrary concurrency: the plan cache is
-// mutex-guarded with per-key in-flight coalescing, tuner runs share
-// per-fingerprint evaluation caches (see evalreg.go) that
-// persist for the life of the process — a re-search of a known analyzer
-// configuration starts ~fully warm — and the underlying analyzer is
-// itself concurrency-safe. The eval-cache registry is bounded by total
-// cached points (-eval-cache-cap on mistserve, WithEvalCacheCap here);
-// least-recently-used caches are dropped whole when it fills.
+// The handler is safe for arbitrary concurrency: the plan cache holds
+// plans only, mutex-guarded with per-key in-flight coalescing; the
+// eval-cache registry (evalreg.go) is the one owner of each fingerprint's
+// analyzer and evaluation cache, which tuner runs and /simulate share for
+// the life of the process — a re-search of a known analyzer configuration
+// starts ~fully warm — and the analyzer is itself concurrency-safe. The
+// registry is bounded by total cached points (-eval-cache-cap on
+// mistserve, WithEvalCacheCap here); least-recently-used entries are
+// dropped whole when it fills.
 package serve
 
 import (
@@ -67,7 +69,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/pilot"
 	"repro/internal/plan"
-	"repro/internal/schedule"
 	"repro/internal/slo"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -330,7 +331,6 @@ type Stats struct {
 type planEntry struct {
 	ready chan struct{}
 	resp  *TuneResponse
-	an    *schedule.Analyzer // calibrated analyzer, reused by /simulate
 	err   error
 }
 
@@ -791,7 +791,7 @@ func (s *Server) tuneResolved(ctx context.Context, ws WorkloadSpec, r resolved) 
 	s.plans[key] = e
 	s.mu.Unlock()
 
-	e.resp, e.an, e.err = s.runTune(ctx, ws, r.w, r.cl, r.space)
+	e.resp, e.err = s.runTune(ctx, ws, r.w, r.cl, r.space)
 	if e.err != nil {
 		// Do not cache failures: a later identical request retries.
 		s.mu.Lock()
@@ -822,7 +822,7 @@ func responseFromRecord(rec store.Record) *TuneResponse {
 // runTune answers a plan-cache miss: from the durable store when the
 // exact fingerprint was tuned by any earlier process, otherwise by a
 // fresh search whose result is then written through to the store.
-func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (*TuneResponse, *schedule.Analyzer, error) {
+func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (*TuneResponse, error) {
 	fp := ws.fingerprint()
 	if s.store != nil {
 		// The store-check span covers the local lookup plus the peer
@@ -833,7 +833,7 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 			ssp.Annotate("outcome", "local-hit")
 			ssp.End()
 			s.count.storeHits.Inc()
-			return responseFromRecord(rec), nil, nil
+			return responseFromRecord(rec), nil
 		}
 		if s.cluster != nil {
 			// Elastic single-flight: before ever searching, ask the fleet
@@ -846,7 +846,7 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 			if rec, ok := s.fetchRecordFromPeers(sctx, fp); ok {
 				ssp.Annotate("outcome", "peer-hit")
 				ssp.End()
-				return responseFromRecord(rec), nil, nil
+				return responseFromRecord(rec), nil
 			}
 		}
 		ssp.Annotate("outcome", "miss")
@@ -863,14 +863,14 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 	if err != nil {
 		psp.Annotate("error", err.Error())
 		psp.End()
-		return nil, nil, &badRequestError{err}
+		return nil, &badRequestError{err}
 	}
 	psp.Annotate("evalCacheReused", reused)
 	tn, err := core.NewShared(w, cl, an, space, cache)
 	if err != nil {
 		psp.Annotate("error", err.Error())
 		psp.End()
-		return nil, nil, err
+		return nil, err
 	}
 	psp.End()
 	tctx, tsp := trace.StartSpan(ctx, "search")
@@ -878,7 +878,7 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 	if err != nil {
 		tsp.Annotate("error", err.Error())
 		tsp.End()
-		return nil, nil, err
+		return nil, err
 	}
 	tsp.Annotate("candidates", res.Candidates)
 	tsp.Annotate("sgPairs", res.SGPairs)
@@ -914,36 +914,7 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 			resp.StoreVersion = rec.Version
 		}
 	}
-	return resp, tn.An, nil
-}
-
-// analyzerFor returns a calibrated analyzer for a spec, reusing the one
-// attached to the spec's plan-cache entry when present and falling back
-// to the eval-cache registry's shared analyzer (which calibrates at most
-// once per fingerprint). Building one is the expensive part of
-// /simulate (operator DB + interference fit), so repeated simulation
-// traffic must not pay it per request. The wait on an in-flight entry
-// is bounded by ctx so an inline-plan /simulate honors its request
-// deadline instead of parking behind a slow search.
-func (s *Server) analyzerFor(ctx context.Context, ws WorkloadSpec, r resolved) (*schedule.Analyzer, error) {
-	s.mu.Lock()
-	e, ok := s.plans[r.key]
-	s.mu.Unlock()
-	if ok {
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if e.err == nil && e.an != nil {
-			return e.an, nil
-		}
-	}
-	an, err := s.evalReg.analyzer(ws, r.w, r.cl, r.space)
-	if err != nil {
-		return nil, &badRequestError{err}
-	}
-	return an, nil
+	return resp, nil
 }
 
 // keyedIngress is the one preamble of the fingerprint-keyed endpoints
@@ -1024,9 +995,9 @@ func (s *Server) handleSimulate(rw http.ResponseWriter, req *http.Request) {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("invalid plan: %w", err))
 		return
 	}
-	an, err := s.analyzerFor(req.Context(), sr.WorkloadSpec, r)
+	an, err := s.evalReg.analyzer(sr.WorkloadSpec, r.w, r.cl, r.space)
 	if err != nil {
-		writeError(rw, statusFor(err), err)
+		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
 	m, err := trainsim.New(r.w, r.cl, an).Measure(p)
