@@ -14,7 +14,7 @@ PROFILE_DIR ?= profiles
 
 .PHONY: ci vet build test test-noskip test-seam race property bench bench-json bench-regression bench-profile serve fuzz lint mistlint load-smoke cluster-smoke elastic-smoke slo-smoke pilot-smoke flag-docs flag-docs-check
 
-ci: lint build race property ## full tier-1 + race + property gate
+ci: lint build race property test-seam ## full tier-1 + race + property gate, plus the nested benchmark module's seam
 
 vet:
 	$(GO) vet ./...

@@ -83,15 +83,11 @@ func main() {
 		p = uniformPlan(w, cl, *stages, *g, *dp, *tp, *zero, *ckpt, *wo, *gro, *oo, *ao)
 	}
 
-	m, err := mist.Simulate(w, cl, p)
+	m, events, err := mist.Trace(w, cl, p)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *traceFile != "" {
-		_, events, err := mist.Trace(w, cl, p)
-		if err != nil {
-			log.Fatal(err)
-		}
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			log.Fatal(err)

@@ -234,24 +234,20 @@ func ablationSchedule(scale Scale) (*Table, error) {
 		Title:  "Ablation: 1F1B vs GPipe schedule (uniform 4-stage pipeline)",
 		Header: []string{"G", "1f1b-makespan", "gpipe-makespan", "1f1b-inflight(stage0)", "gpipe-inflight"},
 	}
+	stages := make([]pipeline.MicrobatchCost, 4)
+	for i := range stages {
+		stages[i] = pipeline.MicrobatchCost{Fwd: 1, Bwd: 2, FirstExtra: 0.3, LastExtra: 0.2}
+	}
 	for _, g := range gs {
-		stages := make([]pipeline.MicrobatchCost, 4)
-		for i := range stages {
-			stages[i] = pipeline.MicrobatchCost{Fwd: 1, Bwd: 2, FirstExtra: 0.3, LastExtra: 0.2}
-		}
-		m1, err := pipeline.Playback1F1B(stages, g)
+		r1, err := pipeline.Play(stages, pipeline.OneFOneB(len(stages), g))
 		if err != nil {
 			return nil, err
 		}
-		mg, err := pipeline.PlaybackGPipe(stages, g)
+		rg, err := pipeline.Play(stages, pipeline.GPipe(len(stages), g))
 		if err != nil {
 			return nil, err
 		}
-		inflight1 := len(stages)
-		if g < inflight1 {
-			inflight1 = g
-		}
-		t.Add(g, m1, mg, inflight1, pipeline.GPipeInFlight(g))
+		t.Add(g, r1.Makespan, rg.Makespan, pipeline.InFlight(r1.Order[0]), pipeline.InFlight(rg.Order[0]))
 	}
 	t.Notes = append(t.Notes,
 		"1F1B bounds in-flight stashes by min(S, G) per stage; GPipe scales them with G, which is why all systems in the paper schedule 1F1B")

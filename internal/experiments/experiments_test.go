@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -83,5 +84,36 @@ func TestFig2Small(t *testing.T) {
 	}
 	if full < best-1e-9 {
 		t.Errorf("all-tuned speedup %.2f below best single-technique %.2f", full, best)
+	}
+}
+
+// TestEveryExperimentRunsSmall runs every registered experiment at Small
+// scale, and pins ablation-schedule's rows, which the two pipeline op
+// orders produce: equal makespans on uniform stages, and stage 0 holding
+// min(S, G) stashes under 1F1B against G under GPipe.
+func TestEveryExperimentRunsSmall(t *testing.T) {
+	for _, name := range Names() {
+		tb, err := Run(name, Small)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(tb.Rows) == 0 {
+			t.Errorf("%s: no rows", name)
+		}
+		for i, r := range tb.Rows {
+			if len(r) != len(tb.Header) {
+				t.Errorf("%s row %d: %d cells under %d columns", name, i, len(r), len(tb.Header))
+			}
+		}
+		if name != "ablation-schedule" {
+			continue
+		}
+		want := [][]string{
+			{"4", "23.000", "23.000", "4", "4"},
+			{"8", "35.000", "35.000", "4", "8"},
+		}
+		if fmt.Sprint(tb.Rows) != fmt.Sprint(want) {
+			t.Errorf("ablation-schedule rows %v, want %v", tb.Rows, want)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func TestGPipeSingleStage(t *testing.T) {
 	st := []MicrobatchCost{{Fwd: 1, Bwd: 2, FirstExtra: 0.5, LastExtra: 0.25}}
-	got, err := PlaybackGPipe(st, 3)
+	got, err := playGPipe(st, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestGPipeUniformMakespan(t *testing.T) {
 	for i := range st {
 		st[i] = MicrobatchCost{Fwd: 1, Bwd: 1}
 	}
-	got, err := PlaybackGPipe(st, g)
+	got, err := playGPipe(st, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +37,10 @@ func TestGPipeUniformMakespan(t *testing.T) {
 }
 
 func TestGPipeErrors(t *testing.T) {
-	if _, err := PlaybackGPipe(nil, 4); err == nil {
+	if _, err := playGPipe(nil, 4); err == nil {
 		t.Error("empty stages accepted")
 	}
-	if _, err := PlaybackGPipe([]MicrobatchCost{{Fwd: 1, Bwd: 1}}, 0); err == nil {
+	if _, err := playGPipe([]MicrobatchCost{{Fwd: 1, Bwd: 1}}, 0); err == nil {
 		t.Error("g=0 accepted")
 	}
 }
@@ -58,7 +58,7 @@ func TestPropertyGPipeVs1F1B(t *testing.T) {
 		for i := range st {
 			st[i] = MicrobatchCost{Fwd: v, Bwd: v}
 		}
-		mg, err1 := PlaybackGPipe(st, g)
+		mg, err1 := playGPipe(st, g)
 		m1, err2 := Playback1F1B(st, g)
 		if err1 != nil || err2 != nil {
 			return false
@@ -71,9 +71,23 @@ func TestPropertyGPipeVs1F1B(t *testing.T) {
 	}
 }
 
+// playGPipe plays the GPipe order and returns its makespan.
+func playGPipe(stages []MicrobatchCost, g int) (float64, error) {
+	r, err := Play(stages, GPipe(len(stages), g))
+	return r.Makespan, err
+}
+
 func TestGPipeInFlight(t *testing.T) {
-	if GPipeInFlight(16) != 16 {
-		t.Error("GPipe holds all G stashes")
+	s, g := 4, 16
+	for i, seq := range GPipe(s, g) {
+		if got := InFlight(seq); got != g {
+			t.Errorf("GPipe stage %d holds %d stashes, want all %d", i, got, g)
+		}
+	}
+	for i, seq := range OneFOneB(s, g) {
+		if got, want := InFlight(seq), min(s-i, g); got != want {
+			t.Errorf("1F1B stage %d holds %d stashes, want %d", i, got, want)
+		}
 	}
 }
 
@@ -83,17 +97,18 @@ func TestEventsCoverAllOps(t *testing.T) {
 	for i := range st {
 		st[i] = MicrobatchCost{Fwd: 1, Bwd: 2}
 	}
-	makespan, events, err := Playback1F1BEvents(st, g, true)
+	r, err := Play(st, OneFOneB(s, g))
 	if err != nil {
 		t.Fatal(err)
 	}
+	events := r.Events()
 	if len(events) != s*2*g {
 		t.Fatalf("got %d events, want %d", len(events), s*2*g)
 	}
 	seen := map[[3]int]bool{}
 	for _, ev := range events {
-		if ev.End <= ev.Start || ev.End > makespan+1e-9 {
-			t.Errorf("bad event bounds: %+v (makespan %v)", ev, makespan)
+		if ev.End <= ev.Start || ev.End > r.Makespan+1e-9 {
+			t.Errorf("bad event bounds: %+v (makespan %v)", ev, r.Makespan)
 		}
 		key := [3]int{ev.Stage, ev.Microbatch, b2i(ev.Fwd)}
 		if seen[key] {

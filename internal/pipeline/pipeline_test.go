@@ -146,19 +146,22 @@ func TestBubbleFraction(t *testing.T) {
 		}
 		return st
 	}
-	b2, err := BubbleFraction(mk(2), 4)
-	if err != nil {
-		t.Fatal(err)
+	bubble := func(st []MicrobatchCost) float64 {
+		r, err := Play(st, OneFOneB(len(st), 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Bubble()
 	}
-	b8, err := BubbleFraction(mk(8), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b2, b8 := bubble(mk(2)), bubble(mk(8))
 	if b8 <= b2 {
 		t.Errorf("bubble(S=8)=%v should exceed bubble(S=2)=%v", b8, b2)
 	}
 	if b2 < 0 || b8 > 1 {
 		t.Errorf("bubble fractions out of range: %v, %v", b2, b8)
+	}
+	if b1 := bubble(mk(1)); b1 != 0 {
+		t.Errorf("a single stage is never idle, bubble %v", b1)
 	}
 }
 

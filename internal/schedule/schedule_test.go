@@ -15,6 +15,7 @@ import (
 	"repro/internal/interference"
 	"repro/internal/model"
 	"repro/internal/opdb"
+	"repro/internal/pipeline"
 )
 
 // describeCheckError re-decodes a quick.CheckError's raw generator inputs
@@ -636,6 +637,23 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if dst, err = a.EvaluateBatchInto(dst, shape, ks, &sc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestInFlightMatchesOneFOneB checks the analyzer's closed-form stash
+// depth against the referee's ledger: for every S ≤ 8, stage and G ≤ 16,
+// inFlight() is the most forwards stage i of pipeline.OneFOneB(S, G)
+// has outstanding at once.
+func TestInFlightMatchesOneFOneB(t *testing.T) {
+	for s := 1; s <= 8; s++ {
+		for g := 1; g <= 16; g++ {
+			for i, ops := range pipeline.OneFOneB(s, g) {
+				sh := StageShape{NumStages: s, StageIdx: i, GradAccum: g}
+				if got, want := sh.inFlight(), pipeline.InFlight(ops); got != want {
+					t.Errorf("S=%d G=%d stage %d: inFlight() = %d, 1F1B order holds %d", s, g, i, got, want)
+				}
+			}
 		}
 	}
 }

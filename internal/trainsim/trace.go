@@ -10,17 +10,13 @@ import (
 )
 
 // Trace executes the plan and returns the per-op pipeline timeline
-// alongside the measurement, for visualization and debugging.
+// alongside the measurement, read off the measurement's one playback.
 func (e *Engine) Trace(p *plan.Plan) (Measurement, []pipeline.Event, error) {
-	m, err := e.Measure(p)
+	m, run, err := e.play(p)
 	if err != nil {
 		return Measurement{}, nil, err
 	}
-	_, events, err := pipeline.Playback1F1BEvents(m.StageCosts, p.GradAccum, true)
-	if err != nil {
-		return Measurement{}, nil, err
-	}
-	return m, events, nil
+	return m, run.Events(), nil
 }
 
 // chromeEvent is one complete ("X" phase) event in the Chrome trace

@@ -6,10 +6,12 @@
 //   - per-stage, per-microbatch forward/backward times are composed from
 //     the stage's physical work channels with the *fluid* bandwidth-
 //     sharing contention model (not the analyzer's fitted Algorithm 1);
-//   - the 1F1B pipeline schedule is played back exactly, dependency by
-//     dependency, rather than through the Eq. 1 closed form;
-//   - peak memory is tracked by an allocation ledger over the stage's op
-//     sequence rather than the analyzer's closed-form in-flight count.
+//   - the plan's 1F1B op order (pipeline.OneFOneB) is played once,
+//     dependency by dependency, rather than through the Eq. 1 closed
+//     form; iteration time, bubble and, for Trace, the timeline are all
+//     read off that one run;
+//   - peak memory is tracked by an allocation ledger that walks the same
+//     op order, rather than the analyzer's closed-form in-flight count.
 //
 // The analyzer (prediction) and this engine (measurement) therefore share
 // only the physical work quantities; their compositions are independent,
@@ -88,35 +90,38 @@ func New(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer) *Engine {
 // Measure executes one iteration of the plan and reports throughput and
 // per-stage peak memory.
 func (e *Engine) Measure(p *plan.Plan) (Measurement, error) {
+	m, _, err := e.play(p)
+	return m, err
+}
+
+// play prices every stage, walks each stage's ledger over the plan's 1F1B
+// op order, and plays that order once.
+func (e *Engine) play(p *plan.Plan) (Measurement, pipeline.Run, error) {
 	if err := p.Validate(e.Workload); err != nil {
-		return Measurement{}, fmt.Errorf("trainsim: %w", err)
+		return Measurement{}, pipeline.Run{}, fmt.Errorf("trainsim: %w", err)
 	}
-	g := p.GradAccum
+	order := pipeline.OneFOneB(len(p.Stages), p.GradAccum)
 	costs := make([]pipeline.MicrobatchCost, len(p.Stages))
 	peaks := make([]float64, len(p.Stages))
 	for i, st := range p.Stages {
 		ch, err := e.an.Channels(st.Shape, st.Knobs)
 		if err != nil {
-			return Measurement{}, err
+			return Measurement{}, pipeline.Run{}, err
 		}
 		costs[i] = e.stageCost(st, ch)
-		peaks[i] = e.stagePeakMem(st, ch, g)
+		peaks[i] = stagePeakMem(ch, st.Knobs.Layers, order[i])
 	}
-	makespan, err := pipeline.Playback1F1B(costs, g)
+	run, err := pipeline.Play(costs, order)
 	if err != nil {
-		return Measurement{}, err
-	}
-	bubble, err := pipeline.BubbleFraction(costs, g)
-	if err != nil {
-		return Measurement{}, err
+		return Measurement{}, pipeline.Run{}, err
 	}
 	return Measurement{
-		IterTime:   makespan,
-		Throughput: float64(e.Workload.GlobalBatch) / makespan,
+		IterTime:   run.Makespan,
+		Throughput: float64(e.Workload.GlobalBatch) / run.Makespan,
 		PeakMem:    peaks,
-		Bubble:     bubble,
+		Bubble:     run.Bubble(),
 		StageCosts: costs,
-	}, nil
+	}, run, nil
 }
 
 // stageCost composes per-microbatch forward/backward times and the
@@ -223,45 +228,28 @@ func pageRound(bytes float64, nTensors int) float64 {
 }
 
 // stagePeakMem tracks memory with an allocation ledger over the stage's
-// 1F1B op sequence: warmup forwards accumulate activation stashes, the
-// steady state briefly holds one extra in-flight stash between a forward
-// and its paired backward, and the decoupled optimizer step adds its
-// working set before the first forward. Allocations are page-rounded.
-func (e *Engine) stagePeakMem(st plan.Stage, ch schedule.Channels, g int) float64 {
-	s := st.Shape.NumStages
-	idx := st.Shape.StageIdx
-	warmup := s - idx - 1
-	if warmup > g {
-		warmup = g
-	}
+// op order: each forward adds an activation stash and each backward frees
+// one, a backward briefly holding its transient working set first, and
+// the decoupled optimizer step adds its working set before the first
+// forward. Allocations are page-rounded.
+func stagePeakMem(ch schedule.Channels, layers int, ops []pipeline.Op) float64 {
 	layerTensors := 10 // stash tensors per layer, for page fragmentation
-	actMB := pageRound(ch.ActPerMB, st.Knobs.Layers*layerTensors)
-	base := pageRound(ch.ModelStates, st.Knobs.Layers*4) + pageRound(ch.WTransient, 2)
+	actMB := pageRound(ch.ActPerMB, layers*layerTensors)
+	base := pageRound(ch.ModelStates, layers*4) + pageRound(ch.WTransient, 2)
 	peak := base + pageRound(ch.StepWS, 4) // repositioned optimizer step, no stashes yet
-
 	retained := base
-	bump := func(v float64) {
-		if v > peak {
-			peak = v
+	for _, o := range ops {
+		var held float64
+		if o.Fwd {
+			retained += actMB
+			held = retained + pageRound(ch.FwdTransient, 4)
+		} else {
+			held = retained + pageRound(ch.BwdTransient+ch.GTransient+ch.RecomputeWS+ch.PostPeakBwd, 8)
+			retained -= actMB
 		}
-	}
-	fwdOp := func() {
-		retained += actMB
-		bump(retained + pageRound(ch.FwdTransient, 4))
-	}
-	bwdOp := func() {
-		bump(retained + pageRound(ch.BwdTransient+ch.GTransient+ch.RecomputeWS+ch.PostPeakBwd, 8))
-		retained -= actMB
-	}
-	for m := 0; m < warmup; m++ {
-		fwdOp()
-	}
-	for m := warmup; m < g; m++ {
-		fwdOp()
-		bwdOp()
-	}
-	for m := g - warmup; m < g; m++ {
-		bwdOp()
+		if held > peak {
+			peak = held
+		}
 	}
 	return peak
 }

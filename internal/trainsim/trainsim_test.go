@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hardware"
 	"repro/internal/interference"
 	"repro/internal/model"
@@ -214,5 +215,78 @@ func TestPredictionAccuracy(t *testing.T) {
 				t.Errorf("plan %d stage %d: memory prediction error %.1f%%", pi, si, 100*relM)
 			}
 		}
+	}
+}
+
+// TestMeasureAllocCeiling pins what one measurement allocates on two
+// tuned plans: the stage costs and peaks, the analyzer's channels, and
+// one playback of the 1F1B order, which allocates its order, its op
+// times and its cursors, and nothing per op.
+func TestMeasureAllocCeiling(t *testing.T) {
+	for _, c := range []struct {
+		model       string
+		gpus, batch int
+		s, g        int
+		ceiling     float64
+	}{
+		{"gpt3-1.3b", 4, 32, 1, 1, 8},
+		{"gpt3-22b", 32, 512, 4, 16, 14},
+	} {
+		nodes, perNode, err := hardware.MeshForGPUs(c.gpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := hardware.L4Cluster(nodes, perNode)
+		w := plan.Workload{Model: model.MustByName(c.model), Seq: 2048, Flash: true, GlobalBatch: c.batch}
+		tu, err := core.New(w, cl, core.MistSpace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tu.Tune()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, g := res.Plan.NumStages(), res.Plan.GradAccum; s != c.s || g != c.g {
+			t.Fatalf("%s: tuned (S, G) = (%d, %d), want (%d, %d)", c.model, s, g, c.s, c.g)
+		}
+		eng := New(w, cl, tu.An)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := eng.Measure(res.Plan); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %v allocs per measurement", c.model, allocs)
+		if allocs > c.ceiling {
+			t.Errorf("%s: %v allocs per measurement, ceiling %v", c.model, allocs, c.ceiling)
+		}
+	}
+}
+
+// Trace reads its timeline off the measurement's own playback: the same
+// measurement as Measure, one event per op, the last ending at the
+// iteration time.
+func TestTraceIsMeasureWithTimeline(t *testing.T) {
+	w, _, eng := testSetup(t, "gpt3-2.7b", 8)
+	p := buildPlan(w, 4, 8, 2, 1, 0, 8, schedule.Knobs{AO: 0.5})
+	m, err := eng.Measure(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt, events, err := eng.Trace(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mt.IterTime != m.IterTime || mt.Bubble != m.Bubble || mt.PeakMem[0] != m.PeakMem[0] {
+		t.Errorf("Trace measured %+v, Measure %+v", mt, m)
+	}
+	if len(events) != 2*4*8 {
+		t.Fatalf("%d events, want %d", len(events), 2*4*8)
+	}
+	last := 0.0
+	for _, ev := range events {
+		last = max(last, ev.End)
+	}
+	if last != m.IterTime {
+		t.Errorf("timeline ends at %v, iteration time %v", last, m.IterTime)
 	}
 }

@@ -139,11 +139,11 @@ func TuneWithSpace(w Workload, cl *Cluster, space Space) (*TuneResult, error) {
 // Simulate executes a plan on the discrete-event engine and reports
 // throughput, per-stage peak memory, and the pipeline bubble fraction.
 func Simulate(w Workload, cl *Cluster, p *Plan) (Measurement, error) {
-	t, err := core.New(w, cl, core.MistSpace())
+	an, err := core.CalibratedAnalyzer(w, cl, core.MistSpace())
 	if err != nil {
 		return Measurement{}, err
 	}
-	return trainsim.New(w, cl, t.An).Measure(p)
+	return trainsim.New(w, cl, an).Measure(p)
 }
 
 // TimelineEvent is one executed pipeline operation in a Trace.
@@ -152,11 +152,11 @@ type TimelineEvent = pipeline.Event
 // Trace executes a plan and returns the per-op pipeline timeline along
 // with the measurement; render it with WriteChromeTrace.
 func Trace(w Workload, cl *Cluster, p *Plan) (Measurement, []TimelineEvent, error) {
-	t, err := core.New(w, cl, core.MistSpace())
+	an, err := core.CalibratedAnalyzer(w, cl, core.MistSpace())
 	if err != nil {
 		return Measurement{}, nil, err
 	}
-	return trainsim.New(w, cl, t.An).Trace(p)
+	return trainsim.New(w, cl, an).Trace(p)
 }
 
 // WriteChromeTrace renders a timeline in the Chrome trace event format
