@@ -78,8 +78,8 @@ pilot-smoke: ## autoscaling drill: a flash crowd must scale 3 nodes out to 5 and
 	$(GO) run ./cmd/mistload -scenario flash-crowd -inproc -nodes 4 -pilot -pilot-config testdata/pilot.json -slo-config testdata/slo.json -duration 8s -seed 2 -kill n4@2s
 	$(GO) test -run 'TestPilot' -count=1 -v ./internal/serve
 
-property: ## schedule, frontier and compile invariants, repeated with a pinned quick.Check budget; then, on the full shape grid, the lifted stage programs against the per-shape reference and the compute floor under every priced stable time
-	$(GO) test ./internal/schedule ./internal/core ./internal/symbolic -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
+property: ## schedule, frontier, compile and trace invariants (every section byte quantity non-increasing in TP, non-decreasing in b), repeated with a pinned quick.Check budget; then, on the full shape grid, the lifted stage programs against the per-shape reference and the compute floor under every priced stable time
+	$(GO) test ./internal/schedule ./internal/core ./internal/symbolic ./internal/graph -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
 	$(GO) test ./internal/schedule -run 'TestPropertyLiftedProgramMatchesPerShapeBuild|TestPropertyComputeFloorBoundsStable' -count=1 -reference.full
 
 bench: ## cold and warm tuner (BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down; BenchmarkTuneColdGrid is mistperf's 8-cell search-cold grid, each cell a fresh tuner, search and trainsim re-measure), one 405-knob row through the analyzer and through the eval cache, batch-submit amortization, tracing overhead, SLO evaluation

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+
 	"repro/internal/opdb"
 	"repro/internal/symbolic"
 )
@@ -10,12 +12,13 @@ import (
 // (the classic "saved activations" footprint). Tensors saved by multiple
 // nodes are counted once.
 func (g *Graph) SavedActivationBytes() *symbolic.Expr {
-	seen := map[*Tensor]bool{}
-	terms := []*symbolic.Expr{symbolic.Const(0)}
+	var seenBuf [32]*Tensor
+	var termBuf [32]*symbolic.Expr
+	seen, terms := seenBuf[:0], termBuf[:0]
 	for _, n := range g.Nodes {
 		for _, t := range n.Saved {
-			if !seen[t] {
-				seen[t] = true
+			if !slices.Contains(seen, t) {
+				seen = append(seen, t)
 				terms = append(terms, t.Size)
 			}
 		}
@@ -27,42 +30,89 @@ func (g *Graph) SavedActivationBytes() *symbolic.Expr {
 // the only stash a checkpointed layer keeps.
 func (g *Graph) BoundaryBytes() *symbolic.Expr { return g.Input.Size }
 
-// tensorOrder numbers the graph's tensors in trace order: the input, then
-// every node's inputs, outputs and saved tensors as the tracer emitted
-// them. The liveness passes keep their sets as slices over this
-// numbering and sum them in it, so a peak expression's term order is a
-// function of the graph alone.
-func (g *Graph) tensorOrder() ([]*Tensor, map[*Tensor]int) {
-	var order []*Tensor
-	id := map[*Tensor]int{}
-	add := func(ts ...*Tensor) {
-		for _, t := range ts {
-			if _, ok := id[t]; !ok {
-				id[t] = len(order)
-				order = append(order, t)
-			}
-		}
+// The byte quantities of a model's sections, in Sections.Bytes order.
+const (
+	LayerStash    = iota // a block's saved activations
+	LayerBoundary        // its boundary tensor, all a checkpointed block stashes
+	LayerFwdPeak         // its forward liveness peak
+	LayerBwdPeak         // its backward liveness peak
+	PreStash             // the embedding's saved activations
+	PostStash            // the head's saved activations
+	PostBwdPeak          // the head's backward liveness peak
+	NumBytes
+)
+
+// Bytes returns the sections' byte quantities, indexed by LayerStash ...
+// PostBwdPeak: per-device bytes, symbolic in b and, unless every section
+// is bound, TP.
+func (s *Sections) Bytes() []*symbolic.Expr {
+	layer := s.Layer.number()
+	return []*symbolic.Expr{
+		LayerStash:    s.Layer.SavedActivationBytes(),
+		LayerBoundary: s.Layer.BoundaryBytes(),
+		LayerFwdPeak:  layer.peakForward(),
+		LayerBwdPeak:  layer.peakBackward(),
+		PreStash:      s.Pre.SavedActivationBytes(),
+		PostStash:     s.Post.SavedActivationBytes(),
+		PostBwdPeak:   s.Post.PeakBackwardBytes(),
 	}
-	if g.Input != nil {
-		add(g.Input)
-	}
-	for _, n := range g.Nodes {
-		add(n.Inputs...)
-		add(n.Outputs...)
-		add(n.Saved...)
-	}
-	return order, id
 }
 
-// sumSizes adds up the byte sizes of the tensors of order that in admits.
-func sumSizes(order []*Tensor, in func(i int) bool) *symbolic.Expr {
-	terms := []*symbolic.Expr{symbolic.Const(0)}
-	for i, t := range order {
+// numbering is a graph's tensors numbered in trace order — the input,
+// then every node's inputs, outputs and saved tensors as the tracer
+// emitted them — and each node's operands by number. The liveness passes
+// keep their sets as slices over this numbering and sum them in it, so a
+// peak expression's term order is a function of the graph alone.
+type numbering struct {
+	order []*Tensor
+	input int // the input's number, or -1
+	nodes []operands
+}
+
+type operands struct{ ins, outs, saved []int }
+
+func (g *Graph) number() *numbering {
+	total := 0
+	for _, n := range g.Nodes {
+		total += len(n.Inputs) + len(n.Outputs) + len(n.Saved)
+	}
+	nb := &numbering{order: make([]*Tensor, 0, total+1), input: -1, nodes: make([]operands, len(g.Nodes))}
+	num := func(t *Tensor) int {
+		if i := slices.Index(nb.order, t); i >= 0 {
+			return i
+		}
+		nb.order = append(nb.order, t)
+		return len(nb.order) - 1
+	}
+	ids := make([]int, 0, total) // never regrown: the lists below are its slices
+	list := func(ts []*Tensor) []int {
+		start := len(ids)
+		for _, t := range ts {
+			ids = append(ids, num(t))
+		}
+		return ids[start:]
+	}
+	if g.Input != nil {
+		nb.input = num(g.Input)
+	}
+	for i, n := range g.Nodes {
+		nb.nodes[i] = operands{list(n.Inputs), list(n.Outputs), list(n.Saved)}
+	}
+	return nb
+}
+
+// sum adds up the byte sizes of the tensors that in admits, then rest.
+// Add flattens a sum operand into its terms, so this is the sum of the
+// tensors' sum and rest, without building the former.
+func (nb *numbering) sum(in func(i int) bool, rest ...*symbolic.Expr) *symbolic.Expr {
+	var buf [32]*symbolic.Expr // symbolic.Add keeps no reference to its operand list
+	terms := buf[:0]
+	for i, t := range nb.order {
 		if in(i) {
 			terms = append(terms, t.Size)
 		}
 	}
-	return symbolic.Add(terms...)
+	return symbolic.Add(append(terms, rest...)...)
 }
 
 // PeakForwardBytes runs liveness analysis over the forward execution
@@ -70,32 +120,33 @@ func sumSizes(order []*Tensor, in func(i int) bool) *symbolic.Expr {
 // forward pass of this layer, including tensors that must stay stashed
 // for backward. This is the intra-layer pass of the paper's memory
 // analyzer.
-func (g *Graph) PeakForwardBytes() *symbolic.Expr {
-	order, id := g.tensorOrder()
-	lastUse := make([]int, len(order))
-	saved := make([]bool, len(order))
-	for i, n := range g.Nodes {
-		for _, t := range n.Inputs {
-			lastUse[id[t]] = i
+func (g *Graph) PeakForwardBytes() *symbolic.Expr { return g.number().peakForward() }
+
+func (nb *numbering) peakForward() *symbolic.Expr {
+	lastUse := make([]int, len(nb.order))
+	saved := make([]bool, len(nb.order))
+	for i, n := range nb.nodes {
+		for _, t := range n.ins {
+			lastUse[t] = i
 		}
-		for _, t := range n.Saved {
-			saved[id[t]] = true
+		for _, t := range n.saved {
+			saved[t] = true
 		}
 	}
-	live := make([]bool, len(order))
-	if g.Input != nil {
-		live[id[g.Input]] = true
+	live := make([]bool, len(nb.order))
+	if nb.input >= 0 {
+		live[nb.input] = true
 	}
 	isLive := func(i int) bool { return live[i] }
-	var peaks []*symbolic.Expr
-	for i, n := range g.Nodes {
-		for _, t := range n.Outputs {
-			live[id[t]] = true
+	peaks := make([]*symbolic.Expr, 0, len(nb.nodes))
+	for i, n := range nb.nodes {
+		for _, t := range n.outs {
+			live[t] = true
 		}
-		peaks = append(peaks, sumSizes(order, isLive))
-		for _, t := range n.Inputs {
-			if ti := id[t]; lastUse[ti] == i && !saved[ti] && t != g.Input {
-				live[ti] = false
+		peaks = append(peaks, nb.sum(isLive))
+		for _, t := range n.ins {
+			if lastUse[t] == i && !saved[t] && t != nb.input {
+				live[t] = false
 			}
 		}
 	}
@@ -110,48 +161,54 @@ func (g *Graph) PeakForwardBytes() *symbolic.Expr {
 // stashed activations not yet consumed, plus activation gradients in
 // flight. Parameter and parameter-gradient memory is accounted separately
 // by the stage memory planner.
-func (g *Graph) PeakBackwardBytes() *symbolic.Expr {
-	order, id := g.tensorOrder()
-	producer := make([]int, len(order))
-	saveUses := make([]int, len(order))
-	for i, n := range g.Nodes {
-		for _, t := range n.Outputs {
-			producer[id[t]] = i
+func (g *Graph) PeakBackwardBytes() *symbolic.Expr { return g.number().peakBackward() }
+
+func (nb *numbering) peakBackward() *symbolic.Expr {
+	producer := make([]int, len(nb.order))
+	saveUses := make([]int, len(nb.order))
+	for i, n := range nb.nodes {
+		for _, t := range n.outs {
+			producer[t] = i
 		}
-		for _, t := range n.Saved {
-			saveUses[id[t]]++
+		for _, t := range n.saved {
+			saveUses[t]++
 		}
 	}
 	// gradLive holds activation gradients currently materialized (a
 	// gradient has its tensor's own size, fp16).
-	gradLive := make([]bool, len(order))
+	gradLive := make([]bool, len(nb.order))
 	// The incoming gradient of the block output arrives first.
-	if len(g.Nodes) > 0 {
-		last := g.Nodes[len(g.Nodes)-1]
-		for _, t := range last.Outputs {
-			gradLive[id[t]] = true
+	if len(nb.nodes) > 0 {
+		for _, t := range nb.nodes[len(nb.nodes)-1].outs {
+			gradLive[t] = true
 		}
 	}
 	isGradLive := func(i int) bool { return gradLive[i] }
 	isStashed := func(i int) bool { return saveUses[i] > 0 }
-	var peaks []*symbolic.Expr
-	for i := len(g.Nodes) - 1; i >= 0; i-- {
-		n := g.Nodes[i]
+	var stash *symbolic.Expr // the stash's sum, until a tensor leaves it
+	peaks := make([]*symbolic.Expr, 0, len(nb.nodes))
+	for i := len(nb.nodes) - 1; i >= 0; i-- {
+		n := nb.nodes[i]
 		// Backward of n: output grads + input grads + remaining stash
 		// coexist while the node executes.
-		for _, t := range n.Inputs {
-			gradLive[id[t]] = true
+		for _, t := range n.ins {
+			gradLive[t] = true
 		}
-		peaks = append(peaks, symbolic.Add(sumSizes(order, isGradLive), sumSizes(order, isStashed)))
+		if stash == nil {
+			stash = nb.sum(isStashed)
+		}
+		peaks = append(peaks, nb.sum(isGradLive, stash))
 		// Output grads die once their producer's backward has run.
-		for _, t := range n.Outputs {
-			if ti := id[t]; producer[ti] == i {
-				gradLive[ti] = false
+		for _, t := range n.outs {
+			if producer[t] == i {
+				gradLive[t] = false
 			}
 		}
 		// Stashed tensors are released after their last backward use.
-		for _, t := range n.Saved {
-			saveUses[id[t]]--
+		for _, t := range n.saved {
+			if saveUses[t]--; saveUses[t] == 0 {
+				stash = nil
+			}
 		}
 	}
 	if len(peaks) == 0 {
@@ -164,11 +221,27 @@ func (g *Graph) PeakBackwardBytes() *symbolic.Expr {
 type op struct {
 	kind             opdb.Kind
 	mPerSample, n, k int
+	tpDim            Dim
 	repeat           float64
 }
 
 func (n *Node) op() op {
-	return op{kind: n.Kind, mPerSample: n.MPerSample, n: n.N, k: n.K, repeat: n.Repeat}
+	return op{kind: n.Kind, mPerSample: n.MPerSample, n: n.N, k: n.K, tpDim: n.TPDim, repeat: n.Repeat}
+}
+
+// bind divides the operator's TP-split dimension by tp, as a trace at a
+// literal degree divides it.
+func (o op) bind(tp int) op {
+	switch o.tpDim {
+	case DimM:
+		o.mPerSample /= tp
+	case DimN:
+		o.n /= tp
+	case DimK:
+		o.k /= tp
+	}
+	o.tpDim = NoDim
+	return o
 }
 
 // shapeAt concretizes the operator's shape for microbatch size b.
@@ -224,7 +297,9 @@ func (g *Graph) BackwardTime(db *opdb.DB, b int) float64 {
 // Ops is a traced graph reduced to its operator shapes — all the time
 // model reads. It holds none of the graph's tensors, so it is what a
 // long-lived caller keeps of a trace to price it at further microbatch
-// sizes; its times equal the Graph's bit for bit.
+// sizes and, through Bind, TP degrees; its times equal the Graph's bit
+// for bit. Like a Graph's, they are the times at a degree only once
+// bound to it: a traced op holds its TP-split dimension whole.
 type Ops []op
 
 // Ops extracts the graph's operators.
@@ -234,6 +309,16 @@ func (g *Graph) Ops() Ops {
 		ops[i] = n.op()
 	}
 	return ops
+}
+
+// Bind returns the operators at tensor-parallel degree tp: the Ops of the
+// graph's Bind(tp).
+func (ops Ops) Bind(tp int) Ops {
+	out := make(Ops, len(ops))
+	for i, o := range ops {
+		out[i] = o.bind(tp)
+	}
+	return out
 }
 
 // ForwardTime prices one forward pass at microbatch size b.

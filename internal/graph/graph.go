@@ -1,31 +1,48 @@
 // Package graph implements Mist's symbolic tracing and analysis layer
-// (§5.2.1): a transformer block is traced into a computational graph whose
-// tensor sizes are symbolic expressions in the microbatch size b, a fake
-// backward graph is generated from the forward one (the paper's "fake
-// backward graph from gradient function properties"), and liveness
-// analysis over both derives symbolic peak-memory expressions. Operator
-// shapes remain concrete per (seq, tp) pair so they can be priced by the
-// operator database; the per-stage planner re-traces for each tensor-
-// parallel degree, which is cheap (a few dozen nodes).
+// (§5.2.1): a model is traced once into computational graphs (a
+// transformer block, the embedding and the head) whose tensor sizes are
+// symbolic expressions in the microbatch size b and the tensor-parallel
+// degree TP, a fake backward graph is generated from the forward one (the
+// paper's "fake backward graph from gradient function properties"), and
+// liveness analysis over both derives symbolic peak-memory expressions.
+// Operator shapes stay integers so the operator database can price them:
+// each node records which shape dimension TP divides, and Bind fixes a
+// degree by integer division — binding the sizes too, so a bound graph is
+// symbolic in b alone.
 package graph
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/model"
 	"repro/internal/opdb"
 	"repro/internal/symbolic"
 )
 
-// BSymbol is the symbolic microbatch-size variable used in all tensor-size
-// expressions produced by the tracer.
-const BSymbol = "b"
+// The symbols of the tracer's tensor-size expressions: the microbatch
+// size, and the tensor-parallel degree, which Bind substitutes.
+const (
+	BSymbol  = "b"
+	TPSymbol = "tp"
+)
 
 // Tensor is a traced activation with a symbolic byte size.
 type Tensor struct {
 	Name string
-	Size *symbolic.Expr // bytes, symbolic in b
+	Size *symbolic.Expr // per-device bytes, symbolic in b (and TP until bound)
 }
+
+// Dim names a dimension of an operator's shape.
+type Dim uint8
+
+// Operator shape dimensions, in opdb convention.
+const (
+	NoDim Dim = iota
+	DimM      // MPerSample
+	DimN
+	DimK
+)
 
 // Node is one traced operator instance.
 type Node struct {
@@ -35,6 +52,11 @@ type Node struct {
 	// Shape in opdb convention; MPerSample is multiplied by the concrete
 	// microbatch size at costing time.
 	MPerSample, N, K int
+
+	// TPDim is the dimension tensor parallelism divides, if any. A traced
+	// graph holds that dimension whole; Bind divides it by the degree and
+	// clears TPDim.
+	TPDim Dim
 
 	// Repeat scales the op cost (e.g. fused backward kernels that do
 	// ~2.5x the forward work are modelled as Repeat=2.5 of the forward
@@ -63,11 +85,21 @@ type Graph struct {
 type tracer struct {
 	g       *Graph
 	counter int
+	b, tp   *symbolic.Expr // the symbols, shared by every size of the trace
+	tensors []Tensor       // allocated a block at a time, never regrown
+}
+
+func newTracer(name string) *tracer {
+	return &tracer{g: &Graph{Name: name}, b: symbolic.Var(BSymbol), tp: symbolic.Var(TPSymbol)}
 }
 
 func (tr *tracer) tensor(name string, size *symbolic.Expr) *Tensor {
 	tr.counter++
-	return &Tensor{Name: fmt.Sprintf("%s#%d", name, tr.counter), Size: size}
+	if len(tr.tensors) == cap(tr.tensors) {
+		tr.tensors = make([]Tensor, 0, 16)
+	}
+	tr.tensors = append(tr.tensors, Tensor{Name: name + "#" + strconv.Itoa(tr.counter), Size: size})
+	return &tr.tensors[len(tr.tensors)-1]
 }
 
 func (tr *tracer) node(n *Node) *Node {
@@ -78,12 +110,43 @@ func (tr *tracer) node(n *Node) *Node {
 	return n
 }
 
-// bsize returns a byte-size expression c*b.
-func bsize(bytesPerSample float64) *symbolic.Expr {
-	return symbolic.Mul(symbolic.Const(bytesPerSample), symbolic.Var(BSymbol))
+// bsize returns the byte-size expression c*b of a tensor no rank shards.
+func (tr *tracer) bsize(bytesPerSample float64) *symbolic.Expr {
+	return symbolic.Mul(symbolic.Const(bytesPerSample), tr.b)
+}
+
+// tpsize returns the byte-size expression (c/TP)*b of a tensor that tensor
+// parallelism shards. Bound to a degree it folds to c/tp times b, the
+// quotient rounded once, as a trace at a literal degree computes it.
+func (tr *tracer) tpsize(bytesPerSample float64) *symbolic.Expr {
+	return symbolic.Mul(symbolic.Div(symbolic.Const(bytesPerSample), tr.tp), tr.b)
 }
 
 const fp16 = 2 // bytes per fp16 element
+
+// Sections is a model traced once, its tensor sizes symbolic in b and TP.
+type Sections struct {
+	Layer, Pre, Post *Graph // one transformer block, the embedding, the head
+}
+
+// Trace traces cfg's sections at sequence length seq, with or without
+// FlashAttention, for every tensor-parallel degree at once: bind a
+// section to a degree that CheckTP accepts before pricing it.
+func Trace(cfg model.Config, seq int, flash bool) (*Sections, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return &Sections{Layer: traceLayer(cfg, seq, flash), Pre: tracePre(cfg, seq), Post: tracePost(cfg, seq)}, nil
+}
+
+// CheckTP reports whether cfg splits tp ways: tp must divide the head
+// count.
+func CheckTP(cfg model.Config, tp int) error {
+	if tp <= 0 || cfg.Heads%tp != 0 {
+		return fmt.Errorf("graph: tp=%d does not divide heads=%d", tp, cfg.Heads)
+	}
+	return nil
+}
 
 // TraceLayer traces one transformer block of cfg at sequence length seq
 // under tensor parallelism tp, with or without FlashAttention. Tensor
@@ -92,21 +155,72 @@ func TraceLayer(cfg model.Config, seq, tp int, flash bool) (*Graph, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if tp <= 0 || cfg.Heads%tp != 0 {
-		return nil, fmt.Errorf("graph: tp=%d does not divide heads=%d", tp, cfg.Heads)
+	if err := CheckTP(cfg, tp); err != nil {
+		return nil, err
 	}
+	return traceLayer(cfg, seq, flash).Bind(tp), nil
+}
+
+// TracePreLayer traces the embedding section at tensor parallelism tp.
+func TracePreLayer(cfg model.Config, seq, tp int) *Graph { return tracePre(cfg, seq).Bind(tp) }
+
+// TracePostLayer traces the final norm, LM head projection and loss at
+// tensor parallelism tp.
+func TracePostLayer(cfg model.Config, seq, tp int) *Graph { return tracePost(cfg, seq).Bind(tp) }
+
+// Bind returns the graph at tensor-parallel degree tp: every tensor's
+// size with TP substituted, and every node's TP-split dimension divided
+// by tp. Nodes that share a tensor share its bound copy, so liveness over
+// the bound graph sees the traced one's.
+func (g *Graph) Bind(tp int) *Graph {
+	env := symbolic.Env{TPSymbol: float64(tp)}
+	bound := map[*Tensor]*Tensor{}
+	one := func(t *Tensor) *Tensor {
+		bt, ok := bound[t]
+		if !ok {
+			bt = &Tensor{Name: t.Name, Size: t.Size.Subs(env)}
+			bound[t] = bt
+		}
+		return bt
+	}
+	bind := func(ts []*Tensor) []*Tensor {
+		if ts == nil {
+			return nil
+		}
+		out := make([]*Tensor, len(ts))
+		for i, t := range ts {
+			out[i] = one(t)
+		}
+		return out
+	}
+	out := &Graph{Name: fmt.Sprintf("%s-tp%d", g.Name, tp), Nodes: make([]*Node, len(g.Nodes))}
+	if g.Input != nil {
+		out.Input = one(g.Input)
+	}
+	for i, n := range g.Nodes {
+		bn := *n
+		o := n.op().bind(tp)
+		bn.MPerSample, bn.N, bn.K, bn.TPDim = o.mPerSample, o.n, o.k, NoDim
+		bn.Inputs, bn.Outputs, bn.Saved = bind(n.Inputs), bind(n.Outputs), bind(n.Saved)
+		out.Nodes[i] = &bn
+	}
+	return out
+}
+
+// traceLayer traces one transformer block of a validated cfg.
+func traceLayer(cfg model.Config, seq int, flash bool) *Graph {
 	h := cfg.Hidden
 	ffn := cfg.FFNHidden
 	a := cfg.Heads
 	s := seq
-	t := float64(tp)
 
-	tr := &tracer{g: &Graph{Name: fmt.Sprintf("%s-layer-tp%d", cfg.Name, tp)}}
+	tr := newTracer(cfg.Name + "-layer")
 	g := tr.g
 
-	full := func(name string) *Tensor { return tr.tensor(name, bsize(fp16*float64(s)*float64(h))) }
+	fullSize := tr.bsize(fp16 * float64(s) * float64(h)) // one expression for every full-width tensor
+	full := func(name string) *Tensor { return tr.tensor(name, fullSize) }
 	shard := func(name string, width int) *Tensor {
-		return tr.tensor(name, bsize(fp16*float64(s)*float64(width)/t))
+		return tr.tensor(name, tr.tpsize(fp16*float64(s)*float64(width)))
 	}
 
 	x := full("x")
@@ -124,7 +238,7 @@ func TraceLayer(cfg model.Config, seq, tp int, flash bool) (*Graph, error) {
 	qkv := shard("qkv", 3*h)
 	tr.node(&Node{
 		Name: "qkv_proj", Kind: opdb.Matmul,
-		MPerSample: s, N: 3 * h / tp, K: h,
+		MPerSample: s, N: 3 * h, K: h, TPDim: DimN,
 		Inputs: []*Tensor{ln1Out}, Outputs: []*Tensor{qkv},
 		Saved: []*Tensor{ln1Out},
 	})
@@ -135,26 +249,27 @@ func TraceLayer(cfg model.Config, seq, tp int, flash bool) (*Graph, error) {
 		// O(b*a*s) softmax statistics (negligible, folded into output).
 		tr.node(&Node{
 			Name: "flash_attn", Kind: opdb.FlashAttn,
-			MPerSample: 1, N: s, K: h / tp,
+			MPerSample: 1, N: s, K: h, TPDim: DimK,
 			Inputs: []*Tensor{qkv}, Outputs: []*Tensor{attnOut},
 			Saved: []*Tensor{qkv, attnOut},
 		})
 	} else {
 		// Unfused: scores = QK^T materializes a (a/tp, s, s) tensor; the
 		// softmax output is saved for backward (dropout is disabled per
-		// the paper's methodology, so no mask is stashed).
-		scoreSize := bsize(fp16 * float64(a) / t * float64(s) * float64(s))
+		// the paper's methodology, so no mask is stashed). TP divides a,
+		// so a/tp and every product after it are exact.
+		scoreSize := tr.tpsize(fp16 * float64(a) * float64(s) * float64(s))
 		scores := tr.tensor("attn_scores", scoreSize)
 		probs := tr.tensor("attn_probs", scoreSize)
 		tr.node(&Node{
 			Name: "attn_core", Kind: opdb.CoreAttn,
-			MPerSample: 1, N: s, K: h / tp,
+			MPerSample: 1, N: s, K: h, TPDim: DimK,
 			Inputs: []*Tensor{qkv}, Outputs: []*Tensor{scores, attnOut},
 			Saved: []*Tensor{qkv, probs},
 		})
 		tr.node(&Node{
 			Name: "attn_softmax", Kind: opdb.Softmax,
-			MPerSample: a / tp, N: s, K: s,
+			MPerSample: a, N: s, K: s, TPDim: DimM,
 			Inputs: []*Tensor{scores}, Outputs: []*Tensor{probs},
 			Saved: []*Tensor{probs},
 		})
@@ -163,7 +278,7 @@ func TraceLayer(cfg model.Config, seq, tp int, flash bool) (*Graph, error) {
 	projOut := full("attn_proj_out")
 	tr.node(&Node{
 		Name: "attn_out_proj", Kind: opdb.Matmul,
-		MPerSample: s, N: h, K: h / tp,
+		MPerSample: s, N: h, K: h, TPDim: DimK,
 		Inputs: []*Tensor{attnOut}, Outputs: []*Tensor{projOut},
 		Saved: []*Tensor{attnOut},
 	})
@@ -172,14 +287,14 @@ func TraceLayer(cfg model.Config, seq, tp int, flash bool) (*Graph, error) {
 		// Parallel attention+MLP: the MLP reads ln1Out as well, and a
 		// single residual add merges both paths (one TP all-reduce total,
 		// accounted by the communication model, not the graph).
-		mlpOut := traceMLP(tr, cfg, ln1Out, s, h, ffn, tp)
+		mlpOut := traceMLP(tr, cfg, ln1Out, s, h, ffn)
 		sum := full("block_out")
 		tr.node(&Node{
 			Name: "residual", Kind: opdb.Elementwise,
 			MPerSample: 3, N: s, K: h, // x + attn + mlp
 			Inputs: []*Tensor{x, projOut, mlpOut}, Outputs: []*Tensor{sum},
 		})
-		return g, nil
+		return g
 	}
 
 	res1 := full("res1")
@@ -198,7 +313,7 @@ func TraceLayer(cfg model.Config, seq, tp int, flash bool) (*Graph, error) {
 		Saved: []*Tensor{res1},
 	})
 
-	mlpOut := traceMLP(tr, cfg, ln2Out, s, h, ffn, tp)
+	mlpOut := traceMLP(tr, cfg, ln2Out, s, h, ffn)
 
 	blockOut := full("block_out")
 	tr.node(&Node{
@@ -206,44 +321,42 @@ func TraceLayer(cfg model.Config, seq, tp int, flash bool) (*Graph, error) {
 		MPerSample: 2, N: s, K: h,
 		Inputs: []*Tensor{res1, mlpOut}, Outputs: []*Tensor{blockOut},
 	})
-	return g, nil
+	return g
 }
 
 // traceMLP traces the feed-forward path: mixture-of-experts (routed),
 // gated (LLaMA), or plain.
-func traceMLP(tr *tracer, cfg model.Config, in *Tensor, s, h, ffn, tp int) *Tensor {
+func traceMLP(tr *tracer, cfg model.Config, in *Tensor, s, h, ffn int) *Tensor {
 	if cfg.IsMoE() {
-		return traceMoEMLP(tr, cfg, in, s, h, ffn, tp)
+		return traceMoEMLP(tr, cfg, in, s, h, ffn)
 	}
-	t := float64(tp)
-	inter := func(name string) *Tensor {
-		return tr.tensor(name, bsize(fp16*float64(s)*float64(ffn)/t))
-	}
+	interSize := tr.tpsize(fp16 * float64(s) * float64(ffn))
+	inter := func(name string) *Tensor { return tr.tensor(name, interSize) }
 	if cfg.UsesGatedMLP() {
 		up := inter("mlp_up")
 		gate := inter("mlp_gate")
 		act := inter("mlp_act")
 		tr.node(&Node{
 			Name: "mlp_up_proj", Kind: opdb.Matmul,
-			MPerSample: s, N: ffn / tp, K: h,
+			MPerSample: s, N: ffn, K: h, TPDim: DimN,
 			Inputs: []*Tensor{in}, Outputs: []*Tensor{up},
 			Saved: []*Tensor{in},
 		})
 		tr.node(&Node{
 			Name: "mlp_gate_proj", Kind: opdb.Matmul,
-			MPerSample: s, N: ffn / tp, K: h,
+			MPerSample: s, N: ffn, K: h, TPDim: DimN,
 			Inputs: []*Tensor{in}, Outputs: []*Tensor{gate},
 		})
 		tr.node(&Node{
 			Name: "mlp_silu_mul", Kind: opdb.Gelu,
-			MPerSample: 1, N: s, K: ffn / tp,
+			MPerSample: 1, N: s, K: ffn, TPDim: DimK,
 			Inputs: []*Tensor{up, gate}, Outputs: []*Tensor{act},
 			Saved: []*Tensor{up, gate},
 		})
-		down := tr.tensor("mlp_down", bsize(fp16*float64(s)*float64(h)))
+		down := tr.tensor("mlp_down", tr.bsize(fp16*float64(s)*float64(h)))
 		tr.node(&Node{
 			Name: "mlp_down_proj", Kind: opdb.Matmul,
-			MPerSample: s, N: h, K: ffn / tp,
+			MPerSample: s, N: h, K: ffn, TPDim: DimK,
 			Inputs: []*Tensor{act}, Outputs: []*Tensor{down},
 			Saved: []*Tensor{act},
 		})
@@ -253,20 +366,20 @@ func traceMLP(tr *tracer, cfg model.Config, in *Tensor, s, h, ffn, tp int) *Tens
 	act := inter("mlp_act")
 	tr.node(&Node{
 		Name: "mlp_up_proj", Kind: opdb.Matmul,
-		MPerSample: s, N: ffn / tp, K: h,
+		MPerSample: s, N: ffn, K: h, TPDim: DimN,
 		Inputs: []*Tensor{in}, Outputs: []*Tensor{up},
 		Saved: []*Tensor{in},
 	})
 	tr.node(&Node{
 		Name: "mlp_act", Kind: opdb.Gelu,
-		MPerSample: 1, N: s, K: ffn / tp,
+		MPerSample: 1, N: s, K: ffn, TPDim: DimK,
 		Inputs: []*Tensor{up}, Outputs: []*Tensor{act},
 		Saved: []*Tensor{up},
 	})
-	down := tr.tensor("mlp_down", bsize(fp16*float64(s)*float64(h)))
+	down := tr.tensor("mlp_down", tr.bsize(fp16*float64(s)*float64(h)))
 	tr.node(&Node{
 		Name: "mlp_down_proj", Kind: opdb.Matmul,
-		MPerSample: s, N: h, K: ffn / tp,
+		MPerSample: s, N: h, K: ffn, TPDim: DimK,
 		Inputs: []*Tensor{act}, Outputs: []*Tensor{down},
 		Saved: []*Tensor{act},
 	})
@@ -280,21 +393,20 @@ func traceMLP(tr *tracer, cfg model.Config, in *Tensor, s, h, ffn, tp int) *Tens
 // router; the expert GEMMs are traced in min(E, 8) fragments to expose
 // the kernel-efficiency loss of splitting tokens across experts. The
 // all-to-all exchanges are communication, priced by the schedule layer.
-func traceMoEMLP(tr *tracer, cfg model.Config, in *Tensor, s, h, ffn, tp int) *Tensor {
-	t := float64(tp)
+func traceMoEMLP(tr *tracer, cfg model.Config, in *Tensor, s, h, ffn int) *Tensor {
 	e := cfg.NumExperts
 	topk := float64(cfg.TopK)
 	cap := model.CapacityFactor
 
 	// Router: (b*s, h) x (h, E) projection + softmax over experts.
-	probs := tr.tensor("router_probs", bsize(fp16*float64(s)*float64(e)))
+	probs := tr.tensor("router_probs", tr.bsize(fp16*float64(s)*float64(e)))
 	tr.node(&Node{
 		Name: "router", Kind: opdb.Matmul,
 		MPerSample: s, N: e, K: h,
 		Inputs: []*Tensor{in}, Outputs: []*Tensor{probs},
 		Saved: []*Tensor{in},
 	})
-	probsSm := tr.tensor("router_softmax", bsize(fp16*float64(s)*float64(e)))
+	probsSm := tr.tensor("router_softmax", tr.bsize(fp16*float64(s)*float64(e)))
 	tr.node(&Node{
 		Name: "router_softmax", Kind: opdb.Softmax,
 		MPerSample: 1, N: s, K: e,
@@ -304,7 +416,7 @@ func traceMoEMLP(tr *tracer, cfg model.Config, in *Tensor, s, h, ffn, tp int) *T
 
 	// Dispatched tokens per device: topK * capacity copies of the input.
 	dispTokens := cap * topk * float64(s) // per sample
-	disp := tr.tensor("moe_dispatch", bsize(fp16*dispTokens*float64(h)))
+	disp := tr.tensor("moe_dispatch", tr.bsize(fp16*dispTokens*float64(h)))
 	tr.node(&Node{
 		Name: "moe_dispatch", Kind: opdb.Elementwise,
 		MPerSample: int(topk), N: s, K: h,
@@ -318,31 +430,31 @@ func traceMoEMLP(tr *tracer, cfg model.Config, in *Tensor, s, h, ffn, tp int) *T
 		frag = 8
 	}
 	mPerFrag := int(dispTokens)/frag + 1
-	up := tr.tensor("moe_up", bsize(fp16*dispTokens*float64(ffn)/t))
+	up := tr.tensor("moe_up", tr.tpsize(fp16*dispTokens*float64(ffn)))
 	tr.node(&Node{
 		Name: "moe_up_proj", Kind: opdb.Matmul,
-		MPerSample: mPerFrag, N: ffn / tp, K: h,
+		MPerSample: mPerFrag, N: ffn, K: h, TPDim: DimN,
 		Repeat: float64(frag),
 		Inputs: []*Tensor{disp}, Outputs: []*Tensor{up},
 	})
-	act := tr.tensor("moe_act", bsize(fp16*dispTokens*float64(ffn)/t))
+	act := tr.tensor("moe_act", tr.tpsize(fp16*dispTokens*float64(ffn)))
 	tr.node(&Node{
 		Name: "moe_act", Kind: opdb.Gelu,
-		MPerSample: int(topk), N: s, K: ffn / tp,
+		MPerSample: int(topk), N: s, K: ffn, TPDim: DimK,
 		Inputs: []*Tensor{up}, Outputs: []*Tensor{act},
 		Saved: []*Tensor{up},
 	})
-	down := tr.tensor("moe_down", bsize(fp16*dispTokens*float64(h)))
+	down := tr.tensor("moe_down", tr.bsize(fp16*dispTokens*float64(h)))
 	tr.node(&Node{
 		Name: "moe_down_proj", Kind: opdb.Matmul,
-		MPerSample: mPerFrag, N: h, K: ffn / tp,
+		MPerSample: mPerFrag, N: h, K: ffn, TPDim: DimK,
 		Repeat: float64(frag),
 		Inputs: []*Tensor{act}, Outputs: []*Tensor{down},
 		Saved: []*Tensor{act},
 	})
 
 	// Combine: weighted sum of expert outputs back to (b*s, h).
-	out := tr.tensor("moe_combine", bsize(fp16*float64(s)*float64(h)))
+	out := tr.tensor("moe_combine", tr.bsize(fp16*float64(s)*float64(h)))
 	tr.node(&Node{
 		Name: "moe_combine", Kind: opdb.Elementwise,
 		MPerSample: int(topk), N: s, K: h,
@@ -351,13 +463,13 @@ func traceMoEMLP(tr *tracer, cfg model.Config, in *Tensor, s, h, ffn, tp int) *T
 	return out
 }
 
-// TracePreLayer traces the embedding section (token + optional positional
+// tracePre traces the embedding section (token + optional positional
 // embedding). Vocab-parallel embedding shards the table across TP ranks.
-func TracePreLayer(cfg model.Config, seq, tp int) *Graph {
-	tr := &tracer{g: &Graph{Name: fmt.Sprintf("%s-pre-tp%d", cfg.Name, tp)}}
-	ids := tr.tensor("input_ids", bsize(8*float64(seq))) // int64 ids
+func tracePre(cfg model.Config, seq int) *Graph {
+	tr := newTracer(cfg.Name + "-pre")
+	ids := tr.tensor("input_ids", tr.bsize(8*float64(seq))) // int64 ids
 	tr.g.Input = ids
-	emb := tr.tensor("embed_out", bsize(fp16*float64(seq)*float64(cfg.Hidden)))
+	emb := tr.tensor("embed_out", tr.bsize(fp16*float64(seq)*float64(cfg.Hidden)))
 	tr.node(&Node{
 		Name: "embedding", Kind: opdb.Embedding,
 		MPerSample: 1, N: seq, K: cfg.Hidden,
@@ -367,30 +479,30 @@ func TracePreLayer(cfg model.Config, seq, tp int) *Graph {
 	return tr.g
 }
 
-// TracePostLayer traces the final norm, LM head projection and loss.
-func TracePostLayer(cfg model.Config, seq, tp int) *Graph {
-	tr := &tracer{g: &Graph{Name: fmt.Sprintf("%s-post-tp%d", cfg.Name, tp)}}
+// tracePost traces the final norm, LM head projection and loss.
+func tracePost(cfg model.Config, seq int) *Graph {
+	tr := newTracer(cfg.Name + "-post")
 	h := cfg.Hidden
-	x := tr.tensor("final_in", bsize(fp16*float64(seq)*float64(h)))
+	x := tr.tensor("final_in", tr.bsize(fp16*float64(seq)*float64(h)))
 	tr.g.Input = x
-	lnOut := tr.tensor("final_ln", bsize(fp16*float64(seq)*float64(h)))
+	lnOut := tr.tensor("final_ln", tr.bsize(fp16*float64(seq)*float64(h)))
 	tr.node(&Node{
 		Name: "final_ln", Kind: opdb.LayerNorm,
 		MPerSample: 1, N: seq, K: h,
 		Inputs: []*Tensor{x}, Outputs: []*Tensor{lnOut},
 		Saved: []*Tensor{x},
 	})
-	logits := tr.tensor("logits", bsize(fp16*float64(seq)*float64(cfg.Vocab)/float64(tp)))
+	logits := tr.tensor("logits", tr.tpsize(fp16*float64(seq)*float64(cfg.Vocab)))
 	tr.node(&Node{
 		Name: "lm_head", Kind: opdb.Matmul,
-		MPerSample: seq, N: cfg.Vocab / tp, K: h,
+		MPerSample: seq, N: cfg.Vocab, K: h, TPDim: DimN,
 		Inputs: []*Tensor{lnOut}, Outputs: []*Tensor{logits},
 		Saved: []*Tensor{lnOut},
 	})
-	loss := tr.tensor("loss", bsize(4*float64(seq)))
+	loss := tr.tensor("loss", tr.bsize(4*float64(seq)))
 	tr.node(&Node{
 		Name: "cross_entropy", Kind: opdb.CrossEntropy,
-		MPerSample: 1, N: seq, K: cfg.Vocab / tp,
+		MPerSample: 1, N: seq, K: cfg.Vocab, TPDim: DimK,
 		Inputs: []*Tensor{logits}, Outputs: []*Tensor{loss},
 		Saved: []*Tensor{logits},
 	})

@@ -12,9 +12,9 @@ import (
 // TestStageProgramsCompiledOncePerVariant: a full MistSpace search of the
 // BENCH cell (gpt3-2.7b, batch 8, 8 L4s; bench_test.go's benchWorkload)
 // prices 13 canonical stage shapes (TestTuplePassesOncePerWindow counts
-// them), and its analyzer compiles a handful of programs — one per
-// structural variant — and traces the model once per tensor-parallel
-// degree.
+// them) at four tensor-parallel degrees, and its analyzer compiles a
+// handful of programs — one per structural variant — and traces the
+// model once.
 func TestStageProgramsCompiledOncePerVariant(t *testing.T) {
 	w := plan.Workload{Model: model.MustByName("gpt3-2.7b"), Seq: 2048, Flash: true, GlobalBatch: 8}
 	tn, err := core.New(w, hardware.L4Cluster(1, 8), core.MistSpace())
@@ -28,8 +28,8 @@ func TestStageProgramsCompiledOncePerVariant(t *testing.T) {
 	if compiled < 1 || compiled > 16 {
 		t.Errorf("compiled %d stage programs, want 1..16 (one per variant)", compiled)
 	}
-	if tps := 4; traced < 1 || traced > tps { // TP in {1, 2, 4, 8}
-		t.Errorf("traced the model %d times, want at most once per TP degree (%d)", traced, tps)
+	if traced != 1 {
+		t.Errorf("traced the model %d times, want once for every TP degree", traced)
 	}
 	t.Logf("%d trace passes, %d programs compiled", traced, compiled)
 }

@@ -194,51 +194,42 @@ func (t *onceMap[K, V]) get(k K, build func() V) V {
 	return e.v
 }
 
-// tpTrace is what the analyzer keeps of the model traced at one
-// tensor-parallel degree: each section's operator shapes and the
-// b-symbolic byte expressions of all three compiled into one program —
+// modelTrace is what the analyzer keeps of the model, traced once: each
+// section's operator shapes, their TP-split dimensions whole, and the
+// byte expressions of all three compiled into one program over (b, TP) —
 // not the graphs, whose tensors and expression trees would outweigh
 // everything else a long-lived analyzer holds.
-type tpTrace struct {
+type modelTrace struct {
 	layer, pre, post graph.Ops
-	bytes            *symbolic.Program // traceBytes order, over (b)
+	bytes            *symbolic.Program // graph.Sections.Bytes order, over traceVars
 	err              error
 }
 
-// Outputs of tpTrace.bytes.
-const (
-	tbStash = iota // layer
-	tbBoundary
-	tbFwdPeak
-	tbBwdPeak
-	tbPreStash
-	tbPostStash
-	tbPostBwdPeak
-)
-
-var bVars = []string{graph.BSymbol}
+var traceVars = []string{graph.BSymbol, graph.TPSymbol}
 
 // trace returns (tracing on first use) the model at tensor-parallel
-// degree tp.
-func (a *Analyzer) trace(tp int) *tpTrace {
-	return a.traces.get(tp, func() *tpTrace {
+// degree tp, or why it cannot be split tp ways.
+func (a *Analyzer) trace(tp int) (*modelTrace, error) {
+	a.traceOnce.Do(func() {
 		a.nTraced.Add(1)
-		lg, err := graph.TraceLayer(a.Model, a.Seq, tp, a.Flash)
+		secs, err := graph.Trace(a.Model, a.Seq, a.Flash)
 		if err != nil {
-			return &tpTrace{err: err}
+			a.traced = &modelTrace{err: err}
+			return
 		}
-		pre := graph.TracePreLayer(a.Model, a.Seq, tp)
-		post := graph.TracePostLayer(a.Model, a.Seq, tp)
-		return &tpTrace{
-			layer: lg.Ops(), pre: pre.Ops(), post: post.Ops(),
-			bytes: symbolic.MustCompile([]*symbolic.Expr{
-				tbStash: lg.SavedActivationBytes(), tbBoundary: lg.BoundaryBytes(),
-				tbFwdPeak: lg.PeakForwardBytes(), tbBwdPeak: lg.PeakBackwardBytes(),
-				tbPreStash:  pre.SavedActivationBytes(),
-				tbPostStash: post.SavedActivationBytes(), tbPostBwdPeak: post.PeakBackwardBytes(),
-			}, bVars),
+		a.traced = &modelTrace{
+			layer: secs.Layer.Ops(), pre: secs.Pre.Ops(), post: secs.Post.Ops(),
+			bytes: symbolic.MustCompile(secs.Bytes(), traceVars),
 		}
 	})
+	tr := a.traced
+	if tr.err != nil {
+		return nil, tr.err
+	}
+	if err := graph.CheckTP(a.Model, tp); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
 // tpB keys the quantities that depend on the shape only through its
@@ -256,18 +247,20 @@ type sectionCosts struct {
 	postPeakBwd                 float64
 }
 
-// costs returns (evaluating on first use) tr's sections at microbatch b.
-func (a *Analyzer) costs(tr *tpTrace, tp, b int) *sectionCosts {
+// costs returns (evaluating on first use) tr's sections at (tp, b): the
+// byte program at that frame, and each section's operators bound to tp.
+func (a *Analyzer) costs(tr *modelTrace, tp, b int) *sectionCosts {
 	return a.sections.get(tpB{tp, b}, func() *sectionCosts {
-		bytes := tr.bytes.EvalFrame([]float64{float64(b)}, nil, nil)
+		bytes := tr.bytes.EvalFrame([]float64{float64(b), float64(tp)}, nil, nil)
+		layer, pre, post := tr.layer.Bind(tp), tr.pre.Bind(tp), tr.post.Bind(tp)
 		return &sectionCosts{
-			cFwd: tr.layer.ForwardTime(a.DB, b), cBwd: tr.layer.BackwardTime(a.DB, b),
-			stash: bytes[tbStash], boundary: bytes[tbBoundary],
-			fwdTrans: bytes[tbFwdPeak], bwdTrans: bytes[tbBwdPeak],
-			preFwd: tr.pre.ForwardTime(a.DB, b), preBwd: tr.pre.BackwardTime(a.DB, b),
-			preStash: bytes[tbPreStash],
-			postFwd:  tr.post.ForwardTime(a.DB, b), postBwd: tr.post.BackwardTime(a.DB, b),
-			postStash: bytes[tbPostStash], postPeakBwd: bytes[tbPostBwdPeak],
+			cFwd: layer.ForwardTime(a.DB, b), cBwd: layer.BackwardTime(a.DB, b),
+			stash: bytes[graph.LayerStash], boundary: bytes[graph.LayerBoundary],
+			fwdTrans: bytes[graph.LayerFwdPeak], bwdTrans: bytes[graph.LayerBwdPeak],
+			preFwd: pre.ForwardTime(a.DB, b), preBwd: pre.BackwardTime(a.DB, b),
+			preStash: bytes[graph.PreStash],
+			postFwd:  post.ForwardTime(a.DB, b), postBwd: post.BackwardTime(a.DB, b),
+			postStash: bytes[graph.PostStash], postPeakBwd: bytes[graph.PostBwdPeak],
 		}
 	})
 }
@@ -276,10 +269,11 @@ func (a *Analyzer) costs(tr *tpTrace, tp, b int) *sectionCosts {
 // stage shape with this (tp, b): its forward and backward compute, which
 // the overlap composition only adds to (interference factors are >= 1;
 // serial collectives and recomputation come on top). Read off the memoized
-// traces, nothing is priced; 0, the trivial bound, when tp does not trace.
+// trace, nothing is priced; 0, the trivial bound, when the model does not
+// split tp ways.
 func (a *Analyzer) LayerComputeFloor(tp, b int) float64 {
-	tr := a.trace(tp)
-	if tr.err != nil {
+	tr, err := a.trace(tp)
+	if err != nil {
 		return 0
 	}
 	sec := a.costs(tr, tp, b)
@@ -305,7 +299,7 @@ func (a *Analyzer) program(shape StageShape) *stageProgram {
 }
 
 // build derives shape's numeric constants and coefficient fill from the
-// memoized traces and attaches its variant's program. Nothing here
+// memoized trace and attaches its variant's program. Nothing here
 // traces or compiles per shape.
 func (a *Analyzer) build(shape StageShape) *stageProgram {
 	sp := &stageProgram{}
@@ -318,9 +312,9 @@ func (a *Analyzer) build(shape StageShape) *stageProgram {
 		// search space does not double-count.
 		shape.ZeRO = 0
 	}
-	tr := a.trace(shape.TP)
-	if tr.err != nil {
-		sp.err = tr.err
+	tr, err := a.trace(shape.TP)
+	if err != nil {
+		sp.err = err
 		return sp
 	}
 	cl := a.Cluster

@@ -16,10 +16,9 @@
 // Knob-dependent quantities are symbolic expressions compiled for batched
 // evaluation (§5.2's batched value substitution), built once per analyzer
 // and structural variant rather than once per stage shape: the model is
-// traced once per tensor-parallel degree, its operator times and byte
-// sizes are evaluated once per (TP, b), and a shape's own constants enter
-// its variant's program as values, not as literals. The program's frame
-// is
+// traced once, symbolic in b and TP, its operator times and byte sizes
+// are evaluated once per (TP, b), and a shape's own constants enter its
+// variant's program as values, not as literals. The program's frame is
 //
 //	[shape coefficients (numCoefs) | wo, go, oo, ao | l, ckpt]
 //
@@ -69,7 +68,7 @@ const cpuAdamParamsPerSec = 1.5e9
 
 // StageShape fixes the discrete choices of one pipeline stage: what the
 // analyzer derives once per shape (a coefficient fill over its shared
-// traces and compiled variants) and then prices under any Knobs.
+// trace and compiled variants) and then prices under any Knobs.
 type StageShape struct {
 	B    int // microbatch size b_i
 	DP   int // data-parallel degree
@@ -181,13 +180,14 @@ type Analyzer struct {
 	Serialize bool
 
 	// Everything derived from the context is memoized here and dies with
-	// the analyzer: the traced graphs per TP, their costs per (TP, b),
-	// the compiled program per structural variant, and the numeric fill
-	// per canonical stage shape (program.go).
-	traces   onceMap[int, *tpTrace]
-	sections onceMap[tpB, *sectionCosts]
-	variants onceMap[variantKey, *symbolic.Program]
-	programs onceMap[StageShape, *stageProgram]
+	// the analyzer: the model's one trace, its costs per (TP, b), the
+	// compiled program per structural variant, and the numeric fill per
+	// canonical stage shape (program.go).
+	traceOnce sync.Once
+	traced    *modelTrace
+	sections  onceMap[tpB, *sectionCosts]
+	variants  onceMap[variantKey, *symbolic.Program]
+	programs  onceMap[StageShape, *stageProgram]
 
 	// The knob grids the tuners of this analyzer price, by KnobGrid's
 	// encoded arguments (batch.go).

@@ -68,9 +68,8 @@ func Compile(exprs []*Expr, vars []string) (*Program, error) {
 	lw := lowering{
 		p:      p,
 		varIdx: make(map[string]int32, len(vars)),
-		byNode: map[*Expr]int32{},
-		edges:  map[cseEdge]int32{},
-		regOf:  []int32{-1},
+		byNode: make(map[*Expr]int32, lowerHint),
+		slots:  make([]int32, 2*lowerHint),
 	}
 	for i, v := range vars {
 		if _, dup := lw.varIdx[v]; dup {
@@ -85,22 +84,30 @@ func Compile(exprs []*Expr, vars []string) (*Program, error) {
 		}
 		p.outputs = append(p.outputs, reg)
 	}
-	// Stage the tape. An instruction's rank is at least its operands', so
-	// a stable partition by rank keeps every operand ahead of its use.
-	// Until here instruction i is the one that writes register i.
-	order := make([]int32, len(p.insts))
-	for i := range order {
-		order[i] = int32(i)
+	// Stage the tape: a stable counting sort by rank. An instruction's
+	// rank is at least its operands', so every operand stays ahead of its
+	// use. Until here instruction i is the one that writes register i;
+	// then the registers are renumbered so that the staged tape's
+	// instruction i writes register i again: run needs no destination
+	// field. stage[v], the first instruction of rank > v, is where rank
+	// v+1 starts.
+	p.stage = make([]int32, len(vars)+2)
+	for _, r := range lw.rank {
+		p.stage[r+1]++
 	}
-	slices.SortStableFunc(order, func(a, b int32) int { return int(lw.rank[a] - lw.rank[b]) })
-	// Then renumber the registers so that the staged tape's instruction i
-	// writes register i again: run needs no destination field.
+	for v := 1; v < len(p.stage); v++ {
+		p.stage[v] += p.stage[v-1]
+	}
+	// p.stage[r] is now where rank r starts.
 	staged := make([]inst, len(p.insts))
-	at := make([]int32, len(order)) // register before staging -> after
-	for i, j := range order {
-		staged[i] = p.insts[j]
-		at[j] = int32(i)
+	at := make([]int32, len(p.insts)) // register before staging -> after
+	for j, r := range lw.rank {
+		at[j] = p.stage[r]
+		p.stage[r]++
+		staged[at[j]] = p.insts[j]
 	}
+	// Each p.stage[r] has moved to where rank r+1 starts.
+	p.stage = p.stage[:len(vars)+1]
 	for i := range staged {
 		if in := &staged[i]; in.op == iCeil || in.op == iFloor {
 			in.src = at[in.src]
@@ -113,11 +120,6 @@ func Compile(exprs []*Expr, vars []string) (*Program, error) {
 		p.outputs[i] = at[r]
 	}
 	p.insts = staged
-	p.stage = make([]int32, len(vars)+1)
-	for v := range p.stage {
-		n, _ := slices.BinarySearchFunc(order, int32(v+1), func(j, rank int32) int { return int(lw.rank[j] - rank) })
-		p.stage[v] = int32(n)
-	}
 	return p, nil
 }
 
@@ -130,10 +132,14 @@ func MustCompile(exprs []*Expr, vars []string) *Program {
 	return p
 }
 
+// lowerHint sizes Compile's memo tables: room for a small program's
+// nodes, and a larger program grows them.
+const lowerHint = 64
+
 // lowering is Compile's working state. It finds the register already
-// holding an expression's value by node identity and, structurally,
-// through a trie: operands are lowered before their parent, so a node's
-// structural identity is the label path (op, then the constant's bits,
+// holding an expression's value by node identity and, structurally, by
+// hash-consing: operands are lowered before their parent, so a node's
+// structural identity is its instruction (op, then the constant's bits,
 // the variable's index, or the operand registers in order) — no
 // rendering and no subtree walk.
 type lowering struct {
@@ -141,40 +147,99 @@ type lowering struct {
 	varIdx map[string]int32
 	rank   []int32 // per register: 1 + highest variable index its value depends on; 0 for constants
 	byNode map[*Expr]int32
-	edges  map[cseEdge]int32 // trie: (node, label) -> child node; node 0 is the root
-	regOf  []int32           // per trie node, the register of the path ending there, or -1
+	hashes []uint64 // per register: its instruction's hash
+	slots  []int32  // open-addressing table of registers by hash: register+1, 0 when empty
 }
 
-type cseEdge struct {
-	from  int32
-	label uint64
+// mix is the splitmix64 finalizer.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
-// step follows (creating if absent) the edge label out of trie node from.
-func (lw *lowering) step(from int32, label uint64) int32 {
-	k := cseEdge{from, label}
-	to, ok := lw.edges[k]
-	if !ok {
-		to = int32(len(lw.regOf))
-		lw.regOf = append(lw.regOf, -1)
-		lw.edges[k] = to
+// find returns the register of the instruction (op, payload, args)
+// emitted so far, or -1 and the free slot to record it in, and the
+// instruction's hash. payload is the constant's bits, the variable's
+// index or a unary operand's register; args are an n-ary instruction's
+// operand registers.
+func (lw *lowering) find(op instOp, payload uint64, args []int32) (reg int32, slot int, h uint64) {
+	h = mix(uint64(op)+1) ^ payload
+	for _, a := range args {
+		h = mix(h) ^ uint64(uint32(a))
 	}
-	return to
+	h = mix(h)
+	p := lw.p
+	mask := len(lw.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		r := lw.slots[i] - 1
+		if r < 0 {
+			return -1, i, h
+		}
+		if lw.hashes[r] != h {
+			continue
+		}
+		in := &p.insts[r]
+		if in.op != op {
+			continue
+		}
+		switch op {
+		case iConst:
+			if math.Float64bits(p.consts[in.src]) == payload {
+				return r, i, h
+			}
+		case iLoad, iCeil, iFloor:
+			if uint64(in.src) == payload {
+				return r, i, h
+			}
+		default:
+			if slices.Equal(p.args[in.src:in.src+in.n], args) {
+				return r, i, h
+			}
+		}
+	}
+}
+
+// record enters register reg, just emitted with hash h, in slot, and
+// doubles the table once it is half full.
+func (lw *lowering) record(reg int32, slot int, h uint64) {
+	lw.slots[slot] = reg + 1
+	lw.hashes = append(lw.hashes, h)
+	if 2*len(lw.hashes) <= len(lw.slots) {
+		return
+	}
+	lw.slots = make([]int32, 2*len(lw.slots))
+	mask := len(lw.slots) - 1
+	for r, h := range lw.hashes {
+		i := int(h) & mask
+		for lw.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		lw.slots[i] = int32(r) + 1
+	}
 }
 
 func (lw *lowering) lower(e *Expr) (int32, error) {
-	if reg, ok := lw.byNode[e]; ok {
-		return reg, nil
+	// A constant is found by its bits as cheaply as by its node, so only
+	// the other nodes are memoized by identity.
+	memo := e.op != OpConst
+	if memo {
+		if reg, ok := lw.byNode[e]; ok {
+			return reg, nil
+		}
 	}
 	p := lw.p
 	var in inst
 	var rank int32
-	var args []int32
-	node := lw.step(0, uint64(e.op))
+	var payload uint64
+	var buf [8]int32
+	args := buf[:0]
 	switch e.op {
 	case OpConst:
 		in.op = iConst
-		node = lw.step(node, math.Float64bits(e.val))
+		payload = math.Float64bits(e.val)
 	case OpVar:
 		idx, ok := lw.varIdx[e.name]
 		if !ok {
@@ -182,17 +247,15 @@ func (lw *lowering) lower(e *Expr) (int32, error) {
 		}
 		in = inst{op: iLoad, src: idx}
 		rank = idx + 1
-		node = lw.step(node, uint64(idx))
+		payload = uint64(idx)
 	default:
-		args = make([]int32, len(e.args))
-		for i, a := range e.args {
+		for _, a := range e.args {
 			reg, err := lw.lower(a)
 			if err != nil {
 				return 0, err
 			}
-			args[i] = reg
+			args = append(args, reg)
 			rank = max(rank, lw.rank[reg])
-			node = lw.step(node, uint64(reg))
 		}
 		switch e.op {
 		case OpAdd:
@@ -212,9 +275,15 @@ func (lw *lowering) lower(e *Expr) (int32, error) {
 		default:
 			return 0, fmt.Errorf("symbolic: compile: unknown op %v", e.op)
 		}
+		if in.op == iCeil || in.op == iFloor {
+			payload, args = uint64(args[0]), nil
+		}
 	}
-	if reg := lw.regOf[node]; reg >= 0 {
-		lw.byNode[e] = reg
+	reg, slot, h := lw.find(in.op, payload, args)
+	if reg >= 0 {
+		if memo {
+			lw.byNode[e] = reg
+		}
 		return reg, nil
 	}
 	switch in.op {
@@ -223,16 +292,18 @@ func (lw *lowering) lower(e *Expr) (int32, error) {
 		p.consts = append(p.consts, e.val)
 	case iLoad:
 	case iCeil, iFloor:
-		in.src = args[0]
+		in.src = int32(payload)
 	default:
 		in.src, in.n = int32(len(p.args)), int32(len(args))
 		p.args = append(p.args, args...)
 	}
-	reg := int32(len(p.insts))
+	reg = int32(len(p.insts))
 	p.insts = append(p.insts, in)
 	lw.rank = append(lw.rank, rank)
-	lw.byNode[e] = reg
-	lw.regOf[node] = reg
+	lw.record(reg, slot, h)
+	if memo {
+		lw.byNode[e] = reg
+	}
 	return reg, nil
 }
 

@@ -16,6 +16,7 @@ package symbolic
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -114,7 +115,8 @@ func Var(name string) *Expr {
 
 // Add returns the simplified sum of the operands. Add() is 0.
 func Add(xs ...*Expr) *Expr {
-	terms := make([]*Expr, 0, len(xs))
+	var buf [16]*Expr // the flattened terms; the sum's operands are a fresh slice
+	terms := buf[:0]
 	constSum := 0.0
 	for _, x := range xs {
 		x = mustExpr(x)
@@ -134,17 +136,40 @@ func Add(xs ...*Expr) *Expr {
 		}
 		terms = append(terms, x)
 	}
-	terms = collectLikeTerms(terms)
-	if constSum != 0 {
-		terms = append(terms, Const(constSum))
+	switch {
+	case len(terms) == 0 && constSum == 0:
+		return zero
+	case len(terms) == 0:
+		return Const(constSum)
+	case len(terms) == 1 && constSum == 0:
+		return terms[0]
 	}
-	switch len(terms) {
+	var argBuf [16]*Expr
+	args := collectLikeTerms(argBuf[:0], terms)
+	if constSum != 0 {
+		args = append(args, Const(constSum))
+	}
+	switch len(args) {
 	case 0:
 		return zero
 	case 1:
-		return terms[0]
+		return args[0]
 	}
-	return &Expr{op: OpAdd, args: terms}
+	return composite(OpAdd, args)
+}
+
+// composite returns a node of op over a copy of args: node and operand
+// list in one allocation when the list is short.
+func composite(op Op, args []*Expr) *Expr {
+	if len(args) <= 4 {
+		n := &struct {
+			e Expr
+			a [4]*Expr
+		}{}
+		n.e = Expr{op: op, args: n.a[:copy(n.a[:], args):len(args)]}
+		return &n.e
+	}
+	return &Expr{op: op, args: slices.Clone(args)}
 }
 
 // Sub returns a - b.
@@ -155,14 +180,19 @@ func Neg(a *Expr) *Expr { return Mul(Const(-1), a) }
 
 // Mul returns the simplified product of the operands. Mul() is 1.
 func Mul(xs ...*Expr) *Expr {
-	factors := make([]*Expr, 0, len(xs))
+	var buf [8]*Expr
+	factors := buf[:1] // factors[0]: the constant's slot
 	constProd := 1.0
+	var only *Expr // the constant operand, while there is one
+	consts := 0
 	for _, x := range xs {
 		x = mustExpr(x)
 		if x.op == OpMul {
 			for _, a := range x.args {
 				if c, ok := a.IsConst(); ok {
 					constProd *= c
+					only = a
+					consts++
 				} else {
 					factors = append(factors, a)
 				}
@@ -171,6 +201,8 @@ func Mul(xs ...*Expr) *Expr {
 		}
 		if c, ok := x.IsConst(); ok {
 			constProd *= c
+			only = x
+			consts++
 			continue
 		}
 		factors = append(factors, x)
@@ -179,7 +211,12 @@ func Mul(xs ...*Expr) *Expr {
 		return zero
 	}
 	if constProd != 1 {
-		factors = append([]*Expr{Const(constProd)}, factors...)
+		if consts != 1 || only.val != constProd {
+			only = Const(constProd)
+		}
+		factors[0] = only
+	} else {
+		factors = factors[1:]
 	}
 	switch len(factors) {
 	case 0:
@@ -187,7 +224,7 @@ func Mul(xs ...*Expr) *Expr {
 	case 1:
 		return factors[0]
 	}
-	return &Expr{op: OpMul, args: factors}
+	return composite(OpMul, factors)
 }
 
 // Div returns a / b, folding constants and cancelling the trivial cases
@@ -314,36 +351,38 @@ func mustExpr(e *Expr) *Expr {
 }
 
 // collectLikeTerms merges structurally equal non-constant terms of a sum
-// into coefficient*term factors: x + 2x -> 3x.
-func collectLikeTerms(terms []*Expr) []*Expr {
-	if len(terms) < 2 {
-		return terms
-	}
+// into coefficient*term factors, x + 2x -> 3x, and appends them to dst.
+func collectLikeTerms(dst, terms []*Expr) []*Expr {
 	type entry struct {
-		base  *Expr
-		coeff float64
+		base, term *Expr // term: the first term with this base
+		coeff      float64
+		merged     bool
 	}
-	entries := make([]entry, 0, len(terms))
+	var buf [8]entry
+	entries := buf[:0]
 	for _, t := range terms {
 		coeff, base := splitCoeff(t)
 		merged := false
 		for i := range entries {
 			if entries[i].base.equal(base) {
 				entries[i].coeff += coeff
+				entries[i].merged = true
 				merged = true
 				break
 			}
 		}
 		if !merged {
-			entries = append(entries, entry{base: base, coeff: coeff})
+			entries = append(entries, entry{base: base, term: t, coeff: coeff})
 		}
 	}
-	out := make([]*Expr, 0, len(entries))
+	out := dst
 	for _, en := range entries {
-		switch en.coeff {
-		case 0:
+		switch {
+		case en.coeff == 0:
 			// dropped
-		case 1:
+		case !en.merged:
+			out = append(out, en.term) // what coeff*base would rebuild
+		case en.coeff == 1:
 			out = append(out, en.base)
 		default:
 			out = append(out, rawMulCoeff(en.coeff, en.base))
@@ -377,7 +416,14 @@ func rawMulCoeff(coeff float64, base *Expr) *Expr {
 		args = append(args, base.args...)
 		return &Expr{op: OpMul, args: args}
 	}
-	return &Expr{op: OpMul, args: []*Expr{Const(coeff), base}}
+	// One allocation for the product, its operand list and the constant.
+	n := &struct {
+		mul, c Expr
+		args   [2]*Expr
+	}{c: Expr{op: OpConst, val: coeff}}
+	n.args = [2]*Expr{&n.c, base}
+	n.mul = Expr{op: OpMul, args: n.args[:]}
+	return &n.mul
 }
 
 // equal reports structural equality.
