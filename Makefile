@@ -82,11 +82,12 @@ property: ## schedule, frontier, compile and trace invariants (every section byt
 	$(GO) test ./internal/schedule ./internal/core ./internal/symbolic ./internal/graph -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
 	$(GO) test ./internal/schedule -run 'TestPropertyLiftedProgramMatchesPerShapeBuild|TestPropertyComputeFloorBoundsStable' -count=1 -reference.full
 
-bench: ## cold and warm tuner (BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down; BenchmarkTuneColdGrid is mistperf's 8-cell search-cold grid, each cell a fresh tuner, search and trainsim re-measure), one 405-knob row through the analyzer and through the eval cache, batch-submit amortization, tracing overhead, SLO evaluation
+bench: ## cold and warm tuner (BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down; BenchmarkTuneColdGrid is mistperf's 8-cell search-cold grid, each cell a fresh tuner, search and trainsim re-measure), one 405-knob row through the analyzer and through the eval cache, batch-submit amortization, one node's /metrics and /stats scrape on a 3-node fleet, tracing overhead, SLO evaluation
 	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x .
 	$(GO) test -run xxx -bench 'BenchmarkEvaluateBatch' ./internal/schedule
 	$(GO) test -run xxx -bench 'BenchmarkRow' ./internal/evalcache
 	$(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=2x ./internal/serve
+	$(GO) test -run xxx -bench 'BenchmarkScrape' -benchmem ./internal/serve
 	$(GO) test -run xxx -bench 'BenchmarkTraceOverhead' ./internal/trace
 	$(GO) test -run xxx -bench 'BenchmarkSLOEvaluate' -benchtime=2s ./internal/slo
 	$(GO) test -run xxx -bench 'BenchmarkPilotEvaluate' -benchtime=2s ./internal/pilot
@@ -96,6 +97,7 @@ bench-json: ## run the bench set and record a machine-readable trajectory point 
 	  $(GO) test -run xxx -bench 'BenchmarkEvaluateBatch' -benchmem ./internal/schedule ; \
 	  $(GO) test -run xxx -bench 'BenchmarkRow' -benchmem ./internal/evalcache ; \
 	  $(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=2x -benchmem ./internal/serve ; \
+	  $(GO) test -run xxx -bench 'BenchmarkScrape' -benchmem ./internal/serve ; \
 	  $(GO) test -run xxx -bench 'BenchmarkTraceOverhead' -benchmem ./internal/trace ; \
 	  $(GO) test -run xxx -bench 'BenchmarkSLOEvaluate' -benchtime=2s -benchmem ./internal/slo ; \
 	  $(GO) test -run xxx -bench 'BenchmarkPilotEvaluate' -benchtime=2s -benchmem ./internal/pilot ) \

@@ -13,10 +13,11 @@
 package metrics
 
 import (
-	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -205,31 +206,44 @@ func (s HistSnapshot) Mean() time.Duration {
 	return s.Sum / time.Duration(s.Count)
 }
 
-// Labels name one series within a metric family. Keys and values must
-// not contain '"' or '\n' (they are rendered into the exposition format
-// unescaped).
+// Labels name one series within a metric family. Keys must be valid
+// Prometheus label names, and a histogram's keys must not include "le",
+// which its bucket lines carry. Values are rendered Go-quoted (the %q
+// verb, strconv.Quote): `\` and `"` are escaped, as the exposition
+// format requires, and so are a newline, a tab and every other
+// non-printable rune; printable non-ASCII text passes through as is.
 type Labels map[string]string
+
+// keys returns l's keys in sorted order.
+func (l Labels) keys() []string {
+	keys := make([]string, 0, len(l))
+	for k := range l {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// appendPair appends one label as k="v".
+func appendPair(b []byte, k, v string) []byte {
+	b = append(b, k...)
+	b = append(b, '=')
+	return strconv.AppendQuote(b, v)
+}
 
 // render canonicalizes labels: sorted keys, Prometheus selector syntax.
 func (l Labels) render() string {
 	if len(l) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(l))
-	for k := range l {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, k := range keys {
+	b := []byte{'{'}
+	for i, k := range l.keys() {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&sb, "%s=%q", k, l[k])
+		b = appendPair(b, k, l[k])
 	}
-	sb.WriteByte('}')
-	return sb.String()
+	return string(append(b, '}'))
 }
 
 // clone copies the label set so registry entries are immune to caller
@@ -267,67 +281,158 @@ type GaugePoint struct {
 	Value  float64
 }
 
+// series is what every registry entry shares: its family, its labels,
+// and its text, name{labels} rendered once at registration — the
+// series' identity in the registry and the head of its exposition line.
+type series struct {
+	name   string
+	labels Labels
+	text   string
+}
+
+func newSeries(name string, labels Labels) series {
+	return series{name: name, labels: labels.clone(), text: name + labels.render()}
+}
+
+func (s *series) id() *series { return s }
+
+// entry is a registry entry of any kind.
+type entry interface{ id() *series }
+
+// find returns where the series name/text sits in s, sorted by family
+// and then rendered labels, and whether it is there.
+func find[E entry](s []E, name, text string) (int, bool) {
+	return slices.BinarySearchFunc(s, name, func(e E, name string) int {
+		if c := strings.Compare(e.id().name, name); c != 0 {
+			return c
+		}
+		return strings.Compare(e.id().text, text)
+	})
+}
+
+// with returns s with e stored at i, inserted or, when replace, in
+// place of the entry there, always in a new array: the registry never
+// writes a slice it has let go of, so a reader that copied the slice
+// header under the lock walks it without the lock.
+func with[E entry](s []E, i int, e E, replace bool) []E {
+	if replace {
+		s = slices.Clone(s)
+		s[i] = e
+		return s
+	}
+	return slices.Insert(slices.Clip(s), i, e)
+}
+
+// getOrCreate returns the entry of name{labels} in *list, creating it
+// with mk if needed.
+func getOrCreate[E entry](r *Registry, list *[]E, name string, labels Labels, mk func(series) E) E {
+	text := name + labels.render()
+	r.mu.RLock()
+	i, ok := find(*list, name, text)
+	var e E
+	if ok {
+		e = (*list)[i]
+	}
+	r.mu.RUnlock()
+	if ok {
+		return e
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i, ok = find(*list, name, text); ok {
+		return (*list)[i]
+	}
+	e = mk(series{name: name, labels: labels.clone(), text: text})
+	*list = with(*list, i, e, false)
+	return e
+}
+
 // counterEntry is read through fn: c.Value for a stored counter, the
 // callback alone (c nil) for a derived one (see CounterFunc).
 type counterEntry struct {
-	name   string
-	labels Labels
-	c      *Counter
-	fn     func() uint64
+	series
+	c  *Counter
+	fn func() uint64
 }
 
 type gaugeEntry struct {
-	name   string
-	labels Labels
-	fn     func() float64
+	series
+	fn func() float64
 }
 
+// histEntry keeps the text around each value of its exposition lines:
+// bucket i's line is bucket + leText[i] + bucketEnd + cumulative count,
+// the other two sum + seconds and count + observations.
 type histEntry struct {
-	name   string
-	labels Labels
-	h      *Histogram
+	series
+	h                 *Histogram
+	bucket, bucketEnd string
+	sum, count        string
+}
+
+// leText is each bucket's le label value, rendered once: its upper
+// bound in seconds as appendSeconds writes it (float rounding included:
+// bucket 15's is 1.6383999999999999), and "+Inf" for the overflow
+// bucket.
+var leText = func() (t [NumHistBuckets]string) {
+	for i := 0; i < numBuckets; i++ {
+		t[i] = string(appendSeconds(nil, bucketBound(i)))
+	}
+	t[numBuckets] = "+Inf"
+	return t
+}()
+
+// newHistEntry renders a histogram's line text, placing le among the
+// series' own labels in key order.
+func newHistEntry(s series) *histEntry {
+	keys := s.labels.keys()
+	at := sort.SearchStrings(keys, "le")
+	b := append([]byte(s.name), "_bucket{"...)
+	for _, k := range keys[:at] {
+		b = append(appendPair(b, k, s.labels[k]), ',')
+	}
+	bucket := string(append(b, `le="`...))
+	b = append(b[:0], '"')
+	for _, k := range keys[at:] {
+		b = appendPair(append(b, ','), k, s.labels[k])
+	}
+	lb := s.text[len(s.name):]
+	return &histEntry{
+		series: s, h: &Histogram{},
+		bucket: bucket, bucketEnd: string(append(b, "} "...)),
+		sum: s.name + "_sum" + lb + " ", count: s.name + "_count" + lb + " ",
+	}
 }
 
 // Registry holds named, labeled series. Get-or-create is a short
 // critical section; the returned Counter/Histogram pointers are stable,
 // so hot paths may cache them and bypass the registry entirely.
 type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*counterEntry
-	hists    map[string]*histEntry
-	gauges   map[string]*gaugeEntry
+	mu sync.RWMutex
+	// Each kind's entries, sorted by family and then rendered labels,
+	// so a family is one run; replaced whole on registration (see with).
+	counters []*counterEntry
+	gauges   []*gaugeEntry
+	hists    []*histEntry
+
+	// expoSize is the last exposition's length: the next scrape sizes
+	// its one buffer by it.
+	expoSize atomic.Int64
 }
 
 // NewRegistry builds an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*counterEntry{},
-		hists:    map[string]*histEntry{},
-		gauges:   map[string]*gaugeEntry{},
-	}
-}
-
-func seriesKey(name string, labels Labels) string { return name + labels.render() }
+func NewRegistry() *Registry { return &Registry{} }
 
 // Counter returns (creating if needed) the counter series name{labels}.
 // It panics if that series is a derived counter: there is nothing to
 // increment.
 func (r *Registry) Counter(name string, labels Labels) *Counter {
-	key := seriesKey(name, labels)
-	r.mu.RLock()
-	e, ok := r.counters[key]
-	r.mu.RUnlock()
-	if !ok {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if e, ok = r.counters[key]; !ok {
-			c := &Counter{}
-			e = &counterEntry{name: name, labels: labels.clone(), c: c, fn: c.Value}
-			r.counters[key] = e
-		}
-	}
+	e := getOrCreate(r, &r.counters, name, labels, func(s series) *counterEntry {
+		c := &Counter{}
+		return &counterEntry{series: s, c: c, fn: c.Value}
+	})
 	if e.c == nil {
-		panic("metrics: " + key + " is a derived counter")
+		panic("metrics: " + e.text + " is a derived counter")
 	}
 	return e.c
 }
@@ -339,27 +444,35 @@ func (r *Registry) Counter(name string, labels Labels) *Counter {
 // read the registry (SumCounters). It panics if the series already
 // holds a stored counter, whose increments would silently vanish.
 func (r *Registry) CounterFunc(name string, labels Labels, fn func() uint64) {
-	key := seriesKey(name, labels)
+	e := &counterEntry{series: newSeries(name, labels), fn: fn}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.counters[key]; ok && e.c != nil {
-		panic("metrics: " + key + " is a stored counter")
+	i, ok := find(r.counters, name, e.text)
+	if ok && r.counters[i].c != nil {
+		panic("metrics: " + e.text + " is a stored counter")
 	}
-	r.counters[key] = &counterEntry{name: name, labels: labels.clone(), fn: fn}
+	r.counters = with(r.counters, i, e, ok)
 }
 
 // SumCounters adds up the stored counters named name whose labels
 // include every pair in match (nil: the whole family); derived counters
-// are never summed. It walks counters only — no histogram is
-// snapshotted and nothing is allocated — which is what lets /stats
+// are never summed. It walks that family's counters only — no histogram
+// is snapshotted and nothing is allocated — which is what lets /stats
 // report a labelled family as one scalar.
 func (r *Registry) SumCounters(name string, match Labels) uint64 {
-	var sum uint64
 	r.mu.RLock()
-	defer r.mu.RUnlock()
+	cs := r.counters
+	r.mu.RUnlock()
+	i, _ := slices.BinarySearchFunc(cs, name, func(e *counterEntry, name string) int {
+		return strings.Compare(e.name, name)
+	})
+	var sum uint64
 next:
-	for _, e := range r.counters {
-		if e.name != name || e.c == nil {
+	for _, e := range cs[i:] {
+		if e.name != name {
+			break
+		}
+		if e.c == nil {
 			continue
 		}
 		for k, v := range match {
@@ -373,23 +486,12 @@ next:
 }
 
 // Histogram returns (creating if needed) the histogram series
-// name{labels}.
+// name{labels}. It panics if labels has an "le" key.
 func (r *Registry) Histogram(name string, labels Labels) *Histogram {
-	key := seriesKey(name, labels)
-	r.mu.RLock()
-	e, ok := r.hists[key]
-	r.mu.RUnlock()
-	if ok {
-		return e.h
+	if _, ok := labels["le"]; ok {
+		panic("metrics: " + name + ": le is the bucket label")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.hists[key]; ok {
-		return e.h
-	}
-	e = &histEntry{name: name, labels: labels.clone(), h: &Histogram{}}
-	r.hists[key] = e
-	return e.h
+	return getOrCreate(r, &r.hists, name, labels, newHistEntry).h
 }
 
 // RegisterGauge registers (or replaces) a callback gauge: fn is
@@ -398,119 +500,103 @@ func (r *Registry) Histogram(name string, labels Labels) *Histogram {
 // use and must not block — runtime introspection (goroutine counts,
 // memstats) is the intended shape.
 func (r *Registry) RegisterGauge(name string, labels Labels, fn func() float64) {
-	key := seriesKey(name, labels)
+	e := &gaugeEntry{series: newSeries(name, labels), fn: fn}
 	r.mu.Lock()
-	r.gauges[key] = &gaugeEntry{name: name, labels: labels.clone(), fn: fn}
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	i, ok := find(r.gauges, name, e.text)
+	r.gauges = with(r.gauges, i, e, ok)
 }
 
-// GatherGauges evaluates every gauge callback, sorted by series key.
-// Callbacks run outside the registry lock so a slow one cannot stall
-// hot-path get-or-create.
+// GatherGauges evaluates every gauge callback, sorted by family and
+// then labels. Callbacks run outside the registry lock so a slow one
+// cannot stall hot-path get-or-create.
 func (r *Registry) GatherGauges() []GaugePoint {
 	r.mu.RLock()
-	entries := make([]*gaugeEntry, 0, len(r.gauges))
-	keys := make([]string, 0, len(r.gauges))
-	for k := range r.gauges {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		entries = append(entries, r.gauges[k])
-	}
+	gs := r.gauges
 	r.mu.RUnlock()
-	out := make([]GaugePoint, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, GaugePoint{Name: e.name, Labels: e.labels.clone(), Value: e.fn()})
+	out := make([]GaugePoint, len(gs))
+	for i, e := range gs {
+		out[i] = GaugePoint{Name: e.name, Labels: e.labels.clone(), Value: e.fn()}
 	}
 	return out
 }
 
-// Gather snapshots every series, sorted by series key so output order is
-// stable across calls. Counter values are read after the lock is
-// released: a derived counter's callback may take it again.
+// Gather snapshots every series, sorted by family and then labels so
+// output order is stable across calls. Values are read outside the
+// registry lock: a derived counter's callback may take it again.
 func (r *Registry) Gather() ([]CounterPoint, []HistogramPoint) {
 	r.mu.RLock()
-	ckeys := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		ckeys = append(ckeys, k)
-	}
-	hkeys := make([]string, 0, len(r.hists))
-	for k := range r.hists {
-		hkeys = append(hkeys, k)
-	}
-	sort.Strings(ckeys)
-	sort.Strings(hkeys)
-	ces := make([]*counterEntry, 0, len(ckeys))
-	for _, k := range ckeys {
-		ces = append(ces, r.counters[k])
-	}
-	hs := make([]HistogramPoint, 0, len(hkeys))
-	for _, k := range hkeys {
-		e := r.hists[k]
-		hs = append(hs, HistogramPoint{Name: e.name, Labels: e.labels.clone(), Snap: e.h.Snapshot()})
-	}
+	ces, hes := r.counters, r.hists
 	r.mu.RUnlock()
-	cs := make([]CounterPoint, 0, len(ces))
-	for _, e := range ces {
-		cs = append(cs, CounterPoint{Name: e.name, Labels: e.labels.clone(), Value: e.fn()})
+	cs := make([]CounterPoint, len(ces))
+	for i, e := range ces {
+		cs[i] = CounterPoint{Name: e.name, Labels: e.labels.clone(), Value: e.fn()}
+	}
+	hs := make([]HistogramPoint, len(hes))
+	for i, e := range hes {
+		hs[i] = HistogramPoint{Name: e.name, Labels: e.labels.clone(), Snap: e.h.Snapshot()}
 	}
 	return cs, hs
 }
 
 // WritePrometheus renders every series in the Prometheus text exposition
-// format (counters, then histograms with cumulative _bucket/_sum/_count
-// series), in stable sorted order.
+// format (counters, then gauges, then histograms with cumulative
+// _bucket/_sum/_count series), each kind sorted by family and then
+// labels, in one Write. A line is text its series rendered at
+// registration plus the live value formatted in place: a scrape renders
+// no label and allocates one buffer.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	cs, hs := r.Gather()
-	lastType := ""
-	for _, c := range cs {
-		if c.Name != lastType {
-			fmt.Fprintf(w, "# TYPE %s counter\n", c.Name)
-			lastType = c.Name
+	r.mu.RLock()
+	cs, gs, hs := r.counters, r.gauges, r.hists
+	r.mu.RUnlock()
+	b := make([]byte, 0, r.expoSize.Load()+1024)
+	for i, e := range cs {
+		if i == 0 || cs[i-1].name != e.name {
+			b = appendType(b, e.name, "counter")
 		}
-		fmt.Fprintf(w, "%s%s %d\n", c.Name, c.Labels.render(), c.Value)
+		b = append(append(b, e.text...), ' ')
+		b = append(strconv.AppendUint(b, e.fn(), 10), '\n')
 	}
-	lastType = ""
-	for _, g := range r.GatherGauges() {
-		if g.Name != lastType {
-			fmt.Fprintf(w, "# TYPE %s gauge\n", g.Name)
-			lastType = g.Name
+	for i, e := range gs {
+		if i == 0 || gs[i-1].name != e.name {
+			b = appendType(b, e.name, "gauge")
 		}
-		fmt.Fprintf(w, "%s%s %g\n", g.Name, g.Labels.render(), g.Value)
+		b = append(append(b, e.text...), ' ')
+		b = append(strconv.AppendFloat(b, e.fn(), 'g', -1, 64), '\n')
 	}
-	lastType = ""
-	for _, h := range hs {
-		if h.Name != lastType {
-			fmt.Fprintf(w, "# TYPE %s histogram\n", h.Name)
-			lastType = h.Name
+	for i, e := range hs {
+		if i == 0 || hs[i-1].name != e.name {
+			b = appendType(b, e.name, "histogram")
 		}
 		cum := uint64(0)
-		for i := 0; i <= numBuckets; i++ {
-			cum += h.Snap.Buckets[i]
-			le := "+Inf"
-			if i < numBuckets {
-				le = formatSeconds(bucketBound(i))
-			}
-			lb := Labels{"le": le}
-			for k, v := range h.Labels {
-				lb[k] = v
-			}
-			fmt.Fprintf(w, "%s_bucket%s %d\n", h.Name, lb.render(), cum)
+		for j := range e.h.buckets {
+			cum += e.h.buckets[j].Load()
+			b = append(append(append(b, e.bucket...), leText[j]...), e.bucketEnd...)
+			b = append(strconv.AppendUint(b, cum, 10), '\n')
 		}
-		fmt.Fprintf(w, "%s_sum%s %s\n", h.Name, h.Labels.render(), formatSeconds(h.Snap.Sum))
-		fmt.Fprintf(w, "%s_count%s %d\n", h.Name, h.Labels.render(), h.Snap.Count)
+		b = append(b, e.sum...)
+		b = append(appendSeconds(b, time.Duration(e.h.sum.Load())), '\n')
+		b = append(b, e.count...)
+		b = append(strconv.AppendUint(b, e.h.count.Load(), 10), '\n')
 	}
+	r.expoSize.Store(int64(len(b)))
+	_, _ = w.Write(b) // the writer reports its own failure (an HTTP response's)
 }
 
-// formatSeconds renders a duration as decimal seconds with no trailing
-// zero noise (bucket bounds are exact binary multiples of 50µs).
-func formatSeconds(d time.Duration) string {
+// appendType appends a family's TYPE line.
+func appendType(b []byte, name, typ string) []byte {
+	b = append(append(append(b, "# TYPE "...), name...), ' ')
+	return append(append(b, typ...), '\n')
+}
+
+// appendSeconds appends a duration as decimal seconds with no trailing
+// zero noise: an integer when whole, else the shortest %g form.
+func appendSeconds(b []byte, d time.Duration) []byte {
 	s := d.Seconds()
 	if s == math.Trunc(s) {
-		return fmt.Sprintf("%d", int64(s))
+		return strconv.AppendInt(b, int64(s), 10)
 	}
-	return fmt.Sprintf("%g", s)
+	return strconv.AppendFloat(b, s, 'g', -1, 64)
 }
 
 // EndpointSummary is the folded view of one endpoint's request series:

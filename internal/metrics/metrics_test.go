@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -206,6 +207,14 @@ func TestRegistrySeriesIdentityAndGather(t *testing.T) {
 	if hs[0].Snap.Count != 1 {
 		t.Errorf("hist count %d", hs[0].Snap.Count)
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error(`a histogram labelled "le" did not panic`)
+			}
+		}()
+		r.Histogram("lat", Labels{"le": "1"})
+	}()
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
@@ -289,5 +298,84 @@ func TestSumCountersAndCounterFunc(t *testing.T) {
 	}
 	if got := r.SumCounters("other", nil); got != 100 {
 		t.Errorf("stored counter after refused CounterFunc = %d, want 100", got)
+	}
+}
+
+// TestFamilyIsOneRun: a family whose name is a prefix of another's
+// (mist_a, mist_a_b) stays one run with one TYPE line. Sorted by the
+// concatenated series key, mist_a{x="1"} sorted after mist_a_b, and the
+// exposition declared mist_a twice, which Prometheus's parser rejects.
+func TestFamilyIsOneRun(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("mist_a", nil).Inc()
+	r.Counter("mist_a_b", nil).Inc()
+	r.Counter("mist_a", Labels{"x": "1"}).Inc()
+	r.RegisterGauge("mist_g", nil, func() float64 { return 1 })
+	r.RegisterGauge("mist_g_h", nil, func() float64 { return 2 })
+	r.RegisterGauge("mist_g", Labels{"x": "1"}, func() float64 { return 3 })
+	r.Histogram("mist_h", nil)
+	r.Histogram("mist_h_i", nil)
+	r.Histogram("mist_h", Labels{"x": "1"})
+
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	family := ""
+	declared := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if f := strings.Fields(line); f[0] == "#" {
+			if declared[f[2]] {
+				t.Errorf("family %s declared twice:\n%s", f[2], buf.String())
+			}
+			declared[f[2]] = true
+			family = f[2]
+			continue
+		}
+		name, _, _ := strings.Cut(strings.Fields(line)[0], "{")
+		if name != family && name != family+"_bucket" && name != family+"_sum" && name != family+"_count" {
+			t.Errorf("sample %q outside its family's run (last TYPE %s)", line, family)
+		}
+	}
+	if len(declared) != 6 {
+		t.Errorf("%d families declared, want 6:\n%s", len(declared), buf.String())
+	}
+}
+
+// TestRegistryConcurrentRegisterAndScrape registers, increments and
+// scrapes from several goroutines at once: a scrape walks the sorted
+// series without the lock while registrations replace them, so under
+// -race this is the test of that hand-off. Afterwards every increment
+// is in the exposition and the order is the reference's.
+func TestRegistryConcurrentRegisterAndScrape(t *testing.T) {
+	r := NewRegistry()
+	const workers, per = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				peer := string(rune('a'+w)) + string(rune('a'+i%26))
+				r.Counter("mist_forwards_total", Labels{"peer": peer, "code": "200"}).Inc()
+				r.Histogram("mist_latency_seconds", Labels{"peer": peer}).Observe(time.Duration(i) * time.Millisecond)
+				r.RegisterGauge("mist_level", Labels{"peer": peer}, func() float64 { return float64(i) })
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				r.WritePrometheus(io.Discard)
+				r.SumCounters("mist_forwards_total", Labels{"code": "200"})
+			}
+		}()
+	}
+	wg.Wait()
+	if got := r.SumCounters("mist_forwards_total", nil); got != workers*per {
+		t.Errorf("forwards sum %d, want %d", got, workers*per)
+	}
+	var got, want bytes.Buffer
+	r.WritePrometheus(&got)
+	referenceWritePrometheus(r, &want)
+	if got.String() != want.String() {
+		t.Error("exposition after concurrent registration differs from the reference")
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log/slog"
@@ -145,28 +144,50 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// counterFamily hands out the counters of one labelled family by label
+// tuple, resolving each tuple in the registry once per server: a
+// registry lookup renders its label set, so a request path asks here
+// and pays a short map lookup instead. Each server has its own (the
+// handles are its registry's).
+type counterFamily[K comparable] struct {
+	reg    *metrics.Registry
+	name   string
+	labels func(K) metrics.Labels
+
+	mu    sync.Mutex
+	byKey map[K]*metrics.Counter
+}
+
+func newCounterFamily[K comparable](reg *metrics.Registry, name string, labels func(K) metrics.Labels) *counterFamily[K] {
+	return &counterFamily[K]{reg: reg, name: name, labels: labels, byKey: map[K]*metrics.Counter{}}
+}
+
+// get returns the family's counter for the label tuple k.
+func (f *counterFamily[K]) get(k K) *metrics.Counter {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c, ok := f.byKey[k]
+	if !ok {
+		c = f.reg.Counter(f.name, f.labels(k))
+		f.byKey[k] = c
+	}
+	return c
+}
+
 // wrap is the middleware stack applied to every route: per-request
 // deadline, admission gate (nil for cheap endpoints), and latency +
 // status-code instrumentation under a stable endpoint label. The
-// histogram is resolved once at mount time and code counters are cached
-// per route (registry pointers are stable), so the per-request cost is
-// a short map lookup plus atomic adds — no label allocation on the hot
-// path this package exists to measure.
+// histogram is resolved once at mount time and code counters once per
+// route and code (registry pointers are stable), so the per-request
+// cost is a short map lookup plus atomic adds — no label allocation on
+// the hot path this package exists to measure.
 func (s *Server) wrap(endpoint string, g *gate, h http.HandlerFunc) http.HandlerFunc {
 	hist := s.metrics.Histogram(metricRequestSeconds, metrics.Labels{"endpoint": endpoint})
-	var mu sync.Mutex
-	codeCounters := map[int]*metrics.Counter{}
+	codes := newCounterFamily(s.metrics, metricRequestsTotal, func(code int) metrics.Labels {
+		return metrics.Labels{"endpoint": endpoint, "code": strconv.Itoa(code)}
+	})
 	observe := func(code int, d time.Duration, traceID string) {
-		mu.Lock()
-		c, ok := codeCounters[code]
-		if !ok {
-			c = s.metrics.Counter(metricRequestsTotal, metrics.Labels{
-				"endpoint": endpoint, "code": strconv.Itoa(code),
-			})
-			codeCounters[code] = c
-		}
-		mu.Unlock()
-		c.Inc()
+		codes.get(code).Inc()
 		// Sampled requests leave their trace id as the latency bucket's
 		// exemplar, so an SLO latency breach links straight to a
 		// /debug/traces entry from the offending latency band.
@@ -270,11 +291,9 @@ func (s *Server) httpStats() []EndpointStats {
 // format — the whole of /metrics: every counter, gauge and histogram
 // the server exposes is a registry series.
 func (s *Server) handleMetrics(rw http.ResponseWriter, req *http.Request) {
-	var buf bytes.Buffer
-	s.metrics.WritePrometheus(&buf)
 	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	rw.WriteHeader(http.StatusOK)
-	_, _ = rw.Write(buf.Bytes())
+	s.metrics.WritePrometheus(rw)
 }
 
 // retryAfterSeconds renders a Retry-After header value, rounding up so

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -29,6 +28,15 @@ const (
 	metricForwardsTotal      = "mist_cluster_forwards_total"       // labels: peer, code
 	metricForwardErrorsTotal = "mist_cluster_forward_errors_total" // labels: peer
 	metricReplicationsTotal  = "mist_cluster_replications_total"   // labels: peer, outcome
+)
+
+// Label tuples of the per-peer families (see counterFamily).
+type (
+	peerCode struct {
+		peer string
+		code int
+	}
+	peerOutcome struct{ peer, outcome string }
 )
 
 // newRequestID mints a 64-bit random hex id; ids only need to be
@@ -194,9 +202,7 @@ func (s *Server) replicateRecord(ctx context.Context, rec store.Record) {
 			}
 		}
 		allOK = allOK && outcome == "ok"
-		s.metrics.Counter(metricReplicationsTotal, metrics.Labels{
-			"peer": m.ID, "outcome": outcome,
-		}).Inc()
+		s.replications.get(peerOutcome{m.ID, outcome}).Inc()
 	}
 	rsp.Annotate("targets", len(targets))
 	rsp.Annotate("allOk", allOK)

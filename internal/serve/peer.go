@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/slo"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -107,7 +105,7 @@ func (s *Server) forwardOnce(ctx context.Context, m cluster.Member, method, path
 	if err != nil {
 		fsp.Annotate("error", err.Error())
 		fsp.End()
-		s.metrics.Counter(metricForwardErrorsTotal, metrics.Labels{"peer": m.ID}).Inc()
+		s.forwardErrors.get(m.ID).Inc()
 		if s.logging(ctx) {
 			s.log.InfoContext(ctx, "forward failed", "method", method, "path", path, "peer", m.ID, "err", err)
 		}
@@ -115,9 +113,7 @@ func (s *Server) forwardOnce(ctx context.Context, m cluster.Member, method, path
 	}
 	fsp.Annotate("code", resp.StatusCode)
 	fsp.End()
-	s.metrics.Counter(metricForwardsTotal, metrics.Labels{
-		"peer": m.ID, "code": strconv.Itoa(resp.StatusCode),
-	}).Inc()
+	s.forwards.get(peerCode{m.ID, resp.StatusCode}).Inc()
 	if s.logging(ctx) {
 		s.log.InfoContext(ctx, "forwarded", "method", method, "path", path, "peer", m.ID, "code", resp.StatusCode)
 	}

@@ -56,6 +56,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -367,9 +368,15 @@ type Server struct {
 	traceOpt *trace.Options
 	trace    *trace.Recorder
 
-	limits       Limits
-	metrics      *metrics.Registry
-	count        eventCounters
+	limits  Limits
+	metrics *metrics.Registry
+	count   eventCounters
+
+	// The per-peer families the request path increments.
+	forwards      *counterFamily[peerCode]
+	forwardErrors *counterFamily[string]
+	replications  *counterFamily[peerOutcome]
+
 	tuneGate     *gate
 	simulateGate *gate
 
@@ -443,6 +450,15 @@ func (s *Server) registerCounters() {
 		recordFetches:    c("mist_cluster_record_fetches_total"),
 		recordFetchHits:  c("mist_cluster_record_fetch_hits_total"),
 	}
+	s.forwards = newCounterFamily(s.metrics, metricForwardsTotal, func(k peerCode) metrics.Labels {
+		return metrics.Labels{"peer": k.peer, "code": strconv.Itoa(k.code)}
+	})
+	s.forwardErrors = newCounterFamily(s.metrics, metricForwardErrorsTotal, func(peer string) metrics.Labels {
+		return metrics.Labels{"peer": peer}
+	})
+	s.replications = newCounterFamily(s.metrics, metricReplicationsTotal, func(k peerOutcome) metrics.Labels {
+		return metrics.Labels{"peer": k.peer, "outcome": k.outcome}
+	})
 	s.metrics.CounterFunc("mist_http_rejected_total", nil, s.rejected429)
 	g := func(name string, fn func() int) {
 		s.metrics.RegisterGauge(name, nil, func() float64 { return float64(fn()) })
