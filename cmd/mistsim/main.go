@@ -16,9 +16,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	mist "repro"
+	"repro/internal/hardware"
 	"repro/internal/schedule"
 )
 
@@ -52,20 +52,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var cl *mist.Cluster
-	switch strings.ToLower(*platform) {
-	case "l4":
-		cl = mist.L4Cluster(*gpus)
-		if *seq == 0 {
-			*seq = 2048
-		}
-	case "a100":
-		cl = mist.A100Cluster(*gpus)
-		if *seq == 0 {
-			*seq = 4096
-		}
-	default:
-		log.Fatalf("unknown platform %q", *platform)
+	cl, defaultSeq, err := hardware.ClusterByName(*platform, *gpus)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *seq == 0 {
+		*seq = defaultSeq
 	}
 	w := mist.Workload{Model: cfg, Seq: *seq, Flash: *flash, GlobalBatch: *batch}
 

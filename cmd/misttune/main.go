@@ -24,9 +24,10 @@ import (
 	"log"
 	"os"
 	"strconv"
-	"strings"
 
 	mist "repro"
+	"repro/internal/core"
+	"repro/internal/hardware"
 	"repro/internal/serve"
 	"repro/internal/store"
 )
@@ -77,37 +78,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var cl *mist.Cluster
-	switch strings.ToLower(*platform) {
-	case "l4":
-		cl = mist.L4Cluster(*gpus)
-		if *seq == 0 {
-			*seq = 2048
-		}
-	case "a100":
-		cl = mist.A100Cluster(*gpus)
-		if *seq == 0 {
-			*seq = 4096
-		}
-	default:
-		log.Fatalf("unknown platform %q", *platform)
+	cl, defaultSeq, err := hardware.ClusterByName(*platform, *gpus)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var space mist.Space
-	switch strings.ToLower(*spaceName) {
-	case "mist":
-		space = mist.MistSpace()
-	case "megatron":
-		space = mist.MegatronSpace()
-	case "deepspeed":
-		space = mist.DeepSpeedSpace()
-	case "aceso":
-		space = mist.AcesoSpace()
-	case "3d":
-		space = mist.ThreeDSpace()
-	case "uniform":
-		space = mist.UniformSpace()
-	default:
-		log.Fatalf("unknown space %q", *spaceName)
+	if *seq == 0 {
+		*seq = defaultSeq
+	}
+	space, err := core.SpaceByName(*spaceName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	w := mist.Workload{Model: cfg, Seq: *seq, Flash: *flash, GlobalBatch: *batch}

@@ -28,11 +28,11 @@ import (
 	"repro/internal/trainsim"
 )
 
-// System pairs a search space with an execution mode.
+// System names a search space. A space that is not overlap-aware also
+// runs its plans serialized (Aceso's runtime).
 type System struct {
-	Name          string
-	Space         core.Space
-	SerializeExec bool // run the plan without overlap (Aceso's runtime)
+	Name  string
+	Space core.Space
 }
 
 // Mist is the full system.
@@ -47,7 +47,7 @@ func DeepSpeed() System { return System{Name: "deepspeed", Space: core.DeepSpeed
 // Aceso is the automatic checkpoint-tuning baseline; overlap-unaware in
 // both planning and execution.
 func Aceso() System {
-	return System{Name: "aceso", Space: core.AcesoSpace(), SerializeExec: true}
+	return System{Name: "aceso", Space: core.AcesoSpace()}
 }
 
 // Uniform is the uniform-stage heuristic of §3.3.
@@ -78,7 +78,7 @@ func Run(w plan.Workload, cl *hardware.Cluster, sys System) (*Outcome, error) {
 		return nil, fmt.Errorf("baselines: %s: %w", sys.Name, err)
 	}
 	eng := trainsim.New(w, cl, tn.An)
-	eng.Serialize = sys.SerializeExec
+	eng.Serialize = !sys.Space.OverlapAware
 	m, err := eng.Measure(res.Plan)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %s: measure: %w", sys.Name, err)

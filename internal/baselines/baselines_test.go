@@ -3,9 +3,11 @@ package baselines
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hardware"
 	"repro/internal/model"
 	"repro/internal/plan"
+	"repro/internal/trainsim"
 )
 
 func testWorkload(name string, batch int) plan.Workload {
@@ -56,21 +58,28 @@ func TestAcesoSerializedExecution(t *testing.T) {
 	// at least as fast.
 	cl := hardware.L4Cluster(1, 2)
 	w := testWorkload("gpt3-1.3b", 8)
-	aceso := Aceso()
-	o1, err := Run(w, cl, aceso)
+	o1, err := Run(w, cl, Aceso())
 	if err != nil {
 		t.Fatal(err)
 	}
-	aceso.SerializeExec = false
-	o2, err := Run(w, cl, aceso)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o1.OOM || o2.OOM {
+	if o1.OOM {
 		t.Skip("aceso plan OOMed")
 	}
-	if o2.Throughput < o1.Throughput-1e-9 {
-		t.Errorf("overlapped execution %.3f should be >= serialized %.3f", o2.Throughput, o1.Throughput)
+	an, err := core.CalibratedAnalyzer(w, cl, core.AcesoSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := trainsim.New(w, cl, an)
+	eng.Serialize = false
+	m2, err := eng.Measure(o1.Tune.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2.OOM(cl.MemoryBudget()) {
+		t.Skip("aceso plan OOMed")
+	}
+	if m2.Throughput < o1.Throughput-1e-9 {
+		t.Errorf("overlapped execution %.3f should be >= serialized %.3f", m2.Throughput, o1.Throughput)
 	}
 }
 

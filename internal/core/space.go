@@ -15,6 +15,11 @@
 // emulate the baselines and the Figure 13 ablation ladder.
 package core
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Space selects which optimizations the tuner may use. The zero value is
 // the most restricted (3D-parallelism-only) space; MistSpace enables
 // everything.
@@ -135,6 +140,30 @@ func UniformHeuristicSpace() Space {
 	s.Name = "uniform"
 	s.UniformStages = true
 	return s
+}
+
+// spaces is the one table of search-space names: each constructor above
+// under the name it puts in Space.Name.
+var spaces = []struct {
+	name  string
+	build func() Space
+}{
+	{"mist", MistSpace},
+	{"megatron", MegatronSpace},
+	{"deepspeed", DeepSpeedSpace},
+	{"aceso", AcesoSpace},
+	{"3d", ThreeDSpace},
+	{"uniform", UniformHeuristicSpace},
+}
+
+// SpaceByName returns the named search space (any case).
+func SpaceByName(name string) (Space, error) {
+	for _, s := range spaces {
+		if strings.EqualFold(s.name, name) {
+			return s.build(), nil
+		}
+	}
+	return Space{}, fmt.Errorf("unknown search space %q", name)
 }
 
 // BreakdownLadder returns the incremental spaces of Figure 13, in order:

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hardware"
 	"repro/internal/interference"
 	"repro/internal/model"
 	"repro/internal/pipeline"
@@ -30,7 +31,7 @@ func ablationHetero(scale Scale) (*Table, error) {
 	if scale == Small {
 		name, gpus, batch = "gpt3-2.7b", 4, 16
 	}
-	cl, seq, err := cluster("l4", gpus)
+	cl, seq, err := hardware.ClusterByName("l4", gpus)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +83,7 @@ func ablationPareto(scale Scale) (*Table, error) {
 	if scale == Small {
 		name, gpus, batch = "gpt3-2.7b", 4, 32
 	}
-	cl, seq, err := cluster("l4", gpus)
+	cl, seq, err := hardware.ClusterByName("l4", gpus)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +123,7 @@ func ablationSolver(scale Scale) (*Table, error) {
 	if scale == Small {
 		name, gpus, batch = "gpt3-1.3b", 4, 16
 	}
-	cl, seq, err := cluster("l4", gpus)
+	cl, seq, err := hardware.ClusterByName("l4", gpus)
 	if err != nil {
 		return nil, err
 	}

@@ -37,21 +37,6 @@ func smallSizes() []sizePoint {
 	return []sizePoint{{"1.3b", 2, 32}, {"2.7b", 4, 64}}
 }
 
-func cluster(platform string, gpus int) (*hardware.Cluster, int, error) {
-	nodes, perNode, err := hardware.MeshForGPUs(gpus)
-	if err != nil {
-		return nil, 0, err
-	}
-	switch platform {
-	case "l4":
-		return hardware.L4Cluster(nodes, perNode), 2048, nil
-	case "a100":
-		return hardware.A100Cluster(nodes, perNode), 4096, nil
-	default:
-		return nil, 0, fmt.Errorf("experiments: unknown platform %q", platform)
-	}
-}
-
 // endToEnd runs one Figure 11/12-style sweep.
 func endToEnd(title string, families []string, platforms []string, flash bool,
 	systems []baselines.System, sizes []sizePoint) (*Table, error) {
@@ -63,7 +48,7 @@ func endToEnd(title string, families []string, platforms []string, flash bool,
 	for _, platform := range platforms {
 		for _, fam := range families {
 			for _, pt := range sizes {
-				cl, seq, err := cluster(platform, pt.gpus)
+				cl, seq, err := hardware.ClusterByName(platform, pt.gpus)
 				if err != nil {
 					return nil, err
 				}
@@ -85,7 +70,7 @@ func endToEnd(title string, families []string, platforms []string, flash bool,
 						continue
 					}
 					row = append(row, out.Throughput)
-					if sys.Name == "mist" {
+					if sys.Name == baselines.Mist().Name {
 						mist = out.Throughput
 					} else if out.Throughput > bestBase {
 						bestBase = out.Throughput
@@ -178,7 +163,7 @@ func fig13(scale Scale) (*Table, error) {
 
 	results := make([][]float64, len(ladder))
 	for ci, c := range cells {
-		cl, seq, err := cluster("l4", c.gpus)
+		cl, seq, err := hardware.ClusterByName("l4", c.gpus)
 		if err != nil {
 			return nil, err
 		}
@@ -253,7 +238,7 @@ func fig14(scale Scale) (*Table, error) {
 	}
 	for _, flash := range []bool{false, true} {
 		for _, layers := range layerGrid {
-			cl, seq, err := cluster("l4", gpus)
+			cl, seq, err := hardware.ClusterByName("l4", gpus)
 			if err != nil {
 				return nil, err
 			}
@@ -308,7 +293,7 @@ func fig15(scale Scale) (*Table, error) {
 		Title:  "Figure 15: sensitivity to global batch size (relative throughput)",
 		Header: []string{"batch", "3d(samples/s)", "mist-no-imbalance", "mist"},
 	}
-	cl, seq, err := cluster("l4", gpus)
+	cl, seq, err := hardware.ClusterByName("l4", gpus)
 	if err != nil {
 		return nil, err
 	}

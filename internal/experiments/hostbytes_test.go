@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hardware"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/plan"
@@ -45,7 +46,7 @@ func TestFig11HostBytesPerNode(t *testing.T) {
 		{"llama-7b", 8, 128, "S=1 G=1 | ZeRO-0 dp8 tp1 0.5/1/1/1", 809, 1104, [2]float64{809, 1104}},
 		{"falcon-7b", 8, 128, "S=1 G=1 | ZeRO-0 dp8 tp1 1/1/1/1", 893, 962, [2]float64{893, 962}},
 	} {
-		cl, seq, err := cluster("l4", c.gpus)
+		cl, seq, err := hardware.ClusterByName("l4", c.gpus)
 		if err != nil {
 			t.Fatal(err)
 		}

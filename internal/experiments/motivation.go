@@ -66,7 +66,7 @@ func fig2(scale Scale) (*Table, error) {
 			t.Add(space.Name, "OOM", "-", "-")
 			continue
 		}
-		if space.Name == "3d" {
+		if space.Name == core.ThreeDSpace().Name {
 			baseline = out.Throughput
 		}
 		sp := "-"

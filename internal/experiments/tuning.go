@@ -31,7 +31,7 @@ func fig16(scale Scale) (*Table, error) {
 	if scale == Small {
 		name, gpus, batch = "gpt3-2.7b", 4, 32
 	}
-	cl, seq, err := cluster("l4", gpus)
+	cl, seq, err := hardware.ClusterByName("l4", gpus)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +120,7 @@ func accuracy(scale Scale) (*Table, error) {
 		name, gpus = "gpt3-7b", 8
 		batches = []int{32, 64, 128, 256}
 	}
-	cl, seq, err := cluster("l4", gpus)
+	cl, seq, err := hardware.ClusterByName("l4", gpus)
 	if err != nil {
 		return nil, err
 	}

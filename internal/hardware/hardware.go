@@ -238,6 +238,34 @@ func MeshForGPUs(total int) (nodes, perNode int, err error) {
 	}
 }
 
+// platforms is the one table of platform names: each Table 3 platform,
+// its cluster constructor, and the sequence length §6.1 trains it at.
+var platforms = []struct {
+	name  string
+	seq   int
+	build func(nodes, gpusPerNode int) *Cluster
+}{
+	{"l4", 2048, L4Cluster},
+	{"a100", 4096, A100Cluster},
+}
+
+// ClusterByName builds the named platform ("l4" or "a100", any case)
+// with gpus devices laid out by MeshForGPUs, and returns the platform's
+// default sequence length. It returns MeshForGPUs's error for a GPU
+// count the mesh cannot hold.
+func ClusterByName(platform string, gpus int) (*Cluster, int, error) {
+	nodes, perNode, err := MeshForGPUs(gpus)
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, p := range platforms {
+		if strings.EqualFold(p.name, platform) {
+			return p.build(nodes, perNode), p.seq, nil
+		}
+	}
+	return nil, 0, fmt.Errorf("unknown platform %q", platform)
+}
+
 // HasNVLink reports whether the intra-node fabric is NVLink-class; used
 // to pick the matching contention model for interference calibration.
 func (c *Cluster) HasNVLink() bool {

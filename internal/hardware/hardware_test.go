@@ -2,6 +2,8 @@ package hardware
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -133,6 +135,44 @@ func TestMeshForGPUs(t *testing.T) {
 		}
 		if err != nil || n != c.nodes || m != c.perNode {
 			t.Errorf("MeshForGPUs(%d) = (%d,%d,%v), want (%d,%d)", c.total, n, m, err, c.nodes, c.perNode)
+		}
+	}
+}
+
+// TestClusterByName checks the platform table against MeshForGPUs and
+// the two constructors: any case resolves, an unknown name is an error,
+// and a GPU count the mesh cannot hold returns MeshForGPUs's error.
+func TestClusterByName(t *testing.T) {
+	builds := map[string]struct {
+		build func(nodes, gpusPerNode int) *Cluster
+		seq   int
+	}{
+		"l4":   {L4Cluster, 2048},
+		"a100": {A100Cluster, 4096},
+	}
+	for _, platform := range []string{"l4", "L4", "a100", "h100"} {
+		for _, gpus := range []int{0, 2, 4, 8, 12, 16} {
+			cl, seq, err := ClusterByName(platform, gpus)
+			nodes, perNode, meshErr := MeshForGPUs(gpus)
+			want, known := builds[strings.ToLower(platform)]
+			switch {
+			case meshErr != nil:
+				if err == nil || err.Error() != meshErr.Error() {
+					t.Errorf("ClusterByName(%q, %d) error %v, want MeshForGPUs's %v", platform, gpus, err, meshErr)
+				}
+			case !known:
+				if err == nil || !strings.Contains(err.Error(), platform) {
+					t.Errorf("ClusterByName(%q, %d) error %v, want one naming the platform", platform, gpus, err)
+				}
+			case err != nil:
+				t.Errorf("ClusterByName(%q, %d): %v", platform, gpus, err)
+			case !reflect.DeepEqual(cl, want.build(nodes, perNode)) || seq != want.seq:
+				t.Errorf("ClusterByName(%q, %d) = %+v, seq %d; want the constructor's %dx%d mesh, seq %d",
+					platform, gpus, cl, seq, nodes, perNode, want.seq)
+			}
+			if err != nil && cl != nil {
+				t.Errorf("ClusterByName(%q, %d) returned a cluster with its error", platform, gpus)
+			}
 		}
 	}
 }

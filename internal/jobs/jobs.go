@@ -134,12 +134,13 @@ type Manager struct {
 	started  bool
 	wg       sync.WaitGroup
 
+	// The counters change only under mu; busy changes outside it.
+	submitted uint64
+	deduped   uint64
+	finDone   uint64
+	finFailed uint64
+	finCancel uint64
 	busy      atomic.Int64
-	submitted atomic.Uint64
-	deduped   atomic.Uint64
-	finDone   atomic.Uint64
-	finFailed atomic.Uint64
-	finCancel atomic.Uint64
 }
 
 // NewManager builds a manager with the given pool width (min 1) and an
@@ -209,7 +210,7 @@ func (m *Manager) Submit(ctx context.Context, key string, priority int, task Tas
 					Msg:  "duplicate submission attached (request " + requestID + ")",
 				})
 			}
-			m.deduped.Add(1)
+			m.deduped++
 			return cur.snapshotLocked(), true, nil
 		}
 	}
@@ -242,7 +243,7 @@ func (m *Manager) Submit(ctx context.Context, key string, priority int, task Tas
 		m.active[key] = j
 	}
 	heap.Push(&m.queue, j)
-	m.submitted.Add(1)
+	m.submitted++
 	m.evictSettledLocked()
 	m.startLocked()
 	m.cond.Signal()
@@ -261,14 +262,27 @@ const maxJobEvents = 64
 // Live (queued/running) jobs are never evicted.
 const maxRetainedJobs = 4096
 
-// settleLocked records a job's terminal transition: the settlement-order
-// FIFO feeds O(1) eviction, so Submit never scans the table. Call with
-// mu held, exactly once per job, after its state turns terminal.
-func (m *Manager) settleLocked(j *job) {
-	// Every terminal path funnels here — worker settle, queued cancel,
-	// Close — so the job span always ends exactly once, stamped with the
-	// state it settled in.
-	j.span.Annotate("state", string(j.state))
+// settleLocked is a job's one terminal transition: every path that
+// ends a job (worker settle, queued cancel, Close) records its state,
+// outcome, finish time and closing event here, releases its dedup key,
+// counts it, ends its span stamped with the state, and appends it to the
+// settlement-order FIFO that feeds O(1) eviction, so Submit never scans
+// the table. Call with mu held, exactly once per job.
+func (m *Manager) settleLocked(j *job, state State, result any, err error, now time.Time, msg string) {
+	j.state, j.result, j.err, j.finished = state, result, err, now
+	j.events = append(j.events, Event{Time: now, Msg: msg})
+	if j.key != "" && m.active[j.key] == j {
+		delete(m.active, j.key)
+	}
+	switch state {
+	case StateDone:
+		m.finDone++
+	case StateFailed:
+		m.finFailed++
+	default:
+		m.finCancel++
+	}
+	j.span.Annotate("state", string(state))
 	j.span.End()
 	m.settledQ = append(m.settledQ, j.id)
 	close(j.done)
@@ -343,29 +357,17 @@ func (m *Manager) worker(ctx context.Context) {
 		cancel()
 
 		m.mu.Lock()
-		j.finished = time.Now()
+		state := StateDone
 		switch {
 		case j.cancelWanted || (ctxErr != nil && err != nil):
-			j.state = StateCanceled
-			j.err = context.Canceled
-			if err != nil {
-				j.err = err
+			state, result = StateCanceled, nil
+			if err == nil {
+				err = context.Canceled
 			}
-			m.finCancel.Add(1)
 		case err != nil:
-			j.state = StateFailed
-			j.err = err
-			m.finFailed.Add(1)
-		default:
-			j.state = StateDone
-			j.result = result
-			m.finDone.Add(1)
+			state, result = StateFailed, nil
 		}
-		j.events = append(j.events, Event{Time: j.finished, Msg: string(j.state)})
-		if j.key != "" && m.active[j.key] == j {
-			delete(m.active, j.key)
-		}
-		m.settleLocked(j)
+		m.settleLocked(j, state, result, err, time.Now(), string(state))
 		m.mu.Unlock()
 	}
 }
@@ -412,15 +414,7 @@ func (m *Manager) Cancel(id string) bool {
 			// check never count tombstones.
 			heap.Remove(&m.queue, j.heapIdx)
 		}
-		j.state = StateCanceled
-		j.err = context.Canceled
-		j.finished = now
-		j.events = append(j.events, Event{Time: now, Msg: string(StateCanceled)})
-		if j.key != "" && m.active[j.key] == j {
-			delete(m.active, j.key)
-		}
-		m.finCancel.Add(1)
-		m.settleLocked(j)
+		m.settleLocked(j, StateCanceled, nil, context.Canceled, now, string(StateCanceled))
 	case StateRunning:
 		j.cancelWanted = true
 		j.cancelRunning()
@@ -463,17 +457,16 @@ func (m *Manager) List() []Snapshot {
 // Stats snapshots queue and pool counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
-	depth := m.queue.Len()
-	m.mu.Unlock()
+	defer m.mu.Unlock()
 	return Stats{
 		Workers:    m.workers,
 		Busy:       int(m.busy.Load()),
-		QueueDepth: depth,
-		Submitted:  m.submitted.Load(),
-		Deduped:    m.deduped.Load(),
-		Done:       m.finDone.Load(),
-		Failed:     m.finFailed.Load(),
-		Canceled:   m.finCancel.Load(),
+		QueueDepth: m.queue.Len(),
+		Submitted:  m.submitted,
+		Deduped:    m.deduped,
+		Done:       m.finDone,
+		Failed:     m.finFailed,
+		Canceled:   m.finCancel,
 	}
 }
 
@@ -492,15 +485,7 @@ func (m *Manager) Close() {
 		if j.state != StateQueued {
 			continue
 		}
-		j.state = StateCanceled
-		j.err = context.Canceled
-		j.finished = now
-		j.events = append(j.events, Event{Time: now, Msg: "canceled (manager closed)"})
-		if j.key != "" && m.active[j.key] == j {
-			delete(m.active, j.key)
-		}
-		m.finCancel.Add(1)
-		m.settleLocked(j)
+		m.settleLocked(j, StateCanceled, nil, context.Canceled, now, "canceled (manager closed)")
 	}
 	m.cancel() // abort running tasks
 	m.cond.Broadcast()

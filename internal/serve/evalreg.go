@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/evalcache"
 	"repro/internal/hardware"
+	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/schedule"
 )
@@ -87,15 +88,22 @@ type evalRegistry struct {
 	entries map[string]*evalEntry
 
 	seq       atomic.Int64
-	evictions atomic.Uint64 // whole caches dropped by the cap
-	retired   atomic.Uint64 // points those caches held when dropped
+	evictions *metrics.Counter // whole caches dropped by the cap
+	retired   *metrics.Counter // points those caches held when dropped
 }
 
-func newEvalRegistry(capPoints int) *evalRegistry {
+// newEvalRegistry builds a registry whose eviction counters are series
+// of reg.
+func newEvalRegistry(capPoints int, reg *metrics.Registry) *evalRegistry {
 	if capPoints < 1 {
 		capPoints = defaultEvalCachePoints
 	}
-	return &evalRegistry{capPoints: capPoints, entries: map[string]*evalEntry{}}
+	return &evalRegistry{
+		capPoints: capPoints,
+		entries:   map[string]*evalEntry{},
+		evictions: reg.Counter("mist_eval_cache_evictions_total", nil),
+		retired:   reg.Counter("mist_eval_cache_points_retired_total", nil),
+	}
 }
 
 // acquire returns the shared analyzer and cache for a normalized spec,
@@ -164,7 +172,7 @@ func (r *evalRegistry) enforceCap(keep string) {
 		key string
 		e   *evalEntry
 		n   int // charged size: points + per-entry overhead
-		pts int // actual memoized points (the retired gauge counts these)
+		pts int // actual memoized points (the retired counter counts these)
 	}
 	total := 0
 	var all []sized
@@ -196,7 +204,7 @@ func (r *evalRegistry) enforceCap(keep string) {
 			return // only the protected entry remains
 		}
 		delete(r.entries, all[victim].key)
-		r.evictions.Add(1)
+		r.evictions.Inc()
 		r.retired.Add(uint64(all[victim].pts))
 		total -= all[victim].n
 		all[victim] = all[len(all)-1]
@@ -204,9 +212,9 @@ func (r *evalRegistry) enforceCap(keep string) {
 	}
 }
 
-// snapshot reports the registry gauges: live entries, total cached
-// points across them, and the cumulative eviction counters.
-func (r *evalRegistry) snapshot() (entries, points int, evictions, retired uint64) {
+// snapshot reports the registry gauges: live entries and total cached
+// points across them.
+func (r *evalRegistry) snapshot() (entries, points int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range r.entries {
@@ -221,5 +229,5 @@ func (r *evalRegistry) snapshot() (entries, points int, evictions, retired uint6
 		entries++
 		points += e.cache.Len()
 	}
-	return entries, points, r.evictions.Load(), r.retired.Load()
+	return entries, points
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hardware"
+	"repro/internal/metrics"
 	"repro/internal/opdb"
 	"repro/internal/trainsim"
 )
@@ -129,7 +130,7 @@ func TestEvalCacheCapEvictsColdFingerprint(t *testing.T) {
 // out. A budget of one entry overhead keeps at most the just-used
 // fingerprint alive no matter how many distinct specs pass through.
 func TestAnalyzerOnlyEntriesBounded(t *testing.T) {
-	r := newEvalRegistry(entryOverheadPoints)
+	r := newEvalRegistry(entryOverheadPoints, metrics.NewRegistry())
 	const fingerprints = 5
 	for i := 0; i < fingerprints; i++ {
 		ws := smallSpec()
@@ -142,7 +143,8 @@ func TestAnalyzerOnlyEntriesBounded(t *testing.T) {
 			t.Fatalf("analyzer seq=%d: %v", ws.Seq, err)
 		}
 	}
-	entries, _, evictions, _ := r.snapshot()
+	entries, _ := r.snapshot()
+	evictions := r.evictions.Value()
 	if entries != 1 {
 		t.Errorf("registry holds %d analyzer-only entries, want 1 (the protected last-used)", entries)
 	}

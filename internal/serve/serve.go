@@ -117,29 +117,17 @@ func (ws *WorkloadSpec) normalize() (plan.Workload, *hardware.Cluster, core.Spac
 	if ws.Platform == "" {
 		ws.Platform = "l4"
 	}
-	nodes, perNode, err := hardware.MeshForGPUs(ws.GPUs)
+	cl, seq, err := hardware.ClusterByName(ws.Platform, ws.GPUs)
 	if err != nil {
 		return zero, nil, core.Space{}, err
 	}
-	var cl *hardware.Cluster
-	switch strings.ToLower(ws.Platform) {
-	case "l4":
-		cl = hardware.L4Cluster(nodes, perNode)
-		if ws.Seq == 0 {
-			ws.Seq = 2048
-		}
-	case "a100":
-		cl = hardware.A100Cluster(nodes, perNode)
-		if ws.Seq == 0 {
-			ws.Seq = 4096
-		}
-	default:
-		return zero, nil, core.Space{}, fmt.Errorf("unknown platform %q", ws.Platform)
+	if ws.Seq == 0 {
+		ws.Seq = seq
 	}
 	if ws.Space == "" {
 		ws.Space = "mist"
 	}
-	space, err := spaceByName(ws.Space)
+	space, err := core.SpaceByName(ws.Space)
 	if err != nil {
 		return zero, nil, core.Space{}, err
 	}
@@ -181,24 +169,6 @@ func (ws WorkloadSpec) CanonicalKey() (string, error) {
 		return "", err
 	}
 	return ws.key(), nil
-}
-
-func spaceByName(name string) (core.Space, error) {
-	switch strings.ToLower(name) {
-	case "mist":
-		return core.MistSpace(), nil
-	case "megatron":
-		return core.MegatronSpace(), nil
-	case "deepspeed":
-		return core.DeepSpeedSpace(), nil
-	case "aceso":
-		return core.AcesoSpace(), nil
-	case "3d":
-		return core.ThreeDSpace(), nil
-	case "uniform":
-		return core.UniformHeuristicSpace(), nil
-	}
-	return core.Space{}, fmt.Errorf("unknown search space %q", name)
 }
 
 // TuneRequest is the /tune body.
@@ -589,7 +559,7 @@ func New(opts ...Option) *Server {
 	}
 	s.loopCtx, s.loopCancel = context.WithCancel(context.Background())
 	s.limits = s.limits.withDefaults()
-	s.evalReg = newEvalRegistry(s.evalCacheCap)
+	s.evalReg = newEvalRegistry(s.evalCacheCap, s.metrics)
 	s.tuneGate = newGate("/tune", s.limits)
 	s.simulateGate = newGate("/simulate", s.limits)
 	// The job queue shares the admission bound; the manager treats 0 as
@@ -1108,12 +1078,10 @@ func (s *Server) Stats() Stats {
 
 		HTTP: s.httpStats(),
 	}
-	entries, points, evicted, retired := s.evalReg.snapshot()
-	st.EvalCacheEntries = entries
-	st.EvalCachePoints = points
+	st.EvalCacheEntries, st.EvalCachePoints = s.evalReg.snapshot()
 	st.EvalCachePointCap = s.evalReg.capPoints
-	st.EvalCacheEvictions = evicted
-	st.EvalCachePointsRetired = retired
+	st.EvalCacheEvictions = s.evalReg.evictions.Value()
+	st.EvalCachePointsRetired = s.evalReg.retired.Value()
 	js := s.jobs.Stats()
 	st.JobsSubmitted = js.Submitted
 	st.JobsDeduped = js.Deduped

@@ -30,8 +30,8 @@ var statSeries = []struct {
 	{"planCacheEvictions", "mist_plan_cache_evictions_total", "counter", nil},
 	{"evalCacheEntries", "mist_eval_cache_entries", "gauge", nil},
 	{"evalCachePoints", "mist_eval_cache_points", "gauge", nil},
-	{"evalCacheEvictions", "mist_eval_cache_evictions_total", "gauge", nil},
-	{"evalCachePointsRetired", "mist_eval_cache_points_retired_total", "gauge", nil},
+	{"evalCacheEvictions", "mist_eval_cache_evictions_total", "counter", nil},
+	{"evalCachePointsRetired", "mist_eval_cache_points_retired_total", "counter", nil},
 	{"storeSize", "mist_plan_store_size", "gauge", nil},
 	{"storeHits", "mist_store_hits_total", "counter", nil},
 	{"queueDepth", "mist_jobs_queue_depth", "gauge", nil},
