@@ -12,7 +12,7 @@ BENCH_TOLERANCE ?= 0.25
 # Where bench-profile drops its pprof output.
 PROFILE_DIR ?= profiles
 
-.PHONY: ci vet build test test-noskip test-seam race property bench bench-json bench-regression bench-profile serve fuzz lint mistlint load-smoke cluster-smoke elastic-smoke slo-smoke pilot-smoke flag-docs flag-docs-check
+.PHONY: ci vet build test test-noskip test-seam race property bench bench-json bench-regression bench-profile serve fuzz lint mistlint load-smoke experiments-smoke cluster-smoke elastic-smoke slo-smoke pilot-smoke flag-docs flag-docs-check
 
 ci: lint build race property test-seam ## full tier-1 + race + property gate, plus the nested benchmark module's seam
 
@@ -61,6 +61,9 @@ fuzz: ## fuzz smoke: HTTP JSON decode paths must 400 cleanly, never panic or 5xx
 
 load-smoke: ## 5-second in-process mixed-scenario load replay, traced at 100%; fails on any 5xx, rootless op, or unfinished span
 	$(GO) run ./cmd/mistload -scenario mixed -inproc -duration 5s -seed 1 -concurrency 4 -trace-sample 1
+
+experiments-smoke: ## every paper table and figure at paper scale (the grids TestEveryExperimentRunsSmall never reaches); fails on any experiment error
+	$(GO) run ./cmd/mistbench -exp all -full
 
 cluster-smoke: ## 3-node in-process cluster: mixed replay, then a failover drill with a mid-run node kill; fails on any 5xx
 	$(GO) run ./cmd/mistload -scenario mixed -inproc -nodes 3 -duration 5s -seed 1 -concurrency 4

@@ -1,8 +1,9 @@
 // Command misttune runs the Mist auto-tuner on one workload and prints
 // the chosen plan, the analyzer's prediction, and the execution engine's
-// measurement. With -batch it tunes a whole file of workloads through
-// the async job queue instead, optionally against a durable plan store
-// (-store-dir) so repeated invocations reuse earlier results.
+// measurement in the space's execution mode (baselines.Run). With -batch
+// it tunes a whole file of workloads through the async job queue
+// instead, optionally against a durable plan store (-store-dir) so
+// repeated invocations reuse earlier results.
 //
 // Example:
 //
@@ -26,6 +27,7 @@ import (
 	"strconv"
 
 	mist "repro"
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/hardware"
 	"repro/internal/serve"
@@ -94,9 +96,13 @@ func main() {
 	fmt.Printf("tuning %s on %d x %s (seq=%d, batch=%d, flash=%v, space=%s)\n",
 		cfg.Name, *gpus, cl.GPU.Name, *seq, *batch, *flash, space.Name)
 
-	res, err := mist.TuneWithSpace(w, cl, space)
+	out, err := baselines.Run(w, cl, space)
 	if err != nil {
 		log.Fatal(err)
+	}
+	res := out.Tune
+	if res == nil {
+		log.Fatal(core.ErrNoFeasiblePlan)
 	}
 	fmt.Printf("\nbest plan:\n%s\n", res.Plan)
 	fmt.Printf("\npredicted iteration time: %.3fs (%.2f samples/s)\n", res.Predicted, res.PredThroughput)
@@ -105,17 +111,14 @@ func main() {
 		100*res.CacheHitRate(), res.EvalCacheMisses)
 	fmt.Printf("        %d of %d (S, G) pairs skipped by compute floor\n", res.FloorSkippedPairs, res.SGPairs)
 
-	m, err := mist.Simulate(w, cl, res.Plan)
-	if err != nil {
-		log.Fatal(err)
-	}
+	m := out.Meas
 	fmt.Printf("\nmeasured iteration time: %.3fs (%.2f samples/s), bubble %.1f%%\n",
 		m.IterTime, m.Throughput, 100*m.Bubble)
 	for i, pm := range m.PeakMem {
 		fmt.Printf("  stage %d peak memory: %.2f GB (budget %.2f GB)\n",
 			i, pm/(1<<30), cl.MemoryBudget()/(1<<30))
 	}
-	if m.OOM(cl.MemoryBudget()) {
+	if out.OOM {
 		fmt.Println("WARNING: plan exceeds the memory budget")
 	}
 

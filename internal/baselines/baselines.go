@@ -1,7 +1,9 @@
 // Package baselines drives the comparison systems of the paper's
 // evaluation (§6.1) through the shared tuner machinery and execution
-// engine. Each baseline is a restriction of the search space plus,
-// where the real system's runtime differs, an execution-mode flag:
+// engine. Each baseline is a restriction of the search space
+// (core.*Space); its runtime follows from the space, because the engine
+// executes plans in the mode of the analyzer it is built on, which
+// core.CalibratedAnalyzer sets from Space.OverlapAware:
 //
 //   - Megatron-LM: grid-searched 3D parallelism with full recomputation
 //     and the distributed optimizer (ZeRO-1); overlapped gradient
@@ -28,62 +30,43 @@ import (
 	"repro/internal/trainsim"
 )
 
-// System names a search space. A space that is not overlap-aware also
-// runs its plans serialized (Aceso's runtime).
-type System struct {
-	Name  string
-	Space core.Space
-}
+// Mist and Megatron are the two spaces of the headline comparison, under
+// the names benchmarks/mistperf's quality probe uses.
+var (
+	Mist     = core.MistSpace
+	Megatron = core.MegatronSpace
+)
 
-// Mist is the full system.
-func Mist() System { return System{Name: "mist", Space: core.MistSpace()} }
-
-// Megatron is the manually grid-searched baseline.
-func Megatron() System { return System{Name: "megatron-lm", Space: core.MegatronSpace()} }
-
-// DeepSpeed is the ZeRO-tuning baseline.
-func DeepSpeed() System { return System{Name: "deepspeed", Space: core.DeepSpeedSpace()} }
-
-// Aceso is the automatic checkpoint-tuning baseline; overlap-unaware in
-// both planning and execution.
-func Aceso() System {
-	return System{Name: "aceso", Space: core.AcesoSpace()}
-}
-
-// Uniform is the uniform-stage heuristic of §3.3.
-func Uniform() System { return System{Name: "uniform", Space: core.UniformHeuristicSpace()} }
-
-// Outcome is one (system, workload, cluster) evaluation.
+// Outcome is one (space, workload, cluster) evaluation.
 type Outcome struct {
-	System     string
+	System     string // Space.Name
 	Tune       *core.Result
 	Meas       trainsim.Measurement
 	Throughput float64 // samples/sec as measured by the engine; 0 on OOM
 	OOM        bool
 }
 
-// Run tunes the workload with the system's space and measures the chosen
-// plan on the execution engine. A plan that cannot be found (OOM across
-// the whole space) yields Outcome{OOM: true} rather than an error.
-func Run(w plan.Workload, cl *hardware.Cluster, sys System) (*Outcome, error) {
-	tn, err := core.New(w, cl, sys.Space)
+// Run tunes the workload with the space and measures the chosen plan on
+// the execution engine, in the space's execution mode. A plan that
+// cannot be found (OOM across the whole space) yields
+// Outcome{OOM: true} rather than an error.
+func Run(w plan.Workload, cl *hardware.Cluster, space core.Space) (*Outcome, error) {
+	tn, err := core.New(w, cl, space)
 	if err != nil {
-		return nil, fmt.Errorf("baselines: %s: %w", sys.Name, err)
+		return nil, fmt.Errorf("baselines: %s: %w", space.Name, err)
 	}
 	res, err := tn.Tune()
 	if errors.Is(err, core.ErrNoFeasiblePlan) {
-		return &Outcome{System: sys.Name, OOM: true}, nil
+		return &Outcome{System: space.Name, OOM: true}, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("baselines: %s: %w", sys.Name, err)
+		return nil, fmt.Errorf("baselines: %s: %w", space.Name, err)
 	}
-	eng := trainsim.New(w, cl, tn.An)
-	eng.Serialize = !sys.Space.OverlapAware
-	m, err := eng.Measure(res.Plan)
+	m, err := trainsim.New(w, cl, tn.An).Measure(res.Plan)
 	if err != nil {
-		return nil, fmt.Errorf("baselines: %s: measure: %w", sys.Name, err)
+		return nil, fmt.Errorf("baselines: %s: measure: %w", space.Name, err)
 	}
-	out := &Outcome{System: sys.Name, Tune: res, Meas: m, Throughput: m.Throughput}
+	out := &Outcome{System: space.Name, Tune: res, Meas: m, Throughput: m.Throughput}
 	if m.OOM(cl.MemoryBudget()) {
 		out.OOM = true
 		out.Throughput = 0
@@ -91,16 +74,16 @@ func Run(w plan.Workload, cl *hardware.Cluster, sys System) (*Outcome, error) {
 	return out, nil
 }
 
-// Compare runs several systems on the same workload and returns the
-// outcomes keyed by system name.
-func Compare(w plan.Workload, cl *hardware.Cluster, systems []System) (map[string]*Outcome, error) {
-	out := make(map[string]*Outcome, len(systems))
-	for _, sys := range systems {
-		o, err := Run(w, cl, sys)
+// Compare runs several spaces on the same workload and returns the
+// outcomes keyed by Space.Name.
+func Compare(w plan.Workload, cl *hardware.Cluster, spaces []core.Space) (map[string]*Outcome, error) {
+	out := make(map[string]*Outcome, len(spaces))
+	for _, space := range spaces {
+		o, err := Run(w, cl, space)
 		if err != nil {
 			return nil, err
 		}
-		out[sys.Name] = o
+		out[space.Name] = o
 	}
 	return out, nil
 }

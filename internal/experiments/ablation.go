@@ -5,13 +5,13 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/hardware"
 	"repro/internal/interference"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/plan"
-	"repro/internal/trainsim"
 )
 
 func init() {
@@ -43,18 +43,14 @@ func ablationHetero(scale Scale) (*Table, error) {
 	for _, hetero := range []bool{false, true} {
 		space := core.MistSpace()
 		space.HeterogeneousDevices = hetero
-		tn, err := core.New(w, cl, space)
+		out, err := baselines.Run(w, cl, space)
 		if err != nil {
 			return nil, err
 		}
-		res, err := tn.Tune()
-		if err != nil {
-			return nil, err
+		if out.Tune == nil {
+			return nil, core.ErrNoFeasiblePlan
 		}
-		m, err := trainsim.New(w, cl, tn.An).Measure(res.Plan)
-		if err != nil {
-			return nil, err
-		}
+		res := out.Tune
 		devs := ""
 		for i, st := range res.Plan.Stages {
 			if i > 0 {
@@ -66,7 +62,7 @@ func ablationHetero(scale Scale) (*Table, error) {
 		if hetero {
 			label = "heterogeneous"
 		}
-		t.Add(label, res.Predicted, m.Throughput, res.Plan.NumStages(), devs,
+		t.Add(label, res.Predicted, out.Throughput, res.Plan.NumStages(), devs,
 			res.Elapsed.Round(time.Millisecond).String())
 	}
 	t.Notes = append(t.Notes,
@@ -95,20 +91,15 @@ func ablationPareto(scale Scale) (*Table, error) {
 	for _, k := range []int{1, 2, 3, 5, 8} {
 		space := core.MistSpace()
 		space.ParetoSamples = k
-		tn, err := core.New(w, cl, space)
+		out, err := baselines.Run(w, cl, space)
 		if err != nil {
 			return nil, err
 		}
-		res, err := tn.Tune()
-		if err != nil {
+		if out.Tune == nil {
 			t.Add(k, "infeasible", "-", "-")
 			continue
 		}
-		m, err := trainsim.New(w, cl, tn.An).Measure(res.Plan)
-		if err != nil {
-			return nil, err
-		}
-		t.Add(k, res.Predicted, m.Throughput, res.Elapsed.Round(time.Millisecond).String())
+		t.Add(k, out.Tune.Predicted, out.Throughput, out.Tune.Elapsed.Round(time.Millisecond).String())
 	}
 	t.Notes = append(t.Notes,
 		"K=1 keeps only one (t,d) point per frontier and can lose the plan that hides deltas in bubbles")

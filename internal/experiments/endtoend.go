@@ -8,7 +8,6 @@ import (
 	"repro/internal/hardware"
 	"repro/internal/model"
 	"repro/internal/plan"
-	"repro/internal/trainsim"
 )
 
 func init() {
@@ -39,10 +38,10 @@ func smallSizes() []sizePoint {
 
 // endToEnd runs one Figure 11/12-style sweep.
 func endToEnd(title string, families []string, platforms []string, flash bool,
-	systems []baselines.System, sizes []sizePoint) (*Table, error) {
+	spaces []core.Space, sizes []sizePoint) (*Table, error) {
 	t := &Table{Title: title, Header: []string{"platform", "model", "gpus", "batch"}}
-	for _, sys := range systems {
-		t.Header = append(t.Header, sys.Name)
+	for _, space := range spaces {
+		t.Header = append(t.Header, space.Name)
 	}
 	t.Header = append(t.Header, "mist-speedup")
 	for _, platform := range platforms {
@@ -60,8 +59,8 @@ func endToEnd(title string, families []string, platforms []string, flash bool,
 				w := plan.Workload{Model: cfg, Seq: seq, Flash: flash, GlobalBatch: pt.batch}
 				row := []interface{}{platform, name, pt.gpus, pt.batch}
 				var mist, bestBase float64
-				for _, sys := range systems {
-					out, err := baselines.Run(w, cl, sys)
+				for _, space := range spaces {
+					out, err := baselines.Run(w, cl, space)
 					if err != nil {
 						return nil, err
 					}
@@ -70,7 +69,7 @@ func endToEnd(title string, families []string, platforms []string, flash bool,
 						continue
 					}
 					row = append(row, out.Throughput)
-					if sys.Name == baselines.Mist().Name {
+					if space.Name == core.MistSpace().Name {
 						mist = out.Throughput
 					} else if out.Throughput > bestBase {
 						bestBase = out.Throughput
@@ -101,9 +100,9 @@ func fig11(scale Scale) (*Table, error) {
 		platforms = []string{"l4"}
 		sizes = smallSizes()
 	}
-	systems := []baselines.System{baselines.Megatron(), baselines.DeepSpeed(), baselines.Mist()}
+	spaces := []core.Space{core.MegatronSpace(), core.DeepSpeedSpace(), core.MistSpace()}
 	t, err := endToEnd("Figure 11: end-to-end throughput with FlashAttention (samples/s)",
-		families, platforms, true, systems, sizes)
+		families, platforms, true, spaces, sizes)
 	if err != nil {
 		return nil, err
 	}
@@ -123,11 +122,9 @@ func fig12(scale Scale) (*Table, error) {
 		platforms = []string{"l4"}
 		sizes = smallSizes()
 	}
-	systems := []baselines.System{
-		baselines.Megatron(), baselines.DeepSpeed(), baselines.Aceso(), baselines.Mist(),
-	}
+	spaces := []core.Space{core.MegatronSpace(), core.DeepSpeedSpace(), core.AcesoSpace(), core.MistSpace()}
 	t, err := endToEnd("Figure 12: end-to-end throughput without FlashAttention (GPT-3, samples/s)",
-		[]string{"gpt3"}, platforms, false, systems, sizes)
+		[]string{"gpt3"}, platforms, false, spaces, sizes)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +167,7 @@ func fig13(scale Scale) (*Table, error) {
 		w := plan.Workload{Model: model.MustByName(c.name), Seq: seq, Flash: true, GlobalBatch: c.batch}
 		var base float64
 		for li, space := range ladder {
-			out, err := baselines.Run(w, cl, baselines.System{Name: space.Name, Space: space})
+			out, err := baselines.Run(w, cl, space)
 			if err != nil {
 				return nil, err
 			}
@@ -227,10 +224,7 @@ func fig14(scale Scale) (*Table, error) {
 		batch = 32
 		baseModel = "gpt3-2.7b"
 	}
-	ckptOnly := core.ThreeDSpace()
-	ckptOnly.Name = "3d+ckpt"
-	ckptOnly.TuneCkpt = true
-	spaces := []core.Space{core.ThreeDSpace(), ckptOnly, core.MistSpace()}
+	spaces := []core.Space{core.ThreeDSpace(), threeDCkptSpace(), core.MistSpace()}
 
 	t := &Table{
 		Title:  "Figure 14: sensitivity to model depth (throughput, relative to 3D)",
@@ -247,7 +241,7 @@ func fig14(scale Scale) (*Table, error) {
 			row := []interface{}{flash, layers}
 			var base float64
 			for _, space := range spaces {
-				out, err := baselines.Run(w, cl, baselines.System{Name: space.Name, Space: space})
+				out, err := baselines.Run(w, cl, space)
 				if err != nil {
 					return nil, err
 				}
@@ -302,7 +296,7 @@ func fig15(scale Scale) (*Table, error) {
 		row := []interface{}{b}
 		var base float64
 		for _, space := range spaces {
-			out, err := baselines.Run(w, cl, baselines.System{Name: space.Name, Space: space})
+			out, err := baselines.Run(w, cl, space)
 			if err != nil {
 				return nil, err
 			}
@@ -322,21 +316,4 @@ func fig15(scale Scale) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"paper: Mist 1.28-1.35x over 3D; dropping imbalance awareness costs ~1.13x on average")
 	return t, nil
-}
-
-// measureBest is a helper used by tests: tune with a space, then measure.
-func measureBest(w plan.Workload, cl *hardware.Cluster, space core.Space) (float64, error) {
-	tn, err := core.New(w, cl, space)
-	if err != nil {
-		return 0, err
-	}
-	res, err := tn.Tune()
-	if err != nil {
-		return 0, err
-	}
-	m, err := trainsim.New(w, cl, tn.An).Measure(res.Plan)
-	if err != nil {
-		return 0, err
-	}
-	return m.Throughput, nil
 }

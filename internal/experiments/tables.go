@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/hardware"
 	"repro/internal/model"
 )
@@ -18,9 +18,9 @@ func init() {
 // table1 renders the capability matrix of Table 1 directly from the
 // implemented search spaces, so the table cannot drift from the code.
 func table1(Scale) (*Table, error) {
-	systems := []baselines.System{
-		baselines.Megatron(), baselines.DeepSpeed(), baselines.Aceso(),
-		baselines.Uniform(), baselines.Mist(),
+	spaces := []core.Space{
+		core.MegatronSpace(), core.DeepSpeedSpace(), core.AcesoSpace(),
+		core.UniformHeuristicSpace(), core.MistSpace(),
 	}
 	t := &Table{
 		Title: "Table 1: capability comparison (derived from the implemented spaces)",
@@ -33,15 +33,14 @@ func table1(Scale) (*Table, error) {
 		}
 		return "-"
 	}
-	for _, sys := range systems {
-		sp := sys.Space
+	for _, sp := range spaces {
 		zero23 := false
 		for _, z := range sp.ZeROLevels {
 			if z >= 2 {
 				zero23 = true
 			}
 		}
-		t.Add(sys.Name, "yes", yn(sp.TuneWO), yn(sp.TuneGO), yn(sp.TuneOO), yn(sp.TuneAO),
+		t.Add(sp.Name, "yes", yn(sp.TuneWO), yn(sp.TuneGO), yn(sp.TuneOO), yn(sp.TuneAO),
 			yn(zero23), yn(sp.TuneCkpt), yn(sp.OverlapAware), yn(sp.ImbalanceAware),
 			yn(!sp.UniformStages))
 	}

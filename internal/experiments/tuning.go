@@ -125,10 +125,7 @@ func accuracy(scale Scale) (*Table, error) {
 		return nil, err
 	}
 
-	ckptOnly := core.ThreeDSpace()
-	ckptOnly.Name = "3d+ckpt"
-	ckptOnly.TuneCkpt = true
-	spaces := []core.Space{core.ThreeDSpace(), ckptOnly, core.DeepSpeedSpace(), core.MistSpace()}
+	spaces := []core.Space{core.ThreeDSpace(), threeDCkptSpace(), core.DeepSpeedSpace(), core.MistSpace()}
 
 	t := &Table{
 		Title:  "Section 6.6: prediction accuracy (analyzer vs execution engine)",

@@ -9,9 +9,9 @@ import (
 
 // MultiTarget spreads ops round-robin across several node targets —
 // the load harness's stand-in for a client-side load balancer in front
-// of a mistserve cluster. Nodes marked failed (Fail) are skipped, the
-// way a health-checked balancer stops sending to a dead backend;
-// Restore re-admits them.
+// of a mistserve cluster. Nodes marked failed (Fail) are skipped for the
+// rest of the run, the way a health-checked balancer stops sending to a
+// dead backend.
 type MultiTarget struct {
 	mu      sync.Mutex
 	targets []Target
@@ -36,7 +36,7 @@ func (m *MultiTarget) Len() int {
 
 // Add admits a new node to the rotation mid-run — the harness's
 // stand-in for a load balancer discovering a freshly joined backend.
-// Returns the node's index (usable with Fail/Restore).
+// Returns the node's index (usable with Fail).
 func (m *MultiTarget) Add(t Target) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -51,15 +51,6 @@ func (m *MultiTarget) Fail(i int) {
 	defer m.mu.Unlock()
 	if i >= 0 && i < len(m.down) {
 		m.down[i] = true
-	}
-}
-
-// Restore re-admits node i to the rotation.
-func (m *MultiTarget) Restore(i int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if i >= 0 && i < len(m.down) {
-		m.down[i] = false
 	}
 }
 

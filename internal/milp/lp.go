@@ -67,9 +67,6 @@ func NewProblem(n int) *Problem {
 	return p
 }
 
-// NumVars returns the variable count.
-func (p *Problem) NumVars() int { return p.numVars }
-
 // SetObjective sets the objective coefficient of variable i.
 func (p *Problem) SetObjective(i int, c float64) { p.objective[i] = c }
 

@@ -128,12 +128,6 @@ func (c *Config) LayerFwdFLOPs(b, s int) float64 {
 	return attnProj + attnCore + mlp
 }
 
-// HeadFwdFLOPs returns the LM-head projection FLOPs (the dominant cost of
-// the post-layer).
-func (c *Config) HeadFwdFLOPs(b, s int) float64 {
-	return 2 * float64(b) * float64(s) * float64(c.Hidden) * float64(c.Vocab)
-}
-
 // gptConfig builds a GPT-3-style size.
 func gptConfig(name string, layers, hidden, heads int) Config {
 	return Config{

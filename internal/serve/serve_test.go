@@ -11,6 +11,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/plan"
+	"repro/internal/schedule"
 )
 
 // smallSpec is a workload cheap enough to tune in test time; the
@@ -175,6 +178,30 @@ func TestSimulateTunesOnDemandAndAcceptsInlinePlan(t *testing.T) {
 	}
 	if st := s.Stats(); st.TunesRun != 1 {
 		t.Errorf("inline-plan simulate re-ran the tuner: %+v", st)
+	}
+
+	// The measurement runs in the space's execution mode: a plan with a
+	// gradient all-reduce to hide (DP=2, full checkpointing) is slower
+	// under Aceso's serialized runtime than under Mist's overlapped one.
+	layers := 24 // gpt3-1.3b
+	dp2 := &plan.Plan{GradAccum: 2, Stages: []plan.Stage{{
+		Shape: schedule.StageShape{B: 2, DP: 2, TP: 1, HasPre: true, HasPost: true, NumStages: 1, GradAccum: 2},
+		Knobs: schedule.Knobs{Layers: layers, Ckpt: layers},
+	}}}
+	iterTime := map[string]float64{}
+	for _, space := range []string{"aceso", "mist"} {
+		spec := smallSpec()
+		spec.Space = space
+		var m SimulateResponse
+		status, body := postJSON(t, ts.URL+"/simulate", SimulateRequest{WorkloadSpec: spec, Plan: dp2}, &m)
+		if status != http.StatusOK {
+			t.Fatalf("%s inline-plan /simulate: status %d body %s", space, status, body)
+		}
+		iterTime[space] = m.IterTime
+	}
+	if !(iterTime["aceso"] > iterTime["mist"]) {
+		t.Errorf("aceso measured %.4fs, mist %.4fs: serialized execution should be slower",
+			iterTime["aceso"], iterTime["mist"])
 	}
 }
 

@@ -86,14 +86,6 @@ func (e *Expr) IsConst() (float64, bool) {
 	return 0, false
 }
 
-// VarName returns the symbol name for OpVar nodes and "" otherwise.
-func (e *Expr) VarName() string {
-	if e.op == OpVar {
-		return e.name
-	}
-	return ""
-}
-
 // Const returns a literal expression.
 func Const(v float64) *Expr {
 	return &Expr{op: OpConst, val: v}

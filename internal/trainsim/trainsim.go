@@ -55,18 +55,16 @@ type Engine struct {
 	Workload plan.Workload
 	Cluster  *hardware.Cluster
 
-	// Serialize executes communication back to back with computation
-	// instead of overlapping streams, emulating the runtime of
-	// overlap-unaware systems (the Aceso execution path of Figure 12).
-	Serialize bool
-
 	an    *schedule.Analyzer
 	fluid *interference.Fluid
 }
 
-// run composes one overlapped region under the engine's execution mode.
+// run composes one overlapped region. The execution mode is the
+// analyzer's: under Serialize (an overlap-unaware space, the Aceso
+// runtime of Figure 12) communication runs back to back with
+// computation; otherwise the fluid model shares the streams.
 func (e *Engine) run(x interference.Times) float64 {
-	if e.Serialize {
+	if e.an.Serialize {
 		sum := 0.0
 		for _, v := range x {
 			sum += v
@@ -77,8 +75,9 @@ func (e *Engine) run(x interference.Times) float64 {
 }
 
 // New builds an execution engine for the workload on the cluster. The
-// analyzer is consulted only for physical work channels (Channels); its
-// fitted interference model and Eq. 1 composition are never used here.
+// analyzer is consulted only for physical work channels (Channels) and
+// its execution mode (Serialize); its fitted interference model and
+// Eq. 1 composition are never used here.
 func New(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer) *Engine {
 	fl := interference.PCIeFluid()
 	if cl.HasNVLink() {

@@ -17,6 +17,11 @@
 //	res, err := mist.Tune(w, cl)       // full Mist search space
 //	m, err := mist.Simulate(w, cl, res.Plan) // execute on the engine
 //
+// Baselines are search spaces (MegatronSpace, DeepSpeedSpace,
+// AcesoSpace, ...): Compare takes a list of them, tunes each and
+// measures each chosen plan in that space's execution mode, so an
+// overlap-unaware space such as Aceso's runs serialized.
+//
 // The heavy lifting lives in the internal packages: internal/symbolic
 // (the §5.2 expression engine), internal/graph (symbolic tracing and
 // liveness analysis), internal/schedule (the §5.1 overlap-centric
@@ -70,10 +75,7 @@ type (
 	// Measurement is the execution engine's verdict for one plan.
 	Measurement = trainsim.Measurement
 
-	// System pairs a search space with an execution mode (baselines).
-	System = baselines.System
-
-	// Outcome is one (system, workload) tune-and-measure result.
+	// Outcome is one (space, workload) tune-and-measure result.
 	Outcome = baselines.Outcome
 )
 
@@ -186,17 +188,9 @@ var (
 	BreakdownLadder = core.BreakdownLadder
 )
 
-// Baseline system constructors (tune + execute with the system's runtime
-// semantics).
-var (
-	SystemMist      = baselines.Mist
-	SystemMegatron  = baselines.Megatron
-	SystemDeepSpeed = baselines.DeepSpeed
-	SystemAceso     = baselines.Aceso
-	SystemUniform   = baselines.Uniform
-)
-
-// Compare tunes and measures each system on the workload.
-func Compare(w Workload, cl *Cluster, systems []System) (map[string]*Outcome, error) {
-	return baselines.Compare(w, cl, systems)
+// Compare tunes each space on the workload and measures the chosen plan
+// in the space's execution mode (an overlap-unaware space, such as
+// AcesoSpace, runs serialized). Outcomes are keyed by Space.Name.
+func Compare(w Workload, cl *Cluster, spaces []Space) (map[string]*Outcome, error) {
+	return baselines.Compare(w, cl, spaces)
 }

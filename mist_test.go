@@ -92,15 +92,15 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 func TestCompareFacade(t *testing.T) {
 	w := Workload{Model: Model("gpt3-1.3b"), Seq: 2048, Flash: true, GlobalBatch: 8}
 	cl := L4Cluster(2)
-	out, err := Compare(w, cl, []System{SystemMist(), SystemMegatron()})
+	out, err := Compare(w, cl, []Space{MistSpace(), MegatronSpace()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out["mist"] == nil || out["megatron-lm"] == nil {
+	if out["mist"] == nil || out["megatron"] == nil {
 		t.Fatalf("missing outcomes: %v", out)
 	}
-	if !out["mist"].OOM && !out["megatron-lm"].OOM &&
-		out["mist"].Throughput < out["megatron-lm"].Throughput-1e-9 {
+	if !out["mist"].OOM && !out["megatron"].OOM &&
+		out["mist"].Throughput < out["megatron"].Throughput-1e-9 {
 		t.Error("mist below megatron on its superset space")
 	}
 }
