@@ -52,10 +52,11 @@
 //	mistload -list
 //
 // With -slo-config the run is also scored against a declarative SLO
-// spec (see DESIGN.md): the report gains an "slo" section with the
-// client-side verdict per objective, in-process servers evaluate the
-// same spec continuously (their fleet fold lands in "fleetHealth"),
-// and a run that exhausts any error budget exits non-zero.
+// spec (DESIGN.md "slo: objectives, burn rates and the fleet fold"):
+// the report gains an "slo" section with the client-side verdict per
+// objective, in-process servers evaluate the same spec continuously
+// (their fleet fold lands in "fleetHealth"), and a run that exhausts
+// any error budget exits non-zero.
 //
 // Exit status: 0 on a clean run; 1 when the run saw server 5xx or
 // transport errors (pass -allow-5xx to report them without failing),
@@ -225,7 +226,7 @@ func main() {
 		// The exactly-R audit is only sound when every dead node's loss
 		// has been declared: a killed member still in the ring keeps its
 		// replica slots, so its keys legitimately sit at R-1 live copies
-		// until a drain removes it (see DESIGN.md). A -kill without a
+		// until a drain removes it (DESIGN.md "Failure modes"). A -kill without a
 		// matching -drain of the same node therefore skips the audit.
 		auditSound = true
 	)

@@ -258,8 +258,9 @@ func (t *Tuner) solveInterDP(cands [][]candidate, totalLayers, totalDevices, g i
 }
 
 // solveInterExhaustive enumerates every candidate combination with
-// branch-and-bound pruning. Exponential in the stage count; used to
-// cross-check the MILP on small instances and as a fallback.
+// branch-and-bound pruning. Exponential in the stage count. It runs only
+// when Tuner.Exhaustive is set (ablation-solver and the solver tests), as
+// an oracle for the DP and the MILP; nothing falls back to it.
 func (t *Tuner) solveInterExhaustive(cands [][]candidate, totalLayers, g int) (*interSolution, error) {
 	s := len(cands)
 	if s == 0 {

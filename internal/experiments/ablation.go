@@ -73,7 +73,8 @@ func ablationHetero(scale Scale) (*Table, error) {
 // ablationPareto studies the Pareto-frontier sample count (the f index
 // budget of Eq. 3): too few samples lose (t, d) trade-off points and can
 // mis-partition the pipeline; beyond a handful, returns diminish. This
-// validates the design choice called out in DESIGN.md.
+// validates the design choice DESIGN.md "core: one sweep per pair, one
+// inter-stage DP" calls out.
 func ablationPareto(scale Scale) (*Table, error) {
 	name, gpus, batch := "gpt3-7b", 8, 128
 	if scale == Small {

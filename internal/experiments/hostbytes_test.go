@@ -10,6 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/plan"
+	"repro/internal/schedule"
 )
 
 // TestFig11HostBytesPerNode reproduces the host-bytes table of the
@@ -59,33 +60,7 @@ func TestFig11HostBytesPerNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := res.Plan
-		states := make([]float64, cl.Nodes)
-		stash := make([]float64, cl.Nodes)
-		order := pipeline.OneFOneB(len(p.Stages), p.GradAccum)
-		dev := 0
-		sig := fmt.Sprintf("S=%d G=%d", len(p.Stages), p.GradAccum)
-		for i, st := range p.Stages {
-			at, err := tu.An.Channels(st.Shape, st.Knobs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			none := st.Knobs
-			none.WO, none.GO, none.OO, none.AO = 0, 0, 0, 0
-			zero, err := tu.An.Channels(st.Shape, none)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inFlight := float64(pipeline.InFlight(order[i]))
-			for range st.Shape.DP * st.Shape.TP {
-				node := dev / cl.GPUsPerNode
-				states[node] += zero.ModelStates - at.ModelStates
-				stash[node] += (zero.ActPerMB - at.ActPerMB) * inFlight
-				dev++
-			}
-			k := st.Knobs
-			sig += fmt.Sprintf(" | ZeRO-%d dp%d tp%d %g/%g/%g/%g", st.Shape.ZeRO, st.Shape.DP, st.Shape.TP, k.WO, k.GO, k.OO, k.AO)
-		}
+		states, stash, sig := hostBytes(t, tu.An, cl, res.Plan)
 		var sumStates, sumStash float64
 		var busiest [2]float64
 		for n := range states {
@@ -108,4 +83,39 @@ func TestFig11HostBytesPerNode(t *testing.T) {
 			t.Errorf("%s: fullest node holds %v GB, want %v", c.model, busiest, c.busiest)
 		}
 	}
+}
+
+// hostBytes returns, per node of cl, the host RAM plan p's GPUs offload
+// into — model states and activation stash, in bytes, as
+// TestFig11HostBytesPerNode defines them — and the plan's (S, G, ZeRO,
+// offload) signature.
+func hostBytes(t *testing.T, an *schedule.Analyzer, cl *hardware.Cluster, p *plan.Plan) (states, stash []float64, sig string) {
+	t.Helper()
+	states = make([]float64, cl.Nodes)
+	stash = make([]float64, cl.Nodes)
+	order := pipeline.OneFOneB(len(p.Stages), p.GradAccum)
+	dev := 0
+	sig = fmt.Sprintf("S=%d G=%d", len(p.Stages), p.GradAccum)
+	for i, st := range p.Stages {
+		at, err := an.Channels(st.Shape, st.Knobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		none := st.Knobs
+		none.WO, none.GO, none.OO, none.AO = 0, 0, 0, 0
+		zero, err := an.Channels(st.Shape, none)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inFlight := float64(pipeline.InFlight(order[i]))
+		for range st.Shape.DP * st.Shape.TP {
+			node := dev / cl.GPUsPerNode
+			states[node] += zero.ModelStates - at.ModelStates
+			stash[node] += (zero.ActPerMB - at.ActPerMB) * inFlight
+			dev++
+		}
+		k := st.Knobs
+		sig += fmt.Sprintf(" | ZeRO-%d dp%d tp%d %g/%g/%g/%g", st.Shape.ZeRO, st.Shape.DP, st.Shape.TP, k.WO, k.GO, k.OO, k.AO)
+	}
+	return states, stash, sig
 }

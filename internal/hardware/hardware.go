@@ -9,7 +9,7 @@
 // PCIe Gen4 x16, 400 Gbps network); see Table 3. Those two platforms are
 // encoded here as constructors. Since this reproduction has no physical
 // GPUs, these models are the ground truth the rest of the system is
-// calibrated against (see DESIGN.md, substitution table).
+// calibrated against (DESIGN.md "Substitution table").
 package hardware
 
 import (

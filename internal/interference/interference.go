@@ -8,7 +8,7 @@
 // The paper fits the factors to measurements on real GPUs; this
 // reproduction fits them, with the same least-squares procedure, to a
 // fluid bandwidth-sharing simulator (see fluid.go) that stands in for the
-// hardware (DESIGN.md substitution table). The fitted model is used by
+// hardware (DESIGN.md "Substitution table"). The fitted model is used by
 // the symbolic performance analyzer; the fluid simulator itself is used
 // by the discrete-event execution engine, keeping prediction and "ground
 // truth" on independent code paths.

@@ -3,8 +3,8 @@
 // behaviour is shape-dependent, so the paper benchmarks each operator on
 // the target hardware and caches the result keyed by (operator, shape).
 //
-// Without physical GPUs (see DESIGN.md), the "benchmark" is a roofline
-// kernel model: an operator costs
+// Without physical GPUs (DESIGN.md "Substitution table"), the
+// "benchmark" is a roofline kernel model: an operator costs
 //
 //	max(flops / (peakFLOPs * eff(shape)), bytes / memBandwidth) + launch
 //

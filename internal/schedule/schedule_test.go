@@ -563,7 +563,7 @@ func TestPropertyStableMonotoneInCkpt(t *testing.T) {
 // TestCkptAxisIsNotMonotoneUnderOffload bounds the property above: it
 // holds at AO = 0 and does not survive activation offloading, which is why
 // the tuner sweeps the checkpoint axis instead of binary-searching it
-// (DESIGN.md "the compute floor" records both counter-examples). At
+// (DESIGN.md "schedule: knob grids and the lane-major tape"). At
 // AO = 1 a checkpointed layer offloads a boundary tensor where a plain one
 // offloads its whole stash, and on a slow host link that saves more than
 // the recompute costs: Stable falls. Delta is a difference of two sums

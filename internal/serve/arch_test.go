@@ -16,8 +16,8 @@ import (
 // node-to-node protocol, bare or as a mux pattern ("POST /cluster/view").
 var protocolPath = regexp.MustCompile(`^((GET|POST|DELETE) )?(/cluster/[a-z]+|/slo)$`)
 
-// TestPeerProtocolHasOneSeam checks the architecture DESIGN.md
-// "Node-to-node protocol" describes, from the source: every request a
+// TestPeerProtocolHasOneSeam checks, from the source, the architecture
+// DESIGN.md "Node-to-node protocol" describes: every request a
 // node sends leaves through one builder, every peer reply is judged by
 // one decoder, every route of the protocol has one client, and the
 // serving layer proposes membership changes and walks a key's route in

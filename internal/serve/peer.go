@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the client side of the node-to-node protocol (tabulated
-// in DESIGN.md): one typed method per (method, path) a node sends a
+// in DESIGN.md "Node-to-node protocol"): one typed method per (method, path) a node sends a
 // peer, the wire types both ends share, and every budget. The view
 // routes' clients live beside the view (cluster.PushView, FetchView).
 

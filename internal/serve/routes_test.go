@@ -22,8 +22,8 @@ var endpointRef = regexp.MustCompile(
 	`localhost:[0-9]+(/[A-Za-z0-9_/{}.-]+)|(?:GET|POST|DELETE) (/[A-Za-z0-9_/{}.-]+)|` + "`" + `(/[A-Za-z0-9_/{}.-]+)` + "`")
 
 // TestREADMEEndpointsRouted pins the docs to the route table: every
-// endpoint README.md documents, and every route of DESIGN.md's
-// "Node-to-node protocol" table, must resolve in serve.Handler(). A
+// endpoint README.md documents, and every route of the table in
+// DESIGN.md "Node-to-node protocol", must resolve in serve.Handler(). A
 // route the mux does not know answers with the stdlib's plain-text
 // "404 page not found"; everything this service serves — including its
 // own not-found and method-not-allowed conditions — answers JSON. That

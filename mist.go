@@ -26,10 +26,11 @@
 // (the §5.2 expression engine), internal/graph (symbolic tracing and
 // liveness analysis), internal/schedule (the §5.1 overlap-centric
 // schedule template), internal/interference (Algorithm 1),
-// internal/core (the §5.3 hierarchical tuner with MILP inter-stage
-// optimization), internal/trainsim (the discrete-event execution engine
-// standing in for a physical cluster) and internal/baselines (the
-// comparison systems of §6). See DESIGN.md for the full inventory;
+// internal/core (the §5.3 hierarchical tuner, whose inter-stage
+// assignment is an exact DP, with the paper's MILP as an option),
+// internal/trainsim (the discrete-event execution engine standing in for
+// a physical cluster) and internal/baselines (the comparison systems of
+// §6). DESIGN.md "Package inventory" lists every package;
 // `go run ./cmd/mistbench -exp all` prints the paper-vs-reproduction
 // tables and README "Performance" has the committed numbers.
 package mist
