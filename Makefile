@@ -12,9 +12,9 @@ BENCH_TOLERANCE ?= 0.25
 # Where bench-profile drops its pprof output.
 PROFILE_DIR ?= profiles
 
-.PHONY: ci vet build test test-noskip test-seam race property bench bench-json bench-regression bench-profile serve fuzz lint mistlint load-smoke experiments-smoke cluster-smoke elastic-smoke slo-smoke pilot-smoke flag-docs flag-docs-check
+.PHONY: ci vet build test test-noskip test-seam race property bench bench-json bench-regression bench-profile serve fuzz lint mistlint load-smoke experiments-smoke cluster-smoke elastic-smoke slo-smoke flag-docs flag-docs-check
 
-ci: lint build race property test-seam ## full tier-1 + race + property gate, plus the nested benchmark module's seam
+ci: lint build race property test-seam flag-docs-check ## full tier-1 + race + property gate, plus the nested benchmark module's seam and the generated flag docs
 
 vet:
 	$(GO) vet ./...
@@ -75,11 +75,6 @@ elastic-smoke: ## 3-node cluster with a mid-run join and drain; fails on any 5xx
 slo-smoke: ## 3-node mixed replay scored against the committed SLO spec (budget exhaustion fails), plus the induced-failure drill: fast-burn page within bound, resolved after recovery
 	$(GO) run ./cmd/mistload -scenario mixed -inproc -nodes 3 -duration 5s -seed 1 -concurrency 4 -slo-config testdata/slo.json
 	$(GO) test -run 'TestSLOKillDrill|TestSLOEndToEnd' -count=1 -v ./internal/serve
-
-pilot-smoke: ## autoscaling drill: a flash crowd must scale 3 nodes out to 5 and pass the controller audit, a killed node must be auto-heal-drained back to exactly-R; plus the virtual-clock pilot e2e tests
-	$(GO) run ./cmd/mistload -scenario flash-crowd -inproc -nodes 3 -standbys 2 -pilot -pilot-config testdata/pilot.json -slo-config testdata/slo.json -duration 8s -seed 1 -concurrency 64 -max-queue 8
-	$(GO) run ./cmd/mistload -scenario flash-crowd -inproc -nodes 4 -pilot -pilot-config testdata/pilot.json -slo-config testdata/slo.json -duration 8s -seed 2 -kill n4@2s
-	$(GO) test -run 'TestPilot' -count=1 -v ./internal/serve
 
 property: ## schedule, frontier, compile and trace invariants (every section byte quantity non-increasing in TP, non-decreasing in b), repeated with a pinned quick.Check budget; then, on the full shape grid, the lifted stage programs against the per-shape reference and the compute floor under every priced stable time; then the long generated-cell stream (60 seeded cells tuned and measured: no device OOM, S=1 error in its band, S >= 2 error negative)
 	$(GO) test ./internal/schedule ./internal/core ./internal/symbolic ./internal/graph -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)

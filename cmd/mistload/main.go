@@ -28,16 +28,6 @@
 // every record Version==1, searches == distinct fingerprints), failing
 // the run on any violation.
 //
-// With -pilot the in-process fleet runs the autoscaling/self-healing
-// controller (policy from -pilot-config, conservative defaults
-// otherwise), -standbys k parks k warm standbys it may scale into, and
-// the run ends with a controller audit: the acting pilot's decision
-// counters land in the report's "pilot" section, and the run fails if
-// the controller broke its own guardrails (rate cap exceeded, a static
-// node drained). The diurnal and flash-crowd scenarios are shaped for
-// exactly this: slow swells the pilot should ride out and a step
-// overload it should scale through.
-//
 // Examples:
 //
 //	mistload -scenario mixed -inproc -duration 5s -seed 1
@@ -46,7 +36,6 @@
 //	mistload -scenario mixed -inproc -nodes 3 -duration 5s -slo-config testdata/slo.json
 //	mistload -scenario failover -inproc -nodes 3 -duration 6s -kill n2@3s
 //	mistload -scenario elastic -inproc -nodes 3 -duration 7s -join n4@2s -drain n1@4s
-//	mistload -scenario flash-crowd -inproc -nodes 3 -standbys 2 -pilot -pilot-config testdata/pilot.json -slo-config testdata/slo.json -duration 8s
 //	mistload -scenario cold-storm -addr http://localhost:8080 -duration 30s -rate 50
 //	mistload -scenario mixed -addr http://10.0.0.1:8080,http://10.0.0.2:8080 -duration 30s
 //	mistload -list
@@ -80,7 +69,6 @@ import (
 	"time"
 
 	"repro/internal/load"
-	"repro/internal/pilot"
 	"repro/internal/serve"
 	"repro/internal/slo"
 	"repro/internal/trace"
@@ -111,9 +99,6 @@ func main() {
 		traceSample = flag.Int("trace-sample", 0, "stamp X-Mist-Trace on every Nth op, then audit spans and report per-phase latency (0: off; 1: every op)")
 		traceSettle = flag.Duration("trace-settle", 2*time.Minute, "how long the trace audit waits for open spans (queued job tails) to drain")
 		sloPath     = flag.String("slo-config", "", "JSON SLO spec: score the run against it (report gains an slo section; budget exhaustion fails the run) and attach it to in-process servers")
-		pilotOn     = flag.Bool("pilot", false, "attach the autoscaling pilot to the in-process cluster and audit its decisions post-run (needs -inproc -nodes > 1)")
-		pilotPath   = flag.String("pilot-config", "", "JSON pilot policy for -pilot (default policy otherwise; implies -pilot)")
-		standbys    = flag.Int("standbys", 0, "warm-standby pool size the pilot may scale into (needs -pilot)")
 		list        = flag.Bool("list", false, "list scenarios and exit")
 		version     = flag.Bool("version", false, "print version and exit")
 	)
@@ -141,25 +126,6 @@ func main() {
 	for flagName, v := range map[string]string{"-kill": *kill, "-join": *join, "-drain": *drain} {
 		if v != "" && *nodes <= 1 {
 			log.Fatalf("%s needs an in-process cluster (-inproc -nodes N)", flagName)
-		}
-	}
-	pilotEnabled := *pilotOn || *pilotPath != ""
-	if pilotEnabled && (!*inproc || *nodes <= 1) {
-		log.Fatal("-pilot needs an in-process cluster (-inproc -nodes N)")
-	}
-	if *standbys > 0 && !pilotEnabled {
-		log.Fatal("-standbys needs -pilot (nothing else scales into the pool)")
-	}
-	var pilotCfg pilot.Config
-	if pilotEnabled {
-		if *pilotPath != "" {
-			cfg, err := pilot.LoadConfig(*pilotPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			pilotCfg = cfg
-		} else if err := pilotCfg.Validate(); err != nil {
-			log.Fatal(err)
 		}
 	}
 	// -max-ops means a count-bound run: the 5s -duration default would
@@ -221,8 +187,7 @@ func main() {
 		// the first node that replies supplies the fleet verdict.
 		healthTargets []load.Target
 		traceLC       *serve.LocalCluster // in-proc cluster: re-list nodes post-run (a -join adds one)
-		auditLC       *serve.LocalCluster // set for elastic (join/drain/pilot) drills
-		pilotLC       *serve.LocalCluster // set when the pilot is attached: post-run controller audit
+		auditLC       *serve.LocalCluster // set for elastic (join/drain) drills
 		// The exactly-R audit is only sound when every dead node's loss
 		// has been declared: a killed member still in the ring keeps its
 		// replica slots, so its keys legitimately sit at R-1 live copies
@@ -247,7 +212,7 @@ func main() {
 			serve.WithJobWorkers(*workers),
 			serve.WithLimits(serve.Limits{MaxQueue: *maxQueue, RequestTimeout: *reqTimeout}),
 		}, serverTraceOpts...)
-		lcOpts := serve.LocalClusterOptions{
+		lc, err := serve.NewLocalCluster(serve.LocalClusterOptions{
 			Nodes:         *nodes,
 			Replicas:      *replicas,
 			ProbeInterval: 250 * time.Millisecond,
@@ -255,24 +220,12 @@ func main() {
 			// itself; the post-run Settle only finishes the tail.
 			RebalanceInterval: 500 * time.Millisecond,
 			ServerOptions:     serverOpts,
-		}
-		if pilotEnabled {
-			lcOpts.ServerOptions = append(lcOpts.ServerOptions, serve.WithPilot(pilotCfg))
-			lcOpts.Standbys = *standbys
-		}
-		lc, err := serve.NewLocalCluster(lcOpts)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer lc.Close()
-		if pilotEnabled {
-			pilotLC = lc
-			auditLC = lc // pilot actions are membership changes: settle + audit them
-		}
-		// Load only targets the boot ring: parked standbys are waiting
-		// processes, not ingress — they take traffic via forwards once
-		// the pilot admits them.
-		ids := lc.IDs()[:*nodes]
+		ids := lc.IDs()
 		perNode := make([]load.Target, len(ids))
 		for i, id := range ids {
 			perNode[i] = load.NewHandlerTarget(lc.Handler(id))
@@ -406,52 +359,6 @@ func main() {
 			rep.FleetHealth = fh
 		}
 	}
-	// Post-run controller audit: snapshot the acting pilot, check the
-	// guardrails held (rate cap respected, static fleet never shrunk),
-	// and reconcile drill flags with what the controller actually did.
-	var pilotViolations []string
-	if pilotLC != nil {
-		var leaderID string
-		for _, id := range pilotLC.IDs() {
-			if s := pilotLC.Node(id); s != nil && s.Pilot() != nil && s.PilotLeader() {
-				leaderID = id
-				break
-			}
-		}
-		if leaderID == "" {
-			log.Printf("pilot audit: no acting controller found (every pilot-bearing node dead?)")
-		} else {
-			st := pilotLC.Node(leaderID).Pilot().Status()
-			rep.Pilot = &st
-			if st.ActionsInWindow > st.Config.MaxActionsPerWindow {
-				pilotViolations = append(pilotViolations, fmt.Sprintf(
-					"%d actions inside the rate window, cap is %d", st.ActionsInWindow, st.Config.MaxActionsPerWindow))
-			}
-			killID, _ := drillTarget(*kill)
-			drainID, _ := drillTarget(*drain)
-			inView := map[string]bool{}
-			for _, m := range pilotLC.Cluster(leaderID).Members() {
-				inView[m.ID] = true
-			}
-			for i := 1; i <= *nodes; i++ {
-				id := fmt.Sprintf("n%d", i)
-				if !inView[id] && id != killID && id != drainID {
-					pilotViolations = append(pilotViolations, fmt.Sprintf(
-						"static node %s missing from the final view: the pilot may only drain standbys and declared corpses", id))
-				}
-			}
-			// A heal-drain declares the killed node's loss, which is
-			// exactly what makes the exactly-R audit sound again.
-			if killID != "" && !auditSound && !inView[killID] {
-				log.Printf("pilot declared %s's loss (auto-drain): elastic audit is sound", killID)
-				auditSound = true
-			}
-			log.Printf("pilot audit (leader %s): %d evals, %d scale-ups, %d scale-downs, %d heal-drains, %d vetoes; final view %d members, %d standbys available",
-				leaderID, st.Evals, st.ScaleUps, st.ScaleDowns, st.HealDrains, st.Vetoes,
-				len(inView), len(pilotLC.Cluster(leaderID).AvailableStandbys()))
-		}
-	}
-
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		log.Fatal(err)
@@ -484,35 +391,14 @@ func main() {
 		if err != nil {
 			log.Fatalf("FAIL: replication audit: %v", err)
 		}
-		// Placement invariants (exactly-R replicas, drained nodes empty)
-		// are hard failures always. Single-flight invariants (searches ==
-		// fingerprints, Version==1) are hard only when membership was
-		// static or changed by an explicit drill: a pilot scaling the
-		// fleet mid-traffic lets cold keys race an epoch change, where
-		// both the old and new owner legitimately miss and search before
-		// the views converge.
-		fatal := append([]string(nil), audit.Violations...)
-		if !pilotEnabled {
-			fatal = append(fatal, audit.SearchViolations...)
-		} else {
-			for _, v := range audit.SearchViolations {
-				log.Printf("audit note (soft, autoscaling run): %s", v)
-			}
-		}
-		if len(fatal) > 0 {
-			for _, v := range fatal {
+		if len(audit.Violations) > 0 {
+			for _, v := range audit.Violations {
 				log.Printf("audit violation: %s", v)
 			}
-			log.Fatalf("FAIL: %d elastic-invariant violations after the drill", len(fatal))
+			log.Fatalf("FAIL: %d elastic-invariant violations after the drill", len(audit.Violations))
 		}
 		log.Printf("elastic audit clean: epoch %d, %d fingerprints each on exactly %d of live members %v, %d searches total",
 			audit.Epoch, audit.Fingerprints, min(audit.Replicas, len(audit.Live)), audit.Live, audit.SearchesRun)
-	}
-	if len(pilotViolations) > 0 {
-		for _, v := range pilotViolations {
-			log.Printf("pilot-audit violation: %s", v)
-		}
-		log.Fatalf("FAIL: %d pilot-audit violations", len(pilotViolations))
 	}
 	if rep.SLO != nil && !rep.SLO.Met {
 		var exhausted []string
@@ -521,16 +407,7 @@ func main() {
 				exhausted = append(exhausted, fmt.Sprintf("%s (budget remaining %.3f)", st.Name, st.BudgetRemaining))
 			}
 		}
-		if pilotEnabled {
-			// An autoscaling drill drives the fleet through deliberate
-			// overload — burned backpressure budget is the stimulus the
-			// pilot reacts to, not a regression. The pilot audit above
-			// is the pass/fail gate for these runs.
-			log.Printf("SLO error budget exhausted (expected under an autoscaling drill): %s",
-				strings.Join(exhausted, ", "))
-		} else {
-			log.Fatalf("FAIL: SLO error budget exhausted: %s", strings.Join(exhausted, ", "))
-		}
+		log.Fatalf("FAIL: SLO error budget exhausted: %s", strings.Join(exhausted, ", "))
 	}
 }
 

@@ -16,16 +16,8 @@
 // Members leave gracefully via `POST /cluster/drain {"id":"nX"}` on any
 // live node: the ring shrinks, the drained node keeps serving (by
 // forwarding) while it hands its records off, and repair restores the
-// replication factor among the survivors.
-//
-// With -pilot the fleet also heals and scales itself: every node runs
-// the same deterministic controller, the lowest-id live member acts,
-// and it joins warm standbys from -standby-pool under saturation,
-// drains them back when healthy, and auto-drains stuck members. Boot a
-// warm standby with -node-id + -advertise alone (no -peers/-join): it
-// parks outside the ring until a pilot scale-up admits it. Controller
-// state is served at GET /pilot; -pilot-dry-run rehearses without
-// actuating.
+// replication factor among the survivors. A dead member's loss is
+// declared the same way: drain it.
 //
 // Example session:
 //
@@ -59,7 +51,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/pilot"
 	"repro/internal/serve"
 	"repro/internal/slo"
 	"repro/internal/store"
@@ -95,11 +86,6 @@ func main() {
 
 		sloPath = flag.String("slo-config", "", "JSON SLO spec: evaluate it continuously and serve verdicts at GET /slo and GET /cluster/health")
 
-		pilotOn     = flag.Bool("pilot", false, "cluster mode: run the autoscaling/self-healing controller (the lowest-id live member acts; state at GET /pilot)")
-		pilotPath   = flag.String("pilot-config", "", "JSON pilot policy (implies -pilot; empty with -pilot: built-in defaults)")
-		pilotDry    = flag.Bool("pilot-dry-run", false, "pilot records every decision on the event timeline but never actuates")
-		standbyPool = flag.String("standby-pool", "", "cluster mode: warm standbys the pilot may scale into, as id=addr,id=addr")
-
 		version = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -116,7 +102,7 @@ func main() {
 		serve.WithCacheCap(*cacheCap),
 		serve.WithEvalCacheCap(*evalCap),
 		serve.WithJobWorkers(*workers),
-		// Request, forwarding, repair, SLO and pilot lines: structured
+		// Request, forwarding, repair and SLO lines: structured
 		// text on stderr, each carrying request=<id> (and trace=<id> when
 		// sampled) as attributes. The lifecycle lines below stay on log.
 		serve.WithLogger(slog.New(slog.NewTextHandler(os.Stderr, nil))),
@@ -146,64 +132,12 @@ func main() {
 	if *peers != "" && *joinPeer != "" {
 		log.Fatal("-peers and -join are mutually exclusive (static boot vs elastic join)")
 	}
-	// -node-id + -advertise with neither -peers nor -join boots a warm
-	// standby: a parked single-member view on the real transport, serving
-	// nothing to the ring until a pilot (or operator join) admits it.
-	standbyBoot := *peers == "" && *joinPeer == "" && *nodeID != "" && *advertise != ""
-	clusterMode := *peers != "" || *joinPeer != "" || standbyBoot
+	clusterMode := *peers != "" || *joinPeer != ""
 	if clusterMode && *nodeID == "" {
 		log.Fatal("cluster mode needs -node-id together with -peers or -join")
 	}
 	if *nodeID != "" && !clusterMode {
-		log.Fatal("-node-id needs -peers, -join, or -advertise (warm-standby boot)")
-	}
-	pilotEnabled := *pilotOn || *pilotPath != ""
-	if (pilotEnabled || *standbyPool != "") && !clusterMode {
-		log.Fatal("-pilot and -standby-pool need cluster mode (-peers, -join, or a warm-standby boot)")
-	}
-	if pilotEnabled {
-		var pcfg pilot.Config
-		if *pilotPath != "" {
-			var err error
-			if pcfg, err = pilot.LoadConfig(*pilotPath); err != nil {
-				log.Fatal(err)
-			}
-		} else if err := pcfg.Validate(); err != nil {
-			log.Fatal(err)
-		}
-		if *pilotDry {
-			pcfg.DryRun = true
-		}
-		mode := "actuating"
-		if pcfg.DryRun {
-			mode = "dry-run"
-		}
-		log.Printf("pilot: %s controller every %dms (cooldown %ds, <=%d actions/%ds, floor %d nodes), state at GET /pilot",
-			mode, pcfg.IntervalMs, pcfg.CooldownS, pcfg.MaxActionsPerWindow, pcfg.WindowS, pcfg.MinNodes)
-		opts = append(opts, serve.WithPilot(pcfg))
-	}
-	var pool []cluster.Member
-	if *standbyPool != "" {
-		var err error
-		if pool, err = cluster.ParsePeers(*standbyPool); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("standby pool: %d warm nodes the pilot may scale into", len(pool))
-	}
-	if standbyBoot {
-		// A parked standby must know it is one — otherwise its lonely
-		// single-member view makes it consider itself the pilot leader of
-		// a fleet it was never admitted to.
-		self := false
-		for _, m := range pool {
-			self = self || m.ID == *nodeID
-		}
-		if !self {
-			pool = append(pool, cluster.Member{ID: *nodeID, Addr: *advertise})
-		}
-	}
-	if len(pool) > 0 {
-		opts = append(opts, serve.WithStandbyPool(pool))
+		log.Fatal("-node-id needs -peers or -join")
 	}
 	if *storeDir != "" || clusterMode {
 		// Cluster mode always attaches a store (in-memory when no
@@ -224,19 +158,6 @@ func main() {
 
 	var cl *cluster.Cluster
 	switch {
-	case standbyBoot:
-		var err error
-		cl, err = cluster.New(cluster.Config{
-			Self:     *nodeID,
-			Members:  []cluster.Member{{ID: *nodeID, Addr: *advertise}},
-			Replicas: *replicas,
-			VNodes:   *vnodes,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("warm standby: node %s parked at %s — it serves nothing to the ring until a pilot scale-up (or an operator join) admits it",
-			*nodeID, *advertise)
 	case *peers != "":
 		members, err := cluster.ParsePeers(*peers)
 		if err != nil {
@@ -351,7 +272,7 @@ func main() {
 			}
 		}()
 	}
-	log.Printf("serving on %s (POST /tune /simulate /jobs, GET /jobs /cluster /cluster/events /cluster/health /slo /pilot /healthz /stats /metrics /debug/traces)", *addr)
+	log.Printf("serving on %s (POST /tune /simulate /jobs, GET /jobs /cluster /cluster/events /cluster/health /slo /healthz /stats /metrics /debug/traces)", *addr)
 	err := s.ListenAndServe(ctx, *addr, *grace)
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)

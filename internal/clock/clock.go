@@ -1,5 +1,5 @@
 // Package clock is the one seam through which time enters the protocol
-// packages (cluster, slo, pilot) and the serving layer's tick loops.
+// packages (cluster, slo) and the serving layer's tick loops.
 // Those packages never read the wall clock or schedule on it
 // themselves — mistlint's nodeterm analyzer enforces it — so a node
 // built on a Fake is a state machine whose only inputs are messages
@@ -12,7 +12,7 @@ import (
 )
 
 // Clock is the reader half: what a package that only stamps or
-// compares instants takes (slo.Options.Clock, pilot.New).
+// compares instants takes (slo.Options.Clock).
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
@@ -45,8 +45,8 @@ var System Ticking = system{}
 
 // Fake is a hand-cranked clock for virtual-time tests, safe for
 // concurrent use. Its tickers never fire: a loop built on a Fake is
-// inert and the test drives each tick itself (SLOTick, PilotTick,
-// RebalanceOnce), so no background tick can race a hand-driven one.
+// inert and the test drives each tick itself (SLOTick, RebalanceOnce),
+// so no background tick can race a hand-driven one.
 type Fake struct {
 	mu sync.Mutex
 	t  time.Time

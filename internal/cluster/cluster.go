@@ -84,7 +84,6 @@ type Cluster struct {
 	members      map[string]Member
 	ring         *Ring
 	departed     map[string]Member // ex-members of superseded views, until they rejoin
-	standbys     []Member          // configured warm-standby pool (see standby.go)
 	onViewChange func(View)
 
 	syncing atomic.Bool

@@ -7,9 +7,8 @@ import (
 )
 
 // Event types recorded on the cluster timeline. The serving layer adds
-// its rebalance pass events under the Rebalance* types, SLO alert
-// transitions under the SLO* types, and autoscaling controller
-// decisions under the Pilot* types; everything else is emitted by this
+// its rebalance pass events under the Rebalance* types and SLO alert
+// transitions under the SLO* types; everything else is emitted by this
 // package.
 const (
 	EventEpochAdopted     = "epoch-adopted"
@@ -22,9 +21,6 @@ const (
 	EventSLOWarning       = "slo-warning"
 	EventSLOPage          = "slo-page"
 	EventSLOResolved      = "slo-resolved"
-	EventPilotScaleUp     = "pilot-scale-up"
-	EventPilotDrain       = "pilot-drain"
-	EventPilotVeto        = "pilot-veto"
 )
 
 // Event is one entry on a node's cluster timeline: what this node

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/pilot"
 	"repro/internal/slo"
 	"repro/internal/trace"
 )
@@ -99,11 +98,6 @@ type Report struct {
 	// client-side view).
 	SLO         *slo.RunScore    `json:"slo,omitempty"`
 	FleetHealth *slo.FleetReport `json:"fleetHealth,omitempty"`
-
-	// Pilot is the acting controller's end-of-run snapshot (filled by
-	// the caller when the in-process fleet ran with an autoscaling
-	// pilot; the runner itself never talks to the controller).
-	Pilot *pilot.Status `json:"pilot,omitempty"`
 }
 
 // endpointOf maps an op onto the serving layer's endpoint labels, so a

@@ -212,7 +212,7 @@ var scenarios = []scenarioDef{
 	},
 	{
 		name: "diurnal",
-		desc: "day/night cycle keyed on op index: quiet stats-heavy troughs rise into warm+cold+simulate peaks — the slow demand swell an autoscaling pilot should ride without flapping",
+		desc: "day/night cycle keyed on op index: quiet stats-heavy troughs rise into warm+cold+simulate peaks and decay again: a slow demand swell",
 		next: func(rng *rand.Rand, i int) Op {
 			// Phase is a pure function of the op index: a 1000-op "day".
 			// Demand composition shifts with the phase; the rng only
@@ -256,7 +256,7 @@ var scenarios = []scenarioDef{
 	},
 	{
 		name: "flash-crowd",
-		desc: "calm warm traffic, then a sudden cold-search storm, then recovery: the step-function overload the pilot-smoke drill scales through and back",
+		desc: "calm warm traffic, then a sudden cold-search storm, then recovery: a step-function overload and its tail",
 		next: func(rng *rand.Rand, i int) Op {
 			// A 900-op cycle: one third calm, one third storm, one third
 			// recovery — all keyed on the op index so the storm hits at

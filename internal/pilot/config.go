@@ -1,15 +1,13 @@
 package pilot
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 )
 
-// Config is the controller's declarative policy, loadable from JSON
-// (`mistserve -pilot-config`). Zero values are filled with conservative
-// defaults by Validate, so an empty Config is a working policy.
+// Config is the controller's declarative policy. Zero values are
+// filled with conservative defaults by Validate, so an empty Config is
+// a working policy.
 type Config struct {
 	// IntervalMs is the evaluation tick period (default 5000). Each
 	// tick reads one snapshot of fleet signals and makes at most one
@@ -129,20 +127,4 @@ func (c Config) Cooldown() time.Duration {
 // Window returns the rate-limit window as a duration.
 func (c Config) Window() time.Duration {
 	return time.Duration(c.WindowS) * time.Second
-}
-
-// LoadConfig reads and validates a JSON policy file.
-func LoadConfig(path string) (Config, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Config{}, fmt.Errorf("pilot config: %w", err)
-	}
-	var c Config
-	if err := json.Unmarshal(data, &c); err != nil {
-		return Config{}, fmt.Errorf("pilot config %s: %w", path, err)
-	}
-	if err := c.Validate(); err != nil {
-		return Config{}, fmt.Errorf("pilot config %s: %w", path, err)
-	}
-	return c, nil
 }

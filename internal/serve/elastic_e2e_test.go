@@ -26,7 +26,7 @@ func settleAndAudit(t *testing.T, lc *serve.LocalCluster) *serve.ReplicationAudi
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range audit.AllViolations() {
+	for _, v := range audit.Violations {
 		t.Errorf("audit violation: %s", v)
 	}
 	return audit

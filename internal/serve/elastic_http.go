@@ -21,8 +21,8 @@ import (
 // drain m.ID) → log → broadcast the minted view to its members — plus,
 // for a drain, the removed node, which is how it learns to hand its
 // records off and serve by forwarding only. The operator endpoints
-// render the result as HTTP, the pilot as timeline events. An idempotent
-// re-join (a restarted node re-announcing itself) broadcasts nothing.
+// render the result as HTTP. An idempotent re-join (a restarted node
+// re-announcing itself) broadcasts nothing.
 func (s *Server) changeMembership(ctx context.Context, join bool, m cluster.Member) (view cluster.View, err error) {
 	var changed bool
 	var extra []cluster.Member

@@ -48,12 +48,6 @@ type LocalClusterOptions struct {
 	// repairer when > 0; at 0 repair runs only when driven explicitly
 	// (Settle), which is what deterministic tests want.
 	RebalanceInterval time.Duration
-	// Standbys boots k warm-standby nodes "s1".."sk" on the switchboard:
-	// fully serving processes with lonely single-member views that are
-	// NOT admitted to the ring. Every node (standbys included) learns
-	// the pool via WithStandbyPool, so an attached pilot can scale into
-	// it — the in-process mirror of `mistserve -standby-pool`.
-	Standbys int
 	// ServerOptions are applied to every node (limits, workers, ...).
 	ServerOptions []Option
 }
@@ -102,15 +96,6 @@ func NewLocalCluster(opt LocalClusterOptions) (*LocalCluster, error) {
 		members[i] = cluster.Member{ID: id, Addr: "http://" + id}
 		lc.ids = append(lc.ids, id)
 	}
-	pool := make([]cluster.Member, opt.Standbys)
-	for i := range pool {
-		id := fmt.Sprintf("s%d", i+1)
-		pool[i] = cluster.Member{ID: id, Addr: "http://" + id}
-	}
-	if len(pool) > 0 {
-		lc.opt.ServerOptions = append(append([]Option{}, opt.ServerOptions...),
-			WithStandbyPool(pool))
-	}
 	for i, m := range members {
 		dir := ""
 		if i < len(opt.StoreDirs) {
@@ -119,14 +104,6 @@ func NewLocalCluster(opt LocalClusterOptions) (*LocalCluster, error) {
 		if err := lc.addNode(m, members, dir); err != nil {
 			return nil, err
 		}
-	}
-	// Standbys boot after the ring like live processes would: empty
-	// store, a view of just themselves, waiting for a join broadcast.
-	for _, m := range pool {
-		if err := lc.addNode(m, []cluster.Member{m}, ""); err != nil {
-			return nil, err
-		}
-		lc.ids = append(lc.ids, m.ID)
 	}
 	return lc, nil
 }
@@ -168,24 +145,11 @@ func (lc *LocalCluster) addNode(m cluster.Member, members []cluster.Member, stor
 }
 
 // IDs returns the node ids in creation order (boot members first, then
-// standbys, then joins).
+// joins).
 func (lc *LocalCluster) IDs() []string {
 	lc.mu.RLock()
 	defer lc.mu.RUnlock()
 	return append([]string(nil), lc.ids...)
-}
-
-// parkedLocked reports whether a node is a standby still outside the
-// real ring (its adopted view is only itself). A standby admitted by a
-// scale-up has adopted the fleet view and stops being parked. Call with
-// lc.mu held.
-func (lc *LocalCluster) parkedLocked(id string) bool {
-	srv := lc.servers[id]
-	if srv == nil || !srv.cluster.IsStandby(id) {
-		return false
-	}
-	ms := srv.cluster.Members()
-	return len(ms) == 1 && ms[0].ID == id
 }
 
 // Node returns one node's server (nil for unknown ids).
@@ -327,7 +291,7 @@ func (lc *LocalCluster) liveRingMember(exclude string) (cluster.Member, error) {
 	lc.mu.RLock()
 	defer lc.mu.RUnlock()
 	for _, id := range lc.ids {
-		if id == exclude || lc.deadNode(id) || lc.parkedLocked(id) {
+		if id == exclude || lc.deadNode(id) {
 			continue
 		}
 		if cl := lc.servers[id].cluster; cl.InRing() {
@@ -374,22 +338,9 @@ type ReplicationAudit struct {
 	// stores; SearchesRun sums TunesRun over every server ever booted.
 	Fingerprints int    `json:"fingerprints"`
 	SearchesRun  uint64 `json:"searchesRun"`
-	// Violations lists broken placement invariants (replica counts,
-	// drained handoff) — empty on a clean drill.
+	// Violations lists broken invariants (replica counts, drained
+	// handoff, single-flight) — empty on a clean drill.
 	Violations []string `json:"violations,omitempty"`
-	// SearchViolations lists single-flight breaches (version > 1,
-	// searches != fingerprints). These are hard failures for drills on a
-	// fixed fingerprint pool, but cold traffic crossing a membership
-	// change can legitimately double-search a brand-new key (old and new
-	// owner both miss before the view converges), so autoscaling drills
-	// report them without failing.
-	SearchViolations []string `json:"searchViolations,omitempty"`
-}
-
-// AllViolations folds both violation classes, worst first.
-func (a *ReplicationAudit) AllViolations() []string {
-	out := append([]string(nil), a.Violations...)
-	return append(out, a.SearchViolations...)
 }
 
 // AuditReplication checks the elastic invariants after a drill has
@@ -435,7 +386,7 @@ func (lc *LocalCluster) AuditReplication() (*ReplicationAudit, error) {
 			key := rec.Fingerprint.Key()
 			counts[key]++
 			if rec.Version != 1 {
-				audit.SearchViolations = append(audit.SearchViolations, fmt.Sprintf(
+				audit.Violations = append(audit.Violations, fmt.Sprintf(
 					"node %s holds %s at version %d (tuned more than once fleet-wide)", id, key, rec.Version))
 			}
 		}
@@ -466,7 +417,7 @@ func (lc *LocalCluster) AuditReplication() (*ReplicationAudit, error) {
 		}
 	}
 	if audit.SearchesRun != uint64(audit.Fingerprints) {
-		audit.SearchViolations = append(audit.SearchViolations, fmt.Sprintf(
+		audit.Violations = append(audit.Violations, fmt.Sprintf(
 			"fleet ran %d searches for %d distinct fingerprints (single-flight broken)",
 			audit.SearchesRun, audit.Fingerprints))
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // WithLogger installs a structured logger for request, forwarding,
-// replication, repair, SLO and pilot lines. Every record logged with a
+// replication, repair and SLO lines. Every record logged with a
 // request's context carries its ingress request id ("request") and,
 // when the request is sampled, its trace id ("trace") as attributes, so
 // a grep for either id finds every line the request touched, across

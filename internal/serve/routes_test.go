@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/pilot"
 	"repro/internal/serve"
 	"repro/internal/slo"
 )
@@ -67,15 +66,11 @@ func TestREADMEEndpointsRouted(t *testing.T) {
 		t.Fatalf("README endpoint scan found only %v — the extraction regex broke", paths)
 	}
 
-	// A pilot-bearing cluster node serves every surface the README
-	// documents, including /cluster/*, /slo, and /pilot. The committed
-	// exemplar configs double as fixtures here, so the README's pointers
-	// to them stay honest too.
+	// An SLO-bearing cluster node serves every surface the README
+	// documents, including /cluster/* and /slo. The committed exemplar
+	// config doubles as the fixture here, so the README's pointer to it
+	// stays honest too.
 	sloCfg, err := slo.LoadConfig("../../testdata/slo.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pilotCfg, err := pilot.LoadConfig("../../testdata/pilot.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +79,6 @@ func TestREADMEEndpointsRouted(t *testing.T) {
 		Replicas: 2,
 		ServerOptions: []serve.Option{
 			serve.WithSLO(sloCfg),
-			serve.WithPilot(pilotCfg),
 			serve.WithClock(clock.NewFake(time.Unix(0, 0))),
 		},
 	})

@@ -68,7 +68,6 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/pilot"
 	"repro/internal/plan"
 	"repro/internal/slo"
 	"repro/internal/store"
@@ -333,7 +332,7 @@ type Server struct {
 
 	cluster *cluster.Cluster
 	log     *slog.Logger  // never nil; disabled without WithLogger (see logging.go)
-	clock   clock.Ticking // SLO/pilot time source and every tick loop's ticker
+	clock   clock.Ticking // SLO time source and every tick loop's ticker
 
 	traceOpt *trace.Options
 	trace    *trace.Recorder
@@ -350,7 +349,7 @@ type Server struct {
 	tuneGate     *gate
 	simulateGate *gate
 
-	// The SLO, pilot and rebalancer loops (see tickLoop) run until
+	// The SLO and rebalancer loops (see tickLoop) run until
 	// Close cancels loopCtx.
 	loopCtx    context.Context
 	loopCancel context.CancelFunc
@@ -360,12 +359,6 @@ type Server struct {
 	// built engine.
 	sloCfg    *slo.Config
 	sloEngine *slo.Engine
-
-	// Pilot controller wiring (see pilot_http.go): the autoscaling
-	// policy, the controller, and the configured warm-standby pool.
-	pilotCfg *pilot.Config
-	pilot    *pilot.Pilot
-	standbys []cluster.Member
 
 	// Elastic-membership machinery: the rebalancer's kick channel and
 	// the per-epoch repaired-record memo (see rebalance.go).
@@ -516,11 +509,11 @@ func WithCluster(cl *cluster.Cluster) Option {
 	return func(s *Server) { s.cluster = cl }
 }
 
-// WithClock replaces the system clock as the SLO engine's and the pilot
-// controller's time source and as the ticker behind the SLO, pilot and
-// rebalancer loops. On a clock.Fake those loops are inert and a test
-// drives SLOTick, PilotTick and RebalanceOnce itself; one Fake may be
-// shared by every node of a LocalCluster. A nil clock is ignored.
+// WithClock replaces the system clock as the SLO engine's time source
+// and as the ticker behind the SLO and rebalancer loops. On a
+// clock.Fake those loops are inert and a test drives SLOTick and
+// RebalanceOnce itself; one Fake may be shared by every node of a
+// LocalCluster. A nil clock is ignored.
 func WithClock(c clock.Ticking) Option {
 	return func(s *Server) { s.clock = c }
 }
@@ -590,15 +583,12 @@ func New(opts ...Option) *Server {
 		// pass (the background loop must be started for it to run).
 		s.cluster.SetOnViewChange(func(cluster.View) { s.KickRebalance() })
 	}
-	// After initSLO and the cluster hooks: the controller reads the SLO
-	// tick cache and actuates through the cluster.
-	s.initPilot()
 	return s
 }
 
 // Close stops the job workers (canceling queued and running jobs), the
-// background rebalancer, and the SLO and pilot tick loops. The plan
-// store needs no teardown: every Put is already durable.
+// background rebalancer, and the SLO tick loop. The plan store needs no
+// teardown: every Put is already durable.
 func (s *Server) Close() {
 	// Spend the rebalancer's once: a StartRebalancer racing Close has
 	// started its loop by the time Do returns, a later one starts none.
@@ -611,8 +601,7 @@ func (s *Server) Close() {
 // tickLoop starts a goroutine that runs fn on every tick of the
 // server's clock, d apart (d <= 0: no ticks), and on every kick (nil:
 // none), until Close. On a clock.Fake no tick ever arrives: the loop is
-// inert and the test calls fn's exported twin (SLOTick, PilotTick,
-// RebalanceOnce).
+// inert and the test calls fn's exported twin (SLOTick, RebalanceOnce).
 func (s *Server) tickLoop(d time.Duration, kick <-chan struct{}, fn func(context.Context)) {
 	s.loopWG.Add(1)
 	go func() {
@@ -691,7 +680,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /cluster/events", s.wrap("/cluster/events", nil, gated(peers, noCluster, s.handleClusterEvents)))
 	mux.HandleFunc("GET /cluster/health", s.wrap("/cluster/health", nil, gated(s.sloEngine != nil, noSLO, s.handleClusterHealth)))
 	mux.HandleFunc("GET /slo", s.wrap("/slo", nil, gated(s.sloEngine != nil, noSLO, s.handleSLO)))
-	mux.HandleFunc("GET /pilot", s.wrap("/pilot", nil, gated(s.pilot != nil, "no pilot attached (see -pilot)", s.handlePilot)))
 	mux.HandleFunc("GET /debug/traces", s.wrap("/debug/traces", nil, s.handleDebugTraces))
 	return mux
 }

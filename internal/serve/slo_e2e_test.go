@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,7 +18,7 @@ import (
 )
 
 // newFakeClock is the hand-cranked clock one whole fleet shares: on it
-// every node's SLO, pilot and rebalancer loops are inert and the test
+// every node's SLO and rebalancer loops are inert and the test
 // drives each tick itself.
 func newFakeClock() *clock.Fake {
 	return clock.NewFake(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
@@ -288,4 +291,99 @@ func TestBuildInfo(t *testing.T) {
 	if s := bi.String(); !strings.Contains(s, bi.Go) {
 		t.Errorf("String() = %q", s)
 	}
+}
+
+// TestClusterHealthDuringJoin hammers GET /cluster/health while an
+// operator join (LocalCluster.Join, the mirror of `mistserve -join`)
+// changes the membership: every reply is well-formed (200, node count
+// from before or after the join), nothing panics, and the joiner shows
+// up once the view settles. Run under -race this pins the fleet-fold
+// path against membership mutation.
+func TestClusterHealthDuringJoin(t *testing.T) {
+	lc, clock := newSLOCluster(t)
+	for i := 0; i < 2; i++ {
+		for _, id := range []string{"n1", "n2", "n3"} {
+			feedNode(lc.Node(id), "/tune", "200", 20, 5*time.Millisecond)
+		}
+		tickAll(lc, clock)
+	}
+
+	stop := make(chan struct{})
+	var started, wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		started.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for first := true; ; first = false {
+				var fleet struct {
+					Nodes int `json:"nodes"`
+				}
+				req := httptest.NewRequest(http.MethodGet, "/cluster/health", nil)
+				rec := httptest.NewRecorder()
+				lc.Handler("n1").ServeHTTP(rec, req)
+				if first {
+					started.Done()
+				}
+				if rec.Code != http.StatusOK {
+					t.Errorf("GET /cluster/health during join: %d %s", rec.Code, rec.Body.String())
+					return
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &fleet); err != nil || fleet.Nodes < 3 || fleet.Nodes > 4 {
+					t.Errorf("GET /cluster/health during join: nodes %d, err %v (%s)", fleet.Nodes, err, rec.Body.String())
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	// Join only once every fan-out is in flight, then keep the SLO
+	// engines ticking on the grown fleet while the fan-outs continue.
+	started.Wait()
+	if _, err := lc.Join(context.Background(), "n4"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		for _, id := range lc.IDs() {
+			feedNode(lc.Node(id), "/tune", "200", 20, 5*time.Millisecond)
+		}
+		tickAll(lc, clock)
+	}
+	close(stop)
+	wg.Wait()
+	if got := len(lc.Cluster("n1").Members()); got != 4 {
+		t.Fatalf("n4 never joined: %d members", got)
+	}
+	// After the dust settles the joiner is a first-class health member.
+	var fleet map[string]any
+	if code := getJSON(t, lc.Handler("n1"), "/cluster/health", &fleet); code != http.StatusOK {
+		t.Fatalf("GET /cluster/health after join: %d", code)
+	}
+	if n, ok := fleet["nodes"].(float64); !ok || int(n) != 4 {
+		t.Errorf("fleet nodes after join: %v, want 4", fleet["nodes"])
+	}
+}
+
+// do2 issues one JSON request against a handler (internal-package twin
+// of the external harness's do helper).
+func do2(t *testing.T, h http.Handler, method, path string, body, out any) *httptest.ResponseRecorder {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(method, path, bytes.NewReader(data))
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if out != nil && rec.Code < 300 {
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			t.Fatalf("decoding %s %s reply (%d: %s): %v", method, path, rec.Code, rec.Body.String(), err)
+		}
+	}
+	return rec
 }
