@@ -81,7 +81,7 @@ property: ## schedule, frontier, compile and trace invariants (every section byt
 	$(GO) test ./internal/schedule -run 'TestPropertyLiftedProgramMatchesPerShapeBuild|TestPropertyComputeFloorBoundsStable' -count=1 -reference.full
 	$(GO) test ./internal/experiments -run 'TestGeneratedCells' -count=1 -v -generator.full
 
-bench: ## cold and warm tuner (BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down; BenchmarkTuneColdGrid is mistperf's 8-cell search-cold grid, each cell a fresh tuner, search and trainsim re-measure), one 405-knob row through the analyzer and through the eval cache, batch-submit amortization, one node's /metrics and /stats scrape on a 3-node fleet, tracing overhead, SLO evaluation
+bench: ## cold and warm tuner (BenchmarkTuneMemoizedWarm is the re-tune path: a fresh tuner over a filled shared cache, merging the rows' staircases; BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down; BenchmarkTuneColdGrid is mistperf's 8-cell search-cold grid, each cell a fresh tuner, search and trainsim re-measure), one 405-knob row through the analyzer and through the eval cache, batch-submit amortization, one node's /metrics and /stats scrape on a 3-node fleet, tracing overhead, SLO evaluation
 	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x .
 	$(GO) test -run xxx -bench 'BenchmarkEvaluateBatch' ./internal/schedule
 	$(GO) test -run xxx -bench 'BenchmarkRow' ./internal/evalcache

@@ -44,16 +44,15 @@ type point struct {
 var evalScratchPool = sync.Pool{New: func() any { return new(evalcache.Scratch) }}
 
 // sweepScratch is the per-intraStage-call buffer set, and after the call
-// its result: the shape list, the window's knob sets, the memory budget,
-// one cache row per (shape, layer count) — the stored row itself, read in
-// place — and the Pareto staircase buffers. One sweepScratch serves a
-// whole (S, G) pair's stage loop (tuneSG holds it for the pair's
-// lifetime); survivors are value-copied out (candidate) before reuse.
+// its result: the shape list, the window's knob sets, one cache row per
+// (shape, layer count) — the stored row itself, read in place — and the
+// Pareto staircase buffers. One sweepScratch serves a whole (S, G) pair's
+// stage loop (tuneSG holds it for the pair's lifetime); survivors are
+// value-copied out (candidate) before reuse.
 type sweepScratch struct {
 	shapes []schedule.StageShape
 	sets   []*evalcache.KnobSet
-	budget float64
-	rows   [][]schedule.Result // shape-major: see row
+	rows   []evalcache.Row // shape-major: see row
 	outs   []shapeOut
 	stair  []point
 	picks  []point
@@ -71,8 +70,8 @@ func (sc *sweepScratch) release() {
 }
 
 // row is shape si's row for layer count li: the priced entries in knob
-// order, feasible or not.
-func (sc *sweepScratch) row(si, li int) []schedule.Result {
+// order, feasible or not, and their staircase.
+func (sc *sweepScratch) row(si, li int) evalcache.Row {
 	return sc.rows[si*len(sc.sets)+li]
 }
 
@@ -92,12 +91,6 @@ type shapeOut struct {
 	err          error
 }
 
-// planSafetyFraction leaves headroom between the analyzer's closed-form
-// memory estimate and the budget: the runtime's allocator fragmentation
-// (page rounding in the execution engine, ~2% in the paper's §6.6 memory
-// error) would otherwise push boundary plans into OOM at execution.
-const planSafetyFraction = 0.96
-
 // intraStage enumerates and prices every (b, DP, TP, ZeRO, CKPT, WO, GO,
 // OO, AO) combination for one pipeline stage position, under every layer
 // count of the stage's window at once: each stage shape goes to the cache
@@ -114,7 +107,6 @@ const planSafetyFraction = 0.96
 // priced, including shapes that completed after another shape failed. A
 // canceled ctx stops the sweep between shapes.
 func (t *Tuner) intraStage(ctx context.Context, s, g, stageIdx, devPerStage int, layers []int, sc *sweepScratch) (counts, error) {
-	sc.budget = t.Cluster.MemoryBudget() * planSafetyFraction
 	sets := sc.sets[:0]
 	for _, l := range layers {
 		sets = append(sets, t.knobSet(l))
@@ -148,7 +140,7 @@ func (t *Tuner) intraStage(ctx context.Context, s, g, stageIdx, devPerStage int,
 	// the enumeration, so workers write without synchronization and the
 	// search stays deterministic regardless of scheduling.
 	if need := len(shapes) * len(sets); cap(sc.rows) < need {
-		sc.rows = make([][]schedule.Result, need)
+		sc.rows = make([]evalcache.Row, need)
 	} else {
 		sc.rows = sc.rows[:need]
 	}
@@ -274,28 +266,27 @@ func paretoSample(sc *sweepScratch, li, g, k int) []point {
 
 // paretoFrontier keeps the non-dominated points among layer count li's
 // feasible candidates: the entries of its rows, read in enumeration order
-// (shape-major, knob-minor), that fit sc.budget. c dominates c' when
-// c.T <= c'.T and c.D <= c'.D with at least one strict, and of exact
-// (T, D) duplicates the first in that order wins — the frontier is the
-// set of minima under the total order (T, D, position), returned by
-// ascending T. The returned slice is backed by sc and valid until its
-// next use.
+// (shape-major, knob-minor), that fit the analyzer's plan budget. c
+// dominates c' when c.T <= c'.T and c.D <= c'.D with at least one strict,
+// and of exact (T, D) duplicates the first in that order wins — the
+// frontier is the set of minima under the total order (T, D, position),
+// returned by ascending T. The returned slice is backed by sc and valid
+// until its next use.
 func paretoFrontier(sc *sweepScratch, li int) []point {
 	// The frontier is a staircase, T strictly ascending and D strictly
-	// descending, fed in enumeration order: an entry lands behind the last
-	// step with T <= its own, is dropped when that step's D is already <=
-	// its own (so a later duplicate never displaces an earlier one), and
-	// otherwise replaces every step it dominates. A sweep keeps a few dozen
-	// steps out of thousands of entries, so nearly every entry costs one
-	// binary search and no point is built for it.
+	// descending. It is merged from the rows' own staircases
+	// (evalcache.AppendStaircase), shape by shape: every other fitting
+	// entry is dominated within its row or duplicates an earlier entry of
+	// it, and of a duplicate across rows the earlier shape's is fed first.
+	// A step lands behind the last step with T <= its own, is dropped when
+	// that step's D is already <= its own (so a later duplicate never
+	// displaces an earlier one), and otherwise replaces every step it
+	// dominates.
 	stair := sc.stair[:0]
 	for si := range sc.shapes {
 		row := sc.row(si, li)
-		for j := range row {
-			r := &row[j]
-			if !r.Fits(sc.budget) {
-				continue
-			}
+		for _, j := range row.Stair {
+			r := &row.Results[j]
 			t, d := r.Stable, r.Delta
 			lo, hi := 0, len(stair)
 			for lo < hi { // hi = first step with T > t

@@ -88,14 +88,16 @@ func randSegments(rng *rand.Rand, cands []point) [][]point {
 }
 
 // layOut makes sc hold segments as intraStage leaves a window of one
-// layer count: segment i is shape i's row, and an entry fits the budget
-// unless over (nil: never) says otherwise. It returns the entries that
-// fit, in enumeration order, as the points the staircase makes of them:
-// shape and knob are the entry's row and position.
+// layer count: segment i is shape i's row, with the staircase the cache
+// publishes with it (evalcache.AppendStaircase under a budget of 1), and
+// an entry fits the budget unless over (nil: never) says otherwise. It
+// returns the entries that fit, in enumeration order, as the points the
+// staircase makes of them: shape and knob are the entry's row and
+// position.
 func layOut(sc *sweepScratch, segs [][]point, over func() bool) []point {
+	const budget = 1
 	sc.shapes = make([]schedule.StageShape, len(segs))
 	sc.sets = []*evalcache.KnobSet{nil}
-	sc.budget = 1
 	sc.rows = sc.rows[:0]
 	var fits []point
 	for si, seg := range segs {
@@ -103,28 +105,86 @@ func layOut(sc *sweepScratch, segs [][]point, over func() bool) []point {
 		for j, p := range seg {
 			row[j] = schedule.Result{Stable: p.T, Delta: p.D}
 			if over != nil && over() {
-				row[j].PeakMem = 2
+				row[j].PeakMem = 2 * budget
 				continue
 			}
 			fits = append(fits, point{T: p.T, D: p.D, shape: int32(si), knob: int32(j)})
 		}
-		sc.rows = append(sc.rows, row)
+		sc.rows = append(sc.rows, evalcache.Row{Results: row, Stair: evalcache.AppendStaircase(nil, row, budget)})
 	}
 	return fits
 }
 
-// TestPropertyParetoStaircaseMatchesSortedSweep: the incremental
-// staircase over the rows returns the same points in the same order as
-// the sort-then-sweep definition over the entries that fit the budget —
-// ties and duplicates included: of equal (T, D) points the first in the
-// list survives, wherever the row boundaries and the over-budget entries
-// fall.
+// wholeRowFrontier is paretoFrontier as it was before rows carried their
+// staircases: every entry of every row, in enumeration order, through the
+// same staircase insertion, the budget checked per entry.
+func wholeRowFrontier(sc *sweepScratch, li int, budget float64) []point {
+	var stair []point
+	for si := range sc.shapes {
+		row := sc.row(si, li).Results
+		for j := range row {
+			r := &row[j]
+			if !r.Fits(budget) {
+				continue
+			}
+			t, d := r.Stable, r.Delta
+			hi := len(stair)
+			for hi > 0 && stair[hi-1].T > t {
+				hi--
+			}
+			if hi > 0 && stair[hi-1].D <= d {
+				continue
+			}
+			lo := hi
+			if lo > 0 && stair[lo-1].T == t {
+				lo--
+			}
+			for hi < len(stair) && stair[hi].D >= d {
+				hi++
+			}
+			p := point{T: t, D: d, shape: int32(si), knob: int32(j)}
+			stair = slices.Replace(stair, lo, hi, p)
+		}
+	}
+	return stair
+}
+
+// TestPropertyParetoStaircaseMatchesSortedSweep: the frontier merged from
+// the rows' staircases returns the same points in the same order as the
+// sort-then-sweep definition over the entries that fit the budget — ties
+// and duplicates included: of equal (T, D) points the first in the list
+// survives, wherever the row boundaries and the over-budget entries fall.
 func TestPropertyParetoStaircaseMatchesSortedSweep(t *testing.T) {
 	sc := &sweepScratch{} // reused, as tuneSG reuses one per (S, G) pair
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		fits := layOut(sc, randSegments(rng, randCandidates(rng)), func() bool { return rng.Intn(5) == 0 })
 		return slices.Equal(paretoFrontier(sc, 0), sortedSweepFrontier(fits))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPropertyStaircaseMergeMatchesWholeRows: merging the per-row
+// staircases gives the whole-row walk's frontier point for point — shape
+// and knob included, so an exact (T, D) duplicate inside a row resolves
+// to its first entry and one across rows to the earlier shape's — with
+// over-budget entries among them, some of which would be on the frontier
+// if they fit.
+func TestPropertyStaircaseMergeMatchesWholeRows(t *testing.T) {
+	sc := &sweepScratch{}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cands := randCandidates(rng)
+		// A few rows repeat an earlier row's values outright: duplicates
+		// across shapes at every step.
+		segs := randSegments(rng, cands)
+		for k := rng.Intn(3); k > 0 && len(segs) > 0; k-- {
+			segs = append(segs, slices.Clone(segs[rng.Intn(len(segs))]))
+		}
+		layOut(sc, segs, func() bool { return rng.Intn(4) == 0 })
+		return slices.Equal(paretoFrontier(sc, 0), wholeRowFrontier(sc, 0, 1))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -44,7 +44,7 @@ type Tuner struct {
 	// enumeration (used for cross-checks).
 	Exhaustive bool
 
-	// Warm is never read: benchmarks/mistperf/seam.go names it (ROADMAP 4 (g)).
+	// Warm is never read: benchmarks/mistperf/seam.go names it (ROADMAP 10 (g)).
 	Warm *plan.Plan
 
 	// ev is the evaluation cache every pricing of a search goes through,
@@ -64,7 +64,7 @@ type Tuner struct {
 // the cache.
 type pricer interface {
 	Evaluate(schedule.StageShape, schedule.Knobs) (schedule.Result, error)
-	EvaluateSets(schedule.StageShape, []*evalcache.KnobSet, [][]schedule.Result, *evalcache.Scratch) (hits, misses int, err error)
+	EvaluateSets(schedule.StageShape, []*evalcache.KnobSet, []evalcache.Row, *evalcache.Scratch) (hits, misses int, err error)
 }
 
 // knobSet returns the knob grid of one layer count: the space's
@@ -126,7 +126,7 @@ type Result struct {
 	// anything was priced (FloorSkippedPairs, a subset: computeFloor).
 	// Like Candidates they are a function of the search's inputs alone.
 	// The first two keep their names because benchmarks/mistperf/seam.go
-	// reads them (ROADMAP 4 (g)); there is no warm start.
+	// reads them (ROADMAP 10 (g)); there is no warm start.
 	WarmPruned        int
 	WarmAbortedPairs  int
 	FloorSkippedPairs int
@@ -207,9 +207,11 @@ func New(w plan.Workload, cl *hardware.Cluster, space Space) (*Tuner, error) {
 // serving layer's per-fingerprint registry, so one request's pricings
 // answer the next request's search). It never mutates the analyzer — it
 // may be serving concurrent searches — and instead rejects a Serialize
-// flag that contradicts the space, and it rejects a cache built over a
-// different analyzer (its memoized results would be answers to different
-// questions). A nil cache gets a fresh private one.
+// flag that contradicts the space and a cluster whose memory budget is not
+// the analyzer's (the search reads the budget from the analyzer, and the
+// cache's rows carry staircases under it), and it rejects a cache built
+// over a different analyzer (its memoized results would be answers to
+// different questions). A nil cache gets a fresh private one.
 func NewShared(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer, space Space, cache *evalcache.Cache) (*Tuner, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -220,6 +222,10 @@ func NewShared(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer, spa
 	if an.Serialize != !space.OverlapAware {
 		return nil, fmt.Errorf("core: shared analyzer Serialize=%v contradicts space %q (overlap-aware=%v)",
 			an.Serialize, space.Name, space.OverlapAware)
+	}
+	if cl.MemoryBudget() != an.Cluster.MemoryBudget() {
+		return nil, fmt.Errorf("core: cluster memory budget %.0f B contradicts the shared analyzer's %.0f B",
+			cl.MemoryBudget(), an.Cluster.MemoryBudget())
 	}
 	if cache == nil {
 		cache = evalcache.New(an)
@@ -306,26 +312,11 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 				}
 				p := wave[i]
 				pctx, psp := trace.StartSpan(swctx, "sg")
-				psp.Annotate("s", p.s)
-				psp.Annotate("g", p.g)
 				sol, n, err := t.tuneSG(pctx, p.s, p.g, bound)
-				var pe *prunedError
-				switch {
-				case errors.As(err, &pe):
-					if pe.byFloor {
-						psp.Annotate("prunedBy", "floor")
-						psp.Annotate("floor", pe.bound)
-					} else {
-						psp.Annotate("prunedBy", "incumbent")
-						psp.Annotate("bound", pe.bound)
-						psp.Annotate("stage", pe.stage)
-					}
-					psp.Annotate("incumbent", bound)
-				case err != nil: // OOM or no factorization
-					psp.Annotate("infeasible", true)
+				if psp != nil { // boxing the attributes allocates, even for a nil span
+					annotatePair(psp, p.s, p.g, bound, n, err)
+					psp.End()
 				}
-				psp.Annotate("evals", n.evaluated)
-				psp.End()
 				outs[i] = outcome{sol: sol, n: n}
 			}
 		}
@@ -360,13 +351,15 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	res.WarmPruned = total.pruned
 	res.WarmAbortedPairs = total.aborted
 	res.FloorSkippedPairs = total.floorSkipped
-	swsp.Annotate("pairs", res.SGPairs)
-	swsp.Annotate("candidates", res.Candidates)
-	swsp.Annotate("evalCacheHits", res.EvalCacheHits)
-	swsp.Annotate("evalCacheMisses", res.EvalCacheMisses)
-	swsp.Annotate("pruned", res.WarmPruned)
-	swsp.Annotate("abortedPairs", res.WarmAbortedPairs)
-	swsp.End()
+	if swsp != nil {
+		swsp.Annotate("pairs", res.SGPairs)
+		swsp.Annotate("candidates", res.Candidates)
+		swsp.Annotate("evalCacheHits", res.EvalCacheHits)
+		swsp.Annotate("evalCacheMisses", res.EvalCacheMisses)
+		swsp.Annotate("pruned", res.WarmPruned)
+		swsp.Annotate("abortedPairs", res.WarmAbortedPairs)
+		swsp.End()
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -385,6 +378,28 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	res.Predicted = best.sol.Objective
 	res.PredThroughput = float64(t.W.GlobalBatch) / best.sol.Objective
 	return res, nil
+}
+
+// annotatePair records on a pair's span its (S, G), how it ended — err is
+// tuneSG's, a *prunedError when the incumbent or the floor abandoned the
+// pair — and the candidates it priced.
+func annotatePair(sp *trace.Span, s, g int, bound float64, n counts, err error) {
+	sp.Annotate("s", s)
+	sp.Annotate("g", g)
+	if pe, ok := err.(*prunedError); ok {
+		if pe.byFloor {
+			sp.Annotate("prunedBy", "floor")
+			sp.Annotate("floor", pe.bound)
+		} else {
+			sp.Annotate("prunedBy", "incumbent")
+			sp.Annotate("bound", pe.bound)
+			sp.Annotate("stage", pe.stage)
+		}
+		sp.Annotate("incumbent", bound)
+	} else if err != nil { // OOM or no factorization
+		sp.Annotate("infeasible", true)
+	}
+	sp.Annotate("evals", n.evaluated)
 }
 
 // counts is the work of one (S, G) pair, or of several summed: the
@@ -478,8 +493,10 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int, bound float64) (*interSolu
 		}
 		return nil
 	}()
-	isp.Annotate("evals", n.evaluated)
-	isp.End()
+	if isp != nil {
+		isp.Annotate("evals", n.evaluated)
+		isp.End()
+	}
 	if err != nil {
 		return nil, n, err
 	}
@@ -551,11 +568,12 @@ func (t *Tuner) tuneUniform(ctx context.Context, s, g, devPer int) (*interSoluti
 		return nil, n, err
 	}
 	knobs := sc.sets[0].Knobs()
+	budget := t.An.PlanBudget()
 	perf := make([]pipeline.StagePerf, 0, s) // reused: only sel outlives an iteration
 	for si, shape0 := range sc.shapes {
-		row := sc.row(si, 0)
+		row := sc.row(si, 0).Results
 		for j := range row {
-			if !row[j].Fits(sc.budget) {
+			if !row[j].Fits(budget) {
 				continue
 			}
 			if err := ctx.Err(); err != nil {
@@ -573,7 +591,7 @@ func (t *Tuner) tuneUniform(ctx context.Context, s, g, devPer int) (*interSoluti
 					break
 				}
 				n.misses++ // a single point is priced on the analyzer, never stored
-				if !r.Fits(sc.budget) {
+				if !r.Fits(budget) {
 					break
 				}
 				sel = append(sel, candidate{Shape: shape, Knobs: knobs[j], T: r.Stable, D: r.Delta})

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -506,7 +507,7 @@ func (f *flakyPricer) Evaluate(s schedule.StageShape, k schedule.Knobs) (schedul
 	return f.pricer.Evaluate(s, k)
 }
 
-func (f *flakyPricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out [][]schedule.Result, sc *evalcache.Scratch) (int, int, error) {
+func (f *flakyPricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out []evalcache.Row, sc *evalcache.Scratch) (int, int, error) {
 	if f.failBatchTP != 0 && s.TP == f.failBatchTP {
 		return 0, 0, errors.New("flaky: batch failed")
 	}
@@ -559,7 +560,7 @@ type gaugePricer struct {
 	maxFlight, maxExtra atomic.Int32
 }
 
-func (e *gaugePricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out [][]schedule.Result, sc *evalcache.Scratch) (int, int, error) {
+func (e *gaugePricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out []evalcache.Row, sc *evalcache.Scratch) (int, int, error) {
 	raise := func(max *atomic.Int32, n int32) {
 		for m := max.Load(); n > m && !max.CompareAndSwap(m, n); m = max.Load() {
 		}
@@ -733,7 +734,7 @@ type countingPricer struct {
 	priced atomic.Uint64
 }
 
-func (c *countingPricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out [][]schedule.Result, sc *evalcache.Scratch) (int, int, error) {
+func (c *countingPricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out []evalcache.Row, sc *evalcache.Scratch) (int, int, error) {
 	hits, misses, err := c.pricer.EvaluateSets(s, sets, out, sc)
 	c.priced.Add(uint64(hits + misses))
 	return hits, misses, err
@@ -901,7 +902,7 @@ type callerPricer struct {
 	calls, foreign atomic.Int32
 }
 
-func (e *callerPricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out [][]schedule.Result, sc *evalcache.Scratch) (int, int, error) {
+func (e *callerPricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out []evalcache.Row, sc *evalcache.Scratch) (int, int, error) {
 	e.calls.Add(1)
 	if goroutineID() != e.home {
 		e.foreign.Add(1)
@@ -1018,6 +1019,45 @@ func TestCacheWarmSecondSearch(t *testing.T) {
 	}
 	if got := r2.EvalCacheHits + r2.EvalCacheMisses; got != uint64(r2.Candidates) {
 		t.Errorf("second search hits+misses %d != candidates %d", got, r2.Candidates)
+	}
+}
+
+// NewShared never changes the analyzer it is handed, so it refuses one
+// that answers another question: a Serialize flag the space contradicts,
+// a cluster whose memory budget is not the analyzer's (the cache's rows
+// carry staircases under the analyzer's plan budget), and a cache built
+// over another analyzer. A cluster of another size with the same budget
+// is accepted.
+func TestNewSharedRejectsContradictions(t *testing.T) {
+	w, cl := testWorkload("gpt3-2.7b", 8), l4(t, 8)
+	an, err := CalibratedAnalyzer(w, cl, MistSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := CalibratedAnalyzer(w, cl, MistSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		cl    *hardware.Cluster
+		space Space
+		cache *evalcache.Cache
+		want  string // "" accepts
+	}{
+		{"same analyzer", cl, MistSpace(), evalcache.New(an), ""},
+		{"same budget, other size", l4(t, 4), MistSpace(), nil, ""},
+		{"serialize", cl, AcesoSpace(), nil, "Serialize"},
+		{"budget", hardware.A100Cluster(1, 8), MistSpace(), nil, "memory budget"},
+		{"cache", cl, MistSpace(), evalcache.New(other), "different analyzer"},
+	} {
+		_, err := NewShared(w, c.cl, an, c.space, c.cache)
+		if c.want == "" && err != nil {
+			t.Errorf("%s: rejected: %v", c.name, err)
+		}
+		if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -1162,7 +1202,7 @@ type cancelingPricer struct {
 	calls  atomic.Int32
 }
 
-func (c *cancelingPricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out [][]schedule.Result, sc *evalcache.Scratch) (int, int, error) {
+func (c *cancelingPricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out []evalcache.Row, sc *evalcache.Scratch) (int, int, error) {
 	c.calls.Add(1)
 	c.cancel()
 	return c.pricer.EvaluateSets(s, sets, out, sc)

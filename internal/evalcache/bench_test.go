@@ -27,8 +27,10 @@ func fullRowSet() *KnobSet {
 
 // BenchmarkRow prices one full MistSpace row through the cache the way
 // the tuner does (EvaluateSets, the stored row handed out in place), per
-// op: "miss" is the probe, the analyzer's batch over the row and the
-// publish (a fresh cache every pass over the shapes); "hit" is the probe.
+// op: "miss" is the probe, the analyzer's batch over the row, its
+// staircase and the publish (a fresh cache every pass over the shapes), in
+// two allocations, the row and the call's staircase slab; "hit" is the
+// probe, in none.
 func BenchmarkRow(b *testing.B) {
 	an := newTestAnalyzer(b)
 	set := fullRowSet()
@@ -44,7 +46,7 @@ func BenchmarkRow(b *testing.B) {
 		}
 	}
 	var sc Scratch
-	sets, rows := []*KnobSet{set}, make([][]schedule.Result, 1)
+	sets, rows := []*KnobSet{set}, make([]Row, 1)
 	warm := New(an) // also compiles every shape's program outside the timing
 	for _, s := range shapes {
 		if _, _, err := warm.EvaluateSets(s, sets, rows, &sc); err != nil {

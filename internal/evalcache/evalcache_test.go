@@ -40,9 +40,9 @@ func testShape() schedule.StageShape {
 // the call's hit and miss counts.
 func evaluateSet(c *Cache, s schedule.StageShape, set *KnobSet) (row []schedule.Result, hits, misses int, err error) {
 	var sc Scratch
-	rows := [][]schedule.Result{nil}
+	rows := []Row{{}}
 	hits, misses, err = c.EvaluateSets(s, []*KnobSet{set}, rows, &sc)
-	return rows[0], hits, misses, err
+	return rows[0].Results, hits, misses, err
 }
 
 // A set priced twice through one cache is served from its row the second
@@ -287,8 +287,9 @@ func TestReturnedRowIsTheStoredRow(t *testing.T) {
 		t.Fatalf("first call: %d misses (%v), want %d", misses, err, set.Len())
 	}
 	var sc Scratch
+	var esc schedule.EvalScratch
 	want := [][]schedule.Result{nil}
-	if err := an.EvaluateSets(shape, []*KnobSet{set}, want, &sc); err != nil {
+	if err := an.EvaluateSets(shape, []*KnobSet{set}, want, &esc); err != nil {
 		t.Fatal(err)
 	}
 	same := func(a, b schedule.Result) bool {

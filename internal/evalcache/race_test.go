@@ -65,7 +65,7 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			var sc Scratch
-			rows := make([][]schedule.Result, 1)
+			rows := make([]Row, 1)
 			for r := 0; r < rounds; r++ {
 				for si, sh := range shapes {
 					if useSet {
@@ -81,8 +81,12 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 						}
 						setHits.Add(uint64(hits))
 						setMisses.Add(uint64(misses))
-						if !slices.Equal(rows[0], want[si][set]) {
+						if !slices.Equal(rows[0].Results, want[si][set]) {
 							errs <- fmt.Errorf("shape %d: wrong row", si)
+							return
+						}
+						if !slices.Equal(rows[0].Stair, AppendStaircase(nil, want[si][set], an.PlanBudget())) {
+							errs <- fmt.Errorf("shape %d: wrong staircase %v", si, rows[0].Stair)
 							return
 						}
 					} else {
@@ -208,20 +212,29 @@ func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
 }
 
 // TestConcurrentReadersOfAStoredRow: rows are handed out by reference, so
-// a caller walks a stored row while other goroutines publish rows beside
-// it and look up the same key. Readers of one key all start on it while
-// it is missing; whoever loses the race to publish gets the winner's row,
-// so every caller ends up holding the one stored array, and the race
-// detector (`make race`) sees no write to it after it was published.
+// a caller walks a stored row and its staircase while other goroutines
+// publish rows beside it and look up the same key. Readers of one key all
+// start on it while it is missing; whoever loses the race to publish gets
+// the winner's row and the winner's staircase, so every caller ends up
+// holding the one stored pair of arrays, and the race detector (`make
+// race`) sees no write to either after it was published.
 func TestConcurrentReadersOfAStoredRow(t *testing.T) {
 	an := newTestAnalyzer(t)
 	c := New(an)
 	all := windowSets(4, 5, 6, 7, 8, 9, 10)
 	key, others := all[0], all[1:]
 	want := priceDirect(t, an, raceShapes[:1], all)[0]
+	wantStair := map[*KnobSet][]uint16{}
+	for _, set := range all {
+		wantStair[set] = AppendStaircase(nil, want[set], an.PlanBudget())
+	}
+	if len(wantStair[key]) == 0 {
+		t.Fatal("the key's row has an empty staircase: two readers' staircases could not be told apart")
+	}
 
 	const readers, publishers, rounds = 8, 4, 20
 	held := make([]*schedule.Result, readers) // the array each reader was handed
+	heldStair := make([]*uint16, readers)     // and its staircase
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	errs := make(chan error, readers+publishers)
@@ -230,7 +243,7 @@ func TestConcurrentReadersOfAStoredRow(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			var sc Scratch
-			rows := make([][]schedule.Result, 1)
+			rows := make([]Row, 1)
 			<-start
 			for r := 0; r < rounds; r++ {
 				set := key
@@ -244,18 +257,22 @@ func TestConcurrentReadersOfAStoredRow(t *testing.T) {
 					errs <- err
 					return
 				}
-				row := rows[0]
+				row, stair := rows[0].Results, rows[0].Stair
 				for i := range row { // walk it while others publish and look up
 					if row[i] != want[set][i] {
 						errs <- fmt.Errorf("entry %d of a %d-layer row: %+v, want %+v", i, set.Knobs()[0].Layers, row[i], want[set][i])
 						return
 					}
 				}
+				if !slices.Equal(stair, wantStair[set]) {
+					errs <- fmt.Errorf("a %d-layer row's staircase: %v, want %v", set.Knobs()[0].Layers, stair, wantStair[set])
+					return
+				}
 				if g < readers {
 					if held[g] == nil {
-						held[g] = unsafe.SliceData(row)
-					} else if held[g] != unsafe.SliceData(row) {
-						errs <- fmt.Errorf("reader %d was handed two arrays for one key", g)
+						held[g], heldStair[g] = unsafe.SliceData(row), unsafe.SliceData(stair)
+					} else if held[g] != unsafe.SliceData(row) || heldStair[g] != unsafe.SliceData(stair) {
+						errs <- fmt.Errorf("reader %d was handed two rows or staircases for one key", g)
 						return
 					}
 				}
@@ -272,8 +289,8 @@ func TestConcurrentReadersOfAStoredRow(t *testing.T) {
 		}
 	}
 	for g := range held {
-		if held[g] != held[0] {
-			t.Fatalf("readers %d and 0 hold different arrays for one key", g)
+		if held[g] != held[0] || heldStair[g] != heldStair[0] {
+			t.Fatalf("readers %d and 0 hold different rows or staircases for one key", g)
 		}
 	}
 	if n := len(all) * key.Len(); c.Len() != n {

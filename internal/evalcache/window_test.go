@@ -2,6 +2,7 @@ package evalcache
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -45,7 +46,7 @@ func TestWindowPricesOnlyMissingRows(t *testing.T) {
 	// Rows 7 and 9 arrive first, through another list (an overlapping
 	// window of a different pipeline depth, say).
 	early := []*KnobSet{window[1], window[3]}
-	hits, misses, err := c.EvaluateSets(shape, early, make([][]schedule.Result, 2), &sc)
+	hits, misses, err := c.EvaluateSets(shape, early, make([]Row, 2), &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestWindowPricesOnlyMissingRows(t *testing.T) {
 		t.Fatalf("the first two rows: %d hits / %d misses, want 0 / %d", hits, misses, 2*n)
 	}
 
-	rows := make([][]schedule.Result, len(window))
+	rows := make([]Row, len(window))
 	hits, misses, err = c.EvaluateSets(shape, window, rows, &sc)
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +71,8 @@ func TestWindowPricesOnlyMissingRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rows[i][j] != direct {
-				t.Errorf("set %d entry %d: %+v != direct %+v", i, j, rows[i][j], direct)
+			if rows[i].Results[j] != direct {
+				t.Errorf("set %d entry %d: %+v != direct %+v", i, j, rows[i].Results[j], direct)
 			}
 		}
 	}
@@ -92,7 +93,7 @@ func TestWindowHitAllocatesNothing(t *testing.T) {
 	c := New(newTestAnalyzer(t))
 	shape := testShape()
 	window := windowSets(6, 7, 8, 9, 10)
-	rows := make([][]schedule.Result, len(window))
+	rows := make([]Row, len(window))
 	var sc Scratch
 	if _, _, err := c.EvaluateSets(shape, window, rows, &sc); err != nil {
 		t.Fatal(err)
@@ -108,12 +109,13 @@ func TestWindowHitAllocatesNothing(t *testing.T) {
 
 // An all-miss call allocates the row it publishes and nothing wider: 24
 // bytes per point — schedule.Result is what the search reads of a point,
-// no more — beside the two work lists. The in-tree twin of mistperf's
+// no more — and the call's staircase slab, two allocations in all (the
+// work lists live on the stack). The in-tree twin of mistperf's
 // evalcache.bytes_per_point.
 func TestMissAllocatesItsRowOnly(t *testing.T) {
 	an := newTestAnalyzer(t)
 	set := fullRowSet()
-	sets, rows := []*KnobSet{set}, make([][]schedule.Result, 1)
+	sets, rows := []*KnobSet{set}, make([]Row, 1)
 	first, second := testShape(), testShape()
 	second.B = 4
 	var sc Scratch
@@ -140,10 +142,13 @@ func TestMissAllocatesItsRowOnly(t *testing.T) {
 	if misses != set.Len() || hits != 0 {
 		t.Fatalf("%d hits / %d misses, want an all-miss row", hits, misses)
 	}
-	const slack = 2 << 10 // size-class rounding of the row, the work lists, a map slot
+	const slack = 2 << 10 // size-class rounding of the row, the staircase slab, a map slot
 	got, row := after.TotalAlloc-before.TotalAlloc, uint64(set.Len())*24
 	if got < row || got > row+slack {
 		t.Errorf("an all-miss row of %d points allocated %d bytes, want its %d-byte row and at most %d more", set.Len(), got, row, slack)
+	}
+	if n := after.Mallocs - before.Mallocs; n > 2 {
+		t.Errorf("an all-miss row took %d allocations, want at most 2: the row and the staircase slab", n)
 	}
 }
 
@@ -155,12 +160,12 @@ func TestWindowErrorNeitherStoredNorCounted(t *testing.T) {
 	shape := testShape()
 	window := windowSets(6, 7, 8)
 	var sc Scratch
-	if _, _, err := c.EvaluateSets(shape, window[:1], make([][]schedule.Result, 1), &sc); err != nil {
+	if _, _, err := c.EvaluateSets(shape, window[:1], make([]Row, 1), &sc); err != nil {
 		t.Fatal(err)
 	}
 	held := c.Len()
 	bad := NewKnobSet([]schedule.Knobs{{Layers: 4, Ckpt: 9}})
-	hits, misses, err := c.EvaluateSets(shape, []*KnobSet{window[0], window[1], bad, window[2]}, make([][]schedule.Result, 4), &sc)
+	hits, misses, err := c.EvaluateSets(shape, []*KnobSet{window[0], window[1], bad, window[2]}, make([]Row, 4), &sc)
 	if err == nil {
 		t.Fatal("window with an invalid set accepted")
 	}
@@ -201,7 +206,7 @@ func TestConcurrentWindowPublishRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			var sc Scratch
-			rows := make([][]schedule.Result, 5)
+			rows := make([]Row, 5)
 			<-start
 			for r := 0; r < rounds; r++ {
 				si, wi := 0, 0 // round 0: everyone on one missing window
@@ -216,7 +221,7 @@ func TestConcurrentWindowPublishRace(t *testing.T) {
 				returned[0].Add(uint64(hits))
 				returned[1].Add(uint64(misses))
 				for i, set := range windows[wi] {
-					if !slices.Equal(rows[i], want[si][set]) {
+					if !slices.Equal(rows[i].Results, want[si][set]) {
 						errs <- fmt.Errorf("shape %d, %d-layer set: torn or wrong row", si, set.Knobs()[0].Layers)
 						return
 					}
@@ -249,7 +254,7 @@ func TestConcurrentWindowPublishRace(t *testing.T) {
 // outside any cache: the values a cached row must hold.
 func priceDirect(t testing.TB, an *schedule.Analyzer, shapes []schedule.StageShape, sets []*KnobSet) []map[*KnobSet][]schedule.Result {
 	t.Helper()
-	var sc Scratch
+	var sc schedule.EvalScratch
 	out := make([]map[*KnobSet][]schedule.Result, len(shapes))
 	for i, sh := range shapes {
 		rows := make([][]schedule.Result, len(sets))
@@ -274,10 +279,10 @@ func TestScratchDoesNotPinCache(t *testing.T) {
 	func() {
 		c := New(an)
 		runtime.SetFinalizer(c, func(*Cache) { close(freed) })
-		if _, _, err := c.EvaluateSets(testShape(), windowSets(6, 7, 8), make([][]schedule.Result, 3), &sc); err != nil {
+		if _, _, err := c.EvaluateSets(testShape(), windowSets(6, 7, 8), make([]Row, 3), &sc); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := an.EvaluateBatchInto(nil, testShape(), windowSets(9)[0].Knobs(), &sc); err != nil {
+		if _, err := an.EvaluateBatchInto(nil, testShape(), windowSets(9)[0].Knobs(), &sc.eval); err != nil {
 			t.Fatal(err)
 		}
 	}()
@@ -292,4 +297,36 @@ func TestScratchDoesNotPinCache(t *testing.T) {
 	}
 	t.Error("the cache is still reachable after its last use: the scratch kept a reference to a knob set")
 	runtime.KeepAlive(&sc)
+}
+
+// A call the cache cannot key or index is refused before anything is
+// priced, and nothing is stored or counted: a set longer than uint16
+// staircase positions reach, and a shape field past the key's int32.
+func TestOutOfRangeCallsAreRefused(t *testing.T) {
+	c := New(newTestAnalyzer(t))
+	long := make([]schedule.Knobs, maxRowLen+1)
+	for i := range long {
+		long[i] = schedule.Knobs{Layers: 8}
+	}
+	wide := testShape()
+	wide.B = math.MaxInt32
+	wide.B++ // past int32 where int is 64 bits wide
+	cases := []struct {
+		name  string
+		shape schedule.StageShape
+		set   *KnobSet
+	}{
+		{"long set", testShape(), NewKnobSet(long)},
+		{"wide shape", wide, windowSets(8)[0]},
+	}
+	if wide.B < 0 { // int is 32 bits wide: every shape fits the key
+		cases = cases[:1]
+	}
+	var sc Scratch
+	for _, tc := range cases {
+		hits, misses, err := c.EvaluateSets(tc.shape, []*KnobSet{tc.set}, make([]Row, 1), &sc)
+		if err == nil || hits != 0 || misses != 0 || c.Len() != 0 {
+			t.Errorf("%s: %d hits, %d misses, %d held, err %v; want refused", tc.name, hits, misses, c.Len(), err)
+		}
+	}
 }

@@ -128,7 +128,7 @@ type Pilot struct {
 	recentNext    int
 }
 
-// recentCap bounds the decision history served at GET /pilot.
+// recentCap bounds the decision history Status returns.
 const recentCap = 32
 
 // New builds a controller with a validated copy of cfg. A nil clock
@@ -368,8 +368,7 @@ func (p *Pilot) remember(d Decision) {
 	}
 }
 
-// Status is the controller's introspection snapshot, served at
-// GET /pilot.
+// Status is the controller's introspection snapshot.
 type Status struct {
 	DryRun          bool           `json:"dryRun"`
 	Config          Config         `json:"config"`

@@ -164,6 +164,18 @@ type Result struct {
 // Fits reports whether the candidate respects the memory budget.
 func (r Result) Fits(budget float64) bool { return r.PeakMem <= budget }
 
+// planSafetyFraction leaves headroom between the analyzer's closed-form
+// memory estimate and the budget: the runtime's allocator fragmentation
+// (page rounding in the execution engine, ~2% in the paper's §6.6 memory
+// error) would otherwise push boundary plans into OOM at execution.
+const planSafetyFraction = 0.96
+
+// PlanBudget is the per-GPU byte budget every stage of a plan must fit
+// (Result.Fits): the cluster's MemoryBudget less the safety headroom. It
+// is one number per analyzer, so what fits is a function of a priced
+// entry alone.
+func (a *Analyzer) PlanBudget() float64 { return a.Cluster.MemoryBudget() * planSafetyFraction }
+
 // Analyzer prices stage candidates for one (model, seq, flash, cluster)
 // context. It is safe for concurrent use.
 type Analyzer struct {

@@ -202,7 +202,7 @@ type TuneResponse struct {
 	// candidates the search's own incumbent bound pruned, and (pipeline
 	// depth, grad accum) pairs it abandoned, floor-skipped ones included.
 	// The names predate that account; they follow core.Result's, which
-	// benchmarks/mistperf/seam.go pins (ROADMAP 4 (g)).
+	// benchmarks/mistperf/seam.go pins (ROADMAP 10 (g)).
 	WarmPruned       int `json:"warmPrunedCandidates,omitempty"`
 	WarmAbortedPairs int `json:"warmAbortedPairs,omitempty"`
 }

@@ -373,7 +373,7 @@ func fileName(f Fingerprint) string {
 // length, with a fixed penalty for a different model size within the
 // family; GPU-count distance is weighted highest because it reshapes the
 // plan the most. The exact fingerprint itself is excluded.
-// It has no caller in the program: benchmarks/mistperf/seam.go names it (ROADMAP 4 (g)).
+// It has no caller in the program: benchmarks/mistperf/seam.go names it (ROADMAP 10 (g)).
 func (s *Store) Nearest(f Fingerprint) (Record, bool) {
 	f = f.canonical()
 	key := f.Key()
