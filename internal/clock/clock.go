@@ -3,7 +3,7 @@
 // Those packages never read the wall clock or schedule on it
 // themselves — mistlint's nodeterm analyzer enforces it — so a node
 // built on a Fake is a state machine whose only inputs are messages
-// and hand-driven ticks (ROADMAP item 4).
+// and hand-driven ticks (ROADMAP item 11 (c)).
 package clock
 
 import (

@@ -17,7 +17,7 @@ var bannedTimeFuncs = map[string]bool{
 // packages. Cluster membership, view, and ring logic must take clock
 // access through an injectable Clock and randomness through an
 // injected seed so the whole protocol can run under the deterministic
-// simulation harness (ROADMAP item 4) with virtual time and a seeded
+// simulation harness (ROADMAP item 11 (c)) with virtual time and a seeded
 // schedule.
 var NodetermAnalyzer = &Analyzer{
 	Name: "nodeterm",

@@ -12,9 +12,9 @@ import (
 // TestStageProgramsCompiledOncePerVariant: a full MistSpace search of the
 // BENCH cell (gpt3-2.7b, batch 8, 8 L4s; bench_test.go's benchWorkload)
 // prices 13 canonical stage shapes (TestTuplePassesOncePerWindow counts
-// them) at four tensor-parallel degrees, and its analyzer compiles a
-// handful of programs — one per structural variant — and traces the
-// model once.
+// them) at four tensor-parallel degrees, and they share a handful of
+// programs — one per structural variant, compiled once per process —
+// over one trace of the model.
 func TestStageProgramsCompiledOncePerVariant(t *testing.T) {
 	w := plan.Workload{Model: model.MustByName("gpt3-2.7b"), Seq: 2048, Flash: true, GlobalBatch: 8}
 	tn, err := core.New(w, hardware.L4Cluster(1, 8), core.MistSpace())
@@ -24,14 +24,14 @@ func TestStageProgramsCompiledOncePerVariant(t *testing.T) {
 	if _, err := tn.Tune(); err != nil {
 		t.Fatal(err)
 	}
-	traced, compiled := tn.An.BuildCounts()
-	if compiled < 1 || compiled > 16 {
-		t.Errorf("compiled %d stage programs, want 1..16 (one per variant)", compiled)
+	traced, programs := tn.An.BuildCounts(), tn.An.VariantPrograms()
+	if programs < 1 || programs > 16 {
+		t.Errorf("stage programs share %d distinct programs, want 1..16 (one per variant)", programs)
 	}
 	if traced != 1 {
 		t.Errorf("traced the model %d times, want once for every TP degree", traced)
 	}
-	t.Logf("%d trace passes, %d programs compiled", traced, compiled)
+	t.Logf("%d trace passes, %d distinct variant programs", traced, programs)
 }
 
 // TestTuplePassesOncePerWindow is the count-based proof of the window

@@ -1,10 +1,24 @@
 package schedule
 
+import "repro/internal/symbolic"
+
 // BuildCounts reports how many trace passes (the model's layer, pre and
-// post sections, symbolic in b and TP) and variant compilations the
-// analyzer has run.
-func (a *Analyzer) BuildCounts() (traced, compiled int) {
-	return int(a.nTraced.Load()), int(a.nCompiled.Load())
+// post sections, symbolic in b and TP) the analyzer has run.
+func (a *Analyzer) BuildCounts() (traced int) { return int(a.nTraced.Load()) }
+
+// VariantPrograms reports how many distinct compiled programs the
+// analyzer's stage programs point at: one per structural variant its
+// shapes met. Call it once the analyzer's pricing has finished.
+func (a *Analyzer) VariantPrograms() int {
+	a.programs.mu.Lock()
+	defer a.programs.mu.Unlock()
+	progs := map[*symbolic.Program]bool{}
+	for _, e := range a.programs.m {
+		if e.v.prog != nil {
+			progs[e.v.prog] = true
+		}
+	}
+	return len(progs)
 }
 
 // TuplePasses reports how many tuple passes (the tape from the offload

@@ -139,7 +139,8 @@ type stageProgram struct {
 // variantKey names the ways two shapes' knob expressions can differ in
 // structure rather than in coefficients — the cases where the symbolic
 // constructors, folding literal constants, would have produced trees
-// that round differently. Each key compiles to one program.
+// that round differently. Each key compiles to one program, once per
+// process (variantPrograms).
 type variantKey struct {
 	// bareStates: the stage holds no pre/post parameters, so each
 	// resident-state term is the single product state·l·(1-off) with
@@ -166,6 +167,57 @@ const (
 	actScaled                // pre/post stash terms, inFlight > 1: inFlight·(sum)
 	actFlat                  // pre/post stash terms, inFlight == 1: the sum's terms join the peak sums, cPostPer folded into their constants
 )
+
+// numVariants counts the variantKey values: bareStates x split x act x
+// recompute.
+const numVariants = 2 * 8 * 3 * 2
+
+// index is key's dense position in [0, numVariants).
+func (k variantKey) index() int {
+	i := 0
+	for _, bit := range [...]bool{k.bareStates, k.split[0], k.split[1], k.split[2], k.recompute} {
+		i <<= 1
+		if bit {
+			i |= 1
+		}
+	}
+	return i*3 + int(k.act)
+}
+
+// variantKeys lists every variantKey value, a superset of what build
+// produces.
+func variantKeys() []variantKey {
+	keys := make([]variantKey, 0, numVariants)
+	for _, bare := range []bool{false, true} {
+		for split := 0; split < 8; split++ {
+			for act := actBare; act <= actFlat; act++ {
+				for _, recompute := range []bool{false, true} {
+					keys = append(keys, variantKey{bareStates: bare, split: [3]bool{split&1 != 0, split&2 != 0, split&4 != 0}, act: act, recompute: recompute})
+				}
+			}
+		}
+	}
+	return keys
+}
+
+// variantPrograms holds each structural variant's program by
+// variantKey.index. variantExprs reads nothing but the key, so a program
+// is a pure function of it: the first caller in the process compiles it
+// and every analyzer shares it by pointer (a Program is immutable), as
+// core shares one interference fit per platform. Only the handful of
+// variants real shapes meet are ever compiled.
+var variantPrograms = func() (t [numVariants]func() *symbolic.Program) {
+	for _, key := range variantKeys() {
+		t[key.index()] = sync.OnceValue(func() *symbolic.Program {
+			return symbolic.MustCompile(variantExprs(key), frameVars)
+		})
+	}
+	return t
+}()
+
+// variantProgram returns (compiling on the process's first use) key's
+// program.
+func variantProgram(key variantKey) *symbolic.Program { return variantPrograms[key.index()]() }
 
 // onceMap builds each key's value exactly once under concurrent first
 // use: the first caller builds, the others wait for it.
@@ -280,15 +332,6 @@ func (a *Analyzer) LayerComputeFloor(tp, b int) float64 {
 	return sec.cFwd + sec.cBwd
 }
 
-// variant returns (compiling on first use) the program of one structural
-// variant.
-func (a *Analyzer) variant(key variantKey) *symbolic.Program {
-	return a.variants.get(key, func() *symbolic.Program {
-		a.nCompiled.Add(1)
-		return symbolic.MustCompile(variantExprs(key), frameVars)
-	})
-}
-
 // program returns (building if needed) the stage program of shape. The
 // memo is keyed by the shape's canonical representative, so the many raw
 // shapes of one equivalence class (middle pipeline stages with equal
@@ -299,8 +342,8 @@ func (a *Analyzer) program(shape StageShape) *stageProgram {
 }
 
 // build derives shape's numeric constants and coefficient fill from the
-// memoized trace and attaches its variant's program. Nothing here
-// traces or compiles per shape.
+// memoized trace and attaches its variant's process-wide program.
+// Nothing here traces or compiles per shape.
 func (a *Analyzer) build(shape StageShape) *stageProgram {
 	sp := &stageProgram{}
 	if shape.B <= 0 || shape.DP <= 0 || shape.TP <= 0 || shape.ZeRO < 0 || shape.ZeRO > 3 {
@@ -524,7 +567,7 @@ func (a *Analyzer) build(shape StageShape) *stageProgram {
 	// (decoupling keeps this to one layer instead of the whole model).
 	k[cStepWS] = BytesAll * stepParams
 
-	sp.prog = a.variant(key)
+	sp.prog = variantProgram(key)
 	return sp
 }
 

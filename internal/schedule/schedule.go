@@ -14,11 +14,12 @@
 //     phases of the 1F1B pipeline schedule.
 //
 // Knob-dependent quantities are symbolic expressions compiled for batched
-// evaluation (§5.2's batched value substitution), built once per analyzer
-// and structural variant rather than once per stage shape: the model is
-// traced once, symbolic in b and TP, its operator times and byte sizes
-// are evaluated once per (TP, b), and a shape's own constants enter its
-// variant's program as values, not as literals. The program's frame is
+// evaluation (§5.2's batched value substitution), compiled once per
+// structural variant per process rather than once per stage shape: each
+// analyzer traces its model once, symbolic in b and TP, evaluates its
+// operator times and byte sizes once per (TP, b), and enters a shape's
+// own constants into its variant's shared program as values, not as
+// literals. The program's frame is
 //
 //	[shape coefficients (numCoefs) | wo, go, oo, ao | l, ckpt]
 //
@@ -49,7 +50,6 @@ import (
 	"repro/internal/interference"
 	"repro/internal/model"
 	"repro/internal/opdb"
-	"repro/internal/symbolic"
 )
 
 // Byte-per-parameter constants for mixed-precision Adam (paper §5.1,
@@ -68,7 +68,8 @@ const cpuAdamParamsPerSec = 1.5e9
 
 // StageShape fixes the discrete choices of one pipeline stage: what the
 // analyzer derives once per shape (a coefficient fill over its shared
-// trace and compiled variants) and then prices under any Knobs.
+// trace, for its variant's process-wide program) and then prices under
+// any Knobs.
 type StageShape struct {
 	B    int // microbatch size b_i
 	DP   int // data-parallel degree
@@ -192,13 +193,14 @@ type Analyzer struct {
 	Serialize bool
 
 	// Everything derived from the context is memoized here and dies with
-	// the analyzer: the model's one trace, its costs per (TP, b), the
-	// compiled program per structural variant, and the numeric fill per
-	// canonical stage shape (program.go).
+	// the analyzer: the model's one trace and its compiled (b, TP) byte
+	// program, its costs per (TP, b), and the numeric fill per canonical
+	// stage shape (program.go). The stage programs those fills feed are
+	// not the analyzer's: each structural variant's is compiled once per
+	// process and shared (variantPrograms).
 	traceOnce sync.Once
 	traced    *modelTrace
 	sections  onceMap[tpB, *sectionCosts]
-	variants  onceMap[variantKey, *symbolic.Program]
 	programs  onceMap[StageShape, *stageProgram]
 
 	// The knob grids the tuners of this analyzer price, by KnobGrid's
@@ -206,12 +208,12 @@ type Analyzer struct {
 	gridMu sync.Mutex
 	grids  map[string]*Batch
 
-	// Trace, compile and tuple passes run, and overlap regions predicted,
-	// for tests. A tuple pass is what priceGroups does once per offload
+	// Trace and tuple passes run, and overlap regions predicted, for
+	// tests. A tuple pass is what priceGroups does once per offload
 	// tuple of a call: the tuple's lane of the tape from frameWO and its
 	// overlapTerms, of which it predicts only the regions no earlier tuple
 	// of the call shares (regionClasses).
-	nTraced, nCompiled              atomic.Int32
+	nTraced                         atomic.Int32
 	nTuplePasses, nRegionsPredicted atomic.Int64
 }
 

@@ -346,55 +346,107 @@ func TestBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstUseCompilesOnce: goroutines pricing distinct shapes
-// of one structural variant, at three TP degrees, on a fresh analyzer
-// compile that variant once and trace the model once between them, and
-// every result equals a serial analyzer's.
+// TestConcurrentFirstUseCompilesOnce: goroutines pricing shapes on fresh
+// analyzers of three models on three clusters, all at once, share one
+// program per structural variant, pointer-equal across the analyzers
+// (variantPrograms); each analyzer traces its model once, and every
+// result equals a serial analyzer's.
 func TestConcurrentFirstUseCompilesOnce(t *testing.T) {
-	var shapes []StageShape
-	for _, tp := range []int{1, 2, 4} {
-		for _, dp := range []int{1, 2} {
-			for b := 1; b <= 4; b++ {
-				// Middle stages of a dense model: one variant whatever TP, DP and b.
-				shapes = append(shapes, StageShape{B: b, DP: dp, TP: tp, NumStages: 4, StageIdx: 1, GradAccum: 4})
+	// Three stage positions of a dense model, one variant each whatever
+	// the model, cluster, TP, DP and b.
+	positions := []struct {
+		key   variantKey
+		shape StageShape
+	}{
+		{variantKey{act: actScaled}, StageShape{HasPre: true, NumStages: 4, StageIdx: 0, GradAccum: 4}},
+		{variantKey{bareStates: true, act: actBare}, StageShape{NumStages: 4, StageIdx: 1, GradAccum: 4}},
+		{variantKey{act: actFlat}, StageShape{HasPost: true, NumStages: 4, StageIdx: 3, GradAccum: 4}},
+	}
+	contexts := []struct {
+		model string
+		gpus  int
+	}{{"gpt3-2.7b", 8}, {"llama-1.3b", 4}, {"falcon-1.3b", 2}}
+	type job struct {
+		ctx, pos int
+		shape    StageShape
+	}
+	var jobs []job
+	for c := range contexts {
+		for p, pos := range positions {
+			for _, tp := range []int{1, 2, 4} {
+				for _, dp := range []int{1, 2} {
+					for b := 1; b <= 2; b++ {
+						shape := pos.shape
+						shape.B, shape.DP, shape.TP = b, dp, tp
+						jobs = append(jobs, job{c, p, shape})
+					}
+				}
 			}
 		}
 	}
-	set := NewBatch(mistKnobGrid(8)) // shared by every goroutine, like the tuner's
-	serial := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
-	want := make([][]Result, len(shapes))
-	for i, shape := range shapes {
-		var err error
-		if want[i], err = serial.EvaluatePreparedInto(nil, shape, set, new(EvalScratch)); err != nil {
-			t.Fatal(err)
+	fresh := func() []*Analyzer {
+		as := make([]*Analyzer, len(contexts))
+		for i, ctx := range contexts {
+			as[i] = newTestAnalyzer(t, ctx.model, ctx.gpus, true)
 		}
+		return as
 	}
+	set := NewBatch(mistKnobGrid(8)) // shared by every goroutine, like the tuner's
 
-	a := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
-	got := make([][]Result, len(shapes))
-	errs := make([]error, len(shapes))
+	racing := fresh()
+	got := make([][]Result, len(jobs))
+	errs := make([]error, len(jobs))
 	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := range shapes {
+	for i, j := range jobs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-start
-			got[i], errs[i] = a.EvaluatePreparedInto(nil, shapes[i], set, new(EvalScratch))
+			got[i], errs[i] = racing[j.ctx].EvaluatePreparedInto(nil, j.shape, set, new(EvalScratch))
 		}()
 	}
 	close(start)
 	wg.Wait()
-	for i := range shapes {
+
+	serial := fresh()
+	for i, j := range jobs {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if !slices.Equal(got[i], want[i]) {
-			t.Errorf("shape %+v: concurrent first use priced differently from a serial analyzer", shapes[i])
+		want, err := serial[j.ctx].EvaluatePreparedInto(nil, j.shape, set, new(EvalScratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got[i], want) {
+			t.Errorf("%s shape %+v: concurrent first use priced differently from a serial analyzer", contexts[j.ctx].model, j.shape)
+		}
+		key := positions[j.pos].key
+		if racing[j.ctx].program(j.shape).prog != variantProgram(key) || serial[j.ctx].program(j.shape).prog != variantProgram(key) {
+			t.Errorf("%s shape %+v: stage program is not variant %+v's process-wide one", contexts[j.ctx].model, j.shape, key)
 		}
 	}
-	if traced, compiled := a.BuildCounts(); traced != 1 || compiled != 1 {
-		t.Errorf("traced the model %d times and compiled %d programs, want 1 and 1", traced, compiled)
+	for c, a := range racing {
+		if traced, programs := a.BuildCounts(), a.VariantPrograms(); traced != 1 || programs != len(positions) {
+			t.Errorf("%s: traced the model %d times and shared %d distinct programs, want 1 and %d", contexts[c].model, traced, programs, len(positions))
+		}
+	}
+}
+
+// TestVariantIndexIsDense: variantKey.index maps the 96 keys one to one
+// onto variantPrograms' slots.
+func TestVariantIndexIsDense(t *testing.T) {
+	keys := variantKeys()
+	if len(keys) != numVariants {
+		t.Fatalf("%d variant keys, want %d", len(keys), numVariants)
+	}
+	seen := make([]bool, numVariants)
+	for _, key := range keys {
+		i := key.index()
+		if i < 0 || i >= numVariants || seen[i] {
+			t.Fatalf("variant %+v: index %d out of range or taken", key, i)
+		}
+		seen[i] = true
 	}
 }
 
@@ -408,11 +460,11 @@ func TestRecomputeVariantGatesOnCkpt(t *testing.T) {
 	a := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
 	sp := a.program(baseShape())
 	key := variantKey{act: actFlat}
-	if a.variant(key) != sp.prog {
+	if variantProgram(key) != sp.prog {
 		t.Fatalf("base shape should price under variant %+v", key)
 	}
 	key.recompute = true
-	rec := a.variant(key)
+	rec := variantProgram(key)
 	frame := make([]float64, frameLen)
 	copy(frame, sp.coefs[:])
 	for _, k := range mistKnobGrid(8) {

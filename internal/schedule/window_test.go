@@ -390,32 +390,24 @@ func TestOverlapRegionReadSets(t *testing.T) {
 		}
 		return ok
 	}
-	keys := 0
-	for _, bare := range []bool{false, true} {
-		for split := 0; split < 8; split++ {
-			for act := actBare; act <= actFlat; act++ {
-				for _, recompute := range []bool{false, true} {
-					key := variantKey{bareStates: bare, split: [3]bool{split&1 != 0, split&2 != 0, split&4 != 0}, act: act, recompute: recompute}
-					exprs := variantExprs(key)
-					keys++
-					for c, class := range regionClasses {
-						var inputs []*symbolic.Expr
-						for _, o := range class.inputs {
-							inputs = append(inputs, exprs[o])
-						}
-						ok := allowed(class.reads)
-						for _, v := range symbolic.MergeVars(inputs...) {
-							if !ok[v] {
-								t.Errorf("variant %+v: region class %d's inputs read %s, outside its declared ratios %v", key, c, v, class.reads)
-							}
-						}
-					}
+	keys := variantKeys()
+	for _, key := range keys {
+		exprs := variantExprs(key)
+		for c, class := range regionClasses {
+			var inputs []*symbolic.Expr
+			for _, o := range class.inputs {
+				inputs = append(inputs, exprs[o])
+			}
+			ok := allowed(class.reads)
+			for _, v := range symbolic.MergeVars(inputs...) {
+				if !ok[v] {
+					t.Errorf("variant %+v: region class %d's inputs read %s, outside its declared ratios %v", key, c, v, class.reads)
 				}
 			}
 		}
 	}
-	if keys != 96 {
-		t.Fatalf("walked %d variant keys, want 96", keys)
+	if len(keys) != 96 {
+		t.Fatalf("walked %d variant keys, want 96", len(keys))
 	}
 
 	a := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
