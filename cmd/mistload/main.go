@@ -162,7 +162,6 @@ func main() {
 		Rate:        *rate,
 		Duration:    *duration,
 		MaxOps:      *maxOps,
-		BaseURL:     *addr,
 		TraceSample: *traceSample,
 		SLOConfig:   sloCfg,
 	}
@@ -303,17 +302,15 @@ func main() {
 			traceTargets = append(traceTargets, t)
 		}
 		healthTargets = traceTargets
+		// Ops carry a placeholder URL that each node target rebases.
 		if len(addrs) == 1 {
-			target = client
+			target = traceTargets[0]
 		} else {
 			mt, err := load.NewMultiTarget(traceTargets...)
 			if err != nil {
 				log.Fatal(err)
 			}
 			target = mt
-			// Multi-addr ops carry a placeholder URL that each node
-			// target rebases; BaseURL must stay empty.
-			opts.BaseURL = ""
 		}
 		log.Printf("replaying %q against %s (seed %d, %v, %d workers)",
 			*scenario, *addr, *seed, *duration, *concurrency)

@@ -64,14 +64,15 @@ func sgSpans(t *testing.T, tn *Tuner) (*Result, []trace.SpanData) {
 }
 
 // TestFloorSkipMatchesUnprunedReference is the differential fence of the
-// pre-pricing bound: over the golden cells, under every space and solver
-// the tuner has, the search that skips (S, G) pairs by their compute floor
-// returns the plan and the prediction — reflect.DeepEqual and == — of the
-// search with no cross-pair incumbent (disableIncumbent), in which the
-// floor never fires. BreakdownLadder's first four rungs and AcesoSpace are
-// the averaged objective. The MILP and the enumeration run on the cells of
-// at most four GPUs: the reference's unpruned deep pipelines take the MILP
-// minutes on eight, and the floor acts before any solver sees a pair.
+// pre-pricing bound: over the golden cells, under every space and every
+// inter-stage solver (the DP, the MILP and the test oracle), the search
+// that skips (S, G) pairs by their compute floor returns the plan and the
+// prediction — reflect.DeepEqual and == — of the search with no
+// cross-pair incumbent (disableIncumbent), in which the floor never fires.
+// BreakdownLadder's first four rungs and AcesoSpace are the averaged
+// objective. The MILP and the enumeration run on the cells of at most four
+// GPUs: the reference's unpruned deep pipelines take the MILP minutes on
+// eight, and the floor acts before any solver sees a pair.
 func TestFloorSkipMatchesUnprunedReference(t *testing.T) {
 	hetero := MistSpace()
 	hetero.Name, hetero.HeterogeneousDevices = "hetero", true
@@ -99,9 +100,12 @@ func TestFloorSkipMatchesUnprunedReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tn.UseMILP, tn.Exhaustive = cfg.useMILP, cfg.exhaustive
+			tn.UseMILP = cfg.useMILP
 			ref := &Tuner{W: w, Cluster: cl, An: tn.An, Space: cfg.space,
-				UseMILP: cfg.useMILP, Exhaustive: cfg.exhaustive, disableIncumbent: true}
+				UseMILP: cfg.useMILP, disableIncumbent: true}
+			if cfg.exhaustive {
+				tn.interOracle, ref.interOracle = exhaustive, exhaustive
+			}
 			got, err := tn.Tune()
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

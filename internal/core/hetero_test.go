@@ -44,8 +44,12 @@ func TestHeteroAtLeastAsGoodAsUniform(t *testing.T) {
 		t.Fatalf("hetero plan invalid: %v", err)
 	}
 	// Device totals must tile the cluster exactly.
-	if rh.Plan.TotalDevices() != cl.TotalGPUs() {
-		t.Errorf("hetero plan uses %d devices of %d", rh.Plan.TotalDevices(), cl.TotalGPUs())
+	devices := 0
+	for _, st := range rh.Plan.Stages {
+		devices += st.Shape.Devices()
+	}
+	if devices != cl.TotalGPUs() {
+		t.Errorf("hetero plan uses %d devices of %d", devices, cl.TotalGPUs())
 	}
 	// And the plan must execute.
 	m, err := trainsim.New(w, cl, uniform.An).Measure(rh.Plan)

@@ -257,95 +257,6 @@ func (t *Tuner) solveInterDP(cands [][]candidate, totalLayers, totalDevices, g i
 	return out, nil
 }
 
-// solveInterExhaustive enumerates every candidate combination with
-// branch-and-bound pruning. Exponential in the stage count. It runs only
-// when Tuner.Exhaustive is set (ablation-solver and the solver tests), as
-// an oracle for the DP and the MILP; nothing falls back to it.
-func (t *Tuner) solveInterExhaustive(cands [][]candidate, totalLayers, g int) (*interSolution, error) {
-	s := len(cands)
-	if s == 0 {
-		return nil, errors.New("core: no stages")
-	}
-	// Optimistic per-stage bounds for pruning.
-	minT := make([]float64, s)
-	minL := make([]int, s)
-	maxL := make([]int, s)
-	for i, list := range cands {
-		if len(list) == 0 {
-			return nil, fmt.Errorf("core: stage %d has no feasible candidates", i)
-		}
-		minT[i] = math.Inf(1)
-		minL[i] = math.MaxInt32
-		for _, c := range list {
-			if c.T < minT[i] {
-				minT[i] = c.T
-			}
-			if c.Knobs.Layers < minL[i] {
-				minL[i] = c.Knobs.Layers
-			}
-			if c.Knobs.Layers > maxL[i] {
-				maxL[i] = c.Knobs.Layers
-			}
-		}
-	}
-	suffixMinT := make([]float64, s+1)
-	suffixMinL := make([]int, s+1)
-	suffixMaxL := make([]int, s+1)
-	for i := s - 1; i >= 0; i-- {
-		suffixMinT[i] = suffixMinT[i+1] + minT[i]
-		suffixMinL[i] = suffixMinL[i+1] + minL[i]
-		suffixMaxL[i] = suffixMaxL[i+1] + maxL[i]
-	}
-
-	best := math.Inf(1)
-	var bestPick []int
-	pick := make([]int, s)
-	sel := make([]pipeline.StagePerf, 0, s) // the one selection buffer: a leaf prices it in place
-
-	var rec func(i, layersLeft int)
-	rec = func(i, layersLeft int) {
-		if layersLeft < suffixMinL[i] || layersLeft > suffixMaxL[i] {
-			return
-		}
-		if i == s {
-			obj := t.objective(sel, g)
-			if obj < best {
-				best = obj
-				bestPick = append(bestPick[:0], pick...)
-			}
-			return
-		}
-		// Optimistic bound: even with zero deltas and no new bottleneck.
-		partialSum := 0.0
-		partialMax := 0.0
-		for _, c := range sel {
-			partialSum += c.Stable
-			if c.Stable > partialMax {
-				partialMax = c.Stable
-			}
-		}
-		lower := float64(g-1)*partialMax + partialSum + suffixMinT[i]
-		if lower >= best {
-			return
-		}
-		for ci, c := range cands[i] {
-			pick[i] = ci
-			sel = append(sel, pipeline.StagePerf{Stable: c.T, Delta: c.D})
-			rec(i+1, layersLeft-c.Knobs.Layers)
-			sel = sel[:len(sel)-1]
-		}
-	}
-	rec(0, totalLayers)
-	if bestPick == nil {
-		return nil, errors.New("core: exhaustive search found no feasible partition")
-	}
-	out := &interSolution{Objective: best}
-	for i, ci := range bestPick {
-		out.Stages = append(out.Stages, cands[i][ci])
-	}
-	return out, nil
-}
-
 // stagePerfs appends the (t, d) of a selection to dst[:0]: the selection
 // as pipeline's objectives take it.
 func stagePerfs(dst []pipeline.StagePerf, sel []candidate) []pipeline.StagePerf {

@@ -40,10 +40,6 @@ type Tuner struct {
 	// pipelines.
 	UseMILP bool
 
-	// Exhaustive switches the inter-stage solver to branch-and-bound
-	// enumeration (used for cross-checks).
-	Exhaustive bool
-
 	// Warm is never read: benchmarks/mistperf/seam.go names it (ROADMAP 10 (g)).
 	Warm *plan.Plan
 
@@ -57,6 +53,11 @@ type Tuner struct {
 	// bound: the search without cross-pair pruning, which tests use as a
 	// reference. The chosen plan is identical either way.
 	disableIncumbent bool
+
+	// interOracle, when set, solves the inter-stage step of every pair
+	// without a device budget in place of the DP and the MILP: tests
+	// install the branch-and-bound enumeration they check both against.
+	interOracle func(t *Tuner, cands [][]candidate, totalLayers, g int) (*interSolution, error)
 }
 
 // pricer is what a search prices through. The tuner's *evalcache.Cache
@@ -502,9 +503,9 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int, bound float64) (*interSolu
 	}
 	_, nsp := trace.StartSpan(ctx, "inter-stage")
 	var sol *interSolution
-	switch { // the MILP and the enumeration carry no device constraint
-	case t.Exhaustive && devBudget == 0:
-		sol, err = t.solveInterExhaustive(cands, t.W.Model.Layers, g)
+	switch { // the MILP and the test oracle carry no device constraint
+	case t.interOracle != nil && devBudget == 0:
+		sol, err = t.interOracle(t, cands, t.W.Model.Layers, g)
 	case t.UseMILP && devBudget == 0:
 		sol, err = t.solveInterMILP(cands, t.W.Model.Layers, g)
 	default:

@@ -161,13 +161,6 @@ func TraceLayer(cfg model.Config, seq, tp int, flash bool) (*Graph, error) {
 	return traceLayer(cfg, seq, flash).Bind(tp), nil
 }
 
-// TracePreLayer traces the embedding section at tensor parallelism tp.
-func TracePreLayer(cfg model.Config, seq, tp int) *Graph { return tracePre(cfg, seq).Bind(tp) }
-
-// TracePostLayer traces the final norm, LM head projection and loss at
-// tensor parallelism tp.
-func TracePostLayer(cfg model.Config, seq, tp int) *Graph { return tracePost(cfg, seq).Bind(tp) }
-
 // Bind returns the graph at tensor-parallel degree tp: every tensor's
 // size with TP substituted, and every node's TP-split dimension divided
 // by tp. Nodes that share a tensor share its bound copy, so liveness over

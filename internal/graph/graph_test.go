@@ -25,6 +25,17 @@ func mustTrace(t *testing.T, name string, seq, tp int, flash bool) *Graph {
 	return g
 }
 
+// mustSections traces cfg's sections (the embedding and head do not
+// depend on FlashAttention).
+func mustSections(t *testing.T, cfg model.Config, seq int) *Sections {
+	t.Helper()
+	secs, err := Trace(cfg, seq, true)
+	if err != nil {
+		t.Fatalf("trace %s: %v", cfg.Name, err)
+	}
+	return secs
+}
+
 func TestTraceRejectsBadTP(t *testing.T) {
 	if _, err := TraceLayer(model.MustByName("gpt3-7b"), 2048, 3, true); err == nil {
 		t.Fatal("tp=3 should not divide 32 heads")
@@ -165,8 +176,8 @@ func TestTPSpeedsUpForward(t *testing.T) {
 
 func TestPrePostLayers(t *testing.T) {
 	db := opdb.New(hardware.L4())
-	pre := TracePreLayer(model.MustByName("gpt3-7b"), 2048, 1)
-	post := TracePostLayer(model.MustByName("gpt3-7b"), 2048, 1)
+	secs := mustSections(t, model.MustByName("gpt3-7b"), 2048)
+	pre, post := secs.Pre.Bind(1), secs.Post.Bind(1)
 	if pre.NumOps() == 0 || post.NumOps() == 0 {
 		t.Fatal("empty pre/post trace")
 	}
@@ -284,8 +295,8 @@ func TestOpsMatchGraph(t *testing.T) {
 		for _, flash := range []bool{false, true} {
 			graphs = append(graphs, mustTrace(t, name, 2048, 2, flash))
 		}
-		cfg := model.MustByName(name)
-		graphs = append(graphs, TracePreLayer(cfg, 2048, 2), TracePostLayer(cfg, 2048, 2))
+		secs := mustSections(t, model.MustByName(name), 2048)
+		graphs = append(graphs, secs.Pre.Bind(2), secs.Post.Bind(2))
 	}
 	moe, err := TraceLayer(model.MustMoEByName("gpt3-1.3b", 8, 2), 2048, 4, true)
 	if err != nil {

@@ -63,15 +63,6 @@ func (m Mask) Count() int {
 	return n
 }
 
-// MaskOf builds a mask from channels.
-func MaskOf(chs ...Channel) Mask {
-	var m Mask
-	for _, ch := range chs {
-		m |= 1 << uint(ch)
-	}
-	return m
-}
-
 // numMasks is the size of the dense mask-indexed tables.
 const numMasks = 1 << NumChannels
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestMaskBasics(t *testing.T) {
-	m := MaskOf(Compute, G2C)
+	m := Mask(1<<Compute | 1<<G2C)
 	if !m.Has(Compute) || !m.Has(G2C) || m.Has(G2G) || m.Has(C2G) {
 		t.Fatalf("mask %04b membership wrong", m)
 	}
@@ -57,7 +57,7 @@ func TestPredictPairSlowdown(t *testing.T) {
 	// peels 2 seconds and drains both; total 2 (not 1 = perfect overlap,
 	// not 2+2 = serialized).
 	m := NewModel()
-	mask := MaskOf(G2G, G2C)
+	mask := Mask(1<<G2G | 1<<G2C)
 	m.setFactor(mask, G2G, 2)
 	m.setFactor(mask, G2C, 2)
 	got := m.Predict(Times{0, 1, 0, 1})
@@ -71,7 +71,7 @@ func TestPredictSkewedPair(t *testing.T) {
 	// scaled = (4.4, 1.5); overlap 1.5 drains g2g, compute has
 	// (4.4-1.5)/1.1 = 2.636... left, runs alone. Total = 1.5 + 2.636...
 	m := NewModel()
-	mask := MaskOf(Compute, G2G)
+	mask := Mask(1<<Compute | 1<<G2G)
 	m.setFactor(mask, Compute, 1.1)
 	m.setFactor(mask, G2G, 1.5)
 	got := m.Predict(Times{4, 1, 0, 0})
@@ -87,12 +87,12 @@ func TestSetFactorPanicsOutsideMask(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewModel().setFactor(MaskOf(Compute, G2G), G2C, 2)
+	NewModel().setFactor(Mask(1<<Compute|1<<G2G), G2C, 2)
 }
 
 func TestSetFactorClampsBelowOne(t *testing.T) {
 	m := NewModel()
-	mask := MaskOf(Compute, G2G)
+	mask := Mask(1<<Compute | 1<<G2G)
 	m.setFactor(mask, Compute, 0.5)
 	if f := m.Factor(mask, Compute); f != 1 {
 		t.Errorf("factor clamped to %v, want 1", f)

@@ -44,7 +44,6 @@ type Options struct {
 	Rate        float64       // target arrival rate, ops/sec (0: unpaced)
 	Duration    time.Duration // stop feeding new ops after this long
 	MaxOps      int           // stop after this many ops (0: unlimited)
-	BaseURL     string        // live-target URL prefix ("" for in-process)
 
 	// TraceSample stamps every Nth op with a deterministic X-Mist-Trace
 	// id, forcing the server to record it end to end (0: off, 1: every
@@ -254,7 +253,7 @@ func Run(ctx context.Context, target Target, opts Options) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for op := range ops {
-				runOp(ctx, target, opts.BaseURL, op, rec, &tracker, &transport, sampler)
+				runOp(ctx, target, op, rec, &tracker, &transport, sampler)
 			}
 		}()
 	}
@@ -312,7 +311,7 @@ func Run(ctx context.Context, target Target, opts Options) (*Report, error) {
 // context, so canceling the run aborts in-flight requests instead of
 // waiting them out. Cancel ops with no tracked job degrade to a list
 // (keeps the request count stable without inventing 404 noise).
-func runOp(ctx context.Context, target Target, baseURL string, op Op, rec *recorder, tracker *jobTracker, transport *metrics.Counter, sampler *traceSampler) {
+func runOp(ctx context.Context, target Target, op Op, rec *recorder, tracker *jobTracker, transport *metrics.Counter, sampler *traceSampler) {
 	var (
 		method = http.MethodPost
 		path   string
@@ -343,11 +342,7 @@ func runOp(ctx context.Context, target Target, baseURL string, op Op, rec *recor
 	if body == nil && len(op.Body) > 0 && method == http.MethodPost {
 		body = bytes.NewReader(op.Body)
 	}
-	base := baseURL
-	if base == "" {
-		base = "http://inproc"
-	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, "http://inproc"+path, body)
 	if err != nil {
 		transport.Inc()
 		return

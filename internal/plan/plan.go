@@ -47,15 +47,6 @@ type Plan struct {
 // NumStages returns the pipeline depth.
 func (p *Plan) NumStages() int { return len(p.Stages) }
 
-// TotalDevices sums stage device counts.
-func (p *Plan) TotalDevices() int {
-	n := 0
-	for _, s := range p.Stages {
-		n += s.Shape.Devices()
-	}
-	return n
-}
-
 // Validate checks plan-wide invariants against the workload: layer counts
 // sum to the model depth, samples per microbatch slot are consistent
 // across stages, stage metadata (index, count, grad accum, pre/post) is

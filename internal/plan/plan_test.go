@@ -90,8 +90,12 @@ func TestPlanAccessors(t *testing.T) {
 	if p.NumStages() != 2 {
 		t.Errorf("NumStages = %d", p.NumStages())
 	}
-	if p.TotalDevices() != 4 {
-		t.Errorf("TotalDevices = %d, want 4", p.TotalDevices())
+	devices := 0
+	for _, s := range p.Stages {
+		devices += s.Shape.Devices()
+	}
+	if devices != 4 {
+		t.Errorf("stages hold %d devices, want 4", devices)
 	}
 }
 

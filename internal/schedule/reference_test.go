@@ -41,6 +41,11 @@ func (a *Analyzer) referenceBuild(shape StageShape) *stageProgram {
 		sp.err = err
 		return sp
 	}
+	secs, err := graph.Trace(a.Model, a.Seq, a.Flash)
+	if err != nil {
+		sp.err = err
+		return sp
+	}
 	cl := a.Cluster
 	b := shape.B
 	bEnv := symbolic.Env{graph.BSymbol: float64(b)}
@@ -104,7 +109,7 @@ func (a *Analyzer) referenceBuild(shape StageShape) *stageProgram {
 	// Pre/post sections (traced, plus one serial TP all-reduce each).
 	var preStash, postStash, postPeakBwd *symbolic.Expr
 	if shape.HasPre {
-		pg := graph.TracePreLayer(a.Model, a.Seq, shape.TP)
+		pg := secs.Pre.Bind(shape.TP)
 		sp.preFwd = pg.ForwardTime(a.DB, b)
 		sp.preBwd = pg.BackwardTime(a.DB, b)
 		if shape.TP > 1 {
@@ -115,7 +120,7 @@ func (a *Analyzer) referenceBuild(shape StageShape) *stageProgram {
 		preStash = pg.SavedActivationBytes()
 	}
 	if shape.HasPost {
-		pg := graph.TracePostLayer(a.Model, a.Seq, shape.TP)
+		pg := secs.Post.Bind(shape.TP)
 		sp.postFwd = pg.ForwardTime(a.DB, b)
 		sp.postBwd = pg.BackwardTime(a.DB, b)
 		if shape.TP > 1 {

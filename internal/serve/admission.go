@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -38,9 +37,6 @@ type Limits struct {
 	// RequestTimeout bounds one synchronous request end to end,
 	// including admission wait (default 0: no deadline).
 	RequestTimeout time.Duration
-	// RetryAfter is the hint returned with 429 responses (default 1s;
-	// rounded up to whole seconds on the wire).
-	RetryAfter time.Duration
 }
 
 const defaultMaxQueue = 256
@@ -54,9 +50,6 @@ func (l Limits) withDefaults() Limits {
 	}
 	if l.MaxQueue < 0 {
 		l.MaxQueue = 0
-	}
-	if l.RetryAfter <= 0 {
-		l.RetryAfter = time.Second
 	}
 	return l
 }
@@ -72,13 +65,12 @@ func maxInflightDefault() int {
 // overloadError is the admission gate's refusal: the endpoint's run
 // slots and wait queue are both full.
 type overloadError struct {
-	endpoint   string
-	retryAfter time.Duration
+	endpoint string
 }
 
 func (e *overloadError) Error() string {
-	return fmt.Sprintf("serve: %s overloaded (admission queue full), retry after %v",
-		e.endpoint, e.retryAfter)
+	return fmt.Sprintf("serve: %s overloaded (admission queue full), retry after %ss",
+		e.endpoint, retryAfter)
 }
 
 // gate is one endpoint class's admission control: a slot semaphore plus
@@ -86,19 +78,17 @@ func (e *overloadError) Error() string {
 // overloadError (queue full) or waits — bounded by the request context —
 // for a slot.
 type gate struct {
-	endpoint   string
-	slots      chan struct{}
-	waiting    atomic.Int64
-	maxWait    int64
-	retryAfter time.Duration
+	endpoint string
+	slots    chan struct{}
+	waiting  atomic.Int64
+	maxWait  int64
 }
 
 func newGate(endpoint string, l Limits) *gate {
 	return &gate{
-		endpoint:   endpoint,
-		slots:      make(chan struct{}, l.MaxInflight),
-		maxWait:    int64(l.MaxQueue),
-		retryAfter: l.RetryAfter,
+		endpoint: endpoint,
+		slots:    make(chan struct{}, l.MaxInflight),
+		maxWait:  int64(l.MaxQueue),
 	}
 }
 
@@ -113,7 +103,7 @@ func (g *gate) acquire(ctx context.Context) error {
 	// never exceeds maxWait.
 	if g.waiting.Add(1) > g.maxWait {
 		g.waiting.Add(-1)
-		return &overloadError{endpoint: g.endpoint, retryAfter: g.retryAfter}
+		return &overloadError{endpoint: g.endpoint}
 	}
 	defer g.waiting.Add(-1)
 	select {
@@ -296,12 +286,6 @@ func (s *Server) handleMetrics(rw http.ResponseWriter, req *http.Request) {
 	s.metrics.WritePrometheus(rw)
 }
 
-// retryAfterSeconds renders a Retry-After header value, rounding up so
-// a sub-second hint never becomes "0".
-func retryAfterSeconds(d time.Duration) string {
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
+// retryAfter is the Retry-After hint, in seconds, every 429 and 503
+// carries.
+const retryAfter = "1"

@@ -20,7 +20,7 @@ import (
 )
 
 func TestGateRefusesBeyondQueueBound(t *testing.T) {
-	g := newGate("/tune", Limits{MaxInflight: 1, MaxQueue: 1, RetryAfter: time.Second}.withDefaults())
+	g := newGate("/tune", Limits{MaxInflight: 1, MaxQueue: 1}.withDefaults())
 	if err := g.acquire(context.Background()); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
@@ -119,8 +119,8 @@ func TestAdmissionOverloadReturns429(t *testing.T) {
 		if r.status != http.StatusTooManyRequests {
 			t.Errorf("refused request: status %d, want 429", r.status)
 		}
-		if r.retryAfter == "" {
-			t.Error("429 without Retry-After")
+		if r.retryAfter != "1" {
+			t.Errorf("429 with Retry-After %q, want \"1\"", r.retryAfter)
 		}
 	}
 	close(block) // admitted requests drain
@@ -227,8 +227,8 @@ func TestJobSubmitBackpressure(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		if resp.StatusCode == http.StatusTooManyRequests {
 			saw429 = true
-			if resp.Header.Get("Retry-After") == "" {
-				t.Error("429 without Retry-After")
+			if ra := resp.Header.Get("Retry-After"); ra != "1" {
+				t.Errorf("429 with Retry-After %q, want \"1\"", ra)
 			}
 		} else if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
@@ -254,9 +254,9 @@ func TestStatusForBackpressureMapping(t *testing.T) {
 		t.Errorf("wrapped DeadlineExceeded -> %d, want 504", got)
 	}
 	rec := httptest.NewRecorder()
-	writeError(rec, http.StatusTooManyRequests, &overloadError{endpoint: "/tune", retryAfter: 2500 * time.Millisecond})
-	if ra := rec.Header().Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After %q, want rounded-up \"3\"", ra)
+	writeError(rec, http.StatusTooManyRequests, &overloadError{endpoint: "/tune"})
+	if ra := rec.Header().Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After %q, want \"1\"", ra)
 	}
 }
 

@@ -34,12 +34,6 @@ type LocalClusterOptions struct {
 	Nodes int
 	// Replicas is the replication factor R (default 2, capped at Nodes).
 	Replicas int
-	// VNodes per member (default cluster.DefaultVNodes).
-	VNodes int
-	// StoreDirs optionally backs node i's plan store with StoreDirs[i];
-	// missing or empty entries get in-memory stores (replication works
-	// the same either way).
-	StoreDirs []string
 	// ProbeInterval starts each node's active health prober when > 0;
 	// at 0 failure detection is passive only (failed forwards), which is
 	// already enough to route around a killed node.
@@ -96,30 +90,22 @@ func NewLocalCluster(opt LocalClusterOptions) (*LocalCluster, error) {
 		members[i] = cluster.Member{ID: id, Addr: "http://" + id}
 		lc.ids = append(lc.ids, id)
 	}
-	for i, m := range members {
-		dir := ""
-		if i < len(opt.StoreDirs) {
-			dir = opt.StoreDirs[i]
-		}
-		if err := lc.addNode(m, members, dir); err != nil {
+	for _, m := range members {
+		if err := lc.addNode(m, members); err != nil {
 			return nil, err
 		}
 	}
 	return lc, nil
 }
 
-// addNode builds one server + cluster view and registers it on the
+// addNode builds one server (in-memory plan store) + cluster view
+// (cluster.DefaultVNodes per member) and registers it on the
 // switchboard, starting its prober and rebalancer per the options.
-func (lc *LocalCluster) addNode(m cluster.Member, members []cluster.Member, storeDir string) error {
-	st, err := store.Open(storeDir) // "" degrades to in-memory
-	if err != nil {
-		return err
-	}
+func (lc *LocalCluster) addNode(m cluster.Member, members []cluster.Member) error {
 	cl, err := cluster.New(cluster.Config{
 		Self:         m.ID,
 		Members:      members,
 		Replicas:     lc.opt.Replicas,
-		VNodes:       lc.opt.VNodes,
 		Client:       lc.sb,
 		ProbeTimeout: 500 * time.Millisecond,
 		DownAfter:    2,
@@ -128,7 +114,7 @@ func (lc *LocalCluster) addNode(m cluster.Member, members []cluster.Member, stor
 		return err
 	}
 	srv := New(append(append([]Option{}, lc.opt.ServerOptions...),
-		WithStore(st), WithCluster(cl))...)
+		WithStore(store.InMemory()), WithCluster(cl))...)
 	lc.mu.Lock()
 	lc.servers[m.ID] = srv
 	lc.mu.Unlock()
@@ -220,7 +206,7 @@ func (lc *LocalCluster) Join(ctx context.Context, id string) (*Server, error) {
 		return nil, fmt.Errorf("localcluster: node %q already exists", id)
 	}
 	self := cluster.Member{ID: id, Addr: "http://" + id}
-	if err := lc.addNode(self, []cluster.Member{self}, ""); err != nil {
+	if err := lc.addNode(self, []cluster.Member{self}); err != nil {
 		return nil, err
 	}
 	// From here on a failed join must tear the half-created node back

@@ -1133,12 +1133,7 @@ func writeError(rw http.ResponseWriter, status int, err error) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		// The backpressure contract: every 429/503 carries a hint for
 		// when to come back.
-		after := time.Second
-		var over *overloadError
-		if errors.As(err, &over) && over.retryAfter > 0 {
-			after = over.retryAfter
-		}
-		rw.Header().Set("Retry-After", retryAfterSeconds(after))
+		rw.Header().Set("Retry-After", retryAfter)
 	}
 	writeJSON(rw, status, cluster.ErrorReply{Error: err.Error()})
 }

@@ -167,9 +167,6 @@ func composite(op Op, args []*Expr) *Expr {
 // Sub returns a - b.
 func Sub(a, b *Expr) *Expr { return Add(a, Mul(Const(-1), b)) }
 
-// Neg returns -a.
-func Neg(a *Expr) *Expr { return Mul(Const(-1), a) }
-
 // Mul returns the simplified product of the operands. Mul() is 1.
 func Mul(xs ...*Expr) *Expr {
 	var buf [8]*Expr
@@ -268,9 +265,6 @@ func Floor(x *Expr) *Expr {
 	}
 	return &Expr{op: OpFloor, args: []*Expr{x}}
 }
-
-// CeilDiv returns ceil(a/b), the integer block count of a split into b.
-func CeilDiv(a, b *Expr) *Expr { return Ceil(Div(a, b)) }
 
 // Max returns the simplified maximum of the operands. Constant operands are
 // folded together; duplicate operands are removed. Max of a single operand

@@ -20,8 +20,8 @@ func TestConstFolding(t *testing.T) {
 		{Max(Const(1), Const(5), Const(3)), 5},
 		{Min(Const(1), Const(5), Const(3)), 1},
 		{Sub(Const(10), Const(4)), 6},
-		{Neg(Const(3)), -3},
-		{CeilDiv(Const(10), Const(4)), 3},
+		{Mul(Const(-1), Const(3)), -3},
+		{Ceil(Div(Const(10), Const(4))), 3},
 	}
 	for i, c := range cases {
 		v, ok := c.got.IsConst()
@@ -144,7 +144,7 @@ func TestStringRendering(t *testing.T) {
 func TestCeilEpsilonSnapping(t *testing.T) {
 	// 96/32 computed via float division can land at 3.0000000000000004;
 	// ceil must still be 3.
-	e := CeilDiv(Var("l"), Var("s"))
+	e := Ceil(Div(Var("l"), Var("s")))
 	v := e.MustEval(Env{"l": 96, "s": 32})
 	if v != 3 {
 		t.Errorf("ceil(96/32) = %v, want 3", v)
@@ -160,7 +160,7 @@ func TestCompileMatchesEval(t *testing.T) {
 	exprs := []*Expr{
 		Add(Mul(x, y), Div(z, Const(2))),
 		Max(x, Mul(y, z), Const(5)),
-		CeilDiv(Mul(x, y), z),
+		Ceil(Div(Mul(x, y), z)),
 		Min(Sub(x, y), Floor(Div(z, y))),
 	}
 	prog := MustCompile(exprs, []string{"x", "y", "z"})
