@@ -23,7 +23,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/evalcache"
 	"repro/internal/experiments"
 	"repro/internal/trainsim"
 )
@@ -247,8 +246,8 @@ func TestNewFingerprintTuneAllocCeiling(t *testing.T) {
 }
 
 // TestRetuneAllocCeiling pins what a re-tune costs on the serving path:
-// a fresh core.NewShared tuner over a shared analyzer and a filled
-// evaluation cache — what every /tune of a known fingerprint builds —
+// a fresh core.NewShared tuner over a shared analyzer with filled rows —
+// what every /tune of a known fingerprint builds —
 // searches the bench cell in at most 116 allocations and 8 KiB (106 and
 // 7.3-7.5 KiB on 2 vCPUs today, at GOMAXPROCS 1 to 16; 156 and 7.7 KiB
 // while the sweep walked whole rows and every pair boxed its span
@@ -260,9 +259,8 @@ func TestRetuneAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := evalcache.New(first.An)
 	retune := func() {
-		tn, err := core.NewShared(w, cl, first.An, core.MistSpace(), cache)
+		tn, err := core.NewShared(w, cl, first.An, core.MistSpace(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +268,7 @@ func TestRetuneAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	retune() // fills the cache and the analyzer's memos
+	retune() // fills the analyzer's rows and memos
 	runs := 0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -454,7 +452,7 @@ func BenchmarkTuneColdGrid(b *testing.B) {
 // BenchmarkTuneMemoizedWarm is the serving scenario (cmd/mistserve):
 // every iteration re-tunes a workload whose evaluations are already
 // memoized through a fresh core.NewShared tuner over one shared analyzer
-// and cache, as each /tune of a known fingerprint does. Every candidate
+// and its rows, as each /tune of a known fingerprint does. Every candidate
 // is a cache hit, so this bounds the steady-state cost of repeated tuning
 // traffic, tuner construction included; compare against
 // BenchmarkTuneMemoizedCold for the cold-versus-warm speedup.
@@ -464,9 +462,8 @@ func BenchmarkTuneMemoizedWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cache := evalcache.New(first.An)
 	retune := func() *core.Result {
-		tn, err := core.NewShared(w, cl, first.An, core.MistSpace(), cache)
+		tn, err := core.NewShared(w, cl, first.An, core.MistSpace(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/evalcache"
 	"repro/internal/schedule"
 )
 
@@ -39,20 +38,20 @@ type point struct {
 	shape, knob int32
 }
 
-// evalScratchPool holds the per-pricing-goroutine cache scratch. Pooled
+// evalScratchPool holds the per-pricing-goroutine scratch. Pooled
 // because intraStage's inner fan-out borrows transient goroutines.
-var evalScratchPool = sync.Pool{New: func() any { return new(evalcache.Scratch) }}
+var evalScratchPool = sync.Pool{New: func() any { return new(schedule.EvalScratch) }}
 
 // sweepScratch is the per-intraStage-call buffer set, and after the call
-// its result: the shape list, the window's knob sets, one cache row per
+// its result: the shape list, the window's knob sets, one stored row per
 // (shape, layer count) — the stored row itself, read in place — and the
 // Pareto staircase buffers. One sweepScratch serves a whole (S, G) pair's
 // stage loop (tuneSG holds it for the pair's lifetime); survivors are
 // value-copied out (candidate) before reuse.
 type sweepScratch struct {
 	shapes []schedule.StageShape
-	sets   []*evalcache.KnobSet
-	rows   []evalcache.Row // shape-major: see row
+	sets   []*schedule.Batch
+	rows   []schedule.Row // shape-major: see row
 	outs   []shapeOut
 	stair  []point
 	picks  []point
@@ -61,8 +60,8 @@ type sweepScratch struct {
 var sweepScratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
 
 // release returns sc to the pool without the window's knob sets and rows:
-// a pooled scratch must not keep a dropped analyzer's grids or a dropped
-// cache's rows alive.
+// a pooled scratch must not keep a dropped analyzer's grids or rows
+// alive.
 func (sc *sweepScratch) release() {
 	clear(sc.sets[:cap(sc.sets)])
 	clear(sc.rows[:cap(sc.rows)])
@@ -71,7 +70,7 @@ func (sc *sweepScratch) release() {
 
 // row is shape si's row for layer count li: the priced entries in knob
 // order, feasible or not, and their staircase.
-func (sc *sweepScratch) row(si, li int) evalcache.Row {
+func (sc *sweepScratch) row(si, li int) schedule.Row {
 	return sc.rows[si*len(sc.sets)+li]
 }
 
@@ -83,7 +82,7 @@ func (sc *sweepScratch) candidate(li int, p point) candidate {
 	}
 }
 
-// shapeOut is one shape's pricing outcome: the cache's hits and misses
+// shapeOut is one shape's pricing outcome: the rows' hits and misses
 // for its window (both 0 when the shape was never claimed or errored),
 // and any error.
 type shapeOut struct {
@@ -93,9 +92,10 @@ type shapeOut struct {
 
 // intraStage enumerates and prices every (b, DP, TP, ZeRO, CKPT, WO, GO,
 // OO, AO) combination for one pipeline stage position, under every layer
-// count of the stage's window at once: each stage shape goes to the cache
-// one time with the window's knob sets, so what a shape's price owes to
-// the offload tuple alone is computed once, not once per layer count.
+// count of the stage's window at once: each stage shape goes to the
+// analyzer's rows one time with the window's knob sets, so what a shape's
+// price owes to the offload tuple alone is computed once, not once per
+// layer count.
 // This is the paper's brute-force intra-stage sweep (§5.3: "querying
 // single datapoints is extremely fast ... we simply search in a
 // brute-force way").
@@ -136,11 +136,11 @@ func (t *Tuner) intraStage(ctx context.Context, s, g, stageIdx, devPerStage int,
 	outs := sc.outs[:len(shapes)]
 	clear(outs)
 	// Shape i's rows are the window-long run at i*len(sets), which its
-	// worker hands the cache to fill: disjoint runs at positions fixed by
+	// worker hands the rows to fill: disjoint runs at positions fixed by
 	// the enumeration, so workers write without synchronization and the
 	// search stays deterministic regardless of scheduling.
 	if need := len(shapes) * len(sets); cap(sc.rows) < need {
-		sc.rows = make([]evalcache.Row, need)
+		sc.rows = make([]schedule.Row, need)
 	} else {
 		sc.rows = sc.rows[:need]
 	}
@@ -152,9 +152,10 @@ func (t *Tuner) intraStage(ctx context.Context, s, g, stageIdx, devPerStage int,
 	// intraSem has capacity: intraStage runs nested inside Tune's (S, G)
 	// worker pool, so per-call GOMAXPROCS pools would multiply to ~P^2
 	// runnable goroutines.
+	pr := t.rows()
 	var next atomic.Int64
 	drain := func() {
-		cs := evalScratchPool.Get().(*evalcache.Scratch)
+		cs := evalScratchPool.Get().(*schedule.EvalScratch)
 		defer evalScratchPool.Put(cs)
 		for {
 			i := int(next.Add(1)) - 1
@@ -168,7 +169,7 @@ func (t *Tuner) intraStage(ctx context.Context, s, g, stageIdx, devPerStage int,
 				return
 			}
 			o := &outs[i]
-			o.hits, o.misses, o.err = t.ev.EvaluateSets(shapes[i], sets, rows[i*len(sets):(i+1)*len(sets)], cs)
+			o.hits, o.misses, o.err = pr.EvaluateSets(shapes[i], sets, rows[i*len(sets):(i+1)*len(sets)], cs)
 		}
 	}
 	var wg sync.WaitGroup
@@ -275,7 +276,7 @@ func paretoSample(sc *sweepScratch, li, g, k int) []point {
 func paretoFrontier(sc *sweepScratch, li int) []point {
 	// The frontier is a staircase, T strictly ascending and D strictly
 	// descending. It is merged from the rows' own staircases
-	// (evalcache.AppendStaircase), shape by shape: every other fitting
+	// (schedule.AppendStaircase), shape by shape: every other fitting
 	// entry is dominated within its row or duplicates an earlier entry of
 	// it, and of a duplicate across rows the earlier shape's is fed first.
 	// A step lands behind the last step with T <= its own, is dropped when

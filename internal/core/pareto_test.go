@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 	"unsafe"
 
-	"repro/internal/evalcache"
 	"repro/internal/schedule"
 )
 
@@ -89,7 +88,7 @@ func randSegments(rng *rand.Rand, cands []point) [][]point {
 
 // layOut makes sc hold segments as intraStage leaves a window of one
 // layer count: segment i is shape i's row, with the staircase the cache
-// publishes with it (evalcache.AppendStaircase under a budget of 1), and
+// publishes with it (schedule.AppendStaircase under a budget of 1), and
 // an entry fits the budget unless over (nil: never) says otherwise. It
 // returns the entries that fit, in enumeration order, as the points the
 // staircase makes of them: shape and knob are the entry's row and
@@ -97,7 +96,7 @@ func randSegments(rng *rand.Rand, cands []point) [][]point {
 func layOut(sc *sweepScratch, segs [][]point, over func() bool) []point {
 	const budget = 1
 	sc.shapes = make([]schedule.StageShape, len(segs))
-	sc.sets = []*evalcache.KnobSet{nil}
+	sc.sets = []*schedule.Batch{nil}
 	sc.rows = sc.rows[:0]
 	var fits []point
 	for si, seg := range segs {
@@ -110,7 +109,7 @@ func layOut(sc *sweepScratch, segs [][]point, over func() bool) []point {
 			}
 			fits = append(fits, point{T: p.T, D: p.D, shape: int32(si), knob: int32(j)})
 		}
-		sc.rows = append(sc.rows, evalcache.Row{Results: row, Stair: evalcache.AppendStaircase(nil, row, budget)})
+		sc.rows = append(sc.rows, schedule.Row{Results: row, Stair: schedule.AppendStaircase(nil, row, budget)})
 	}
 	return fits
 }

@@ -8,7 +8,7 @@
 // each: one (S, G) sweep whose per-stage device counts are a list of one
 // unless the space assigns devices heterogeneously, one DP whose device
 // dimension then has size one, and one pricing path: every search prices
-// through the Tuner's evaluation cache (evalcache.Cache). A Tuner is
+// through its analyzer's rows (schedule.Analyzer.Rows). A Tuner is
 // configuration only and a search is a value: the incumbent travels to
 // each (S, G) pair by value and each pair returns its counts, so searches
 // may share a tuner. Search-space knobs allow the same machinery to

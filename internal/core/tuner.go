@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/evalcache"
 	"repro/internal/hardware"
 	"repro/internal/interference"
 	"repro/internal/opdb"
@@ -43,10 +42,10 @@ type Tuner struct {
 	// Warm is never read: benchmarks/mistperf/seam.go names it (ROADMAP 10 (g)).
 	Warm *plan.Plan
 
-	// ev is the evaluation cache every pricing of a search goes through,
-	// memoizing analyzer evaluations across stages, layer counts and (S, G)
-	// pairs: New and NewShared install one, and a Tuner literal's search
-	// prices through a private one on a copy of the tuner.
+	// ev, when set, replaces the analyzer's rows as what this tuner's
+	// searches price through: tests install wrappers that fail, count or
+	// cancel. Every other tuner, a literal included, prices through
+	// An.Rows(), so its searches share rows with every search on An.
 	ev pricer
 
 	// disableIncumbent stops completed pairs from feeding the incumbent
@@ -60,12 +59,21 @@ type Tuner struct {
 	interOracle func(t *Tuner, cands [][]candidate, totalLayers, g int) (*interSolution, error)
 }
 
-// pricer is what a search prices through. The tuner's *evalcache.Cache
-// is its one implementation; it is an interface so that tests can wrap
-// the cache.
+// pricer is what a search prices through. The analyzer's
+// *schedule.Rows is its one implementation; it is an interface so that
+// tests can wrap the rows.
 type pricer interface {
 	Evaluate(schedule.StageShape, schedule.Knobs) (schedule.Result, error)
-	EvaluateSets(schedule.StageShape, []*evalcache.KnobSet, []evalcache.Row, *evalcache.Scratch) (hits, misses int, err error)
+	EvaluateSets(schedule.StageShape, []*schedule.Batch, []schedule.Row, *schedule.EvalScratch) (hits, misses int, err error)
+}
+
+// rows returns what t's searches price through: the analyzer's row store,
+// or the test hook ev.
+func (t *Tuner) rows() pricer {
+	if t.ev != nil {
+		return t.ev
+	}
+	return t.An.Rows()
 }
 
 // knobSet returns the knob grid of one layer count: the space's
@@ -73,7 +81,7 @@ type pricer interface {
 // layer count folds neighbours together) and sorted, crossed with its
 // offload ratios. The analyzer builds each grid once and hands every
 // tuner the same set.
-func (t *Tuner) knobSet(layers int) *evalcache.KnobSet {
+func (t *Tuner) knobSet(layers int) *schedule.Batch {
 	var buf [8]int
 	ckpts := buf[:0]
 	for _, f := range t.Space.ckptFractions() {
@@ -174,8 +182,8 @@ func calibrate(fluid *interference.Fluid) *interference.Model {
 // database from the GPU model, the platform's interference model (fitted
 // to its contention simulator once per process and shared), Serialize
 // matching the space. Factored out so the serving layer can build one
-// analyzer per workload fingerprint and share it (and its evaluation
-// cache) across requests via NewShared.
+// analyzer per workload fingerprint and share it (and its rows) across
+// requests via NewShared.
 func CalibratedAnalyzer(w plan.Workload, cl *hardware.Cluster, space Space) (*schedule.Analyzer, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -200,20 +208,19 @@ func New(w plan.Workload, cl *hardware.Cluster, space Space) (*Tuner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tuner{W: w, Cluster: cl, An: an, Space: space, ev: evalcache.New(an)}, nil
+	return &Tuner{W: w, Cluster: cl, An: an, Space: space}, nil
 }
 
-// NewShared builds a tuner over a shared calibrated analyzer and a
-// shared, process-lifetime evaluation cache (both typically owned by the
-// serving layer's per-fingerprint registry, so one request's pricings
-// answer the next request's search). It never mutates the analyzer — it
-// may be serving concurrent searches — and instead rejects a Serialize
-// flag that contradicts the space and a cluster whose memory budget is not
-// the analyzer's (the search reads the budget from the analyzer, and the
-// cache's rows carry staircases under it), and it rejects a cache built
-// over a different analyzer (its memoized results would be answers to
-// different questions). A nil cache gets a fresh private one.
-func NewShared(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer, space Space, cache *evalcache.Cache) (*Tuner, error) {
+// NewShared builds a tuner over a shared calibrated analyzer (typically
+// owned by the serving layer's per-fingerprint registry, so one request's
+// pricings, kept in the analyzer's rows, answer the next request's
+// search). It never mutates the analyzer — it may be serving concurrent
+// searches — and instead rejects a Serialize flag that contradicts the
+// space and a cluster whose memory budget is not the analyzer's (the
+// search reads the budget from the analyzer, and its rows carry
+// staircases under it). cache is never read: benchmarks/mistperf/seam.go
+// names it (ROADMAP 10 (g)).
+func NewShared(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer, space Space, cache *schedule.Rows) (*Tuner, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -228,12 +235,7 @@ func NewShared(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer, spa
 		return nil, fmt.Errorf("core: cluster memory budget %.0f B contradicts the shared analyzer's %.0f B",
 			cl.MemoryBudget(), an.Cluster.MemoryBudget())
 	}
-	if cache == nil {
-		cache = evalcache.New(an)
-	} else if cache.Backend() != an {
-		return nil, fmt.Errorf("core: shared eval cache was built over a different analyzer")
-	}
-	return &Tuner{W: w, Cluster: cl, An: an, Space: space, ev: cache}, nil
+	return &Tuner{W: w, Cluster: cl, An: an, Space: space}, nil
 }
 
 // ErrNoFeasiblePlan is returned when every configuration in the space
@@ -253,11 +255,6 @@ func (t *Tuner) Tune() (*Result, error) {
 // between pipeline stages and (S, G) pairs and returns the context's
 // error. Used by the async job queue for per-job cancellation.
 func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
-	if t.ev == nil { // a Tuner literal: this search's private cache, on a copy
-		c := *t
-		c.ev = evalcache.New(t.An)
-		return c.TuneContext(ctx)
-	}
 	start := time.Now()
 	res := &Result{}
 
@@ -275,7 +272,7 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	// wave's solutions lower it only once the whole wave has finished, so
 	// every pair prunes against exactly the solutions of the waves before
 	// it: what a search prices is a function of its inputs, not of
-	// goroutine timing, and a repeat of a search on a filled cache misses
+	// goroutine timing, and a repeat of a search on filled rows misses
 	// nothing. The sweep span covers the whole fan-out; each pair gets its
 	// own child span (with intra-sweep / inter-stage children inside
 	// tuneSG). Pair spans of one wave overlap by construction, so latency
@@ -404,7 +401,7 @@ func annotatePair(sp *trace.Span, s, g int, bound float64, n counts, err error) 
 }
 
 // counts is the work of one (S, G) pair, or of several summed: the
-// candidates it priced (evaluated), the pricings the cache answered from
+// candidates it priced (evaluated), the pricings the rows answered from
 // a stored row (hits) and from the analyzer (misses), the candidates the
 // incumbent pruned, and the pairs the incumbent abandoned (aborted) —
 // mid-sweep or, a subset, before anything was priced (floorSkipped). A
@@ -558,6 +555,7 @@ func (t *Tuner) tuneUniform(ctx context.Context, s, g, devPer int) (*interSoluti
 		return nil, counts{}, fmt.Errorf("core: uniform heuristic needs S | L")
 	}
 	l := t.W.Model.Layers / s
+	pr := t.rows()
 	var best *interSolution
 	// Enumerate shared configurations via stage 0's sweep, a window of one
 	// layer count, then replicate each feasible entry's knobs (and
@@ -586,7 +584,7 @@ func (t *Tuner) tuneUniform(ctx context.Context, s, g, devPer int) (*interSoluti
 				shape.HasPre = i == 0
 				shape.HasPost = i == s-1
 				shape.StageIdx = i
-				r, err := t.ev.Evaluate(shape, knobs[j])
+				r, err := pr.Evaluate(shape, knobs[j])
 				n.evaluated++ // the attempt was made whether or not it priced
 				if err != nil {
 					break

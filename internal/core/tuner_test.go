@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/evalcache"
 	"repro/internal/hardware"
 	"repro/internal/model"
 	"repro/internal/plan"
@@ -323,7 +322,7 @@ func (f *flakyPricer) Evaluate(s schedule.StageShape, k schedule.Knobs) (schedul
 	return f.pricer.Evaluate(s, k)
 }
 
-func (f *flakyPricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out []evalcache.Row, sc *evalcache.Scratch) (int, int, error) {
+func (f *flakyPricer) EvaluateSets(s schedule.StageShape, sets []*schedule.Batch, out []schedule.Row, sc *schedule.EvalScratch) (int, int, error) {
 	if f.failBatchTP != 0 && s.TP == f.failBatchTP {
 		return 0, 0, errors.New("flaky: batch failed")
 	}
@@ -350,7 +349,7 @@ func TestIntraStageExactCountOnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := &flakyPricer{pricer: tn.ev, failBatchTP: 2}
+	fl := &flakyPricer{pricer: tn.rows(), failBatchTP: 2}
 	tn.ev = fl
 
 	sc := &sweepScratch{}
@@ -376,7 +375,7 @@ type gaugePricer struct {
 	maxFlight, maxExtra atomic.Int32
 }
 
-func (e *gaugePricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out []evalcache.Row, sc *evalcache.Scratch) (int, int, error) {
+func (e *gaugePricer) EvaluateSets(s schedule.StageShape, sets []*schedule.Batch, out []schedule.Row, sc *schedule.EvalScratch) (int, int, error) {
 	raise := func(max *atomic.Int32, n int32) {
 		for m := max.Load(); n > m && !max.CompareAndSwap(m, n); m = max.Load() {
 		}
@@ -404,9 +403,9 @@ func TestIntraStageWorkersFollowGOMAXPROCS(t *testing.T) {
 	}
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		// A fresh cache: every shape misses and prices, so no worker drains
+		// A fresh store: every shape misses and prices, so no worker drains
 		// the sweep before the caller's first call.
-		ev := &gaugePricer{pricer: evalcache.New(tn.An)}
+		ev := &gaugePricer{pricer: schedule.NewRows(tn.An)}
 		tn.ev = ev
 		sc := &sweepScratch{}
 		if _, err := tn.intraStage(context.Background(), 1, 1, 0, 8, []int{w.Model.Layers}, sc); err != nil {
@@ -437,7 +436,7 @@ func TestTuneUniformCountsFailedEvaluations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := &flakyPricer{pricer: tn.ev, failEvaluate: true}
+	fl := &flakyPricer{pricer: tn.rows(), failEvaluate: true}
 	tn.ev = fl
 
 	_, n, err := tn.tuneUniform(context.Background(), 2, 1, 1)
@@ -504,12 +503,15 @@ func TestCacheOnOffIdenticalPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filled := evalcache.New(fresh.An)
-	filler, err := NewShared(testWorkload("gpt3-2.7b", 32), cl, fresh.An, MistSpace(), filled)
+	filled, err := CalibratedAnalyzer(w, cl, MistSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	onFilled, err := NewShared(w, cl, fresh.An, MistSpace(), filled)
+	filler, err := NewShared(testWorkload("gpt3-2.7b", 32), cl, filled, MistSpace(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onFilled, err := NewShared(w, cl, filled, MistSpace(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +552,7 @@ type countingPricer struct {
 	priced atomic.Uint64
 }
 
-func (c *countingPricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out []evalcache.Row, sc *evalcache.Scratch) (int, int, error) {
+func (c *countingPricer) EvaluateSets(s schedule.StageShape, sets []*schedule.Batch, out []schedule.Row, sc *schedule.EvalScratch) (int, int, error) {
 	hits, misses, err := c.pricer.EvaluateSets(s, sets, out, sc)
 	c.priced.Add(uint64(hits + misses))
 	return hits, misses, err
@@ -569,7 +571,7 @@ func TestConcurrentSearchesCountTheirOwnTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
-		counter := &countingPricer{pricer: evalcache.New(an)}
+		counter := &countingPricer{pricer: schedule.NewRows(an)}
 		var tuners []*Tuner
 		for _, batch := range []int{16, 32} {
 			tn, err := NewShared(testWorkload("gpt3-2.7b", batch), cl, an, MistSpace(), nil)
@@ -718,7 +720,7 @@ type callerPricer struct {
 	calls, foreign atomic.Int32
 }
 
-func (e *callerPricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out []evalcache.Row, sc *evalcache.Scratch) (int, int, error) {
+func (e *callerPricer) EvaluateSets(s schedule.StageShape, sets []*schedule.Batch, out []schedule.Row, sc *schedule.EvalScratch) (int, int, error) {
 	e.calls.Add(1)
 	if goroutineID() != e.home {
 		e.foreign.Add(1)
@@ -738,7 +740,7 @@ func TestWaveOfOneRunsOnTheCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := &callerPricer{pricer: tn.ev, home: goroutineID()}
+	ev := &callerPricer{pricer: tn.rows(), home: goroutineID()}
 	tn.ev = ev
 	res, err := tn.Tune()
 	if err != nil {
@@ -840,17 +842,12 @@ func TestCacheWarmSecondSearch(t *testing.T) {
 
 // NewShared never changes the analyzer it is handed, so it refuses one
 // that answers another question: a Serialize flag the space contradicts,
-// a cluster whose memory budget is not the analyzer's (the cache's rows
-// carry staircases under the analyzer's plan budget), and a cache built
-// over another analyzer. A cluster of another size with the same budget
-// is accepted.
+// and a cluster whose memory budget is not the analyzer's (its rows carry
+// staircases under the analyzer's plan budget). A cluster of another size
+// with the same budget is accepted.
 func TestNewSharedRejectsContradictions(t *testing.T) {
 	w, cl := testWorkload("gpt3-2.7b", 8), l4(t, 8)
 	an, err := CalibratedAnalyzer(w, cl, MistSpace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := CalibratedAnalyzer(w, cl, MistSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -858,16 +855,14 @@ func TestNewSharedRejectsContradictions(t *testing.T) {
 		name  string
 		cl    *hardware.Cluster
 		space Space
-		cache *evalcache.Cache
 		want  string // "" accepts
 	}{
-		{"same analyzer", cl, MistSpace(), evalcache.New(an), ""},
-		{"same budget, other size", l4(t, 4), MistSpace(), nil, ""},
-		{"serialize", cl, AcesoSpace(), nil, "Serialize"},
-		{"budget", hardware.A100Cluster(1, 8), MistSpace(), nil, "memory budget"},
-		{"cache", cl, MistSpace(), evalcache.New(other), "different analyzer"},
+		{"same analyzer", cl, MistSpace(), ""},
+		{"same budget, other size", l4(t, 4), MistSpace(), ""},
+		{"serialize", cl, AcesoSpace(), "Serialize"},
+		{"budget", hardware.A100Cluster(1, 8), MistSpace(), "memory budget"},
 	} {
-		_, err := NewShared(w, c.cl, an, c.space, c.cache)
+		_, err := NewShared(w, c.cl, an, c.space, nil)
 		if c.want == "" && err != nil {
 			t.Errorf("%s: rejected: %v", c.name, err)
 		}
@@ -877,19 +872,18 @@ func TestNewSharedRejectsContradictions(t *testing.T) {
 	}
 }
 
-// The knob grid is the analyzer's, not the tuner's: a NewShared tuner and
-// a Tuner literal over one analyzer get the same set for a layer count,
-// and a second search on a fresh tuner misses nothing — it builds no knob
-// set of its own, so every row it asks for is one the first search
-// stored.
+// The knob grids and the rows are the analyzer's, not the tuner's: a
+// NewShared tuner and a Tuner literal over one analyzer get the same set
+// for a layer count, and a second search on a fresh tuner of either kind
+// misses nothing — it builds no knob set and no store of its own, so
+// every row it asks for is one the first search stored.
 func TestTunersOfOneAnalyzerShareItsKnobGrids(t *testing.T) {
 	w, cl := testWorkload("gpt3-2.7b", 8), l4(t, 8)
 	first, err := New(w, cl, MistSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := first.ev.(*evalcache.Cache)
-	shared, err := NewShared(w, cl, first.An, MistSpace(), cache)
+	shared, err := NewShared(w, cl, first.An, MistSpace(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -903,17 +897,15 @@ func TestTunersOfOneAnalyzerShareItsKnobGrids(t *testing.T) {
 	if r, err := first.Tune(); err != nil || r.EvalCacheMisses == 0 {
 		t.Fatalf("first search: %v, %+v; want one that prices", err, r)
 	}
-	second, err := NewShared(w, cl, first.An, MistSpace(), cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := second.Tune()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EvalCacheMisses != 0 || res.EvalCacheHits != uint64(res.Candidates) {
-		t.Errorf("second search: %d misses, %d hits over %d candidates; want all hits",
-			res.EvalCacheMisses, res.EvalCacheHits, res.Candidates)
+	for _, second := range []*Tuner{shared, literal} {
+		res, err := second.Tune()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.EvalCacheMisses != 0 || res.EvalCacheHits != uint64(res.Candidates) {
+			t.Errorf("second search: %d misses, %d hits over %d candidates; want all hits",
+				res.EvalCacheMisses, res.EvalCacheHits, res.Candidates)
+		}
 	}
 }
 
@@ -932,11 +924,12 @@ func TestUniformSearchCacheHoldsOnlyGridRows(t *testing.T) {
 	if _, err := warm.Tune(); err != nil { // the analyzer's traces, programs and grids
 		t.Fatal(err)
 	}
-	cache := evalcache.New(warm.An)
-	tn, err := NewShared(w, cl, warm.An, UniformHeuristicSpace(), cache)
+	tn, err := NewShared(w, cl, warm.An, UniformHeuristicSpace(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cache := schedule.NewRows(warm.An) // the analyzer's own rows are full
+	tn.ev = cache
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -1000,7 +993,7 @@ func TestTuneContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := &cancelingPricer{pricer: tn2.ev, cancel: cancel2}
+	cp := &cancelingPricer{pricer: tn2.rows(), cancel: cancel2}
 	tn2.ev = cp
 	if _, err := tn2.TuneContext(ctx2); !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-flight cancel returned %v", err)
@@ -1018,7 +1011,7 @@ type cancelingPricer struct {
 	calls  atomic.Int32
 }
 
-func (c *cancelingPricer) EvaluateSets(s schedule.StageShape, sets []*evalcache.KnobSet, out []evalcache.Row, sc *evalcache.Scratch) (int, int, error) {
+func (c *cancelingPricer) EvaluateSets(s schedule.StageShape, sets []*schedule.Batch, out []schedule.Row, sc *schedule.EvalScratch) (int, int, error) {
 	c.calls.Add(1)
 	c.cancel()
 	return c.pricer.EvaluateSets(s, sets, out, sc)

@@ -1,5 +1,10 @@
 package evalcache
 
+// These tests drive the row store (schedule.Rows) through the aliases
+// benchmarks/mistperf/seam.go names, so they also keep the aliases
+// working; the store's window, allocation and publish-race tests are
+// schedule's own (rows_*_test.go).
+
 import (
 	"fmt"
 	"math"
@@ -40,7 +45,7 @@ func testShape() schedule.StageShape {
 // the call's hit and miss counts.
 func evaluateSet(c *Cache, s schedule.StageShape, set *KnobSet) (row []schedule.Result, hits, misses int, err error) {
 	var sc Scratch
-	rows := []Row{{}}
+	rows := []schedule.Row{{}}
 	hits, misses, err = c.EvaluateSets(s, []*KnobSet{set}, rows, &sc)
 	return rows[0].Results, hits, misses, err
 }
@@ -287,11 +292,11 @@ func TestReturnedRowIsTheStoredRow(t *testing.T) {
 		t.Fatalf("first call: %d misses (%v), want %d", misses, err, set.Len())
 	}
 	var sc Scratch
-	var esc schedule.EvalScratch
-	want := [][]schedule.Result{nil}
-	if err := an.EvaluateSets(shape, []*KnobSet{set}, want, &esc); err != nil {
+	priced, err := an.EvaluateBatchInto(nil, shape, set.Knobs(), &sc)
+	if err != nil {
 		t.Fatal(err)
 	}
+	want := [][]schedule.Result{priced}
 	same := func(a, b schedule.Result) bool {
 		return math.Float64bits(a.Stable) == math.Float64bits(b.Stable) &&
 			math.Float64bits(a.Delta) == math.Float64bits(b.Delta) &&

@@ -111,8 +111,10 @@ func ablationPareto(scale Scale) (*Table, error) {
 // ablationSolver compares the inter-stage solvers (exact DP, the paper's
 // MILP) on objective value and wall-clock time, and fails unless they
 // reach the same optimum (1e-6 relative): the default DP is a lossless
-// speedup over the MILP. The branch-and-bound oracle both are checked
-// against on more cells is core's test code.
+// speedup over the MILP. Both tuners price through the analyzer's rows,
+// so an untimed search fills them first and each timed search differs
+// from the other in its solver alone. The branch-and-bound oracle both
+// are checked against on more cells is core's test code.
 func ablationSolver(scale Scale) (*Table, error) {
 	name, gpus, batch := "gpt3-7b", 8, 64
 	if scale == Small {
@@ -135,9 +137,13 @@ func ablationSolver(scale Scale) (*Table, error) {
 		{"dp (default)", base},
 		{"milp (paper)", &core.Tuner{W: w, Cluster: cl, An: base.An, Space: space, UseMILP: true}},
 	}
+	if _, err := base.Tune(); err != nil { // fills the rows both timed searches read
+		return nil, err
+	}
 	t := &Table{
 		Title:  "Ablation: inter-stage solver (same optimum, different cost)",
 		Header: []string{"solver", "objective(s)", "tuning-time"},
+		Notes:  []string{"tuning-time is a search on rows an untimed search already filled: it compares the solvers, not the pricing"},
 	}
 	var obj [2]float64
 	for i, s := range solvers {
@@ -146,7 +152,7 @@ func ablationSolver(scale Scale) (*Table, error) {
 			return nil, err
 		}
 		obj[i] = res.Predicted
-		t.Add(s.name, res.Predicted, res.Elapsed.Round(time.Millisecond).String())
+		t.Add(s.name, res.Predicted, res.Elapsed.Round(10*time.Microsecond).String())
 	}
 	if math.Abs(obj[0]-obj[1]) > 1e-6*obj[1] {
 		return nil, fmt.Errorf("DP objective %v, MILP %v: the inter-stage solvers disagree", obj[0], obj[1])

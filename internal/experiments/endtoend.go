@@ -36,7 +36,10 @@ func smallSizes() []sizePoint {
 	return []sizePoint{{"1.3b", 2, 32}, {"2.7b", 4, 64}}
 }
 
-// endToEnd runs one Figure 11/12-style sweep.
+// endToEnd runs one Figure 11/12-style sweep, and fails on a cell where
+// Mist measures below a baseline or is OOM while a baseline runs: every
+// baseline's space is a subset of Mist's, so either means the tuner lost
+// a plan it could have chosen.
 func endToEnd(title string, families []string, platforms []string, flash bool,
 	spaces []core.Space, sizes []sizePoint) (*Table, error) {
 	t := &Table{Title: title, Header: []string{"platform", "model", "gpus", "batch"}}
@@ -74,6 +77,10 @@ func endToEnd(title string, families []string, platforms []string, flash bool,
 					} else if out.Throughput > bestBase {
 						bestBase = out.Throughput
 					}
+				}
+				if mist < bestBase {
+					return nil, fmt.Errorf("%s %s on %d GPUs: Mist measures %.3f samples/s (0 is OOM), a baseline %.3f",
+						platform, name, pt.gpus, mist, bestBase)
 				}
 				if mist > 0 && bestBase > 0 {
 					row = append(row, fmt.Sprintf("%.2fx", mist/bestBase))
@@ -137,7 +144,9 @@ func fig12(scale Scale) (*Table, error) {
 // enlarged rung by rung and the measured throughput of the chosen plan is
 // normalized to the 3D-parallelism rung. Paper (GPT on 8/16/32 L4):
 // 1.00 -> 1.03 (+ZeRO) -> 1.12 (+CKPT) -> 1.19 (+offload) -> 1.28
-// (+imbalance-aware pipelining).
+// (+imbalance-aware pipelining). Each rung's space holds the one before
+// it, so a rung measuring below its predecessor in any column is an
+// error.
 func fig13(scale Scale) (*Table, error) {
 	type cell struct {
 		name  string
@@ -182,6 +191,10 @@ func fig13(scale Scale) (*Table, error) {
 			}
 			if base > 0 {
 				results[li][ci] = out.Throughput / base
+			}
+			if li > 0 && results[li][ci] < results[li-1][ci] {
+				return nil, fmt.Errorf("%s@%d: rung %s measures %.4fx, below %s's %.4fx",
+					c.name, c.gpus, space.Name, results[li][ci], ladder[li-1].Name, results[li-1][ci])
 			}
 		}
 	}

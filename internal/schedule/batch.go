@@ -21,12 +21,12 @@ type tupleGroups struct {
 
 // Batch is an immutable, order-preserving knob batch prepared for pricing
 // under many shapes: validated and partitioned by offload tuple once, when
-// it is built, instead of on every call. It is the unit the evaluation
-// cache stores (evalcache.KnobSet is this type). The tuner's batches are
-// the analyzer's knob grids (KnobGrid), one per (layer count, checkpoint
-// counts, swept ratios), shared by every tuner of the analyzer; a stage's
-// layer window is priced as a list of them (Analyzer.EvaluateSets). Every
-// entry is priced, duplicates included.
+// it is built, instead of on every call. It is the unit the analyzer's
+// row store keeps a row of per canonical shape (rows.go). The tuner's
+// batches are the analyzer's knob grids (KnobGrid), one per (layer count,
+// checkpoint counts, swept ratios), shared by every tuner of the
+// analyzer; a stage's layer window is priced as a list of them
+// (Rows.EvaluateSets). Every entry is priced, duplicates included.
 type Batch struct {
 	knobs  []Knobs
 	groups tupleGroups
@@ -58,7 +58,7 @@ var offloadRatios = [...]float64{0, 0.5, 1}
 // tuple whose WO, GO, OO and AO take the values {0, ½, 1} where sweep is
 // set and 0 elsewhere. The grid is built on first use, and every later
 // call with the same arguments returns the same *Batch, so the tuners of
-// one analyzer share it and the evaluation cache keys rows by it. The
+// one analyzer share it and the analyzer's rows are keyed by it. The
 // grid depends on its arguments alone, nothing Serialize or Intf affects.
 func (a *Analyzer) KnobGrid(layers int, ckpts []int, sweep [4]bool) *Batch {
 	var buf [32]byte // the key, on the stack: a hit allocates nothing

@@ -32,11 +32,11 @@ func (a *Analyzer) TuplePasses() int { return int(a.nTuplePasses.Load()) }
 // (regionClasses).
 func (a *Analyzer) RegionsPredicted() int { return int(a.nRegionsPredicted.Load()) }
 
-// EvaluatePreparedInto is EvaluateSets over a list of one batch; the
+// EvaluatePreparedInto is evaluateSets over a list of one batch; the
 // returned slice aliases dst when its capacity suffices.
 func (a *Analyzer) EvaluatePreparedInto(dst []Result, shape StageShape, b *Batch, sc *EvalScratch) ([]Result, error) {
 	dsts := [][]Result{dst}
-	if err := a.EvaluateSets(shape, []*Batch{b}, dsts, sc); err != nil {
+	if err := a.evaluateSets(shape, []*Batch{b}, dsts, sc); err != nil {
 		return nil, err
 	}
 	return dsts[0], nil

@@ -43,7 +43,7 @@ func TestRegionsPredictedOncePerProjection(t *testing.T) {
 	}
 	an := fresh.An
 	window := []*schedule.Batch{an.KnobGrid(32, []int{0, 8, 16, 24, 32}, [4]bool{true, true, true, true})}
-	dsts := make([][]schedule.Result, 1)
+	rows := make([]schedule.Row, 1)
 	var sc schedule.EvalScratch
 	windows := 0
 	for tp := 1; tp <= 8; tp *= 2 {
@@ -54,7 +54,7 @@ func TestRegionsPredictedOncePerProjection(t *testing.T) {
 			}
 			shape := schedule.StageShape{B: 8 / dp, DP: dp, TP: tp, ZeRO: zero, HasPre: true, HasPost: true, NumStages: 1, GradAccum: 1}
 			before := an.RegionsPredicted()
-			if err := an.EvaluateSets(shape, window, dsts, &sc); err != nil {
+			if _, _, err := an.Rows().EvaluateSets(shape, window, rows, &sc); err != nil {
 				t.Fatal(err)
 			}
 			want := 234

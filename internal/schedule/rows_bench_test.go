@@ -1,28 +1,24 @@
-package evalcache
+package schedule
 
-import (
-	"testing"
-
-	"repro/internal/schedule"
-)
+import "testing"
 
 // fullRowSet is one full MistSpace row: 5 checkpoint counts x 3^4 offload
 // tuples = 405 knobs.
-func fullRowSet() *KnobSet {
+func fullRowSet() *Batch {
 	grid := []float64{0, 0.5, 1}
-	var ks []schedule.Knobs
+	var ks []Knobs
 	for ck := 0; ck <= 32; ck += 8 {
 		for _, wo := range grid {
 			for _, gov := range grid {
 				for _, oo := range grid {
 					for _, ao := range grid {
-						ks = append(ks, schedule.Knobs{Layers: 32, Ckpt: ck, WO: wo, GO: gov, OO: oo, AO: ao})
+						ks = append(ks, Knobs{Layers: 32, Ckpt: ck, WO: wo, GO: gov, OO: oo, AO: ao})
 					}
 				}
 			}
 		}
 	}
-	return NewKnobSet(ks)
+	return NewBatch(ks)
 }
 
 // BenchmarkRow prices one full MistSpace row through the cache the way
@@ -32,22 +28,22 @@ func fullRowSet() *KnobSet {
 // two allocations, the row and the call's staircase slab; "hit" is the
 // probe, in none.
 func BenchmarkRow(b *testing.B) {
-	an := newTestAnalyzer(b)
+	an := rowsAnalyzer(b)
 	set := fullRowSet()
-	var shapes []schedule.StageShape
+	var shapes []StageShape
 	for _, mb := range []int{1, 2, 4} {
 		for zero := 0; zero <= 3; zero++ {
 			for inFlight := 1; inFlight <= 4; inFlight++ {
-				shapes = append(shapes, schedule.StageShape{
+				shapes = append(shapes, StageShape{
 					B: mb, DP: 2, TP: 2, ZeRO: zero,
 					NumStages: inFlight + 1, StageIdx: 0, GradAccum: inFlight,
 				})
 			}
 		}
 	}
-	var sc Scratch
-	sets, rows := []*KnobSet{set}, make([]Row, 1)
-	warm := New(an) // also compiles every shape's program outside the timing
+	var sc EvalScratch
+	sets, rows := []*Batch{set}, make([]Row, 1)
+	warm := NewRows(an) // also compiles every shape's program outside the timing
 	for _, s := range shapes {
 		if _, _, err := warm.EvaluateSets(s, sets, rows, &sc); err != nil {
 			b.Fatal(err)
@@ -56,10 +52,10 @@ func BenchmarkRow(b *testing.B) {
 
 	b.Run("miss", func(b *testing.B) {
 		b.ReportAllocs()
-		var c *Cache
+		var c *Rows
 		for i := 0; i < b.N; i++ {
 			if i%len(shapes) == 0 {
-				c = New(an)
+				c = NewRows(an)
 			}
 			if _, _, err := c.EvaluateSets(shapes[i%len(shapes)], sets, rows, &sc); err != nil {
 				b.Fatal(err)

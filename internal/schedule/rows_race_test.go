@@ -1,4 +1,4 @@
-package evalcache
+package schedule
 
 import (
 	"fmt"
@@ -7,13 +7,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"unsafe"
-
-	"repro/internal/schedule"
 )
 
 // raceShapes are the shapes the concurrent tests price: two pipelined
 // stages and two single-stage shapes that are canonically one.
-var raceShapes = []schedule.StageShape{
+var raceShapes = []StageShape{
 	{B: 1, DP: 2, TP: 1, NumStages: 2, StageIdx: 0, GradAccum: 4, HasPre: true},
 	{B: 1, DP: 2, TP: 1, NumStages: 2, StageIdx: 1, GradAccum: 4, HasPost: true},
 	{B: 2, DP: 1, TP: 2, ZeRO: 3, NumStages: 1, StageIdx: 0, GradAccum: 1, HasPre: true, HasPost: true},
@@ -27,8 +25,8 @@ var raceShapes = []schedule.StageShape{
 // hit/miss accounting stays exact: each set call returns each of its
 // points as precisely one hit or one miss, whatever the interleaving.
 func TestConcurrentMixedHitMissLoad(t *testing.T) {
-	an := newTestAnalyzer(t)
-	c := New(an)
+	an := rowsAnalyzer(t)
+	c := NewRows(an)
 
 	const (
 		goroutines = 16
@@ -38,18 +36,18 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 	// hit/miss mixing: the first toucher of a row misses, everyone else
 	// should hit (or miss benignly when racing the first publish).
 	shapes := raceShapes[:3]
-	knobsFor := func(i int) schedule.Knobs {
-		return schedule.Knobs{Layers: 8 + i%4, Ckpt: i % 3, WO: float64(i%2) / 2}
+	knobsFor := func(i int) Knobs {
+		return Knobs{Layers: 8 + i%4, Ckpt: i % 3, WO: float64(i%2) / 2}
 	}
 	// sets[s]: six consecutive points of the knob cycle from s, one shared
 	// set per rotation.
-	var sets [8]*KnobSet
+	var sets [8]*Batch
 	for s := range sets {
-		ks := make([]schedule.Knobs, 6)
+		ks := make([]Knobs, 6)
 		for i := range ks {
 			ks[i] = knobsFor((s + i) % 8)
 		}
-		sets[s] = NewKnobSet(ks)
+		sets[s] = NewBatch(ks)
 	}
 	want := priceDirect(t, an, shapes, sets[:])
 
@@ -64,13 +62,13 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var sc Scratch
+			var sc EvalScratch
 			rows := make([]Row, 1)
 			for r := 0; r < rounds; r++ {
 				for si, sh := range shapes {
 					if useSet {
 						set := sets[(g+r)%8]
-						hits, misses, err := c.EvaluateSets(sh, []*KnobSet{set}, rows, &sc)
+						hits, misses, err := c.EvaluateSets(sh, []*Batch{set}, rows, &sc)
 						if err != nil {
 							errs <- err
 							return
@@ -134,7 +132,7 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 }
 
 // TestConcurrentEvaluateSetNoTornReads drives EvaluateSet — the copying
-// call — over shared KnobSets with per-goroutine Scratch and a recycled
+// call — over shared KnobSets with per-goroutine EvalScratch and a recycled
 // dst from many goroutines at once: first all of them on the same missing
 // row (racing publishes: first wins, every caller still gets the right
 // values), then spread over a mixed row population. A torn read, a row
@@ -142,21 +140,21 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 // dst (each caller writes its copy) shows up as a mismatch. Run with
 // `go test -race -count=10` (make race).
 func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
-	an := newTestAnalyzer(t)
-	c := New(an)
+	an := rowsAnalyzer(t)
+	c := NewRows(an)
 
 	// Two shared KnobSets with overlapping knob populations (including
 	// in-set duplicates, priced entry by entry) and a handful of shapes,
 	// two of them canonically equivalent.
-	mk := func(n, stride int) *KnobSet {
-		ks := make([]schedule.Knobs, n)
+	mk := func(n, stride int) *Batch {
+		ks := make([]Knobs, n)
 		for i := range ks {
 			j := (i * stride) % 5
-			ks[i] = schedule.Knobs{Layers: 6 + j, Ckpt: j % 3, WO: float64(j%2) / 2}
+			ks[i] = Knobs{Layers: 6 + j, Ckpt: j % 3, WO: float64(j%2) / 2}
 		}
-		return NewKnobSet(ks)
+		return NewBatch(ks)
 	}
-	sets := []*KnobSet{mk(12, 1), mk(9, 2)}
+	sets := []*Batch{mk(12, 1), mk(9, 2)}
 	shapes := raceShapes
 	want := priceDirect(t, an, shapes, sets)
 
@@ -169,8 +167,8 @@ func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var sc Scratch // per-goroutine, like the tuner's pooled scratch
-			var dst []schedule.Result
+			var sc EvalScratch // per-goroutine, like the tuner's pooled scratch
+			var dst []Result
 			<-start
 			for r := 0; r < rounds; r++ {
 				// Round 0 puts every goroutine on one row; later rounds mix.
@@ -219,12 +217,12 @@ func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
 // holding the one stored pair of arrays, and the race detector (`make
 // race`) sees no write to either after it was published.
 func TestConcurrentReadersOfAStoredRow(t *testing.T) {
-	an := newTestAnalyzer(t)
-	c := New(an)
+	an := rowsAnalyzer(t)
+	c := NewRows(an)
 	all := windowSets(4, 5, 6, 7, 8, 9, 10)
 	key, others := all[0], all[1:]
 	want := priceDirect(t, an, raceShapes[:1], all)[0]
-	wantStair := map[*KnobSet][]uint16{}
+	wantStair := map[*Batch][]uint16{}
 	for _, set := range all {
 		wantStair[set] = AppendStaircase(nil, want[set], an.PlanBudget())
 	}
@@ -233,8 +231,8 @@ func TestConcurrentReadersOfAStoredRow(t *testing.T) {
 	}
 
 	const readers, publishers, rounds = 8, 4, 20
-	held := make([]*schedule.Result, readers) // the array each reader was handed
-	heldStair := make([]*uint16, readers)     // and its staircase
+	held := make([]*Result, readers)      // the array each reader was handed
+	heldStair := make([]*uint16, readers) // and its staircase
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	errs := make(chan error, readers+publishers)
@@ -242,7 +240,7 @@ func TestConcurrentReadersOfAStoredRow(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var sc Scratch
+			var sc EvalScratch
 			rows := make([]Row, 1)
 			<-start
 			for r := 0; r < rounds; r++ {
@@ -253,7 +251,7 @@ func TestConcurrentReadersOfAStoredRow(t *testing.T) {
 						set = key
 					}
 				}
-				if _, _, err := c.EvaluateSets(raceShapes[0], []*KnobSet{set}, rows, &sc); err != nil {
+				if _, _, err := c.EvaluateSets(raceShapes[0], []*Batch{set}, rows, &sc); err != nil {
 					errs <- err
 					return
 				}

@@ -1,34 +1,49 @@
-package evalcache
+package schedule
 
 import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/schedule"
 )
+
+// rowsAnalyzer is the analyzer the row-store tests price on: gpt3-2.7b
+// on four L4s.
+func rowsAnalyzer(t testing.TB) *Analyzer {
+	t.Helper()
+	return newTestAnalyzer(t, "gpt3-2.7b", 4, true)
+}
+
+// rowShape is a single-stage shape of rowsAnalyzer's model.
+func rowShape() StageShape {
+	return StageShape{
+		B: 2, DP: 2, TP: 2, ZeRO: 0,
+		HasPre: true, HasPost: true,
+		NumStages: 1, StageIdx: 0, GradAccum: 4,
+	}
+}
 
 // windowSets builds one small knob set per layer count, the way the
 // tuner's window does: same offload tuples, ckpt-major, differing in l
 // and ckpt only.
-func windowSets(layers ...int) []*KnobSet {
-	sets := make([]*KnobSet, len(layers))
+func windowSets(layers ...int) []*Batch {
+	sets := make([]*Batch, len(layers))
 	for i, l := range layers {
-		var ks []schedule.Knobs
+		var ks []Knobs
 		for _, ck := range []int{0, l / 2, l} {
 			for _, wo := range []float64{0, 0.5} {
 				for _, ao := range []float64{0, 1} {
-					ks = append(ks, schedule.Knobs{Layers: l, Ckpt: ck, WO: wo, AO: ao})
+					ks = append(ks, Knobs{Layers: l, Ckpt: ck, WO: wo, AO: ao})
 				}
 			}
 		}
-		sets[i] = NewKnobSet(ks)
+		sets[i] = NewBatch(ks)
 	}
 	return sets
 }
@@ -37,16 +52,16 @@ func windowSets(layers ...int) []*KnobSet {
 // other three sets, and hands out the stored two as hits; every set is a
 // hit afterwards, in any list.
 func TestWindowPricesOnlyMissingRows(t *testing.T) {
-	an := newTestAnalyzer(t)
-	c := New(an)
-	shape := testShape()
+	an := rowsAnalyzer(t)
+	c := NewRows(an)
+	shape := rowShape()
 	window := windowSets(6, 7, 8, 9, 10)
 	n := window[0].Len()
-	var sc Scratch
+	var sc EvalScratch
 
 	// Rows 7 and 9 arrive first, through another list (an overlapping
 	// window of a different pipeline depth, say).
-	early := []*KnobSet{window[1], window[3]}
+	early := []*Batch{window[1], window[3]}
 	hits, misses, err := c.EvaluateSets(shape, early, make([]Row, 2), &sc)
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +106,11 @@ func TestWindowPricesOnlyMissingRows(t *testing.T) {
 
 // An all-hit window allocates nothing.
 func TestWindowHitAllocatesNothing(t *testing.T) {
-	c := New(newTestAnalyzer(t))
-	shape := testShape()
+	c := NewRows(rowsAnalyzer(t))
+	shape := rowShape()
 	window := windowSets(6, 7, 8, 9, 10)
 	rows := make([]Row, len(window))
-	var sc Scratch
+	var sc EvalScratch
 	if _, _, err := c.EvaluateSets(shape, window, rows, &sc); err != nil {
 		t.Fatal(err)
 	}
@@ -109,22 +124,31 @@ func TestWindowHitAllocatesNothing(t *testing.T) {
 }
 
 // An all-miss call allocates the row it publishes and nothing wider: 24
-// bytes per point — schedule.Result is what the search reads of a point,
+// bytes per point — Result is what the search reads of a point,
 // no more — and the call's staircase slab, two allocations in all (the
 // work lists live on the stack). The in-tree twin of mistperf's
 // evalcache.bytes_per_point.
 func TestMissAllocatesItsRowOnly(t *testing.T) {
-	an := newTestAnalyzer(t)
+	an := rowsAnalyzer(t)
 	set := fullRowSet()
-	sets, rows := []*KnobSet{set}, make([]Row, 1)
-	first, second := testShape(), testShape()
+	sets, rows := []*Batch{set}, make([]Row, 1)
+	first, second := rowShape(), rowShape()
 	second.B = 4
-	var sc Scratch
+	var sc EvalScratch
+	// The window counts every goroutine's allocations, and after each GC
+	// cycle the runtime allocates on goroutines of its own: unique's map
+	// cleanup (linked here through net/netip by the tests that import
+	// core), sudogs for the first blocking calls after the cycle emptied
+	// their cache, and the scavenger's timer heap. So one cycle is forced
+	// here, its aftermath runs during the pricing below, and then the
+	// collector is off for the rest of the test.
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// Paid outside the measurement: both shapes' programs (through a
 	// throwaway cache), then in each measured cache the row map's first
 	// bucket, and the scratch's growth.
-	for _, shape := range []schedule.StageShape{first, second} {
-		if _, _, err := New(an).EvaluateSets(shape, sets, rows, &sc); err != nil {
+	for _, shape := range []StageShape{first, second} {
+		if _, _, err := NewRows(an).EvaluateSets(shape, sets, rows, &sc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +160,7 @@ func TestMissAllocatesItsRowOnly(t *testing.T) {
 	var allocs, got uint64
 	threads := pprof.Lookup("threadcreate")
 	for attempt := 0; ; attempt++ {
-		c := New(an)
+		c := NewRows(an)
 		if _, _, err := c.EvaluateSets(first, sets, rows, &sc); err != nil {
 			t.Fatal(err)
 		}
@@ -173,16 +197,16 @@ func TestMissAllocatesItsRowOnly(t *testing.T) {
 // and nothing is counted — not the stored rows it would have hit, not the
 // valid sets priced beside the invalid one.
 func TestWindowErrorNeitherStoredNorCounted(t *testing.T) {
-	c := New(newTestAnalyzer(t))
-	shape := testShape()
+	c := NewRows(rowsAnalyzer(t))
+	shape := rowShape()
 	window := windowSets(6, 7, 8)
-	var sc Scratch
+	var sc EvalScratch
 	if _, _, err := c.EvaluateSets(shape, window[:1], make([]Row, 1), &sc); err != nil {
 		t.Fatal(err)
 	}
 	held := c.Len()
-	bad := NewKnobSet([]schedule.Knobs{{Layers: 4, Ckpt: 9}})
-	hits, misses, err := c.EvaluateSets(shape, []*KnobSet{window[0], window[1], bad, window[2]}, make([]Row, 4), &sc)
+	bad := NewBatch([]Knobs{{Layers: 4, Ckpt: 9}})
+	hits, misses, err := c.EvaluateSets(shape, []*Batch{window[0], window[1], bad, window[2]}, make([]Row, 4), &sc)
 	if err == nil {
 		t.Fatal("window with an invalid set accepted")
 	}
@@ -202,11 +226,11 @@ func TestWindowErrorNeitherStoredNorCounted(t *testing.T) {
 // back as exactly one hit or one miss. Run with `go test -race -count=10`
 // (make race).
 func TestConcurrentWindowPublishRace(t *testing.T) {
-	an := newTestAnalyzer(t)
-	c := New(an)
+	an := rowsAnalyzer(t)
+	c := NewRows(an)
 	all := windowSets(4, 5, 6, 7, 8, 9, 10)
-	windows := [][]*KnobSet{all[0:5], all[1:6], all[2:7]}
-	shapes := []schedule.StageShape{
+	windows := [][]*Batch{all[0:5], all[1:6], all[2:7]}
+	shapes := []StageShape{
 		{B: 1, DP: 2, TP: 1, NumStages: 2, StageIdx: 0, GradAccum: 4, HasPre: true},
 		{B: 2, DP: 1, TP: 2, ZeRO: 3, NumStages: 1, StageIdx: 0, GradAccum: 1, HasPre: true, HasPost: true},
 		{B: 2, DP: 1, TP: 2, ZeRO: 0, NumStages: 1, StageIdx: 0, GradAccum: 1, HasPre: true, HasPost: true}, // canonically the one above
@@ -222,7 +246,7 @@ func TestConcurrentWindowPublishRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var sc Scratch
+			var sc EvalScratch
 			rows := make([]Row, 5)
 			<-start
 			for r := 0; r < rounds; r++ {
@@ -269,16 +293,16 @@ func TestConcurrentWindowPublishRace(t *testing.T) {
 
 // priceDirect prices every set under every shape on the analyzer itself,
 // outside any cache: the values a cached row must hold.
-func priceDirect(t testing.TB, an *schedule.Analyzer, shapes []schedule.StageShape, sets []*KnobSet) []map[*KnobSet][]schedule.Result {
+func priceDirect(t testing.TB, an *Analyzer, shapes []StageShape, sets []*Batch) []map[*Batch][]Result {
 	t.Helper()
-	var sc schedule.EvalScratch
-	out := make([]map[*KnobSet][]schedule.Result, len(shapes))
+	var sc EvalScratch
+	out := make([]map[*Batch][]Result, len(shapes))
 	for i, sh := range shapes {
-		rows := make([][]schedule.Result, len(sets))
-		if err := an.EvaluateSets(sh, sets, rows, &sc); err != nil {
+		rows := make([][]Result, len(sets))
+		if err := an.evaluateSets(sh, sets, rows, &sc); err != nil {
 			t.Fatal(err)
 		}
-		out[i] = map[*KnobSet][]schedule.Result{}
+		out[i] = map[*Batch][]Result{}
 		for j, set := range sets {
 			out[i][set] = rows[j]
 		}
@@ -290,16 +314,16 @@ func priceDirect(t testing.TB, an *schedule.Analyzer, shapes []schedule.StageSha
 // must not hold on to the cache a call went through: a pooled scratch
 // would keep a dropped cache and every row it stores alive.
 func TestScratchDoesNotPinCache(t *testing.T) {
-	an := newTestAnalyzer(t)
-	var sc Scratch
+	an := rowsAnalyzer(t)
+	var sc EvalScratch
 	freed := make(chan struct{})
 	func() {
-		c := New(an)
-		runtime.SetFinalizer(c, func(*Cache) { close(freed) })
-		if _, _, err := c.EvaluateSets(testShape(), windowSets(6, 7, 8), make([]Row, 3), &sc); err != nil {
+		c := NewRows(an)
+		runtime.SetFinalizer(c, func(*Rows) { close(freed) })
+		if _, _, err := c.EvaluateSets(rowShape(), windowSets(6, 7, 8), make([]Row, 3), &sc); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := an.EvaluateBatchInto(nil, testShape(), windowSets(9)[0].Knobs(), &sc.eval); err != nil {
+		if _, err := an.EvaluateBatchInto(nil, rowShape(), windowSets(9)[0].Knobs(), &sc); err != nil {
 			t.Fatal(err)
 		}
 	}()
@@ -320,28 +344,28 @@ func TestScratchDoesNotPinCache(t *testing.T) {
 // priced, and nothing is stored or counted: a set longer than uint16
 // staircase positions reach, and a shape field past the key's int32.
 func TestOutOfRangeCallsAreRefused(t *testing.T) {
-	c := New(newTestAnalyzer(t))
-	long := make([]schedule.Knobs, maxRowLen+1)
+	c := NewRows(rowsAnalyzer(t))
+	long := make([]Knobs, maxRowLen+1)
 	for i := range long {
-		long[i] = schedule.Knobs{Layers: 8}
+		long[i] = Knobs{Layers: 8}
 	}
-	wide := testShape()
+	wide := rowShape()
 	wide.B = math.MaxInt32
 	wide.B++ // past int32 where int is 64 bits wide
 	cases := []struct {
 		name  string
-		shape schedule.StageShape
-		set   *KnobSet
+		shape StageShape
+		set   *Batch
 	}{
-		{"long set", testShape(), NewKnobSet(long)},
+		{"long set", rowShape(), NewBatch(long)},
 		{"wide shape", wide, windowSets(8)[0]},
 	}
 	if wide.B < 0 { // int is 32 bits wide: every shape fits the key
 		cases = cases[:1]
 	}
-	var sc Scratch
+	var sc EvalScratch
 	for _, tc := range cases {
-		hits, misses, err := c.EvaluateSets(tc.shape, []*KnobSet{tc.set}, make([]Row, 1), &sc)
+		hits, misses, err := c.EvaluateSets(tc.shape, []*Batch{tc.set}, make([]Row, 1), &sc)
 		if err == nil || hits != 0 || misses != 0 || c.Len() != 0 {
 			t.Errorf("%s: %d hits, %d misses, %d held, err %v; want refused", tc.name, hits, misses, c.Len(), err)
 		}

@@ -153,7 +153,7 @@ func (k Knobs) Validate() error {
 
 // Result is the analyzer's verdict for one (shape, knobs) candidate, and
 // exactly what the search reads of it: the two Pareto axes of Eq. 3-4 and
-// the memory constraint. It is the element of an evalcache row, so every
+// the memory constraint. It is the element of a stored Row, so every
 // field costs 8 bytes per priced point (TestResultShape); a time or memory
 // breakdown of a candidate comes from Analyzer.Channels instead.
 type Result struct {
@@ -204,9 +204,11 @@ type Analyzer struct {
 	programs  onceMap[StageShape, *stageProgram]
 
 	// The knob grids the tuners of this analyzer price, by KnobGrid's
-	// encoded arguments (batch.go).
+	// encoded arguments (batch.go), and the rows priced under them
+	// (rows.go).
 	gridMu sync.Mutex
 	grids  map[string]*Batch
+	rows   *Rows
 
 	// Trace and tuple passes run, and overlap regions predicted, for
 	// tests. A tuple pass is what priceGroups does once per offload
@@ -217,12 +219,14 @@ type Analyzer struct {
 	nTuplePasses, nRegionsPredicted atomic.Int64
 }
 
-// NewAnalyzer builds an analyzer context.
+// NewAnalyzer builds an analyzer context and its empty row store.
 func NewAnalyzer(cfg model.Config, seq int, flash bool, cluster *hardware.Cluster, db *opdb.DB, intf *interference.Model) *Analyzer {
-	return &Analyzer{
+	a := &Analyzer{
 		Model: cfg, Seq: seq, Flash: flash,
 		Cluster: cluster, DB: db, Intf: intf,
 	}
+	a.rows = NewRows(a)
+	return a
 }
 
 // Evaluate prices one candidate.
@@ -245,6 +249,7 @@ type EvalScratch struct {
 	terms []overlapTerms // per tuple group of the call
 	out   []float64      // one lane's outputs
 	group grouper        // tuple partition of the current ad-hoc batch
+	stair []uint16       // staircases of the rows a Rows call publishes, before they move to their slab
 }
 
 // lanes sizes sc for blocks of w lanes of a program of nregs registers
@@ -283,7 +288,7 @@ func (s *tupleSet) lead(g int) *Knobs { return &s.ks[s.tg.order[s.tg.starts[g]]]
 // it), and sc's internal buffers persist across calls, so a stream of
 // calls allocates nothing once they have grown. The slice is partitioned
 // by offload tuple into sc on every call; callers pricing the same knobs
-// under many shapes prepare a Batch once and use EvaluateSets.
+// under many shapes prepare a Batch once and price it through Rows.
 func (a *Analyzer) EvaluateBatchInto(dst []Result, shape StageShape, ks []Knobs, sc *EvalScratch) ([]Result, error) {
 	sp := a.program(shape)
 	if sp.err != nil {
@@ -297,15 +302,15 @@ func (a *Analyzer) EvaluateBatchInto(dst []Result, shape StageShape, ks []Knobs,
 	return dst, nil
 }
 
-// EvaluateSets prices every entry of each prepared Batch under one shape:
+// evaluateSets prices every entry of each prepared Batch under one shape:
 // on return dsts[i] holds sets[i]'s results in batch order (reused when
 // its capacity suffices, replaced otherwise; len(dsts) == len(sets)).
-// sc is reused as in EvaluateBatchInto. The evaluation cache prices its
-// missed rows here, out of the knob grids of a stage's layer window: when
+// sc is reused as in EvaluateBatchInto. The row store prices its missed
+// rows here, out of the knob grids of a stage's layer window: when
 // the sets are tuple-aligned (aligned), what depends on the offload tuple
 // alone is computed once for the whole list; otherwise each set is priced
 // on its own — same results either way.
-func (a *Analyzer) EvaluateSets(shape StageShape, sets []*Batch, dsts [][]Result, sc *EvalScratch) error {
+func (a *Analyzer) evaluateSets(shape StageShape, sets []*Batch, dsts [][]Result, sc *EvalScratch) error {
 	sp := a.program(shape)
 	if sp.err != nil {
 		return sp.err

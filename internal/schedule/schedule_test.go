@@ -111,8 +111,8 @@ func TestBasicEvaluate(t *testing.T) {
 	}
 }
 
-// TestResultShape pins what a priced point costs wherever it is stored: an
-// evalcache row is a []Result, so a fourth field is 8 more bytes on every
+// TestResultShape pins what a priced point costs wherever it is stored: a
+// stored Row is a []Result, so a fourth field is 8 more bytes on every
 // point a search prices (11 340 on the bench cell, 1.57 M at paper scale).
 func TestResultShape(t *testing.T) {
 	if got := unsafe.Sizeof(Result{}); got != 24 {

@@ -247,7 +247,7 @@ func TestWindowMatchesSetBySet(t *testing.T) {
 						a.Serialize = serialize
 						before := a.nTuplePasses.Load()
 						dsts := make([][]Result, len(sets))
-						if err := a.EvaluateSets(shape, sets, dsts, &sc); err != nil {
+						if err := a.evaluateSets(shape, sets, dsts, &sc); err != nil {
 							t.Fatal(err)
 						}
 						passes, perSet := int(a.nTuplePasses.Load()-before), 0

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/evalcache"
 	"repro/internal/hardware"
 	"repro/internal/metrics"
 	"repro/internal/plan"
@@ -18,15 +17,16 @@ import (
 // tuner run prices thousands to over a million (stage shape, knobs)
 // points (5 265 for gpt3-2.7b on 8 L4s, 1 570 104 for gpt3-22b on 32);
 // those pricings depend only on the analyzer configuration, not on the
-// request, so a fresh cache per search throws the work away. The
-// registry keeps one calibrated analyzer plus one evalcache.Cache per
-// analyzer-config fingerprint for the life of the process: a re-search
+// request, so a fresh analyzer per search throws the work away. The
+// registry keeps one calibrated analyzer, and with it its rows
+// (schedule.Analyzer.Rows), per analyzer-config fingerprint for the life
+// of the process: a re-search
 // of a known fingerprint (after plan-cache eviction, or for a different
 // global batch over the same model/platform) starts ~fully warm.
 //
 // The registry is bounded by total cached points, not entries: one
-// fingerprint's cache is a few hundred thousand points while another's
-// is a few thousand, so entry-count capacity would be meaningless. When
+// fingerprint's rows hold a few hundred thousand points while another's
+// hold a few thousand, so entry-count capacity would be meaningless. When
 // the total exceeds the cap, least-recently-used entries are dropped
 // whole (their analyzer too); a dropped fingerprint simply re-prices on
 // its next search, exactly like the first request of a process. Every
@@ -76,7 +76,6 @@ func evalKey(ws WorkloadSpec, space core.Space) string {
 type evalEntry struct {
 	ready    chan struct{}
 	an       *schedule.Analyzer
-	cache    *evalcache.Cache
 	err      error
 	lastUsed atomic.Int64 // registry sequence number, not wall time
 }
@@ -106,10 +105,10 @@ func newEvalRegistry(capPoints int, reg *metrics.Registry) *evalRegistry {
 	}
 }
 
-// acquire returns the shared analyzer and cache for a normalized spec,
-// calibrating them on first use. reused reports whether the entry
-// predates this call (the search will start warm).
-func (r *evalRegistry) acquire(ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (an *schedule.Analyzer, cache *evalcache.Cache, reused bool, err error) {
+// acquire returns the shared analyzer for a normalized spec,
+// calibrating it on first use. reused reports whether the entry predates
+// this call (the search will start warm).
+func (r *evalRegistry) acquire(ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (an *schedule.Analyzer, reused bool, err error) {
 	key := evalKey(ws, space)
 	r.mu.Lock()
 	e, ok := r.entries[key]
@@ -126,20 +125,20 @@ func (r *evalRegistry) acquire(ws WorkloadSpec, w plan.Workload, cl *hardware.Cl
 			r.mu.Lock()
 			delete(r.entries, key)
 			r.mu.Unlock()
-			return nil, nil, false, err
+			return nil, false, err
 		}
-		e.an, e.cache = an, evalcache.New(an)
+		e.an = an
 		close(e.ready)
 		e.lastUsed.Store(r.seq.Add(1))
-		return e.an, e.cache, false, nil
+		return e.an, false, nil
 	}
 	r.mu.Unlock()
 	<-e.ready
 	if e.err != nil {
-		return nil, nil, false, e.err
+		return nil, false, e.err
 	}
 	e.lastUsed.Store(r.seq.Add(1))
-	return e.an, e.cache, true, nil
+	return e.an, true, nil
 }
 
 // analyzer returns the calibrated analyzer for a spec (shared with any
@@ -150,7 +149,7 @@ func (r *evalRegistry) acquire(ws WorkloadSpec, w plan.Workload, cl *hardware.Cl
 // without bound. A reused entry's charge did not move, so it checks
 // nothing.
 func (r *evalRegistry) analyzer(ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (*schedule.Analyzer, error) {
-	an, _, reused, err := r.acquire(ws, w, cl, space)
+	an, reused, err := r.acquire(ws, w, cl, space)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +184,7 @@ func (r *evalRegistry) enforceCap(keep string) {
 		if e.err != nil {
 			continue
 		}
-		pts := e.cache.Len()
+		pts := e.an.Rows().Len()
 		n := entryOverheadPoints + pts
 		total += n
 		all = append(all, sized{key: k, e: e, n: n, pts: pts})
@@ -227,7 +226,7 @@ func (r *evalRegistry) snapshot() (entries, points int) {
 			continue
 		}
 		entries++
-		points += e.cache.Len()
+		points += e.an.Rows().Len()
 	}
 	return entries, points
 }

@@ -161,7 +161,7 @@ func TestAnalyzerOnlyEntriesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, reused, err := r.acquire(ws, w, cl, space)
+	_, reused, err := r.acquire(ws, w, cl, space)
 	if err != nil {
 		t.Fatal(err)
 	}

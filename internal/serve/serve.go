@@ -40,7 +40,7 @@
 // The handler is safe for arbitrary concurrency: the plan cache holds
 // plans only, mutex-guarded with per-key in-flight coalescing; the
 // eval-cache registry (evalreg.go) is the one owner of each fingerprint's
-// analyzer and evaluation cache, which tuner runs and /simulate share for
+// analyzer and so of its rows, which tuner runs and /simulate share for
 // the life of the process — a re-search of a known analyzer configuration
 // starts ~fully warm — and the analyzer is itself concurrency-safe. The
 // registry is bounded by total cached points (-eval-cache-cap on
@@ -833,14 +833,14 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 	// without it the gap between store-check and search would be
 	// unaccounted trace time.
 	_, psp := trace.StartSpan(ctx, "prepare")
-	an, cache, reused, err := s.evalReg.acquire(ws, w, cl, space)
+	an, reused, err := s.evalReg.acquire(ws, w, cl, space)
 	if err != nil {
 		psp.Annotate("error", err.Error())
 		psp.End()
 		return nil, &badRequestError{err}
 	}
 	psp.Annotate("evalCacheReused", reused)
-	tn, err := core.NewShared(w, cl, an, space, cache)
+	tn, err := core.NewShared(w, cl, an, space, nil)
 	if err != nil {
 		psp.Annotate("error", err.Error())
 		psp.End()
@@ -858,8 +858,8 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 	tsp.Annotate("sgPairs", res.SGPairs)
 	tsp.Annotate("evalCacheHitRate", res.CacheHitRate())
 	tsp.End()
-	// The search just grew its fingerprint's cache; shed the coldest
-	// caches if the registry is now over its point budget.
+	// The search just grew its fingerprint's rows; shed the coldest
+	// fingerprints if the registry is now over its point budget.
 	s.evalReg.enforceCap(evalKey(ws, space))
 	resp := &TuneResponse{
 		Plan:             res.Plan,

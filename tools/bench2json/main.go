@@ -24,7 +24,10 @@
 // nothing must not pass. When both sides of a pair carry the -benchmem
 // metrics (B/op, allocs/op), each is gated under the same tolerance —
 // an allocation crept into a hot path, or a row grown by a field, is a
-// regression even when the wall-clock noise hides it.
+// regression even when the wall-clock noise hides it. The deterministic
+// counts a search reports (candidates, unique-evals, hit-rate) are a
+// function of its inputs, not of the machine, so any change in one, up
+// or down, fails the gate whatever the tolerance.
 package main
 
 import (
@@ -166,11 +169,16 @@ func benchKey(b Benchmark) string {
 // reports carry it (old baselines predating -benchmem stay ns/op-only).
 var gatedMetrics = []string{"B/op", "allocs/op"}
 
+// exactMetrics are gated at equality, each only when both reports carry
+// it: the work a search does, which no timing noise moves.
+var exactMetrics = []string{"candidates", "unique-evals", "hit-rate"}
+
 // delta is one gated dimension of one shared benchmark.
 type delta struct {
 	Unit      string
 	Old, New  float64
 	Ratio     float64 // new / old; 0 when the old side is zero
+	Exact     bool    // gated at equality, not under the tolerance
 	Regressed bool
 }
 
@@ -230,6 +238,15 @@ func compareReports(old, new Report, tolerance float64) (shared []comparison, on
 				c.Deltas = append(c.Deltas, gate(unit, oldV, newV, tolerance))
 			}
 		}
+		for _, unit := range exactMetrics {
+			oldV, okOld := ob.Metrics[unit]
+			newV, okNew := b.Metrics[unit]
+			if okOld && okNew {
+				d := gate(unit, oldV, newV, 0)
+				d.Exact, d.Regressed = true, newV != oldV
+				c.Deltas = append(c.Deltas, d)
+			}
+		}
 		shared = append(shared, c)
 	}
 	for key := range oldBy {
@@ -278,14 +295,17 @@ func runCompare(oldPath, newPath string, tolerance float64) {
 	for _, c := range shared {
 		for _, d := range c.Deltas {
 			verdict := "ok"
-			if d.Regressed {
+			switch {
+			case d.Regressed && d.Exact:
+				verdict = "CHANGED"
+			case d.Regressed:
 				verdict = "REGRESSED"
 			}
 			pct := "    n/a"
 			if d.Ratio > 0 {
 				pct = fmt.Sprintf("%+6.1f%%", (d.Ratio-1)*100)
 			}
-			fmt.Printf("%-60s %14.0f -> %14.0f %-9s  %s  %s\n", c.Key, d.Old, d.New, d.Unit, pct, verdict)
+			fmt.Printf("%-60s %14.6g -> %14.6g %-12s  %s  %s\n", c.Key, d.Old, d.New, d.Unit, pct, verdict)
 		}
 		if c.Regressed() {
 			regressions++
@@ -298,7 +318,7 @@ func runCompare(oldPath, newPath string, tolerance float64) {
 		fmt.Printf("%-60s only in %s (new — no baseline yet)\n", k, newPath)
 	}
 	if regressions > 0 {
-		log.Fatalf("%d of %d shared benchmarks regressed beyond %.0f%% tolerance (ns/op, B/op or allocs/op)", regressions, len(shared), tolerance*100)
+		log.Fatalf("%d of %d shared benchmarks regressed beyond %.0f%% tolerance (ns/op, B/op or allocs/op) or changed a count (candidates, unique-evals, hit-rate)", regressions, len(shared), tolerance*100)
 	}
 	fmt.Printf("bench-regression: %d shared benchmarks within %.0f%% tolerance\n", len(shared), tolerance*100)
 }

@@ -160,3 +160,40 @@ func TestCompareReportsAllocs(t *testing.T) {
 		t.Errorf("flat allocs/op flagged: %+v", a)
 	}
 }
+
+// The deterministic counts are gated at equality: any change, a drop
+// included, fails whatever the tolerance; an unchanged count passes at
+// any tolerance; and a side without the count leaves it ungated.
+func TestCompareReportsExactCounts(t *testing.T) {
+	for _, unit := range exactMetrics {
+		with := func(v float64) Benchmark {
+			return Benchmark{Package: "repro", Name: "BenchmarkTuneMemoizedCold-2", NsPerOp: 30e6,
+				Metrics: map[string]float64{unit: v}}
+		}
+		gated := func(old, new Benchmark, tolerance float64) (delta, bool) {
+			sh, _, _ := compareReports(rep(old), rep(new), tolerance)
+			return dim(sh[0], unit)
+		}
+		for _, c := range []struct {
+			old, new, tolerance float64
+			changed             bool
+		}{
+			{11340, 11340, 0, false},
+			{11340, 11340, 10, false},
+			{11340, 11341, 10, true}, // within any tolerance, still a change
+			{11340, 11339, 0.25, true},
+			{0.5, 0.25, 0.25, true}, // fewer hits is a change, not a gain
+		} {
+			d, ok := gated(with(c.old), with(c.new), c.tolerance)
+			if !ok || !d.Exact {
+				t.Fatalf("%s not gated exactly: %+v", unit, d)
+			}
+			if d.Regressed != c.changed {
+				t.Errorf("%s %v -> %v at tolerance %v: flagged %v, want %v", unit, c.old, c.new, c.tolerance, d.Regressed, c.changed)
+			}
+		}
+		if d, ok := gated(Benchmark{Package: "repro", Name: "BenchmarkTuneMemoizedCold", NsPerOp: 30e6}, with(1), 0.25); ok {
+			t.Errorf("%s gated with no baseline count: %+v", unit, d)
+		}
+	}
+}
