@@ -164,6 +164,26 @@ func benchTuneCold(b *testing.B, space core.Space) {
 	b.ReportMetric(float64(res.EvalCacheMisses), "unique-evals")
 }
 
+// tuneAllocsOnce measures one fresh core.New search of space on w, cl,
+// as testing.AllocsPerRun measures a run but with no warm-up call, so a
+// process-wide memo the search fills is read as the miss it is. Pin
+// GOMAXPROCS to 1 before the calls that warm the process: a change of it
+// empties every sync.Pool.
+func tuneAllocsOnce(t *testing.T, w Workload, cl *Cluster, space core.Space) (allocs, bytes float64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tn, err := core.New(w, cl, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tn.Tune(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+}
+
 // tuneAllocs runs a fresh core.New search of space on w, cl under
 // testing.AllocsPerRun and returns its allocations and bytes per run,
 // AllocsPerRun's warm-up call included in the bytes.
@@ -188,8 +208,9 @@ func tuneAllocs(t *testing.T, w Workload, cl *Cluster, space core.Space) (allocs
 
 // TestColdTuneAllocCeiling pins what a cold search allocates: a fresh
 // tuner's full Mist-space search of the bench cell stays under 668
-// allocations (607 today, run alone; 784 while every analyzer compiled
-// its own stage programs; 3 989 while the analyzer traced, ran liveness
+// allocations (305 today, run alone, the model's trace the process's
+// from the warm-up call on; 607 while every analyzer traced its own
+// model; 784 while every analyzer compiled its own stage programs; 3 989 while the analyzer traced, ran liveness
 // and compiled the section bytes once per TP degree, most of the count;
 // 4 003 while the operator database memoized every lookup in a map;
 // 4 250 while every tuner refitted the interference model and all four
@@ -197,9 +218,9 @@ func tuneAllocs(t *testing.T, w Workload, cl *Cluster, space core.Space) (allocs
 // pairs the compute floor skips still had their stage 0 priced, 8 060
 // before a stage shape's layer window was priced in one pass, 218 860
 // while every stage shape still traced and compiled its own program)
-// and under 269 KiB (244 KiB run alone, the process's interference fit
-// and stage programs compiled in the warm-up call; 262 KiB with a
-// compile per analyzer) — of which 0.13 MB is the cache's rows, 5 265
+// and under 269 KiB (224 KiB run alone, the process's interference fit,
+// model trace and stage programs built in the warm-up call; 244 KiB with
+// a trace per analyzer, 262 KiB with a compile per analyzer too) — of which 0.13 MB is the cache's rows, 5 265
 // points x 24 bytes (0.43 MB with a trace per TP degree, 0.50 MB with
 // the operator database's map, 0.52 MB before the tape's register file
 // held a block of lanes; 0.73 MB with the four S=1 pairs' 11 340 points,
@@ -223,17 +244,22 @@ func TestColdTuneAllocCeiling(t *testing.T) {
 }
 
 // TestNewFingerprintTuneAllocCeiling pins what the service's write path
-// pays for a fingerprint it has not tuned: a fresh core.New DeepSpeed
-// search of gpt3-1.3b / 2×L4 / batch 8 / seq 512 (the shape of a
-// fleet-mixed cold /tune), in a process that has tuned another
-// fingerprint, stays under 630 allocations and 78 KiB (573 and 70.9 KiB
-// today; 924 and 112.7 KiB while every analyzer compiled its own stage
-// programs, which is most of what so small a search spends).
+// pays for a fingerprint whose (model, seq, flash) the process has never
+// traced: a fresh core.New DeepSpeed search of gpt3-1.3b / 2×L4 / batch 8
+// / seq 512 (the shape of a fleet-mixed cold /tune; no other test here
+// traces that key, so the one measured run is the trace's miss), in a
+// process whose tune of another fingerprint compiled the stage programs
+// this one meets (seq 1024 leaves one uncompiled, 178 allocations more),
+// stays under 630 allocations and 78 KiB (574 and 64.8 KiB today; 924
+// and 112.7 KiB while every analyzer compiled its own stage programs,
+// which is most of what so small a search spends).
 func TestNewFingerprintTuneAllocCeiling(t *testing.T) {
-	w := Workload{Model: Model("gpt3-1.3b"), Seq: 1024, Flash: true, GlobalBatch: 8}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w := Workload{Model: Model("gpt3-1.3b"), Seq: 256, Flash: true, GlobalBatch: 8}
 	tuneAllocs(t, w, L4Cluster(2), core.DeepSpeedSpace()) // another fingerprint first
 	w.Seq = 512
-	allocs, bytes := tuneAllocs(t, w, L4Cluster(2), core.DeepSpeedSpace())
+	allocs, bytes := tuneAllocsOnce(t, w, L4Cluster(2), core.DeepSpeedSpace())
+	t.Logf("new-key tune: %.0f allocations, %.1f KiB", allocs, bytes/1024)
 	if raceEnabled {
 		return
 	}
@@ -242,6 +268,29 @@ func TestNewFingerprintTuneAllocCeiling(t *testing.T) {
 	}
 	if bytes > 78<<10 {
 		t.Errorf("new-fingerprint tune allocated %.0f bytes, want <= %d", bytes, 78<<10)
+	}
+}
+
+// TestTracedKeyTuneAllocCeiling pins what a new fingerprint costs when
+// the process has traced its (model, seq, flash) for another one — a new
+// GPU count here; a new batch or Serialize flag shares the key too: the
+// fresh analyzer fetches the process's trace and traces nothing, so a
+// DeepSpeed search of gpt3-1.3b / 2×L4 / batch 8 / seq 1024 stays under
+// 212 allocations and 29 KiB (193 and 26.9 KiB today; 495 and 55.0 KiB
+// while every analyzer traced its own model).
+func TestTracedKeyTuneAllocCeiling(t *testing.T) {
+	w := Workload{Model: Model("gpt3-1.3b"), Seq: 1024, Flash: true, GlobalBatch: 8}
+	tuneAllocs(t, w, L4Cluster(4), core.DeepSpeedSpace()) // traces the key
+	allocs, bytes := tuneAllocs(t, w, L4Cluster(2), core.DeepSpeedSpace())
+	t.Logf("traced-key tune: %.0f allocations, %.1f KiB", allocs, bytes/1024)
+	if raceEnabled {
+		return
+	}
+	if allocs > 212 {
+		t.Errorf("traced-key tune allocated %.0f times, want <= 212", allocs)
+	}
+	if bytes > 29<<10 {
+		t.Errorf("traced-key tune allocated %.0f bytes, want <= %d", bytes, 29<<10)
 	}
 }
 

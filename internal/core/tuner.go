@@ -274,10 +274,10 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	// it: what a search prices is a function of its inputs, not of
 	// goroutine timing, and a repeat of a search on filled rows misses
 	// nothing. The sweep span covers the whole fan-out; each pair gets its
-	// own child span (with intra-sweep / inter-stage children inside
-	// tuneSG). Pair spans of one wave overlap by construction, so latency
-	// attribution reads the sweep span's duration and treats children as
-	// a utilization breakdown.
+	// own child span (with floor / intra-sweep / inter-stage children
+	// inside tuneSG). Pair spans of one wave overlap by construction, so
+	// latency attribution reads the sweep span's duration and treats
+	// children as a utilization breakdown.
 	type outcome struct {
 		sol *interSolution
 		n   counts
@@ -438,8 +438,14 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int, bound float64) (*interSolu
 	}
 	// Bound before pricing: no plan of this pair beats its compute floor, so
 	// a pair whose floor exceeds the incumbent (by a margin that keeps ties
-	// and rounding safe) is skipped whole.
-	if floor := t.computeFloor(s, g, devOpts); floor*(1-1e-9) > bound {
+	// and rounding safe) is skipped whole. The floor is also where a pair
+	// sets up: it fetches the analyzer's model trace on its first pair and
+	// evaluates the section costs of each new (TP, b), so it has a span of
+	// its own.
+	_, fsp := trace.StartSpan(ctx, "floor")
+	floor := t.computeFloor(s, g, devOpts)
+	fsp.End()
+	if floor*(1-1e-9) > bound {
 		n.aborted, n.floorSkipped = 1, 1
 		return nil, n, &prunedError{byFloor: true, bound: floor}
 	}

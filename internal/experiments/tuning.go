@@ -7,12 +7,14 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/hardware"
 	"repro/internal/interference"
 	"repro/internal/model"
 	"repro/internal/opdb"
 	"repro/internal/plan"
 	"repro/internal/schedule"
+	"repro/internal/symbolic"
 	"repro/internal/trainsim"
 )
 
@@ -91,7 +93,10 @@ func fig16(scale Scale) (*Table, error) {
 }
 
 // naivePerConfigSeconds measures the cost of pricing one configuration
-// when the analyzer must re-trace and re-compile per query.
+// when the analyzer must re-trace per query: each trial traces the model
+// and compiles its section bytes itself, because a fresh analyzer shares
+// the process's trace of the model (and its variant's stage program), and
+// then prices the configuration on a fresh analyzer.
 func naivePerConfigSeconds(w plan.Workload, cl *hardware.Cluster) float64 {
 	intf := interference.NewModel()
 	shape := schedule.StageShape{B: 1, DP: 1, TP: 1, NumStages: 1, StageIdx: 0, GradAccum: 1,
@@ -100,6 +105,11 @@ func naivePerConfigSeconds(w plan.Workload, cl *hardware.Cluster) float64 {
 	const trials = 5
 	start := time.Now()
 	for i := 0; i < trials; i++ {
+		secs, err := graph.Trace(w.Model, w.Seq, w.Flash)
+		if err != nil {
+			return 0.01
+		}
+		symbolic.MustCompile(secs.Bytes(), []string{graph.BSymbol, graph.TPSymbol})
 		an := schedule.NewAnalyzer(w.Model, w.Seq, w.Flash, cl, opdb.New(cl.GPU), intf)
 		if _, err := an.Evaluate(shape, k); err != nil {
 			return 0.01
@@ -108,11 +118,16 @@ func naivePerConfigSeconds(w plan.Workload, cl *hardware.Cluster) float64 {
 	return time.Since(start).Seconds() / trials
 }
 
+// The paper's §6.6 mean prediction errors, runtime and memory.
+const paperTimeErr, paperMemErr = 0.0179, 0.0210
+
 // accuracy reproduces the §6.6 prediction-accuracy study: sample tuned
 // plans across diverse spaces, then compare the symbolic analyzer's
 // runtime (Eq. 1) and per-stage memory predictions against the
 // discrete-event engine. The paper reports 1.79% mean runtime error and
-// 2.10% mean memory error on real hardware.
+// 2.10% mean memory error on real hardware; at Full scale a mean past
+// either is an error. The small grid's gpt3-2.7b plans read a higher
+// memory error, so there the comparison stays a table note.
 func accuracy(scale Scale) (*Table, error) {
 	name, gpus := "gpt3-2.7b", 8
 	batches := []int{16, 32, 64}
@@ -177,9 +192,14 @@ func accuracy(scale Scale) (*Table, error) {
 				fmt.Sprintf("%.1f%%", 100*te), fmt.Sprintf("%.1f%%", 100*maxMe))
 		}
 	}
+	timeErr, memErr := mean(timeErrs), mean(memErrs)
+	if scale == Full && (timeErr > paperTimeErr || memErr > paperMemErr) {
+		return nil, fmt.Errorf("mean runtime error %.2f%%, mean memory error %.2f%%: outside the paper's %.2f%% / %.2f%%",
+			100*timeErr, 100*memErr, 100*paperTimeErr, 100*paperMemErr)
+	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("mean runtime error %.2f%%, mean memory error %.2f%% (paper: 1.79%% / 2.10%% vs real GPUs)",
-			100*mean(timeErrs), 100*mean(memErrs)),
+			100*timeErr, 100*memErr),
 	)
 	return t, nil
 }

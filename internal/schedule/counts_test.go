@@ -14,7 +14,7 @@ import (
 // prices 13 canonical stage shapes (TestTuplePassesOncePerWindow counts
 // them) at four tensor-parallel degrees, and they share a handful of
 // programs — one per structural variant, compiled once per process —
-// over one trace of the model.
+// over one trace of the model, fetched once from the process's table.
 func TestStageProgramsCompiledOncePerVariant(t *testing.T) {
 	w := plan.Workload{Model: model.MustByName("gpt3-2.7b"), Seq: 2048, Flash: true, GlobalBatch: 8}
 	tn, err := core.New(w, hardware.L4Cluster(1, 8), core.MistSpace())
@@ -29,9 +29,9 @@ func TestStageProgramsCompiledOncePerVariant(t *testing.T) {
 		t.Errorf("stage programs share %d distinct programs, want 1..16 (one per variant)", programs)
 	}
 	if traced != 1 {
-		t.Errorf("traced the model %d times, want once for every TP degree", traced)
+		t.Errorf("fetched the model's trace %d times, want once for every TP degree", traced)
 	}
-	t.Logf("%d trace passes, %d distinct variant programs", traced, programs)
+	t.Logf("%d trace fetches, %d distinct variant programs", traced, programs)
 }
 
 // TestTuplePassesOncePerWindow is the count-based proof of the window

@@ -2,8 +2,11 @@ package schedule
 
 import "repro/internal/symbolic"
 
-// BuildCounts reports how many trace passes (the model's layer, pre and
-// post sections, symbolic in b and TP) the analyzer has run.
+// BuildCounts reports how many times the analyzer has fetched its
+// model's trace (the layer, pre and post sections, symbolic in b and TP)
+// from the process's table: once, on first use, whether that fetch traced
+// the model or found an earlier analyzer's trace of its (model, seq,
+// flash). The process's graph.Trace passes are nTraces.
 func (a *Analyzer) BuildCounts() (traced int) { return int(a.nTraced.Load()) }
 
 // VariantPrograms reports how many distinct compiled programs the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/model"
@@ -220,10 +221,14 @@ var variantPrograms = func() (t [numVariants]func() *symbolic.Program) {
 func variantProgram(key variantKey) *symbolic.Program { return variantPrograms[key.index()]() }
 
 // onceMap builds each key's value exactly once under concurrent first
-// use: the first caller builds, the others wait for it.
+// use: the first caller builds, the others wait for it. With max > 0 the
+// map holds at most max keys: a new key that finds it full drops it
+// whole, callers keep the values they hold, and a later miss builds
+// again.
 type onceMap[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*onceEntry[V]
+	mu  sync.Mutex
+	m   map[K]*onceEntry[V]
+	max int
 }
 
 type onceEntry[V any] struct {
@@ -235,7 +240,7 @@ func (t *onceMap[K, V]) get(k K, build func() V) V {
 	t.mu.Lock()
 	e, ok := t.m[k]
 	if !ok {
-		if t.m == nil {
+		if t.m == nil || (t.max > 0 && len(t.m) >= t.max) {
 			t.m = make(map[K]*onceEntry[V])
 		}
 		e = new(onceEntry[V])
@@ -246,11 +251,14 @@ func (t *onceMap[K, V]) get(k K, build func() V) V {
 	return e.v
 }
 
-// modelTrace is what the analyzer keeps of the model, traced once: each
-// section's operator shapes, their TP-split dimensions whole, and the
-// byte expressions of all three compiled into one program over (b, TP) —
-// not the graphs, whose tensors and expression trees would outweigh
-// everything else a long-lived analyzer holds.
+// modelTrace is what the process keeps of a model, traced once per
+// (model, seq, flash) and shared by pointer by every analyzer of that
+// key: each section's operator shapes, their TP-split dimensions whole,
+// and the byte expressions of all three compiled into one program over
+// (b, TP) — not the graphs, whose tensors and expression trees would
+// outweigh everything else a long-lived analyzer holds. It is immutable,
+// and a trace error is kept like a trace: both are pure functions of
+// the key.
 type modelTrace struct {
 	layer, pre, post graph.Ops
 	bytes            *symbolic.Program // graph.Sections.Bytes order, over traceVars
@@ -259,20 +267,48 @@ type modelTrace struct {
 
 var traceVars = []string{graph.BSymbol, graph.TPSymbol}
 
-// trace returns (tracing on first use) the model at tensor-parallel
-// degree tp, or why it cannot be split tp ways.
+// traceKey is everything graph.Trace reads.
+type traceKey struct {
+	model model.Config
+	seq   int
+	flash bool
+}
+
+// maxTraces bounds the process's trace table: /tune accepts any seq up
+// to 65 536, so the catalog does not bound the keys. It is the serving
+// layer's eval-registry entry bound (capPoints/entryOverheadPoints at
+// the default cap), and at 2.8–3.4 KB a retained trace a full table
+// holds ~3.4 MB.
+const maxTraces = 1024
+
+// traces holds each key's trace, built by the process's first analyzer
+// of that key, as variantPrograms holds each variant's program.
+var traces = onceMap[traceKey, *modelTrace]{max: maxTraces}
+
+// nTraces counts the process's graph.Trace calls, for tests.
+var nTraces atomic.Int64
+
+// traceModel traces k's model and compiles its section bytes.
+func traceModel(k traceKey) *modelTrace {
+	nTraces.Add(1)
+	secs, err := graph.Trace(k.model, k.seq, k.flash)
+	if err != nil {
+		return &modelTrace{err: err}
+	}
+	return &modelTrace{
+		layer: secs.Layer.Ops(), pre: secs.Pre.Ops(), post: secs.Post.Ops(),
+		bytes: symbolic.MustCompile(secs.Bytes(), traceVars),
+	}
+}
+
+// trace returns (fetching it from the process's table on first use, and
+// tracing on a miss) the model at tensor-parallel degree tp, or why it
+// cannot be split tp ways.
 func (a *Analyzer) trace(tp int) (*modelTrace, error) {
 	a.traceOnce.Do(func() {
 		a.nTraced.Add(1)
-		secs, err := graph.Trace(a.Model, a.Seq, a.Flash)
-		if err != nil {
-			a.traced = &modelTrace{err: err}
-			return
-		}
-		a.traced = &modelTrace{
-			layer: secs.Layer.Ops(), pre: secs.Pre.Ops(), post: secs.Post.Ops(),
-			bytes: symbolic.MustCompile(secs.Bytes(), traceVars),
-		}
+		k := traceKey{model: a.Model, seq: a.Seq, flash: a.Flash}
+		a.traced = traces.get(k, func() *modelTrace { return traceModel(k) })
 	})
 	tr := a.traced
 	if tr.err != nil {

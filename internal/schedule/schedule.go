@@ -15,11 +15,11 @@
 //
 // Knob-dependent quantities are symbolic expressions compiled for batched
 // evaluation (§5.2's batched value substitution), compiled once per
-// structural variant per process rather than once per stage shape: each
-// analyzer traces its model once, symbolic in b and TP, evaluates its
-// operator times and byte sizes once per (TP, b), and enters a shape's
-// own constants into its variant's shared program as values, not as
-// literals. The program's frame is
+// structural variant per process rather than once per stage shape: the
+// process traces each (model, seq, flash) once, symbolic in b and TP; an
+// analyzer evaluates that trace's operator times and byte sizes once per
+// (TP, b), and enters a shape's own constants into its variant's shared
+// program as values, not as literals. The program's frame is
 //
 //	[shape coefficients (numCoefs) | wo, go, oo, ao | l, ckpt]
 //
@@ -192,12 +192,13 @@ type Analyzer struct {
 	// baseline).
 	Serialize bool
 
-	// Everything derived from the context is memoized here and dies with
-	// the analyzer: the model's one trace and its compiled (b, TP) byte
-	// program, its costs per (TP, b), and the numeric fill per canonical
-	// stage shape (program.go). The stage programs those fills feed are
-	// not the analyzer's: each structural variant's is compiled once per
-	// process and shared (variantPrograms).
+	// Everything derived from the whole context is memoized here and dies
+	// with the analyzer: the section costs per (TP, b) and the numeric fill
+	// per canonical stage shape (program.go). What depends on less is the
+	// process's, shared by pointer: the model's trace and compiled (b, TP)
+	// byte program, one per (model, seq, flash) in a bounded table
+	// (traces; traced is this analyzer's, fetched on first use), and each
+	// structural variant's stage program (variantPrograms).
 	traceOnce sync.Once
 	traced    *modelTrace
 	sections  onceMap[tpB, *sectionCosts]
@@ -210,8 +211,8 @@ type Analyzer struct {
 	grids  map[string]*Batch
 	rows   *Rows
 
-	// Trace and tuple passes run, and overlap regions predicted, for
-	// tests. A tuple pass is what priceGroups does once per offload
+	// Trace fetches and tuple passes run, and overlap regions predicted,
+	// for tests. A tuple pass is what priceGroups does once per offload
 	// tuple of a call: the tuple's lane of the tape from frameWO and its
 	// overlapTerms, of which it predicts only the regions no earlier tuple
 	// of the call shares (regionClasses).

@@ -349,7 +349,8 @@ func TestBatchMatchesSingle(t *testing.T) {
 // TestConcurrentFirstUseCompilesOnce: goroutines pricing shapes on fresh
 // analyzers of three models on three clusters, all at once, share one
 // program per structural variant, pointer-equal across the analyzers
-// (variantPrograms); each analyzer traces its model once, and every
+// (variantPrograms); each analyzer fetches its model's trace once
+// (TestConcurrentFirstUseTracesOnce races the trace itself), and every
 // result equals a serial analyzer's.
 func TestConcurrentFirstUseCompilesOnce(t *testing.T) {
 	// Three stage positions of a dense model, one variant each whatever
@@ -428,7 +429,7 @@ func TestConcurrentFirstUseCompilesOnce(t *testing.T) {
 	}
 	for c, a := range racing {
 		if traced, programs := a.BuildCounts(), a.VariantPrograms(); traced != 1 || programs != len(positions) {
-			t.Errorf("%s: traced the model %d times and shared %d distinct programs, want 1 and %d", contexts[c].model, traced, programs, len(positions))
+			t.Errorf("%s: fetched the model's trace %d times and shared %d distinct programs, want 1 and %d", contexts[c].model, traced, programs, len(positions))
 		}
 	}
 }

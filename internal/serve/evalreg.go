@@ -50,10 +50,12 @@ import (
 const defaultEvalCachePoints = 4 << 20
 
 // entryOverheadPoints is the point-equivalent fixed cost charged to each
-// registry entry: the calibrated analyzer, its interference fit, and its
-// internal compiled-program cache are real memory even when the entry
-// has memoized no points. Charging it makes point-light entries
-// evictable by the same LRU sweep and bounds the entry count at
+// registry entry: the analyzer, its section costs and its per-shape
+// coefficient fills are real memory even when the entry has memoized no
+// points. (The interference fit, the model trace and the compiled stage
+// programs are the process's, shared across entries: schedule bounds its
+// trace table at the same 1024 keys.) Charging it makes point-light
+// entries evictable by the same LRU sweep and bounds the entry count at
 // capPoints/entryOverheadPoints (1024 entries at the default cap).
 const entryOverheadPoints = 4096
 
