@@ -38,7 +38,8 @@ func allocsPer(t *testing.T, h http.Handler, method, path string, body []byte, w
 
 // TestCachedTuneHitAllocs pins the cached /tune hit on a bare server
 // with logging off: 49 allocations when a disabled logger still built
-// its variadic arguments on every request, 44 once it did not.
+// its variadic arguments on every request, 44 once it did not, 30 once
+// a repeated body skipped decoding and the hit wrote its stored reply.
 func TestCachedTuneHitAllocs(t *testing.T) {
 	s := serve.New()
 	defer s.Close()
@@ -49,59 +50,114 @@ func TestCachedTuneHitAllocs(t *testing.T) {
 	}
 	got := allocsPer(t, h, http.MethodPost, "/tune", body, http.StatusOK)
 	t.Logf("bare cached /tune hit: %.0f allocs", got)
-	if got > 44 && !raceEnabled {
-		t.Errorf("cached /tune hit allocates %.0f per request, want <= 44", got)
+	if got > 30 && !raceEnabled {
+		t.Errorf("cached /tune hit allocates %.0f per request, want <= 30", got)
 	}
 }
 
-// TestFleetReadPathAllocs reports the four fleet-warm operations on a
-// 3-node, R=2 LocalCluster — `go test -run FleetReadPathAllocs -v` on
-// two commits is the before/after table a change to this tier owes —
-// and pins two of them. /metrics took 6 961 allocations while each
-// scrape re-rendered every label set with fmt and a map per bucket
-// line, 28 once series text was rendered at registration. The
-// forwarded hit took 109 while each forward rendered its per-peer
-// label set, 98 once the handles were resolved once per server.
-func TestFleetReadPathAllocs(t *testing.T) {
+// hitFleet is a 3-node, R=2 LocalCluster whose owner of clusterSpec(0)
+// has tuned it: body is that spec's /tune and plan-less /simulate body,
+// owner the node that holds its plan and other a node that forwards.
+func hitFleet(tb testing.TB) (lc *serve.LocalCluster, body []byte, owner, other string) {
+	tb.Helper()
 	lc, err := serve.NewLocalCluster(serve.LocalClusterOptions{Nodes: 3, Replicas: 2})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer lc.Close()
+	tb.Cleanup(lc.Close)
 	key, err := clusterSpec(0).CanonicalKey()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	owner := lc.Cluster("n1").Owner(key)
-	other := ""
+	owner = lc.Cluster("n1").Owner(key)
 	for _, id := range lc.IDs() {
 		if id != owner {
 			other = id
 			break
 		}
 	}
-	body, err := json.Marshal(serve.TuneRequest{WorkloadSpec: clusterSpec(0)})
+	body, err = json.Marshal(serve.TuneRequest{WorkloadSpec: clusterSpec(0)})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	rec := httptest.NewRecorder()
+	lc.Handler(owner).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tune", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("tune on %s: %d %s", owner, rec.Code, rec.Body)
+	}
+	return lc, body, owner, other
+}
+
+// TestFleetReadPathAllocs reports the four fleet-warm operations on a
+// 3-node, R=2 LocalCluster — `go test -run FleetReadPathAllocs -v` on
+// two commits is the before/after table a change to this tier owes —
+// and pins four of them. /metrics took 6 961 allocations while each
+// scrape re-rendered every label set with fmt and a map per bucket
+// line, 28 once series text was rendered at registration. The
+// forwarded hit took 109 while each forward rendered its per-peer
+// label set, 98 once the handles were resolved once per server, 71 once
+// a repeated body skipped decoding at both ends and the owner wrote its
+// stored reply. A plan-less /simulate repeat took 63 locally and 113
+// forwarded while each one re-measured the plan and encoded the reply,
+// 34 and 71 once it wrote the reply its plan-cache entry rendered once.
+func TestFleetReadPathAllocs(t *testing.T) {
+	lc, body, owner, other := hitFleet(t)
 	local, hop := lc.Handler(owner), lc.Handler(other)
 	t.Logf("cached /tune hit, served locally: %.0f allocs",
 		allocsPer(t, local, http.MethodPost, "/tune", body, http.StatusOK))
 	forwarded := allocsPer(t, hop, http.MethodPost, "/tune", body, http.StatusOK)
 	t.Logf("cached /tune hit, forwarded one hop: %.0f allocs", forwarded)
+	simLocal := allocsPer(t, local, http.MethodPost, "/simulate", body, http.StatusOK)
+	t.Logf("plan-less /simulate repeat, served locally: %.0f allocs", simLocal)
+	simForwarded := allocsPer(t, hop, http.MethodPost, "/simulate", body, http.StatusOK)
+	t.Logf("plan-less /simulate repeat, forwarded one hop: %.0f allocs", simForwarded)
 	t.Logf("/stats: %.0f allocs", allocsPer(t, local, http.MethodGet, "/stats", nil, http.StatusOK))
 	scrape := allocsPer(t, local, http.MethodGet, "/metrics", nil, http.StatusOK)
 	t.Logf("/metrics: %.0f allocs", scrape)
 	if !raceEnabled {
-		if forwarded > 100 {
-			t.Errorf("forwarded cached /tune hit allocates %.0f per request, want <= 100", forwarded)
-		}
-		if scrape > 100 {
-			t.Errorf("/metrics allocates %.0f per scrape, want <= 100", scrape)
+		for _, c := range []struct {
+			what       string
+			got, limit float64
+		}{
+			{"forwarded cached /tune hit", forwarded, 71},
+			{"local plan-less /simulate repeat", simLocal, 34},
+			{"forwarded plan-less /simulate repeat", simForwarded, 71},
+			{"/metrics scrape", scrape, 100},
+		} {
+			if c.got > c.limit {
+				t.Errorf("%s allocates %.0f per request, want <= %.0f", c.what, c.got, c.limit)
+			}
 		}
 	}
 	if got := lc.Node(other).Stats().ClusterForwards; got == 0 {
-		t.Error("the forwarded hit was not forwarded")
+		t.Error("the forwarded hits were not forwarded")
+	}
+}
+
+// BenchmarkTuneHit times the repeated request on a 3-node, R=2
+// LocalCluster: a cached /tune hit served by the owner (local) and
+// through one forwarding hop (forwarded), and a plan-less /simulate
+// repeat served by the owner (simulate). Run it with -benchmem; its
+// allocations are part of what bench-regression gates.
+func BenchmarkTuneHit(b *testing.B) {
+	lc, body, owner, other := hitFleet(b)
+	for _, c := range []struct{ name, node, path string }{
+		{"local", owner, "/tune"},
+		{"forwarded", other, "/tune"},
+		{"simulate", owner, "/simulate"},
+	} {
+		h := lc.Handler(c.node)
+		b.Run(c.name, func(b *testing.B) {
+			rd := bytes.NewReader(body)
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, rd))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("POST %s on %s: %d %s", c.path, c.node, rec.Code, rec.Body)
+				}
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -65,10 +65,17 @@ const entryOverheadPoints = 4096
 // differ only in batch share one cache. The search space collapses to
 // its Serialize flag for the same reason: spaces restrict which points
 // the tuner asks about, not what any point costs.
+// Its bytes are model|platform|gpus|seq|flash=<bool>|serialize=<bool>,
+// model and platform lower-cased.
 func evalKey(ws WorkloadSpec, space core.Space) string {
-	return fmt.Sprintf("%s|%s|%d|%d|flash=%v|serialize=%v",
-		strings.ToLower(ws.Model), strings.ToLower(ws.Platform),
-		ws.GPUs, ws.Seq, !ws.NoFlash, !space.OverlapAware)
+	model, platform := strings.ToLower(ws.Model), strings.ToLower(ws.Platform)
+	b := make([]byte, 0, len(model)+len(platform)+48)
+	b = append(append(b, model...), '|')
+	b = append(append(b, platform...), '|')
+	b = append(strconv.AppendInt(b, int64(ws.GPUs), 10), '|')
+	b = append(strconv.AppendInt(b, int64(ws.Seq), 10), "|flash="...)
+	b = append(strconv.AppendBool(b, !ws.NoFlash), "|serialize="...)
+	return string(strconv.AppendBool(b, !space.OverlapAware))
 }
 
 // evalEntry is one registry slot. ready closes when calibration

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -232,5 +234,36 @@ func TestSimulatePricesOnTheRegistrysAnalyzer(t *testing.T) {
 	s.evalReg.mu.Unlock()
 	if e == nil || e.an != rebuilt {
 		t.Error("the registry no longer holds the rebuilt analyzer after /simulate")
+	}
+}
+
+// TestEvalKeyBytes pins evalKey byte for byte against the fmt rendering
+// it was first defined by, mixed-case names included: a drifted byte
+// splits one fingerprint's analyzer into two registry entries.
+func TestEvalKeyBytes(t *testing.T) {
+	for _, c := range []struct {
+		ws      WorkloadSpec
+		overlap bool
+		want    string
+	}{
+		{WorkloadSpec{Model: "gpt3-1.3b", Platform: "l4", GPUs: 2, Seq: 2048}, true,
+			"gpt3-1.3b|l4|2|2048|flash=true|serialize=false"},
+		{WorkloadSpec{Model: "Llama-7B", Platform: "A100", GPUs: 4096, Seq: 65536, NoFlash: true}, false,
+			"llama-7b|a100|4096|65536|flash=false|serialize=true"},
+		{WorkloadSpec{Model: "Falcon-1.3B", Platform: "L4", GPUs: -1, Seq: -7, Space: "DeepSpeed"}, true,
+			"falcon-1.3b|l4|-1|-7|flash=true|serialize=false"},
+		{WorkloadSpec{}, false, "||0|0|flash=true|serialize=true"},
+	} {
+		space := core.Space{OverlapAware: c.overlap}
+		got := evalKey(c.ws, space)
+		if got != c.want {
+			t.Errorf("%+v overlap=%v: evalKey = %q, want %q", c.ws, c.overlap, got, c.want)
+		}
+		ref := fmt.Sprintf("%s|%s|%d|%d|flash=%v|serialize=%v",
+			strings.ToLower(c.ws.Model), strings.ToLower(c.ws.Platform),
+			c.ws.GPUs, c.ws.Seq, !c.ws.NoFlash, !space.OverlapAware)
+		if got != ref {
+			t.Errorf("%+v overlap=%v: evalKey = %q, fmt rendering %q", c.ws, c.overlap, got, ref)
+		}
 	}
 }

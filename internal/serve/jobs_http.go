@@ -170,7 +170,7 @@ func (s *Server) handleJobsSubmit(rw http.ResponseWriter, req *http.Request) {
 	// the job record lives beside its plan-cache entry; a batch is
 	// accepted locally and each task forwards its own tune.
 	var jr JobsSubmitRequest
-	if _, ok := s.keyedIngress(rw, req, &jr, &jr.WorkloadSpec, &jr.Jobs); !ok {
+	if _, ok := s.keyedIngress(rw, req, nil, &jr, &jr.WorkloadSpec, &jr.Jobs); !ok {
 		return
 	}
 	if len(jr.Jobs) == 0 {

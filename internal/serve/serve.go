@@ -12,6 +12,17 @@
 //	                   inlined in the request or tuned on demand through
 //	                   the same plan cache, and it is priced on the
 //	                   fingerprint's analyzer from the eval-cache registry.
+//
+// A repeat of either is a map lookup followed by a write of stored bytes
+// (replies.go). Each endpoint remembers the bodies it has resolved, so a
+// body seen before skips decoding, normalizing and keying, at the
+// ingress node and again at the owner after a hop; and each plan-cache
+// entry renders its /tune hit reply, and its reply to a /simulate
+// without an inline plan, once. Bodies are read up to 1 MiB (413
+// beyond).
+//
+// The other endpoints:
+//
 //	POST /jobs       — submit one tuning job or a batch asynchronously;
 //	                   jobs run on a bounded priority worker pool.
 //	GET  /jobs       — list jobs; GET /jobs/{id} — status and result;
@@ -38,7 +49,8 @@
 // written to disk and served back after a restart without re-searching.
 //
 // The handler is safe for arbitrary concurrency: the plan cache holds
-// plans only, mutex-guarded with per-key in-flight coalescing; the
+// plans and their rendered replies, mutex-guarded with per-key in-flight
+// coalescing; the
 // eval-cache registry (evalreg.go) is the one owner of each fingerprint's
 // analyzer and so of its rows, which tuner runs and /simulate share for
 // the life of the process — a re-search of a known analyzer configuration
@@ -297,11 +309,16 @@ type Stats struct {
 }
 
 // planEntry is one plan-cache slot; ready closes when the tuner run
-// completes, so concurrent requests for the same spec coalesce.
+// completes, so concurrent requests for the same spec coalesce. A
+// completed entry keeps its replies as rendered bytes: the /tune hit
+// (Cached set) and the /simulate without an inline plan (validated,
+// measured and encoded once).
 type planEntry struct {
 	ready chan struct{}
 	resp  *TuneResponse
 	err   error
+
+	hit, simulated rendered
 }
 
 // defaultCacheCap bounds the plan cache: specs are client-controlled
@@ -322,6 +339,9 @@ const defaultJobWorkers = 2
 type Server struct {
 	mu    sync.Mutex
 	plans map[string]*planEntry
+
+	// What the bodies of /tune and /simulate resolved to (replies.go).
+	tuneBodies, simulateBodies bodyMemo
 
 	cacheCap     int
 	store        *store.Store
@@ -694,42 +714,49 @@ func gated(on bool, why string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // decodeBody decodes a JSON request body into v, answering 400 (and
-// false) when it does not parse.
+// false) when it does not parse, 413 past maxBodyBytes.
 func decodeBody(rw http.ResponseWriter, req *http.Request, v any) bool {
-	err := json.NewDecoder(req.Body).Decode(v)
+	err := json.NewDecoder(limitBody(req.Body)).Decode(v)
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		writeBodyError(rw, fmt.Errorf("decoding request: %w", err))
 	}
 	return err == nil
 }
 
+// writeBodyError answers a body that could not be read or decoded: 413
+// when it ran past maxBodyBytes, 400 otherwise.
+func writeBodyError(rw http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, errBodyTooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(rw, status, err)
+}
+
 // tuneCtx resolves a spec through the plan cache under a context,
 // running the tuner at most once per distinct spec. The returned
-// response is a private copy with Cached set for this caller. Cancellation aborts a search this
-// call started; coalesced waiters on that search then see the error and
-// the failed entry is dropped, so a later request simply retries.
+// response is a private copy with Cached set for this caller.
 func (s *Server) tuneCtx(ctx context.Context, ws WorkloadSpec) (*TuneResponse, error) {
-	w, cl, space, err := ws.normalize()
-	if err != nil {
+	if _, _, _, err := ws.normalize(); err != nil {
 		return nil, &badRequestError{err}
 	}
-	return s.tuneResolved(ctx, ws, resolved{ws.key(), w, cl, space})
+	e, searched, err := s.planFor(ctx, ws, ws.key())
+	if err != nil {
+		return nil, err
+	}
+	resp := *e.resp
+	resp.Cached = !searched
+	return &resp, nil
 }
 
-// resolved is what normalize makes of a spec, plus its canonical key:
-// handed on, so a request is normalized and keyed once.
-type resolved struct {
-	key   string
-	w     plan.Workload
-	cl    *hardware.Cluster
-	space core.Space
-}
-
-// tuneResolved is tuneCtx for a spec whose defaults are already
-// resolved (ws normalized, r its pieces).
-func (s *Server) tuneResolved(ctx context.Context, ws WorkloadSpec, r resolved) (*TuneResponse, error) {
-	key := r.key
-
+// planFor resolves a normalized spec, key its canonical key, through
+// the plan cache, running the tuner at most once per distinct key, and
+// returns the completed entry. searched reports that this call ran the
+// search: its answer is the one not marked Cached. Cancellation aborts a
+// search this call started; coalesced waiters on that search then see
+// the error and the failed entry is dropped, so a later request simply
+// retries.
+func (s *Server) planFor(ctx context.Context, ws WorkloadSpec, key string) (e *planEntry, searched bool, err error) {
 	s.mu.Lock()
 	for {
 		e, ok := s.plans[key]
@@ -741,7 +768,7 @@ func (s *Server) tuneResolved(ctx context.Context, ws WorkloadSpec, r resolved) 
 		select {
 		case <-e.ready:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, false, ctx.Err()
 		}
 		if e.err != nil {
 			// A coalesced search killed by another caller's cancellation
@@ -752,20 +779,18 @@ func (s *Server) tuneResolved(ctx context.Context, ws WorkloadSpec, r resolved) 
 				s.mu.Lock()
 				continue
 			}
-			return nil, e.err
+			return nil, false, e.err
 		}
-		resp := *e.resp
-		resp.Cached = true
-		return &resp, nil
+		return e, false, nil
 	}
-	e := &planEntry{ready: make(chan struct{})}
+	e = &planEntry{ready: make(chan struct{})}
 	if len(s.plans) >= s.cacheCap {
 		s.evictOneLocked()
 	}
 	s.plans[key] = e
 	s.mu.Unlock()
 
-	e.resp, e.err = s.runTune(ctx, ws, r.w, r.cl, r.space)
+	e.resp, e.err = s.runTune(ctx, ws)
 	if e.err != nil {
 		// Do not cache failures: a later identical request retries.
 		s.mu.Lock()
@@ -774,10 +799,9 @@ func (s *Server) tuneResolved(ctx context.Context, ws WorkloadSpec, r resolved) 
 	}
 	close(e.ready)
 	if e.err != nil {
-		return nil, e.err
+		return nil, false, e.err
 	}
-	resp := *e.resp
-	return &resp, nil
+	return e, true, nil
 }
 
 // responseFromRecord renders a stored plan record as the /tune reply
@@ -793,10 +817,11 @@ func responseFromRecord(rec store.Record) *TuneResponse {
 	}
 }
 
-// runTune answers a plan-cache miss: from the durable store when the
-// exact fingerprint was tuned by any earlier process, otherwise by a
-// fresh search whose result is then written through to the store.
-func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (*TuneResponse, error) {
+// runTune answers a plan-cache miss of a normalized spec: from the
+// durable store when the exact fingerprint was tuned by any earlier
+// process, otherwise by a fresh search whose result is then written
+// through to the store.
+func (s *Server) runTune(ctx context.Context, ws WorkloadSpec) (*TuneResponse, error) {
 	fp := ws.fingerprint()
 	if s.store != nil {
 		// The store-check span covers the local lookup plus the peer
@@ -825,6 +850,10 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 		}
 		ssp.Annotate("outcome", "miss")
 		ssp.End()
+	}
+	w, cl, space, err := ws.normalize()
+	if err != nil {
+		return nil, &badRequestError{err}
 	}
 	s.count.tunesRun.Inc()
 	// The prepare span covers tuner construction (operator DB +
@@ -895,29 +924,41 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 // (/tune, /simulate, single-spec POST /jobs): read the body (whole — a
 // non-owner replays it verbatim), decode it into v, resolve the defaults
 // of spec (a field of v) in place, and relay the request when a peer
-// owns its fingerprint. ok=false: the response is already written (a
-// 400, or the owner's relayed answer). A non-empty batch (the other
-// field of a POST /jobs) carries no key: v comes back decoded but
-// unresolved, to be accepted locally.
-func (s *Server) keyedIngress(rw http.ResponseWriter, req *http.Request, v any, spec *WorkloadSpec, batch *[]JobSpec) (r resolved, ok bool) {
-	body, err := io.ReadAll(req.Body)
+// owns its fingerprint; key is the spec's canonical key. ok=false: the
+// response is already written (a 400 or 413, or the owner's relayed
+// answer). A non-empty batch (the other field of a POST /jobs) carries
+// no key: v comes back decoded but unresolved, to be accepted locally.
+//
+// A body memo skips decoding, normalizing and keying a body it has seen
+// resolve before; only spec is set then, so it remembers only bodies
+// whose v holds nothing else (an inline /simulate plan is decoded every
+// time).
+func (s *Server) keyedIngress(rw http.ResponseWriter, req *http.Request, memo *bodyMemo, v any, spec *WorkloadSpec, batch *[]JobSpec) (key string, ok bool) {
+	body, err := io.ReadAll(limitBody(req.Body))
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		return r, false
+		writeBodyError(rw, fmt.Errorf("reading request: %w", err))
+		return "", false
+	}
+	if e, hit := memo.get(body); hit {
+		*spec = e.spec
+		return e.key, !s.proxyKeyed(rw, req, e.key, body)
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return r, false
+		return "", false
 	}
 	if batch != nil && len(*batch) > 0 {
-		return r, true
+		return "", true
 	}
-	if r.w, r.cl, r.space, err = spec.normalize(); err != nil {
+	if _, _, _, err = spec.normalize(); err != nil {
 		writeError(rw, http.StatusBadRequest, err)
-		return r, false
+		return "", false
 	}
-	r.key = spec.key()
-	return r, !s.proxyKeyed(rw, req, r.key, body)
+	key = spec.key()
+	if sr, inline := v.(*SimulateRequest); !inline || sr.Plan == nil {
+		memo.put(body, memoSpec{*spec, key})
+	}
+	return key, !s.proxyKeyed(rw, req, key, body)
 }
 
 func (s *Server) handleTune(rw http.ResponseWriter, req *http.Request) {
@@ -927,18 +968,27 @@ func (s *Server) handleTune(rw http.ResponseWriter, req *http.Request) {
 	}
 	s.count.tuneRequests.Inc()
 	var tr TuneRequest
-	r, ok := s.keyedIngress(rw, req, &tr, &tr.WorkloadSpec, nil)
+	key, ok := s.keyedIngress(rw, req, &s.tuneBodies, &tr, &tr.WorkloadSpec, nil)
 	if !ok {
 		return
 	}
 	// The request context carries the per-request deadline (see wrap)
 	// and client disconnects; both propagate into the running search.
-	resp, err := s.tuneResolved(req.Context(), tr.WorkloadSpec, r)
+	e, searched, err := s.planFor(req.Context(), tr.WorkloadSpec, key)
 	if err != nil {
 		writeError(rw, statusFor(err), err)
 		return
 	}
-	writeJSON(rw, http.StatusOK, resp)
+	if searched {
+		writeJSON(rw, http.StatusOK, e.resp)
+		return
+	}
+	b, _ := e.hit.get(func() ([]byte, error) {
+		resp := *e.resp
+		resp.Cached = true
+		return encodeJSON(&resp), nil
+	})
+	writeRendered(rw, b)
 }
 
 func (s *Server) handleSimulate(rw http.ResponseWriter, req *http.Request) {
@@ -950,44 +1000,67 @@ func (s *Server) handleSimulate(rw http.ResponseWriter, req *http.Request) {
 	// A non-owner relays to the fingerprint's owner (plan cache and
 	// calibrated analyzer live there), inline plan included.
 	var sr SimulateRequest
-	r, ok := s.keyedIngress(rw, req, &sr, &sr.WorkloadSpec, nil)
+	key, ok := s.keyedIngress(rw, req, &s.simulateBodies, &sr, &sr.WorkloadSpec, nil)
 	if !ok {
 		return
 	}
-	p := sr.Plan
-	var tuned *plan.Plan
-	if p == nil {
-		tresp, err := s.tuneResolved(req.Context(), sr.WorkloadSpec, r)
+	if sr.Plan != nil {
+		resp, err := s.simulate(sr.WorkloadSpec, sr.Plan, nil)
 		if err != nil {
 			writeError(rw, statusFor(err), err)
 			return
 		}
-		p = tresp.Plan
-		tuned = tresp.Plan
-	}
-	if err := p.Validate(r.w); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("invalid plan: %w", err))
+		writeJSON(rw, http.StatusOK, resp)
 		return
 	}
-	an, err := s.evalReg.analyzer(sr.WorkloadSpec, r.w, r.cl, r.space)
+	e, _, err := s.planFor(req.Context(), sr.WorkloadSpec, key)
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
+		writeError(rw, statusFor(err), err)
 		return
 	}
-	m, err := trainsim.New(r.w, r.cl, an).Measure(p)
+	b, err := e.simulated.get(func() ([]byte, error) {
+		resp, err := s.simulate(sr.WorkloadSpec, e.resp.Plan, e.resp.Plan)
+		if err != nil {
+			return nil, err
+		}
+		return encodeJSON(resp), nil
+	})
 	if err != nil {
-		writeError(rw, http.StatusInternalServerError, err)
+		writeError(rw, statusFor(err), err)
 		return
 	}
-	writeJSON(rw, http.StatusOK, &SimulateResponse{
+	writeRendered(rw, b)
+}
+
+// simulate measures plan p for a normalized spec on the spec's analyzer
+// from the eval-cache registry; tuned is echoed as the reply's TunedPlan.
+// A plan that does not fit the workload, or a spec without an analyzer,
+// is a bad request; a failed measurement is the server's.
+func (s *Server) simulate(ws WorkloadSpec, p, tuned *plan.Plan) (*SimulateResponse, error) {
+	w, cl, space, err := ws.normalize()
+	if err != nil {
+		return nil, &badRequestError{err}
+	}
+	if err := p.Validate(w); err != nil {
+		return nil, &badRequestError{fmt.Errorf("invalid plan: %w", err)}
+	}
+	an, err := s.evalReg.analyzer(ws, w, cl, space)
+	if err != nil {
+		return nil, &badRequestError{err}
+	}
+	m, err := trainsim.New(w, cl, an).Measure(p)
+	if err != nil {
+		return nil, err
+	}
+	return &SimulateResponse{
 		IterTime:   m.IterTime,
 		Throughput: m.Throughput,
 		Bubble:     m.Bubble,
 		PeakMem:    m.PeakMem,
-		BudgetByte: r.cl.MemoryBudget(),
-		OOM:        m.OOM(r.cl.MemoryBudget()),
+		BudgetByte: cl.MemoryBudget(),
+		OOM:        m.OOM(cl.MemoryBudget()),
 		TunedPlan:  tuned,
-	})
+	}, nil
 }
 
 func (s *Server) handleHealthz(rw http.ResponseWriter, req *http.Request) {

@@ -21,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -50,11 +51,19 @@ func (f Fingerprint) canonical() Fingerprint {
 	return f
 }
 
-// Key renders the canonical index key.
+// Key renders the canonical index key,
+// model|platform|gpus|batch|seq|flash|space. It names ring ownership and
+// the stored file (fileName), so its bytes never change.
 func (f Fingerprint) Key() string {
 	f = f.canonical()
-	return fmt.Sprintf("%s|%s|%d|%d|%d|%t|%s",
-		f.Model, f.Platform, f.GPUs, f.Batch, f.Seq, f.Flash, f.Space)
+	b := make([]byte, 0, len(f.Model)+len(f.Platform)+len(f.Space)+40)
+	b = append(append(b, f.Model...), '|')
+	b = append(append(b, f.Platform...), '|')
+	b = append(strconv.AppendInt(b, int64(f.GPUs), 10), '|')
+	b = append(strconv.AppendInt(b, int64(f.Batch), 10), '|')
+	b = append(strconv.AppendInt(b, int64(f.Seq), 10), '|')
+	b = append(strconv.AppendBool(b, f.Flash), '|')
+	return string(append(b, f.Space...))
 }
 
 // Record is one stored plan with its prediction and provenance.
