@@ -432,12 +432,13 @@ func (c *Cluster) Owner(key string) string { return c.Ring().Owner(key) }
 // (owner first), health ignored — the set a completed plan is
 // replicated to and the rebalancer repairs toward.
 func (c *Cluster) Replicas(key string) []Member {
+	var buf [4]string
 	c.vmu.RLock()
 	defer c.vmu.RUnlock()
-	ids := c.ring.Replicas(key, c.rfTarget) // the ring caps R at its member count
-	out := make([]Member, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, c.members[id])
+	ids := c.ring.appendReplicas(buf[:0], key, c.rfTarget) // the ring caps R at its member count
+	out := make([]Member, len(ids))
+	for i, id := range ids {
+		out[i] = c.members[id]
 	}
 	return out
 }
@@ -482,18 +483,25 @@ func (c *Cluster) Others(lists ...[]Member) []Member {
 // resort: availability over strict single-flight. On a drained node
 // self never appears, so everything forwards into the ring it left.
 func (c *Cluster) Route(key string) []Member {
+	// Reorder the replica set in place: reps[:ok] are the Ok members and
+	// reps[ok:n] the Suspect ones, each in ring order; an Ok member shifts
+	// the suspects behind it one place right. Writes never pass the
+	// member being read, so the walk reads the set as Replicas built it.
 	reps := c.Replicas(key)
-	ok := make([]Member, 0, len(reps))
-	var suspect []Member
+	ok, n := 0, 0
 	for _, m := range reps {
 		switch c.checker.Status(m.ID) {
 		case Ok:
-			ok = append(ok, m)
+			copy(reps[ok+1:n+1], reps[ok:n])
+			reps[ok] = m
+			ok++
+			n++
 		case Suspect:
-			suspect = append(suspect, m)
+			reps[n] = m
+			n++
 		}
 	}
-	return append(ok, suspect...)
+	return reps[:n]
 }
 
 // Forward sends one already-read request to a peer and returns the raw

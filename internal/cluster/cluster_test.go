@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -178,6 +179,46 @@ func TestRouteDeprioritizesSuspects(t *testing.T) {
 	}
 	if route[len(route)-1].ID != owner {
 		t.Errorf("suspect owner %s not demoted to last: %v", owner, route)
+	}
+}
+
+// Route reorders the replica set in place; on five members at R=4, under
+// every mix of Ok, Suspect and Down peers, it must equal the two-list
+// build it replaced (Ok members, then Suspect ones, each in ring order),
+// and allocate only the one slice it returns.
+func TestRouteMatchesTwoListOrder(t *testing.T) {
+	members := append(testMembers(), Member{ID: "n4", Addr: "http://n4"}, Member{ID: "n5", Addr: "http://n5"})
+	for state := 0; state < 81; state++ { // n2..n5 each Ok, Suspect or Down
+		cl, err := New(Config{Self: "n1", Members: members, Replicas: 4, Client: newFakeDoer()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := 1, state; i < len(members); i, s = i+1, s/3 {
+			for f := 0; f < []int{0, 1, 3}[s%3]; f++ {
+				cl.Checker().ReportFailure(members[i].ID)
+			}
+		}
+		for k := 0; k < 50; k++ {
+			key := fmt.Sprintf("key-%d", k)
+			var ok, suspect []Member
+			for _, m := range cl.Replicas(key) {
+				switch cl.Checker().Status(m.ID) {
+				case Ok:
+					ok = append(ok, m)
+				case Suspect:
+					suspect = append(suspect, m)
+				}
+			}
+			want := append(ok, suspect...)
+			if got := cl.Route(key); !slices.Equal(got, want) {
+				t.Fatalf("state %d, %s: route %v, want %v", state, key, got, want)
+			}
+		}
+		if state == 80 {
+			if n := testing.AllocsPerRun(100, func() { cl.Route("key-1") }); n > 1 {
+				t.Errorf("Route allocates %.0f slices per call, want 1", n)
+			}
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -126,21 +127,26 @@ func (r *Ring) Replicas(key string, n int) []string {
 	if n <= 0 || len(r.points) == 0 {
 		return nil
 	}
-	if n > len(r.ids) {
-		n = len(r.ids)
+	return r.appendReplicas(make([]string, 0, min(n, len(r.ids))), key, n)
+}
+
+// appendReplicas appends Replicas(key, n) to dst and returns the extended
+// slice, so a caller with a buffer of its own allocates nothing.
+func (r *Ring) appendReplicas(dst []string, key string, n int) []string {
+	n = min(n, len(r.ids))
+	if n <= 0 || len(r.points) == 0 {
+		return dst
 	}
 	h := hash64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := map[string]bool{}
-	for scanned := 0; scanned < len(r.points) && len(out) < n; scanned++ {
+	base := len(dst)
+	for scanned := 0; scanned < len(r.points) && len(dst)-base < n; scanned++ {
 		p := r.points[(start+scanned)%len(r.points)]
-		if !seen[p.id] {
-			seen[p.id] = true
-			out = append(out, p.id)
+		if !slices.Contains(dst[base:], p.id) {
+			dst = append(dst, p.id)
 		}
 	}
-	return out
+	return dst
 }
 
 // OwnershipShare reports the fraction of the hash space owned by each

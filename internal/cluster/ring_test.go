@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -157,6 +158,11 @@ func TestRingReplicas(t *testing.T) {
 		}
 		if got := r.Replicas(k, 10); len(got) != 3 {
 			t.Fatalf("replicas beyond membership: %v", got)
+		}
+		// Appending after a prefix dedups only the appended part.
+		prefix := []string{"n1"}
+		if got, want := r.appendReplicas(prefix, k, 10), append(prefix, r.Replicas(k, 10)...); !slices.Equal(got, want) {
+			t.Fatalf("appendReplicas after %v = %v, want %v", prefix, got, want)
 		}
 	}
 	if got := r.Replicas("anything", 0); got != nil {

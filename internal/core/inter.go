@@ -221,8 +221,8 @@ func (t *Tuner) solveInterDP(cands [][]candidate, totalLayers, totalDevices, g i
 					for pi, p := range succ {
 						nt := triple{
 							sum:     p.sum + ti,
-							best:    math.Max(p.best, di+ti+p.sum),
-							maxT:    math.Max(p.maxT, ti),
+							best:    max(p.best, di+ti+p.sum),
+							maxT:    max(p.maxT, ti),
 							cand:    ci,
 							prev:    prev,
 							prevIdx: pi,

@@ -150,43 +150,52 @@ type Times [NumChannels]float64
 // combination, scales each participant by its slowdown factor, advances
 // all of them by the smallest scaled remaining time (that participant
 // finishes), and converts the advance back into retired isolated work.
+//
+// The active combination is always the live set itself (channels with
+// work left, !(x <= 0)), so Predict peels it directly instead of walking
+// sweepMasks: in sweep order the only mask of a given size inside the
+// live set is the live set, and a peel with a finite minimum retires its
+// argmin channel. A peel that retires nothing (every scaled time NaN or
+// +Inf) leaves all its channels NaN and the total +Inf, which no later
+// peel of the sweep could change, so Predict stops there.
+// The package tests keep the sweep as the oracle (predictSweep) and
+// compare bit patterns.
 func (md *Model) Predict(x Times) float64 {
+	var live Mask
+	for ch := range x {
+		if !(x[ch] <= 0) {
+			live |= 1 << ch
+		}
+	}
 	total := 0.0
-	for _, mask := range sweepMasks {
-		chans := maskChannels[mask]
-		// Active check: all channels of mask must still have work.
-		active := true
-		for _, ch := range chans {
-			if x[ch] <= 0 {
-				active = false
-				break
-			}
-		}
-		if !active {
-			continue
-		}
+	for live&(live-1) != 0 { // at least two channels have work
+		f := &md.factors[live]
+		chans := maskChannels[live]
 		// scaled = x * factors (participants only).
 		overlap := math.Inf(1)
 		var scaled Times
 		for _, ch := range chans {
-			scaled[ch] = x[ch] * md.factors[mask][ch]
+			scaled[ch] = x[ch] * f[ch]
 			if scaled[ch] < overlap {
 				overlap = scaled[ch]
 			}
 		}
 		// Advance by the smallest scaled time; convert the consumed
 		// wall-clock back to isolated work per participant.
+		next := live
 		for _, ch := range chans {
-			x[ch] = (scaled[ch] - overlap) / md.factors[mask][ch]
+			x[ch] = (scaled[ch] - overlap) / f[ch]
 			if x[ch] < 1e-15 {
 				x[ch] = 0
+				next &^= 1 << ch
 			}
 		}
 		total += overlap
+		if next == live {
+			break
+		}
+		live = next
 	}
 	// Whatever is left runs alone.
-	for ch := Channel(0); ch < NumChannels; ch++ {
-		total += x[ch]
-	}
-	return total
+	return total + x[0] + x[1] + x[2] + x[3]
 }

@@ -209,13 +209,15 @@ func TestFitDeterministic(t *testing.T) {
 	}
 }
 
+// BenchmarkPredict prices regions drawn with a search's live-mask mix
+// (liveMix) under the fitted PCIe model, cycling through 4 096 of them.
 func BenchmarkPredict(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	m := Fit(PCIeFluid(), 10, rng)
-	x := Times{1.2, 0.8, 0.4, 0.3}
+	m := platformModels()["pcie"]
+	xs := mixedTimes(rand.New(rand.NewSource(3)), 4096)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Predict(x)
+		m.Predict(xs[i&(len(xs)-1)])
 	}
 }
 

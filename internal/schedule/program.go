@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -593,7 +592,7 @@ func (a *Analyzer) build(shape StageShape) *stageProgram {
 	// rematerialized tensors and make ckpt=0 -> ckpt=1 *raise* PeakMem by
 	// one boundary tensor, violating the monotone-in-ckpt invariant
 	// (checkpointing strictly shrinks the per-microbatch retained stash).
-	k[cRec] = math.Max(0, sp.fwdTransVal-sp.bwdTransVal)
+	k[cRec] = max(0, sp.fwdTransVal-sp.bwdTransVal)
 	key.recompute = k[cRec] != 0
 
 	// The peaks' constant terms, summed in term order.

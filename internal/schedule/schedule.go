@@ -41,7 +41,6 @@ package schedule
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -626,8 +625,8 @@ func (sp *stageProgram) compose(k Knobs, t *overlapTerms, out []float64) Result 
 	// the GPU's concurrent work (at least one layer's step is exposed).
 	exposedCPUStep := 0.0
 	if cpuTotal := float64(k.Layers) * t.cpuStep; cpuTotal > 0 {
-		hideCapacity := math.Max(0, firstFwdStage-t.fwdFirstN)
-		exposedCPUStep = math.Max(t.cpuStep, cpuTotal-hideCapacity)
+		hideCapacity := max(0, firstFwdStage-t.fwdFirstN)
+		exposedCPUStep = max(t.cpuStep, cpuTotal-hideCapacity)
 	}
 	firstExtra := (firstFwdStage - fwdStage) + exposedPrefetch + exposedCPUStep
 
@@ -639,7 +638,7 @@ func (sp *stageProgram) compose(k Knobs, t *overlapTerms, out []float64) Result 
 	if lastExtra < 0 {
 		lastExtra = 0
 	}
-	delta := math.Max(0, firstExtra) + lastExtra
+	delta := max(0, firstExtra) + lastExtra
 
 	return Result{Stable: stable, Delta: delta, PeakMem: out[outPeakMem]}
 }

@@ -168,35 +168,55 @@ func (r *evalRegistry) analyzer(ws WorkloadSpec, w plan.Workload, cl *hardware.C
 	return an, nil
 }
 
+// points is an entry's memoized points; ok is false while it is still
+// calibrating (empty, nothing to count) or when its build failed.
+func (e *evalEntry) points() (pts int, ok bool) {
+	select {
+	case <-e.ready:
+	default:
+		return 0, false
+	}
+	if e.err != nil {
+		return 0, false
+	}
+	return e.an.Rows().Len(), true
+}
+
 // enforceCap drops least-recently-used entries until the total charge —
 // cached points plus a fixed per-entry overhead — fits the cap. keep
 // names the entry the caller just used; it is never evicted, so a
 // single over-budget fingerprint keeps its (still useful) cache rather
-// than thrashing on every request.
+// than thrashing on every request. It runs after every search and
+// nearly always finds the total under the cap, so it builds the victim
+// list only past the cap.
 func (r *evalRegistry) enforceCap(keep string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	total := 0
+	for _, e := range r.entries {
+		if pts, ok := e.points(); ok {
+			total += entryOverheadPoints + pts
+		}
+	}
+	if total <= r.capPoints {
+		return
+	}
 	type sized struct {
 		key string
 		e   *evalEntry
 		n   int // charged size: points + per-entry overhead
 		pts int // actual memoized points (the retired counter counts these)
 	}
-	total := 0
-	var all []sized
+	// Running searches may have grown a row store since the sum above,
+	// so the list re-reads every charge and the total follows it.
+	total = 0
+	all := make([]sized, 0, len(r.entries))
 	for k, e := range r.entries {
-		select {
-		case <-e.ready:
-		default:
-			continue // still calibrating: empty, nothing to count
+		if pts, ok := e.points(); ok {
+			n := entryOverheadPoints + pts
+			total += n
+			all = append(all, sized{key: k, e: e, n: n, pts: pts})
 		}
-		if e.err != nil {
-			continue
-		}
-		pts := e.an.Rows().Len()
-		n := entryOverheadPoints + pts
-		total += n
-		all = append(all, sized{key: k, e: e, n: n, pts: pts})
 	}
 	for total > r.capPoints {
 		victim := -1
@@ -226,16 +246,10 @@ func (r *evalRegistry) snapshot() (entries, points int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range r.entries {
-		select {
-		case <-e.ready:
-		default:
-			continue
+		if pts, ok := e.points(); ok {
+			entries++
+			points += pts
 		}
-		if e.err != nil {
-			continue
-		}
-		entries++
-		points += e.an.Rows().Len()
 	}
 	return entries, points
 }

@@ -172,6 +172,33 @@ func TestAnalyzerOnlyEntriesBounded(t *testing.T) {
 	}
 }
 
+// TestEnforceCapUnderCapAllocatesNothing: a search that leaves the
+// registry under its cap — nearly every search — sums the charges and
+// returns; only a total past the cap builds the victim list (which once
+// cost every search a fresh slice of all entries, ~5 KB at 64).
+func TestEnforceCapUnderCapAllocatesNothing(t *testing.T) {
+	r := newEvalRegistry(defaultEvalCachePoints, metrics.NewRegistry())
+	var keep string
+	for i := 0; i < 4; i++ {
+		ws := smallSpec()
+		ws.Seq = 512 << i // distinct analyzer fingerprint per iteration
+		w, cl, space, err := ws.normalize()
+		if err != nil {
+			t.Fatalf("normalize seq=%d: %v", ws.Seq, err)
+		}
+		if _, err := r.analyzer(ws, w, cl, space); err != nil {
+			t.Fatalf("analyzer seq=%d: %v", ws.Seq, err)
+		}
+		keep = evalKey(ws, space)
+	}
+	if got := testing.AllocsPerRun(100, func() { r.enforceCap(keep) }); got != 0 {
+		t.Errorf("enforceCap under the cap allocates %.0f per call, want 0", got)
+	}
+	if entries, _ := r.snapshot(); entries != 4 || r.evictions.Value() != 0 {
+		t.Errorf("registry holds %d entries after %d evictions, want 4 and 0", entries, r.evictions.Value())
+	}
+}
+
 // TestSimulatePricesOnTheRegistrysAnalyzer: the eval-cache registry is the
 // one owner of a fingerprint's analyzer. After the registry evicts a
 // fingerprint and rebuilds its analyzer, /simulate of that fingerprint —

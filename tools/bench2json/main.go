@@ -22,9 +22,10 @@
 // regressed beyond the tolerance (new > old × (1+tolerance)), or when
 // the two files share no benchmarks at all — a gate that compares
 // nothing must not pass. When both sides of a pair carry the -benchmem
-// metrics (B/op, allocs/op), each is gated under the same tolerance —
-// an allocation crept into a hot path, or a row grown by a field, is a
-// regression even when the wall-clock noise hides it. The deterministic
+// metrics (B/op, allocs/op), each is gated under its own fixed slack,
+// far tighter than the tolerance: an allocation crept into a hot path,
+// or a row grown by a field, is a regression even when the wall-clock
+// noise hides it. The deterministic
 // counts a search reports (candidates, unique-evals, hit-rate) are a
 // function of its inputs, not of the machine, so any change in one, up
 // or down, fails the gate whatever the tolerance.
@@ -67,7 +68,7 @@ func main() {
 	log.SetPrefix("bench2json: ")
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
 	compare := flag.String("compare", "", "compare this baseline report against the report named by the positional argument")
-	tolerance := flag.Float64("tolerance", 0.25, "with -compare: allowed fractional ns/op (and B/op, allocs/op) growth before a benchmark counts as regressed")
+	tolerance := flag.Float64("tolerance", 0.25, "with -compare: allowed fractional ns/op growth before a benchmark counts as regressed")
 	flag.Parse()
 
 	if *compare != "" {
@@ -165,9 +166,23 @@ func benchKey(b Benchmark) string {
 	return b.Package + "." + name
 }
 
-// gatedMetrics are the dimensions gated beside ns/op, each only when both
-// reports carry it (old baselines predating -benchmem stay ns/op-only).
-var gatedMetrics = []string{"B/op", "allocs/op"}
+// gatedMetrics are the dimensions gated beside ns/op, each under its
+// slack and only when both reports carry it (old baselines predating
+// -benchmem stay ns/op-only). Ten runs of `make bench-json` on one commit
+// (2-vCPU Intel Xeon, go1.24.0) spread at most 12.6 % in B/op and 2.9 %
+// in allocs/op, both in BenchmarkBatchSubmit/warm-store (two iterations
+// of a four-worker job queue; the search benchmarks stayed within 1 %
+// and 0.9 %, but for BenchmarkTuneMemoizedWarm's B/op at 5.8 %); each
+// slack is that worst spread rounded up to the next 5 %. The same runs
+// spread up to 109 % in ns/op, far past its 25 % tolerance: on a shared
+// box the ns/op gate catches only a gross regression.
+var gatedMetrics = []struct {
+	unit  string
+	slack float64
+}{
+	{"B/op", 0.15},
+	{"allocs/op", 0.05},
+}
 
 // exactMetrics are gated at equality, each only when both reports carry
 // it: the work a search does, which no timing noise moves.
@@ -213,7 +228,8 @@ func (c comparison) Regressed() bool {
 }
 
 // compareReports pairs the two reports' benchmarks and flags every
-// shared one with a gated dimension grown beyond the tolerance.
+// shared one with ns/op grown beyond the tolerance or an allocation
+// metric grown beyond its slack.
 // Benchmarks present in only one report are returned in onlyOld/onlyNew
 // so renames and deletions are visible rather than silently ungated.
 func compareReports(old, new Report, tolerance float64) (shared []comparison, onlyOld, onlyNew []string) {
@@ -231,11 +247,11 @@ func compareReports(old, new Report, tolerance float64) (shared []comparison, on
 			continue
 		}
 		c := comparison{Key: key, Deltas: []delta{gate("ns/op", ob.NsPerOp, b.NsPerOp, tolerance)}}
-		for _, unit := range gatedMetrics {
-			oldV, okOld := ob.Metrics[unit]
-			newV, okNew := b.Metrics[unit]
+		for _, m := range gatedMetrics {
+			oldV, okOld := ob.Metrics[m.unit]
+			newV, okNew := b.Metrics[m.unit]
 			if okOld && okNew {
-				c.Deltas = append(c.Deltas, gate(unit, oldV, newV, tolerance))
+				c.Deltas = append(c.Deltas, gate(m.unit, oldV, newV, m.slack))
 			}
 		}
 		for _, unit := range exactMetrics {
@@ -318,7 +334,7 @@ func runCompare(oldPath, newPath string, tolerance float64) {
 		fmt.Printf("%-60s only in %s (new — no baseline yet)\n", k, newPath)
 	}
 	if regressions > 0 {
-		log.Fatalf("%d of %d shared benchmarks regressed beyond %.0f%% tolerance (ns/op, B/op or allocs/op) or changed a count (candidates, unique-evals, hit-rate)", regressions, len(shared), tolerance*100)
+		log.Fatalf("%d of %d shared benchmarks regressed beyond %.0f%% ns/op tolerance or their B/op or allocs/op slack, or changed a count (candidates, unique-evals, hit-rate)", regressions, len(shared), tolerance*100)
 	}
-	fmt.Printf("bench-regression: %d shared benchmarks within %.0f%% tolerance\n", len(shared), tolerance*100)
+	fmt.Printf("bench-regression: %d shared benchmarks within %.0f%% ns/op tolerance and their allocation slacks\n", len(shared), tolerance*100)
 }

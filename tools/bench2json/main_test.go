@@ -102,10 +102,11 @@ func TestCompareReports(t *testing.T) {
 }
 
 // The allocation metrics (B/op, allocs/op) are gated dimensions with the
-// same tolerance semantics as ns/op, each active only when both sides
-// carry the metric and each flagged on its own.
+// same semantics as ns/op under their own slack, each active only when
+// both sides carry the metric and each flagged on its own.
 func TestCompareReportsAllocs(t *testing.T) {
-	for _, unit := range gatedMetrics {
+	for _, m := range gatedMetrics {
+		unit := m.unit
 		with := func(ns, v float64) Benchmark {
 			return Benchmark{Package: "p", Name: "BenchmarkA", NsPerOp: ns,
 				Metrics: map[string]float64{unit: v}}
@@ -117,18 +118,23 @@ func TestCompareReportsAllocs(t *testing.T) {
 			return ns, mem, ok
 		}
 
-		// Within tolerance: 8 -> 10 is exactly +25%.
-		ns, mem, ok := gated(with(1000, 8), with(1000, 10))
-		if !ok || mem.Old != 8 || mem.New != 10 {
+		// Within the slack: 1000 -> 1000 × (1 + slack).
+		at := 1000 * (1 + m.slack)
+		ns, mem, ok := gated(with(1000, 1000), with(1000, at))
+		if !ok || mem.Old != 1000 || mem.New != at {
 			t.Fatalf("%s not compared: %+v", unit, mem)
 		}
 		if mem.Regressed || ns.Regressed {
-			t.Errorf("+25%% %s at 0.25 tolerance flagged: %+v", unit, mem)
+			t.Errorf("+%.0f%% %s at its %.2f slack flagged: %+v", m.slack*100, unit, m.slack, mem)
 		}
 
-		// Beyond tolerance: the metric regresses while ns/op stays flat.
-		if ns, mem, _ = gated(with(1000, 8), with(1000, 11)); !mem.Regressed || ns.Regressed {
+		// Beyond the slack, though well inside the ns/op tolerance: the
+		// metric regresses while ns/op stays flat.
+		if ns, mem, _ = gated(with(1000, 1000), with(1000, at+1)); !mem.Regressed || ns.Regressed {
 			t.Errorf("%s regression not flagged independently of ns/op: %+v", unit, mem)
+		}
+		if m.slack >= 0.25 {
+			t.Errorf("%s slack %.2f is no tighter than the ns/op tolerance", unit, m.slack)
 		}
 
 		// A zero baseline that is now positive always regresses.
@@ -145,6 +151,21 @@ func TestCompareReportsAllocs(t *testing.T) {
 		}
 	}
 
+	// ColdGrid's ~2 900 allocations growing by a tenth at the same time
+	// and bytes: inside the 25 % tolerance the allocation metrics once
+	// shared, past the allocs/op slack.
+	grid := func(allocs float64) Benchmark {
+		return Benchmark{Package: "repro", Name: "BenchmarkTuneColdGrid-2", NsPerOp: 7.5e6,
+			Metrics: map[string]float64{"B/op": 1.9e6, "allocs/op": allocs}}
+	}
+	sh, _, _ := compareReports(rep(grid(2889)), rep(grid(3178)), 0.25)
+	if a, _ := dim(sh[0], "allocs/op"); !a.Regressed {
+		t.Errorf("+10%% allocs/op passed the gate: %+v", a)
+	}
+	if b, _ := dim(sh[0], "B/op"); b.Regressed {
+		t.Errorf("flat B/op flagged: %+v", b)
+	}
+
 	// The case the gate could not see before it read B/op: a cold search
 	// whose rows more than double (6.9 -> 14.9 MB/op) at the same time and
 	// the same allocation count.
@@ -152,7 +173,7 @@ func TestCompareReportsAllocs(t *testing.T) {
 		return Benchmark{Package: "repro", Name: "BenchmarkTuneMemoizedCold-2", NsPerOp: 30e6,
 			Metrics: map[string]float64{"B/op": bytes, "allocs/op": 6100}}
 	}
-	sh, _, _ := compareReports(rep(cold(6.9e6)), rep(cold(14.9e6)), 0.25)
+	sh, _, _ = compareReports(rep(cold(6.9e6)), rep(cold(14.9e6)), 0.25)
 	if b, _ := dim(sh[0], "B/op"); !sh[0].Regressed() || !b.Regressed {
 		t.Errorf("doubled B/op at flat ns/op and allocs/op passed the gate: %+v", sh[0])
 	}
