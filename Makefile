@@ -53,9 +53,9 @@ test-noskip: ## the full (non -short) suite, verbose; fails if any test reports 
 test-seam: ## vet + short tests of the nested benchmarks/mistperf module, which `go test ./...` never sees: the one place a break of its seam.go contract shows
 	cd benchmarks/mistperf && $(GO) vet ./... && $(GO) test -short ./...
 
-race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks, and the analyzer's row store's same-row/mixed-row publish races and readers of a stored row (schedule's rows_race_test.go, rows_window_test.go; evalcache's TestConcurrentAccess drives the store through the aliases), two searches sharing one store (TestConcurrentSearchesCountTheirOwnTraffic) and four searches on one tuner (TestConcurrentSearchesOnOneTuner), the analyzer's concurrent first use, the per-platform interference fit's concurrent first use, and a plan-cache entry's concurrent first hits (serve's TestConcurrentFirstHitsRenderOnce: one render, the same bytes for every caller) repeated
+race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks, and the analyzer's row store's same-row/mixed-row publish races and readers of a stored row (schedule's rows_race_test.go, rows_window_test.go, and rows_test.go's TestConcurrentAccess under mixed readers and writers), two searches sharing one store (TestConcurrentSearchesCountTheirOwnTraffic) and four searches on one tuner (TestConcurrentSearchesOnOneTuner), the analyzer's concurrent first use, the per-platform interference fit's concurrent first use, and a plan-cache entry's concurrent first hits (serve's TestConcurrentFirstHitsRenderOnce: one render, the same bytes for every caller) repeated; the cluster tier's seeded fault fence (serve's TestFaultsMasked) runs 8 of its 64 seeds
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestConcurrent' ./internal/schedule ./internal/evalcache ./internal/core ./internal/serve
+	$(GO) test -race -count=10 -run 'TestConcurrent' ./internal/schedule ./internal/core ./internal/serve
 
 fuzz: ## fuzz smoke: HTTP JSON decode paths must 400 cleanly, never panic or 5xx; the interference model's live-set peel must equal the mask sweep bit for bit
 	$(GO) test -fuzz=FuzzTuneRequest -fuzztime=10s ./internal/serve
@@ -79,16 +79,17 @@ slo-smoke: ## 3-node mixed replay scored against the committed SLO spec (budget 
 	$(GO) run ./cmd/mistload -scenario mixed -inproc -nodes 3 -duration 5s -seed 1 -concurrency 4 -slo-config testdata/slo.json
 	$(GO) test -run 'TestSLOKillDrill|TestSLOEndToEnd' -count=1 -v ./internal/serve
 
-property: ## schedule, frontier, compile and trace invariants (every section byte quantity non-increasing in TP, non-decreasing in b), repeated with a pinned quick.Check budget; then, on the full shape grid, the lifted stage programs against the per-shape reference and the compute floor under every priced stable time; then the long generated-cell stream (60 seeded cells tuned and measured: no device OOM, S=1 error in its band, S >= 2 error negative)
+property: ## schedule, frontier, compile and trace invariants (every section byte quantity non-increasing in TP, non-decreasing in b), repeated with a pinned quick.Check budget; then, on the full shape grid, the lifted stage programs against the per-shape reference and the compute floor under every priced stable time; then the long generated-cell stream (60 seeded cells tuned and measured: no device OOM, S=1 error in its band, S >= 2 error negative); then 1 000 seeds of the cluster tier under duplicated and delayed peer requests (every fingerprint on exactly R replicas at version 1, one search each, every acknowledged plan stored)
 	$(GO) test ./internal/schedule ./internal/core ./internal/symbolic ./internal/graph -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
 	$(GO) test ./internal/schedule -run 'TestPropertyLiftedProgramMatchesPerShapeBuild|TestPropertyComputeFloorBoundsStable' -count=1 -reference.full
 	$(GO) test ./internal/experiments -run 'TestGeneratedCells' -count=1 -v -generator.full
+	$(GO) test ./internal/serve -run 'TestFaultsMasked' -count=1 -faults.full
 
 bench: ## cold and warm tuner (BenchmarkTuneMemoizedWarm is the re-tune path: a fresh tuner over a filled shared cache, merging the rows' staircases; BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down; BenchmarkTuneColdGrid is mistperf's 8-cell search-cold grid, each cell a fresh tuner, search and trainsim re-measure), one 405-knob row through the analyzer and through its row store, batch-submit amortization, one node's /metrics and /stats scrape on a 3-node fleet, a repeated /tune served by its owner and through a hop and a repeated plan-less /simulate on the same fleet, tracing overhead, SLO evaluation, one interference region priced with a search's live-channel mix
 	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x .
 	$(GO) test -run xxx -bench 'BenchmarkEvaluateBatch|BenchmarkRow' ./internal/schedule
 	$(GO) test -run xxx -bench 'BenchmarkPredict' -benchmem ./internal/interference
-	$(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=2x ./internal/serve
+	$(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=20x ./internal/serve
 	$(GO) test -run xxx -bench 'BenchmarkScrape|BenchmarkTuneHit' -benchmem ./internal/serve
 	$(GO) test -run xxx -bench 'BenchmarkTraceOverhead' ./internal/trace
 	$(GO) test -run xxx -bench 'BenchmarkSLOEvaluate' -benchtime=2s ./internal/slo
@@ -98,7 +99,7 @@ bench-json: ## run the bench set and record a machine-readable trajectory point 
 	( $(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkEvaluateBatch|BenchmarkRow' -benchmem ./internal/schedule ; \
 	  $(GO) test -run xxx -bench 'BenchmarkPredict' -benchmem ./internal/interference ; \
-	  $(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=2x -benchmem ./internal/serve ; \
+	  $(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=20x -benchmem ./internal/serve ; \
 	  $(GO) test -run xxx -bench 'BenchmarkScrape|BenchmarkTuneHit' -benchmem ./internal/serve ; \
 	  $(GO) test -run xxx -bench 'BenchmarkTraceOverhead' -benchmem ./internal/trace ; \
 	  $(GO) test -run xxx -bench 'BenchmarkSLOEvaluate' -benchtime=2s -benchmem ./internal/slo ; \

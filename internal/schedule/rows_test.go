@@ -1,9 +1,11 @@
-package evalcache
+package schedule
 
-// These tests drive the row store (schedule.Rows) through the aliases
-// benchmarks/mistperf/seam.go names, so they also keep the aliases
-// working; the store's window, allocation and publish-race tests are
-// schedule's own (rows_*_test.go).
+// The row store's contract, driven through NewRows and NewBatch: hits
+// and misses per call, canonical shape keys, rows handed out in place,
+// failed sets stored nowhere, single points priced without a row, and a
+// data-race check under mixed readers and writers. The window,
+// allocation and publish-race tests are rows_window_test.go and
+// rows_race_test.go.
 
 import (
 	"fmt"
@@ -13,51 +15,25 @@ import (
 	"sync/atomic"
 	"testing"
 	"unsafe"
-
-	"repro/internal/hardware"
-	"repro/internal/interference"
-	"repro/internal/model"
-	"repro/internal/opdb"
-	"repro/internal/schedule"
 )
-
-func newTestAnalyzer(t testing.TB) *schedule.Analyzer {
-	t.Helper()
-	nodes, perNode, err := hardware.MeshForGPUs(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := hardware.L4Cluster(nodes, perNode)
-	db := opdb.New(cl.GPU)
-	intf := interference.Fit(interference.PCIeFluid(), 10, rand.New(rand.NewSource(1)))
-	return schedule.NewAnalyzer(model.MustByName("gpt3-2.7b"), 2048, true, cl, db, intf)
-}
-
-func testShape() schedule.StageShape {
-	return schedule.StageShape{
-		B: 2, DP: 2, TP: 2, ZeRO: 0,
-		HasPre: true, HasPost: true,
-		NumStages: 1, StageIdx: 0, GradAccum: 4,
-	}
-}
 
 // evaluateSet prices one set through c and returns its stored row with
 // the call's hit and miss counts.
-func evaluateSet(c *Cache, s schedule.StageShape, set *KnobSet) (row []schedule.Result, hits, misses int, err error) {
-	var sc Scratch
-	rows := []schedule.Row{{}}
-	hits, misses, err = c.EvaluateSets(s, []*KnobSet{set}, rows, &sc)
+func evaluateSet(c *Rows, s StageShape, set *Batch) (row []Result, hits, misses int, err error) {
+	var sc EvalScratch
+	rows := []Row{{}}
+	hits, misses, err = c.EvaluateSets(s, []*Batch{set}, rows, &sc)
 	return rows[0].Results, hits, misses, err
 }
 
 // A set priced twice through one cache is served from its row the second
 // time, with the analyzer's own values.
 func TestCacheHitReturnsIdenticalResult(t *testing.T) {
-	an := newTestAnalyzer(t)
-	c := New(an)
-	shape := testShape()
-	k := schedule.Knobs{Layers: 32, Ckpt: 16, AO: 0.5}
-	set := NewKnobSet([]schedule.Knobs{k})
+	an := rowsAnalyzer(t)
+	c := NewRows(an)
+	shape := rowShape()
+	k := Knobs{Layers: 32, Ckpt: 16, AO: 0.5}
+	set := NewBatch([]Knobs{k})
 
 	r1, hits, misses, err := evaluateSet(c, shape, set)
 	if err != nil {
@@ -90,11 +66,11 @@ func TestCacheHitReturnsIdenticalResult(t *testing.T) {
 // still answers its set whole, and the call allocates what the analyzer's
 // own Evaluate does and nothing more (no set, no row, no counter).
 func TestEvaluateStoresNothing(t *testing.T) {
-	an := newTestAnalyzer(t)
-	c := New(an)
-	shape := testShape()
-	k := schedule.Knobs{Layers: 32, Ckpt: 8, WO: 0.5}
-	set := NewKnobSet([]schedule.Knobs{{Layers: 32}, k})
+	an := rowsAnalyzer(t)
+	c := NewRows(an)
+	shape := rowShape()
+	k := Knobs{Layers: 32, Ckpt: 8, WO: 0.5}
+	set := NewBatch([]Knobs{{Layers: 32}, k})
 	if _, _, _, err := evaluateSet(c, shape, set); err != nil {
 		t.Fatal(err)
 	}
@@ -114,23 +90,23 @@ func TestEvaluateStoresNothing(t *testing.T) {
 	}
 	bare := testing.AllocsPerRun(50, func() { an.Evaluate(shape, k) })
 	if cached := testing.AllocsPerRun(50, func() { c.Evaluate(shape, k) }); cached != bare {
-		t.Errorf("Cache.Evaluate allocated %v times, the analyzer's Evaluate %v", cached, bare)
+		t.Errorf("Rows.Evaluate allocated %v times, the analyzer's Evaluate %v", cached, bare)
 	}
 }
 
 // Canonicalization: shapes built differently but provably equivalent
 // must share one row, and shapes that can price differently must not.
 func TestCanonicalKeyCollapsesEquivalentShapes(t *testing.T) {
-	an := newTestAnalyzer(t)
-	k := schedule.Knobs{Layers: 8, Ckpt: 4, AO: 0.5}
-	set := NewKnobSet([]schedule.Knobs{k})
+	an := rowsAnalyzer(t)
+	k := Knobs{Layers: 8, Ckpt: 4, AO: 0.5}
+	set := NewBatch([]Knobs{k})
 	// sharesRow prices set under a then b through a fresh cache and
 	// reports whether b was served from a's row.
-	sharesRow := func(a, b schedule.StageShape) bool {
+	sharesRow := func(a, b StageShape) bool {
 		t.Helper()
-		c := New(an)
+		c := NewRows(an)
 		var hits, misses int
-		for _, s := range []schedule.StageShape{a, b} {
+		for _, s := range []StageShape{a, b} {
 			_, h, m, err := evaluateSet(c, s, set)
 			if err != nil {
 				t.Fatal(err)
@@ -141,7 +117,7 @@ func TestCanonicalKeyCollapsesEquivalentShapes(t *testing.T) {
 	}
 
 	// ZeRO is a no-op without data parallelism: all levels collapse.
-	noDP := schedule.StageShape{B: 2, DP: 1, TP: 4, NumStages: 1, StageIdx: 0, GradAccum: 4}
+	noDP := StageShape{B: 2, DP: 1, TP: 4, NumStages: 1, StageIdx: 0, GradAccum: 4}
 	for z := 1; z <= 3; z++ {
 		s := noDP
 		s.ZeRO = z
@@ -161,23 +137,23 @@ func TestCanonicalKeyCollapsesEquivalentShapes(t *testing.T) {
 	// and the pipelined flag: stage 1 of 4 with G=2 holds min(2, 3) = 2
 	// in-flight microbatches, same as stage 2 of 4 (min(2, 2) = 2) and as
 	// stage 6 of 8 with G=2.
-	a := schedule.StageShape{B: 2, DP: 1, TP: 2, NumStages: 4, StageIdx: 1, GradAccum: 2}
-	b := schedule.StageShape{B: 2, DP: 1, TP: 2, NumStages: 4, StageIdx: 2, GradAccum: 2}
-	d := schedule.StageShape{B: 2, DP: 1, TP: 2, NumStages: 8, StageIdx: 6, GradAccum: 2}
+	a := StageShape{B: 2, DP: 1, TP: 2, NumStages: 4, StageIdx: 1, GradAccum: 2}
+	b := StageShape{B: 2, DP: 1, TP: 2, NumStages: 4, StageIdx: 2, GradAccum: 2}
+	d := StageShape{B: 2, DP: 1, TP: 2, NumStages: 8, StageIdx: 6, GradAccum: 2}
 	if !sharesRow(a, b) || !sharesRow(a, d) {
 		t.Error("equal in-flight pipelined stages should share a row")
 	}
 	// ... but a single-stage shape (no p2p) must not match a pipelined one.
-	single := schedule.StageShape{B: 2, DP: 1, TP: 2, NumStages: 1, StageIdx: 0, GradAccum: 2}
-	deep := schedule.StageShape{B: 2, DP: 1, TP: 2, NumStages: 2, StageIdx: 1, GradAccum: 1}
+	single := StageShape{B: 2, DP: 1, TP: 2, NumStages: 1, StageIdx: 0, GradAccum: 2}
+	deep := StageShape{B: 2, DP: 1, TP: 2, NumStages: 2, StageIdx: 1, GradAccum: 1}
 	if sharesRow(single, deep) {
 		t.Error("single-stage and pipelined shapes must not collapse")
 	}
 	// Different sets never share a row.
-	c := New(an)
+	c := NewRows(an)
 	k2 := k
 	k2.WO = 0.5
-	for _, s := range []*KnobSet{set, NewKnobSet([]schedule.Knobs{k2})} {
+	for _, s := range []*Batch{set, NewBatch([]Knobs{k2})} {
 		if _, hits, misses, err := evaluateSet(c, a, s); err != nil || hits != 0 || misses != 1 {
 			t.Errorf("different sets shared a row: %d hits / %d misses (%v), want 0 / 1", hits, misses, err)
 		}
@@ -188,10 +164,10 @@ func TestCanonicalKeyCollapsesEquivalentShapes(t *testing.T) {
 // must be bitwise identical to evaluating that shape directly (the
 // canonicalization must be semantics-preserving, not just convenient).
 func TestCanonicalShapesEvaluateIdentically(t *testing.T) {
-	an := newTestAnalyzer(t)
-	k := schedule.Knobs{Layers: 8, Ckpt: 4, OO: 0.5}
-	a := schedule.StageShape{B: 2, DP: 1, TP: 2, NumStages: 4, StageIdx: 1, GradAccum: 2}
-	b := schedule.StageShape{B: 2, DP: 1, TP: 2, NumStages: 4, StageIdx: 2, GradAccum: 2}
+	an := rowsAnalyzer(t)
+	k := Knobs{Layers: 8, Ckpt: 4, OO: 0.5}
+	a := StageShape{B: 2, DP: 1, TP: 2, NumStages: 4, StageIdx: 1, GradAccum: 2}
+	b := StageShape{B: 2, DP: 1, TP: 2, NumStages: 4, StageIdx: 2, GradAccum: 2}
 	ra, err := an.Evaluate(a, k)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +179,7 @@ func TestCanonicalShapesEvaluateIdentically(t *testing.T) {
 	if ra != rb {
 		t.Fatalf("canonically-equal shapes price differently: %+v vs %+v", ra, rb)
 	}
-	zeroA := schedule.StageShape{B: 2, DP: 1, TP: 4, ZeRO: 0, NumStages: 1, GradAccum: 4}
+	zeroA := StageShape{B: 2, DP: 1, TP: 4, ZeRO: 0, NumStages: 1, GradAccum: 4}
 	zeroB := zeroA
 	zeroB.ZeRO = 3
 	r0, err := an.Evaluate(zeroA, k)
@@ -224,28 +200,28 @@ func TestCanonicalShapesEvaluateIdentically(t *testing.T) {
 // time), and a set that merely overlaps an earlier one shares nothing
 // with it.
 func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
-	an := newTestAnalyzer(t)
-	c := New(an)
-	shape := testShape()
+	an := rowsAnalyzer(t)
+	c := NewRows(an)
+	shape := rowShape()
 
-	warm := []schedule.Knobs{
+	warm := []Knobs{
 		{Layers: 32, Ckpt: 0},
 		{Layers: 32, Ckpt: 8},
 	}
-	_, hits, misses, err := evaluateSet(c, shape, NewKnobSet(warm))
+	_, hits, misses, err := evaluateSet(c, shape, NewBatch(warm))
 	if err != nil || misses != 2 {
 		t.Fatalf("warmup priced %d points (%v), want 2", misses, err)
 	}
 
 	// Overlaps the warm set and repeats one of its own entries.
-	mixed := []schedule.Knobs{
+	mixed := []Knobs{
 		{Layers: 32, Ckpt: 0},
 		{Layers: 32, Ckpt: 16},
 		{Layers: 32, Ckpt: 8},
 		{Layers: 32, Ckpt: 16}, // duplicate of entry 1
 		{Layers: 32, Ckpt: 24},
 	}
-	set := NewKnobSet(mixed)
+	set := NewBatch(mixed)
 	for pass, wantPriced := range []int{5, 0} { // first pass prices all 5 entries, second nothing
 		rs, h, m, err := evaluateSet(c, shape, set)
 		if err != nil {
@@ -283,21 +259,21 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 // set. EvaluateSet still copies: its slice is the caller's to write, and
 // writing it never reaches the stored row.
 func TestReturnedRowIsTheStoredRow(t *testing.T) {
-	an := newTestAnalyzer(t)
-	c := New(an)
-	shape := testShape()
-	set := NewKnobSet([]schedule.Knobs{{Layers: 32, Ckpt: 0}, {Layers: 32, Ckpt: 8, AO: 0.5}, {Layers: 32, Ckpt: 32, WO: 1}})
+	an := rowsAnalyzer(t)
+	c := NewRows(an)
+	shape := rowShape()
+	set := NewBatch([]Knobs{{Layers: 32, Ckpt: 0}, {Layers: 32, Ckpt: 8, AO: 0.5}, {Layers: 32, Ckpt: 32, WO: 1}})
 	missed, _, misses, err := evaluateSet(c, shape, set)
 	if err != nil || misses != set.Len() {
 		t.Fatalf("first call: %d misses (%v), want %d", misses, err, set.Len())
 	}
-	var sc Scratch
+	var sc EvalScratch
 	priced, err := an.EvaluateBatchInto(nil, shape, set.Knobs(), &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]schedule.Result{priced}
-	same := func(a, b schedule.Result) bool {
+	want := [][]Result{priced}
+	same := func(a, b Result) bool {
 		return math.Float64bits(a.Stable) == math.Float64bits(b.Stable) &&
 			math.Float64bits(a.Delta) == math.Float64bits(b.Delta) &&
 			math.Float64bits(a.PeakMem) == math.Float64bits(b.PeakMem)
@@ -323,7 +299,7 @@ func TestReturnedRowIsTheStoredRow(t *testing.T) {
 			t.Fatal("EvaluateSet returned the stored row, not a copy")
 		}
 		for i := range copied {
-			copied[i] = schedule.Result{Stable: -1}
+			copied[i] = Result{Stable: -1}
 		}
 		for i := range missed {
 			if !same(missed[i], want[0][i]) {
@@ -336,11 +312,11 @@ func TestReturnedRowIsTheStoredRow(t *testing.T) {
 // A set holding an invalid entry fails as a whole: no row is stored and
 // the call counts nothing, duplicates included.
 func TestErrorRowNeitherStoredNorCounted(t *testing.T) {
-	c := New(newTestAnalyzer(t))
-	good := schedule.Knobs{Layers: 32, Ckpt: 8}
-	bad := NewKnobSet([]schedule.Knobs{good, good, {Layers: 4, Ckpt: 9}})
+	c := NewRows(rowsAnalyzer(t))
+	good := Knobs{Layers: 32, Ckpt: 8}
+	bad := NewBatch([]Knobs{good, good, {Layers: 4, Ckpt: 9}})
 	for i := 0; i < 2; i++ {
-		_, hits, misses, err := evaluateSet(c, testShape(), bad)
+		_, hits, misses, err := evaluateSet(c, rowShape(), bad)
 		if err == nil {
 			t.Fatal("set with an invalid entry accepted")
 		}
@@ -350,7 +326,7 @@ func TestErrorRowNeitherStoredNorCounted(t *testing.T) {
 	}
 	// The same valid entries in a set of their own still price normally,
 	// entry by entry.
-	_, hits, misses, err := evaluateSet(c, testShape(), NewKnobSet([]schedule.Knobs{good, good}))
+	_, hits, misses, err := evaluateSet(c, rowShape(), NewBatch([]Knobs{good, good}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,21 +341,21 @@ func TestErrorRowNeitherStoredNorCounted(t *testing.T) {
 // itself, and its single Evaluate beforehand stored nothing for it to
 // find.
 func TestKnobSetSharedAcrossCaches(t *testing.T) {
-	an := newTestAnalyzer(t)
-	c1, c2 := New(an), New(an)
-	shape := testShape()
-	knobs := []schedule.Knobs{
+	an := rowsAnalyzer(t)
+	c1, c2 := NewRows(an), NewRows(an)
+	shape := rowShape()
+	knobs := []Knobs{
 		{Layers: 32, Ckpt: 0},
 		{Layers: 32, Ckpt: 8},
 	}
-	set := NewKnobSet(knobs)
+	set := NewBatch(knobs)
 	if _, err := c2.Evaluate(shape, knobs[1]); err != nil {
 		t.Fatal(err)
 	}
 
 	type traffic struct{ hits, misses int }
-	seen := map[*Cache]*traffic{c1: {}, c2: {}}
-	check := func(c *Cache, label string) {
+	seen := map[*Rows]*traffic{c1: {}, c2: {}}
+	check := func(c *Rows, label string) {
 		t.Helper()
 		rs, hits, misses, err := evaluateSet(c, shape, set)
 		if err != nil {
@@ -412,16 +388,16 @@ func TestKnobSetSharedAcrossCaches(t *testing.T) {
 }
 
 func TestEvaluateErrorNotCached(t *testing.T) {
-	an := newTestAnalyzer(t)
-	c := New(an)
-	bad := schedule.Knobs{Layers: 4, Ckpt: 9}
-	if _, err := c.Evaluate(testShape(), bad); err == nil {
+	an := rowsAnalyzer(t)
+	c := NewRows(an)
+	bad := Knobs{Layers: 4, Ckpt: 9}
+	if _, err := c.Evaluate(rowShape(), bad); err == nil {
 		t.Fatal("invalid knobs accepted")
 	}
 	if c.Len() != 0 {
 		t.Errorf("error was cached: len %d", c.Len())
 	}
-	if _, _, _, err := evaluateSet(c, testShape(), NewKnobSet([]schedule.Knobs{bad})); err == nil {
+	if _, _, _, err := evaluateSet(c, rowShape(), NewBatch([]Knobs{bad})); err == nil {
 		t.Fatal("invalid set accepted")
 	}
 }
@@ -429,16 +405,16 @@ func TestEvaluateErrorNotCached(t *testing.T) {
 // Concurrent mixed readers/writers over a shared cache; run under
 // `go test -race` this is the data-race check the tuner relies on.
 func TestConcurrentAccess(t *testing.T) {
-	an := newTestAnalyzer(t)
-	c := New(an)
-	shape := testShape()
+	an := rowsAnalyzer(t)
+	c := NewRows(an)
+	shape := rowShape()
 
 	// One shared set per (ckpt, AO) point, paired with a fixed second
 	// entry: the traffic the tuner sends, many goroutines on few sets.
-	var sets [5][3]*KnobSet
+	var sets [5][3]*Batch
 	for ck := range sets {
 		for ao := range sets[ck] {
-			sets[ck][ao] = NewKnobSet([]schedule.Knobs{
+			sets[ck][ao] = NewBatch([]Knobs{
 				{Layers: 32, Ckpt: ck * 8, AO: float64(ao) / 2}, {Layers: 32, Ckpt: 8},
 			})
 		}

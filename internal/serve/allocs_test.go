@@ -50,7 +50,7 @@ func TestCachedTuneHitAllocs(t *testing.T) {
 	}
 	got := allocsPer(t, h, http.MethodPost, "/tune", body, http.StatusOK)
 	t.Logf("bare cached /tune hit: %.0f allocs", got)
-	if got > 30 && !raceEnabled {
+	if got > 30 && !serve.RaceEnabled {
 		t.Errorf("cached /tune hit allocates %.0f per request, want <= 30", got)
 	}
 }
@@ -117,7 +117,7 @@ func TestFleetReadPathAllocs(t *testing.T) {
 	t.Logf("/stats: %.0f allocs", allocsPer(t, local, http.MethodGet, "/stats", nil, http.StatusOK))
 	scrape := allocsPer(t, local, http.MethodGet, "/metrics", nil, http.StatusOK)
 	t.Logf("/metrics: %.0f allocs", scrape)
-	if !raceEnabled {
+	if !serve.RaceEnabled {
 		for _, c := range []struct {
 			what       string
 			got, limit float64

@@ -20,8 +20,9 @@ var protocolPath = regexp.MustCompile(`^((GET|POST|DELETE) )?(/cluster/[a-z]+|/s
 // DESIGN.md "Node-to-node protocol" describes: every request a
 // node sends leaves through one builder, every peer reply is judged by
 // one decoder, every route of the protocol has one client, and the
-// serving layer proposes membership changes and walks a key's route in
-// one function each. A second copy of any of these fails here, not in
+// serving layer proposes membership changes, walks a key's route,
+// offers a record to its replicas and adopts a peer's record in one
+// function each. A second copy of any of these fails here, not in
 // review.
 func TestPeerProtocolHasOneSeam(t *testing.T) {
 	type site struct{ pkg, file, fn string }
@@ -106,6 +107,8 @@ func TestPeerProtocolHasOneSeam(t *testing.T) {
 	allowed("ProposeJoin", site{"serve", "elastic_http.go", "changeMembership"})
 	allowed("ProposeDrain", site{"serve", "elastic_http.go", "changeMembership"})
 	allowed("Route", site{"serve", "cluster_http.go", "walkRoute"})
+	allowed("peerReplicate", site{"serve", "cluster_http.go", "offerRecord"})
+	allowed("Apply", site{"serve", "cluster_http.go", "adoptRecord"}, site{"serve", "cluster_http.go", "handleReplicate"})
 
 	for _, s := range strayPaths {
 		t.Errorf("protocol path outside the route table, serve/peer.go and cluster/view.go: %s", s)

@@ -19,9 +19,11 @@ import (
 
 // This file is the serving layer's half of the sharded tier: the
 // ownership check and proxy path in front of /tune, /simulate, and
-// /jobs, the write-through replication hook, the GET /cluster topology
-// endpoint, node-qualified job ids, and the request identity assigned
-// at ingress and propagated through every hop.
+// /jobs, the record's one way out of a node (offerRecord, which the
+// write-through and the repair pass share) and its one way in from a
+// peer's store (adoptRecord), the GET /cluster topology endpoint,
+// node-qualified job ids, and the request identity assigned at ingress
+// and propagated through every hop.
 
 // Per-peer metric families of the cluster tier.
 const (
@@ -154,62 +156,94 @@ func (s *Server) clusterTune(ctx context.Context, ws WorkloadSpec) (*TuneRespons
 	return s.tuneCtx(ctx, ws)
 }
 
-// replicateRecord is the plan store's OnPut hook: write the record
-// through to the fingerprint's other replicas, synchronously and
-// best-effort — by the time the tune response reaches the client every
-// reachable replica can serve the plan from its own store, which is
-// what makes a node failover lossless. Down peers are skipped (they
-// re-converge by serving store misses as fresh forwards after rejoin).
-func (s *Server) replicateRecord(ctx context.Context, rec store.Record) {
+// offer is one target's answer to a record offer: outcome is "ok",
+// "skipped-down" (not tried), "error" (no answer) or "rejected" (the
+// peer answered, and refused); applied means the peer installed it.
+type offer struct {
+	outcome string
+	applied bool
+	err     error
+}
+
+// offerRecord is the one record offer: rec goes to each target over
+// POST /cluster/replicate, Down peers skipped, and each target's answer
+// comes back in target order. budget 0 leaves the round to ctx; a
+// positive budget restarts per target.
+func (s *Server) offerRecord(ctx context.Context, budget time.Duration, rid string, rec store.Record, targets []cluster.Member) ([]offer, error) {
+	body, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]offer, len(targets))
+	for i, m := range targets {
+		o := &out[i]
+		if o.outcome = "skipped-down"; s.cluster.Health(m.ID) == cluster.Down {
+			continue
+		}
+		var ack replicateAck
+		ack, o.err = s.peerReplicate(ctx, budget, m, rid, body)
+		o.outcome, o.applied = "ok", ack.Applied
+		if errors.As(o.err, new(*cluster.StatusError)) {
+			o.outcome = "rejected"
+		} else if o.err != nil {
+			o.outcome = "error"
+		}
+	}
+	return out, nil
+}
+
+// adoptRecord is the one record adopt: a record read from a peer's
+// store (repair pull, store-miss fetch) is applied, version-gated, only
+// when this node replicates its key. handleReplicate applies without
+// it: the sending peer already chose this node.
+func (s *Server) adoptRecord(rec store.Record) (bool, error) {
+	if _, selfIn := s.cluster.ReplicaTargets(rec.Fingerprint.Key()); !selfIn {
+		return false, nil
+	}
+	return s.store.Apply(rec)
+}
+
+// writeThrough is the tune path's replication step: runTune offers each
+// plan it stored to the fingerprint's other replicas before it replies,
+// so every reachable replica can serve the plan by the time the client
+// has it and a failover loses nothing. Down peers are skipped; repair
+// re-offers the record.
+func (s *Server) writeThrough(ctx context.Context, rec store.Record) {
 	key := rec.Fingerprint.Key()
-	// Ring identity captured BEFORE resolving targets: if a membership
-	// change lands mid-round, the mark below records the OLD ring
-	// (whose replica set we actually wrote to), so the repairer still
-	// re-checks the record under the new one instead of skipping it.
+	// The ring is read before the targets: if a membership change lands
+	// mid-round, the mark below names the old ring, so repair still
+	// re-checks the record under the new one.
 	ring := s.cluster.ViewID()
 	targets, _ := s.cluster.ReplicaTargets(key)
 	if len(targets) == 0 {
 		return
 	}
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	// Replication is synchronous by design (a reachable replica can
-	// serve the plan the moment the client has it), so the whole round
-	// runs on the tune-response path under one budget. The triggering
-	// request's values (trace span, request id) carry over, but its
-	// cancellation does not: a client giving up right after the
-	// response must not strand the fleet under-replicated.
+	// The round runs under one budget and keeps the request's values
+	// (trace span, request id) but not its cancellation: a client leaving
+	// right after the reply must not strand the fleet under-replicated.
 	rid := trace.RequestID(ctx)
 	rctx, rsp := trace.StartSpan(context.WithoutCancel(ctx), "replication")
 	rsp.Annotate("key", key)
 	defer rsp.End()
 	rctx, cancel := context.WithTimeout(rctx, replicationBudget)
 	defer cancel()
+	offers, err := s.offerRecord(rctx, 0, rid, rec, targets)
+	if err != nil {
+		return
+	}
 	allOK := true
-	for _, m := range targets {
-		outcome := "ok"
-		if s.cluster.Health(m.ID) == cluster.Down {
-			outcome = "skipped-down"
-		} else if _, err := s.peerReplicate(rctx, 0, m, rid, body); err != nil {
-			outcome = "error"
-			if errors.As(err, new(*cluster.StatusError)) {
-				outcome = "rejected" // the peer answered, and refused
-			}
-			if s.logging(ctx) {
-				s.log.InfoContext(ctx, "replicate failed", "key", key, "version", rec.Version, "peer", m.ID, "outcome", outcome, "err", err)
-			}
+	for i, o := range offers {
+		peer := targets[i].ID
+		if o.err != nil && s.logging(ctx) {
+			s.log.InfoContext(ctx, "replicate failed", "key", key, "version", rec.Version, "peer", peer, "outcome", o.outcome, "err", o.err)
 		}
-		allOK = allOK && outcome == "ok"
-		s.replications.get(peerOutcome{m.ID, outcome}).Inc()
+		allOK = allOK && o.outcome == "ok"
+		s.replications.get(peerOutcome{peer, o.outcome}).Inc()
 	}
 	rsp.Annotate("targets", len(targets))
 	rsp.Annotate("allOk", allOK)
 	if allOK {
-		// Every replica confirmed the write, so the background repairer
-		// can skip this record until the ring changes again.
-		s.markRepaired(key, ring)
+		s.markRepaired(key, ring) // the repairer skips it until the ring changes
 	}
 }
 

@@ -141,25 +141,15 @@ func (s *Server) broadcastView(ctx context.Context, v cluster.View, extra []clus
 	}
 }
 
-// fetchRecordFromPeers asks the fleet, replicas first, whether any
-// node already holds a record for the fingerprint — the step that keeps
-// the fleet-wide single-flight invariant across membership transitions:
-// a key whose ownership just moved here was tuned by its previous
-// replicas, and a cheap round of peer lookups is orders of magnitude
-// cheaper than re-running the search. A found record is applied to the
-// local store (only when this node replicates the key) so the next hit
-// is local. Misses and unreachable peers fall through to a fresh
-// search.
-//
-// Scope: the key's replica set is always asked. The rest of the
-// membership — and recently departed ex-members, whose handoff may not
-// have completed (a drained node can be a key's only holder) — is
-// swept only while this node's repair pull has not yet caught up with
-// the current ring (epoch + membership fingerprint), which is exactly
-// the window in which a just-moved key's record may still sit at its
-// previous, now-off-set replicas. Once the pull for this ring
-// completed, every record this node should hold is local, so a
-// steady-state cold miss costs R−1 lookups, not N−1.
+// fetchRecordFromPeers asks peers, before a search, whether one already
+// holds the fingerprint's record: a key whose ownership just moved here
+// was tuned by its previous replicas, and a round of lookups is far
+// cheaper than a search, so single-flight survives membership changes.
+// A found record is adopted. The key's replica set is always asked; the
+// rest of the membership and recently departed members (a drained node
+// may be a key's only holder) only while this node's repair pull lags
+// the ring, so a steady-state cold miss costs R−1 lookups, not N−1.
+// Misses and unreachable peers fall through to a search.
 func (s *Server) fetchRecordFromPeers(ctx context.Context, fp store.Fingerprint) (store.Record, bool) {
 	key := fp.Key()
 	body, err := json.Marshal(fetchKeyRequest{Key: key})
@@ -167,7 +157,7 @@ func (s *Server) fetchRecordFromPeers(ctx context.Context, fp store.Fingerprint)
 		return store.Record{}, false
 	}
 	s.count.recordFetches.Inc()
-	ask, selfIn := s.cluster.ReplicaTargets(key)
+	ask, _ := s.cluster.ReplicaTargets(key)
 	if !s.pullCaughtUp(s.cluster.ViewID()) {
 		ask = s.cluster.Others(ask, s.cluster.Members(), s.cluster.DepartedMembers())
 	}
@@ -179,11 +169,9 @@ func (s *Server) fetchRecordFromPeers(ctx context.Context, fp store.Fingerprint)
 		if !ok {
 			continue
 		}
-		if selfIn {
-			// Version-gated and hook-free: an applied fetch never
-			// re-replicates, so the invariant audit still sees one Put.
-			_, _ = s.store.Apply(rec)
-		}
+		// An adopted fetch never re-replicates, so the invariant audit
+		// still sees one Put.
+		_, _ = s.adoptRecord(rec)
 		s.count.recordFetchHits.Inc()
 		if s.logging(ctx) {
 			s.log.InfoContext(ctx, "record fetched from peer, search suppressed",

@@ -1,5 +1,5 @@
 //go:build !race
 
-package serve_test
+package serve
 
-const raceEnabled = false
+const RaceEnabled = false

@@ -1,7 +1,8 @@
 //go:build race
 
-package serve_test
+package serve
 
-// raceEnabled: the race detector defeats sync.Pool reuse, so
-// allocation pins do not hold under it.
-const raceEnabled = true
+// RaceEnabled: the race detector defeats sync.Pool reuse, so
+// allocation pins do not hold under it, and it slows every seed of
+// TestFaultsMasked, so fewer run. Exported for the external tests.
+const RaceEnabled = true

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -10,28 +9,15 @@ import (
 	"repro/internal/trace"
 )
 
-// The rebalancer is the background anti-entropy repairer of the
-// elastic cluster tier. Each pass walks the local plan store and, for
-// every record, repairs toward the CURRENT ring:
-//
-//   - a record this node still replicates is pushed (version-gated
-//     Apply, so pushes are idempotent) to any other replica in its set
-//     — restoring R after a drain of a replica holder or a permanent
-//     node loss that was declared by draining the dead member;
-//   - a record this node no longer replicates is pushed to every node
-//     in its new replica set and, only once every one of them has
-//     acknowledged it, released locally — ownership handoff with no
-//     window in which the fleet holds fewer copies than before;
-//   - after a membership change (and once at startup), the pass first
-//     PULLS every live peer's record listing and applies the subset
-//     this node now replicates, so a joining or restarted-empty node
-//     converges without waiting to be pushed to.
-//
-// Repair moves records, never searches: the fleet-wide "one search per
-// fingerprint" invariant (every record Version==1) survives every
-// join, drain, and kill transition. Steady-state passes are cheap: a
-// record confirmed on all its replicas is remembered per epoch and
-// skipped until the ring changes again.
+// The rebalancer is the elastic tier's background anti-entropy repairer
+// (DESIGN.md "The rebalancer"). Each pass repairs the local store toward
+// the current ring through the one record offer and the one record
+// adopt: it pushes what this node still replicates to the other
+// replicas, hands off what it no longer replicates (released only once
+// the whole new replica set acknowledged it), and after a ring change
+// pulls and adopts what peers hold that it now replicates. Repair moves
+// records and never searches, so every record stays Version 1; a record
+// confirmed on its replicas is skipped until the ring changes.
 
 // RebalanceReport summarizes one repair pass.
 type RebalanceReport struct {
@@ -120,17 +106,13 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 	pass := "rebalance " + newRequestID()
 	ctx = trace.WithRequestID(ctx, pass)
 
-	// Pull phase: after an epoch change (or at first pass — lastPull
-	// starts at -1, which is how a node restarted with an empty store
-	// refills itself), fetch peers' listings and apply what we now
-	// replicate. Peers already pulled under this ring are skipped
-	// (per-peer bookkeeping: one Down-but-undeclared member must not
-	// force re-pulling every healthy peer's full listing on every
-	// pass). Departed ex-members are pulled too, best-effort — a
-	// drained node can be a key's only holder until its handoff runs —
-	// but never block completeness: a graceful drain legitimately ends
-	// with the node shut down. Only a complete round over the current
-	// membership marks the ring pulled.
+	// Pull phase, after a ring change and on the first pass (how a node
+	// restarted empty refills itself): adopt what peers hold that this
+	// node now replicates. A peer pulled under this ring is not pulled
+	// again, so one Down-but-undeclared member does not force re-pulling
+	// every listing. Departed members are pulled best-effort (a drained
+	// node may hold a key's only copy) but never block completeness; only
+	// a complete round over the current membership marks the ring pulled.
 	if !s.pullCaughtUp(ring) {
 		complete := true
 		for _, m := range s.cluster.Others(s.cluster.Members(), s.cluster.DepartedMembers()) {
@@ -155,15 +137,10 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 				continue
 			}
 			for _, rec := range recs {
-				if _, selfIn := s.cluster.ReplicaTargets(rec.Fingerprint.Key()); !selfIn {
-					continue
-				}
-				applied, err := s.store.Apply(rec)
-				if err != nil {
+				switch applied, err := s.adoptRecord(rec); {
+				case err != nil:
 					rep.Errors++
-					continue
-				}
-				if applied {
+				case applied:
 					rep.Pulled++
 				}
 			}
@@ -189,29 +166,26 @@ func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 				continue // confirmed on all replicas under this ring already
 			}
 		}
-		body, err := json.Marshal(rec)
+		offers, err := s.offerRecord(ctx, repairBudget, "", rec, targets)
 		if err != nil {
 			rep.Errors++
 			continue
 		}
 		allOK := true
-		for _, m := range targets {
-			if s.cluster.Health(m.ID) == cluster.Down {
-				allOK = false
+		for i, o := range offers {
+			switch {
+			case o.outcome == "skipped-down":
 				rep.SkippedDown++
-				continue
-			}
-			ack, err := s.peerReplicate(ctx, repairBudget, m, "", body)
-			if err != nil {
-				allOK = false
+			case o.err != nil:
 				rep.Errors++
-				s.log.InfoContext(ctx, "pushing record failed", "key", key, "version", rec.Version, "peer", m.ID, "err", err)
-				continue
+				s.log.InfoContext(ctx, "pushing record failed", "key", key, "version", rec.Version, "peer", targets[i].ID, "err", o.err)
+			default:
+				rep.Pushed++
+				if o.applied {
+					rep.Applied++
+				}
 			}
-			rep.Pushed++
-			if ack.Applied {
-				rep.Applied++
-			}
+			allOK = allOK && o.outcome == "ok"
 		}
 		if !allOK {
 			continue

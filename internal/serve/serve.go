@@ -593,11 +593,6 @@ func New(opts ...Option) *Server {
 	s.registerRuntimeGauges()
 	s.registerBuildInfoGauge()
 	s.initSLO()
-	if s.store != nil && s.cluster != nil {
-		// Write-through replication: every locally tuned plan lands on
-		// the fingerprint's other replicas before the response returns.
-		s.store.SetOnPut(s.replicateRecord)
-	}
 	if s.cluster != nil {
 		// Every adopted membership change immediately kicks a repair
 		// pass (the background loop must be started for it to run).
@@ -904,17 +899,21 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec) (*TuneResponse, e
 		WarmAbortedPairs: res.WarmAbortedPairs,
 	}
 	if s.store != nil {
-		// Best-effort write-through: a full disk must not fail the
-		// request — the plan is still correct and cached in memory. The
-		// request context rides into the OnPut replication hook so the
-		// replication round joins this request's trace.
-		if rec, err := s.store.PutCtx(ctx, store.Record{
+		// Best-effort persistence: a full disk must not fail the request
+		// — the plan is still correct and cached in memory. A stored plan
+		// lands on the fingerprint's other replicas before the reply, so
+		// a node failover right after it loses nothing; the round joins
+		// this request's trace.
+		if rec, err := s.store.Put(store.Record{
 			Fingerprint:    fp,
 			Plan:           res.Plan,
 			Predicted:      res.Predicted,
 			PredThroughput: res.PredThroughput,
 		}); err == nil {
 			resp.StoreVersion = rec.Version
+			if s.cluster != nil {
+				s.writeThrough(ctx, rec)
+			}
 		}
 	}
 	return resp, nil

@@ -1,40 +1,11 @@
 package store
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// The write-through hook fires once per Put, outside the lock, with the
-// record as stored — and never for Apply (replica writes must not
-// cascade).
-func TestOnPutHookFiresForPutNotApply(t *testing.T) {
-	s := InMemory()
-	var seen []Record
-	s.SetOnPut(func(_ context.Context, rec Record) {
-		// Re-entrancy: the hook must be able to read the store (the
-		// cluster tier computes replica targets while holding nothing).
-		_ = s.Len()
-		seen = append(seen, rec)
-	})
-	f := fp("gpt3-2.7b", 4, 32)
-	if _, err := s.Put(Record{Fingerprint: f, Plan: tinyPlan(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 || seen[0].Version != 1 {
-		t.Fatalf("hook saw %+v, want one v1 record", seen)
-	}
-	applied, err := s.Apply(Record{Fingerprint: fp("llama-7b", 4, 32), Plan: tinyPlan(1), Version: 3})
-	if err != nil || !applied {
-		t.Fatalf("apply: %v applied=%v", err, applied)
-	}
-	if len(seen) != 1 {
-		t.Fatalf("hook fired for Apply: %+v", seen)
-	}
-}
 
 // Apply preserves the incoming version and only moves forward: stale
 // and equal versions are no-ops, newer ones replace.

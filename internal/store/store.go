@@ -13,7 +13,6 @@
 package store
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -99,13 +98,6 @@ type Store struct {
 
 	mu   sync.RWMutex
 	recs map[string]Record
-
-	// onPut, when set, observes every locally originated write (Put) —
-	// the cluster tier hangs its write-through replication here. The
-	// context is the writer's (PutCtx), carrying request identity and
-	// trace spans into replication; it is deliberately NOT fired by
-	// Apply, so replicated records never re-replicate.
-	onPut func(context.Context, Record)
 
 	// LoadSkipped counts directory entries that existed but could not be
 	// decoded as records at Open time (corrupt or foreign files); they
@@ -233,63 +225,20 @@ func (s *Store) Delete(f Fingerprint) error {
 	return nil
 }
 
-// SetOnPut installs the write-through hook, called (outside the store
-// lock) after every successful Put with the writer's context and the
-// record as stored. Install before serving traffic; one hook at a time.
-func (s *Store) SetOnPut(fn func(context.Context, Record)) {
-	s.mu.Lock()
-	s.onPut = fn
-	s.mu.Unlock()
-}
-
-// Put indexes a record without caller context — hook observers see a
-// background context. Prefer PutCtx on request paths so request
-// identity and trace spans reach the hook.
-func (s *Store) Put(rec Record) (Record, error) {
-	return s.PutCtx(context.Background(), rec)
-}
-
-// PutCtx indexes (and, when directory-backed, durably writes) a record,
+// Put indexes (and, when directory-backed, durably writes) a record,
 // bumping the fingerprint's version. The caller's Version/UpdatedAt are
 // overwritten; the record as stored (version assigned) is returned.
-// ctx is not a cancellation point for the write itself (a plan already
-// computed is always worth persisting); it only flows to the onPut hook.
-func (s *Store) PutCtx(ctx context.Context, rec Record) (Record, error) {
+func (s *Store) Put(rec Record) (Record, error) {
 	if rec.Plan == nil {
 		return Record{}, fmt.Errorf("store: refusing to store a nil plan for %s", rec.Fingerprint.Key())
 	}
-	rec.Fingerprint = rec.Fingerprint.canonical()
-	key := rec.Fingerprint.Key()
-
-	//mistlint:ignore lockio wmu is the writer-serialization lock; it exists to order disk commits and never blocks readers
-	s.wmu.Lock()
-	s.mu.RLock()
-	rec.Version = s.recs[key].Version + 1
-	hook := s.onPut
-	s.mu.RUnlock()
-	rec.UpdatedAt = time.Now().UTC()
-	if s.dir != "" {
-		if err := s.writeDoc(key, rec); err != nil {
-			s.wmu.Unlock()
-			return Record{}, err
-		}
-	}
-	s.mu.Lock()
-	s.recs[key] = rec
-	s.mu.Unlock()
-	s.wmu.Unlock()
-	// The hook runs outside both locks: replication does network work
-	// and must not serialize against concurrent reads and writes.
-	if hook != nil {
-		hook(ctx, rec)
-	}
-	return rec, nil
+	rec, _, err := s.commit(rec, true)
+	return rec, err
 }
 
 // Apply installs a record replicated from a peer, preserving the
 // incoming Version: the write happens only when the incoming version is
-// newer than the local one (false, nil otherwise), and the onPut hook
-// does not fire — replica writes never cascade.
+// newer than the local one (false, nil otherwise).
 func (s *Store) Apply(rec Record) (bool, error) {
 	if rec.Plan == nil {
 		return false, fmt.Errorf("store: refusing to apply a nil plan for %s", rec.Fingerprint.Key())
@@ -297,6 +246,16 @@ func (s *Store) Apply(rec Record) (bool, error) {
 	if rec.Version < 1 {
 		return false, fmt.Errorf("store: refusing to apply unversioned record for %s", rec.Fingerprint.Key())
 	}
+	_, applied, err := s.commit(rec, false)
+	return applied, err
+}
+
+// commit is the one write: under wmu it reads the fingerprint's current
+// version, then either mints the next one and stamps UpdatedAt (mint,
+// a local Put) or keeps the record's own and writes only forward (an
+// Apply; false when the store already holds that version or a newer
+// one), writes the document when directory-backed, and installs it.
+func (s *Store) commit(rec Record, mint bool) (Record, bool, error) {
 	rec.Fingerprint = rec.Fingerprint.canonical()
 	key := rec.Fingerprint.Key()
 
@@ -304,20 +263,22 @@ func (s *Store) Apply(rec Record) (bool, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.mu.RLock()
-	cur, ok := s.recs[key]
+	cur := s.recs[key].Version
 	s.mu.RUnlock()
-	if ok && cur.Version >= rec.Version {
-		return false, nil
+	if mint {
+		rec.Version, rec.UpdatedAt = cur+1, time.Now().UTC()
+	} else if cur >= rec.Version {
+		return Record{}, false, nil
 	}
 	if s.dir != "" {
 		if err := s.writeDoc(key, rec); err != nil {
-			return false, err
+			return Record{}, false, err
 		}
 	}
 	s.mu.Lock()
 	s.recs[key] = rec
 	s.mu.Unlock()
-	return true, nil
+	return rec, true, nil
 }
 
 // writeDoc persists one record atomically: marshal to a temp file in

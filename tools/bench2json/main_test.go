@@ -180,6 +180,18 @@ func TestCompareReportsAllocs(t *testing.T) {
 	if a, _ := dim(sh[0], "allocs/op"); a.Regressed {
 		t.Errorf("flat allocs/op flagged: %+v", a)
 	}
+
+	// The spread two-iteration BatchSubmit runs showed between runs of one
+	// commit (warm-store 33.8 -> 38.1 KB, +12.6 %) passed the old 15 %
+	// B/op slack; the 10 % slack, set from twenty-iteration runs, flags it.
+	warm := func(bytes float64) Benchmark {
+		return Benchmark{Package: "repro/internal/serve", Name: "BenchmarkBatchSubmit/warm-store-2", NsPerOp: 3e5,
+			Metrics: map[string]float64{"B/op": bytes, "allocs/op": 424}}
+	}
+	sh, _, _ = compareReports(rep(warm(33.8e3)), rep(warm(38.1e3)), 0.25)
+	if b, _ := dim(sh[0], "B/op"); !b.Regressed {
+		t.Errorf("+12.6%% B/op passed the gate: %+v", b)
+	}
 }
 
 // The deterministic counts are gated at equality: any change, a drop
