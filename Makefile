@@ -85,7 +85,7 @@ property: ## schedule, frontier, compile and trace invariants (every section byt
 	$(GO) test ./internal/experiments -run 'TestGeneratedCells' -count=1 -v -generator.full
 	$(GO) test ./internal/serve -run 'TestFaultsMasked' -count=1 -faults.full
 
-bench: ## cold and warm tuner (BenchmarkTuneMemoizedWarm is the re-tune path: a fresh tuner over a filled shared cache, merging the rows' staircases; BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down; BenchmarkTuneColdGrid is mistperf's 8-cell search-cold grid, each cell a fresh tuner, search and trainsim re-measure), one 405-knob row through the analyzer and through its row store, batch-submit amortization, one node's /metrics and /stats scrape on a 3-node fleet, a repeated /tune served by its owner and through a hop and a repeated plan-less /simulate on the same fleet, tracing overhead, SLO evaluation, one interference region priced with a search's live-channel mix
+bench: ## cold and warm tuner (BenchmarkTuneMemoizedWarm is the re-tune path: a fresh tuner over a filled shared cache, merging the stored staircases; BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down; BenchmarkTuneColdGrid is mistperf's 8-cell search-cold grid, each cell a fresh tuner, search and trainsim re-measure), one 405-knob set priced by the analyzer and through its row store (which keeps only the set's staircase steps), batch-submit amortization, one node's /metrics and /stats scrape on a 3-node fleet, a repeated /tune served by its owner and through a hop and a repeated plan-less /simulate on the same fleet, tracing overhead, SLO evaluation, one interference region priced with a search's live-channel mix
 	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x .
 	$(GO) test -run xxx -bench 'BenchmarkEvaluateBatch|BenchmarkRow' ./internal/schedule
 	$(GO) test -run xxx -bench 'BenchmarkPredict' -benchmem ./internal/interference

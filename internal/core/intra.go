@@ -29,9 +29,9 @@ type candidate struct {
 
 // point is a frontier step as the sweep holds it: the two priced values
 // plus the positions of its shape in the sweep's shape list and of its
-// knobs in its layer count's knob set. A sweep reads thousands of priced
-// entries per layer count in place and keeps a few dozen steps; only the
-// steps become points, and only the sampled ones candidates
+// knobs in its layer count's knob set. A sweep reads the stored rows'
+// steps per layer count in place and keeps a few dozen of them; only
+// those become points, and only the sampled ones candidates
 // (sweepScratch.candidate).
 type point struct {
 	T, D        float64
@@ -55,6 +55,7 @@ type sweepScratch struct {
 	outs   []shapeOut
 	stair  []point
 	picks  []point
+	whole  []schedule.Result // tuneUniform's full pricing of one shape's set
 }
 
 var sweepScratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
@@ -68,8 +69,8 @@ func (sc *sweepScratch) release() {
 	sweepScratchPool.Put(sc)
 }
 
-// row is shape si's row for layer count li: the priced entries in knob
-// order, feasible or not, and their staircase.
+// row is shape si's row for layer count li: its staircase, as positions
+// in the layer count's knob set, and the priced entries at them.
 func (sc *sweepScratch) row(si, li int) schedule.Row {
 	return sc.rows[si*len(sc.sets)+li]
 }
@@ -102,10 +103,10 @@ type shapeOut struct {
 //
 // The priced rows are left in sc (row(si, li) for shapes[si] and
 // layers[li]) and are only valid until the next intraStage call on the
-// same scratch; feasibility is decided where they are read. The returned
-// counts are exact — the hits plus misses of every shape whose window
-// priced, including shapes that completed after another shape failed. A
-// canceled ctx stops the sweep between shapes.
+// same scratch; a row holds only steps that fit the plan budget. The
+// returned counts are exact — the hits plus misses of every shape whose
+// window priced, including shapes that completed after another shape
+// failed. A canceled ctx stops the sweep between shapes.
 func (t *Tuner) intraStage(ctx context.Context, s, g, stageIdx, devPerStage int, layers []int, sc *sweepScratch) (counts, error) {
 	sets := sc.sets[:0]
 	for _, l := range layers {
@@ -266,13 +267,13 @@ func paretoSample(sc *sweepScratch, li, g, k int) []point {
 }
 
 // paretoFrontier keeps the non-dominated points among layer count li's
-// feasible candidates: the entries of its rows, read in enumeration order
-// (shape-major, knob-minor), that fit the analyzer's plan budget. c
-// dominates c' when c.T <= c'.T and c.D <= c'.D with at least one strict,
-// and of exact (T, D) duplicates the first in that order wins — the
-// frontier is the set of minima under the total order (T, D, position),
-// returned by ascending T. The returned slice is backed by sc and valid
-// until its next use.
+// feasible candidates: the entries its rows were priced over, in
+// enumeration order (shape-major, knob-minor), that fit the analyzer's
+// plan budget. c dominates c' when c.T <= c'.T and c.D <= c'.D with at
+// least one strict, and of exact (T, D) duplicates the first in that
+// order wins — the frontier is the set of minima under the total order
+// (T, D, position), returned by ascending T. The returned slice is backed
+// by sc and valid until its next use.
 func paretoFrontier(sc *sweepScratch, li int) []point {
 	// The frontier is a staircase, T strictly ascending and D strictly
 	// descending. It is merged from the rows' own staircases
@@ -286,9 +287,8 @@ func paretoFrontier(sc *sweepScratch, li int) []point {
 	stair := sc.stair[:0]
 	for si := range sc.shapes {
 		row := sc.row(si, li)
-		for _, j := range row.Stair {
-			r := &row.Results[j]
-			t, d := r.Stable, r.Delta
+		for k, j := range row.Stair {
+			t, d := row.Steps[k].Stable, row.Steps[k].Delta
 			lo, hi := 0, len(stair)
 			for lo < hi { // hi = first step with T > t
 				if mid := int(uint(lo+hi) >> 1); stair[mid].T > t {

@@ -87,18 +87,17 @@ func randSegments(rng *rand.Rand, cands []point) [][]point {
 }
 
 // layOut makes sc hold segments as intraStage leaves a window of one
-// layer count: segment i is shape i's row, with the staircase the cache
-// publishes with it (schedule.AppendStaircase under a budget of 1), and
-// an entry fits the budget unless over (nil: never) says otherwise. It
-// returns the entries that fit, in enumeration order, as the points the
-// staircase makes of them: shape and knob are the entry's row and
-// position.
-func layOut(sc *sweepScratch, segs [][]point, over func() bool) []point {
+// layer count: segment i is shape i's full pricing, of which sc holds
+// what the cache publishes, the staircase (schedule.AppendStaircase under
+// a budget of 1) and the results at it; an entry fits the budget unless
+// over (nil: never) says otherwise. It returns the entries that fit, in
+// enumeration order, as the points the staircase makes of them (shape
+// and knob are the entry's row and position), and the full pricings.
+func layOut(sc *sweepScratch, segs [][]point, over func() bool) (fits []point, full [][]schedule.Result) {
 	const budget = 1
 	sc.shapes = make([]schedule.StageShape, len(segs))
 	sc.sets = []*schedule.Batch{nil}
 	sc.rows = sc.rows[:0]
-	var fits []point
 	for si, seg := range segs {
 		row := make([]schedule.Result, len(seg))
 		for j, p := range seg {
@@ -109,18 +108,23 @@ func layOut(sc *sweepScratch, segs [][]point, over func() bool) []point {
 			}
 			fits = append(fits, point{T: p.T, D: p.D, shape: int32(si), knob: int32(j)})
 		}
-		sc.rows = append(sc.rows, schedule.Row{Results: row, Stair: schedule.AppendStaircase(nil, row, budget)})
+		stair := schedule.AppendStaircase(nil, row, budget)
+		steps := make([]schedule.Result, len(stair))
+		for k, j := range stair {
+			steps[k] = row[j]
+		}
+		sc.rows = append(sc.rows, schedule.Row{Stair: stair, Steps: steps})
+		full = append(full, row)
 	}
-	return fits
+	return fits, full
 }
 
 // wholeRowFrontier is paretoFrontier as it was before rows carried their
-// staircases: every entry of every row, in enumeration order, through the
-// same staircase insertion, the budget checked per entry.
-func wholeRowFrontier(sc *sweepScratch, li int, budget float64) []point {
+// staircases: every entry of every full row, in enumeration order,
+// through the same staircase insertion, the budget checked per entry.
+func wholeRowFrontier(rows [][]schedule.Result, budget float64) []point {
 	var stair []point
-	for si := range sc.shapes {
-		row := sc.row(si, li).Results
+	for si, row := range rows {
 		for j := range row {
 			r := &row[j]
 			if !r.Fits(budget) {
@@ -157,7 +161,7 @@ func TestPropertyParetoStaircaseMatchesSortedSweep(t *testing.T) {
 	sc := &sweepScratch{} // reused, as tuneSG reuses one per (S, G) pair
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		fits := layOut(sc, randSegments(rng, randCandidates(rng)), func() bool { return rng.Intn(5) == 0 })
+		fits, _ := layOut(sc, randSegments(rng, randCandidates(rng)), func() bool { return rng.Intn(5) == 0 })
 		return slices.Equal(paretoFrontier(sc, 0), sortedSweepFrontier(fits))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -182,8 +186,8 @@ func TestPropertyStaircaseMergeMatchesWholeRows(t *testing.T) {
 		for k := rng.Intn(3); k > 0 && len(segs) > 0; k-- {
 			segs = append(segs, slices.Clone(segs[rng.Intn(len(segs))]))
 		}
-		layOut(sc, segs, func() bool { return rng.Intn(4) == 0 })
-		return slices.Equal(paretoFrontier(sc, 0), wholeRowFrontier(sc, 0, 1))
+		_, full := layOut(sc, segs, func() bool { return rng.Intn(4) == 0 })
+		return slices.Equal(paretoFrontier(sc, 0), wholeRowFrontier(full, 1))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -572,11 +572,21 @@ func (t *Tuner) tuneUniform(ctx context.Context, s, g, devPer int) (*interSoluti
 	if err != nil {
 		return nil, n, err
 	}
+	// The rows keep only their steps, and the heuristic needs every entry
+	// of stage 0 that fits, so each shape's set is priced once more here,
+	// whole; those results are stage 0's replicas, and the other stages
+	// are priced one candidate at a time.
 	knobs := sc.sets[0].Knobs()
 	budget := t.An.PlanBudget()
+	es := evalScratchPool.Get().(*schedule.EvalScratch)
+	defer evalScratchPool.Put(es)
 	perf := make([]pipeline.StagePerf, 0, s) // reused: only sel outlives an iteration
-	for si, shape0 := range sc.shapes {
-		row := sc.row(si, 0).Results
+	for _, shape0 := range sc.shapes {
+		row, err := t.An.EvaluateBatchInto(sc.whole, shape0, knobs, es)
+		if err != nil {
+			return nil, n, err
+		}
+		sc.whole = row
 		for j := range row {
 			if !row[j].Fits(budget) {
 				continue
@@ -590,7 +600,11 @@ func (t *Tuner) tuneUniform(ctx context.Context, s, g, devPer int) (*interSoluti
 				shape.HasPre = i == 0
 				shape.HasPost = i == s-1
 				shape.StageIdx = i
-				r, err := pr.Evaluate(shape, knobs[j])
+				r := row[j] // stage 0's replica is shape0, priced above
+				var err error
+				if i > 0 {
+					r, err = pr.Evaluate(shape, knobs[j])
+				}
 				n.evaluated++ // the attempt was made whether or not it priced
 				if err != nil {
 					break

@@ -425,7 +425,10 @@ func TestIntraStageWorkersFollowGOMAXPROCS(t *testing.T) {
 
 // TestTuneUniformCountsFailedEvaluations pins the companion fix in the
 // uniform-heuristic baseline: a single-point Evaluate that errors is
-// still an attempt the evaluator made, so it must be counted.
+// still an attempt the evaluator made, so it must be counted. At S = 2
+// each fitting entry of stage 0 makes two attempts: its stage-0 replica,
+// which is the stage's whole-set pricing and succeeds, and its stage-1
+// replica, one failing Evaluate.
 func TestTuneUniformCountsFailedEvaluations(t *testing.T) {
 	w := testWorkload("gpt3-1.3b", 8)
 	nodes, perNode, err := hardware.MeshForGPUs(2)
@@ -446,10 +449,10 @@ func TestTuneUniformCountsFailedEvaluations(t *testing.T) {
 	if fl.attempts.Load() == 0 {
 		t.Fatal("no single-point evaluations attempted; the test exercised nothing")
 	}
-	want := fl.points.Load() + fl.attempts.Load()
+	want := fl.points.Load() + 2*fl.attempts.Load()
 	if int64(n.evaluated) != want {
-		t.Errorf("tuneUniform reported %d evaluations, want %d (%d batch points + %d failed attempts)",
-			n.evaluated, want, fl.points.Load(), fl.attempts.Load())
+		t.Errorf("tuneUniform reported %d evaluations, want %d (%d batch points + %d stage-0 replicas + %d failed attempts)",
+			n.evaluated, want, fl.points.Load(), fl.attempts.Load(), fl.attempts.Load())
 	}
 }
 
@@ -910,11 +913,12 @@ func TestTunersOfOneAnalyzerShareItsKnobGrids(t *testing.T) {
 }
 
 // A uniform-heuristic search prices each stage replica as a single
-// candidate, and the cache stores none of them: what the search leaves in
-// its cache is its grid rows, 56 538 points at about 24.5 bytes each with
-// the row map's share (1.4 MB) — not a row, a set and a map slot for each
-// of its 82 587 replicas too (125 B a held point, 17.3 MB, while they were
-// kept).
+// candidate (stage 0's from its shape's whole-set pricing), and the cache
+// stores none of them: what the search leaves in its cache is its grid
+// rows' staircases, under 1 byte per held point of its 56 538 (24.5 B
+// while a row kept every priced entry) — not a row, a set and a map slot
+// for each of its 82 587 replicas too (125 B a held point, 17.3 MB, while
+// they were kept).
 func TestUniformSearchCacheHoldsOnlyGridRows(t *testing.T) {
 	w, cl := testWorkload("gpt3-7b", 128), l4(t, 16)
 	warm, err := New(w, cl, UniformHeuristicSpace())

@@ -8,25 +8,26 @@ package schedule
 // rows kept for the analyzer's lifetime turn that repetition into
 // lookups.
 //
-// A row is the results of one canonical stage shape under one whole knob
-// Batch, in batch order, immutable once published and handed out by
-// reference: the sweep reads the stored rows in place. A stage's layer
-// window is priced at once (Rows.EvaluateSets), but rows are keyed per
-// batch, not per window: under heterogeneous device assignment one
-// canonical shape meets overlapping windows, and only per-batch rows serve
-// the layer counts they share. Keys are (canonical shape, *Batch):
-// StageShape.Canonical collapses shapes that provably evaluate
-// identically, and a batch is identified by its pointer. The tuner's
-// batches are the analyzer's knob grids (KnobGrid), so the pointer is the
-// content; a batch a caller builds itself (NewBatch) hits only through
-// that same pointer.
+// A row is what the search reads of one canonical stage shape under one
+// whole knob Batch: its staircase (AppendStaircase), the positions of
+// the entries that fit the analyzer's plan budget and are (T, D)-minimal,
+// and the results at them. The stage's (t, d) frontier is all the
+// inter-stage step takes from a row (§5.3), and a full row is about
+// eighty times its steps, so a missed set is priced into the caller's
+// EvalScratch and only its steps are kept. The budget is one number per
+// analyzer (PlanBudget), so the staircase is a function of the set
+// alone. Rows are immutable once published and handed out by reference:
+// the sweep reads the stored steps in place.
 //
-// A row carries its staircase, computed once before it is published: the
-// positions of the entries that fit the analyzer's plan budget and are
-// (T, D)-minimal (AppendStaircase). The budget is one number per analyzer
-// (PlanBudget), so the staircase is a function of the row alone, and a
-// re-tune merges a few dozen steps per row instead of walking every entry
-// of it.
+// A stage's layer window is priced at once (Rows.EvaluateSets), but rows
+// are keyed per batch, not per window: under heterogeneous device
+// assignment one canonical shape meets overlapping windows, and only
+// per-batch rows serve the layer counts they share. Keys are (canonical
+// shape, *Batch): StageShape.Canonical collapses shapes that provably
+// evaluate identically, and a batch is identified by its pointer. The
+// tuner's batches are the analyzer's knob grids (KnobGrid), so the
+// pointer is the content; a batch a caller builds itself (NewBatch) hits
+// only through that same pointer.
 //
 // One sync.RWMutex guards the store; lock traffic is per window, so the
 // tuner's nested (S, G) × intra-stage fan-out does not serialize on it.
@@ -40,13 +41,14 @@ import (
 	"sync"
 )
 
-// Row is one stored row: the results of one canonical shape under one
-// knob set, in set order, feasible or not, and its staircase (see
-// AppendStaircase) as positions in Results. Both are shared with every
-// other caller and must not be written.
+// Row is one stored row: the staircase (see AppendStaircase) of one
+// canonical shape under one knob set, as positions in the set, and the
+// results at them, Steps[k] at Stair[k]. Both are shared with every other
+// caller and must not be written; a published row's slices are never
+// nil, empty staircase or not.
 type Row struct {
-	Results []Result
-	Stair   []uint16
+	Stair []uint16
+	Steps []Result
 }
 
 // maxRowLen is the longest set a row can hold: staircase positions are
@@ -141,7 +143,7 @@ type Rows struct {
 
 	mu   sync.RWMutex
 	rows map[rowKey]Row // immutable once published
-	held int            // results across all rows
+	held int            // priced points across all rows: each row's set.Len()
 }
 
 // NewRows builds an empty store over an analyzer. Every search prices
@@ -156,7 +158,9 @@ func NewRows(an *Analyzer) *Rows {
 // they live exactly as long as the analyzer.
 func (a *Analyzer) Rows() *Rows { return a.rows }
 
-// Len reports the number of results held, a point once per row it is in.
+// Len reports the number of points the stored rows were priced over, a
+// point once per row it is in: a row counts its whole set, though it
+// keeps only the steps.
 func (r *Rows) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -171,31 +175,44 @@ func (r *Rows) Evaluate(shape StageShape, k Knobs) (Result, error) {
 	return r.an.Evaluate(shape, k)
 }
 
-// EvaluateSet is EvaluateSets over a list of one, with the row's results
-// copied into dst (reused when its capacity suffices): the returned slice
-// is the caller's to write.
+// EvaluateSet is EvaluateSets over a list of one that returns the set's
+// full results, priced on this call, in dst (reused when its capacity
+// suffices): the returned slice is the caller's to write. A miss copies
+// the pricing that published the row, a hit prices the set again (the
+// row keeps only its steps), so either way the set is priced once.
 func (r *Rows) EvaluateSet(shape StageShape, set *Batch, dst []Result, sc *EvalScratch) ([]Result, error) {
 	sets, rows := [1]*Batch{set}, [1]Row{}
-	if _, _, err := r.EvaluateSets(shape, sets[:], rows[:], sc); err != nil {
+	_, misses, err := r.EvaluateSets(shape, sets[:], rows[:], sc)
+	if err != nil {
 		return nil, err
 	}
-	return append(dst[:0], rows[0].Results...), nil
+	if misses > 0 {
+		return append(dst[:0], sc.fresh[0]...), nil
+	}
+	dsts := [1][]Result{dst}
+	if err := r.an.evaluateSets(shape, sets[:], dsts[:], sc); err != nil {
+		return nil, err
+	}
+	return dsts[0], nil
 }
 
 // EvaluateSets sets out[i] to the stored row of sets[i] under shape
 // (len(out) == len(sets)) and reports how many of the points were hits
-// and how many misses. The rows are shared with every other caller and
-// must not be written. One lock hold probes the rows of all the sets; the
-// missed sets — only those — go to the analyzer in one call, which shares
-// work across them, and their fresh rows get their staircases, in one
-// slab for the call, and are published before they are returned. Rows
-// stay keyed per (canonical shape, set): a set hits wherever it was first
-// priced, whatever list it came in then. sc's buffers persist across
-// calls. This is the tuner's hot path: an all-hit call allocates nothing,
-// a miss allocates the rows it publishes and their slab. Two callers
-// missing one row both price it and both count misses; the first to
-// publish wins, and both get its row. The counts are returned once the
-// whole call has succeeded; on an error out is undefined.
+// and how many misses: a row counts its set's length either way. The
+// rows are shared with every other caller and must not be written. One
+// lock hold probes the rows of all the sets; the missed sets — only
+// those — go to the analyzer in one call, which shares work across them
+// and prices into sc (sc.fresh[k] holds the k-th missed set's results
+// until sc's next use). Their staircases are taken there, and the
+// positions and the results at them are copied out, each into one slab
+// for the call, and published before they are returned. Rows stay keyed
+// per (canonical shape, set): a set hits wherever it was first priced,
+// whatever list it came in then. sc's buffers persist across calls. This
+// is the tuner's hot path: an all-hit call allocates nothing, a miss
+// allocates its two slabs. Two callers missing one row both price it and
+// both count misses; the first to publish wins, and both get its row.
+// The counts are returned once the whole call has succeeded; on an error
+// out is undefined.
 func (r *Rows) EvaluateSets(shape StageShape, sets []*Batch, out []Row, sc *EvalScratch) (hits, misses int, err error) {
 	key, ok := keyOf(shape)
 	if !ok {
@@ -206,10 +223,11 @@ func (r *Rows) EvaluateSets(shape StageShape, sets []*Batch, out []Row, sc *Eval
 	for i, set := range sets {
 		key.set = set
 		out[i] = r.rows[key] // zero while missing
-		if out[i].Results == nil {
+		if out[i].Steps == nil {
 			nMissed++
+		} else {
+			hits += set.Len()
 		}
-		hits += len(out[i].Results)
 	}
 	r.mu.RUnlock()
 	if nMissed == 0 {
@@ -218,18 +236,20 @@ func (r *Rows) EvaluateSets(shape StageShape, sets []*Batch, out []Row, sc *Eval
 
 	// A window is at most five sets: the lists live on the stack.
 	var missedBuf [8]*Batch
-	var freshBuf [8][]Result
 	var endBuf [8]int
-	missed, fresh, ends := missedBuf[:0], freshBuf[:0], endBuf[:0]
+	missed, ends := missedBuf[:0], endBuf[:0]
 	for i, set := range sets {
-		if out[i].Results == nil {
+		if out[i].Steps == nil {
 			if set.Len() > maxRowLen {
 				return 0, 0, fmt.Errorf("schedule: a set of %d knobs exceeds a row's %d", set.Len(), maxRowLen)
 			}
 			missed = append(missed, set)
-			fresh = append(fresh, make([]Result, set.Len())) // exactly sized, never nil
 		}
 	}
+	if len(sc.fresh) < len(missed) {
+		sc.fresh = append(sc.fresh, make([][]Result, len(missed)-len(sc.fresh))...)
+	}
+	fresh := sc.fresh[:len(missed)]
 	if err = r.an.evaluateSets(shape, missed, fresh, sc); err != nil {
 		return 0, 0, err
 	}
@@ -240,22 +260,31 @@ func (r *Rows) EvaluateSets(shape StageShape, sets []*Batch, out []Row, sc *Eval
 		ends = append(ends, len(stair))
 	}
 	sc.stair = stair
-	slab := make([]uint16, len(stair))
-	copy(slab, stair)
+	// Never nil, even when every staircase is empty: a nil Steps is a miss.
+	positions, steps := make([]uint16, len(stair)), make([]Result, len(stair))
+	copy(positions, stair)
+	start := 0
+	for k, row := range fresh {
+		for m := start; m < ends[k]; m++ {
+			steps[m] = row[stair[m]]
+		}
+		start = ends[k]
+	}
 
 	r.mu.Lock()
 	k, start := 0, 0
 	for i, set := range sets {
-		if out[i].Results != nil {
+		if out[i].Steps != nil {
 			continue
 		}
 		key.set = set
 		if won, raced := r.rows[key]; raced { // first publish wins; the loser's row is identical
 			out[i] = won
 		} else {
-			out[i] = Row{Results: fresh[k], Stair: slab[start:ends[k]:ends[k]]}
+			end := ends[k]
+			out[i] = Row{Stair: positions[start:end:end], Steps: steps[start:end:end]}
 			r.rows[key] = out[i]
-			r.held += len(fresh[k])
+			r.held += set.Len()
 		}
 		start = ends[k]
 		k++

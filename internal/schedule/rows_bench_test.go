@@ -23,10 +23,10 @@ func fullRowSet() *Batch {
 
 // BenchmarkRow prices one full MistSpace row through the cache the way
 // the tuner does (EvaluateSets, the stored row handed out in place), per
-// op: "miss" is the probe, the analyzer's batch over the row, its
-// staircase and the publish (a fresh cache every pass over the shapes), in
-// two allocations, the row and the call's staircase slab; "hit" is the
-// probe, in none.
+// op: "miss" is the probe, the analyzer's batch over the set into the
+// scratch, its staircase and the publish (a fresh cache every pass over
+// the shapes), in two allocations, the steps and their positions; "hit"
+// is the probe, in none.
 func BenchmarkRow(b *testing.B) {
 	an := rowsAnalyzer(b)
 	set := fullRowSet()

@@ -21,9 +21,10 @@ var raceShapes = []StageShape{
 // TestConcurrentMixedHitMissLoad hammers one cache from many goroutines
 // with overlapping traffic — single candidates through Evaluate, shared
 // six-entry sets through EvaluateSets — and checks, under the race
-// detector (`make race`), that every result is the analyzer's and the
-// hit/miss accounting stays exact: each set call returns each of its
-// points as precisely one hit or one miss, whatever the interleaving.
+// detector (`make race`), that every result is the analyzer's — a set's
+// row the staircase of its direct pricing — and the hit/miss accounting
+// stays exact: each set call returns each of its points as precisely one
+// hit or one miss, whatever the interleaving.
 func TestConcurrentMixedHitMissLoad(t *testing.T) {
 	an := rowsAnalyzer(t)
 	c := NewRows(an)
@@ -79,12 +80,8 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 						}
 						setHits.Add(uint64(hits))
 						setMisses.Add(uint64(misses))
-						if !slices.Equal(rows[0].Results, want[si][set]) {
-							errs <- fmt.Errorf("shape %d: wrong row", si)
-							return
-						}
-						if !slices.Equal(rows[0].Stair, AppendStaircase(nil, want[si][set], an.PlanBudget())) {
-							errs <- fmt.Errorf("shape %d: wrong staircase %v", si, rows[0].Stair)
+						if err := rowMatches(rows[0], want[si][set], an.PlanBudget()); err != nil {
+							errs <- fmt.Errorf("shape %d: wrong row: %v", si, err)
 							return
 						}
 					} else {
@@ -131,14 +128,16 @@ func TestConcurrentMixedHitMissLoad(t *testing.T) {
 	}
 }
 
-// TestConcurrentEvaluateSetNoTornReads drives EvaluateSet — the copying
-// call — over shared KnobSets with per-goroutine EvalScratch and a recycled
-// dst from many goroutines at once: first all of them on the same missing
-// row (racing publishes: first wins, every caller still gets the right
-// values), then spread over a mixed row population. A torn read, a row
-// published under the wrong key, or a stored row aliased by some caller's
-// dst (each caller writes its copy) shows up as a mismatch. Run with
-// `go test -race -count=10` (make race).
+// TestConcurrentEvaluateSetNoTornReads drives EvaluateSet — the call that
+// returns a set's full results — over shared KnobSets with per-goroutine
+// EvalScratch and a recycled dst from many goroutines at once: first all
+// of them on the same missing row (racing publishes: first wins, every
+// caller still gets the right values), then spread over a mixed row
+// population. A torn read or a wrong pricing shows up as a mismatch of
+// the full results; a row published under the wrong key, or a stored row
+// aliased by some caller's dst (each caller writes its results), as a
+// stored row that is not the staircase of its direct pricing once the
+// callers are done. Run with `go test -race -count=10` (make race).
 func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
 	an := rowsAnalyzer(t)
 	c := NewRows(an)
@@ -207,13 +206,25 @@ func TestConcurrentEvaluateSetNoTornReads(t *testing.T) {
 	if want := 3 * (sets[0].Len() + sets[1].Len()); c.Len() != want {
 		t.Errorf("cache holds %d results, want %d", c.Len(), want)
 	}
+	var sc EvalScratch
+	rows := make([]Row, len(sets))
+	for si, sh := range shapes {
+		if hits, _, err := c.EvaluateSets(sh, sets, rows, &sc); err != nil || hits != sets[0].Len()+sets[1].Len() {
+			t.Fatalf("shape %d after the load: %d hits (%v), want every row stored", si, hits, err)
+		}
+		for i, set := range sets {
+			if err := rowMatches(rows[i], want[si][set], an.PlanBudget()); err != nil {
+				t.Errorf("shape %d, set %d after the load: %v", si, i, err)
+			}
+		}
+	}
 }
 
 // TestConcurrentReadersOfAStoredRow: rows are handed out by reference, so
-// a caller walks a stored row and its staircase while other goroutines
-// publish rows beside it and look up the same key. Readers of one key all
-// start on it while it is missing; whoever loses the race to publish gets
-// the winner's row and the winner's staircase, so every caller ends up
+// a caller walks a stored row's steps and positions while other
+// goroutines publish rows beside it and look up the same key. Readers of
+// one key all start on it while it is missing; whoever loses the race to
+// publish gets the winner's steps and positions, so every caller ends up
 // holding the one stored pair of arrays, and the race detector (`make
 // race`) sees no write to either after it was published.
 func TestConcurrentReadersOfAStoredRow(t *testing.T) {
@@ -222,17 +233,20 @@ func TestConcurrentReadersOfAStoredRow(t *testing.T) {
 	all := windowSets(4, 5, 6, 7, 8, 9, 10)
 	key, others := all[0], all[1:]
 	want := priceDirect(t, an, raceShapes[:1], all)[0]
-	wantStair := map[*Batch][]uint16{}
+	wantStair, wantSteps := map[*Batch][]uint16{}, map[*Batch][]Result{}
 	for _, set := range all {
 		wantStair[set] = AppendStaircase(nil, want[set], an.PlanBudget())
+		for _, j := range wantStair[set] {
+			wantSteps[set] = append(wantSteps[set], want[set][j])
+		}
 	}
 	if len(wantStair[key]) == 0 {
 		t.Fatal("the key's row has an empty staircase: two readers' staircases could not be told apart")
 	}
 
 	const readers, publishers, rounds = 8, 4, 20
-	held := make([]*Result, readers)      // the array each reader was handed
-	heldStair := make([]*uint16, readers) // and its staircase
+	held := make([]*Result, readers)      // the steps each reader was handed
+	heldStair := make([]*uint16, readers) // and their positions
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	errs := make(chan error, readers+publishers)
@@ -255,12 +269,16 @@ func TestConcurrentReadersOfAStoredRow(t *testing.T) {
 					errs <- err
 					return
 				}
-				row, stair := rows[0].Results, rows[0].Stair
+				row, stair := rows[0].Steps, rows[0].Stair
 				for i := range row { // walk it while others publish and look up
-					if row[i] != want[set][i] {
-						errs <- fmt.Errorf("entry %d of a %d-layer row: %+v, want %+v", i, set.Knobs()[0].Layers, row[i], want[set][i])
+					if !sameResult(row[i], wantSteps[set][i]) {
+						errs <- fmt.Errorf("step %d of a %d-layer row: %+v, want %+v", i, set.Knobs()[0].Layers, row[i], wantSteps[set][i])
 						return
 					}
+				}
+				if len(row) != len(wantSteps[set]) {
+					errs <- fmt.Errorf("a %d-layer row has %d steps, want %d", set.Knobs()[0].Layers, len(row), len(wantSteps[set]))
+					return
 				}
 				if !slices.Equal(stair, wantStair[set]) {
 					errs <- fmt.Errorf("a %d-layer row's staircase: %v, want %v", set.Knobs()[0].Layers, stair, wantStair[set])

@@ -1,6 +1,7 @@
 package schedule
 
-// The row store's contract, driven through NewRows and NewBatch: hits
+// The row store's contract, driven through NewRows and NewBatch: a
+// stored row is the staircase of a direct full pricing of its set, hits
 // and misses per call, canonical shape keys, rows handed out in place,
 // failed sets stored nowhere, single points priced without a row, and a
 // data-race check under mixed readers and writers. The window,
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,21 +21,180 @@ import (
 
 // evaluateSet prices one set through c and returns its stored row with
 // the call's hit and miss counts.
-func evaluateSet(c *Rows, s StageShape, set *Batch) (row []Result, hits, misses int, err error) {
+func evaluateSet(c *Rows, s StageShape, set *Batch) (row Row, hits, misses int, err error) {
 	var sc EvalScratch
 	rows := []Row{{}}
 	hits, misses, err = c.EvaluateSets(s, []*Batch{set}, rows, &sc)
-	return rows[0].Results, hits, misses, err
+	return rows[0], hits, misses, err
+}
+
+// sameResult compares bit patterns: a stored step is the pricing's own
+// result, copied, never a value that merely compares equal.
+func sameResult(a, b Result) bool {
+	return math.Float64bits(a.Stable) == math.Float64bits(b.Stable) &&
+		math.Float64bits(a.Delta) == math.Float64bits(b.Delta) &&
+		math.Float64bits(a.PeakMem) == math.Float64bits(b.PeakMem)
+}
+
+// rowMatches is nil when row is what the store must hold for a set whose
+// full pricing is full: Stair is AppendStaircase of the pricing under
+// budget, Steps[k] is bit-equal to the pricing's entry at Stair[k], and
+// neither slice is nil (a nil Steps is how a missing row reads).
+func rowMatches(row Row, full []Result, budget float64) error {
+	if row.Stair == nil || row.Steps == nil {
+		return fmt.Errorf("a published row with a nil slice: %+v", row)
+	}
+	if want := AppendStaircase(nil, full, budget); !slices.Equal(row.Stair, want) {
+		return fmt.Errorf("staircase %v, want %v", row.Stair, want)
+	}
+	if len(row.Steps) != len(row.Stair) {
+		return fmt.Errorf("%d steps for %d positions", len(row.Steps), len(row.Stair))
+	}
+	for k, j := range row.Stair {
+		if !sameResult(row.Steps[k], full[j]) {
+			return fmt.Errorf("step %d (entry %d): %+v, the pricing holds %+v", k, j, row.Steps[k], full[j])
+		}
+	}
+	return nil
+}
+
+// checkStored is rowMatches against a direct full pricing of set under
+// shape on the analyzer itself, outside any store.
+func checkStored(an *Analyzer, shape StageShape, set *Batch, row Row) error {
+	var sc EvalScratch
+	full, err := an.EvaluateBatchInto(nil, shape, set.Knobs(), &sc)
+	if err != nil {
+		return err
+	}
+	return rowMatches(row, full, an.PlanBudget())
+}
+
+// TestStoredRowIsItsStaircase is the store's specification, executed:
+// over seeded stage shapes — canonical twins among them, which hit a row
+// another shape published — and over windows of knob grids and of
+// hand-built sets with duplicate entries, every row a call hands out is
+// the staircase of a direct full pricing of its set under the call's own
+// shape, and each missed row adds its set's length to Len.
+func TestStoredRowIsItsStaircase(t *testing.T) {
+	an := rowsAnalyzer(t)
+	c := NewRows(an)
+	rng := rand.New(rand.NewSource(47))
+	grid := func(l int) *Batch {
+		var ckpts []int
+		for _, f := range []float64{0, 0.25, 0.5, 0.75, 1} {
+			if ck := int(f*float64(l) + 0.5); !slices.Contains(ckpts, ck) {
+				ckpts = append(ckpts, ck)
+			}
+		}
+		return an.KnobGrid(l, ckpts, [4]bool{true, true, true, true})
+	}
+	// withDups repeats entries of a grid behind their first occurrence.
+	withDups := func(l int) *Batch {
+		ks := slices.Clone(grid(l).Knobs())
+		for i := 0; i < 30; i++ {
+			at := rng.Intn(len(ks))
+			ks = slices.Insert(ks, at+1+rng.Intn(len(ks)-at), ks[at])
+		}
+		return NewBatch(ks)
+	}
+	same := Knobs{Layers: 8, Ckpt: 4, AO: 0.5}
+	windows := [][]*Batch{
+		{grid(6), grid(7), grid(8), grid(9), grid(10)},
+		{grid(1), grid(2), grid(3), grid(4), grid(5)},
+		{grid(14), withDups(15), grid(16)},
+		{withDups(8), NewBatch([]Knobs{same}), NewBatch([]Knobs{same, same, same}), NewBatch(tunerGrid(8, []float64{0, 1}))},
+	}
+	randShape := func() StageShape {
+		degrees := []int{1, 2, 4}
+		s := StageShape{
+			B: degrees[rng.Intn(3)], DP: degrees[rng.Intn(3)], TP: degrees[rng.Intn(3)], ZeRO: rng.Intn(4),
+			NumStages: 1 + rng.Intn(4), GradAccum: degrees[rng.Intn(3)],
+		}
+		s.StageIdx = rng.Intn(s.NumStages)
+		s.HasPre, s.HasPost = s.StageIdx == 0, s.StageIdx == s.NumStages-1
+		return s
+	}
+	// twin draws a different shape with s's canonical form, if one turns up.
+	twin := func(s StageShape) (StageShape, bool) {
+		for try := 0; try < 500; try++ {
+			u := randShape()
+			u.B, u.DP, u.TP = s.B, s.DP, s.TP
+			if u != s && u.Canonical() == s.Canonical() {
+				return u, true
+			}
+		}
+		return s, false
+	}
+
+	published := map[rowKey]bool{}
+	var shapes []StageShape
+	var sc EvalScratch
+	twins := 0
+	for i := 0; i < 48; i++ {
+		shape := randShape()
+		if i%3 == 2 {
+			var ok bool
+			if shape, ok = twin(shapes[rng.Intn(len(shapes))]); ok {
+				twins++
+			}
+		}
+		shapes = append(shapes, shape)
+		w := windows[rng.Intn(len(windows))]
+		lo := rng.Intn(len(w))
+		w = w[lo : lo+1+rng.Intn(len(w)-lo)]
+		key, _ := keyOf(shape)
+		wantHits, wantMisses := 0, 0
+		for _, set := range w {
+			key.set = set
+			if published[key] {
+				wantHits += set.Len()
+			} else {
+				wantMisses += set.Len()
+				published[key] = true
+			}
+		}
+		held := c.Len()
+		rows := make([]Row, len(w))
+		hits, misses, err := c.EvaluateSets(shape, w, rows, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits != wantHits || misses != wantMisses || c.Len() != held+wantMisses {
+			t.Errorf("shape %+v: %d hits / %d misses, Len %d -> %d; want %d / %d, Len +%d",
+				shape, hits, misses, held, c.Len(), wantHits, wantMisses, wantMisses)
+		}
+		for j, set := range w {
+			if err := checkStored(an, shape, set, rows[j]); err != nil {
+				t.Errorf("shape %+v, set %d of the window: %v", shape, j, err)
+			}
+		}
+	}
+	if twins < 8 {
+		t.Errorf("only %d canonical twins drawn: the collapsed shapes went untested", twins)
+	}
+	// The sweep copies rows by value into its scratch, one per (shape,
+	// layer count): a row stays two slice headers.
+	if got := unsafe.Sizeof(Row{}); got != 48 {
+		t.Errorf("Row is %d bytes, want 48 (Stair, Steps)", got)
+	}
 }
 
 // A set priced twice through one cache is served from its row the second
-// time, with the analyzer's own values.
+// time: the miss's row, which is the staircase of the analyzer's own
+// pricing, and EvaluateSet's full results are the analyzer's values.
 func TestCacheHitReturnsIdenticalResult(t *testing.T) {
 	an := rowsAnalyzer(t)
 	c := NewRows(an)
 	shape := rowShape()
-	k := Knobs{Layers: 32, Ckpt: 16, AO: 0.5}
+	k := Knobs{Layers: 32, Ckpt: 16, OO: 1, AO: 0.5}
 	set := NewBatch([]Knobs{k})
+	direct, err := an.Evaluate(shape, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !direct.Fits(an.PlanBudget()) {
+		t.Fatalf("%+v does not fit: its row's staircase is empty, and the test compares nothing", k)
+	}
 
 	r1, hits, misses, err := evaluateSet(c, shape, set)
 	if err != nil {
@@ -49,15 +210,15 @@ func TestCacheHitReturnsIdenticalResult(t *testing.T) {
 	if hits != 1 || misses != 0 {
 		t.Errorf("second call: %d hits / %d misses, want 1 / 0", hits, misses)
 	}
-	if r1[0] != r2[0] {
-		t.Errorf("cached result %+v != first result %+v", r2[0], r1[0])
+	if err := rowMatches(r1, []Result{direct}, an.PlanBudget()); err != nil {
+		t.Errorf("first row: %v", err)
 	}
-	direct, err := an.Evaluate(shape, k)
-	if err != nil {
-		t.Fatal(err)
+	if err := rowMatches(r2, []Result{direct}, an.PlanBudget()); err != nil {
+		t.Errorf("cached row: %v", err)
 	}
-	if r2[0] != direct {
-		t.Errorf("cached result %+v != direct analyzer result %+v", r2[0], direct)
+	var sc EvalScratch
+	if got, err := c.EvaluateSet(shape, set, nil, &sc); err != nil || len(got) != 1 || !sameResult(got[0], direct) {
+		t.Errorf("EvaluateSet on the stored row: %+v (%v), want [%+v]", got, err, direct)
 	}
 }
 
@@ -197,8 +358,8 @@ func TestCanonicalShapesEvaluateIdentically(t *testing.T) {
 
 // Rows are keyed by set: a repeat of a set is served whole from its row,
 // in-set duplicates are priced entry by entry (each a miss the first
-// time), and a set that merely overlaps an earlier one shares nothing
-// with it.
+// time; the staircase keeps the first of equal entries), and a set that
+// merely overlaps an earlier one shares nothing with it.
 func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 	an := rowsAnalyzer(t)
 	c := NewRows(an)
@@ -222,8 +383,14 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 		{Layers: 32, Ckpt: 24},
 	}
 	set := NewBatch(mixed)
+	direct := make([]Result, len(mixed))
+	for i, k := range mixed {
+		if direct[i], err = an.Evaluate(shape, k); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for pass, wantPriced := range []int{5, 0} { // first pass prices all 5 entries, second nothing
-		rs, h, m, err := evaluateSet(c, shape, set)
+		row, h, m, err := evaluateSet(c, shape, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,14 +398,11 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 			t.Errorf("pass %d: %d hits / %d misses, want %d misses", pass, h, m, wantPriced)
 		}
 		hits, misses = hits+h, misses+m
-		for i, k := range mixed {
-			direct, err := an.Evaluate(shape, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rs[i] != direct {
-				t.Errorf("pass %d: set[%d] %+v != direct %+v", pass, i, rs[i], direct)
-			}
+		if err := rowMatches(row, direct, an.PlanBudget()); err != nil {
+			t.Errorf("pass %d: %v", pass, err)
+		}
+		if slices.Contains(row.Stair, 3) {
+			t.Errorf("pass %d: the staircase %v holds entry 3, a duplicate of entry 1", pass, row.Stair)
 		}
 	}
 	// warm: 2 misses. mixed cold: 5 misses. mixed again: 5 hits.
@@ -254,10 +418,11 @@ func TestEvaluateBatchPartialHitsAndDuplicates(t *testing.T) {
 }
 
 // EvaluateSets hands out the stored row itself: the row a miss returns
-// is the one every later hit returns (one backing array, nothing copied),
-// and it is, bit for bit, what the analyzer prices for the same shape and
-// set. EvaluateSet still copies: its slice is the caller's to write, and
-// writing it never reaches the stored row.
+// is the one every later hit returns (one backing array each for the
+// positions and the steps, nothing copied), and it is, bit for bit, the
+// staircase of what the analyzer prices for the same shape and set.
+// EvaluateSet returns the full results, priced on the call: its slice is
+// the caller's to write, and writing it never reaches the stored row.
 func TestReturnedRowIsTheStoredRow(t *testing.T) {
 	an := rowsAnalyzer(t)
 	c := NewRows(an)
@@ -268,43 +433,37 @@ func TestReturnedRowIsTheStoredRow(t *testing.T) {
 		t.Fatalf("first call: %d misses (%v), want %d", misses, err, set.Len())
 	}
 	var sc EvalScratch
-	priced, err := an.EvaluateBatchInto(nil, shape, set.Knobs(), &sc)
+	want, err := an.EvaluateBatchInto(nil, shape, set.Knobs(), &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]Result{priced}
-	same := func(a, b Result) bool {
-		return math.Float64bits(a.Stable) == math.Float64bits(b.Stable) &&
-			math.Float64bits(a.Delta) == math.Float64bits(b.Delta) &&
-			math.Float64bits(a.PeakMem) == math.Float64bits(b.PeakMem)
+	if err := rowMatches(missed, want, an.PlanBudget()); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want[0] {
-		if !same(missed[i], want[0][i]) {
-			t.Errorf("entry %d: the cache's row holds %+v, the analyzer prices %+v", i, missed[i], want[0][i])
-		}
+	if len(missed.Stair) == 0 {
+		t.Fatal("an empty staircase: every empty slice may share one address, so the test would compare nothing")
 	}
 	for round := 0; round < 2; round++ {
 		hit, hits, _, err := evaluateSet(c, shape, set)
 		if err != nil || hits != set.Len() {
 			t.Fatalf("round %d: %d hits (%v), want %d", round, hits, err, set.Len())
 		}
-		if len(hit) != len(missed) || unsafe.SliceData(hit) != unsafe.SliceData(missed) {
-			t.Errorf("round %d: a hit returned another array than the miss did", round)
+		if len(hit.Steps) != len(missed.Steps) || unsafe.SliceData(hit.Steps) != unsafe.SliceData(missed.Steps) ||
+			unsafe.SliceData(hit.Stair) != unsafe.SliceData(missed.Stair) {
+			t.Errorf("round %d: a hit returned other arrays than the miss did", round)
 		}
 		copied, err := c.EvaluateSet(shape, set, nil, &sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if unsafe.SliceData(copied) == unsafe.SliceData(missed) {
-			t.Fatal("EvaluateSet returned the stored row, not a copy")
+		if !slices.EqualFunc(copied, want, sameResult) {
+			t.Errorf("round %d: EvaluateSet returned %+v, the analyzer prices %+v", round, copied, want)
 		}
 		for i := range copied {
 			copied[i] = Result{Stable: -1}
 		}
-		for i := range missed {
-			if !same(missed[i], want[0][i]) {
-				t.Fatalf("round %d: writing EvaluateSet's slice reached the stored row", round)
-			}
+		if err := rowMatches(missed, want, an.PlanBudget()); err != nil {
+			t.Fatalf("round %d: writing EvaluateSet's slice reached the stored row: %v", round, err)
 		}
 	}
 }
@@ -339,7 +498,7 @@ func TestErrorRowNeitherStoredNorCounted(t *testing.T) {
 // the same analyzer gets a row in each — a row lives in the cache that
 // priced it, never on the set — so the second cache prices the set
 // itself, and its single Evaluate beforehand stored nothing for it to
-// find.
+// find. Each cache's row is the staircase of the analyzer's pricing.
 func TestKnobSetSharedAcrossCaches(t *testing.T) {
 	an := rowsAnalyzer(t)
 	c1, c2 := NewRows(an), NewRows(an)
@@ -357,20 +516,14 @@ func TestKnobSetSharedAcrossCaches(t *testing.T) {
 	seen := map[*Rows]*traffic{c1: {}, c2: {}}
 	check := func(c *Rows, label string) {
 		t.Helper()
-		rs, hits, misses, err := evaluateSet(c, shape, set)
+		row, hits, misses, err := evaluateSet(c, shape, set)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		seen[c].hits += hits
 		seen[c].misses += misses
-		for i, k := range knobs {
-			direct, err := an.Evaluate(shape, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rs[i] != direct {
-				t.Errorf("%s: set[%d] %+v != direct %+v", label, i, rs[i], direct)
-			}
+		if err := checkStored(an, shape, set, row); err != nil {
+			t.Errorf("%s: %v", label, err)
 		}
 	}
 	check(c1, "first cache, cold")

@@ -49,8 +49,9 @@ func windowSets(layers ...int) []*Batch {
 }
 
 // A window with two of its five rows already stored prices exactly the
-// other three sets, and hands out the stored two as hits; every set is a
-// hit afterwards, in any list.
+// other three sets, and hands out the stored two as hits; every row is
+// the staircase of the analyzer's own pricing of its set, and every set
+// is a hit afterwards, in any list.
 func TestWindowPricesOnlyMissingRows(t *testing.T) {
 	an := rowsAnalyzer(t)
 	c := NewRows(an)
@@ -82,14 +83,8 @@ func TestWindowPricesOnlyMissingRows(t *testing.T) {
 		t.Errorf("cache holds %d results, want %d", c.Len(), 5*n)
 	}
 	for i, set := range window {
-		for j, k := range set.Knobs() {
-			direct, err := an.Evaluate(shape, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rows[i].Results[j] != direct {
-				t.Errorf("set %d entry %d: %+v != direct %+v", i, j, rows[i].Results[j], direct)
-			}
+		if err := checkStored(an, shape, set, rows[i]); err != nil {
+			t.Errorf("set %d: %v", i, err)
 		}
 	}
 
@@ -123,11 +118,11 @@ func TestWindowHitAllocatesNothing(t *testing.T) {
 	}
 }
 
-// An all-miss call allocates the row it publishes and nothing wider: 24
-// bytes per point — Result is what the search reads of a point,
-// no more — and the call's staircase slab, two allocations in all (the
-// work lists live on the stack). The in-tree twin of mistperf's
-// evalcache.bytes_per_point.
+// An all-miss call allocates the row it publishes and nothing wider: its
+// steps, 24 bytes each — Result is what the search reads of a point, no
+// more — and their 2-byte positions, one slab each, two allocations in
+// all (the work lists live on the stack, and the full pricing in the
+// scratch). The in-tree twin of mistperf's evalcache.bytes_per_point.
 func TestMissAllocatesItsRowOnly(t *testing.T) {
 	an := rowsAnalyzer(t)
 	set := fullRowSet()
@@ -183,13 +178,17 @@ func TestMissAllocatesItsRowOnly(t *testing.T) {
 			t.Fatalf("the runtime started an OS thread in each of %d windows", attempt+1)
 		}
 	}
-	const slack = 2 << 10 // size-class rounding of the row, the staircase slab, a map slot
-	row := uint64(set.Len()) * 24
+	n := len(rows[0].Stair)
+	if n == 0 {
+		t.Fatal("the row has no steps: the test measures nothing")
+	}
+	const slack = 2 << 10 // size-class rounding of the two slabs, a map slot
+	row := uint64(n) * (24 + 2)
 	if got < row || got > row+slack {
-		t.Errorf("an all-miss row of %d points allocated %d bytes, want its %d-byte row and at most %d more", set.Len(), got, row, slack)
+		t.Errorf("an all-miss row of %d points and %d steps allocated %d bytes, want its %d bytes of steps and at most %d more", set.Len(), n, got, row, slack)
 	}
 	if allocs > 2 {
-		t.Errorf("an all-miss row took %d allocations, want at most 2: the row and the staircase slab", allocs)
+		t.Errorf("an all-miss row took %d allocations, want at most 2: the steps and their positions", allocs)
 	}
 }
 
@@ -222,8 +221,9 @@ func TestWindowErrorNeitherStoredNorCounted(t *testing.T) {
 // missing window at once, then on overlapping windows (the
 // heterogeneous-device case: one canonical shape, windows sharing some
 // layer counts): every caller gets the right values, each row is stored
-// once however many raced to publish it, and each requested point comes
-// back as exactly one hit or one miss. Run with `go test -race -count=10`
+// once however many raced to publish it (the staircase of the analyzer's
+// pricing), and each requested point comes back as exactly one hit or
+// one miss. Run with `go test -race -count=10`
 // (make race).
 func TestConcurrentWindowPublishRace(t *testing.T) {
 	an := rowsAnalyzer(t)
@@ -262,8 +262,8 @@ func TestConcurrentWindowPublishRace(t *testing.T) {
 				returned[0].Add(uint64(hits))
 				returned[1].Add(uint64(misses))
 				for i, set := range windows[wi] {
-					if !slices.Equal(rows[i].Results, want[si][set]) {
-						errs <- fmt.Errorf("shape %d, %d-layer set: torn or wrong row", si, set.Knobs()[0].Layers)
+					if err := rowMatches(rows[i], want[si][set], an.PlanBudget()); err != nil {
+						errs <- fmt.Errorf("shape %d, %d-layer set: torn or wrong row: %v", si, set.Knobs()[0].Layers, err)
 						return
 					}
 				}
@@ -292,7 +292,8 @@ func TestConcurrentWindowPublishRace(t *testing.T) {
 }
 
 // priceDirect prices every set under every shape on the analyzer itself,
-// outside any cache: the values a cached row must hold.
+// outside any cache: the full rows whose staircases a cached row must
+// hold.
 func priceDirect(t testing.TB, an *Analyzer, shapes []StageShape, sets []*Batch) []map[*Batch][]Result {
 	t.Helper()
 	var sc EvalScratch

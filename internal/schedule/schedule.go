@@ -249,6 +249,7 @@ type EvalScratch struct {
 	terms []overlapTerms // per tuple group of the call
 	out   []float64      // one lane's outputs
 	group grouper        // tuple partition of the current ad-hoc batch
+	fresh [][]Result     // full pricings of the sets a Rows call missed; only their steps are stored
 	stair []uint16       // staircases of the rows a Rows call publishes, before they move to their slab
 }
 

@@ -42,11 +42,11 @@ import (
 // live entry.
 
 // defaultEvalCachePoints bounds the registry's total memoized points
-// when the operator does not set one. A point is one 24-byte
-// schedule.Result in a knob-grid row (~26 B retained with the row's size
-// class and the row map; single candidates are never stored), so the
-// default caps the registry around 110 MB — roughly twenty fully-swept
-// fingerprints.
+// when the operator does not set one. A point is one priced entry of a
+// knob-grid row (single candidates are never stored); a row keeps only
+// its staircase steps, ~2.4 B retained per point with the row map, so
+// the default caps the registry's rows around 10 MB — roughly twenty
+// fully-swept fingerprints.
 const defaultEvalCachePoints = 4 << 20
 
 // entryOverheadPoints is the point-equivalent fixed cost charged to each

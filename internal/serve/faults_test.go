@@ -142,12 +142,14 @@ func (fc *faultyCluster) join(t *testing.T, id string) {
 // delayed peer requests: each seed runs cold tunes and repeats of cheap
 // DeepSpeed specs through random ingress nodes of a 3-node, R = 2
 // fleet, plus one async job, and odd seeds also join a node and then
-// drain one. After repair settles, every fingerprint must sit on
-// exactly R live replicas at Version 1 with one search each, and every
-// plan acknowledged with a 200 must be in some live store. Replay one
-// seed with -run 'TestFaultsMasked/seed=17'. Drops, partitions and
-// crashes are out of scope: they break single-flight by design
-// (availability wins), so their checker needs a different bound.
+// drain one. Before the first join, every plan acknowledged so far must
+// already be on exactly R stores of its replica set (the write-through,
+// not repair, put it there). After repair settles, every fingerprint
+// must sit on exactly R live replicas at Version 1 with one search each,
+// and every plan acknowledged with a 200 must be in some live store.
+// Replay one seed with -run 'TestFaultsMasked/seed=17'. Drops,
+// partitions and crashes are out of scope: they break single-flight by
+// design (availability wins), so their checker needs a different bound.
 func TestFaultsMasked(t *testing.T) {
 	seeds := 64
 	switch {
@@ -235,6 +237,23 @@ func runFaultSeed(t *testing.T, seed int64) {
 		t.Fatalf("job %s: %d %s", st.ID, rec.Code, rec.Body)
 	}
 	ack(jobSpec)
+
+	// No join, drain or repair has run yet, so every copy so far was made
+	// on the tune path: a plan acknowledged with a 200 was stored and
+	// written through before the reply, so it is already on exactly R
+	// stores of its replica set.
+	ring := fc.Cluster(fc.IDs()[0])
+	for key := range acked {
+		copies := 0
+		for _, m := range ring.Replicas(key) {
+			if _, ok := fc.Node(m.ID).Store().GetByKey(key); ok {
+				copies++
+			}
+		}
+		if copies != fc.opt.Replicas {
+			t.Errorf("before settle: plan for %s is on %d stores of its replica set, want %d", key, copies, fc.opt.Replicas)
+		}
+	}
 
 	if seed%2 == 1 {
 		fc.join(t, "n4")

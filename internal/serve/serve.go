@@ -493,7 +493,7 @@ func WithCacheCap(n int) Option {
 
 // WithEvalCacheCap bounds the cross-request evaluation-cache registry
 // at n total memoized pricing points across all analyzer fingerprints
-// (values < 1 keep the default, roughly 4M points / 110 MB). When the
+// (values < 1 keep the default, roughly 4M points / 10 MB). When the
 // bound is exceeded, least-recently-used per-fingerprint caches are
 // dropped whole; a dropped fingerprint re-prices on its next search.
 func WithEvalCacheCap(n int) Option {
