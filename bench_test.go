@@ -143,10 +143,12 @@ func benchWorkload() (Workload, *Cluster) {
 
 // benchTuneCold runs a cold search of space per iteration on a core.New
 // tuner (a fresh analyzer and evaluation cache) and reports cache
-// metrics.
+// metrics and the (TP, b) the analyzer built section costs for
+// (sections).
 func benchTuneCold(b *testing.B, space core.Space) {
 	w, cl := benchWorkload()
 	var res *core.Result
+	sections := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -158,10 +160,12 @@ func benchTuneCold(b *testing.B, space core.Space) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		sections = tn.An.SectionBuilds()
 	}
 	b.ReportMetric(float64(res.Candidates), "candidates")
 	b.ReportMetric(res.CacheHitRate(), "hit-rate")
 	b.ReportMetric(float64(res.EvalCacheMisses), "unique-evals")
+	b.ReportMetric(float64(sections), "sections")
 }
 
 // tuneAllocsOnce measures one fresh core.New search of space on w, cl,
@@ -207,10 +211,13 @@ func tuneAllocs(t *testing.T, w Workload, cl *Cluster, space core.Space) (allocs
 }
 
 // TestColdTuneAllocCeiling pins what a cold search allocates: a fresh
-// tuner's full Mist-space search of the bench cell stays under 668
-// allocations (305 today, run alone, the model's trace the process's
-// from the warm-up call on; 607 while every analyzer traced its own
-// model; 784 while every analyzer compiled its own stage programs; 3 989 while the analyzer traced, ran liveness
+// tuner's full Mist-space search of the bench cell stays under 338
+// allocations (154 today, run alone, the model's trace the process's
+// from the warm-up call on; 305 while the compute floor built the full
+// section costs of every (TP, b) a pair enumerates, a floor-skipped pair
+// boxed its error, each wave and each pair's parallelisms allocated and
+// each knob grid dropped its partition scratch; 607 while every analyzer
+// traced its own model; 784 while every analyzer compiled its own stage programs; 3 989 while the analyzer traced, ran liveness
 // and compiled the section bytes once per TP degree, most of the count;
 // 4 003 while the operator database memoized every lookup in a map;
 // 4 250 while every tuner refitted the interference model and all four
@@ -218,8 +225,9 @@ func tuneAllocs(t *testing.T, w Workload, cl *Cluster, space core.Space) (allocs
 // pairs the compute floor skips still had their stage 0 priced, 8 060
 // before a stage shape's layer window was priced in one pass, 218 860
 // while every stage shape still traced and compiled its own program)
-// and under 125 KiB (104 KiB run alone, the process's interference fit,
-// model trace and stage programs built in the warm-up call; 224 KiB
+// and under 96.1 KiB (80.1 KiB run alone, the process's interference fit,
+// model trace and stage programs built in the warm-up call; 104 KiB
+// with the floor's section costs and grid scratch above; 224 KiB
 // while the cache's rows kept all 5 265 priced points at 24 bytes, not
 // just their staircase steps, 244 KiB with a trace per analyzer too, 262
 // KiB with a compile per analyzer; 0.43 MB with a trace per TP degree,
@@ -232,7 +240,8 @@ func tuneAllocs(t *testing.T, w Workload, cl *Cluster, space core.Space) (allocs
 func TestColdTuneAllocCeiling(t *testing.T) {
 	w, cl := benchWorkload()
 	allocs, bytes := tuneAllocs(t, w, cl, core.MistSpace())
-	maxAllocs, maxBytes := 668.0, 125.0*1024
+	t.Logf("cold tune: %.0f allocations, %.1f KiB", allocs, bytes/1024)
+	maxAllocs, maxBytes := 338.0, 96.1*1024
 	if raceEnabled {
 		maxAllocs, maxBytes = 1500, 1<<19
 	}
@@ -251,9 +260,11 @@ func TestColdTuneAllocCeiling(t *testing.T) {
 // traces that key, so the one measured run is the trace's miss), in a
 // process whose tune of another fingerprint compiled the stage programs
 // this one meets (seq 1024 leaves one uncompiled, 178 allocations more),
-// stays under 630 allocations and 78 KiB (574 and 64.8 KiB today; 924
-// and 112.7 KiB while every analyzer compiled its own stage programs,
-// which is most of what so small a search spends).
+// stays under 541 allocations and 67.9 KiB (484 and 56.4 KiB today; 564
+// and 64.8 KiB while the compute floor built section costs for every
+// (TP, b) it enumerated; 924 and 112.7 KiB while every analyzer compiled
+// its own stage programs, which is most of what so small a search
+// spends).
 func TestNewFingerprintTuneAllocCeiling(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	w := Workload{Model: Model("gpt3-1.3b"), Seq: 256, Flash: true, GlobalBatch: 8}
@@ -264,11 +275,11 @@ func TestNewFingerprintTuneAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		return
 	}
-	if allocs > 630 {
-		t.Errorf("new-fingerprint tune allocated %.0f times, want <= 630", allocs)
+	if allocs > 541 {
+		t.Errorf("new-fingerprint tune allocated %.0f times, want <= 541", allocs)
 	}
-	if bytes > 78<<10 {
-		t.Errorf("new-fingerprint tune allocated %.0f bytes, want <= %d", bytes, 78<<10)
+	if maxBytes := 67.9 * 1024; bytes > maxBytes {
+		t.Errorf("new-fingerprint tune allocated %.0f bytes, want <= %.0f", bytes, maxBytes)
 	}
 }
 
@@ -277,8 +288,10 @@ func TestNewFingerprintTuneAllocCeiling(t *testing.T) {
 // GPU count here; a new batch or Serialize flag shares the key too: the
 // fresh analyzer fetches the process's trace and traces nothing, so a
 // DeepSpeed search of gpt3-1.3b / 2×L4 / batch 8 / seq 1024 stays under
-// 212 allocations and 29 KiB (193 and 26.9 KiB today; 495 and 55.0 KiB
-// while every analyzer traced its own model).
+// 141 allocations and 20.1 KiB (127 and 18.6 KiB today; 191 and 26.9 KiB
+// while the compute floor built section costs for every (TP, b) it
+// enumerated; 495 and 55.0 KiB while every analyzer traced its own
+// model).
 func TestTracedKeyTuneAllocCeiling(t *testing.T) {
 	w := Workload{Model: Model("gpt3-1.3b"), Seq: 1024, Flash: true, GlobalBatch: 8}
 	tuneAllocs(t, w, L4Cluster(4), core.DeepSpeedSpace()) // traces the key
@@ -287,22 +300,24 @@ func TestTracedKeyTuneAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		return
 	}
-	if allocs > 212 {
-		t.Errorf("traced-key tune allocated %.0f times, want <= 212", allocs)
+	if allocs > 141 {
+		t.Errorf("traced-key tune allocated %.0f times, want <= 141", allocs)
 	}
-	if bytes > 29<<10 {
-		t.Errorf("traced-key tune allocated %.0f bytes, want <= %d", bytes, 29<<10)
+	if maxBytes := 20.1 * 1024; bytes > maxBytes {
+		t.Errorf("traced-key tune allocated %.0f bytes, want <= %.0f", bytes, maxBytes)
 	}
 }
 
 // TestRetuneAllocCeiling pins what a re-tune costs on the serving path:
 // a fresh core.NewShared tuner over a shared analyzer with filled rows —
 // what every /tune of a known fingerprint builds —
-// searches the bench cell in at most 116 allocations and 8 KiB (106 and
-// 7.3-7.5 KiB on 2 vCPUs today, at GOMAXPROCS 1 to 16; 156 and 7.7 KiB
-// while the sweep walked whole rows and every pair boxed its span
-// attributes; 174 and 56.4 KiB while every tuner built its own knob grids
-// and the cache interned them by content).
+// searches the bench cell in at most 48 allocations and 5.3 KiB (43 and
+// 4.8 KiB on 2 vCPUs today, at GOMAXPROCS 1 to 16; 106 and 7.1-7.5 KiB
+// while every floor-skipped pair boxed its error and every wave its worker
+// state, and each pair's parallelisms allocated; 156 and 7.7 KiB while
+// the sweep walked whole rows and every pair boxed its span attributes;
+// 174 and 56.4 KiB while every tuner built its own knob grids and the
+// cache interned them by content).
 func TestRetuneAllocCeiling(t *testing.T) {
 	w, cl := benchWorkload()
 	first, err := core.New(w, cl, core.MistSpace())
@@ -327,14 +342,15 @@ func TestRetuneAllocCeiling(t *testing.T) {
 		retune()
 	})
 	runtime.ReadMemStats(&after)
+	t.Logf("re-tune: %.0f allocations, %.1f KiB", allocs, float64(after.TotalAlloc-before.TotalAlloc)/float64(runs)/1024)
 	if raceEnabled {
 		return
 	}
-	if allocs > 116 {
-		t.Errorf("re-tune allocated %.0f times, want <= 116", allocs)
+	if allocs > 48 {
+		t.Errorf("re-tune allocated %.0f times, want <= 48", allocs)
 	}
-	if bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs); bytes > 8<<10 {
-		t.Errorf("re-tune allocated %.0f bytes, want <= %d", bytes, 8<<10)
+	if bytes, maxBytes := float64(after.TotalAlloc-before.TotalAlloc)/float64(runs), 5.3*1024; bytes > maxBytes {
+		t.Errorf("re-tune allocated %.0f bytes, want <= %.0f", bytes, maxBytes)
 	}
 }
 
@@ -476,11 +492,11 @@ func BenchmarkTuneColdGrid(b *testing.B) {
 		}
 		cells = append(cells, cell{Workload{Model: Model(c.model), Seq: c.seq, Flash: !c.noFlash, GlobalBatch: c.batch}, cl})
 	}
-	candidates := 0
+	candidates, sections := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		candidates = 0
+		candidates, sections = 0, 0
 		for _, c := range cells {
 			tn, err := core.New(c.w, c.cl, core.MistSpace())
 			if err != nil {
@@ -494,9 +510,11 @@ func BenchmarkTuneColdGrid(b *testing.B) {
 				b.Fatal(err)
 			}
 			candidates += res.Candidates
+			sections += tn.An.SectionBuilds()
 		}
 	}
 	b.ReportMetric(float64(candidates), "candidates")
+	b.ReportMetric(float64(sections), "sections")
 }
 
 // BenchmarkTuneMemoizedWarm is the serving scenario (cmd/mistserve):

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/hardware"
 	"repro/internal/plan"
+	"repro/internal/schedule"
 	"repro/internal/trace"
 )
 
@@ -164,4 +166,103 @@ func TestAbandonedPairSaysWhy(t *testing.T) {
 		t.Errorf("sg spans say %d floor skips and %d mid-sweep aborts; the result %d and %d aborted in all, want a mid-sweep abort and equal counts",
 			byFloor, midSweep, res.FloorSkippedPairs, res.WarmAbortedPairs)
 	}
+}
+
+// tpbRecorder wraps the tuner's rows and records the (TP, b) of every
+// shape priced through them successfully.
+type tpbRecorder struct {
+	pricer
+	mu  sync.Mutex
+	tpb map[[2]int]bool
+}
+
+func (r *tpbRecorder) note(s schedule.StageShape) {
+	r.mu.Lock()
+	r.tpb[[2]int{s.TP, s.B}] = true
+	r.mu.Unlock()
+}
+
+func (r *tpbRecorder) Evaluate(s schedule.StageShape, k schedule.Knobs) (schedule.Result, error) {
+	res, err := r.pricer.Evaluate(s, k)
+	if err == nil {
+		r.note(s)
+	}
+	return res, err
+}
+
+func (r *tpbRecorder) EvaluateSets(s schedule.StageShape, sets []*schedule.Batch, out []schedule.Row, sc *schedule.EvalScratch) (int, int, error) {
+	hits, misses, err := r.pricer.EvaluateSets(s, sets, out, sc)
+	if err == nil {
+		r.note(s)
+	}
+	return hits, misses, err
+}
+
+// TestColdSearchBuildsSectionsOnlyForPricedShapes: a cold search builds
+// section costs for exactly the distinct (TP, b) of the shapes it prices.
+// Pricing a shape builds its (TP, b)'s costs, so a count equal to the
+// priced (TP, b) is that set. The compute floor enumerates every (TP, b)
+// of every pair, the pairs it skips included, and builds none of them;
+// across the cells the floor enumerates more (TP, b) than the searches
+// price, or the test would compare nothing.
+func TestColdSearchBuildsSectionsOnlyForPricedShapes(t *testing.T) {
+	type cell struct {
+		name  string
+		w     plan.Workload
+		cl    *hardware.Cluster
+		space Space
+	}
+	var cells []cell
+	for _, c := range goldenCells {
+		w, cl := c.workload(t)
+		cells = append(cells, cell{c.name, w, cl, MistSpace()})
+	}
+	hetero := MistSpace()
+	hetero.HeterogeneousDevices = true
+	cells = append(cells,
+		cell{"gpt3-7b-l4x2 (S=2 priced)", testWorkload("gpt3-7b", 2), l4(t, 2), MistSpace()},
+		cell{"gpt3-1.3b-l4x4 hetero", testWorkload("gpt3-1.3b", 16), l4(t, 4), hetero},
+		cell{"gpt3-1.3b-l4x4 uniform", testWorkload("gpt3-1.3b", 16), l4(t, 4), UniformHeuristicSpace()},
+	)
+	enumerated, priced := 0, 0
+	for _, c := range cells {
+		tn, err := New(c.w, c.cl, c.space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &tpbRecorder{pricer: tn.rows(), tpb: map[[2]int]bool{}}
+		tn.ev = rec
+		if _, err := tn.Tune(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tn.An.SectionBuilds(), len(rec.tpb); got != want || want == 0 {
+			t.Errorf("%s: the search built section costs for %d (TP, b), it priced %d", c.name, got, want)
+		}
+		floor := map[[2]int]bool{}
+		var pts [maxParallelisms]parallelism
+		for _, s := range tn.stageCounts() {
+			devOpts := []int{c.cl.TotalGPUs() / s}
+			if c.space.HeterogeneousDevices && s > 1 {
+				devOpts = tn.deviceOptions(s)
+			}
+			for _, g := range tn.gradAccums() {
+				for _, dev := range devOpts {
+					for _, pt := range tn.parallelisms(pts[:0], dev, g) {
+						floor[[2]int{pt.tp, pt.b}] = true
+					}
+				}
+			}
+		}
+		for key := range rec.tpb {
+			if !floor[key] {
+				t.Errorf("%s: priced (TP, b) %v, which no pair enumerates", c.name, key)
+			}
+		}
+		enumerated += len(floor)
+		priced += len(rec.tpb)
+	}
+	if enumerated <= priced {
+		t.Errorf("the pairs enumerate %d (TP, b) and the searches price %d: no floor-only (TP, b) was left unbuilt", enumerated, priced)
+	}
+	t.Logf("pairs enumerate %d (TP, b), searches price %d", enumerated, priced)
 }

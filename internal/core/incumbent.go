@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"errors"
+	"math"
+)
 
 // The search's incumbent: the best objective U of any (S, G) pair of an
 // earlier wave (+Inf until one lands). TuneContext keeps it in a local,
@@ -86,17 +89,21 @@ func (pb *pairBound) add(cands []candidate, g int, incumbent float64) (pruned bo
 // folded in so far.
 func (pb *pairBound) value(g int) float64 { return float64(g-1)*pb.max + pb.sum }
 
-// prunedError marks an (S, G) pair abandoned because the incumbent proved
-// it could not improve on a solution already found. Callers treat it
-// exactly like an infeasible pair. bound is the lower bound that exceeded
-// the incumbent: the pair's compute floor when nothing was priced
-// (byFloor), else the pairBound after the sweep of `stage`.
+// prunedError marks an (S, G) pair abandoned mid-sweep because the
+// incumbent proved it could not improve on a solution already found.
+// Callers treat it exactly like an infeasible pair. bound is the pairBound
+// after the sweep of `stage`, which exceeded the incumbent.
 type prunedError struct {
-	byFloor bool
-	bound   float64
-	stage   int
+	bound float64
+	stage int
 }
 
 func (e *prunedError) Error() string {
 	return "core: (S, G) pair pruned by the incumbent bound"
 }
+
+// errFloorSkipped marks an (S, G) pair skipped before anything was priced,
+// its compute floor above the incumbent. It is one value for every such
+// pair, so a skip allocates nothing; tuneSG puts the floor on the pair's
+// span when it is traced.
+var errFloorSkipped = errors.New("core: (S, G) pair skipped by its compute floor")

@@ -117,7 +117,8 @@ func (t *Tuner) intraStage(ctx context.Context, s, g, stageIdx, devPerStage int,
 	// Enumerate the stage shapes, then price them on a bounded worker
 	// pool (the intra-stage counterpart of Tune's (S, G) fan-out).
 	shapes := sc.shapes[:0]
-	for _, pt := range t.parallelisms(devPerStage, g) {
+	var pts [maxParallelisms]parallelism
+	for _, pt := range t.parallelisms(pts[:0], devPerStage, g) {
 		for _, zero := range t.Space.zeroLevels() {
 			if zero > 0 && pt.dp == 1 {
 				continue // ZeRO is a no-op without data parallelism
@@ -209,12 +210,17 @@ spawn:
 // parallelism is one feasible (tp, dp, b) split of a stage's devices.
 type parallelism struct{ tp, dp, b int }
 
-// parallelisms enumerates tensor/data-parallel splits of devPerStage that
-// are compatible with the model's head count, the node size (TP stays
-// within NVLink/PCIe domains), and the global batch factorization
-// b = B / (G * dp).
-func (t *Tuner) parallelisms(devPerStage, g int) []parallelism {
-	var out []parallelism
+// maxParallelisms sizes the callers' buffers for parallelisms: one split
+// per power-of-two TP degree within a node.
+const maxParallelisms = 8
+
+// parallelisms appends to dst the tensor/data-parallel splits of
+// devPerStage that are compatible with the model's head count, the node
+// size (TP stays within NVLink/PCIe domains), and the global batch
+// factorization b = B / (G * dp), and returns the extended slice. Callers
+// pass a buffer of maxParallelisms on their stack.
+func (t *Tuner) parallelisms(dst []parallelism, devPerStage, g int) []parallelism {
+	out := dst
 	for tp := 1; tp <= devPerStage && tp <= t.Cluster.GPUsPerNode; tp *= 2 {
 		if devPerStage%tp != 0 || t.W.Model.Heads%tp != 0 {
 			continue

@@ -291,43 +291,50 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	incumbent := math.Inf(1)
 	swctx, swsp := trace.StartSpan(ctx, "sweep")
 	outs := make([]outcome, pairWave)
+	// Pairs are claimed off an atomic counter by at most GOMAXPROCS
+	// workers: which worker runs a pair changes nothing it computes. The
+	// caller is one of them (as in intraStage), so a wave of one — two of
+	// every search's waves — spawns nothing and parks nobody: its cost
+	// does not depend on when the scheduler hands a worker a core. The
+	// workers' state is the search's, one object for all its waves: the
+	// loop sets it before a wave's workers start, and they read it only
+	// until the wave's Wait.
+	var w struct {
+		pairs []sg // the wave
+		bound float64
+		next  atomic.Int32
+		wg    sync.WaitGroup
+	}
+	drain := func() {
+		for {
+			i := int(w.next.Add(1)) - 1
+			if i >= len(w.pairs) {
+				return
+			}
+			p := w.pairs[i]
+			pctx, psp := trace.StartSpan(swctx, "sg")
+			sol, n, err := t.tuneSG(pctx, p.s, p.g, w.bound)
+			if psp != nil { // boxing the attributes allocates, even for a nil span
+				annotatePair(psp, p.s, p.g, w.bound, n, err)
+				psp.End()
+			}
+			outs[i] = outcome{sol: sol, n: n}
+		}
+	}
 	for done := 0; done < len(pairs) && ctx.Err() == nil; {
 		wave := pairs[done:min(done+waveSize(done), len(pairs))]
 		done += len(wave)
-		bound := incumbent
-		// Pairs are claimed off an atomic counter by at most GOMAXPROCS
-		// workers: which worker runs a pair changes nothing it computes.
-		// The caller is one of them (as in intraStage), so a wave of one —
-		// two of every search's waves — spawns nothing and parks nobody:
-		// its cost does not depend on when the scheduler hands a worker a
-		// core.
-		var next atomic.Int32
-		drain := func() {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(wave) {
-					return
-				}
-				p := wave[i]
-				pctx, psp := trace.StartSpan(swctx, "sg")
-				sol, n, err := t.tuneSG(pctx, p.s, p.g, bound)
-				if psp != nil { // boxing the attributes allocates, even for a nil span
-					annotatePair(psp, p.s, p.g, bound, n, err)
-					psp.End()
-				}
-				outs[i] = outcome{sol: sol, n: n}
-			}
-		}
-		var wg sync.WaitGroup
+		w.pairs, w.bound = wave, incumbent
+		w.next.Store(0)
 		for n := min(len(wave), runtime.GOMAXPROCS(0)) - 1; n > 0; n-- {
-			wg.Add(1)
+			w.wg.Add(1)
 			go func() {
-				defer wg.Done()
+				defer w.wg.Done()
 				drain()
 			}()
 		}
 		drain()
-		wg.Wait()
+		w.wg.Wait()
 		for i, o := range outs[:len(wave)] {
 			total.add(o.n)
 			if o.sol == nil {
@@ -379,22 +386,23 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 }
 
 // annotatePair records on a pair's span its (S, G), how it ended — err is
-// tuneSG's, a *prunedError when the incumbent or the floor abandoned the
-// pair — and the candidates it priced.
+// tuneSG's: errFloorSkipped when the floor skipped the pair (tuneSG
+// annotated the floor), a *prunedError when the incumbent abandoned it
+// mid-sweep — and the candidates it priced.
 func annotatePair(sp *trace.Span, s, g int, bound float64, n counts, err error) {
 	sp.Annotate("s", s)
 	sp.Annotate("g", g)
-	if pe, ok := err.(*prunedError); ok {
-		if pe.byFloor {
-			sp.Annotate("prunedBy", "floor")
-			sp.Annotate("floor", pe.bound)
-		} else {
-			sp.Annotate("prunedBy", "incumbent")
-			sp.Annotate("bound", pe.bound)
-			sp.Annotate("stage", pe.stage)
-		}
+	pe, pruned := err.(*prunedError)
+	switch {
+	case errors.Is(err, errFloorSkipped):
+		sp.Annotate("prunedBy", "floor")
 		sp.Annotate("incumbent", bound)
-	} else if err != nil { // OOM or no factorization
+	case pruned:
+		sp.Annotate("prunedBy", "incumbent")
+		sp.Annotate("bound", pe.bound)
+		sp.Annotate("stage", pe.stage)
+		sp.Annotate("incumbent", bound)
+	case err != nil: // OOM or no factorization
 		sp.Annotate("infeasible", true)
 	}
 	sp.Annotate("evals", n.evaluated)
@@ -440,14 +448,17 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int, bound float64) (*interSolu
 	// a pair whose floor exceeds the incumbent (by a margin that keeps ties
 	// and rounding safe) is skipped whole. The floor is also where a pair
 	// sets up: it fetches the analyzer's model trace on its first pair and
-	// evaluates the section costs of each new (TP, b), so it has a span of
-	// its own.
+	// prices the layer compute of each new (TP, b), so it has a span of its
+	// own.
 	_, fsp := trace.StartSpan(ctx, "floor")
 	floor := t.computeFloor(s, g, devOpts)
 	fsp.End()
 	if floor*(1-1e-9) > bound {
+		if psp := trace.FromContext(ctx); psp != nil { // boxing the floor allocates
+			psp.Annotate("floor", floor)
+		}
 		n.aborted, n.floorSkipped = 1, 1
-		return nil, n, &prunedError{byFloor: true, bound: floor}
+		return nil, n, errFloorSkipped
 	}
 	if t.Space.UniformStages {
 		return t.tuneUniform(ctx, s, g, total/s)
@@ -530,8 +541,9 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g int, bound float64) (*interSolu
 // nothing is enumerable: the sweep reports that infeasibility itself.
 func (t *Tuner) computeFloor(s, g int, devOpts []int) float64 {
 	cMin := math.Inf(1)
+	var pts [maxParallelisms]parallelism
 	for _, dev := range devOpts {
-		for _, pt := range t.parallelisms(dev, g) {
+		for _, pt := range t.parallelisms(pts[:0], dev, g) {
 			cMin = min(cMin, t.An.LayerComputeFloor(pt.tp, pt.b))
 		}
 	}

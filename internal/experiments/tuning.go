@@ -93,10 +93,12 @@ func fig16(scale Scale) (*Table, error) {
 }
 
 // naivePerConfigSeconds measures the cost of pricing one configuration
-// when the analyzer must re-trace per query: each trial traces the model
-// and compiles its section bytes itself, because a fresh analyzer shares
-// the process's trace of the model (and its variant's stage program), and
-// then prices the configuration on a fresh analyzer.
+// when the analyzer must re-trace and recompile per query: a fresh
+// analyzer shares the process's trace of the model and its variant's
+// stage program, so each trial traces the model and compiles its section
+// bytes itself, compiles the shape's stage program afresh
+// (schedule.Analyzer.CompileProgram) on a fresh analyzer, and then prices
+// the configuration on it.
 func naivePerConfigSeconds(w plan.Workload, cl *hardware.Cluster) float64 {
 	intf := interference.NewModel()
 	shape := schedule.StageShape{B: 1, DP: 1, TP: 1, NumStages: 1, StageIdx: 0, GradAccum: 1,
@@ -111,6 +113,9 @@ func naivePerConfigSeconds(w plan.Workload, cl *hardware.Cluster) float64 {
 		}
 		symbolic.MustCompile(secs.Bytes(), []string{graph.BSymbol, graph.TPSymbol})
 		an := schedule.NewAnalyzer(w.Model, w.Seq, w.Flash, cl, opdb.New(cl.GPU), intf)
+		if _, err := an.CompileProgram(shape); err != nil {
+			return 0.01
+		}
 		if _, err := an.Evaluate(shape, k); err != nil {
 			return 0.01
 		}

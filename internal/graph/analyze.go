@@ -297,9 +297,10 @@ func (g *Graph) BackwardTime(db *opdb.DB, b int) float64 {
 // Ops is a traced graph reduced to its operator shapes — all the time
 // model reads. It holds none of the graph's tensors, so it is what a
 // long-lived caller keeps of a trace to price it at further microbatch
-// sizes and, through Bind, TP degrees; its times equal the Graph's bit
-// for bit. Like a Graph's, they are the times at a degree only once
-// bound to it: a traced op holds its TP-split dimension whole.
+// sizes and TP degrees; its times equal those of the Graph bound to the
+// degree, bit for bit. A traced op holds its TP-split dimension whole,
+// and the pricing loop divides it by the degree op by op, so pricing at a
+// degree builds no bound copy.
 type Ops []op
 
 // Ops extracts the graph's operators.
@@ -311,30 +312,22 @@ func (g *Graph) Ops() Ops {
 	return ops
 }
 
-// Bind returns the operators at tensor-parallel degree tp: the Ops of the
-// graph's Bind(tp).
-func (ops Ops) Bind(tp int) Ops {
-	out := make(Ops, len(ops))
-	for i, o := range ops {
-		out[i] = o.bind(tp)
-	}
-	return out
-}
-
-// ForwardTime prices one forward pass at microbatch size b.
-func (ops Ops) ForwardTime(db *opdb.DB, b int) float64 {
+// ForwardTime prices one forward pass at tensor-parallel degree tp and
+// microbatch size b.
+func (ops Ops) ForwardTime(db *opdb.DB, tp, b int) float64 {
 	total := 0.0
 	for _, o := range ops {
-		total = o.addForward(total, db, b)
+		total = o.bind(tp).addForward(total, db, b)
 	}
 	return total
 }
 
-// BackwardTime prices one backward pass at microbatch size b.
-func (ops Ops) BackwardTime(db *opdb.DB, b int) float64 {
+// BackwardTime prices one backward pass at tensor-parallel degree tp and
+// microbatch size b.
+func (ops Ops) BackwardTime(db *opdb.DB, tp, b int) float64 {
 	total := 0.0
 	for _, o := range ops {
-		total = o.addBackward(total, db, b)
+		total = o.bind(tp).addBackward(total, db, b)
 	}
 	return total
 }

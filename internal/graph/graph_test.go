@@ -287,7 +287,8 @@ func TestPeakExpressionsDeterministic(t *testing.T) {
 }
 
 // A graph's Ops price exactly as the graph does, at every microbatch
-// size.
+// size. The graphs are bound, so their ops hold no TP-split dimension
+// and are priced at degree 1.
 func TestOpsMatchGraph(t *testing.T) {
 	db := opdb.New(hardware.L4())
 	var graphs []*Graph
@@ -306,10 +307,10 @@ func TestOpsMatchGraph(t *testing.T) {
 	for _, g := range graphs {
 		ops := g.Ops()
 		for b := 1; b <= 9; b++ {
-			if got, want := ops.ForwardTime(db, b), g.ForwardTime(db, b); got != want {
+			if got, want := ops.ForwardTime(db, 1, b), g.ForwardTime(db, b); got != want {
 				t.Errorf("%s b=%d: forward time %v, graph says %v", g.Name, b, got, want)
 			}
-			if got, want := ops.BackwardTime(db, b), g.BackwardTime(db, b); got != want {
+			if got, want := ops.BackwardTime(db, 1, b), g.BackwardTime(db, b); got != want {
 				t.Errorf("%s b=%d: backward time %v, graph says %v", g.Name, b, got, want)
 			}
 		}

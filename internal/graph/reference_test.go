@@ -37,7 +37,9 @@ func oracleModels() []model.Config {
 // to 64 that divides the head count, and b in 1..64. At a power-of-two
 // degree (1, 2, 4 and 8 are the search's) the byte quantities are also
 // checked through one program compiled over (b, TP) from the unbound
-// sections, which is what schedule.Analyzer evaluates. The bound graphs
+// sections, which is what schedule.Analyzer evaluates, and both operator
+// times through the unbound Ops priced at the degree, which is how it
+// prices them. The bound graphs
 // agree at every degree because Bind folds each size to the literal
 // trace's constant, c/tp rounded once (the unfused attention scores'
 // by an exact product: TP divides the head count). The program agrees
@@ -71,10 +73,6 @@ func TestBoundTraceMatchesReference(t *testing.T) {
 				refBytes, boundBytes := ref.Bytes(), bound.Bytes()
 				refGraphs := [3]*Graph{ref.Layer, ref.Pre, ref.Post}
 				boundGraphs := [3]*Graph{bound.Layer, bound.Pre, bound.Post}
-				var boundOps [3]Ops
-				for i := range ops {
-					boundOps[i] = ops[i].Bind(tp)
-				}
 				for b := 1; b <= 64; b++ {
 					env := symbolic.Env{BSymbol: float64(b)}
 					compiled := prog.EvalFrame([]float64{float64(b), float64(tp)}, nil, nil)
@@ -95,11 +93,11 @@ func TestBoundTraceMatchesReference(t *testing.T) {
 						if got := boundGraphs[i].BackwardTime(db, b); got != bwd {
 							t.Fatalf("%s flash=%v tp=%d b=%d: %s backward time %v, reference %v", cfg.Name, flash, tp, b, rg.Name, got, bwd)
 						}
-						if got := boundOps[i].ForwardTime(db, b); got != fwd {
-							t.Fatalf("%s flash=%v tp=%d b=%d: %s bound ops forward time %v, reference %v", cfg.Name, flash, tp, b, rg.Name, got, fwd)
+						if got := ops[i].ForwardTime(db, tp, b); got != fwd {
+							t.Fatalf("%s flash=%v tp=%d b=%d: %s ops forward time at the degree %v, reference %v", cfg.Name, flash, tp, b, rg.Name, got, fwd)
 						}
-						if got := boundOps[i].BackwardTime(db, b); got != bwd {
-							t.Fatalf("%s flash=%v tp=%d b=%d: %s bound ops backward time %v, reference %v", cfg.Name, flash, tp, b, rg.Name, got, bwd)
+						if got := ops[i].BackwardTime(db, tp, b); got != bwd {
+							t.Fatalf("%s flash=%v tp=%d b=%d: %s ops backward time at the degree %v, reference %v", cfg.Name, flash, tp, b, rg.Name, got, bwd)
 						}
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // tupleGroups partitions a knob batch by offload tuple (WO, GO, OO, AO):
@@ -36,11 +37,20 @@ type Batch struct {
 // NewBatch copies ks into a prepared batch.
 func NewBatch(ks []Knobs) *Batch { return prepare(append([]Knobs(nil), ks...)) }
 
+// groupers holds prepare's partition scratch. A batch keeps only its
+// tupleGroups, copied out of the grouper into one exactly sized buffer;
+// the open-addressing table and the per-entry group ids serve the next
+// batch.
+var groupers = sync.Pool{New: func() any { return new(grouper) }}
+
 // prepare validates and partitions ks, which the batch then owns.
 func prepare(ks []Knobs) *Batch {
-	var g grouper
-	err := g.build(ks)
-	return &Batch{knobs: ks, groups: g.tupleGroups, err: err}
+	g := groupers.Get().(*grouper)
+	defer groupers.Put(g)
+	if err := g.build(ks); err != nil {
+		return &Batch{knobs: ks, err: err}
+	}
+	return &Batch{knobs: ks, groups: g.tupleGroups.clone()}
 }
 
 // Knobs returns the batch's entries in order; callers must not mutate
@@ -107,6 +117,25 @@ func newKnobGrid(layers int, ckpts []int, sweep [4]bool) *Batch {
 		}
 	}
 	return prepare(ks)
+}
+
+// clone copies tg into one buffer of exactly its length.
+func (tg *tupleGroups) clone() tupleGroups {
+	n := len(tg.order) + len(tg.starts)
+	for _, f := range tg.first {
+		n += len(f)
+	}
+	buf := make([]int32, 0, n)
+	take := func(src []int32) []int32 {
+		at := len(buf)
+		buf = append(buf, src...)
+		return buf[at:len(buf):len(buf)]
+	}
+	out := tupleGroups{order: take(tg.order), starts: take(tg.starts)}
+	for c, f := range tg.first {
+		out.first[c] = take(f)
+	}
+	return out
 }
 
 // grouper builds tupleGroups, keeping its working buffers so a stream of

@@ -1,6 +1,10 @@
 package schedule
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/model"
+)
 
 // TestPropertyComputeFloorBoundsStable holds the two facts core's
 // pre-pricing (S, G) bound rests on (core.Tuner.computeFloor) over the
@@ -50,5 +54,46 @@ func TestPropertyComputeFloorBoundsStable(t *testing.T) {
 				t.Fatal("no candidate checked")
 			}
 		})
+	}
+}
+
+// TestComputeFloorBuildsNoSections: the compute floor prices the layer's
+// compute alone. On a fresh analyzer, LayerComputeFloor at every (TP, b)
+// the tuner may enumerate builds no section costs, and once a shape of
+// that (TP, b) is priced, the one build equals the floor with ==: the
+// floor is exactly the cFwd + cBwd the stage program reads. A degree the
+// model does not split reads the trivial floor 0 and builds nothing.
+func TestComputeFloorBuildsNoSections(t *testing.T) {
+	for _, cfg := range []model.Config{model.MustByName("gpt3-2.7b"), model.MustByName("falcon-1.3b"), model.MustMoEByName("gpt3-1.3b", 8, 2)} {
+		a := newTestAnalyzerFor(t, cfg, 8, true)
+		floors := map[tpB]float64{}
+		for _, tp := range []int{1, 2, 4, 8} {
+			for _, b := range []int{1, 2, 3, 8} {
+				floors[tpB{tp, b}] = a.LayerComputeFloor(tp, b)
+			}
+		}
+		if got := a.SectionBuilds(); got != 0 {
+			t.Fatalf("%s: %d floors built %d section costs, want 0", cfg.Name, len(floors), got)
+		}
+		if cfg.Heads%3 != 0 {
+			if f := a.LayerComputeFloor(3, 1); f != 0 || a.SectionBuilds() != 0 {
+				t.Errorf("%s: floor at TP 3 is %v after %d section builds, want 0 and none", cfg.Name, f, a.SectionBuilds())
+			}
+		}
+		built := 0
+		for key, floor := range floors {
+			shape := StageShape{B: key.b, DP: 1, TP: key.tp, NumStages: 1, GradAccum: 1, HasPre: true}
+			if _, err := a.Evaluate(shape, Knobs{Layers: 2}); err != nil {
+				t.Fatal(err)
+			}
+			built++
+			if got := a.SectionBuilds(); got != built {
+				t.Fatalf("%s: pricing %d (TP, b) built %d section costs", cfg.Name, built, got)
+			}
+			sp := a.program(shape)
+			if floor <= 0 || floor != sp.cFwd+sp.cBwd {
+				t.Errorf("%s TP=%d b=%d: floor %v, the priced shape's layer compute %v + %v", cfg.Name, key.tp, key.b, floor, sp.cFwd, sp.cBwd)
+			}
+		}
 	}
 }

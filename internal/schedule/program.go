@@ -323,10 +323,15 @@ func (a *Analyzer) trace(tp int) (*modelTrace, error) {
 // tensor-parallel degree and microbatch size.
 type tpB struct{ tp, b int }
 
+// layerCompute is the layer's forward and backward compute at one (TP,
+// b): all the compute floor reads of a trace.
+type layerCompute struct{ cFwd, cBwd float64 }
+
 // sectionCosts are the operator times and byte sizes of the three traced
-// sections at one (TP, b).
+// sections at one (TP, b), built only for the (TP, b) of a shape the
+// analyzer prices.
 type sectionCosts struct {
-	cFwd, cBwd                  float64
+	layerCompute
 	stash, boundary             float64
 	fwdTrans, bwdTrans          float64
 	preFwd, preBwd, preStash    float64
@@ -334,37 +339,53 @@ type sectionCosts struct {
 	postPeakBwd                 float64
 }
 
+// compute returns (pricing on first use) tr's layer compute at (tp, b):
+// the layer's operators priced at that degree and microbatch size.
+func (a *Analyzer) compute(tr *modelTrace, tp, b int) layerCompute {
+	return a.layers.get(tpB{tp, b}, func() layerCompute {
+		return layerCompute{cFwd: tr.layer.ForwardTime(a.DB, tp, b), cBwd: tr.layer.BackwardTime(a.DB, tp, b)}
+	})
+}
+
 // costs returns (evaluating on first use) tr's sections at (tp, b): the
-// byte program at that frame, and each section's operators bound to tp.
+// layer compute from its memo, the byte program at that frame, and the
+// pre and post sections' operators priced at that degree.
 func (a *Analyzer) costs(tr *modelTrace, tp, b int) *sectionCosts {
 	return a.sections.get(tpB{tp, b}, func() *sectionCosts {
+		a.nSections.Add(1)
 		bytes := tr.bytes.EvalFrame([]float64{float64(b), float64(tp)}, nil, nil)
-		layer, pre, post := tr.layer.Bind(tp), tr.pre.Bind(tp), tr.post.Bind(tp)
 		return &sectionCosts{
-			cFwd: layer.ForwardTime(a.DB, b), cBwd: layer.BackwardTime(a.DB, b),
-			stash: bytes[graph.LayerStash], boundary: bytes[graph.LayerBoundary],
+			layerCompute: a.compute(tr, tp, b),
+			stash:        bytes[graph.LayerStash], boundary: bytes[graph.LayerBoundary],
 			fwdTrans: bytes[graph.LayerFwdPeak], bwdTrans: bytes[graph.LayerBwdPeak],
-			preFwd: pre.ForwardTime(a.DB, b), preBwd: pre.BackwardTime(a.DB, b),
+			preFwd: tr.pre.ForwardTime(a.DB, tp, b), preBwd: tr.pre.BackwardTime(a.DB, tp, b),
 			preStash: bytes[graph.PreStash],
-			postFwd:  post.ForwardTime(a.DB, b), postBwd: post.BackwardTime(a.DB, b),
+			postFwd:  tr.post.ForwardTime(a.DB, tp, b), postBwd: tr.post.BackwardTime(a.DB, tp, b),
 			postStash: bytes[graph.PostStash], postPeakBwd: bytes[graph.PostBwdPeak],
 		}
 	})
 }
 
+// SectionBuilds reports how many (TP, b) the analyzer has built section
+// costs for: the distinct (TP, b) of the shapes it has priced, since the
+// compute floor reads only the layer compute. Each is built once, so the
+// count is exact under concurrent pricing.
+func (a *Analyzer) SectionBuilds() int { return int(a.nSections.Load()) }
+
 // LayerComputeFloor is a lower bound on the stable time per layer of every
 // stage shape with this (tp, b): its forward and backward compute, which
 // the overlap composition only adds to (interference factors are >= 1;
-// serial collectives and recomputation come on top). Read off the memoized
-// trace, nothing is priced; 0, the trivial bound, when the model does not
-// split tp ways.
+// serial collectives and recomputation come on top). It prices the
+// layer's operators at (tp, b), once per analyzer, and builds none of the
+// section costs a priced shape needs; 0, the trivial bound, when the
+// model does not split tp ways.
 func (a *Analyzer) LayerComputeFloor(tp, b int) float64 {
 	tr, err := a.trace(tp)
 	if err != nil {
 		return 0
 	}
-	sec := a.costs(tr, tp, b)
-	return sec.cFwd + sec.cBwd
+	c := a.compute(tr, tp, b)
+	return c.cFwd + c.cBwd
 }
 
 // program returns (building if needed) the stage program of shape. The
@@ -380,10 +401,32 @@ func (a *Analyzer) program(shape StageShape) *stageProgram {
 // memoized trace and attaches its variant's process-wide program.
 // Nothing here traces or compiles per shape.
 func (a *Analyzer) build(shape StageShape) *stageProgram {
-	sp := &stageProgram{}
+	sp, key := a.fill(shape)
+	if sp.err == nil {
+		sp.prog = variantProgram(key)
+	}
+	return sp
+}
+
+// CompileProgram compiles shape's stage program afresh, bypassing the
+// process's variant programs: the compile an analyzer that re-instantiated
+// its model for every query would pay per query. It is a measurement aid
+// (Fig. 16's naive-analyzer estimate); pricing never calls it.
+func (a *Analyzer) CompileProgram(shape StageShape) (*symbolic.Program, error) {
+	sp, key := a.fill(shape.Canonical())
+	if sp.err != nil {
+		return nil, sp.err
+	}
+	return symbolic.MustCompile(variantExprs(key), frameVars), nil
+}
+
+// fill derives shape's numeric constants and coefficient fill, and the
+// structural variant whose program they fill; sp.prog is left nil.
+func (a *Analyzer) fill(shape StageShape) (sp *stageProgram, key variantKey) {
+	sp = &stageProgram{}
 	if shape.B <= 0 || shape.DP <= 0 || shape.TP <= 0 || shape.ZeRO < 0 || shape.ZeRO > 3 {
 		sp.err = fmt.Errorf("schedule: invalid shape %+v", shape)
-		return sp
+		return sp, key
 	}
 	if shape.ZeRO > 0 && shape.DP == 1 {
 		// ZeRO over a single replica is a no-op; normalize to 0 so the
@@ -393,7 +436,7 @@ func (a *Analyzer) build(shape StageShape) *stageProgram {
 	tr, err := a.trace(shape.TP)
 	if err != nil {
 		sp.err = err
-		return sp
+		return sp, key
 	}
 	cl := a.Cluster
 	b := shape.B
@@ -509,7 +552,6 @@ func (a *Analyzer) build(shape StageShape) *stageProgram {
 
 	// ---- Coefficient fill ----
 	k := &sp.coefs
-	var key variantKey
 
 	// Offload channel times (pure bandwidth; DMA latency is amortized by
 	// chunked streaming). The optimizer step moves the rank's shard.
@@ -601,9 +643,7 @@ func (a *Analyzer) build(shape StageShape) *stageProgram {
 	// Optimizer step: per-layer working set of fully materialized states
 	// (decoupling keeps this to one layer instead of the whole model).
 	k[cStepWS] = BytesAll * stepParams
-
-	sp.prog = variantProgram(key)
-	return sp
+	return sp, key
 }
 
 // variantExprs assembles the knob expressions of one structural variant

@@ -192,14 +192,18 @@ type Analyzer struct {
 	Serialize bool
 
 	// Everything derived from the whole context is memoized here and dies
-	// with the analyzer: the section costs per (TP, b) and the numeric fill
-	// per canonical stage shape (program.go). What depends on less is the
-	// process's, shared by pointer: the model's trace and compiled (b, TP)
-	// byte program, one per (model, seq, flash) in a bounded table
-	// (traces; traced is this analyzer's, fetched on first use), and each
-	// structural variant's stage program (variantPrograms).
+	// with the analyzer (program.go): the layer's compute per (TP, b),
+	// which is all the compute floor reads, so it prices every (TP, b) a
+	// search enumerates; the full section costs per (TP, b), only for the
+	// (TP, b) of a shape it prices; and the numeric fill per canonical
+	// stage shape. What depends on less is the process's, shared by
+	// pointer: the model's trace and compiled (b, TP) byte program, one
+	// per (model, seq, flash) in a bounded table (traces; traced is this
+	// analyzer's, fetched on first use), and each structural variant's
+	// stage program (variantPrograms).
 	traceOnce sync.Once
 	traced    *modelTrace
+	layers    onceMap[tpB, layerCompute]
 	sections  onceMap[tpB, *sectionCosts]
 	programs  onceMap[StageShape, *stageProgram]
 
@@ -210,12 +214,14 @@ type Analyzer struct {
 	grids  map[string]*Batch
 	rows   *Rows
 
-	// Trace fetches and tuple passes run, and overlap regions predicted,
-	// for tests. A tuple pass is what priceGroups does once per offload
-	// tuple of a call: the tuple's lane of the tape from frameWO and its
-	// overlapTerms, of which it predicts only the regions no earlier tuple
-	// of the call shares (regionClasses).
+	// Trace fetches, section-cost builds and tuple passes run, and overlap
+	// regions predicted, for tests and benchmarks. A tuple pass is what
+	// priceGroups does once per offload tuple of a call: the tuple's lane
+	// of the tape from frameWO and its overlapTerms, of which it predicts
+	// only the regions no earlier tuple of the call shares
+	// (regionClasses).
 	nTraced                         atomic.Int32
+	nSections                       atomic.Int64
 	nTuplePasses, nRegionsPredicted atomic.Int64
 }
 

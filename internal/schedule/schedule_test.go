@@ -434,6 +434,41 @@ func TestConcurrentFirstUseCompilesOnce(t *testing.T) {
 	}
 }
 
+// TestCompileProgramIsFresh: CompileProgram, the compile Fig. 16's naive
+// estimate pays per query, compiles its shape's variant afresh on every
+// call rather than handing out the process's program, and what it
+// compiles is that program: the same tape, so the same outputs at a
+// filled frame.
+func TestCompileProgramIsFresh(t *testing.T) {
+	a := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
+	shape := StageShape{B: 2, DP: 2, TP: 2, ZeRO: 1, NumStages: 2, GradAccum: 4, HasPre: true}
+	cached := a.program(shape)
+	if cached.err != nil {
+		t.Fatal(cached.err)
+	}
+	first, err := a.CompileProgram(shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := a.CompileProgram(shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first == cached.prog || second == cached.prog || first == second {
+		t.Fatal("CompileProgram returned a program it did not compile")
+	}
+	frame := make([]float64, frameLen)
+	copy(frame, cached.coefs[:])
+	knobFrame(frame, Knobs{Layers: 8, Ckpt: 3, WO: 0.5, GO: 1, OO: 0.5, AO: 0.5})
+	want := cached.prog.EvalFrame(frame, nil, nil)
+	if got := first.EvalFrame(frame, nil, nil); !slices.Equal(got, want) {
+		t.Errorf("fresh program outputs %v, the process's %v", got, want)
+	}
+	if _, err := a.CompileProgram(StageShape{B: 1, DP: 1, TP: 3, NumStages: 1, GradAccum: 1}); err == nil {
+		t.Error("a shape the model cannot split compiled")
+	}
+}
+
 // TestVariantIndexIsDense: variantKey.index maps the 96 keys one to one
 // onto variantPrograms' slots.
 func TestVariantIndexIsDense(t *testing.T) {

@@ -447,3 +447,58 @@ func TestOverlapRegionReadSets(t *testing.T) {
 		}
 	}
 }
+
+// TestReusedGrouperMatchesFresh: one grouper reused across a stream of
+// builds — what prepare's pool hands each knob grid — partitions every
+// batch exactly as a fresh grouper does, and a prepared batch keeps that
+// partition. The stream runs sizes 0 and 1, a batch with duplicates, the
+// 405 entries of a full MistSpace grid, then smaller ones, so a reused
+// table, group-id buffer or first-match buffer that is longer than the
+// batch must not leak stale entries into it.
+func TestReusedGrouperMatchesFresh(t *testing.T) {
+	full := tunerGrid(8, []float64{0, 0.5, 1})
+	if len(full) != 405 {
+		t.Fatalf("the full grid has %d entries, want 405", len(full))
+	}
+	dups := append(slices.Clone(full[:20]), full[3:9]...)
+	dups = append(dups, full[0], full[0], full[19])
+	stream := [][]Knobs{
+		nil,
+		full[7:8],
+		dups,
+		full,
+		full[:81],
+		tunerGrid(4, []float64{0, 1}),
+		full[200:203],
+		full[:2],
+		nil,
+		full[404:],
+	}
+	same := func(a, b *tupleGroups) bool {
+		if !slices.Equal(a.order, b.order) || !slices.Equal(a.starts, b.starts) {
+			return false
+		}
+		for c := range a.first {
+			if !slices.Equal(a.first[c], b.first[c]) {
+				return false
+			}
+		}
+		return true
+	}
+	var reused grouper
+	for i, ks := range stream {
+		var fresh grouper
+		if err := fresh.build(ks); err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.build(ks); err != nil {
+			t.Fatal(err)
+		}
+		if !same(&reused.tupleGroups, &fresh.tupleGroups) {
+			t.Errorf("batch %d (%d entries): reused grouper %+v, fresh %+v", i, len(ks), reused.tupleGroups, fresh.tupleGroups)
+		}
+		if b := NewBatch(ks); !same(&b.groups, &fresh.tupleGroups) {
+			t.Errorf("batch %d (%d entries): prepared batch keeps %+v, fresh grouper %+v", i, len(ks), b.groups, fresh.tupleGroups)
+		}
+	}
+}

@@ -50,9 +50,10 @@ import (
 const defaultEvalCachePoints = 4 << 20
 
 // entryOverheadPoints is the point-equivalent fixed cost charged to each
-// registry entry: the analyzer, its section costs and its per-shape
-// coefficient fills are real memory even when the entry has memoized no
-// points. (The interference fit, the model trace and the compiled stage
+// registry entry: the analyzer, its per-(TP, b) layer compute, and the
+// section costs and coefficient fills of the shapes it priced (a (TP, b)
+// only its compute floor read holds no section costs) are real memory
+// even when the entry has memoized no points. (The interference fit, the model trace and the compiled stage
 // programs are the process's, shared across entries: schedule bounds its
 // trace table at the same 1024 keys.) Charging it makes point-light
 // entries evictable by the same LRU sweep and bounds the entry count at

@@ -26,9 +26,10 @@
 // far tighter than the tolerance: an allocation crept into a hot path,
 // or a row grown by a field, is a regression even when the wall-clock
 // noise hides it. The deterministic
-// counts a search reports (candidates, unique-evals, hit-rate) are a
-// function of its inputs, not of the machine, so any change in one, up
-// or down, fails the gate whatever the tolerance.
+// counts a search reports (candidates, unique-evals, hit-rate, and the
+// analyzer's section-cost builds, sections) are a function of its inputs,
+// not of the machine, so any change in one, up or down, fails the gate
+// whatever the tolerance.
 package main
 
 import (
@@ -186,7 +187,7 @@ var gatedMetrics = []struct {
 
 // exactMetrics are gated at equality, each only when both reports carry
 // it: the work a search does, which no timing noise moves.
-var exactMetrics = []string{"candidates", "unique-evals", "hit-rate"}
+var exactMetrics = []string{"candidates", "unique-evals", "hit-rate", "sections"}
 
 // delta is one gated dimension of one shared benchmark.
 type delta struct {
@@ -334,7 +335,7 @@ func runCompare(oldPath, newPath string, tolerance float64) {
 		fmt.Printf("%-60s only in %s (new — no baseline yet)\n", k, newPath)
 	}
 	if regressions > 0 {
-		log.Fatalf("%d of %d shared benchmarks regressed beyond %.0f%% ns/op tolerance or their B/op or allocs/op slack, or changed a count (candidates, unique-evals, hit-rate)", regressions, len(shared), tolerance*100)
+		log.Fatalf("%d of %d shared benchmarks regressed beyond %.0f%% ns/op tolerance or their B/op or allocs/op slack, or changed a count (%s)", regressions, len(shared), tolerance*100, strings.Join(exactMetrics, ", "))
 	}
 	fmt.Printf("bench-regression: %d shared benchmarks within %.0f%% ns/op tolerance and their allocation slacks\n", len(shared), tolerance*100)
 }
