@@ -78,6 +78,10 @@ type Cluster struct {
 	checker  *Checker
 	events   *EventLog
 
+	// propose serializes this node's membership proposals: a join
+	// mints, announces and adopts its view under it, with vmu free.
+	propose sync.Mutex
+
 	vmu          sync.RWMutex
 	view         View
 	viewFp       uint64
@@ -347,29 +351,42 @@ func (c *Cluster) AdoptView(v View) (bool, error) {
 	return err == nil, err
 }
 
-// ProposeJoin mints and locally adopts the view that adds a member at
-// Epoch+1, returning it for broadcast. Re-joining with an identical
-// (id, addr) is idempotent — the current view is returned unchanged
-// (changed=false) so a restarted node can re-announce safely; the same
-// id at a different address is refused.
-func (c *Cluster) ProposeJoin(m Member) (View, bool, error) {
+// ProposeJoin mints the view that adds a member at Epoch+1, hands it to
+// announce (nil for none), then adopts it locally and returns it for
+// broadcast. The join path announces it to the joiner there, so the
+// joiner holds the new ring before this node forwards it a key under
+// that ring. Re-joining with an identical (id, addr) is idempotent —
+// the current view is returned unchanged (changed=false) so a restarted
+// node can re-announce safely; the same id at a different address is
+// refused, and so is a join a superseding announced view overtook.
+func (c *Cluster) ProposeJoin(m Member, announce func(View)) (View, bool, error) {
 	if m.ID == "" || m.Addr == "" {
 		return View{}, false, fmt.Errorf("cluster: join needs both an id and an address")
 	}
-	c.vmu.Lock()
-	if ex, ok := c.members[m.ID]; ok {
-		v := c.view.Clone()
-		c.vmu.Unlock()
+	c.propose.Lock()
+	defer c.propose.Unlock()
+	c.vmu.RLock()
+	cur := c.view.Clone()
+	ex, ok := c.members[m.ID]
+	c.vmu.RUnlock()
+	if ok {
 		if ex.Addr == m.Addr {
-			return v, false, nil
+			return cur, false, nil
 		}
 		return View{}, false, fmt.Errorf("cluster: member %q already present at %s (join asked for %s)",
 			m.ID, ex.Addr, m.Addr)
 	}
-	v, err := c.installAndUnlock(View{
-		Epoch:   c.view.Epoch + 1,
-		Members: append(append([]Member(nil), c.view.Members...), m),
-	}, m.ID, "join")
+	nv := View{Epoch: cur.Epoch + 1, Members: append(cur.Members, m)}
+	if announce != nil {
+		announce(nv)
+	}
+	c.vmu.Lock()
+	if !nv.supersedes(c.view) {
+		epoch := c.view.Epoch
+		c.vmu.Unlock()
+		return View{}, false, fmt.Errorf("cluster: join of %q overtaken by view %d", m.ID, epoch)
+	}
+	v, err := c.installAndUnlock(nv, m.ID, "join")
 	return v, err == nil, err
 }
 
@@ -379,6 +396,8 @@ func (c *Cluster) ProposeJoin(m Member) (View, bool, error) {
 // hand off and forward). Draining the last member is refused; draining
 // an unknown member is an error.
 func (c *Cluster) ProposeDrain(id string) (View, Member, error) {
+	c.propose.Lock()
+	defer c.propose.Unlock()
 	c.vmu.Lock()
 	gone, ok := c.members[id]
 	if !ok || len(c.members) == 1 {

@@ -59,9 +59,18 @@ func mustCluster(t *testing.T, self string, members []Member, client Doer) *Clus
 // refused.
 func TestProposeJoin(t *testing.T) {
 	cl := mustCluster(t, "n1", testMembers(), newFakeDoer())
-	v, changed, err := cl.ProposeJoin(Member{ID: "n4", Addr: "http://n4"})
+	var announced View
+	v, changed, err := cl.ProposeJoin(Member{ID: "n4", Addr: "http://n4"}, func(v View) {
+		announced = v
+		if cl.Epoch() != 0 {
+			t.Errorf("the join's view was adopted (epoch %d) before it was announced", cl.Epoch())
+		}
+	})
 	if err != nil || !changed {
 		t.Fatalf("join: %v changed=%v", err, changed)
+	}
+	if announced.Epoch != 1 || len(announced.Members) != 4 {
+		t.Errorf("announced %+v, want the epoch-1 view of four members", announced)
 	}
 	if v.Epoch != 1 || len(v.Members) != 4 || cl.Epoch() != 1 {
 		t.Fatalf("view after join: %+v (epoch %d)", v, cl.Epoch())
@@ -70,16 +79,33 @@ func TestProposeJoin(t *testing.T) {
 		t.Error("joined member not in table")
 	}
 	// Idempotent re-announce: same view back, no epoch bump.
-	v2, changed, err := cl.ProposeJoin(Member{ID: "n4", Addr: "http://n4"})
+	v2, changed, err := cl.ProposeJoin(Member{ID: "n4", Addr: "http://n4"}, nil)
 	if err != nil || changed || v2.Epoch != 1 {
 		t.Errorf("re-join: %+v changed=%v err=%v", v2, changed, err)
 	}
 	// Same id, different address: refused.
-	if _, _, err := cl.ProposeJoin(Member{ID: "n4", Addr: "http://elsewhere"}); err == nil {
+	if _, _, err := cl.ProposeJoin(Member{ID: "n4", Addr: "http://elsewhere"}, nil); err == nil {
 		t.Error("conflicting join accepted")
 	}
-	if _, _, err := cl.ProposeJoin(Member{ID: "", Addr: "http://x"}); err == nil {
+	if _, _, err := cl.ProposeJoin(Member{ID: "", Addr: "http://x"}, nil); err == nil {
 		t.Error("empty-id join accepted")
+	}
+}
+
+// A join whose minted view a superseding announced view overtakes while
+// it is announced is refused, and the announced view stands.
+func TestProposeJoinOvertaken(t *testing.T) {
+	cl := mustCluster(t, "n1", testMembers(), newFakeDoer())
+	_, changed, err := cl.ProposeJoin(Member{ID: "n4", Addr: "http://n4"}, func(View) {
+		if _, err := cl.AdoptView(View{Epoch: 2, Members: append(testMembers(), Member{ID: "n5", Addr: "http://n5"})}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err == nil || changed {
+		t.Fatalf("overtaken join: changed=%v err=%v, want refused", changed, err)
+	}
+	if _, ok := cl.Member("n4"); ok || cl.Epoch() != 2 {
+		t.Errorf("after an overtaken join: epoch %d, n4 a member %v", cl.Epoch(), ok)
 	}
 }
 
@@ -333,7 +359,7 @@ func TestDepartedMembersTracking(t *testing.T) {
 	if len(dep) != 1 || dep[0].ID != "n3" {
 		t.Fatalf("departed after drain: %v", dep)
 	}
-	if _, _, err := cl.ProposeJoin(Member{ID: "n3", Addr: "http://n3"}); err != nil {
+	if _, _, err := cl.ProposeJoin(Member{ID: "n3", Addr: "http://n3"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := cl.DepartedMembers(); len(got) != 0 {
@@ -390,7 +416,7 @@ func TestAdoptionRebuildsRing(t *testing.T) {
 		keys[i] = fmt.Sprintf("key-%d", i)
 		ownerBefore[keys[i]] = cl.Owner(keys[i])
 	}
-	if _, _, err := cl.ProposeJoin(Member{ID: "n4", Addr: "http://n4"}); err != nil {
+	if _, _, err := cl.ProposeJoin(Member{ID: "n4", Addr: "http://n4"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	moved := 0

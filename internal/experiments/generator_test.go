@@ -30,9 +30,11 @@ const (
 // the band is ±2.5 %.
 const s1ErrLo, s1ErrHi = -0.025, 0.025
 
-// hostCapPerGPU is the host RAM a cloud node offers per GPU: 48 GB on
-// g2-standard (L4) and 85 GB on a2-highgpu (A100).
-var hostCapPerGPU = map[string]float64{"l4": 48e9, "a100": 85e9}
+// The number of plans per stream whose offloading fills some node past
+// its host RAM (Cluster.HostMemory). No verdict models host memory yet
+// (ROADMAP 1 (a)), so the count is pinned: a change that moves it moves
+// which plans could run.
+const hostOverShort, hostOverLong = 3, 23
 
 // genCell is one generated workload: a catalog model of at most 22B
 // parameters on one platform.
@@ -80,15 +82,14 @@ func generateCells(seed int64, n int) []genCell {
 // at S ≥ 2 it is negative. The last is a direction, not a band: pipelined
 // plans are predicted 2–14 % fast and the cause is open (ROADMAP item 3),
 // so a fix that brings them to the right side fails here and must move
-// this pin. Per stream it logs the error by S, the S ≥ 2 share, the cells
-// with no plan and how many plans offload past the node's host RAM
-// (hostCapPerGPU); the host count is not asserted until the engine
-// models host memory (ROADMAP 1 (a)). A failing cell prints as the
+// this pin. Per stream it asserts how many plans offload past a node's
+// host RAM (hostOverShort, hostOverLong) and logs the error by S, the
+// S ≥ 2 share and the cells with no plan. A failing cell prints as the
 // misttune command that reproduces it.
 func TestGeneratedCells(t *testing.T) {
-	n := generatorShort
+	n, wantHostOver := generatorShort, hostOverShort
 	if *generatorFull {
-		n = generatorLong
+		n, wantHostOver = generatorLong, hostOverLong
 	}
 	type errStat struct {
 		n        int
@@ -133,13 +134,8 @@ func TestGeneratedCells(t *testing.T) {
 		st.n++
 		st.min, st.max = min(st.min, e), max(st.max, e)
 
-		an, err := core.CalibratedAnalyzer(w, cl, core.MistSpace())
-		if err != nil {
-			t.Fatal(err)
-		}
-		states, stash, _ := hostBytes(t, an, cl, out.Tune.Plan)
-		for node := range states {
-			if states[node]+stash[node] > hostCapPerGPU[c.platform]*float64(cl.GPUsPerNode) {
+		for node, states := range out.Meas.HostStates {
+			if states+out.Meas.HostStash[node] > cl.HostMemory() {
 				hostOver++
 				break
 			}
@@ -155,6 +151,9 @@ func TestGeneratedCells(t *testing.T) {
 		st := byS[s]
 		rows = append(rows, fmt.Sprintf("S=%d: %d cells, %+.2f %% to %+.2f %%", s, st.n, 100*st.min, 100*st.max))
 	}
-	t.Logf("seed %d, %d cells: %s; S ≥ 2 share %d of %d; no plan %d; plans past host RAM (48 GB per L4 GPU, 85 GB per A100 GPU) %d",
+	t.Logf("seed %d, %d cells: %s; S ≥ 2 share %d of %d; no plan %d; plans past host RAM %d",
 		generatorSeed, n, strings.Join(rows, "; "), pipelined, n-noPlan, noPlan, hostOver)
+	if hostOver != wantHostOver {
+		t.Errorf("%d plans offload past a node's host RAM, want %d", hostOver, wantHostOver)
+	}
 }

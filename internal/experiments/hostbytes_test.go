@@ -8,25 +8,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/hardware"
 	"repro/internal/model"
-	"repro/internal/pipeline"
 	"repro/internal/plan"
-	"repro/internal/schedule"
+	"repro/internal/trainsim"
 )
 
 // TestFig11HostBytesPerNode reproduces the host-bytes table of the
 // tuned Fig. 11 L4 plans (seq 2048, FlashAttention on): the host RAM a
-// node's GPUs offload into, which no model of this repository bounds
-// yet. For each device:
-//
-//   - states = ModelStates at zero offload − ModelStates at the plan's
-//     ratios;
-//   - stash = (ActPerMB at zero offload − ActPerMB at the plan's ratios)
-//     × the stage's in-flight depth in its 1F1B order.
-//
-// Both come from Analyzer.Channels and are summed over the devices a
-// node holds, stages packed onto devices contiguously; the table is the
-// mean over nodes in 10⁹ bytes, rounded. The plans' (S, G, ZeRO,
-// offload) signatures and the fullest node's bytes are pinned beside it
+// node's GPUs offload into, as trainsim.Measurement reports it per node
+// (HostStates, HostStash), which no verdict of this repository bounds
+// yet. The table is the mean over nodes in 10⁹ bytes, rounded. The
+// plans' (S, G, ZeRO, offload) signatures and the fullest node's bytes
+// are pinned beside it
 // (the 22B plan's four nodes differ: stage 0 holds the most stashes), so
 // a plan change shows as such. When the analyzer learns host memory
 // (ROADMAP 1 (b)) the plans move, and this table is regenerated with
@@ -60,7 +52,14 @@ func TestFig11HostBytesPerNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		states, stash, sig := hostBytes(t, tu.An, cl, res.Plan)
+		m, err := trainsim.New(w, cl, tu.An).Measure(res.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states, stash := m.HostStates, m.HostStash
+		if len(states) != cl.Nodes {
+			t.Fatalf("%s: host bytes for %d nodes, want %d", c.model, len(states), cl.Nodes)
+		}
 		var sumStates, sumStash float64
 		var busiest [2]float64
 		for n := range states {
@@ -72,6 +71,11 @@ func TestFig11HostBytesPerNode(t *testing.T) {
 		}
 		gotStates := math.Round(sumStates / float64(cl.Nodes) / 1e9)
 		gotStash := math.Round(sumStash / float64(cl.Nodes) / 1e9)
+		sig := fmt.Sprintf("S=%d G=%d", res.Plan.NumStages(), res.Plan.GradAccum)
+		for _, st := range res.Plan.Stages {
+			k := st.Knobs
+			sig += fmt.Sprintf(" | ZeRO-%d dp%d tp%d %g/%g/%g/%g", st.Shape.ZeRO, st.Shape.DP, st.Shape.TP, k.WO, k.GO, k.OO, k.AO)
+		}
 		busiest = [2]float64{math.Round(busiest[0]), math.Round(busiest[1])}
 		if sig != c.signature {
 			t.Errorf("%s: tuned plan %q, want %q", c.model, sig, c.signature)
@@ -83,39 +87,4 @@ func TestFig11HostBytesPerNode(t *testing.T) {
 			t.Errorf("%s: fullest node holds %v GB, want %v", c.model, busiest, c.busiest)
 		}
 	}
-}
-
-// hostBytes returns, per node of cl, the host RAM plan p's GPUs offload
-// into — model states and activation stash, in bytes, as
-// TestFig11HostBytesPerNode defines them — and the plan's (S, G, ZeRO,
-// offload) signature.
-func hostBytes(t *testing.T, an *schedule.Analyzer, cl *hardware.Cluster, p *plan.Plan) (states, stash []float64, sig string) {
-	t.Helper()
-	states = make([]float64, cl.Nodes)
-	stash = make([]float64, cl.Nodes)
-	order := pipeline.OneFOneB(len(p.Stages), p.GradAccum)
-	dev := 0
-	sig = fmt.Sprintf("S=%d G=%d", len(p.Stages), p.GradAccum)
-	for i, st := range p.Stages {
-		at, err := an.Channels(st.Shape, st.Knobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		none := st.Knobs
-		none.WO, none.GO, none.OO, none.AO = 0, 0, 0, 0
-		zero, err := an.Channels(st.Shape, none)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inFlight := float64(pipeline.InFlight(order[i]))
-		for range st.Shape.DP * st.Shape.TP {
-			node := dev / cl.GPUsPerNode
-			states[node] += zero.ModelStates - at.ModelStates
-			stash[node] += (zero.ActPerMB - at.ActPerMB) * inFlight
-			dev++
-		}
-		k := st.Knobs
-		sig += fmt.Sprintf(" | ZeRO-%d dp%d tp%d %g/%g/%g/%g", st.Shape.ZeRO, st.Shape.DP, st.Shape.TP, k.WO, k.GO, k.OO, k.AO)
-	}
-	return states, stash, sig
 }

@@ -74,6 +74,10 @@ type Cluster struct {
 	// D2H and H2D are independent DMA directions and can proceed
 	// concurrently at full duplex.
 	HostLink Link
+
+	// HostMemPerGPU is a node's host RAM divided by its GPUs, in bytes:
+	// the memory offloaded model states and activations land in.
+	HostMemPerGPU float64
 }
 
 // TotalGPUs returns the device count of the mesh.
@@ -168,6 +172,11 @@ func (c *Cluster) MemoryBudget() float64 {
 	return float64(c.GPU.MemoryBytes) * usableMemoryFraction
 }
 
+// HostMemory returns the host RAM of one node of the mesh, in bytes.
+func (c *Cluster) HostMemory() float64 {
+	return c.HostMemPerGPU * float64(c.GPUsPerNode)
+}
+
 // L4 returns an NVIDIA L4 GPU model: 24 GB GDDR6, 121 TFLOPS dense FP16,
 // 300 GB/s memory bandwidth, PCIe Gen3 x16 host link (the GCP G2 platform
 // in Table 3 exposes Gen3 x16 to each GPU).
@@ -197,29 +206,33 @@ func A100() GPU {
 
 // L4Cluster builds the paper's PCIe platform: nodes of 8x L4, PCIe Gen3 x16
 // peer traffic (~12 GB/s effective, shared), 100 Gbps network NIC shared by
-// the node's GPUs.
+// the node's GPUs, and GCP g2-standard-96's 384 GB of host RAM for its 8
+// GPUs (the smaller g2 shapes keep 48 GB per GPU).
 func L4Cluster(nodes, gpusPerNode int) *Cluster {
 	return &Cluster{
-		GPU:         L4(),
-		Nodes:       nodes,
-		GPUsPerNode: gpusPerNode,
-		IntraNode:   Link{Name: "pcie3x16-p2p", Bandwidth: 12 * gbs, Latency: 10e-6},
-		InterNode:   Link{Name: "eth-100gbps", Bandwidth: 100e9 / 8 / 8, Latency: 25e-6},
-		HostLink:    Link{Name: "pcie3x16-host", Bandwidth: 12 * gbs, Latency: 10e-6},
+		GPU:           L4(),
+		Nodes:         nodes,
+		GPUsPerNode:   gpusPerNode,
+		IntraNode:     Link{Name: "pcie3x16-p2p", Bandwidth: 12 * gbs, Latency: 10e-6},
+		InterNode:     Link{Name: "eth-100gbps", Bandwidth: 100e9 / 8 / 8, Latency: 25e-6},
+		HostLink:      Link{Name: "pcie3x16-host", Bandwidth: 12 * gbs, Latency: 10e-6},
+		HostMemPerGPU: 384e9 / 8,
 	}
 }
 
 // A100Cluster builds the paper's NVLink platform: nodes of 8x A100 with
 // NVLink 3 (600 GB/s aggregate; ~230 GB/s effective per ring direction),
-// PCIe Gen4 host link, 400 Gbps EFA network.
+// PCIe Gen4 host link, 400 Gbps EFA network, and AWS p4d.24xlarge's 1152
+// GiB of host RAM for its 8 GPUs.
 func A100Cluster(nodes, gpusPerNode int) *Cluster {
 	return &Cluster{
-		GPU:         A100(),
-		Nodes:       nodes,
-		GPUsPerNode: gpusPerNode,
-		IntraNode:   Link{Name: "nvlink3", Bandwidth: 230 * gbs, Latency: 3e-6},
-		InterNode:   Link{Name: "efa-400gbps", Bandwidth: 400e9 / 8 / 8, Latency: 15e-6},
-		HostLink:    Link{Name: "pcie4x16-host", Bandwidth: 24 * gbs, Latency: 8e-6},
+		GPU:           A100(),
+		Nodes:         nodes,
+		GPUsPerNode:   gpusPerNode,
+		IntraNode:     Link{Name: "nvlink3", Bandwidth: 230 * gbs, Latency: 3e-6},
+		InterNode:     Link{Name: "efa-400gbps", Bandwidth: 400e9 / 8 / 8, Latency: 15e-6},
+		HostLink:      Link{Name: "pcie4x16-host", Bandwidth: 24 * gbs, Latency: 8e-6},
+		HostMemPerGPU: 1152 * gb / 8,
 	}
 }
 

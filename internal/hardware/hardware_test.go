@@ -112,6 +112,26 @@ func TestPlatformAsymmetry(t *testing.T) {
 	}
 }
 
+// A node's host RAM is the platform's machine: 384 GB on GCP
+// g2-standard-96 (8 L4s) and 1152 GiB on AWS p4d.24xlarge (8 A100s), and
+// a smaller node keeps the per-GPU share.
+func TestHostMemory(t *testing.T) {
+	for _, c := range []struct {
+		cl   *Cluster
+		want float64
+	}{
+		{L4Cluster(1, 8), 384e9},
+		{L4Cluster(1, 2), 96e9},
+		{L4Cluster(4, 8), 384e9},
+		{A100Cluster(1, 8), 1152 << 30},
+		{A100Cluster(1, 4), 576 << 30},
+	} {
+		if got := c.cl.HostMemory(); got != c.want {
+			t.Errorf("%s %dx%d: host memory %v bytes, want %v", c.cl.GPU.Name, c.cl.Nodes, c.cl.GPUsPerNode, got, c.want)
+		}
+	}
+}
+
 func TestMeshForGPUs(t *testing.T) {
 	cases := []struct {
 		total, nodes, perNode int

@@ -41,6 +41,10 @@ type Channels struct {
 	PostPeakBwd  float64 // post-section backward peak
 	InFlight     int     // closed-form in-flight microbatch count
 
+	// Host RAM the offload ratios fill (bytes): ModelStates and ActPerMB
+	// at zero offload, minus their values at the candidate's ratios.
+	HostStates, HostActPerMB float64
+
 	// MoEShare is the fraction of layer compute performed by routed
 	// experts (0 for dense models); the execution engine applies routing
 	// imbalance jitter to this share.
@@ -59,8 +63,9 @@ func (a *Analyzer) Channels(shape StageShape, k Knobs) (Channels, error) {
 	frame := make([]float64, frameLen)
 	copy(frame, sp.coefs[:])
 	knobFrame(frame, k)
-	out := sp.prog.EvalFrame(frame, nil, nil)
-	return Channels{
+	regs := sp.prog.Scratch()
+	out := sp.prog.EvalFrame(frame, regs, nil)
+	ch := Channels{
 		CFwd: sp.cFwd, CBwd: sp.cBwd,
 		TPARFwd: sp.tpARFwd, TPARBwd: sp.tpARBwd,
 		AGTime: sp.agTime, RSTime: sp.rsTime, ARGradLayer: sp.arGradLayer,
@@ -78,7 +83,15 @@ func (a *Analyzer) Channels(shape StageShape, k Knobs) (Channels, error) {
 		RecomputeWS: out[outRecompute], StepWS: out[outStepWS],
 		PostPeakBwd: sp.postPeakBwdVal, InFlight: sp.inFlight,
 		MoEShare: sp.moeShare,
-	}, nil
+	}
+	// Zero offload: the frame agrees below frameWO, so only the tape's
+	// suffix from there runs again.
+	k.WO, k.GO, k.OO, k.AO = 0, 0, 0, 0
+	knobFrame(frame, k)
+	sp.prog.EvalLanes(frame, regs, 1, frameWO)
+	ch.HostStates = sp.prog.Output(regs, 1, outModelStates)[0] - ch.ModelStates
+	ch.HostActPerMB = sp.prog.Output(regs, 1, outActPerMB)[0] - ch.ActPerMB
+	return ch, nil
 }
 
 // overlap composes concurrent channel work. With Serialize set (emulating

@@ -328,10 +328,8 @@ type tpB struct{ tp, b int }
 type layerCompute struct{ cFwd, cBwd float64 }
 
 // sectionCosts are the operator times and byte sizes of the three traced
-// sections at one (TP, b), built only for the (TP, b) of a shape the
-// analyzer prices.
+// sections at one (TP, b) beyond the layer compute.
 type sectionCosts struct {
-	layerCompute
 	stash, boundary             float64
 	fwdTrans, bwdTrans          float64
 	preFwd, preBwd, preStash    float64
@@ -339,31 +337,43 @@ type sectionCosts struct {
 	postPeakBwd                 float64
 }
 
-// compute returns (pricing on first use) tr's layer compute at (tp, b):
-// the layer's operators priced at that degree and microbatch size.
-func (a *Analyzer) compute(tr *modelTrace, tp, b int) layerCompute {
-	return a.layers.get(tpB{tp, b}, func() layerCompute {
-		return layerCompute{cFwd: tr.layer.ForwardTime(a.DB, tp, b), cBwd: tr.layer.BackwardTime(a.DB, tp, b)}
-	})
+// tpbCosts is the analyzer's memo at one (TP, b): the layer compute,
+// priced on the key's first use, and the section costs, built only when
+// a shape with this (TP, b) is priced (nil until then).
+type tpbCosts struct {
+	layerCompute
+	*sectionCosts
 }
 
-// costs returns (evaluating on first use) tr's sections at (tp, b): the
-// layer compute from its memo, the byte program at that frame, and the
-// pre and post sections' operators priced at that degree.
-func (a *Analyzer) costs(tr *modelTrace, tp, b int) *sectionCosts {
-	return a.sections.get(tpB{tp, b}, func() *sectionCosts {
+// costs returns tr's memo at (tp, b). It prices the layer compute on the
+// key's first use (the layer's operators at that degree and microbatch
+// size) and, when sections is set, builds the section costs on theirs:
+// the byte program at that frame, and the pre and post sections'
+// operators priced at that degree.
+func (a *Analyzer) costs(tr *modelTrace, tp, b int, sections bool) *tpbCosts {
+	a.tpbMu.Lock()
+	defer a.tpbMu.Unlock()
+	c := a.tpbs[tpB{tp, b}]
+	if c == nil {
+		c = &tpbCosts{layerCompute: layerCompute{cFwd: tr.layer.ForwardTime(a.DB, tp, b), cBwd: tr.layer.BackwardTime(a.DB, tp, b)}}
+		if a.tpbs == nil {
+			a.tpbs = make(map[tpB]*tpbCosts)
+		}
+		a.tpbs[tpB{tp, b}] = c
+	}
+	if sections && c.sectionCosts == nil {
 		a.nSections.Add(1)
 		bytes := tr.bytes.EvalFrame([]float64{float64(b), float64(tp)}, nil, nil)
-		return &sectionCosts{
-			layerCompute: a.compute(tr, tp, b),
-			stash:        bytes[graph.LayerStash], boundary: bytes[graph.LayerBoundary],
+		c.sectionCosts = &sectionCosts{
+			stash: bytes[graph.LayerStash], boundary: bytes[graph.LayerBoundary],
 			fwdTrans: bytes[graph.LayerFwdPeak], bwdTrans: bytes[graph.LayerBwdPeak],
 			preFwd: tr.pre.ForwardTime(a.DB, tp, b), preBwd: tr.pre.BackwardTime(a.DB, tp, b),
 			preStash: bytes[graph.PreStash],
 			postFwd:  tr.post.ForwardTime(a.DB, tp, b), postBwd: tr.post.BackwardTime(a.DB, tp, b),
 			postStash: bytes[graph.PostStash], postPeakBwd: bytes[graph.PostBwdPeak],
 		}
-	})
+	}
+	return c
 }
 
 // SectionBuilds reports how many (TP, b) the analyzer has built section
@@ -384,7 +394,7 @@ func (a *Analyzer) LayerComputeFloor(tp, b int) float64 {
 	if err != nil {
 		return 0
 	}
-	c := a.compute(tr, tp, b)
+	c := a.costs(tr, tp, b, false)
 	return c.cFwd + c.cBwd
 }
 
@@ -440,7 +450,7 @@ func (a *Analyzer) fill(shape StageShape) (sp *stageProgram, key variantKey) {
 	}
 	cl := a.Cluster
 	b := shape.B
-	sec := a.costs(tr, shape.TP, b)
+	sec := a.costs(tr, shape.TP, b, true)
 
 	// ---- Numeric per-layer quantities ----
 	sp.cFwd = sec.cFwd

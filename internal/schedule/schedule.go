@@ -192,19 +192,19 @@ type Analyzer struct {
 	Serialize bool
 
 	// Everything derived from the whole context is memoized here and dies
-	// with the analyzer (program.go): the layer's compute per (TP, b),
-	// which is all the compute floor reads, so it prices every (TP, b) a
-	// search enumerates; the full section costs per (TP, b), only for the
-	// (TP, b) of a shape it prices; and the numeric fill per canonical
-	// stage shape. What depends on less is the process's, shared by
-	// pointer: the model's trace and compiled (b, TP) byte program, one
-	// per (model, seq, flash) in a bounded table (traces; traced is this
-	// analyzer's, fetched on first use), and each structural variant's
-	// stage program (variantPrograms).
+	// with the analyzer (program.go): one memo per (TP, b), which holds
+	// the layer's compute, all the compute floor reads, so it is priced
+	// for every (TP, b) a search enumerates, and the full section costs,
+	// built only for the (TP, b) of a shape it prices; and the numeric
+	// fill per canonical stage shape. What depends on less is the
+	// process's, shared by pointer: the model's trace and compiled (b,
+	// TP) byte program, one per (model, seq, flash) in a bounded table
+	// (traces; traced is this analyzer's, fetched on first use), and each
+	// structural variant's stage program (variantPrograms).
 	traceOnce sync.Once
 	traced    *modelTrace
-	layers    onceMap[tpB, layerCompute]
-	sections  onceMap[tpB, *sectionCosts]
+	tpbMu     sync.Mutex
+	tpbs      map[tpB]*tpbCosts
 	programs  onceMap[StageShape, *stageProgram]
 
 	// The knob grids the tuners of this analyzer price, by KnobGrid's

@@ -275,7 +275,7 @@ type ClusterMemberInfo struct {
 }
 
 // ClusterInfo is the GET /cluster reply: this node's view of the
-// topology.
+// topology. Traffic counters are on /stats and /metrics.
 type ClusterInfo struct {
 	Enabled bool   `json:"enabled"`
 	Self    string `json:"self,omitempty"`
@@ -288,20 +288,6 @@ type ClusterInfo struct {
 	// keeps serving, but only by forwarding into the ring it left.
 	Drained bool                `json:"drained,omitempty"`
 	Members []ClusterMemberInfo `json:"members,omitempty"`
-
-	Forwards          uint64 `json:"forwards"`
-	ForwardErrors     uint64 `json:"forwardErrors"`
-	Replications      uint64 `json:"replications"`
-	ReplicationErrors uint64 `json:"replicationErrors"`
-	LocalFallbacks    uint64 `json:"localFallbacks"`
-
-	// Anti-entropy repair traffic (see Stats for field semantics).
-	RebalancePushed  uint64 `json:"rebalancePushed"`
-	RebalancePulled  uint64 `json:"rebalancePulled"`
-	RebalanceDropped uint64 `json:"rebalanceDropped"`
-	RebalanceErrors  uint64 `json:"rebalanceErrors"`
-	RecordFetches    uint64 `json:"recordFetches"`
-	RecordFetchHits  uint64 `json:"recordFetchHits"`
 }
 
 func (s *Server) handleClusterInfo(rw http.ResponseWriter, req *http.Request) {
@@ -310,25 +296,13 @@ func (s *Server) handleClusterInfo(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	shares := s.cluster.Ring().OwnershipShare()
-	st := s.Stats()
 	info := ClusterInfo{
-		Enabled:           true,
-		Self:              s.cluster.Self(),
-		Epoch:             s.cluster.Epoch(),
-		Replicas:          s.cluster.ReplicationFactor(),
-		VNodes:            s.cluster.Ring().VNodes(),
-		Drained:           !s.cluster.InRing(),
-		Forwards:          st.ClusterForwards,
-		ForwardErrors:     st.ClusterForwardErrors,
-		Replications:      st.ClusterReplications,
-		ReplicationErrors: st.ClusterReplicationErrors,
-		LocalFallbacks:    st.ClusterLocalFallbacks,
-		RebalancePushed:   st.ClusterRebalancePushed,
-		RebalancePulled:   st.ClusterRebalancePulled,
-		RebalanceDropped:  st.ClusterRebalanceDropped,
-		RebalanceErrors:   st.ClusterRebalanceErrors,
-		RecordFetches:     st.ClusterRecordFetches,
-		RecordFetchHits:   st.ClusterRecordFetchHits,
+		Enabled:  true,
+		Self:     s.cluster.Self(),
+		Epoch:    s.cluster.Epoch(),
+		Replicas: s.cluster.ReplicationFactor(),
+		VNodes:   s.cluster.Ring().VNodes(),
+		Drained:  !s.cluster.InRing(),
 	}
 	for _, m := range s.cluster.Members() {
 		info.Members = append(info.Members, ClusterMemberInfo{

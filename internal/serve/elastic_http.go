@@ -20,14 +20,22 @@ import (
 // changeMembership is the one membership change: propose (join, else
 // drain m.ID) → log → broadcast the minted view to its members — plus,
 // for a drain, the removed node, which is how it learns to hand its
-// records off and serve by forwarding only. The operator endpoints
-// render the result as HTTP. An idempotent re-join (a restarted node
-// re-announcing itself) broadcasts nothing.
+// records off and serve by forwarding only. A join pushes the view to
+// the joiner before this node adopts it: from adoption on this node
+// forwards the joiner the keys the new ring gives it, and a joiner still
+// on its boot view knows no peer to fetch their records from, so it
+// would search them again. If that push fails, the broadcast and the
+// join reply still carry the view (a second copy is acknowledged, not
+// adopted). The operator endpoints render the result as HTTP. An
+// idempotent re-join (a restarted node re-announcing itself) broadcasts
+// nothing.
 func (s *Server) changeMembership(ctx context.Context, join bool, m cluster.Member) (view cluster.View, err error) {
+	bctx, cancel := broadcastContext(ctx)
+	defer cancel()
 	var changed bool
 	var extra []cluster.Member
 	if join {
-		view, changed, err = s.cluster.ProposeJoin(m)
+		view, changed, err = s.cluster.ProposeJoin(m, func(v cluster.View) { s.pushView(ctx, bctx, m, v) })
 	} else {
 		var gone cluster.Member
 		view, gone, err = s.cluster.ProposeDrain(m.ID)
@@ -36,7 +44,9 @@ func (s *Server) changeMembership(ctx context.Context, join bool, m cluster.Memb
 	if changed {
 		s.log.InfoContext(ctx, "cluster: membership changed", "join", join,
 			"member", m.ID, "addr", m.Addr, "epoch", view.Epoch, "members", len(view.Members))
-		s.broadcastView(ctx, view, extra)
+		for _, peer := range s.cluster.Others(view.Members, extra) {
+			s.pushView(ctx, bctx, peer, view)
+		}
 	}
 	return view, err
 }
@@ -119,25 +129,25 @@ func (s *Server) handleClusterRecords(rw http.ResponseWriter, req *http.Request)
 	writeJSON(rw, http.StatusOK, s.store.Records())
 }
 
-// broadcastView announces an adopted view to every member of it (self
-// excluded) plus any extra recipients (the drained node). Best-effort:
-// a peer that misses the broadcast converges through probe-driven view
-// anti-entropy, so failures are logged, not retried here.
-func (s *Server) broadcastView(ctx context.Context, v cluster.View, extra []cluster.Member) {
-	// The round's budget, or a tighter request deadline — but never the
-	// request's cancellation: the broadcast must finish even if the
-	// proposer's client disconnects right after the response.
+// broadcastContext bounds a membership change's view pushes: the
+// round's budget, or a tighter request deadline — but never the
+// request's cancellation, because the pushes must finish even if the
+// proposer's client disconnects right after the response.
+func broadcastContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	deadline := time.Now().Add(broadcastBudget)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
 	//mistlint:ignore ctxflow view broadcast must survive the proposer disconnecting; deadline-bounded above
-	bctx, cancel := context.WithDeadline(context.Background(), deadline)
-	defer cancel()
-	for _, m := range s.cluster.Others(v.Members, extra) {
-		if _, err := s.cluster.PushView(bctx, m, v); err != nil {
-			s.log.InfoContext(ctx, "cluster: view broadcast failed", "epoch", v.Epoch, "peer", m.ID, "err", err)
-		}
+	return context.WithDeadline(context.Background(), deadline)
+}
+
+// pushView announces a view to one peer on the broadcast's context.
+// Best-effort: a peer that misses it converges through probe-driven
+// view anti-entropy, so a failure is logged, not retried here.
+func (s *Server) pushView(ctx, bctx context.Context, m cluster.Member, v cluster.View) {
+	if _, err := s.cluster.PushView(bctx, m, v); err != nil {
+		s.log.InfoContext(ctx, "cluster: view broadcast failed", "epoch", v.Epoch, "peer", m.ID, "err", err)
 	}
 }
 

@@ -25,6 +25,7 @@ type LocalCluster struct {
 	ids     []string
 	servers map[string]*Server
 	sb      *switchboard
+	peers   cluster.Doer // what every node reaches its peers through
 	opt     LocalClusterOptions
 }
 
@@ -76,6 +77,12 @@ func (sb *switchboard) Do(req *http.Request) (*http.Response, error) {
 
 // NewLocalCluster builds and wires the node set.
 func NewLocalCluster(opt LocalClusterOptions) (*LocalCluster, error) {
+	return newLocalCluster(opt, nil)
+}
+
+// newLocalCluster is NewLocalCluster with the nodes, joins included,
+// reaching their peers through wrap(switchboard) when wrap is not nil.
+func newLocalCluster(opt LocalClusterOptions, wrap func(cluster.Doer) cluster.Doer) (*LocalCluster, error) {
 	if opt.Nodes < 1 {
 		return nil, fmt.Errorf("localcluster: need at least one node")
 	}
@@ -83,6 +90,10 @@ func NewLocalCluster(opt LocalClusterOptions) (*LocalCluster, error) {
 		servers: map[string]*Server{},
 		sb:      &switchboard{handlers: map[string]http.Handler{}, dead: map[string]bool{}},
 		opt:     opt,
+	}
+	lc.peers = lc.sb
+	if wrap != nil {
+		lc.peers = wrap(lc.sb)
 	}
 	members := make([]cluster.Member, opt.Nodes)
 	for i := range members {
@@ -95,18 +106,25 @@ func NewLocalCluster(opt LocalClusterOptions) (*LocalCluster, error) {
 			return nil, err
 		}
 	}
+	// Probers start once every node is on the switchboard: a probe of a
+	// sibling not yet added fails, and a node that saw its peer fail
+	// routes that peer's keys to the next replica, itself included, so
+	// both would search them.
+	for _, id := range lc.ids {
+		lc.start(lc.servers[id])
+	}
 	return lc, nil
 }
 
 // addNode builds one server (in-memory plan store) + cluster view
 // (cluster.DefaultVNodes per member) and registers it on the
-// switchboard, starting its prober and rebalancer per the options.
+// switchboard.
 func (lc *LocalCluster) addNode(m cluster.Member, members []cluster.Member) error {
 	cl, err := cluster.New(cluster.Config{
 		Self:         m.ID,
 		Members:      members,
 		Replicas:     lc.opt.Replicas,
-		Client:       lc.sb,
+		Client:       lc.peers,
 		ProbeTimeout: 500 * time.Millisecond,
 		DownAfter:    2,
 	})
@@ -121,13 +139,17 @@ func (lc *LocalCluster) addNode(m cluster.Member, members []cluster.Member) erro
 	lc.sb.mu.Lock()
 	lc.sb.handlers[m.ID] = srv.Handler()
 	lc.sb.mu.Unlock()
+	return nil
+}
+
+// start runs a node's prober and rebalancer per the options.
+func (lc *LocalCluster) start(srv *Server) {
 	if lc.opt.ProbeInterval > 0 {
-		cl.Start(lc.opt.ProbeInterval)
+		srv.cluster.Start(lc.opt.ProbeInterval)
 	}
 	if lc.opt.RebalanceInterval > 0 {
 		srv.StartRebalancer(lc.opt.RebalanceInterval)
 	}
-	return nil
 }
 
 // IDs returns the node ids in creation order (boot members first, then
@@ -209,6 +231,7 @@ func (lc *LocalCluster) Join(ctx context.Context, id string) (*Server, error) {
 	if err := lc.addNode(self, []cluster.Member{self}); err != nil {
 		return nil, err
 	}
+	lc.start(lc.Node(id))
 	// From here on a failed join must tear the half-created node back
 	// down (prober, rebalancer, switchboard entry), or a retry with the
 	// same id would be impossible.

@@ -37,6 +37,14 @@ type Measurement struct {
 	PeakMem    []float64 // bytes, per stage
 	Bubble     float64   // pipeline idle fraction
 
+	// Host RAM the plan's offloading fills, in bytes, per node its
+	// devices occupy (stages packed onto devices contiguously, as
+	// hardware's collectives assume): the model states moved off each
+	// device, and the activation stash moved off it times its stage's
+	// in-flight depth in the 1F1B order. A node holds
+	// Cluster.HostMemory().
+	HostStates, HostStash []float64
+
 	StageCosts []pipeline.MicrobatchCost // per-stage playback inputs
 }
 
@@ -101,7 +109,18 @@ func (e *Engine) play(p *plan.Plan) (Measurement, pipeline.Run, error) {
 	}
 	order := pipeline.OneFOneB(len(p.Stages), p.GradAccum)
 	costs := make([]pipeline.MicrobatchCost, len(p.Stages))
-	peaks := make([]float64, len(p.Stages))
+	devices := 0
+	for _, st := range p.Stages {
+		devices += st.Shape.DP * st.Shape.TP
+	}
+	s, perNode := len(p.Stages), e.Cluster.GPUsPerNode
+	nodes := (devices + perNode - 1) / perNode
+	// The per-node host figures share the peaks' allocation: the search
+	// benchmarks measure every plan they tune.
+	figs := make([]float64, s+2*nodes)
+	peaks := figs[:s:s]
+	hostStates, hostStash := figs[s:s+nodes:s+nodes], figs[s+nodes:]
+	dev := 0
 	for i, st := range p.Stages {
 		ch, err := e.an.Channels(st.Shape, st.Knobs)
 		if err != nil {
@@ -109,6 +128,12 @@ func (e *Engine) play(p *plan.Plan) (Measurement, pipeline.Run, error) {
 		}
 		costs[i] = e.stageCost(st, ch)
 		peaks[i] = stagePeakMem(ch, st.Knobs.Layers, order[i])
+		stash := ch.HostActPerMB * float64(pipeline.InFlight(order[i]))
+		for range st.Shape.DP * st.Shape.TP {
+			hostStates[dev/perNode] += ch.HostStates
+			hostStash[dev/perNode] += stash
+			dev++
+		}
 	}
 	run, err := pipeline.Play(costs, order)
 	if err != nil {
@@ -119,6 +144,8 @@ func (e *Engine) play(p *plan.Plan) (Measurement, pipeline.Run, error) {
 		Throughput: float64(e.Workload.GlobalBatch) / run.Makespan,
 		PeakMem:    peaks,
 		Bubble:     run.Bubble(),
+		HostStates: hostStates,
+		HostStash:  hostStash,
 		StageCosts: costs,
 	}, run, nil
 }

@@ -218,26 +218,85 @@ func TestPredictionAccuracy(t *testing.T) {
 	}
 }
 
-// TestMeasureAllocCeiling pins what one measurement allocates on two
-// tuned plans: the stage costs and peaks, the analyzer's channels, and
-// one playback of the 1F1B order, which allocates its order, its op
-// times and its cursors, and nothing per op.
-func TestMeasureAllocCeiling(t *testing.T) {
-	for _, c := range []struct {
-		model       string
-		gpus, batch int
-		s, g        int
-		ceiling     float64
-	}{
-		{"gpt3-1.3b", 4, 32, 1, 1, 8},
-		{"gpt3-22b", 32, 512, 4, 16, 14},
-	} {
-		nodes, perNode, err := hardware.MeshForGPUs(c.gpus)
+// The host figures are each device's offloaded bytes summed per node:
+// states = ModelStates at zero offload − at the plan's ratios, stash =
+// the same difference of ActPerMB × the stage's 1F1B in-flight depth,
+// stages packed onto devices contiguously. Here four stages of two
+// devices straddle nodes of three GPUs, so each node sums a different
+// mix of stages, and the last stage, which offloads nothing, fills the
+// last node alone.
+func TestHostBytesPerNode(t *testing.T) {
+	cl := hardware.L4Cluster(3, 3)
+	w := plan.Workload{Model: model.MustByName("gpt3-2.7b"), Seq: 2048, Flash: true, GlobalBatch: 32}
+	db := opdb.New(cl.GPU)
+	intf := interference.Fit(interference.PCIeFluid(), 10, rand.New(rand.NewSource(1)))
+	an := schedule.NewAnalyzer(w.Model, w.Seq, w.Flash, cl, db, intf)
+	p := buildPlan(w, 4, 8, 2, 1, 2, 2, schedule.Knobs{WO: 0.25, OO: 1, AO: 0.5})
+	p.Stages[3].Knobs.WO, p.Stages[3].Knobs.OO, p.Stages[3].Knobs.AO = 0, 0, 0
+	m, err := New(w, cl, an).Measure(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStates, wantStash := make([]float64, 3), make([]float64, 3)
+	order := pipeline.OneFOneB(len(p.Stages), p.GradAccum)
+	dev := 0
+	for i, st := range p.Stages {
+		at, err := an.Channels(st.Shape, st.Knobs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl := hardware.L4Cluster(nodes, perNode)
-		w := plan.Workload{Model: model.MustByName(c.model), Seq: 2048, Flash: true, GlobalBatch: c.batch}
+		none := st.Knobs
+		none.WO, none.GO, none.OO, none.AO = 0, 0, 0, 0
+		zero, err := an.Channels(st.Shape, none)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range st.Shape.DP * st.Shape.TP {
+			wantStates[dev/3] += zero.ModelStates - at.ModelStates
+			wantStash[dev/3] += (zero.ActPerMB - at.ActPerMB) * float64(pipeline.InFlight(order[i]))
+			dev++
+		}
+	}
+	if len(m.HostStates) != 3 || len(m.HostStash) != 3 {
+		t.Fatalf("host figures for %d / %d nodes, want 3", len(m.HostStates), len(m.HostStash))
+	}
+	for n := range wantStates {
+		if m.HostStates[n] != wantStates[n] || m.HostStash[n] != wantStash[n] {
+			t.Errorf("node %d: host states / stash %v / %v, want %v / %v", n, m.HostStates[n], m.HostStash[n], wantStates[n], wantStash[n])
+		}
+	}
+	if wantStates[0] <= 0 || wantStash[0] <= 0 || wantStates[2] != 0 || wantStash[2] != 0 {
+		t.Errorf("want offloaded bytes on node 0 and none on node 2 (stage 3 offloads nothing): %v / %v", wantStates, wantStash)
+	}
+	if len(m.PeakMem) != 4 {
+		t.Errorf("%d stage peaks, want 4", len(m.PeakMem))
+	}
+}
+
+// TestMeasureAllocCeiling pins what one measurement allocates on tuned
+// plans: one array of stage peaks and node host figures, the stage
+// costs, the analyzer's channels (its registers and outputs, which also
+// price the zero-offload frame), and one playback of the 1F1B order,
+// which allocates its order, its op times and its cursors, and nothing
+// per op. The search benchmarks measure every plan they tune, so a new
+// allocation here is one per measured plan.
+func TestMeasureAllocCeiling(t *testing.T) {
+	for _, c := range []struct {
+		model, platform string
+		gpus, batch     int
+		s, g            int
+		allocs          float64
+	}{
+		{"gpt3-1.3b", "l4", 4, 32, 1, 1, 8},
+		{"gpt3-2.7b", "l4", 8, 8, 1, 1, 8},
+		{"llama-2.7b", "a100", 8, 16, 1, 1, 8},
+		{"gpt3-22b", "l4", 32, 512, 4, 16, 14},
+	} {
+		cl, seq, err := hardware.ClusterByName(c.platform, c.gpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := plan.Workload{Model: model.MustByName(c.model), Seq: seq, Flash: true, GlobalBatch: c.batch}
 		tu, err := core.New(w, cl, core.MistSpace())
 		if err != nil {
 			t.Fatal(err)
@@ -256,8 +315,8 @@ func TestMeasureAllocCeiling(t *testing.T) {
 			}
 		})
 		t.Logf("%s: %v allocs per measurement", c.model, allocs)
-		if allocs > c.ceiling {
-			t.Errorf("%s: %v allocs per measurement, ceiling %v", c.model, allocs, c.ceiling)
+		if allocs != c.allocs {
+			t.Errorf("%s: %v allocs per measurement, want %v", c.model, allocs, c.allocs)
 		}
 	}
 }
