@@ -11,6 +11,24 @@ BENCH_OUT ?= BENCH.json
 # of one commit.
 BENCH_TOLERANCE ?= 0.25
 
+# The benchmark set, one `go test -bench` run per triple: package,
+# -bench pattern, -benchtime (- for go test's default). bench prints it
+# and bench-json records it, so the two always run the same list.
+BENCH_SET = \
+	. BenchmarkTune 10x \
+	./internal/schedule 'BenchmarkEvaluateBatch|BenchmarkRow' - \
+	./internal/interference BenchmarkPredict - \
+	./internal/serve BenchmarkBatchSubmit 20x \
+	./internal/serve 'BenchmarkScrape|BenchmarkTuneHit' - \
+	./internal/trace BenchmarkTraceOverhead - \
+	./internal/slo BenchmarkSLOEvaluate 2s \
+	./internal/pilot BenchmarkPilotEvaluate 2s
+BENCH_RUNS = set -- $(BENCH_SET); while [ -n "$$1" ]; do \
+	bt=; [ "$$3" = - ] || bt=-benchtime=$$3; \
+	echo "$(GO) test -run xxx -bench '$$2' $$bt -benchmem $$1" >&2; \
+	$(GO) test -run xxx -bench "$$2" $$bt -benchmem "$$1" || exit 1; \
+	shift 3; done
+
 # Where bench-profile drops its pprof output.
 PROFILE_DIR ?= profiles
 
@@ -79,32 +97,17 @@ slo-smoke: ## 3-node mixed replay scored against the committed SLO spec (budget 
 	$(GO) run ./cmd/mistload -scenario mixed -inproc -nodes 3 -duration 5s -seed 1 -concurrency 4 -slo-config testdata/slo.json
 	$(GO) test -run 'TestSLOKillDrill|TestSLOEndToEnd' -count=1 -v ./internal/serve
 
-property: ## schedule, frontier, compile and trace invariants (every section byte quantity non-increasing in TP, non-decreasing in b), repeated with a pinned quick.Check budget; then, on the full shape grid, the lifted stage programs against the per-shape reference and the compute floor under every priced stable time; then the long generated-cell stream (60 seeded cells tuned and measured: no device OOM, S=1 error in its band, S >= 2 error negative); then 1 000 seeds of the cluster tier under duplicated and delayed peer requests (every fingerprint on exactly R replicas at version 1, one search each, every acknowledged plan stored)
+property: ## schedule, frontier, compile and trace invariants (every section byte quantity non-increasing in TP, non-decreasing in b), repeated with a pinned quick.Check budget; then, on the full shape grid, the lifted stage programs against the per-shape reference and the compute floor under every priced stable time; then the long generated-cell stream (60 seeded cells tuned and measured: no device OOM, S=1 error in its band, S >= 2 error negative); then 1 000 seeds of the cluster tier under duplicated and delayed peer requests and lost probe replies (every fingerprint on exactly R replicas at version 1, one search each, every acknowledged plan stored)
 	$(GO) test ./internal/schedule ./internal/core ./internal/symbolic ./internal/graph -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
 	$(GO) test ./internal/schedule -run 'TestPropertyLiftedProgramMatchesPerShapeBuild|TestPropertyComputeFloorBoundsStable' -count=1 -reference.full
 	$(GO) test ./internal/experiments -run 'TestGeneratedCells' -count=1 -v -generator.full
 	$(GO) test ./internal/serve -run 'TestFaultsMasked' -count=1 -faults.full
 
 bench: ## cold and warm tuner (BenchmarkTuneMemoizedWarm is the re-tune path: a fresh tuner over a filled shared cache, merging the stored staircases; BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down; BenchmarkTuneColdGrid is mistperf's 8-cell search-cold grid, each cell a fresh tuner, search and trainsim re-measure), one 405-knob set priced by the analyzer and through its row store (which keeps only the set's staircase steps), batch-submit amortization, one node's /metrics and /stats scrape on a 3-node fleet, a repeated /tune served by its owner and through a hop and a repeated plan-less /simulate on the same fleet, tracing overhead, SLO evaluation, one interference region priced with a search's live-channel mix
-	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x .
-	$(GO) test -run xxx -bench 'BenchmarkEvaluateBatch|BenchmarkRow' ./internal/schedule
-	$(GO) test -run xxx -bench 'BenchmarkPredict' -benchmem ./internal/interference
-	$(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=20x ./internal/serve
-	$(GO) test -run xxx -bench 'BenchmarkScrape|BenchmarkTuneHit' -benchmem ./internal/serve
-	$(GO) test -run xxx -bench 'BenchmarkTraceOverhead' ./internal/trace
-	$(GO) test -run xxx -bench 'BenchmarkSLOEvaluate' -benchtime=2s ./internal/slo
-	$(GO) test -run xxx -bench 'BenchmarkPilotEvaluate' -benchtime=2s ./internal/pilot
+	@$(BENCH_RUNS)
 
 bench-json: ## run the bench set and record a machine-readable trajectory point at $(BENCH_OUT)
-	( $(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=10x -benchmem . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkEvaluateBatch|BenchmarkRow' -benchmem ./internal/schedule ; \
-	  $(GO) test -run xxx -bench 'BenchmarkPredict' -benchmem ./internal/interference ; \
-	  $(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=20x -benchmem ./internal/serve ; \
-	  $(GO) test -run xxx -bench 'BenchmarkScrape|BenchmarkTuneHit' -benchmem ./internal/serve ; \
-	  $(GO) test -run xxx -bench 'BenchmarkTraceOverhead' -benchmem ./internal/trace ; \
-	  $(GO) test -run xxx -bench 'BenchmarkSLOEvaluate' -benchtime=2s -benchmem ./internal/slo ; \
-	  $(GO) test -run xxx -bench 'BenchmarkPilotEvaluate' -benchtime=2s -benchmem ./internal/pilot ) \
-	| $(GO) run ./tools/bench2json -out $(BENCH_OUT)
+	( $(BENCH_RUNS) ) | $(GO) run ./tools/bench2json -out $(BENCH_OUT)
 
 bench-regression: ## fresh bench run compared against the committed BENCH.json baseline; fails past $(BENCH_TOLERANCE) ns/op growth, or B/op or allocs/op growth past bench2json's slacks
 	$(MAKE) bench-json BENCH_OUT=BENCH_NEW.json

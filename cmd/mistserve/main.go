@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux, served at -debug-addr
 	"os"
@@ -64,8 +65,6 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		grace       = flag.Duration("grace", 30*time.Second, "graceful-shutdown drain timeout")
 		storeDir    = flag.String("store-dir", "", "durable plan-store directory (empty: in-memory only)")
-		cacheCap    = flag.Int("cache-cap", 0, "in-memory plan-cache capacity (0: default 1024)")
-		evalCap     = flag.Int("eval-cache-cap", 0, "cross-request eval-cache budget in memoized pricings across all analyzer fingerprints (0: default 4Mi points, ~10 MB of rows)")
 		workers     = flag.Int("workers", 0, "async job worker pool size (0: default 2)")
 		maxInflight = flag.Int("max-inflight", 0, "concurrently executing requests per endpoint class (0: GOMAXPROCS)")
 		maxQueue    = flag.Int("max-queue", 0, "admission wait-queue and async job-queue bound; overflow answers 429 (0: default 256)")
@@ -80,7 +79,6 @@ func main() {
 		joinPeer  = flag.String("join", "", "cluster mode: boot by joining a live cluster through this peer URL (needs -node-id and -advertise)")
 		advertise = flag.String("advertise", "", "cluster mode: the URL peers reach this node at (required with -join)")
 		replicas  = flag.Int("replicas", 2, "cluster mode: replication factor R (owner + R-1 replicas per fingerprint)")
-		vnodes    = flag.Int("vnodes", 0, "cluster mode: virtual nodes per member on the hash ring (0: default 128)")
 		probeIvl  = flag.Duration("probe-interval", 2*time.Second, "cluster mode: active health-probe interval")
 		rebalIvl  = flag.Duration("rebalance-interval", 15*time.Second, "cluster mode: anti-entropy repair cadence (0: kick-driven only)")
 
@@ -99,8 +97,6 @@ func main() {
 	defer stop()
 
 	opts := []serve.Option{
-		serve.WithCacheCap(*cacheCap),
-		serve.WithEvalCacheCap(*evalCap),
 		serve.WithJobWorkers(*workers),
 		// Request, forwarding, repair and SLO lines: structured
 		// text on stderr, each carrying request=<id> (and trace=<id> when
@@ -156,114 +152,38 @@ func main() {
 		opts = append(opts, serve.WithStore(st))
 	}
 
-	var cl *cluster.Cluster
+	var (
+		cl   *cluster.Cluster
+		self cluster.Member // the joining node, with -join
+	)
 	switch {
 	case *peers != "":
 		members, err := cluster.ParsePeers(*peers)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cl, err = cluster.New(cluster.Config{
-			Self:     *nodeID,
-			Members:  members,
-			Replicas: *replicas,
-			VNodes:   *vnodes,
-		})
+		cl, err = cluster.New(cluster.Config{Self: *nodeID, Members: members, Replicas: *replicas})
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("cluster mode: node %s in a %d-member ring (R=%d, %d vnodes, probe every %v)",
-			*nodeID, len(members), cl.ReplicationFactor(), cl.Ring().VNodes(), *probeIvl)
+		log.Printf("cluster mode: node %s in a %d-member ring (R=%d, probe every %v)",
+			*nodeID, len(members), cl.ReplicationFactor(), *probeIvl)
 	case *joinPeer != "":
 		if *advertise == "" {
 			log.Fatal("-join needs -advertise (the URL peers reach this node at)")
 		}
-		self := cluster.Member{ID: *nodeID, Addr: *advertise}
+		self = cluster.Member{ID: *nodeID, Addr: *advertise}
 		var err error
-		cl, err = cluster.New(cluster.Config{
-			Self:     *nodeID,
-			Members:  []cluster.Member{self},
-			Replicas: *replicas,
-			VNodes:   *vnodes,
-		})
+		cl, err = cluster.New(cluster.Config{Self: *nodeID, Members: []cluster.Member{self}, Replicas: *replicas})
 		if err != nil {
 			log.Fatal(err)
 		}
-		jctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-		view, err := cluster.JoinVia(jctx, &http.Client{Timeout: 10 * time.Second}, *joinPeer, self)
-		cancel()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := cl.AdoptView(view); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("cluster mode: node %s joined via %s -> epoch %d (%d members, R=%d)",
-			*nodeID, *joinPeer, view.Epoch, len(view.Members), cl.ReplicationFactor())
-		// A join racing a concurrent membership change can lose the
-		// equal-epoch tie-break: probe-driven view reconciliation then
-		// converges this node onto a fleet view WITHOUT it (at the join
-		// epoch, or later if more changes landed meanwhile), and it
-		// would otherwise sit outside the ring forever. The
-		// disambiguation from an operator drain is membership history: a
-		// drain of this node can only exist in a view lineage that once
-		// INCLUDED it. So the watcher re-announces exclusions for as
-		// long as the node has never been observed in-ring (ProposeJoin
-		// is idempotent, so re-announcing an already-won join is a
-		// no-op), treats any exclusion AFTER having been in-ring as a
-		// drain that must stand, and retires once the node has been
-		// stably in-ring for a few probe rounds (long enough for
-		// reconciliation to have surfaced any divergence). A drain
-		// landing inside that short stabilization window can be
-		// contested at most once — re-issue it.
-		go func(self cluster.Member, seed string) {
-			ivl := *probeIvl
-			if ivl <= 0 {
-				ivl = 2 * time.Second // the checker's own probe default
-			}
-			everInRing := false
-			inRingStreak := 0
-			for {
-				time.Sleep(2 * ivl)
-				if cl.InRing() {
-					everInRing = true
-					if inRingStreak++; inRingStreak >= 3 {
-						return
-					}
-					continue
-				}
-				inRingStreak = 0
-				if everInRing {
-					log.Printf("cluster mode: node %s excluded after having been in the ring (operator drain); standing down", self.ID)
-					return
-				}
-				log.Printf("cluster mode: node %s lost its join race (view epoch %d excludes it); re-announcing via %s",
-					self.ID, cl.Epoch(), seed)
-				rctx, rcancel := context.WithTimeout(context.Background(), 10*time.Second)
-				v, err := cluster.JoinVia(rctx, &http.Client{Timeout: 10 * time.Second}, seed, self)
-				rcancel()
-				if err != nil {
-					log.Printf("cluster mode: re-join failed: %v", err)
-					continue
-				}
-				_, _ = cl.AdoptView(v)
-			}
-		}(self, *joinPeer)
 	}
 	if cl != nil {
-		cl.Start(*probeIvl)
-		defer cl.Stop()
 		opts = append(opts, serve.WithCluster(cl))
 	}
 
 	s := serve.New(opts...)
-	if cl != nil {
-		// The background anti-entropy repairer: periodic passes plus an
-		// immediate one on every adopted membership change. For a node
-		// booted with -join, the first pass pulls every record it now
-		// replicates from its peers.
-		s.StartRebalancer(*rebalIvl)
-	}
 	if *debugAddr != "" {
 		go func() {
 			log.Printf("debug server on %s (GET /debug/pprof)", *debugAddr)
@@ -272,10 +192,92 @@ func main() {
 			}
 		}()
 	}
+	// Listen before joining: a join's seed pushes the new view to the
+	// joiner before adopting it, so the joiner must already answer.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, ln, *grace) }()
 	log.Printf("serving on %s (POST /tune /simulate /jobs, GET /jobs /cluster /cluster/events /cluster/health /slo /healthz /stats /metrics /debug/traces)", *addr)
-	err := s.ListenAndServe(ctx, *addr, *grace)
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if *joinPeer != "" {
+		join(ctx, cl, self, *joinPeer, *probeIvl)
+	}
+	if cl != nil {
+		cl.Start(*probeIvl)
+		defer cl.Stop()
+		// The background anti-entropy repairer: periodic passes plus an
+		// immediate one on every adopted membership change. For a node
+		// booted with -join, the first pass pulls every record it now
+		// replicates from its peers.
+		s.StartRebalancer(*rebalIvl)
+	}
+	if err := <-served; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 	log.Println("shut down cleanly")
+}
+
+// join admits a node booted with a single-member view into a live
+// cluster through seed and adopts the view the seed answers with.
+func join(ctx context.Context, cl *cluster.Cluster, self cluster.Member, seed string, probeIvl time.Duration) {
+	jctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	view, err := cluster.JoinVia(jctx, &http.Client{Timeout: 10 * time.Second}, seed, self)
+	cancel()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := cl.AdoptView(view); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("cluster mode: node %s joined via %s -> epoch %d (%d members, R=%d)",
+		self.ID, seed, view.Epoch, len(view.Members), cl.ReplicationFactor())
+	// A join racing a concurrent membership change can lose the
+	// equal-epoch tie-break: probe-driven view reconciliation then
+	// converges this node onto a fleet view WITHOUT it (at the join epoch,
+	// or later if more changes landed meanwhile), and it would otherwise
+	// sit outside the ring forever. The disambiguation from an operator
+	// drain is membership history: a drain of this node can only exist in
+	// a view lineage that once INCLUDED it. So the watcher re-announces
+	// exclusions for as long as the node has never been observed in-ring
+	// (ProposeJoin is idempotent, so re-announcing an already-won join is
+	// a no-op), treats any exclusion AFTER having been in-ring as a drain
+	// that must stand, and retires once the node has been stably in-ring
+	// for a few probe rounds (long enough for reconciliation to have
+	// surfaced any divergence). A drain landing inside that short
+	// stabilization window can be contested at most once — re-issue it.
+	go func() {
+		ivl := probeIvl
+		if ivl <= 0 {
+			ivl = 2 * time.Second // the checker's own probe default
+		}
+		everInRing := false
+		inRingStreak := 0
+		for {
+			time.Sleep(2 * ivl)
+			if cl.InRing() {
+				everInRing = true
+				if inRingStreak++; inRingStreak >= 3 {
+					return
+				}
+				continue
+			}
+			inRingStreak = 0
+			if everInRing {
+				log.Printf("cluster mode: node %s excluded after having been in the ring (operator drain); standing down", self.ID)
+				return
+			}
+			log.Printf("cluster mode: node %s lost its join race (view epoch %d excludes it); re-announcing via %s",
+				self.ID, cl.Epoch(), seed)
+			rctx, rcancel := context.WithTimeout(ctx, 10*time.Second)
+			v, err := cluster.JoinVia(rctx, &http.Client{Timeout: 10 * time.Second}, seed, self)
+			rcancel()
+			if err != nil {
+				log.Printf("cluster mode: re-join failed: %v", err)
+				continue
+			}
+			_, _ = cl.AdoptView(v)
+		}
+	}()
 }

@@ -51,9 +51,6 @@ type Config struct {
 	// gets an owner plus R−1 replicas (default 2, effectively capped at
 	// the current member count).
 	Replicas int
-	// VNodes is the per-member virtual-node count (default
-	// DefaultVNodes).
-	VNodes int
 	// Client executes forwarded requests and probes (default: an
 	// http.Client with a 2-minute timeout, matching a long search).
 	Client Doer
@@ -74,7 +71,6 @@ type Config struct {
 type Cluster struct {
 	self     string
 	rfTarget int
-	vnodes   int
 	checker  *Checker
 	events   *EventLog
 
@@ -122,7 +118,6 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		self:     cfg.Self,
 		rfTarget: rf,
-		vnodes:   cfg.VNodes,
 		checker:  NewChecker(cfg.Self, nil, client, cfg.ProbeTimeout, downAfter),
 		events:   NewEventLog(cfg.Self, 0, cfg.Clock),
 		departed: map[string]Member{},
@@ -135,7 +130,6 @@ func New(cfg Config) (*Cluster, error) {
 	if err := c.adoptLocked(boot); err != nil {
 		return nil, err
 	}
-	c.vnodes = c.ring.VNodes() // the default, resolved once
 	// Health transitions land on the timeline as this node's local
 	// observations (nodes may transiently disagree, and that disagreement
 	// is itself worth seeing).
@@ -290,7 +284,7 @@ func (c *Cluster) adoptLocked(v View) error {
 		ids = append(ids, m.ID)
 		members[m.ID] = m
 	}
-	ring, err := NewRing(ids, c.vnodes)
+	ring, err := NewRing(ids, DefaultVNodes)
 	if err != nil {
 		return err
 	}
@@ -494,33 +488,23 @@ func (c *Cluster) Others(lists ...[]Member) []Member {
 	return out
 }
 
-// Route orders the key's replica set for serving: owner-first, Down
-// peers dropped, Ok peers ahead of Suspect ones. The serving layer
-// walks the list — a candidate equal to self means "serve locally";
-// otherwise it forwards, advancing on failure. An empty list (every
-// replica down, self not among them) means serve locally as a last
-// resort: availability over strict single-flight. On a drained node
-// self never appears, so everything forwards into the ring it left.
+// Route is the key's replica set in ring order, owner first, minus the
+// members this node has seen Down. A Suspect member keeps its place, so
+// the serving order depends only on the view, the key and the Down set.
+// The serving layer walks the list: a candidate equal to self means
+// "serve locally"; otherwise it forwards, advancing on failure. An empty
+// list (every replica down, self not among them) means serve locally as
+// a last resort: availability over strict single-flight. On a drained
+// node self never appears, so everything forwards into the ring it left.
 func (c *Cluster) Route(key string) []Member {
-	// Reorder the replica set in place: reps[:ok] are the Ok members and
-	// reps[ok:n] the Suspect ones, each in ring order; an Ok member shifts
-	// the suspects behind it one place right. Writes never pass the
-	// member being read, so the walk reads the set as Replicas built it.
 	reps := c.Replicas(key)
-	ok, n := 0, 0
+	live := reps[:0]
 	for _, m := range reps {
-		switch c.checker.Status(m.ID) {
-		case Ok:
-			copy(reps[ok+1:n+1], reps[ok:n])
-			reps[ok] = m
-			ok++
-			n++
-		case Suspect:
-			reps[n] = m
-			n++
+		if c.checker.Status(m.ID) != Down {
+			live = append(live, m)
 		}
 	}
-	return reps[:n]
+	return live
 }
 
 // Forward sends one already-read request to a peer and returns the raw

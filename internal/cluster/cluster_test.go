@@ -164,53 +164,38 @@ func TestRouteSkipsDownPeers(t *testing.T) {
 	}
 }
 
-// A suspect owner is still routed, but after healthy replicas.
-func TestRouteDeprioritizesSuspects(t *testing.T) {
-	cl, err := New(Config{Self: "n1", Members: testMembers(), Replicas: 3, Client: newFakeDoer()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := "some-fingerprint"
-	owner := cl.Owner(key)
-	cl.Checker().ReportFailure(owner) // one failure: suspect
-	route := cl.Route(key)
-	if len(route) != 3 {
-		t.Fatalf("route %v, want all three members", route)
-	}
-	if route[len(route)-1].ID != owner {
-		t.Errorf("suspect owner %s not demoted to last: %v", owner, route)
-	}
-}
-
-// Route reorders the replica set in place; on five members at R=4, under
-// every mix of Ok, Suspect and Down peers, it must equal the two-list
-// build it replaced (Ok members, then Suspect ones, each in ring order),
-// and allocate only the one slice it returns.
-func TestRouteMatchesTwoListOrder(t *testing.T) {
+// Route is the ring's replica order minus the Down members, whatever
+// else this node has seen: on five members at R=4, under every mix of
+// Ok, Suspect and Down peers, a Suspect member keeps its ring place (a
+// Suspect owner stays first), and Route allocates only the one slice it
+// returns.
+func TestRouteIsRingOrderMinusDown(t *testing.T) {
 	members := append(testMembers(), Member{ID: "n4", Addr: "http://n4"}, Member{ID: "n5", Addr: "http://n5"})
 	for state := 0; state < 81; state++ { // n2..n5 each Ok, Suspect or Down
 		cl, err := New(Config{Self: "n1", Members: members, Replicas: 4, Client: newFakeDoer()})
 		if err != nil {
 			t.Fatal(err)
 		}
+		down := map[string]bool{}
 		for i, s := 1, state; i < len(members); i, s = i+1, s/3 {
 			for f := 0; f < []int{0, 1, 3}[s%3]; f++ {
 				cl.Checker().ReportFailure(members[i].ID)
 			}
+			down[members[i].ID] = s%3 == 2
 		}
 		for k := 0; k < 50; k++ {
 			key := fmt.Sprintf("key-%d", k)
-			var ok, suspect []Member
-			for _, m := range cl.Replicas(key) {
-				switch cl.Checker().Status(m.ID) {
-				case Ok:
-					ok = append(ok, m)
-				case Suspect:
-					suspect = append(suspect, m)
+			var want []string
+			for _, id := range cl.Ring().Replicas(key, 4) {
+				if !down[id] {
+					want = append(want, id)
 				}
 			}
-			want := append(ok, suspect...)
-			if got := cl.Route(key); !slices.Equal(got, want) {
+			var got []string
+			for _, m := range cl.Route(key) {
+				got = append(got, m.ID)
+			}
+			if !slices.Equal(got, want) {
 				t.Fatalf("state %d, %s: route %v, want %v", state, key, got, want)
 			}
 		}

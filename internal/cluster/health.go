@@ -23,7 +23,7 @@ const (
 	// Ok: the last probe or forward succeeded.
 	Ok Health = iota
 	// Suspect: at least one recent failure, but fewer than the down
-	// threshold — still routed, after healthy peers.
+	// threshold — observed and reported, still routed in its ring place.
 	Suspect
 	// Down: consecutive failures reached the threshold — routed around
 	// entirely until a probe succeeds again.

@@ -18,10 +18,12 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the per-member virtual-node count: enough points
-// that member shares of the hash space concentrate near 1/N (stddev
-// ~1/sqrt(vnodes) of the mean) without making ring construction or the
-// replica walk expensive.
+// DefaultVNodes is the per-member virtual-node count of every ring a
+// Cluster builds. It is a constant, not a setting: two nodes with
+// different counts would name different owners for one key. It is
+// enough points that member shares of the hash space concentrate near
+// 1/N (stddev ~1/sqrt(vnodes) of the mean) without making ring
+// construction or the replica walk expensive.
 const DefaultVNodes = 128
 
 // ringPoint is one virtual node: a position on the 64-bit hash circle

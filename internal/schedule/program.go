@@ -274,10 +274,9 @@ type traceKey struct {
 }
 
 // maxTraces bounds the process's trace table: /tune accepts any seq up
-// to 65 536, so the catalog does not bound the keys. It is the serving
-// layer's eval-registry entry bound (capPoints/entryOverheadPoints at
-// the default cap), and at 2.8–3.4 KB a retained trace a full table
-// holds ~3.4 MB.
+// to 65 536, so the catalog does not bound the keys. It is above the
+// serving layer's eval-registry entry bound (372 at the default cap),
+// and at 2.8–3.4 KB a retained trace a full table holds ~3.4 MB.
 const maxTraces = 1024
 
 // traces holds each key's trace, built by the process's first analyzer

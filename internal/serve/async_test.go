@@ -62,10 +62,11 @@ func TestBadRequestTable(t *testing.T) {
 	}
 }
 
-// TestCacheCapAndEvictions exercises WithCacheCap: filling the plan
-// cache past its bound evicts completed entries and counts them.
+// TestCacheCapAndEvictions lowers the plan cache's bound: filling it
+// past the bound evicts completed entries and counts them.
 func TestCacheCapAndEvictions(t *testing.T) {
-	s := New(WithCacheCap(2))
+	s := New()
+	s.cacheCap = 2
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

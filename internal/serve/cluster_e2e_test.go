@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/load"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -134,6 +135,35 @@ func TestClusterSingleFlightAcrossNodes(t *testing.T) {
 				t.Errorf("fingerprint %s stored at version %d, want 1 (tuned more than once?)", key, r.Version)
 			}
 		}
+	}
+}
+
+// One lost probe does not move a key off its owner: after the replica
+// sees a single failure of the owner (Suspect, not Down), a cold /tune
+// entering at the replica is still forwarded to the owner and searched
+// there, once fleet-wide.
+func TestSuspectOwnerStillServesItsKeys(t *testing.T) {
+	lc := newCluster(t, 3, 2)
+	spec := clusterSpec(512)
+	key, err := spec.CanonicalKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := lc.Cluster(lc.IDs()[0]).Replicas(key)
+	owner, replica := reps[0].ID, reps[1].ID
+	lc.Cluster(replica).Checker().ReportFailure(owner)
+	if h := lc.Cluster(replica).Health(owner); h != cluster.Suspect {
+		t.Fatalf("owner %s is %s at the replica after one failure, want suspect", owner, h)
+	}
+	rec := do(t, lc.Handler(replica), http.MethodPost, "/tune", nil, serve.TuneRequest{WorkloadSpec: spec}, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("tune via %s: %d %s", replica, rec.Code, rec.Body.String())
+	}
+	if got := rec.Header().Get(cluster.HeaderServedBy); got != owner {
+		t.Errorf("cold /tune through replica %s served by %s, want the owner %s", replica, got, owner)
+	}
+	if got := sumTunesRun(lc); got != 1 {
+		t.Errorf("fleet ran %d searches for one fingerprint, want exactly 1", got)
 	}
 }
 

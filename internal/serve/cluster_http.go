@@ -93,7 +93,7 @@ func (s *Server) walkRoute(ctx context.Context, key string, try func(cluster.Mem
 }
 
 // proxyKeyed routes a request by its fingerprint key: when a peer is
-// the first healthy replica, the request (body already read) is
+// the first routed replica, the request (body already read) is
 // replayed to it and its response relayed, walking down the replica
 // list on transport failures. Returns true when a peer answered; false
 // means serve locally — walkRoute said so, the request already hopped

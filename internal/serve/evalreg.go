@@ -41,24 +41,29 @@ import (
 // only the searches still running on it, and /simulate prices on the
 // live entry.
 
-// defaultEvalCachePoints bounds the registry's total memoized points
-// when the operator does not set one. A point is one priced entry of a
-// knob-grid row (single candidates are never stored); a row keeps only
-// its staircase steps, ~2.4 B retained per point with the row map, so
-// the default caps the registry's rows around 10 MB — roughly twenty
-// fully-swept fingerprints.
+// The registry charges points, and the constants below are sized in
+// bytes from one measurement: the heap an entry retains after one search
+// of its spec, process tables already warm. An entry with few points
+// retains ~16 KB (15 points, gpt3-1.3b on 2 L4s in the DeepSpeed space;
+// 38 KB at 5 265 points, gpt3-2.7b on 8), and at scale a point retains
+// ~1.4 B (2.3 MB at 1 570 104 points, gpt3-22b on 32): a row keeps only
+// its staircase steps.
+
+// defaultEvalCachePoints bounds the registry's total charge. A point is
+// one priced entry of a knob-grid row (single candidates are never
+// stored). At ~1.4 B a point the cap is ~6 MB of rows, about two and a
+// half paper-scale searches.
 const defaultEvalCachePoints = 4 << 20
 
-// entryOverheadPoints is the point-equivalent fixed cost charged to each
-// registry entry: the analyzer, its per-(TP, b) layer compute, and the
-// section costs and coefficient fills of the shapes it priced (a (TP, b)
-// only its compute floor read holds no section costs) are real memory
-// even when the entry has memoized no points. (The interference fit, the model trace and the compiled stage
-// programs are the process's, shared across entries: schedule bounds its
-// trace table at the same 1024 keys.) Charging it makes point-light
-// entries evictable by the same LRU sweep and bounds the entry count at
-// capPoints/entryOverheadPoints (1024 entries at the default cap).
-const entryOverheadPoints = 4096
+// entryOverheadPoints is the fixed charge of each registry entry, an
+// entry's ~16 KB at ~1.4 B a point: the analyzer, its per-(TP, b) layer
+// compute, and the section costs and coefficient fills of the shapes it
+// priced are real memory even when the entry has memoized no points.
+// (The interference fit, the model trace and the compiled stage programs
+// are the process's, shared across entries.) Charging it makes
+// point-light entries evictable by the same LRU sweep and bounds the
+// entry count at capPoints/entryOverheadPoints (372 at the default cap).
+const entryOverheadPoints = 11 << 10
 
 // evalKey is the analyzer-config fingerprint: everything the analyzer's
 // answers depend on, and nothing more. The global batch is deliberately
@@ -104,9 +109,6 @@ type evalRegistry struct {
 // newEvalRegistry builds a registry whose eviction counters are series
 // of reg.
 func newEvalRegistry(capPoints int, reg *metrics.Registry) *evalRegistry {
-	if capPoints < 1 {
-		capPoints = defaultEvalCachePoints
-	}
 	return &evalRegistry{
 		capPoints: capPoints,
 		entries:   map[string]*evalEntry{},

@@ -20,7 +20,8 @@ import (
 // fingerprint's persistent evaluation cache, so nearly every candidate
 // pricing is a hit.
 func TestEvalCachePersistsAcrossRequests(t *testing.T) {
-	s := New(WithCacheCap(1))
+	s := New()
+	s.cacheCap = 1
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -76,7 +77,8 @@ func TestEvalCachePersistsAcrossRequests(t *testing.T) {
 // re-tune of the first spec re-prices from scratch and the eviction
 // counters advance.
 func TestEvalCacheCapEvictsColdFingerprint(t *testing.T) {
-	s := New(WithCacheCap(1), WithEvalCacheCap(1))
+	s := New()
+	s.cacheCap, s.evalReg.capPoints = 1, 1
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -206,7 +208,8 @@ func TestEnforceCapUnderCapAllocatesNothing(t *testing.T) {
 // registry's entry, not on the one its search used. The rebuilt analyzer
 // is given an A100's operator database so that its answers tell it apart.
 func TestSimulatePricesOnTheRegistrysAnalyzer(t *testing.T) {
-	s := New(WithEvalCacheCap(1))
+	s := New()
+	s.evalReg.capPoints = 1
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -24,13 +24,17 @@ var faultsFull = flag.Bool("faults.full", false, "run TestFaultsMasked over 1 00
 // injects only what the node-to-node protocol promises to mask: a
 // request may wait up to 1 ms before delivery (reordering it against
 // concurrent peer requests) and may be delivered twice, the caller
-// getting the first reply while the duplicate's is drained. The seed
+// getting the first reply while the duplicate's is drained; and a
+// /healthz probe's reply may be lost, which the prober sees as a
+// transport error. A lost probe makes its peer Suspect, never Down: the
+// plan never loses two probe replies in a row to one peer. The seed
 // fixes the sequence of draws, not which request draws which: the
 // scheduler decides the interleaving.
 type faultyClient struct {
-	sb  *switchboard
-	mu  sync.Mutex
-	rng *rand.Rand
+	sb   *switchboard
+	mu   sync.Mutex
+	rng  *rand.Rand
+	lost map[string]bool // by peer host: the last probe reply was lost
 }
 
 func (c *faultyClient) Do(req *http.Request) (*http.Response, error) {
@@ -40,9 +44,22 @@ func (c *faultyClient) Do(req *http.Request) (*http.Response, error) {
 	if c.rng.Intn(4) == 0 {
 		delay = time.Duration(1 + c.rng.Int63n(int64(time.Millisecond)))
 	}
+	lose := false
+	if req.URL.Path == "/healthz" {
+		host := req.URL.Host
+		lose = !c.lost[host] && c.rng.Intn(4) == 0
+		c.lost[host] = lose
+	}
 	c.mu.Unlock()
 	if delay > 0 {
 		time.Sleep(delay)
+	}
+	if lose {
+		resp, err := c.sb.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		return nil, fmt.Errorf("faults: reply from %s lost", req.URL.Host)
 	}
 	if !dup {
 		return c.sb.Do(req)
@@ -95,7 +112,7 @@ func newFaultyCluster(t *testing.T, seed int64, nodes, replicas int) *faultyClus
 
 func (fc *faultyCluster) addFaultyNode(t *testing.T, m cluster.Member, members []cluster.Member) *faultyClient {
 	t.Helper()
-	client := &faultyClient{sb: fc.sb, rng: rand.New(rand.NewSource(fc.seed*1000 + int64(len(fc.servers))))}
+	client := &faultyClient{sb: fc.sb, rng: rand.New(rand.NewSource(fc.seed*1000 + int64(len(fc.servers)))), lost: map[string]bool{}}
 	cl, err := cluster.New(cluster.Config{
 		Self:         m.ID,
 		Members:      members,
@@ -139,17 +156,21 @@ func (fc *faultyCluster) join(t *testing.T, id string) {
 }
 
 // TestFaultsMasked explores the protocol under seeded duplicate and
-// delayed peer requests: each seed runs cold tunes and repeats of cheap
-// DeepSpeed specs through random ingress nodes of a 3-node, R = 2
-// fleet, plus one async job, and odd seeds also join a node and then
-// drain one. Before the first join, every plan acknowledged so far must
-// already be on exactly R stores of its replica set (the write-through,
-// not repair, put it there). After repair settles, every fingerprint
-// must sit on exactly R live replicas at Version 1 with one search each,
-// and every plan acknowledged with a 200 must be in some live store.
-// Replay one seed with -run 'TestFaultsMasked/seed=17'. Drops,
-// partitions and crashes are out of scope: they break single-flight by
-// design (availability wins), so their checker needs a different bound.
+// delayed peer requests and lost probe replies: each seed runs cold
+// tunes and repeats of cheap DeepSpeed specs through random ingress
+// nodes of a 3-node, R = 2 fleet, a probe round on every node before
+// each of a client's requests, plus one async job, and odd seeds also
+// join a node and then drain one. A lost probe leaves its peer Suspect,
+// which must not move a key's search off its owner. Before the first
+// join, every plan acknowledged so far must already be on exactly R
+// stores of its replica set (the write-through, not repair, put it
+// there). After repair settles, every fingerprint must sit on exactly R
+// live replicas at Version 1 with one search each, and every plan
+// acknowledged with a 200 must be in some live store. Replay one seed
+// with -run 'TestFaultsMasked/seed=17'. Drops of other requests, a peer
+// turning Down, partitions and crashes are out of scope: they break
+// single-flight by design (availability wins), so their checker needs a
+// different bound.
 func TestFaultsMasked(t *testing.T) {
 	seeds := 64
 	switch {
@@ -187,6 +208,23 @@ func runFaultSeed(t *testing.T, seed int64) {
 		}
 	}
 	spec := func(r *rand.Rand) WorkloadSpec { return specs[r.Intn(len(specs))] }
+	// probeAll runs one probe round on every node at once. Rounds never
+	// overlap, so no prober has two probes of one peer in flight and a
+	// lost reply is always followed by a delivered one.
+	var probeMu sync.Mutex
+	probeAll := func() {
+		probeMu.Lock()
+		defer probeMu.Unlock()
+		var wg sync.WaitGroup
+		for _, id := range fc.IDs() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fc.Cluster(id).Checker().ProbeOnce(context.Background())
+			}()
+		}
+		wg.Wait()
+	}
 
 	// traffic runs three clients of n requests each, concurrently; each
 	// client's specs and ingress nodes are drawn from its own seeded
@@ -200,6 +238,7 @@ func runFaultSeed(t *testing.T, seed int64) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < n; i++ {
+					probeAll()
 					ws := spec(r)
 					body, _ := json.Marshal(TuneRequest{WorkloadSpec: ws})
 					rec := post(pick(r), "/tune", body)

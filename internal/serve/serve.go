@@ -55,9 +55,8 @@
 // analyzer and so of its rows, which tuner runs and /simulate share for
 // the life of the process — a re-search of a known analyzer configuration
 // starts ~fully warm — and the analyzer is itself concurrency-safe. The
-// registry is bounded by total cached points (-eval-cache-cap on
-// mistserve, WithEvalCacheCap here); least-recently-used entries are
-// dropped whole when it fills.
+// registry is bounded by total cached points (defaultEvalCachePoints);
+// least-recently-used entries are dropped whole when it fills.
 package serve
 
 import (
@@ -67,6 +66,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -334,8 +334,8 @@ const defaultCacheCap = 1024
 const defaultJobWorkers = 2
 
 // Server is the tuning service. Create with New, mount via Handler, or
-// run a full HTTP server lifecycle with ListenAndServe. Call Close when
-// done to stop the job workers (ListenAndServe does so on shutdown).
+// run a full HTTP server lifecycle with Serve. Call Close when
+// done to stop the job workers (Serve does so on shutdown).
 type Server struct {
 	mu    sync.Mutex
 	plans map[string]*planEntry
@@ -343,12 +343,11 @@ type Server struct {
 	// What the bodies of /tune and /simulate resolved to (replies.go).
 	tuneBodies, simulateBodies bodyMemo
 
-	cacheCap     int
-	store        *store.Store
-	jobs         *jobs.Manager
-	jobWorkers   int
-	evalCacheCap int
-	evalReg      *evalRegistry
+	cacheCap   int // defaultCacheCap; in-package tests lower it
+	store      *store.Store
+	jobs       *jobs.Manager
+	jobWorkers int
+	evalReg    *evalRegistry
 
 	cluster *cluster.Cluster
 	log     *slog.Logger  // never nil; disabled without WithLogger (see logging.go)
@@ -481,29 +480,6 @@ func WithStore(st *store.Store) Option {
 	return func(s *Server) { s.store = st }
 }
 
-// WithCacheCap overrides the in-memory plan-cache capacity (entries;
-// values < 1 keep the default).
-func WithCacheCap(n int) Option {
-	return func(s *Server) {
-		if n >= 1 {
-			s.cacheCap = n
-		}
-	}
-}
-
-// WithEvalCacheCap bounds the cross-request evaluation-cache registry
-// at n total memoized pricing points across all analyzer fingerprints
-// (values < 1 keep the default, roughly 4M points / 10 MB). When the
-// bound is exceeded, least-recently-used per-fingerprint caches are
-// dropped whole; a dropped fingerprint re-prices on its next search.
-func WithEvalCacheCap(n int) Option {
-	return func(s *Server) {
-		if n >= 1 {
-			s.evalCacheCap = n
-		}
-	}
-}
-
 // WithJobWorkers sets the async job pool width (values < 1 keep the
 // default).
 func WithJobWorkers(n int) Option {
@@ -572,7 +548,7 @@ func New(opts ...Option) *Server {
 	}
 	s.loopCtx, s.loopCancel = context.WithCancel(context.Background())
 	s.limits = s.limits.withDefaults()
-	s.evalReg = newEvalRegistry(s.evalCacheCap, s.metrics)
+	s.evalReg = newEvalRegistry(defaultEvalCachePoints, s.metrics)
 	s.tuneGate = newGate("/tune", s.limits)
 	s.simulateGate = newGate("/simulate", s.limits)
 	// The job queue shares the admission bound; the manager treats 0 as
@@ -1080,17 +1056,18 @@ func (s *Server) handleStats(rw http.ResponseWriter, req *http.Request) {
 	writeJSON(rw, http.StatusOK, s.Stats())
 }
 
-// ListenAndServe runs the service at addr until ctx is canceled, then
-// shuts down gracefully, draining in-flight requests for up to grace and
-// stopping the job workers.
-func (s *Server) ListenAndServe(ctx context.Context, addr string, grace time.Duration) error {
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
+// Serve runs the service on ln until ctx is canceled, then shuts down
+// gracefully, draining in-flight requests for up to grace and stopping
+// the job workers. The caller binds ln, so a node can be reachable
+// before it joins a cluster.
+func (s *Server) Serve(ctx context.Context, ln net.Listener, grace time.Duration) error {
+	srv := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:
 		s.Close()
-		return err // bind failure or unexpected server exit
+		return err // unexpected server exit
 	case <-ctx.Done():
 	}
 	// The serve context is already done here; the grace period needs a

@@ -292,11 +292,10 @@ func TestListenAndServeGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	ln.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- New().ListenAndServe(ctx, addr, 5*time.Second) }()
+	go func() { done <- New().Serve(ctx, ln, 5*time.Second) }()
 
 	// Wait for the listener to come up.
 	url := "http://" + addr + "/healthz"
