@@ -164,6 +164,28 @@ func TestRouteSkipsDownPeers(t *testing.T) {
 	}
 }
 
+// One lost probe does not move a key: a Suspect owner keeps its place at
+// the head of the route, ahead of its Ok replicas.
+func TestRouteKeepsSuspectOwnerFirst(t *testing.T) {
+	cl, err := New(Config{Self: "n1", Members: testMembers(), Replicas: 3, Client: newFakeDoer()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "some-fingerprint"
+	owner := cl.Owner(key)
+	cl.Checker().ReportFailure(owner) // one failure: suspect
+	if got := cl.Checker().Status(owner); got != Suspect {
+		t.Fatalf("owner %s after one failure: %v, want Suspect", owner, got)
+	}
+	route := cl.Route(key)
+	if len(route) != 3 {
+		t.Fatalf("route %v, want all three members", route)
+	}
+	if route[0].ID != owner {
+		t.Errorf("suspect owner %s not first: %v", owner, route)
+	}
+}
+
 // Route is the ring's replica order minus the Down members, whatever
 // else this node has seen: on five members at R=4, under every mix of
 // Ok, Suspect and Down peers, a Suspect member keeps its ring place (a
