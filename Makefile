@@ -32,7 +32,7 @@ BENCH_RUNS = set -- $(BENCH_SET); while [ -n "$$1" ]; do \
 # Where bench-profile drops its pprof output.
 PROFILE_DIR ?= profiles
 
-.PHONY: ci vet build test test-noskip test-seam race property bench bench-json bench-regression bench-profile serve fuzz lint mistlint load-smoke experiments-smoke cluster-smoke elastic-smoke slo-smoke flag-docs flag-docs-check
+.PHONY: ci vet build test test-noskip test-seam race property bench bench-json bench-regression bench-profile serve fuzz lint mistlint load-smoke experiments-smoke cluster-smoke elastic-smoke boot-smoke slo-smoke flag-docs flag-docs-check
 
 ci: lint build race property test-seam flag-docs-check ## full tier-1 + race + property gate, plus the nested benchmark module's seam and the generated flag docs
 
@@ -71,7 +71,7 @@ test-noskip: ## the full (non -short) suite, verbose; fails if any test reports 
 test-seam: ## vet + short tests of the nested benchmarks/mistperf module, which `go test ./...` never sees: the one place a break of its seam.go contract shows
 	cd benchmarks/mistperf && $(GO) vet ./... && $(GO) test -short ./...
 
-race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks, and the analyzer's row store's same-row/mixed-row publish races and readers of a stored row (schedule's rows_race_test.go, rows_window_test.go, and rows_test.go's TestConcurrentAccess under mixed readers and writers), two searches sharing one store (TestConcurrentSearchesCountTheirOwnTraffic) and four searches on one tuner (TestConcurrentSearchesOnOneTuner), the analyzer's concurrent first use, the per-platform interference fit's concurrent first use, and a plan-cache entry's concurrent first hits (serve's TestConcurrentFirstHitsRenderOnce: one render, the same bytes for every caller) repeated; the cluster tier's seeded fault fence (serve's TestFaultsMasked) runs 8 of its 64 seeds
+race: ## includes the seeded jobs submit/cancel storm with goroutine-leak checks, and the analyzer's row store's same-row/mixed-row publish races and readers of a stored row (schedule's rows_race_test.go, rows_window_test.go, and rows_test.go's TestConcurrentAccess under mixed readers and writers), two searches sharing one store (TestConcurrentSearchesCountTheirOwnTraffic) and four searches on one tuner (TestConcurrentSearchesOnOneTuner), the analyzer's concurrent first use, the per-platform interference fit's concurrent first use, and a plan-cache entry's concurrent first hits (serve's TestConcurrentFirstHitsRenderOnce: one render, the same bytes for every caller) repeated; the cluster tier's seeded fault fences (serve's TestFaultsMasked and TestFaultsDropped) run 8 of their 64 seeds each
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrent' ./internal/schedule ./internal/core ./internal/serve
 
@@ -93,15 +93,18 @@ cluster-smoke: ## 3-node in-process cluster: mixed replay, then a failover drill
 elastic-smoke: ## 3-node cluster with a mid-run join and drain; fails on any 5xx, transport error, or post-drill replication/single-flight violation
 	$(GO) run ./cmd/mistload -scenario elastic -inproc -nodes 3 -duration 7s -seed 1 -concurrency 4 -join n4@2s -drain n1@4s
 
+boot-smoke: ## the real mistserve binary in cluster mode on loopback: three -peers nodes back to back, then a -join node; every node must list four ok members and no member-suspect or member-down event
+	GO=$(GO) bash tools/boot-smoke.sh
+
 slo-smoke: ## 3-node mixed replay scored against the committed SLO spec (budget exhaustion fails), plus the induced-failure drill: fast-burn page within bound, resolved after recovery
 	$(GO) run ./cmd/mistload -scenario mixed -inproc -nodes 3 -duration 5s -seed 1 -concurrency 4 -slo-config testdata/slo.json
 	$(GO) test -run 'TestSLOKillDrill|TestSLOEndToEnd' -count=1 -v ./internal/serve
 
-property: ## schedule, frontier, compile and trace invariants (every section byte quantity non-increasing in TP, non-decreasing in b), repeated with a pinned quick.Check budget; then, on the full shape grid, the lifted stage programs against the per-shape reference and the compute floor under every priced stable time; then the long generated-cell stream (60 seeded cells tuned and measured: no device OOM, S=1 error in its band, S >= 2 error negative); then 1 000 seeds of the cluster tier under duplicated and delayed peer requests and lost probe replies (every fingerprint on exactly R replicas at version 1, one search each, every acknowledged plan stored)
+property: ## schedule, frontier, compile and trace invariants (every section byte quantity non-increasing in TP, non-decreasing in b), repeated with a pinned quick.Check budget; then, on the full shape grid, the lifted stage programs against the per-shape reference and the compute floor under every priced stable time; then the long generated-cell stream (60 seeded cells tuned and measured: no device OOM, S=1 error in its band, S >= 2 error negative); then 1 000 seeds of the cluster tier under duplicated and delayed peer requests and lost probe replies (every fingerprint on exactly R replicas at version 1, one search each, every acknowledged plan stored), and 1 000 more that also lose any peer request or reply, never twice in a row per pair (exactly R at version 1, every acknowledged plan stored, extra searches at most the relays and record fetches lost)
 	$(GO) test ./internal/schedule ./internal/core ./internal/symbolic ./internal/graph -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
 	$(GO) test ./internal/schedule -run 'TestPropertyLiftedProgramMatchesPerShapeBuild|TestPropertyComputeFloorBoundsStable' -count=1 -reference.full
 	$(GO) test ./internal/experiments -run 'TestGeneratedCells' -count=1 -v -generator.full
-	$(GO) test ./internal/serve -run 'TestFaultsMasked' -count=1 -faults.full
+	$(GO) test ./internal/serve -run 'TestFaultsMasked|TestFaultsDropped' -count=1 -faults.full
 
 bench: ## cold and warm tuner (BenchmarkTuneMemoizedWarm is the re-tune path: a fresh tuner over a filled shared cache, merging the stored staircases; BenchmarkTuneHetero is the heterogeneous-device search, whose unique-evals the cache's per-(shape, layer count) rows keep down; BenchmarkTuneColdGrid is mistperf's 8-cell search-cold grid, each cell a fresh tuner, search and trainsim re-measure), one 405-knob set priced by the analyzer and through its row store (which keeps only the set's staircase steps), batch-submit amortization, one node's /metrics and /stats scrape on a 3-node fleet, a repeated /tune served by its owner and through a hop and a repeated plan-less /simulate on the same fleet, tracing overhead, SLO evaluation, one interference region priced with a search's live-channel mix
 	@$(BENCH_RUNS)

@@ -79,7 +79,7 @@ func main() {
 		joinPeer  = flag.String("join", "", "cluster mode: boot by joining a live cluster through this peer URL (needs -node-id and -advertise)")
 		advertise = flag.String("advertise", "", "cluster mode: the URL peers reach this node at (required with -join)")
 		replicas  = flag.Int("replicas", 2, "cluster mode: replication factor R (owner + R-1 replicas per fingerprint)")
-		probeIvl  = flag.Duration("probe-interval", 2*time.Second, "cluster mode: active health-probe interval")
+		probeIvl  = flag.Duration("probe-interval", 2*time.Second, "cluster mode: active health-probe interval (0: passive detection only)")
 		rebalIvl  = flag.Duration("rebalance-interval", 15*time.Second, "cluster mode: anti-entropy repair cadence (0: kick-driven only)")
 
 		sloPath = flag.String("slo-config", "", "JSON SLO spec: evaluate it continuously and serve verdicts at GET /slo and GET /cluster/health")
@@ -205,13 +205,12 @@ func main() {
 		join(ctx, cl, self, *joinPeer, *probeIvl)
 	}
 	if cl != nil {
-		cl.Start(*probeIvl)
-		defer cl.Stop()
-		// The background anti-entropy repairer: periodic passes plus an
-		// immediate one on every adopted membership change. For a node
-		// booted with -join, the first pass pulls every record it now
-		// replicates from its peers.
-		s.StartRebalancer(*rebalIvl)
+		// The prober and the anti-entropy repairer: periodic passes plus
+		// an immediate repair pass on every adopted membership change.
+		// For a node booted with -join that is the join view's adoption,
+		// and the pass pulls every record it now replicates from its
+		// peers. Serve's Close ends both loops.
+		s.StartPeerLoops(*probeIvl, *rebalIvl)
 	}
 	if err := <-served; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
@@ -250,7 +249,7 @@ func join(ctx context.Context, cl *cluster.Cluster, self cluster.Member, seed st
 	go func() {
 		ivl := probeIvl
 		if ivl <= 0 {
-			ivl = 2 * time.Second // the checker's own probe default
+			ivl = 2 * time.Second // the -probe-interval default
 		}
 		everInRing := false
 		inRingStreak := 0

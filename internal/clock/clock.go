@@ -19,7 +19,7 @@ type Clock interface {
 }
 
 // Ticking adds scheduling: what a package that runs a loop takes
-// (cluster.Config.Clock, serve.WithClock).
+// (serve.WithClock: the SLO, probe and repair loops).
 type Ticking interface {
 	Clock
 	// Ticker returns a channel delivering ticks every d, plus a stop
@@ -45,8 +45,8 @@ var System Ticking = system{}
 
 // Fake is a hand-cranked clock for virtual-time tests, safe for
 // concurrent use. Its tickers never fire: a loop built on a Fake is
-// inert and the test drives each tick itself (SLOTick, RebalanceOnce),
-// so no background tick can race a hand-driven one.
+// inert and the test drives each tick itself (SLOTick, ProbeOnce,
+// RebalanceOnce), so no background tick can race a hand-driven one.
 type Fake struct {
 	mu sync.Mutex
 	t  time.Time

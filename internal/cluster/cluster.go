@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,7 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/clock"
+	"repro/internal/trace"
 )
 
 // Wire headers of the cluster tier.
@@ -59,20 +60,19 @@ type Config struct {
 	// DownAfter is the consecutive-failure threshold for Down
 	// (default 3).
 	DownAfter int
-	// Clock is the protocol time source (default clock.System). The
-	// deterministic simulation harness injects a virtual clock here.
-	Clock clock.Ticking
 }
 
 // Cluster is one node's view of the sharded tier: the epoch-versioned
-// membership view, the ring built from it, the health checker, and the
+// membership view, the ring built from it, each peer's health, and the
 // forwarding client. Safe for concurrent use; the view (and with it
 // the ring and member table) is swapped atomically on adoption.
 type Cluster struct {
-	self     string
-	rfTarget int
-	checker  *Checker
-	events   *EventLog
+	self      string
+	rfTarget  int
+	client    Doer
+	timeout   time.Duration // one probe's budget
+	downAfter int
+	events    *EventLog
 
 	// propose serializes this node's membership proposals: a join
 	// mints, announces and adopts its view under it, with vmu free.
@@ -86,11 +86,12 @@ type Cluster struct {
 	departed     map[string]Member // ex-members of superseded views, until they rejoin
 	onViewChange func(View)
 
-	syncing atomic.Bool
-	syncWG  sync.WaitGroup
+	// hmu guards fails alone, not the view: the health report every peer
+	// request makes never waits on an adoption.
+	hmu   sync.Mutex
+	fails map[string]int // consecutive failures by peer id
 
-	mu     sync.Mutex
-	cancel context.CancelFunc
+	syncing atomic.Bool // one view sync at a time (observePeerEpoch)
 }
 
 // New validates the boot membership and builds the node's cluster view
@@ -111,42 +112,29 @@ func New(cfg Config) (*Cluster, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 2 * time.Minute}
 	}
+	timeout := cfg.ProbeTimeout
+	if timeout <= 0 {
+		timeout = time.Second
+	}
 	downAfter := cfg.DownAfter
 	if downAfter < 1 {
 		downAfter = 3
 	}
 	c := &Cluster{
-		self:     cfg.Self,
-		rfTarget: rf,
-		checker:  NewChecker(cfg.Self, nil, client, cfg.ProbeTimeout, downAfter),
-		events:   NewEventLog(cfg.Self, 0, cfg.Clock),
-		departed: map[string]Member{},
+		self:      cfg.Self,
+		rfTarget:  rf,
+		client:    client,
+		timeout:   timeout,
+		downAfter: downAfter,
+		events:    NewEventLog(cfg.Self),
+		departed:  map[string]Member{},
+		fails:     map[string]int{},
 	}
-	if cfg.Clock != nil {
-		c.checker.clock = cfg.Clock
-	}
-	// The boot view goes in the way every later one does: ring, member
-	// table and the checker's peer set in one step.
+	// The boot view goes in the way every later one does: ring and
+	// member table in one step.
 	if err := c.adoptLocked(boot); err != nil {
 		return nil, err
 	}
-	// Health transitions land on the timeline as this node's local
-	// observations (nodes may transiently disagree, and that disagreement
-	// is itself worth seeing).
-	c.checker.onTransition = func(id string, from, to Health) {
-		typ := EventMemberOk
-		switch to {
-		case Suspect:
-			typ = EventMemberSuspect
-		case Down:
-			typ = EventMemberDown
-		}
-		c.events.Append(typ, id, c.Epoch(), "was "+from.String())
-	}
-	// Probe replies carry the peer's view epoch and membership
-	// fingerprint; a peer ahead of us — or diverged at our own epoch —
-	// is the anti-entropy signal to reconcile views.
-	c.checker.onEpoch = c.observePeerEpoch
 	return c, nil
 }
 
@@ -247,13 +235,6 @@ func (c *Cluster) Member(id string) (Member, bool) {
 	return m, ok
 }
 
-// Health reports a peer's current health as seen from this node.
-func (c *Cluster) Health(id string) Health { return c.checker.Status(id) }
-
-// Checker exposes the health checker (passive reports from custom
-// transports, deterministic probing in tests).
-func (c *Cluster) Checker() *Checker { return c.checker }
-
 // Events returns retained timeline events with Seq > since, oldest
 // first — the GET /cluster/events surface.
 func (c *Cluster) Events(since int64) []Event { return c.events.Events(since) }
@@ -267,7 +248,7 @@ func (c *Cluster) RecordEvent(typ, member, detail string) {
 
 // SetOnViewChange installs a hook fired (outside all cluster locks)
 // after every adopted membership change — the serving layer hangs its
-// rebalancer kick here. Install before Start; one hook at a time.
+// rebalancer kick here. Install before any traffic; one hook at a time.
 func (c *Cluster) SetOnViewChange(fn func(View)) {
 	c.vmu.Lock()
 	c.onViewChange = fn
@@ -275,7 +256,7 @@ func (c *Cluster) SetOnViewChange(fn func(View)) {
 }
 
 // adoptLocked installs a validated view: ring, member table, departed
-// set, and the checker's peer set. Caller holds vmu.
+// set, and the health counts it keeps. Caller holds vmu.
 func (c *Cluster) adoptLocked(v View) error {
 	v = v.Clone()
 	ids := make([]string, 0, len(v.Members))
@@ -305,7 +286,16 @@ func (c *Cluster) adoptLocked(v View) error {
 	c.viewFp = v.Fingerprint()
 	c.members = members
 	c.ring = ring
-	c.checker.SetPeers(v.Members)
+	// Health carries over for retained peers — a Down node that stays in
+	// the ring stays Down — and is dropped for removed ones, so a
+	// drained-then-rejoining node starts fresh.
+	c.hmu.Lock()
+	for id := range c.fails {
+		if _, keep := members[id]; !keep {
+			delete(c.fails, id)
+		}
+	}
+	c.hmu.Unlock()
 	return nil
 }
 
@@ -411,33 +401,6 @@ func (c *Cluster) ProposeDrain(id string) (View, Member, error) {
 	return v, gone, err
 }
 
-// observePeerEpoch is the checker's probe callback: a peer announcing
-// a higher epoch means we missed a membership change; a peer at OUR
-// epoch with a different membership fingerprint means the fleet split
-// on concurrent changes. Either way one background sync reconciles: we
-// pull the peer's view, adopt it if it supersedes ours, and push ours
-// back if it does not (the tie-break is total, so one side always
-// yields and convergence spreads peer by peer over the probe cadence).
-// At most one sync runs at a time; probes retry naturally. The sync
-// goroutine inherits the prober's context and is WaitGroup-tracked, so
-// Stop cancels an in-flight sync and waits for it to finish instead of
-// leaking a detached RPC past shutdown.
-func (c *Cluster) observePeerEpoch(ctx context.Context, id string, epoch int64, fp uint64) {
-	cur := c.ViewID()
-	if epoch < cur.Epoch || (epoch == cur.Epoch && (fp == 0 || fp == cur.Fp)) {
-		return
-	}
-	if !c.syncing.CompareAndSwap(false, true) {
-		return
-	}
-	c.syncWG.Add(1)
-	go func() {
-		defer c.syncWG.Done()
-		defer c.syncing.Store(false)
-		c.syncViewWith(ctx, id)
-	}()
-}
-
 // Owner returns the ring owner of a key, health ignored.
 func (c *Cluster) Owner(key string) string { return c.Ring().Owner(key) }
 
@@ -500,18 +463,39 @@ func (c *Cluster) Route(key string) []Member {
 	reps := c.Replicas(key)
 	live := reps[:0]
 	for _, m := range reps {
-		if c.checker.Status(m.ID) != Down {
+		if c.Health(m.ID) != Down {
 			live = append(live, m)
 		}
 	}
 	return live
 }
 
-// Forward sends one already-read request to a peer and returns the raw
-// response (the relay copies it to its client verbatim); Checker.send
-// says what every peer request carries and how its outcome is judged.
+// Forward is the one member-to-member request: every relay, peer call
+// and probe leaves this node through it, and the raw response comes
+// back (the relay copies it to its client verbatim). The body is
+// replayed from bytes, request id and content type are propagated, the
+// sender's trace context is injected (the receiver's root span joins
+// the sender's trace under its active span), and HeaderForwardedBy pins
+// the hop count to one. The outcome is the passive health signal, so a
+// dead peer is noticed at the first failed request: a transport error
+// or a 5xx (live but unwell — still returned, for the caller to relay
+// or retry) counts as a failure, anything else as a success.
 func (c *Cluster) Forward(ctx context.Context, m Member, method, path, requestID, contentType string, body []byte) (*http.Response, error) {
-	return c.checker.send(ctx, m, method, path, requestID, contentType, body)
+	req, err := http.NewRequestWithContext(ctx, method, m.Addr+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	if requestID != "" {
+		req.Header.Set(HeaderRequestID, requestID)
+	}
+	trace.Inject(ctx, req.Header)
+	req.Header.Set(HeaderForwardedBy, c.self)
+	resp, err := c.client.Do(req)
+	c.report(m.ID, err == nil && resp.StatusCode < http.StatusInternalServerError)
+	return resp, err
 }
 
 // maxPeerReply caps every peer reply DecodeReply reads: room for the
@@ -556,7 +540,7 @@ func DecodeReply(peer string, resp *http.Response, out any) error {
 }
 
 // Call is the one JSON peer call: a request over Forward (so it feeds
-// the health checker and carries the hop marker and trace context),
+// peer health and carries the hop marker and trace context),
 // bounded by budget, its reply consumed by DecodeReply. Budget 0 adds no
 // deadline: the caller's context carries one for the whole round.
 func (c *Cluster) Call(ctx context.Context, budget time.Duration, m Member, method, path, requestID string, body []byte, out any) error {
@@ -574,32 +558,6 @@ func (c *Cluster) Call(ctx context.Context, budget time.Duration, m Member, meth
 		return err
 	}
 	return DecodeReply(m.ID, resp, out)
-}
-
-// Start launches the active health prober on the interval; Stop (or
-// Close) ends it. Starting twice restarts the prober.
-func (c *Cluster) Start(interval time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cancel != nil {
-		c.cancel()
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	c.cancel = cancel
-	go c.checker.Run(ctx, interval)
-}
-
-// Stop ends the active prober (no-op when not started) and waits for
-// any in-flight view sync the prober kicked off: after Stop returns,
-// the cluster issues no further requests.
-func (c *Cluster) Stop() {
-	c.mu.Lock()
-	if c.cancel != nil {
-		c.cancel()
-		c.cancel = nil
-	}
-	c.mu.Unlock()
-	c.syncWG.Wait()
 }
 
 // ParsePeers parses the -peers wire format: comma-separated id=addr

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 )
 
 // fakeDoer routes requests by host to canned handlers; hosts marked
@@ -72,52 +71,69 @@ func TestNewValidation(t *testing.T) {
 }
 
 // Health transitions: ok -> suspect on the first failure, -> down at
-// the threshold, back to ok on any success; self is always ok.
+// the threshold, back to ok on any success; self is always ok. Each
+// transition lands on the timeline.
 func TestCheckerTransitions(t *testing.T) {
-	c := NewChecker("n1", testMembers(), newFakeDoer(), time.Second, 3)
-	if got := c.Status("n2"); got != Ok {
+	c, err := New(Config{Self: "n1", Members: testMembers(), Client: newFakeDoer(), DownAfter: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Health("n2"); got != Ok {
 		t.Fatalf("initial status %v", got)
 	}
 	c.ReportFailure("n2")
-	if got := c.Status("n2"); got != Suspect {
+	if got := c.Health("n2"); got != Suspect {
 		t.Fatalf("after 1 failure: %v", got)
 	}
 	c.ReportFailure("n2")
-	if got := c.Status("n2"); got != Suspect {
+	if got := c.Health("n2"); got != Suspect {
 		t.Fatalf("after 2 failures: %v", got)
 	}
 	c.ReportFailure("n2")
-	if got := c.Status("n2"); got != Down {
+	if got := c.Health("n2"); got != Down {
 		t.Fatalf("after 3 failures: %v", got)
 	}
 	c.ReportFailure("n2") // saturates, no overflow
-	c.ReportSuccess("n2")
-	if got := c.Status("n2"); got != Ok {
+	c.report("n2", true)
+	if got := c.Health("n2"); got != Ok {
 		t.Fatalf("after recovery: %v", got)
 	}
 	c.ReportFailure("n1") // self: ignored
-	if got := c.Status("n1"); got != Ok {
+	if got := c.Health("n1"); got != Ok {
 		t.Fatalf("self status %v", got)
+	}
+	var got []string
+	for _, ev := range c.Events(0) {
+		if ev.Member == "n2" {
+			got = append(got, ev.Type+" "+ev.Detail)
+		}
+	}
+	want := []string{"member-suspect was ok", "member-down was suspect", "member-ok was down"}
+	if !slices.Equal(got, want) {
+		t.Errorf("timeline for n2: %q, want %q", got, want)
 	}
 }
 
 // Active probing drives the same transitions from /healthz outcomes.
 func TestCheckerProbeOnce(t *testing.T) {
 	doer := newFakeDoer()
-	c := NewChecker("n1", testMembers(), doer, time.Second, 2)
+	c, err := New(Config{Self: "n1", Members: testMembers(), Client: doer, DownAfter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	doer.mu.Lock()
 	doer.dead["n3"] = true
 	doer.mu.Unlock()
 
 	c.ProbeOnce(context.Background())
-	if got := c.Status("n2"); got != Ok {
+	if got := c.Health("n2"); got != Ok {
 		t.Errorf("healthy peer probed to %v", got)
 	}
-	if got := c.Status("n3"); got != Suspect {
+	if got := c.Health("n3"); got != Suspect {
 		t.Errorf("dead peer after 1 probe: %v", got)
 	}
 	c.ProbeOnce(context.Background())
-	if got := c.Status("n3"); got != Down {
+	if got := c.Health("n3"); got != Down {
 		t.Errorf("dead peer after 2 probes: %v", got)
 	}
 	// Peer recovers.
@@ -125,7 +141,7 @@ func TestCheckerProbeOnce(t *testing.T) {
 	doer.dead["n3"] = false
 	doer.mu.Unlock()
 	c.ProbeOnce(context.Background())
-	if got := c.Status("n3"); got != Ok {
+	if got := c.Health("n3"); got != Ok {
 		t.Errorf("recovered peer: %v", got)
 	}
 }
@@ -151,7 +167,7 @@ func TestRouteSkipsDownPeers(t *testing.T) {
 	}
 	// Kill the owner: it must vanish from the route.
 	for i := 0; i < 3; i++ {
-		cl.Checker().ReportFailure(owner)
+		cl.ReportFailure(owner)
 	}
 	route = cl.Route(key)
 	for _, m := range route {
@@ -173,8 +189,8 @@ func TestRouteKeepsSuspectOwnerFirst(t *testing.T) {
 	}
 	key := "some-fingerprint"
 	owner := cl.Owner(key)
-	cl.Checker().ReportFailure(owner) // one failure: suspect
-	if got := cl.Checker().Status(owner); got != Suspect {
+	cl.ReportFailure(owner) // one failure: suspect
+	if got := cl.Health(owner); got != Suspect {
 		t.Fatalf("owner %s after one failure: %v, want Suspect", owner, got)
 	}
 	route := cl.Route(key)
@@ -201,7 +217,7 @@ func TestRouteIsRingOrderMinusDown(t *testing.T) {
 		down := map[string]bool{}
 		for i, s := 1, state; i < len(members); i, s = i+1, s/3 {
 			for f := 0; f < []int{0, 1, 3}[s%3]; f++ {
-				cl.Checker().ReportFailure(members[i].ID)
+				cl.ReportFailure(members[i].ID)
 			}
 			down[members[i].ID] = s%3 == 2
 		}
@@ -229,7 +245,7 @@ func TestRouteIsRingOrderMinusDown(t *testing.T) {
 	}
 }
 
-// Forward outcomes feed the checker: transport errors and 5xx count as
+// Forward outcomes feed peer health: transport errors and 5xx count as
 // failures, success resets.
 func TestForwardFeedsHealth(t *testing.T) {
 	doer := newFakeDoer()

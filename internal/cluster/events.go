@@ -37,12 +37,13 @@ type Event struct {
 	Detail     string `json:"detail,omitempty"`
 }
 
-// EventLog is a bounded ring of cluster events. Timestamps come from
-// the injected protocol clock, so the log is nodeterm-clean and a
-// simulated cluster produces a fully deterministic timeline.
+// eventLogSize is how many events a node's timeline retains.
+const eventLogSize = 512
+
+// EventLog is a bounded ring of cluster events, stamped by the wall
+// clock read through clock.System (the one sanctioned read).
 type EventLog struct {
-	node  string
-	clock clock.Clock
+	node string
 
 	mu   sync.Mutex
 	ring []Event
@@ -51,25 +52,16 @@ type EventLog struct {
 	seq  int64
 }
 
-// NewEventLog builds a log retaining up to capacity events (default
-// 512) for one node, stamped by clk (default clock.System).
-func NewEventLog(node string, capacity int, clk clock.Clock) *EventLog {
-	if capacity <= 0 {
-		capacity = 512
-	}
-	if clk == nil {
-		clk = clock.System
-	}
-	return &EventLog{node: node, clock: clk, ring: make([]Event, capacity)}
+// NewEventLog builds one node's log, retaining its last eventLogSize
+// events.
+func NewEventLog(node string) *EventLog {
+	return &EventLog{node: node, ring: make([]Event, eventLogSize)}
 }
 
 // Append records one event. Safe for concurrent use; cheap enough for
 // health-transition and rebalance paths (no I/O, one short lock).
 func (l *EventLog) Append(typ, member string, epoch int64, detail string) {
-	if l == nil {
-		return
-	}
-	now := l.clock.Now().UnixNano()
+	now := clock.System.Now().UnixNano()
 	l.mu.Lock()
 	l.seq++
 	l.ring[l.next] = Event{
@@ -92,9 +84,6 @@ func (l *EventLog) Append(typ, member string, epoch int64, detail string) {
 // caller that fell further behind than the ring retains simply gets
 // the oldest retained entries (the gap is visible in the Seq numbers).
 func (l *EventLog) Events(since int64) []Event {
-	if l == nil {
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]Event, 0, l.size)

@@ -1,22 +1,17 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
-
-	"repro/internal/clock"
-	"repro/internal/trace"
 )
 
 // Health is a peer's observed liveness state as seen from this node.
-// The progression is purely local: every node runs its own checker and
-// may disagree transiently with its peers.
+// The progression is purely local: every node keeps its own failure
+// counts and may disagree transiently with its peers.
 type Health int
 
 const (
@@ -63,82 +58,9 @@ type Doer interface {
 	Do(req *http.Request) (*http.Response, error)
 }
 
-// Checker tracks peer health from two signals: active /healthz probes
-// (ProbeOnce, typically on a timer) and passive reports from the
-// forwarding path (ReportFailure/ReportSuccess), so a dead peer is
-// noticed at the first failed forward, not only at the next probe tick.
-// Probe replies that carry a view epoch are surfaced through the
-// OnPeerEpoch hook — the signal the elastic membership layer uses to
-// notice it fell behind a join or drain.
-type Checker struct {
-	self      string
-	client    Doer
-	timeout   time.Duration
-	downAfter int
-	clock     clock.Ticking
-
-	// Hooks, installed by cluster.New before any traffic and called
-	// outside mu. onEpoch fires (from probe goroutines) when a probe
-	// reply carries a view epoch; fp is the peer's membership
-	// fingerprint (0 for peers that predate fingerprint piggybacking),
-	// and ctx is the probe round's, so work the hook starts is canceled
-	// when the prober stops. onTransition fires when a peer's derived
-	// health state changes — the cluster event timeline hangs here.
-	onEpoch      func(ctx context.Context, id string, epoch int64, fp uint64)
-	onTransition func(id string, from, to Health)
-
-	mu    sync.Mutex
-	fails map[string]int // consecutive failures by peer id
-	addrs map[string]string
-}
-
-// NewChecker builds a checker over the peer set (self is always Ok and
-// never probed). downAfter is the consecutive-failure count at which a
-// peer turns Down (min 1); timeout bounds one probe.
-func NewChecker(self string, members []Member, client Doer, timeout time.Duration, downAfter int) *Checker {
-	if downAfter < 1 {
-		downAfter = 1
-	}
-	if timeout <= 0 {
-		timeout = time.Second
-	}
-	c := &Checker{
-		self:      self,
-		client:    client,
-		timeout:   timeout,
-		downAfter: downAfter,
-		clock:     clock.System,
-		fails:     map[string]int{},
-	}
-	c.SetPeers(members)
-	return c
-}
-
-// SetPeers replaces the probed peer set (self excluded automatically)
-// after a membership change. Health state carries over for retained
-// peers — a Down node that stays in the ring stays Down — and is
-// dropped for removed ones, so a drained-then-rejoining node starts
-// fresh.
-func (c *Checker) SetPeers(members []Member) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	next := make(map[string]string, len(members))
-	for _, m := range members {
-		if m.ID != c.self {
-			next[m.ID] = m.Addr
-		}
-	}
-	for id := range c.fails {
-		if _, keep := next[id]; !keep {
-			delete(c.fails, id)
-		}
-	}
-	c.addrs = next
-}
-
-// statusLocked derives a peer's health from its failure count; caller
-// holds mu.
-func (c *Checker) statusLocked(id string) Health {
+// healthLocked derives a peer's health from its failure count; caller
+// holds hmu.
+func (c *Cluster) healthLocked(id string) Health {
 	switch f := c.fails[id]; {
 	case f == 0:
 		return Ok
@@ -149,84 +71,69 @@ func (c *Checker) statusLocked(id string) Health {
 	}
 }
 
-// Status reports a peer's current health (self and unknown ids are Ok).
-func (c *Checker) Status(id string) Health {
+// Health reports a peer's current health as seen from this node (self
+// and unknown ids are Ok).
+func (c *Cluster) Health(id string) Health {
 	if id == c.self {
 		return Ok
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.statusLocked(id)
+	c.hmu.Lock()
+	defer c.hmu.Unlock()
+	return c.healthLocked(id)
 }
 
-// ReportSuccess records a successful interaction with a peer, resetting
-// it to Ok.
-func (c *Checker) ReportSuccess(id string) { c.report(id, true) }
+// ReportFailure records one failure of a peer as if a request to it
+// had failed, advancing Ok → Suspect → Down: how a test sets a peer's
+// health without a transport fault.
+func (c *Cluster) ReportFailure(id string) { c.report(id, false) }
 
-// ReportFailure records a failed interaction with a peer (transport
-// error or 5xx), advancing Ok → Suspect → Down.
-func (c *Checker) ReportFailure(id string) { c.report(id, false) }
-
-// report applies one outcome to a peer's failure count and fires the
-// transition hook, outside the lock, when the derived state changed.
-func (c *Checker) report(id string, ok bool) {
+// report applies one outcome to a peer's failure count — a success
+// resets it — and, when the derived state changed, appends the
+// transition to the timeline as this node's local observation (nodes
+// may transiently disagree, and that disagreement is itself worth
+// seeing).
+func (c *Cluster) report(id string, ok bool) {
 	if id == c.self {
 		return
 	}
-	c.mu.Lock()
-	from := c.statusLocked(id)
+	c.hmu.Lock()
+	from := c.healthLocked(id)
 	if ok {
 		c.fails[id] = 0
 	} else if c.fails[id] < c.downAfter {
 		c.fails[id]++
 	}
-	to := c.statusLocked(id)
-	c.mu.Unlock()
-	if c.onTransition != nil && from != to {
-		c.onTransition(id, from, to)
+	to := c.healthLocked(id)
+	c.hmu.Unlock()
+	if from == to {
+		return
 	}
+	typ := EventMemberOk
+	switch to {
+	case Suspect:
+		typ = EventMemberSuspect
+	case Down:
+		typ = EventMemberDown
+	}
+	c.events.Append(typ, id, c.Epoch(), "was "+from.String())
 }
 
-// send is the one member-to-member request: every forward, peer call
-// and probe leaves this node through it. The body is replayed from
-// bytes, request id and content type are propagated, the sender's trace
-// context is injected (the receiver's root span joins the sender's
-// trace under its active span), and HeaderForwardedBy pins the hop
-// count to one. The outcome is the passive health signal, so a dead
-// peer is noticed at the first failed request: a transport error or a
-// 5xx (live but unwell — still returned, for the caller to relay or
-// retry) counts as a failure, anything else as a success.
-func (c *Checker) send(ctx context.Context, m Member, method, path, requestID, contentType string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, m.Addr+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+// ProbeOnce is one probe round: every peer of the adopted view gets a
+// GET /healthz, concurrently, each bounded by the probe timeout, and
+// its outcome is a health report like any peer request's. A reply's
+// view stamp is the anti-entropy signal: a peer ahead of this node, or
+// diverged at its epoch, starts a view sync inside the round, so the
+// round returns only once that sync has finished and canceling ctx
+// ends both. The server's tick loop runs one round per probe interval.
+func (c *Cluster) ProbeOnce(ctx context.Context) {
+	c.vmu.RLock()
+	peers := make([]Member, 0, len(c.view.Members))
+	for _, m := range c.view.Members {
+		if m.ID != c.self {
+			peers = append(peers, m)
+		}
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if requestID != "" {
-		req.Header.Set(HeaderRequestID, requestID)
-	}
-	trace.Inject(ctx, req.Header)
-	req.Header.Set(HeaderForwardedBy, c.self)
-	resp, err := c.client.Do(req)
-	if err != nil || resp.StatusCode >= http.StatusInternalServerError {
-		c.ReportFailure(m.ID)
-	} else {
-		c.ReportSuccess(m.ID)
-	}
-	return resp, err
-}
-
-// ProbeOnce probes every peer's /healthz concurrently and records the
-// outcomes. One round is bounded by the checker's probe timeout.
-func (c *Checker) ProbeOnce(ctx context.Context) {
-	c.mu.Lock()
-	peers := make([]Member, 0, len(c.addrs))
-	for id, addr := range c.addrs {
-		peers = append(peers, Member{ID: id, Addr: addr})
-	}
-	c.mu.Unlock()
+	c.vmu.RUnlock()
 
 	var wg sync.WaitGroup
 	for _, p := range peers {
@@ -235,49 +142,43 @@ func (c *Checker) ProbeOnce(ctx context.Context) {
 			defer wg.Done()
 			pctx, cancel := context.WithTimeout(ctx, c.timeout)
 			defer cancel()
-			resp, err := c.send(pctx, p, http.MethodGet, "/healthz", "", "", nil)
+			resp, err := c.Forward(pctx, p, http.MethodGet, "/healthz", "", "", nil)
 			if err != nil {
 				return
 			}
 			body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 			resp.Body.Close()
 			// Epoch piggyback: a clustered peer's /healthz reply names its
-			// view epoch and membership fingerprint; surfacing them here
-			// is what lets a node notice — on the existing probe cadence,
-			// no extra round-trips — that a join or drain happened while
-			// it was partitioned or booting, or that the fleet split on
-			// concurrent changes at its own epoch.
+			// view epoch and membership fingerprint, which is how a node
+			// notices — on the probe cadence, no extra round-trips — that
+			// a join or drain happened while it was partitioned or
+			// booting, or that the fleet split on concurrent changes at
+			// its own epoch. The sync gets the round's context, not pctx,
+			// which bounds only this probe.
 			var hb Heartbeat
 			if json.Unmarshal(body, &hb) == nil && hb.ViewStamp != nil && (hb.Epoch > 0 || hb.ViewFp != "") {
 				fp, _ := strconv.ParseUint(hb.ViewFp, 16, 64)
-				// The hook gets the round's context (not the per-probe
-				// pctx, which expires with this reply): view syncs it
-				// spawns should outlive one probe but die with the
-				// prober.
-				if c.onEpoch != nil {
-					c.onEpoch(ctx, p.ID, hb.Epoch, fp)
-				}
+				c.observePeerEpoch(ctx, p.ID, hb.Epoch, fp)
 			}
 		}(p)
 	}
 	wg.Wait()
 }
 
-// Run probes on the interval until ctx is canceled. An immediate first
-// round runs before the first tick so a fresh node converges quickly.
-func (c *Checker) Run(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = 2 * time.Second
+// observePeerEpoch reacts to one probe reply's view stamp: a peer
+// announcing a higher epoch means this node missed a membership change;
+// a peer at our epoch with a different membership fingerprint means the
+// fleet split on concurrent changes. Either way one sync reconciles (see
+// syncViewWith). At most one sync runs at a time; a probe that finds one
+// running skips, and the next round retries.
+func (c *Cluster) observePeerEpoch(ctx context.Context, id string, epoch int64, fp uint64) {
+	cur := c.ViewID()
+	if epoch < cur.Epoch || (epoch == cur.Epoch && (fp == 0 || fp == cur.Fp)) {
+		return
 	}
-	c.ProbeOnce(ctx)
-	tick, stop := c.clock.Ticker(interval)
-	defer stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick:
-			c.ProbeOnce(ctx)
-		}
+	if !c.syncing.CompareAndSwap(false, true) {
+		return
 	}
+	defer c.syncing.Store(false)
+	c.syncViewWith(ctx, id)
 }

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -235,41 +234,20 @@ func (d *epochDoer) Do(req *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// The probe loop is the anti-entropy channel: a peer answering probes
+// The probe round is the anti-entropy channel: a peer answering probes
 // with a higher epoch causes this node to fetch and adopt its view,
 // with no membership-change request ever reaching this node directly.
-// The probe hands the epoch to the view sync through the checker's
-// onEpoch hook.
+// The sync runs inside the round, so the view is adopted by the time
+// ProbeOnce returns.
 func TestEpochSyncViaProbes(t *testing.T) {
 	two := []Member{{ID: "n1", Addr: "http://n1"}, {ID: "n2", Addr: "http://n2"}}
 	next := View{Epoch: 3, Members: append(append([]Member(nil), two...), Member{ID: "n3", Addr: "http://n3"})}
 	doer := &epochDoer{epoch: 3, view: next}
 	cl := mustCluster(t, "n1", two, doer)
-	var (
-		mu       sync.Mutex
-		announce = map[string]int64{}
-	)
-	chk := cl.Checker()
-	syncView := chk.onEpoch
-	chk.onEpoch = func(ctx context.Context, id string, epoch int64, fp uint64) {
-		mu.Lock()
-		announce[id] = epoch
-		mu.Unlock()
-		syncView(ctx, id, epoch, fp)
-	}
 
-	chk.ProbeOnce(context.Background())
-	mu.Lock()
-	if got := announce["n2"]; got != 3 || len(announce) != 1 {
-		t.Errorf("the probe handed the hook %v, want n2 at epoch 3", announce)
-	}
-	mu.Unlock()
-	deadline := time.Now().Add(5 * time.Second)
-	for cl.Epoch() != 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("epoch never synced: at %d, peer announced %d", cl.Epoch(), 3)
-		}
-		time.Sleep(5 * time.Millisecond)
+	cl.ProbeOnce(context.Background())
+	if cl.Epoch() != 3 {
+		t.Fatalf("epoch never synced: at %d after the round, peer announced %d", cl.Epoch(), 3)
 	}
 	if _, ok := cl.Member("n3"); !ok {
 		t.Error("synced view lost the new member")
@@ -278,8 +256,7 @@ func TestEpochSyncViaProbes(t *testing.T) {
 	doer.mu.Lock()
 	gets := doer.gets
 	doer.mu.Unlock()
-	cl.Checker().ProbeOnce(context.Background())
-	time.Sleep(20 * time.Millisecond)
+	cl.ProbeOnce(context.Background())
 	doer.mu.Lock()
 	defer doer.mu.Unlock()
 	if doer.gets != gets {
@@ -302,32 +279,20 @@ func TestEqualEpochDivergenceReconciles(t *testing.T) {
 		t.Fatalf("adopt mine: %v %v", ok, err)
 	}
 
-	cl.Checker().ProbeOnce(context.Background())
-	deadline := time.Now().Add(5 * time.Second)
+	// The sync runs inside the round: by the time it returns, the winner
+	// is adopted here and, when it is ours, pushed to the diverged peer.
+	cl.ProbeOnce(context.Background())
 	winnerFp := mine.Fingerprint()
 	if theirs.supersedes(mine) {
 		winnerFp = theirs.Fingerprint()
 	}
-	for {
-		if theirs.supersedes(mine) {
-			// Their view wins: we must have adopted it.
-			if cl.ViewID().Fp == winnerFp {
-				break
-			}
-		} else {
-			// Ours wins: we keep it and push it to the diverged peer.
-			doer.mu.Lock()
-			pushedBack := len(doer.pushed) > 0 && doer.pushed[len(doer.pushed)-1].Fingerprint() == winnerFp
-			doer.mu.Unlock()
-			if pushedBack && cl.ViewID().Fp == winnerFp {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("divergence never reconciled: mine fp %x, theirs fp %x, current %x, pushed %d",
-				mine.Fingerprint(), theirs.Fingerprint(), cl.ViewID().Fp, len(doer.pushed))
-		}
-		time.Sleep(5 * time.Millisecond)
+	doer.mu.Lock()
+	pushedBack := len(doer.pushed) > 0 && doer.pushed[len(doer.pushed)-1].Fingerprint() == winnerFp
+	pushes := len(doer.pushed)
+	doer.mu.Unlock()
+	if cl.ViewID().Fp != winnerFp || (!theirs.supersedes(mine) && !pushedBack) {
+		t.Fatalf("divergence not reconciled by the round: mine fp %x, theirs fp %x, current %x, pushed %d",
+			mine.Fingerprint(), theirs.Fingerprint(), cl.ViewID().Fp, pushes)
 	}
 	// A peer at the same epoch AND fingerprint triggers no sync.
 	doer.mu.Lock()
@@ -335,8 +300,7 @@ func TestEqualEpochDivergenceReconciles(t *testing.T) {
 	doer.viewFp = fmt.Sprintf("%016x", cl.ViewID().Fp)
 	gets := doer.gets
 	doer.mu.Unlock()
-	cl.Checker().ProbeOnce(context.Background())
-	time.Sleep(20 * time.Millisecond)
+	cl.ProbeOnce(context.Background())
 	doer.mu.Lock()
 	defer doer.mu.Unlock()
 	if doer.gets != gets {
@@ -367,40 +331,47 @@ func TestDepartedMembersTracking(t *testing.T) {
 	}
 }
 
-// SetPeers (driven by view adoption) keeps health state for retained
-// peers, drops it for removed ones, and probes new ones; the full
-// ok -> suspect -> down -> ok cycle survives a membership change.
-func TestSetPeersHealthTransitions(t *testing.T) {
-	c := NewChecker("n1", testMembers(), newFakeDoer(), time.Second, 3)
+// View adoption keeps health state for retained peers and drops it for
+// removed ones; the full ok -> suspect -> down -> ok cycle survives a
+// membership change.
+func TestAdoptionKeepsRetainedPeersHealth(t *testing.T) {
+	c, err := New(Config{Self: "n1", Members: testMembers(), Client: newFakeDoer(), DownAfter: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Drive n2 to Down through the full progression.
 	for i, want := range []Health{Suspect, Suspect, Down} {
 		c.ReportFailure("n2")
-		if got := c.Status("n2"); got != want {
+		if got := c.Health("n2"); got != want {
 			t.Fatalf("after %d failures: %v, want %v", i+1, got, want)
 		}
 	}
 	c.ReportFailure("n3") // Suspect
 
 	// Membership change: n3 leaves, n4 joins, n2 stays.
-	c.SetPeers([]Member{
+	if _, err := c.AdoptView(View{Epoch: 1, Members: []Member{
 		{ID: "n1", Addr: "http://n1"},
 		{ID: "n2", Addr: "http://n2"},
 		{ID: "n4", Addr: "http://n4"},
-	})
-	if got := c.Status("n2"); got != Down {
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Health("n2"); got != Down {
 		t.Errorf("retained peer lost its Down state: %v", got)
 	}
-	if got := c.Status("n4"); got != Ok {
+	if got := c.Health("n4"); got != Ok {
 		t.Errorf("new peer not Ok: %v", got)
 	}
 	// n3 is gone; if it ever rejoins it starts fresh.
-	c.SetPeers(append(testMembers(), Member{ID: "n4", Addr: "http://n4"}))
-	if got := c.Status("n3"); got != Ok {
+	if _, err := c.AdoptView(View{Epoch: 2, Members: append(testMembers(), Member{ID: "n4", Addr: "http://n4"})}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Health("n3"); got != Ok {
 		t.Errorf("rejoined peer inherited stale state: %v", got)
 	}
 	// Recovery still closes the cycle for the retained peer.
-	c.ReportSuccess("n2")
-	if got := c.Status("n2"); got != Ok {
+	c.report("n2", true)
+	if got := c.Health("n2"); got != Ok {
 		t.Errorf("retained peer did not recover: %v", got)
 	}
 }
@@ -434,66 +405,6 @@ func TestAdoptionRebuildsRing(t *testing.T) {
 	}
 	if moved > len(keys)/2 {
 		t.Errorf("%d/%d keys moved on one join — far past the ~1/N share", moved, len(keys))
-	}
-}
-
-// blockingDoer answers /healthz with a higher epoch, then parks any
-// /cluster/view fetch until the request's context is canceled — the
-// shape of a peer that wedges mid-sync.
-type blockingDoer struct {
-	fetching chan struct{} // closed when the first view fetch arrives
-	once     sync.Once
-	mu       sync.Mutex
-	canceled bool
-}
-
-func (d *blockingDoer) Do(req *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	switch req.URL.Path {
-	case "/healthz":
-		json.NewEncoder(rec).Encode(map[string]any{"ok": true, "epoch": int64(5)})
-	case "/cluster/view":
-		d.once.Do(func() { close(d.fetching) })
-		<-req.Context().Done()
-		d.mu.Lock()
-		d.canceled = true
-		d.mu.Unlock()
-		return nil, req.Context().Err()
-	default:
-		rec.WriteHeader(http.StatusNotFound)
-	}
-	return rec.Result(), nil
-}
-
-// Regression: Stop must cancel and wait out an in-flight view sync.
-// The sync goroutine used to run detached on context.Background(), so
-// Stop returned while the fetch kept its connection and goroutine
-// alive past shutdown. Now the sync inherits the prober's context and
-// is WaitGroup-tracked: Stop cancels it and blocks until it finishes.
-func TestStopCancelsInFlightViewSync(t *testing.T) {
-	two := []Member{{ID: "n1", Addr: "http://n1"}, {ID: "n2", Addr: "http://n2"}}
-	doer := &blockingDoer{fetching: make(chan struct{})}
-	cl := mustCluster(t, "n1", two, doer)
-
-	cl.Start(5 * time.Millisecond)
-	select {
-	case <-doer.fetching:
-	case <-time.After(5 * time.Second):
-		cl.Stop()
-		t.Fatal("probe loop never triggered a view sync")
-	}
-
-	done := make(chan struct{})
-	go func() { cl.Stop(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Stop did not return while a view sync was in flight")
-	}
-	doer.mu.Lock()
-	defer doer.mu.Unlock()
-	if !doer.canceled {
-		t.Error("in-flight view fetch never observed cancellation")
 	}
 }
 

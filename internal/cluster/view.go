@@ -105,7 +105,7 @@ type ViewAck struct {
 }
 
 // viewSyncBudget bounds one view sync (fetch plus push-back) within the
-// prober's context, so stopping the prober aborts it.
+// probe round's context, so ending the round aborts it.
 const viewSyncBudget = 5 * time.Second
 
 // PushView announces a view to one member (POST /cluster/view), for
@@ -130,8 +130,8 @@ func (c *Cluster) FetchView(ctx context.Context, m Member) (View, error) {
 // syncViewWith reconciles views with one peer: fetch, adopt if theirs
 // supersedes, push ours back when it stands — the repair half of
 // probe-driven view anti-entropy. Both requests are ordinary peer
-// calls: a failure or a 5xx reaches the health checker, and a non-200
-// reply is never decoded into a View.
+// calls: a failure or a 5xx counts against the peer's health, and a
+// non-200 reply is never decoded into a View.
 func (c *Cluster) syncViewWith(ctx context.Context, id string) {
 	m, ok := c.Member(id)
 	if !ok {

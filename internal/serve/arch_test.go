@@ -14,13 +14,15 @@ import (
 
 // protocolPath matches a string literal naming a route of the
 // node-to-node protocol, bare or as a mux pattern ("POST /cluster/view").
-var protocolPath = regexp.MustCompile(`^((GET|POST|DELETE) )?(/cluster/[a-z]+|/slo)$`)
+// GET /healthz is one: its one client is the probe round.
+var protocolPath = regexp.MustCompile(`^((GET|POST|DELETE) )?(/cluster/[a-z]+|/slo|/healthz)$`)
 
 // TestPeerProtocolHasOneSeam checks, from the source, the architecture
 // DESIGN.md "Node-to-node protocol" describes: every request a
 // node sends leaves through one builder, every peer reply is judged by
-// one decoder, every route of the protocol has one client, and the
-// serving layer proposes membership changes, walks a key's route,
+// one decoder, every route of the protocol has one client (the probe
+// round's GET /healthz included, and the prober's view push is the
+// broadcast's PushView), and the serving layer proposes membership changes, walks a key's route,
 // offers a record to its replicas and adopts a peer's record in one
 // function each. A second copy of any of these fails here, not in
 // review.
@@ -53,7 +55,8 @@ func TestPeerProtocolHasOneSeam(t *testing.T) {
 							if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
 								s, _ := strconv.Unquote(lit.Value)
 								routeTable := pkg == "serve" && fd.Name.Name == "Handler"
-								client := (pkg == "serve" && name == "peer.go") || (pkg == "cluster" && name == "view.go")
+								client := (pkg == "serve" && name == "peer.go") ||
+									(pkg == "cluster" && (name == "view.go" || name == "health.go"))
 								if protocolPath.MatchString(s) && !routeTable && !client {
 									strayPaths = append(strayPaths, pkg+"/"+name+" "+fd.Name.Name+": "+s)
 								}
@@ -100,9 +103,11 @@ func TestPeerProtocolHasOneSeam(t *testing.T) {
 			t.Errorf("%s is called from [%s], want exactly [%s]", callee, got, want)
 		}
 	}
-	allowed("NewRequestWithContext", site{"cluster", "health.go", "send"}, site{"cluster", "view.go", "seedJSON"})
+	allowed("NewRequestWithContext", site{"cluster", "cluster.go", "Forward"}, site{"cluster", "view.go", "seedJSON"})
 	allowed("NewRequest")
-	allowed("Forward", site{"cluster", "cluster.go", "Call"}, site{"serve", "peer.go", "forwardOnce"})
+	allowed("Forward", site{"cluster", "cluster.go", "Call"}, site{"cluster", "health.go", "ProbeOnce"},
+		site{"serve", "peer.go", "forwardOnce"})
+	allowed("PushView", site{"cluster", "view.go", "syncViewWith"}, site{"serve", "elastic_http.go", "pushView"})
 	allowed("NewDecoder", site{"cluster", "cluster.go", "DecodeReply"}, site{"serve", "serve.go", "decodeBody"})
 	allowed("ProposeJoin", site{"serve", "elastic_http.go", "changeMembership"})
 	allowed("ProposeDrain", site{"serve", "elastic_http.go", "changeMembership"})
@@ -111,7 +116,10 @@ func TestPeerProtocolHasOneSeam(t *testing.T) {
 	allowed("Apply", site{"serve", "cluster_http.go", "adoptRecord"}, site{"serve", "cluster_http.go", "handleReplicate"})
 
 	for _, s := range strayPaths {
-		t.Errorf("protocol path outside the route table, serve/peer.go and cluster/view.go: %s", s)
+		t.Errorf("protocol path outside the route table, serve/peer.go, cluster/view.go and cluster/health.go: %s", s)
+	}
+	if at := clients["GET /healthz"]; len(at) != 1 || at[0] != (site{"cluster", "health.go", "ProbeOnce"}) {
+		t.Errorf("GET /healthz is sent from %v, want only the probe round (cluster/health.go:ProbeOnce)", at)
 	}
 	if len(clients) < 7 {
 		t.Errorf("found only %d client routes (%v) — the scan broke", len(clients), clients)

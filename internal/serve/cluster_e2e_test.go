@@ -151,7 +151,7 @@ func TestSuspectOwnerStillServesItsKeys(t *testing.T) {
 	}
 	reps := lc.Cluster(lc.IDs()[0]).Replicas(key)
 	owner, replica := reps[0].ID, reps[1].ID
-	lc.Cluster(replica).Checker().ReportFailure(owner)
+	lc.Cluster(replica).ReportFailure(owner)
 	if h := lc.Cluster(replica).Health(owner); h != cluster.Suspect {
 		t.Fatalf("owner %s is %s at the replica after one failure, want suspect", owner, h)
 	}
@@ -432,7 +432,7 @@ func TestClusterHealthReflectsKilledNode(t *testing.T) {
 	}
 	// Drive the passive detection deterministically with probe rounds.
 	for i := 0; i < 2; i++ {
-		lc.Cluster("n1").Checker().ProbeOnce(context.Background())
+		lc.Cluster("n1").ProbeOnce(context.Background())
 	}
 	var info serve.ClusterInfo
 	do(t, lc.Handler("n1"), http.MethodGet, "/cluster", nil, nil, &info)

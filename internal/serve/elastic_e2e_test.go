@@ -7,11 +7,15 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/serve"
 )
 
@@ -176,7 +180,7 @@ func TestClusterKillThenDrainRestoresReplication(t *testing.T) {
 	// deterministic).
 	for i := 0; i < 2; i++ {
 		for _, id := range []string{"n1", "n3", "n4"} {
-			lc.Cluster(id).Checker().ProbeOnce(context.Background())
+			lc.Cluster(id).ProbeOnce(context.Background())
 		}
 	}
 	// Declare the loss permanent: drain the dead member via a survivor.
@@ -287,10 +291,11 @@ func TestElasticEndpointValidation(t *testing.T) {
 	}
 }
 
-// StartRebalancer starts one loop however often it is called, a call
-// racing Close is safe (the race build checks the WaitGroup), and a nil
-// clock option leaves the system clock in place.
-func TestStartRebalancerOnceAndCloseSafe(t *testing.T) {
+// StartPeerLoops starts one probe loop and one repair loop however
+// often it is called, a call racing Close is safe (the race build
+// checks the WaitGroup), and a nil clock option leaves the system clock
+// in place.
+func TestStartPeerLoopsOnceAndCloseSafe(t *testing.T) {
 	lc, err := serve.NewLocalCluster(serve.LocalClusterOptions{
 		Nodes: 2, ServerOptions: []serve.Option{serve.WithClock(nil)}})
 	if err != nil {
@@ -300,19 +305,80 @@ func TestStartRebalancerOnceAndCloseSafe(t *testing.T) {
 	a, b := lc.Node(lc.IDs()[0]), lc.Node(lc.IDs()[1])
 
 	before := runtime.NumGoroutine()
-	a.StartRebalancer(time.Hour)
-	a.StartRebalancer(time.Hour)
+	a.StartPeerLoops(time.Hour, time.Hour)
+	a.StartPeerLoops(time.Hour, time.Hour)
 	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() != before+1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond) // the boot kick's pass is still talking to b
+	for runtime.NumGoroutine() != before+2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond) // an earlier test's goroutine may still be exiting
 	}
-	if got := runtime.NumGoroutine() - before; got != 1 {
-		t.Errorf("two StartRebalancer calls left %d new goroutines, want 1", got)
+	if got := runtime.NumGoroutine() - before; got != 2 {
+		t.Errorf("two StartPeerLoops calls left %d new goroutines, want 2", got)
 	}
 
 	done := make(chan struct{})
-	go func() { b.StartRebalancer(time.Hour); close(done) }()
+	go func() { b.StartPeerLoops(time.Hour, time.Hour); close(done) }()
 	b.Close()
 	<-done
-	b.StartRebalancer(time.Hour) // after Close: starts nothing
+	b.StartPeerLoops(time.Hour, time.Hour) // after Close: starts nothing
+}
+
+// blockingDoer answers /healthz with a higher epoch, then parks any
+// /cluster/view fetch until the request's context is canceled — the
+// shape of a peer that wedges mid-sync.
+type blockingDoer struct {
+	fetching chan struct{} // closed when the first view fetch arrives
+	once     sync.Once
+	mu       sync.Mutex
+	canceled bool
+}
+
+func (d *blockingDoer) Do(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	switch req.URL.Path {
+	case "/healthz":
+		json.NewEncoder(rec).Encode(map[string]any{"ok": true, "epoch": int64(5)})
+	case "/cluster/view":
+		d.once.Do(func() { close(d.fetching) })
+		<-req.Context().Done()
+		d.mu.Lock()
+		d.canceled = true
+		d.mu.Unlock()
+		return nil, req.Context().Err()
+	default:
+		rec.WriteHeader(http.StatusNotFound)
+	}
+	return rec.Result(), nil
+}
+
+// Close alone stops the node's peer traffic: a view sync the prober
+// started (here wedged on a peer that never answers the fetch) is
+// canceled, and Close returns only once it has finished.
+func TestCloseCancelsInFlightViewSync(t *testing.T) {
+	doer := &blockingDoer{fetching: make(chan struct{})}
+	cl, err := cluster.New(cluster.Config{Self: "n1", Client: doer,
+		Members: []cluster.Member{{ID: "n1", Addr: "http://n1"}, {ID: "n2", Addr: "http://n2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serve.New(serve.WithCluster(cl))
+	s.StartPeerLoops(5*time.Millisecond, -1)
+	select {
+	case <-doer.fetching:
+	case <-time.After(5 * time.Second):
+		s.Close()
+		t.Fatal("probe loop never triggered a view sync")
+	}
+
+	done := make(chan struct{})
+	go func() { s.Close(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not return while a view sync was in flight")
+	}
+	doer.mu.Lock()
+	defer doer.mu.Unlock()
+	if !doer.canceled {
+		t.Error("in-flight view fetch never observed cancellation")
+	}
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 )
 
@@ -118,21 +121,71 @@ func TestJoinSeedForwardsNothingBeforeJoinerHoldsView(t *testing.T) {
 	}
 }
 
-// A LocalCluster's probers start once every node is on the switchboard:
-// a first probe that finds a sibling missing would mark it suspect, and
-// the prober's node would then serve that sibling's keys itself while
-// the sibling serves them too. One probe round, then every node sees
-// every peer Ok.
+// countingDoer counts the peer requests that pass through it.
+type countingDoer struct {
+	next cluster.Doer
+	mu   sync.Mutex
+	seen []string // "host path"
+}
+
+func (d *countingDoer) Do(req *http.Request) (*http.Response, error) {
+	d.mu.Lock()
+	d.seen = append(d.seen, req.URL.Host+" "+req.URL.Path)
+	d.mu.Unlock()
+	return d.next.Do(req)
+}
+
+// Boot is quiet: a node's probe and repair loops run nothing before
+// their first tick, so a node started before its siblings are on the
+// switchboard marks none of them suspect. On a fake-clocked fleet whose
+// nodes are wired and started one at a time, no peer request leaves any
+// node; one explicit probe round per node then sends exactly one
+// /healthz per peer and leaves every node seeing every peer Ok.
 func TestLocalClusterProbesOnlyWiredPeers(t *testing.T) {
-	lc, err := NewLocalCluster(LocalClusterOptions{Nodes: 3, Replicas: 2, ProbeInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
+	const nodes = 3
+	fake := clock.NewFake(time.Unix(0, 0))
+	lc := &LocalCluster{
+		servers: map[string]*Server{},
+		sb:      &switchboard{handlers: map[string]http.Handler{}, dead: map[string]bool{}},
+		opt: LocalClusterOptions{Nodes: nodes, Replicas: 2, ProbeInterval: time.Second,
+			RebalanceInterval: time.Second, ServerOptions: []Option{WithClock(fake)}},
 	}
 	t.Cleanup(lc.Close)
-	time.Sleep(200 * time.Millisecond) // the first probe round, which Start runs at once
+	rec := &countingDoer{next: lc.sb}
+	lc.peers = rec
+	var members []cluster.Member
+	for i := 1; i <= nodes; i++ {
+		id := fmt.Sprintf("n%d", i)
+		members = append(members, cluster.Member{ID: id, Addr: "http://" + id})
+		lc.ids = append(lc.ids, id)
+	}
+	for _, m := range members {
+		if err := lc.addNode(m, members); err != nil {
+			t.Fatal(err)
+		}
+		lc.start(lc.Node(m.ID))
+		rec.mu.Lock()
+		if len(rec.seen) != 0 {
+			t.Errorf("after starting %s, %d peer requests left before any tick: %v", m.ID, len(rec.seen), rec.seen)
+		}
+		rec.mu.Unlock()
+	}
+	for _, id := range lc.IDs() {
+		lc.Cluster(id).ProbeOnce(context.Background())
+	}
+	rec.mu.Lock()
+	if len(rec.seen) != nodes*(nodes-1) {
+		t.Errorf("one probe round per node sent %d peer requests, want %d: %v", len(rec.seen), nodes*(nodes-1), rec.seen)
+	}
+	for _, r := range rec.seen {
+		if !strings.HasSuffix(r, " /healthz") {
+			t.Errorf("probe round sent %s", r)
+		}
+	}
+	rec.mu.Unlock()
 	for _, id := range lc.IDs() {
 		for _, peer := range lc.IDs() {
-			if h := lc.Cluster(id).Checker().Status(peer); h != cluster.Ok {
+			if h := lc.Cluster(id).Health(peer); h != cluster.Ok {
 				t.Errorf("%s sees %s %v after its first probe round, want ok", id, peer, h)
 			}
 		}

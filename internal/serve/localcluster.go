@@ -142,14 +142,18 @@ func (lc *LocalCluster) addNode(m cluster.Member, members []cluster.Member) erro
 	return nil
 }
 
-// start runs a node's prober and rebalancer per the options.
+// start runs a node's prober and rebalancer per the options; without
+// a RebalanceInterval no repair loop runs, not even on kicks, and
+// without either interval the node's loops are left unstarted.
 func (lc *LocalCluster) start(srv *Server) {
-	if lc.opt.ProbeInterval > 0 {
-		srv.cluster.Start(lc.opt.ProbeInterval)
+	if lc.opt.ProbeInterval <= 0 && lc.opt.RebalanceInterval <= 0 {
+		return
 	}
-	if lc.opt.RebalanceInterval > 0 {
-		srv.StartRebalancer(lc.opt.RebalanceInterval)
+	rebalance := lc.opt.RebalanceInterval
+	if rebalance <= 0 {
+		rebalance = -1
 	}
+	srv.StartPeerLoops(lc.opt.ProbeInterval, rebalance)
 }
 
 // IDs returns the node ids in creation order (boot members first, then
@@ -198,7 +202,6 @@ func (lc *LocalCluster) Kill(id string) error {
 	lc.sb.mu.Lock()
 	lc.sb.dead[id] = true
 	lc.sb.mu.Unlock()
-	s.cluster.Stop()
 	s.Close()
 	return nil
 }
@@ -274,7 +277,6 @@ func (lc *LocalCluster) removeNode(id string) {
 	delete(lc.sb.dead, id)
 	lc.sb.mu.Unlock()
 	if srv != nil {
-		srv.cluster.Stop()
 		srv.Close()
 	}
 }
@@ -438,7 +440,6 @@ func (lc *LocalCluster) Close() {
 	lc.mu.RLock()
 	defer lc.mu.RUnlock()
 	for _, s := range lc.servers {
-		s.cluster.Stop()
 		s.Close()
 	}
 }

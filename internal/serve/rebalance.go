@@ -245,19 +245,31 @@ func (s *Server) KickRebalance() {
 	}
 }
 
-// StartRebalancer launches the background repair loop: one pass per
-// interval, plus an immediate pass on every kick (membership changes
-// kick automatically). An interval <= 0 means kick-driven only — no
-// periodic passes. Only the first call starts a loop; Close ends it. A
-// server without a cluster or store ignores the call.
-func (s *Server) StartRebalancer(interval time.Duration) {
-	if s.cluster == nil || s.store == nil {
+// StartPeerLoops starts this node's two peer loops as tick loops on
+// the server's clock: a probe round every probe interval (none when
+// probe <= 0: failure detection is then passive only, from failed peer
+// requests) and, with a store, the repair loop — a pass every rebalance
+// interval plus one on every kick (membership changes kick
+// automatically; at rebalance == 0 kicks only, and at < 0 no loop, so
+// repair runs only when driven, as LocalCluster.Settle does). Neither
+// loop runs before its first interval; a kick raised before the start,
+// such as a -join node's view adoption, runs a pass at once. Only the
+// first call starts anything, and none after Close; Close ends both
+// loops, so once it returns the node sends no further peer request
+// from them. A server without a cluster ignores the call.
+func (s *Server) StartPeerLoops(probe, rebalance time.Duration) {
+	if s.cluster == nil {
 		return
 	}
-	s.rbOnce.Do(func() {
-		s.KickRebalance() // converge promptly on boot (covers -join and empty restarts)
-		// RebalanceOnce logs its own per-pass summary under the pass id; its
-		// only error is the loop context's cancellation, which ends the loop.
-		s.tickLoop(interval, s.rbKick, func(ctx context.Context) { _, _ = s.RebalanceOnce(ctx) })
+	s.loopsOnce.Do(func() {
+		if probe > 0 {
+			s.tickLoop(probe, nil, s.cluster.ProbeOnce)
+		}
+		if s.store != nil && rebalance >= 0 {
+			// RebalanceOnce logs its own per-pass summary under the pass
+			// id; its only error is the loop context's cancellation, which
+			// ends the loop.
+			s.tickLoop(rebalance, s.rbKick, func(ctx context.Context) { _, _ = s.RebalanceOnce(ctx) })
+		}
 	})
 }

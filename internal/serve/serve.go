@@ -368,7 +368,7 @@ type Server struct {
 	tuneGate     *gate
 	simulateGate *gate
 
-	// The SLO and rebalancer loops (see tickLoop) run until
+	// The SLO, probe and rebalancer loops (see tickLoop) run until
 	// Close cancels loopCtx.
 	loopCtx    context.Context
 	loopCancel context.CancelFunc
@@ -382,7 +382,7 @@ type Server struct {
 	// Elastic-membership machinery: the rebalancer's kick channel and
 	// the per-epoch repaired-record memo (see rebalance.go).
 	rbKick       chan struct{}
-	rbOnce       sync.Once  // StartRebalancer; spent by Close
+	loopsOnce    sync.Once  // StartPeerLoops; spent by Close
 	rbRunMu      sync.Mutex // serializes RebalanceOnce passes
 	repairMu     sync.Mutex // guards repairedAt, lastPull, lastPullDone
 	repairedAt   map[string]cluster.RingID
@@ -499,17 +499,17 @@ func WithLimits(l Limits) Option {
 // WithCluster attaches this node's view of the sharded tier: requests
 // for fingerprints owned by a peer are transparently forwarded, plans
 // tuned here are write-through replicated to the fingerprint's other
-// replicas, and GET /cluster exposes the topology. The cluster's
-// health-prober lifecycle (Start/Stop) stays with the caller.
+// replicas, and GET /cluster exposes the topology. StartPeerLoops
+// starts the node's probe and repair loops.
 func WithCluster(cl *cluster.Cluster) Option {
 	return func(s *Server) { s.cluster = cl }
 }
 
 // WithClock replaces the system clock as the SLO engine's time source
-// and as the ticker behind the SLO and rebalancer loops. On a
-// clock.Fake those loops are inert and a test drives SLOTick and
-// RebalanceOnce itself; one Fake may be shared by every node of a
-// LocalCluster. A nil clock is ignored.
+// and as the ticker behind the SLO, probe and rebalancer loops. On a
+// clock.Fake those loops are inert and a test drives SLOTick, a
+// cluster's ProbeOnce and RebalanceOnce itself; one Fake may be shared
+// by every node of a LocalCluster. A nil clock is ignored.
 func WithClock(c clock.Ticking) Option {
 	return func(s *Server) { s.clock = c }
 }
@@ -578,12 +578,13 @@ func New(opts ...Option) *Server {
 }
 
 // Close stops the job workers (canceling queued and running jobs), the
-// background rebalancer, and the SLO tick loop. The plan store needs no
-// teardown: every Put is already durable.
+// prober (with any view sync it runs), the background rebalancer, and
+// the SLO tick loop. The plan store needs no teardown: every Put is
+// already durable.
 func (s *Server) Close() {
-	// Spend the rebalancer's once: a StartRebalancer racing Close has
-	// started its loop by the time Do returns, a later one starts none.
-	s.rbOnce.Do(func() {})
+	// Spend the peer loops' once: a StartPeerLoops racing Close has
+	// started its loops by the time Do returns, a later one starts none.
+	s.loopsOnce.Do(func() {})
 	s.loopCancel()
 	s.loopWG.Wait()
 	s.jobs.Close()
@@ -592,7 +593,8 @@ func (s *Server) Close() {
 // tickLoop starts a goroutine that runs fn on every tick of the
 // server's clock, d apart (d <= 0: no ticks), and on every kick (nil:
 // none), until Close. On a clock.Fake no tick ever arrives: the loop is
-// inert and the test calls fn's exported twin (SLOTick, RebalanceOnce).
+// inert and the test calls fn's exported twin (SLOTick, ProbeOnce,
+// RebalanceOnce).
 func (s *Server) tickLoop(d time.Duration, kick <-chan struct{}, fn func(context.Context)) {
 	s.loopWG.Add(1)
 	go func() {
@@ -879,15 +881,17 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec) (*TuneResponse, e
 		// — the plan is still correct and cached in memory. A stored plan
 		// lands on the fingerprint's other replicas before the reply, so
 		// a node failover right after it loses nothing; the round joins
-		// this request's trace.
-		if rec, err := s.store.Put(store.Record{
+		// this request's trace. A record that reached the store during
+		// the search (a second search of the key, after a lost relay)
+		// stands: its writer already wrote it through.
+		if rec, created, err := s.store.Create(store.Record{
 			Fingerprint:    fp,
 			Plan:           res.Plan,
 			Predicted:      res.Predicted,
 			PredThroughput: res.PredThroughput,
 		}); err == nil {
 			resp.StoreVersion = rec.Version
-			if s.cluster != nil {
+			if created && s.cluster != nil {
 				s.writeThrough(ctx, rec)
 			}
 		}

@@ -236,6 +236,24 @@ func (s *Store) Put(rec Record) (Record, error) {
 	return rec, err
 }
 
+// Create stores a fingerprint's first record, at Version 1 stamped now,
+// and returns it with created true. When the store already holds the
+// fingerprint — a peer's write-through landed while this node searched
+// it — nothing is written and the held record comes back instead, so a
+// second search of one key never mints a second version.
+func (s *Store) Create(rec Record) (Record, bool, error) {
+	if rec.Plan == nil {
+		return Record{}, false, fmt.Errorf("store: refusing to store a nil plan for %s", rec.Fingerprint.Key())
+	}
+	rec.Version, rec.UpdatedAt = 1, time.Now().UTC()
+	created, applied, err := s.commit(rec, false)
+	if err != nil || applied {
+		return created, applied, err
+	}
+	held, _ := s.Get(rec.Fingerprint)
+	return held, false, nil
+}
+
 // Apply installs a record replicated from a peer, preserving the
 // incoming Version: the write happens only when the incoming version is
 // newer than the local one (false, nil otherwise).

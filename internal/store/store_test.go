@@ -63,6 +63,30 @@ func TestPutGetAndVersioning(t *testing.T) {
 	}
 }
 
+// Create writes a fingerprint's first record at Version 1 and, once the
+// store holds one, writes nothing and hands the held record back.
+func TestCreateKeepsTheFirstRecord(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fp("gpt3-2.7b", 4, 32)
+	rec, created, err := s.Create(Record{Fingerprint: f, Plan: tinyPlan(2), Predicted: 1.5})
+	if err != nil || !created || rec.Version != 1 || rec.UpdatedAt.IsZero() {
+		t.Fatalf("first create: created=%v err=%v rec=%+v", created, err, rec)
+	}
+	rec, created, err = s.Create(Record{Fingerprint: f, Plan: tinyPlan(2), Predicted: 1.4})
+	if err != nil || created || rec.Version != 1 || rec.Predicted != 1.5 {
+		t.Fatalf("second create: created=%v err=%v rec=%+v, want the first record back", created, err, rec)
+	}
+	if held, _ := s.Get(f); held.Version != 1 || held.Predicted != 1.5 {
+		t.Errorf("held record after a second create: %+v", held)
+	}
+	if _, _, err := s.Create(Record{Fingerprint: fp("gpt3-1.3b", 2, 8)}); err == nil {
+		t.Error("created a record without a plan")
+	}
+}
+
 func TestCanonicalKeyCollapsesSpelling(t *testing.T) {
 	s := InMemory()
 	f := fp("gpt3-2.7b", 4, 32)
