@@ -202,7 +202,7 @@ func main() {
 	go func() { served <- s.Serve(ctx, ln, *grace) }()
 	log.Printf("serving on %s (POST /tune /simulate /jobs, GET /jobs /cluster /cluster/events /cluster/health /slo /healthz /stats /metrics /debug/traces)", *addr)
 	if *joinPeer != "" {
-		join(ctx, cl, self, *joinPeer, *probeIvl)
+		join(ctx, s, cl, self, *joinPeer, *probeIvl)
 	}
 	if cl != nil {
 		// The prober and the anti-entropy repairer: periodic passes plus
@@ -220,7 +220,7 @@ func main() {
 
 // join admits a node booted with a single-member view into a live
 // cluster through seed and adopts the view the seed answers with.
-func join(ctx context.Context, cl *cluster.Cluster, self cluster.Member, seed string, probeIvl time.Duration) {
+func join(ctx context.Context, s *serve.Server, cl *cluster.Cluster, self cluster.Member, seed string, probeIvl time.Duration) {
 	jctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	view, err := cluster.JoinVia(jctx, &http.Client{Timeout: 10 * time.Second}, seed, self)
 	cancel()
@@ -246,37 +246,40 @@ func join(ctx context.Context, cl *cluster.Cluster, self cluster.Member, seed st
 	// for a few probe rounds (long enough for reconciliation to have
 	// surfaced any divergence). A drain landing inside that short
 	// stabilization window can be contested at most once — re-issue it.
-	go func() {
-		ivl := probeIvl
-		if ivl <= 0 {
-			ivl = 2 * time.Second // the -probe-interval default
+	// The watcher is a tick loop on the server's clock, a no-op once
+	// retired: Close ends it, and cancels a re-announce in flight.
+	ivl := probeIvl
+	if ivl <= 0 {
+		// -probe-interval 0 runs no probe rounds (passive detection
+		// only); the watcher still checks, at the flag's default pace.
+		ivl = 2 * time.Second
+	}
+	retired, everInRing, inRingStreak := false, false, 0
+	s.Every(2*ivl, func(ctx context.Context) {
+		if retired {
+			return
 		}
-		everInRing := false
-		inRingStreak := 0
-		for {
-			time.Sleep(2 * ivl)
-			if cl.InRing() {
-				everInRing = true
-				if inRingStreak++; inRingStreak >= 3 {
-					return
-				}
-				continue
-			}
-			inRingStreak = 0
-			if everInRing {
-				log.Printf("cluster mode: node %s excluded after having been in the ring (operator drain); standing down", self.ID)
-				return
-			}
-			log.Printf("cluster mode: node %s lost its join race (view epoch %d excludes it); re-announcing via %s",
-				self.ID, cl.Epoch(), seed)
-			rctx, rcancel := context.WithTimeout(ctx, 10*time.Second)
-			v, err := cluster.JoinVia(rctx, &http.Client{Timeout: 10 * time.Second}, seed, self)
-			rcancel()
-			if err != nil {
-				log.Printf("cluster mode: re-join failed: %v", err)
-				continue
-			}
-			_, _ = cl.AdoptView(v)
+		if cl.InRing() {
+			everInRing = true
+			inRingStreak++
+			retired = inRingStreak >= 3
+			return
 		}
-	}()
+		inRingStreak = 0
+		if everInRing {
+			log.Printf("cluster mode: node %s excluded after having been in the ring (operator drain); standing down", self.ID)
+			retired = true
+			return
+		}
+		log.Printf("cluster mode: node %s lost its join race (view epoch %d excludes it); re-announcing via %s",
+			self.ID, cl.Epoch(), seed)
+		rctx, rcancel := context.WithTimeout(ctx, 10*time.Second)
+		v, err := cluster.JoinVia(rctx, &http.Client{Timeout: 10 * time.Second}, seed, self)
+		rcancel()
+		if err != nil {
+			log.Printf("cluster mode: re-join failed: %v", err)
+			return
+		}
+		_, _ = cl.AdoptView(v)
+	})
 }

@@ -61,8 +61,8 @@ type sweepScratch struct {
 var sweepScratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
 
 // release returns sc to the pool without the window's knob sets and rows:
-// a pooled scratch must not keep a dropped analyzer's grids or rows
-// alive.
+// a pooled scratch must not keep a dropped analyzer's rows, or grids no
+// search holds, alive.
 func (sc *sweepScratch) release() {
 	clear(sc.sets[:cap(sc.sets)])
 	clear(sc.rows[:cap(sc.rows)])

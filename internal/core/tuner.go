@@ -79,8 +79,8 @@ func (t *Tuner) rows() pricer {
 // knobSet returns the knob grid of one layer count: the space's
 // checkpoint fractions quantized to the layer count, deduplicated (a small
 // layer count folds neighbours together) and sorted, crossed with its
-// offload ratios. The analyzer builds each grid once and hands every
-// tuner the same set.
+// offload ratios. The process builds each grid once while some caller
+// holds it and hands every tuner the same set.
 func (t *Tuner) knobSet(layers int) *schedule.Batch {
 	var buf [8]int
 	ckpts := buf[:0]

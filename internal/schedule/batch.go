@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
+	"weak"
 )
 
 // tupleGroups partitions a knob batch by offload tuple (WO, GO, OO, AO):
@@ -24,8 +26,8 @@ type tupleGroups struct {
 // under many shapes: validated and partitioned by offload tuple once, when
 // it is built, instead of on every call. It is the unit the analyzer's
 // row store keeps a row of per canonical shape (rows.go). The tuner's
-// batches are the analyzer's knob grids (KnobGrid), one per (layer count,
-// checkpoint counts, swept ratios), shared by every tuner of the
+// batches are the process's knob grids (KnobGrid), one per (layer count,
+// checkpoint counts, swept ratios), shared by every tuner of every
 // analyzer; a stage's layer window is priced as a list of them
 // (Rows.EvaluateSets). Every entry is priced, duplicates included.
 type Batch struct {
@@ -66,34 +68,41 @@ var offloadRatios = [...]float64{0, 0.5, 1}
 // KnobGrid returns the knob grid of one layer count: each checkpoint count
 // of ckpts (ascending, distinct), crossed ckpt-major with every offload
 // tuple whose WO, GO, OO and AO take the values {0, ½, 1} where sweep is
-// set and 0 elsewhere. The grid is built on first use, and every later
-// call with the same arguments returns the same *Batch, so the tuners of
-// one analyzer share it and the analyzer's rows are keyed by it. The
-// grid depends on its arguments alone, nothing Serialize or Intf affects.
+// set and 0 elsewhere. The grid depends on its arguments alone, nothing
+// the analyzer holds, so it is the process's (grids): built on first use,
+// and every later call with the same arguments, on any analyzer, returns
+// the same *Batch while some caller still holds it. An analyzer's rows
+// are keyed by the grid and hold it, so a priced grid lives as long as
+// the analyzer.
 func (a *Analyzer) KnobGrid(layers int, ckpts []int, sweep [4]bool) *Batch {
 	var buf [32]byte // the key, on the stack: a hit allocates nothing
-	key := binary.AppendUvarint(buf[:0], uint64(layers))
+	key := gridKey(buf[:0], layers, ckpts, sweep)
+	gridMu.Lock()
+	defer gridMu.Unlock()
+	if b := grids[string(key)].Value(); b != nil {
+		return b
+	}
+	b := newKnobGrid(layers, ckpts, sweep)
+	k := string(key)
+	grids[k] = weak.Make(b)
+	runtime.AddCleanup(b, dropGrid, k) // captures the key only: b stays collectable
+	return b
+}
+
+// gridKey appends KnobGrid's arguments, encoded, to dst.
+func gridKey(dst []byte, layers int, ckpts []int, sweep [4]bool) []byte {
+	dst = binary.AppendUvarint(dst, uint64(layers))
 	mask := byte(0)
 	for i, on := range sweep {
 		if on {
 			mask |= 1 << i
 		}
 	}
-	key = append(key, mask)
+	dst = append(dst, mask)
 	for _, c := range ckpts {
-		key = binary.AppendUvarint(key, uint64(c))
+		dst = binary.AppendUvarint(dst, uint64(c))
 	}
-	a.gridMu.Lock()
-	defer a.gridMu.Unlock()
-	b := a.grids[string(key)]
-	if b == nil {
-		b = newKnobGrid(layers, ckpts, sweep)
-		if a.grids == nil {
-			a.grids = make(map[string]*Batch)
-		}
-		a.grids[string(key)] = b
-	}
-	return b
+	return dst
 }
 
 func newKnobGrid(layers int, ckpts []int, sweep [4]bool) *Batch {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"repro/internal/graph"
 	"repro/internal/model"
@@ -285,6 +286,27 @@ var traces = onceMap[traceKey, *modelTrace]{max: maxTraces}
 
 // nTraces counts the process's graph.Trace calls, for tests.
 var nTraces atomic.Int64
+
+// grids holds the process's knob grids (Analyzer.KnobGrid) by encoded
+// arguments, weakly: a grid lives while a caller holds it — a tuner's
+// window, or the rows of an analyzer that priced it — and its cleanup
+// (dropGrid) then deletes its entry, so the table holds only live grids
+// and needs no bound. A grid asked for again after it died is rebuilt
+// under a new pointer, which misses the rows like any new set.
+var (
+	gridMu sync.Mutex
+	grids  = map[string]weak.Pointer[Batch]{}
+)
+
+// dropGrid deletes key's entry if its grid is dead: a grid rebuilt under
+// the key since is kept.
+func dropGrid(key string) {
+	gridMu.Lock()
+	defer gridMu.Unlock()
+	if grids[key].Value() == nil {
+		delete(grids, key)
+	}
+}
 
 // traceModel traces k's model and compiles its section bytes.
 func traceModel(k traceKey) *modelTrace {

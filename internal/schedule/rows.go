@@ -25,9 +25,9 @@ package schedule
 // per-batch rows serve the layer counts they share. Keys are (canonical
 // shape, *Batch): StageShape.Canonical collapses shapes that provably
 // evaluate identically, and a batch is identified by its pointer. The
-// tuner's batches are the analyzer's knob grids (KnobGrid), so the
-// pointer is the content; a batch a caller builds itself (NewBatch) hits
-// only through that same pointer.
+// tuner's batches are the process's knob grids (KnobGrid), so the
+// pointer is the content while a row holds it; a batch a caller builds
+// itself (NewBatch) hits only through that same pointer.
 //
 // One sync.RWMutex guards the store; lock traffic is per window, so the
 // tuner's nested (S, G) × intra-stage fan-out does not serialize on it.

@@ -199,20 +199,17 @@ type Analyzer struct {
 	// fill per canonical stage shape. What depends on less is the
 	// process's, shared by pointer: the model's trace and compiled (b,
 	// TP) byte program, one per (model, seq, flash) in a bounded table
-	// (traces; traced is this analyzer's, fetched on first use), and each
-	// structural variant's stage program (variantPrograms).
+	// (traces; traced is this analyzer's, fetched on first use), each
+	// structural variant's stage program (variantPrograms), and the knob
+	// grids, held weakly (grids).
 	traceOnce sync.Once
 	traced    *modelTrace
 	tpbMu     sync.Mutex
 	tpbs      map[tpB]*tpbCosts
 	programs  onceMap[StageShape, *stageProgram]
 
-	// The knob grids the tuners of this analyzer price, by KnobGrid's
-	// encoded arguments (batch.go), and the rows priced under them
-	// (rows.go).
-	gridMu sync.Mutex
-	grids  map[string]*Batch
-	rows   *Rows
+	// The rows priced under the process's knob grids (rows.go).
+	rows *Rows
 
 	// Trace fetches, section-cost builds and tuple passes run, and overlap
 	// regions predicted, for tests and benchmarks. A tuple pass is what

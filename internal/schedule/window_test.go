@@ -3,9 +3,11 @@ package schedule
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/symbolic"
 )
@@ -306,11 +308,13 @@ func asTupleSets(sets []*Batch) []tupleSet {
 
 // TestKnobGridIsOneValuePerArguments: KnobGrid lays a grid out exactly as
 // the tuner always enumerated it (tunerGrid; a ratio left unswept is 0),
-// answers every later call with the same arguments with the same *Batch
-// and without allocating, and gives other arguments — layer count,
-// checkpoint counts, swept ratios — a grid of their own.
+// answers every later call with the same arguments — on any analyzer,
+// while the grid is held — with the same *Batch and without allocating,
+// and gives other arguments — layer count, checkpoint counts, swept
+// ratios — a grid of their own.
 func TestKnobGridIsOneValuePerArguments(t *testing.T) {
 	a := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
+	other := newTestAnalyzer(t, "gpt3-1.3b", 2, false)
 	all := [4]bool{true, true, true, true}
 	mist := a.KnobGrid(8, []int{0, 2, 4, 6, 8}, all)
 	if !slices.Equal(mist.Knobs(), tunerGrid(8, []float64{0, 0.5, 1})) {
@@ -319,9 +323,14 @@ func TestKnobGridIsOneValuePerArguments(t *testing.T) {
 	if got := a.KnobGrid(8, []int{0, 2, 4, 6, 8}, all); got != mist {
 		t.Error("a second call built a second grid")
 	}
+	if got := other.KnobGrid(8, []int{0, 2, 4, 6, 8}, all); got != mist {
+		t.Error("another analyzer built a second grid")
+	}
 	ckpts := []int{0, 2, 4, 6, 8}
-	if allocs := testing.AllocsPerRun(100, func() { a.KnobGrid(8, ckpts, all) }); allocs != 0 {
-		t.Errorf("a grid hit allocated %v times, want 0", allocs)
+	for _, an := range []*Analyzer{a, other} {
+		if allocs := testing.AllocsPerRun(100, func() { an.KnobGrid(8, ckpts, all) }); allocs != 0 {
+			t.Errorf("a grid hit allocated %v times, want 0", allocs)
+		}
 	}
 	aoOnly := a.KnobGrid(8, []int{8}, [4]bool{false, false, false, true})
 	want := []Knobs{{Layers: 8, Ckpt: 8}, {Layers: 8, Ckpt: 8, AO: 0.5}, {Layers: 8, Ckpt: 8, AO: 1}}
@@ -342,10 +351,14 @@ func TestKnobGridIsOneValuePerArguments(t *testing.T) {
 	}
 }
 
-// TestConcurrentKnobGridFirstUse: goroutines asking a fresh analyzer for
+// TestConcurrentKnobGridFirstUse: goroutines asking fresh analyzers for
 // the same grids at once all get one *Batch per argument list.
 func TestConcurrentKnobGridFirstUse(t *testing.T) {
-	a := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
+	ans := []*Analyzer{
+		newTestAnalyzer(t, "gpt3-2.7b", 8, true),
+		newTestAnalyzer(t, "gpt3-2.7b", 8, true),
+		newTestAnalyzer(t, "gpt3-1.3b", 4, false),
+	}
 	const goroutines = 8
 	got := make([][3]*Batch, goroutines)
 	start := make(chan struct{})
@@ -355,6 +368,7 @@ func TestConcurrentKnobGridFirstUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
+			a := ans[i%len(ans)]
 			for l := range got[i] {
 				got[i][l] = a.KnobGrid(l+1, []int{0, l + 1}, [4]bool{true, false, true, false})
 			}
@@ -366,6 +380,43 @@ func TestConcurrentKnobGridFirstUse(t *testing.T) {
 		if got[i] != got[0] {
 			t.Fatalf("goroutine %d got other grids than goroutine 0", i)
 		}
+	}
+}
+
+// TestUnheldKnobGridLeavesTheTable: the process keeps a knob grid only
+// while a caller holds it. Once nobody does, a collection runs its
+// cleanup, which deletes its entry — what bounds the table — and the
+// next call builds the same entries afresh.
+func TestUnheldKnobGridLeavesTheTable(t *testing.T) {
+	a := newTestAnalyzer(t, "gpt3-2.7b", 8, true)
+	layers, ckpts, sweep := 977, []int{0, 3, 977}, [4]bool{false, true, false, true} // no other test's grid
+	key := string(gridKey(nil, layers, ckpts, sweep))
+	inTable := func() bool {
+		gridMu.Lock()
+		defer gridMu.Unlock()
+		_, ok := grids[key]
+		return ok
+	}
+	g := a.KnobGrid(layers, ckpts, sweep)
+	want := slices.Clone(g.Knobs())
+	if !inTable() {
+		t.Fatal("a held grid is not in the table")
+	}
+	runtime.GC()
+	if !inTable() || a.KnobGrid(layers, ckpts, sweep) != g {
+		t.Fatal("a held grid left the table")
+	}
+	runtime.KeepAlive(g)
+	// Cleanups run on a goroutine of their own after the collection that
+	// finds the grid dead, so the entry's deletion is awaited.
+	for deadline := time.Now().Add(2 * time.Second); inTable(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a grid nobody holds is still in the table 2 s after a collection")
+		}
+		runtime.GC()
+	}
+	if again := a.KnobGrid(layers, ckpts, sweep); !slices.Equal(again.Knobs(), want) {
+		t.Error("the grid built again differs from the first")
 	}
 }
 

@@ -322,6 +322,33 @@ func TestStartPeerLoopsOnceAndCloseSafe(t *testing.T) {
 	b.StartPeerLoops(time.Hour, time.Hour) // after Close: starts nothing
 }
 
+// Every runs its function on the server's clock until Close, which
+// cancels the context of the call in flight and waits for it (the call
+// here blocks until then), and starts no call after it returns — how a
+// -join node's re-announce watcher ends with its server.
+func TestEveryEndsAtClose(t *testing.T) {
+	s := serve.New()
+	started := make(chan struct{})
+	var calls int
+	s.Every(time.Millisecond, func(ctx context.Context) {
+		if calls++; calls == 1 {
+			close(started)
+		}
+		<-ctx.Done()
+	})
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		s.Close()
+		t.Fatal("the loop never ran")
+	}
+	s.Close()
+	time.Sleep(20 * time.Millisecond) // ticks that would run a late call
+	if calls != 1 {
+		t.Errorf("%d calls, want 1: a call ran after Close", calls)
+	}
+}
+
 // blockingDoer answers /healthz with a higher epoch, then parks any
 // /cluster/view fetch until the request's context is canceled — the
 // shape of a peer that wedges mid-sync.

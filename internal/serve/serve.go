@@ -617,6 +617,12 @@ func (s *Server) tickLoop(d time.Duration, kick <-chan struct{}, fn func(context
 	}()
 }
 
+// Every runs fn as one more tick loop on the server's clock: every d
+// (never before the first), one call at a time, until Close, which
+// cancels the context fn is given and waits for a call in flight. A
+// loop that is done before Close makes fn a no-op.
+func (s *Server) Every(d time.Duration, fn func(context.Context)) { s.tickLoop(d, nil, fn) }
+
 // Store exposes the attached plan store (nil without one).
 func (s *Server) Store() *store.Store { return s.store }
 
